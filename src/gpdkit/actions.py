@@ -15,17 +15,19 @@ normalized cocycle.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
                        _trusted, classify_morphism, pair_id)
-from .algebra import wedderburn_from_tables, WedderburnInvariants
-from .bundle import (CheckEntry, FellBundle, FiberElement, NotSaturated,
+from .algebra import (RegularRepresentation, WedderburnInvariants,
+                      groupoid_table, wedderburn_from_tables)
+from .bundle import (FellBundle, FiberElement, NotSaturated,
                      FellBundleError, SectionAlgebra, _saturation_detail,
                      fiber_mul, fiber_norm, fiber_star, section_algebra)
+from .report import CheckList
 
 
 class ActionAxiomViolation(GroupoidError):
@@ -290,72 +292,25 @@ def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
 
 
 class TwistedConvolutionAlgebra:
-    """Convolution algebra twisted by a 2-cocycle, with its block-per-unit
-    left regular representation (a *-representation for the twisted
+    """Convolution algebra twisted by a 2-cocycle: the groupoid table with
+    weights omega (``table``) and its block-per-unit left regular
+    representation (``rep``, a *-representation for the twisted
     involution)."""
 
     def __init__(self, G: FiniteGroupoid, omega: Cocycle):
         self.G = G
         self.omega = omega
-        self._entry = []
-        self.blocks = [(u, G.arrows_from(u)) for u in G.units]
-        for u, basis in self.blocks:
-            d = len(basis)
-            table = np.empty((d, d), dtype=np.int64)
-            weight = np.empty((d, d), dtype=complex)
-            for j, h in enumerate(basis):
-                hi = G.inv[h]
-                for i, g in enumerate(basis):
-                    left = G.comp[(g, hi)]
-                    table[i, j] = G.index[left]
-                    weight[i, j] = omega(left, h)
-            self._entry.append((table, weight))
+        self.table = groupoid_table(G, omega.omega)
+        self.rep = RegularRepresentation(G, self.table)
 
     def convolve(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        G = self.G
-        out = np.zeros(len(G.arrows), dtype=complex)
-        idx = G.index
-        om = self.omega.omega
-        for (g1, g2), g12 in G.comp.items():
-            out[idx[g12]] += om[(g1, g2)] * c1[idx[g1]] * c2[idx[g2]]
-        return out
-
-    def star(self, c: np.ndarray) -> np.ndarray:
-        G = self.G
-        out = np.zeros(len(G.arrows), dtype=complex)
-        for g in G.arrows:
-            gi = G.inv[g]
-            out[G.index[gi]] = np.conj(self.omega(gi, g)) * \
-                np.conj(c[G.index[g]])
-        return out
-
-    def matrices(self, c: np.ndarray) -> list:
-        return [w * c[t] for t, w in self._entry]
+        return self.table.mul(c1, c2)
 
     def norm(self, c: np.ndarray) -> float:
-        return max((float(np.linalg.norm(M, 2)) for M in self.matrices(c)),
-                   default=0.0)
-
-    def basis_matrices(self) -> list:
-        n = sum(len(b) for _, b in self.blocks)
-        mats = [np.zeros((n, n), dtype=complex) for _ in self.G.arrows]
-        off = 0
-        for (u, basis), (table, weight) in zip(self.blocks, self._entry):
-            d = len(basis)
-            for i in range(d):
-                for j in range(d):
-                    mats[table[i, j]][off + i, off + j] = weight[i, j]
-            off += d
-        return mats
-
-    def products_table(self) -> dict:
-        idx = self.G.index
-        return {(idx[g1], idx[g2]): {idx[g12]: self.omega.omega[(g1, g2)]}
-                for (g1, g2), g12 in self.G.comp.items()}
+        return self.rep.norm(c)
 
     def wedderburn(self, seed: int = 0, tol: float = 1e-9) -> WedderburnInvariants:
-        return wedderburn_from_tables(self.basis_matrices(),
-                                      self.products_table(),
+        return wedderburn_from_tables(self.table, self.table.left,
                                       seed=seed, tol=tol)
 
 
@@ -378,32 +333,15 @@ def star_of_twist(omega: Cocycle, g):
 
 
 @dataclass
-class ExtractionResult:
+class ExtractionResult(CheckList):
     points: tuple
     action: GroupoidAction
     action_groupoid: ActionGroupoid
     cocycle: Cocycle
     projections: dict           # point -> coefficient vector in its unit fiber
     line_vectors: dict          # (h, point) -> FiberElement
-    entries: list = field(default_factory=list)
     blocks_twisted: Optional[tuple] = None
     blocks_bundle: Optional[tuple] = None
-
-    def add(self, name, passed, residual=None, witness=None):
-        self.entries.append(CheckEntry(name, bool(passed),
-                                       None if residual is None
-                                       else float(residual), witness))
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {"points": [repr(x) for x in self.points],
-                "entries": [e.as_dict() for e in self.entries],
-                "blocks_twisted": list(self.blocks_twisted or ()),
-                "blocks_bundle": list(self.blocks_bundle or ()),
-                "pass": self.passed}
 
 
 def _minimal_projections(alg, seed: int = 0, tol: float = 1e-9):
@@ -613,7 +551,7 @@ def _basis_map_checks(E, sa: SectionAlgebra, ag: ActionGroupoid, line,
             if c == 0:
                 continue
             vec = line[(h, x)].vec
-            base = sa.space.slot_index[(h, 0)]
+            base = E.first[h]
             out.vec[base:base + vec.size] += c * vec
         return out
 
@@ -630,7 +568,7 @@ def _basis_map_checks(E, sa: SectionAlgebra, ag: ActionGroupoid, line,
     for g in G2.arrows:
         c = np.zeros(len(G2.arrows), dtype=complex)
         c[G2.index[g]] = 1.0
-        lhs = to_section(ta.star(c))
+        lhs = to_section(ta.table.star(c))
         rhs = sa.star(to_section(c))
         res_star = max(res_star, float(np.max(np.abs(lhs.vec - rhs.vec))))
     rng = np.random.default_rng(seed)

@@ -8,6 +8,21 @@ this representation is faithful (the coefficient f(g) appears verbatim as
 the matrix entry at (g, src(g))), so the operator norm is the unique
 C*-norm of the finite-dimensional algebra.
 
+Every algebra in the package is a :class:`StructureTable`: basis
+e_0 .. e_{dim-1}, products e_a e_b = sum of w e_c over the entries
+(a, b, c, w), and a conjugate-linear star e_s* = sum of sw e_t over the
+entries (s, t, sw); repeated index tuples add up. A groupoid gives the
+arrow basis with w = 1, or w = omega(g1, g2) when twisted by a 2-cocycle.
+A bundle gives the section basis, its slots numbered arrow-major in the
+order of the base arrows. A closed family of matrices gives the basis it
+spans.
+
+Star weights are stored as given and never derived from the product
+weights, because the two conventions below agree only for valid
+cocycles: the twisted groupoid algebra uses e_g* = conj(omega(inv g, g))
+e_{inv g}, while the bundle of a twisted morphism uses
+e_g* = conj(omega(g, inv g)) e_{inv g}.
+
 Block-size invariants of such algebras (the complete isomorphism
 invariant at this scale) are computed by :func:`wedderburn`.
 """
@@ -15,7 +30,7 @@ invariant at this scale) are computed by :func:`wedderburn`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +43,122 @@ class BaseMismatch(ValueError):
 
 class NumericalDegeneracy(RuntimeError):
     """Central eigenvalues kept colliding within tolerance after retries."""
+
+
+def _scatter(index, values, size: int) -> np.ndarray:
+    """Complex vector of length ``size`` with values[i] added at index[i]
+    (np.bincount takes real weights only)."""
+    values = np.asarray(values, dtype=complex)
+    return (np.bincount(index, values.real, size)
+            + 1j * np.bincount(index, values.imag, size))
+
+
+def _largest_difference(keys, values):
+    """(max |sum of values per key|, its key), or (0.0, None) when the
+    sums all vanish."""
+    uniq, slot = np.unique(keys, return_inverse=True)
+    sums = np.abs(_scatter(slot, values, len(uniq)))
+    if not len(sums) or sums.max() == 0:
+        return 0.0, None
+    i = int(np.argmax(sums))
+    return float(sums[i]), int(uniq[i])
+
+
+class StructureTable:
+    """Sparse structure constants of a finite-dimensional *-algebra.
+
+    e_a[i] e_b[i] contributes w[i] e_c[i]; e_s[i]* contributes sw[i] e_t[i]
+    (the star is conjugate-linear in the coefficients). The arrays are
+    read-only, since one table may be shared by every user of its algebra.
+    """
+
+    __slots__ = ("dim", "a", "b", "c", "w", "s", "t", "sw")
+
+    def __init__(self, dim, a, b, c, w, s, t, sw):
+        self.dim = int(dim)
+        self.a, self.b, self.c, self.s, self.t = (
+            np.asarray(v, dtype=np.int64).reshape(-1) for v in (a, b, c, s, t))
+        self.w = np.asarray(w, dtype=complex).reshape(-1)
+        self.sw = np.asarray(sw, dtype=complex).reshape(-1)
+        for v in (self.a, self.b, self.c, self.w, self.s, self.t, self.sw):
+            v.flags.writeable = False
+
+    def mul(self, x, y) -> np.ndarray:
+        return _scatter(self.c, self.w * x[self.a] * y[self.b], self.dim)
+
+    def star(self, x) -> np.ndarray:
+        return _scatter(self.t, self.sw * np.conj(x[self.s]), self.dim)
+
+    def left(self, x) -> np.ndarray:
+        """Dense matrix of y -> x y."""
+        n = self.dim
+        return _scatter(self.c * n + self.b, self.w * x[self.a],
+                        n * n).reshape(n, n)
+
+    def left_stack(self) -> np.ndarray:
+        """(dim, dim, dim) array whose slice [a] is the matrix of e_a."""
+        n = self.dim
+        return _scatter((self.a * n + self.c) * n + self.b, self.w,
+                        n ** 3).reshape(n, n, n)
+
+    def products(self) -> dict:
+        """products[(a, b)] = {c: weight}, repeated entries summed."""
+        out = {}
+        for a, b, c, w in zip(self.a.tolist(), self.b.tolist(),
+                              self.c.tolist(), self.w.tolist()):
+            e = out.setdefault((a, b), {})
+            e[c] = e.get(c, 0.0) + w
+        return out
+
+    def relabel(self, new) -> "StructureTable":
+        """The same algebra with basis element i renamed new[i]."""
+        new = np.asarray(new, dtype=np.int64)
+        return StructureTable(self.dim, new[self.a], new[self.b], new[self.c],
+                              self.w, new[self.s], new[self.t], self.sw)
+
+    def mul_defect(self, other: "StructureTable"):
+        """(max |coefficient difference| of e_a e_b over all basis pairs,
+        (a, b) of that entry or None)."""
+        n = self.dim
+        keys = np.concatenate([(self.a * n + self.b) * n + self.c,
+                               (other.a * n + other.b) * n + other.c])
+        res, key = _largest_difference(keys,
+                                       np.concatenate([self.w, -other.w]))
+        return res, None if key is None else divmod(key // n, n)
+
+    def star_defect(self, other: "StructureTable"):
+        """(max |coefficient difference| of e_s*, s of that entry or None)."""
+        n = self.dim
+        keys = np.concatenate([self.s * n + self.t, other.s * n + other.t])
+        res, key = _largest_difference(keys,
+                                       np.concatenate([self.sw, -other.sw]))
+        return res, None if key is None else key // n
+
+
+def groupoid_table(G: FiniteGroupoid, omega=None) -> StructureTable:
+    """Table of the convolution algebra of G in the arrow basis, twisted
+    by the mapping ``omega`` on composable pairs when given. The untwisted
+    table is built once per groupoid."""
+    if omega is None and G._table is not None:
+        return G._table
+    idx = G.index
+    m = len(G.comp)
+    a = np.fromiter((idx[g1] for g1, _ in G.comp), np.int64, m)
+    b = np.fromiter((idx[g2] for _, g2 in G.comp), np.int64, m)
+    c = np.fromiter((idx[g] for g in G.comp.values()), np.int64, m)
+    t = np.fromiter((idx[G.inv[g]] for g in G.arrows), np.int64,
+                    len(G.arrows))
+    if omega is None:
+        w, sw = np.ones(m), np.ones(len(G.arrows))
+    else:
+        w = np.fromiter((omega[p] for p in G.comp), complex, m)
+        sw = np.conj(np.fromiter((omega[(G.inv[g], g)] for g in G.arrows),
+                                 complex, len(G.arrows)))
+    table = StructureTable(len(G.arrows), a, b, c, w,
+                           np.arange(len(G.arrows)), t, sw)
+    if omega is None:
+        G._table = table
+    return table
 
 
 class AlgebraElement:
@@ -97,21 +228,12 @@ def _same_base(f1, f2):
 
 def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
     _same_base(f1, f2)
-    G = f1.base
-    out = np.zeros(len(G.arrows), dtype=complex)
-    a, b = f1.coeffs, f2.coeffs
-    idx = G.index
-    for (g1, g2), g12 in G.comp.items():
-        out[idx[g12]] += a[idx[g1]] * b[idx[g2]]
-    return AlgebraElement(G, out)
+    return AlgebraElement(f1.base,
+                          groupoid_table(f1.base).mul(f1.coeffs, f2.coeffs))
 
 
 def involute(f: AlgebraElement) -> AlgebraElement:
-    G = f.base
-    out = np.zeros(len(G.arrows), dtype=complex)
-    for g in G.arrows:
-        out[G.index[f.base.inv[g]]] = np.conj(f.coeffs[G.index[g]])
-    return AlgebraElement(G, out)
+    return AlgebraElement(f.base, groupoid_table(f.base).star(f.coeffs))
 
 
 def random_element(G: FiniteGroupoid, rng: np.random.Generator) -> AlgebraElement:
@@ -121,62 +243,32 @@ def random_element(G: FiniteGroupoid, rng: np.random.Generator) -> AlgebraElemen
 
 
 class RegularRepresentation:
-    """Left regular representation, one block per unit.
+    """Left regular representation of a groupoid table, one block per unit.
 
     Block for unit u acts on the span of G_u = arrows with source u;
-    the matrix of f has entry f(g * inv(h)) at (g, h), which is always
-    composable for g, h in G_u.
+    the matrix of f has entry w f(g * inv(h)) at (g, h), which is always
+    composable for g, h in G_u. ``table`` defaults to the untwisted one.
     """
 
-    def __init__(self, G: FiniteGroupoid):
+    def __init__(self, G: FiniteGroupoid, table: StructureTable = None):
         self.G = G
-        self.blocks = [(u, G.arrows_from(u)) for u in G.units]
-        # (row, col) -> arrow index feeding that entry, per block
-        self._entry = []
-        for u, basis in self.blocks:
-            table = np.empty((len(basis), len(basis)), dtype=np.int64)
-            for j, h in enumerate(basis):
-                hi = G.inv[h]
-                for i, g in enumerate(basis):
-                    table[i, j] = G.index[G.comp[(g, hi)]]
-            self._entry.append(table)
+        self.table = groupoid_table(G) if table is None else table
+        self.blocks = [np.fromiter((G.index[g] for g in G.arrows_from(u)),
+                                   np.int64) for u in G.units]
 
-    def matrices(self, f: AlgebraElement) -> list:
-        return [f.coeffs[table] for table in self._entry]
+    def matrices(self, f) -> list:
+        """Block matrices of an AlgebraElement or a coefficient vector."""
+        M = self.table.left(getattr(f, "coeffs", f))
+        return [M[np.ix_(b, b)] for b in self.blocks]
 
-    def full_matrix(self, f: AlgebraElement) -> np.ndarray:
-        return block_diag(self.matrices(f))
-
-    def basis_matrices(self) -> list:
-        """Full block-diagonal matrices of every delta, in arrow order."""
-        n = sum(len(b) for _, b in self.blocks)
-        mats = [np.zeros((n, n), dtype=complex) for _ in self.G.arrows]
-        off = 0
-        for (u, basis), table in zip(self.blocks, self._entry):
-            m = len(basis)
-            for i in range(m):
-                for j in range(m):
-                    mats[table[i, j]][off + i, off + j] = 1.0
-            off += m
-        return mats
-
-
-def block_diag(blocks) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    off = 0
-    for b in blocks:
-        m = b.shape[0]
-        out[off:off + m, off:off + m] = b
-        off += m
-    return out
+    def norm(self, f) -> float:
+        """Operator norm: the largest singular value over the blocks."""
+        return max((float(np.linalg.norm(M, 2)) for M in self.matrices(f)),
+                   default=0.0)
 
 
 def cstar_norm(G: FiniteGroupoid, f: AlgebraElement) -> float:
-    """Operator norm: the largest singular value over the unit blocks."""
-    rep = RegularRepresentation(G)
-    return max((float(np.linalg.norm(M, 2)) for M in rep.matrices(f)),
-               default=0.0)
+    return RegularRepresentation(G).norm(f)
 
 
 def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
@@ -200,10 +292,11 @@ def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
 
 def faithfulness_defect(G: FiniteGroupoid) -> int:
     """dim ker of f -> lambda(f); zero on every valid groupoid."""
-    rep = RegularRepresentation(G)
-    mats = rep.basis_matrices()
-    stacked = np.stack([m.ravel() for m in mats])
-    return len(G.arrows) - int(np.linalg.matrix_rank(stacked))
+    table = groupoid_table(G)
+    n = table.dim
+    if n == 0:
+        return 0
+    return n - int(np.linalg.matrix_rank(table.left_stack().reshape(n, -1)))
 
 
 def conditional_expectation(G: FiniteGroupoid, K, f: AlgebraElement,
@@ -292,51 +385,49 @@ def _cluster(values: np.ndarray, thr: float) -> list:
     return clusters
 
 
-def _compress_to_support(mats, products, tol):
-    """Restrict a *-closed matrix family to the range of its algebra unit.
+def _compress_to_support(table: StructureTable, rep: Callable, tol):
+    """Restrict a faithful *-representation to the range of the algebra
+    unit.
 
     A *-closed finite-dimensional matrix algebra always has a unit acting
     as the identity on its support, but that unit need not be the ambient
     identity matrix; the spectral-projection argument below requires the
     representation to be unital, so non-full supports are cut down first.
     The unit is solved from the structure constants (sum_i c_i e_i e_j =
-    e_j for every j), which stays cheap for sparse tables.
+    e_j and e_j c = e_j for every j), which stays cheap for sparse tables.
     """
-    r = len(mats)
-    n = mats[0].shape[0]
-    rows = {}
-    for (i, j), expansion in products.items():
-        for k2, c in expansion.items():
-            # u e_j = e_j and e_i u = e_i, coefficientwise
-            rows.setdefault(("L", j, k2), np.zeros(r, dtype=complex))[i] += c
-            rows.setdefault(("R", i, k2), np.zeros(r, dtype=complex))[j] += c
-    if not rows:
+    r = table.dim
+    nz = table.w != 0
+    a, b, c, w = table.a[nz], table.b[nz], table.c[nz], table.w[nz]
+    if not len(w):
         raise ValueError("algebra has no products; cannot locate a unit")
-    M = np.stack(list(rows.values()))
-    target = np.array([1.0 if j == k2 else 0.0 for (_, j, k2) in rows],
-                      dtype=complex)
+    # row (b, c) of "u e_b = e_b" takes w at column a; row (a, c) of
+    # "e_a u = e_a" takes w at column b
+    keys, row = np.unique(np.concatenate([b * r + c, (r + a) * r + c]),
+                          return_inverse=True)
+    M = np.zeros((len(keys), r), dtype=complex)
+    np.add.at(M, (row, np.concatenate([a, b])), np.concatenate([w, w]))
+    target = ((keys // r) % r == keys % r).astype(complex)
     coeff, *_ = np.linalg.lstsq(M, target, rcond=None)
-    if float(np.linalg.norm(M @ coeff - target)) > tol * max(1.0, len(rows)):
+    if float(np.linalg.norm(M @ coeff - target)) > tol * max(1.0, len(keys)):
         raise ValueError("algebra has no unit element")
-    E = np.zeros((n, n), dtype=complex)
-    for i, c in enumerate(coeff):
-        if c != 0:
-            E += c * mats[i]
+    E = rep(coeff)
+    n = E.shape[0]
     if float(np.linalg.norm(E - np.eye(n))) <= tol * n:
-        return list(mats)
+        return rep
     E = (E + E.conj().T) / 2.0
     evals, V = np.linalg.eigh(E)
     keep = V[:, evals > 0.5]
     if keep.shape[1] == 0:
         raise ValueError("algebra unit has empty support")
-    return [keep.conj().T @ m @ keep for m in mats]
+    return lambda x: keep.conj().T @ rep(x) @ keep
 
 
-def wedderburn_from_tables(mats: Sequence[np.ndarray], products: dict,
-                           *, seed: int = 0, tol: float = 1e-9,
+def wedderburn_from_tables(table: StructureTable, rep: Callable, *,
+                           seed: int = 0, tol: float = 1e-9,
                            retries: int = 5) -> WedderburnInvariants:
-    """Block sizes of the *-closed algebra spanned by ``mats`` (a faithful
-    *-representation of a basis with sparse structure constants).
+    """Block sizes of the algebra of ``table``, given ``rep``, a faithful
+    *-representation taking coefficient vectors to matrices.
 
     Minimal central projections are the spectral projections of a random
     Hermitian central element; the size of each block is read off from the
@@ -345,23 +436,19 @@ def wedderburn_from_tables(mats: Sequence[np.ndarray], products: dict,
     eigenvalues, each with the multiplicity of the block in the
     representation). Collisions trigger a retry with fresh randomness.
     """
-    r = len(mats)
+    r = table.dim
     if r == 0:
         return WedderburnInvariants((), 0, 0)
-    mats = _compress_to_support(mats, products, tol)
-    n = mats[0].shape[0]
-    center = sparse_center_basis(r, products, tol=tol)
+    rep = _compress_to_support(table, rep, tol)
+    center = sparse_center_basis(r, table.products(), tol=tol)
     k = center.shape[0]
 
     rng = np.random.default_rng(seed)
     last_error = "no attempt"
     for _ in range(retries):
         zc = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        coef = zc @ center
-        Z = np.zeros((n, n), dtype=complex)
-        for j, c in enumerate(coef):
-            if c != 0:
-                Z += c * mats[j]
+        Z = rep(zc @ center)
+        n = Z.shape[0]
         Z = (Z + Z.conj().T) / 2.0  # stays central: the center is *-closed
         evals, V = np.linalg.eigh(Z)
         spread = float(evals[-1] - evals[0]) if n > 1 else 0.0
@@ -372,10 +459,7 @@ def wedderburn_from_tables(mats: Sequence[np.ndarray], products: dict,
                           f"dimension {k}")
             continue
 
-        yc = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        Y = np.zeros((n, n), dtype=complex)
-        for j, w in enumerate(yc):
-            Y += w * mats[j]
+        Y = rep(rng.standard_normal(r) + 1j * rng.standard_normal(r))
         Y = (Y + Y.conj().T) / 2.0
         yscale = max(float(np.linalg.norm(Y, 2)), 1.0)
 
@@ -411,8 +495,7 @@ def wedderburn_from_tables(mats: Sequence[np.ndarray], products: dict,
 
 
 def _closure_tables(mats, tol):
-    """Close a matrix family under products; return (basis, products, star ok)."""
-    n = mats[0].shape[0]
+    """Close a matrix family under products; return (basis stack, table)."""
     basis = []
     vecs = []  # orthonormalized vectorizations for span tests
 
@@ -441,20 +524,22 @@ def _closure_tables(mats, tol):
                 if add(a @ b):
                     changed = True
     r = len(basis)
-    stacked = np.stack([b.ravel() for b in basis]).T
-    pinv = np.linalg.pinv(stacked)
-    products = {}
-    for i in range(r):
-        for j in range(r):
-            coeff = pinv @ (basis[i] @ basis[j]).ravel()
-            entry = {k: c for k, c in enumerate(coeff) if abs(c) > tol}
-            products[(i, j)] = entry
-    for i in range(r):  # require a *-closed span
-        coeff = pinv @ basis[i].conj().T.ravel()
-        if float(np.linalg.norm(stacked @ coeff - basis[i].conj().T.ravel())) \
-                > tol * max(1.0, float(np.linalg.norm(basis[i]))):
-            raise ValueError("matrix family does not span a *-closed algebra")
-    return basis, products
+    basis = np.stack(basis)
+    flat = basis.reshape(r, -1)
+    pinv = np.linalg.pinv(flat.T)
+    # coefficients of every product e_i e_j and of every adjoint e_i*
+    prod = np.concatenate([(m @ basis).reshape(r, -1) @ pinv.T
+                           for m in basis])
+    adj = basis.conj().transpose(0, 2, 1).reshape(r, -1)
+    sadj = adj @ pinv.T
+    if np.any(np.linalg.norm(sadj @ flat - adj, axis=1)
+              > tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
+        raise ValueError("matrix family does not span a *-closed algebra")
+    ij, k = np.nonzero(np.abs(prod) > tol)
+    s, t = np.nonzero(np.abs(sadj) > tol)
+    table = StructureTable(r, ij // r, ij % r, k, prod[ij, k], s, t,
+                           sadj[s, t])
+    return basis, table
 
 
 def wedderburn(obj, *, seed: int = 0, tol: float = 1e-9,
@@ -462,17 +547,13 @@ def wedderburn(obj, *, seed: int = 0, tol: float = 1e-9,
     """Block-size invariants of C*_r(G) for a groupoid, or of the *-closed
     algebra generated by an explicit family of matrices."""
     if isinstance(obj, FiniteGroupoid):
-        rep = RegularRepresentation(obj)
-        mats = rep.basis_matrices()
-        products = {}
-        idx = obj.index
-        for (g1, g2), g12 in obj.comp.items():
-            products[(idx[g1], idx[g2])] = {idx[g12]: 1.0}
-        return wedderburn_from_tables(mats, products, seed=seed, tol=tol,
+        table = groupoid_table(obj)
+        return wedderburn_from_tables(table, table.left, seed=seed, tol=tol,
                                       retries=retries)
     mats = [np.asarray(m, dtype=complex) for m in obj]
     if not mats:
         return WedderburnInvariants((), 0, 0)
-    basis, products = _closure_tables(mats, tol)
-    return wedderburn_from_tables(basis, products, seed=seed, tol=tol,
-                                  retries=retries)
+    basis, table = _closure_tables(mats, tol)
+    return wedderburn_from_tables(
+        table, lambda x: np.tensordot(x, basis, axes=1), seed=seed, tol=tol,
+        retries=retries)

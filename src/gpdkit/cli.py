@@ -198,22 +198,22 @@ def cmd_gpd_validate(args, report: Report):
     try:
         G = validate_groupoid(*raw)
     except GroupoidError as exc:
-        report.add_check(type(exc).__name__, False, None, repr(exc.witness))
+        report.add(type(exc).__name__, False, None, repr(exc.witness))
         return
-    report.add_check("groupoid_axioms", True, 0.0)
+    report.add("groupoid_axioms", True, 0.0)
     report.extras["arrows"] = len(G.arrows)
     report.extras["units"] = len(G.units)
     cover = greedy_bisection_cover(G)
     for bs in cover:
         check_bisection(G, bs.arrows)
-    report.add_check("bisection_cover", True, None,
-                     f"{len(cover)} maximal bisections")
+    report.add("bisection_cover", True, None,
+               f"{len(cover)} maximal bisections")
     report.extras["bisection_cover_sizes"] = [len(b.arrows) for b in cover]
     R, pi = isotropy_quotient(G)
     cls = classify_morphism(pi)
-    report.add_check("isotropy_quotient_fibration",
-                     cls.surjective and cls.fibration, None,
-                     None if cls.fibration else repr(cls.witness))
+    report.add("isotropy_quotient_fibration",
+               cls.surjective and cls.fibration, None,
+               None if cls.fibration else repr(cls.witness))
     report.extras["orbit_relation_arrows"] = len(R.arrows)
     report.extras["topology"] = "openness/continuity automatic " \
                                 "(finite discrete)"
@@ -222,8 +222,8 @@ def cmd_gpd_validate(args, report: Report):
 def cmd_gpd_morphism(args, report: Report):
     pi = gio.load_morphism(args.morphism)
     cls = classify_morphism(pi)
-    report.add_check("is_morphism", cls.is_morphism, None,
-                     None if cls.is_morphism else repr(cls.witness))
+    report.add("is_morphism", cls.is_morphism, None,
+               None if cls.is_morphism else repr(cls.witness))
     report.extras["classification"] = cls.as_dict()
     if cls.is_morphism and cls.surjective:
         dec = kernel(pi)
@@ -233,9 +233,9 @@ def cmd_gpd_morphism(args, report: Report):
                 dec.fibers.items(), key=lambda kv: str(kv[0]))},
             "amenable": "automatic (finite)",
         }
-        report.add_check("kernel_subgroupoid", True, 0.0)
+        report.add("kernel_subgroupoid", True, 0.0)
         if cls.covering:
-            report.add_check(
+            report.add(
                 "covering_kernel_is_unit_space",
                 set(dec.groupoid.arrows) == set(pi.domain.units), 0.0)
 
@@ -247,10 +247,10 @@ def cmd_alg_wedderburn(args, report: Report):
     report.extras["blocks"] = list(inv.blocks)
     report.extras["dimension"] = inv.dimension
     report.extras["center_dimension"] = inv.center_dimension
-    report.add_check("sum_of_squares",
-                     sum(b * b for b in inv.blocks) == inv.dimension, 0.0)
-    report.add_check("faithful_regular_representation",
-                     algebra.faithfulness_defect(G) == 0, 0.0)
+    report.add("sum_of_squares",
+               sum(b * b for b in inv.blocks) == inv.dimension, 0.0)
+    report.add("faithful_regular_representation",
+               algebra.faithfulness_defect(G) == 0, 0.0)
 
     res_cstar = res_subm = res_invol = res_pos = 0.0
     samples = max(1, args.samples // 10)
@@ -267,11 +267,11 @@ def cmd_alg_wedderburn(args, report: Report):
                         abs(cstar_norm(G, involute(f1)) - n1) / max(n1, 1e-30))
         if not positivity_check(G, sq, tol=args.tol):
             res_pos = max(res_pos, 1.0)
-    report.add_check("cstar_identity", res_cstar <= args.tol, res_cstar)
-    report.add_check("submultiplicative", res_subm <= args.tol,
-                     max(res_subm, 0.0))
-    report.add_check("involution_isometric", res_invol <= args.tol, res_invol)
-    report.add_check("squares_positive", res_pos == 0.0, res_pos)
+    report.add("cstar_identity", res_cstar <= args.tol, res_cstar)
+    report.add("submultiplicative", res_subm <= args.tol,
+               max(res_subm, 0.0))
+    report.add("involution_isometric", res_invol <= args.tol, res_invol)
+    report.add("squares_positive", res_pos == 0.0, res_pos)
 
     # expectation onto the unit diagonal: restriction, positive, faithful
     # on the delta basis by the exhaustive support identity
@@ -283,14 +283,14 @@ def cmd_alg_wedderburn(args, report: Report):
         expected = {u: (1.0 if u == G.src[g] else 0.0) for u in G.units}
         for i, u in enumerate(ef.base.arrows):
             res_diag = max(res_diag, abs(ef.coeffs[i] - expected[u]))
-    report.add_check("unit_expectation_faithful_support",
-                     res_diag <= args.tol, res_diag)
+    report.add("unit_expectation_faithful_support",
+               res_diag <= args.tol, res_diag)
 
     if getattr(args, "element", None):
         f, base = gio.load_algebra_element(args.element)
         if set(base.arrows) != set(G.arrows):
-            report.add_check("element_base_matches", False, None,
-                             "element base differs from --groupoid")
+            report.add("element_base_matches", False, None,
+                       "element base differs from --groupoid")
         else:
             f = AlgebraElement.from_dict(
                 G, {g: f.coeffs[base.index[g]] for g in base.arrows})
@@ -318,14 +318,14 @@ def cmd_bundle_build(args, report: Report):
     E, pi = _load_bundle_from_args(args, report)
     G = pi.domain
     report.extras["fiber_dimensions"] = {h: E.dim(h) for h in E.base.arrows}
-    report.add_check("fiber_dimensions_partition_domain",
-                     E.total_dim() == len(G.arrows), 0.0)
+    report.add("fiber_dimensions_partition_domain",
+               E.total_dim() == len(G.arrows), 0.0)
     if E.kernel_report is not None:
         report.extras["kernel_decomposition"] = E.kernel_report
-        report.add_check("kernel_direct_sum",
-                         E.kernel_report.get("direct_sum_check",
-                                             E.kernel_report
-                                             .get("dimension_check")), 0.0)
+        report.add("kernel_direct_sum",
+                   E.kernel_report.get("direct_sum_check",
+                                       E.kernel_report
+                                       .get("dimension_check")), 0.0)
     rng = np.random.default_rng(args.seed)
     res_star = res_norm = 0.0
     arrows = [h for h in E.base.arrows if E.dim(h)]
@@ -345,10 +345,10 @@ def cmd_bundle_build(args, report: Report):
         nx = fiber_norm(x)
         sq = fiber_norm(fiber_mul(fiber_star(x), x))
         res_norm = max(res_norm, abs(sq - nx * nx) / max(nx * nx, 1e-30))
-    report.add_check("fiber_star_antimultiplicative", res_star <= args.tol,
-                     res_star)
-    report.add_check("fiber_norm_cstar_identity", res_norm <= args.tol,
-                     res_norm)
+    report.add("fiber_star_antimultiplicative", res_star <= args.tol,
+               res_star)
+    report.add("fiber_norm_cstar_identity", res_norm <= args.tol,
+               res_norm)
 
 
 def cmd_bundle_verify(args, report: Report):
@@ -367,11 +367,11 @@ def cmd_bundle_verify(args, report: Report):
         res_contr = max(res_contr,
                         (sa.norm(sa.expectation(s)) - sa.norm(s))
                         / max(sa.norm(s), 1e-30))
-    report.add_check("expectation_contractive", res_contr <= args.tol,
-                     max(res_contr, 0.0))
+    report.add("expectation_contractive", res_contr <= args.tol,
+               max(res_contr, 0.0))
     # faithfulness: the per-arrow Gram blocks of the section inner product
     # are positive definite, which SectionSpace verified while building
-    report.add_check("expectation_faithful", True, 0.0)
+    report.add("expectation_faithful", True, 0.0)
     if rep.saturated:
         for i, bs in enumerate(greedy_bisection_cover(E.base)):
             brep = bisection_bimodule_check(E, bs, tol=args.tol,
@@ -396,10 +396,10 @@ def cmd_graph_check(args, report: Report):
     rep = check_graph_morphism(phi)
     for name in ("incidence", "surjective_vertices", "surjective_edges",
                  "path_lifting"):
-        report.add_check(name, getattr(rep, name), None,
-                         rep.witness if not getattr(rep, name) else None)
+        report.add(name, getattr(rep, name), None,
+                   rep.witness if not getattr(rep, name) else None)
     cyl = cylinder_cover_check(phi, args.depth)
-    report.add_check("cylinder_cover", cyl["pass"], None, cyl["witness"])
+    report.add("cylinder_cover", cyl["pass"], None, cyl["witness"])
     report.extras["cylinder_words_checked"] = cyl["words_checked"]
 
 
@@ -423,11 +423,11 @@ def cmd_graph_fibers(args, report: Report):
     report.extras["window_note"] = ("finite-depth fibers; infinite words "
                                     "are limits of this block sequence, "
                                     "never computed objects")
-    report.add_check("prefixes_extend", ls.all_prefixes_extend, 0.0)
-    report.add_check("blocks_partition_lifts",
-                     sum(blocks.blocks) == len(ls), 0.0)
-    report.add_check("block_squares_count_arrows",
-                     sum(b * b for b in blocks.blocks) == len(K.arrows), 0.0)
+    report.add("prefixes_extend", ls.all_prefixes_extend, 0.0)
+    report.add("blocks_partition_lifts",
+               sum(blocks.blocks) == len(ls), 0.0)
+    report.add("block_squares_count_arrows",
+               sum(b * b for b in blocks.blocks) == len(K.arrows), 0.0)
 
 
 def cmd_graph_grading(args, report: Report):
@@ -435,21 +435,21 @@ def cmd_graph_grading(args, report: Report):
     phi = collapse_morphism(V)
     g = grading_degree(phi, args.depth)
     report.extras["grading"] = g.as_dict()
-    report.add_check("degree_additive", g.additive, None, g.witness)
-    report.add_check("involution_flips_degree", g.involution_flips, None,
-                     g.witness)
-    report.add_check("degree_zero_matches_kernel",
-                     g.degree_zero_matches_kernel, None, g.witness)
+    report.add("degree_additive", g.additive, None, g.witness)
+    report.add("involution_flips_degree", g.involution_flips, None,
+               g.witness)
+    report.add("degree_zero_matches_kernel",
+               g.degree_zero_matches_kernel, None, g.witness)
 
 
 def cmd_action_build(args, report: Report):
     a = gio.load_action(args.action)
     ag = build_action_groupoid(a)
     report.extras["arrows"] = len(ag.groupoid.arrows)
-    report.add_check("action_axioms", True, 0.0)
-    report.add_check("projection_is_covering", ag.classification.covering,
-                     None, None if ag.classification.covering
-                     else repr(ag.classification.witness))
+    report.add("action_axioms", True, 0.0)
+    report.add("projection_is_covering", ag.classification.covering,
+               None, None if ag.classification.covering
+               else repr(ag.classification.witness))
 
 
 def cmd_action_roundtrip(args, report: Report):
@@ -464,9 +464,9 @@ def cmd_action_roundtrip(args, report: Report):
     try:
         ca = covering_to_action(pi)
     except NotACovering as exc:
-        report.add_check("NotACovering", False, None, repr(exc.witness))
+        report.add("NotACovering", False, None, repr(exc.witness))
         return
-    report.add_check("roundtrip_isomorphism_exact", ca.exact, 0.0)
+    report.add("roundtrip_isomorphism_exact", ca.exact, 0.0)
     report.extras["points"] = len(ca.action.points)
 
 
@@ -479,15 +479,15 @@ def cmd_abelian_extract(args, report: Report):
         if getattr(args, "cocycle", None):
             twist = gio.load_cocycle(args.cocycle, groupoid=pi.domain)
             crep = cocycle_check(twist)
-            report.add_check("input_cocycle_valid", crep.passed(1e-9),
-                             crep.identity_residual, crep.witness)
+            report.add("input_cocycle_valid", crep.passed(1e-9),
+                       crep.identity_residual, crep.witness)
         E = build_bundle(pi, twist=twist)
     else:
         raise SystemExit2("one of --bundle or --morphism is required")
     try:
         res = abelian_extract(E, tol=args.tol, seed=args.seed)
     except (NotSaturated, GroupoidError) as exc:
-        report.add_check(type(exc).__name__, False, None, repr(exc.witness))
+        report.add(type(exc).__name__, False, None, repr(exc.witness))
         return
     report.add_entries(res.entries)
     report.extras["points"] = [str(x) for x in res.points]
@@ -495,7 +495,7 @@ def cmd_abelian_extract(args, report: Report):
     report.extras["blocks_bundle"] = list(res.blocks_bundle or ())
     # the extracted twisted algebra is rebuilt through the validated path
     twisted_algebra(res.action_groupoid.groupoid, res.cocycle)
-    report.add_check("extracted_twist_validates", True, 0.0)
+    report.add("extracted_twist_validates", True, 0.0)
 
 
 def cmd_ext_analyze(args, report: Report):
@@ -517,7 +517,7 @@ def cmd_demo(args, report: Report):
         report.inputs["pair"] = _groupoid_digest(G)
         inv = wedderburn(G, seed=args.seed, tol=args.tol)
         report.extras["blocks"] = list(inv.blocks)
-        report.add_check("blocks_full_matrix", inv.blocks == (2,), 0.0)
+        report.add("blocks_full_matrix", inv.blocks == (2,), 0.0)
         iso = psi_iso_check(corpus.identity_morphism(G), tol=args.tol,
                             samples=args.samples, seed=args.seed)
         report.add_entries(iso.entries)
@@ -526,19 +526,19 @@ def cmd_demo(args, report: Report):
         report.inputs["z3"] = _groupoid_digest(G)
         inv = wedderburn(G, seed=args.seed, tol=args.tol)
         report.extras["blocks"] = list(inv.blocks)
-        report.add_check("blocks_abelian", inv.blocks == (1, 1, 1), 0.0)
+        report.add("blocks_abelian", inv.blocks == (1, 1, 1), 0.0)
         f = AlgebraElement.from_dict(
             G, {"g0": 1.0, "g1": -1.0, "g2": -1.0})
-        report.add_check("indicator_not_positive",
-                         not positivity_check(G, f, tol=args.tol), 0.0)
+        report.add("indicator_not_positive",
+                   not positivity_check(G, f, tol=args.tol), 0.0)
     elif name == "flip":
         a = corpus.flip_action()
         ag = build_action_groupoid(a)
         report.inputs["flip"] = _groupoid_digest(ag.groupoid)
-        report.add_check("projection_is_covering",
-                         ag.classification.covering, 0.0)
+        report.add("projection_is_covering",
+                   ag.classification.covering, 0.0)
         ca = covering_to_action(ag.projection)
-        report.add_check("roundtrip_isomorphism_exact", ca.exact, 0.0)
+        report.add("roundtrip_isomorphism_exact", ca.exact, 0.0)
         E = build_bundle(ag.projection)
         rep = verify_axioms(E, tol=args.tol, samples=args.samples,
                             seed=args.seed)
@@ -546,15 +546,15 @@ def cmd_demo(args, report: Report):
         res = abelian_extract(E, tol=args.tol, seed=args.seed)
         report.add_entries(res.entries, prefix="extract_")
         triv = max(abs(v - 1.0) for v in res.cocycle.omega.values())
-        report.add_check("extracted_cocycle_trivial", triv <= args.tol, triv)
+        report.add("extracted_cocycle_trivial", triv <= args.tol, triv)
         report.extras["blocks"] = list(res.blocks_bundle or ())
     elif name == "cuntz":
         V, W, phi = corpus.cuntz_graphs()
         report.inputs["cuntz"] = digest_text(
             canonical_json(gio.save_graph_morphism(phi)))
         grep = check_graph_morphism(phi)
-        report.add_check("path_lifting", grep.path_lifting, None,
-                         grep.witness)
+        report.add("path_lifting", grep.path_lifting, None,
+                   grep.witness)
         counts_ok = True
         import itertools
         for n in range(1, 7):
@@ -563,7 +563,7 @@ def cmd_demo(args, report: Report):
                 ones = sum(1 for ch in w if ch == "1")
                 if blocks.blocks != (2 ** ones,):
                     counts_ok = False
-        report.add_check("fiber_blocks_2_pow_ones", counts_ok, 0.0)
+        report.add("fiber_blocks_2_pow_ones", counts_ok, 0.0)
         pi = corpus.graph_path_groupoid_morphism(phi, 2)
         rep = verify_axioms(build_bundle(pi), tol=args.tol,
                             samples=args.samples, seed=args.seed)
@@ -578,8 +578,8 @@ def cmd_demo(args, report: Report):
         report.inputs[f"heis{n}"] = _groupoid_digest(G)
         inv = wedderburn(G, seed=args.seed, tol=args.tol)
         report.extras["blocks"] = list(inv.blocks)
-        report.add_check("blocks_sum_of_squares",
-                         sum(b * b for b in inv.blocks) == n ** 3, 0.0)
+        report.add("blocks_sum_of_squares",
+                   sum(b * b for b in inv.blocks) == n ** 3, 0.0)
         pi = corpus.heisenberg_quotient(n)
         iso = psi_iso_check(pi, tol=args.tol, samples=args.samples,
                             seed=args.seed)
@@ -599,7 +599,7 @@ def cmd_demo(args, report: Report):
             k = res.char_of_point[x2]
             expected = unit_root((k[0] if k else 0) * ((a * b2) % n), n)
             resid = max(resid, abs(val - expected))
-        report.add_check("cocycle_matches_closed_form", resid == 0.0, resid)
+        report.add("cocycle_matches_closed_form", resid == 0.0, resid)
         report.extras["cocycle_values"] = sorted(
             {f"{v.real:+.6f}{v.imag:+.6f}i" for v in res.cocycle.omega.values()})
     return
@@ -647,8 +647,10 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (GroupoidError, bundle.FellBundleError) as exc:
-        report.add_check(type(exc).__name__, False, None,
-                         repr(getattr(exc, "witness", None)))
+        report.add(type(exc).__name__, False, None,
+                   repr(getattr(exc, "witness", None)))
+    except (algebra.NumericalDegeneracy, np.linalg.LinAlgError) as exc:
+        report.add(type(exc).__name__, False, None, str(exc))
     text = report.to_json()
     sys.stdout.write(text)
     if args.out:

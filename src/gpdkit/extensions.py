@@ -20,7 +20,7 @@ complex values.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
@@ -31,7 +31,7 @@ from .algebra import AlgebraElement, cstar_norm, wedderburn
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
-from .bundle import CheckEntry
+from .report import CheckList
 
 
 class NotNormal(GroupoidError):
@@ -364,7 +364,7 @@ class GroupExtension:
 
 
 @dataclass
-class ExtensionBundleResult:
+class ExtensionBundleResult(CheckList):
     extension: GroupExtension
     quotient: GroupTable
     characters: CharacterData
@@ -372,24 +372,8 @@ class ExtensionBundleResult:
     cocycle: Cocycle
     factor_set: dict             # (h1, h2) -> kernel element, f = c c c^{-1}
     char_of_point: dict          # point id -> character index tuple
-    entries: list = field(default_factory=list)
     blocks_group: Optional[tuple] = None
     blocks_twisted: Optional[tuple] = None
-
-    def add(self, name, passed, residual=None, witness=None):
-        self.entries.append(CheckEntry(name, bool(passed),
-                                       None if residual is None
-                                       else float(residual), witness))
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {"entries": [e.as_dict() for e in self.entries],
-                "blocks_group": list(self.blocks_group or ()),
-                "blocks_twisted": list(self.blocks_twisted or ()),
-                "pass": self.passed}
 
 
 def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
@@ -495,7 +479,7 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
 
     res_star = 0.0
     for g in G.elements:
-        lhs = ta.star(U[:, G.index[g]])
+        lhs = ta.table.star(U[:, G.index[g]])
         rhs = U[:, G.index[G.inv[g]]]
         res_star = max(res_star, float(np.max(np.abs(lhs - rhs))))
     result.add("basis_map_star", res_star <= 1e-8, res_star)

@@ -79,7 +79,7 @@ class FiniteGroupoid:
     """
 
     __slots__ = ("arrows", "units", "src", "rng", "inv", "comp",
-                 "index", "_from", "_to", "_unit_set")
+                 "index", "_from", "_to", "_unit_set", "_table")
 
     def __init__(self, arrows, units, src, rng, inv, comp):
         self.arrows = tuple(arrows)
@@ -97,6 +97,7 @@ class FiniteGroupoid:
             by_rng[self.rng[g]].append(g)
         self._from = {u: tuple(v) for u, v in by_src.items()}
         self._to = {u: tuple(v) for u, v in by_rng.items()}
+        self._table = None  # structure table, built by algebra.groupoid_table
 
     def __len__(self) -> int:
         return len(self.arrows)

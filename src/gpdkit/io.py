@@ -14,6 +14,7 @@ relative to the referring file.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Optional
 
@@ -78,8 +79,9 @@ def _as_str_map(obj, file, path, keys):
 
 def _as_complex(obj, file, path) -> complex:
     _expect(isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(v, (int, float)) for v in obj),
-            file, path, "a [re, im] number pair")
+            and all(isinstance(v, (int, float)) and math.isfinite(v)
+                    for v in obj),
+            file, path, "a [re, im] pair of finite numbers")
     return complex(obj[0], obj[1])
 
 

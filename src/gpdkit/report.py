@@ -87,7 +87,39 @@ def digest_text(text: str) -> str:
 
 
 @dataclass
-class Report:
+class CheckEntry:
+    name: str
+    passed: bool
+    residual: Optional[float] = None
+    witness: Optional[str] = None
+
+
+@dataclass
+class CheckList:
+    """Named checks, each with a pass flag, an optional residual and an
+    optional witness; passes when every check passes. ``entries`` is
+    keyword-only so that subclasses may add positional fields."""
+    entries: list = field(default_factory=list, kw_only=True)
+
+    def add(self, name: str, passed, residual: Optional[float] = None,
+            witness: Optional[str] = None):
+        self.entries.append(CheckEntry(name, bool(passed),
+                                       None if residual is None
+                                       else float(residual), witness))
+
+    def entry(self, name) -> CheckEntry:
+        for e in self.entries:
+            if e.name == name:
+                return e
+        raise KeyError(name)
+
+    @property
+    def passed(self) -> bool:
+        return all(e.passed for e in self.entries)
+
+
+@dataclass
+class Report(CheckList):
     """Verification report for one CLI command.
 
     The overall flag is the conjunction of the per-check flags; extras
@@ -98,26 +130,11 @@ class Report:
     seed: int
     tolerance: float
     inputs: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-
-    def add_check(self, name: str, passed: bool,
-                  residual: Optional[float] = None,
-                  witness: Optional[str] = None):
-        self.checks.append({
-            "name": name,
-            "pass": bool(passed),
-            "residual": None if residual is None else float(residual),
-            "witness": witness,
-        })
 
     def add_entries(self, entries, prefix: str = ""):
         for e in entries:
-            self.add_check(prefix + e.name, e.passed, e.residual, e.witness)
-
-    @property
-    def passed(self) -> bool:
-        return all(c["pass"] for c in self.checks)
+            self.add(prefix + e.name, e.passed, e.residual, e.witness)
 
     def as_dict(self) -> dict:
         body = {
@@ -125,7 +142,9 @@ class Report:
             "inputs": self.inputs,
             "seed": self.seed,
             "tolerance": self.tolerance,
-            "checks": self.checks,
+            "checks": [{"name": e.name, "pass": e.passed,
+                        "residual": e.residual, "witness": e.witness}
+                       for e in self.entries],
             "pass": self.passed,
         }
         body.update(self.extras)
@@ -135,12 +154,12 @@ class Report:
         return canonical_json(self.as_dict()) + "\n"
 
     def summary_lines(self):
-        for c in self.checks:
-            status = "PASS" if c["pass"] else "FAIL"
+        for e in self.entries:
+            status = "PASS" if e.passed else "FAIL"
             extra = ""
-            if c["residual"] is not None:
-                extra = f" residual={c['residual']:.3e}"
-            if c["witness"]:
-                extra += f" witness={c['witness']}"
-            yield f"[{status}] {c['name']}{extra}"
+            if e.residual is not None:
+                extra = f" residual={e.residual:.3e}"
+            if e.witness:
+                extra += f" witness={e.witness}"
+            yield f"[{status}] {e.name}{extra}"
         yield f"overall: {'PASS' if self.passed else 'FAIL'}"

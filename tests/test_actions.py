@@ -117,7 +117,7 @@ class TestTwistedAlgebra:
             f2 = gk.AlgebraElement(heis3, c2)
             assert np.allclose(ta.convolve(c1, c2),
                                gk.convolve(f1, f2).coeffs)
-            assert np.allclose(ta.star(c1), gk.involute(f1).coeffs)
+            assert np.allclose(ta.table.star(c1), gk.involute(f1).coeffs)
             assert ta.norm(c1) == pytest.approx(gk.cstar_norm(heis3, f1),
                                                 rel=1e-12)
         assert ta.wedderburn().blocks == gk.wedderburn(heis3).blocks
@@ -129,7 +129,7 @@ class TestTwistedAlgebra:
                              ("g1", "g0"): 1, ("g1", "g1"): -1})
         ta = gk.twisted_algebra(Z2, om)
         c = np.array([0.0, 1.0], dtype=complex)
-        M = ta.matrices(c)[0]
+        M = ta.rep.matrices(c)[0]
         eigs = sorted(np.linalg.eigvals(M), key=lambda z: z.imag)
         assert abs(eigs[0] + 1j) < 1e-12 and abs(eigs[1] - 1j) < 1e-12
         assert ta.wedderburn().blocks == (1, 1)
@@ -141,14 +141,14 @@ class TestTwistedAlgebra:
         ta = gk.twisted_algebra(G, om)
         for _ in range(20):
             c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert np.allclose(ta.star(ta.star(c)), c)
-            assert ta.norm(ta.star(c)) == pytest.approx(ta.norm(c),
+            assert np.allclose(ta.table.star(ta.table.star(c)), c)
+            assert ta.norm(ta.table.star(c)) == pytest.approx(ta.norm(c),
                                                         rel=1e-10)
             # delta_g* delta_g = delta at the source unit, exactly
         for g in G.arrows:
             c = np.zeros(4, dtype=complex)
             c[G.index[g]] = 1.0
-            out = ta.convolve(ta.star(c), c)
+            out = ta.convolve(ta.table.star(c), c)
             expected = np.zeros(4, dtype=complex)
             expected[G.index[G.src[g]]] = 1.0
             assert np.allclose(out, expected, atol=1e-12)

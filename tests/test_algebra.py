@@ -248,7 +248,7 @@ class TestWedderburn:
 
     def test_matrix_input_and_unitary_invariance(self, heis3):
         rep = gk.RegularRepresentation(corpus.cyclic_groupoid(4))
-        mats = rep.basis_matrices()
+        mats = [rep.table.left(e) for e in np.eye(4)]
         inv = gk.wedderburn(mats)
         assert inv.blocks == (1, 1, 1, 1)
         rng = np.random.default_rng(8)
@@ -290,9 +290,7 @@ def test_faithfulness_on_corpus(pair2, z3, heis3):
 
 
 def test_numerical_degeneracy_after_retry_budget(z3):
-    from gpdkit.algebra import wedderburn_from_tables
-    rep = gk.RegularRepresentation(z3)
-    products = {(z3.index[a], z3.index[b]): {z3.index[c]: 1.0}
-                for (a, b), c in z3.comp.items()}
+    from gpdkit.algebra import groupoid_table, wedderburn_from_tables
+    table = groupoid_table(z3)
     with pytest.raises(gk.NumericalDegeneracy):
-        wedderburn_from_tables(rep.basis_matrices(), products, retries=0)
+        wedderburn_from_tables(table, table.left, retries=0)

@@ -314,6 +314,84 @@ class TestPsiIso:
         assert np.count_nonzero(M) == len(G.arrows)
 
 
+class TestPsiNegativeControls:
+    """One changed table entry fails exactly the matching psi check and
+    names the basis pair or arrow of that entry. The entries are chosen
+    so that the section inner product stays positive definite: it only
+    reads products over (inv h, h) and the star."""
+
+    @staticmethod
+    def _copy(E, mul=None, star=None):
+        mul = {k: {ij: dict(e) for ij, e in v.items()}
+               for k, v in (mul or E.mul).items()}
+        star = {h: {i: dict(e) for i, e in v.items()}
+                for h, v in (star or E.star).items()}
+        return mul, star
+
+    def test_changed_mul_weight_fails_multiplicative(self, heis3_quotient,
+                                                     heis3_bundle):
+        E = heis3_bundle
+        G = heis3_quotient.domain
+        H = E.base
+        g1, g2 = next(
+            (g1, g2) for g1, g2 in G.comp
+            if not {E.position[g1][0], E.position[g2][0],
+                    E.position[G.comp[(g1, g2)]][0]} & set(H.units))
+        (h1, i), (h2, j) = E.position[g1], E.position[g2]
+        mul, star = self._copy(E)
+        (k, w), = mul[(h1, h2)][(i, j)].items()
+        mul[(h1, h2)][(i, j)][k] = 1.5 * w
+        broken = gk.FellBundle(E.base, E.fibers, mul, star,
+                               morphism=heis3_quotient)
+        # the axioms of the intact bundle stand in, so the psi checks run
+        rep = gk.verify_axioms(E, samples=5)
+        iso = gk.psi_iso_check(heis3_quotient, samples=2, bundle=broken,
+                               axiom_report=rep)
+        entry = iso.entry("multiplicative")
+        assert not entry.passed
+        assert entry.residual == pytest.approx(0.5)
+        assert entry.witness == f"({g1!r}, {g2!r})"
+        assert iso.entry("star_preserving").passed
+
+    def test_changed_star_weight_fails_star_preserving(self, heis3_quotient,
+                                                       heis3_bundle):
+        E = heis3_bundle
+        G = heis3_quotient.domain
+        g = next(g for g in G.arrows
+                 if not E.base.is_unit(E.position[g][0]))
+        h, i = E.position[g]
+        mul, star = self._copy(E)
+        (k, w), = star[h][i].items()
+        star[h][i][k] = np.exp(0.3j) * w
+        broken = gk.FellBundle(E.base, E.fibers, mul, star,
+                               morphism=heis3_quotient)
+        rep = gk.verify_axioms(E, samples=5)
+        iso = gk.psi_iso_check(heis3_quotient, samples=2, bundle=broken,
+                               axiom_report=rep)
+        entry = iso.entry("star_preserving")
+        assert not entry.passed
+        assert entry.residual == pytest.approx(abs(np.exp(0.3j) - 1))
+        assert entry.witness == repr(g)
+        assert iso.entry("multiplicative").passed
+
+    @pytest.mark.parametrize("k", [3, -1])
+    def test_out_of_range_mul_index_fails_axiom1(self, heis3_bundle, k):
+        E = heis3_bundle
+        mul, star = self._copy(E)
+        h = E.base.arrows[1]
+        u = E.base.src[h]
+        mul[(h, u)][(0, 0)] = {k: 1.0}
+        broken = gk.FellBundle(E.base, E.fibers, mul, star)
+        rep = gk.verify_axioms(broken, samples=5)
+        entry = rep.entry("axiom1_fiber_map")
+        assert not entry.passed and repr(h) in entry.witness
+        assert not rep.axioms_pass and not rep.saturated
+        # -1 would otherwise alias the last slot of the fiber over h
+        with pytest.raises(gk.FellBundleError) as exc:
+            broken.table()
+        assert exc.value.witness == ((h, u), (0, 0), k)
+
+
 class TestBimodule:
     def test_single_arrow_of_heis3(self, heis3_bundle):
         U = gk.check_bisection(heis3_bundle.base, ["(1,2)"])

@@ -348,6 +348,72 @@ class TestCli:
         assert json.loads(out)["tolerance"] == 1e-8
 
 
+class TestExitContract:
+    """Exit codes 0/1/2 hold for empty, non-finite and numerically
+    degenerate inputs, with no traceback."""
+
+    def test_empty_groupoid_wedderburn_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"arrows": [], "units": [], "src": {},
+                                    "rng": {}, "inv": {}, "comp": []}))
+        code, out, err = run_cli(["alg", "wedderburn", "--groupoid",
+                                  str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["blocks"] == []
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", [["bundle", "verify"],
+                                     ["abelian", "extract"]])
+    def test_nan_bundle_exits_2(self, cmd, tmp_path, capsys):
+        E = gk.build_bundle(gio.load_morphism(
+            corpus.data_path("flip_covering.morphism.json")))
+        obj = gio.save_bundle(E)
+        obj["mul"][0][4] = {k: [float("nan"), 0.0]
+                            for k in obj["mul"][0][4]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))  # writes the NaN literal
+        code, out, err = run_cli(cmd + ["--bundle", str(path)], capsys)
+        assert code == 2
+        assert "$.mul[0][4]" in err
+        assert "Traceback" not in err
+
+    def test_numerical_degeneracy_is_a_failed_check(self, tmp_path, capsys):
+        # a single shifted cocycle entry on Z2 x Z2 makes the extracted
+        # twisted algebra non-associative, so its block search never
+        # settles
+        G = corpus.zn_square_groupoid(2)
+        omega = dict(gk.trivial_cocycle(G).omega)
+        omega[("(1,0)", "(0,1)")] = 1j
+        mpath = tmp_path / "m.json"
+        mpath.write_text(canonical_json(gio.save_morphism(
+            corpus.identity_morphism(G))))
+        cpath = tmp_path / "c.json"
+        cpath.write_text(canonical_json(gio.save_cocycle(
+            gk.Cocycle(G, omega))))
+        code, out, err = run_cli(["abelian", "extract", "--morphism",
+                                  str(mpath), "--cocycle", str(cpath)],
+                                 capsys)
+        assert code == 1
+        last = json.loads(out)["checks"][-1]
+        assert last["name"] == "NumericalDegeneracy" and last["witness"]
+        assert "Traceback" not in err
+
+    def test_linalg_error_is_a_failed_check(self, capsys, monkeypatch):
+        import gpdkit.cli as cli
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(cli, "wedderburn", fail)
+        code, out, err = run_cli(["alg", "wedderburn", "--groupoid",
+                                  corpus.data_path("z3.groupoid.json")],
+                                 capsys)
+        assert code == 1
+        check = json.loads(out)["checks"][-1]
+        assert check == {"name": "LinAlgError", "pass": False,
+                         "residual": None, "witness": "SVD did not converge"}
+        assert "Traceback" not in err
+
+
 class TestShippedData:
     def test_data_files_match_builders(self):
         pairs = [
