@@ -24,9 +24,10 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
                        _trusted, classify_morphism, pair_id)
 from .algebra import (RegularRepresentation, WedderburnInvariants,
                       groupoid_table, wedderburn_from_tables)
-from .bundle import (FellBundle, FiberElement, NotSaturated,
-                     FellBundleError, SectionAlgebra, _saturation_detail,
-                     fiber_mul, fiber_norm, fiber_star, section_algebra)
+from .bundle import (BundleNotVerified, FellBundle, FiberElement,
+                     NotSaturated, FellBundleError, SectionAlgebra,
+                     _saturation_detail, _slot_witness, fiber_mul,
+                     fiber_norm, fiber_star, section_algebra)
 from .report import CheckList
 
 
@@ -265,9 +266,9 @@ class CocycleReport:
 def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
     """Exhaustive verification: totality on composable pairs, unit
     modulus, normalization on units, and the identity
-    omega(g1,g2) omega(g1g2,g3) = omega(g2,g3) omega(g1,g2g3)."""
+    omega(g1,g2) omega(g1g2,g3) = omega(g2,g3) omega(g1,g2g3): the twisted
+    table's associativity, whose defect and triple give residual and witness."""
     G = omega.base
-    witness = None
     for p in G.composable_pairs():
         if p not in omega.omega:
             raise CocycleIdentityFailure(f"cocycle missing on pair {p!r}",
@@ -278,17 +279,10 @@ def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
     for g in G.arrows:
         res_norm = max(res_norm, abs(omega(G.rng[g], g) - 1.0),
                        abs(omega(g, G.src[g]) - 1.0))
-    res_id = 0.0
-    for (g1, g2), g12 in G.comp.items():
-        for g3 in G.arrows_to(G.src[g2]):
-            lhs = omega(g1, g2) * omega(g12, g3)
-            rhs = omega(g2, g3) * omega(g1, G.comp[(g2, g3)])
-            d = abs(lhs - rhs)
-            if d > res_id:
-                res_id = d
-                witness = f"({g1!r}, {g2!r}, {g3!r})"
-    return CocycleReport(res_mod, res_id, res_norm,
-                         witness if res_id > tol else None)
+    res_id, triple = groupoid_table(G, omega.omega).associativity_defect()
+    witness = None if res_id <= tol else "({!r}, {!r}, {!r})".format(
+        *(G.arrows[i] for i in triple))
+    return CocycleReport(res_mod, res_id, res_norm, witness)
 
 
 class TwistedConvolutionAlgebra:
@@ -391,7 +385,7 @@ def _minimal_projections(alg, seed: int = 0, tol: float = 1e-9):
 
 def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> ExtractionResult:
     """Recover a covering with a line twist from a saturated bundle with
-    commutative unit fibers.
+    commutative unit fibers and associative products (BundleNotVerified).
 
     The point set is the disjoint union of the minimal projections of the
     unit fibers; each arrow h induces a bijection alpha_h matching the
@@ -399,7 +393,8 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     line; unit vectors are gauged by normalizing the first basis column
     with a nonzero corner (projections themselves over units), and the
     cocycle is read off from products of the gauged vectors. The twisted
-    algebra of the result is compared with the section algebra blockwise.
+    algebra of the result is compared with the section algebra blockwise,
+    unless the read-off cocycle fails its identity (then: not checked).
     """
     H = E.base
     sat, wit = _saturation_detail(E, tol)
@@ -407,6 +402,12 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
         raise NotSaturated(f"bundle is not saturated: {wit}", witness=wit)
     if not E.is_abelian():
         raise NotAbelian("some unit fiber is not commutative")
+    # the cocycle is read off from products, so they must associate
+    res, slots = E.table().associativity_defect()
+    if res > tol:
+        wit = _slot_witness(E, slots, "(h={} e={})")
+        raise BundleNotVerified(f"bundle fails axiom3_associative at {wit}",
+                                witness=wit)
 
     projections = {}   # point id -> (unit, coeff vector)
     points_by_unit = {}
@@ -454,6 +455,11 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
                         if n > tol:
                             first = FiberElement(E, h, cvec / n)
                             break
+                    if first is None:
+                        raise LineDimensionFailure(
+                            f"corner over {h!r} between {xq!r} and {xp!r} "
+                            "has no vector of positive norm",
+                            witness=(h, xq, xp))
                     hits.append((xq, first))
             if len(hits) != 1:
                 raise LineDimensionFailure(
@@ -517,6 +523,13 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
                creport.modulus_residual)
     result.add("cocycle_normalized", creport.normalization_residual <= 1e-12,
                creport.normalization_residual)
+    # without the identity the twisted table is no associative algebra
+    if not result.entry("cocycle_identity").passed:
+        for name in ("wedderburn_equal", "basis_map_multiplicative",
+                     "basis_map_star", "basis_map_isometric"):
+            result.add(name, False, None,
+                       "not checked: cocycle_identity failed")
+        return result
 
     ta = TwistedConvolutionAlgebra(ag.groupoid, omega)
     bt = ta.wedderburn(seed=seed, tol=tol)

@@ -53,15 +53,36 @@ def _scatter(index, values, size: int) -> np.ndarray:
             + 1j * np.bincount(index, values.imag, size))
 
 
-def _largest_difference(keys, values):
-    """(max |sum of values per key|, its key), or (0.0, None) when the
-    sums all vanish."""
+# terms per pass of associativity_defect, at about 300 bytes each
+_TRIPLES_PER_PASS = 1 << 18
+
+
+def _join(x, y):
+    """Index arrays (i, j) listing every pair with x[i] == y[j]."""
+    order = np.argsort(y, kind="stable")
+    lo = np.searchsorted(y[order], x, "left")
+    count = np.searchsorted(y[order], x, "right") - lo
+    i = np.repeat(np.arange(len(x)), count)
+    # the r-th pair of row i sits at order[lo[i] + r]
+    offset = np.repeat(lo - np.cumsum(count) + count, count)
+    return i, order[np.arange(len(i)) + offset]
+
+
+def _defect(lhs, rhs, dim: int):
+    """(largest |coefficient difference| between two sums of terms, its
+    entry without the last index) or (0.0, None). A side is a tuple of
+    index arrays (below ``dim``) naming each term's entry, then weights."""
+    shape = (dim,) * (len(lhs) - 1)
+    keys = np.concatenate([np.ravel_multi_index(lhs[:-1], shape),
+                           np.ravel_multi_index(rhs[:-1], shape)])
     uniq, slot = np.unique(keys, return_inverse=True)
-    sums = np.abs(_scatter(slot, values, len(uniq)))
+    sums = np.abs(_scatter(slot, np.concatenate([lhs[-1], -rhs[-1]]),
+                           len(uniq)))
     if not len(sums) or sums.max() == 0:
         return 0.0, None
     i = int(np.argmax(sums))
-    return float(sums[i]), int(uniq[i])
+    return float(sums[i]), tuple(
+        int(v) for v in np.unravel_index(uniq[i], shape)[:-1])
 
 
 class StructureTable:
@@ -119,20 +140,61 @@ class StructureTable:
     def mul_defect(self, other: "StructureTable"):
         """(max |coefficient difference| of e_a e_b over all basis pairs,
         (a, b) of that entry or None)."""
-        n = self.dim
-        keys = np.concatenate([(self.a * n + self.b) * n + self.c,
-                               (other.a * n + other.b) * n + other.c])
-        res, key = _largest_difference(keys,
-                                       np.concatenate([self.w, -other.w]))
-        return res, None if key is None else divmod(key // n, n)
+        return _defect((self.a, self.b, self.c, self.w),
+                       (other.a, other.b, other.c, other.w), self.dim)
 
     def star_defect(self, other: "StructureTable"):
-        """(max |coefficient difference| of e_s*, s of that entry or None)."""
+        """(max |coefficient difference| of e_s*, (s,) of that entry or
+        None)."""
+        return _defect((self.s, self.t, self.sw),
+                       (other.s, other.t, other.sw), self.dim)
+
+    def associativity_defect(self):
+        """(max |coefficient difference| between (e_a e_b) e_k and
+        e_a (e_b e_k) over all basis triples, (a, b, k) of that entry or
+        None), taken in passes along a of about _TRIPLES_PER_PASS terms."""
         n = self.dim
-        keys = np.concatenate([self.s * n + self.t, other.s * n + other.t])
-        res, key = _largest_difference(keys,
-                                       np.concatenate([self.sw, -other.sw]))
-        return res, None if key is None else key // n
+        # terms of both sides per first factor a
+        load = np.bincount(self.a, np.bincount(self.a, minlength=n)[self.c]
+                           + np.bincount(self.c, minlength=n)[self.b], n)
+        part = (np.cumsum(load) // _TRIPLES_PER_PASS)[self.a]
+        best = (0.0, None)
+        for sel in (np.flatnonzero(part == k) for k in np.unique(part)):
+            # (e_a e_b) e_k: entry i makes e_m, entry j multiplies e_m by e_k
+            i, j = _join(self.c[sel], self.a)
+            # e_a (e_b e_k): entry q makes e_m, entry p multiplies e_a by e_m
+            p, q = _join(self.b[sel], self.c)
+            i, p = sel[i], sel[p]
+            res = _defect((self.a[i], self.b[i], self.b[j], self.c[j],
+                           self.w[i] * self.w[j]),
+                          (self.a[p], self.a[q], self.b[q], self.c[p],
+                           self.w[q] * self.w[p]), n)
+            best = max(best, res, key=lambda r: r[0])  # ties keep the first
+        return best
+
+    def involution_defect(self):
+        """(max |coefficient difference| between e_s** and e_s, (s,) of
+        that entry or None)."""
+        i, j = _join(self.t, self.s)  # e_s* has e_t; entry j stars e_t
+        ids = np.arange(self.dim)
+        return _defect((self.s[i], self.t[j],
+                        np.conj(self.sw[i]) * self.sw[j]),
+                       (ids, ids, np.ones(self.dim)), self.dim)
+
+    def antimultiplicative_defect(self):
+        """(max |coefficient difference| between (e_a e_b)* and e_b* e_a*,
+        (a, b) of that entry or None)."""
+        # (e_a e_b)*: entry i makes e_m, star entry j sends e_m to e_n
+        i, j = _join(self.c, self.s)
+        # e_b* e_a*: star entries p (of e_b) and q (of e_a) give the first
+        # and second factor of entry r
+        r, p = _join(self.a, self.t)
+        k, q = _join(self.b[r], self.t)
+        r, p = r[k], p[k]
+        return _defect((self.a[i], self.b[i], self.t[j],
+                        np.conj(self.w[i]) * self.sw[j]),
+                       (self.s[q], self.s[p], self.c[r],
+                        self.sw[p] * self.sw[q] * self.w[r]), self.dim)
 
 
 def groupoid_table(G: FiniteGroupoid, omega=None) -> StructureTable:

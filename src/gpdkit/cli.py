@@ -493,6 +493,10 @@ def cmd_abelian_extract(args, report: Report):
     report.extras["points"] = [str(x) for x in res.points]
     report.extras["blocks_twisted"] = list(res.blocks_twisted or ())
     report.extras["blocks_bundle"] = list(res.blocks_bundle or ())
+    if not res.entry("cocycle_identity").passed:
+        report.add("extracted_twist_validates", False, None,
+                   "not checked: cocycle_identity failed")
+        return
     # the extracted twisted algebra is rebuilt through the validated path
     twisted_algebra(res.action_groupoid.groupoid, res.cocycle)
     report.add("extracted_twist_validates", True, 0.0)
@@ -646,7 +650,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (GroupoidError, bundle.FellBundleError) as exc:
+    except (GroupoidError, bundle.FellBundleError, graphs.GraphError) as exc:
         report.add(type(exc).__name__, False, None,
                    repr(getattr(exc, "witness", None)))
     except (algebra.NumericalDegeneracy, np.linalg.LinAlgError) as exc:

@@ -10,8 +10,8 @@ import cmath
 
 import numpy as np
 
-from .groupoid import (FiniteGroupoid, GroupoidMorphism, pair_id,
-                       validate_groupoid)
+from .groupoid import (FiniteGroupoid, GroupoidMorphism, pair_blocks,
+                       pair_id, validate_groupoid)
 from .actions import (Cocycle, GroupoidAction, coboundary_cocycle,
                       product_cocycle, pullback_cocycle)
 from .extensions import GroupExtension, GroupTable, unit_root
@@ -20,18 +20,8 @@ from .graphs import DirectedGraph, GraphMorphism
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """Full equivalence relation on n points; arrow (i,j) runs j -> i."""
-    pts = [str(i + 1) for i in range(n)]
-    arrows = [pair_id(i, j) for i in pts for j in pts]
-    units = [pair_id(i, i) for i in pts]
-    src = {pair_id(i, j): pair_id(j, j) for i in pts for j in pts}
-    rng = {pair_id(i, j): pair_id(i, i) for i in pts for j in pts}
-    inv = {pair_id(i, j): pair_id(j, i) for i in pts for j in pts}
-    comp = {}
-    for i in pts:
-        for j in pts:
-            for k in pts:
-                comp[(pair_id(i, j), pair_id(j, k))] = pair_id(i, k)
-    return validate_groupoid(arrows, units, src, rng, inv, comp)
+    G = pair_blocks([[str(i + 1) for i in range(n)]])
+    return validate_groupoid(G.arrows, G.units, G.src, G.rng, G.inv, G.comp)
 
 
 def cyclic_groupoid(k: int) -> FiniteGroupoid:
@@ -173,7 +163,6 @@ def graph_path_groupoid_morphism(phi: GraphMorphism, depth: int):
     surjective morphism between them (defined whenever both graphs have a
     single vertex or matching terminal structure)."""
     from .graphs import _path_id
-    from .groupoid import _trusted
 
     def window_groupoid(graph):
         paths = [()]
@@ -181,29 +170,11 @@ def graph_path_groupoid_morphism(phi: GraphMorphism, depth: int):
             paths = [p + (e,) for p in paths
                      for e in (graph.edges_from(graph.terminus[p[-1]])
                                if p else graph.edges)]
-        arrows, units = [], []
-        src, rng, inv, comp = {}, {}, {}, {}
         by_term = {}
         for p in paths:
-            by_term.setdefault(graph.terminus[p[-1]], []).append(p)
-        for term in sorted(by_term, key=repr):
-            block = by_term[term]
-            aid = {(p, q): pair_id(_path_id(p), _path_id(q))
-                   for p in block for q in block}
-            for p in block:
-                units.append(aid[(p, p)])
-            for p in block:
-                for q in block:
-                    g = aid[(p, q)]
-                    arrows.append(g)
-                    src[g] = aid[(q, q)]
-                    rng[g] = aid[(p, p)]
-                    inv[g] = aid[(q, p)]
-            for p in block:
-                for q in block:
-                    for r in block:
-                        comp[(aid[(p, q)], aid[(q, r)])] = aid[(p, r)]
-        return _trusted(arrows, units, src, rng, inv, comp), paths
+            by_term.setdefault(graph.terminus[p[-1]], []).append(_path_id(p))
+        blocks = [by_term[t] for t in sorted(by_term, key=repr)]
+        return pair_blocks(blocks), paths
 
     GV, vpaths = window_groupoid(phi.domain)
     GW, _ = window_groupoid(phi.codomain)

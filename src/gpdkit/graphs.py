@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .groupoid import _trusted, pair_id
+from .groupoid import pair_blocks, pair_id
 from .algebra import WedderburnInvariants
 
 
@@ -235,26 +235,8 @@ def kernel_fiber_groupoid(phi: GraphMorphism, word, origin=None):
     returned alongside the groupoid, they need no eigensolve.
     """
     ls = lift_paths(phi, word, origin=origin)
-    arrows, units = [], []
-    src, rng, inv, comp = {}, {}, {}, {}
-    for term in sorted(ls.by_terminal, key=repr):
-        block = ls.by_terminal[term]
-        aid = {(p, q): pair_id(_path_id(p), _path_id(q))
-               for p in block for q in block}
-        for p in block:
-            units.append(aid[(p, p)])
-        for p in block:
-            for q in block:
-                g = aid[(p, q)]
-                arrows.append(g)
-                src[g] = aid[(q, q)]
-                rng[g] = aid[(p, p)]
-                inv[g] = aid[(q, p)]
-        for p in block:
-            for q in block:
-                for r in block:
-                    comp[(aid[(p, q)], aid[(q, r)])] = aid[(p, r)]
-    K = _trusted(arrows, units, src, rng, inv, comp)
+    K = pair_blocks([[_path_id(p) for p in ls.by_terminal[term]]
+                     for term in sorted(ls.by_terminal, key=repr)])
     sizes = tuple(sorted((len(b) for b in ls.by_terminal.values()),
                          reverse=True))
     inv_blocks = WedderburnInvariants(sizes, sum(s * s for s in sizes),

@@ -142,8 +142,10 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
 
     ``comp`` may be a mapping ``(g1, g2) -> g12`` or an iterable of
     ``(g1, g2, g12)`` triples; it must cover exactly the composable pairs.
-    Raises MissingComposite, IllegalComposite, AssociativityFailure,
-    UnitFailure or InverseFailure, each carrying the offending arrows.
+    Associativity is that of the structure table (w = 1), kept on the
+    returned groupoid. Raises MissingComposite, IllegalComposite,
+    AssociativityFailure (witness: the first failing triple in arrow
+    order), UnitFailure or InverseFailure, each with the offending arrows.
     """
     arrows = tuple(arrows)
     arrow_set = set(arrows)
@@ -185,12 +187,12 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
             raise IllegalComposite(
                 f"composite {g12!r} of ({g1!r}, {g2!r}) has wrong source or range",
                 witness=(g1, g2, g12))
-    for g2 in arrows:
-        for g1 in arrows:
-            if src[g1] == rng[g2] and (g1, g2) not in comp:
-                raise MissingComposite(
-                    f"composable pair ({g1!r}, {g2!r}) missing from comp",
-                    witness=(g1, g2))
+    G = FiniteGroupoid(arrows, units, src, rng, inv, comp)
+    for g1, g2 in G.composable_pairs():
+        if (g1, g2) not in comp:
+            raise MissingComposite(
+                f"composable pair ({g1!r}, {g2!r}) missing from comp",
+                witness=(g1, g2))
 
     for u in units:
         if src[u] != u or rng[u] != u:
@@ -218,30 +220,42 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
             raise InverseFailure(
                 f"{gi!r} * {g!r} != src({g!r})", witness=(gi, g))
 
-    # exhaustive associativity over composable triples
-    by_src = {}
-    for g in arrows:
-        by_src.setdefault(src[g], []).append(g)
-    by_rng = {}
-    for g in arrows:
-        by_rng.setdefault(rng[g], []).append(g)
-    for g2 in arrows:
-        lefts = by_src.get(rng[g2], ())
-        rights = by_rng.get(src[g2], ())
-        for g1 in lefts:
-            g12 = comp[(g1, g2)]
-            for g3 in rights:
-                if comp[(g12, g3)] != comp[(g1, comp[(g2, g3)])]:
-                    raise AssociativityFailure(
-                        f"({g1!r}*{g2!r})*{g3!r} != {g1!r}*({g2!r}*{g3!r})",
-                        witness=(g1, g2, g3))
-
-    return FiniteGroupoid(arrows, units, src, rng, inv, comp)
+    from .algebra import groupoid_table  # algebra imports this module
+    _, triple = groupoid_table(G).associativity_defect()
+    if triple is not None:
+        g1, g2, g3 = (arrows[i] for i in triple)
+        raise AssociativityFailure(
+            f"({g1!r}*{g2!r})*{g3!r} != {g1!r}*({g2!r}*{g3!r})",
+            witness=(g1, g2, g3))
+    return G
 
 
 def _trusted(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
     # fast path for constructions that are valid by construction
     return FiniteGroupoid(arrows, units, src, rng, inv, comp)
+
+
+def pair_blocks(blocks) -> FiniteGroupoid:
+    """Disjoint union of the pair groupoids on ``blocks`` (lists of point
+    labels): arrow pair_id(p, q) runs q -> p and (p, q)(q, r) = (p, r);
+    everything is listed block by block, in the order of the labels."""
+    arrows, units = [], []
+    src, rng, inv, comp = {}, {}, {}, {}
+    for block in blocks:
+        aid = {(p, q): pair_id(p, q) for p in block for q in block}
+        units.extend(aid[(p, p)] for p in block)
+        for p in block:
+            for q in block:
+                g = aid[(p, q)]
+                arrows.append(g)
+                src[g] = aid[(q, q)]
+                rng[g] = aid[(p, p)]
+                inv[g] = aid[(q, p)]
+        for p in block:
+            for q in block:
+                for r in block:
+                    comp[(aid[(p, q)], aid[(q, r)])] = aid[(p, r)]
+    return _trusted(arrows, units, src, rng, inv, comp)
 
 
 class GroupoidMorphism:

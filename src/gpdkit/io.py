@@ -36,7 +36,7 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):
         raise ParseError(path, "$", "a readable file") from None
     except json.JSONDecodeError as exc:
         raise ParseError(path, "$", f"valid JSON ({exc.msg})") from None
@@ -147,8 +147,9 @@ def load_raw_groupoid_tables(source):
     comp = {}
     _expect(isinstance(obj["comp"], list), file, "$.comp", "a list")
     for i, triple in enumerate(obj["comp"]):
-        _expect(isinstance(triple, list) and len(triple) == 3,
-                file, f"$.comp[{i}]", "a [g1, g2, g12] triple")
+        _expect(isinstance(triple, list) and len(triple) == 3
+                and all(isinstance(v, str) for v in triple),
+                file, f"$.comp[{i}]", "a [g1, g2, g12] string triple")
         comp[(triple[0], triple[1])] = triple[2]
     return arrows, units, src, rng, inv, comp
 
@@ -241,7 +242,7 @@ def load_bundle(source, base_dir=None) -> FellBundle:
         _expect(isinstance(obj2, dict), file, path, "an object {k: [re,im]}")
         out = {}
         for k, v in obj2.items():
-            _expect(k.isdigit() and int(k) < dim, file, f"{path}.{k}",
+            _expect(k.isdecimal() and int(k) < dim, file, f"{path}.{k}",
                     f"a basis index below {dim}")
             out[int(k)] = _as_complex(v, file, f"{path}.{k}")
         return out
@@ -252,13 +253,14 @@ def load_bundle(source, base_dir=None) -> FellBundle:
         _expect(isinstance(entry, list) and len(entry) == 5,
                 file, f"$.mul[{i}]", "[h1, i, h2, j, expansion]")
         h1, bi, h2, bj, exp = entry
-        _expect(h1 in base.index and h2 in base.index, file, f"$.mul[{i}]",
-                "base arrows")
+        _expect(all(isinstance(h, str) and h in base.index for h in (h1, h2)),
+                file, f"$.mul[{i}]", "base arrows")
         _expect(base.composable(h1, h2), file, f"$.mul[{i}]",
                 "a composable pair of base arrows")
-        _expect(isinstance(bi, int) and 0 <= bi < len(fibers[h1]),
+        # type(v) is int keeps out bools
+        _expect(type(bi) is int and 0 <= bi < len(fibers[h1]),
                 file, f"$.mul[{i}][1]", "a basis index of the first fiber")
-        _expect(isinstance(bj, int) and 0 <= bj < len(fibers[h2]),
+        _expect(type(bj) is int and 0 <= bj < len(fibers[h2]),
                 file, f"$.mul[{i}][3]", "a basis index of the second fiber")
         h12 = base.compose(h1, h2)
         mul.setdefault((h1, h2), {})[(bi, bj)] = \
@@ -269,8 +271,9 @@ def load_bundle(source, base_dir=None) -> FellBundle:
         _expect(isinstance(entry, list) and len(entry) == 3,
                 file, f"$.star[{i}]", "[h, i, expansion]")
         h, bi, exp = entry
-        _expect(h in base.index, file, f"$.star[{i}][0]", "a base arrow")
-        _expect(isinstance(bi, int) and 0 <= bi < len(fibers[h]),
+        _expect(isinstance(h, str) and h in base.index, file,
+                f"$.star[{i}][0]", "a base arrow")
+        _expect(type(bi) is int and 0 <= bi < len(fibers[h]),
                 file, f"$.star[{i}][1]", "a basis index")
         star.setdefault(h, {})[bi] = \
             expansion(exp, f"$.star[{i}][2]", len(fibers[base.inv[h]]))
@@ -320,10 +323,9 @@ def load_graph(source, base_dir=None, file=None, at="$") -> DirectedGraph:
                 file, f"{at}.edges[{i}]", '{"id", "from", "to"}')
         _expect(isinstance(e["id"], str), file, f"{at}.edges[{i}].id",
                 "a string id")
-        _expect(e["from"] in vset, file, f"{at}.edges[{i}].from",
-                "a declared vertex")
-        _expect(e["to"] in vset, file, f"{at}.edges[{i}].to",
-                "a declared vertex")
+        for end in ("from", "to"):
+            _expect(isinstance(e[end], str) and e[end] in vset, file,
+                    f"{at}.edges[{i}].{end}", "a declared vertex")
         edges.append(e["id"])
         origin[e["id"]] = e["from"]
         terminus[e["id"]] = e["to"]
@@ -476,6 +478,8 @@ def load_cocycle(source, groupoid: FiniteGroupoid = None, base_dir=None) -> Cocy
         _expect(groupoid.composable(g1, g2), file, f"$.omega[{i}]",
                 "a composable pair")
         omega[(g1, g2)] = _as_complex(val, file, f"$.omega[{i}][2]")
+    _expect(len(omega) == len(groupoid.comp), file, "$.omega",
+            "a value on every composable pair")
     return Cocycle(groupoid, omega)
 
 

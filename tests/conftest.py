@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every run draws the same examples, so a Tier-1 result does not hang on
+# the draw
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 from gpdkit import corpus
 

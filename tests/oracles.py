@@ -130,3 +130,23 @@ def matrix_units_check(G):
 
 def hermitian_minimum_eigenvalue(mat):
     return float(np.min(np.linalg.eigvalsh(np.asarray(mat))))
+
+
+def dense_table_residuals(table):
+    """(associativity, involution, antimultiplicativity) residuals of a
+    structure table, brute force over dense arrays: the product tensor
+    P[a, b, c], the coefficient of e_c in e_a e_b, is read from
+    ``left_stack()``, and the star matrix S[s, t], the coefficient of e_t
+    in e_s*, is summed from the star entries. Each residual is the largest
+    coefficient difference between the two sides of the identity."""
+    n = table.dim
+    P = table.left_stack().transpose(0, 2, 1)
+    S = np.zeros((n, n), dtype=complex)
+    np.add.at(S, (table.s, table.t), table.sw)
+    assoc = (np.einsum("abm,mkn->abkn", P, P)
+             - np.einsum("bkm,amn->abkn", P, P))
+    invol = np.conj(S) @ S - np.eye(n)
+    anti = (np.einsum("abm,mn->abn", np.conj(P), S)
+            - np.einsum("bp,aq,pqn->abn", S, S, P))
+    return tuple(float(np.abs(d).max(initial=0.0))
+                 for d in (assoc, invol, anti))

@@ -95,7 +95,10 @@ class TestCocycles:
         bad = gk.Cocycle(z3, table)
         rep = gk.cocycle_check(bad)
         assert not rep.passed()
-        assert rep.witness is not None
+        # the shifted entry enters each identity it fails once, next to
+        # unit values
+        assert rep.identity_residual == pytest.approx(abs(1j - 1))
+        assert rep.witness.count("'g") == 3
         with pytest.raises(gk.CocycleIdentityFailure):
             gk.twisted_algebra(z3, bad)
 

@@ -5,6 +5,7 @@ import gpdkit as gk
 from gpdkit import corpus
 from gpdkit.algebra import AlgebraElement, random_element
 from gpdkit.bundle import FiberElement, SectionAlgebra
+from oracles import dense_table_residuals
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +391,75 @@ class TestPsiNegativeControls:
         with pytest.raises(gk.FellBundleError) as exc:
             broken.table()
         assert exc.value.witness == ((h, u), (0, 0), k)
+
+
+def _small_bundles():
+    flip = gk.build_action_groupoid(corpus.flip_action()).projection
+    om = corpus.zn2_bilinear_cocycle(2)
+    return {"flip": gk.build_bundle(flip),
+            "heis2": gk.build_bundle(corpus.heisenberg_quotient(2)),
+            "line": gk.line_bundle(om.base, om)}
+
+
+def _changed(E, kind, seed):
+    """E with one seeded mul or star weight multiplied by a seeded
+    factor off the unit circle and away from 1."""
+    rng = np.random.default_rng(seed)
+    mul, star = TestPsiNegativeControls._copy(E)
+    entries = [(e, k) for t in (mul if kind == "mul" else star).values()
+               for e in t.values() for k in e]
+    e, k = entries[rng.integers(len(entries))]
+    e[k] *= (1.5 + rng.random()) * np.exp(1j * rng.uniform(0.5, 2.5))
+    return gk.FellBundle(E.base, E.fibers, mul, star)
+
+
+class TestTableIdentityControls:
+    """The exact bundle axioms are defects of the section table: each
+    equals a brute-force dense residual, and one changed weight fails the
+    matching axiom with a witness."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["mul", "star"])
+    @pytest.mark.parametrize("name", ["flip", "heis2", "line"])
+    def test_defects_match_dense_oracle(self, name, kind, seed,
+                                        monkeypatch):
+        # passes of a few terms, so that a triple check spans many
+        monkeypatch.setattr(gk.algebra, "_TRIPLES_PER_PASS", 16)
+        table = _changed(_small_bundles()[name], kind, seed).table()
+        defects = (table.associativity_defect()[0],
+                   table.involution_defect()[0],
+                   table.antimultiplicative_defect()[0])
+        assert defects == pytest.approx(dense_table_residuals(table),
+                                        rel=1e-12, abs=1e-14)
+        assert max(defects) > 0.1
+
+    def test_changed_mul_weight_fails_axioms_3_and_8(self):
+        broken = _changed(_small_bundles()["heis2"], "mul", 0)
+        assoc, _, anti = dense_table_residuals(broken.table())
+        rep = gk.verify_axioms(broken, samples=5)
+        for check, res in (("axiom3_associative", assoc),
+                           ("axiom8_antimultiplicative", anti)):
+            entry = rep.entry(check)
+            assert not entry.passed and entry.witness.startswith("(h=")
+            assert entry.residual == pytest.approx(res, rel=1e-12)
+        assert rep.entry("axiom7_involutive").passed
+
+    def test_changed_star_weight_fails_axiom7(self):
+        broken = _changed(_small_bundles()["flip"], "star", 0)
+        _, invol, _ = dense_table_residuals(broken.table())
+        rep = gk.verify_axioms(broken, samples=5)
+        entry = rep.entry("axiom7_involutive")
+        assert not entry.passed and entry.witness.startswith("(h=")
+        assert entry.residual == pytest.approx(invol, rel=1e-12)
+        assert rep.entry("axiom3_associative").passed
+
+    def test_commutator_in_unit_fiber_is_not_abelian(self):
+        E = _small_bundles()["flip"]
+        assert E.is_abelian()
+        mul, star = TestPsiNegativeControls._copy(E)
+        u = E.base.units[0]
+        mul[(u, u)][(0, 1)] = {0: 1.0}  # e_0 e_1 = e_0, e_1 e_0 = 0
+        assert not gk.FellBundle(E.base, E.fibers, mul, star).is_abelian()
 
 
 class TestBimodule:

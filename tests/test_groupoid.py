@@ -42,7 +42,8 @@ def test_corrupted_z3_fails_associativity():
     raw = corpus.corrupted_z3_tables()
     with pytest.raises(gk.AssociativityFailure) as exc:
         gk.validate_groupoid(*raw)
-    assert exc.value.witness is not None
+    # g1*g1 was redirected to g0: the first failing triple in arrow order
+    assert exc.value.witness == ("g1", "g1", "g2")
 
 
 def test_missing_composite_detected(z3):

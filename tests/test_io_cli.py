@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpdkit as gk
 import gpdkit.io as gio
@@ -377,13 +382,18 @@ class TestExitContract:
         assert "$.mul[0][4]" in err
         assert "Traceback" not in err
 
-    def test_numerical_degeneracy_is_a_failed_check(self, tmp_path, capsys):
-        # a single shifted cocycle entry on Z2 x Z2 makes the extracted
-        # twisted algebra non-associative, so its block search never
-        # settles
+    @pytest.mark.parametrize("phase", [np.pi / 2, 1e-10],
+                             ids=["quarter-turn", "1e-10"])
+    def test_shifted_cocycle_extract_fails_with_witness(self, phase,
+                                                        tmp_path, capsys):
+        # one cocycle entry on Z2 x Z2 rotated by ``phase``: at pi/2 the
+        # bundle fails its axioms and is refused before extraction; at
+        # 1e-10 it passes them at the default tolerance, but the extracted
+        # cocycle fails its identity at 1e-12, so the comparisons that
+        # need an associative twisted table are reported as not checked
         G = corpus.zn_square_groupoid(2)
         omega = dict(gk.trivial_cocycle(G).omega)
-        omega[("(1,0)", "(0,1)")] = 1j
+        omega[("(1,0)", "(0,1)")] = np.exp(1j * phase)
         mpath = tmp_path / "m.json"
         mpath.write_text(canonical_json(gio.save_morphism(
             corpus.identity_morphism(G))))
@@ -394,22 +404,39 @@ class TestExitContract:
                                   str(mpath), "--cocycle", str(cpath)],
                                  capsys)
         assert code == 1
-        last = json.loads(out)["checks"][-1]
-        assert last["name"] == "NumericalDegeneracy" and last["witness"]
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert "NumericalDegeneracy" not in checks
         assert "Traceback" not in err
+        if phase > 1e-9:
+            assert not checks["input_cocycle_valid"]["pass"]
+            assert checks["input_cocycle_valid"]["witness"]
+            assert not checks["BundleNotVerified"]["pass"]
+        else:
+            identity = checks["cocycle_identity"]
+            assert not identity["pass"] and identity["witness"]
+            for name in ("wedderburn_equal", "basis_map_multiplicative",
+                         "basis_map_star", "basis_map_isometric",
+                         "extracted_twist_validates"):
+                assert checks[name] == {
+                    "name": name, "pass": False, "residual": None,
+                    "witness": "not checked: cocycle_identity failed"}
 
-    def test_linalg_error_is_a_failed_check(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError,
+                                       gk.NumericalDegeneracy],
+                             ids=lambda e: e.__name__)
+    def test_linalg_error_is_a_failed_check(self, error, capsys,
+                                            monkeypatch):
         import gpdkit.cli as cli
 
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise error("SVD did not converge")
         monkeypatch.setattr(cli, "wedderburn", fail)
         code, out, err = run_cli(["alg", "wedderburn", "--groupoid",
                                   corpus.data_path("z3.groupoid.json")],
                                  capsys)
         assert code == 1
         check = json.loads(out)["checks"][-1]
-        assert check == {"name": "LinAlgError", "pass": False,
+        assert check == {"name": error.__name__, "pass": False,
                          "residual": None, "witness": "SVD did not converge"}
         assert "Traceback" not in err
 
@@ -442,3 +469,77 @@ class TestShippedData:
             els, mul, kern = gio.load_group(corpus.data_path(name))
             assert kern
             gk.GroupExtension.from_tables(els, mul, kern)
+
+
+# one command per shipped corpus file type
+FUZZ_TARGETS = [
+    ("z3.groupoid.json", ["gpd", "validate", "--groupoid"]),
+    ("flip_covering.morphism.json",
+     ["bundle", "verify", "--samples", "2", "--morphism"]),
+    ("cuntz_v.graph.json", ["graph", "grading", "--depth", "2", "--graph"]),
+    ("cuntz.graphmorphism.json",
+     ["graph", "fibers", "--word", "12", "--morphism"]),
+    ("flip.action.json", ["action", "roundtrip", "--action"]),
+    ("z4.group.json", ["ext", "analyze", "--samples", "2", "--group"]),
+]
+
+
+def _json_paths(obj, prefix=()):
+    """Paths to every value below the root of a JSON document."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out += _json_paths(value, prefix + (key,))
+    return out
+
+
+def _json_strings(obj):
+    if isinstance(obj, str):
+        return {obj}
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_json_strings, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_json_strings, obj))
+    return set()
+
+
+@pytest.mark.parametrize("name, command", FUZZ_TARGETS,
+                         ids=[n for n, _ in FUZZ_TARGETS])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_mutated_corpus_file_keeps_exit_contract(name, command, data):
+    """One value of a shipped file replaced or deleted: the command exits
+    0, 1 or 2 and raises nothing."""
+    with open(corpus.data_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = data.draw(st.sampled_from(_json_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 9), st.floats(),
+        st.sampled_from(sorted(_json_strings(doc))), st.text(max_size=3))
+    value = data.draw(st.none() | st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=4))
+    if value is None and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, name)
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(command + [file])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
