@@ -131,23 +131,39 @@ class StructureTable:
             e[c] = e.get(c, 0.0) + w
         return out
 
-    def relabel(self, new) -> "StructureTable":
-        """The same algebra with basis element i renamed new[i]."""
-        new = np.asarray(new, dtype=np.int64)
-        return StructureTable(self.dim, new[self.a], new[self.b], new[self.c],
-                              self.w, new[self.s], new[self.t], self.sw)
-
     def mul_defect(self, other: "StructureTable"):
         """(max |coefficient difference| of e_a e_b over all basis pairs,
         (a, b) of that entry or None)."""
         return _defect((self.a, self.b, self.c, self.w),
                        (other.a, other.b, other.c, other.w), self.dim)
 
-    def star_defect(self, other: "StructureTable"):
-        """(max |coefficient difference| of e_s*, (s,) of that entry or
-        None)."""
-        return _defect((self.s, self.t, self.sw),
-                       (other.s, other.t, other.sw), self.dim)
+    def hom_defect(self, other: "StructureTable", U):
+        """(max |coefficient difference| between U(e_a e_b) and
+        U(e_a) U(e_b) over all basis pairs, (a, b) of that entry or None),
+        for the linear map U into the algebra of ``other`` whose column j
+        is the image of e_j."""
+        rows, cols = np.nonzero(U)
+        vals = U[rows, cols]
+        i, k = _join(self.c, cols)  # entry i makes e_c, U maps e_c by k
+        # entry p multiplies e_P e_Q; U entries m and q lie in rows P and Q
+        p, m = _join(other.a, rows)
+        n, q = _join(other.b[p], rows)
+        p, m = p[n], m[n]
+        return _defect((self.a[i], self.b[i], rows[k], self.w[i] * vals[k]),
+                       (cols[m], cols[q], other.c[p],
+                        vals[m] * vals[q] * other.w[p]),
+                       max(self.dim, other.dim))
+
+    def star_hom_defect(self, other: "StructureTable", U):
+        """(max |coefficient difference| between U(e_s*) and U(e_s)*,
+        (s,) of that entry or None), for U as in :meth:`hom_defect`."""
+        rows, cols = np.nonzero(U)
+        vals = U[rows, cols]
+        i, k = _join(self.t, cols)  # e_s* has e_t, U maps e_t by k
+        p, m = _join(other.s, rows)  # star entry p of e_P, U entry m in row P
+        return _defect((self.s[i], rows[k], self.sw[i] * vals[k]),
+                       (cols[m], other.t[p], np.conj(vals[m]) * other.sw[p]),
+                       max(self.dim, other.dim))
 
     def associativity_defect(self):
         """(max |coefficient difference| between (e_a e_b) e_k and
@@ -331,6 +347,19 @@ class RegularRepresentation:
 
 def cstar_norm(G: FiniteGroupoid, f: AlgebraElement) -> float:
     return RegularRepresentation(G).norm(f)
+
+
+def isometry_defect(norm_a: Callable, norm_b: Callable, U, rng,
+                    samples: int) -> float:
+    """Largest |norm_b(U x) - norm_a(x)| / norm_a(x) over ``samples``
+    standard complex Gaussian coefficient vectors x drawn from ``rng``."""
+    n = U.shape[1]
+    res = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        na = norm_a(x)
+        res = max(res, abs(norm_b(U @ x) - na) / max(na, 1e-30))
+    return res
 
 
 def positivity_check(G: FiniteGroupoid, f: AlgebraElement,

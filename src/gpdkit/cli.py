@@ -478,7 +478,7 @@ def cmd_abelian_extract(args, report: Report):
         twist = None
         if getattr(args, "cocycle", None):
             twist = gio.load_cocycle(args.cocycle, groupoid=pi.domain)
-            crep = cocycle_check(twist)
+            crep = cocycle_check(twist, 1e-9)
             report.add("input_cocycle_valid", crep.passed(1e-9),
                        crep.identity_residual, crep.witness)
         E = build_bundle(pi, twist=twist)

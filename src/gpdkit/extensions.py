@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _trusted
-from .algebra import AlgebraElement, cstar_norm, wedderburn
+from .algebra import (AlgebraElement, cstar_norm, groupoid_table,
+                      isometry_defect, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
@@ -374,6 +375,7 @@ class ExtensionBundleResult(CheckList):
     char_of_point: dict          # point id -> character index tuple
     blocks_group: Optional[tuple] = None
     blocks_twisted: Optional[tuple] = None
+    basis_map: Optional[np.ndarray] = None  # group basis -> twisted basis
 
 
 def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
@@ -383,9 +385,12 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
 
     Builds the dual action of the quotient on the kernel characters, the
     factor set of the section, and the cocycle; then checks the basis map
-    delta_g -> sum over chi of (h.chi)(a) delta_{(h, chi)} (for
-    g = a c(h)) to be a bijective, multiplicative, star-preserving and
-    isometric map onto the twisted algebra, and compares block invariants.
+    U (``basis_map``): delta_g -> sum over chi of (h.chi)(a)
+    delta_{(h, chi)} (for g = a c(h)) to be a bijective (rank),
+    multiplicative and star-preserving (defects between the group table
+    and the twisted table over every basis pair or element) and isometric
+    (``samples`` seeded random elements) map onto the twisted algebra, and
+    compares block invariants.
     """
     G = ext.group
     A = GroupTable(ext.kernel, {(a, b): G.mul[(a, b)]
@@ -458,48 +463,27 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
             gid = id_of[(h, chars.char_id(m))]
             U[ag.groupoid.index[gid], gi] = chars.value(hm, a)
 
+    result.basis_map = U
     rank = int(np.linalg.matrix_rank(U))
     result.add("basis_map_bijective", rank == n == narr,
                0.0 if rank == n else None,
                None if rank == n else f"rank {rank} of {n}")
 
-    res_mul = 0.0
-    wit = None
-    for g1 in G.elements:
-        i1 = G.index[g1]
-        for g2 in G.elements:
-            i2 = G.index[g2]
-            prod = ta.convolve(U[:, i1], U[:, i2])
-            target = U[:, G.index[G.mul[(g1, g2)]]]
-            d = float(np.max(np.abs(prod - target)))
-            if d > res_mul:
-                res_mul = d
-                wit = f"({g1!r}, {g2!r})"
-    result.add("basis_map_multiplicative", res_mul <= 1e-8, res_mul, wit)
-
-    res_star = 0.0
-    for g in G.elements:
-        lhs = ta.table.star(U[:, G.index[g]])
-        rhs = U[:, G.index[G.inv[g]]]
-        res_star = max(res_star, float(np.max(np.abs(lhs - rhs))))
+    domain = groupoid_table(Ggpd)
+    res_mul, pair = domain.hom_defect(ta.table, U)
+    result.add("basis_map_multiplicative", res_mul <= 1e-8, res_mul,
+               None if pair is None else
+               f"({G.elements[pair[0]]!r}, {G.elements[pair[1]]!r})")
+    res_star = domain.star_hom_defect(ta.table, U)[0]
     result.add("basis_map_star", res_star <= 1e-8, res_star)
-
-    rng = np.random.default_rng(seed)
-    res_iso = 0.0
-    for _ in range(samples):
-        coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f = AlgebraElement(Ggpd, coeff)
-        ng = cstar_norm(Ggpd, f)
-        nt = ta.norm(U @ coeff)
-        res_iso = max(res_iso, abs(nt - ng) / max(ng, 1e-30))
+    res_iso = isometry_defect(
+        lambda x: cstar_norm(Ggpd, AlgebraElement(Ggpd, x)), ta.norm, U,
+        np.random.default_rng(seed), samples)
     result.add("basis_map_isometric", res_iso <= 1e-8, res_iso)
 
     bg = wedderburn(Ggpd, seed=seed, tol=tol)
     bt = ta.wedderburn(seed=seed, tol=tol)
     result.blocks_group = bg.blocks
     result.blocks_twisted = bt.blocks
-    result.add("wedderburn_equal", bg.blocks == bt.blocks,
-               0.0 if bg.blocks == bt.blocks else None,
-               None if bg.blocks == bt.blocks else
-               f"{bg.blocks} != {bt.blocks}")
+    result.add_wedderburn_equal(bg.blocks, bt.blocks)
     return result

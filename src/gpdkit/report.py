@@ -107,6 +107,12 @@ class CheckList:
                                        None if residual is None
                                        else float(residual), witness))
 
+    def add_wedderburn_equal(self, blocks_a: tuple, blocks_b: tuple):
+        """The check "wedderburn_equal": two block-size tuples agree."""
+        same = blocks_a == blocks_b
+        self.add("wedderburn_equal", same, 0.0 if same else None,
+                 None if same else f"{blocks_a} != {blocks_b}")
+
     def entry(self, name) -> CheckEntry:
         for e in self.entries:
             if e.name == name:

@@ -150,3 +150,20 @@ def dense_table_residuals(table):
             - np.einsum("bp,aq,pqn->abn", S, S, P))
     return tuple(float(np.abs(d).max(initial=0.0))
                  for d in (assoc, invol, anti))
+
+
+
+def dense_map_defects(A, B, U):
+    """Per-entry residuals of the linear map U from the algebra of table A
+    to that of table B, whose column j is the image of e_j, brute force:
+    mul[a, b] is the largest coefficient difference between
+    B.left(U e_a) U e_b and U (e_a e_b), and star[s] the one between
+    B.star(U e_s) and U (e_s*)."""
+    n = A.dim
+    e = np.eye(n, dtype=complex)
+    mul = np.array([[np.abs(B.left(U[:, a]) @ U[:, b]
+                            - U @ A.mul(e[a], e[b])).max(initial=0.0)
+                     for b in range(n)] for a in range(n)])
+    star = np.array([np.abs(B.star(U[:, s]) - U @ A.star(e[s])).max(
+        initial=0.0) for s in range(n)])
+    return mul, star

@@ -3,9 +3,10 @@ import pytest
 
 import gpdkit as gk
 from gpdkit import corpus
-from gpdkit.algebra import AlgebraElement, random_element
-from gpdkit.bundle import FiberElement, SectionAlgebra
-from oracles import dense_table_residuals
+from gpdkit.algebra import (AlgebraElement, cstar_norm, groupoid_table,
+                            isometry_defect, random_element)
+from gpdkit.bundle import FiberElement, Section, SectionAlgebra
+from oracles import dense_map_defects, dense_table_residuals
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +461,92 @@ class TestTableIdentityControls:
         u = E.base.units[0]
         mul[(u, u)][(0, 1)] = {0: 1.0}  # e_0 e_1 = e_0, e_1 e_0 = 0
         assert not gk.FellBundle(E.base, E.fibers, mul, star).is_abelian()
+
+
+@pytest.fixture(scope="module")
+def basis_maps():
+    """(domain table, target table, U) of four certified basis maps: psi
+    and the extension map at n = 2, and the extraction maps of the flip
+    covering and of one seeded random covering."""
+    pi = corpus.heisenberg_quotient(2)
+    E = gk.build_bundle(pi)
+    n = len(pi.domain.arrows)
+    psi_map = np.zeros((E.total_dim(), n))
+    psi_map[E.psi_slots, np.arange(n)] = 1.0
+    ext = gk.group_extension_bundle(corpus.heisenberg_extension(2),
+                                    samples=2)
+    maps = {"psi": (groupoid_table(pi.domain), E.table(), psi_map),
+            "extension": (
+                groupoid_table(ext.extension.group.to_groupoid()),
+                groupoid_table(ext.action_groupoid.groupoid,
+                               ext.cocycle.omega), ext.basis_map)}
+    rng = np.random.default_rng(4000)
+    for name, action in (("flip", corpus.flip_action()),
+                         ("covering", corpus.random_action(rng))):
+        ag = gk.build_action_groupoid(action)
+        twist = None if name == "flip" else \
+            corpus.random_cocycle(ag.groupoid, rng)
+        E = gk.build_bundle(ag.projection, twist=twist)
+        res = gk.abelian_extract(E)
+        maps[name] = (groupoid_table(res.action_groupoid.groupoid,
+                                     res.cocycle.omega), E.table(),
+                      res.basis_map)
+    return maps
+
+
+class TestBasisMapDefects:
+    """The multiplicative and star defects of a basis map equal a dense
+    brute-force residual; one changed entry of the map fails both, and
+    the witness names a pair (or element) that the entry touches."""
+
+    @pytest.mark.parametrize("name", ["psi", "extension", "flip",
+                                      "covering"])
+    def test_defects_match_dense_oracle(self, basis_maps, name):
+        A, B, U = basis_maps[name]
+        mul, star = dense_map_defects(A, B, U)
+        res_mul, _ = A.hom_defect(B, U)
+        res_star, _ = A.star_hom_defect(B, U)
+        assert res_mul == pytest.approx(mul.max(), abs=1e-14)
+        assert res_star == pytest.approx(star.max(), abs=1e-14)
+        assert max(res_mul, res_star) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["psi", "extension", "flip",
+                                      "covering"])
+    def test_changed_entry_is_named(self, basis_maps, name, seed):
+        A, B, U = basis_maps[name]
+        rows, cols = np.nonzero(U)
+        k = np.random.default_rng(seed).integers(len(rows))
+        j = cols[k]
+        U = U.astype(complex)
+        U[rows[k], j] += 1j
+        mul, star = dense_map_defects(A, B, U)
+        e = np.eye(A.dim)
+        res, (a, b) = A.hom_defect(B, U)
+        assert res == pytest.approx(mul.max(), rel=1e-12) and res > 1e-6
+        assert mul[a, b] == pytest.approx(res, rel=1e-12)
+        assert j in (a, b) or A.mul(e[a], e[b])[j] != 0
+        res, (s,) = A.star_hom_defect(B, U)
+        assert res == pytest.approx(star.max(), rel=1e-12) and res > 1e-6
+        assert star[s] == pytest.approx(res, rel=1e-12)
+        assert s == j or A.star(e[s])[j] != 0
+
+    def test_scaled_column_fails_psi_isometry(self, basis_maps):
+        pi = corpus.heisenberg_quotient(2)
+        E = gk.build_bundle(pi)
+        sa = gk.section_algebra(E)
+        U = basis_maps["psi"][2]
+        G = pi.domain
+
+        def defect(U):
+            return isometry_defect(
+                lambda x: cstar_norm(G, AlgebraElement(G, x)),
+                lambda y: sa.norm(Section(E, y)), U,
+                np.random.default_rng(0), 10)
+        assert defect(U) <= 1e-12
+        U = U.copy()
+        U[:, 3] *= 2.0
+        assert defect(U) > 1e-8
 
 
 class TestBimodule:

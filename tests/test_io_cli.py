@@ -388,9 +388,10 @@ class TestExitContract:
                                                         tmp_path, capsys):
         # one cocycle entry on Z2 x Z2 rotated by ``phase``: at pi/2 the
         # bundle fails its axioms and is refused before extraction; at
-        # 1e-10 it passes them at the default tolerance, but the extracted
-        # cocycle fails its identity at 1e-12, so the comparisons that
-        # need an associative twisted table are reported as not checked
+        # 1e-10 it passes them and the input cocycle check at the default
+        # tolerance, with no witness, but the extracted cocycle fails its
+        # identity at 1e-12, so the comparisons that need an associative
+        # twisted table are reported as not checked
         G = corpus.zn_square_groupoid(2)
         omega = dict(gk.trivial_cocycle(G).omega)
         omega[("(1,0)", "(0,1)")] = np.exp(1j * phase)
@@ -412,6 +413,8 @@ class TestExitContract:
             assert checks["input_cocycle_valid"]["witness"]
             assert not checks["BundleNotVerified"]["pass"]
         else:
+            assert checks["input_cocycle_valid"]["pass"]
+            assert checks["input_cocycle_valid"]["witness"] is None
             identity = checks["cocycle_identity"]
             assert not identity["pass"] and identity["witness"]
             for name in ("wedderburn_equal", "basis_map_multiplicative",

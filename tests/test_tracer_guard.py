@@ -1,7 +1,7 @@
 """The benchmark's outside-in tracer (perfbench/tracer.py) patches gpdkit
 functions and methods by name. A refactor that renames, moves or inlines a
 traced name would break traced benchmark runs without failing anything
-else, so these tests pin the names and run two commands under the tracer.
+else, so these tests pin the names and run four commands under the tracer.
 """
 
 import importlib.util
@@ -45,12 +45,20 @@ def test_traced_commands_run(capsys):
                 ["bundle", "psi-check", "--morphism",
                  corpus.data_path("heis2_quotient.morphism.json"),
                  "--samples", "5"])),
+            tracer.run_item(2, lambda: main(
+                ["abelian", "extract", "--morphism",
+                 corpus.data_path("flip_covering.morphism.json")])),
+            tracer.run_item(3, lambda: main(
+                ["ext", "analyze", "--group",
+                 corpus.data_path("heis2.group.json")])),
         ]
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert codes == [0, 0]
-    summary = tracer.summary([1.0, 1.0])
+    assert codes == [0, 0, 0, 0]
+    summary = tracer.summary([1.0] * len(codes))
     assert summary["errors"] == {}
     assert summary["calls"]["algebra.wedderburn"] >= 1
     assert summary["calls"]["bundle.psi_iso_check"] == 1
+    assert summary["calls"]["actions.abelian_extract"] == 1
+    assert summary["calls"]["extensions.group_extension_bundle"] == 1
