@@ -437,6 +437,11 @@ def sparse_center_basis(dim: int, products: dict, tol: float = 1e-9) -> np.ndarr
     sparse structure constants products[(i, j)] = {k: coeff}.
 
     Returns an orthonormal (k x dim) array of center coefficient vectors.
+    The constraint matrix has one row per (basis element, output) pair,
+    up to dim² rows, so its SVD is thin: only the dim right singular
+    vectors are needed, never the left ones. The full decomposition is
+    kept when there are fewer rows than ``dim``, where a thin one would
+    drop the null space.
     """
     rows = {}
 
@@ -457,7 +462,7 @@ def sparse_center_basis(dim: int, products: dict, tol: float = 1e-9) -> np.ndarr
     if not rows:
         return np.eye(dim, dtype=complex)
     M = np.stack(list(rows.values()))
-    u, s, vh = np.linalg.svd(M, full_matrices=True)
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < dim)
     smax = s[0] if len(s) else 0.0
     null_dim = dim - int(np.sum(s > tol * max(smax, 1.0)))
     if null_dim == 0:

@@ -10,6 +10,8 @@ from itertools import product
 
 import numpy as np
 
+from gpdkit.algebra import groupoid_table
+
 
 def group_closure(elements, mul, seed):
     """Subgroup generated by a seed set, by saturation."""
@@ -167,3 +169,48 @@ def dense_map_defects(A, B, U):
     star = np.array([np.abs(B.star(U[:, s]) - U @ A.star(e[s])).max(
         initial=0.0) for s in range(n)])
     return mul, star
+
+
+def dense_center_basis(table, tol=1e-9):
+    """Orthonormal rows spanning the center of the algebra of ``table``:
+    the null space of x -> [x, e_b] over every basis element b, from the
+    dense product tensor of ``left_stack()`` and a full SVD."""
+    n = table.dim
+    L = table.left_stack()  # L[a, c, b]: coefficient of e_c in e_a e_b
+    # row (b, c), column a: coefficient of e_c in e_a e_b - e_b e_a
+    M = (L.transpose(2, 1, 0) - L).reshape(n * n, n)
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    rank = int(np.sum(s > tol * max(s[0] if len(s) else 0.0, 1.0)))
+    return vh[rank:].conj()
+
+
+def hilbert_module_residuals(pi, E):
+    """Per-pair reference for the Hilbert-module check of psi_iso_check:
+    {(g1, g2): largest coefficient difference between the unit-fiber part
+    of psi(e_g1)* psi(e_g2) and psi of the kernel part of e_g1* e_g2} over
+    every pair of domain arrows with one range, one pair at a time."""
+    G, H = pi.domain, pi.codomain
+    D, T = groupoid_table(G), E.table()
+    on_unit = np.zeros(T.dim, dtype=bool)
+    for u in H.units:
+        on_unit[E.first[u]:E.first[u] + E.dim(u)] = True
+    in_kernel = np.array([H.is_unit(pi.map[g]) for g in G.arrows])
+
+    def psi(coeffs):
+        out = np.zeros(T.dim, dtype=complex)
+        out[E.psi_slots] = coeffs
+        return out
+
+    e = np.eye(len(G.arrows), dtype=complex)
+    out = {}
+    for u in G.units:
+        into = G.arrows_to(u)
+        for g1 in into:
+            s1 = T.star(psi(e[G.index[g1]]))
+            f1 = D.star(e[G.index[g1]])
+            for g2 in into:
+                f = D.mul(f1, e[G.index[g2]])
+                target = np.where(on_unit, T.mul(s1, psi(e[G.index[g2]])), 0)
+                image = psi(np.where(in_kernel, f, 0))
+                out[(g1, g2)] = float(np.max(np.abs(target - image)))
+    return out

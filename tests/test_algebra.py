@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpdkit as gk
 from gpdkit import corpus
-from gpdkit.algebra import AlgebraElement, random_element
+from gpdkit.algebra import (AlgebraElement, _closure_tables, groupoid_table,
+                            random_element, sparse_center_basis)
 
-from oracles import group_algebra_blocks, group_convolution, \
-    matrix_units_check
+from oracles import dense_center_basis, group_algebra_blocks, \
+    group_convolution, matrix_units_check
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -294,3 +297,60 @@ def test_numerical_degeneracy_after_retry_budget(z3):
     table = groupoid_table(z3)
     with pytest.raises(gk.NumericalDegeneracy):
         wedderburn_from_tables(table, table.left, retries=0)
+
+
+def _center_tables():
+    om = corpus.zn2_bilinear_cocycle(3)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    units = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
+    for m, (i, j) in zip(units, [(0, 1), (1, 0), (2, 2)]):
+        m[i, j] = 1.0
+    return {
+        "heis3": groupoid_table(corpus.heisenberg_groupoid(3)),
+        "zn_square4": groupoid_table(corpus.zn_square_groupoid(4)),
+        "union": groupoid_table(corpus.disjoint_union([
+            ("p", corpus.pair_groupoid(3)),
+            ("z", corpus.cyclic_groupoid(4)),
+            ("h", corpus.heisenberg_groupoid(2))])),
+        "twisted": groupoid_table(om.base, om.omega),
+        # M2 + C, conjugated so that the structure constants are generic
+        "closure": _closure_tables([q @ m @ q.conj().T for m in units],
+                                   1e-9)[1],
+    }
+
+
+class TestCenterBasis:
+    """The thin-SVD center solve spans the same space as the dense
+    commutator null space."""
+
+    @pytest.mark.parametrize("name", ["heis3", "zn_square4", "union",
+                                      "twisted", "closure"])
+    def test_matches_dense_oracle(self, name):
+        table = _center_tables()[name]
+        got = sparse_center_basis(table.dim, table.products())
+        want = dense_center_basis(table)
+        assert got.shape == want.shape and len(got) > 0
+        # same span: the orthogonal projectors onto the rows agree
+        assert np.abs(got.T @ got.conj()
+                      - want.T @ want.conj()).max() <= 1e-10
+
+    def test_fewer_rows_than_dim_keeps_null_space(self):
+        # one constraint row against three columns: the thin factor would
+        # have one right singular vector
+        assert sparse_center_basis(3, {(0, 0): {0: 1.0}}).shape == (3, 3)
+
+    def test_heis4_center_solve_memory_is_bounded(self):
+        # a full SVD of the dim² x dim constraint matrix would allocate a
+        # dim² x dim² left factor (4096² complex: 268 MB at heis4)
+        G = corpus.heisenberg_groupoid(4)
+        groupoid_table(G)
+        tracemalloc.start()
+        try:
+            inv = gk.wedderburn(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(b * b for b in inv.blocks) == 64
+        assert peak < 64 * 2 ** 20

@@ -5,8 +5,10 @@ import gpdkit as gk
 from gpdkit import corpus
 from gpdkit.algebra import (AlgebraElement, cstar_norm, groupoid_table,
                             isometry_defect, random_element)
-from gpdkit.bundle import FiberElement, Section, SectionAlgebra
-from oracles import dense_map_defects, dense_table_residuals
+from gpdkit.bundle import (FiberElement, Section, SectionAlgebra,
+                          _hilbert_module_defect)
+from oracles import (dense_map_defects, dense_table_residuals,
+                     hilbert_module_residuals)
 
 
 @pytest.fixture(scope="module")
@@ -576,3 +578,47 @@ def test_psi_hilbert_module_match_is_checked(heis3_quotient):
     names = [e.name for e in iso.entries]
     assert "hilbert_module_match" in names
     assert all(e.passed for e in iso.entries)
+
+
+class TestHilbertModuleDefect:
+    """The Hilbert-module check of psi is one defect of the section and
+    domain tables; it equals the per-pair loop and names a failing pair."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+    def test_changed_mul_weight_is_named(self, n, seed):
+        pi = corpus.heisenberg_quotient(n)
+        E = gk.build_bundle(pi)
+        H = E.base
+        mul, star = TestPsiNegativeControls._copy(E)
+        # a product that lands over a unit of H enters the module check
+        entries = [(e, k) for (h1, h2), t in mul.items()
+                   if H.is_unit(H.comp[(h1, h2)])
+                   for e in t.values() for k in e]
+        e, k = entries[np.random.default_rng(seed).integers(len(entries))]
+        e[k] *= 1j
+        broken = gk.FellBundle(H, E.fibers, mul, star, morphism=pi)
+        loop = hilbert_module_residuals(pi, broken)
+        res, pair = _hilbert_module_defect(pi, broken)
+        assert res == max(loop.values()) == pytest.approx(np.sqrt(2))
+        G = pi.domain
+        assert loop[(G.arrows[pair[0]], G.arrows[pair[1]])] == res
+
+    def test_failed_check_names_its_pair_in_the_report(self):
+        pi = corpus.heisenberg_quotient(2)
+        E = gk.build_bundle(pi)
+        H = E.base
+        mul, star = TestPsiNegativeControls._copy(E)
+        # a real factor keeps the section inner product positive, so the
+        # section algebra of the changed bundle can be built
+        (h1, h2), t = next((p, t) for p, t in mul.items()
+                           if H.is_unit(H.comp[p]) and not H.is_unit(p[0]))
+        (i, j), e = next(iter(t.items()))
+        (k, w), = e.items()
+        e[k] = 1.5 * w
+        broken = gk.FellBundle(H, E.fibers, mul, star, morphism=pi)
+        iso = gk.psi_iso_check(pi, samples=2, bundle=broken,
+                               axiom_report=gk.verify_axioms(E, samples=5))
+        entry = iso.entry("hilbert_module_match")
+        assert not entry.passed and entry.residual == pytest.approx(0.5)
+        g1 = pi.domain.inv[E.fibers[h1][i]]
+        assert entry.witness == f"({g1!r}, {E.fibers[h2][j]!r})"

@@ -81,6 +81,9 @@ def test_heisenberg_4_pipeline():
     assert rep.axioms_pass and rep.saturated
     inv = gk.wedderburn(pi.domain)
     assert sum(b * b for b in inv.blocks) == 64
+    iso = gk.psi_iso_check(pi, samples=5, bundle=E, axiom_report=rep)
+    assert all(e.passed for e in iso.entries)
+    assert iso.blocks_domain == iso.blocks_bundle == inv.blocks
     res = gk.group_extension_bundle(corpus.heisenberg_extension(4),
                                     samples=20)
     assert res.passed
