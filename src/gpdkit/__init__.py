@@ -31,7 +31,7 @@ from .graphs import (DirectedGraph, DomainNotCollapse, GraphMorphism,
                      GraphMorphismReport, IncidenceViolation, LiftSet,
                      NotLiftable, check_graph_morphism, collapse_morphism,
                      cylinder_cover_check, grading_degree,
-                     kernel_fiber_groupoid, lift_paths)
+                     kernel_fiber_groupoid, lift_counts, lift_paths)
 from .actions import (ActionAxiomViolation, Cocycle, CocycleIdentityFailure,
                       GroupoidAction, LineDimensionFailure, NotACovering,
                       NotAbelian, TwistedConvolutionAlgebra, abelian_extract,

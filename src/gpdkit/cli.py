@@ -24,13 +24,13 @@ from .algebra import (AlgebraElement, conditional_expectation, convolve,
 from .bundle import (FiberElement, build_bundle, bisection_bimodule_check,
                      fiber_mul, fiber_norm, fiber_star, psi_iso_check,
                      section_algebra, verify_axioms, NotSaturated)
-from .extensions import GroupExtension, group_extension_bundle, unit_root
+from .extensions import GroupExtension, group_extension_bundle
 from .groupoid import (GroupoidError, check_bisection, classify_morphism,
                        greedy_bisection_cover, isotropy_quotient, kernel,
                        validate_groupoid)
 from .graphs import (check_graph_morphism, collapse_morphism,
-                     cylinder_cover_check, grading_degree,
-                     kernel_fiber_groupoid, lift_paths)
+                     cylinder_cover_check, grading_degree, lift_counts,
+                     lift_paths)
 from .report import Report, digest_bytes, digest_text, canonical_json
 
 # Which subcommand owns each library operation; the test suite checks the
@@ -412,22 +412,36 @@ def _parse_word(word: str, edges) -> list:
     return [word] if word else []
 
 
+def _add_count_check(report: Report, name: str, got: dict,
+                     expected: dict):
+    """One check that two terminal vertex -> count maps agree; a failure
+    names the first terminal vertex, in repr order, where they differ."""
+    bad = [v for v in sorted(set(got) | set(expected), key=repr)
+           if got.get(v, 0) != expected.get(v, 0)]
+    report.add(name, not bad, None if bad else 0.0,
+               f"terminal {bad[0]!r}: {got.get(bad[0], 0)} != "
+               f"{expected.get(bad[0], 0)}" if bad else None)
+
+
 def cmd_graph_fibers(args, report: Report):
     phi = gio.load_graph_morphism(args.morphism)
     word = _parse_word(args.word, phi.codomain.edges)
     ls = lift_paths(phi, word, origin=args.origin)
-    K, blocks = kernel_fiber_groupoid(phi, word, origin=args.origin)
+    counts, _ = lift_counts(phi, word, origin=args.origin)
+    pair_counts, _ = lift_counts(phi, word, origin=args.origin, pairs=True)
     report.extras["word"] = word
     report.extras["lift_count"] = len(ls)
-    report.extras["blocks"] = list(blocks.blocks)
+    report.extras["blocks"] = sorted(counts.values(), reverse=True)
     report.extras["window_note"] = ("finite-depth fibers; infinite words "
                                     "are limits of this block sequence, "
                                     "never computed objects")
     report.add("prefixes_extend", ls.all_prefixes_extend, 0.0)
-    report.add("blocks_partition_lifts",
-               sum(blocks.blocks) == len(ls), 0.0)
-    report.add("block_squares_count_arrows",
-               sum(b * b for b in blocks.blocks) == len(K.arrows), 0.0)
+    _add_count_check(report, "blocks_partition_lifts", counts,
+                     {v: len(p) for v, p in ls.by_terminal.items()})
+    # the diagonal of the fiber-product counts is the arrow count of K
+    _add_count_check(report, "block_squares_count_arrows",
+                     {v: n * n for v, n in counts.items()},
+                     {u: n for (u, u2), n in pair_counts.items() if u == u2})
 
 
 def cmd_graph_grading(args, report: Report):
@@ -563,9 +577,9 @@ def cmd_demo(args, report: Report):
         import itertools
         for n in range(1, 7):
             for w in itertools.product("12", repeat=n):
-                _, blocks = kernel_fiber_groupoid(phi, w)
+                counts, _ = lift_counts(phi, w)
                 ones = sum(1 for ch in w if ch == "1")
-                if blocks.blocks != (2 ** ones,):
+                if list(counts.values()) != [2 ** ones]:
                     counts_ok = False
         report.add("fiber_blocks_2_pow_ones", counts_ok, 0.0)
         pi = corpus.graph_path_groupoid_morphism(phi, 2)
@@ -593,17 +607,9 @@ def cmd_demo(args, report: Report):
                                      samples=args.samples, seed=args.seed)
         report.add_entries(res.entries, prefix="ext_")
         # the canonical section must reproduce the closed-form twist
-        # chi_k(a b') with zero residual
-        resid = 0.0
-        for (g1, g2), val in res.cocycle.omega.items():
-            h1, _ = res.action_groupoid.pairs[g1]
-            h2, x2 = res.action_groupoid.pairs[g2]
-            a = int(h1.strip("[]").split(",")[0])
-            b2 = int(h2.strip("[]").split(",")[1])
-            k = res.char_of_point[x2]
-            expected = unit_root((k[0] if k else 0) * ((a * b2) % n), n)
-            resid = max(resid, abs(val - expected))
-        report.add("cocycle_matches_closed_form", resid == 0.0, resid)
+        # chi_t(a b') with zero residual
+        resid, pair = corpus.heisenberg_closed_form_defect(res, n)
+        report.add("cocycle_matches_closed_form", resid == 0.0, resid, pair)
         report.extras["cocycle_values"] = sorted(
             {f"{v.real:+.6f}{v.imag:+.6f}i" for v in res.cocycle.omega.values()})
     return

@@ -116,6 +116,38 @@ def heisenberg_cocycle_closed_form(n: int, k: int, a: int, bp: int) -> complex:
     return unit_root((k * ((a * bp) % n)) % n, n)
 
 
+def heisenberg_center_exponent(chars, m, n: int) -> int:
+    """The integer t with chi_m([0,0,1]) = exp(2 pi i t / n), for the
+    character index m of ``chars``, the character data of the center Z_n.
+
+    Read from the exact exponents, because the center's basis need not be
+    the generator [0,0,1]: for n = 6 it is [0,0,3] and [0,0,2], and m[0]
+    is not t there.
+    """
+    return chars.exponent_numerator(m, f"[0,0,{1 % n}]") * n // chars.lcm
+
+
+def heisenberg_closed_form_defect(res, n: int) -> tuple:
+    """(largest |omega(g1, g2) - chi_t(a b')|, first pair that differs)
+    over the cocycle of ``group_extension_bundle(heisenberg_extension(n))``,
+    where g1 lies over [a, ., .], g2 lies over [., b', .] at the point of
+    character m, and t = heisenberg_center_exponent(m). The witness is
+    None when every value is exact."""
+    resid, witness = 0.0, None
+    for (g1, g2), val in res.cocycle.omega.items():
+        h1, _ = res.action_groupoid.pairs[g1]
+        h2, x2 = res.action_groupoid.pairs[g2]
+        a = int(h1.strip("[]").split(",")[0])
+        b2 = int(h2.strip("[]").split(",")[1])
+        t = heisenberg_center_exponent(res.characters,
+                                       res.char_of_point[x2], n)
+        diff = abs(val - heisenberg_cocycle_closed_form(n, t, a, b2))
+        if diff and witness is None:
+            witness = f"({g1!r}, {g2!r})"
+        resid = max(resid, diff)
+    return resid, witness
+
+
 def flip_action() -> GroupoidAction:
     """Z_2 = {e, t} swapping the two points of X = {x, y}."""
     H = cyclic_groupoid(2)  # arrows g0 (unit), g1

@@ -5,14 +5,19 @@ origin(e_{i+1}), and "an edge starting at v" means origin(e) == v. The
 infinite path groupoid of a graph is out of reach of a finite model; this
 module works at a fixed window depth with lag-zero kernel groupoids
 (pairs of equal-length paths with equal image and terminus) and a
-symbolic integer grading for collapse maps. Reports mention the window
-whenever the full object would be infinite.
+symbolic integer grading for collapse maps. Such a kernel fiber is one
+full pair block per terminal vertex, so its invariants are exact lift
+counts (``lift_counts``, one transfer step per letter); the groupoid
+itself is built only by the library function ``kernel_fiber_groupoid``.
+Reports mention the window whenever the full object would be infinite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .groupoid import pair_blocks, pair_id
 from .algebra import WedderburnInvariants
@@ -172,16 +177,13 @@ def _validate_word(W: DirectedGraph, word) -> tuple:
     return word
 
 
-def lift_paths(phi: GraphMorphism, word, origin=None) -> LiftSet:
-    """Enumerate the lifts of an admissible edge word, depth first in edge
-    order, grouped by terminal vertex.
+def _word_and_starts(phi: GraphMorphism, word, origin) -> tuple:
+    """The validated word and the domain vertices its lifts start at.
 
-    For the empty word the lifts are the domain vertices over ``origin``
-    (required then unless the codomain has a single vertex). Raises
-    NotLiftable with the failing prefix if some prefix has no lifts at
-    all, which cannot happen once path lifting has been verified.
+    The origin defaults to the origin of the first letter; the empty word
+    needs one unless the codomain has a single vertex.
     """
-    V, W = phi.domain, phi.codomain
+    W = phi.codomain
     word = _validate_word(W, word)
     if origin is None:
         if word:
@@ -193,8 +195,31 @@ def lift_paths(phi: GraphMorphism, word, origin=None) -> LiftSet:
     elif word and W.origin[word[0]] != origin:
         raise GraphError(f"word starts at {W.origin[word[0]]!r}, "
                          f"not at {origin!r}")
+    starts = [v for v in phi.domain.vertices if phi.vmap[v] == origin]
+    return word, starts
 
-    starts = [v for v in V.vertices if phi.vmap[v] == origin]
+
+def _step_table(phi: GraphMorphism) -> dict:
+    """(domain vertex, codomain edge) -> the termini of the domain edges
+    leaving that vertex over that edge, one entry per domain edge."""
+    V = phi.domain
+    step = {}
+    for a in V.edges:
+        step.setdefault((V.origin[a], phi.emap[a]), []).append(V.terminus[a])
+    return step
+
+
+def lift_paths(phi: GraphMorphism, word, origin=None) -> LiftSet:
+    """Enumerate the lifts of an admissible edge word, depth first in edge
+    order, grouped by terminal vertex.
+
+    For the empty word the lifts are the domain vertices over ``origin``
+    (required then unless the codomain has a single vertex). Raises
+    NotLiftable with the failing prefix if some prefix has no lifts at
+    all, which cannot happen once path lifting has been verified.
+    """
+    V = phi.domain
+    word, starts = _word_and_starts(phi, word, origin)
     if not word:
         return LiftSet(word, tuple((v,) for v in starts),
                        {v: ((v,),) for v in starts}, True)
@@ -221,6 +246,51 @@ def lift_paths(phi: GraphMorphism, word, origin=None) -> LiftSet:
     return LiftSet(word, lifts, by_term, all_extend)
 
 
+def lift_counts(phi: GraphMorphism, word, origin=None,
+                pairs=False) -> tuple:
+    """Exact lift counts of an admissible edge word, by terminal vertex.
+
+    Returns ``(counts, all_prefixes_extend)``: ``counts`` maps each
+    terminal vertex that some lift reaches to its number of lifts, a
+    Python int (exact at any length). One transfer step per letter moves
+    a sparse count vector along the domain edges over that letter, so the
+    cost is the word length times the domain edges, not the lift count.
+
+    With ``pairs=True`` the same steps run on the fiber-product graph
+    V x_W V (both edges of a pair over the same letter) and the counts are
+    keyed by terminal pair: entry (u, v) counts the pairs of lifts ending
+    at u and v, so the diagonal sums to the arrow count of the kernel
+    fiber groupoid. Word, origin, empty-word and NotLiftable rules are
+    those of ``lift_paths``.
+    """
+    word, starts = _word_and_starts(phi, word, origin)
+    step = _step_table(phi)
+    if pairs:
+        def ends(state, b):
+            u, u2 = state
+            return [(t, t2) for t in step.get((u, b), ())
+                    for t2 in step.get((u2, b), ())]
+        counts = {(u, u2): 1 for u in starts for u2 in starts}
+    else:
+        def ends(state, b):
+            return step.get((state, b), ())
+        counts = dict.fromkeys(starts, 1)
+    all_extend = True
+    for pos, b in enumerate(word):
+        nxt = {}
+        for state, n in counts.items():
+            out = ends(state, b)
+            if not out:
+                all_extend = False
+            for t in out:
+                nxt[t] = nxt.get(t, 0) + n
+        if not nxt:
+            raise NotLiftable(f"no lift of prefix {word[:pos + 1]!r}",
+                              witness=word[:pos + 1])
+        counts = nxt
+    return counts, all_extend
+
+
 def _path_id(path) -> str:
     return ".".join(str(e) for e in path) if path else "()"
 
@@ -233,6 +303,9 @@ def kernel_fiber_groupoid(phi: GraphMorphism, word, origin=None):
     path groupoids. It splits into one full pair block per terminal
     vertex, so its block invariants are the terminal partition sizes;
     returned alongside the groupoid, they need no eigensolve.
+
+    A library builder and test oracle: it has |lifts|^2 arrows, so the
+    CLI reads the same invariants from ``lift_counts`` instead.
     """
     ls = lift_paths(phi, word, origin=origin)
     K = pair_blocks([[_path_id(p) for p in ls.by_terminal[term]]
@@ -247,43 +320,57 @@ def kernel_fiber_groupoid(phi: GraphMorphism, word, origin=None):
 def cylinder_cover_check(phi: GraphMorphism, depth: int) -> dict:
     """Every admissible codomain word up to the given length lifts, and
     every partial lift extends: the finite-depth content of image paths
-    covering whole cylinders."""
-    W = phi.codomain
-    words = [()]
+    covering whole cylinders.
+
+    Walks the word tree one level at a time, in the order of length and
+    then edge order, carrying for each word the set of domain vertices
+    its lifts end at. A word fails when that set becomes empty (witness
+    ``no lift of prefix (...)``) or when some vertex of its prefix's set
+    has no edge over its last letter (``a partial lift of (...) got
+    stuck``). Each word costs one step from its prefix's set, never an
+    enumeration of its lifts; the first failing word ends the walk.
+    """
+    V, W = phi.domain, phi.codomain
+    step = _step_table(phi)
+    over = {w: [v for v in V.vertices if phi.vmap[v] == w]
+            for w in W.vertices}
+    level = [((), ())]  # (word, vertices its lifts end at)
     checked = 0
-    ok = True
     witness = None
-    for n in range(1, depth + 1):
+    for _ in range(depth):
         nxt = []
-        for w in words:
+        for w, ends in level:
             for b in W.edges:
                 if w and W.origin[b] != W.terminus[w[-1]]:
                     continue
-                nxt.append(w + (b,))
-        words = nxt
-        for w in words:
-            checked += 1
-            try:
-                ls = lift_paths(phi, w)
-            except NotLiftable as exc:
-                ok = False
-                witness = str(exc)
-                break
-            if not ls.all_prefixes_extend:
-                ok = False
-                witness = f"a partial lift of {w!r} got stuck"
-                break
-        if not ok:
-            break
-    return {"depth": depth, "words_checked": checked, "pass": ok,
-            "witness": witness}
+                wb = w + (b,)
+                checked += 1
+                reached = set()
+                stuck = False
+                for v in (ends if w else over[W.origin[b]]):
+                    out = step.get((v, b))
+                    if out:
+                        reached.update(out)
+                    else:
+                        stuck = True
+                if not reached:
+                    witness = f"no lift of prefix {wb!r}"
+                elif stuck:
+                    witness = f"a partial lift of {wb!r} got stuck"
+                if witness is not None:
+                    return {"depth": depth, "words_checked": checked,
+                            "pass": False, "witness": witness}
+                nxt.append((wb, frozenset(reached)))
+        level = nxt
+    return {"depth": depth, "words_checked": checked, "pass": True,
+            "witness": None}
 
 
 @dataclass
 class GradingReport:
     depth: int
     n_arrows: int
-    degrees: dict = field(default_factory=dict)  # arrow id -> int
+    degree_range: tuple = (0, 0)
     additive: bool = True
     involution_flips: bool = True
     degree_zero_matches_kernel: bool = True
@@ -295,9 +382,8 @@ class GradingReport:
                 and self.degree_zero_matches_kernel)
 
     def as_dict(self) -> dict:
-        degs = sorted(self.degrees.values())
         return {"depth": self.depth, "n_arrows": self.n_arrows,
-                "degree_range": [min(degs), max(degs)] if degs else [0, 0],
+                "degree_range": list(self.degree_range),
                 "additive": self.additive,
                 "involution_flips": self.involution_flips,
                 "degree_zero_matches_kernel": self.degree_zero_matches_kernel,
@@ -308,11 +394,19 @@ def grading_degree(phi: GraphMorphism, depth: int) -> GradingReport:
     """Integer grading of the window groupoid of a collapse map.
 
     The codomain must be the one-vertex one-loop graph. Window arrows are
-    pairs (p, q) of domain paths of length <= depth with equal terminus,
-    graded by len(p) - len(q); composition (p, q)(q, r) = (p, r) adds
-    degrees and the involution (p, q) -> (q, p) flips the sign. All checks
-    are exact over the window; the degree-zero part at full depth is
-    compared against the kernel fiber blocks.
+    pairs (p, q) of domain paths of length 1..depth with equal terminus,
+    graded by len(p) - len(q); composition is (p, q)(q, r) = (p, r) and
+    the involution is (p, q) -> (q, p).
+
+    Additivity and the sign flip are identities of len(p) - len(q). They
+    are still checked exactly, on integer arrays over the path list
+    (lengths ``L``, terminal vertex indices ``T``): the degree matrix
+    D[i, j] = L[i] - L[j] of one terminal block at a time, additivity one
+    row i at a time, so memory stays O(block^2). The content is in the
+    degree-zero comparison: the depth-length paths per terminal vertex
+    must be the kernel fiber blocks, the ``lift_counts`` of the word
+    z^depth. No window groupoid is built; pair ids are formed only for a
+    witness.
     """
     W = phi.codomain
     if len(W.vertices) != 1 or len(W.edges) != 1:
@@ -321,64 +415,73 @@ def grading_degree(phi: GraphMorphism, depth: int) -> GradingReport:
     V = phi.domain
     V.require_no_sinks()
 
-    paths = [()]
-    all_paths = []
-    for _ in range(depth):
-        paths = [p + (a,) for p in paths
-                 for a in (V.edges_from(V.terminus[p[-1]]) if p else V.edges)]
-        all_paths.extend(paths)
+    # paths by length, then depth first in edge order, each stored as its
+    # last edge and the index of its prefix (-1 for none)
+    edge, parent, length = [], [], []
+    prev = [-1]
+    for n in range(1, depth + 1):
+        cur = []
+        for i in prev:
+            for a in (V.edges_from(V.terminus[edge[i]]) if i >= 0
+                      else V.edges):
+                cur.append(len(edge))
+                edge.append(a)
+                parent.append(i)
+                length.append(n)
+        prev = cur
+    vid = {v: k for k, v in enumerate(V.vertices)}
+    L = np.array(length, dtype=np.int64)
+    T = np.array([vid[V.terminus[a]] for a in edge], dtype=np.int64)
 
-    def term(p):
-        return V.terminus[p[-1]]
+    def path(i):
+        out = []
+        while i >= 0:
+            out.append(edge[i])
+            i = parent[i]
+        return tuple(reversed(out))
 
-    arrows = []
-    degree = {}
-    members = {}
-    by_first = {}
-    for p in all_paths:
-        for q in all_paths:
-            if term(p) != term(q):
-                continue
-            g = pair_id(_path_id(p), _path_id(q))
-            arrows.append(g)
-            degree[g] = len(p) - len(q)
-            members[g] = (p, q)
-            by_first.setdefault(p, []).append(g)
+    def arrow(i, j):
+        return pair_id(_path_id(path(i)), _path_id(path(j)))
 
-    report = GradingReport(depth=depth, n_arrows=len(arrows), degrees=degree)
-    for g1 in arrows:
-        p, q = members[g1]
-        for g2 in by_first.get(q, ()):
-            _, r = members[g2]
-            g12 = pair_id(_path_id(p), _path_id(r))
-            if degree[g12] != degree[g1] + degree[g2]:
-                report.additive = False
-                report.witness = f"degree not additive on ({g1}, {g2})"
-                break
-        if not report.additive:
+    # one terminal block per vertex: its path indices and degree matrix
+    members = [np.flatnonzero(T == k) for k in range(len(V.vertices))]
+    D = [L[idx][:, None] - L[idx][None, :] for idx in members]
+    spans = [(int(d.min()), int(d.max())) for d in D if d.size]
+    report = GradingReport(
+        depth=depth, n_arrows=sum(len(idx) ** 2 for idx in members),
+        degree_range=((min(lo for lo, _ in spans), max(hi for _, hi in spans))
+                      if spans else (0, 0)))
+
+    for i in range(len(edge)):
+        idx = members[T[i]]
+        row = L[i] - L[idx]
+        bad = row[:, None] + D[T[i]] != row[None, :]
+        if bad.any():
+            j, k = divmod(int(np.argmax(bad)), len(idx))
+            report.additive = False
+            report.witness = (f"degree not additive on ({arrow(i, idx[j])}, "
+                              f"{arrow(idx[j], idx[k])})")
             break
-    for g in arrows:
-        p, q = members[g]
-        gi = pair_id(_path_id(q), _path_id(p))
-        if degree.get(gi) != -degree[g]:
-            report.involution_flips = False
-            report.witness = f"involution does not flip degree at {g}"
-            break
+    flips = []
+    for idx, d in zip(members, D):
+        bad = d + d.T != 0
+        if bad.any():
+            j, k = divmod(int(np.argmax(bad)), len(idx))
+            flips.append((int(idx[j]), int(idx[k])))
+    if flips:
+        report.involution_flips = False
+        report.witness = ("involution does not flip degree at "
+                          f"{arrow(*min(flips))}")
 
-    word = tuple(W.edges[0] for _ in range(depth))
-    _, blocks = kernel_fiber_groupoid(phi, word) if depth else (None, None)
     if depth:
-        zero_sizes = {}
-        for g in arrows:
-            p, q = members[g]
-            if len(p) == len(q) == depth:
-                zero_sizes.setdefault(term(p), set()).add(p)
-        sizes = tuple(sorted((len(s) for s in zero_sizes.values()),
-                             reverse=True))
-        if sizes != blocks.blocks:
+        sizes = tuple(sorted((int(c) for c in np.bincount(T[L == depth])
+                              if c), reverse=True))
+        counts, _ = lift_counts(phi, (W.edges[0],) * depth)
+        blocks = tuple(sorted(counts.values(), reverse=True))
+        if sizes != blocks:
             report.degree_zero_matches_kernel = False
             report.witness = (f"degree-0 window blocks {sizes} != kernel "
-                              f"fiber blocks {blocks.blocks}")
+                              f"fiber blocks {blocks}")
     return report
 
 

@@ -110,6 +110,44 @@ def brute_force_lifts(graph, emap, word):
     return lifts
 
 
+def cylinder_cover_by_words(phi, depth):
+    """The per-word cylinder cover check: enumerate every admissible word
+    up to ``depth`` by length, then edge order, and run the full lift
+    enumeration ``lift_paths`` on each; the first word with no lift or a
+    stuck partial lift ends the check."""
+    from gpdkit.graphs import NotLiftable, lift_paths
+
+    W = phi.codomain
+    words = [()]
+    checked = 0
+    ok = True
+    witness = None
+    for n in range(1, depth + 1):
+        nxt = []
+        for w in words:
+            for b in W.edges:
+                if w and W.origin[b] != W.terminus[w[-1]]:
+                    continue
+                nxt.append(w + (b,))
+        words = nxt
+        for w in words:
+            checked += 1
+            try:
+                ls = lift_paths(phi, w)
+            except NotLiftable as exc:
+                ok = False
+                witness = str(exc)
+                break
+            if not ls.all_prefixes_extend:
+                ok = False
+                witness = f"a partial lift of {w!r} got stuck"
+                break
+        if not ok:
+            break
+    return {"depth": depth, "words_checked": checked, "pass": ok,
+            "witness": witness}
+
+
 def matrix_units_check(G):
     """Verify the pair-groupoid delta basis satisfies the matrix-unit
     relations e_{ij} e_{kl} = [j == k] e_{il} exactly, using only the

@@ -101,10 +101,40 @@ class TestHeisenbergExtension:
             h2, x2 = res.action_groupoid.pairs[g2]
             a = int(h1.strip("[]").split(",")[0])
             b2 = int(h2.strip("[]").split(",")[1])
-            k = res.char_of_point[x2]
-            expected = corpus.heisenberg_cocycle_closed_form(
-                n, k[0] if k else 0, a, b2)
+            t = corpus.heisenberg_center_exponent(
+                res.characters, res.char_of_point[x2], n)
+            expected = corpus.heisenberg_cocycle_closed_form(n, t, a, b2)
             assert val == expected  # bit-identical
+        assert corpus.heisenberg_closed_form_defect(res, n) == (0.0, None)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_center_exponent_matches_closed_form(self, n):
+        # the characters of the center Z_n alone, without the n^3 bundle:
+        # chi_m([0,0,a b']) must be the closed form at the exponent t
+        center = [f"[0,0,{c}]" for c in range(n)]
+        A = GroupTable(center, {(f"[0,0,{c}]", f"[0,0,{d}]"):
+                                f"[0,0,{(c + d) % n}]"
+                                for c in range(n) for d in range(n)})
+        chars = CharacterData(A)
+        first_index_is_t = True
+        for m in chars.indices:
+            t = corpus.heisenberg_center_exponent(chars, m, n)
+            assert unit_root(t, n) == chars.value(m, f"[0,0,{1 % n}]")
+            first_index_is_t &= t == m[0]
+            for a in range(n):
+                for b2 in range(n):
+                    assert chars.value(m, f"[0,0,{(a * b2) % n}]") == \
+                        corpus.heisenberg_cocycle_closed_form(n, t, a, b2)
+        # the center's basis is [0,0,1] for n = 2..5 but not for n = 6
+        assert first_index_is_t == (n != 6)
+
+    def test_changed_cocycle_value_fails_with_its_pair(self):
+        res = gk.group_extension_bundle(corpus.heisenberg_extension(3))
+        pair = sorted(res.cocycle.omega)[7]
+        res.cocycle.omega[pair] *= 1j
+        resid, witness = corpus.heisenberg_closed_form_defect(res, 3)
+        assert resid == pytest.approx(abs(1j - 1))
+        assert witness == f"({pair[0]!r}, {pair[1]!r})"
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_wedderburn_matches_oracle(self, n):

@@ -1,11 +1,53 @@
 import itertools
+import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpdkit as gk
-from gpdkit import corpus
+from gpdkit import corpus, graphs, io as gio
+from gpdkit.cli import main
+from gpdkit.report import canonical_json
 
-from oracles import brute_force_lifts
+from oracles import brute_force_lifts, cylinder_cover_by_words
+
+ONE_LOOP = gk.DirectedGraph(("w",), ("1", "2"), {"1": "w", "2": "w"},
+                            {"1": "w", "2": "w"})
+
+
+def no_lift_morphism():
+    """Letter 2 has no lift anywhere: the first failing word is ('2',)."""
+    V = gk.DirectedGraph(("v",), ("a", "b"), {"a": "v", "b": "v"},
+                         {"a": "v", "b": "v"})
+    return gk.GraphMorphism(V, ONE_LOOP, {"v": "w"}, {"a": "1", "b": "1"})
+
+
+def stuck_lift_morphism():
+    """Every word lifts from v, but u has no edge over 2, so a partial
+    lift that reaches u gets stuck there (u is also a start vertex: the
+    first failing word is ('2',))."""
+    V = gk.DirectedGraph(("v", "u"), ("a", "b", "c", "d"),
+                         {"a": "v", "b": "v", "c": "v", "d": "u"},
+                         {"a": "v", "b": "u", "c": "v", "d": "u"})
+    return gk.GraphMorphism(V, ONE_LOOP, {"v": "w", "u": "w"},
+                            {"a": "1", "b": "1", "c": "2", "d": "1"})
+
+
+def run_json(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, out, json.loads(out)
+
+
+def checks(payload):
+    return {c["name"]: c for c in payload["checks"]}
+
+
+def write_morphism(tmp_path, phi):
+    path = tmp_path / "phi.graphmorphism.json"
+    path.write_text(canonical_json(gio.save_graph_morphism(phi)))
+    return str(path)
 
 
 class TestGraphMorphism:
@@ -208,3 +250,199 @@ class TestWindowMorphism:
             u = pair_id(_path_id(tuple(w)), _path_id(tuple(w)))
             blocks = E.unit_algebra(u).wedderburn().blocks
             assert blocks == (2 ** ones,)
+
+
+class TestLiftCounts:
+    def test_cuntz_counts_are_exact_python_ints(self, cuntz):
+        # 2^70 would wrap in int64; the counts are Python ints
+        _, _, phi = cuntz
+        counts, extend = gk.lift_counts(phi, "1" * 70 + "2")
+        assert counts == {"v": 2 ** 70} and extend
+        assert type(counts["v"]) is int
+        pairs, _ = gk.lift_counts(phi, "1" * 70, pairs=True)
+        assert pairs == {("v", "v"): 2 ** 140}
+
+    def test_split_terminals(self):
+        _, _, phi = corpus.split_terminal_graphs()
+        assert gk.lift_counts(phi, "1") == ({"p": 1, "q": 2}, True)
+        pairs, _ = gk.lift_counts(phi, "1", pairs=True)
+        assert pairs == {("p", "p"): 1, ("p", "q"): 2, ("q", "p"): 2,
+                         ("q", "q"): 4}
+
+    def test_empty_word_and_origin_rules_match_lift_paths(self):
+        _, _, phi = corpus.split_terminal_graphs()
+        assert gk.lift_counts(phi, "") == ({"p": 1, "q": 1}, True)
+        assert gk.lift_counts(phi, "", origin="zz") == ({}, True)
+        two = gk.GraphMorphism(phi.domain, gk.DirectedGraph(
+            ("w", "x"), ("1",), {"1": "w"}, {"1": "w"}),
+            phi.vmap, phi.emap)
+        for call in (gk.lift_paths, gk.lift_counts):
+            with pytest.raises(graphs.GraphError, match="origin"):
+                call(two, "")
+            with pytest.raises(graphs.GraphError, match="not at 'x'"):
+                call(two, "1", origin="x")
+
+    def test_stuck_and_missing_lifts(self):
+        assert gk.lift_counts(stuck_lift_morphism(), "12") == ({"v": 1},
+                                                               False)
+        with pytest.raises(gk.NotLiftable) as exc:
+            gk.lift_counts(no_lift_morphism(), "12")
+        assert exc.value.witness == ("1", "2")
+
+
+@st.composite
+def small_morphisms(draw):
+    """An incidence-preserving morphism onto a graph of one or two
+    vertices, with or without path lifting, and a word over the codomain
+    edges (admissible or not) with an optional origin."""
+    wv = ["w", "x"][:draw(st.integers(1, 2))]
+    we = [f"{k}" for k in range(draw(st.integers(1, 3)))]
+    W = gk.DirectedGraph(wv, we, {b: draw(st.sampled_from(wv)) for b in we},
+                         {b: draw(st.sampled_from(wv)) for b in we})
+    vv = [f"v{k}" for k in range(draw(st.integers(1, 3)))]
+    vmap = {v: draw(st.sampled_from(wv)) for v in vv}
+    origin, terminus, emap = {}, {}, {}
+    for k in range(draw(st.integers(0, 5))):
+        o = draw(st.sampled_from(vv))
+        letters = [b for b in we if W.origin[b] == vmap[o]]
+        b = draw(st.sampled_from(letters)) if letters else None
+        ends = [v for v in vv if b is not None and vmap[v] == W.terminus[b]]
+        if ends:
+            e = f"e{k}"
+            origin[e], terminus[e], emap[e] = o, draw(st.sampled_from(ends)), b
+    V = gk.DirectedGraph(vv, list(origin), origin, terminus)
+    word = draw(st.lists(st.sampled_from(we), max_size=4))
+    start = draw(st.sampled_from([None] + wv))
+    return gk.GraphMorphism(V, W, vmap, emap), word, start
+
+
+def _outcome(call):
+    try:
+        return call()
+    except graphs.GraphError as exc:  # NotLiftable is a GraphError
+        return type(exc), str(exc), exc.witness
+
+
+class TestLiftCountsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(small_morphisms())
+    def test_counts_match_enumeration_and_kernel(self, case):
+        phi, word, origin = case
+        ls = _outcome(lambda: gk.lift_paths(phi, word, origin=origin))
+        single = _outcome(lambda: gk.lift_counts(phi, word, origin=origin))
+        double = _outcome(lambda: gk.lift_counts(phi, word, origin=origin,
+                                                 pairs=True))
+        if isinstance(ls, tuple):
+            # the same exception, message and witness on the same input
+            assert single == ls and double == ls
+            return
+        counts, extend = single
+        pair_counts, pair_extend = double
+        # per terminal vertex, so the sorted blocks agree too
+        assert counts == {v: len(p) for v, p in ls.by_terminal.items()}
+        assert extend == pair_extend == ls.all_prefixes_extend
+        diagonal = sum(n for (u, u2), n in pair_counts.items() if u == u2)
+        K, _ = gk.kernel_fiber_groupoid(phi, word, origin=origin)
+        assert diagonal == len(K.arrows)
+
+
+class TestGraphCheckControls:
+    @pytest.mark.parametrize("make, words, witness", [
+        (no_lift_morphism, 2, "no lift of prefix ('2',)"),
+        (stuck_lift_morphism, 2, "a partial lift of ('2',) got stuck"),
+    ])
+    def test_cylinder_check_matches_per_word_oracle(self, make, words,
+                                                    witness):
+        phi = make()
+        for depth in range(5):
+            got = gk.cylinder_cover_check(phi, depth)
+            assert got == cylinder_cover_by_words(phi, depth)
+        assert got["words_checked"] == words
+        assert not got["pass"] and got["witness"] == witness
+
+    def test_cylinder_check_matches_oracle_on_cuntz(self, cuntz):
+        _, _, phi = cuntz
+        assert gk.cylinder_cover_check(phi, 6) == \
+            cylinder_cover_by_words(phi, 6)
+
+    def test_graph_check_reports_stuck_lift(self, tmp_path, capsys):
+        path = write_morphism(tmp_path, stuck_lift_morphism())
+        code, _, payload = run_json(["graph", "check", "--morphism", path,
+                                     "--depth", "3"], capsys)
+        assert code == 1
+        cyl = checks(payload)["cylinder_cover"]
+        assert not cyl["pass"]
+        assert cyl["witness"] == "a partial lift of ('2',) got stuck"
+
+    def test_prefixes_extend_fails_on_stuck_lift(self, tmp_path, capsys):
+        path = write_morphism(tmp_path, stuck_lift_morphism())
+        code, _, payload = run_json(["graph", "fibers", "--morphism", path,
+                                     "--word", "121"], capsys)
+        assert code == 1
+        found = checks(payload)
+        assert not found["prefixes_extend"]["pass"]
+        assert found["blocks_partition_lifts"]["pass"]
+        assert found["block_squares_count_arrows"]["pass"]
+        # a.c.a and a.c.b; b.c and d.c are stuck
+        assert payload["blocks"] == [1, 1] and payload["lift_count"] == 2
+
+
+def _miscount(real):
+    """lift_counts with every count one too high."""
+    def wrong(*args, **kwargs):
+        counts, extend = real(*args, **kwargs)
+        return {k: n + 1 for k, n in counts.items()}, extend
+    return wrong
+
+
+class TestMiscountControls:
+    def test_fibers_checks_fail_with_terminal_witness(self, monkeypatch,
+                                                      capsys):
+        argv = ["graph", "fibers", "--morphism",
+                corpus.data_path("cuntz.graphmorphism.json"), "--word",
+                "121"]
+        _, passing, _ = run_json(argv, capsys)
+        monkeypatch.setattr("gpdkit.cli.lift_counts",
+                            _miscount(graphs.lift_counts))
+        code, _, payload = run_json(argv, capsys)
+        assert code == 1
+        found = checks(payload)
+        assert found["prefixes_extend"]["pass"]
+        assert found["blocks_partition_lifts"]["witness"] == \
+            "terminal 'v': 5 != 4"
+        assert found["block_squares_count_arrows"]["witness"] == \
+            "terminal 'v': 25 != 17"
+        assert not found["blocks_partition_lifts"]["pass"]
+        assert not found["block_squares_count_arrows"]["pass"]
+        monkeypatch.undo()
+        assert run_json(argv, capsys)[1] == passing
+
+    def test_grading_degree_zero_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(graphs, "lift_counts",
+                            _miscount(graphs.lift_counts))
+        code, _, payload = run_json(
+            ["graph", "grading", "--graph",
+             corpus.data_path("cuntz_v.graph.json"), "--depth", "2"], capsys)
+        assert code == 1
+        found = checks(payload)
+        assert found["degree_additive"]["pass"]
+        assert not found["degree_zero_matches_kernel"]["pass"]
+        assert found["degree_zero_matches_kernel"]["witness"] == \
+            "degree-0 window blocks (9,) != kernel fiber blocks (10,)"
+
+
+def test_fibers_of_ten_ones_without_the_kernel_groupoid(capsys):
+    # K would have 2^20 arrows and 2^30 composable pairs
+    argv = ["graph", "fibers", "--morphism",
+            corpus.data_path("cuntz.graphmorphism.json"), "--word",
+            "1" * 10]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["blocks"] == [1024] and payload["lift_count"] == 1024
+    assert peak < 16 * 2 ** 20
