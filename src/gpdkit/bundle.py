@@ -19,7 +19,14 @@ tr(L_{a* b}), which is the unique C*-norm whenever the fiber is a genuine
 C*-algebra. A general fiber element xi at h gets ||xi|| =
 ||xi* xi||^{1/2} computed in the unit fiber over src(h), cross-checkable
 against the operator norm of the corresponding one-arrow section acting
-on the section Hilbert space.
+on the section Hilbert space. Left multiplication by xi sends each fiber
+E_k with r(k) = src(h) into E_hk (Kumjian, *Fell bundles over groupoids*,
+1998), so in the orthonormal coordinates T_h = G_h^{1/2} of the per-arrow
+Gram blocks G_h[i, j] = tau(e_i* e_j) that operator norm is
+max_k ||T_hk L_{xi,k} T_k^-1||, and a unit-fiber norm is the block of
+k = u. Every norm the checks take is such a d x d block, stacked by size
+in batched numpy calls (:class:`~gpdkit.fiberblocks.FiberBlocks`); only
+``SectionAlgebra.norm``, a general section, takes a block per source unit.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ from .groupoid import (Bisection, FiniteGroupoid, GroupoidMorphism,
                        classify_morphism, fiber_subgroupoid, kernel)
 from . import algebra
 from .algebra import (AlgebraElement, NumericalDegeneracy, StructureTable,
-                      _defect, _join, groupoid_table, wedderburn,
+                      _defect, _join, _scatter, groupoid_table, wedderburn,
                       wedderburn_from_tables)
+from .fiberblocks import fiber_blocks, stacked_ranks
 from .report import CheckList
 
 
@@ -102,6 +110,7 @@ class FellBundle:
                 dtype=np.int64)
         self._unit_algebras = {}
         self._table = None
+        self._blocks = None
         self.kernel_report = None
 
     def dim(self, h) -> int:
@@ -196,11 +205,23 @@ def fiber_star(xi: FiberElement) -> FiberElement:
 
 
 def fiber_norm(xi: FiberElement) -> float:
-    """||xi|| = ||xi* xi||^{1/2} in the unit fiber over src(arrow)."""
-    E = xi.bundle
-    u = E.base.src[xi.arrow]
-    prod = fiber_mul(fiber_star(xi), xi)
-    return float(np.sqrt(max(E.unit_algebra(u).norm(prod.vec), 0.0)))
+    """||xi|| = ||xi* xi||^{1/2} in the unit fiber over src(arrow): the
+    one-row case of :meth:`gpdkit.fiberblocks.FiberBlocks.fiber_norms`."""
+    B = fiber_blocks(xi.bundle)
+    h, X = B.rows([(xi.arrow, xi.vec)])
+    _require_cstar_units(B, B.src[h])
+    return float(B.fiber_norms(h, X)[0][0])
+
+
+def _require_cstar_units(B, units):
+    """Raise FellBundleError on the first of ``units`` (arrow indices of
+    ``B``) whose fiber has a degenerate trace form."""
+    bad = B.degenerate_unit(units)
+    if bad is not None:
+        u = B.bundle.base.arrows[bad]
+        raise FellBundleError(
+            f"unit fiber over {u!r} has a degenerate trace form and is not "
+            "a C*-algebra", witness=u)
 
 
 def _range_errors(E: FellBundle, mul, star):
@@ -489,6 +510,24 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     and run over every basis element plus ``samples`` random elements drawn
     across random composable fibers. Saturation is a rank condition per
     composable pair. Failures are report entries, never exceptions.
+
+    Every norm is the 2-norm of a block of at most fiber size
+    (:class:`~gpdkit.fiberblocks.FiberBlocks`), taken in stacked numpy
+    calls after all random draws:
+
+    - ||x|| = ||x* x||^{1/2}: x* x from the inner-product tensor, then one
+      stacked norm (and, for axiom 10, one stacked eigvalsh) of the unit
+      fiber blocks per fiber dimension;
+    - axiom 4 on basis pairs: the product of e_a and e_b is the sum of
+      their table entries, so a product w e_c has norm |w| ||e_c|| and
+      only other products take a stacked norm;
+    - axiom 9 and ``norm_consistency``: ||L_x|| is the largest block
+      ||T_hk L_{x,k} T_k^-1|| over the k with r(k) = s(h), one stacked norm
+      of d x d blocks, never a total_dim x total_dim matrix.
+
+    The numeric checks cost the table terms of the arrows involved plus
+    one small decomposition per block, and their witnesses name the first
+    arrow (pair) with the largest defect.
     """
     rng = np.random.default_rng(seed)
     rep = AxiomReport()
@@ -542,12 +581,11 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
                 _slot_witness(E, slots, form) if res > tol else None)
 
     # norms require every unit fiber to be an honest C*-algebra
-    degenerate = None
-    for u in H.units:
-        if E.dim(u) and not E.unit_algebra(u).positive_definite:
-            degenerate = f"unit fiber over {u!r} has degenerate trace form"
-            break
-    if degenerate is not None:
+    B = fiber_blocks(E)
+    bad = B.degenerate_unit([B.index[u] for u in H.units])
+    if bad is not None:
+        degenerate = f"unit fiber over {H.arrows[bad]!r} has degenerate " \
+            "trace form"
         for name in ("axiom4_submultiplicative", "axiom9_cstar_identity",
                      "axiom10_positive"):
             rep.add(name, False, None, degenerate)
@@ -555,81 +593,124 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         rep.add("saturation", _saturation_detail(E, tol)[0], None, None)
         return rep
 
-    # axiom 4: submultiplicativity on basis pairs plus random samples; each
-    # basis element and each sample carries its norm, taken once
-    basis = {(h, i): FiberElement.basis(E, h, i)
-             for h in H.arrows for i in range(E.dim(h))}
-    norms = {key: fiber_norm(x) for key, x in basis.items()}
-    res4 = 0.0
-    wit4 = None
-    trials = [(h1, h2, basis[h1, i], norms[h1, i], basis[h2, j], norms[h2, j])
-              for (h1, h2) in comp_pairs
-              for i in range(E.dim(h1)) for j in range(E.dim(h2))]
+    # random elements, drawn in the order of the checks that read them:
+    # pairs for axiom 4, then single elements for axioms 10 and 9
+    pairs = []
     for _ in range(samples):
         if not comp_pairs:
             break
         h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
-        x, y = _random_fiber(E, h1, rng), _random_fiber(E, h2, rng)
-        trials.append((h1, h2, x, fiber_norm(x), y, fiber_norm(y)))
-    for h1, h2, x, nx, y, ny in trials:
-        rel = (fiber_norm(fiber_mul(x, y)) - nx * ny) / max(nx * ny, 1e-30)
-        if rel > res4:
-            res4 = rel
-            wit4 = f"(h={h1!r},{h2!r})"
-    res4 = max(res4, 0.0)
-    rep.add("axiom4_submultiplicative", res4 <= tol, res4,
-            wit4 if res4 > tol else None)
-
-    # axiom 10: xi* xi has nonnegative spectrum in the unit fiber.
-    res10 = 0.0
-    wit10 = None
-    single = [(h, x, norms[h, i]) for (h, i), x in basis.items()]
+        pairs.append((h1, h2, _random_fiber(E, h1, rng).vec,
+                      _random_fiber(E, h2, rng).vec))
+    drawn = []
     for _ in range(samples):
-        if not single:
+        if not table.dim:
             break
         h = H.arrows[rng.integers(len(H.arrows))]
-        if E.dim(h) == 0:
-            continue
-        x = _random_fiber(E, h, rng)
-        single.append((h, x, fiber_norm(x)))
-    for h, x, _ in single:
-        u = H.src[h]
-        spec = E.unit_algebra(u).herm_spectrum(fiber_mul(fiber_star(x), x).vec)
-        if spec.size:
-            neg = max(0.0, -float(spec[0])) / max(float(spec[-1]), 1e-30)
-            if neg > res10:
-                res10 = neg
-                wit10 = f"(h={h!r})"
+        if E.dim(h):
+            drawn.append((h, _random_fiber(E, h, rng).vec))
+
+    # every basis vector and every drawn single element: x* x, its norm
+    # and its spectrum in one stacked pass
+    bh, bX = B.basis_rows()
+    sh, sX = B.rows(drawn)
+    hs, X = np.concatenate([bh, sh]), np.concatenate([bX, sX])
+    sq = B.square(hs, X)
+    norm_sq, neg = B.unit_norms(B.src[hs], sq, spectra=True)
+    norms = np.sqrt(norm_sq)
+
+    # axiom 4: ||xy|| <= ||x|| ||y|| on basis pairs, then on the pairs
+    res4, pair = _largest(*_submultiplicative_defects(
+        E, B, norms[:table.dim], comp_pairs, pairs))
+    rep.add("axiom4_submultiplicative", res4 <= tol, res4,
+            "(h={!r},{!r})".format(*pair) if res4 > tol else None)
+
+    # axiom 10: x* x has nonnegative spectrum in the unit fiber
+    arrows = [H.arrows[k] for k in hs]
+    res10, h = _largest(neg, arrows)
     rep.add("axiom10_positive", res10 <= tol, res10,
-            wit10 if res10 > tol else None)
+            f"(h={h!r})" if res10 > tol else None)
 
     # axiom 9 and norm consistency, through the section representation
     try:
-        srep = SectionSpace(E)
+        SectionSpace(E)
     except FellBundleError as exc:
         rep.add("axiom9_cstar_identity", False, None, str(exc))
         rep.add("norm_consistency", False, None, str(exc))
         rep.add("saturation", _saturation_detail(E, tol)[0], None, None)
         return rep
-    res9 = cons = 0.0
-    wit9 = None
-    for h, x, nx in single:
-        u = H.src[h]
-        n_op = srep.op_norm_of_fiber(x)
-        sq = fiber_mul(fiber_star(x), x)
-        n_sq = srep.op_norm_of_fiber(FiberElement(E, u, sq.vec))
-        d = abs(n_sq - n_op ** 2) / max(n_op ** 2, 1e-30)
-        if d > res9:
-            res9 = d
-            wit9 = f"(h={h!r})"
-        cons = max(cons, abs(n_op - nx) / max(n_op, 1e-30))
-    rep.add("axiom9_cstar_identity", res9 <= tol, res9,
-            wit9 if res9 > tol else None)
-    rep.add("norm_consistency", cons <= tol, cons)
+    n_op = B.op_norms(hs, X)
+    n_sq = B.op_norms(B.src[hs], sq)
+    for name, res in (
+            ("axiom9_cstar_identity",
+             np.abs(n_sq - n_op ** 2) / np.maximum(n_op ** 2, 1e-30)),
+            ("norm_consistency",
+             np.abs(n_op - norms) / np.maximum(n_op, 1e-30))):
+        worst, h = _largest(res, arrows)
+        rep.add(name, worst <= tol, worst,
+                f"(h={h!r})" if worst > tol else None)
 
     sat, wit = _saturation_detail(E, tol)
     rep.add("saturation", sat, None, wit)
     return rep
+
+
+def _largest(values, labels):
+    """(max(largest value, 0), label of its first occurrence or None): the
+    running maximum of a loop that starts at 0 and keeps the first strict
+    improvement."""
+    values = np.asarray(values, dtype=float)
+    if not len(values) or not values.max() > 0:
+        return 0.0, None
+    i = int(np.argmax(values))
+    return float(values[i]), labels[i]
+
+
+def _submultiplicative_defects(E, B, basis_norms, comp_pairs, pairs):
+    """(rel, (h1, h2) per trial) with rel = (||xy|| - ||x|| ||y||) /
+    ||x|| ||y|| over every basis pair of ``comp_pairs`` (in that order,
+    then by the two basis indices) and then over the drawn ``pairs``.
+
+    The product of e_a and e_b is the sum of the table entries (a, b, c,
+    w). When it is one basis vector w e_c its norm is |w| ||e_c||; other
+    products, and the drawn pairs, take the stacked norms. Basis pairs
+    without a table entry have product 0 and rel <= 0, which never sets
+    the maximum, so they are left out.
+    """
+    H, T, n = E.base, B.table, B.table.dim
+    key, inv = np.unique((T.a * n + T.b) * n + T.c, return_inverse=True)
+    w = _scatter(inv.reshape(-1), T.w, len(key))
+    ab, start, count = np.unique(key // n, return_index=True,
+                                 return_counts=True)
+    c = key % n
+    prod = np.abs(w[start]) * basis_norms[c[start]]
+    multi = count > 1
+    if multi.any():
+        row = (np.cumsum(multi) - 1)[np.repeat(np.arange(len(ab)), count)]
+        e = multi[np.repeat(np.arange(len(ab)), count)]
+        Z = _scatter(row[e] * B.D + B.loc[c[e]], w[e],
+                     int(multi.sum()) * B.D).reshape(-1, B.D)
+        prod[multi] = B.fiber_norms(B.arrow[c[start[multi]]], Z)[0]
+    a, b = ab // n, ab % n
+    ha, hb = B.arrow[a], B.arrow[b]
+    # trial order: the pair's place in comp_pairs, then the basis indices
+    ck = np.fromiter((B.index[p] * B.nA + B.index[q] for p, q in comp_pairs),
+                     np.int64, len(comp_pairs))
+    co = np.argsort(ck)
+    place = co[np.searchsorted(ck[co], ha * B.nA + hb)]
+    order = np.lexsort((B.loc[b], B.loc[a], place))
+    nn = basis_norms[a] * basis_norms[b]
+    rel = [((prod - nn) / np.maximum(nn, 1e-30))[order]]
+    labels = [(H.arrows[p], H.arrows[q]) for p, q in zip(ha[order], hb[order])]
+    if pairs:
+        h1, X = B.rows([(p[0], p[2]) for p in pairs])
+        h2, Y = B.rows([(p[1], p[3]) for p in pairs])
+        h12, Z = B.products(h1, X, h2, Y)
+        nx, ny, nxy = np.split(B.fiber_norms(
+            np.concatenate([h1, h2, h12]), np.concatenate([X, Y, Z]))[0], 3)
+        rel.append((nxy - nx * ny) / np.maximum(nx * ny, 1e-30))
+        labels += [(p[0], p[1]) for p in pairs]
+    return np.concatenate(rel), labels
 
 
 def _slot_witness(E: FellBundle, slots, form: str) -> str:
@@ -651,23 +732,27 @@ def _rank(rows, tol: float) -> int:
 
 
 def _saturation_detail(E: FellBundle, tol: float):
-    H = E.base
-    for (h1, h2) in H.composable_pairs():
-        h12 = H.compose(h1, h2)
-        d12 = E.dim(h12)
-        if d12 == 0:
-            continue
-        rows = []
-        table = E.mul.get((h1, h2), {})
-        for (i, j), expansion in table.items():
-            row = np.zeros(d12, dtype=complex)
-            for k, w in expansion.items():
-                row[k] = w
-            rows.append(row)
-        rank = _rank(rows, tol)
-        if rank < d12:
-            return False, f"span E_{h1!r} * E_{h2!r} has rank {rank} < {d12}"
-    return True, None
+    """(saturated, witness): span E_h1 E_h2 = E_h1h2 for every composable
+    pair, as the rank of the products of basis pairs (the table entries of
+    the pair) against dim E_h1h2, stacked by shape. The witness names the
+    first pair, in ``composable_pairs`` order, that falls short."""
+    B = fiber_blocks(E)
+    T = B.table
+    pairs = list(E.base.composable_pairs())
+    h1, h2 = (np.fromiter((B.index[p[k]] for p in pairs), np.int64,
+                          len(pairs)) for k in (0, 1))
+    d2, d12 = B.dims[h2], B.dims[B.compose(h1, h2)]
+    key = h1 * B.nA + h2
+    order = np.argsort(key)
+    owner = order[np.searchsorted(key[order], B._entry_key)]
+    ranks = stacked_ranks(owner, B.loc[T.a] * d2[owner] + B.loc[T.b],
+                           B.loc[T.c], T.w, (B.dims[h1] * d2, d12), tol)
+    short = np.flatnonzero(ranks < d12)
+    if not len(short):
+        return True, None
+    k = short[0]
+    return False, (f"span E_{pairs[k][0]!r} * E_{pairs[k][1]!r} has rank "
+                   f"{ranks[k]} < {d12[k]}")
 
 
 class Section:
@@ -697,58 +782,101 @@ class SectionSpace:
     over the arrows with source u, with inner product
     <xi, eta> = tau(xi* eta) in the unit fiber.
 
-    Coordinates are orthonormalized with the Gram square roots so that
-    adjoints of represented operators are conjugate transposes.
+    The inner product is block diagonal per arrow: its blocks are the Gram
+    matrices G_h[i, j] = tau(e_i* e_j), read from the inner-product tensor
+    of the table and diagonalized by one batched eigh per fiber dimension
+    (:class:`~gpdkit.fiberblocks.FiberBlocks`); no total_dim x total_dim
+    Gram matrix is formed. Coordinates are orthonormalized with the block
+    square roots T_h = G_h^{1/2}, so adjoints of represented operators are
+    conjugate transposes. ``gram_ratio`` is the smallest Gram eigenvalue
+    over the largest, the margin of the definiteness test.
     """
 
     def __init__(self, E: FellBundle, tol: float = 1e-9):
         self.bundle = E
-        H = E.base
-        # slots (h, i) are contiguous per arrow; left multiplication only
-        # connects slots whose arrows share a source, so the representation
-        # is a permuted block diagonal over the units and the full-matrix
-        # operator norm is the max over unit blocks
-        n = E.total_dim()
-        gram = np.zeros((n, n), dtype=complex)
-        for h in H.arrows:
-            d = E.dim(h)
-            if d == 0:
-                continue
-            u = H.src[h]
-            alg = E.unit_algebra(u)
-            block = np.zeros((d, d), dtype=complex)
-            for i in range(d):
-                si = fiber_star(FiberElement.basis(E, h, i))
-                for j in range(d):
-                    prod = fiber_mul(si, FiberElement.basis(E, h, j))
-                    block[i, j] = alg.tau(prod.vec)
-            base = E.first[h]
-            gram[base:base + d, base:base + d] = block
-        gram = (gram + gram.conj().T) / 2.0
-        w, U = (np.linalg.eigh(gram) if n else
-                (np.zeros(0), np.zeros((0, 0), dtype=complex)))
-        if n and float(w[0]) <= tol * max(float(w[-1]), 1.0):
-            raise FellBundleError("section inner product is degenerate; "
-                                  "the bundle is not a Fell bundle")
-        self._tsqrt = (U * np.sqrt(w)) @ U.conj().T if n else np.zeros((0, 0))
-        self._tisqrt = (U * (1.0 / np.sqrt(w))) @ U.conj().T if n \
-            else np.zeros((0, 0))
+        self._blocks = B = fiber_blocks(E)
+        _, _, lo, hi = B.gram()
+        live = B.dims > 0
+        self.gram_ratio = 1.0
+        if live.any():
+            smallest, largest = float(lo[live].min()), float(hi[live].max())
+            if smallest <= tol * max(largest, 1.0):
+                raise FellBundleError("section inner product is degenerate; "
+                                      "the bundle is not a Fell bundle")
+            self.gram_ratio = smallest / largest
+        self._summands = self._dense = None
+
+    def _by_arrow(self, shape, place, keep=None):
+        """The block-diagonal T and T^-1: the entries of the pairs (s1, s2)
+        of slots over one arrow (s1 in ``keep`` when given), scattered
+        into zero arrays of ``shape`` at place(s1, s2)."""
+        B = self._blocks
+        tsqrt, tisqrt, _, _ = B.gram()
+        s1, s2 = B.slot_pairs()
+        if keep is not None:
+            s1, s2 = s1[keep[s1]], s2[keep[s1]]
+        out = []
+        for blocks in (tsqrt, tisqrt):
+            M = np.zeros(shape, dtype=complex)
+            M[place(s1, s2)] = blocks[B.arrow[s1], B.loc[s1], B.loc[s2]]
+            out.append(M)
+        return out
 
     def matrix(self, vec) -> np.ndarray:
         """Left multiplication by the section with coefficients ``vec``,
-        in orthonormal coordinates."""
-        return self._tsqrt @ self.bundle.table().left(vec) @ self._tisqrt
+        in orthonormal coordinates: the table's left matrix between the
+        block-diagonal T and T^-1 (dense, assembled from the per-arrow
+        blocks on first use)."""
+        if self._dense is None:
+            n = self.bundle.total_dim()
+            self._dense = self._by_arrow((n, n), lambda s1, s2: (s1, s2))
+        tsqrt, tisqrt = self._dense
+        return tsqrt @ self.bundle.table().left(vec) @ tisqrt
+
+    def _summand_blocks(self):
+        """(summand, position) per slot and, per summand size m, (m,
+        index in the size group per summand, T and T^-1 stacks) for the
+        source-unit summands."""
+        if self._summands is None:
+            B = self._blocks
+            unit_of = B.src[B.arrow]
+            order = np.argsort(unit_of, kind="stable")
+            _, start, size = np.unique(unit_of[order], return_index=True,
+                                       return_counts=True)
+            summand = np.empty(len(order), dtype=np.int64)
+            summand[order] = np.repeat(np.arange(len(size)), size)
+            pos = np.empty(len(order), dtype=np.int64)
+            pos[order] = np.arange(len(order)) - np.repeat(start, size)
+            groups = []
+            for m in np.unique(size):
+                at = np.full(len(size), -1)
+                at[size == m] = np.arange(int(np.sum(size == m)))
+
+                def place(s1, s2, at=at):
+                    return at[summand[s1]], pos[s1], pos[s2]
+                groups.append((int(m), at, *self._by_arrow(
+                    (int(np.sum(size == m)), m, m), place,
+                    keep=at[summand] >= 0)))
+            self._summands = summand, pos, groups
+        return self._summands
 
     def op_norm(self, section: Section) -> float:
-        if self.bundle.total_dim() == 0:
+        """The operator norm of left multiplication by ``section``: the
+        largest over the source-unit summands, which the representation
+        keeps, one stacked 2-norm per summand size."""
+        T = self.bundle.table()
+        if not T.dim:
             return 0.0
-        return float(np.linalg.norm(self.matrix(section.vec), 2))
-
-    def op_norm_of_fiber(self, xi: FiberElement) -> float:
-        vec = np.zeros(self.bundle.total_dim(), dtype=complex)
-        base = self.bundle.first[xi.arrow]
-        vec[base:base + xi.vec.size] = xi.vec
-        return self.op_norm(Section(self.bundle, vec))
+        summand, pos, groups = self._summand_blocks()
+        vals = T.w * np.asarray(section.vec)[T.a]
+        best = 0.0
+        for m, at, tsqrt, tisqrt in groups:
+            e = at[summand[T.b]] >= 0
+            M = _scatter((at[summand[T.b[e]]] * m + pos[T.c[e]]) * m
+                         + pos[T.b[e]], vals[e], len(tsqrt) * m * m)
+            best = max(best, float(np.linalg.norm(
+                tsqrt @ M.reshape(-1, m, m) @ tisqrt, 2, axis=(1, 2)).max()))
+        return best
 
 
 class SectionAlgebra:
@@ -952,81 +1080,90 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
 
     With A the direct sum of the unit fibers over rng(U) and B over
     src(U), the inner products are <xi, eta>_B(src h) = xi(h)* eta(h) and
-    <xi, eta>_A(rng h) = xi(h) eta(h)*. Checks positivity of both, their
-    fullness (the target fibers are spanned; this is where saturation
-    enters), and the imprimitivity identity on every basis triple.
+    <xi, eta>_A(rng h) = xi(h) eta(h)*. Checks positivity of both on
+    seeded random xi (one stacked eigvalsh of the unit-fiber blocks per
+    side), their fullness (the target fibers are spanned; this is where
+    saturation enters) as one stacked rank per arrow of the inner-product
+    tensor, and the imprimitivity identity
+    <xi, eta>_A zeta = xi <eta, zeta>_B on every basis triple as one
+    defect of the section table, witness (h=..., e=i,j,k).
     """
     if not isinstance(U, Bisection):
         U = check_bisection(E.base, U)
     sat, wit = _saturation_detail(E, tol)
     if not sat:
         raise NotSaturated(f"bundle is not saturated: {wit}", witness=wit)
-    H = E.base
     rng = np.random.default_rng(seed)
+    B = fiber_blocks(E)
+    T = B.table
     report = CheckList()
 
-    res_pos = 0.0
-    for h in U.arrows:
-        if E.dim(h) == 0:
-            continue
-        for _ in range(max(1, samples // max(len(U.arrows), 1))):
-            xi = _random_fiber(E, h, rng)
-            b_spec = E.unit_algebra(H.src[h]).herm_spectrum(
-                fiber_mul(fiber_star(xi), xi).vec)
-            a_spec = E.unit_algebra(H.rng[h]).herm_spectrum(
-                fiber_mul(xi, fiber_star(xi)).vec)
-            for spec in (b_spec, a_spec):
-                if spec.size:
-                    res_pos = max(res_pos, max(0.0, -float(spec[0])) /
-                                  max(float(spec[-1]), 1e-30))
+    per = max(1, samples // max(len(U.arrows), 1))
+    h, X = B.rows([(g, _random_fiber(E, g, rng).vec)
+                   for g in U.arrows if E.dim(g) for _ in range(per)])
+    # the first degenerate unit fiber in the order xi reaches them
+    _require_cstar_units(B, np.column_stack([B.src[h], B.rng[h]]).ravel())
+    res_pos = max((float(B.unit_norms(target, B.square(h, X, side),
+                                      spectra=True)[1].max(initial=0.0))
+                   for side, target in (("B", B.src[h]), ("A", B.rng[h]))))
     report.add("inner_products_positive", res_pos <= tol, res_pos)
 
-    for side in ("B", "A"):
-        ok = True
-        wit = None
-        for h in U.arrows:
-            d = E.dim(h)
-            target = H.src[h] if side == "B" else H.rng[h]
-            dt = E.dim(target)
-            if dt == 0:
-                continue
-            rows = []
-            for i in range(d):
-                for j in range(d):
-                    x = FiberElement.basis(E, h, i)
-                    y = FiberElement.basis(E, h, j)
-                    if side == "B":
-                        rows.append(fiber_mul(fiber_star(x), y).vec)
-                    else:
-                        rows.append(fiber_mul(x, fiber_star(y)).vec)
-            rank = _rank(rows, tol)
-            if rank < dt:
-                ok = False
-                wit = f"inner products over {h!r} span rank {rank} < {dt}"
-                break
-        report.add(f"fullness_{side}", ok, None, wit)
+    arrows = np.fromiter((B.index[g] for g in U.arrows), np.int64,
+                         len(U.arrows))
+    d = B.dims[arrows]
+    at = np.full(B.nA, -1)
+    at[arrows] = np.arange(len(arrows))
+    for side, target in (("B", B.src), ("A", B.rng)):
+        ah, i, j, m, w, _ = B.inner(side)
+        e = at[ah] >= 0
+        owner = at[ah[e]]
+        dt = B.dims[target[arrows]]
+        ranks = stacked_ranks(owner, i[e] * d[owner] + j[e], m[e], w[e],
+                               (d * d, dt), tol)
+        short = np.flatnonzero(ranks < dt)
+        wit = None if not len(short) else (
+            f"inner products over {U.arrows[short[0]]!r} span rank "
+            f"{ranks[short[0]]} < {dt[short[0]]}")
+        report.add(f"fullness_{side}", wit is None, None, wit)
 
-    # imprimitivity <xi,eta>_A . zeta = xi . <eta,zeta>_B: both sides are
-    # supported on the same arrow because U is a bisection, so the identity
-    # reduces to fiberwise associativity, checked on every basis triple.
-    res_imp = 0.0
+    # imprimitivity: (x y*) z = x (y* z) for basis x, y, z over one arrow
+    # of U (both sides stay over that arrow, since U is a bisection).
+    # Slots are renumbered in the order of U, so that the first largest
+    # entry is the first triple in (h, i, j, k) order.
+    slots = np.concatenate([B.first[k] + np.arange(B.dims[k])
+                            for k in arrows] + [np.zeros(0, np.int64)])
+    bpos = np.full(T.dim, -1)
+    bpos[slots] = np.arange(len(slots))
+    on = np.flatnonzero(bpos[T.s] >= 0)  # star entries of e_y
+    arrow = B.arrow
+
+    def two_steps(first_by, second_by, first_other, second_other):
+        """Index triples (j, p, q): e_y* has e_t by star entry j; product
+        entry p has e_t at ``first_by`` and its other factor
+        ``first_other`` over the arrow of y; product entry q has e_c(p)
+        at ``second_by`` and ``second_other`` over that arrow too."""
+        j, p = _join(T.t[on], first_by)
+        j = on[j]
+        keep = arrow[first_other[p]] == arrow[T.s[j]]
+        j, p = j[keep], p[keep]
+        k, q = _join(T.c[p], second_by)
+        j, p = j[k], p[k]
+        keep = arrow[second_other[q]] == arrow[T.s[j]]
+        return j[keep], p[keep], q[keep]
+
+    # (x y*) z: p = x y* (e_t second), q = (x y*) z
+    j, p, q = two_steps(T.b, T.a, T.a, T.b)
+    lhs = (bpos[T.a[p]], bpos[T.s[j]], bpos[T.b[q]], T.c[q],
+           T.sw[j] * T.w[p] * T.w[q])
+    # x (y* z): p = y* z (e_t first), q = x (y* z)
+    j, p, q = two_steps(T.a, T.b, T.b, T.a)
+    rhs = (bpos[T.a[q]], bpos[T.s[j]], bpos[T.b[p]], T.c[q],
+           T.sw[j] * T.w[p] * T.w[q])
+    res_imp, triple = _defect(lhs, rhs, max(len(slots), T.dim, 1))
     wit = None
-    for h in U.arrows:
-        d = E.dim(h)
-        for i in range(d):
-            x = FiberElement.basis(E, h, i)
-            for j in range(d):
-                ys = fiber_star(FiberElement.basis(E, h, j))
-                left_part = fiber_mul(x, ys)
-                for k in range(d):
-                    z = FiberElement.basis(E, h, k)
-                    lhs = fiber_mul(left_part, z)
-                    rhs = fiber_mul(x, fiber_mul(ys, z))
-                    dmax = float(np.max(np.abs(lhs.vec - rhs.vec))) \
-                        if lhs.vec.size else 0.0
-                    if dmax > res_imp:
-                        res_imp = dmax
-                        wit = f"(h={h!r}, e={i},{j},{k})"
-    report.add("imprimitivity", res_imp <= tol, res_imp,
-               wit if res_imp > tol else None)
+    if res_imp > tol:
+        x, y, z = (int(slots[v]) for v in triple)
+        wit = (f"(h={E.base.arrows[arrow[x]]!r}, "
+               f"e={B.loc[x]},{B.loc[y]},{B.loc[z]})")
+    report.add("imprimitivity", res_imp <= tol, res_imp, wit)
     return report

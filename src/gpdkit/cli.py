@@ -369,9 +369,11 @@ def cmd_bundle_verify(args, report: Report):
                         / max(sa.norm(s), 1e-30))
     report.add("expectation_contractive", res_contr <= args.tol,
                max(res_contr, 0.0))
-    # faithfulness: the per-arrow Gram blocks of the section inner product
-    # are positive definite, which SectionSpace verified while building
-    report.add("expectation_faithful", True, 0.0)
+    # faithfulness: P(s* s) = 0 only for s = 0 exactly when every per-arrow
+    # Gram block of the section inner product is positive definite; the
+    # margin is the smallest Gram eigenvalue over the largest
+    margin = sa.space.gram_ratio
+    report.add("expectation_faithful", margin > args.tol, margin)
     if rep.saturated:
         for i, bs in enumerate(greedy_bisection_cover(E.base)):
             brep = bisection_bimodule_check(E, bs, tol=args.tol,
@@ -426,7 +428,13 @@ def _add_count_check(report: Report, name: str, got: dict,
 def cmd_graph_fibers(args, report: Report):
     phi = gio.load_graph_morphism(args.morphism)
     word = _parse_word(args.word, phi.codomain.edges)
-    ls = lift_paths(phi, word, origin=args.origin)
+    if args.origin is not None and args.origin not in phi.codomain.vertices:
+        raise SystemExit2(f"--origin {args.origin!r} is not a vertex of the "
+                          "codomain graph")
+    try:
+        ls = lift_paths(phi, word, origin=args.origin)
+    except graphs.MalformedWord as exc:
+        raise SystemExit2(f"--word {args.word!r}: {exc}") from None
     counts, _ = lift_counts(phi, word, origin=args.origin)
     pair_counts, _ = lift_counts(phi, word, origin=args.origin, pairs=True)
     report.extras["word"] = word

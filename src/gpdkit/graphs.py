@@ -37,6 +37,12 @@ class NotLiftable(GraphError):
     pass
 
 
+class MalformedWord(GraphError):
+    """A word that is no path of the codomain (an unknown letter, an
+    inadmissible step) or does not start at the given origin: malformed
+    input rather than a failed verification."""
+
+
 class DomainNotCollapse(GraphError):
     pass
 
@@ -169,11 +175,12 @@ def _validate_word(W: DirectedGraph, word) -> tuple:
     eset = set(W.edges)
     for pos, b in enumerate(word):
         if b not in eset:
-            raise GraphError(f"word position {pos}: {b!r} is not an edge",
-                             witness=(pos, b))
+            raise MalformedWord(f"word position {pos}: {b!r} is not an edge",
+                                witness=(pos, b))
         if pos and W.origin[b] != W.terminus[word[pos - 1]]:
-            raise GraphError(f"word position {pos}: {word[pos-1]!r} -> {b!r} "
-                             "is not incidence-admissible", witness=(pos, b))
+            raise MalformedWord(f"word position {pos}: {word[pos-1]!r} -> "
+                                f"{b!r} is not incidence-admissible",
+                                witness=(pos, b))
     return word
 
 
@@ -191,10 +198,10 @@ def _word_and_starts(phi: GraphMorphism, word, origin) -> tuple:
         elif len(W.vertices) == 1:
             origin = W.vertices[0]
         else:
-            raise GraphError("empty word needs an origin vertex")
+            raise MalformedWord("empty word needs an origin vertex")
     elif word and W.origin[word[0]] != origin:
-        raise GraphError(f"word starts at {W.origin[word[0]]!r}, "
-                         f"not at {origin!r}")
+        raise MalformedWord(f"word starts at {W.origin[word[0]]!r}, "
+                            f"not at {origin!r}")
     starts = [v for v in phi.domain.vertices if phi.vmap[v] == origin]
     return word, starts
 

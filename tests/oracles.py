@@ -252,3 +252,291 @@ def hilbert_module_residuals(pi, E):
                 image = psi(np.where(in_kernel, f, 0))
                 out[(g1, g2)] = float(np.max(np.abs(target - image)))
     return out
+
+
+# -- per-element bundle numerics: the reference for the batched checks of
+# gpdkit.bundle. Every norm is taken one element at a time, through the
+# unit-fiber algebra (``UnitFiberAlgebra.norm``) or on the dense
+# total_dim x total_dim section matrix.
+
+def element_norm(xi):
+    """||xi|| = ||xi* xi||^{1/2}, one SVD in the unit fiber over src(h)."""
+    from gpdkit.bundle import fiber_mul, fiber_star
+    E = xi.bundle
+    prod = fiber_mul(fiber_star(xi), xi)
+    u = E.base.src[xi.arrow]
+    return float(np.sqrt(max(E.unit_algebra(u).norm(prod.vec), 0.0)))
+
+
+def _random_element(E, h, rng):
+    from gpdkit.bundle import FiberElement
+    d = E.dim(h)
+    return FiberElement(E, h, rng.standard_normal(d)
+                        + 1j * rng.standard_normal(d))
+
+
+def _row_rank(rows, tol):
+    if not len(rows):
+        return 0
+    s = np.linalg.svd(np.stack(rows), compute_uv=False)
+    return int(np.sum(s > tol * max(float(s[0]), 1.0)))
+
+
+def dense_saturation_detail(E, tol):
+    """(saturated, witness): the rank of the rows of mul[(h1, h2)] against
+    the dimension over h1 h2, one composable pair at a time."""
+    H = E.base
+    for (h1, h2) in H.composable_pairs():
+        d12 = E.dim(H.compose(h1, h2))
+        if d12 == 0:
+            continue
+        rows = []
+        for expansion in E.mul.get((h1, h2), {}).values():
+            row = np.zeros(d12, dtype=complex)
+            for k, w in expansion.items():
+                row[k] = w
+            rows.append(row)
+        rank = _row_rank(rows, tol)
+        if rank < d12:
+            return False, f"span E_{h1!r} * E_{h2!r} has rank {rank} < {d12}"
+    return True, None
+
+
+class DenseSectionSpace:
+    """The section Hilbert space with its dense total_dim x total_dim Gram
+    matrix, filled one basis product at a time."""
+
+    def __init__(self, E, tol=1e-9):
+        from gpdkit.bundle import (FellBundleError, FiberElement, fiber_mul,
+                                   fiber_star)
+        self.bundle = E
+        H = E.base
+        n = E.total_dim()
+        gram = np.zeros((n, n), dtype=complex)
+        for h in H.arrows:
+            d = E.dim(h)
+            alg = E.unit_algebra(H.src[h]) if d else None
+            for i in range(d):
+                si = fiber_star(FiberElement.basis(E, h, i))
+                for j in range(d):
+                    prod = fiber_mul(si, FiberElement.basis(E, h, j))
+                    gram[E.first[h] + i, E.first[h] + j] = alg.tau(prod.vec)
+        gram = (gram + gram.conj().T) / 2.0
+        w, U = (np.linalg.eigh(gram) if n else
+                (np.zeros(0), np.zeros((0, 0), dtype=complex)))
+        if n and float(w[0]) <= tol * max(float(w[-1]), 1.0):
+            raise FellBundleError("section inner product is degenerate; "
+                                  "the bundle is not a Fell bundle")
+        self.gram_ratio = float(w[0] / w[-1]) if n else 1.0
+        self._tsqrt = (U * np.sqrt(w)) @ U.conj().T
+        self._tisqrt = (U * (1.0 / np.sqrt(w))) @ U.conj().T
+
+    def matrix(self, vec):
+        return self._tsqrt @ self.bundle.table().left(vec) @ self._tisqrt
+
+    def op_norm(self, vec):
+        if self.bundle.total_dim() == 0:
+            return 0.0
+        return float(np.linalg.norm(self.matrix(vec), 2))
+
+    def op_norm_of_fiber(self, xi):
+        vec = np.zeros(self.bundle.total_dim(), dtype=complex)
+        base = self.bundle.first[xi.arrow]
+        vec[base:base + xi.vec.size] = xi.vec
+        return self.op_norm(vec)
+
+
+def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
+    """``verify_axioms`` one element at a time: the same checks, random
+    draws, order and witnesses, with every norm an SVD of its own
+    (``element_norm``, ``DenseSectionSpace.op_norm_of_fiber``)."""
+    from gpdkit.bundle import (AxiomReport, FellBundleError, FiberElement,
+                               _LATER_CHECKS, _range_errors, _slot_witness,
+                               fiber_mul, fiber_star)
+    rng = np.random.default_rng(seed)
+    rep = AxiomReport()
+    H = E.base
+    for name, error in zip(("axiom1_fiber_map", "axiom5_star_fiber_map"),
+                           _range_errors(E, E.mul, E.star)):
+        rep.add(name, error is None, 0.0 if error is None else None,
+                None if error is None else str(error))
+    if not rep.passed:
+        skipped = "not checked: " + "; ".join(
+            e.witness for e in rep.entries if not e.passed)
+        for name in _LATER_CHECKS:
+            rep.add(name, False, None, skipped)
+        return rep
+    comp_pairs = [p for p in H.composable_pairs()
+                  if E.dim(p[0]) and E.dim(p[1])]
+    res2 = res6 = 0.0
+    for _ in range(min(samples, 25)):
+        if not comp_pairs:
+            break
+        h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
+        a, b = _random_element(E, h1, rng), _random_element(E, h1, rng)
+        c = _random_element(E, h2, rng)
+        lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        lhs = fiber_mul(FiberElement(E, h1, lam * a.vec + b.vec), c)
+        rhs = lam * fiber_mul(a, c).vec + fiber_mul(b, c).vec
+        res2 = max(res2, float(np.max(np.abs(lhs.vec - rhs)))
+                   if lhs.vec.size else 0.0)
+        sl = fiber_star(FiberElement(E, h1, lam * a.vec + b.vec))
+        sr = np.conj(lam) * fiber_star(a).vec + fiber_star(b).vec
+        res6 = max(res6, float(np.max(np.abs(sl.vec - sr)))
+                   if sl.vec.size else 0.0)
+    rep.add("axiom2_bilinear", res2 <= tol, res2)
+    rep.add("axiom6_conjugate_linear", res6 <= tol, res6)
+    table = E.table()
+    for name, (res, slots), form in (
+            ("axiom3_associative", table.associativity_defect(),
+             "(h={} e={})"),
+            ("axiom7_involutive", table.involution_defect(), "(h={}, e={})"),
+            ("axiom8_antimultiplicative", table.antimultiplicative_defect(),
+             "(h={} e={})")):
+        rep.add(name, res <= tol, res,
+                _slot_witness(E, slots, form) if res > tol else None)
+    degenerate = None
+    for u in H.units:
+        if E.dim(u) and not E.unit_algebra(u).positive_definite:
+            degenerate = f"unit fiber over {u!r} has degenerate trace form"
+            break
+    if degenerate is not None:
+        for name in ("axiom4_submultiplicative", "axiom9_cstar_identity",
+                     "axiom10_positive", "norm_consistency"):
+            rep.add(name, False, None, degenerate)
+        rep.add("saturation", dense_saturation_detail(E, tol)[0])
+        return rep
+    basis = {(h, i): FiberElement.basis(E, h, i)
+             for h in H.arrows for i in range(E.dim(h))}
+    norms = {key: element_norm(x) for key, x in basis.items()}
+    res4, wit4 = 0.0, None
+    trials = [(h1, h2, basis[h1, i], norms[h1, i], basis[h2, j], norms[h2, j])
+              for (h1, h2) in comp_pairs
+              for i in range(E.dim(h1)) for j in range(E.dim(h2))]
+    for _ in range(samples):
+        if not comp_pairs:
+            break
+        h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
+        x, y = _random_element(E, h1, rng), _random_element(E, h2, rng)
+        trials.append((h1, h2, x, element_norm(x), y, element_norm(y)))
+    for h1, h2, x, nx, y, ny in trials:
+        rel = (element_norm(fiber_mul(x, y)) - nx * ny) / max(nx * ny, 1e-30)
+        if rel > res4:
+            res4, wit4 = rel, f"(h={h1!r},{h2!r})"
+    rep.add("axiom4_submultiplicative", res4 <= tol, res4,
+            wit4 if res4 > tol else None)
+    res10, wit10 = 0.0, None
+    single = [(h, x, norms[h, i]) for (h, i), x in basis.items()]
+    for _ in range(samples):
+        if not single:
+            break
+        h = H.arrows[rng.integers(len(H.arrows))]
+        if E.dim(h) == 0:
+            continue
+        x = _random_element(E, h, rng)
+        single.append((h, x, element_norm(x)))
+    for h, x, _ in single:
+        spec = E.unit_algebra(H.src[h]).herm_spectrum(
+            fiber_mul(fiber_star(x), x).vec)
+        if spec.size:
+            neg = max(0.0, -float(spec[0])) / max(float(spec[-1]), 1e-30)
+            if neg > res10:
+                res10, wit10 = neg, f"(h={h!r})"
+    rep.add("axiom10_positive", res10 <= tol, res10,
+            wit10 if res10 > tol else None)
+    try:
+        srep = DenseSectionSpace(E)
+    except FellBundleError as exc:
+        rep.add("axiom9_cstar_identity", False, None, str(exc))
+        rep.add("norm_consistency", False, None, str(exc))
+        rep.add("saturation", dense_saturation_detail(E, tol)[0])
+        return rep
+    res9 = cons = 0.0
+    wit9 = witc = None
+    for h, x, nx in single:
+        n_op = srep.op_norm_of_fiber(x)
+        sq = fiber_mul(fiber_star(x), x)
+        n_sq = srep.op_norm_of_fiber(FiberElement(E, H.src[h], sq.vec))
+        d = abs(n_sq - n_op ** 2) / max(n_op ** 2, 1e-30)
+        if d > res9:
+            res9, wit9 = d, f"(h={h!r})"
+        c = abs(n_op - nx) / max(n_op, 1e-30)
+        if c > cons:
+            cons, witc = c, f"(h={h!r})"
+    rep.add("axiom9_cstar_identity", res9 <= tol, res9,
+            wit9 if res9 > tol else None)
+    rep.add("norm_consistency", cons <= tol, cons,
+            witc if cons > tol else None)
+    sat, wit = dense_saturation_detail(E, tol)
+    rep.add("saturation", sat, None, wit)
+    return rep
+
+
+def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
+    """``bisection_bimodule_check`` one element at a time: spectra per
+    sample, a rank per arrow and the imprimitivity identity per basis
+    triple, with the same draws, order and witnesses."""
+    from gpdkit.bundle import FiberElement, NotSaturated, fiber_mul, fiber_star
+    from gpdkit.groupoid import Bisection, check_bisection
+    from gpdkit.report import CheckList
+    if not isinstance(U, Bisection):
+        U = check_bisection(E.base, U)
+    sat, wit = dense_saturation_detail(E, tol)
+    if not sat:
+        raise NotSaturated(f"bundle is not saturated: {wit}", witness=wit)
+    H = E.base
+    rng = np.random.default_rng(seed)
+    report = CheckList()
+    res_pos = 0.0
+    for h in U.arrows:
+        if E.dim(h) == 0:
+            continue
+        for _ in range(max(1, samples // max(len(U.arrows), 1))):
+            xi = _random_element(E, h, rng)
+            b_spec = E.unit_algebra(H.src[h]).herm_spectrum(
+                fiber_mul(fiber_star(xi), xi).vec)
+            a_spec = E.unit_algebra(H.rng[h]).herm_spectrum(
+                fiber_mul(xi, fiber_star(xi)).vec)
+            for spec in (b_spec, a_spec):
+                if spec.size:
+                    res_pos = max(res_pos, max(0.0, -float(spec[0])) /
+                                  max(float(spec[-1]), 1e-30))
+    report.add("inner_products_positive", res_pos <= tol, res_pos)
+    for side in ("B", "A"):
+        wit = None
+        for h in U.arrows:
+            d = E.dim(h)
+            dt = E.dim(H.src[h] if side == "B" else H.rng[h])
+            if dt == 0:
+                continue
+            rows = []
+            for i in range(d):
+                for j in range(d):
+                    x = FiberElement.basis(E, h, i)
+                    y = FiberElement.basis(E, h, j)
+                    rows.append(fiber_mul(fiber_star(x), y).vec if side == "B"
+                                else fiber_mul(x, fiber_star(y)).vec)
+            rank = _row_rank(rows, tol)
+            if rank < dt:
+                wit = f"inner products over {h!r} span rank {rank} < {dt}"
+                break
+        report.add(f"fullness_{side}", wit is None, None, wit)
+    res_imp, wit = 0.0, None
+    for h in U.arrows:
+        d = E.dim(h)
+        for i in range(d):
+            x = FiberElement.basis(E, h, i)
+            for j in range(d):
+                ys = fiber_star(FiberElement.basis(E, h, j))
+                left_part = fiber_mul(x, ys)
+                for k in range(d):
+                    z = FiberElement.basis(E, h, k)
+                    lhs = fiber_mul(left_part, z)
+                    rhs = fiber_mul(x, fiber_mul(ys, z))
+                    dmax = float(np.max(np.abs(lhs.vec - rhs.vec))) \
+                        if lhs.vec.size else 0.0
+                    if dmax > res_imp:
+                        res_imp, wit = dmax, f"(h={h!r}, e={i},{j},{k})"
+    report.add("imprimitivity", res_imp <= tol, res_imp,
+               wit if res_imp > tol else None)
+    return report

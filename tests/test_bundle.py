@@ -6,8 +6,10 @@ from gpdkit import corpus
 from gpdkit.algebra import (AlgebraElement, cstar_norm, groupoid_table,
                             isometry_defect, random_element)
 from gpdkit.bundle import (FiberElement, Section, SectionAlgebra,
-                          _hilbert_module_defect)
-from oracles import (dense_map_defects, dense_table_residuals,
+                          _hilbert_module_defect, _saturation_detail)
+from oracles import (DenseSectionSpace, dense_bimodule_check,
+                     dense_map_defects, dense_saturation_detail,
+                     dense_table_residuals, dense_verify_axioms, element_norm,
                      hilbert_module_residuals)
 
 
@@ -406,13 +408,17 @@ def _small_bundles():
 
 def _changed(E, kind, seed):
     """E with one seeded mul or star weight multiplied by a seeded
-    factor off the unit circle and away from 1."""
+    factor off the unit circle and away from 1, or (kind "drop") with one
+    seeded mul entry deleted."""
     rng = np.random.default_rng(seed)
     mul, star = TestPsiNegativeControls._copy(E)
-    entries = [(e, k) for t in (mul if kind == "mul" else star).values()
+    entries = [(e, k) for t in (star if kind == "star" else mul).values()
                for e in t.values() for k in e]
     e, k = entries[rng.integers(len(entries))]
-    e[k] *= (1.5 + rng.random()) * np.exp(1j * rng.uniform(0.5, 2.5))
+    if kind == "drop":
+        del e[k]
+    else:
+        e[k] *= (1.5 + rng.random()) * np.exp(1j * rng.uniform(0.5, 2.5))
     return gk.FellBundle(E.base, E.fibers, mul, star)
 
 
@@ -422,7 +428,7 @@ class TestTableIdentityControls:
     matching axiom with a witness."""
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("kind", ["mul", "star"])
+    @pytest.mark.parametrize("kind", ["mul", "star", "drop"])
     @pytest.mark.parametrize("name", ["flip", "heis2", "line"])
     def test_defects_match_dense_oracle(self, name, kind, seed,
                                         monkeypatch):
@@ -622,3 +628,292 @@ class TestHilbertModuleDefect:
         assert not entry.passed and entry.residual == pytest.approx(0.5)
         g1 = pi.domain.inv[E.fibers[h1][i]]
         assert entry.witness == f"({g1!r}, {E.fibers[h2][j]!r})"
+
+
+def _mutated(E, change):
+    """A copy of E whose mul and star dicts went through change(H, mul,
+    star)."""
+    mul, star = TestPsiNegativeControls._copy(E)
+    change(E.base, mul, star)
+    return gk.FellBundle(E.base, E.fibers, mul, star)
+
+
+def _scale_product(H, mul, star):
+    """A real factor 1.5 on one product of two non-units onto a non-unit:
+    the Gram blocks, which read products onto units only, stay definite."""
+    p = next(p for p, t in mul.items() if t and not H.is_unit(p[0])
+             and not H.is_unit(p[1]) and not H.is_unit(H.comp[p]))
+    (k, w), = next(iter(mul[p].values())).items()
+    next(iter(mul[p].values()))[k] = 1.5 * w
+
+
+def _negate_star(H, mul, star):
+    """e* -> -e* on the first non-unit arrow: e* e is negative."""
+    h = next(h for h in H.arrows if not H.is_unit(h))
+    star[h] = {i: {k: -w for k, w in e.items()} for i, e in star[h].items()}
+
+
+def _collapse_star(H, mul, star):
+    """Every basis vector of the first non-unit arrow starred onto one
+    vector: the products stay saturated, the inner products do not span."""
+    h = next(h for h in H.arrows if not H.is_unit(h))
+    star[h] = {i: {0: 1.0} for i in star[h]}
+
+
+def _phase_one_entry(H, mul, star):
+    """A phase on one entry of the products over (h, inv h) for the first
+    non-unit arrow h: ranks stay, (x y*) z = x (y* z) breaks."""
+    h = next(h for h in H.arrows if not H.is_unit(h))
+    e = next(iter(mul[(h, H.inv[h])].values()))
+    for k in e:
+        e[k] *= 1j
+
+
+def _skew_basis_bundle():
+    """C^2 over a one-arrow base in the basis u = (1, 0), v = (1, 2): the
+    product v v = -u + 2 v has two terms."""
+    H = corpus.cyclic_groupoid(1)
+    e = H.arrows[0]
+    mul = {(e, e): {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}, (1, 0): {0: 1.0},
+                    (1, 1): {0: -1.0, 1: 2.0}}}
+    return gk.FellBundle(H, {e: ("u", "v")}, mul,
+                         {e: {0: {0: 1.0}, 1: {1: 1.0}}})
+
+
+def _parity_bundles():
+    heis2 = gk.build_bundle(corpus.heisenberg_quotient(2))
+    flip = gk.build_bundle(
+        gk.build_action_groupoid(corpus.flip_action()).projection)
+    om = corpus.zn2_bilinear_cocycle(3)
+    rng = np.random.default_rng(4000)
+    ag = gk.build_action_groupoid(corpus.random_action(rng))
+    heis3 = gk.build_bundle(corpus.heisenberg_quotient(3))
+    return {
+        "heis3": heis3,
+        "flip": flip,
+        "z3_cocycle_line": gk.line_bundle(om.base, om),
+        "twisted_covering": gk.build_bundle(
+            ag.projection, twist=corpus.random_cocycle(ag.groupoid, rng)),
+        "nonsaturated": gk.build_bundle(corpus.nonsaturated_surjection()),
+        "skew_basis": _skew_basis_bundle(),
+        "heis2_scaled_product": _mutated(heis2, _scale_product),
+        "heis2_negated_star": _mutated(heis2, _negate_star),
+        "flip_collapsed_star": _mutated(flip, _collapse_star),
+        "flip_phase": _mutated(flip, _phase_one_entry),
+        # inv h != h: only <x, x>_A = x x* reads the changed entry
+        "heis3_phase": _mutated(heis3, _phase_one_entry),
+        # v v = 2 u + 2 v: a two-term product with ||v v|| > ||v||^2
+        "skew_basis_changed": _mutated(
+            _skew_basis_bundle(),
+            lambda H, mul, star: mul[(H.arrows[0],) * 2].update(
+                {(1, 1): {0: 2.0, 1: 2.0}})),
+    }
+
+
+def _assert_same_checks(batched, oracle):
+    assert [e.name for e in batched.entries] == \
+        [e.name for e in oracle.entries]
+    for got, want in zip(batched.entries, oracle.entries):
+        assert (got.passed, got.witness) == (want.passed, want.witness), \
+            got.name
+        if want.residual is None:
+            assert got.residual is None, got.name
+        else:
+            assert got.residual == pytest.approx(want.residual, rel=1e-12,
+                                                 abs=1e-12), got.name
+
+
+@pytest.fixture(scope="module")
+def parity_bundles():
+    return _parity_bundles()
+
+
+class TestBatchedNumerics:
+    """verify_axioms, bisection_bimodule_check, SectionSpace and fiber_norm
+    take their norms as stacked per-arrow blocks; the per-element path of
+    tests/oracles.py gives the same check names, flags and witnesses, with
+    residuals within 1e-12."""
+
+    @pytest.mark.parametrize("name", list(_parity_bundles()))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_verify_axioms_matches_per_element_oracle(self, parity_bundles,
+                                                      name, seed):
+        E = parity_bundles[name]
+        _assert_same_checks(gk.verify_axioms(E, samples=12, seed=seed),
+                            dense_verify_axioms(E, samples=12, seed=seed))
+
+    @pytest.mark.parametrize("name", list(_parity_bundles()))
+    def test_bimodule_check_matches_per_element_oracle(self, parity_bundles,
+                                                       name):
+        E = parity_bundles[name]
+        sat, wit = dense_saturation_detail(E, 1e-9)
+        assert _saturation_detail(E, 1e-9) == (sat, wit)
+        for U in gk.greedy_bisection_cover(E.base):
+            if not sat:
+                with pytest.raises(gk.NotSaturated):
+                    gk.bisection_bimodule_check(E, U)
+                continue
+            _assert_same_checks(
+                gk.bisection_bimodule_check(E, U, samples=8, seed=3),
+                dense_bimodule_check(E, U, samples=8, seed=3))
+
+    @pytest.mark.parametrize("name", ["heis3", "flip", "z3_cocycle_line",
+                                      "twisted_covering",
+                                      "heis2_scaled_product"])
+    def test_norms_match_dense_section_space(self, parity_bundles, name):
+        E = parity_bundles[name]
+        space, dense = gk.bundle.SectionSpace(E), DenseSectionSpace(E)
+        assert space.gram_ratio == pytest.approx(dense.gram_ratio, rel=1e-12)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            vec = rng.standard_normal(E.total_dim()) \
+                + 1j * rng.standard_normal(E.total_dim())
+            assert space.op_norm(Section(E, vec)) == pytest.approx(
+                dense.op_norm(vec), rel=1e-12)
+            assert np.allclose(space.matrix(vec), dense.matrix(vec),
+                               atol=1e-12)
+            h = E.base.arrows[rng.integers(len(E.base.arrows))]
+            xi = FiberElement(E, h, vec[E.first[h]:E.first[h] + E.dim(h)])
+            assert gk.fiber_norm(xi) == pytest.approx(element_norm(xi),
+                                                      rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["heis3", "twisted_covering",
+                                      "heis3_phase", "skew_basis_changed"])
+    def test_row_products_match_fiber_products(self, parity_bundles, name):
+        from gpdkit.fiberblocks import fiber_blocks
+        E = parity_bundles[name]
+        B = fiber_blocks(E)
+        rng = np.random.default_rng(5)
+        xs = [FiberElement(E, h, rng.standard_normal(E.dim(h))
+                           + 1j * rng.standard_normal(E.dim(h)))
+              for h in E.base.arrows if E.dim(h)]
+        h, X = B.rows([(x.arrow, x.vec) for x in xs])
+        for side, prod in (("B", lambda x: gk.fiber_mul(gk.fiber_star(x), x)),
+                           ("A", lambda x: gk.fiber_mul(x, gk.fiber_star(x)))):
+            rows = B.square(h, X, side)
+            for x, row in zip(xs, rows):
+                want = prod(x).vec
+                assert np.allclose(row[:want.size], want, atol=1e-12)
+        ys = [FiberElement(E, k, rng.standard_normal(E.dim(k)) + 0j)
+              for x in xs for k in E.base.arrows_from(E.base.src[x.arrow])
+              if E.dim(k)][:len(xs)]
+        pairs = [(y, x) for x, y in zip(xs, ys)
+                 if E.base.composable(y.arrow, x.arrow)]
+        h1, Y = B.rows([(y.arrow, y.vec) for y, _ in pairs])
+        h2, X2 = B.rows([(x.arrow, x.vec) for _, x in pairs])
+        h12, Z = B.products(h1, Y, h2, X2)
+        for (y, x), k, row in zip(pairs, h12, Z):
+            want = gk.fiber_mul(y, x)
+            assert E.base.arrows[k] == want.arrow
+            assert np.allclose(row[:want.vec.size], want.vec, atol=1e-12)
+
+    def test_fiber_norm_of_degenerate_unit_fiber_raises(self):
+        E = _small_bundles()["flip"]
+        u = E.base.units[0]
+        broken = _mutated(E, lambda H, mul, star: star[u].update({0: {}}))
+        with pytest.raises(gk.FellBundleError, match="degenerate"):
+            gk.fiber_norm(FiberElement.basis(broken, u, 0))
+
+    def test_no_decomposition_of_a_total_dim_matrix(self, parity_bundles,
+                                                    monkeypatch):
+        E = parity_bundles["heis3"]
+        sizes = []
+        for name in ("svd", "eigh", "eigvalsh", "norm", "matrix_rank"):
+            real = getattr(np.linalg, name)
+
+            def spy(x, *args, _real=real, **kwargs):
+                x = np.asarray(x)
+                if x.ndim >= 2:
+                    sizes.append(max(x.shape[-2:]))
+                return _real(x, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        rep = gk.verify_axioms(E, samples=20)
+        for U in gk.greedy_bisection_cover(E.base):
+            assert gk.bisection_bimodule_check(E, U).passed
+        assert rep.passed and sizes
+        # blocks are at most fiber-sized; ranks read d^2 x d products
+        assert max(sizes) <= 9 < E.total_dim()
+
+
+class TestBatchedNegativeControls:
+    """Each numeric check fails on a mutated bundle, with a witness, through
+    the batched path."""
+
+    def test_scaled_product_fails_axioms_4_9_and_norm_consistency(self):
+        E = _mutated(gk.build_bundle(corpus.heisenberg_quotient(2)),
+                     _scale_product)
+        rep = gk.verify_axioms(E, samples=10)
+        expected = {"axiom4_submultiplicative": "(h='(1,0)','(0,1)')",
+                    "axiom9_cstar_identity": "(h='(1,0)')",
+                    "norm_consistency": "(h='(1,0)')"}
+        for name, witness in expected.items():
+            entry = rep.entry(name)
+            assert not entry.passed and entry.witness == witness, name
+        # ||e_a e_b|| = 1.5, ||L_x|| = 1.5 against ||x|| = 1
+        assert rep.entry("axiom4_submultiplicative").residual == \
+            pytest.approx(0.5)
+        assert rep.entry("norm_consistency").residual == \
+            pytest.approx(1 / 3)
+
+    def test_negated_star_fails_axiom10(self):
+        E = _mutated(_small_bundles()["flip"], _negate_star)
+        entry = gk.verify_axioms(E, samples=10).entry("axiom10_positive")
+        assert not entry.passed and entry.witness == "(h='g1')"
+
+    def test_collapsed_star_fails_fullness(self):
+        E = _mutated(_small_bundles()["flip"], _collapse_star)
+        rep = gk.bisection_bimodule_check(E, ["g1"])
+        for side in ("A", "B"):
+            entry = rep.entry(f"fullness_{side}")
+            assert not entry.passed
+            assert entry.witness == "inner products over 'g1' span rank 1 < 2"
+        assert rep.entry("imprimitivity").passed
+
+    def test_phase_fails_imprimitivity(self):
+        E = _mutated(_small_bundles()["flip"], _phase_one_entry)
+        rep = gk.bisection_bimodule_check(E, ["g1"])
+        entry = rep.entry("imprimitivity")
+        assert not entry.passed and entry.witness == "(h='g1', e=0,0,0)"
+        assert entry.residual == pytest.approx(np.sqrt(2))
+        assert rep.entry("fullness_A").passed and \
+            rep.entry("fullness_B").passed
+
+
+def test_monomial_associativity_equals_the_general_path(monkeypatch):
+    """Splitting every entry in two keeps the algebra but leaves the
+    one-entry-per-pair path; both give one defect and witness, with the
+    pair lookup dense and through the sorted keys."""
+    for name, kind, seed in (("heis2", "mul", 0), ("heis2", "mul", 1),
+                             ("flip", "mul", 2), ("line", "mul", 3),
+                             ("heis2", "drop", 0), ("flip", "drop", 1),
+                             ("line", "drop", 2)):
+        t = _changed(_small_bundles()[name], kind, seed).table()
+        split = gk.algebra.StructureTable(
+            t.dim, np.tile(t.a, 2), np.tile(t.b, 2), np.tile(t.c, 2),
+            np.tile(t.w / 2, 2), t.s, t.t, t.sw)
+        res, triple = split.associativity_defect()
+        for pass_size in (1 << 18, 8):  # dense lookup, then sorted keys
+            monkeypatch.setattr(gk.algebra, "_TRIPLES_PER_PASS", pass_size)
+            got = t.associativity_defect()
+            assert got[0] == pytest.approx(res, rel=1e-12) and res > 0.1
+            assert got[1] == triple
+            assert split.associativity_defect()[1] == triple
+
+
+def test_verify_axioms_heis5_bounds():
+    """Time and traced-memory guard on the heis5 quotient bundle (125
+    slots): the per-element path peaked at 34 MB and took 9.5 s traced."""
+    import time
+    import tracemalloc
+    E = gk.build_bundle(corpus.heisenberg_quotient(5))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = gk.verify_axioms(E, samples=20)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.saturated
+    assert peak <= 33 * 2 ** 20
+    assert elapsed < 5.0

@@ -444,6 +444,56 @@ class TestExitContract:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--word", "x"], "'x' is not an edge"),
+        (["--word", "1", "--origin", "zz"], "'zz' is not a vertex"),
+        (["--word", "12,1"], "word position 0: '12' is not an edge"),
+    ], ids=["unknown-letter", "unknown-origin", "unknown-edge-id"])
+    def test_malformed_graph_word_exits_2(self, flags, message, capsys):
+        code, out, err = run_cli(
+            ["graph", "fibers", "--morphism",
+             corpus.data_path("cuntz.graphmorphism.json")] + flags, capsys)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_word_starting_elsewhere_exits_2(self, tmp_path, capsys):
+        V, _, phi = corpus.split_terminal_graphs()
+        W = gk.DirectedGraph(("w", "x"), ("1",), {"1": "w"}, {"1": "w"})
+        path = tmp_path / "two.json"
+        path.write_text(canonical_json(gio.save_graph_morphism(
+            gk.GraphMorphism(phi.domain, W, phi.vmap, phi.emap))))
+        code, out, err = run_cli(["graph", "fibers", "--morphism", str(path),
+                                  "--word", "1", "--origin", "x"], capsys)
+        assert code == 2
+        assert "word starts at 'w', not at 'x'" in err
+
+    def test_unliftable_word_stays_a_failed_check(self, tmp_path, capsys):
+        one_loop = gk.DirectedGraph(("w",), ("1", "2"), {"1": "w", "2": "w"},
+                                    {"1": "w", "2": "w"})
+        V = gk.DirectedGraph(("v",), ("a",), {"a": "v"}, {"a": "v"})
+        path = tmp_path / "nolift.json"
+        path.write_text(canonical_json(gio.save_graph_morphism(
+            gk.GraphMorphism(V, one_loop, {"v": "w"}, {"a": "1"}))))
+        code, out, err = run_cli(["graph", "fibers", "--morphism", str(path),
+                                  "--word", "12"], capsys)
+        assert code == 1
+        check = json.loads(out)["checks"][-1]
+        assert check["name"] == "NotLiftable" and not check["pass"]
+
+    def test_expectation_faithful_reports_the_gram_margin(self, capsys):
+        from oracles import DenseSectionSpace
+        path = corpus.data_path("heis3_quotient.morphism.json")
+        code, out, _ = run_cli(["bundle", "verify", "--morphism", path,
+                                "--samples", "10"], capsys)
+        assert code == 0
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["name"] == "expectation_faithful")
+        margin = DenseSectionSpace(
+            gk.build_bundle(gio.load_morphism(path))).gram_ratio
+        assert check["pass"]
+        assert check["residual"] == pytest.approx(margin, rel=1e-12)
+        assert 0 < margin <= 1
+
 class TestShippedData:
     def test_data_files_match_builders(self):
         pairs = [
