@@ -54,7 +54,7 @@ def _scatter(index, values, size: int) -> np.ndarray:
 
 
 # terms per pass of associativity_defect, at about 300 bytes each
-_TRIPLES_PER_PASS = 1 << 18
+_TRIPLES_PER_PASS = 1 << 17
 
 
 def _join(x, y, order=None):
@@ -171,21 +171,12 @@ class StructureTable:
     def associativity_defect(self):
         """(max |coefficient difference| between (e_a e_b) e_k and
         e_a (e_b e_k) over all basis triples, (a, b, k) of that entry or
-        None), taken in passes along a of about _TRIPLES_PER_PASS terms.
-
-        When every basis pair has at most one entry (groupoid, twisted and
-        morphism-bundle tables), a triple has at most one term per side,
-        and the sides are compared triple by triple without sorting the
-        terms (:meth:`_monomial_associativity`)."""
+        None), taken in passes along a of about _TRIPLES_PER_PASS terms."""
         n = self.dim
         # terms of both sides per first factor a
         load = np.bincount(self.a, np.bincount(self.a, minlength=n)[self.c]
                            + np.bincount(self.c, minlength=n)[self.b], n)
         part = (np.cumsum(load) // _TRIPLES_PER_PASS)[self.a]
-        pairs = self.a * n + self.b
-        porder = np.argsort(pairs, kind="stable")
-        if not np.any(np.diff(pairs[porder]) == 0):
-            return self._monomial_associativity(part, pairs[porder], porder)
         best = (0.0, None)
         for sel in (np.flatnonzero(part == k) for k in np.unique(part)):
             # (e_a e_b) e_k: entry i makes e_m, entry j multiplies e_m by e_k
@@ -198,57 +189,6 @@ class StructureTable:
                           (self.a[p], self.a[q], self.b[q], self.c[p],
                            self.w[q] * self.w[p]), n)
             best = max(best, res, key=lambda r: r[0])  # ties keep the first
-        return best
-
-    def _monomial_associativity(self, part, sorted_pairs, porder):
-        """associativity_defect for a table with one entry per basis pair
-        (sorted_pairs: the keys a * dim + b in order ``porder``). A triple
-        whose two terms land on one basis vector differs by |w_l - w_r|,
-        otherwise by the larger modulus; the witness is the first triple,
-        in (a, b, k) order, with the largest difference, as in _defect."""
-        n = self.dim
-        a, b, c, w = self.a, self.b, self.c, self.w
-
-        if n * n <= _TRIPLES_PER_PASS:  # a lookup no larger than a pass
-            at = np.full(n * n, -1)  # entry of each pair, -1 for none
-            at[sorted_pairs] = porder
-
-            def entry(x, y):
-                return at[x * n + y]
-        else:
-            def entry(x, y):  # the entry of the pair (x, y), or -1
-                key = x * n + y
-                pos = np.minimum(np.searchsorted(sorted_pairs, key),
-                                 len(sorted_pairs) - 1)
-                return np.where(sorted_pairs[pos] == key, porder[pos], -1)
-
-        best = (0.0, None)
-        for sel in (np.flatnonzero(part == k) for k in np.unique(part)):
-            # (e_a e_b) e_k: entry i makes e_m, entry j multiplies e_m by
-            # e_k; its e_a (e_b e_k) term: entry q makes e_m', entry p
-            # multiplies e_a by e_m'
-            i, j = _join(c[sel], a)
-            i = sel[i]
-            q = entry(b[i], b[j])
-            p = np.where(q >= 0, entry(a[i], c[q]), -1)
-            wl, wr = w[i] * w[j], np.where(p >= 0, w[q] * w[p], 0.0)
-            diff = [np.where((p >= 0) & (c[p] == c[j]), np.abs(wl - wr),
-                             np.maximum(np.abs(wl), np.abs(wr)))]
-            triple = [(a[i] * n + b[i]) * n + b[j]]
-            # e_a (e_b e_k) terms without a (e_a e_b) e_k term
-            p, q = _join(b[sel], c)
-            p = sel[p]
-            i = entry(a[p], a[q])
-            alone = (i < 0) | (entry(c[i], b[q]) < 0)
-            p, q = p[alone], q[alone]
-            diff.append(np.abs(w[q] * w[p]))
-            triple.append((a[p] * n + a[q]) * n + b[q])
-            diff, triple = np.concatenate(diff), np.concatenate(triple)
-            if len(diff) and diff.max() > best[0]:  # ties keep the first
-                largest = diff.max()
-                first = int(triple[diff == largest].min())
-                best = (float(largest), (first // (n * n), first // n % n,
-                                         first % n))
         return best
 
     def involution_defect(self):

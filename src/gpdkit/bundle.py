@@ -788,22 +788,17 @@ class SectionSpace:
     (:class:`~gpdkit.fiberblocks.FiberBlocks`); no total_dim x total_dim
     Gram matrix is formed. Coordinates are orthonormalized with the block
     square roots T_h = G_h^{1/2}, so adjoints of represented operators are
-    conjugate transposes. ``gram_ratio`` is the smallest Gram eigenvalue
-    over the largest, the margin of the definiteness test.
+    conjugate transposes. The inner product counts as definite when the
+    Gram margin (:meth:`~gpdkit.fiberblocks.FiberBlocks.gram_margin`)
+    exceeds ``tol``.
     """
 
     def __init__(self, E: FellBundle, tol: float = 1e-9):
         self.bundle = E
         self._blocks = B = fiber_blocks(E)
-        _, _, lo, hi = B.gram()
-        live = B.dims > 0
-        self.gram_ratio = 1.0
-        if live.any():
-            smallest, largest = float(lo[live].min()), float(hi[live].max())
-            if smallest <= tol * max(largest, 1.0):
-                raise FellBundleError("section inner product is degenerate; "
-                                      "the bundle is not a Fell bundle")
-            self.gram_ratio = smallest / largest
+        if not B.gram_margin()[0] > tol:
+            raise FellBundleError("section inner product is degenerate; "
+                                  "the bundle is not a Fell bundle")
         self._summands = self._dense = None
 
     def _by_arrow(self, shape, place, keep=None):

@@ -25,6 +25,7 @@ from .bundle import (FiberElement, build_bundle, bisection_bimodule_check,
                      fiber_mul, fiber_norm, fiber_star, psi_iso_check,
                      section_algebra, verify_axioms, NotSaturated)
 from .extensions import GroupExtension, group_extension_bundle
+from .fiberblocks import fiber_blocks
 from .groupoid import (GroupoidError, check_bisection, classify_morphism,
                        greedy_bisection_cover, isotropy_quotient, kernel,
                        validate_groupoid)
@@ -359,21 +360,28 @@ def cmd_bundle_verify(args, report: Report):
     report.extras["saturated"] = rep.saturated
     if not rep.axioms_pass:
         return
-    sa = section_algebra(E, report=rep, tol=args.tol)
-    rng = np.random.default_rng(args.seed)
-    res_contr = 0.0
-    for _ in range(max(1, args.samples // 5)):
-        s = sa.random_section(rng)
-        res_contr = max(res_contr,
-                        (sa.norm(sa.expectation(s)) - sa.norm(s))
-                        / max(sa.norm(s), 1e-30))
-    report.add("expectation_contractive", res_contr <= args.tol,
-               max(res_contr, 0.0))
     # faithfulness: P(s* s) = 0 only for s = 0 exactly when every per-arrow
-    # Gram block of the section inner product is positive definite; the
-    # margin is the smallest Gram eigenvalue over the largest
-    margin = sa.space.gram_ratio
-    report.add("expectation_faithful", margin > args.tol, margin)
+    # Gram block of the section inner product is positive definite, taken
+    # before the section algebra, which needs it
+    margin, worst = fiber_blocks(E).gram_margin()
+    report.extras["gram_margin"] = margin
+    faithful = margin > args.tol
+    if faithful:
+        sa = section_algebra(E, report=rep, tol=args.tol)
+        rng = np.random.default_rng(args.seed)
+        res_contr = 0.0
+        for _ in range(max(1, args.samples // 5)):
+            s = sa.random_section(rng)
+            norm = sa.norm(s)
+            res_contr = max(res_contr, (sa.norm(sa.expectation(s)) - norm)
+                            / max(norm, 1e-30))
+        report.add("expectation_contractive", res_contr <= args.tol,
+                   max(res_contr, 0.0))
+    else:
+        report.add("expectation_contractive", False, None,
+                   "not checked: section inner product is degenerate")
+    report.add("expectation_faithful", faithful, None,
+               None if faithful else f"(h={E.base.arrows[worst]!r})")
     if rep.saturated:
         for i, bs in enumerate(greedy_bisection_cover(E.base)):
             brep = bisection_bimodule_check(E, bs, tol=args.tol,

@@ -206,6 +206,18 @@ class FiberBlocks:
             self._gram = tsqrt, tisqrt, lo, hi
         return self._gram
 
+    def gram_margin(self):
+        """(smallest Gram eigenvalue over max(largest, 1), the index of the
+        arrow with the smallest eigenvalue) across the nonempty fibers, or
+        (1.0, None) without one: the margin of the test that the section
+        inner product is definite."""
+        _, _, lo, hi = self.gram()
+        live = np.flatnonzero(self.dims > 0)
+        if not len(live):
+            return 1.0, None
+        worst = int(live[np.argmin(lo[live])])
+        return float(lo[worst]) / max(float(hi[live].max()), 1.0), worst
+
     def degenerate_unit(self, units) -> Optional[int]:
         """The first of ``units`` (arrow indices) whose fiber has a
         degenerate trace form, by the rule of UnitFiberAlgebra, or None."""

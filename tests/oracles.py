@@ -324,10 +324,10 @@ class DenseSectionSpace:
         gram = (gram + gram.conj().T) / 2.0
         w, U = (np.linalg.eigh(gram) if n else
                 (np.zeros(0), np.zeros((0, 0), dtype=complex)))
-        if n and float(w[0]) <= tol * max(float(w[-1]), 1.0):
+        self.gram_margin = float(w[0]) / max(float(w[-1]), 1.0) if n else 1.0
+        if not self.gram_margin > tol:
             raise FellBundleError("section inner product is degenerate; "
                                   "the bundle is not a Fell bundle")
-        self.gram_ratio = float(w[0] / w[-1]) if n else 1.0
         self._tsqrt = (U * np.sqrt(w)) @ U.conj().T
         self._tisqrt = (U * (1.0 / np.sqrt(w))) @ U.conj().T
 
@@ -402,9 +402,10 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
             break
     if degenerate is not None:
         for name in ("axiom4_submultiplicative", "axiom9_cstar_identity",
-                     "axiom10_positive", "norm_consistency"):
+                     "axiom10_positive"):
             rep.add(name, False, None, degenerate)
-        rep.add("saturation", dense_saturation_detail(E, tol)[0])
+        rep.add("norm_consistency", False, None, degenerate)
+        rep.add("saturation", dense_saturation_detail(E, tol)[0], None, None)
         return rep
     basis = {(h, i): FiberElement.basis(E, h, i)
              for h in H.arrows for i in range(E.dim(h))}

@@ -486,13 +486,58 @@ class TestExitContract:
         code, out, _ = run_cli(["bundle", "verify", "--morphism", path,
                                 "--samples", "10"], capsys)
         assert code == 0
-        check = next(c for c in json.loads(out)["checks"]
+        body = json.loads(out)
+        check = next(c for c in body["checks"]
                      if c["name"] == "expectation_faithful")
         margin = DenseSectionSpace(
-            gk.build_bundle(gio.load_morphism(path))).gram_ratio
-        assert check["pass"]
-        assert check["residual"] == pytest.approx(margin, rel=1e-12)
+            gk.build_bundle(gio.load_morphism(path))).gram_margin
+        assert check == {"name": "expectation_faithful", "pass": True,
+                         "residual": None, "witness": None}
+        assert body["gram_margin"] == pytest.approx(margin, rel=1e-12)
         assert 0 < margin <= 1
+
+    def test_ill_conditioned_gram_block_fails_expectation_faithful(
+            self, tmp_path, capsys):
+        """e_0 over one non-unit arrow scaled by 1e-4: the same Fell bundle
+        in another basis, whose Gram margin 1e-8 passes the default --tol
+        and fails --tol 1e-6, with the arrow as witness."""
+        from oracles import DenseSectionSpace
+        E = _rescaled(gk.build_bundle(corpus.heisenberg_quotient(2)),
+                      "(0,1)", 1e-4)
+        path = tmp_path / "rescaled.bundle.json"
+        path.write_text(canonical_json(gio.save_bundle(E)))
+        argv = ["bundle", "verify", "--bundle", str(path), "--samples", "10"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, out, _ = run_cli(argv + ["--tol", "1e-6"], capsys)
+        assert code == 1
+        body = json.loads(out)
+        failed = [c for c in body["checks"] if not c["pass"]]
+        assert failed == [
+            {"name": "expectation_contractive", "pass": False,
+             "residual": None,
+             "witness": "not checked: section inner product is degenerate"},
+            {"name": "expectation_faithful", "pass": False, "residual": None,
+             "witness": "(h='(0,1)')"}]
+        assert body["gram_margin"] == pytest.approx(
+            DenseSectionSpace(E).gram_margin, rel=1e-9)
+        assert body["gram_margin"] == pytest.approx(1e-8, rel=1e-6)
+
+
+def _rescaled(E, h, eps):
+    """E in the basis with e_0 over h replaced by eps e_0."""
+    H = E.base
+
+    def scale(arrow, i):
+        return eps if arrow == h and i == 0 else 1.0
+    mul = {p: {(i, j): {k: w * scale(p[0], i) * scale(p[1], j)
+                        / scale(H.comp[p], k) for k, w in e.items()}
+               for (i, j), e in t.items()} for p, t in E.mul.items()}
+    star = {g: {i: {k: w * scale(g, i) / scale(H.inv[g], k)
+                    for k, w in e.items()} for i, e in t.items()}
+            for g, t in E.star.items()}
+    return gk.FellBundle(H, E.fibers, mul, star)
+
 
 class TestShippedData:
     def test_data_files_match_builders(self):
