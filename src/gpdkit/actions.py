@@ -27,7 +27,8 @@ from .algebra import (RegularRepresentation, WedderburnInvariants,
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
                      NotSaturated, FellBundleError, Section, _rank,
                      _saturation_detail, _slot_witness, fiber_mul,
-                     fiber_norm, fiber_star, section_algebra)
+                     fiber_star, section_algebra)
+from .fiberblocks import fiber_blocks
 from .report import CheckList
 
 
@@ -431,34 +432,39 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     anchor = {x: projections[x][0] for x in points}
 
     # alpha_h and line vectors
+    B = fiber_blocks(E)
     alpha = {}
     line = {}
     for h in H.arrows:
         us, ur = H.src[h], H.rng[h]
+        # the corners q e_i p of every point pair over h, normed in one
+        # stacked call
+        corners = {}
+        for xp in points_by_unit[us]:
+            p = FiberElement(E, us, projections[xp][1])
+            for xq in points_by_unit[ur]:
+                q = FiberElement(E, ur, projections[xq][1])
+                corners[(xp, xq)] = [
+                    fiber_mul(fiber_mul(q, FiberElement.basis(E, h, i)),
+                              p).vec for i in range(E.dim(h))]
+        rows = [(h, v) for vecs in corners.values() for v in vecs]
+        norms = iter(B.fiber_norms(*B.rows(rows))[0] if rows else ())
         alpha_h = {}
         for xp in points_by_unit[us]:
-            _, pvec = projections[xp]
-            p = FiberElement(E, us, pvec)
             hits = []
             for xq in points_by_unit[ur]:
-                _, qvec = projections[xq]
-                q = FiberElement(E, ur, qvec)
-                vecs = []
-                for i in range(E.dim(h)):
-                    c = fiber_mul(fiber_mul(q, FiberElement.basis(E, h, i)), p)
-                    vecs.append(c.vec)
+                vecs = corners[(xp, xq)]
+                cnorms = [next(norms) for _ in vecs]
                 rank = _rank(vecs, tol)
                 if rank > 1:
                     raise LineDimensionFailure(
                         f"corner over {h!r} between {xq!r} and {xp!r} has "
                         f"dimension {rank}", witness=(h, xq, xp))
                 if rank == 1:
-                    first = None
-                    for cvec in vecs:  # first basis column with a nonzero corner
-                        n = fiber_norm(FiberElement(E, h, cvec))
-                        if n > tol:
-                            first = FiberElement(E, h, cvec / n)
-                            break
+                    # the first basis column with a nonzero corner
+                    first = next((FiberElement(E, h, cvec / n)
+                                  for cvec, n in zip(vecs, cnorms)
+                                  if n > tol), None)
                     if first is None:
                         raise LineDimensionFailure(
                             f"corner over {h!r} between {xq!r} and {xp!r} "

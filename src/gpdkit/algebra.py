@@ -29,8 +29,8 @@ invariant at this scale) are computed by :func:`wedderburn`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -168,22 +168,32 @@ class StructureTable:
                        (cols[m], other.t[p], np.conj(vals[m]) * other.sw[p]),
                        max(self.dim, other.dim))
 
-    def associativity_defect(self):
+    def associativity_defect(self, middle=None):
         """(max |coefficient difference| between (e_a e_b) e_k and
-        e_a (e_b e_k) over all basis triples, (a, b, k) of that entry or
-        None), taken in passes along a of about _TRIPLES_PER_PASS terms."""
+        e_a (e_b e_k) over all basis triples, or over those whose middle
+        factor b has ``middle[b]`` set, (a, b, k) of that entry or None),
+        taken in passes along a of about _TRIPLES_PER_PASS terms."""
         n = self.dim
+        if middle is None:
+            middle = np.ones(n, dtype=bool)
+        first = np.flatnonzero(middle[self.b])  # e_a e_b, b a middle factor
+        second = np.flatnonzero(middle[self.a])  # e_b e_k, b a middle factor
         # terms of both sides per first factor a
-        load = np.bincount(self.a, np.bincount(self.a, minlength=n)[self.c]
-                           + np.bincount(self.c, minlength=n)[self.b], n)
-        part = (np.cumsum(load) // _TRIPLES_PER_PASS)[self.a]
+        load = (np.bincount(self.a[first], np.bincount(
+                    self.a, minlength=n)[self.c[first]], n)
+                + np.bincount(self.a, np.bincount(
+                    self.c[second], minlength=n)[self.b], n))
+        part = np.cumsum(load) // _TRIPLES_PER_PASS
         best = (0.0, None)
-        for sel in (np.flatnonzero(part == k) for k in np.unique(part)):
+        for k in np.unique(part[self.a]):
             # (e_a e_b) e_k: entry i makes e_m, entry j multiplies e_m by e_k
+            sel = first[part[self.a[first]] == k]
             i, j = _join(self.c[sel], self.a)
+            i = sel[i]
             # e_a (e_b e_k): entry q makes e_m, entry p multiplies e_a by e_m
-            p, q = _join(self.b[sel], self.c)
-            i, p = sel[i], sel[p]
+            sel = np.flatnonzero(part[self.a] == k)
+            p, q = _join(self.b[sel], self.c[second])
+            p, q = sel[p], second[q]
             res = _defect((self.a[i], self.b[i], self.b[j], self.c[j],
                            self.w[i] * self.w[j]),
                           (self.a[p], self.a[q], self.b[q], self.c[p],
@@ -384,11 +394,44 @@ def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
     return True
 
 
-def faithfulness_defect(G: FiniteGroupoid) -> int:
-    """dim ker of f -> lambda(f); zero on every valid groupoid."""
+def _unit_column_singular_values(G: FiniteGroupoid) -> np.ndarray:
+    """Singular values of the n x n slice of ``left_stack`` at the columns
+    (c, s(c)): entry [a, c] is the coefficient of e_c in e_a e_s(c), read
+    straight from the table entries with b = s(c). On a valid groupoid
+    table the slice is the identity."""
     table = groupoid_table(G)
     n = table.dim
     if n == 0:
+        return np.zeros(0)
+    src = np.fromiter((G.index[G.src[g]] for g in G.arrows), np.int64, n)
+    on = table.b == src[table.c]
+    S = _scatter(table.a[on] * n + table.c[on], table.w[on], n * n)
+    return np.linalg.svd(S.reshape(n, n), compute_uv=False)
+
+
+def faithfulness_margin(G: FiniteGroupoid) -> float:
+    """Smallest singular value of the unit-column slice of the left
+    regular representation (1.0 on every valid groupoid); the margin of
+    :func:`faithfulness_defect`'s rank decision."""
+    sigma = _unit_column_singular_values(G)
+    return float(sigma[-1]) if len(sigma) else 0.0
+
+
+def faithfulness_defect(G: FiniteGroupoid) -> int:
+    """dim ker of f -> lambda(f); zero on every valid groupoid.
+
+    rank(M) >= rank(M[:, S]) for any column set S, so a full-rank
+    unit-column slice proves the defect is zero. The slice counts as full
+    rank when its smallest singular value clears the threshold that
+    ``matrix_rank`` applies to the whole (dim, dim^2) stack, taken with
+    sigma_max <= sum |w|; only a slice below it pays for the full rank.
+    """
+    table = groupoid_table(G)
+    n = table.dim
+    if n == 0:
+        return 0
+    bound = float(np.abs(table.w).sum()) * n * n * np.finfo(float).eps
+    if _unit_column_singular_values(G)[-1] > bound:
         return 0
     return n - int(np.linalg.matrix_rank(table.left_stack().reshape(n, -1)))
 
@@ -425,14 +468,42 @@ def conditional_expectation(G: FiniteGroupoid, K, f: AlgebraElement,
 class WedderburnInvariants:
     """Matrix block sizes of a finite-dimensional C*-algebra, sorted
     descending; sum of squares equals the dimension and the number of
-    blocks equals the center dimension."""
+    blocks equals the center dimension.
+
+    The margins of the central cluster decision are kept beside the
+    invariants (and left out of equality): ``central_gap`` is the smallest
+    gap between neighbouring clusters and ``central_spread`` the largest
+    spread within a cluster, each over the clustering threshold (None
+    with a single cluster, and 0.0 with singleton clusters); ``retries``
+    counts the failed attempts before the accepted one."""
     blocks: tuple
     dimension: int
     center_dimension: int
+    central_gap: Optional[float] = field(default=None, compare=False)
+    central_spread: float = field(default=0.0, compare=False)
+    retries: int = field(default=0, compare=False)
 
     def as_dict(self) -> dict:
         return {"blocks": list(self.blocks), "dimension": self.dimension,
                 "center_dimension": self.center_dimension}
+
+
+def _linked_columns(row, col, ncols: int) -> np.ndarray:
+    """Connected-component label of every column, where the entries
+    (row[i], col[i]) link the columns that share a row: min-label
+    propagation through the rows with pointer jumping. A label is the
+    smallest column of its component."""
+    label = np.arange(ncols)
+    low = np.empty(int(row.max()) + 1, dtype=np.int64)
+    while True:
+        low.fill(ncols)
+        np.minimum.at(low, row, label[col])
+        new = label.copy()
+        np.minimum.at(new, col, low[row])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def sparse_center_basis(dim: int, products: dict, tol: float = 1e-9) -> np.ndarray:
@@ -440,37 +511,57 @@ def sparse_center_basis(dim: int, products: dict, tol: float = 1e-9) -> np.ndarr
     sparse structure constants products[(i, j)] = {k: coeff}.
 
     Returns an orthonormal (k x dim) array of center coefficient vectors.
-    The constraint matrix has one row per (basis element, output) pair,
-    up to dim² rows, so its SVD is thin: only the dim right singular
-    vectors are needed, never the left ones. The full decomposition is
-    kept when there are fewer rows than ``dim``, where a thin one would
-    drop the null space.
+    The constraint matrix has one row per (basis element, output) pair.
+    A row only joins the basis elements that one product links, so the
+    matrix is block diagonal over the connected components of columns
+    that share a row (for groupoid tables: the conjugacy classes of the
+    isotropy). Each component takes one thin SVD, the full one when it
+    has fewer rows than columns, where a thin one would drop null
+    vectors; columns in no row are free. Ranks are cut at ``tol`` times
+    the largest singular value over every component, which is the
+    largest of the whole matrix.
     """
-    rows = {}
-
-    def row_for(j, k):
-        key = (j, k)
-        r = rows.get(key)
-        if r is None:
-            r = np.zeros(dim, dtype=complex)
-            rows[key] = r
-        return r
-
-    for (a, b), expansion in products.items():
-        for k, c in expansion.items():
-            if c == 0:
-                continue
-            row_for(b, k)[a] += c   # x e_b term of [x, e_b]
-            row_for(a, k)[b] -= c   # e_a x term of [x, e_a]
-    if not rows:
+    terms = [(a, b, k, c) for (a, b), expansion in products.items()
+             for k, c in expansion.items() if c != 0]
+    if not terms:
         return np.eye(dim, dtype=complex)
-    M = np.stack(list(rows.values()))
-    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < dim)
-    smax = s[0] if len(s) else 0.0
-    null_dim = dim - int(np.sum(s > tol * max(smax, 1.0)))
-    if null_dim == 0:
-        return np.zeros((0, dim), dtype=complex)
-    return vh[dim - null_dim:].conj()
+    a, b, k = (np.array(v, dtype=np.int64) for v in list(zip(*terms))[:3])
+    c = np.array([t[3] for t in terms], dtype=complex)
+    # row (b, k) of [x, e_b] takes c at column a (the x e_b term); row
+    # (a, k) of [x, e_a] takes -c at column b (the e_a x term)
+    _, row = np.unique(np.concatenate([b * dim + k, a * dim + k]),
+                       return_inverse=True)
+    col, val = np.concatenate([a, b]), np.concatenate([c, -c])
+    label = _linked_columns(row, col, dim)
+    members = np.argsort(label, kind="stable")
+    labels, first, size = np.unique(label[members], return_index=True,
+                                    return_counts=True)
+    pos = np.empty(dim, dtype=np.int64)  # place of a column in its component
+    pos[members] = np.arange(dim) - np.repeat(first, size)
+    entries = np.argsort(label[col], kind="stable")
+    bounds = np.searchsorted(label[col][entries],
+                             np.append(labels, dim))
+    solves, smax = [], 0.0
+    for g in range(len(labels)):
+        cols = members[first[g]:first[g] + size[g]]
+        e = entries[bounds[g]:bounds[g + 1]]
+        if not len(e):
+            solves.append((cols, np.zeros(0), np.eye(len(cols))))
+            continue
+        rows, local = np.unique(row[e], return_inverse=True)
+        M = np.zeros((len(rows), len(cols)), dtype=complex)
+        np.add.at(M, (local, pos[col[e]]), val[e])
+        _, sv, vh = np.linalg.svd(M, full_matrices=len(rows) < len(cols))
+        solves.append((cols, sv, vh))
+        smax = max(smax, float(sv[0]) if len(sv) else 0.0)
+    cut = tol * max(smax, 1.0)
+    out = []
+    for cols, sv, vh in solves:
+        null = vh[int(np.sum(sv > cut)):].conj()
+        block = np.zeros((len(null), dim), dtype=complex)
+        block[:, cols] = null
+        out.append(block)
+    return np.concatenate(out)
 
 
 def _cluster(values: np.ndarray, thr: float) -> list:
@@ -484,22 +575,39 @@ def _cluster(values: np.ndarray, thr: float) -> list:
     return clusters
 
 
-def _compress_to_support(table: StructureTable, rep: Callable, tol):
-    """Restrict a faithful *-representation to the range of the algebra
-    unit.
+def _unit(table: StructureTable, tol) -> np.ndarray:
+    """Coefficients of the unit of the algebra of ``table``.
 
-    A *-closed finite-dimensional matrix algebra always has a unit acting
-    as the identity on its support, but that unit need not be the ambient
-    identity matrix; the spectral-projection argument below requires the
-    representation to be unital, so non-full supports are cut down first.
-    The unit is solved from the structure constants (sum_i c_i e_i e_j =
-    e_j and e_j c = e_j for every j), which stays cheap for sparse tables.
+    The candidate is read from the table: the sum of e_p / w over the
+    basis elements whose square is the single term w e_p. That is
+    sum e_u for a groupoid, sum omega(u, u)^-1 e_u when twisted, and the
+    unit-fiber identities of the section table of a bundle built from a
+    morphism. One table residual, u e_j = e_j = e_j u for every j,
+    certifies it. A candidate that fails (a closed matrix family spanned
+    in another basis) falls back to solving those equations by least
+    squares, which is what a certified candidate would give, the unit of
+    an algebra being unique.
     """
     r = table.dim
     nz = table.w != 0
     a, b, c, w = table.a[nz], table.b[nz], table.c[nz], table.w[nz]
     if not len(w):
         raise ValueError("algebra has no products; cannot locate a unit")
+    square = a == b
+    terms = np.bincount(a[square], minlength=r)
+    p = np.flatnonzero(square & (c == a))
+    p = p[terms[a[p]] == 1]
+    unit = np.zeros(r, dtype=complex)
+    unit[a[p]] = 1.0 / w[p]
+    ids = np.arange(r)
+    # u e_j = e_j: entries with a in the support of u; e_j u: with b there
+    left, right = unit[a] != 0, unit[b] != 0
+    res = max(_defect((b[left], c[left], w[left] * unit[a[left]]),
+                      (ids, ids, np.ones(r)), r)[0],
+              _defect((a[right], c[right], w[right] * unit[b[right]]),
+                      (ids, ids, np.ones(r)), r)[0])
+    if res <= tol:
+        return unit
     # row (b, c) of "u e_b = e_b" takes w at column a; row (a, c) of
     # "e_a u = e_a" takes w at column b
     keys, row = np.unique(np.concatenate([b * r + c, (r + a) * r + c]),
@@ -510,7 +618,19 @@ def _compress_to_support(table: StructureTable, rep: Callable, tol):
     coeff, *_ = np.linalg.lstsq(M, target, rcond=None)
     if float(np.linalg.norm(M @ coeff - target)) > tol * max(1.0, len(keys)):
         raise ValueError("algebra has no unit element")
-    E = rep(coeff)
+    return coeff
+
+
+def _compress_to_support(table: StructureTable, rep: Callable, tol):
+    """Restrict a faithful *-representation to the range of the algebra
+    unit.
+
+    A *-closed finite-dimensional matrix algebra always has a unit acting
+    as the identity on its support, but that unit need not be the ambient
+    identity matrix; the spectral-projection argument below requires the
+    representation to be unital, so non-full supports are cut down first.
+    """
+    E = rep(_unit(table, tol))
     n = E.shape[0]
     if float(np.linalg.norm(E - np.eye(n))) <= tol * n:
         return rep
@@ -534,6 +654,7 @@ def wedderburn_from_tables(table: StructureTable, rep: Callable, *,
     restricted to the projection (a block of size n contributes n distinct
     eigenvalues, each with the multiplicity of the block in the
     representation). Collisions trigger a retry with fresh randomness.
+    The result carries the margins of the central cluster decision.
     """
     r = table.dim
     if r == 0:
@@ -544,7 +665,7 @@ def wedderburn_from_tables(table: StructureTable, rep: Callable, *,
 
     rng = np.random.default_rng(seed)
     last_error = "no attempt"
-    for _ in range(retries):
+    for attempt in range(retries):
         zc = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         Z = rep(zc @ center)
         n = Z.shape[0]
@@ -588,7 +709,15 @@ def wedderburn_from_tables(table: StructureTable, rep: Callable, *,
                           f"dimension {r}")
             continue
         blocks = tuple(sorted(sizes, reverse=True))
-        return WedderburnInvariants(blocks, r, k)
+        # eigh sorts evals, so a cluster is a run of neighbouring values
+        gaps = [evals[nxt[0]] - evals[cl[-1]]
+                for cl, nxt in zip(clusters, clusters[1:])]
+        return WedderburnInvariants(
+            blocks, r, k,
+            central_gap=float(min(gaps)) / thr if gaps else None,
+            central_spread=max(float(evals[cl[-1]] - evals[cl[0]])
+                               for cl in clusters) / thr,
+            retries=attempt)
     raise NumericalDegeneracy(f"wedderburn failed after {retries} retries: "
                               f"{last_error}")
 

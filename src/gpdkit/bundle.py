@@ -633,7 +633,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
 
     # axiom 9 and norm consistency, through the section representation
     try:
-        SectionSpace(E)
+        SectionSpace(E, tol=tol)
     except FellBundleError as exc:
         rep.add("axiom9_cstar_identity", False, None, str(exc))
         rep.add("norm_consistency", False, None, str(exc))

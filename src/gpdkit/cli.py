@@ -16,8 +16,9 @@ import sys
 import numpy as np
 
 from . import algebra, bundle, corpus, graphs, io as gio
-from .actions import (NotACovering, abelian_extract, build_action_groupoid,
-                      cocycle_check, covering_to_action, twisted_algebra)
+from .actions import (ActionAxiomViolation, NotACovering, abelian_extract,
+                      build_action_groupoid, cocycle_check,
+                      covering_to_action, twisted_algebra)
 from .algebra import (AlgebraElement, conditional_expectation, convolve,
                       cstar_norm, involute, positivity_check, random_element,
                       wedderburn)
@@ -28,7 +29,7 @@ from .extensions import GroupExtension, group_extension_bundle
 from .fiberblocks import fiber_blocks
 from .groupoid import (GroupoidError, check_bisection, classify_morphism,
                        greedy_bisection_cover, isotropy_quotient, kernel,
-                       validate_groupoid)
+                       subgroupoid, validate_groupoid)
 from .graphs import (check_graph_morphism, collapse_morphism,
                      cylinder_cover_check, grading_degree, lift_counts,
                      lift_paths)
@@ -248,6 +249,11 @@ def cmd_alg_wedderburn(args, report: Report):
     report.extras["blocks"] = list(inv.blocks)
     report.extras["dimension"] = inv.dimension
     report.extras["center_dimension"] = inv.center_dimension
+    report.extras["margins"] = {
+        "central_gap": inv.central_gap,
+        "central_spread": inv.central_spread,
+        "retries": inv.retries,
+        "faithfulness_sigma_min": algebra.faithfulness_margin(G)}
     report.add("sum_of_squares",
                sum(b * b for b in inv.blocks) == inv.dimension, 0.0)
     report.add("faithful_regular_representation",
@@ -276,7 +282,7 @@ def cmd_alg_wedderburn(args, report: Report):
 
     # expectation onto the unit diagonal: restriction, positive, faithful
     # on the delta basis by the exhaustive support identity
-    units_sub = [u for u in G.units]
+    units_sub = subgroupoid(G, G.units)
     res_diag = 0.0
     for g in G.arrows:
         f = AlgebraElement.delta(G, g)
@@ -474,7 +480,11 @@ def cmd_graph_grading(args, report: Report):
 
 def cmd_action_build(args, report: Report):
     a = gio.load_action(args.action)
-    ag = build_action_groupoid(a)
+    try:
+        ag = build_action_groupoid(a)  # validate_action runs first
+    except ActionAxiomViolation as exc:
+        report.add("action_axioms", False, None, repr(exc.witness))
+        return
     report.extras["arrows"] = len(ag.groupoid.arrows)
     report.add("action_axioms", True, 0.0)
     report.add("projection_is_covering", ag.classification.covering,

@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _trusted
-from .algebra import (AlgebraElement, cstar_norm, groupoid_table,
-                      isometry_defect, wedderburn)
+from .algebra import (AlgebraElement, StructureTable, cstar_norm,
+                      groupoid_table, isometry_defect, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
@@ -50,11 +50,29 @@ def unit_root(t: int, d: int) -> complex:
     return cmath.exp(2j * cmath.pi * t / d)
 
 
+def _generators(M, unit: int) -> np.ndarray:
+    """Mask of a generating set of the multiplication table ``M``, chosen
+    greedily in element order: every element is a product
+    (..((unit s1) s2)..) sk of its members, reached breadth first."""
+    reached = np.zeros(len(M), dtype=bool)
+    reached[unit] = True
+    gens = np.zeros(len(M), dtype=bool)
+    while not reached.all():
+        gens[np.argmin(reached)] = True
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            step = np.unique(M[np.ix_(frontier, np.flatnonzero(gens))])
+            frontier = step[~reached[step]]
+            reached[frontier] = True
+    return gens
+
+
 class GroupTable:
     """A finite group as an element list with a multiplication table.
 
-    The axioms are checked on an integer index matrix, so associativity
-    stays a vectorized comparison even for a few hundred elements.
+    Unit and inverses are read from an integer index matrix; associativity
+    is the ``associativity_defect`` of the w = 1 structure table, which
+    works in passes, so memory stays bounded for a thousand elements.
     """
 
     __slots__ = ("elements", "mul", "unit", "inv", "index")
@@ -92,15 +110,22 @@ class GroupTable:
                 raise GroupoidError(f"{a!r} has no inverse", witness=a)
             inv[a] = self.elements[int(cands[0])]
         self.inv = inv
-        left = M[M, :]       # left[a, b, c] = (a b) c
-        right = M[:, M]      # right[a, b, c] = a (b c)
-        if not np.array_equal(left, right):
-            a, b, c = np.argwhere(left != right)[0]
+        # associativity on the w = 1 table, in passes of bounded size. By
+        # Light's test, middle factors from a generating set suffice: the b
+        # with (x b) y = x (b y) for all x, y contain the unit and are
+        # closed under products. Only a failing table pays for every
+        # triple, which names the first failing one.
+        ids = np.arange(n)
+        table = StructureTable(
+            n, np.repeat(ids, n), np.tile(ids, n), M.ravel(), np.ones(n * n),
+            ids, [self.index[inv[a]] for a in self.elements], np.ones(n))
+        _, triple = table.associativity_defect(middle=_generators(M, ue))
+        if triple is not None:
+            _, triple = table.associativity_defect()
+            a, b, c = (self.elements[i] for i in triple)
             raise GroupoidError(
-                f"associativity fails on ({self.elements[a]!r},"
-                f"{self.elements[b]!r},{self.elements[c]!r})",
-                witness=(self.elements[a], self.elements[b],
-                         self.elements[c]))
+                f"associativity fails on ({a!r},{b!r},{c!r})",
+                witness=(a, b, c))
 
     def __len__(self):
         return len(self.elements)

@@ -209,6 +209,16 @@ def dense_map_defects(A, B, U):
     return mul, star
 
 
+def dense_faithfulness_defect(G):
+    """dim ker of f -> lambda(f) for a groupoid: the rank deficit of the
+    full (dim, dim^2) stack of left multiplication matrices."""
+    table = groupoid_table(G)
+    n = table.dim
+    if n == 0:
+        return 0
+    return n - int(np.linalg.matrix_rank(table.left_stack().reshape(n, -1)))
+
+
 def dense_center_basis(table, tol=1e-9):
     """Orthonormal rows spanning the center of the algebra of ``table``:
     the null space of x -> [x, e_b] over every basis element b, from the

@@ -206,6 +206,32 @@ class TestAbelianExtract:
         ta0 = gk.twisted_algebra(G, om0)
         assert res.blocks_twisted == ta0.wedderburn().blocks
 
+    def test_corners_are_normed_once_per_arrow(self, flip_groupoid,
+                                               monkeypatch):
+        from gpdkit.fiberblocks import FiberBlocks
+        rng = np.random.default_rng(5)
+        E = gk.build_bundle(flip_groupoid.projection,
+                            twist=corpus.random_cocycle(
+                                flip_groupoid.groupoid, rng))
+        calls = []
+        norms = FiberBlocks.fiber_norms
+        monkeypatch.setattr(FiberBlocks, "fiber_norms",
+                            lambda self, h, X, *a: calls.append(len(h))
+                            or norms(self, h, X, *a))
+        res = gk.abelian_extract(E)
+        assert res.passed
+        # the corner loop makes one stacked call per base arrow, holding
+        # the corners of all 2 x 2 point pairs over it
+        H = E.base
+        assert calls[:len(H.arrows)] == [4 * E.dim(h) for h in H.arrows]
+        monkeypatch.undo()
+        # every line vector (a column of the basis map) has norm 1
+        for col, (h, x) in zip(res.basis_map.T, res.action_groupoid.pairs
+                               .values()):
+            vec = col[E.first[h]:E.first[h] + E.dim(h)]
+            assert gk.fiber_norm(gk.FiberElement(E, h, vec)) == \
+                pytest.approx(1.0, abs=1e-12)
+
     def test_random_covering_extractions(self):
         for seed in range(6):
             rng = np.random.default_rng(4000 + seed)

@@ -9,8 +9,8 @@ from gpdkit import corpus
 from gpdkit.algebra import (AlgebraElement, _closure_tables, groupoid_table,
                             random_element, sparse_center_basis)
 
-from oracles import dense_center_basis, group_algebra_blocks, \
-    group_convolution, matrix_units_check
+from oracles import dense_center_basis, dense_faithfulness_defect, \
+    group_algebra_blocks, group_convolution, matrix_units_check
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -290,6 +290,122 @@ class TestWedderburn:
 def test_faithfulness_on_corpus(pair2, z3, heis3):
     for G in (pair2, z3, heis3):
         assert gk.faithfulness_defect(G) == 0
+
+
+def _without_product(G, g1, g2):
+    """G with the composite of (g1, g2) left out of its table."""
+    return gk.FiniteGroupoid(G.arrows, G.units, G.src, G.rng, G.inv,
+                             {p: g for p, g in G.comp.items()
+                              if p != (g1, g2)})
+
+
+def _faithfulness_cases():
+    point = gk.FiniteGroupoid(["u"], ["u"], {"u": "u"}, {"u": "u"},
+                              {"u": "u"}, {("u", "u"): "u"})
+    union = corpus.disjoint_union([("z", corpus.cyclic_groupoid(3)),
+                                   ("p", point)])
+    z3 = corpus.cyclic_groupoid(3)
+    return {
+        "pair3": corpus.pair_groupoid(3),
+        "heis3": corpus.heisenberg_groupoid(3),
+        "union": union,
+        "flip": gk.build_action_groupoid(corpus.flip_action()).groupoid,
+        # e_g1 e_g0 dropped: the slice loses a column, but row g1 keeps
+        # its other products, so the full rank stays
+        "z3_dropped": _without_product(z3, "g1", "g0"),
+        # e_u e_u dropped on an isolated unit: row u of the stack is empty
+        "point_dropped": _without_product(union, "p:u", "p:u"),
+    }
+
+
+@pytest.mark.parametrize("name", ["pair3", "heis3", "union", "flip",
+                                  "z3_dropped", "point_dropped"])
+def test_faithfulness_defect_matches_dense_rank(name):
+    G = _faithfulness_cases()[name]
+    want = {"z3_dropped": 0, "point_dropped": 1}.get(name, 0)
+    assert dense_faithfulness_defect(G) == want
+    assert gk.faithfulness_defect(G) == want
+    # the slice is the identity on valid tables and singular when dropped
+    dropped = name.endswith("_dropped")
+    assert gk.faithfulness_margin(G) == (0.0 if dropped else 1.0)
+
+
+def test_faithfulness_slice_falls_back_to_the_full_rank(monkeypatch):
+    calls = []
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda M, *a, **k: calls.append(M.shape)
+                        or rank(M, *a, **k))
+    cases = _faithfulness_cases()
+    gk.faithfulness_defect(cases["heis3"])
+    assert calls == []
+    gk.faithfulness_defect(cases["point_dropped"])
+    assert calls == [(4, 16)]
+
+
+def test_heis6_wedderburn_and_faithfulness_memory_is_bounded():
+    G = corpus.heisenberg_groupoid(6)
+    groupoid_table(G)
+    peaks = {}
+    for name, fn in (("wedderburn", gk.wedderburn),
+                     ("faithfulness_defect", gk.faithfulness_defect)):
+        tracemalloc.start()
+        try:
+            out = fn(G)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if name == "wedderburn":
+            assert out.dimension == 216 and out.center_dimension == 55
+        else:
+            assert out == 0
+    assert peaks["wedderburn"] <= 100 * 2 ** 20
+    assert peaks["faithfulness_defect"] <= 20 * 2 ** 20
+
+
+class TestTableUnit:
+    """The unit is read from the table and certified by one residual; the
+    least-squares solve is left to closed matrix families."""
+
+    @pytest.fixture
+    def no_lstsq(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("unit solved by least squares")
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+
+    def test_groupoid_tables_skip_the_solve(self, no_lstsq):
+        G = corpus.disjoint_union([("p", corpus.pair_groupoid(3)),
+                                   ("h", corpus.heisenberg_groupoid(2))])
+        assert gk.wedderburn(G).blocks == (3, 2, 1, 1, 1, 1)
+
+    def test_twisted_unit_is_omega_uu_inverse(self, no_lstsq):
+        # a coboundary with b(u) = i twists e_u e_u = i e_u, so the unit is
+        # -i e_u, and the algebra is still the group algebra
+        G = corpus.heisenberg_groupoid(2)
+        rng = np.random.default_rng(3)
+        b = {g: np.exp(2j * np.pi * rng.random()) for g in G.arrows}
+        b[G.units[0]] = 1j
+        om = gk.Cocycle(G, {(g1, g2): b[g1] * b[g2] / b[g12]
+                            for (g1, g2), g12 in G.comp.items()})
+        ta = gk.TwistedConvolutionAlgebra(G, om)
+        assert ta.wedderburn().blocks == gk.wedderburn(G).blocks
+
+    def test_section_tables_skip_the_solve(self, no_lstsq):
+        sa = gk.section_algebra(gk.build_bundle(corpus.heisenberg_quotient(3)))
+        assert sa.wedderburn().blocks == (3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+
+    def test_closure_family_in_another_basis_solves(self, monkeypatch):
+        # M2 spanned by four matrices none of which squares to a multiple
+        # of itself alone, so the table names no candidate
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        mats = [np.array(m, dtype=float) for m in (
+            [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 0]],
+            [[1, 0], [0, -1]])]
+        assert gk.wedderburn(mats).blocks == (2,)
+        assert calls == [1]
 
 
 def test_numerical_degeneracy_after_retry_budget(z3):

@@ -31,6 +31,32 @@ class TestGroupTable:
         with pytest.raises(Exception, match="associativity"):
             GroupTable(els, mul)
 
+    def test_corrupted_group_names_the_first_failing_triple(self):
+        # two products in one row of heis3 swapped: unit and inverses
+        # survive, associativity does not
+        els, mul, _ = corpus.heisenberg_elements(3)
+        a, b1, b2 = "[0,1,0]", els[5], els[9]
+        mul[(a, b1)], mul[(a, b2)] = mul[(a, b2)], mul[(a, b1)]
+        first = next((x, y, z) for x in els for y in els for z in els
+                     if mul[(mul[(x, y)], z)] != mul[(x, mul[(y, z)])])
+        with pytest.raises(gk.GroupoidError, match="associativity") as exc:
+            GroupTable(els, mul)
+        assert exc.value.witness == first
+
+    def test_valid_group_checks_generator_middles_only(self, monkeypatch):
+        from gpdkit.algebra import StructureTable
+        middles = []
+        defect = StructureTable.associativity_defect
+        monkeypatch.setattr(StructureTable, "associativity_defect",
+                            lambda self, middle=None: middles.append(middle)
+                            or defect(self, middle))
+        els, mul, _ = corpus.heisenberg_elements(4)
+        GroupTable(els, mul)
+        # one pass over the middle factors of a greedy generating set
+        assert len(middles) == 1
+        assert [els[i] for i in np.flatnonzero(middles[0])] == [
+            "[0,0,1]", "[0,1,0]", "[1,0,0]"]
+
 
 class TestAbelianBasis:
     @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (6,), (2, 2),

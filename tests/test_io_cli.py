@@ -220,6 +220,20 @@ class TestCli:
         payload = json.loads(out)
         assert payload["pass"] is True
 
+    def test_wedderburn_reports_its_margins(self, capsys):
+        code, out, _ = run_cli(["alg", "wedderburn", "--groupoid",
+                                corpus.data_path("heis3.groupoid.json")],
+                               capsys)
+        assert code == 0
+        margins = json.loads(out)["margins"]
+        assert sorted(margins) == ["central_gap", "central_spread",
+                                   "faithfulness_sigma_min", "retries"]
+        # clusters split far above the threshold and stay far below it
+        assert margins["central_gap"] > 100
+        assert 0 <= margins["central_spread"] < 1e-2
+        assert margins["retries"] == 0
+        assert margins["faithfulness_sigma_min"] == 1.0
+
     def test_heisenberg_demo_blocks(self, capsys):
         code, out, _ = run_cli(["demo", "heisenberg", "--n", "2",
                                 "--samples", "20"], capsys)
@@ -496,11 +510,31 @@ class TestExitContract:
         assert body["gram_margin"] == pytest.approx(margin, rel=1e-12)
         assert 0 < margin <= 1
 
-    def test_ill_conditioned_gram_block_fails_expectation_faithful(
+    def test_invalid_action_fails_action_axioms(self, tmp_path, capsys):
+        # g1 sends both points to x, so g1 (g1 y) = x != g0 y
+        with open(corpus.data_path("flip.action.json")) as fh:
+            obj = json.load(fh)  # the groupoid is inline
+        obj["act"] = [t if t[:2] != ["g1", "x"] else ["g1", "x", "x"]
+                      for t in obj["act"]]
+        path = tmp_path / "bad.action.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(gk.ActionAxiomViolation) as exc:
+            gk.validate_action(gio.load_action(str(path)))
+        code, out, err = run_cli(["action", "build", "--action", str(path)],
+                                 capsys)
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "action_axioms", "pass": False, "residual": None,
+             "witness": repr(exc.value.witness)}]
+        assert "Traceback" not in err
+
+    def test_ill_conditioned_gram_block_fails_cstar_identity(
             self, tmp_path, capsys):
         """e_0 over one non-unit arrow scaled by 1e-4: the same Fell bundle
-        in another basis, whose Gram margin 1e-8 passes the default --tol
-        and fails --tol 1e-6, with the arrow as witness."""
+        in another basis, whose Gram margin 1e-8 passes the default --tol.
+        Under --tol 1e-6 the section space of axiom 9 and norm consistency
+        is refused at that tolerance, so both fail and the expectation
+        checks are not reached."""
         from oracles import DenseSectionSpace
         E = _rescaled(gk.build_bundle(corpus.heisenberg_quotient(2)),
                       "(0,1)", 1e-4)
@@ -509,19 +543,22 @@ class TestExitContract:
         argv = ["bundle", "verify", "--bundle", str(path), "--samples", "10"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
+        margin = json.loads(out)["gram_margin"]
+        assert margin == pytest.approx(DenseSectionSpace(E).gram_margin,
+                                       rel=1e-9)
+        assert margin == pytest.approx(1e-8, rel=1e-6)
         code, out, _ = run_cli(argv + ["--tol", "1e-6"], capsys)
         assert code == 1
         body = json.loads(out)
+        degenerate = ("section inner product is degenerate; the bundle is "
+                      "not a Fell bundle")
         failed = [c for c in body["checks"] if not c["pass"]]
         assert failed == [
-            {"name": "expectation_contractive", "pass": False,
-             "residual": None,
-             "witness": "not checked: section inner product is degenerate"},
-            {"name": "expectation_faithful", "pass": False, "residual": None,
-             "witness": "(h='(0,1)')"}]
-        assert body["gram_margin"] == pytest.approx(
-            DenseSectionSpace(E).gram_margin, rel=1e-9)
-        assert body["gram_margin"] == pytest.approx(1e-8, rel=1e-6)
+            {"name": name, "pass": False, "residual": None,
+             "witness": degenerate}
+            for name in ("axiom9_cstar_identity", "norm_consistency")]
+        assert not any(c["name"].startswith("expectation_")
+                       for c in body["checks"])
 
 
 def _rescaled(E, h, eps):
