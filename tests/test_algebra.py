@@ -322,12 +322,12 @@ def _faithfulness_cases():
                                   "z3_dropped", "point_dropped"])
 def test_faithfulness_defect_matches_dense_rank(name):
     G = _faithfulness_cases()[name]
-    want = {"z3_dropped": 0, "point_dropped": 1}.get(name, 0)
+    want = 1 if name == "point_dropped" else 0
     assert dense_faithfulness_defect(G) == want
     assert gk.faithfulness_defect(G) == want
     # the slice is the identity on valid tables and singular when dropped
-    dropped = name.endswith("_dropped")
-    assert gk.faithfulness_margin(G) == (0.0 if dropped else 1.0)
+    assert gk.faithfulness_margin(G) == (
+        0.0 if name.endswith("_dropped") else 1.0)
 
 
 def test_faithfulness_slice_falls_back_to_the_full_rank(monkeypatch):
