@@ -19,8 +19,8 @@ from .groupoid import (AssociativityFailure, Bisection, FiniteGroupoid,
 from .algebra import (AlgebraElement, BaseMismatch, NumericalDegeneracy,
                       RegularRepresentation, WedderburnInvariants,
                       conditional_expectation, convolve, cstar_norm,
-                      faithfulness_defect, faithfulness_margin, involute,
-                      positivity_check, random_element, wedderburn)
+                      faithfulness_defect, involute, positivity_check,
+                      random_element, wedderburn)
 from .bundle import (AxiomReport, BundleNotVerified, FellBundle,
                      FellBundleError, FiberElement, IsoReport, NotComposable,
                      NotSaturated, Section, SectionAlgebra,

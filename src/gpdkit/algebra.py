@@ -168,32 +168,22 @@ class StructureTable:
                        (cols[m], other.t[p], np.conj(vals[m]) * other.sw[p]),
                        max(self.dim, other.dim))
 
-    def associativity_defect(self, middle=None):
+    def associativity_defect(self):
         """(max |coefficient difference| between (e_a e_b) e_k and
-        e_a (e_b e_k) over all basis triples, or over those whose middle
-        factor b has ``middle[b]`` set, (a, b, k) of that entry or None),
-        taken in passes along a of about _TRIPLES_PER_PASS terms."""
+        e_a (e_b e_k) over all basis triples, (a, b, k) of that entry or
+        None), taken in passes along a of about _TRIPLES_PER_PASS terms."""
         n = self.dim
-        if middle is None:
-            middle = np.ones(n, dtype=bool)
-        first = np.flatnonzero(middle[self.b])  # e_a e_b, b a middle factor
-        second = np.flatnonzero(middle[self.a])  # e_b e_k, b a middle factor
         # terms of both sides per first factor a
-        load = (np.bincount(self.a[first], np.bincount(
-                    self.a, minlength=n)[self.c[first]], n)
-                + np.bincount(self.a, np.bincount(
-                    self.c[second], minlength=n)[self.b], n))
-        part = np.cumsum(load) // _TRIPLES_PER_PASS
+        load = np.bincount(self.a, np.bincount(self.a, minlength=n)[self.c]
+                           + np.bincount(self.c, minlength=n)[self.b], n)
+        part = (np.cumsum(load) // _TRIPLES_PER_PASS)[self.a]
         best = (0.0, None)
-        for k in np.unique(part[self.a]):
+        for sel in (np.flatnonzero(part == k) for k in np.unique(part)):
             # (e_a e_b) e_k: entry i makes e_m, entry j multiplies e_m by e_k
-            sel = first[part[self.a[first]] == k]
             i, j = _join(self.c[sel], self.a)
-            i = sel[i]
             # e_a (e_b e_k): entry q makes e_m, entry p multiplies e_a by e_m
-            sel = np.flatnonzero(part[self.a] == k)
-            p, q = _join(self.b[sel], self.c[second])
-            p, q = sel[p], second[q]
+            p, q = _join(self.b[sel], self.c)
+            i, p = sel[i], sel[p]
             res = _defect((self.a[i], self.b[i], self.b[j], self.c[j],
                            self.w[i] * self.w[j]),
                           (self.a[p], self.a[q], self.b[q], self.c[p],
@@ -394,46 +384,34 @@ def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
     return True
 
 
-def _unit_column_singular_values(G: FiniteGroupoid) -> np.ndarray:
-    """Singular values of the n x n slice of ``left_stack`` at the columns
-    (c, s(c)): entry [a, c] is the coefficient of e_c in e_a e_s(c), read
-    straight from the table entries with b = s(c). On a valid groupoid
-    table the slice is the identity."""
-    table = groupoid_table(G)
-    n = table.dim
-    if n == 0:
-        return np.zeros(0)
-    src = np.fromiter((G.index[G.src[g]] for g in G.arrows), np.int64, n)
-    on = table.b == src[table.c]
-    S = _scatter(table.a[on] * n + table.c[on], table.w[on], n * n)
-    return np.linalg.svd(S.reshape(n, n), compute_uv=False)
+def faithfulness_defect(G: FiniteGroupoid, return_margin: bool = False):
+    """dim ker of f -> lambda(f); zero on every valid groupoid. With
+    ``return_margin``, the pair (defect, margin), where the margin is the
+    smallest singular value of the unit-column slice below (1.0 on every
+    valid groupoid, 0.0 on the empty one).
 
-
-def faithfulness_margin(G: FiniteGroupoid) -> float:
-    """Smallest singular value of the unit-column slice of the left
-    regular representation (1.0 on every valid groupoid); the margin of
-    :func:`faithfulness_defect`'s rank decision."""
-    sigma = _unit_column_singular_values(G)
-    return float(sigma[-1]) if len(sigma) else 0.0
-
-
-def faithfulness_defect(G: FiniteGroupoid) -> int:
-    """dim ker of f -> lambda(f); zero on every valid groupoid.
-
-    rank(M) >= rank(M[:, S]) for any column set S, so a full-rank
-    unit-column slice proves the defect is zero. The slice counts as full
-    rank when its smallest singular value clears the threshold that
-    ``matrix_rank`` applies to the whole (dim, dim^2) stack, taken with
-    sigma_max <= sum |w|; only a slice below it pays for the full rank.
+    The slice is the n x n part of ``left_stack`` at the columns (c, s(c)):
+    entry [a, c] is the coefficient of e_c in e_a e_s(c), read straight
+    from the table entries with b = s(c); on a valid groupoid table it is
+    the identity. rank(M) >= rank(M[:, S]) for any column set S, so a
+    full-rank slice proves the defect is zero. The slice counts as full
+    rank when its margin clears the threshold that ``matrix_rank`` applies
+    to the whole (dim, dim^2) stack, taken with sigma_max <= sum |w|; only
+    a slice below it pays for the full rank.
     """
     table = groupoid_table(G)
     n = table.dim
-    if n == 0:
-        return 0
-    bound = float(np.abs(table.w).sum()) * n * n * np.finfo(float).eps
-    if _unit_column_singular_values(G)[-1] > bound:
-        return 0
-    return n - int(np.linalg.matrix_rank(table.left_stack().reshape(n, -1)))
+    defect, margin = 0, 0.0
+    if n:
+        src = np.fromiter((G.index[G.src[g]] for g in G.arrows), np.int64, n)
+        on = table.b == src[table.c]
+        S = _scatter(table.a[on] * n + table.c[on], table.w[on], n * n)
+        margin = float(np.linalg.svd(S.reshape(n, n), compute_uv=False)[-1])
+        bound = float(np.abs(table.w).sum()) * n * n * np.finfo(float).eps
+        if not margin > bound:
+            defect = n - int(np.linalg.matrix_rank(
+                table.left_stack().reshape(n, -1)))
+    return (defect, margin) if return_margin else defect
 
 
 def conditional_expectation(G: FiniteGroupoid, K, f: AlgebraElement,

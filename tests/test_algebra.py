@@ -324,10 +324,9 @@ def test_faithfulness_defect_matches_dense_rank(name):
     G = _faithfulness_cases()[name]
     want = 1 if name == "point_dropped" else 0
     assert dense_faithfulness_defect(G) == want
-    assert gk.faithfulness_defect(G) == want
     # the slice is the identity on valid tables and singular when dropped
-    assert gk.faithfulness_margin(G) == (
-        0.0 if name.endswith("_dropped") else 1.0)
+    assert gk.faithfulness_defect(G, return_margin=True) == (
+        want, 0.0 if name.endswith("_dropped") else 1.0)
 
 
 def test_faithfulness_slice_falls_back_to_the_full_rank(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,19 +45,17 @@ class TestGroupTable:
             GroupTable(els, mul)
         assert exc.value.witness == first
 
-    def test_valid_group_checks_generator_middles_only(self, monkeypatch):
-        from gpdkit.algebra import StructureTable
-        middles = []
-        defect = StructureTable.associativity_defect
-        monkeypatch.setattr(StructureTable, "associativity_defect",
-                            lambda self, middle=None: middles.append(middle)
-                            or defect(self, middle))
-        els, mul, _ = corpus.heisenberg_elements(4)
-        GroupTable(els, mul)
-        # one pass over the middle factors of a greedy generating set
-        assert len(middles) == 1
-        assert [els[i] for i in np.flatnonzero(middles[0])] == [
-            "[0,0,1]", "[0,1,0]", "[1,0,0]"]
+    def test_heis6_associativity_memory_is_bounded(self):
+        # the (216, 216, 216) int64 cubes of (a b) c and a (b c) would
+        # take 77 MiB each
+        els, mul, _ = corpus.heisenberg_elements(6)
+        tracemalloc.start()
+        try:
+            GroupTable(els, mul)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20
 
 
 class TestAbelianBasis:
