@@ -25,10 +25,9 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
 from .algebra import (RegularRepresentation, WedderburnInvariants,
                       groupoid_table, isometry_defect, wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
-                     NotSaturated, FellBundleError, Section, _rank,
-                     _saturation_detail, _slot_witness, fiber_mul,
-                     fiber_star, section_algebra)
-from .fiberblocks import fiber_blocks
+                     NotSaturated, FellBundleError, Section,
+                     _saturation_detail, _slot_witness, section_algebra)
+from .fiberblocks import fiber_blocks, stacked_ranks
 from .report import CheckList
 
 
@@ -431,46 +430,47 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     points = tuple(x for u in H.units for x in points_by_unit[u])
     anchor = {x: projections[x][0] for x in points}
 
-    # alpha_h and line vectors
+    # alpha_h and line vectors, from the corners q e_i p over each arrow h
+    # of every point pair (p over s(h), q over r(h)) and basis index i:
+    # per arrow two stacked products, one stacked norm and one stacked rank
+    # of the d x d matrix of each corner
     B = fiber_blocks(E)
     alpha = {}
     line = {}
     for h in H.arrows:
-        us, ur = H.src[h], H.rng[h]
-        # the corners q e_i p of every point pair over h, normed in one
-        # stacked call
-        corners = {}
-        for xp in points_by_unit[us]:
-            p = FiberElement(E, us, projections[xp][1])
-            for xq in points_by_unit[ur]:
-                q = FiberElement(E, ur, projections[xq][1])
-                corners[(xp, xq)] = [
-                    fiber_mul(fiber_mul(q, FiberElement.basis(E, h, i)),
-                              p).vec for i in range(E.dim(h))]
-        rows = [(h, v) for vecs in corners.values() for v in vecs]
-        norms = iter(B.fiber_norms(*B.rows(rows))[0] if rows else ())
+        ps, qs = points_by_unit[H.src[h]], points_by_unit[H.rng[h]]
+        d = E.dim(h)
+        hp, P = B.rows([(H.src[h], projections[x][1]) for x in ps])
+        hq, Q = B.rows([(H.rng[h], projections[x][1]) for x in qs])
+        # row (p * len(qs) + q) * d + i holds q e_i p
+        p, q, i = (v.ravel() for v in np.indices((len(ps), len(qs), d)))
+        over_h = np.full(len(i), B.index[h])
+        _, Z = B.products(*B.products(hq[q], Q[q], over_h,
+                                      np.eye(d, B.D)[i]), hp[p], P[p])
+        norms = B.fiber_norms(over_h, Z)[0].reshape(len(ps), len(qs), d)
+        size = np.full(len(ps) * len(qs), d)
+        ranks = stacked_ranks(np.repeat(p * len(qs) + q, d), np.repeat(i, d),
+                              np.tile(np.arange(d), len(i)), Z[:, :d].ravel(),
+                              (size, size), tol).reshape(len(ps), len(qs))
+        Z = Z.reshape(len(ps), len(qs), d, B.D)
         alpha_h = {}
-        for xp in points_by_unit[us]:
+        for a, xp in enumerate(ps):
             hits = []
-            for xq in points_by_unit[ur]:
-                vecs = corners[(xp, xq)]
-                cnorms = [next(norms) for _ in vecs]
-                rank = _rank(vecs, tol)
-                if rank > 1:
+            for b, xq in enumerate(qs):
+                if ranks[a, b] > 1:
                     raise LineDimensionFailure(
                         f"corner over {h!r} between {xq!r} and {xp!r} has "
-                        f"dimension {rank}", witness=(h, xq, xp))
-                if rank == 1:
+                        f"dimension {ranks[a, b]}", witness=(h, xq, xp))
+                if ranks[a, b] == 1:
                     # the first basis column with a nonzero corner
-                    first = next((FiberElement(E, h, cvec / n)
-                                  for cvec, n in zip(vecs, cnorms)
-                                  if n > tol), None)
-                    if first is None:
+                    live = np.flatnonzero(norms[a, b] > tol)
+                    if not len(live):
                         raise LineDimensionFailure(
                             f"corner over {h!r} between {xq!r} and {xp!r} "
                             "has no vector of positive norm",
                             witness=(h, xq, xp))
-                    hits.append((xq, first))
+                    hits.append((xq, FiberElement(
+                        E, h, Z[a, b, live[0], :d] / norms[a, b, live[0]])))
             if len(hits) != 1:
                 raise LineDimensionFailure(
                     f"point {xp!r} pairs with {len(hits)} targets over {h!r}",
@@ -500,26 +500,24 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     ag = build_action_groupoid(action)
 
     # cocycle from gauged products: e_{h1, alpha_{h2} x} e_{h2, x} =
-    # omega((h1, alpha_{h2} x), (h2, x)) e_{h1 h2, x}
-    omega_table = {}
-    res_line = 0.0
-    for gid, (h2, x) in ag.pairs.items():
-        y = act[(h2, x)]
-        for h1 in H.arrows_from(H.rng[h2]):
-            h12 = H.comp[(h1, h2)]
-            e1 = line[(h1, y)]
-            e2 = line[(h2, x)]
-            e12 = line[(h12, x)]
-            prod = fiber_mul(e1, e2)
-            u = H.src[h2]
-            alg = E.unit_algebra(u)
-            num = alg.tau(fiber_mul(fiber_star(e12), prod).vec)
-            den = alg.tau(fiber_mul(fiber_star(e12), e12).vec)
-            w = num / den
-            resid = float(np.max(np.abs(prod.vec - w * e12.vec))) \
-                if prod.vec.size else 0.0
-            res_line = max(res_line, resid)
-            omega_table[(pair_id(h1, y), pair_id(h2, x))] = w
+    # omega((h1, alpha_{h2} x), (h2, x)) e_{h1 h2, x}, read off as
+    # tau(e_12* e_1 e_2) / tau(e_12* e_12) in the unit fiber over s(h2),
+    # in stacked products over every such pair
+    pairs = [(h1, act[(h2, x)], h2, x) for h2, x in ag.pairs.values()
+             for h1 in H.arrows_from(H.rng[h2])]
+    k1, X1 = B.rows([(h1, line[(h1, y)].vec) for h1, y, _, _ in pairs])
+    k2, X2 = B.rows([(h2, line[(h2, x)].vec) for _, _, h2, x in pairs])
+    k12 = B.compose(k1, k2)
+    _, X12 = B.rows([(H.arrows[k], line[(H.arrows[k], p[3])].vec)
+                     for k, p in zip(k12, pairs)])
+    _, prod = B.products(k1, X1, k2, X2)
+    ks, S = B.stars(k12, X12)
+    num, den = (B.traces(B.src[k2], B.products(ks, S, k12, Y)[1])
+                for Y in (prod, X12))
+    w = num / den
+    res_line = float(np.abs(prod - w[:, None] * X12).max(initial=0.0))
+    omega_table = {(pair_id(h1, y), pair_id(h2, x)): complex(v)
+                   for (h1, y, h2, x), v in zip(pairs, w)}
     omega = Cocycle(ag.groupoid, omega_table)
 
     result = ExtractionResult(points, action, ag, omega,

@@ -612,13 +612,14 @@ def cmd_demo(args, report: Report):
                                         "of scope")
     elif name == "heisenberg":
         n = args.n
-        G = corpus.heisenberg_groupoid(n)
+        # the quotient's domain is the group itself, built once
+        pi = corpus.heisenberg_quotient(n)
+        G = pi.domain
         report.inputs[f"heis{n}"] = _groupoid_digest(G)
         inv = wedderburn(G, seed=args.seed, tol=args.tol)
         report.extras["blocks"] = list(inv.blocks)
         report.add("blocks_sum_of_squares",
                    sum(b * b for b in inv.blocks) == n ** 3, 0.0)
-        pi = corpus.heisenberg_quotient(n)
         iso = psi_iso_check(pi, tol=args.tol, samples=args.samples,
                             seed=args.seed)
         report.add_entries(iso.entries, prefix="psi_")

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _join, _scatter
+from .algebra import _join, _scatter, groupoid_table
 
 
 # One stacked numpy call holds at most _ROWS_PER_CALL rows and about
@@ -78,7 +78,7 @@ class FiberBlocks:
     def __init__(self, E):
         H, T = E.base, E.table()
         n_arrows = len(H.arrows)
-        idx = {h: k for k, h in enumerate(H.arrows)}
+        idx = H.index
         self.bundle, self.table, self.nA, self.index = E, T, n_arrows, idx
         self.dims = np.fromiter((E.dim(h) for h in H.arrows), np.int64,
                                 n_arrows)
@@ -92,16 +92,24 @@ class FiberBlocks:
         self.arrow = np.repeat(np.arange(n_arrows), self.dims)
         self.first = np.cumsum(self.dims) - self.dims
         self.loc = np.arange(T.dim) - self.first[self.arrow]
-        keys = np.fromiter((idx[a] * n_arrows + idx[b] for a, b in H.comp),
-                           np.int64, len(H.comp))
+        base = groupoid_table(H)  # composition and inverse by arrow index
+        keys = base.a * n_arrows + base.b
         order = np.argsort(keys)
-        self._pairs = keys[order]
-        self._comp = np.fromiter((idx[c] for c in H.comp.values()),
-                                 np.int64, len(H.comp))[order]
-        # table entries keyed by the arrows of their two factors
+        self._pairs, self._comp = keys[order], base.c[order]
+        self.inv = base.t
+        # table entries keyed by the arrows of their two factors, and star
+        # entries by the arrow of their argument
         self._entry_key = self.arrow[T.a] * n_arrows + self.arrow[T.b]
         self._entry_order = np.argsort(self._entry_key, kind="stable")
         self._entry_sorted = self._entry_key[self._entry_order]
+        self._star_arrow = self.arrow[T.s]
+        self._star_order = np.argsort(self._star_arrow, kind="stable")
+        # tau(e_a) in a unit fiber, the trace of left multiplication, at
+        # (arrow, index) of a
+        on = (self.is_unit[self.arrow[T.a]]
+              & (self.arrow[T.a] == self.arrow[T.b]) & (T.b == T.c))
+        self.tau = np.zeros((n_arrows, self.D), dtype=complex)
+        self.tau[self.arrow, self.loc] = _scatter(T.a[on], T.w[on], T.dim)
         self._inner = {}
         self._gram = None
 
@@ -175,20 +183,28 @@ class FiberBlocks:
                      len(h1) * self.D)
         return self.compose(h1, h2), Z.reshape(len(h1), self.D)
 
+    def stars(self, h, X):
+        """(arrows, rows) of x* for the rows x = X[r] over h[r]."""
+        T, loc = self.table, self.loc
+        r, p = _join(h, self._star_arrow, self._star_order)
+        Z = _scatter(r * self.D + loc[T.t[p]],
+                     T.sw[p] * np.conj(X[r, loc[T.s[p]]]), len(h) * self.D)
+        return self.inv[h], Z.reshape(len(h), self.D)
+
+    def traces(self, u, Y) -> np.ndarray:
+        """tau(y) of the unit-fiber rows Y[r] over u[r]."""
+        return (Y * self.tau[u]).sum(axis=1)
+
     def gram(self):
         """(T, T^-1, smallest and largest eigenvalue) per arrow of the Gram
         blocks G_h, T padded to D x D with zeros; one batched eigh per
         fiber dimension. T^-1 inverts the positive part only, so a block
         that is not positive definite has no use but a failed check."""
         if self._gram is None:
-            T, D = self.table, self.D
-            # tau(e_a) in a unit fiber: the trace of left multiplication
-            on = (self.is_unit[self.arrow[T.a]]
-                  & (self.arrow[T.a] == self.arrow[T.b]) & (T.b == T.c))
-            tau = _scatter(T.a[on], T.w[on], T.dim)
+            D = self.D
             h, i, j, m, w, _ = self.inner("B")
             G = _scatter((h * D + i) * D + j,
-                         w * tau[self.first[self.src[h]] + m],
+                         w * self.tau[self.src[h], m],
                          self.nA * D * D).reshape(self.nA, D, D)
             G = (G + G.conj().transpose(0, 2, 1)) / 2.0
             tsqrt, tisqrt = np.zeros_like(G), np.zeros_like(G)

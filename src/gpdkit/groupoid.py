@@ -14,6 +14,7 @@ them as vacuously satisfied instead of dropping them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
@@ -324,9 +325,10 @@ def check_morphism(pi: GroupoidMorphism):
 def classify_morphism(pi: GroupoidMorphism) -> MorphismClassification:
     """Classify pi as morphism / surjective / fibration / covering.
 
-    The fibration test searches, for every codomain arrow h and every
-    domain unit x over src(h), for a lift g with src(g) == x; covering
-    requires that lift to be unique. Exhaustive, with witness on failure.
+    The fibration test counts, for every codomain arrow h and every
+    domain unit x over src(h), the lifts g of h with src(g) == x (one
+    pass over the domain arrows); covering requires exactly one lift.
+    Exhaustive, with the first failing (h, x) as witness.
     """
     G, H = pi.domain, pi.codomain
     try:
@@ -339,23 +341,16 @@ def classify_morphism(pi: GroupoidMorphism) -> MorphismClassification:
     surjective = image == set(H.arrows)
     surj_units = set(pi.map[u] for u in G.units) == set(H.units)
 
-    lift_exists = True
-    lifts_unique = True
-    witness = None
-    for h in H.arrows:
-        sh = H.src[h]
-        for x in G.units:
-            if pi.map[x] != sh:
-                continue
-            lifts = [g for g in G.arrows_from(x) if pi.map[g] == h]
-            if not lifts:
-                lift_exists = False
-                if witness is None:
-                    witness = (h, x)
-            elif len(lifts) > 1:
-                lifts_unique = False
-                if witness is None:
-                    witness = (h, x)
+    # lifts of h from x: the arrows g with (src(g), pi(g)) = (x, h)
+    lifts = Counter((G.src[g], pi.map[g]) for g in G.arrows)
+    over = {}
+    for x in G.units:
+        over.setdefault(pi.map[x], []).append(x)
+    counts = [((h, x), lifts[(x, h)]) for h in H.arrows
+              for x in over.get(H.src[h], ())]
+    lift_exists = all(n for _, n in counts)
+    lifts_unique = all(n <= 1 for _, n in counts)
+    witness = next((hx for hx, n in counts if n != 1), None)
     # a fibration is a surjective morphism with the lift property; the fact
     # that lift property + unit surjectivity already forces arrow
     # surjectivity is recorded by the separate flags, not assumed here
@@ -448,23 +443,16 @@ def fiber_subgroupoid(pi: GroupoidMorphism, x) -> FiniteGroupoid:
 
 def isotropy_quotient(G: FiniteGroupoid):
     """The orbit equivalence relation R on the unit space with its pair
-    groupoid structure, and the quotient morphism g -> (rng(g), src(g)).
-    The kernel of the quotient is the isotropy bundle."""
-    pairs = sorted({(G.rng[g], G.src[g]) for g in G.arrows},
-                   key=lambda p: (G.index[p[0]], G.index[p[1]]))
-    ids = {p: pair_id(*p) for p in pairs}
-    arrows = tuple(ids[p] for p in pairs)
-    units = tuple(ids[(u, u)] for u in G.units)
-    src = {ids[(x, y)]: ids[(y, y)] for (x, y) in pairs}
-    rng = {ids[(x, y)]: ids[(x, x)] for (x, y) in pairs}
-    inv = {ids[(x, y)]: ids[(y, x)] for (x, y) in pairs}
-    comp = {}
-    for (x, y) in pairs:
-        for (y2, z) in pairs:
-            if y2 == y:
-                comp[(ids[(x, y)], ids[(y2, z)])] = ids[(x, z)]
-    R = _trusted(arrows, units, src, rng, inv, comp)
-    pi = GroupoidMorphism(G, R, {g: ids[(G.rng[g], G.src[g])] for g in G.arrows})
+    groupoid structure (one pair block per orbit, orbits and their units
+    in unit order), and the quotient morphism g -> (rng(g), src(g)). The
+    kernel of the quotient is the isotropy bundle."""
+    orbits = {}
+    for u in G.units:
+        orbits.setdefault(min((G.rng[g] for g in G.arrows_from(u)),
+                              key=G.index.get), []).append(u)
+    R = pair_blocks(orbits.values())
+    pi = GroupoidMorphism(G, R, {g: pair_id(G.rng[g], G.src[g])
+                                 for g in G.arrows})
     return R, pi
 
 

@@ -20,6 +20,7 @@ from typing import Optional
 
 from .groupoid import FiniteGroupoid, GroupoidMorphism, validate_groupoid
 from .actions import Cocycle, GroupoidAction
+from .algebra import StructureTable
 from .bundle import FellBundle
 from .graphs import DirectedGraph, GraphMorphism
 
@@ -238,16 +239,21 @@ def load_bundle(source, base_dir=None) -> FellBundle:
     for h in base.arrows:
         fibers.setdefault(h, ())
 
+    first, slot = {}, 0
+    for h in base.arrows:
+        first[h], slot = slot, slot + len(fibers[h])
+
     def expansion(obj2, path, dim):
         _expect(isinstance(obj2, dict), file, path, "an object {k: [re,im]}")
-        out = {}
+        out = []
         for k, v in obj2.items():
             _expect(k.isdecimal() and int(k) < dim, file, f"{path}.{k}",
                     f"a basis index below {dim}")
-            out[int(k)] = _as_complex(v, file, f"{path}.{k}")
+            out.append((int(k), _as_complex(v, file, f"{path}.{k}")))
         return out
 
-    mul = {}
+    # table rows (factor slots..., term slot, weight), in file order
+    mul, star, seen = [], [], set()
     _expect(isinstance(obj["mul"], list), file, "$.mul", "a list")
     for i, entry in enumerate(obj["mul"]):
         _expect(isinstance(entry, list) and len(entry) == 5,
@@ -262,10 +268,14 @@ def load_bundle(source, base_dir=None) -> FellBundle:
                 file, f"$.mul[{i}][1]", "a basis index of the first fiber")
         _expect(type(bj) is int and 0 <= bj < len(fibers[h2]),
                 file, f"$.mul[{i}][3]", "a basis index of the second fiber")
+        # entries add up in the table, so a repeat would not replace
+        _expect((h1, bi, h2, bj) not in seen, file, f"$.mul[{i}]",
+                "one entry per [h1, i, h2, j]")
+        seen.add((h1, bi, h2, bj))
         h12 = base.compose(h1, h2)
-        mul.setdefault((h1, h2), {})[(bi, bj)] = \
-            expansion(exp, f"$.mul[{i}][4]", len(fibers[h12]))
-    star = {}
+        mul.extend((first[h1] + bi, first[h2] + bj, first[h12] + k, v)
+                   for k, v in expansion(exp, f"$.mul[{i}][4]",
+                                         len(fibers[h12])))
     _expect(isinstance(obj["star"], list), file, "$.star", "a list")
     for i, entry in enumerate(obj["star"]):
         _expect(isinstance(entry, list) and len(entry) == 3,
@@ -275,31 +285,44 @@ def load_bundle(source, base_dir=None) -> FellBundle:
                 f"$.star[{i}][0]", "a base arrow")
         _expect(type(bi) is int and 0 <= bi < len(fibers[h]),
                 file, f"$.star[{i}][1]", "a basis index")
-        star.setdefault(h, {})[bi] = \
-            expansion(exp, f"$.star[{i}][2]", len(fibers[base.inv[h]]))
-    return FellBundle(base, fibers, mul, star)
+        _expect((h, bi) not in seen, file, f"$.star[{i}]",
+                "one entry per [h, i]")
+        seen.add((h, bi))
+        star.extend((first[h] + bi, first[base.inv[h]] + k, v)
+                    for k, v in expansion(exp, f"$.star[{i}][2]",
+                                          len(fibers[base.inv[h]])))
+    return FellBundle(base, fibers, StructureTable(
+        slot, *(zip(*mul) if mul else [()] * 4),
+        *(zip(*star) if star else [()] * 3)))
 
 
 def save_bundle(E: FellBundle, base_ref=None) -> dict:
-    base = E.base
-    mul = []
-    for (h1, h2) in sorted(E.mul, key=lambda p: (base.index[p[0]],
-                                                 base.index[p[1]])):
-        for (i, j) in sorted(E.mul[(h1, h2)]):
-            exp = {str(k): [v.real, v.imag]
-                   for k, v in sorted(E.mul[(h1, h2)][(i, j)].items())}
-            mul.append([h1, i, h2, j, exp])
-    star = []
-    for h in base.arrows:
-        for i in sorted(E.star.get(h, {})):
-            exp = {str(k): [v.real, v.imag]
-                   for k, v in sorted(E.star[h][i].items())}
-            star.append([h, i, exp])
+    """The bundle file of ``E``: one ``mul`` entry per basis pair with
+    products, ordered by (h1, h2, i, j), one ``star`` entry per basis
+    vector, ordered by (h, i), and terms ordered by k."""
+    base, T = E.base, E.table()
+    at = [(h, i) for h in base.arrows for i in range(E.dim(h))]  # per slot
+    arrow = [base.index[h] for h, _ in at]
+
+    def entries(rows):
+        """[arrow, index of each factor slot, {k: [re, im]}]; repeated
+        terms add up (from -0j, which keeps the sign of a zero part)."""
+        out = {}
+        for *factors, k, w in rows:
+            terms = out.setdefault(tuple(factors), {})
+            terms[k] = terms.get(k, -0j) + w
+        return [[x for f in factors for x in at[f]]
+                + [{str(at[k][1]): [w.real, w.imag] for k, w in terms.items()}]
+                for factors, terms in out.items()]
+
+    cols = [getattr(T, k).tolist() for k in ("a", "b", "c", "w", "s", "t",
+                                             "sw")]
     return {
         "base": base_ref or save_groupoid(base),
         "fibers": {h: [str(x) for x in E.fibers[h]] for h in base.arrows},
-        "mul": mul,
-        "star": star,
+        "mul": entries(sorted(zip(*cols[:4]), key=lambda e: (
+            arrow[e[0]], arrow[e[1]], *e[:3]))),
+        "star": entries(sorted(zip(*cols[4:]), key=lambda e: e[:2])),
     }
 
 

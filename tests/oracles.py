@@ -264,16 +264,65 @@ def hilbert_module_residuals(pi, E):
     return out
 
 
+# -- bundles with a changed section table, for the negative controls
+
+def table_arrays(E):
+    """Writable copies of the arrays of the section table of E, by name."""
+    T = E.table()
+    return {k: getattr(T, k).copy() for k in ("a", "b", "c", "w", "s", "t",
+                                              "sw")}
+
+
+def bundle_from(E, arrays, morphism=None):
+    """A bundle with the base and fibers of E and the section table of
+    ``arrays`` (see :func:`table_arrays`)."""
+    from gpdkit.algebra import StructureTable
+    from gpdkit.bundle import FellBundle
+    return FellBundle(E.base, E.fibers,
+                      StructureTable(E.total_dim(), **arrays),
+                      morphism=morphism)
+
+
+def slot_arrows(E):
+    """The base arrow under each section slot of E."""
+    return [h for h in E.base.arrows for _ in range(E.dim(h))]
+
+
 # -- per-element bundle numerics: the reference for the batched checks of
-# gpdkit.bundle. Every norm is taken one element at a time, through the
-# unit-fiber algebra (``UnitFiberAlgebra.norm``) or on the dense
-# total_dim x total_dim section matrix.
+# gpdkit.bundle. Every product and star is one of two one-arrow sections
+# through the section table; every norm is taken one element at a time,
+# through the unit-fiber algebra (``UnitFiberAlgebra.norm``) or on the
+# dense total_dim x total_dim section matrix.
+
+def _section(xi):
+    E = xi.bundle
+    out = np.zeros(E.total_dim(), dtype=complex)
+    out[E.first[xi.arrow]:E.first[xi.arrow] + xi.vec.size] = xi.vec
+    return out
+
+
+def _on_fiber(E, h, vec):
+    from gpdkit.bundle import FiberElement
+    return FiberElement(E, h, vec[E.first[h]:E.first[h] + E.dim(h)])
+
+
+def fiber_product(x, y):
+    """x y in the fiber over the composite."""
+    E = x.bundle
+    return _on_fiber(E, E.base.compose(x.arrow, y.arrow),
+                     E.table().mul(_section(x), _section(y)))
+
+
+def fiber_adjoint(x):
+    """x* in the fiber over the inverse."""
+    E = x.bundle
+    return _on_fiber(E, E.base.inv[x.arrow], E.table().star(_section(x)))
+
 
 def element_norm(xi):
     """||xi|| = ||xi* xi||^{1/2}, one SVD in the unit fiber over src(h)."""
-    from gpdkit.bundle import fiber_mul, fiber_star
     E = xi.bundle
-    prod = fiber_mul(fiber_star(xi), xi)
+    prod = fiber_product(fiber_adjoint(xi), xi)
     u = E.base.src[xi.arrow]
     return float(np.sqrt(max(E.unit_algebra(u).norm(prod.vec), 0.0)))
 
@@ -293,19 +342,18 @@ def _row_rank(rows, tol):
 
 
 def dense_saturation_detail(E, tol):
-    """(saturated, witness): the rank of the rows of mul[(h1, h2)] against
-    the dimension over h1 h2, one composable pair at a time."""
+    """(saturated, witness): the rank of the products of the basis pairs
+    over (h1, h2) against the dimension over h1 h2, one composable pair at
+    a time."""
+    from gpdkit.bundle import FiberElement
     H = E.base
     for (h1, h2) in H.composable_pairs():
         d12 = E.dim(H.compose(h1, h2))
         if d12 == 0:
             continue
-        rows = []
-        for expansion in E.mul.get((h1, h2), {}).values():
-            row = np.zeros(d12, dtype=complex)
-            for k, w in expansion.items():
-                row[k] = w
-            rows.append(row)
+        rows = [fiber_product(FiberElement.basis(E, h1, i),
+                              FiberElement.basis(E, h2, j)).vec
+                for i in range(E.dim(h1)) for j in range(E.dim(h2))]
         rank = _row_rank(rows, tol)
         if rank < d12:
             return False, f"span E_{h1!r} * E_{h2!r} has rank {rank} < {d12}"
@@ -317,8 +365,7 @@ class DenseSectionSpace:
     matrix, filled one basis product at a time."""
 
     def __init__(self, E, tol=1e-9):
-        from gpdkit.bundle import (FellBundleError, FiberElement, fiber_mul,
-                                   fiber_star)
+        from gpdkit.bundle import FellBundleError, FiberElement
         self.bundle = E
         H = E.base
         n = E.total_dim()
@@ -327,9 +374,9 @@ class DenseSectionSpace:
             d = E.dim(h)
             alg = E.unit_algebra(H.src[h]) if d else None
             for i in range(d):
-                si = fiber_star(FiberElement.basis(E, h, i))
+                si = fiber_adjoint(FiberElement.basis(E, h, i))
                 for j in range(d):
-                    prod = fiber_mul(si, FiberElement.basis(E, h, j))
+                    prod = fiber_product(si, FiberElement.basis(E, h, j))
                     gram[E.first[h] + i, E.first[h] + j] = alg.tau(prod.vec)
         gram = (gram + gram.conj().T) / 2.0
         w, U = (np.linalg.eigh(gram) if n else
@@ -361,13 +408,12 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
     draws, order and witnesses, with every norm an SVD of its own
     (``element_norm``, ``DenseSectionSpace.op_norm_of_fiber``)."""
     from gpdkit.bundle import (AxiomReport, FellBundleError, FiberElement,
-                               _LATER_CHECKS, _range_errors, _slot_witness,
-                               fiber_mul, fiber_star)
+                               _LATER_CHECKS, _slot_witness)
     rng = np.random.default_rng(seed)
     rep = AxiomReport()
     H = E.base
     for name, error in zip(("axiom1_fiber_map", "axiom5_star_fiber_map"),
-                           _range_errors(E, E.mul, E.star)):
+                           E.fiber_map_errors):
         rep.add(name, error is None, 0.0 if error is None else None,
                 None if error is None else str(error))
     if not rep.passed:
@@ -379,6 +425,7 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
     comp_pairs = [p for p in H.composable_pairs()
                   if E.dim(p[0]) and E.dim(p[1])]
     res2 = res6 = 0.0
+    wit2 = wit6 = None
     for _ in range(min(samples, 25)):
         if not comp_pairs:
             break
@@ -386,16 +433,20 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
         a, b = _random_element(E, h1, rng), _random_element(E, h1, rng)
         c = _random_element(E, h2, rng)
         lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        lhs = fiber_mul(FiberElement(E, h1, lam * a.vec + b.vec), c)
-        rhs = lam * fiber_mul(a, c).vec + fiber_mul(b, c).vec
-        res2 = max(res2, float(np.max(np.abs(lhs.vec - rhs)))
-                   if lhs.vec.size else 0.0)
-        sl = fiber_star(FiberElement(E, h1, lam * a.vec + b.vec))
-        sr = np.conj(lam) * fiber_star(a).vec + fiber_star(b).vec
-        res6 = max(res6, float(np.max(np.abs(sl.vec - sr)))
-                   if sl.vec.size else 0.0)
-    rep.add("axiom2_bilinear", res2 <= tol, res2)
-    rep.add("axiom6_conjugate_linear", res6 <= tol, res6)
+        lhs = fiber_product(FiberElement(E, h1, lam * a.vec + b.vec), c)
+        rhs = lam * fiber_product(a, c).vec + fiber_product(b, c).vec
+        d = float(np.max(np.abs(lhs.vec - rhs), initial=0.0))
+        if d > res2:
+            res2, wit2 = d, f"(h={h1!r},{h2!r})"
+        sl = fiber_adjoint(FiberElement(E, h1, lam * a.vec + b.vec))
+        sr = np.conj(lam) * fiber_adjoint(a).vec + fiber_adjoint(b).vec
+        d = float(np.max(np.abs(sl.vec - sr), initial=0.0))
+        if d > res6:
+            res6, wit6 = d, f"(h={h1!r})"
+    rep.add("axiom2_bilinear", res2 <= tol, res2,
+            wit2 if res2 > tol else None)
+    rep.add("axiom6_conjugate_linear", res6 <= tol, res6,
+            wit6 if res6 > tol else None)
     table = E.table()
     for name, (res, slots), form in (
             ("axiom3_associative", table.associativity_defect(),
@@ -431,7 +482,8 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
         x, y = _random_element(E, h1, rng), _random_element(E, h2, rng)
         trials.append((h1, h2, x, element_norm(x), y, element_norm(y)))
     for h1, h2, x, nx, y, ny in trials:
-        rel = (element_norm(fiber_mul(x, y)) - nx * ny) / max(nx * ny, 1e-30)
+        rel = (element_norm(fiber_product(x, y)) - nx * ny) / max(nx * ny,
+                                                                 1e-30)
         if rel > res4:
             res4, wit4 = rel, f"(h={h1!r},{h2!r})"
     rep.add("axiom4_submultiplicative", res4 <= tol, res4,
@@ -448,7 +500,7 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
         single.append((h, x, element_norm(x)))
     for h, x, _ in single:
         spec = E.unit_algebra(H.src[h]).herm_spectrum(
-            fiber_mul(fiber_star(x), x).vec)
+            fiber_product(fiber_adjoint(x), x).vec)
         if spec.size:
             neg = max(0.0, -float(spec[0])) / max(float(spec[-1]), 1e-30)
             if neg > res10:
@@ -466,7 +518,7 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
     wit9 = witc = None
     for h, x, nx in single:
         n_op = srep.op_norm_of_fiber(x)
-        sq = fiber_mul(fiber_star(x), x)
+        sq = fiber_product(fiber_adjoint(x), x)
         n_sq = srep.op_norm_of_fiber(FiberElement(E, H.src[h], sq.vec))
         d = abs(n_sq - n_op ** 2) / max(n_op ** 2, 1e-30)
         if d > res9:
@@ -487,7 +539,7 @@ def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
     """``bisection_bimodule_check`` one element at a time: spectra per
     sample, a rank per arrow and the imprimitivity identity per basis
     triple, with the same draws, order and witnesses."""
-    from gpdkit.bundle import FiberElement, NotSaturated, fiber_mul, fiber_star
+    from gpdkit.bundle import FiberElement, NotSaturated
     from gpdkit.groupoid import Bisection, check_bisection
     from gpdkit.report import CheckList
     if not isinstance(U, Bisection):
@@ -505,9 +557,9 @@ def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
         for _ in range(max(1, samples // max(len(U.arrows), 1))):
             xi = _random_element(E, h, rng)
             b_spec = E.unit_algebra(H.src[h]).herm_spectrum(
-                fiber_mul(fiber_star(xi), xi).vec)
+                fiber_product(fiber_adjoint(xi), xi).vec)
             a_spec = E.unit_algebra(H.rng[h]).herm_spectrum(
-                fiber_mul(xi, fiber_star(xi)).vec)
+                fiber_product(xi, fiber_adjoint(xi)).vec)
             for spec in (b_spec, a_spec):
                 if spec.size:
                     res_pos = max(res_pos, max(0.0, -float(spec[0])) /
@@ -525,8 +577,9 @@ def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
                 for j in range(d):
                     x = FiberElement.basis(E, h, i)
                     y = FiberElement.basis(E, h, j)
-                    rows.append(fiber_mul(fiber_star(x), y).vec if side == "B"
-                                else fiber_mul(x, fiber_star(y)).vec)
+                    rows.append(fiber_product(fiber_adjoint(x), y).vec
+                                if side == "B"
+                                else fiber_product(x, fiber_adjoint(y)).vec)
             rank = _row_rank(rows, tol)
             if rank < dt:
                 wit = f"inner products over {h!r} span rank {rank} < {dt}"
@@ -538,12 +591,12 @@ def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
         for i in range(d):
             x = FiberElement.basis(E, h, i)
             for j in range(d):
-                ys = fiber_star(FiberElement.basis(E, h, j))
-                left_part = fiber_mul(x, ys)
+                ys = fiber_adjoint(FiberElement.basis(E, h, j))
+                left_part = fiber_product(x, ys)
                 for k in range(d):
                     z = FiberElement.basis(E, h, k)
-                    lhs = fiber_mul(left_part, z)
-                    rhs = fiber_mul(x, fiber_mul(ys, z))
+                    lhs = fiber_product(left_part, z)
+                    rhs = fiber_product(x, fiber_product(ys, z))
                     dmax = float(np.max(np.abs(lhs.vec - rhs.vec))) \
                         if lhs.vec.size else 0.0
                     if dmax > res_imp:

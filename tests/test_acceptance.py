@@ -15,7 +15,8 @@ import gpdkit.io as gio
 from gpdkit import corpus
 from gpdkit.cli import main as cli_main
 
-from oracles import group_algebra_blocks, matrix_units_check
+from oracles import (bundle_from, group_algebra_blocks, matrix_units_check,
+                     table_arrays)
 
 
 class _Timer:
@@ -177,10 +178,12 @@ def test_criterion_8_negative_controls():
 
         flip = gk.build_action_groupoid(corpus.flip_action())
         E = gk.build_bundle(flip.projection)
-        star = {h: {i: dict(e) for i, e in tab.items()}
-                for h, tab in E.star.items()}
-        star[E.base.units[0]][0] = {0: 2.0}
-        broken = gk.FellBundle(E.base, E.fibers, E.mul, star)
+        # e_0* = 2 e_0 in the first unit fiber: no longer involutive
+        arrays = table_arrays(E)
+        slot = E.first[E.base.units[0]]
+        arrays["t"][arrays["s"] == slot] = slot
+        arrays["sw"][arrays["s"] == slot] = 2.0
+        broken = bundle_from(E, arrays)
         rep = gk.verify_axioms(broken, samples=10)
         entry = rep.entry("axiom7_involutive")
         assert not entry.passed and entry.witness is not None

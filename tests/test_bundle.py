@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 import gpdkit as gk
+import gpdkit.io as gio
 from gpdkit import corpus
-from gpdkit.algebra import (AlgebraElement, cstar_norm, groupoid_table,
-                            isometry_defect, random_element)
+from gpdkit.algebra import (AlgebraElement, _unit, cstar_norm,
+                            groupoid_table, isometry_defect, random_element)
 from gpdkit.bundle import (FiberElement, Section, SectionAlgebra,
                           _hilbert_module_defect, _saturation_detail)
 from gpdkit.fiberblocks import fiber_blocks
-from oracles import (DenseSectionSpace, dense_bimodule_check,
+from oracles import (DenseSectionSpace, bundle_from, dense_bimodule_check,
                      dense_map_defects, dense_saturation_detail,
                      dense_table_residuals, dense_verify_axioms, element_norm,
-                     hilbert_module_residuals)
+                     fiber_adjoint, fiber_product, hilbert_module_residuals,
+                     slot_arrows, table_arrays)
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +88,7 @@ class TestFiberOps:
         rng = np.random.default_rng(0)
         for h in E.base.arrows:
             u = E.base.src[h]
-            ident = E.unit_algebra(u).identity_vec()
-            assert ident is not None
+            ident = _unit(E.unit_algebra(u).table, 1e-9)
             xi = FiberElement(E, h, rng.standard_normal(E.dim(h))
                               + 1j * rng.standard_normal(E.dim(h)))
             out = gk.fiber_mul(xi, FiberElement(E, u, ident))
@@ -197,12 +198,7 @@ class TestAxioms:
         assert flip_bundle.is_abelian()
 
     def test_broken_star_fails_axiom7_with_witness(self, flip_bundle):
-        E = flip_bundle
-        star = {h: {i: dict(exp) for i, exp in tab.items()}
-                for h, tab in E.star.items()}
-        u = E.base.units[0]
-        star[u][0] = {0: 2.0}  # no longer involutive
-        broken = gk.FellBundle(E.base, E.fibers, E.mul, star)
+        broken = _doubled_unit_star(flip_bundle)  # no longer involutive
         rep = gk.verify_axioms(broken, samples=20)
         entry = rep.entry("axiom7_involutive")
         assert not entry.passed
@@ -224,13 +220,18 @@ class TestAxioms:
         assert all(L.dim(h) == 1 for h in L.base.arrows)
 
 
+def _doubled_unit_star(E):
+    """E with e_0* = 2 e_0 in the first unit fiber."""
+    arrays = table_arrays(E)
+    slot = E.first[E.base.units[0]]
+    arrays["t"][arrays["s"] == slot] = slot
+    arrays["sw"][arrays["s"] == slot] = 2.0
+    return bundle_from(E, arrays)
+
+
 class TestSectionAlgebra:
     def test_requires_verified_bundle(self, flip_bundle):
-        E = flip_bundle
-        star = {h: {i: dict(exp) for i, exp in tab.items()}
-                for h, tab in E.star.items()}
-        star[E.base.units[0]][0] = {0: 2.0}
-        broken = gk.FellBundle(E.base, E.fibers, E.mul, star)
+        broken = _doubled_unit_star(flip_bundle)
         with pytest.raises(gk.BundleNotVerified):
             gk.section_algebra(broken)
 
@@ -327,14 +328,6 @@ class TestPsiNegativeControls:
     so that the section inner product stays positive definite: it only
     reads products over (inv h, h) and the star."""
 
-    @staticmethod
-    def _copy(E, mul=None, star=None):
-        mul = {k: {ij: dict(e) for ij, e in v.items()}
-               for k, v in (mul or E.mul).items()}
-        star = {h: {i: dict(e) for i, e in v.items()}
-                for h, v in (star or E.star).items()}
-        return mul, star
-
     def test_changed_mul_weight_fails_multiplicative(self, heis3_quotient,
                                                      heis3_bundle):
         E = heis3_bundle
@@ -344,12 +337,10 @@ class TestPsiNegativeControls:
             (g1, g2) for g1, g2 in G.comp
             if not {E.position[g1][0], E.position[g2][0],
                     E.position[G.comp[(g1, g2)]][0]} & set(H.units))
-        (h1, i), (h2, j) = E.position[g1], E.position[g2]
-        mul, star = self._copy(E)
-        (k, w), = mul[(h1, h2)][(i, j)].items()
-        mul[(h1, h2)][(i, j)][k] = 1.5 * w
-        broken = gk.FellBundle(E.base, E.fibers, mul, star,
-                               morphism=heis3_quotient)
+        arrays = table_arrays(E)
+        a, b = E.psi_slots[G.index[g1]], E.psi_slots[G.index[g2]]
+        arrays["w"][(arrays["a"] == a) & (arrays["b"] == b)] *= 1.5
+        broken = bundle_from(E, arrays, morphism=heis3_quotient)
         # the axioms of the intact bundle stand in, so the psi checks run
         rep = gk.verify_axioms(E, samples=5)
         iso = gk.psi_iso_check(heis3_quotient, samples=2, bundle=broken,
@@ -366,12 +357,9 @@ class TestPsiNegativeControls:
         G = heis3_quotient.domain
         g = next(g for g in G.arrows
                  if not E.base.is_unit(E.position[g][0]))
-        h, i = E.position[g]
-        mul, star = self._copy(E)
-        (k, w), = star[h][i].items()
-        star[h][i][k] = np.exp(0.3j) * w
-        broken = gk.FellBundle(E.base, E.fibers, mul, star,
-                               morphism=heis3_quotient)
+        arrays = table_arrays(E)
+        arrays["sw"][arrays["s"] == E.psi_slots[G.index[g]]] *= np.exp(0.3j)
+        broken = bundle_from(E, arrays, morphism=heis3_quotient)
         rep = gk.verify_axioms(E, samples=5)
         iso = gk.psi_iso_check(heis3_quotient, samples=2, bundle=broken,
                                axiom_report=rep)
@@ -384,11 +372,13 @@ class TestPsiNegativeControls:
     @pytest.mark.parametrize("k", [3, -1])
     def test_out_of_range_mul_index_fails_axiom1(self, heis3_bundle, k):
         E = heis3_bundle
-        mul, star = self._copy(E)
         h = E.base.arrows[1]
         u = E.base.src[h]
-        mul[(h, u)][(0, 0)] = {k: 1.0}
-        broken = gk.FellBundle(E.base, E.fibers, mul, star)
+        # the product of e_0 over h with e_0 over u moved to index k
+        arrays = table_arrays(E)
+        e = (arrays["a"] == E.first[h]) & (arrays["b"] == E.first[u])
+        arrays["c"][e], arrays["w"][e] = E.first[h] + k, 1.0
+        broken = bundle_from(E, arrays)
         rep = gk.verify_axioms(broken, samples=5)
         entry = rep.entry("axiom1_fiber_map")
         assert not entry.passed and repr(h) in entry.witness
@@ -397,6 +387,34 @@ class TestPsiNegativeControls:
         with pytest.raises(gk.FellBundleError) as exc:
             broken.table()
         assert exc.value.witness == ((h, u), (0, 0), k)
+        for consume in (gk.section_algebra, gk.abelian_extract,
+                        gio.save_bundle, lambda E: E.unit_algebra(u),
+                        lambda E: gk.fiber_norm(FiberElement.basis(E, h, 0))):
+            with pytest.raises(gk.FellBundleError):
+                consume(broken)
+
+    def test_star_onto_another_arrow_fails_axiom5(self, heis3_bundle):
+        E = heis3_bundle
+        h = E.base.arrows[1]
+        hi = E.base.inv[h]
+        assert hi != h
+        # e_2* over h sent to e_0 over h itself rather than over inv(h)
+        arrays = table_arrays(E)
+        arrays["t"][arrays["s"] == E.first[h] + 2] = E.first[h]
+        broken = bundle_from(E, arrays)
+        rep = gk.verify_axioms(broken, samples=5)
+        entry = rep.entry("axiom5_star_fiber_map")
+        assert not entry.passed and repr(h) in entry.witness
+        assert rep.entry("axiom1_fiber_map").passed and not rep.axioms_pass
+        with pytest.raises(gk.FellBundleError) as exc:
+            broken.table()
+        assert exc.value.witness == (h, 2, E.first[h] - E.first[hi])
+
+    def test_factor_slot_outside_the_table_is_refused(self, heis3_bundle):
+        arrays = table_arrays(heis3_bundle)
+        arrays["a"][0] = heis3_bundle.total_dim()
+        with pytest.raises(gk.FellBundleError):
+            bundle_from(heis3_bundle, arrays)
 
 
 def _small_bundles():
@@ -408,19 +426,20 @@ def _small_bundles():
 
 
 def _changed(E, kind, seed):
-    """E with one seeded mul or star weight multiplied by a seeded
+    """E with one seeded product or star weight multiplied by a seeded
     factor off the unit circle and away from 1, or (kind "drop") with one
-    seeded mul entry deleted."""
+    seeded product entry deleted."""
     rng = np.random.default_rng(seed)
-    mul, star = TestPsiNegativeControls._copy(E)
-    entries = [(e, k) for t in (star if kind == "star" else mul).values()
-               for e in t.values() for k in e]
-    e, k = entries[rng.integers(len(entries))]
+    arrays = table_arrays(E)
+    weights = arrays["sw" if kind == "star" else "w"]
+    e = rng.integers(len(weights))
     if kind == "drop":
-        del e[k]
+        for k in "abcw":
+            arrays[k] = np.delete(arrays[k], e)
     else:
-        e[k] *= (1.5 + rng.random()) * np.exp(1j * rng.uniform(0.5, 2.5))
-    return gk.FellBundle(E.base, E.fibers, mul, star)
+        weights[e] *= (1.5 + rng.random()) * np.exp(1j * rng.uniform(0.5,
+                                                                      2.5))
+    return bundle_from(E, arrays)
 
 
 class TestTableIdentityControls:
@@ -466,10 +485,13 @@ class TestTableIdentityControls:
     def test_commutator_in_unit_fiber_is_not_abelian(self):
         E = _small_bundles()["flip"]
         assert E.is_abelian()
-        mul, star = TestPsiNegativeControls._copy(E)
-        u = E.base.units[0]
-        mul[(u, u)][(0, 1)] = {0: 1.0}  # e_0 e_1 = e_0, e_1 e_0 = 0
-        assert not gk.FellBundle(E.base, E.fibers, mul, star).is_abelian()
+        arrays = table_arrays(E)
+        u = E.first[E.base.units[0]]
+        e = (arrays["a"] == u) & (arrays["b"] == u + 1)
+        for k, v in zip("abcw", (u, u + 1, u, 1.0)):
+            arrays[k] = np.append(arrays[k][~e], v)
+        # e_0 e_1 = e_0, e_1 e_0 = 0
+        assert not bundle_from(E, arrays).is_abelian()
 
 
 @pytest.fixture(scope="module")
@@ -596,14 +618,13 @@ class TestHilbertModuleDefect:
         pi = corpus.heisenberg_quotient(n)
         E = gk.build_bundle(pi)
         H = E.base
-        mul, star = TestPsiNegativeControls._copy(E)
+        arrays = table_arrays(E)
         # a product that lands over a unit of H enters the module check
-        entries = [(e, k) for (h1, h2), t in mul.items()
-                   if H.is_unit(H.comp[(h1, h2)])
-                   for e in t.values() for k in e]
-        e, k = entries[np.random.default_rng(seed).integers(len(entries))]
-        e[k] *= 1j
-        broken = gk.FellBundle(H, E.fibers, mul, star, morphism=pi)
+        over = slot_arrows(E)
+        entries = np.flatnonzero([H.is_unit(over[c]) for c in arrays["c"]])
+        arrays["w"][entries[np.random.default_rng(seed).integers(
+            len(entries))]] *= 1j
+        broken = bundle_from(E, arrays, morphism=pi)
         loop = hilbert_module_residuals(pi, broken)
         res, pair = _hilbert_module_defect(pi, broken)
         assert res == max(loop.values()) == pytest.approx(np.sqrt(2))
@@ -614,15 +635,16 @@ class TestHilbertModuleDefect:
         pi = corpus.heisenberg_quotient(2)
         E = gk.build_bundle(pi)
         H = E.base
-        mul, star = TestPsiNegativeControls._copy(E)
+        arrays = table_arrays(E)
         # a real factor keeps the section inner product positive, so the
         # section algebra of the changed bundle can be built
-        (h1, h2), t = next((p, t) for p, t in mul.items()
-                           if H.is_unit(H.comp[p]) and not H.is_unit(p[0]))
-        (i, j), e = next(iter(t.items()))
-        (k, w), = e.items()
-        e[k] = 1.5 * w
-        broken = gk.FellBundle(H, E.fibers, mul, star, morphism=pi)
+        over = slot_arrows(E)
+        e = next(e for e, (a, c) in enumerate(zip(arrays["a"], arrays["c"]))
+                 if H.is_unit(over[c]) and not H.is_unit(over[a]))
+        arrays["w"][e] *= 1.5
+        broken = bundle_from(E, arrays, morphism=pi)
+        (h1, i), (h2, j) = ((over[x], x - E.first[over[x]])
+                            for x in (arrays["a"][e], arrays["b"][e]))
         iso = gk.psi_iso_check(pi, samples=2, bundle=broken,
                                axiom_report=gk.verify_axioms(E, samples=5))
         entry = iso.entry("hilbert_module_match")
@@ -632,58 +654,71 @@ class TestHilbertModuleDefect:
 
 
 def _mutated(E, change):
-    """A copy of E whose mul and star dicts went through change(H, mul,
-    star)."""
-    mul, star = TestPsiNegativeControls._copy(E)
-    change(E.base, mul, star)
-    return gk.FellBundle(E.base, E.fibers, mul, star)
+    """A copy of E whose section table arrays went through change(E,
+    arrays, slot arrows)."""
+    arrays = table_arrays(E)
+    change(E, arrays, slot_arrows(E))
+    return bundle_from(E, arrays)
 
 
-def _scale_product(H, mul, star):
+def _scale_product(E, arrays, over):
     """A real factor 1.5 on one product of two non-units onto a non-unit:
     the Gram blocks, which read products onto units only, stay definite."""
-    p = next(p for p, t in mul.items() if t and not H.is_unit(p[0])
-             and not H.is_unit(p[1]) and not H.is_unit(H.comp[p]))
-    (k, w), = next(iter(mul[p].values())).items()
-    next(iter(mul[p].values()))[k] = 1.5 * w
+    H = E.base
+    e = next(e for e, abc in enumerate(zip(*(arrays[k] for k in "abc")))
+             if not any(H.is_unit(over[x]) for x in abc))
+    arrays["w"][e] *= 1.5
 
 
-def _negate_star(H, mul, star):
+def _first_non_unit(E):
+    return next(h for h in E.base.arrows if not E.base.is_unit(h))
+
+
+def _over(E, arrays, key, h):
+    """The entries whose slot ``key`` lies over h."""
+    return (arrays[key] >= E.first[h]) & (arrays[key] < E.first[h] + E.dim(h))
+
+
+def _negate_star(E, arrays, over):
     """e* -> -e* on the first non-unit arrow: e* e is negative."""
-    h = next(h for h in H.arrows if not H.is_unit(h))
-    star[h] = {i: {k: -w for k, w in e.items()} for i, e in star[h].items()}
+    arrays["sw"][_over(E, arrays, "s", _first_non_unit(E))] *= -1
 
 
-def _collapse_star(H, mul, star):
+def _collapse_star(E, arrays, over):
     """Every basis vector of the first non-unit arrow starred onto one
     vector: the products stay saturated, the inner products do not span."""
-    h = next(h for h in H.arrows if not H.is_unit(h))
-    star[h] = {i: {0: 1.0} for i in star[h]}
+    h = _first_non_unit(E)
+    on = _over(E, arrays, "s", h)
+    arrays["t"][on], arrays["sw"][on] = E.first[E.base.inv[h]], 1.0
 
 
-def _phase_one_entry(H, mul, star):
-    """A phase on one entry of the products over (h, inv h) for the first
-    non-unit arrow h: ranks stay, (x y*) z = x (y* z) breaks."""
-    h = next(h for h in H.arrows if not H.is_unit(h))
-    e = next(iter(mul[(h, H.inv[h])].values()))
-    for k in e:
-        e[k] *= 1j
+def _phase_one_entry(E, arrays, over):
+    """A phase on the product of the first basis pair over (h, inv h) for
+    the first non-unit arrow h: ranks stay, (x y*) z = x (y* z) breaks."""
+    h = _first_non_unit(E)
+    pair = _over(E, arrays, "a", h) & _over(E, arrays, "b", E.base.inv[h])
+    e = np.flatnonzero(pair)[0]
+    arrays["w"][(arrays["a"] == arrays["a"][e])
+                & (arrays["b"] == arrays["b"][e])] *= 1j
 
 
-def _empty_unit_star(H, mul, star):
+def _empty_unit_star(E, arrays, over):
     """e_0* = 0 in the first unit fiber: its trace form is degenerate."""
-    star[H.units[0]][0] = {}
+    keep = arrays["s"] != E.first[E.base.units[0]]
+    for k in ("s", "t", "sw"):
+        arrays[k] = arrays[k][keep]
 
 
 def _skew_basis_bundle():
     """C^2 over a one-arrow base in the basis u = (1, 0), v = (1, 2): the
     product v v = -u + 2 v has two terms."""
+    from gpdkit.algebra import StructureTable
     H = corpus.cyclic_groupoid(1)
-    e = H.arrows[0]
-    mul = {(e, e): {(0, 0): {0: 1.0}, (0, 1): {0: 1.0}, (1, 0): {0: 1.0},
-                    (1, 1): {0: -1.0, 1: 2.0}}}
-    return gk.FellBundle(H, {e: ("u", "v")}, mul,
-                         {e: {0: {0: 1.0}, 1: {1: 1.0}}})
+    # (a, b, c, w): u u = u v = v u = u, v v = -u + 2 v; u* = u, v* = v
+    a, b, c, w = zip((0, 0, 0, 1.0), (0, 1, 0, 1.0), (1, 0, 0, 1.0),
+                     (1, 1, 0, -1.0), (1, 1, 1, 2.0))
+    return gk.FellBundle(H, {H.arrows[0]: ("u", "v")}, StructureTable(
+        2, a, b, c, w, [0, 1], [0, 1], [1.0, 1.0]))
 
 
 def _parity_bundles():
@@ -712,8 +747,8 @@ def _parity_bundles():
         # v v = 2 u + 2 v: a two-term product with ||v v|| > ||v||^2
         "skew_basis_changed": _mutated(
             _skew_basis_bundle(),
-            lambda H, mul, star: mul[(H.arrows[0],) * 2].update(
-                {(1, 1): {0: 2.0, 1: 2.0}})),
+            lambda E, arrays, over: arrays["w"].__setitem__(
+                (arrays["a"] == 1) & (arrays["b"] == 1), 2.0)),
     }
 
 
@@ -802,8 +837,13 @@ class TestBatchedNumerics:
                            + 1j * rng.standard_normal(E.dim(h)))
               for h in E.base.arrows if E.dim(h)]
         h, X = B.rows([(x.arrow, x.vec) for x in xs])
-        for side, prod in (("B", lambda x: gk.fiber_mul(gk.fiber_star(x), x)),
-                           ("A", lambda x: gk.fiber_mul(x, gk.fiber_star(x)))):
+        for k, row, x in zip(*B.stars(h, X), xs):
+            want = fiber_adjoint(x)
+            assert E.base.arrows[k] == want.arrow
+            assert np.allclose(row[:want.vec.size], want.vec, atol=1e-12)
+        for side, prod in (
+                ("B", lambda x: fiber_product(fiber_adjoint(x), x)),
+                ("A", lambda x: fiber_product(x, fiber_adjoint(x)))):
             rows = B.square(h, X, side)
             for x, row in zip(xs, rows):
                 want = prod(x).vec
@@ -817,7 +857,7 @@ class TestBatchedNumerics:
         h2, X2 = B.rows([(x.arrow, x.vec) for _, x in pairs])
         h12, Z = B.products(h1, Y, h2, X2)
         for (y, x), k, row in zip(pairs, h12, Z):
-            want = gk.fiber_mul(y, x)
+            want = fiber_product(y, x)
             assert E.base.arrows[k] == want.arrow
             assert np.allclose(row[:want.vec.size], want.vec, atol=1e-12)
 
@@ -856,6 +896,27 @@ class TestBatchedNumerics:
 class TestBatchedNegativeControls:
     """Each numeric check fails on a mutated bundle, with a witness, through
     the batched path."""
+
+    @pytest.mark.parametrize("method, name, other", [
+        ("products", "axiom2_bilinear", "axiom6_conjugate_linear"),
+        ("stars", "axiom6_conjugate_linear", "axiom2_bilinear")])
+    def test_nonlinear_routine_fails_axioms_2_and_6(self, method, name,
+                                                    other, monkeypatch):
+        from gpdkit.fiberblocks import FiberBlocks
+        E = _small_bundles()["flip"]
+        k = E.base.index["g1"]
+        real = getattr(FiberBlocks, method)
+
+        def bent(self, h, X, *rest):
+            # x -> x |x| for the first factor over g1: not linear
+            return real(self, h, np.where((h == k)[:, None], X * np.abs(X),
+                                          X), *rest)
+        monkeypatch.setattr(FiberBlocks, method, bent)
+        rep = gk.verify_axioms(E, samples=25)
+        entry = rep.entry(name)
+        assert not entry.passed and entry.residual > 0.1
+        assert entry.witness.startswith("(h='g1'")
+        assert rep.entry(other).passed
 
     def test_scaled_product_fails_axioms_4_9_and_norm_consistency(self):
         E = _mutated(gk.build_bundle(corpus.heisenberg_quotient(2)),

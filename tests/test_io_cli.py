@@ -15,6 +15,7 @@ import gpdkit.io as gio
 from gpdkit import corpus
 from gpdkit.cli import DEMOS, HANDLERS, OPERATIONS, build_parser, main
 from gpdkit.report import canonical_json
+from oracles import bundle_from, table_arrays
 
 
 DATA = corpus.data_path("")
@@ -396,6 +397,22 @@ class TestExitContract:
         assert "$.mul[0][4]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["mul", "star"])
+    def test_repeated_bundle_entry_exits_2(self, key, tmp_path, capsys):
+        # table entries add up, so a second entry for one [h1, i, h2, j]
+        # (or [h, i]) is refused rather than summed or kept last
+        E = gk.build_bundle(gio.load_morphism(
+            corpus.data_path("flip_covering.morphism.json")))
+        obj = gio.save_bundle(E)
+        obj[key].insert(2, obj[key][0])
+        path = tmp_path / "repeated.json"
+        path.write_text(canonical_json(obj))
+        code, out, err = run_cli(["bundle", "verify", "--bundle", str(path)],
+                                 capsys)
+        assert code == 2
+        assert f"$.{key}[2]" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("phase", [np.pi / 2, 1e-10],
                              ids=["quarter-turn", "1e-10"])
     def test_shifted_cocycle_extract_fails_with_witness(self, phase,
@@ -563,17 +580,13 @@ class TestExitContract:
 
 def _rescaled(E, h, eps):
     """E in the basis with e_0 over h replaced by eps e_0."""
-    H = E.base
-
-    def scale(arrow, i):
-        return eps if arrow == h and i == 0 else 1.0
-    mul = {p: {(i, j): {k: w * scale(p[0], i) * scale(p[1], j)
-                        / scale(H.comp[p], k) for k, w in e.items()}
-               for (i, j), e in t.items()} for p, t in E.mul.items()}
-    star = {g: {i: {k: w * scale(g, i) / scale(H.inv[g], k)
-                    for k, w in e.items()} for i, e in t.items()}
-            for g, t in E.star.items()}
-    return gk.FellBundle(H, E.fibers, mul, star)
+    arrays = table_arrays(E)
+    scale = np.ones(E.total_dim())
+    scale[E.first[h]] = eps
+    a, b, c, s, t = (arrays[k] for k in "abcst")
+    arrays["w"] = arrays["w"] * scale[a] * scale[b] / scale[c]
+    arrays["sw"] = arrays["sw"] * scale[s] / scale[t]
+    return bundle_from(E, arrays)
 
 
 class TestShippedData:
