@@ -336,6 +336,10 @@ class RegularRepresentation:
         self.table = groupoid_table(G) if table is None else table
         self.blocks = [np.fromiter((G.index[g] for g in G.arrows_from(u)),
                                    np.int64) for u in G.units]
+        by_size = {}
+        for b in self.blocks:
+            by_size.setdefault(len(b), []).append(b)
+        self._stacks = [np.stack(bs) for bs in by_size.values()]
 
     def matrices(self, f) -> list:
         """Block matrices of an AlgebraElement or a coefficient vector."""
@@ -343,9 +347,12 @@ class RegularRepresentation:
         return [M[np.ix_(b, b)] for b in self.blocks]
 
     def norm(self, f) -> float:
-        """Operator norm: the largest singular value over the blocks."""
-        return max((float(np.linalg.norm(M, 2)) for M in self.matrices(f)),
-                   default=0.0)
+        """Operator norm: the largest singular value over the blocks, one
+        stacked 2-norm per block size."""
+        M = self.table.left(getattr(f, "coeffs", f))
+        return max((float(np.linalg.norm(M[S[:, :, None], S[:, None, :]], 2,
+                                         axis=(1, 2)).max())
+                    for S in self._stacks), default=0.0)
 
 
 def cstar_norm(G: FiniteGroupoid, f: AlgebraElement) -> float:

@@ -616,12 +616,15 @@ def cmd_demo(args, report: Report):
         pi = corpus.heisenberg_quotient(n)
         G = pi.domain
         report.inputs[f"heis{n}"] = _groupoid_digest(G)
-        inv = wedderburn(G, seed=args.seed, tol=args.tol)
-        report.extras["blocks"] = list(inv.blocks)
-        report.add("blocks_sum_of_squares",
-                   sum(b * b for b in inv.blocks) == n ** 3, 0.0)
         iso = psi_iso_check(pi, tol=args.tol, samples=args.samples,
                             seed=args.seed)
+        # psi's Wedderburn of G has this seed and tolerance
+        blocks = iso.blocks_domain
+        if blocks is None:
+            blocks = wedderburn(G, seed=args.seed, tol=args.tol).blocks
+        report.extras["blocks"] = list(blocks)
+        report.add("blocks_sum_of_squares",
+                   sum(b * b for b in blocks) == n ** 3, 0.0)
         report.add_entries(iso.entries, prefix="psi_")
         ext = corpus.heisenberg_extension(n)
         res = group_extension_bundle(ext, tol=args.tol,

@@ -23,6 +23,9 @@ def _format_float(x: float) -> str:
 
 
 def _escape(s: str) -> str:
+    # isprintable() is false below 0x20, so such strings need no escapes
+    if '"' not in s and "\\" not in s and s.isprintable():
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch == '"':

@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 
 from gpdkit.algebra import groupoid_table
+from gpdkit.groupoid import FiniteGroupoid
 
 
 def group_closure(elements, mul, seed):
@@ -207,6 +208,39 @@ def dense_map_defects(A, B, U):
     star = np.array([np.abs(B.star(U[:, s]) - U @ A.star(e[s])).max(
         initial=0.0) for s in range(n)])
     return mul, star
+
+
+def table_associativity_witness(arrows, units, src, rng, inv, comp):
+    """The failing triple that the structure table names for raw groupoid
+    tables: the entry of ``groupoid_table(G).associativity_defect()``
+    mapped to arrows (every failing entry of a w = 1 table with one
+    composite per pair has |defect| 1, so the first in index order), or
+    None."""
+    G = FiniteGroupoid(arrows, units, src, rng, inv, comp)
+    _, triple = groupoid_table(G).associativity_defect()
+    return None if triple is None else tuple(G.arrows[i] for i in triple)
+
+
+def escape_loop(s):
+    """JSON string literal of s, one character at a time."""
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
 
 
 def dense_faithfulness_defect(G):

@@ -112,6 +112,19 @@ class TestNorm:
                     n1 * n2 + 1e-9
                 assert abs(gk.cstar_norm(G, gk.involute(f1)) - n1) <= 1e-9
 
+    def test_stacked_norm_matches_the_per_block_norms(self):
+        # unit blocks of sizes 1, 2 and 3 next to a one-unit block of 4
+        G = corpus.disjoint_union([("c", corpus.cyclic_groupoid(4)),
+                                   ("p", corpus.pair_groupoid(2)),
+                                   ("q", corpus.pair_groupoid(3)),
+                                   ("z", corpus.cyclic_groupoid(1))])
+        rep = gk.RegularRepresentation(G)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            f = random_element(G, rng)
+            loop = max(np.linalg.norm(M, 2) for M in rep.matrices(f))
+            assert rep.norm(f) == pytest.approx(loop, rel=1e-14)
+
     def test_convolution_associativity_random(self, heis3):
         rng = np.random.default_rng(5)
         for _ in range(10):

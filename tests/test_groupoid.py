@@ -1,8 +1,12 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 import gpdkit as gk
 from gpdkit import corpus
 from gpdkit.groupoid import pair_id
+from oracles import table_associativity_witness
 
 
 def test_pair_groupoid_validates(pair2):
@@ -44,6 +48,114 @@ def test_corrupted_z3_fails_associativity():
         gk.validate_groupoid(*raw)
     # g1*g1 was redirected to g0: the first failing triple in arrow order
     assert exc.value.witness == ("g1", "g1", "g2")
+
+
+def _tables(G):
+    return (list(G.arrows), list(G.units), dict(G.src), dict(G.rng),
+            dict(G.inv), dict(G.comp))
+
+
+def _failure(raw):
+    """(witness, message) of the AssociativityFailure raised on raw
+    tables, or None when they validate."""
+    try:
+        gk.validate_groupoid(*raw)
+    except gk.AssociativityFailure as exc:
+        return exc.witness, str(exc)
+    return None
+
+
+def _oracle_failure(raw):
+    triple = table_associativity_witness(*raw)
+    if triple is None:
+        return None
+    g1, g2, g3 = triple
+    return triple, f"({g1!r}*{g2!r})*{g3!r} != {g1!r}*({g2!r}*{g3!r})"
+
+
+def _union():
+    return corpus.disjoint_union([("c", corpus.cyclic_groupoid(4)),
+                                  ("p", corpus.pair_groupoid(3)),
+                                  ("h", corpus.heisenberg_groupoid(2))])
+
+
+def _action():
+    action = corpus.random_action(np.random.default_rng(11), max_arrows=24)
+    return gk.build_action_groupoid(action).groupoid
+
+
+CORPUS = {"pair2": lambda: corpus.pair_groupoid(2),
+          "z3": lambda: corpus.cyclic_groupoid(3),
+          "heis3": lambda: corpus.heisenberg_groupoid(3),
+          "union": _union, "action": _action}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_groupoids_pass_as_on_the_table(name):
+    raw = _tables(CORPUS[name]())
+    assert _failure(raw) is None
+    assert _oracle_failure(raw) is None
+
+
+def test_corrupted_z3_witness_and_message_match_the_table():
+    raw = corpus.corrupted_z3_tables()
+    assert _failure(raw) == _oracle_failure(raw)
+
+
+def _redirected(G, rng):
+    """G's tables with one composite g1 g2 (no unit, g2 != inv g1) sent to
+    another arrow with the same source and range, so only associativity
+    can fail."""
+    pairs = [(g1, g2) for (g1, g2), g12 in G.comp.items()
+             if not G.is_unit(g1) and not G.is_unit(g2) and G.inv[g1] != g2
+             and any(h != g12 and G.src[h] == G.src[g12]
+                     and G.rng[h] == G.rng[g12] for h in G.arrows)]
+    g1, g2 = pairs[rng.integers(len(pairs))]
+    g12 = G.comp[(g1, g2)]
+    others = [h for h in G.arrows if h != g12 and G.src[h] == G.src[g12]
+              and G.rng[h] == G.rng[g12]]
+    raw = _tables(G)
+    raw[5][(g1, g2)] = others[rng.integers(len(others))]
+    return raw
+
+
+@pytest.mark.parametrize("name, seed", [("heis3", 0), ("heis3", 1),
+                                        ("z6", 2), ("union", 3),
+                                        ("union", 4), ("action", 5)])
+def test_redirected_composites_fail_as_on_the_table(name, seed):
+    G = {"heis3": CORPUS["heis3"], "z6": lambda: corpus.cyclic_groupoid(6),
+         "union": _union, "action": _action}[name]()
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        raw = _redirected(G, rng)
+        got = _failure(raw)
+        assert got is not None
+        assert got == _oracle_failure(raw)
+
+
+def test_first_failure_past_the_first_slab(monkeypatch):
+    # heis3 arrows each start 729 triples, so the first pass of 1000
+    # covers two of them; the failure lies in the z3 part, 27 arrows on
+    monkeypatch.setattr(gk.algebra, "_TRIPLES_PER_PASS", 1000)
+    raw = _tables(corpus.disjoint_union(
+        [("h", corpus.heisenberg_groupoid(3)),
+         ("z", corpus.cyclic_groupoid(3))]))
+    raw[5][("z:g1", "z:g1")] = "z:g0"
+    got = _failure(raw)
+    assert got == _oracle_failure(raw)
+    assert got[0] == ("z:g1", "z:g1", "z:g2")
+
+
+def test_heis6_validation_memory_is_bounded():
+    # the table path sorts two complex terms per triple: 25.5 MiB
+    raw = _tables(corpus.heisenberg_groupoid(6))
+    tracemalloc.start()
+    try:
+        gk.validate_groupoid(*raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_missing_composite_detected(z3):

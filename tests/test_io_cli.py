@@ -14,8 +14,8 @@ import gpdkit as gk
 import gpdkit.io as gio
 from gpdkit import corpus
 from gpdkit.cli import DEMOS, HANDLERS, OPERATIONS, build_parser, main
-from gpdkit.report import canonical_json
-from oracles import bundle_from, table_arrays
+from gpdkit.report import _escape, canonical_json
+from oracles import bundle_from, escape_loop, table_arrays
 
 
 DATA = corpus.data_path("")
@@ -28,6 +28,13 @@ def run_cli(argv, capsys):
 
 
 class TestFormats:
+    @pytest.mark.parametrize("text", [
+        "", "plain (g1,g2) [0,1,0]", 'say "hi"', "back\\slash", "a\nb",
+        "\t\r\b\f", "\x00", "\x1f", "\x7f", "caf\u00e9", "line\u2028sep",
+        "\u00e9\"\\\x01"])
+    def test_escape_matches_the_character_loop(self, text):
+        assert _escape(text) == escape_loop(text)
+
     def test_groupoid_roundtrip(self, heis3, tmp_path):
         obj = gio.save_groupoid(heis3)
         path = tmp_path / "g.json"
