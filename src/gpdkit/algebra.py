@@ -23,6 +23,9 @@ cocycles: the twisted groupoid algebra uses e_g* = conj(omega(inv g, g))
 e_{inv g}, while the bundle of a twisted morphism uses
 e_g* = conj(omega(g, inv g)) e_{inv g}.
 
+Associativity of every table is :meth:`StructureTable.associativity_defect`:
+by gathers where each pair has one product term (the tables of groupoids,
+twisted groupoids, groups and morphism bundles), by a sort elsewhere.
 Block-size invariants of such algebras (the complete isomorphism
 invariant at this scale) are computed by :func:`wedderburn`.
 """
@@ -53,8 +56,8 @@ def _scatter(index, values, size: int) -> np.ndarray:
             + 1j * np.bincount(index, values.imag, size))
 
 
-# terms per pass of associativity_defect, at about 300 bytes each
-_TRIPLES_PER_PASS = 1 << 17
+# triples per pass of associativity_defect (gathered: about 80 bytes each)
+_TRIPLES_PER_PASS = 1 << 16
 
 
 def _join(x, y, order=None):
@@ -170,8 +173,63 @@ class StructureTable:
 
     def associativity_defect(self):
         """(max |coefficient difference| between (e_a e_b) e_k and
-        e_a (e_b e_k) over all basis triples, (a, b, k) of that entry or
-        None), taken in passes along a of about _TRIPLES_PER_PASS terms."""
+        e_a (e_b e_k) over all basis triples, (a, b, k) of the first such
+        entry in basis order, or None), in passes of _TRIPLES_PER_PASS
+        triples: gathered as |w(a,b) w(ab,k) - w(b,k) w(a,bk)|, or the
+        larger modulus where the sides differ in basis element, on tables
+        of the pattern below, sorted on any other."""
+        n, a, b, c = self.dim, self.a, self.b, self.c
+        # r(b): the first a with an entry (a, b); s(a) = r(b) (n, n + 1:
+        # none). Gathers take one entry for each pair with s(a) = r(b) and
+        # no other, and s(c) = s(b), r(c) = r(a), so that both sides of
+        # every triple exist; the row of a lists e_a e_b = W e_P at the
+        # slots off[a] + rpos[b], b of label s(a) in basis order
+        r, s = np.full(n, n), np.full(n, n + 1)
+        np.minimum.at(r, b, a)
+        s[a] = r[b]
+        width = np.bincount(r, minlength=n + 2)[s]  # row length of a
+        off = np.concatenate(([0], np.cumsum(width)))
+        order = np.lexsort((b, a))
+        A, B, P, W = (v[order] for v in (a, b, c, self.w))
+        rpos = np.zeros(n, np.int64)
+        rpos[B] = np.arange(len(B)) - off[A]
+        if np.any((s[a] != r[b]) | (s[c] != s[b]) | (r[c] != r[a])) or not \
+                np.array_equal(off[A] + rpos[B], np.arange(off[-1])):
+            return self._sorted_associativity_defect()
+        # slot q = (a, b) starts triple tri[q] of the triples (a, b, k), k
+        # over the row of b: (b, k) is at off[b] + rpos[k], (a b, k) at
+        # off[a b] + rpos[k] and (a, b k) at q - rpos[b] + rpos[b k]
+        tri = np.concatenate(([0], np.cumsum(width[B])))
+        rpos_p = rpos[P]
+        cuts = np.concatenate(([0], np.flatnonzero(np.diff(
+            tri[:-1] // _TRIPLES_PER_PASS)) + 1, [len(B)]))
+        best = (0.0, None)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            q = np.arange(lo, hi)
+            runs = width[B[q]]
+            first = tri[q] - tri[lo]  # first triple of each slot
+            bk = np.repeat(off[B[q]] - first, runs) + np.arange(
+                tri[hi] - tri[lo])
+            left = bk + np.repeat(off[P[q]] - off[B[q]], runs)
+            right = np.repeat(q - rpos[B[q]], runs) + rpos_p[bk]
+            moved = np.flatnonzero(P[left] != P[right])
+            lw = np.repeat(W[q], runs)  # in place: few temporaries per pass
+            lw *= W[left]
+            rw = W[bk]
+            rw *= W[right]
+            apart = np.maximum(np.abs(lw[moved]), np.abs(rw[moved]))
+            res = np.abs(np.subtract(lw, rw, out=lw))
+            res[moved] = apart
+            if res.max(initial=0.0) > best[0]:
+                t = int(np.argmax(res))
+                qa = lo + int(np.searchsorted(first, t, "right")) - 1
+                best = (float(res[t]),
+                        (int(A[qa]), int(B[qa]), int(B[bk[t]])))
+        return best
+
+    def _sorted_associativity_defect(self):
+        """:meth:`associativity_defect` of any table: the terms of both
+        sides are summed per (a, b, k, basis element) by a sort."""
         n = self.dim
         # terms of both sides per first factor a
         load = np.bincount(self.a, np.bincount(self.a, minlength=n)[self.c]

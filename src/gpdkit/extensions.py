@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _trusted
-from .algebra import (_TRIPLES_PER_PASS, AlgebraElement, cstar_norm,
+from .algebra import (AlgebraElement, StructureTable, cstar_norm,
                       groupoid_table, isometry_defect, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
@@ -53,9 +53,9 @@ def unit_root(t: int, d: int) -> complex:
 class GroupTable:
     """A finite group as an element list with a multiplication table.
 
-    The axioms are checked on an integer index matrix, associativity as a
-    vectorized comparison in slabs of bounded size, so memory stays
-    bounded for a thousand elements.
+    The unit and inverses are read from the integer index matrix of the
+    products, associativity from its structure table by gathers in passes
+    of bounded size, so memory stays bounded for a thousand elements.
     """
 
     __slots__ = ("elements", "mul", "unit", "inv", "index")
@@ -93,18 +93,13 @@ class GroupTable:
                 raise GroupoidError(f"{a!r} has no inverse", witness=a)
             inv[a] = self.elements[int(cands[0])]
         self.inv = inv
-        # (a b) c against a (b c) in slabs of consecutive a, each about
-        # _TRIPLES_PER_PASS triples, so no (n, n, n) cube is formed; the
-        # first failing slab names the first failing triple
-        step = max(1, _TRIPLES_PER_PASS // (n * n))
-        for lo in range(0, n, step):
-            rows = M[lo:lo + step]
-            bad = np.argwhere(M[rows] != rows[:, M])
-            if len(bad):
-                a, b, c = (self.elements[i] for i in bad[0] + (lo, 0, 0))
-                raise GroupoidError(
-                    f"associativity fails on ({a!r},{b!r},{c!r})",
-                    witness=(a, b, c))
+        _, triple = StructureTable(n, np.repeat(rng_n, n), np.tile(rng_n, n),
+                                   M, np.ones(n * n), [], [],
+                                   []).associativity_defect()
+        if triple is not None:
+            a, b, c = (self.elements[i] for i in triple)
+            raise GroupoidError(f"associativity fails on ({a!r},{b!r},{c!r})",
+                                witness=(a, b, c))
 
     def __len__(self):
         return len(self.elements)

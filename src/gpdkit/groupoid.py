@@ -18,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
-import numpy as np
-
 Arrow = Hashable
 
 
@@ -145,10 +143,9 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
 
     ``comp`` may be a mapping ``(g1, g2) -> g12`` or an iterable of
     ``(g1, g2, g12)`` triples; it must cover exactly the composable pairs.
-    Associativity is the integer identity (g1 g2) g3 = g1 (g2 g3) over
-    every composable triple, read from the structure table (w = 1) that
-    is built here and kept on the returned groupoid
-    (:func:`_first_nonassociative`). Raises MissingComposite,
+    Associativity is ``StructureTable.associativity_defect`` of the w = 1
+    structure table, built here and kept on the returned groupoid: its
+    residual must be 0. Raises MissingComposite,
     IllegalComposite, AssociativityFailure (witness: the first failing
     triple in arrow order), UnitFailure or InverseFailure, each with the
     offending arrows.
@@ -226,64 +223,14 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
             raise InverseFailure(
                 f"{gi!r} * {g!r} != src({g!r})", witness=(gi, g))
 
-    # algebra imports this module; the pass size is read at call time
-    from .algebra import _TRIPLES_PER_PASS, groupoid_table
-    triple = _first_nonassociative(G, groupoid_table(G), _TRIPLES_PER_PASS)
-    if triple is not None:
+    from .algebra import groupoid_table  # algebra imports this module
+    res, triple = groupoid_table(G).associativity_defect()
+    if res > 0:
         g1, g2, g3 = (arrows[i] for i in triple)
         raise AssociativityFailure(
             f"({g1!r}*{g2!r})*{g3!r} != {g1!r}*({g2!r}*{g3!r})",
             witness=(g1, g2, g3))
     return G
-
-
-def _first_nonassociative(G: FiniteGroupoid, table, per_pass: int):
-    """First (a, b, k) in arrow-index order with (a b) k != a (b k), or
-    None, for the w = 1 ``table`` of G with one entry per composable pair.
-
-    The composites are stored by rows (CSR): the row of a lists a b over
-    the arrows b with range s(a), in arrow order, so a b is
-    P[off[a] + rpos[b]], with rpos[b] the position of b among the arrows
-    of its range. The triples are compared in slabs of consecutive a, each
-    about ``per_pass`` triples, by gathers only.
-    """
-    n = len(G.arrows)
-    s = np.fromiter((G.index[G.src[g]] for g in G.arrows), np.int64, n)
-    r = np.fromiter((G.index[G.rng[g]] for g in G.arrows), np.int64, n)
-    size = np.bincount(r, minlength=n)  # arrows per range
-    by_rng = np.argsort(r, kind="stable")
-    rpos = np.empty(n, np.int64)
-    rpos[by_rng] = np.arange(n) - (np.cumsum(size) - size)[r[by_rng]]
-    width = size[s]  # row length of a: the arrows b with r(b) = s(a)
-    off = np.concatenate(([0], np.cumsum(width)))
-    slot = off[table.a] + rpos[table.b]
-    P = np.empty(len(slot), np.int64)
-    B = np.empty(len(slot), np.int64)
-    P[slot], B[slot] = table.c, table.b
-    # the triples (a, b, k) of slot q = (a, b) take k over the row of b,
-    # and tri[q] counts those of the slots before q; (a b) k sits at
-    # off[a b] + rpos[k] and a (b k) at off[a] + rpos[b k] = q - rpos[b]
-    # + rpos[b k]
-    tri = np.concatenate(([0], np.cumsum(width[B])))
-    rpos_b, rpos_p = rpos[B], rpos[P]
-    part = tri[off[:-1]] // per_pass
-    cuts = np.concatenate(([0], np.flatnonzero(np.diff(part)) + 1, [n]))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        q = np.arange(off[lo], off[hi])
-        runs = width[B[q]]
-        first = tri[q] - tri[off[lo]]  # first triple of each slot
-        # slot of (b, k) for each triple (a, b, k) of the slab, in order
-        bk = np.repeat(off[B[q]] - first, runs) + np.arange(
-            tri[off[hi]] - tri[off[lo]])
-        lhs = P[np.repeat(off[P[q]], runs) + rpos_b[bk]]
-        rhs = P[np.repeat(q - rpos_b[q], runs) + rpos_p[bk]]
-        bad = np.flatnonzero(lhs != rhs)
-        if len(bad):
-            t = int(bad[0])
-            qa = int(q[np.searchsorted(first, t, "right") - 1])
-            a = int(np.searchsorted(off, qa, "right")) - 1
-            return a, int(B[qa]), int(B[bk[t]])
-    return None
 
 
 def _trusted(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:

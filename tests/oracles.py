@@ -212,12 +212,12 @@ def dense_map_defects(A, B, U):
 
 def table_associativity_witness(arrows, units, src, rng, inv, comp):
     """The failing triple that the structure table names for raw groupoid
-    tables: the entry of ``groupoid_table(G).associativity_defect()``
-    mapped to arrows (every failing entry of a w = 1 table with one
-    composite per pair has |defect| 1, so the first in index order), or
-    None."""
+    tables, by the sorting path that takes any table: the entry of
+    ``groupoid_table(G)._sorted_associativity_defect()`` mapped to arrows
+    (every failing entry of a w = 1 table with one composite per pair has
+    |defect| 1, so the first in index order), or None."""
     G = FiniteGroupoid(arrows, units, src, rng, inv, comp)
-    _, triple = groupoid_table(G).associativity_defect()
+    _, triple = groupoid_table(G)._sorted_associativity_defect()
     return None if triple is None else tuple(G.arrows[i] for i in triple)
 
 
@@ -440,7 +440,8 @@ class DenseSectionSpace:
 def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
     """``verify_axioms`` one element at a time: the same checks, random
     draws, order and witnesses, with every norm an SVD of its own
-    (``element_norm``, ``DenseSectionSpace.op_norm_of_fiber``)."""
+    (``element_norm``, ``DenseSectionSpace.op_norm_of_fiber``) and axiom
+    3 by the sorting path of the structure table."""
     from gpdkit.bundle import (AxiomReport, FellBundleError, FiberElement,
                                _LATER_CHECKS, _slot_witness)
     rng = np.random.default_rng(seed)
@@ -483,7 +484,7 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
             wit6 if res6 > tol else None)
     table = E.table()
     for name, (res, slots), form in (
-            ("axiom3_associative", table.associativity_defect(),
+            ("axiom3_associative", table._sorted_associativity_defect(),
              "(h={} e={})"),
             ("axiom7_involutive", table.involution_defect(), "(h={}, e={})"),
             ("axiom8_antimultiplicative", table.antimultiplicative_defect(),

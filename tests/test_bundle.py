@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,28 @@ class TestAxioms:
         rep = gk.verify_axioms(E, samples=30)
         assert rep.axioms_pass     # it is a genuine bundle
         assert not rep.saturated   # but products do not span
+
+    def test_zero_product_weight_is_not_saturated(self):
+        # beyond nonsaturated_surjection: a saturated twisted line bundle
+        # with the product of one pair of non-units (not onto a unit) set
+        # to 0, so that pair spans nothing
+        rng = np.random.default_rng(5)
+        G = gk.build_action_groupoid(corpus.random_action(rng)).groupoid
+        E = gk.line_bundle(G, corpus.random_cocycle(G, rng))
+        assert gk.verify_axioms(E, samples=5).saturated
+        g1, g2 = next((g1, g2) for (g1, g2), g in G.comp.items()
+                      if not (G.is_unit(g1) or G.is_unit(g2)
+                              or G.is_unit(g)))
+        arrays = table_arrays(E)
+        arrays["w"][(arrays["a"] == E.first[g1])
+                    & (arrays["b"] == E.first[g2])] = 0.0
+        broken = bundle_from(E, arrays)
+        entry = gk.verify_axioms(broken, samples=5).entry("saturation")
+        assert not entry.passed
+        assert entry.witness == f"span E_{g1!r} * E_{g2!r} has rank 0 < 1"
+        with pytest.raises(gk.NotSaturated) as exc:
+            gk.abelian_extract(broken)
+        assert exc.value.witness == entry.witness
 
     def test_line_bundle_of_cocycle(self, z3):
         om = corpus.zn2_bilinear_cocycle(2)
@@ -442,19 +466,39 @@ def _changed(E, kind, seed):
     return bundle_from(E, arrays)
 
 
+def _shifted_twist(seed):
+    """The twisted groupoid table of a random action groupoid and cocycle,
+    with the cocycle value of one seeded pair of non-units turned by a
+    phase."""
+    rng = np.random.default_rng(seed)
+    G = gk.build_action_groupoid(corpus.random_action(rng)).groupoid
+    omega = dict(corpus.random_cocycle(G, rng).omega)
+    pairs = [p for p in omega if not G.is_unit(p[0]) and not G.is_unit(p[1])]
+    omega[pairs[rng.integers(len(pairs))]] *= np.exp(0.7j)
+    return groupoid_table(G, omega)
+
+
 class TestTableIdentityControls:
     """The exact bundle axioms are defects of the section table: each
     equals a brute-force dense residual, and one changed weight fails the
     matching axiom with a witness."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("kind", ["mul", "star", "drop"])
-    @pytest.mark.parametrize("name", ["flip", "heis2", "line"])
+    # one entry per pair, so gathered: every "mul" and "star" input and
+    # the twisted table with one omega entry shifted; sorted: every "drop"
+    # input and the C^2 bundle with a two-term product
+    @pytest.mark.parametrize("name, kind, seed", [
+        (name, kind, seed) for name in ("flip", "heis2", "line")
+        for kind in ("mul", "star", "drop") for seed in (0, 1)]
+        + [("twisted", "shift", 0), ("skew_basis", "mul", 0)])
     def test_defects_match_dense_oracle(self, name, kind, seed,
                                         monkeypatch):
-        # passes of a few terms, so that a triple check spans many
+        # passes of a few triples, so that a triple check spans many
         monkeypatch.setattr(gk.algebra, "_TRIPLES_PER_PASS", 16)
-        table = _changed(_small_bundles()[name], kind, seed).table()
+        if kind == "shift":
+            table = _shifted_twist(seed)
+        else:
+            bundles = {**_small_bundles(), "skew_basis": _skew_basis_bundle()}
+            table = _changed(bundles[name], kind, seed).table()
         defects = (table.associativity_defect()[0],
                    table.involution_defect()[0],
                    table.antimultiplicative_defect()[0])
@@ -492,6 +536,19 @@ class TestTableIdentityControls:
             arrays[k] = np.append(arrays[k][~e], v)
         # e_0 e_1 = e_0, e_1 e_0 = 0
         assert not bundle_from(E, arrays).is_abelian()
+
+
+def test_heis7_associativity_memory_is_bounded():
+    # gathered in passes of _TRIPLES_PER_PASS triples: 12.3 MiB; sorting
+    # two complex terms per triple takes 27.2 MiB (and 17.5 s)
+    table = gk.build_bundle(corpus.heisenberg_quotient(7)).table()
+    tracemalloc.start()
+    try:
+        assert table.associativity_defect() == (0.0, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2 ** 20
 
 
 @pytest.fixture(scope="module")

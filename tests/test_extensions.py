@@ -45,6 +45,20 @@ class TestGroupTable:
             GroupTable(els, mul)
         assert exc.value.witness == first
 
+    def test_corrupted_group_fails_as_its_groupoid(self):
+        # the same first triple through the group table and through the
+        # one-unit groupoid of the same products
+        els, mul, _ = corpus.heisenberg_elements(3)
+        inv = GroupTable(els, mul).inv
+        mul[("[0,1,0]", els[5])], mul[("[0,1,0]", els[9])] = \
+            mul[("[0,1,0]", els[9])], mul[("[0,1,0]", els[5])]
+        with pytest.raises(gk.GroupoidError) as by_group:
+            GroupTable(els, mul)
+        unit = {a: els[0] for a in els}
+        with pytest.raises(gk.AssociativityFailure) as by_groupoid:
+            gk.validate_groupoid(els, [els[0]], unit, unit, inv, mul)
+        assert by_group.value.witness == by_groupoid.value.witness
+
     def test_heis6_associativity_memory_is_bounded(self):
         # the (216, 216, 216) int64 cubes of (a b) c and a (b c) would
         # take 77 MiB each

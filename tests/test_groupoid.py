@@ -134,8 +134,8 @@ def test_redirected_composites_fail_as_on_the_table(name, seed):
 
 
 def test_first_failure_past_the_first_slab(monkeypatch):
-    # heis3 arrows each start 729 triples, so the first pass of 1000
-    # covers two of them; the failure lies in the z3 part, 27 arrows on
+    # heis3 pairs each start 27 triples, so a pass of 1000 covers 37 of
+    # them; the failure lies in the z3 part, past the 729 heis3 pairs
     monkeypatch.setattr(gk.algebra, "_TRIPLES_PER_PASS", 1000)
     raw = _tables(corpus.disjoint_union(
         [("h", corpus.heisenberg_groupoid(3)),
@@ -147,7 +147,8 @@ def test_first_failure_past_the_first_slab(monkeypatch):
 
 
 def test_heis6_validation_memory_is_bounded():
-    # the table path sorts two complex terms per triple: 25.5 MiB
+    # gathered by StructureTable.associativity_defect: 12.3 MiB; sorting
+    # two complex terms per triple took 25.5 MiB
     raw = _tables(corpus.heisenberg_groupoid(6))
     tracemalloc.start()
     try:

@@ -296,8 +296,12 @@ class TestCli:
         argv = [sys.executable, "-m", "gpdkit.cli", "bundle", "verify",
                 "--morphism", corpus.data_path("flip_covering.morphism.json"),
                 "--seed", "3", "--samples", "30"]
-        r1 = subprocess.run(argv, capture_output=True, text=True)
-        r2 = subprocess.run(argv, capture_output=True, text=True)
+        # the child imports the gpdkit under test, installed or not
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+            os.path.dirname(os.path.dirname(gk.__file__)),
+            os.environ.get("PYTHONPATH"))))}
+        r1 = subprocess.run(argv, capture_output=True, text=True, env=env)
+        r2 = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert r1.stdout.strip()
