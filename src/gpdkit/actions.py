@@ -66,9 +66,6 @@ class GroupoidAction:
         self.anchor = dict(anchor)
         self.act = dict(act)
 
-    def apply(self, h, x):
-        return self.act[(h, x)]
-
 
 def validate_action(a: GroupoidAction) -> GroupoidAction:
     """Exhaustive check of the action axioms; witnesses on failure."""
@@ -295,7 +292,7 @@ class TwistedConvolutionAlgebra:
         self.G = G
         self.omega = omega
         self.table = groupoid_table(G, omega.omega)
-        self.rep = RegularRepresentation(G, self.table)
+        self.rep = RegularRepresentation(self.table, G)
 
     def convolve(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         return self.table.mul(c1, c2)
@@ -318,12 +315,6 @@ def twisted_algebra(G: FiniteGroupoid, omega: Cocycle,
             f"cocycle fails validation (identity residual "
             f"{report.identity_residual:.3e})", witness=report.witness)
     return TwistedConvolutionAlgebra(G, omega)
-
-
-def star_of_twist(omega: Cocycle, g):
-    """Coefficient of the twisted star on the delta basis."""
-    G = omega.base
-    return np.conj(omega(g, G.inv[g]))
 
 
 @dataclass

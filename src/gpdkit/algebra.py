@@ -3,7 +3,8 @@
 The product is (f1 f2)(g) = sum over factorizations g = g1 g2 of
 f1(g1) f2(g2); the involution is f*(g) = conj(f(inv(g))). The C*-norm is
 the operator norm of the left regular representation, which acts block
-per unit u on the span of the arrows with source u. For finite groupoids
+per unit u on the span of the arrows with source u (twisted and section
+algebras share :class:`RegularRepresentation`). For finite groupoids
 this representation is faithful (the coefficient f(g) appears verbatim as
 the matrix entry at (g, src(g))), so the operator norm is the unique
 C*-norm of the finite-dimensional algebra.
@@ -176,8 +177,9 @@ class StructureTable:
         e_a (e_b e_k) over all basis triples, (a, b, k) of the first such
         entry in basis order, or None), in passes of _TRIPLES_PER_PASS
         triples: gathered as |w(a,b) w(ab,k) - w(b,k) w(a,bk)|, or the
-        larger modulus where the sides differ in basis element, on tables
-        of the pattern below, sorted on any other."""
+        larger modulus where the sides differ in basis element (with every
+        weight 1: 1.0 where they differ, and no products), on tables of
+        the pattern below, sorted on any other."""
         n, a, b, c = self.dim, self.a, self.b, self.c
         # r(b): the first a with an entry (a, b); s(a) = r(b) (n, n + 1:
         # none). Gathers take one entry for each pair with s(a) = r(b) and
@@ -201,6 +203,7 @@ class StructureTable:
         # off[a b] + rpos[k] and (a, b k) at q - rpos[b] + rpos[b k]
         tri = np.concatenate(([0], np.cumsum(width[B])))
         rpos_p = rpos[P]
+        ones = bool(np.all(W == 1))
         cuts = np.concatenate(([0], np.flatnonzero(np.diff(
             tri[:-1] // _TRIPLES_PER_PASS)) + 1, [len(B)]))
         best = (0.0, None)
@@ -212,14 +215,17 @@ class StructureTable:
                 tri[hi] - tri[lo])
             left = bk + np.repeat(off[P[q]] - off[B[q]], runs)
             right = np.repeat(q - rpos[B[q]], runs) + rpos_p[bk]
-            moved = np.flatnonzero(P[left] != P[right])
-            lw = np.repeat(W[q], runs)  # in place: few temporaries per pass
-            lw *= W[left]
-            rw = W[bk]
-            rw *= W[right]
-            apart = np.maximum(np.abs(lw[moved]), np.abs(rw[moved]))
-            res = np.abs(np.subtract(lw, rw, out=lw))
-            res[moved] = apart
+            moved = P[left] != P[right]
+            if ones:  # both sides weigh 1: off by 1 exactly where moved
+                res = moved.astype(float)
+            else:
+                lw = np.repeat(W[q], runs)  # in place: few temporaries
+                lw *= W[left]
+                rw = W[bk]
+                rw *= W[right]
+                apart = np.maximum(np.abs(lw[moved]), np.abs(rw[moved]))
+                res = np.abs(np.subtract(lw, rw, out=lw))
+                res[moved] = apart
             if res.max(initial=0.0) > best[0]:
                 t = int(np.argmax(res))
                 qa = lo + int(np.searchsorted(first, t, "right")) - 1
@@ -381,40 +387,97 @@ def random_element(G: FiniteGroupoid, rng: np.random.Generator) -> AlgebraElemen
     return AlgebraElement(G, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-class RegularRepresentation:
-    """Left regular representation of a groupoid table, one block per unit.
+def _ranks(label):
+    """(count per label, rank of every item among those of its label)."""
+    count = np.bincount(label)
+    place = np.empty(len(label), dtype=np.int64)
+    place[np.argsort(label, kind="stable")] = \
+        np.arange(len(label)) - np.repeat(np.cumsum(count) - count, count)
+    return count, place
 
-    Block for unit u acts on the span of G_u = arrows with source u;
-    the matrix of f has entry w f(g * inv(h)) at (g, h), which is always
-    composable for g, h in G_u. ``table`` defaults to the untwisted one.
+
+class RegularRepresentation:
+    """Left regular representation of the algebra of a structure table,
+    one block per summand.
+
+    Basis element j lies in summand ``summand[j]`` >= 0, whose block acts
+    on the span of its basis elements in basis order: table entry (a, b,
+    c, w) puts w x[a] at (c, b) in the block of b, which holds c too.
+    ``roots``, the entries (rows, cols, T, T^-1) of block-diagonal maps
+    that keep every summand, make each block M into T M T^-1. Blocks of one
+    size are scattered from the table entries into one stack; no dim x dim
+    matrix is formed. With a groupoid for ``summand``, an arrow lies in
+    the summand of its source unit; a groupoid for ``table`` stands for
+    its untwisted table and itself.
     """
 
-    def __init__(self, G: FiniteGroupoid, table: StructureTable = None):
-        self.G = G
-        self.table = groupoid_table(G) if table is None else table
-        self.blocks = [np.fromiter((G.index[g] for g in G.arrows_from(u)),
-                                   np.int64) for u in G.units]
-        by_size = {}
-        for b in self.blocks:
-            by_size.setdefault(len(b), []).append(b)
-        self._stacks = [np.stack(bs) for bs in by_size.values()]
+    def __init__(self, table, summand=None, roots=None):
+        if isinstance(table, FiniteGroupoid):
+            table, summand = groupoid_table(table), table
+        if isinstance(summand, FiniteGroupoid):
+            unit = {u: i for i, u in enumerate(summand.units)}
+            summand = [unit[summand.src[g]] for g in summand.arrows]
+        self.table = T = table
+        summand = np.asarray(summand, dtype=np.int64)
+        self.sizes, pos = _ranks(summand)  # pos: place in the block
+        widths, group = np.unique(self.sizes, return_inverse=True)
+        _, at = _ranks(group)  # place of a summand in its size group
+        # entry (i, j) of a block lies at row_at[i] + col_at[j] of the flat
+        # stack of its size group
+        m = self.sizes[summand]
+        row_at, col_at = pos * m, at[summand] * m * m + pos
+        group = group[summand]
+
+        def place(rows, cols):  # (size group or -1, flat index)
+            return (np.where(summand[rows] == summand[cols], group[cols], -1),
+                    row_at[rows] + col_at[cols])
+
+        e_group, e_at = place(T.c, T.b)
+        if roots is not None:
+            r_group, r_at = place(roots[0], roots[1])
+        self._groups = []
+        for g, m in enumerate(widths.tolist()):
+            if not m:
+                continue
+            members = np.flatnonzero(self.sizes == m)
+            e = np.flatnonzero(e_group == g)
+            stack = None
+            if roots is not None:
+                r = np.flatnonzero(r_group == g)
+                stack = [_scatter(r_at[r], v[r], len(members) * m * m)
+                         .reshape(-1, m, m) for v in roots[2:]]
+            self._groups.append((members, m, T.a[e], T.w[e], e_at[e], stack))
+
+    def stacks(self, f):
+        """Yield (summands, S) per block size, S[i] the block of f (an
+        AlgebraElement or a coefficient vector) on summands[i]."""
+        x = np.asarray(getattr(f, "coeffs", f))
+        for members, m, a, w, flat, roots in self._groups:
+            S = _scatter(flat, w * x[a], len(members) * m * m).reshape(
+                -1, m, m)
+            yield members, S if roots is None else roots[0] @ S @ roots[1]
 
     def matrices(self, f) -> list:
-        """Block matrices of an AlgebraElement or a coefficient vector."""
-        M = self.table.left(getattr(f, "coeffs", f))
-        return [M[np.ix_(b, b)] for b in self.blocks]
+        """The block of f on every nonempty summand, in summand order."""
+        out = {u: M for members, S in self.stacks(f)
+               for u, M in zip(members.tolist(), S)}
+        return [out[u] for u in sorted(out)]
 
     def norm(self, f) -> float:
         """Operator norm: the largest singular value over the blocks, one
         stacked 2-norm per block size."""
-        M = self.table.left(getattr(f, "coeffs", f))
-        return max((float(np.linalg.norm(M[S[:, :, None], S[:, None, :]], 2,
-                                         axis=(1, 2)).max())
-                    for S in self._stacks), default=0.0)
+        return max((float(np.linalg.norm(S, 2, axis=(1, 2)).max())
+                    for _, S in self.stacks(f)), default=0.0)
+
+
+def _regular(G: FiniteGroupoid) -> RegularRepresentation:
+    if G._rep is None:  # built once per groupoid, like its table
+        G._rep = RegularRepresentation(G)
+    return G._rep
 
 
 def cstar_norm(G: FiniteGroupoid, f: AlgebraElement) -> float:
-    return RegularRepresentation(G).norm(f)
+    return _regular(G).norm(f)
 
 
 def isometry_defect(norm_a: Callable, norm_b: Callable, U, rng,
@@ -433,20 +496,20 @@ def isometry_defect(norm_a: Callable, norm_b: Callable, U, rng,
 def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
                      tol: float = 1e-9) -> bool:
     """True iff every regular-representation block of the self-adjoint f
-    has spectrum >= -tol * ||f||."""
-    rep = RegularRepresentation(G)
-    mats = rep.matrices(f)
-    scale = max((float(np.linalg.norm(M, 2)) for M in mats), default=0.0)
-    for M in mats:
-        if M.size == 0:
-            continue
-        herm_defect = float(np.max(np.abs(M - M.conj().T)))
-        if herm_defect > tol * max(scale, 1.0):
-            raise ValueError(f"element is not self-adjoint "
-                             f"(defect {herm_defect:.3e})")
-        if float(np.min(np.linalg.eigvalsh(M))) < -tol * max(scale, 1.0):
-            return False
-    return True
+    has spectrum >= -tol * ||f||; the first failing unit decides."""
+    rep = _regular(G)
+    k = len(rep.sizes)
+    scale, herm, low = 0.0, np.zeros(k), np.full(k, np.inf)
+    for units, S in rep.stacks(f):
+        scale = max(scale, float(np.linalg.norm(S, 2, axis=(1, 2)).max()))
+        herm[units] = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        low[units] = np.linalg.eigvalsh(S).min(axis=1)
+    cut = tol * max(scale, 1.0)
+    bad = np.flatnonzero((herm > cut) | (low < -cut))
+    if len(bad) and herm[bad[0]] > cut:
+        raise ValueError(f"element is not self-adjoint "
+                         f"(defect {float(herm[bad[0]]):.3e})")
+    return not len(bad)
 
 
 def faithfulness_defect(G: FiniteGroupoid, return_margin: bool = False):

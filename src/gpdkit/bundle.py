@@ -30,7 +30,9 @@ Gram blocks G_h[i, j] = tau(e_i* e_j) that operator norm is
 max_k ||T_hk L_{xi,k} T_k^-1||, and a unit-fiber norm is the block of
 k = u. Every norm the checks take is such a d x d block, stacked by size
 in batched numpy calls (:class:`~gpdkit.fiberblocks.FiberBlocks`); only
-``SectionAlgebra.norm``, a general section, takes a block per source unit.
+``SectionAlgebra.norm``, a general section, takes a block per source unit,
+from the :class:`~gpdkit.algebra.RegularRepresentation` of the groupoid
+and twisted C*-norms, given the section table and the Gram roots T.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from .groupoid import (Bisection, FiniteGroupoid, GroupoidMorphism,
                        NotAMorphism, NotSurjective, check_bisection,
                        classify_morphism, fiber_subgroupoid, kernel)
 from . import algebra
-from .algebra import (AlgebraElement, NumericalDegeneracy, StructureTable,
-                      _defect, _join, _scatter, groupoid_table, wedderburn,
+from .algebra import (AlgebraElement, NumericalDegeneracy,
+                      RegularRepresentation, StructureTable, _defect, _join,
+                      _scatter, groupoid_table, wedderburn,
                       wedderburn_from_tables)
 from .fiberblocks import fiber_blocks, stacked_ranks
 from .report import CheckList
@@ -754,32 +757,23 @@ class SectionSpace:
     square roots T_h = G_h^{1/2}, so adjoints of represented operators are
     conjugate transposes. The inner product counts as definite when the
     Gram margin (:meth:`~gpdkit.fiberblocks.FiberBlocks.gram_margin`)
-    exceeds ``tol``.
+    exceeds ``tol``. ``rep`` is the section table's
+    :class:`~gpdkit.algebra.RegularRepresentation` in these coordinates.
     """
 
     def __init__(self, E: FellBundle, tol: float = 1e-9):
         self.bundle = E
-        self._blocks = B = fiber_blocks(E)
+        B = fiber_blocks(E)
         if not B.gram_margin()[0] > tol:
             raise FellBundleError("section inner product is degenerate; "
                                   "the bundle is not a Fell bundle")
-        self._summands = self._dense = None
-
-    def _by_arrow(self, shape, place, keep=None):
-        """The block-diagonal T and T^-1: the entries of the pairs (s1, s2)
-        of slots over one arrow (s1 in ``keep`` when given), scattered
-        into zero arrays of ``shape`` at place(s1, s2)."""
-        B = self._blocks
         tsqrt, tisqrt, _, _ = B.gram()
-        s1, s2 = B.slot_pairs()
-        if keep is not None:
-            s1, s2 = s1[keep[s1]], s2[keep[s1]]
-        out = []
-        for blocks in (tsqrt, tisqrt):
-            M = np.zeros(shape, dtype=complex)
-            M[place(s1, s2)] = blocks[B.arrow[s1], B.loc[s1], B.loc[s2]]
-            out.append(M)
-        return out
+        s1, s2 = B.slot_pairs()  # the slot pairs over one arrow
+        at = B.arrow[s1], B.loc[s1], B.loc[s2]
+        self._roots = s1, s2, tsqrt[at], tisqrt[at]  # entries of T, T^-1
+        self.rep = RegularRepresentation(E.table(), B.src[B.arrow],
+                                         self._roots)
+        self._dense = None
 
     def matrix(self, vec) -> np.ndarray:
         """Left multiplication by the section with coefficients ``vec``,
@@ -788,54 +782,16 @@ class SectionSpace:
         blocks on first use)."""
         if self._dense is None:
             n = self.bundle.total_dim()
-            self._dense = self._by_arrow((n, n), lambda s1, s2: (s1, s2))
+            s1, s2, *roots = self._roots
+            self._dense = [_scatter(s1 * n + s2, v, n * n).reshape(n, n)
+                           for v in roots]
         tsqrt, tisqrt = self._dense
         return tsqrt @ self.bundle.table().left(vec) @ tisqrt
 
-    def _summand_blocks(self):
-        """(summand, position) per slot and, per summand size m, (m,
-        index in the size group per summand, T and T^-1 stacks) for the
-        source-unit summands."""
-        if self._summands is None:
-            B = self._blocks
-            unit_of = B.src[B.arrow]
-            order = np.argsort(unit_of, kind="stable")
-            _, start, size = np.unique(unit_of[order], return_index=True,
-                                       return_counts=True)
-            summand = np.empty(len(order), dtype=np.int64)
-            summand[order] = np.repeat(np.arange(len(size)), size)
-            pos = np.empty(len(order), dtype=np.int64)
-            pos[order] = np.arange(len(order)) - np.repeat(start, size)
-            groups = []
-            for m in np.unique(size):
-                at = np.full(len(size), -1)
-                at[size == m] = np.arange(int(np.sum(size == m)))
-
-                def place(s1, s2, at=at):
-                    return at[summand[s1]], pos[s1], pos[s2]
-                groups.append((int(m), at, *self._by_arrow(
-                    (int(np.sum(size == m)), m, m), place,
-                    keep=at[summand] >= 0)))
-            self._summands = summand, pos, groups
-        return self._summands
-
     def op_norm(self, section: Section) -> float:
         """The operator norm of left multiplication by ``section``: the
-        largest over the source-unit summands, which the representation
-        keeps, one stacked 2-norm per summand size."""
-        T = self.bundle.table()
-        if not T.dim:
-            return 0.0
-        summand, pos, groups = self._summand_blocks()
-        vals = T.w * np.asarray(section.vec)[T.a]
-        best = 0.0
-        for m, at, tsqrt, tisqrt in groups:
-            e = at[summand[T.b]] >= 0
-            M = _scatter((at[summand[T.b[e]]] * m + pos[T.c[e]]) * m
-                         + pos[T.b[e]], vals[e], len(tsqrt) * m * m)
-            best = max(best, float(np.linalg.norm(
-                tsqrt @ M.reshape(-1, m, m) @ tisqrt, 2, axis=(1, 2)).max()))
-        return best
+        largest block of ``rep`` over the source-unit summands."""
+        return self.rep.norm(section.vec)
 
 
 class SectionAlgebra:

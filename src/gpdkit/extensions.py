@@ -251,34 +251,21 @@ class CharacterData:
         return "chi(" + ",".join(str(v) for v in m) + ")"
 
     def value(self, m, a) -> complex:
-        e = self.exponents[a]
-        D = self.lcm
-        t = 0
-        for mi, ei, di in zip(m, e, self.orders):
-            t += mi * ei * (D // di)
-        return unit_root(t, D)
+        return unit_root(self.exponent_numerator(m, a), self.lcm)
 
     def exponent_numerator(self, m, a) -> int:
         """Integer t with value(m, a) = unit_root(t, lcm)."""
-        e = self.exponents[a]
         D = self.lcm
-        t = 0
-        for mi, ei, di in zip(m, e, self.orders):
-            t += mi * ei * (D // di)
-        return t % D
+        return sum(mi * ei * (D // di) for mi, ei, di in
+                   zip(m, self.exponents[a], self.orders)) % D
 
     def compose_with_map(self, m, images) -> tuple:
         """The character index of chi_m composed with the homomorphism
         sending generator i to images[i]; exact integer arithmetic."""
-        D = self.lcm
         out = []
-        for i, (gen, di) in enumerate(self.basis):
-            t = 0
-            e = self.exponents[images[i]]
-            for mj, ej, dj in zip(m, e, self.orders):
-                t += mj * ej * (D // dj)
-            t %= D
-            step = D // di
+        for image, (_, di) in zip(images, self.basis):
+            t = self.exponent_numerator(m, image)
+            step = self.lcm // di
             if t % step != 0:
                 raise NotAbelianKernel("conjugation image is not a character")
             out.append((t // step) % di)

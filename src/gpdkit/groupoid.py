@@ -80,7 +80,7 @@ class FiniteGroupoid:
     """
 
     __slots__ = ("arrows", "units", "src", "rng", "inv", "comp",
-                 "index", "_from", "_to", "_unit_set", "_table")
+                 "index", "_from", "_to", "_unit_set", "_table", "_rep")
 
     def __init__(self, arrows, units, src, rng, inv, comp):
         self.arrows = tuple(arrows)
@@ -98,7 +98,7 @@ class FiniteGroupoid:
             by_rng[self.rng[g]].append(g)
         self._from = {u: tuple(v) for u, v in by_src.items()}
         self._to = {u: tuple(v) for u, v in by_rng.items()}
-        self._table = None  # structure table, built by algebra.groupoid_table
+        self._table = self._rep = None  # built by gpdkit.algebra on first use
 
     def __len__(self) -> int:
         return len(self.arrows)

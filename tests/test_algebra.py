@@ -6,13 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 import gpdkit as gk
 from gpdkit import corpus
-from gpdkit.algebra import (AlgebraElement, _closure_tables, groupoid_table,
-                            random_element, sparse_center_basis)
+from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
+                            groupoid_table, random_element,
+                            sparse_center_basis)
 
-from oracles import dense_center_basis, dense_faithfulness_defect, \
-    group_algebra_blocks, group_convolution, matrix_units_check
+from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
+    dense_faithfulness_defect, group_algebra_blocks, group_convolution, \
+    matrix_units_check, table_arrays
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
+
+
+def _mixed_union():
+    """Unit blocks of sizes 1, 2 and 3 next to a one-unit block of 4."""
+    return corpus.disjoint_union([("c", corpus.cyclic_groupoid(4)),
+                                  ("p", corpus.pair_groupoid(2)),
+                                  ("q", corpus.pair_groupoid(3)),
+                                  ("z", corpus.cyclic_groupoid(1))])
 
 
 def test_delta_convolution_point_masses(pair2):
@@ -112,18 +122,57 @@ class TestNorm:
                     n1 * n2 + 1e-9
                 assert abs(gk.cstar_norm(G, gk.involute(f1)) - n1) <= 1e-9
 
-    def test_stacked_norm_matches_the_per_block_norms(self):
-        # unit blocks of sizes 1, 2 and 3 next to a one-unit block of 4
-        G = corpus.disjoint_union([("c", corpus.cyclic_groupoid(4)),
-                                   ("p", corpus.pair_groupoid(2)),
-                                   ("q", corpus.pair_groupoid(3)),
-                                   ("z", corpus.cyclic_groupoid(1))])
-        rep = gk.RegularRepresentation(G)
+    @pytest.mark.parametrize("kind", ["untwisted", "twisted", "sections"])
+    def test_stacked_norm_matches_the_per_block_norms(self, kind):
         rng = np.random.default_rng(4)
+        if kind == "sections":
+            # a twisted covering whose base units carry 4, 6, 4, 2 and 3
+            # slots: source-unit summands of four sizes; each slot e_j is
+            # rescaled to s_j e_j, so the Gram roots T vary in a summand
+            ag = gk.build_action_groupoid(
+                corpus.random_action(np.random.default_rng(4017)))
+            E = gk.build_bundle(ag.projection, twist=corpus.random_cocycle(
+                ag.groupoid, rng))
+            arrays = table_arrays(E)
+            sc = rng.uniform(0.5, 2.0, E.total_dim())
+            arrays["w"] *= sc[arrays["a"]] * sc[arrays["b"]] / sc[arrays["c"]]
+            arrays["sw"] *= sc[arrays["s"]] / sc[arrays["t"]]
+            E = bundle_from(E, arrays)
+            space, dense = gk.bundle.SectionSpace(E), DenseSectionSpace(E)
+            for _ in range(20):
+                vec = rng.standard_normal(E.total_dim()) \
+                    + 1j * rng.standard_normal(E.total_dim())
+                assert space.op_norm(gk.Section(E, vec)) == pytest.approx(
+                    dense.op_norm(vec), rel=1e-12)
+            return
+        G = _mixed_union()
+        rep = gk.RegularRepresentation(G) if kind == "untwisted" else \
+            gk.TwistedConvolutionAlgebra(
+                G, corpus.random_cocycle(G, rng)).rep
+        blocks = [[G.index[g] for g in G.arrows_from(u)] for u in G.units]
         for _ in range(20):
-            f = random_element(G, rng)
-            loop = max(np.linalg.norm(M, 2) for M in rep.matrices(f))
-            assert rep.norm(f) == pytest.approx(loop, rel=1e-14)
+            x = random_element(G, rng).coeffs
+            left = rep.table.left(x)  # dense, gathered per unit
+            want = [left[np.ix_(b, b)] for b in blocks]
+            got = rep.matrices(x)
+            assert len(got) == len(want)
+            for M, W in zip(got, want):
+                assert np.allclose(M, W, rtol=1e-14, atol=1e-14)
+            loop = max(np.linalg.norm(M, 2) for M in want)
+            assert rep.norm(x) == pytest.approx(loop, rel=1e-14)
+
+    def test_entries_across_summands_are_left_out(self):
+        # e_0 e_2 = 50 e_1 leaves the summand {2} of e_2; a per-summand
+        # gather of the dense left matrix drops it as well
+        table = StructureTable(3, [0, 1, 2, 0], [0, 1, 2, 2], [0, 1, 2, 1],
+                               [1.0, 2.0, 3.0, 50.0], [0, 1, 2], [0, 1, 2],
+                               [1.0, 1.0, 1.0])
+        rep = gk.RegularRepresentation(table, [0, 0, 1])
+        x = np.array([1.0, 2.0, 3.0])
+        left = table.left(x)
+        for M, b in zip(rep.matrices(x), ([0, 1], [2])):
+            assert np.array_equal(M, left[np.ix_(b, b)])
+        assert rep.norm(x) == 9.0
 
     def test_convolution_associativity_random(self, heis3):
         rng = np.random.default_rng(5)
@@ -168,6 +217,31 @@ class TestPositivity:
 
     def test_zero_is_positive(self, z3):
         assert gk.positivity_check(z3, AlgebraElement.zero(z3))
+
+    def test_first_failing_unit_decides(self):
+        # the identity everywhere, minus twice a unit of q: every summand
+        # of q (units 4 to 6 of 7) has eigenvalue -1
+        G = _mixed_union()
+        f = {u: 1.0 for u in G.units}
+        f["q:(1,1)"] = -1.0
+        assert not gk.positivity_check(G, AlgebraElement.from_dict(G, f))
+        # a later non-self-adjoint block does not change that
+        assert not gk.positivity_check(
+            G, AlgebraElement.from_dict(G, {**f, "z:g0": 1j}))
+        # an earlier one (in p, the units before q) raises
+        with pytest.raises(ValueError, match="not self-adjoint"):
+            gk.positivity_check(
+                G, AlgebraElement.from_dict(G, {**f, "p:(1,2)": 1.0}))
+
+    def test_non_self_adjoint_message(self, pair2):
+        from gpdkit.groupoid import pair_id
+        f = AlgebraElement.from_dict(pair2, {pair_id(1, 2): 0.5})
+        M = gk.RegularRepresentation(pair2).table.left(f.coeffs)
+        defect = float(np.abs(M - M.conj().T).max())  # 0.5, in each block
+        with pytest.raises(ValueError) as exc:
+            gk.positivity_check(pair2, f)
+        assert str(exc.value) == \
+            f"element is not self-adjoint (defect {defect:.3e})"
 
 
 class TestConditionalExpectation:

@@ -205,6 +205,41 @@ class TestOtherExtensions:
         assert all(v == 1.0 for v in res.cocycle.omega.values())
         assert all(f == "(0,0)" for f in res.factor_set.values())
 
+    def test_wrong_character_value_fails_the_basis_map(self, monkeypatch):
+        # the split extension has a trivial factor set, so the cocycle only
+        # reads characters at the unit; a wrong value of chi(1) at the
+        # kernel generator reaches the basis map alone
+        els = [f"({a},{b})" for a in range(2) for b in range(2)]
+        mul = {(f"({a},{b})", f"({c},{d})"): f"({(a + c) % 2},{(b + d) % 2})"
+               for a in range(2) for b in range(2)
+               for c in range(2) for d in range(2)}
+        ext = GroupExtension.from_tables(els, mul, ["(0,0)", "(0,1)"])
+        value = CharacterData.value
+        monkeypatch.setattr(
+            CharacterData, "value", lambda self, m, a: value(self, m, a)
+            * (1j if (tuple(m), a) == ((1,), "(0,1)") else 1.0))
+        res = gk.group_extension_bundle(ext)
+        for name in ("cocycle_identity", "basis_map_bijective",
+                     "wedderburn_equal"):
+            assert res.entry(name).passed, name
+        assert not res.entry("basis_map_isometric").passed
+        entry = res.entry("basis_map_multiplicative")
+        assert not entry.passed
+        # dense oracle: |U(e_g e_k) - U(e_g) U(e_k)| per pair, U(e_g) U(e_k)
+        # in the twisted algebra of the result
+        U = res.basis_map
+        twisted = gk.twisted_algebra(res.action_groupoid.groupoid,
+                                     res.cocycle).table
+        defect = {(g, k): float(np.abs(
+            U[:, els.index(mul[(g, k)])]
+            - twisted.mul(U[:, els.index(g)], U[:, els.index(k)])).max())
+                  for g in els for k in els}
+        worst = max(defect.values())
+        assert worst == pytest.approx(2.0)  # (-i)^2 against 1
+        assert entry.residual == pytest.approx(worst, rel=1e-12)
+        assert entry.witness == "('(0,1)', '(0,1)')"
+        assert defect[("(0,1)", "(0,1)")] == pytest.approx(worst, rel=1e-12)
+
     def test_z4_over_2z4(self):
         els, mul = cyclic_table(4)
         ext = GroupExtension.from_tables(els, mul, ["0", "2"])

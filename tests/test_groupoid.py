@@ -5,6 +5,7 @@ import pytest
 
 import gpdkit as gk
 from gpdkit import corpus
+from gpdkit.algebra import groupoid_table
 from gpdkit.groupoid import pair_id
 from oracles import table_associativity_witness
 
@@ -97,9 +98,19 @@ def test_corpus_groupoids_pass_as_on_the_table(name):
     assert _oracle_failure(raw) is None
 
 
+def _gathered_matches_sorted(raw):
+    """The w = 1 table of raw groupoid tables takes the gathered path with
+    no weight products; its (residual, triple) is the sorting path's."""
+    table = groupoid_table(gk.FiniteGroupoid(*raw))
+    got = table.associativity_defect()
+    assert got == table._sorted_associativity_defect()
+    return got
+
+
 def test_corrupted_z3_witness_and_message_match_the_table():
     raw = corpus.corrupted_z3_tables()
     assert _failure(raw) == _oracle_failure(raw)
+    assert _gathered_matches_sorted(raw) == (1.0, (1, 1, 2))
 
 
 def _redirected(G, rng):
@@ -131,6 +142,7 @@ def test_redirected_composites_fail_as_on_the_table(name, seed):
         got = _failure(raw)
         assert got is not None
         assert got == _oracle_failure(raw)
+        assert _gathered_matches_sorted(raw)[0] == 1.0
 
 
 def test_first_failure_past_the_first_slab(monkeypatch):
