@@ -456,9 +456,9 @@ class AxiomReport(CheckList):
         return self.axioms_pass
 
 
-def _random_fiber(E, h, rng) -> FiberElement:
+def _random_fiber(E, h, rng) -> np.ndarray:
     d = E.dim(h)
-    return FiberElement(E, h, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
 
 _LATER_CHECKS = ("axiom2_bilinear", "axiom6_conjugate_linear",
@@ -527,8 +527,8 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     draws = []
     for _ in range(min(samples, 25) if comp_pairs else 0):
         h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
-        a, b = _random_fiber(E, h1, rng).vec, _random_fiber(E, h1, rng).vec
-        c = _random_fiber(E, h2, rng).vec
+        a, b = _random_fiber(E, h1, rng), _random_fiber(E, h1, rng)
+        c = _random_fiber(E, h2, rng)
         lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
         draws.append(((h1, h2), [lam * a + b, a, b], c, lam))
     n = len(draws)
@@ -576,15 +576,15 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         if not comp_pairs:
             break
         h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
-        pairs.append((h1, h2, _random_fiber(E, h1, rng).vec,
-                      _random_fiber(E, h2, rng).vec))
+        pairs.append((h1, h2, _random_fiber(E, h1, rng),
+                      _random_fiber(E, h2, rng)))
     drawn = []
     for _ in range(samples):
         if not table.dim:
             break
         h = H.arrows[rng.integers(len(H.arrows))]
         if E.dim(h):
-            drawn.append((h, _random_fiber(E, h, rng).vec))
+            drawn.append((h, _random_fiber(E, h, rng)))
 
     # every basis vector and every drawn single element: x* x, its norm
     # and its spectrum in one stacked pass
@@ -1014,7 +1014,7 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
     report = CheckList()
 
     per = max(1, samples // max(len(U.arrows), 1))
-    h, X = B.rows([(g, _random_fiber(E, g, rng).vec)
+    h, X = B.rows([(g, _random_fiber(E, g, rng))
                    for g in U.arrows if E.dim(g) for _ in range(per)])
     # the first degenerate unit fiber in the order xi reaches them
     _require_cstar_units(B, np.column_stack([B.src[h], B.rng[h]]).ravel())

@@ -33,7 +33,8 @@ from .groupoid import (GroupoidError, check_bisection, classify_morphism,
 from .graphs import (check_graph_morphism, collapse_morphism,
                      cylinder_cover_check, grading_degree, lift_counts,
                      lift_paths)
-from .report import Report, digest_bytes, digest_text, canonical_json
+from .report import (Report, _escape, canonical_json, digest_bytes,
+                     digest_text)
 
 # Which subcommand owns each library operation; the test suite checks the
 # dispatch covers every operation exactly once.
@@ -90,7 +91,36 @@ def _input_digests(args, names) -> dict:
 
 
 def _groupoid_digest(G) -> str:
-    return digest_text(canonical_json(gio.save_groupoid(G)))
+    """digest_text(canonical_json(gio.save_groupoid(G))) for string arrow
+    names, written flat: each name is escaped once, and the comp text is
+    one join over references to those names."""
+    q = [_escape(g) for g in G.arrows]  # by arrow index
+
+    def seq(items):
+        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+    def table(m):
+        rows = sorted((g, q[i], q[G.index[m[g]]]) for i, g in enumerate(G.arrows))
+        return "{\n" + ",\n".join(f"    {k}: {v}" for _, k, v in rows) \
+            + "\n  }" if rows else "{}"
+    T = algebra.groupoid_table(G)
+    order = np.lexsort((T.b, T.a))
+    names = np.fromiter(q, object, len(q))
+    # per triple: the text before g1, g1, before g2, g2, before g12, g12
+    cells = np.empty((len(order), 6), object)
+    cells[:, 0] = "\n    ],\n    [\n      "
+    cells[:, 2] = cells[:, 4] = ",\n      "
+    cells[:, 1], cells[:, 3], cells[:, 5] = (names[v[order]]
+                                             for v in (T.a, T.b, T.c))
+    comp = cells.ravel().tolist()
+    parts = {
+        "arrows": seq(q),
+        "comp": "".join(["[\n    [\n      ", *comp[1:], "\n    ]\n  ]"])
+        if comp else "[]",
+        "inv": table(G.inv), "rng": table(G.rng), "src": table(G.src),
+        "units": seq([q[G.index[u]] for u in G.units])}
+    return digest_text("{\n" + ",\n".join(f'  "{k}": {v}' for k, v in
+                                          parts.items()) + "\n}")
 
 
 def _add_common(p):

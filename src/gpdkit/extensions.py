@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _trusted
-from .algebra import (AlgebraElement, StructureTable, cstar_norm,
-                      groupoid_table, isometry_defect, wedderburn)
+from .algebra import (AlgebraElement, NumericalDegeneracy, StructureTable,
+                      cstar_norm, groupoid_table, isometry_defect, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
@@ -467,8 +467,12 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
         np.random.default_rng(seed), samples)
     result.add("basis_map_isometric", res_iso <= 1e-8, res_iso)
 
-    bg = wedderburn(Ggpd, seed=seed, tol=tol)
-    bt = ta.wedderburn(seed=seed, tol=tol)
+    try:
+        bg = wedderburn(Ggpd, seed=seed, tol=tol)
+        bt = ta.wedderburn(seed=seed, tol=tol)
+    except NumericalDegeneracy as exc:  # e.g. a non-associative twist
+        result.add("wedderburn_equal", False, None, str(exc))
+        return result
     result.blocks_group = bg.blocks
     result.blocks_twisted = bt.blocks
     result.add_wedderburn_equal(bg.blocks, bt.blocks)

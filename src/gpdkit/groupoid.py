@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Hashable, Iterable, Mapping, Optional
+
+import numpy as np
 
 Arrow = Hashable
 
@@ -138,98 +141,169 @@ class FiniteGroupoid:
         return tuple(g for g in self._from[u] if self.rng[g] == u)
 
 
+def _ids(names, index) -> np.ndarray:
+    """Indices of ``names`` under ``index`` (name -> index), -1 where a
+    name is not a key."""
+    return np.fromiter(map(index.get, names, repeat(-1)), np.int64,
+                       len(names))
+
+
+def _prefix(mask) -> int:
+    """Length of the run of True that starts a boolean array: the index of
+    its first False entry, or its length."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
+
+
+_MISSING = object()
+
+
+def _column(table, name, arrows, index) -> np.ndarray:
+    """table[g] for every arrow g, as arrow indices; GroupoidError at the
+    first arrow that has no entry or whose entry is undeclared."""
+    values = list(map(table.get, arrows, repeat(_MISSING)))
+    ids = _ids(values, index)
+    i = _prefix(ids >= 0)
+    if i < len(arrows):
+        g = arrows[i]
+        if values[i] is _MISSING:
+            raise GroupoidError(f"{name} is not total: missing {g!r}", witness=g)
+        raise GroupoidError(
+            f"{name}[{g!r}] = {values[i]!r} is not a declared arrow", witness=g)
+    return ids
+
+
 def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
     """Check every groupoid axiom exhaustively and return the groupoid.
 
-    ``comp`` may be a mapping ``(g1, g2) -> g12`` or an iterable of
-    ``(g1, g2, g12)`` triples; it must cover exactly the composable pairs.
+    ``comp`` may be a mapping ``(g1, g2) -> g12``, an iterable of
+    ``(g1, g2, g12)`` triples or an (m, 3) array of arrow indices listing
+    each pair once; it must cover exactly the composable pairs. Each axiom
+    is a mask over index arrays, and the first failing entry is reported.
     Associativity is ``StructureTable.associativity_defect`` of the w = 1
     structure table, built here and kept on the returned groupoid: its
-    residual must be 0. Raises MissingComposite,
-    IllegalComposite, AssociativityFailure (witness: the first failing
-    triple in arrow order), UnitFailure or InverseFailure, each with the
-    offending arrows.
+    residual must be 0. Raises MissingComposite, IllegalComposite,
+    AssociativityFailure (witness: the first failing triple in arrow
+    order), UnitFailure or InverseFailure, each with the offending arrows.
     """
     arrows = tuple(arrows)
-    arrow_set = set(arrows)
-    if len(arrow_set) != len(arrows):
+    n = len(arrows)
+    index = {g: i for i, g in enumerate(arrows)}
+    if len(index) != n:
         raise GroupoidError("duplicate arrow identifiers")
     units = tuple(units)
-    for u in units:
-        if u not in arrow_set:
-            raise UnitFailure(f"unit {u!r} is not a declared arrow", witness=u)
-    if not isinstance(comp, Mapping):
-        comp = {(g1, g2): g12 for g1, g2, g12 in comp}
+    uid = _ids(units, index)
+    i = _prefix(uid >= 0)
+    if i < len(units):
+        raise UnitFailure(f"unit {units[i]!r} is not a declared arrow",
+                          witness=units[i])
+    if isinstance(comp, np.ndarray):
+        a, b, c = np.ascontiguousarray(comp.reshape(-1, 3).T)
+        comp = None  # the dict of names is built once the entries pass
+    else:
+        if not isinstance(comp, Mapping):
+            comp = {(g1, g2): g12 for g1, g2, g12 in comp}
+        a, b = _ids(list(chain.from_iterable(comp)), index).reshape(-1, 2).T.copy()
+        c = _ids(list(comp.values()), index)
 
-    unit_set = set(units)
-    for table, name in ((src, "src"), (rng, "rng"), (inv, "inv")):
-        for g in arrows:
-            if g not in table:
-                raise GroupoidError(f"{name} is not total: missing {g!r}", witness=g)
-            if table[g] not in arrow_set:
-                raise GroupoidError(
-                    f"{name}[{g!r}] = {table[g]!r} is not a declared arrow",
-                    witness=g)
-    for g in arrows:
-        if src[g] not in unit_set:
+    S, R, I = (_column(t, name, arrows, index)
+               for t, name in ((src, "src"), (rng, "rng"), (inv, "inv")))
+    is_unit = np.zeros(n, bool)
+    is_unit[uid] = True
+    i = _prefix(is_unit[S] & is_unit[R])
+    if i < n:
+        g = arrows[i]
+        if not is_unit[S[i]]:
             raise UnitFailure(f"src[{g!r}] = {src[g]!r} is not a unit", witness=g)
-        if rng[g] not in unit_set:
-            raise UnitFailure(f"rng[{g!r}] = {rng[g]!r} is not a unit", witness=g)
+        raise UnitFailure(f"rng[{g!r}] = {rng[g]!r} is not a unit", witness=g)
 
     # comp defined exactly on composable pairs, with matching src/rng laws
-    for (g1, g2), g12 in comp.items():
-        if g1 not in arrow_set or g2 not in arrow_set or g12 not in arrow_set:
+    undeclared = (a < 0) | (b < 0) | (c < 0)
+    apart = S[a] != R[b]
+    i = _prefix(~(undeclared | apart | (S[c] != S[b]) | (R[c] != R[a])))
+    if i < len(a):
+        if comp is None:
+            g1, g2, g12 = (arrows[j] for j in (a[i], b[i], c[i]))
+        else:
+            (g1, g2), g12 = next(islice(comp.items(), i, None))
+        if undeclared[i]:
             raise IllegalComposite(
                 f"comp entry ({g1!r}, {g2!r}) -> {g12!r} uses undeclared arrows",
                 witness=(g1, g2, g12))
-        if src[g1] != rng[g2]:
+        if apart[i]:
             raise IllegalComposite(
                 f"comp defined on non-composable pair ({g1!r}, {g2!r})",
                 witness=(g1, g2))
-        if src[g12] != src[g2] or rng[g12] != rng[g1]:
-            raise IllegalComposite(
-                f"composite {g12!r} of ({g1!r}, {g2!r}) has wrong source or range",
-                witness=(g1, g2, g12))
+        raise IllegalComposite(
+            f"composite {g12!r} of ({g1!r}, {g2!r}) has wrong source or range",
+            witness=(g1, g2, g12))
+    if comp is None:
+        names = np.fromiter(arrows, object, n)
+        comp = dict(zip(zip(names[a].tolist(), names[b].tolist()),
+                        names[c].tolist()))
     G = FiniteGroupoid(arrows, units, src, rng, inv, comp)
-    for g1, g2 in G.composable_pairs():
-        if (g1, g2) not in comp:
-            raise MissingComposite(
-                f"composable pair ({g1!r}, {g2!r}) missing from comp",
-                witness=(g1, g2))
+    # each entry is a distinct composable pair, so g2 misses a pair exactly
+    # when it has fewer entries than arrows leave its range
+    j = _prefix(np.bincount(b, minlength=n) == np.bincount(S, minlength=n)[R])
+    if j < n:
+        g1 = np.flatnonzero(S == R[j])
+        g1 = g1[_prefix(np.isin(g1, a[b == j]))]
+        raise MissingComposite(
+            f"composable pair ({arrows[g1]!r}, {arrows[j]!r}) missing from comp",
+            witness=(arrows[g1], arrows[j]))
 
-    for u in units:
-        if src[u] != u or rng[u] != u:
-            raise UnitFailure(f"unit {u!r} has src/rng != itself", witness=u)
-    for g in arrows:
-        if comp[(rng[g], g)] != g:
+    i = _prefix((S[uid] == uid) & (R[uid] == uid))
+    if i < len(units):
+        u = units[i]
+        raise UnitFailure(f"unit {u!r} has src/rng != itself", witness=u)
+
+    def composites(entries, g):
+        """The composite of the selected entries at arrow g of each, -1 at
+        arrows without one (each arrow is g of at most one entry)."""
+        out = np.full(n, -1)
+        out[g[entries]] = c[entries]
+        return out
+    ids = np.arange(n)
+    # (rng g) g and g (src g), then g (inv g) and (inv g) g
+    left = composites(a == R[b], b) == ids
+    right = composites(b == S[a], a) == ids
+    i = _prefix(left & right)
+    if i < n:
+        g = arrows[i]
+        if not left[i]:
             raise UnitFailure(
                 f"left unit law fails: {rng[g]!r} * {g!r} != {g!r}",
                 witness=(rng[g], g))
-        if comp[(g, src[g])] != g:
-            raise UnitFailure(
-                f"right unit law fails: {g!r} * {src[g]!r} != {g!r}",
-                witness=(g, src[g]))
+        raise UnitFailure(
+            f"right unit law fails: {g!r} * {src[g]!r} != {g!r}",
+            witness=(g, src[g]))
 
-    for g in arrows:
+    involutive = I[I] == ids
+    placed = (S[I] == R) & (R[I] == S)
+    gi_ok = composites(b == I[a], a) == R
+    ig_ok = composites(a == I[b], b) == S
+    i = _prefix(involutive & placed & gi_ok & ig_ok)
+    if i < n:
+        g = arrows[i]
         gi = inv[g]
-        if inv[gi] != g:
+        if not involutive[i]:
             raise InverseFailure(f"inv is not involutive at {g!r}", witness=g)
-        if src[gi] != rng[g] or rng[gi] != src[g]:
+        if not placed[i]:
             raise InverseFailure(f"inv[{g!r}] has wrong source or range", witness=g)
-        if comp[(g, gi)] != rng[g]:
+        if not gi_ok[i]:
             raise InverseFailure(
                 f"{g!r} * {gi!r} != rng({g!r})", witness=(g, gi))
-        if comp[(gi, g)] != src[g]:
-            raise InverseFailure(
-                f"{gi!r} * {g!r} != src({g!r})", witness=(gi, g))
+        raise InverseFailure(
+            f"{gi!r} * {g!r} != src({g!r})", witness=(gi, g))
 
-    from .algebra import groupoid_table  # algebra imports this module
-    res, triple = groupoid_table(G).associativity_defect()
+    from .algebra import StructureTable  # algebra imports this module
+    table = StructureTable(n, a, b, c, np.ones(len(a)), ids, I, np.ones(n))
+    res, triple = table.associativity_defect()
     if res > 0:
         g1, g2, g3 = (arrows[i] for i in triple)
         raise AssociativityFailure(
             f"({g1!r}*{g2!r})*{g3!r} != {g1!r}*({g2!r}*{g3!r})",
             witness=(g1, g2, g3))
+    G._table = table
     return G
 
 

@@ -14,11 +14,15 @@ relative to the referring file.
 from __future__ import annotations
 
 import json
-import math
 import os
+from itertools import chain, compress, repeat
+from operator import eq
 from typing import Optional
 
-from .groupoid import FiniteGroupoid, GroupoidMorphism, validate_groupoid
+import numpy as np
+
+from .groupoid import (FiniteGroupoid, GroupoidMorphism, _ids, _prefix,
+                       validate_groupoid)
 from .actions import Cocycle, GroupoidAction
 from .algebra import StructureTable
 from .bundle import FellBundle
@@ -59,100 +63,142 @@ def _resolve(source, base_dir, loader, file, path):
     raise ParseError(file, path, "an object or a path string")
 
 
+# Entries are checked as whole arrays: each check is a mask over the
+# entries, and an error names the first failing entry, with the checks of
+# one entry taken in the order the messages below list them.
+
+def _is(items, kind) -> np.ndarray:
+    """Mask: which of ``items`` (a list) are instances of ``kind``."""
+    return np.fromiter(map(isinstance, items, repeat(kind)), bool, len(items))
+
+
+def _known(items, known) -> np.ndarray:
+    """Mask: which of ``items`` are strings that ``known`` contains."""
+    ok = _is(items, str)
+    ok[ok] = np.fromiter(map(known.__contains__, compress(items, ok)), bool,
+                         int(ok.sum()))
+    return ok
+
+
+def _rows(entries, width, kind):
+    """(k, items): the first k entries are lists of ``width`` instances
+    of ``kind`` and entry k, if any, is not; items are theirs, flat."""
+    k = _prefix(_is(entries, list))
+    k = _prefix(np.fromiter(map(len, entries[:k]), np.int64, k) == width)
+    items = list(chain.from_iterable(entries[:k]))
+    k = _prefix(_is(items, kind).reshape(k, width).all(1))
+    return k, items[:k * width]
+
+
+def _complex_rows(values):
+    """(k, the first k values as complex numbers): the first k are
+    [re, im] pairs of finite numbers and value k, if any, is not."""
+    k, items = _rows(values, 2, (int, float))
+    k = _prefix(np.isfinite(np.array(items, float)).reshape(k, 2).all(1))
+    return k, list(map(complex, items[0:2 * k:2], items[1:2 * k:2]))
+
+
 def _as_str_list(obj, file, path):
     _expect(isinstance(obj, list), file, path, "a list")
-    out = []
-    for i, v in enumerate(obj):
-        _expect(isinstance(v, str), file, f"{path}[{i}]", "a string id")
-        out.append(v)
-    return out
+    i = _prefix(_is(obj, str))
+    _expect(i == len(obj), file, f"{path}[{i}]", "a string id")
+    return list(obj)
 
 
 def _as_str_map(obj, file, path, keys):
     _expect(isinstance(obj, dict), file, path, "an object")
-    for k, v in obj.items():
-        _expect(isinstance(v, str), file, f"{path}.{k}", "a string id")
-    missing = [k for k in keys if k not in obj]
-    _expect(not missing, file, path, f"an entry for {missing[0]!r}"
-            if missing else "")
+    i = _prefix(_is(list(obj.values()), str))
+    if i < len(obj):
+        raise ParseError(file, f"{path}.{list(obj)[i]}", "a string id")
+    i = _prefix(np.fromiter(map(obj.__contains__, keys), bool, len(keys)))
+    if i < len(keys):
+        raise ParseError(file, path, f"an entry for {keys[i]!r}")
     return dict(obj)
 
 
+def _check_map(table, file, path, keys, key_what, values, value_what):
+    """Every key of ``table`` in ``keys`` and every value in ``values``."""
+    names = list(table)
+    key_ok = _known(names, keys)
+    i = _prefix(key_ok & _known(list(table.values()), values))
+    if i < len(names):
+        raise ParseError(file, f"{path}.{names[i]}",
+                         value_what if key_ok[i] else key_what)
+
+
+def _pairs(items) -> dict:
+    """{(x, y): z} of flat triples x, y, z; a repeated (x, y) keeps its
+    place and takes the last z."""
+    return dict(zip(zip(items[0::3], items[1::3]), items[2::3]))
+
+
 def _as_complex(obj, file, path) -> complex:
-    _expect(isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(v, (int, float)) and math.isfinite(v)
-                    for v in obj),
-            file, path, "a [re, im] pair of finite numbers")
-    return complex(obj[0], obj[1])
+    k, z = _complex_rows([obj])
+    _expect(k, file, path, "a [re, im] pair of finite numbers")
+    return z[0]
+
+
+def _parse_groupoid(obj, file, at, declared):
+    """The validate_groupoid arguments of a groupoid object. With
+    ``declared``, every id must be a declared arrow and each composable
+    pair listed once, and comp comes as an (m, 3) array of arrow indices;
+    without, comp is the dict of the listed triples (a repeated pair takes
+    its last composite)."""
+    _expect(isinstance(obj, dict), file, at, "a groupoid object")
+    for key in ("arrows", "units", "src", "rng", "inv", "comp"):
+        _expect(key in obj, file, at, f"key {key!r}")
+    arrows = _as_str_list(obj["arrows"], file, f"{at}.arrows")
+    index = {g: i for i, g in enumerate(arrows)}
+    units = _as_str_list(obj["units"], file, f"{at}.units")
+    if declared:
+        i = _prefix(_known(units, index))
+        _expect(i == len(units), file, f"{at}.units[{i}]", "a declared arrow")
+    tables = []
+    for name in ("src", "rng", "inv"):
+        tables.append(_as_str_map(obj[name], file, f"{at}.{name}", arrows))
+        if declared:
+            _check_map(tables[-1], file, f"{at}.{name}", index,
+                       "a declared arrow key", index, "a declared arrow value")
+    comp = obj["comp"]
+    _expect(isinstance(comp, list), file, f"{at}.comp",
+            "a list of [g1, g2, g12] triples" if declared else "a list")
+    k, items = _rows(comp, 3, str)
+    if declared:
+        ids = _ids(items, index).reshape(k, 3)
+        # a repeat of an earlier pair; pairs with an undeclared id may
+        # collide, but then that earlier entry fails first
+        key = ids[:, 0] * len(arrows) + ids[:, 1]
+        first = np.zeros(k, bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        ok = (ids >= 0).all(1)
+        i = _prefix(ok & first)
+        if i < k:
+            _expect(not ok[i], file, f"{at}.comp[{i}]",
+                    "no duplicate composable pair")
+            got = next(g for g in comp[i] if g not in index)
+            raise ParseError(file, f"{at}.comp[{i}]",
+                             f"declared arrows (got {got!r})")
+    _expect(k == len(comp), file, f"{at}.comp[{k}]",
+            "a [g1, g2, g12] string triple")
+    return (arrows, units, *tables, ids if declared else _pairs(items))
 
 
 def load_groupoid(source, base_dir=None, file=None, at="$") -> FiniteGroupoid:
     """Groupoid file: {"arrows": [...], "units": [...], "src": {},
     "rng": {}, "inv": {}, "comp": [[g1, g2, g12], ...]}. comp must list
     exactly the composable pairs; the axioms are checked exhaustively."""
-    if isinstance(source, str):
-        return load_groupoid(_read_json(source),
-                             base_dir=os.path.dirname(source), file=source)
-    obj = source
-    _expect(isinstance(obj, dict), file, at, "a groupoid object")
-    for key in ("arrows", "units", "src", "rng", "inv", "comp"):
-        _expect(key in obj, file, at, f"key {key!r}")
-    arrows = _as_str_list(obj["arrows"], file, f"{at}.arrows")
-    arrow_set = set(arrows)
-    units = _as_str_list(obj["units"], file, f"{at}.units")
-    for i, u in enumerate(units):
-        _expect(u in arrow_set, file, f"{at}.units[{i}]", "a declared arrow")
-    tables = {}
-    for name in ("src", "rng", "inv"):
-        table = _as_str_map(obj[name], file, f"{at}.{name}", arrows)
-        for k, v in table.items():
-            _expect(k in arrow_set, file, f"{at}.{name}.{k}",
-                    "a declared arrow key")
-            _expect(v in arrow_set, file, f"{at}.{name}.{k}",
-                    "a declared arrow value")
-        tables[name] = table
-    _expect(isinstance(obj["comp"], list), file, f"{at}.comp",
-            "a list of [g1, g2, g12] triples")
-    comp = {}
-    for i, triple in enumerate(obj["comp"]):
-        _expect(isinstance(triple, list) and len(triple) == 3
-                and all(isinstance(v, str) for v in triple),
-                file, f"{at}.comp[{i}]", "a [g1, g2, g12] string triple")
-        g1, g2, g12 = triple
-        for g in triple:
-            _expect(g in arrow_set, file, f"{at}.comp[{i}]",
-                    f"declared arrows (got {g!r})")
-        _expect((g1, g2) not in comp, file, f"{at}.comp[{i}]",
-                "no duplicate composable pair")
-        comp[(g1, g2)] = g12
-    return validate_groupoid(arrows, units, tables["src"], tables["rng"],
-                             tables["inv"], comp)
+    if isinstance(source, str):  # the document is freed before validation
+        return validate_groupoid(*_parse_groupoid(_read_json(source), source,
+                                                  "$", True))
+    return validate_groupoid(*_parse_groupoid(source, file, at, True))
 
 
 def load_raw_groupoid_tables(source):
     """Parse a groupoid file structurally without running the validator;
     returns the validate_groupoid arguments."""
     if isinstance(source, str):
-        obj = _read_json(source)
-        file = source
-    else:
-        obj, file = source, None
-    _expect(isinstance(obj, dict), file, "$", "a groupoid object")
-    for key in ("arrows", "units", "src", "rng", "inv", "comp"):
-        _expect(key in obj, file, "$", f"key {key!r}")
-    arrows = _as_str_list(obj["arrows"], file, "$.arrows")
-    units = _as_str_list(obj["units"], file, "$.units")
-    src = _as_str_map(obj["src"], file, "$.src", arrows)
-    rng = _as_str_map(obj["rng"], file, "$.rng", arrows)
-    inv = _as_str_map(obj["inv"], file, "$.inv", arrows)
-    comp = {}
-    _expect(isinstance(obj["comp"], list), file, "$.comp", "a list")
-    for i, triple in enumerate(obj["comp"]):
-        _expect(isinstance(triple, list) and len(triple) == 3
-                and all(isinstance(v, str) for v in triple),
-                file, f"$.comp[{i}]", "a [g1, g2, g12] string triple")
-        comp[(triple[0], triple[1])] = triple[2]
-    return arrows, units, src, rng, inv, comp
+        return _parse_groupoid(_read_json(source), source, "$", False)
+    return _parse_groupoid(source, None, "$", False)
 
 
 def save_groupoid(G: FiniteGroupoid) -> dict:
@@ -183,9 +229,8 @@ def load_morphism(source, base_dir=None, file=None, at="$") -> GroupoidMorphism:
     cod = _resolve(obj["codomain"], base_dir, load_groupoid, file,
                    f"{at}.codomain")
     mapping = _as_str_map(obj["map"], file, f"{at}.map", dom.arrows)
-    for k, v in mapping.items():
-        _expect(k in dom.index, file, f"{at}.map.{k}", "a domain arrow")
-        _expect(v in cod.index, file, f"{at}.map.{k}", "a codomain arrow")
+    _check_map(mapping, file, f"{at}.map", dom.index, "a domain arrow",
+               cod.index, "a codomain arrow")
     return GroupoidMorphism(dom, cod, mapping)
 
 
@@ -377,14 +422,10 @@ def load_graph_morphism(source, base_dir=None) -> GraphMorphism:
     cod = _resolve(obj["codomain"], base_dir, load_graph, file, "$.codomain")
     vmap = _as_str_map(obj["vmap"], file, "$.vmap", dom.vertices)
     emap = _as_str_map(obj["emap"], file, "$.emap", dom.edges)
-    for v, w in vmap.items():
-        _expect(v in set(dom.vertices), file, f"$.vmap.{v}",
-                "a domain vertex")
-        _expect(w in set(cod.vertices), file, f"$.vmap.{v}",
-                "a codomain vertex")
-    for e, f2 in emap.items():
-        _expect(e in set(dom.edges), file, f"$.emap.{e}", "a domain edge")
-        _expect(f2 in set(cod.edges), file, f"$.emap.{e}", "a codomain edge")
+    _check_map(vmap, file, "$.vmap", set(dom.vertices), "a domain vertex",
+               set(cod.vertices), "a codomain vertex")
+    _check_map(emap, file, "$.emap", set(dom.edges), "a domain edge",
+               set(cod.edges), "a codomain edge")
     return GraphMorphism(dom, cod, vmap, emap)
 
 
@@ -407,19 +448,19 @@ def load_group(source, base_dir=None):
         _expect(key in obj, file, "$", f"key {key!r}")
     elements = _as_str_list(obj["elements"], file, "$.elements")
     eset = set(elements)
-    _expect(isinstance(obj["mul"], list), file, "$.mul", "a list of triples")
-    mul = {}
-    for i, triple in enumerate(obj["mul"]):
-        _expect(isinstance(triple, list) and len(triple) == 3
-                and all(isinstance(v, str) for v in triple),
-                file, f"$.mul[{i}]", "an [a, b, ab] string triple")
-        for v in triple:
-            _expect(v in eset, file, f"$.mul[{i}]",
-                    f"declared elements (got {v!r})")
-        mul[(triple[0], triple[1])] = triple[2]
+    entries = obj["mul"]
+    _expect(isinstance(entries, list), file, "$.mul", "a list of triples")
+    k, items = _rows(entries, 3, str)
+    i = _prefix(_known(items, eset).reshape(k, 3).all(1))
+    if i < k:
+        got = next(v for v in entries[i] if v not in eset)
+        raise ParseError(file, f"$.mul[{i}]", f"declared elements (got {got!r})")
+    _expect(k == len(entries), file, f"$.mul[{k}]",
+            "an [a, b, ab] string triple")
+    mul = _pairs(items)
     kernel = _as_str_list(obj.get("kernel", []), file, "$.kernel")
-    for i, a in enumerate(kernel):
-        _expect(a in eset, file, f"$.kernel[{i}]", "a declared element")
+    i = _prefix(_known(kernel, eset))
+    _expect(i == len(kernel), file, f"$.kernel[{i}]", "a declared element")
     return elements, mul, kernel
 
 
@@ -445,21 +486,20 @@ def load_action(source, base_dir=None) -> GroupoidAction:
     points = _as_str_list(obj["X"], file, "$.X")
     pset = set(points)
     rho = _as_str_map(obj["rho"], file, "$.rho", points)
-    for x, u in rho.items():
-        _expect(x in pset, file, f"$.rho.{x}", "a declared point")
-        _expect(u in H.index, file, f"$.rho.{x}", "a groupoid arrow")
-    _expect(isinstance(obj["act"], list), file, "$.act", "a list of triples")
-    act = {}
-    for i, triple in enumerate(obj["act"]):
-        _expect(isinstance(triple, list) and len(triple) == 3
-                and all(isinstance(v, str) for v in triple),
-                file, f"$.act[{i}]", "an [h, x, hx] string triple")
-        h, x, hx = triple
-        _expect(h in H.index, file, f"$.act[{i}][0]", "a groupoid arrow")
-        _expect(x in pset and hx in pset, file, f"$.act[{i}]",
-                "declared points")
-        act[(h, x)] = hx
-    return GroupoidAction(H, points, rho, act)
+    _check_map(rho, file, "$.rho", pset, "a declared point", H.index,
+               "a groupoid arrow")
+    entries = obj["act"]
+    _expect(isinstance(entries, list), file, "$.act", "a list of triples")
+    k, items = _rows(entries, 3, str)
+    h, x, hx = items[0::3], items[1::3], items[2::3]
+    arrow_ok = _known(h, H.index)
+    i = _prefix(arrow_ok & _known(x, pset) & _known(hx, pset))
+    if i < k:
+        _expect(arrow_ok[i], file, f"$.act[{i}][0]", "a groupoid arrow")
+        raise ParseError(file, f"$.act[{i}]", "declared points")
+    _expect(k == len(entries), file, f"$.act[{k}]",
+            "an [h, x, hx] string triple")
+    return GroupoidAction(H, points, rho, _pairs(items))
 
 
 def save_action(a: GroupoidAction, groupoid_ref=None) -> dict:
@@ -488,19 +528,26 @@ def load_cocycle(source, groupoid: FiniteGroupoid = None, base_dir=None) -> Cocy
         _expect("groupoid" in obj, file, "$", "key 'groupoid'")
         groupoid = _resolve(obj["groupoid"], base_dir, load_groupoid, file,
                             "$.groupoid")
-    omega = {}
-    _expect(isinstance(obj["omega"], list), file, "$.omega", "a list")
-    for i, triple in enumerate(obj["omega"]):
-        _expect(isinstance(triple, list) and len(triple) == 3,
-                file, f"$.omega[{i}]", "a [g1, g2, [re, im]] triple")
-        g1, g2, val = triple
-        _expect(isinstance(g1, str) and g1 in groupoid.index,
-                file, f"$.omega[{i}][0]", "a groupoid arrow")
-        _expect(isinstance(g2, str) and g2 in groupoid.index,
-                file, f"$.omega[{i}][1]", "a groupoid arrow")
-        _expect(groupoid.composable(g1, g2), file, f"$.omega[{i}]",
-                "a composable pair")
-        omega[(g1, g2)] = _as_complex(val, file, f"$.omega[{i}][2]")
+    entries = obj["omega"]
+    _expect(isinstance(entries, list), file, "$.omega", "a list")
+    k, items = _rows(entries, 3, object)
+    g1, g2 = items[0::3], items[1::3]
+    first_ok = _known(g1, groupoid.index)
+    i = _prefix(first_ok & _known(g2, groupoid.index))
+    # the first i rows name arrows: check composability, then the values
+    j = _prefix(np.fromiter(map(eq, map(groupoid.src.__getitem__, g1[:i]),
+                                map(groupoid.rng.__getitem__, g2[:i])),
+                            bool, i))
+    v, values = _complex_rows(items[2:3 * j:3])
+    if v < k:
+        at = f"$.omega[{v}]"
+        _expect(v < i, file, at + ("[1]" if first_ok[v] else "[0]"),
+                "a groupoid arrow")
+        _expect(v < j, file, at, "a composable pair")
+        raise ParseError(file, at + "[2]", "a [re, im] pair of finite numbers")
+    _expect(k == len(entries), file, f"$.omega[{k}]",
+            "a [g1, g2, [re, im]] triple")
+    omega = dict(zip(zip(g1, g2), values))
     _expect(len(omega) == len(groupoid.comp), file, "$.omega",
             "a value on every composable pair")
     return Cocycle(groupoid, omega)

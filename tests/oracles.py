@@ -6,12 +6,19 @@ convolution from the plain group-algebra double sum, and path lifting
 from brute-force enumeration of all edge tuples.
 """
 
+import math
 from itertools import product
+from typing import Mapping
 
 import numpy as np
 
+from gpdkit.actions import Cocycle, GroupoidAction
 from gpdkit.algebra import groupoid_table
-from gpdkit.groupoid import FiniteGroupoid
+from gpdkit.groupoid import (AssociativityFailure, FiniteGroupoid,
+                             GroupoidError, GroupoidMorphism,
+                             IllegalComposite, InverseFailure,
+                             MissingComposite, UnitFailure)
+from gpdkit.io import ParseError
 
 
 def group_closure(elements, mul, seed):
@@ -639,3 +646,276 @@ def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
     report.add("imprimitivity", res_imp <= tol, res_imp,
                wit if res_imp > tol else None)
     return report
+
+
+# The input layer as per-entry loops: the structural checks of gpdkit.io
+# and the axiom checks of validate_groupoid, one entry at a time and in
+# the order that decides which failure is reported first.
+
+def _loop_expect(cond, file, path, what):
+    if not cond:
+        raise ParseError(file, path, what)
+
+
+def _loop_str_list(obj, file, path):
+    _loop_expect(isinstance(obj, list), file, path, "a list")
+    out = []
+    for i, v in enumerate(obj):
+        _loop_expect(isinstance(v, str), file, f"{path}[{i}]", "a string id")
+        out.append(v)
+    return out
+
+
+def _loop_str_map(obj, file, path, keys):
+    _loop_expect(isinstance(obj, dict), file, path, "an object")
+    for k, v in obj.items():
+        _loop_expect(isinstance(v, str), file, f"{path}.{k}", "a string id")
+    missing = [k for k in keys if k not in obj]
+    _loop_expect(not missing, file, path, f"an entry for {missing[0]!r}"
+                 if missing else "")
+    return dict(obj)
+
+
+def _loop_complex(obj, file, path) -> complex:
+    _loop_expect(isinstance(obj, list) and len(obj) == 2
+                 and all(isinstance(v, (int, float)) and math.isfinite(v)
+                         for v in obj),
+                 file, path, "a [re, im] pair of finite numbers")
+    return complex(obj[0], obj[1])
+
+
+def loop_validate_groupoid(arrows, units, src, rng, inv, comp):
+    """validate_groupoid, one arrow and one comp entry at a time."""
+    arrows = tuple(arrows)
+    arrow_set = set(arrows)
+    if len(arrow_set) != len(arrows):
+        raise GroupoidError("duplicate arrow identifiers")
+    units = tuple(units)
+    for u in units:
+        if u not in arrow_set:
+            raise UnitFailure(f"unit {u!r} is not a declared arrow", witness=u)
+    if not isinstance(comp, Mapping):
+        comp = {(g1, g2): g12 for g1, g2, g12 in comp}
+    unit_set = set(units)
+    for table, name in ((src, "src"), (rng, "rng"), (inv, "inv")):
+        for g in arrows:
+            if g not in table:
+                raise GroupoidError(f"{name} is not total: missing {g!r}",
+                                    witness=g)
+            if table[g] not in arrow_set:
+                raise GroupoidError(
+                    f"{name}[{g!r}] = {table[g]!r} is not a declared arrow",
+                    witness=g)
+    for g in arrows:
+        if src[g] not in unit_set:
+            raise UnitFailure(f"src[{g!r}] = {src[g]!r} is not a unit",
+                              witness=g)
+        if rng[g] not in unit_set:
+            raise UnitFailure(f"rng[{g!r}] = {rng[g]!r} is not a unit",
+                              witness=g)
+    for (g1, g2), g12 in comp.items():
+        if g1 not in arrow_set or g2 not in arrow_set or g12 not in arrow_set:
+            raise IllegalComposite(
+                f"comp entry ({g1!r}, {g2!r}) -> {g12!r} uses undeclared arrows",
+                witness=(g1, g2, g12))
+        if src[g1] != rng[g2]:
+            raise IllegalComposite(
+                f"comp defined on non-composable pair ({g1!r}, {g2!r})",
+                witness=(g1, g2))
+        if src[g12] != src[g2] or rng[g12] != rng[g1]:
+            raise IllegalComposite(
+                f"composite {g12!r} of ({g1!r}, {g2!r}) has wrong source or range",
+                witness=(g1, g2, g12))
+    G = FiniteGroupoid(arrows, units, src, rng, inv, comp)
+    for g1, g2 in G.composable_pairs():
+        if (g1, g2) not in comp:
+            raise MissingComposite(
+                f"composable pair ({g1!r}, {g2!r}) missing from comp",
+                witness=(g1, g2))
+    for u in units:
+        if src[u] != u or rng[u] != u:
+            raise UnitFailure(f"unit {u!r} has src/rng != itself", witness=u)
+    for g in arrows:
+        if comp[(rng[g], g)] != g:
+            raise UnitFailure(
+                f"left unit law fails: {rng[g]!r} * {g!r} != {g!r}",
+                witness=(rng[g], g))
+        if comp[(g, src[g])] != g:
+            raise UnitFailure(
+                f"right unit law fails: {g!r} * {src[g]!r} != {g!r}",
+                witness=(g, src[g]))
+    for g in arrows:
+        gi = inv[g]
+        if inv[gi] != g:
+            raise InverseFailure(f"inv is not involutive at {g!r}", witness=g)
+        if src[gi] != rng[g] or rng[gi] != src[g]:
+            raise InverseFailure(f"inv[{g!r}] has wrong source or range",
+                                 witness=g)
+        if comp[(g, gi)] != rng[g]:
+            raise InverseFailure(
+                f"{g!r} * {gi!r} != rng({g!r})", witness=(g, gi))
+        if comp[(gi, g)] != src[g]:
+            raise InverseFailure(
+                f"{gi!r} * {g!r} != src({g!r})", witness=(gi, g))
+    res, triple = groupoid_table(G).associativity_defect()
+    if res > 0:
+        g1, g2, g3 = (arrows[i] for i in triple)
+        raise AssociativityFailure(
+            f"({g1!r}*{g2!r})*{g3!r} != {g1!r}*({g2!r}*{g3!r})",
+            witness=(g1, g2, g3))
+    return G
+
+
+def _loop_resolve(source, loader, file, path):
+    if isinstance(source, dict):
+        return loader(source, file=file, at=path)
+    raise ParseError(file, path, "an object or a path string")
+
+
+def loop_load_groupoid(obj, file=None, at="$"):
+    """gpdkit.io.load_groupoid of an inline object, one entry at a time."""
+    _loop_expect(isinstance(obj, dict), file, at, "a groupoid object")
+    for key in ("arrows", "units", "src", "rng", "inv", "comp"):
+        _loop_expect(key in obj, file, at, f"key {key!r}")
+    arrows = _loop_str_list(obj["arrows"], file, f"{at}.arrows")
+    arrow_set = set(arrows)
+    units = _loop_str_list(obj["units"], file, f"{at}.units")
+    for i, u in enumerate(units):
+        _loop_expect(u in arrow_set, file, f"{at}.units[{i}]",
+                     "a declared arrow")
+    tables = {}
+    for name in ("src", "rng", "inv"):
+        table = _loop_str_map(obj[name], file, f"{at}.{name}", arrows)
+        for k, v in table.items():
+            _loop_expect(k in arrow_set, file, f"{at}.{name}.{k}",
+                         "a declared arrow key")
+            _loop_expect(v in arrow_set, file, f"{at}.{name}.{k}",
+                         "a declared arrow value")
+        tables[name] = table
+    _loop_expect(isinstance(obj["comp"], list), file, f"{at}.comp",
+                 "a list of [g1, g2, g12] triples")
+    comp = {}
+    for i, triple in enumerate(obj["comp"]):
+        _loop_expect(isinstance(triple, list) and len(triple) == 3
+                     and all(isinstance(v, str) for v in triple),
+                     file, f"{at}.comp[{i}]", "a [g1, g2, g12] string triple")
+        g1, g2, g12 = triple
+        for g in triple:
+            _loop_expect(g in arrow_set, file, f"{at}.comp[{i}]",
+                         f"declared arrows (got {g!r})")
+        _loop_expect((g1, g2) not in comp, file, f"{at}.comp[{i}]",
+                     "no duplicate composable pair")
+        comp[(g1, g2)] = g12
+    return loop_validate_groupoid(arrows, units, tables["src"], tables["rng"],
+                                  tables["inv"], comp)
+
+
+def loop_load_raw_groupoid_tables(obj, file=None):
+    """gpdkit.io.load_raw_groupoid_tables of an inline object."""
+    _loop_expect(isinstance(obj, dict), file, "$", "a groupoid object")
+    for key in ("arrows", "units", "src", "rng", "inv", "comp"):
+        _loop_expect(key in obj, file, "$", f"key {key!r}")
+    arrows = _loop_str_list(obj["arrows"], file, "$.arrows")
+    units = _loop_str_list(obj["units"], file, "$.units")
+    src = _loop_str_map(obj["src"], file, "$.src", arrows)
+    rng = _loop_str_map(obj["rng"], file, "$.rng", arrows)
+    inv = _loop_str_map(obj["inv"], file, "$.inv", arrows)
+    comp = {}
+    _loop_expect(isinstance(obj["comp"], list), file, "$.comp", "a list")
+    for i, triple in enumerate(obj["comp"]):
+        _loop_expect(isinstance(triple, list) and len(triple) == 3
+                     and all(isinstance(v, str) for v in triple),
+                     file, f"$.comp[{i}]", "a [g1, g2, g12] string triple")
+        comp[(triple[0], triple[1])] = triple[2]
+    return arrows, units, src, rng, inv, comp
+
+
+def loop_load_morphism(obj, file=None, at="$"):
+    """gpdkit.io.load_morphism of an inline object with inline groupoids."""
+    _loop_expect(isinstance(obj, dict), file, at, "a morphism object")
+    for key in ("domain", "codomain", "map"):
+        _loop_expect(key in obj, file, at, f"key {key!r}")
+    dom = _loop_resolve(obj["domain"], loop_load_groupoid, file,
+                        f"{at}.domain")
+    cod = _loop_resolve(obj["codomain"], loop_load_groupoid, file,
+                        f"{at}.codomain")
+    mapping = _loop_str_map(obj["map"], file, f"{at}.map", dom.arrows)
+    for k, v in mapping.items():
+        _loop_expect(k in dom.index, file, f"{at}.map.{k}", "a domain arrow")
+        _loop_expect(v in cod.index, file, f"{at}.map.{k}",
+                     "a codomain arrow")
+    return GroupoidMorphism(dom, cod, mapping)
+
+
+def loop_load_cocycle(obj, groupoid, file=None):
+    """gpdkit.io.load_cocycle of an inline object on a given groupoid."""
+    _loop_expect(isinstance(obj, dict), file, "$", "a cocycle object")
+    _loop_expect("omega" in obj, file, "$", "key 'omega'")
+    omega = {}
+    _loop_expect(isinstance(obj["omega"], list), file, "$.omega", "a list")
+    for i, triple in enumerate(obj["omega"]):
+        _loop_expect(isinstance(triple, list) and len(triple) == 3,
+                     file, f"$.omega[{i}]", "a [g1, g2, [re, im]] triple")
+        g1, g2, val = triple
+        _loop_expect(isinstance(g1, str) and g1 in groupoid.index,
+                     file, f"$.omega[{i}][0]", "a groupoid arrow")
+        _loop_expect(isinstance(g2, str) and g2 in groupoid.index,
+                     file, f"$.omega[{i}][1]", "a groupoid arrow")
+        _loop_expect(groupoid.composable(g1, g2), file, f"$.omega[{i}]",
+                     "a composable pair")
+        omega[(g1, g2)] = _loop_complex(val, file, f"$.omega[{i}][2]")
+    _loop_expect(len(omega) == len(groupoid.comp), file, "$.omega",
+                 "a value on every composable pair")
+    return Cocycle(groupoid, omega)
+
+
+def loop_load_action(obj, file=None):
+    """gpdkit.io.load_action of an inline object with an inline groupoid."""
+    _loop_expect(isinstance(obj, dict), file, "$", "an action object")
+    for key in ("groupoid", "X", "rho", "act"):
+        _loop_expect(key in obj, file, "$", f"key {key!r}")
+    H = _loop_resolve(obj["groupoid"], loop_load_groupoid, file,
+                      "$.groupoid")
+    points = _loop_str_list(obj["X"], file, "$.X")
+    pset = set(points)
+    rho = _loop_str_map(obj["rho"], file, "$.rho", points)
+    for x, u in rho.items():
+        _loop_expect(x in pset, file, f"$.rho.{x}", "a declared point")
+        _loop_expect(u in H.index, file, f"$.rho.{x}", "a groupoid arrow")
+    _loop_expect(isinstance(obj["act"], list), file, "$.act",
+                 "a list of triples")
+    act = {}
+    for i, triple in enumerate(obj["act"]):
+        _loop_expect(isinstance(triple, list) and len(triple) == 3
+                     and all(isinstance(v, str) for v in triple),
+                     file, f"$.act[{i}]", "an [h, x, hx] string triple")
+        h, x, hx = triple
+        _loop_expect(h in H.index, file, f"$.act[{i}][0]", "a groupoid arrow")
+        _loop_expect(x in pset and hx in pset, file, f"$.act[{i}]",
+                     "declared points")
+        act[(h, x)] = hx
+    return GroupoidAction(H, points, rho, act)
+
+
+def loop_load_group(obj, file=None):
+    """gpdkit.io.load_group of an inline object."""
+    _loop_expect(isinstance(obj, dict), file, "$", "a group object")
+    for key in ("elements", "mul"):
+        _loop_expect(key in obj, file, "$", f"key {key!r}")
+    elements = _loop_str_list(obj["elements"], file, "$.elements")
+    eset = set(elements)
+    _loop_expect(isinstance(obj["mul"], list), file, "$.mul",
+                 "a list of triples")
+    mul = {}
+    for i, triple in enumerate(obj["mul"]):
+        _loop_expect(isinstance(triple, list) and len(triple) == 3
+                     and all(isinstance(v, str) for v in triple),
+                     file, f"$.mul[{i}]", "an [a, b, ab] string triple")
+        for v in triple:
+            _loop_expect(v in eset, file, f"$.mul[{i}]",
+                         f"declared elements (got {v!r})")
+        mul[(triple[0], triple[1])] = triple[2]
+    kernel = _loop_str_list(obj.get("kernel", []), file, "$.kernel")
+    for i, a in enumerate(kernel):
+        _loop_expect(a in eset, file, f"$.kernel[{i}]", "a declared element")
+    return elements, mul, kernel

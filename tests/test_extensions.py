@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,44 @@ class TestOtherExtensions:
         assert entry.residual == pytest.approx(worst, rel=1e-12)
         assert entry.witness == "('(0,1)', '(0,1)')"
         assert defect[("(0,1)", "(0,1)")] == pytest.approx(worst, rel=1e-12)
+
+    @staticmethod
+    def _double_chi1_at_center(monkeypatch):
+        # a wrong character value makes the twist non-associative, so the
+        # Wedderburn retries of the twisted algebra end in NumericalDegeneracy
+        value = CharacterData.value
+        monkeypatch.setattr(
+            CharacterData, "value", lambda self, m, a: value(self, m, a)
+            * (2.0 if (tuple(m), a) == ((1,), "[0,0,1]") else 1.0))
+
+    def test_wedderburn_error_is_a_failed_check(self, monkeypatch):
+        self._double_chi1_at_center(monkeypatch)
+        res = gk.group_extension_bundle(corpus.heisenberg_extension(2))
+        names = [e.name for e in res.entries]
+        assert names[2:] == ["basis_map_bijective", "basis_map_multiplicative",
+                             "basis_map_star", "basis_map_isometric",
+                             "wedderburn_equal"]
+        assert not res.entry("basis_map_multiplicative").passed
+        entry = res.entry("wedderburn_equal")
+        assert not entry.passed and entry.residual is None
+        assert entry.witness.startswith("wedderburn failed after")
+
+    def test_ext_analyze_reports_it_with_exit_1(self, monkeypatch, tmp_path,
+                                               capsys):
+        from gpdkit import io as gio
+        from gpdkit.cli import main
+        from gpdkit.report import canonical_json
+        elements, mul, _ = corpus.heisenberg_elements(2)
+        path = tmp_path / "heis2.group.json"
+        path.write_text(canonical_json(gio.save_group(
+            elements, mul, ["[0,0,0]", "[0,0,1]"])))
+        self._double_chi1_at_center(monkeypatch)
+        code = main(["ext", "analyze", "--group", str(path)])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in out.err
+        checks = {c["name"]: c["pass"] for c in json.loads(out.out)["checks"]}
+        assert checks["basis_map_bijective"] and not checks["wedderburn_equal"]
 
     def test_z4_over_2z4(self):
         els, mul = cyclic_table(4)

@@ -14,7 +14,8 @@ import gpdkit as gk
 import gpdkit.io as gio
 from gpdkit import corpus
 from gpdkit.cli import DEMOS, HANDLERS, OPERATIONS, build_parser, main
-from gpdkit.report import _escape, canonical_json
+from gpdkit.groupoid import pair_blocks
+from gpdkit.report import _escape, canonical_json, digest_text
 from oracles import bundle_from, escape_loop, table_arrays
 
 
@@ -305,6 +306,35 @@ class TestCli:
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
         assert r1.stdout.strip()
+
+    def test_python_m_gpdkit_runs_the_cli(self, capsys):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+            os.path.dirname(os.path.dirname(gk.__file__)),
+            os.environ.get("PYTHONPATH"))))}
+        r = subprocess.run([sys.executable, "-m", "gpdkit", "demo", "z3"],
+                           capture_output=True, text=True, env=env)
+        code, out, _ = run_cli(["demo", "z3"], capsys)
+        assert code == 0
+        assert (r.returncode, r.stdout) == (code, out)
+
+    @pytest.mark.parametrize("G", [
+        *(pytest.param(f(), id=n) for n, f in (
+            ("pair", lambda: corpus.pair_groupoid(2)),
+            ("z3", lambda: corpus.cyclic_groupoid(3)),
+            ("flip", lambda: gk.build_action_groupoid(
+                corpus.flip_action()).groupoid),
+            ("union", lambda: corpus.disjoint_union([
+                ("p", corpus.pair_groupoid(3)),
+                ("z", corpus.cyclic_groupoid(2))])))),
+        *(pytest.param(corpus.heisenberg_groupoid(n), id=f"heis{n}")
+          for n in (2, 3, 4, 5)),
+        pytest.param(pair_blocks([['a"', "b\\"], ["c\x01", "\u00e9\n"]]),
+                     id="escaped-labels"),
+        pytest.param(pair_blocks([]), id="empty")])
+    def test_flat_groupoid_digest_is_the_canonical_json_digest(self, G):
+        from gpdkit.cli import _groupoid_digest
+        assert _groupoid_digest(G) == digest_text(
+            canonical_json(gio.save_groupoid(G)))
 
     def test_bundle_verify_from_bundle_file(self, tmp_path, capsys):
         E = gk.build_bundle(gio.load_morphism(
