@@ -5,6 +5,10 @@ prints a deterministic JSON report on stdout plus a human summary on
 stderr. Exit code 0 means every check passed, 1 means a verification
 failure, 2 means malformed input (the diagnostic names the file, the JSON
 path and what was expected there).
+
+Each command is declared once, in the command table ``COMMANDS``. A run
+builds the argparse parser of its own command only, with the help, usage
+and error messages of the whole table's parser.
 """
 
 from __future__ import annotations
@@ -73,18 +77,15 @@ OPERATIONS = {
 DEMOS = ("pair", "z3", "flip", "cuntz", "heisenberg")
 
 
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return digest_bytes(fh.read())
-
-
-def _input_digests(args, names) -> dict:
+def _input_digests(args, flags) -> dict:
     out = {}
-    for name in names:
-        path = getattr(args, name.replace("-", "_"), None)
+    for flag, _, is_input in flags:
+        name = flag[2:]
+        path = is_input and getattr(args, name.replace("-", "_"))
         if path:
             try:
-                out[name] = _digest_file(path)
+                with open(path, "rb") as fh:
+                    out[name] = digest_bytes(fh.read())
             except OSError:
                 out[name] = None
     return out
@@ -121,108 +122,6 @@ def _groupoid_digest(G) -> str:
         "units": seq([q[G.index[u]] for u in G.units])}
     return digest_text("{\n" + ",\n".join(f'  "{k}": {v}' for k, v in
                                           parts.items()) + "\n}")
-
-
-def _add_common(p):
-    p.add_argument("--tol", type=float,
-                   default=float(os.environ.get("GPD_TOL", "1e-9")),
-                   help="numeric tolerance (env GPD_TOL; flag wins)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--out", type=str, default=None,
-                   help="also write the JSON report to this path")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="gpdkit",
-        description="finite groupoid / fiber bundle verification toolkit")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    gpd = sub.add_parser("gpd", help="groupoid table operations")
-    gsub = gpd.add_subparsers(dest="sub", required=True)
-    v = gsub.add_parser("validate", help="validate a groupoid file")
-    v.add_argument("--groupoid", required=True)
-    _add_common(v)
-    m = gsub.add_parser("morphism", help="classify a groupoid morphism")
-    m.add_argument("--morphism", required=True)
-    _add_common(m)
-
-    alg = sub.add_parser("alg", help="convolution algebra checks")
-    asub = alg.add_subparsers(dest="sub", required=True)
-    w = asub.add_parser("wedderburn",
-                        help="block invariants and algebra sanity checks")
-    w.add_argument("--groupoid", required=True)
-    w.add_argument("--element", help="optional element file to analyze")
-    _add_common(w)
-
-    bnd = sub.add_parser("bundle", help="bundle construction and checks")
-    bsub = bnd.add_subparsers(dest="sub", required=True)
-    bb = bsub.add_parser("build", help="build the bundle of a morphism")
-    bb.add_argument("--morphism", required=True)
-    bb.add_argument("--cocycle", help="optional twist on the domain")
-    _add_common(bb)
-    bv = bsub.add_parser("verify", help="verify bundle axioms")
-    bv.add_argument("--morphism")
-    bv.add_argument("--bundle")
-    bv.add_argument("--cocycle")
-    _add_common(bv)
-    bp = bsub.add_parser("psi-check",
-                         help="certify the restriction isomorphism")
-    bp.add_argument("--morphism", required=True)
-    _add_common(bp)
-
-    gr = sub.add_parser("graph", help="graph morphism operations")
-    grsub = gr.add_subparsers(dest="sub", required=True)
-    gc = grsub.add_parser("check", help="check a graph morphism")
-    gc.add_argument("--morphism", required=True)
-    gc.add_argument("--depth", type=int, default=4,
-                    help="cylinder cover depth")
-    _add_common(gc)
-    gf = grsub.add_parser("fibers", help="kernel fibers over a word")
-    gf.add_argument("--morphism", required=True)
-    gf.add_argument("--word", required=True,
-                    help="edge ids, comma separated or single characters")
-    gf.add_argument("--origin", help="origin vertex for the empty word")
-    _add_common(gf)
-    gg = grsub.add_parser("grading", help="window grading of a collapse map")
-    gg.add_argument("--graph", required=True)
-    gg.add_argument("--depth", type=int, default=3)
-    _add_common(gg)
-
-    act = sub.add_parser("action", help="groupoid actions")
-    actsub = act.add_subparsers(dest="sub", required=True)
-    ab = actsub.add_parser("build", help="build the action groupoid")
-    ab.add_argument("--action", required=True)
-    _add_common(ab)
-    ar = actsub.add_parser("roundtrip",
-                           help="covering -> action -> covering round trip")
-    ar.add_argument("--action")
-    ar.add_argument("--morphism", help="a covering morphism file")
-    _add_common(ar)
-
-    abl = sub.add_parser("abelian", help="commutative-fiber bundles")
-    absub = abl.add_subparsers(dest="sub", required=True)
-    ax = absub.add_parser("extract",
-                          help="recover the twisted covering of a bundle")
-    ax.add_argument("--bundle")
-    ax.add_argument("--morphism", help="build the bundle from this covering")
-    ax.add_argument("--cocycle", help="optional twist when building")
-    _add_common(ax)
-
-    ext = sub.add_parser("ext", help="group extensions")
-    extsub = ext.add_subparsers(dest="sub", required=True)
-    ea = extsub.add_parser("analyze", help="dual action and twist of an "
-                           "extension with abelian kernel")
-    ea.add_argument("--group", required=True)
-    _add_common(ea)
-
-    dem = sub.add_parser("demo", help="run a built-in example")
-    dem.add_argument("name", choices=DEMOS)
-    dem.add_argument("--n", type=int, default=3,
-                     help="modulus for the heisenberg demo")
-    _add_common(dem)
-    return p
 
 
 def cmd_gpd_validate(args, report: Report):
@@ -642,8 +541,10 @@ def cmd_demo(args, report: Report):
                                         "of scope")
     elif name == "heisenberg":
         n = args.n
-        # the quotient's domain is the group itself, built once
-        pi = corpus.heisenberg_quotient(n)
+        ext = corpus.heisenberg_extension(n)
+        # the quotient's domain is the groupoid of the extension's group,
+        # built once and shared with the extension bundle
+        pi = corpus.heisenberg_quotient(n, ext.group)
         G = pi.domain
         report.inputs[f"heis{n}"] = _groupoid_digest(G)
         iso = psi_iso_check(pi, tol=args.tol, samples=args.samples,
@@ -656,7 +557,6 @@ def cmd_demo(args, report: Report):
         report.add("blocks_sum_of_squares",
                    sum(b * b for b in blocks) == n ** 3, 0.0)
         report.add_entries(iso.entries, prefix="psi_")
-        ext = corpus.heisenberg_extension(n)
         res = group_extension_bundle(ext, tol=args.tol,
                                      samples=args.samples, seed=args.seed)
         report.add_entries(res.entries, prefix="ext_")
@@ -669,45 +569,142 @@ def cmd_demo(args, report: Report):
     return
 
 
-HANDLERS = {
-    ("gpd", "validate"): cmd_gpd_validate,
-    ("gpd", "morphism"): cmd_gpd_morphism,
-    ("alg", "wedderburn"): cmd_alg_wedderburn,
-    ("bundle", "build"): cmd_bundle_build,
-    ("bundle", "verify"): cmd_bundle_verify,
-    ("bundle", "psi-check"): cmd_bundle_psi,
-    ("graph", "check"): cmd_graph_check,
-    ("graph", "fibers"): cmd_graph_fibers,
-    ("graph", "grading"): cmd_graph_grading,
-    ("action", "build"): cmd_action_build,
-    ("action", "roundtrip"): cmd_action_roundtrip,
-    ("abelian", "extract"): cmd_abelian_extract,
-    ("ext", "analyze"): cmd_ext_analyze,
+def _flag(name, **kwargs):
+    return name, kwargs, False
+
+
+def _input(name, **kwargs):
+    """A flag that names an input file; the report records its digest."""
+    return name, kwargs, True
+
+
+# The command table, the one place a command is declared: each group's
+# help and commands, and for each command its handler, its help and its
+# flags besides the common ones. The demo group has no commands: its one
+# entry, named None, gives the flags of the group parser itself.
+COMMANDS = {
+    "gpd": ("groupoid table operations", {
+        "validate": (cmd_gpd_validate, "validate a groupoid file",
+                     [_input("--groupoid", required=True)]),
+        "morphism": (cmd_gpd_morphism, "classify a groupoid morphism",
+                     [_input("--morphism", required=True)])}),
+    "alg": ("convolution algebra checks", {
+        "wedderburn": (cmd_alg_wedderburn,
+                       "block invariants and algebra sanity checks",
+                       [_input("--groupoid", required=True),
+                        _input("--element",
+                               help="optional element file to analyze")])}),
+    "bundle": ("bundle construction and checks", {
+        "build": (cmd_bundle_build, "build the bundle of a morphism",
+                  [_input("--morphism", required=True),
+                   _input("--cocycle", help="optional twist on the domain")]),
+        "verify": (cmd_bundle_verify, "verify bundle axioms",
+                   [_input("--morphism"), _input("--bundle"),
+                    _input("--cocycle")]),
+        "psi-check": (cmd_bundle_psi, "certify the restriction isomorphism",
+                      [_input("--morphism", required=True)])}),
+    "graph": ("graph morphism operations", {
+        "check": (cmd_graph_check, "check a graph morphism",
+                  [_input("--morphism", required=True),
+                   _flag("--depth", type=int, default=4,
+                         help="cylinder cover depth")]),
+        "fibers": (cmd_graph_fibers, "kernel fibers over a word",
+                   [_input("--morphism", required=True),
+                    _flag("--word", required=True, help="edge ids, comma "
+                          "separated or single characters"),
+                    _flag("--origin",
+                          help="origin vertex for the empty word")]),
+        "grading": (cmd_graph_grading, "window grading of a collapse map",
+                    [_input("--graph", required=True),
+                     _flag("--depth", type=int, default=3)])}),
+    "action": ("groupoid actions", {
+        "build": (cmd_action_build, "build the action groupoid",
+                  [_input("--action", required=True)]),
+        "roundtrip": (cmd_action_roundtrip,
+                      "covering -> action -> covering round trip",
+                      [_input("--action"),
+                       _input("--morphism",
+                              help="a covering morphism file")])}),
+    "abelian": ("commutative-fiber bundles", {
+        "extract": (cmd_abelian_extract,
+                    "recover the twisted covering of a bundle",
+                    [_input("--bundle"),
+                     _input("--morphism",
+                            help="build the bundle from this covering"),
+                     _input("--cocycle",
+                            help="optional twist when building")])}),
+    "ext": ("group extensions", {
+        "analyze": (cmd_ext_analyze, "dual action and twist of an "
+                    "extension with abelian kernel",
+                    [_input("--group", required=True)])}),
+    "demo": ("run a built-in example", {
+        None: (cmd_demo, None,
+               [_flag("name", choices=DEMOS),
+                _flag("--n", type=int, default=3,
+                      help="modulus for the heisenberg demo")])}),
 }
 
-_INPUT_FLAGS = ("groupoid", "morphism", "bundle", "cocycle", "graph",
-                "action", "group", "element")
+HANDLERS = {(group, name): handler
+            for group, (_, commands) in COMMANDS.items()
+            for name, (handler, _, _) in commands.items() if name}
+
+
+def _add_flags(p, flags, tol: float):
+    for name, kwargs, _ in flags:
+        p.add_argument(name, **kwargs)
+    p.add_argument("--tol", type=float, default=tol,
+                   help="numeric tolerance (env GPD_TOL; flag wins)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--out", type=str, default=None,
+                   help="also write the JSON report to this path")
+
+
+def _subparsers(parser, dest: str, table: dict, key):
+    """(subparsers action, the entries of ``table`` to add): the entry
+    ``key`` if it is one, else all; the usage lists all either way."""
+    if key not in table:
+        return parser.add_subparsers(dest=dest, required=True), table.items()
+    return (parser.add_subparsers(dest=dest, required=True,
+                                  metavar="{%s}" % ",".join(table)),
+            [(key, table[key])])
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of what ``argv`` can reach in the command table: the
+    group and command it names, a group it names with all its commands,
+    or else (also for None) the whole table. It parses ``argv`` as the
+    whole table's parser does, with the same output and exit status."""
+    group, name = [*(argv or ()), None, None][:2]
+    tol = float(os.environ.get("GPD_TOL", "1e-9"))
+    p = argparse.ArgumentParser(
+        prog="gpdkit",
+        description="finite groupoid / fiber bundle verification toolkit")
+    sub, groups = _subparsers(p, "cmd", COMMANDS, group)
+    for gname, (ghelp, commands) in groups:
+        gp = sub.add_parser(gname, help=ghelp)
+        if None in commands:  # the group parser is the command's
+            _add_flags(gp, commands[None][2], tol)
+            continue
+        gsub, reached = _subparsers(gp, "sub", commands,
+                                    name if group in COMMANDS else None)
+        for cname, (_, chelp, flags) in reached:
+            _add_flags(gsub.add_parser(cname, help=chelp), flags, tol)
+    return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.cmd == "demo":
-        key = ("demo", args.name)
-        command = f"demo {args.name}"
-        handler = cmd_demo
-    else:
-        key = (args.cmd, args.sub)
-        command = f"{args.cmd} {args.sub}"
-        handler = HANDLERS[key]
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
+    sub = getattr(args, "sub", None)  # None for a demo
+    handler, _, flags = COMMANDS[args.cmd][1][sub]
+    command = f"{args.cmd} {args.name if sub is None else sub}"
     report = Report(command=command, seed=args.seed, tolerance=args.tol)
-    report.inputs.update(_input_digests(args, _INPUT_FLAGS))
+    report.inputs.update(_input_digests(args, flags))
     try:
         handler(args, report)
-    except gio.ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit2 as exc:
+    except (gio.ParseError, SystemExit2) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (GroupoidError, bundle.FellBundleError, graphs.GraphError) as exc:

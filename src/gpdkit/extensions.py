@@ -58,12 +58,13 @@ class GroupTable:
     of bounded size, so memory stays bounded for a thousand elements.
     """
 
-    __slots__ = ("elements", "mul", "unit", "inv", "index")
+    __slots__ = ("elements", "mul", "unit", "inv", "index", "_groupoid")
 
     def __init__(self, elements, mul):
         self.elements = tuple(elements)
         self.mul = dict(mul)
         self.index = {a: i for i, a in enumerate(self.elements)}
+        self._groupoid = None
         n = len(self.elements)
         M = np.empty((n, n), dtype=np.int64)
         for a in self.elements:
@@ -127,13 +128,16 @@ class GroupTable:
         return n
 
     def to_groupoid(self) -> FiniteGroupoid:
-        u = self.unit
-        return _trusted(self.elements, (u,),
-                        {a: u for a in self.elements},
-                        {a: u for a in self.elements},
-                        dict(self.inv),
-                        {(a, b): self.mul[(a, b)]
-                         for a in self.elements for b in self.elements})
+        """The one-unit groupoid of the group, built once, so that its
+        structure table and regular representation are built once too."""
+        if self._groupoid is None:
+            u = self.unit
+            self._groupoid = _trusted(
+                self.elements, (u,), {a: u for a in self.elements},
+                {a: u for a in self.elements}, dict(self.inv),
+                {(a, b): self.mul[(a, b)]
+                 for a in self.elements for b in self.elements})
+        return self._groupoid
 
 
 def _p_group_basis(group: GroupTable, members) -> list:
@@ -280,11 +284,14 @@ class GroupExtension:
 
     @classmethod
     def from_tables(cls, elements, mul, kernel, section=None):
+        return cls.from_group(GroupTable(elements, mul), kernel, section)
+
+    @classmethod
+    def from_group(cls, G: GroupTable, kernel, section=None):
         """Validate and package an extension. The quotient is represented
         by the chosen section images; the default section picks the first
         element of each coset in element order (and the unit for the unit
         coset)."""
-        G = GroupTable(elements, mul)
         kset = set(kernel)
         for a in kernel:
             if a not in G.index:

@@ -14,6 +14,7 @@ relative to the referring file.
 from __future__ import annotations
 
 import json
+import math
 import os
 from itertools import chain, compress, repeat
 from operator import eq
@@ -90,11 +91,22 @@ def _rows(entries, width, kind):
     return k, items[:k * width]
 
 
+def _float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _complex_rows(values):
     """(k, the first k values as complex numbers): the first k are
     [re, im] pairs of finite numbers and value k, if any, is not."""
     k, items = _rows(values, 2, (int, float))
-    k = _prefix(np.isfinite(np.array(items, float)).reshape(k, 2).all(1))
+    try:
+        parts = np.array(items, float)
+    except OverflowError:  # an int too large for a float is not finite
+        parts = np.fromiter(map(_float, items), float, len(items))
+    k = _prefix(np.isfinite(parts).reshape(k, 2).all(1))
     return k, list(map(complex, items[0:2 * k:2], items[1:2 * k:2]))
 
 
@@ -139,11 +151,10 @@ def _as_complex(obj, file, path) -> complex:
 
 
 def _parse_groupoid(obj, file, at, declared):
-    """The validate_groupoid arguments of a groupoid object. With
-    ``declared``, every id must be a declared arrow and each composable
-    pair listed once, and comp comes as an (m, 3) array of arrow indices;
-    without, comp is the dict of the listed triples (a repeated pair takes
-    its last composite)."""
+    """The validate_groupoid arguments of a groupoid object. Each
+    composable pair must be listed once. With ``declared``, every id must
+    be a declared arrow, and comp comes as an (m, 3) array of arrow
+    indices; without, comp is the dict of the listed triples."""
     _expect(isinstance(obj, dict), file, at, "a groupoid object")
     for key in ("arrows", "units", "src", "rng", "inv", "comp"):
         _expect(key in obj, file, at, f"key {key!r}")
@@ -178,9 +189,17 @@ def _parse_groupoid(obj, file, at, declared):
             got = next(g for g in comp[i] if g not in index)
             raise ParseError(file, f"{at}.comp[{i}]",
                              f"declared arrows (got {got!r})")
+    else:
+        pairs = _pairs(items)
+        if len(pairs) < k:  # name the first repeat
+            seen = set()
+            for i, pair in enumerate(zip(items[0::3], items[1::3])):
+                _expect(pair not in seen, file, f"{at}.comp[{i}]",
+                        "no duplicate composable pair")
+                seen.add(pair)
     _expect(k == len(comp), file, f"{at}.comp[{k}]",
             "a [g1, g2, g12] string triple")
-    return (arrows, units, *tables, ids if declared else _pairs(items))
+    return (arrows, units, *tables, ids if declared else pairs)
 
 
 def load_groupoid(source, base_dir=None, file=None, at="$") -> FiniteGroupoid:

@@ -826,6 +826,8 @@ def loop_load_raw_groupoid_tables(obj, file=None):
         _loop_expect(isinstance(triple, list) and len(triple) == 3
                      and all(isinstance(v, str) for v in triple),
                      file, f"$.comp[{i}]", "a [g1, g2, g12] string triple")
+        _loop_expect((triple[0], triple[1]) not in comp, file,
+                     f"$.comp[{i}]", "no duplicate composable pair")
         comp[(triple[0], triple[1])] = triple[2]
     return arrows, units, src, rng, inv, comp
 

@@ -250,6 +250,41 @@ class TestCli:
         payload = json.loads(out)
         assert payload["blocks"] == [2, 1, 1, 1, 1]
 
+    def test_heisenberg_demo_builds_its_group_once(self, capsys,
+                                                   monkeypatch):
+        from gpdkit import cli, extensions
+        elements = corpus.heisenberg_elements
+        init = extensions.GroupTable.__init__
+        psi, table = cli.psi_iso_check, extensions.groupoid_table
+        loops, tables, domains = [], [], []
+
+        def counted_elements(n):
+            loops.append(n)
+            return elements(n)
+
+        def counted_init(self, elements, mul):
+            init(self, elements, mul)
+            tables.append(len(self))
+
+        def psi_of(pi, **kwargs):
+            domains.append(pi.domain)
+            return psi(pi, **kwargs)
+
+        def table_of(G, omega=None):
+            if omega is None and len(G) == 27:
+                domains.append(G)
+            return table(G, omega)
+        monkeypatch.setattr(corpus, "heisenberg_elements", counted_elements)
+        monkeypatch.setattr(extensions.GroupTable, "__init__", counted_init)
+        monkeypatch.setattr(cli, "psi_iso_check", psi_of)
+        monkeypatch.setattr(extensions, "groupoid_table", table_of)
+        code, _, _ = run_cli(["demo", "heisenberg", "--n", "3",
+                              "--samples", "5"], capsys)
+        assert code == 0
+        assert loops == [3] and tables.count(27) == 1
+        # psi and the extension bundle work on the group's one groupoid
+        assert len(domains) == 2 and domains[0] is domains[1]
+
     def test_graph_fibers_word_11(self, capsys):
         code, out, _ = run_cli(
             ["graph", "fibers", "--morphism",
@@ -452,6 +487,59 @@ class TestExitContract:
                                  capsys)
         assert code == 2
         assert f"$.{key}[2]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", [["gpd", "validate"],
+                                     ["alg", "wedderburn"]])
+    def test_repeated_comp_pair_exits_2(self, cmd, tmp_path, capsys):
+        # a wrong composite of (g1, g2) listed before the right one: the
+        # repeat is refused, not resolved by keeping the last composite
+        with open(corpus.data_path("z3.groupoid.json")) as fh:
+            obj = json.load(fh)
+        assert obj["comp"][5] == ["g1", "g2", "g0"]
+        obj["comp"].insert(5, ["g1", "g2", "g1"])
+        path = tmp_path / "z3.json"
+        path.write_text(canonical_json(obj))
+        code, out, err = run_cli(cmd + ["--groupoid", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"input error: {path}: at $.comp[6]: expected no "
+                       "duplicate composable pair\n")
+
+    @staticmethod
+    def _huge_value_inputs(tmp_path):
+        """(flags, JSON path) per loader of [re, im] values, each file with
+        one value whose real part is an integer too large for a float."""
+        huge = [10 ** 400, 0]
+        mpath = corpus.data_path("flip_covering.morphism.json")
+        pi = gio.load_morphism(mpath)
+        om = gio.save_cocycle(corpus.random_cocycle(
+            pi.domain, np.random.default_rng(3)))
+        om["omega"][2][2] = huge
+        E = gio.save_bundle(gk.build_bundle(pi))
+        first = next(iter(E["mul"][0][4]))
+        E["mul"][0][4][first] = huge
+        f = {"base": gio.save_groupoid(corpus.cyclic_groupoid(3)),
+             "coeffs": {"g0": [1.0, 0.0], "g2": huge}}
+        out = {}
+        for name, obj in (("om", om), ("E", E), ("f", f)):
+            out[name] = tmp_path / f"{name}.json"
+            out[name].write_text(json.dumps(obj))
+        return {
+            "cocycle": (["abelian", "extract", "--morphism", mpath,
+                         "--cocycle", str(out["om"])], "$.omega[2][2]"),
+            "bundle": (["bundle", "verify", "--bundle", str(out["E"])],
+                       f"$.mul[0][4].{first}"),
+            "element": (["alg", "wedderburn", "--groupoid",
+                         corpus.data_path("z3.groupoid.json"),
+                         "--element", str(out["f"])], "$.coeffs.g2")}
+
+    @pytest.mark.parametrize("loader", ["cocycle", "bundle", "element"])
+    def test_value_too_large_for_a_float_exits_2(self, loader, tmp_path,
+                                                 capsys):
+        argv, at = self._huge_value_inputs(tmp_path)[loader]
+        code, out, err = run_cli(argv + ["--samples", "10"], capsys)
+        assert code == 2 and out == ""
+        assert f"at {at}: expected a [re, im] pair of finite numbers" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("phase", [np.pi / 2, 1e-10],
