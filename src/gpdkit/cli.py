@@ -77,15 +77,18 @@ OPERATIONS = {
 DEMOS = ("pair", "z3", "flip", "cuntz", "heisenberg")
 
 
-def _input_digests(args, flags) -> dict:
+def _digest_file(path: str) -> str:
+    with open(path, "rb") as fh:
+        return digest_bytes(fh.read())
+
+
+def _input_digests(args, names) -> dict:
     out = {}
-    for flag, _, is_input in flags:
-        name = flag[2:]
-        path = is_input and getattr(args, name.replace("-", "_"))
+    for name in names:
+        path = getattr(args, name.replace("-", "_"), None)
         if path:
             try:
-                with open(path, "rb") as fh:
-                    out[name] = digest_bytes(fh.read())
+                out[name] = _digest_file(path)
             except OSError:
                 out[name] = None
     return out
@@ -569,88 +572,81 @@ def cmd_demo(args, report: Report):
     return
 
 
-def _flag(name, **kwargs):
-    return name, kwargs, False
-
-
-def _input(name, **kwargs):
-    """A flag that names an input file; the report records its digest."""
-    return name, kwargs, True
-
-
 # The command table, the one place a command is declared: each group's
-# help and commands, and for each command its handler, its help and its
-# flags besides the common ones. The demo group has no commands: its one
-# entry, named None, gives the flags of the group parser itself.
+# help and commands, and for each command its handler, its help and the
+# keyword arguments of its flags besides the common ones. The demo group
+# has no commands: its one entry, named None, gives the flags of the group
+# parser itself.
 COMMANDS = {
     "gpd": ("groupoid table operations", {
         "validate": (cmd_gpd_validate, "validate a groupoid file",
-                     [_input("--groupoid", required=True)]),
+                     {"--groupoid": dict(required=True)}),
         "morphism": (cmd_gpd_morphism, "classify a groupoid morphism",
-                     [_input("--morphism", required=True)])}),
+                     {"--morphism": dict(required=True)})}),
     "alg": ("convolution algebra checks", {
         "wedderburn": (cmd_alg_wedderburn,
                        "block invariants and algebra sanity checks",
-                       [_input("--groupoid", required=True),
-                        _input("--element",
-                               help="optional element file to analyze")])}),
+                       {"--groupoid": dict(required=True),
+                        "--element": dict(
+                            help="optional element file to analyze")})}),
     "bundle": ("bundle construction and checks", {
         "build": (cmd_bundle_build, "build the bundle of a morphism",
-                  [_input("--morphism", required=True),
-                   _input("--cocycle", help="optional twist on the domain")]),
+                  {"--morphism": dict(required=True),
+                   "--cocycle": dict(help="optional twist on the domain")}),
         "verify": (cmd_bundle_verify, "verify bundle axioms",
-                   [_input("--morphism"), _input("--bundle"),
-                    _input("--cocycle")]),
+                   {"--morphism": {}, "--bundle": {}, "--cocycle": {}}),
         "psi-check": (cmd_bundle_psi, "certify the restriction isomorphism",
-                      [_input("--morphism", required=True)])}),
+                      {"--morphism": dict(required=True)})}),
     "graph": ("graph morphism operations", {
         "check": (cmd_graph_check, "check a graph morphism",
-                  [_input("--morphism", required=True),
-                   _flag("--depth", type=int, default=4,
-                         help="cylinder cover depth")]),
+                  {"--morphism": dict(required=True),
+                   "--depth": dict(type=int, default=4,
+                                   help="cylinder cover depth")}),
         "fibers": (cmd_graph_fibers, "kernel fibers over a word",
-                   [_input("--morphism", required=True),
-                    _flag("--word", required=True, help="edge ids, comma "
-                          "separated or single characters"),
-                    _flag("--origin",
-                          help="origin vertex for the empty word")]),
+                   {"--morphism": dict(required=True),
+                    "--word": dict(required=True, help="edge ids, comma "
+                                   "separated or single characters"),
+                    "--origin": dict(
+                        help="origin vertex for the empty word")}),
         "grading": (cmd_graph_grading, "window grading of a collapse map",
-                    [_input("--graph", required=True),
-                     _flag("--depth", type=int, default=3)])}),
+                    {"--graph": dict(required=True),
+                     "--depth": dict(type=int, default=3)})}),
     "action": ("groupoid actions", {
         "build": (cmd_action_build, "build the action groupoid",
-                  [_input("--action", required=True)]),
+                  {"--action": dict(required=True)}),
         "roundtrip": (cmd_action_roundtrip,
                       "covering -> action -> covering round trip",
-                      [_input("--action"),
-                       _input("--morphism",
-                              help="a covering morphism file")])}),
+                      {"--action": {},
+                       "--morphism": dict(help="a covering morphism file")})}),
     "abelian": ("commutative-fiber bundles", {
         "extract": (cmd_abelian_extract,
                     "recover the twisted covering of a bundle",
-                    [_input("--bundle"),
-                     _input("--morphism",
-                            help="build the bundle from this covering"),
-                     _input("--cocycle",
-                            help="optional twist when building")])}),
+                    {"--bundle": {},
+                     "--morphism": dict(
+                         help="build the bundle from this covering"),
+                     "--cocycle": dict(
+                         help="optional twist when building")})}),
     "ext": ("group extensions", {
         "analyze": (cmd_ext_analyze, "dual action and twist of an "
                     "extension with abelian kernel",
-                    [_input("--group", required=True)])}),
+                    {"--group": dict(required=True)})}),
     "demo": ("run a built-in example", {
         None: (cmd_demo, None,
-               [_flag("name", choices=DEMOS),
-                _flag("--n", type=int, default=3,
-                      help="modulus for the heisenberg demo")])}),
+               {"name": dict(choices=DEMOS),
+                "--n": dict(type=int, default=3,
+                            help="modulus for the heisenberg demo")})}),
 }
 
 HANDLERS = {(group, name): handler
             for group, (_, commands) in COMMANDS.items()
             for name, (handler, _, _) in commands.items() if name}
 
+_INPUT_FLAGS = ("groupoid", "morphism", "bundle", "cocycle", "graph",
+                "action", "group", "element")
+
 
 def _add_flags(p, flags, tol: float):
-    for name, kwargs, _ in flags:
+    for name, kwargs in flags.items():
         p.add_argument(name, **kwargs)
     p.add_argument("--tol", type=float, default=tol,
                    help="numeric tolerance (env GPD_TOL; flag wins)")
@@ -698,13 +694,16 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     sub = getattr(args, "sub", None)  # None for a demo
-    handler, _, flags = COMMANDS[args.cmd][1][sub]
+    handler = COMMANDS[args.cmd][1][sub][0]
     command = f"{args.cmd} {args.name if sub is None else sub}"
     report = Report(command=command, seed=args.seed, tolerance=args.tol)
-    report.inputs.update(_input_digests(args, flags))
+    report.inputs.update(_input_digests(args, _INPUT_FLAGS))
     try:
         handler(args, report)
-    except (gio.ParseError, SystemExit2) as exc:
+    except gio.ParseError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except SystemExit2 as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (GroupoidError, bundle.FellBundleError, graphs.GraphError) as exc:

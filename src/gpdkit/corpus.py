@@ -74,14 +74,9 @@ def heisenberg_elements(n: int):
     return elements, mul, el(0, 0, 0)
 
 
-def heisenberg_group(n: int) -> GroupTable:
-    """The Heisenberg group mod n as a validated group table."""
-    elements, mul, _ = heisenberg_elements(n)
-    return GroupTable(elements, mul)
-
-
 def heisenberg_groupoid(n: int) -> FiniteGroupoid:
-    return heisenberg_group(n).to_groupoid()
+    elements, mul, unit = heisenberg_elements(n)
+    return GroupTable(elements, mul).to_groupoid()
 
 
 def zn_square_groupoid(n: int) -> FiniteGroupoid:
@@ -97,11 +92,9 @@ def zn_square_groupoid(n: int) -> FiniteGroupoid:
 
 def heisenberg_quotient(n: int, group: GroupTable = None) -> GroupoidMorphism:
     """The morphism [a,b,c] -> (a,b) onto Z_n^2; kernel is the center.
-    Its domain is the groupoid of ``group``, heisenberg_group(n) if not
-    given."""
-    if group is None:
-        group = heisenberg_group(n)
-    dom = group.to_groupoid()
+    Its domain is the groupoid of ``group`` if given, such as the group of
+    heisenberg_extension(n)."""
+    dom = heisenberg_groupoid(n) if group is None else group.to_groupoid()
     cod = zn_square_groupoid(n)
     mapping = {}
     for g in dom.arrows:
@@ -110,15 +103,13 @@ def heisenberg_quotient(n: int, group: GroupTable = None) -> GroupoidMorphism:
     return GroupoidMorphism(dom, cod, mapping)
 
 
-def heisenberg_extension(n: int, group: GroupTable = None) -> GroupExtension:
-    """The center extension with the canonical section (a,b) -> [a,b,0],
-    of ``group``, heisenberg_group(n) if not given."""
-    if group is None:
-        group = heisenberg_group(n)
+def heisenberg_extension(n: int) -> GroupExtension:
+    """The center extension with the canonical section (a,b) -> [a,b,0]."""
+    elements, mul, _ = heisenberg_elements(n)
     kernel = [f"[0,0,{c}]" for c in range(n)]
     # default section picks the first coset element in element order,
     # which is [a,b,0] since c is the innermost enumeration index
-    return GroupExtension.from_group(group, kernel)
+    return GroupExtension.from_tables(elements, mul, kernel)
 
 
 def heisenberg_cocycle_closed_form(n: int, k: int, a: int, bp: int) -> complex:

@@ -284,14 +284,11 @@ class GroupExtension:
 
     @classmethod
     def from_tables(cls, elements, mul, kernel, section=None):
-        return cls.from_group(GroupTable(elements, mul), kernel, section)
-
-    @classmethod
-    def from_group(cls, G: GroupTable, kernel, section=None):
         """Validate and package an extension. The quotient is represented
         by the chosen section images; the default section picks the first
         element of each coset in element order (and the unit for the unit
         coset)."""
+        G = GroupTable(elements, mul)
         kset = set(kernel)
         for a in kernel:
             if a not in G.index:
