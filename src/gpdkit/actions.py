@@ -22,11 +22,11 @@ import numpy as np
 
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
                        _trusted, classify_morphism, pair_id)
-from .algebra import (RegularRepresentation, WedderburnInvariants,
+from .algebra import (RegularRepresentation, WedderburnInvariants, chunks,
                       groupoid_table, isometry_defect, wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
-                     NotSaturated, FellBundleError, Section,
-                     _saturation_detail, _slot_witness, section_algebra)
+                     NotSaturated, FellBundleError, _slot_witness,
+                     section_algebra)
 from .fiberblocks import fiber_blocks, stacked_ranks
 from .report import CheckList
 
@@ -395,7 +395,8 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     identity.
     """
     H = E.base
-    sat, wit = _saturation_detail(E, tol)
+    B = fiber_blocks(E)
+    sat, wit = B.saturation(tol)
     if not sat:
         raise NotSaturated(f"bundle is not saturated: {wit}", witness=wit)
     if not E.is_abelian():
@@ -422,57 +423,87 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     anchor = {x: projections[x][0] for x in points}
 
     # alpha_h and line vectors, from the corners q e_i p over each arrow h
-    # of every point pair (p over s(h), q over r(h)) and basis index i:
-    # per arrow two stacked products, one stacked norm and one stacked rank
-    # of the d x d matrix of each corner
-    B = fiber_blocks(E)
+    # of every point pair (p over s(h), q over r(h)) and basis index i: two
+    # stacked products, one stacked norm and one stacked rank of the d x d
+    # matrix of each corner per group of consecutive arrows. A row of a
+    # corner over h costs its padded row, the table terms of its two
+    # products and its unit-fiber block over s(h); groups are chunks of
+    # that load
+    hx, PX = B.rows([projections[x] for x in points])
+    count = np.array([len(points_by_unit[u]) for u in H.units], np.int64)
+    unit_at = np.zeros(B.nA, np.int64)
+    unit_at[[B.index[u] for u in H.units]] = np.arange(len(H.units))
+    # per arrow: the number of points over s(h) and r(h) and the place of
+    # their first one in ``points``
+    n_p, n_q = count[unit_at[B.src]], count[unit_at[B.rng]]
+    f_p, f_q = ((np.cumsum(count) - count)[unit_at[end]]
+                for end in (B.src, B.rng))
+    corners = n_p * n_q
+    arrows = np.arange(B.nA)
     alpha = {}
     line = {}
-    for h in H.arrows:
-        ps, qs = points_by_unit[H.src[h]], points_by_unit[H.rng[h]]
-        d = E.dim(h)
-        hp, P = B.rows([(H.src[h], projections[x][1]) for x in ps])
-        hq, Q = B.rows([(H.rng[h], projections[x][1]) for x in qs])
-        # row (p * len(qs) + q) * d + i holds q e_i p
-        p, q, i = (v.ravel() for v in np.indices((len(ps), len(qs), d)))
-        over_h = np.full(len(i), B.index[h])
-        _, Z = B.products(*B.products(hq[q], Q[q], over_h,
-                                      np.eye(d, B.D)[i]), hp[p], P[p])
-        norms = B.fiber_norms(over_h, Z)[0].reshape(len(ps), len(qs), d)
-        size = np.full(len(ps) * len(qs), d)
-        ranks = stacked_ranks(np.repeat(p * len(qs) + q, d), np.repeat(i, d),
-                              np.tile(np.arange(d), len(i)), Z[:, :d].ravel(),
-                              (size, size), tol).reshape(len(ps), len(qs))
-        Z = Z.reshape(len(ps), len(qs), d, B.D)
-        alpha_h = {}
-        for a, xp in enumerate(ps):
-            hits = []
-            for b, xq in enumerate(qs):
-                if ranks[a, b] > 1:
-                    raise LineDimensionFailure(
-                        f"corner over {h!r} between {xq!r} and {xp!r} has "
-                        f"dimension {ranks[a, b]}", witness=(h, xq, xp))
-                if ranks[a, b] == 1:
-                    # the first basis column with a nonzero corner
-                    live = np.flatnonzero(norms[a, b] > tol)
-                    if not len(live):
+    for group in chunks(corners * B.dims * (
+            B.D + B.entries(B.rng, arrows) + B.entries(arrows, B.src)
+            + B.dims[B.src] ** 2)):
+        # the rows of arrow h start at row_at; its row (p * n_q + q) * d + i
+        # holds q e_i p
+        nrow = corners[group] * B.dims[group]
+        k = np.repeat(group, nrow)
+        row_at = np.cumsum(nrow) - nrow
+        t = np.arange(len(k)) - np.repeat(row_at, nrow)
+        d = B.dims[k]
+        i, pq = t % d, t // d
+        xp, xq = f_p[k] + pq // n_q[k], f_q[k] + pq % n_q[k]
+        _, Z = B.products(*B.products(hx[xq], PX[xq], k, np.eye(B.D)[i]),
+                          hx[xp], PX[xp])
+        norms = B.fiber_norms(k, Z)[0]
+        corner_at = np.cumsum(corners[group]) - corners[group]
+        col = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
+        size = np.repeat(B.dims[group], corners[group])
+        ranks = stacked_ranks(
+            np.repeat(np.repeat(corner_at, nrow) + pq, d), np.repeat(i, d),
+            col, Z[np.repeat(np.arange(len(k)), d), col], (size, size), tol)
+        for a_idx, r0, c0 in zip(group.tolist(), row_at, corner_at):
+            h = H.arrows[a_idx]
+            ps, qs = points_by_unit[H.src[h]], points_by_unit[H.rng[h]]
+            dh = E.dim(h)
+            rows = slice(r0, r0 + len(ps) * len(qs) * dh)
+            norms_h = norms[rows].reshape(len(ps), len(qs), dh)
+            ranks_h = ranks[c0:c0 + len(ps) * len(qs)].reshape(len(ps),
+                                                               len(qs))
+            Z_h = Z[rows].reshape(len(ps), len(qs), dh, B.D)
+            alpha_h = {}
+            for a, xp in enumerate(ps):
+                hits = []
+                for b, xq in enumerate(qs):
+                    if ranks_h[a, b] > 1:
                         raise LineDimensionFailure(
                             f"corner over {h!r} between {xq!r} and {xp!r} "
-                            "has no vector of positive norm",
+                            f"has dimension {ranks_h[a, b]}",
                             witness=(h, xq, xp))
-                    hits.append((xq, FiberElement(
-                        E, h, Z[a, b, live[0], :d] / norms[a, b, live[0]])))
-            if len(hits) != 1:
+                    if ranks_h[a, b] == 1:
+                        # the first basis column with a nonzero corner
+                        live = np.flatnonzero(norms_h[a, b] > tol)
+                        if not len(live):
+                            raise LineDimensionFailure(
+                                f"corner over {h!r} between {xq!r} and "
+                                f"{xp!r} has no vector of positive norm",
+                                witness=(h, xq, xp))
+                        hits.append((xq, FiberElement(
+                            E, h, Z_h[a, b, live[0], :dh]
+                            / norms_h[a, b, live[0]])))
+                if len(hits) != 1:
+                    raise LineDimensionFailure(
+                        f"point {xp!r} pairs with {len(hits)} targets over "
+                        f"{h!r}", witness=(h, xp))
+                xq, vec = hits[0]
+                alpha_h[xp] = xq
+                line[(h, xp)] = vec
+            if len(set(alpha_h.values())) != len(alpha_h):
                 raise LineDimensionFailure(
-                    f"point {xp!r} pairs with {len(hits)} targets over {h!r}",
-                    witness=(h, xp))
-            xq, vec = hits[0]
-            alpha_h[xp] = xq
-            line[(h, xp)] = vec
-        if len(set(alpha_h.values())) != len(alpha_h):
-            raise LineDimensionFailure(
-                f"induced point map over {h!r} is not injective", witness=h)
-        alpha[h] = alpha_h
+                    f"induced point map over {h!r} is not injective",
+                    witness=h)
+            alpha[h] = alpha_h
 
     # over units, regauge the line vectors to the projections themselves so
     # the extracted cocycle is exactly normalized
@@ -552,7 +583,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
                f"({G2.arrows[pair[0]]!r}, {G2.arrows[pair[1]]!r})")
     res_star = ta.table.star_hom_defect(E.table(), U)[0]
     result.add("basis_map_star", res_star <= 1e-8, res_star)
-    res_iso = isometry_defect(ta.norm, lambda y: sa.norm(Section(E, y)), U,
+    res_iso = isometry_defect(ta.rep.norms, sa.space.rep.norms, U,
                               np.random.default_rng(seed), 25)
     result.add("basis_map_isometric", res_iso <= 1e-8, res_iso)
     return result

@@ -59,6 +59,22 @@ def _scatter(index, values, size: int) -> np.ndarray:
 
 # triples per pass of associativity_defect (gathered: about 80 bytes each)
 _TRIPLES_PER_PASS = 1 << 16
+# One stacked numpy call holds at most _ROWS_PER_CALL rows and about
+# _ENTRIES_PER_CALL block entries and table terms, at about 100 bytes each
+_ROWS_PER_CALL = 1 << 16
+_ENTRIES_PER_CALL = 1 << 14
+
+
+def chunks(load) -> list:
+    """Index arrays of consecutive rows, each of at most _ROWS_PER_CALL
+    rows and about _ENTRIES_PER_CALL summed ``load``; a heavier row gets a
+    call of its own."""
+    load = np.asarray(load, dtype=np.int64)
+    if len(load) <= _ROWS_PER_CALL and load.sum() <= _ENTRIES_PER_CALL:
+        return [np.arange(len(load))] if len(load) else []
+    part = (np.cumsum(load) // _ENTRIES_PER_CALL
+            + np.arange(len(load)) // _ROWS_PER_CALL)
+    return np.split(np.arange(len(load)), np.flatnonzero(np.diff(part)) + 1)
 
 
 def _join(x, y, order=None):
@@ -112,10 +128,22 @@ class StructureTable:
             v.flags.writeable = False
 
     def mul(self, x, y) -> np.ndarray:
-        return _scatter(self.c, self.w * x[self.a] * y[self.b], self.dim)
+        """x y of two coefficient vectors, or row by row of two stacks of
+        (k, dim) rows."""
+        return self._rows(self.c, self.w * x[..., self.a] * y[..., self.b])
 
     def star(self, x) -> np.ndarray:
-        return _scatter(self.t, self.sw * np.conj(x[self.s]), self.dim)
+        """x* of a coefficient vector, or of each of (k, dim) rows."""
+        return self._rows(self.t, self.sw * np.conj(x[..., self.s]))
+
+    def _rows(self, index, values) -> np.ndarray:
+        """values[..., i] added at index[i] of a coefficient vector, one
+        vector per leading index of ``values``."""
+        lead = values.shape[:-1]
+        k = int(np.prod(lead))
+        flat = (np.arange(k)[:, None] * self.dim + index).ravel()
+        return _scatter(flat, values.reshape(-1), k * self.dim).reshape(
+            *lead, self.dim)
 
     def left(self, x) -> np.ndarray:
         """Dense matrix of y -> x y."""
@@ -452,10 +480,22 @@ class RegularRepresentation:
         """Yield (summands, S) per block size, S[i] the block of f (an
         AlgebraElement or a coefficient vector) on summands[i]."""
         x = np.asarray(getattr(f, "coeffs", f))
+        for members, _, S in self._row_stacks(x[None]):
+            yield members, S[0]
+
+    def _row_stacks(self, X):
+        """Yield (summands, rows, S) per block size and chunk of the (k,
+        dim) coefficient rows X (:func:`chunks`): S[r, i] is the block of
+        X[rows[r]] on summands[i]."""
         for members, m, a, w, flat, roots in self._groups:
-            S = _scatter(flat, w * x[a], len(members) * m * m).reshape(
-                -1, m, m)
-            yield members, S if roots is None else roots[0] @ S @ roots[1]
+            size = len(members) * m * m
+            for rows in chunks(np.full(len(X), size + len(a))):
+                S = _scatter((np.arange(len(rows))[:, None] * size
+                              + flat).ravel(),
+                             (w * X[rows[:, None], a]).ravel(),
+                             len(rows) * size).reshape(len(rows), -1, m, m)
+                yield members, rows, \
+                    S if roots is None else roots[0] @ S @ roots[1]
 
     def matrices(self, f) -> list:
         """The block of f on every nonempty summand, in summand order."""
@@ -463,11 +503,21 @@ class RegularRepresentation:
                for u, M in zip(members.tolist(), S)}
         return [out[u] for u in sorted(out)]
 
+    def norms(self, X) -> np.ndarray:
+        """Operator norms of the (k, dim) coefficient rows X: the largest
+        singular value over the blocks of a row, one scatter and one
+        batched SVD per block size and chunk of rows."""
+        X = np.asarray(X)
+        out = np.zeros(len(X))
+        for _, rows, S in self._row_stacks(X):
+            top = np.linalg.svd(S, compute_uv=False).max(axis=(1, 2))
+            out[rows] = np.maximum(out[rows], top)
+        return out
+
     def norm(self, f) -> float:
-        """Operator norm: the largest singular value over the blocks, one
-        stacked 2-norm per block size."""
-        return max((float(np.linalg.norm(S, 2, axis=(1, 2)).max())
-                    for _, S in self.stacks(f)), default=0.0)
+        """Operator norm of f (an AlgebraElement or a coefficient vector):
+        the one-row case of :meth:`norms`."""
+        return float(self.norms(np.asarray(getattr(f, "coeffs", f))[None])[0])
 
 
 def _regular(G: FiniteGroupoid) -> RegularRepresentation:
@@ -480,17 +530,20 @@ def cstar_norm(G: FiniteGroupoid, f: AlgebraElement) -> float:
     return _regular(G).norm(f)
 
 
-def isometry_defect(norm_a: Callable, norm_b: Callable, U, rng,
+def isometry_defect(norms_a: Callable, norms_b: Callable, U, rng,
                     samples: int) -> float:
-    """Largest |norm_b(U x) - norm_a(x)| / norm_a(x) over ``samples``
-    standard complex Gaussian coefficient vectors x drawn from ``rng``."""
-    n = U.shape[1]
-    res = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        na = norm_a(x)
-        res = max(res, abs(norm_b(U @ x) - na) / max(na, 1e-30))
-    return res
+    """Largest |norms_b(U x) - norms_a(x)| / norms_a(x) over ``samples``
+    standard complex Gaussian coefficient vectors x drawn from ``rng``
+    (the real part, then the imaginary part, per vector), or 0.0 without
+    samples. ``norms_a`` and ``norms_b`` take (k, dim) coefficient rows
+    (:meth:`RegularRepresentation.norms`); each is called once."""
+    if samples <= 0:
+        return 0.0
+    draws = rng.standard_normal((samples, 2, U.shape[1]))
+    X = draws[:, 0] + 1j * draws[:, 1]
+    na = norms_a(X)
+    return float(np.max(np.abs(norms_b(X @ U.T) - na)
+                        / np.maximum(na, 1e-30)))
 
 
 def positivity_check(G: FiniteGroupoid, f: AlgebraElement,

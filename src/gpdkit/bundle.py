@@ -566,7 +566,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
                      "axiom10_positive"):
             rep.add(name, False, None, degenerate)
         rep.add("norm_consistency", False, None, degenerate)
-        rep.add("saturation", _saturation_detail(E, tol)[0], None, None)
+        rep.add("saturation", B.saturation(tol)[0], None, None)
         return rep
 
     # random elements, drawn in the order of the checks that read them:
@@ -613,7 +613,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     except FellBundleError as exc:
         rep.add("axiom9_cstar_identity", False, None, str(exc))
         rep.add("norm_consistency", False, None, str(exc))
-        rep.add("saturation", _saturation_detail(E, tol)[0], None, None)
+        rep.add("saturation", B.saturation(tol)[0], None, None)
         return rep
     n_op = B.op_norms(hs, X)
     n_sq = B.op_norms(B.src[hs], sq)
@@ -626,7 +626,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         rep.add(name, worst <= tol, worst,
                 f"(h={h!r})" if worst > tol else None)
 
-    sat, wit = _saturation_detail(E, tol)
+    sat, wit = B.saturation(tol)
     rep.add("saturation", sat, None, wit)
     return rep
 
@@ -696,30 +696,6 @@ def _slot_witness(E: FellBundle, slots, form: str) -> str:
     hs = [E.base.arrows[bisect_right(starts, s) - 1] for s in slots]
     indices = (s - E.first[h] for s, h in zip(slots, hs))
     return form.format(",".join(map(repr, hs)), ",".join(map(str, indices)))
-
-
-def _saturation_detail(E: FellBundle, tol: float):
-    """(saturated, witness): span E_h1 E_h2 = E_h1h2 for every composable
-    pair, as the rank of the products of basis pairs (the table entries of
-    the pair) against dim E_h1h2, stacked by shape. The witness names the
-    first pair, in ``composable_pairs`` order, that falls short."""
-    B = fiber_blocks(E)
-    T = B.table
-    pairs = list(E.base.composable_pairs())
-    h1, h2 = (np.fromiter((B.index[p[k]] for p in pairs), np.int64,
-                          len(pairs)) for k in (0, 1))
-    d2, d12 = B.dims[h2], B.dims[B.compose(h1, h2)]
-    key = h1 * B.nA + h2
-    order = np.argsort(key)
-    owner = order[np.searchsorted(key[order], B._entry_key)]
-    ranks = stacked_ranks(owner, B.loc[T.a] * d2[owner] + B.loc[T.b],
-                           B.loc[T.c], T.w, (B.dims[h1] * d2, d12), tol)
-    short = np.flatnonzero(ranks < d12)
-    if not len(short):
-        return True, None
-    k = short[0]
-    return False, (f"span E_{pairs[k][0]!r} * E_{pairs[k][1]!r} has rank "
-                   f"{ranks[k]} < {d12[k]}")
 
 
 class Section:
@@ -894,8 +870,9 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9,
     psi(e_g1)* psi(e_g2) with psi of the kernel part of e_g1* e_g2 over
     every pair of arrows with one range, as one defect of the two tables
     (:func:`_hilbert_module_defect`), and names the pair when it fails.
-    The norm comparison runs over ``samples`` seeded random elements;
-    block invariants of both algebras are compared as multisets.
+    The norm comparison runs over ``samples`` seeded random elements, in
+    one stacked norm call per side; block invariants of both algebras are
+    compared as multisets.
     """
     G = pi.domain
     E = bundle if bundle is not None else build_bundle(pi)
@@ -931,9 +908,8 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9,
                f"({G.arrows[pair[0]]!r}, {G.arrows[pair[1]]!r})")
 
     res_iso = algebra.isometry_defect(
-        lambda x: algebra.cstar_norm(G, AlgebraElement(G, x)),
-        lambda y: sa.norm(Section(E, y)), U, np.random.default_rng(seed),
-        samples)
+        algebra._regular(G).norms, sa.space.rep.norms, U,
+        np.random.default_rng(seed), samples)
     report.add("isometric", res_iso <= tol, res_iso)
 
     try:
@@ -1005,11 +981,11 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
     """
     if not isinstance(U, Bisection):
         U = check_bisection(E.base, U)
-    sat, wit = _saturation_detail(E, tol)
+    B = fiber_blocks(E)
+    sat, wit = B.saturation(tol)
     if not sat:
         raise NotSaturated(f"bundle is not saturated: {wit}", witness=wit)
     rng = np.random.default_rng(seed)
-    B = fiber_blocks(E)
     T = B.table
     report = CheckList()
 

@@ -4,7 +4,8 @@ Every subcommand parses its input files, runs the relevant operations and
 prints a deterministic JSON report on stdout plus a human summary on
 stderr. Exit code 0 means every check passed, 1 means a verification
 failure, 2 means malformed input (the diagnostic names the file, the JSON
-path and what was expected there).
+path and what was expected there) or a tolerance that is not a finite
+number >= 0.
 
 Each command is declared once, in the command table ``COMMANDS``. A run
 builds the argparse parser of its own command only, with the help, usage
@@ -23,17 +24,15 @@ from . import algebra, bundle, corpus, graphs, io as gio
 from .actions import (ActionAxiomViolation, NotACovering, abelian_extract,
                       build_action_groupoid, cocycle_check,
                       covering_to_action, twisted_algebra)
-from .algebra import (AlgebraElement, conditional_expectation, convolve,
-                      cstar_norm, involute, positivity_check, random_element,
+from .algebra import (AlgebraElement, cstar_norm, positivity_check,
                       wedderburn)
-from .bundle import (FiberElement, build_bundle, bisection_bimodule_check,
-                     fiber_mul, fiber_norm, fiber_star, psi_iso_check,
+from .bundle import (build_bundle, bisection_bimodule_check, psi_iso_check,
                      section_algebra, verify_axioms, NotSaturated)
 from .extensions import GroupExtension, group_extension_bundle
 from .fiberblocks import fiber_blocks
 from .groupoid import (GroupoidError, check_bisection, classify_morphism,
                        greedy_bisection_cover, isotropy_quotient, kernel,
-                       subgroupoid, validate_groupoid)
+                       validate_groupoid)
 from .graphs import (check_graph_morphism, collapse_morphism,
                      cylinder_cover_check, grading_degree, lift_counts,
                      lift_paths)
@@ -191,21 +190,20 @@ def cmd_alg_wedderburn(args, report: Report):
                sum(b * b for b in inv.blocks) == inv.dimension, 0.0)
     report.add("faithful_regular_representation", defect == 0, 0.0)
 
-    res_cstar = res_subm = res_invol = res_pos = 0.0
-    samples = max(1, args.samples // 10)
-    for _ in range(samples):
-        f1 = random_element(G, rng)
-        f2 = random_element(G, rng)
-        n1, n2 = cstar_norm(G, f1), cstar_norm(G, f2)
-        sq = convolve(involute(f1), f1)
-        res_cstar = max(res_cstar,
-                        abs(cstar_norm(G, sq) - n1 * n1) / max(n1 * n1, 1e-30))
-        res_subm = max(res_subm, (cstar_norm(G, convolve(f1, f2)) - n1 * n2)
-                       / max(n1 * n2, 1e-30))
-        res_invol = max(res_invol,
-                        abs(cstar_norm(G, involute(f1)) - n1) / max(n1, 1e-30))
-        if not positivity_check(G, sq, tol=args.tol):
-            res_pos = max(res_pos, 1.0)
+    # sample pairs f1, f2 drawn as by random_element, normed in one call
+    table = algebra.groupoid_table(G)
+    n = table.dim
+    draws = rng.standard_normal((max(1, args.samples // 10), 2, 2, n))
+    F1, F2 = (draws[:, k, 0] + 1j * draws[:, k, 1] for k in (0, 1))
+    sq = table.mul(table.star(F1), F1)
+    n1, n2, nsq, n12, nstar = np.split(algebra._regular(G).norms(
+        np.concatenate([F1, F2, sq, table.mul(F1, F2), table.star(F1)])), 5)
+    res_cstar = float((np.abs(nsq - n1 * n1)
+                       / np.maximum(n1 * n1, 1e-30)).max())
+    res_subm = float(((n12 - n1 * n2) / np.maximum(n1 * n2, 1e-30)).max())
+    res_invol = float((np.abs(nstar - n1) / np.maximum(n1, 1e-30)).max())
+    res_pos = 0.0 if all(positivity_check(G, x, tol=args.tol)
+                         for x in sq) else 1.0
     report.add("cstar_identity", res_cstar <= args.tol, res_cstar)
     report.add("submultiplicative", res_subm <= args.tol,
                max(res_subm, 0.0))
@@ -213,15 +211,20 @@ def cmd_alg_wedderburn(args, report: Report):
     report.add("squares_positive", res_pos == 0.0, res_pos)
 
     # expectation onto the unit diagonal: restriction, positive, faithful
-    # on the delta basis by the exhaustive support identity
-    units_sub = subgroupoid(G, G.units)
-    res_diag = 0.0
-    for g in G.arrows:
-        f = AlgebraElement.delta(G, g)
-        ef = conditional_expectation(G, units_sub, convolve(involute(f), f))
-        expected = {u: (1.0 if u == G.src[g] else 0.0) for u in G.units}
-        for i, u in enumerate(ef.base.arrows):
-            res_diag = max(res_diag, abs(ef.coeffs[i] - expected[u]))
+    # on the delta basis by the exhaustive support identity: the unit
+    # coefficients of e_g* e_g are those of e_s(g). Row g of the products
+    # sums sw w e_c over the star entries (g, t, sw) and the product
+    # entries (t, g, c, w)
+    j, p = algebra._join(table.t, table.a)
+    on = table.b[p] == table.s[j]
+    prod = algebra._scatter(table.s[j][on] * n + table.c[p][on],
+                            (table.sw[j] * table.w[p])[on],
+                            n * n).reshape(n, n)
+    units = np.fromiter((G.index[u] for u in G.units), np.int64,
+                        len(G.units))
+    src = np.fromiter((G.index[G.src[g]] for g in G.arrows), np.int64, n)
+    res_diag = float(np.abs(prod[:, units] - (src[:, None] == units))
+                     .max(initial=0.0))
     report.add("unit_expectation_faithful_support",
                res_diag <= args.tol, res_diag)
 
@@ -265,25 +268,33 @@ def cmd_bundle_build(args, report: Report):
                    E.kernel_report.get("direct_sum_check",
                                        E.kernel_report
                                        .get("dimension_check")), 0.0)
+    # draw every sample first, then check them in one stacked pass: x y
+    # over the pairs with a partner, and x and x* x over every sample
     rng = np.random.default_rng(args.seed)
-    res_star = res_norm = 0.0
     arrows = [h for h in E.base.arrows if E.dim(h)]
-    for _ in range(max(1, args.samples // 5)):
+    xs, ys, paired = [], [], []
+    for k in range(max(1, args.samples // 5)):
         h1 = arrows[rng.integers(len(arrows))]
-        x = FiberElement(E, h1, rng.standard_normal(E.dim(h1))
-                         + 1j * rng.standard_normal(E.dim(h1)))
+        xs.append((h1, rng.standard_normal(E.dim(h1))
+                   + 1j * rng.standard_normal(E.dim(h1))))
         partner = [h2 for h2 in arrows if E.base.composable(h1, h2)]
         if partner:
             h2 = partner[rng.integers(len(partner))]
-            y = FiberElement(E, h2, rng.standard_normal(E.dim(h2))
-                             + 1j * rng.standard_normal(E.dim(h2)))
-            lhs = fiber_star(fiber_mul(x, y))
-            rhs = fiber_mul(fiber_star(y), fiber_star(x))
-            res_star = max(res_star, float(np.max(np.abs(lhs.vec - rhs.vec)))
-                           if lhs.vec.size else 0.0)
-        nx = fiber_norm(x)
-        sq = fiber_norm(fiber_mul(fiber_star(x), x))
-        res_norm = max(res_norm, abs(sq - nx * nx) / max(nx * nx, 1e-30))
+            ys.append((h2, rng.standard_normal(E.dim(h2))
+                       + 1j * rng.standard_normal(E.dim(h2))))
+            paired.append(k)
+    B = fiber_blocks(E)
+    hx, X = B.rows(xs)
+    hy, Y = B.rows(ys)
+    _, lhs = B.stars(*B.products(hx[paired], X[paired], hy, Y))
+    _, rhs = B.products(*B.stars(hy, Y), *B.stars(hx[paired], X[paired]))
+    res_star = float(np.abs(lhs - rhs).max(initial=0.0))
+    bundle._require_cstar_units(B, B.src[hx])
+    hsq, sq = B.products(*B.stars(hx, X), hx, X)
+    nx, nsq = np.split(B.fiber_norms(np.concatenate([hx, hsq]),
+                                     np.concatenate([X, sq]))[0], 2)
+    res_norm = float((np.abs(nsq - nx * nx)
+                      / np.maximum(nx * nx, 1e-30)).max())
     report.add("fiber_star_antimultiplicative", res_star <= args.tol,
                res_star)
     report.add("fiber_norm_cstar_identity", res_norm <= args.tol,
@@ -302,15 +313,18 @@ def cmd_bundle_verify(args, report: Report):
     # Gram block of the section inner product is positive definite. Axiom 9
     # builds the section space at --tol, which requires the smallest Gram
     # margin to exceed --tol, so passing axioms already certify it.
-    report.extras["gram_margin"] = fiber_blocks(E).gram_margin()[0]
+    B = fiber_blocks(E)
+    report.extras["gram_margin"] = B.gram_margin()[0]
+    # ||E(s)|| <= ||s|| on random sections s, drawn as by
+    # SectionAlgebra.random_section; E(s) keeps the unit-fiber slots
     sa = section_algebra(E, report=rep, tol=args.tol)
-    rng = np.random.default_rng(args.seed)
-    res_contr = 0.0
-    for _ in range(max(1, args.samples // 5)):
-        s = sa.random_section(rng)
-        norm = sa.norm(s)
-        res_contr = max(res_contr, (sa.norm(sa.expectation(s)) - norm)
-                        / max(norm, 1e-30))
+    draws = np.random.default_rng(args.seed).standard_normal(
+        (max(1, args.samples // 5), 2, E.total_dim()))
+    S = draws[:, 0] + 1j * draws[:, 1]
+    norm = sa.space.rep.norms(S)
+    res_contr = float(((sa.space.rep.norms(
+        np.where(B.is_unit[B.arrow], S, 0.0)) - norm)
+        / np.maximum(norm, 1e-30)).max())
     report.add("expectation_contractive", res_contr <= args.tol,
                max(res_contr, 0.0))
     report.add("expectation_faithful", True, None)
@@ -645,10 +659,10 @@ _INPUT_FLAGS = ("groupoid", "morphism", "bundle", "cocycle", "graph",
                 "action", "group", "element")
 
 
-def _add_flags(p, flags, tol: float):
+def _add_flags(p, flags):
     for name, kwargs in flags.items():
         p.add_argument(name, **kwargs)
-    p.add_argument("--tol", type=float, default=tol,
+    p.add_argument("--tol", type=float, default=None,
                    help="numeric tolerance (env GPD_TOL; flag wins)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
@@ -672,7 +686,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     or else (also for None) the whole table. It parses ``argv`` as the
     whole table's parser does, with the same output and exit status."""
     group, name = [*(argv or ()), None, None][:2]
-    tol = float(os.environ.get("GPD_TOL", "1e-9"))
     p = argparse.ArgumentParser(
         prog="gpdkit",
         description="finite groupoid / fiber bundle verification toolkit")
@@ -680,19 +693,38 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     for gname, (ghelp, commands) in groups:
         gp = sub.add_parser(gname, help=ghelp)
         if None in commands:  # the group parser is the command's
-            _add_flags(gp, commands[None][2], tol)
+            _add_flags(gp, commands[None][2])
             continue
         gsub, reached = _subparsers(gp, "sub", commands,
                                     name if group in COMMANDS else None)
         for cname, (_, chelp, flags) in reached:
-            _add_flags(gsub.add_parser(cname, help=chelp), flags, tol)
+            _add_flags(gsub.add_parser(cname, help=chelp), flags)
     return p
+
+
+def _tolerance(flag):
+    """The tolerance of a run: ``--tol``, else GPD_TOL, else 1e-9. Raises
+    SystemExit2 unless it is a finite number >= 0."""
+    source, text = ("--tol", flag) if flag is not None else \
+        ("GPD_TOL", os.environ.get("GPD_TOL", "1e-9"))
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 <= tol < float("inf"):
+        raise SystemExit2(f"{source} {text!r} is not a finite number >= 0")
+    return tol
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
+    try:
+        args.tol = _tolerance(args.tol)
+    except SystemExit2 as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     sub = getattr(args, "sub", None)  # None for a demo
     handler = COMMANDS[args.cmd][1][sub][0]
     command = f"{args.cmd} {args.name if sub is None else sub}"

@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _trusted
-from .algebra import (AlgebraElement, NumericalDegeneracy, StructureTable,
-                      cstar_norm, groupoid_table, isometry_defect, wedderburn)
+from .algebra import (NumericalDegeneracy, StructureTable, _regular,
+                      groupoid_table, isometry_defect, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
@@ -466,9 +466,8 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
                f"({G.elements[pair[0]]!r}, {G.elements[pair[1]]!r})")
     res_star = domain.star_hom_defect(ta.table, U)[0]
     result.add("basis_map_star", res_star <= 1e-8, res_star)
-    res_iso = isometry_defect(
-        lambda x: cstar_norm(Ggpd, AlgebraElement(Ggpd, x)), ta.norm, U,
-        np.random.default_rng(seed), samples)
+    res_iso = isometry_defect(_regular(Ggpd).norms, ta.rep.norms, U,
+                              np.random.default_rng(seed), samples)
     result.add("basis_map_isometric", res_iso <= 1e-8, res_iso)
 
     try:

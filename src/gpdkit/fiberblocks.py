@@ -17,25 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _join, _scatter, groupoid_table
-
-
-# One stacked numpy call holds at most _ROWS_PER_CALL rows and about
-# _ENTRIES_PER_CALL block entries and table terms, at about 100 bytes each
-_ROWS_PER_CALL = 1 << 16
-_ENTRIES_PER_CALL = 1 << 14
-
-
-def chunks(load) -> list:
-    """Index arrays of consecutive rows, each of at most _ROWS_PER_CALL
-    rows and about _ENTRIES_PER_CALL summed ``load``; a heavier row gets a
-    call of its own."""
-    load = np.asarray(load, dtype=np.int64)
-    if len(load) <= _ROWS_PER_CALL and load.sum() <= _ENTRIES_PER_CALL:
-        return [np.arange(len(load))] if len(load) else []
-    part = (np.cumsum(load) // _ENTRIES_PER_CALL
-            + np.arange(len(load)) // _ROWS_PER_CALL)
-    return np.split(np.arange(len(load)), np.flatnonzero(np.diff(part)) + 1)
+from .algebra import _join, _scatter, chunks, groupoid_table
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -72,7 +54,7 @@ class FiberBlocks:
     the section space is the largest block over k. Arrows are indices into
     the base arrows; elements are rows of local coefficients padded to the
     largest fiber dimension D; blocks are stacked by size and taken in
-    chunks (:func:`chunks`).
+    chunks (:func:`~gpdkit.algebra.chunks`).
     """
 
     def __init__(self, E):
@@ -112,9 +94,17 @@ class FiberBlocks:
         self.tau[self.arrow, self.loc] = _scatter(T.a[on], T.w[on], T.dim)
         self._inner = {}
         self._gram = None
+        self._saturation = {}
 
     def compose(self, h1, h2) -> np.ndarray:
         return self._comp[np.searchsorted(self._pairs, h1 * self.nA + h2)]
+
+    def entries(self, h1, h2) -> np.ndarray:
+        """The number of table entries that multiply the fiber over h1[r]
+        by the fiber over h2[r]."""
+        key = h1 * self.nA + h2
+        return (np.searchsorted(self._entry_sorted, key, "right")
+                - np.searchsorted(self._entry_sorted, key, "left"))
 
     def rows(self, items):
         """(arrow indices, padded coefficient rows) of (arrow, vector)
@@ -162,6 +152,31 @@ class FiberBlocks:
                                  loc[T.c[p]][keep], (T.sw[j] * T.w[p])[keep],
                                  np.argsort(h, kind="stable"))
         return self._inner[side]
+
+    def saturation(self, tol: float):
+        """(saturated, witness): span E_h1 E_h2 = E_h1h2 for every
+        composable pair, as the rank of the products of basis pairs (the
+        table entries of the pair) against dim E_h1h2, stacked by shape and
+        kept per tolerance. The witness names the first pair, in
+        ``composable_pairs`` order, that falls short."""
+        if tol not in self._saturation:
+            T = self.table
+            pairs = list(self.bundle.base.composable_pairs())
+            h1, h2 = (np.fromiter((self.index[p[k]] for p in pairs),
+                                  np.int64, len(pairs)) for k in (0, 1))
+            d2, d12 = self.dims[h2], self.dims[self.compose(h1, h2)]
+            key = h1 * self.nA + h2
+            order = np.argsort(key)
+            owner = order[np.searchsorted(key[order], self._entry_key)]
+            ranks = stacked_ranks(
+                owner, self.loc[T.a] * d2[owner] + self.loc[T.b],
+                self.loc[T.c], T.w, (self.dims[h1] * d2, d12), tol)
+            short = np.flatnonzero(ranks < d12)
+            k = short[0] if len(short) else None
+            self._saturation[tol] = (True, None) if k is None else (
+                False, f"span E_{pairs[k][0]!r} * E_{pairs[k][1]!r} has "
+                f"rank {ranks[k]} < {d12[k]}")
+        return self._saturation[tol]
 
     def square(self, h, X, side: str = "B") -> np.ndarray:
         """Rows of x* x (side "B", over s(h)) or of x x* (side "A", over
@@ -252,8 +267,7 @@ class FiberBlocks:
         hk = self.compose(h, k)
         g = np.maximum(self.dims[hk], self.dims[k])
         key = h * self.nA + k
-        load = (np.searchsorted(self._entry_sorted, key, "right")
-                - np.searchsorted(self._entry_sorted, key, "left"))
+        load = self.entries(h, k)
         for size in np.unique(g[g > 0]):
             of_size = np.flatnonzero(g == size)
             for chunk in chunks(load[of_size] + size * size):

@@ -921,3 +921,95 @@ def loop_load_group(obj, file=None):
     for i, a in enumerate(kernel):
         _loop_expect(a in eset, file, f"$.kernel[{i}]", "a declared element")
     return elements, mul, kernel
+
+
+# -- one row or one sample at a time: the references for the stacked
+# norms of gpdkit.algebra and the stacked sample checks of gpdkit.cli
+
+def dense_norms(table, summand, X):
+    """The operator norm of every coefficient row of X in the regular
+    representation of ``table`` cut to its summands (entries between
+    basis elements of different summands left out): one dense SVD of the
+    whole dim x dim matrix per row."""
+    summand = np.asarray(summand)
+    keep = summand[:, None] == summand[None, :]
+    return np.array([float(np.linalg.norm(np.where(keep, table.left(x), 0),
+                                          2)) if table.dim else 0.0
+                     for x in X])
+
+
+def loop_bundle_build(E, samples, seed):
+    """(fiber_star_antimultiplicative, fiber_norm_cstar_identity)
+    residuals of ``bundle build``, one sample at a time through
+    fiber_mul, fiber_star and fiber_norm."""
+    from gpdkit.bundle import FiberElement, fiber_mul, fiber_norm, fiber_star
+    rng = np.random.default_rng(seed)
+    res_star = res_norm = 0.0
+    arrows = [h for h in E.base.arrows if E.dim(h)]
+    for _ in range(max(1, samples // 5)):
+        h1 = arrows[rng.integers(len(arrows))]
+        x = FiberElement(E, h1, rng.standard_normal(E.dim(h1))
+                         + 1j * rng.standard_normal(E.dim(h1)))
+        partner = [h2 for h2 in arrows if E.base.composable(h1, h2)]
+        if partner:
+            h2 = partner[rng.integers(len(partner))]
+            y = FiberElement(E, h2, rng.standard_normal(E.dim(h2))
+                             + 1j * rng.standard_normal(E.dim(h2)))
+            lhs = fiber_star(fiber_mul(x, y))
+            rhs = fiber_mul(fiber_star(y), fiber_star(x))
+            res_star = max(res_star, float(np.max(np.abs(lhs.vec - rhs.vec)))
+                           if lhs.vec.size else 0.0)
+        nx = fiber_norm(x)
+        sq = fiber_norm(fiber_mul(fiber_star(x), x))
+        res_norm = max(res_norm, abs(sq - nx * nx) / max(nx * nx, 1e-30))
+    return res_star, res_norm
+
+
+def loop_wedderburn_samples(G, samples, seed, tol):
+    """The residuals of the sample checks and the support check of ``alg
+    wedderburn`` by name, one sample (and one arrow) at a time through
+    cstar_norm, convolve, involute and conditional_expectation."""
+    from gpdkit.algebra import (AlgebraElement, conditional_expectation,
+                                convolve, cstar_norm, involute,
+                                positivity_check, random_element)
+    from gpdkit.groupoid import subgroupoid
+    rng = np.random.default_rng(seed)
+    res_cstar = res_subm = res_invol = res_pos = 0.0
+    for _ in range(max(1, samples // 10)):
+        f1, f2 = random_element(G, rng), random_element(G, rng)
+        n1, n2 = cstar_norm(G, f1), cstar_norm(G, f2)
+        sq = convolve(involute(f1), f1)
+        res_cstar = max(res_cstar, abs(cstar_norm(G, sq) - n1 * n1)
+                        / max(n1 * n1, 1e-30))
+        res_subm = max(res_subm, (cstar_norm(G, convolve(f1, f2)) - n1 * n2)
+                       / max(n1 * n2, 1e-30))
+        res_invol = max(res_invol, abs(cstar_norm(G, involute(f1)) - n1)
+                        / max(n1, 1e-30))
+        if not positivity_check(G, sq, tol=tol):
+            res_pos = 1.0
+    units = subgroupoid(G, G.units)
+    res_diag = 0.0
+    for g in G.arrows:
+        f = AlgebraElement.delta(G, g)
+        ef = conditional_expectation(G, units, convolve(involute(f), f))
+        for i, u in enumerate(ef.base.arrows):
+            res_diag = max(res_diag, abs(ef.coeffs[i]
+                                         - (1.0 if u == G.src[g] else 0.0)))
+    return {"cstar_identity": res_cstar, "submultiplicative": res_subm,
+            "involution_isometric": res_invol, "squares_positive": res_pos,
+            "unit_expectation_faithful_support": res_diag}
+
+
+def loop_expectation_contractive(E, samples, seed, tol):
+    """The ``expectation_contractive`` residual of ``bundle verify``, one
+    random section at a time through SectionAlgebra.norm and
+    SectionAlgebra.expectation."""
+    from gpdkit.bundle import section_algebra
+    sa = section_algebra(E, tol=tol)
+    rng = np.random.default_rng(seed)
+    res = 0.0
+    for _ in range(max(1, samples // 5)):
+        s = sa.random_section(rng)
+        norm = sa.norm(s)
+        res = max(res, (sa.norm(sa.expectation(s)) - norm) / max(norm, 1e-30))
+    return res

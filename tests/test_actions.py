@@ -220,10 +220,14 @@ class TestAbelianExtract:
                             or norms(self, h, X, *a))
         res = gk.abelian_extract(E)
         assert res.passed
-        # the corner loop makes one stacked call per base arrow, holding
-        # the corners of all 2 x 2 point pairs over it
+        # the corner pass makes its first stacked calls, fewer than one per
+        # base arrow, holding the corners of all 2 x 2 point pairs over
+        # every arrow once
         H = E.base
-        assert calls[:len(H.arrows)] == [4 * E.dim(h) for h in H.arrows]
+        total = sum(4 * E.dim(h) for h in H.arrows)
+        reached = list(np.cumsum(calls))
+        assert total in reached
+        assert reached.index(total) + 1 < len(H.arrows)
         monkeypatch.undo()
         # every line vector (a column of the basis map) has norm 1
         for col, (h, x) in zip(res.basis_map.T, res.action_groupoid.pairs

@@ -1,4 +1,6 @@
+import functools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 import gpdkit as gk
 from gpdkit import corpus
 from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
-                            groupoid_table, random_element,
+                            groupoid_table, isometry_defect, random_element,
                             sparse_center_basis)
 
 from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
-    dense_faithfulness_defect, group_algebra_blocks, group_convolution, \
-    matrix_units_check, table_arrays
+    dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
+    group_convolution, matrix_units_check, table_arrays
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -23,6 +25,39 @@ def _mixed_union():
                                   ("p", corpus.pair_groupoid(2)),
                                   ("q", corpus.pair_groupoid(3)),
                                   ("z", corpus.cyclic_groupoid(1))])
+
+
+def _rescaled_covering_bundle(rng):
+    """A twisted covering whose base units carry 4, 6, 4, 2 and 3 slots:
+    source-unit summands of four sizes; each slot e_j is rescaled to
+    s_j e_j, so the Gram roots T vary in a summand."""
+    ag = gk.build_action_groupoid(
+        corpus.random_action(np.random.default_rng(4017)))
+    E = gk.build_bundle(ag.projection, twist=corpus.random_cocycle(
+        ag.groupoid, rng))
+    arrays = table_arrays(E)
+    sc = rng.uniform(0.5, 2.0, E.total_dim())
+    arrays["w"] *= sc[arrays["a"]] * sc[arrays["b"]] / sc[arrays["c"]]
+    arrays["sw"] *= sc[arrays["s"]] / sc[arrays["t"]]
+    return bundle_from(E, arrays)
+
+
+@functools.lru_cache(maxsize=None)
+def _norm_case(kind):
+    """(a RegularRepresentation, its per-row dense oracle): of a groupoid
+    with unit blocks of four sizes, of the same groupoid twisted, or of
+    the section space of a rescaled bundle (Gram roots)."""
+    rng = np.random.default_rng(4)
+    if kind == "sections":
+        E = _rescaled_covering_bundle(rng)
+        dense = DenseSectionSpace(E)
+        return (gk.bundle.SectionSpace(E).rep,
+                lambda X: np.array([dense.op_norm(x) for x in X]))
+    G = _mixed_union()
+    rep = gk.RegularRepresentation(G) if kind == "groupoid" else \
+        gk.TwistedConvolutionAlgebra(G, corpus.random_cocycle(G, rng)).rep
+    src = [G.src[g] for g in G.arrows]
+    return rep, lambda X: dense_norms(rep.table, src, X)
 
 
 def test_delta_convolution_point_masses(pair2):
@@ -126,18 +161,7 @@ class TestNorm:
     def test_stacked_norm_matches_the_per_block_norms(self, kind):
         rng = np.random.default_rng(4)
         if kind == "sections":
-            # a twisted covering whose base units carry 4, 6, 4, 2 and 3
-            # slots: source-unit summands of four sizes; each slot e_j is
-            # rescaled to s_j e_j, so the Gram roots T vary in a summand
-            ag = gk.build_action_groupoid(
-                corpus.random_action(np.random.default_rng(4017)))
-            E = gk.build_bundle(ag.projection, twist=corpus.random_cocycle(
-                ag.groupoid, rng))
-            arrays = table_arrays(E)
-            sc = rng.uniform(0.5, 2.0, E.total_dim())
-            arrays["w"] *= sc[arrays["a"]] * sc[arrays["b"]] / sc[arrays["c"]]
-            arrays["sw"] *= sc[arrays["s"]] / sc[arrays["t"]]
-            E = bundle_from(E, arrays)
+            E = _rescaled_covering_bundle(rng)
             space, dense = gk.bundle.SectionSpace(E), DenseSectionSpace(E)
             for _ in range(20):
                 vec = rng.standard_normal(E.total_dim()) \
@@ -197,6 +221,69 @@ class TestNorm:
             scale = float(np.max(np.abs(lhs.coeffs))) or 1.0
             assert np.allclose(lhs.coeffs, rhs.coeffs,
                                rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestStackedNorms:
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["groupoid", "twisted", "sections"]),
+           k=st.integers(0, 6), zero=st.booleans(),
+           budget=st.sampled_from([1, 40, 1 << 14]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_norms_match_the_per_row_oracle(self, kind, k, zero, budget,
+                                            scale, seed):
+        # budget: the entries of one stacked call, from one row per call
+        # (and a heavy row alone) to every row in one call
+        rep, oracle = _norm_case(kind)
+        rng = np.random.default_rng(seed)
+        n = rep.table.dim
+        X = scale * (rng.standard_normal((k, n))
+                     + 1j * rng.standard_normal((k, n)))
+        if zero and k:
+            X[0] = 0.0
+        with mock.patch.object(gk.algebra, "_ENTRIES_PER_CALL", budget):
+            got = rep.norms(X)
+        assert got.shape == (k,)
+        np.testing.assert_allclose(got, oracle(X), rtol=1e-12)
+
+    def test_table_products_of_rows_are_those_of_each_row(self):
+        rng = np.random.default_rng(6)
+        G = _mixed_union()
+        table = gk.TwistedConvolutionAlgebra(
+            G, corpus.random_cocycle(G, rng)).table
+        X, Y = (rng.standard_normal((4, table.dim))
+                + 1j * rng.standard_normal((4, table.dim)) for _ in range(2))
+        assert np.array_equal(table.mul(X, Y), np.array(
+            [table.mul(x, y) for x, y in zip(X, Y)]))
+        assert np.array_equal(table.star(X),
+                              np.array([table.star(x) for x in X]))
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_isometry_defect_without_samples_is_zero(self, z3, samples):
+        rep = gk.RegularRepresentation(z3)
+        U = 2.0 * np.eye(3)
+        assert isometry_defect(rep.norms, rep.norms, U,
+                               np.random.default_rng(0), samples) == 0.0
+        assert isometry_defect(rep.norms, rep.norms, U,
+                               np.random.default_rng(0), 1) == \
+            pytest.approx(1.0)
+
+    def test_isometry_defect_svd_calls_do_not_grow_with_samples(
+            self, monkeypatch):
+        G = _mixed_union()
+        rep = gk.RegularRepresentation(G)
+        U = np.eye(len(G.arrows))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        counts = []
+        for samples in (2, 50):
+            calls.clear()
+            isometry_defect(rep.norms, rep.norms, U,
+                            np.random.default_rng(0), samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestPositivity:

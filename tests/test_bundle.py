@@ -6,10 +6,10 @@ import pytest
 import gpdkit as gk
 import gpdkit.io as gio
 from gpdkit import corpus
-from gpdkit.algebra import (AlgebraElement, _unit, cstar_norm,
-                            groupoid_table, isometry_defect, random_element)
+from gpdkit.algebra import (AlgebraElement, _regular, _unit, groupoid_table,
+                            isometry_defect, random_element)
 from gpdkit.bundle import (FiberElement, Section, SectionAlgebra,
-                          _hilbert_module_defect, _saturation_detail)
+                          _hilbert_module_defect)
 from gpdkit.fiberblocks import fiber_blocks
 from oracles import (DenseSectionSpace, bundle_from, dense_bimodule_check,
                      dense_map_defects, dense_saturation_detail,
@@ -627,10 +627,8 @@ class TestBasisMapDefects:
         G = pi.domain
 
         def defect(U):
-            return isometry_defect(
-                lambda x: cstar_norm(G, AlgebraElement(G, x)),
-                lambda y: sa.norm(Section(E, y)), U,
-                np.random.default_rng(0), 10)
+            return isometry_defect(_regular(G).norms, sa.space.rep.norms, U,
+                                   np.random.default_rng(0), 10)
         assert defect(U) <= 1e-12
         U = U.copy()
         U[:, 3] *= 2.0
@@ -657,6 +655,23 @@ class TestBimodule:
         with pytest.raises(gk.NotABisection):
             gk.bisection_bimodule_check(heis3_bundle,
                                         list(heis3_bundle.base.arrows))
+
+
+def test_saturation_is_computed_once_per_tolerance(monkeypatch):
+    from gpdkit import fiberblocks
+    E = gk.build_bundle(corpus.heisenberg_quotient(2))
+    calls = []
+    ranks = fiberblocks.stacked_ranks
+    monkeypatch.setattr(fiberblocks, "stacked_ranks",
+                        lambda *a: calls.append(a[-1]) or ranks(*a))
+    assert gk.verify_axioms(E).saturated
+    assert gk.abelian_extract(E).passed
+    for U in gk.greedy_bisection_cover(E.base):
+        assert gk.bisection_bimodule_check(E, U).passed
+    assert calls == [1e-9]
+    B = fiber_blocks(E)
+    assert B.saturation(1e-6) == B.saturation(1e-9) == (True, None)
+    assert calls == [1e-9, 1e-6]
 
 
 def test_psi_hilbert_module_match_is_checked(heis3_quotient):
@@ -846,7 +861,7 @@ class TestBatchedNumerics:
                                                        name):
         E = parity_bundles[name]
         sat, wit = dense_saturation_detail(E, 1e-9)
-        assert _saturation_detail(E, 1e-9) == (sat, wit)
+        assert fiber_blocks(E).saturation(1e-9) == (sat, wit)
         for U in gk.greedy_bisection_cover(E.base):
             if not sat:
                 with pytest.raises(gk.NotSaturated):

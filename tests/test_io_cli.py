@@ -16,7 +16,9 @@ from gpdkit import corpus
 from gpdkit.cli import DEMOS, HANDLERS, OPERATIONS, build_parser, main
 from gpdkit.groupoid import pair_blocks
 from gpdkit.report import _escape, canonical_json, digest_text
-from oracles import bundle_from, escape_loop, table_arrays
+from oracles import (bundle_from, escape_loop, loop_bundle_build,
+                     loop_expectation_contractive, loop_wedderburn_samples,
+                     table_arrays)
 
 
 DATA = corpus.data_path("")
@@ -444,6 +446,45 @@ class TestCli:
         assert json.loads(out)["tolerance"] == 1e-8
 
 
+class TestStackedSampleChecks:
+    """The sample checks of bundle build, bundle verify and alg wedderburn
+    draw every sample first and check them in stacked calls; their
+    residuals are those of the one-sample loops of tests/oracles.py,
+    exactly."""
+
+    @staticmethod
+    def _residuals(argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        return {c["name"]: c["residual"] for c in json.loads(out)["checks"]}
+
+    @pytest.mark.parametrize("name", ["flip_covering", "heis2_quotient",
+                                      "heis3_quotient"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_bundle_build_and_verify(self, name, seed, capsys):
+        path = corpus.data_path(f"{name}.morphism.json")
+        E = gk.build_bundle(gio.load_morphism(path))
+        flags = ["--morphism", path, "--seed", str(seed), "--samples", "40"]
+        got = self._residuals(["bundle", "build", *flags], capsys)
+        assert (got["fiber_star_antimultiplicative"],
+                got["fiber_norm_cstar_identity"]) == \
+            loop_bundle_build(E, 40, seed)
+        got = self._residuals(["bundle", "verify", *flags], capsys)
+        assert got["expectation_contractive"] == max(
+            loop_expectation_contractive(E, 40, seed, 1e-9), 0.0)
+
+    @pytest.mark.parametrize("name", ["pair", "z3", "heis2", "heis3"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_alg_wedderburn(self, name, seed, capsys):
+        path = corpus.data_path(f"{name}.groupoid.json")
+        got = self._residuals(["alg", "wedderburn", "--groupoid", path,
+                               "--seed", str(seed), "--samples", "40"],
+                              capsys)
+        want = loop_wedderburn_samples(gio.load_groupoid(path), 40, seed,
+                                       1e-9)
+        assert {k: got[k] for k in want} == want
+
+
 class TestExitContract:
     """Exit codes 0/1/2 hold for empty, non-finite and numerically
     degenerate inputs, with no traceback."""
@@ -457,6 +498,18 @@ class TestExitContract:
         assert code == 0
         assert json.loads(out)["blocks"] == []
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("env, flags", [
+        ("abc", []), ("nan", []), (None, ["--tol", "nan"]),
+        (None, ["--tol", "-1"])])
+    def test_bad_tolerance_exits_2(self, env, flags, capsys, monkeypatch):
+        if env is None:
+            monkeypatch.delenv("GPD_TOL", raising=False)
+        else:
+            monkeypatch.setenv("GPD_TOL", env)
+        code, out, err = run_cli(["demo", "z3", *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("cmd", [["bundle", "verify"],
                                      ["abelian", "extract"]])
