@@ -25,8 +25,8 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
 from .algebra import (RegularRepresentation, WedderburnInvariants, chunks,
                       groupoid_table, isometry_defect, wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
-                     NotSaturated, FellBundleError, _slot_witness,
-                     section_algebra)
+                     NotSaturated, FellBundleError, _require_cstar_units,
+                     _slot_witness, section_algebra)
 from .fiberblocks import fiber_blocks, stacked_ranks
 from .report import CheckList
 
@@ -301,8 +301,7 @@ class TwistedConvolutionAlgebra:
         return self.rep.norm(c)
 
     def wedderburn(self, seed: int = 0, tol: float = 1e-9) -> WedderburnInvariants:
-        return wedderburn_from_tables(self.table, self.table.left,
-                                      seed=seed, tol=tol)
+        return wedderburn_from_tables(self.rep, seed=seed, tol=tol)
 
 
 def twisted_algebra(G: FiniteGroupoid, omega: Cocycle,
@@ -330,44 +329,43 @@ class ExtractionResult(CheckList):
     basis_map: Optional[np.ndarray] = None  # column (h, x): its line vector
 
 
-def _minimal_projections(alg, seed: int = 0, tol: float = 1e-9):
-    """Minimal projections of a commutative unit fiber, as coefficient
-    vectors, in a deterministic order (lexicographic by rounded
-    coefficients)."""
-    d = alg.dim
+def _minimal_projections(B, u, seed: int = 0):
+    """Minimal projections of the commutative unit fiber over the arrow
+    index ``u`` of the FiberBlocks ``B``, as coefficient vectors, in a
+    deterministic order (lexicographic by rounded coefficients). Raises
+    FellBundleError when the fiber has a degenerate trace form."""
+    _require_cstar_units(B, [u])
+    d = int(B.dims[u])
     if d == 0:
         return []
     rng = np.random.default_rng(seed)
+    at = np.full(d + 1, u)
+    # row 0: a random self-adjoint element; rows 1..d: the basis
+    X = np.zeros((d + 1, B.D), dtype=complex)
+    X[1:, :d] = np.eye(d)
+    L = np.empty((d + 1, d, d), dtype=complex)
     for _ in range(6):
-        vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        vec = vec + alg.star_vec(vec)
-        M = alg.rep(vec)
-        M = (M + M.conj().T) / 2.0
-        evals, V = np.linalg.eigh(M)
-        spread = float(evals[-1] - evals[0]) if d > 1 else 1.0
-        gaps = np.diff(evals)
-        if d > 1 and np.min(gaps) < 1e-6 * max(spread, 1.0):
+        X[0, :d] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        X[0] += B.stars(at[:1], X[:1])[1][0]
+        for rows, S in B.blocks(at, X, at):  # T L T^-1 of every row
+            L[rows] = S
+        evals, V = np.linalg.eigh((L[0] + L[0].conj().T) / 2.0)
+        spread = float(evals[-1] - evals[0])
+        if d > 1 and np.min(np.diff(evals)) < 1e-6 * max(spread, 1.0):
             continue
         # characters: joint eigenvalues of the basis left multiplications
-        char = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            Li = alg.rep(np.eye(d, dtype=complex)[i])
-            for l in range(d):
-                v = V[:, l]
-                char[l, i] = v.conj() @ Li @ v
+        char = np.einsum("il,kij,jl->lk", V.conj(), L[1:], V)
         try:
             projs = np.linalg.solve(char, np.eye(d, dtype=complex))
         except np.linalg.LinAlgError:
             continue
-        vecs = [projs[:, l] for l in range(d)]
-        ok = True
-        for p in vecs:
-            if float(np.max(np.abs(alg.product(p, p) - p))) > 1e-8 or \
-                    float(np.max(np.abs(alg.star_vec(p) - p))) > 1e-8:
-                ok = False
-                break
-        if not ok:
+        P = np.zeros((d, B.D), dtype=complex)
+        P[:, :d] = projs.T
+        _, square = B.products(at[:d], P, at[:d], P)
+        _, star = B.stars(at[:d], P)
+        if max(np.abs(square - P).max(), np.abs(star - P).max()) > 1e-8:
             continue
+        vecs = list(projs.T)
         keys = [tuple(np.round(p, 6).view(float)) for p in vecs]
         order = sorted(range(d), key=lambda l: keys[l])
         return [vecs[l] for l in order]
@@ -411,8 +409,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     projections = {}   # point id -> (unit, coeff vector)
     points_by_unit = {}
     for u in H.units:
-        alg = E.unit_algebra(u)
-        vecs = _minimal_projections(alg, seed=seed)
+        vecs = _minimal_projections(B, B.index[u], seed=seed)
         ids = []
         for idx, vec in enumerate(vecs):
             x = f"{u}#p{idx}"

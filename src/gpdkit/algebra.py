@@ -28,7 +28,9 @@ Associativity of every table is :meth:`StructureTable.associativity_defect`:
 by gathers where each pair has one product term (the tables of groupoids,
 twisted groupoids, groups and morphism bundles), by a sort elsewhere.
 Block-size invariants of such algebras (the complete isomorphism
-invariant at this scale) are computed by :func:`wedderburn`.
+invariant at this scale) are computed by :func:`wedderburn_from_tables`
+from the summand blocks of a :class:`RegularRepresentation`, the blocks
+that every C*-norm reads too.
 """
 
 from __future__ import annotations
@@ -549,7 +551,9 @@ def isometry_defect(norms_a: Callable, norms_b: Callable, U, rng,
 def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
                      tol: float = 1e-9) -> bool:
     """True iff every regular-representation block of the self-adjoint f
-    has spectrum >= -tol * ||f||; the first failing unit decides."""
+    has spectrum >= -tol * ||f||; the first failing unit decides. f counts
+    as self-adjoint within that cut, or within the rounding of a product
+    of elements (dim * eps * ||f||), whichever is larger."""
     rep = _regular(G)
     k = len(rep.sizes)
     scale, herm, low = 0.0, np.zeros(k), np.full(k, np.inf)
@@ -558,8 +562,9 @@ def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
         herm[units] = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         low[units] = np.linalg.eigvalsh(S).min(axis=1)
     cut = tol * max(scale, 1.0)
-    bad = np.flatnonzero((herm > cut) | (low < -cut))
-    if len(bad) and herm[bad[0]] > cut:
+    guard = max(cut, rep.table.dim * np.finfo(float).eps * max(scale, 1.0))
+    bad = np.flatnonzero((herm > guard) | (low < -cut))
+    if len(bad) and herm[bad[0]] > guard:
         raise ValueError(f"element is not self-adjoint "
                          f"(defect {float(herm[bad[0]]):.3e})")
     return not len(bad)
@@ -734,103 +739,44 @@ def _cluster(values: np.ndarray, thr: float) -> list:
     return clusters
 
 
-def _unit(table: StructureTable, tol) -> np.ndarray:
-    """Coefficients of the unit of the algebra of ``table``.
-
-    The candidate is read from the table: the sum of e_p / w over the
-    basis elements whose square is the single term w e_p. That is
-    sum e_u for a groupoid, sum omega(u, u)^-1 e_u when twisted, and the
-    unit-fiber identities of the section table of a bundle built from a
-    morphism. One table residual, u e_j = e_j = e_j u for every j,
-    certifies it. A candidate that fails (a closed matrix family spanned
-    in another basis) falls back to solving those equations by least
-    squares, which is what a certified candidate would give, the unit of
-    an algebra being unique.
-    """
-    r = table.dim
-    nz = table.w != 0
-    a, b, c, w = table.a[nz], table.b[nz], table.c[nz], table.w[nz]
-    if not len(w):
-        raise ValueError("algebra has no products; cannot locate a unit")
-    square = a == b
-    terms = np.bincount(a[square], minlength=r)
-    p = np.flatnonzero(square & (c == a))
-    p = p[terms[a[p]] == 1]
-    unit = np.zeros(r, dtype=complex)
-    unit[a[p]] = 1.0 / w[p]
-    ids = np.arange(r)
-    # u e_j = e_j: entries with a in the support of u; e_j u: with b there
-    left, right = unit[a] != 0, unit[b] != 0
-    res = max(_defect((b[left], c[left], w[left] * unit[a[left]]),
-                      (ids, ids, np.ones(r)), r)[0],
-              _defect((a[right], c[right], w[right] * unit[b[right]]),
-                      (ids, ids, np.ones(r)), r)[0])
-    if res <= tol:
-        return unit
-    # row (b, c) of "u e_b = e_b" takes w at column a; row (a, c) of
-    # "e_a u = e_a" takes w at column b
-    keys, row = np.unique(np.concatenate([b * r + c, (r + a) * r + c]),
-                          return_inverse=True)
-    M = np.zeros((len(keys), r), dtype=complex)
-    np.add.at(M, (row, np.concatenate([a, b])), np.concatenate([w, w]))
-    target = ((keys // r) % r == keys % r).astype(complex)
-    coeff, *_ = np.linalg.lstsq(M, target, rcond=None)
-    if float(np.linalg.norm(M @ coeff - target)) > tol * max(1.0, len(keys)):
-        raise ValueError("algebra has no unit element")
-    return coeff
-
-
-def _compress_to_support(table: StructureTable, rep: Callable, tol):
-    """Restrict a faithful *-representation to the range of the algebra
-    unit.
-
-    A *-closed finite-dimensional matrix algebra always has a unit acting
-    as the identity on its support, but that unit need not be the ambient
-    identity matrix; the spectral-projection argument below requires the
-    representation to be unital, so non-full supports are cut down first.
-    """
-    E = rep(_unit(table, tol))
-    n = E.shape[0]
-    if float(np.linalg.norm(E - np.eye(n))) <= tol * n:
-        return rep
-    E = (E + E.conj().T) / 2.0
-    evals, V = np.linalg.eigh(E)
-    keep = V[:, evals > 0.5]
-    if keep.shape[1] == 0:
-        raise ValueError("algebra unit has empty support")
-    return lambda x: keep.conj().T @ rep(x) @ keep
-
-
-def wedderburn_from_tables(table: StructureTable, rep: Callable, *,
-                           seed: int = 0, tol: float = 1e-9,
+def wedderburn_from_tables(rep: RegularRepresentation, *, seed: int = 0,
+                           tol: float = 1e-9,
                            retries: int = 5) -> WedderburnInvariants:
-    """Block sizes of the algebra of ``table``, given ``rep``, a faithful
-    *-representation taking coefficient vectors to matrices.
+    """Block sizes of the algebra of ``rep.table``, read from the summand
+    blocks of ``rep``, a faithful unital *-representation.
 
     Minimal central projections are the spectral projections of a random
-    Hermitian central element; the size of each block is read off from the
+    Hermitian central element: the eigenvalues of its summand blocks are
+    pooled and clustered. The size of each block is read off from the
     eigenvalue multiplicities of a second random Hermitian element
-    restricted to the projection (a block of size n contributes n distinct
-    eigenvalues, each with the multiplicity of the block in the
-    representation). Collisions trigger a retry with fresh randomness.
-    The result carries the margins of the central cluster decision.
+    restricted, summand by summand, to the eigenvectors of a cluster (a
+    block of size n contributes n distinct eigenvalues, each with the
+    multiplicity of the block in the representation). Collisions trigger
+    a retry with fresh randomness. The result carries the margins of the
+    central cluster decision.
     """
-    r = table.dim
+    r = rep.table.dim
     if r == 0:
         return WedderburnInvariants((), 0, 0)
-    rep = _compress_to_support(table, rep, tol)
-    center = sparse_center_basis(r, table.products(), tol=tol)
+    center = sparse_center_basis(r, rep.table.products(), tol=tol)
     k = center.shape[0]
 
     rng = np.random.default_rng(seed)
     last_error = "no attempt"
     for attempt in range(retries):
         zc = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        Z = rep(zc @ center)
-        n = Z.shape[0]
-        Z = (Z + Z.conj().T) / 2.0  # stays central: the center is *-closed
-        evals, V = np.linalg.eigh(Z)
-        spread = float(evals[-1] - evals[0]) if n > 1 else 0.0
+        # the Hermitian part of every summand block (still central: the
+        # center is *-closed), diagonalized per size group; eigenvalue e of
+        # the pool is column col[e] of summand block blk[e] in stack order
+        ev, V = zip(*(np.linalg.eigh(_hermitian(S))
+                      for _, S in rep.stacks(zc @ center)))
+        pool = np.concatenate([e.ravel() for e in ev])
+        width = np.concatenate([np.full(len(e), e.shape[1]) for e in ev])
+        blk = np.repeat(np.arange(len(width)), width)
+        col = _ranks(blk)[1]
+        order = np.argsort(pool, kind="stable")
+        evals = pool[order]
+        spread = float(evals[-1] - evals[0]) if len(evals) > 1 else 0.0
         thr = max(spread, 1.0) * 1e-7
         clusters = _cluster(evals, thr)
         if len(clusters) != k:
@@ -838,16 +784,22 @@ def wedderburn_from_tables(table: StructureTable, rep: Callable, *,
                           f"dimension {k}")
             continue
 
-        Y = rep(rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        Y = (Y + Y.conj().T) / 2.0
-        yscale = max(float(np.linalg.norm(Y, 2)), 1.0)
+        Y = [_hermitian(S) for _, S in rep.stacks(
+            rng.standard_normal(r) + 1j * rng.standard_normal(r))]
+        yscale = max(1.0, *(float(np.linalg.norm(S, 2, axis=(1, 2)).max())
+                            for S in Y))
+        # every summand block in the eigenvector coordinates of its own
+        Y = [y for S, U in zip(Y, V) for y in U.conj().transpose(0, 2, 1)
+             @ S @ U]
 
         sizes = []
         ok = True
         for cl in clusters:
-            Vc = V[:, cl]
-            Yc = Vc.conj().T @ Y @ Vc
-            sub = np.linalg.eigvalsh(Yc)
+            e = order[cl]
+            e = e[np.argsort(blk[e], kind="stable")]
+            sub = np.concatenate([
+                np.linalg.eigvalsh(Y[blk[p[0]]][np.ix_(col[p], col[p])])
+                for p in np.split(e, np.flatnonzero(np.diff(blk[e])) + 1)])
             subclusters = _cluster(sub, yscale * 1e-7)
             mults = {len(c) for c in subclusters}
             if len(mults) != 1:
@@ -868,7 +820,7 @@ def wedderburn_from_tables(table: StructureTable, rep: Callable, *,
                           f"dimension {r}")
             continue
         blocks = tuple(sorted(sizes, reverse=True))
-        # eigh sorts evals, so a cluster is a run of neighbouring values
+        # evals is sorted, so a cluster is a run of neighbouring values
         gaps = [evals[nxt[0]] - evals[cl[-1]]
                 for cl, nxt in zip(clusters, clusters[1:])]
         return WedderburnInvariants(
@@ -879,6 +831,11 @@ def wedderburn_from_tables(table: StructureTable, rep: Callable, *,
             retries=attempt)
     raise NumericalDegeneracy(f"wedderburn failed after {retries} retries: "
                               f"{last_error}")
+
+
+def _hermitian(S) -> np.ndarray:
+    """(S + S*) / 2 of every matrix of the stack S."""
+    return (S + S.conj().transpose(0, 2, 1)) / 2.0
 
 
 def _closure_tables(mats, tol):
@@ -932,15 +889,21 @@ def _closure_tables(mats, tol):
 def wedderburn(obj, *, seed: int = 0, tol: float = 1e-9,
                retries: int = 5) -> WedderburnInvariants:
     """Block-size invariants of C*_r(G) for a groupoid, or of the *-closed
-    algebra generated by an explicit family of matrices."""
+    algebra generated by an explicit family of matrices. The family's
+    algebra acts on itself by left multiplication, in the coordinates that
+    the Gram roots of <a, b> = tr(a* b) make orthonormal: a faithful,
+    unital *-representation."""
     if isinstance(obj, FiniteGroupoid):
-        table = groupoid_table(obj)
-        return wedderburn_from_tables(table, table.left, seed=seed, tol=tol,
+        return wedderburn_from_tables(_regular(obj), seed=seed, tol=tol,
                                       retries=retries)
     mats = [np.asarray(m, dtype=complex) for m in obj]
     if not mats:
         return WedderburnInvariants((), 0, 0)
     basis, table = _closure_tables(mats, tol)
-    return wedderburn_from_tables(
-        table, lambda x: np.tensordot(x, basis, axes=1), seed=seed, tol=tol,
-        retries=retries)
+    flat = basis.reshape(len(basis), -1)
+    w, U = np.linalg.eigh(flat.conj() @ flat.T)
+    pairs = np.indices((table.dim, table.dim)).reshape(2, -1)
+    roots = [((U * p) @ U.conj().T).ravel() for p in (np.sqrt(w),
+                                                      1.0 / np.sqrt(w))]
+    rep = RegularRepresentation(table, np.zeros(table.dim), (*pairs, *roots))
+    return wedderburn_from_tables(rep, seed=seed, tol=tol, retries=retries)

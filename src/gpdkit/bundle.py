@@ -118,7 +118,6 @@ class FellBundle:
             self.psi_slots = np.array(
                 [self.first[h] + i for h, i in
                  map(self.position.get, morphism.domain.arrows)], np.int64)
-        self._unit_algebras = {}
         self._table = table
         self.fiber_map_errors = _fiber_map_errors(self)
         self._blocks = None
@@ -130,11 +129,6 @@ class FellBundle:
     def total_dim(self) -> int:
         return self._total_dim
 
-    def unit_algebra(self, u) -> "UnitFiberAlgebra":
-        if u not in self._unit_algebras:
-            self._unit_algebras[u] = UnitFiberAlgebra(self, u)
-        return self._unit_algebras[u]
-
     def table(self) -> StructureTable:
         """Structure table of the section algebra over the slots (see
         ``first``). Raises the first of ``fiber_map_errors`` rather than
@@ -145,14 +139,13 @@ class FellBundle:
         return self._table
 
     def is_abelian(self, tol: float = 1e-12) -> bool:
-        """Every unit fiber table equals itself with the factors swapped."""
-        for u in self.base.units:
-            t = self.unit_algebra(u).table
-            swapped = StructureTable(t.dim, t.b, t.a, t.c, t.w, t.s, t.t,
-                                     t.sw)
-            if t.mul_defect(swapped)[0] > tol:
-                return False
-        return True
+        """The unit-fiber entries of the section table equal themselves
+        with the factors swapped."""
+        B = fiber_blocks(self)
+        T, on = B.table, B.is_unit[B.arrow]
+        m = on[T.a] & on[T.b]
+        return _defect((T.a[m], T.b[m], T.c[m], T.w[m]),
+                       (T.b[m], T.a[m], T.c[m], T.w[m]), T.dim)[0] <= tol
 
 
 @dataclass
@@ -264,87 +257,6 @@ def _fiber_map_errors(E: FellBundle):
             f"index out of range in star[{h!r}][{i}]",
             witness=(h, i, int(T.t[e] - first[D.t[hs[e]]])))
     return tuple(errors)
-
-
-class UnitFiberAlgebra:
-    """The *-algebra structure of a unit fiber, with the trace-form left
-    regular representation used for norms and spectra."""
-
-    def __init__(self, bundle: FellBundle, u, tol: float = 1e-9):
-        if not bundle.base.is_unit(u):
-            raise FellBundleError(f"{u!r} is not a base unit")
-        self.bundle = bundle
-        self.unit = u
-        d = bundle.dim(u)
-        self.dim = d
-        # the entries of the section table over u, in slots 0 .. d-1
-        T, lo = bundle.table(), bundle.first[u]
-        m = (T.a >= lo) & (T.a < lo + d) & (T.b >= lo) & (T.b < lo + d)
-        st = (T.s >= lo) & (T.s < lo + d)
-        self.table = StructureTable(d, T.a[m] - lo, T.b[m] - lo, T.c[m] - lo,
-                                    T.w[m], T.s[st] - lo, T.t[st] - lo,
-                                    T.sw[st])
-        L = self.table.left_stack()  # L[i]: left multiplication by e_i
-        self._left = L.reshape(d, d * d)
-        self._tau = np.trace(L, axis1=1, axis2=2)
-        smap = np.zeros((d, d), dtype=complex)  # row i: coefficients of e_i*
-        np.add.at(smap, (self.table.s, self.table.t), self.table.sw)
-        # gram[i, j] = tau(e_i* e_j)
-        gram = smap @ np.einsum("kcj,c->kj", L, self._tau)
-        gram = (gram + gram.conj().T) / 2.0
-        self.gram = gram
-        w, U = (np.linalg.eigh(gram) if d else
-                (np.zeros(0), np.zeros((0, 0), dtype=complex)))
-        scale = float(w[-1]) if d else 0.0
-        self.positive_definite = bool(d == 0 or w[0] > tol * max(scale, 1.0))
-        if self.positive_definite and d:
-            self._tsqrt = (U * np.sqrt(w)) @ U.conj().T
-            self._tisqrt = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-        else:
-            self._tsqrt = self._tisqrt = None
-
-    def left_mult(self, vec) -> np.ndarray:
-        return (np.asarray(vec, dtype=complex) @ self._left).reshape(
-            self.dim, self.dim)
-
-    def star_vec(self, vec) -> np.ndarray:
-        return self.table.star(np.asarray(vec, dtype=complex))
-
-    def product(self, avec, bvec) -> np.ndarray:
-        return self.table.mul(np.asarray(avec, dtype=complex),
-                              np.asarray(bvec, dtype=complex))
-
-    def tau(self, vec) -> complex:
-        return complex(np.asarray(vec, dtype=complex) @ self._tau)
-
-    def _require_cstar(self):
-        if not self.positive_definite:
-            raise FellBundleError(
-                f"unit fiber over {self.unit!r} has a degenerate trace form "
-                "and is not a C*-algebra", witness=self.unit)
-
-    def rep(self, vec) -> np.ndarray:
-        """Matrix of left multiplication in orthonormal coordinates; a
-        *-representation once the bundle axioms hold."""
-        self._require_cstar()
-        if self.dim == 0:
-            return np.zeros((0, 0), dtype=complex)
-        return self._tsqrt @ self.left_mult(vec) @ self._tisqrt
-
-    def norm(self, vec) -> float:
-        if self.dim == 0:
-            return 0.0
-        return float(np.linalg.norm(self.rep(vec), 2))
-
-    def herm_spectrum(self, vec) -> np.ndarray:
-        M = self.rep(vec)
-        M = (M + M.conj().T) / 2.0
-        return np.linalg.eigvalsh(M) if self.dim else np.zeros(0)
-
-    def wedderburn(self, seed: int = 0, tol: float = 1e-9):
-        self._require_cstar()
-        return wedderburn_from_tables(self.table, self.rep, seed=seed,
-                                      tol=tol)
 
 
 def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
@@ -746,23 +658,8 @@ class SectionSpace:
         tsqrt, tisqrt, _, _ = B.gram()
         s1, s2 = B.slot_pairs()  # the slot pairs over one arrow
         at = B.arrow[s1], B.loc[s1], B.loc[s2]
-        self._roots = s1, s2, tsqrt[at], tisqrt[at]  # entries of T, T^-1
         self.rep = RegularRepresentation(E.table(), B.src[B.arrow],
-                                         self._roots)
-        self._dense = None
-
-    def matrix(self, vec) -> np.ndarray:
-        """Left multiplication by the section with coefficients ``vec``,
-        in orthonormal coordinates: the table's left matrix between the
-        block-diagonal T and T^-1 (dense, assembled from the per-arrow
-        blocks on first use)."""
-        if self._dense is None:
-            n = self.bundle.total_dim()
-            s1, s2, *roots = self._roots
-            self._dense = [_scatter(s1 * n + s2, v, n * n).reshape(n, n)
-                           for v in roots]
-        tsqrt, tisqrt = self._dense
-        return tsqrt @ self.bundle.table().left(vec) @ tisqrt
+                                         (s1, s2, tsqrt[at], tisqrt[at]))
 
     def op_norm(self, section: Section) -> float:
         """The operator norm of left multiplication by ``section``: the
@@ -826,8 +723,7 @@ class SectionAlgebra:
         return self.space.op_norm(s)
 
     def wedderburn(self, seed: int = 0, tol: float = 1e-9):
-        return wedderburn_from_tables(self.bundle.table(), self.space.matrix,
-                                      seed=seed, tol=tol)
+        return wedderburn_from_tables(self.space.rep, seed=seed, tol=tol)
 
 
 def section_algebra(E: FellBundle, report: Optional[AxiomReport] = None,

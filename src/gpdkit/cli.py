@@ -4,8 +4,9 @@ Every subcommand parses its input files, runs the relevant operations and
 prints a deterministic JSON report on stdout plus a human summary on
 stderr. Exit code 0 means every check passed, 1 means a verification
 failure, 2 means malformed input (the diagnostic names the file, the JSON
-path and what was expected there) or a tolerance that is not a finite
-number >= 0.
+path and what was expected there), a tolerance that is not a finite
+number >= 0, a negative ``--samples`` or ``--depth``, or an ``--n``
+below 1.
 
 Each command is declared once, in the command table ``COMMANDS``. A run
 builds the argparse parser of its own command only, with the help, usage
@@ -176,18 +177,22 @@ def cmd_gpd_morphism(args, report: Report):
 def cmd_alg_wedderburn(args, report: Report):
     G = gio.load_groupoid(args.groupoid)
     rng = np.random.default_rng(args.seed)
-    inv = wedderburn(G, seed=args.seed, tol=args.tol)
-    report.extras["blocks"] = list(inv.blocks)
-    report.extras["dimension"] = inv.dimension
-    report.extras["center_dimension"] = inv.center_dimension
     defect, sigma_min = algebra.faithfulness_defect(G, return_margin=True)
-    report.extras["margins"] = {
-        "central_gap": inv.central_gap,
-        "central_spread": inv.central_spread,
-        "retries": inv.retries,
-        "faithfulness_sigma_min": sigma_min}
-    report.add("sum_of_squares",
-               sum(b * b for b in inv.blocks) == inv.dimension, 0.0)
+    report.extras["margins"] = {"faithfulness_sigma_min": sigma_min}
+    try:
+        inv = wedderburn(G, seed=args.seed, tol=args.tol)
+    except algebra.NumericalDegeneracy as exc:  # e.g. at --tol 0
+        degenerate = exc  # reported last, once the other checks ran
+    else:
+        degenerate = None
+        report.extras["blocks"] = list(inv.blocks)
+        report.extras["dimension"] = inv.dimension
+        report.extras["center_dimension"] = inv.center_dimension
+        report.extras["margins"].update(central_gap=inv.central_gap,
+                                        central_spread=inv.central_spread,
+                                        retries=inv.retries)
+        report.add("sum_of_squares",
+                   sum(b * b for b in inv.blocks) == inv.dimension, 0.0)
     report.add("faithful_regular_representation", defect == 0, 0.0)
 
     # sample pairs f1, f2 drawn as by random_element, normed in one call
@@ -237,6 +242,8 @@ def cmd_alg_wedderburn(args, report: Report):
             f = AlgebraElement.from_dict(
                 G, {g: f.coeffs[base.index[g]] for g in base.arrows})
             report.extras["element_norm"] = cstar_norm(G, f)
+    if degenerate is not None:
+        report.add(type(degenerate).__name__, False, None, str(degenerate))
 
 
 def _load_bundle_from_args(args, report: Report):
@@ -411,11 +418,12 @@ def cmd_graph_grading(args, report: Report):
     phi = collapse_morphism(V)
     g = grading_degree(phi, args.depth)
     report.extras["grading"] = g.as_dict()
-    report.add("degree_additive", g.additive, None, g.witness)
-    report.add("involution_flips_degree", g.involution_flips, None,
-               g.witness)
-    report.add("degree_zero_matches_kernel",
-               g.degree_zero_matches_kernel, None, g.witness)
+    # only a failing entry carries the report's witness
+    for name, ok in (("degree_additive", g.additive),
+                     ("involution_flips_degree", g.involution_flips),
+                     ("degree_zero_matches_kernel",
+                      g.degree_zero_matches_kernel)):
+        report.add(name, ok, None, None if ok else g.witness)
 
 
 def cmd_action_build(args, report: Report):
@@ -716,12 +724,22 @@ def _tolerance(flag):
     return tol
 
 
+def _check_counts(args):
+    """Raise SystemExit2 on a negative --samples or --depth, or an --n
+    below 1."""
+    for flag, low in (("samples", 0), ("depth", 0), ("n", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise SystemExit2(f"--{flag} {value} is not an integer >= {low}")
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
         args.tol = _tolerance(args.tol)
+        _check_counts(args)
     except SystemExit2 as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _join, _scatter, chunks, groupoid_table
+from .algebra import _hermitian, _join, _scatter, chunks, groupoid_table
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -251,7 +251,8 @@ class FiberBlocks:
 
     def degenerate_unit(self, units) -> Optional[int]:
         """The first of ``units`` (arrow indices) whose fiber has a
-        degenerate trace form, by the rule of UnitFiberAlgebra, or None."""
+        degenerate trace form, or None: a nonempty fiber whose smallest
+        Gram eigenvalue is not above 1e-9 times max(largest, 1)."""
         _, _, lo, hi = self.gram()
         units = np.asarray(units, dtype=np.int64)
         bad = (self.dims[units] > 0) & ~(lo[units] >
@@ -290,8 +291,7 @@ class FiberBlocks:
         for rows, S in self.blocks(u, Y, u):
             norms[rows] = np.linalg.norm(S, 2, axis=(1, 2))
             if spectra:
-                ev = np.linalg.eigvalsh((S + S.conj().transpose(0, 2, 1))
-                                        / 2.0)
+                ev = np.linalg.eigvalsh(_hermitian(S))
                 neg[rows] = (np.maximum(-ev[:, 0], 0.0)
                              / np.maximum(ev[:, -1], 1e-30))
         return norms, neg

@@ -13,7 +13,8 @@ from typing import Mapping
 import numpy as np
 
 from gpdkit.actions import Cocycle, GroupoidAction
-from gpdkit.algebra import groupoid_table
+from gpdkit.algebra import StructureTable, groupoid_table
+from gpdkit.bundle import FellBundleError
 from gpdkit.groupoid import (AssociativityFailure, FiniteGroupoid,
                              GroupoidError, GroupoidMorphism,
                              IllegalComposite, InverseFailure,
@@ -332,8 +333,65 @@ def slot_arrows(E):
 # -- per-element bundle numerics: the reference for the batched checks of
 # gpdkit.bundle. Every product and star is one of two one-arrow sections
 # through the section table; every norm is taken one element at a time,
-# through the unit-fiber algebra (``UnitFiberAlgebra.norm``) or on the
-# dense total_dim x total_dim section matrix.
+# through the dense unit fiber (``DenseUnitFiber.norm``) or on the dense
+# total_dim x total_dim section matrix.
+
+class DenseUnitFiber:
+    """The unit fiber over u as an algebra of its own: the section table
+    restricted to its slots, the dense d x d x d stack of its left
+    multiplications, the trace form tau(a) = tr(L_a) and the Gram roots
+    of <a, b> = tau(a* b), which make left multiplication a
+    *-representation (``rep``) once the bundle axioms hold."""
+
+    def __init__(self, E, u, tol=1e-9):
+        d = self.dim = E.dim(u)
+        self.unit = u
+        T, lo = E.table(), E.first[u]
+        m = (T.a >= lo) & (T.a < lo + d) & (T.b >= lo) & (T.b < lo + d)
+        st = (T.s >= lo) & (T.s < lo + d)
+        self.table = StructureTable(d, T.a[m] - lo, T.b[m] - lo, T.c[m] - lo,
+                                    T.w[m], T.s[st] - lo, T.t[st] - lo,
+                                    T.sw[st])
+        L = self.table.left_stack()  # L[i]: left multiplication by e_i
+        self._left = L.reshape(d, d * d)
+        self._tau = np.trace(L, axis1=1, axis2=2)
+        smap = np.zeros((d, d), dtype=complex)  # row i: coefficients of e_i*
+        np.add.at(smap, (self.table.s, self.table.t), self.table.sw)
+        gram = smap @ np.einsum("kcj,c->kj", L, self._tau)
+        gram = (gram + gram.conj().T) / 2.0
+        w, U = (np.linalg.eigh(gram) if d else
+                (np.zeros(0), np.zeros((0, 0), dtype=complex)))
+        scale = float(w[-1]) if d else 0.0
+        self.positive_definite = bool(d == 0 or w[0] > tol * max(scale, 1.0))
+        if self.positive_definite and d:
+            self._tsqrt = (U * np.sqrt(w)) @ U.conj().T
+            self._tisqrt = (U * (1.0 / np.sqrt(w))) @ U.conj().T
+
+    def tau(self, vec):
+        return complex(np.asarray(vec, dtype=complex) @ self._tau)
+
+    def rep(self, vec):
+        """Left multiplication by ``vec`` in orthonormal coordinates."""
+        if not self.positive_definite:
+            raise FellBundleError(
+                f"unit fiber over {self.unit!r} has a degenerate trace form "
+                "and is not a C*-algebra", witness=self.unit)
+        left = (np.asarray(vec, dtype=complex) @ self._left).reshape(
+            self.dim, self.dim)
+        return self._tsqrt @ left @ self._tisqrt if self.dim else left
+
+    def basis_matrices(self):
+        """``rep`` of every basis vector."""
+        return [self.rep(e) for e in np.eye(self.dim)]
+
+    def norm(self, vec):
+        return float(np.linalg.norm(self.rep(vec), 2)) if self.dim else 0.0
+
+    def herm_spectrum(self, vec):
+        M = self.rep(vec)
+        return np.linalg.eigvalsh((M + M.conj().T) / 2.0) if self.dim \
+            else np.zeros(0)
+
 
 def _section(xi):
     E = xi.bundle
@@ -365,7 +423,7 @@ def element_norm(xi):
     E = xi.bundle
     prod = fiber_product(fiber_adjoint(xi), xi)
     u = E.base.src[xi.arrow]
-    return float(np.sqrt(max(E.unit_algebra(u).norm(prod.vec), 0.0)))
+    return float(np.sqrt(max(DenseUnitFiber(E, u).norm(prod.vec), 0.0)))
 
 
 def _random_element(E, h, rng):
@@ -413,7 +471,7 @@ class DenseSectionSpace:
         gram = np.zeros((n, n), dtype=complex)
         for h in H.arrows:
             d = E.dim(h)
-            alg = E.unit_algebra(H.src[h]) if d else None
+            alg = DenseUnitFiber(E, H.src[h]) if d else None
             for i in range(d):
                 si = fiber_adjoint(FiberElement.basis(E, h, i))
                 for j in range(d):
@@ -431,6 +489,13 @@ class DenseSectionSpace:
 
     def matrix(self, vec):
         return self._tsqrt @ self.bundle.table().left(vec) @ self._tisqrt
+
+    def blocks(self, vec):
+        """The diagonal blocks of ``matrix`` on the slots over the arrows
+        of one source unit, in the order of the unit's arrow index."""
+        H, M = self.bundle.base, self.matrix(vec)
+        src = np.array([H.index[H.src[h]] for h in slot_arrows(self.bundle)])
+        return [M[np.ix_(src == u, src == u)] for u in np.unique(src)]
 
     def op_norm(self, vec):
         if self.bundle.total_dim() == 0:
@@ -500,7 +565,7 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
                 _slot_witness(E, slots, form) if res > tol else None)
     degenerate = None
     for u in H.units:
-        if E.dim(u) and not E.unit_algebra(u).positive_definite:
+        if E.dim(u) and not DenseUnitFiber(E, u).positive_definite:
             degenerate = f"unit fiber over {u!r} has degenerate trace form"
             break
     if degenerate is not None:
@@ -541,7 +606,7 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
         x = _random_element(E, h, rng)
         single.append((h, x, element_norm(x)))
     for h, x, _ in single:
-        spec = E.unit_algebra(H.src[h]).herm_spectrum(
+        spec = DenseUnitFiber(E, H.src[h]).herm_spectrum(
             fiber_product(fiber_adjoint(x), x).vec)
         if spec.size:
             neg = max(0.0, -float(spec[0])) / max(float(spec[-1]), 1e-30)
@@ -598,9 +663,9 @@ def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
             continue
         for _ in range(max(1, samples // max(len(U.arrows), 1))):
             xi = _random_element(E, h, rng)
-            b_spec = E.unit_algebra(H.src[h]).herm_spectrum(
+            b_spec = DenseUnitFiber(E, H.src[h]).herm_spectrum(
                 fiber_product(fiber_adjoint(xi), xi).vec)
-            a_spec = E.unit_algebra(H.rng[h]).herm_spectrum(
+            a_spec = DenseUnitFiber(E, H.rng[h]).herm_spectrum(
                 fiber_product(xi, fiber_adjoint(xi)).vec)
             for spec in (b_spec, a_spec):
                 if spec.size:

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import gpdkit as gk
 from gpdkit import corpus
 from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
-                            groupoid_table, isometry_defect, random_element,
-                            sparse_center_basis)
+                            _regular, groupoid_table, isometry_defect,
+                            random_element, sparse_center_basis,
+                            wedderburn_from_tables)
 
 from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
     dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
@@ -537,8 +538,7 @@ def test_heis6_wedderburn_and_faithfulness_memory_is_bounded():
 
 
 class TestTableUnit:
-    """The unit is read from the table and certified by one residual; the
-    least-squares solve is left to closed matrix families."""
+    """Wedderburn reads unital representations and solves for no unit."""
 
     @pytest.fixture
     def no_lstsq(self, monkeypatch):
@@ -567,25 +567,63 @@ class TestTableUnit:
         sa = gk.section_algebra(gk.build_bundle(corpus.heisenberg_quotient(3)))
         assert sa.wedderburn().blocks == (3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 
-    def test_closure_family_in_another_basis_solves(self, monkeypatch):
+    def test_closure_family_in_another_basis_solves(self, no_lstsq):
         # M2 spanned by four matrices none of which squares to a multiple
-        # of itself alone, so the table names no candidate
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq",
-                            lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        # of itself alone, so the table names no unit among them
         mats = [np.array(m, dtype=float) for m in (
             [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 0]],
             [[1, 0], [0, -1]])]
         assert gk.wedderburn(mats).blocks == (2,)
-        assert calls == [1]
 
 
 def test_numerical_degeneracy_after_retry_budget(z3):
-    from gpdkit.algebra import groupoid_table, wedderburn_from_tables
-    table = groupoid_table(z3)
     with pytest.raises(gk.NumericalDegeneracy):
-        wedderburn_from_tables(table, table.left, retries=0)
+        wedderburn_from_tables(_regular(z3), retries=0)
+
+
+class TestWedderburnRepresentation:
+    """wedderburn_from_tables reads the blocks of a representation, which
+    must be one, and a *-representation: otherwise NumericalDegeneracy."""
+
+    @staticmethod
+    def _conjugated(table, T):
+        pairs = np.indices((table.dim, table.dim)).reshape(2, -1)
+        return gk.RegularRepresentation(
+            table, np.zeros(table.dim),
+            (*pairs, T.ravel(), np.linalg.inv(T).ravel()))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_summands_that_cut_entries(self, n):
+        table = groupoid_table(corpus.heisenberg_groupoid(n))
+        halves = np.arange(table.dim) >= table.dim // 2
+        with pytest.raises(gk.NumericalDegeneracy):
+            wedderburn_from_tables(gk.RegularRepresentation(table, halves))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_roots_that_are_not_unitary(self, n):
+        G = corpus.heisenberg_groupoid(n)
+        table = groupoid_table(G)
+        rng = np.random.default_rng(n)
+        re, im = rng.standard_normal((2, table.dim, table.dim))
+        T = re + 1j * im
+        q, _ = np.linalg.qr(T)  # the unitary control
+        assert wedderburn_from_tables(self._conjugated(table, q)).blocks \
+            == gk.wedderburn(G).blocks
+        with pytest.raises(gk.NumericalDegeneracy):
+            wedderburn_from_tables(self._conjugated(table, T))
+
+
+def test_pair24_wedderburn_memory_is_bounded():
+    # blocks of one source unit at a time: no 576 x 576 matrix
+    G = corpus.pair_groupoid(24)
+    tracemalloc.start()
+    try:
+        inv = gk.wedderburn(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inv.blocks == (24,)
+    assert peak < 16 * 2 ** 20
 
 
 def _center_tables():

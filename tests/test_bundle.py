@@ -6,15 +6,16 @@ import pytest
 import gpdkit as gk
 import gpdkit.io as gio
 from gpdkit import corpus
-from gpdkit.algebra import (AlgebraElement, _regular, _unit, groupoid_table,
+from gpdkit.algebra import (AlgebraElement, _regular, groupoid_table,
                             isometry_defect, random_element)
 from gpdkit.bundle import (FiberElement, Section, SectionAlgebra,
                           _hilbert_module_defect)
 from gpdkit.fiberblocks import fiber_blocks
-from oracles import (DenseSectionSpace, bundle_from, dense_bimodule_check,
-                     dense_map_defects, dense_saturation_detail,
-                     dense_table_residuals, dense_verify_axioms, element_norm,
-                     fiber_adjoint, fiber_product, hilbert_module_residuals,
+from oracles import (DenseSectionSpace, DenseUnitFiber, bundle_from,
+                     dense_bimodule_check, dense_map_defects,
+                     dense_saturation_detail, dense_table_residuals,
+                     dense_verify_axioms, element_norm, fiber_adjoint,
+                     fiber_product, hilbert_module_residuals,
                      slot_arrows, table_arrays)
 
 
@@ -46,15 +47,15 @@ class TestConstruction:
         E = flip_bundle
         for u in E.base.units:
             assert E.dim(u) == 2
-            alg = E.unit_algebra(u)
             # diagonal algebra: e_i e_j = [i == j] e_i
             for i in range(2):
                 for j in range(2):
                     expected = np.zeros(2)
                     if i == j:
                         expected[i] = 1.0
-                    got = alg.product(np.eye(2)[i], np.eye(2)[j])
-                    assert np.allclose(got, expected)
+                    got = gk.fiber_mul(FiberElement.basis(E, u, i),
+                                       FiberElement.basis(E, u, j))
+                    assert np.allclose(got.vec, expected)
 
     def test_rejects_non_surjective(self, z3):
         pi = gk.GroupoidMorphism(z3, z3, {g: "g0" for g in z3.arrows})
@@ -85,12 +86,15 @@ class TestFiberOps:
             expected[k] = 1.0
             assert np.allclose(out.vec, expected)
 
-    def test_unit_fiber_identity_acts_trivially(self, heis3_bundle):
+    def test_unit_fiber_identity_acts_trivially(self, heis3_quotient,
+                                                heis3_bundle):
         E = heis3_bundle
         rng = np.random.default_rng(0)
         for h in E.base.arrows:
             u = E.base.src[h]
-            ident = _unit(E.unit_algebra(u).table, 1e-9)
+            # the identity of the unit fiber: the domain units over u
+            ident = np.array([float(g in heis3_quotient.domain.units)
+                              for g in E.fibers[u]])
             xi = FiberElement(E, h, rng.standard_normal(E.dim(h))
                               + 1j * rng.standard_normal(E.dim(h)))
             out = gk.fiber_mul(xi, FiberElement(E, u, ident))
@@ -173,16 +177,15 @@ class TestFiberOps:
         # must agree with the trace-form fiber norm
         from gpdkit.groupoid import fiber_subgroupoid
         E = heis3_bundle
+        B = fiber_blocks(E)
         rng = np.random.default_rng(12)
         for x in E.base.units:
             Kx = fiber_subgroupoid(heis3_quotient, x)
             assert tuple(Kx.arrows) == E.fibers[x]
-            alg = E.unit_algebra(x)
-            for _ in range(20):
-                vec = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                f = gk.AlgebraElement(Kx, vec)
-                assert alg.norm(vec) == pytest.approx(
-                    gk.cstar_norm(Kx, f), rel=1e-10)
+            draws = rng.standard_normal((20, 2, 3))
+            X = draws[:, 0] + 1j * draws[:, 1]
+            norms, _ = B.unit_norms(np.full(20, B.index[x]), X)
+            assert norms == pytest.approx(_regular(Kx).norms(X), rel=1e-10)
 
 
 class TestAxioms:
@@ -284,7 +287,7 @@ class TestSectionAlgebra:
             s = sa.random_section(rng)
             p = sa.expectation(sa.product(sa.star(s), s))
             for u in E.base.units:
-                spec = E.unit_algebra(u).herm_spectrum(
+                spec = DenseUnitFiber(E, u).herm_spectrum(
                     sa.get_fiber(p, u).vec)
                 assert spec.size == 0 or spec[0] >= -1e-9 * max(spec[-1], 1.0)
 
@@ -412,7 +415,7 @@ class TestPsiNegativeControls:
             broken.table()
         assert exc.value.witness == ((h, u), (0, 0), k)
         for consume in (gk.section_algebra, gk.abelian_extract,
-                        gio.save_bundle, lambda E: E.unit_algebra(u),
+                        gio.save_bundle, lambda E: E.is_abelian(),
                         lambda E: gk.fiber_norm(FiberElement.basis(E, h, 0))):
             with pytest.raises(gk.FellBundleError):
                 consume(broken)
@@ -892,8 +895,9 @@ class TestBatchedNumerics:
                 + 1j * rng.standard_normal(E.total_dim())
             assert space.op_norm(Section(E, vec)) == pytest.approx(
                 dense.op_norm(vec), rel=1e-12)
-            assert np.allclose(space.matrix(vec), dense.matrix(vec),
-                               atol=1e-12)
+            for got, want in zip(space.rep.matrices(vec),
+                                 dense.blocks(vec), strict=True):
+                assert np.allclose(got, want, atol=1e-12)
             h = E.base.arrows[rng.integers(len(E.base.arrows))]
             xi = FiberElement(E, h, vec[E.first[h]:E.first[h] + E.dim(h)])
             assert gk.fiber_norm(xi) == pytest.approx(element_norm(xi),

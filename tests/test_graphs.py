@@ -10,7 +10,7 @@ from gpdkit import corpus, graphs, io as gio
 from gpdkit.cli import main
 from gpdkit.report import canonical_json
 
-from oracles import brute_force_lifts, cylinder_cover_by_words
+from oracles import DenseUnitFiber, brute_force_lifts, cylinder_cover_by_words
 
 ONE_LOOP = gk.DirectedGraph(("w",), ("1", "2"), {"1": "w", "2": "w"},
                             {"1": "w", "2": "w"})
@@ -248,7 +248,8 @@ class TestWindowMorphism:
             from gpdkit.graphs import _path_id
             from gpdkit.groupoid import pair_id
             u = pair_id(_path_id(tuple(w)), _path_id(tuple(w)))
-            blocks = E.unit_algebra(u).wedderburn().blocks
+            mats = DenseUnitFiber(E, u).basis_matrices()
+            blocks = gk.wedderburn(mats).blocks
             assert blocks == (2 ** ones,)
 
 
@@ -425,7 +426,8 @@ class TestMiscountControls:
              corpus.data_path("cuntz_v.graph.json"), "--depth", "2"], capsys)
         assert code == 1
         found = checks(payload)
-        assert found["degree_additive"]["pass"]
+        for name in ("degree_additive", "involution_flips_degree"):
+            assert found[name]["pass"] and found[name]["witness"] is None
         assert not found["degree_zero_matches_kernel"]["pass"]
         assert found["degree_zero_matches_kernel"]["witness"] == \
             "degree-0 window blocks (9,) != kernel fiber blocks (10,)"

@@ -511,6 +511,31 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert err.startswith("input error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["alg", "wedderburn", "--groupoid", DATA + "z3.groupoid.json",
+          "--samples", "-5"], "--samples"),
+        (["graph", "check", "--morphism", DATA + "cuntz.graphmorphism.json",
+          "--depth", "-1"], "--depth"),
+        (["graph", "grading", "--graph", DATA + "cuntz_v.graph.json",
+          "--depth", "-1"], "--depth"),
+        (["demo", "heisenberg", "--n", "0"], "--n")])
+    def test_bad_count_exits_2(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {flag} ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["z3", "heis3"])
+    def test_zero_tolerance_decides_squares_positive(self, name, capsys):
+        # sampled squares f* f are self-adjoint only up to rounding
+        code, out, err = run_cli(["alg", "wedderburn", "--groupoid",
+                                  DATA + f"{name}.groupoid.json", "--tol",
+                                  "0", "--samples", "20"], capsys)
+        assert code in (0, 1)
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert "squares_positive" in names
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("cmd", [["bundle", "verify"],
                                      ["abelian", "extract"]])
     def test_nan_bundle_exits_2(self, cmd, tmp_path, capsys):
