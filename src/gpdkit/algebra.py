@@ -30,7 +30,10 @@ twisted groupoids, groups and morphism bundles), by a sort elsewhere.
 Block-size invariants of such algebras (the complete isomorphism
 invariant at this scale) are computed by :func:`wedderburn_from_tables`
 from the summand blocks of a :class:`RegularRepresentation`, the blocks
-that every C*-norm reads too.
+that every C*-norm reads too, and kept on it. The center comes from
+:func:`center_basis`, which reads the table arrays and takes one batched
+SVD per shape of its constraint components; the block sizes take one
+batched eigvalsh per restriction size.
 """
 
 from __future__ import annotations
@@ -158,15 +161,6 @@ class StructureTable:
         n = self.dim
         return _scatter((self.a * n + self.c) * n + self.b, self.w,
                         n ** 3).reshape(n, n, n)
-
-    def products(self) -> dict:
-        """products[(a, b)] = {c: weight}, repeated entries summed."""
-        out = {}
-        for a, b, c, w in zip(self.a.tolist(), self.b.tolist(),
-                              self.c.tolist(), self.w.tolist()):
-            e = out.setdefault((a, b), {})
-            e[c] = e.get(c, 0.0) + w
-        return out
 
     def mul_defect(self, other: "StructureTable"):
         """(max |coefficient difference| of e_a e_b over all basis pairs,
@@ -448,6 +442,7 @@ class RegularRepresentation:
             unit = {u: i for i, u in enumerate(summand.units)}
             summand = [unit[summand.src[g]] for g in summand.arrows]
         self.table = T = table
+        self.solved = {}  # Wedderburn invariants per (seed, tol, retries)
         summand = np.asarray(summand, dtype=np.int64)
         self.sizes, pos = _ranks(summand)  # pos: place in the block
         widths, group = np.unique(self.sizes, return_inverse=True)
@@ -671,72 +666,87 @@ def _linked_columns(row, col, ncols: int) -> np.ndarray:
 
 
 def sparse_center_basis(dim: int, products: dict, tol: float = 1e-9) -> np.ndarray:
-    """Nullspace of the commutator constraints for an algebra given by
-    sparse structure constants products[(i, j)] = {k: coeff}.
+    """:func:`center_basis` of an algebra given by a dict of sparse
+    structure constants products[(i, j)] = {k: coeff}."""
+    terms = [(i, j, k, c) for (i, j), expansion in products.items()
+             for k, c in expansion.items()]
+    a, b, k, w = zip(*terms) if terms else ((),) * 4
+    return center_basis(StructureTable(dim, a, b, k, w, [], [], []), tol)
 
-    Returns an orthonormal (k x dim) array of center coefficient vectors.
-    The constraint matrix has one row per (basis element, output) pair.
-    A row only joins the basis elements that one product links, so the
-    matrix is block diagonal over the connected components of columns
-    that share a row (for groupoid tables: the conjugacy classes of the
-    isotropy). Each component takes one thin SVD, the full one when it
-    has fewer rows than columns, where a thin one would drop null
-    vectors; columns in no row are free. Ranks are cut at ``tol`` times
-    the largest singular value over every component, which is the
-    largest of the whole matrix.
+
+def center_basis(table: StructureTable, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal (k, dim) rows spanning the center of the algebra of
+    ``table``: the null space of its commutator constraints.
+
+    Repeated (a, b, c) entries are summed and zero sums dropped. The
+    constraint matrix has one row per (basis element, output) pair. A row
+    only joins the basis elements that one product links, so the matrix is
+    block diagonal over the connected components of columns that share a
+    row (for groupoid tables: the conjugacy classes of the isotropy). The
+    components are scattered into one stack per shape and chunk of
+    :func:`chunks`, and each stack takes one batched SVD: thin, or full
+    where a component has fewer rows than columns, where a thin one would
+    drop null vectors; columns in no row are free. Ranks are cut at
+    ``tol`` times the largest singular value over every component, which
+    is the largest of the whole matrix, and never below dim * eps of it.
+    The rows come component by component, in order of smallest column.
     """
-    terms = [(a, b, k, c) for (a, b), expansion in products.items()
-             for k, c in expansion.items() if c != 0]
-    if not terms:
-        return np.eye(dim, dtype=complex)
-    a, b, k = (np.array(v, dtype=np.int64) for v in list(zip(*terms))[:3])
-    c = np.array([t[3] for t in terms], dtype=complex)
-    # row (b, k) of [x, e_b] takes c at column a (the x e_b term); row
-    # (a, k) of [x, e_a] takes -c at column b (the e_a x term)
-    _, row = np.unique(np.concatenate([b * dim + k, a * dim + k]),
+    n = table.dim
+    key, slot = np.unique((table.a * n + table.b) * n + table.c,
+                          return_inverse=True)
+    w = _scatter(slot, table.w, len(key))
+    key, w = key[w != 0], w[w != 0]
+    if not len(key):
+        return np.eye(n, dtype=complex)
+    a, b, k = key // (n * n), key // n % n, key % n
+    # row (b, k) of [x, e_b] takes w at column a (the x e_b term); row
+    # (a, k) of [x, e_a] takes -w at column b (the e_a x term)
+    _, row = np.unique(np.concatenate([b * n + k, a * n + k]),
                        return_inverse=True)
-    col, val = np.concatenate([a, b]), np.concatenate([c, -c])
-    label = _linked_columns(row, col, dim)
-    members = np.argsort(label, kind="stable")
-    labels, first, size = np.unique(label[members], return_index=True,
-                                    return_counts=True)
-    pos = np.empty(dim, dtype=np.int64)  # place of a column in its component
-    pos[members] = np.arange(dim) - np.repeat(first, size)
-    entries = np.argsort(label[col], kind="stable")
-    bounds = np.searchsorted(label[col][entries],
-                             np.append(labels, dim))
-    solves, smax = [], 0.0
-    for g in range(len(labels)):
-        cols = members[first[g]:first[g] + size[g]]
-        e = entries[bounds[g]:bounds[g + 1]]
-        if not len(e):
-            solves.append((cols, np.zeros(0), np.eye(len(cols))))
-            continue
-        rows, local = np.unique(row[e], return_inverse=True)
-        M = np.zeros((len(rows), len(cols)), dtype=complex)
-        np.add.at(M, (local, pos[col[e]]), val[e])
-        _, sv, vh = np.linalg.svd(M, full_matrices=len(rows) < len(cols))
-        solves.append((cols, sv, vh))
-        smax = max(smax, float(sv[0]) if len(sv) else 0.0)
-    cut = tol * max(smax, 1.0)
-    out = []
-    for cols, sv, vh in solves:
-        null = vh[int(np.sum(sv > cut)):].conj()
-        block = np.zeros((len(null), dim), dtype=complex)
-        block[:, cols] = null
-        out.append(block)
-    return np.concatenate(out)
-
-
-def _cluster(values: np.ndarray, thr: float) -> list:
-    """Indices of sorted-value clusters split at gaps larger than thr."""
-    order = np.argsort(values)
-    clusters = [[order[0]]]
-    for prev, cur in zip(order, order[1:]):
-        if values[cur] - values[prev] > thr:
-            clusters.append([])
-        clusters[-1].append(cur)
-    return clusters
+    col, val = np.concatenate([a, b]), np.concatenate([w, -w])
+    # a column (row) sits at its rank among those of its component, and
+    # the components are numbered in order of their smallest column
+    comp = np.unique(_linked_columns(row, col, n), return_inverse=True)[1]
+    ncols, pos = _ranks(comp)
+    row_comp = np.empty(int(row.max()) + 1, dtype=np.int64)
+    row_comp[row] = comp[col]
+    nrows = np.bincount(row_comp, minlength=len(ncols))
+    rpos = _ranks(row_comp)[1]
+    # the components of a shape are consecutive in by_shape, and the
+    # entries of consecutive ones in ``entries``
+    shapes, shape = np.unique(np.stack([nrows, ncols], 1), axis=0,
+                              return_inverse=True)
+    count = np.bincount(shape)
+    by_shape = np.argsort(shape, kind="stable")
+    ecomp = np.argsort(by_shape)[comp[col]]
+    entries = np.argsort(ecomp, kind="stable")
+    bounds = np.searchsorted(ecomp[entries], np.arange(len(ncols) + 1))
+    stacks, smax = [], 0.0
+    for (R, C), lo, m in zip(shapes.tolist(), np.cumsum(count) - count, count):
+        for part in chunks(np.full(m, R * C)):
+            lo_p, cc = lo + part[0], by_shape[lo + part]
+            e = entries[bounds[lo_p]:bounds[lo_p + len(part)]]
+            S = _scatter((ecomp[e] - lo_p) * R * C + rpos[row[e]] * C
+                         + pos[col[e]], val[e], len(cc) * R * C)
+            # a free column (R = 0) gets no singular value and vh = 1
+            stacks.append((cc, *np.linalg.svd(S.reshape(len(cc), R, C),
+                                              full_matrices=R < C)[1:]))
+            smax = max(smax, float(stacks[-1][1].max(initial=0.0)))
+    cut = max(tol * max(smax, 1.0), n * np.finfo(float).eps * smax)
+    rank = np.zeros(len(ncols), dtype=np.int64)
+    for cc, sv, _ in stacks:
+        rank[cc] = np.sum(sv > cut, axis=1)
+    null = ncols - rank
+    first_row, first_col = np.cumsum(null) - null, np.cumsum(ncols) - ncols
+    cols = np.argsort(comp, kind="stable")  # by component, then column
+    out = np.zeros((int(null.sum()), n), dtype=complex)
+    for cc, _, vh in stacks:
+        C = vh.shape[-1]
+        i, j = np.nonzero(np.arange(C) >= rank[cc][:, None])
+        g = cc[i]
+        out[(first_row[g] + j - rank[g])[:, None],
+            cols[first_col[g][:, None] + np.arange(C)]] = vh[i, j].conj()
+    return out
 
 
 def wedderburn_from_tables(rep: RegularRepresentation, *, seed: int = 0,
@@ -751,14 +761,25 @@ def wedderburn_from_tables(rep: RegularRepresentation, *, seed: int = 0,
     eigenvalue multiplicities of a second random Hermitian element
     restricted, summand by summand, to the eigenvectors of a cluster (a
     block of size n contributes n distinct eigenvalues, each with the
-    multiplicity of the block in the representation). Collisions trigger
-    a retry with fresh randomness. The result carries the margins of the
-    central cluster decision.
+    multiplicity of the block in the representation); the restrictions of
+    one size take one batched eigvalsh. Collisions trigger a retry with
+    fresh randomness. The result carries the margins of the central
+    cluster decision, and is kept on ``rep`` per integer seed, tol and
+    retries (a NumericalDegeneracy is not).
     """
+    if not isinstance(seed, int):  # a generator or entropy: never reused
+        return _wedderburn(rep, seed, tol, retries)
+    key = (seed, tol, retries)
+    if key not in rep.solved:
+        rep.solved[key] = _wedderburn(rep, seed, tol, retries)
+    return rep.solved[key]
+
+
+def _wedderburn(rep, seed, tol, retries) -> WedderburnInvariants:
     r = rep.table.dim
     if r == 0:
         return WedderburnInvariants((), 0, 0)
-    center = sparse_center_basis(r, rep.table.products(), tol=tol)
+    center = center_basis(rep.table, tol)
     k = center.shape[0]
 
     rng = np.random.default_rng(seed)
@@ -778,9 +799,12 @@ def wedderburn_from_tables(rep: RegularRepresentation, *, seed: int = 0,
         evals = pool[order]
         spread = float(evals[-1] - evals[0]) if len(evals) > 1 else 0.0
         thr = max(spread, 1.0) * 1e-7
-        clusters = _cluster(evals, thr)
-        if len(clusters) != k:
-            last_error = (f"{len(clusters)} central clusters for center "
+        # clusters: runs of the sorted pool split at gaps above thr; the
+        # members of cluster cid[i] are order[at[i]], in the order of at
+        at = np.argsort(evals)
+        cid = np.concatenate(([0], np.cumsum(np.diff(evals) > thr)))
+        if cid[-1] + 1 != k:
+            last_error = (f"{cid[-1] + 1} central clusters for center "
                           f"dimension {k}")
             continue
 
@@ -788,46 +812,49 @@ def wedderburn_from_tables(rep: RegularRepresentation, *, seed: int = 0,
             rng.standard_normal(r) + 1j * rng.standard_normal(r))]
         yscale = max(1.0, *(float(np.linalg.norm(S, 2, axis=(1, 2)).max())
                             for S in Y))
-        # every summand block in the eigenvector coordinates of its own
-        Y = [y for S, U in zip(Y, V) for y in U.conj().transpose(0, 2, 1)
-             @ S @ U]
-
-        sizes = []
-        ok = True
-        for cl in clusters:
-            e = order[cl]
-            e = e[np.argsort(blk[e], kind="stable")]
-            sub = np.concatenate([
-                np.linalg.eigvalsh(Y[blk[p[0]]][np.ix_(col[p], col[p])])
-                for p in np.split(e, np.flatnonzero(np.diff(blk[e])) + 1)])
-            subclusters = _cluster(sub, yscale * 1e-7)
-            mults = {len(c) for c in subclusters}
-            if len(mults) != 1:
-                ok = False
-                last_error = "inconsistent eigenvalue multiplicities in block"
-                break
-            m = mults.pop()
-            nblk = len(subclusters)
-            if nblk * m != len(cl):
-                ok = False
-                last_error = "block size times multiplicity mismatch"
-                break
-            sizes.append(nblk)
-        if not ok:
+        # every summand block in the eigenvector coordinates of its own,
+        # flattened: block b starts at base[b]
+        Y = np.concatenate([(U.conj().transpose(0, 2, 1) @ S @ U).ravel()
+                            for S, U in zip(Y, V)])
+        base = np.cumsum(width ** 2) - width ** 2
+        # the members of each cluster by summand block (stably): a run of
+        # one block and cluster restricts that block to the run's columns
+        e = order[at]
+        seq = e[np.lexsort((blk[e], cid))]
+        start = np.flatnonzero(np.diff(cid * len(width) + blk[seq],
+                                       prepend=-1))
+        length = np.diff(start, append=len(seq))
+        sub = np.empty(len(seq))
+        for m in np.flatnonzero(np.bincount(length)).tolist():
+            p = start[length == m][:, None] + np.arange(m)
+            c, b = col[seq[p]], blk[seq[p[:, :1]]]
+            sub[p] = np.linalg.eigvalsh(
+                Y[(base[b] + c * width[b])[:, :, None] + c[:, None, :]])
+        # sub-clusters of each cluster's values, split at gaps above
+        # yscale * 1e-7; a block of size n gives n of one multiplicity
+        # (o sorts by cluster first, so cid[o] is cid)
+        o = np.lexsort((sub, cid))
+        cuts = np.flatnonzero((np.diff(sub[o]) > yscale * 1e-7)
+                              | (np.diff(cid) != 0)) + 1
+        owner = cid[np.concatenate(([0], cuts))]
+        sizes = np.bincount(owner, minlength=k)
+        if np.any(np.diff(cuts, prepend=0, append=len(seq)) * sizes[owner]
+                  != np.bincount(cid)[owner]):
+            last_error = "inconsistent eigenvalue multiplicities in block"
             continue
+        sizes = sizes.tolist()
         if sum(s * s for s in sizes) != r:
             last_error = (f"sum of squared block sizes {sizes} != "
                           f"dimension {r}")
             continue
-        blocks = tuple(sorted(sizes, reverse=True))
-        # evals is sorted, so a cluster is a run of neighbouring values
-        gaps = [evals[nxt[0]] - evals[cl[-1]]
-                for cl, nxt in zip(clusters, clusters[1:])]
+        first = np.flatnonzero(np.diff(cid)) + 1  # of every later cluster
         return WedderburnInvariants(
-            blocks, r, k,
-            central_gap=float(min(gaps)) / thr if gaps else None,
-            central_spread=max(float(evals[cl[-1]] - evals[cl[0]])
-                               for cl in clusters) / thr,
+            tuple(sorted(sizes, reverse=True)), r, k,
+            central_gap=float(np.min(evals[first] - evals[first - 1])) / thr
+            if len(first) else None,
+            central_spread=float(np.max(
+                evals[np.append(first, len(evals)) - 1]
+                - evals[np.concatenate(([0], first))])) / thr,
             retries=attempt)
     raise NumericalDegeneracy(f"wedderburn failed after {retries} retries: "
                               f"{last_error}")

@@ -574,10 +574,8 @@ def cmd_demo(args, report: Report):
         report.inputs[f"heis{n}"] = _groupoid_digest(G)
         iso = psi_iso_check(pi, tol=args.tol, samples=args.samples,
                             seed=args.seed)
-        # psi's Wedderburn of G has this seed and tolerance
-        blocks = iso.blocks_domain
-        if blocks is None:
-            blocks = wedderburn(G, seed=args.seed, tol=args.tol).blocks
+        # psi solved G's Wedderburn at this seed and tolerance (kept on G)
+        blocks = wedderburn(G, seed=args.seed, tol=args.tol).blocks
         report.extras["blocks"] = list(blocks)
         report.add("blocks_sum_of_squares",
                    sum(b * b for b in blocks) == n ** 3, 0.0)

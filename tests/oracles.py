@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from gpdkit.actions import Cocycle, GroupoidAction
-from gpdkit.algebra import StructureTable, groupoid_table
+from gpdkit.algebra import StructureTable, _linked_columns, groupoid_table
 from gpdkit.bundle import FellBundleError
 from gpdkit.groupoid import (AssociativityFailure, FiniteGroupoid,
                              GroupoidError, GroupoidMorphism,
@@ -272,6 +272,59 @@ def dense_center_basis(table, tol=1e-9):
     _, s, vh = np.linalg.svd(M, full_matrices=True)
     rank = int(np.sum(s > tol * max(s[0] if len(s) else 0.0, 1.0)))
     return vh[rank:].conj()
+
+
+def table_products(table):
+    """products[(a, b)] = {c: weight} of a structure table, repeated
+    entries summed in table order."""
+    products = {}
+    for a, b, c, w in zip(table.a.tolist(), table.b.tolist(),
+                          table.c.tolist(), table.w.tolist()):
+        e = products.setdefault((a, b), {})
+        e[c] = e.get(c, 0.0) + w
+    return products
+
+
+def loop_center_basis(table, tol=1e-9):
+    """The center solve one connected component at a time: the table's
+    terms summed through a dict, then one SVD per component of columns
+    linked by a constraint row (thin, or full where the component has
+    fewer rows than columns), the rank cut at tol * max(smax, 1) and never
+    below dim * eps * smax. Rows come in the order of gpdkit's stacked
+    :func:`~gpdkit.algebra.center_basis`."""
+    dim = table.dim
+    products = table_products(table)
+    terms = [(a, b, k, c) for (a, b), expansion in products.items()
+             for k, c in expansion.items() if c != 0]
+    if not terms:
+        return np.eye(dim, dtype=complex)
+    a, b, k = (np.array(v, dtype=np.int64) for v in list(zip(*terms))[:3])
+    c = np.array([t[3] for t in terms], dtype=complex)
+    _, row = np.unique(np.concatenate([b * dim + k, a * dim + k]),
+                       return_inverse=True)
+    col, val = np.concatenate([a, b]), np.concatenate([c, -c])
+    label = _linked_columns(row, col, dim)
+    solves, smax = [], 0.0
+    for lab in np.unique(label):
+        cols = np.flatnonzero(label == lab)
+        e = np.flatnonzero(label[col] == lab)
+        if not len(e):
+            solves.append((cols, np.zeros(0), np.eye(len(cols))))
+            continue
+        rows, local = np.unique(row[e], return_inverse=True)
+        M = np.zeros((len(rows), len(cols)), dtype=complex)
+        np.add.at(M, (local, np.searchsorted(cols, col[e])), val[e])
+        _, sv, vh = np.linalg.svd(M, full_matrices=len(rows) < len(cols))
+        solves.append((cols, sv, vh))
+        smax = max(smax, float(sv[0]))
+    cut = max(tol * max(smax, 1.0), dim * np.finfo(float).eps * smax)
+    out = []
+    for cols, sv, vh in solves:
+        null = vh[int(np.sum(sv > cut)):].conj()
+        block = np.zeros((len(null), dim), dtype=complex)
+        block[:, cols] = null
+        out.append(block)
+    return np.concatenate(out)
 
 
 def hilbert_module_residuals(pi, E):

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpdkit as gk
-from gpdkit import corpus
+from gpdkit import algebra, corpus
+from gpdkit.cli import main
 from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
-                            _regular, groupoid_table, isometry_defect,
-                            random_element, sparse_center_basis,
-                            wedderburn_from_tables)
+                            _regular, center_basis, groupoid_table,
+                            isometry_defect, random_element,
+                            sparse_center_basis, wedderburn_from_tables)
 
 from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
     dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
-    group_convolution, matrix_units_check, table_arrays
+    group_convolution, loop_center_basis, matrix_units_check, table_arrays, \
+    table_products
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -648,20 +650,154 @@ def _center_tables():
     }
 
 
+def _cancelling_table(keep_cancelled=True):
+    """The heis3 table with two products repeated with opposite weights:
+    summed, they vanish; kept apart, e_3 e_1 and e_1 e_6 would link the
+    center element 1 and the classes of 3 and 6 through the constraint
+    row (1, 0)."""
+    T = groupoid_table(corpus.heisenberg_groupoid(3))
+    a, b, c, w = T.a, T.b, T.c, T.w
+    if keep_cancelled:
+        a, b, c = (np.append(v, x) for v, x in zip(
+            (a, b, c), ([3, 3, 1, 1], [1, 1, 6, 6], [0, 0, 0, 0])))
+        w = np.append(w, [0.5 + 1j, -0.5 - 1j, 2.0, -2.0])
+    return StructureTable(T.dim, a, b, c, w, T.s, T.t, T.sw)
+
+
+def _wide_table():
+    """Columns 0, 1 and 2 share the single constraint row (3, 4): a
+    component of one row and three columns, next to column 3 (three rows)
+    and the free column 4."""
+    w = np.random.default_rng(3).standard_normal(3) + 1j
+    return StructureTable(5, [0, 3, 3], [3, 1, 2], [4, 4, 4], w,
+                          [], [], [])
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records the shape of its first
+    argument at every call; return the list of shapes."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return fn(x, *args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestLapackCalls:
+    """The Wedderburn solve makes one LAPACK call per shape, not one per
+    component or cluster."""
+
+    def test_one_svd_per_component_shape(self, monkeypatch):
+        # Z8 x Z8 is abelian: 64 one-column components of 64 rows each
+        table = groupoid_table(corpus.zn_square_groupoid(8))
+        calls = _counting(monkeypatch, np.linalg, "svd")
+        assert center_basis(table).shape == (64, 64)
+        assert calls == [(64, 64, 1)]
+
+    def test_one_eigvalsh_per_restriction_size(self, monkeypatch):
+        # the clusters of pair(2) and pair(3) restrict each unit block to
+        # 2 and 3 columns, those of Z4 to 1, those of heis2 to 4 (its
+        # block of size 2, twice) and 1: 14 restrictions of 4 sizes, eight
+        # of them of one column
+        G = corpus.disjoint_union([("p", corpus.pair_groupoid(2)),
+                                   ("q", corpus.pair_groupoid(3)),
+                                   ("z", corpus.cyclic_groupoid(4)),
+                                   ("h", corpus.heisenberg_groupoid(2))])
+        rep = gk.RegularRepresentation(G)
+        calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+        inv = wedderburn_from_tables(rep)
+        assert inv.blocks == (3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)
+        assert inv.retries == 0
+        assert sorted(calls) == [(1, 4, 4), (2, 2, 2), (3, 3, 3), (8, 1, 1)]
+
+
+class TestWedderburnMemo:
+    """A representation keeps its Wedderburn invariants per (seed, tol,
+    retries); a NumericalDegeneracy is not kept."""
+
+    def test_same_call_solves_once(self, monkeypatch):
+        calls = _counting(monkeypatch, algebra, "center_basis")
+        G = corpus.heisenberg_groupoid(2)
+        first = gk.wedderburn(G, seed=3, tol=1e-9)
+        assert gk.wedderburn(G, seed=3, tol=1e-9) is first
+        assert len(calls) == 1
+        # another seed, tolerance or retry budget is another solve
+        gk.wedderburn(G, seed=4, tol=1e-9)
+        gk.wedderburn(G, seed=3, tol=1e-8)
+        wedderburn_from_tables(_regular(G), seed=3, tol=1e-9, retries=6)
+        assert len(calls) == 4
+        # another groupoid object is another representation
+        gk.wedderburn(corpus.heisenberg_groupoid(2), seed=3, tol=1e-9)
+        assert len(calls) == 5
+        # a generator for seed is drawn from afresh on every call
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            wedderburn_from_tables(_regular(G), seed=rng)
+        assert len(calls) == 7
+
+    def test_degeneracy_is_raised_again(self, monkeypatch):
+        calls = _counting(monkeypatch, algebra, "center_basis")
+        rep = _regular(corpus.cyclic_groupoid(3))
+        for _ in range(2):
+            with pytest.raises(gk.NumericalDegeneracy):
+                wedderburn_from_tables(rep, retries=0)
+        assert len(calls) == 2 and rep.solved == {}
+
+    def test_demo_heisenberg_solves_each_algebra_once(self, monkeypatch,
+                                                      capsys):
+        # the quotient's kernel and its one fiber, psi (the group and the
+        # section algebra) and the extension bundle (the group again, which
+        # is kept, and the twisted algebra)
+        calls = _counting(monkeypatch, algebra, "center_basis")
+        assert main(["demo", "heisenberg", "--n", "3"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 5
+
+
 class TestCenterBasis:
-    """The thin-SVD center solve spans the same space as the dense
-    commutator null space."""
+    """The stacked center solve spans the same space as the dense
+    commutator null space, and equals the one-component-at-a-time loop
+    bit for bit."""
 
     @pytest.mark.parametrize("name", ["heis3", "zn_square4", "union",
                                       "twisted", "closure"])
     def test_matches_dense_oracle(self, name):
         table = _center_tables()[name]
-        got = sparse_center_basis(table.dim, table.products())
+        got = center_basis(table)
         want = dense_center_basis(table)
         assert got.shape == want.shape and len(got) > 0
         # same span: the orthogonal projectors onto the rows agree
         assert np.abs(got.T @ got.conj()
                       - want.T @ want.conj()).max() <= 1e-10
+
+    @pytest.mark.parametrize("name", ["heis3", "zn_square4", "union",
+                                      "twisted", "closure", "cancelling",
+                                      "wide"])
+    def test_equals_loop_oracle(self, name):
+        table = {**_center_tables(), "cancelling": _cancelling_table(),
+                 "wide": _wide_table()}[name]
+        got = center_basis(table)
+        assert np.array_equal(got, loop_center_basis(table))
+        # the dict adapter solves the same table
+        assert np.array_equal(
+            sparse_center_basis(table.dim, table_products(table)), got)
+
+    def test_cancelled_entries_link_no_columns(self):
+        assert np.array_equal(center_basis(_cancelling_table()),
+                              center_basis(_cancelling_table(False)))
+
+    def test_wide_component_keeps_its_null_space(self):
+        # the 1 x 3 component has a two-dimensional null space, which a
+        # thin SVD (one right singular vector) would drop
+        w = _wide_table().w
+        got = center_basis(_wide_table())
+        assert got.shape == (3, 5)
+        # row (3, 4) reads w[0] x_0 - w[1] x_1 - w[2] x_2
+        assert np.abs(got[:2] @ [w[0], -w[1], -w[2], 0, 0]).max() <= 1e-12
+        assert np.abs(got[:2, 3:]).max() == 0.0
+        assert np.array_equal(got[2], np.eye(5)[4])
 
     def test_fewer_rows_than_dim_keeps_null_space(self):
         # one constraint row against three columns: the thin factor would

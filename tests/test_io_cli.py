@@ -536,6 +536,20 @@ class TestExitContract:
         assert "squares_positive" in names
         assert "Traceback" not in err
 
+    def test_zero_tolerance_keeps_the_center(self, capsys):
+        # the center's rank cut has a floor of dim * eps * smax, so rounding
+        # noise of the commutator constraints does not count as rank
+        code, out, _ = run_cli(["alg", "wedderburn", "--groupoid",
+                                DATA + "heis3.groupoid.json", "--tol", "0"],
+                               capsys)
+        rep = json.loads(out)
+        assert rep["center_dimension"] == 11
+        assert rep["blocks"] == [3, 3] + [1] * 9
+        checks = {c["name"]: c["pass"] for c in rep["checks"]}
+        assert checks["sum_of_squares"]
+        # residuals of rounding size still fail a zero tolerance
+        assert code == 1 and not checks["cstar_identity"]
+
     @pytest.mark.parametrize("cmd", [["bundle", "verify"],
                                      ["abelian", "extract"]])
     def test_nan_bundle_exits_2(self, cmd, tmp_path, capsys):
