@@ -441,6 +441,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     line = {}
     for group in chunks(corners * B.dims * (
             B.D + B.entries(B.rng, arrows) + B.entries(arrows, B.src)
+            + B.entries(B.src, B.src, B.orthonormal()[-1])
             + B.dims[B.src] ** 2)):
         # the rows of arrow h start at row_at; its row (p * n_q + q) * d + i
         # holds q e_i p

@@ -82,6 +82,25 @@ def chunks(load) -> list:
     return np.split(np.arange(len(load)), np.flatnonzero(np.diff(part)) + 1)
 
 
+def spectral_norms(S) -> np.ndarray:
+    """Largest singular value of every matrix of the (..., m, n) stack S (0
+    for an empty one): the square root of the largest eigenvalue of the
+    smaller Gram matrix, S* S or S S*, by one batched eigvalsh. The largest
+    singular value has the relative accuracy of an SVD this way
+    (Golub-Van Loan, *Matrix Computations*, 8.6); small ones do not, so
+    every rank decision stays on the SVD."""
+    S = np.asarray(S)
+    if S.shape[-2] < S.shape[-1]:
+        S = S.swapaxes(-1, -2)  # the same singular values
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = S.conj().swapaxes(-1, -2) @ S
+        top = (np.linalg.eigvalsh(G).max(axis=-1, initial=0.0)
+               if np.all(np.isfinite(np.diagonal(G, 0, -2, -1))) else np.inf)
+    if not np.all(np.isfinite(top)):  # entries above ~1e154: the SVD scales
+        return np.linalg.svd(S, compute_uv=False).max(axis=-1, initial=0.0)
+    return np.sqrt(np.maximum(top, 0.0))
+
+
 def _join(x, y, order=None):
     """Index arrays (i, j) listing every pair with x[i] == y[j]; ``order``
     is a stable argsort of y when the caller keeps one."""
@@ -266,7 +285,8 @@ class StructureTable:
                            + np.bincount(self.c, minlength=n)[self.b], n)
         part = (np.cumsum(load) // _TRIPLES_PER_PASS)[self.a]
         best = (0.0, None)
-        for sel in (np.flatnonzero(part == k) for k in np.unique(part)):
+        for sel in (np.flatnonzero(part == k)
+                    for k in np.unique(part, return_counts=True)[0]):
             # (e_a e_b) e_k: entry i makes e_m, entry j multiplies e_m by e_k
             i, j = _join(self.c[sel], self.a)
             # e_a (e_b e_k): entry q makes e_m, entry p multiplies e_a by e_m
@@ -425,17 +445,18 @@ class RegularRepresentation:
     one block per summand.
 
     Basis element j lies in summand ``summand[j]`` >= 0, whose block acts
-    on the span of its basis elements in basis order: table entry (a, b,
-    c, w) puts w x[a] at (c, b) in the block of b, which holds c too.
-    ``roots``, the entries (rows, cols, T, T^-1) of block-diagonal maps
-    that keep every summand, make each block M into T M T^-1. Blocks of one
-    size are scattered from the table entries into one stack; no dim x dim
-    matrix is formed. With a groupoid for ``summand``, an arrow lies in
-    the summand of its source unit; a groupoid for ``table`` stands for
-    its untwisted table and itself.
+    on the span of its basis elements in basis order. The block of x takes
+    w x[a] at (row, col) for each of the ``entries`` (a, row, col, w) with
+    row and col in one summand; by default these are the table entries
+    (a, c, b, w) of e_a e_b = w e_c, and a basis that the block's inner
+    product does not make orthonormal passes its entries in orthonormal
+    coordinates (``SectionSpace``). Blocks of one size are scattered into
+    one stack; no dim x dim matrix is formed. With a groupoid for
+    ``summand``, an arrow lies in the summand of its source unit; a
+    groupoid for ``table`` stands for its untwisted table and itself.
     """
 
-    def __init__(self, table, summand=None, roots=None):
+    def __init__(self, table, summand=None, entries=None):
         if isinstance(table, FiniteGroupoid):
             table, summand = groupoid_table(table), table
         if isinstance(summand, FiniteGroupoid):
@@ -457,21 +478,16 @@ class RegularRepresentation:
             return (np.where(summand[rows] == summand[cols], group[cols], -1),
                     row_at[rows] + col_at[cols])
 
-        e_group, e_at = place(T.c, T.b)
-        if roots is not None:
-            r_group, r_at = place(roots[0], roots[1])
+        a, rows, cols, w = (T.a, T.c, T.b, T.w) if entries is None \
+            else entries
+        e_group, e_at = place(rows, cols)
         self._groups = []
         for g, m in enumerate(widths.tolist()):
             if not m:
                 continue
-            members = np.flatnonzero(self.sizes == m)
             e = np.flatnonzero(e_group == g)
-            stack = None
-            if roots is not None:
-                r = np.flatnonzero(r_group == g)
-                stack = [_scatter(r_at[r], v[r], len(members) * m * m)
-                         .reshape(-1, m, m) for v in roots[2:]]
-            self._groups.append((members, m, T.a[e], T.w[e], e_at[e], stack))
+            self._groups.append((np.flatnonzero(self.sizes == m), m, a[e],
+                                 w[e], e_at[e]))
 
     def stacks(self, f):
         """Yield (summands, S) per block size, S[i] the block of f (an
@@ -484,15 +500,13 @@ class RegularRepresentation:
         """Yield (summands, rows, S) per block size and chunk of the (k,
         dim) coefficient rows X (:func:`chunks`): S[r, i] is the block of
         X[rows[r]] on summands[i]."""
-        for members, m, a, w, flat, roots in self._groups:
+        for members, m, a, w, flat in self._groups:
             size = len(members) * m * m
             for rows in chunks(np.full(len(X), size + len(a))):
-                S = _scatter((np.arange(len(rows))[:, None] * size
-                              + flat).ravel(),
-                             (w * X[rows[:, None], a]).ravel(),
-                             len(rows) * size).reshape(len(rows), -1, m, m)
-                yield members, rows, \
-                    S if roots is None else roots[0] @ S @ roots[1]
+                yield members, rows, _scatter(
+                    (np.arange(len(rows))[:, None] * size + flat).ravel(),
+                    (w * X[rows[:, None], a]).ravel(),
+                    len(rows) * size).reshape(len(rows), -1, m, m)
 
     def matrices(self, f) -> list:
         """The block of f on every nonempty summand, in summand order."""
@@ -502,13 +516,12 @@ class RegularRepresentation:
 
     def norms(self, X) -> np.ndarray:
         """Operator norms of the (k, dim) coefficient rows X: the largest
-        singular value over the blocks of a row, one scatter and one
-        batched SVD per block size and chunk of rows."""
+        :func:`spectral_norms` over the blocks of a row, one scatter and
+        one batched kernel call per block size and chunk of rows."""
         X = np.asarray(X)
         out = np.zeros(len(X))
         for _, rows, S in self._row_stacks(X):
-            top = np.linalg.svd(S, compute_uv=False).max(axis=(1, 2))
-            out[rows] = np.maximum(out[rows], top)
+            out[rows] = np.maximum(out[rows], spectral_norms(S).max(axis=1))
         return out
 
     def norm(self, f) -> float:
@@ -553,7 +566,7 @@ def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
     k = len(rep.sizes)
     scale, herm, low = 0.0, np.zeros(k), np.full(k, np.inf)
     for units, S in rep.stacks(f):
-        scale = max(scale, float(np.linalg.norm(S, 2, axis=(1, 2)).max()))
+        scale = max(scale, float(spectral_norms(S).max()))
         herm[units] = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         low[units] = np.linalg.eigvalsh(S).min(axis=1)
     cut = tol * max(scale, 1.0)
@@ -810,8 +823,7 @@ def _wedderburn(rep, seed, tol, retries) -> WedderburnInvariants:
 
         Y = [_hermitian(S) for _, S in rep.stacks(
             rng.standard_normal(r) + 1j * rng.standard_normal(r))]
-        yscale = max(1.0, *(float(np.linalg.norm(S, 2, axis=(1, 2)).max())
-                            for S in Y))
+        yscale = max(1.0, *(float(spectral_norms(S).max()) for S in Y))
         # every summand block in the eigenvector coordinates of its own,
         # flattened: block b starts at base[b]
         Y = np.concatenate([(U.conj().transpose(0, 2, 1) @ S @ U).ravel()
@@ -866,22 +878,20 @@ def _hermitian(S) -> np.ndarray:
 
 
 def _closure_tables(mats, tol):
-    """Close a matrix family under products; return (basis stack, table)."""
-    basis = []
-    vecs = []  # orthonormalized vectorizations for span tests
-
-    def in_span(v):
-        w = v.copy()
-        for q in vecs:
-            w -= (q.conj() @ w) * q
-        return float(np.linalg.norm(w)) <= tol * max(1.0, float(np.linalg.norm(v))), w
+    """Close a matrix family under products; return the table of the
+    closure in a basis orthonormal under <a, b> = tr(a* b)."""
+    vecs = []  # the basis, vectorized
 
     def add(mat):
-        inside, w = in_span(mat.ravel())
-        if inside:
+        v = mat.ravel()
+        w = v.copy()
+        for _ in range(2):  # twice, so that vecs stay orthonormal
+            for q in vecs:
+                w -= (q.conj() @ w) * q
+        if float(np.linalg.norm(w)) <= tol * max(1.0,
+                                                  float(np.linalg.norm(v))):
             return False
         vecs.append(w / np.linalg.norm(w))
-        basis.append(mat)
         return True
 
     for m in mats:
@@ -889,48 +899,40 @@ def _closure_tables(mats, tol):
     changed = True
     while changed:
         changed = False
-        cur = list(basis)
+        cur = [q.reshape(mats[0].shape) for q in vecs]
         for a in cur:
             for b in cur:
                 if add(a @ b):
                     changed = True
-    r = len(basis)
-    basis = np.stack(basis)
-    flat = basis.reshape(r, -1)
-    pinv = np.linalg.pinv(flat.T)
+    r = len(vecs)
+    flat = np.stack(vecs)
+    basis = flat.reshape(r, *mats[0].shape)
     # coefficients of every product e_i e_j and of every adjoint e_i*
-    prod = np.concatenate([(m @ basis).reshape(r, -1) @ pinv.T
+    prod = np.concatenate([(m @ basis).reshape(r, -1) @ flat.conj().T
                            for m in basis])
     adj = basis.conj().transpose(0, 2, 1).reshape(r, -1)
-    sadj = adj @ pinv.T
+    sadj = adj @ flat.conj().T
     if np.any(np.linalg.norm(sadj @ flat - adj, axis=1)
               > tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
         raise ValueError("matrix family does not span a *-closed algebra")
     ij, k = np.nonzero(np.abs(prod) > tol)
     s, t = np.nonzero(np.abs(sadj) > tol)
-    table = StructureTable(r, ij // r, ij % r, k, prod[ij, k], s, t,
-                           sadj[s, t])
-    return basis, table
+    return StructureTable(r, ij // r, ij % r, k, prod[ij, k], s, t,
+                          sadj[s, t])
 
 
 def wedderburn(obj, *, seed: int = 0, tol: float = 1e-9,
                retries: int = 5) -> WedderburnInvariants:
     """Block-size invariants of C*_r(G) for a groupoid, or of the *-closed
     algebra generated by an explicit family of matrices. The family's
-    algebra acts on itself by left multiplication, in the coordinates that
-    the Gram roots of <a, b> = tr(a* b) make orthonormal: a faithful,
-    unital *-representation."""
+    algebra acts on itself by left multiplication in a basis orthonormal
+    under <a, b> = tr(a* b): a faithful, unital *-representation."""
     if isinstance(obj, FiniteGroupoid):
         return wedderburn_from_tables(_regular(obj), seed=seed, tol=tol,
                                       retries=retries)
     mats = [np.asarray(m, dtype=complex) for m in obj]
     if not mats:
         return WedderburnInvariants((), 0, 0)
-    basis, table = _closure_tables(mats, tol)
-    flat = basis.reshape(len(basis), -1)
-    w, U = np.linalg.eigh(flat.conj() @ flat.T)
-    pairs = np.indices((table.dim, table.dim)).reshape(2, -1)
-    roots = [((U * p) @ U.conj().T).ravel() for p in (np.sqrt(w),
-                                                      1.0 / np.sqrt(w))]
-    rep = RegularRepresentation(table, np.zeros(table.dim), (*pairs, *roots))
-    return wedderburn_from_tables(rep, seed=seed, tol=tol, retries=retries)
+    table = _closure_tables(mats, tol)
+    return wedderburn_from_tables(RegularRepresentation(
+        table, np.zeros(table.dim)), seed=seed, tol=tol, retries=retries)

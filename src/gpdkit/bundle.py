@@ -28,11 +28,11 @@ E_k with r(k) = src(h) into E_hk (Kumjian, *Fell bundles over groupoids*,
 1998), so in the orthonormal coordinates T_h = G_h^{1/2} of the per-arrow
 Gram blocks G_h[i, j] = tau(e_i* e_j) that operator norm is
 max_k ||T_hk L_{xi,k} T_k^-1||, and a unit-fiber norm is the block of
-k = u. Every norm the checks take is such a d x d block, stacked by size
-in batched numpy calls (:class:`~gpdkit.fiberblocks.FiberBlocks`); only
+k = u. Every norm the checks take is such a d x d block, scattered from
+the table entries put once into those coordinates, stacked by size in
+batched calls (:class:`~gpdkit.fiberblocks.FiberBlocks`); only
 ``SectionAlgebra.norm``, a general section, takes a block per source unit,
-from the :class:`~gpdkit.algebra.RegularRepresentation` of the groupoid
-and twisted C*-norms, given the section table and the Gram roots T.
+from the :class:`~gpdkit.algebra.RegularRepresentation` of those entries.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .algebra import (AlgebraElement, NumericalDegeneracy,
                       RegularRepresentation, StructureTable, _defect, _join,
                       _scatter, groupoid_table, wedderburn,
                       wedderburn_from_tables)
-from .fiberblocks import fiber_blocks, stacked_ranks
+from .fiberblocks import fiber_blocks, pick, stacked_ranks
 from .report import CheckList
 
 
@@ -368,11 +368,6 @@ class AxiomReport(CheckList):
         return self.axioms_pass
 
 
-def _random_fiber(E, h, rng) -> np.ndarray:
-    d = E.dim(h)
-    return rng.standard_normal(d) + 1j * rng.standard_normal(d)
-
-
 _LATER_CHECKS = ("axiom2_bilinear", "axiom6_conjugate_linear",
                  "axiom3_associative", "axiom7_involutive",
                  "axiom8_antimultiplicative", "axiom4_submultiplicative",
@@ -392,11 +387,14 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     draw); 4, 9 and 10 are numeric and run over every basis element plus
     ``samples`` random elements drawn across random composable fibers.
     Saturation is a rank condition per composable pair. Failures are
-    report entries, never exceptions.
+    report entries, never exceptions. Each group of random elements (axioms
+    2 and 6, axiom-4 pairs, axioms 10 and 9) is one draw of arrows and one
+    of vectors (:meth:`~gpdkit.fiberblocks.FiberBlocks.random_rows`).
 
     Every norm is the 2-norm of a block of at most fiber size
-    (:class:`~gpdkit.fiberblocks.FiberBlocks`), taken in stacked numpy
-    calls after all random draws:
+    (:class:`~gpdkit.fiberblocks.FiberBlocks`), taken by the kernel
+    :func:`~gpdkit.algebra.spectral_norms` in stacked calls after all
+    random draws:
 
     - ||x|| = ||x* x||^{1/2}: x* x from the inner-product tensor, then one
       stacked norm (and, for axiom 10, one stacked eigvalsh) of the unit
@@ -436,17 +434,14 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     # axioms 2 and 6: (lam a + b) c against lam ac + bc and (lam a + b)*
     # against conj(lam) a* + b* on random a, b over h1, c over h2 and lam,
     # in one stacked product and one stacked star
-    draws = []
-    for _ in range(min(samples, 25) if comp_pairs else 0):
-        h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
-        a, b = _random_fiber(E, h1, rng), _random_fiber(E, h1, rng)
-        c = _random_fiber(E, h2, rng)
-        lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        draws.append(((h1, h2), [lam * a + b, a, b], c, lam))
-    n = len(draws)
-    h1, X = B.rows([(p[0], x[k]) for k in range(3) for p, x, _, _ in draws])
-    h2, Y = B.rows([(p[1], c) for _ in range(3) for p, _, c, _ in draws])
-    lam = np.array([d[3] for d in draws], dtype=complex)[:, None]
+    cp = np.array([[B.index[h] for h in p] for p in comp_pairs],
+                  np.int64).reshape(-1, 2)
+    drawn = pick(cp, min(samples, 25), rng)
+    n = len(drawn)
+    a, b, c = np.moveaxis(B.random_rows(drawn[:, [0, 0, 1]], rng), 1, 0)
+    lam = rng.standard_normal((n, 2)).view(complex)  # (n, 1): re + i im
+    h1, h2 = np.tile(drawn[:, 0], 3), np.tile(drawn[:, 1], 3)
+    X, Y = np.concatenate([lam * a + b, a, b]), np.tile(c, (3, 1))
     for name, (_, Z), factor, form in (
             ("axiom2_bilinear", B.products(h1, X, h2, Y), lam,
              "(h={!r},{!r})"),
@@ -455,7 +450,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         res, pair = _largest(np.abs(
             Z[:n] - (factor * Z[n:2 * n] + Z[2 * n:])).max(axis=1,
                                                           initial=0.0),
-                             [d[0] for d in draws])
+                             [(H.arrows[p], H.arrows[q]) for p, q in drawn])
         rep.add(name, res <= tol, res, form.format(*pair) if res > tol
                 else None)
 
@@ -482,26 +477,18 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         return rep
 
     # random elements, drawn in the order of the checks that read them:
-    # pairs for axiom 4, then single elements for axioms 10 and 9
-    pairs = []
-    for _ in range(samples):
-        if not comp_pairs:
-            break
-        h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
-        pairs.append((h1, h2, _random_fiber(E, h1, rng),
-                      _random_fiber(E, h2, rng)))
-    drawn = []
-    for _ in range(samples):
-        if not table.dim:
-            break
-        h = H.arrows[rng.integers(len(H.arrows))]
-        if E.dim(h):
-            drawn.append((h, _random_fiber(E, h, rng)))
+    # pairs for axiom 4, then single elements (over arrows with a nonzero
+    # fiber) for axioms 10 and 9; each group takes one draw of arrows and
+    # one of vectors
+    drawn = pick(cp, samples, rng)
+    pairs = drawn, B.random_rows(drawn, rng)
+    sh = pick(np.arange(B.nA if table.dim else 0), samples, rng)
+    live = B.dims[sh] > 0
+    sh, sX = sh[live], B.random_rows(sh, rng)[live]
 
     # every basis vector and every drawn single element: x* x, its norm
     # and its spectrum in one stacked pass
     bh, bX = B.basis_rows()
-    sh, sX = B.rows(drawn)
     hs, X = np.concatenate([bh, sh]), np.concatenate([bX, sX])
     sq = B.square(hs, X)
     norm_sq, neg = B.unit_norms(B.src[hs], sq, spectra=True)
@@ -557,7 +544,8 @@ def _largest(values, labels):
 def _submultiplicative_defects(E, B, basis_norms, comp_pairs, pairs):
     """(rel, (h1, h2) per trial) with rel = (||xy|| - ||x|| ||y||) /
     ||x|| ||y|| over every basis pair of ``comp_pairs`` (in that order,
-    then by the two basis indices) and then over the drawn ``pairs``.
+    then by the two basis indices) and then over the drawn ``pairs``: (k,
+    2) arrow indices and the (k, 2, D) rows of x and y over them.
 
     The product of e_a and e_b is the sum of the table entries (a, b, c,
     w). When it is one basis vector w e_c its norm is |w| ||e_c||; other
@@ -590,14 +578,13 @@ def _submultiplicative_defects(E, B, basis_norms, comp_pairs, pairs):
     nn = basis_norms[a] * basis_norms[b]
     rel = [((prod - nn) / np.maximum(nn, 1e-30))[order]]
     labels = [(H.arrows[p], H.arrows[q]) for p, q in zip(ha[order], hb[order])]
-    if pairs:
-        h1, X = B.rows([(p[0], p[2]) for p in pairs])
-        h2, Y = B.rows([(p[1], p[3]) for p in pairs])
+    (h1, h2), (X, Y) = pairs[0].T, np.moveaxis(pairs[1], 1, 0)
+    if len(h1):
         h12, Z = B.products(h1, X, h2, Y)
         nx, ny, nxy = np.split(B.fiber_norms(
             np.concatenate([h1, h2, h12]), np.concatenate([X, Y, Z]))[0], 3)
         rel.append((nxy - nx * ny) / np.maximum(nx * ny, 1e-30))
-        labels += [(p[0], p[1]) for p in pairs]
+        labels += [(H.arrows[p], H.arrows[q]) for p, q in zip(h1, h2)]
     return np.concatenate(rel), labels
 
 
@@ -645,8 +632,9 @@ class SectionSpace:
     square roots T_h = G_h^{1/2}, so adjoints of represented operators are
     conjugate transposes. The inner product counts as definite when the
     Gram margin (:meth:`~gpdkit.fiberblocks.FiberBlocks.gram_margin`)
-    exceeds ``tol``. ``rep`` is the section table's
-    :class:`~gpdkit.algebra.RegularRepresentation` in these coordinates.
+    exceeds ``tol``. ``rep`` is the :class:`~gpdkit.algebra.
+    RegularRepresentation` of the section table's entries in these
+    coordinates (:meth:`~gpdkit.fiberblocks.FiberBlocks.orthonormal`).
     """
 
     def __init__(self, E: FellBundle, tol: float = 1e-9):
@@ -655,11 +643,8 @@ class SectionSpace:
         if not B.gram_margin()[0] > tol:
             raise FellBundleError("section inner product is degenerate; "
                                   "the bundle is not a Fell bundle")
-        tsqrt, tisqrt, _, _ = B.gram()
-        s1, s2 = B.slot_pairs()  # the slot pairs over one arrow
-        at = B.arrow[s1], B.loc[s1], B.loc[s2]
         self.rep = RegularRepresentation(E.table(), B.src[B.arrow],
-                                         (s1, s2, tsqrt[at], tisqrt[at]))
+                                         B.orthonormal()[:4])
 
     def op_norm(self, section: Section) -> float:
         """The operator norm of left multiplication by ``section``: the
@@ -885,9 +870,9 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
     T = B.table
     report = CheckList()
 
-    per = max(1, samples // max(len(U.arrows), 1))
-    h, X = B.rows([(g, _random_fiber(E, g, rng))
-                   for g in U.arrows if E.dim(g) for _ in range(per)])
+    h = np.fromiter((B.index[g] for g in U.arrows if E.dim(g)), np.int64)
+    h = np.repeat(h, max(1, samples // max(len(U.arrows), 1)))
+    X = B.random_rows(h, rng)
     # the first degenerate unit fiber in the order xi reaches them
     _require_cstar_units(B, np.column_stack([B.src[h], B.rng[h]]).ravel())
     res_pos = max((float(B.unit_norms(target, B.square(h, X, side),

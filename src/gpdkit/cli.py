@@ -30,7 +30,7 @@ from .algebra import (AlgebraElement, cstar_norm, positivity_check,
 from .bundle import (build_bundle, bisection_bimodule_check, psi_iso_check,
                      section_algebra, verify_axioms, NotSaturated)
 from .extensions import GroupExtension, group_extension_bundle
-from .fiberblocks import fiber_blocks
+from .fiberblocks import fiber_blocks, pick
 from .groupoid import (GroupoidError, check_bisection, classify_morphism,
                        greedy_bisection_cover, isotropy_quotient, kernel,
                        validate_groupoid)
@@ -275,24 +275,15 @@ def cmd_bundle_build(args, report: Report):
                    E.kernel_report.get("direct_sum_check",
                                        E.kernel_report
                                        .get("dimension_check")), 0.0)
-    # draw every sample first, then check them in one stacked pass: x y
-    # over the pairs with a partner, and x and x* x over every sample
+    # draw every sample first (one draw each of the arrows x, the vectors x,
+    # the partners y and the vectors y), then check them in one stacked
+    # pass: x y over the pairs with a partner, x and x* x over every sample
     rng = np.random.default_rng(args.seed)
-    arrows = [h for h in E.base.arrows if E.dim(h)]
-    xs, ys, paired = [], [], []
-    for k in range(max(1, args.samples // 5)):
-        h1 = arrows[rng.integers(len(arrows))]
-        xs.append((h1, rng.standard_normal(E.dim(h1))
-                   + 1j * rng.standard_normal(E.dim(h1))))
-        partner = [h2 for h2 in arrows if E.base.composable(h1, h2)]
-        if partner:
-            h2 = partner[rng.integers(len(partner))]
-            ys.append((h2, rng.standard_normal(E.dim(h2))
-                       + 1j * rng.standard_normal(E.dim(h2))))
-            paired.append(k)
     B = fiber_blocks(E)
-    hx, X = B.rows(xs)
-    hy, Y = B.rows(ys)
+    hx = pick(np.flatnonzero(B.dims > 0), max(1, args.samples // 5), rng)
+    X = B.random_rows(hx, rng)
+    paired, hy = B.partners(hx, rng)
+    Y = B.random_rows(hy, rng)
     _, lhs = B.stars(*B.products(hx[paired], X[paired], hy, Y))
     _, rhs = B.products(*B.stars(hy, Y), *B.stars(hx[paired], X[paired]))
     res_star = float(np.abs(lhs - rhs).max(initial=0.0))
@@ -301,7 +292,7 @@ def cmd_bundle_build(args, report: Report):
     nx, nsq = np.split(B.fiber_norms(np.concatenate([hx, hsq]),
                                      np.concatenate([X, sq]))[0], 2)
     res_norm = float((np.abs(nsq - nx * nx)
-                      / np.maximum(nx * nx, 1e-30)).max())
+                      / np.maximum(nx * nx, 1e-30)).max(initial=0.0))
     report.add("fiber_star_antimultiplicative", res_star <= args.tol,
                res_star)
     report.add("fiber_norm_cstar_identity", res_norm <= args.tol,

@@ -5,10 +5,11 @@ r(k) = s(h) into E_hk, and distinct k go to distinct hk (Kumjian, *Fell
 bundles over groupoids*, 1998). So every norm, spectrum and rank that the
 bundle checks of :mod:`gpdkit.bundle` take is one of a small block, at
 most the largest fiber dimension across, and blocks of one size are taken
-together: one batched SVD, eigh or eigvalsh per size and chunk instead of
-one call per element, and never a decomposition of a total_dim x
-total_dim matrix. Everything is read from the section table of the
-bundle (:meth:`gpdkit.bundle.FellBundle.table`).
+together: one batched :func:`~gpdkit.algebra.spectral_norms`, eigh,
+eigvalsh or (ranks) SVD per size and chunk instead of one call per
+element, and never a decomposition of a total_dim x total_dim matrix.
+Everything is read from the section table of the bundle
+(:meth:`gpdkit.bundle.FellBundle.table`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _hermitian, _join, _scatter, chunks, groupoid_table
+from .algebra import (_hermitian, _join, _scatter, chunks, groupoid_table,
+                      spectral_norms)
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -28,7 +30,7 @@ def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
     nr, nc = (np.asarray(v, dtype=np.int64) for v in shape)
     ranks = np.zeros(len(nr), dtype=np.int64)
     key = nr * (int(nc.max(initial=0)) + 1) + nc
-    for k in np.unique(key[(nr > 0) & (nc > 0)]):
+    for k in np.flatnonzero(np.bincount(key[(nr > 0) & (nc > 0)])):
         which = np.flatnonzero(key == k)
         a, b = int(nr[which[0]]), int(nc[which[0]])
         for chunk in chunks(np.full(len(which), a * b)):
@@ -43,6 +45,13 @@ def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
     return ranks
 
 
+def pick(items, n: int, rng) -> np.ndarray:
+    """max(n, 0) uniform picks of ``items`` (none without items), in one
+    draw."""
+    return items[rng.integers(len(items), size=max(n, 0) if len(items)
+                              else 0)]
+
+
 class FiberBlocks:
     """The per-arrow numerics of one bundle, read from its section table.
 
@@ -53,8 +62,9 @@ class FiberBlocks:
     block of k = u, ||x|| is that of x* x, and the operator norm of x on
     the section space is the largest block over k. Arrows are indices into
     the base arrows; elements are rows of local coefficients padded to the
-    largest fiber dimension D; blocks are stacked by size and taken in
-    chunks (:func:`~gpdkit.algebra.chunks`).
+    largest fiber dimension D; blocks are scattered from the entries of
+    :meth:`orthonormal`, stacked by size and taken in chunks
+    (:func:`~gpdkit.algebra.chunks`).
     """
 
     def __init__(self, E):
@@ -93,18 +103,19 @@ class FiberBlocks:
         self.tau = np.zeros((n_arrows, self.D), dtype=complex)
         self.tau[self.arrow, self.loc] = _scatter(T.a[on], T.w[on], T.dim)
         self._inner = {}
-        self._gram = None
+        self._gram = self._ortho = None
         self._saturation = {}
 
     def compose(self, h1, h2) -> np.ndarray:
         return self._comp[np.searchsorted(self._pairs, h1 * self.nA + h2)]
 
-    def entries(self, h1, h2) -> np.ndarray:
-        """The number of table entries that multiply the fiber over h1[r]
-        by the fiber over h2[r]."""
+    def entries(self, h1, h2, keys=None) -> np.ndarray:
+        """The number of table entries (or of sorted entry ``keys``) that
+        multiply the fiber over h1[r] by the fiber over h2[r]."""
+        keys = self._entry_sorted if keys is None else keys
         key = h1 * self.nA + h2
-        return (np.searchsorted(self._entry_sorted, key, "right")
-                - np.searchsorted(self._entry_sorted, key, "left"))
+        return (np.searchsorted(keys, key, "right")
+                - np.searchsorted(keys, key, "left"))
 
     def rows(self, items):
         """(arrow indices, padded coefficient rows) of (arrow, vector)
@@ -119,19 +130,20 @@ class FiberBlocks:
                            + [np.zeros(0)])
         return h, X
 
+    def random_rows(self, h, rng):
+        """Standard complex Gaussian rows over the arrows h (any shape):
+        one draw of shape (*h.shape, 2, D), the real then the imaginary
+        parts, zero past each fiber's dimension."""
+        Z = rng.standard_normal((*np.shape(h), 2, self.D))
+        X = Z[..., 0, :] + 1j * Z[..., 1, :]
+        X[np.arange(self.D) >= self.dims[h][..., None]] = 0.0
+        return X
+
     def basis_rows(self):
         """(arrow indices, rows) of every basis vector, in slot order."""
         X = np.zeros((self.table.dim, self.D), dtype=complex)
         X[np.arange(self.table.dim), self.loc] = 1.0
         return self.arrow, X
-
-    def slot_pairs(self):
-        """(s1, s2): every pair of slots over one arrow."""
-        d = self.dims[self.arrow]
-        s1 = np.repeat(np.arange(self.table.dim), d)
-        s2 = self.first[self.arrow[s1]] + np.arange(len(s1)) \
-            - np.repeat(np.cumsum(d) - d, d)
-        return s1, s2
 
     def inner(self, side: str):
         """Entries (h, i, j, m, weight) of the inner-product tensor: the
@@ -224,7 +236,7 @@ class FiberBlocks:
             G = (G + G.conj().transpose(0, 2, 1)) / 2.0
             tsqrt, tisqrt = np.zeros_like(G), np.zeros_like(G)
             lo, hi = np.zeros(self.nA), np.zeros(self.nA)
-            for d in np.unique(self.dims[self.dims > 0]):
+            for d in np.flatnonzero(np.bincount(self.dims[self.dims > 0])):
                 a = np.flatnonzero(self.dims == d)
                 ev, U = np.linalg.eigh(G[a, :d, :d])
                 lo[a], hi[a] = ev[:, 0], ev[:, -1]
@@ -259,27 +271,54 @@ class FiberBlocks:
                                          1e-9 * np.maximum(hi[units], 1.0))
         return int(units[np.argmax(bad)]) if bad.any() else None
 
+    def orthonormal(self):
+        """(a, c', b', w', key, order, sorted key), built once: entry e_a e_b
+        = w e_c of the table becomes w T_hk[c', c] T_k^-1[b, b'] in the
+        orthonormal coordinates of the Gram blocks, summed at each (a, c',
+        b') after each root: at most d_h d_hk d_k entries over (h, k), one
+        per table entry for diagonal roots. The key (arrows of a and b'),
+        with its stable order, serves joins."""
+        if self._ortho is None:
+            T, first, n = self.table, self.first, self.table.dim
+            tsqrt, tisqrt, _, _ = self.gram()
+
+            def merged(a, c, b, w):
+                key, at = np.unique((a * n + c) * n + b, return_inverse=True)
+                return (*np.unravel_index(key, (n, n, n)),
+                        _scatter(at, w, len(key)))
+
+            h, i, j = np.nonzero(tsqrt)  # T_hk[c', c]: c at j, c' at i
+            e, p = _join(T.c, first[h] + j)
+            a, c, b, w = merged(T.a[e], first[h[p]] + i[p], T.b[e],
+                                tsqrt[h[p], i[p], j[p]] * T.w[e])
+            h, i, j = np.nonzero(tisqrt)  # T_k^-1[b, b']: b at i, b' at j
+            e, p = _join(b, first[h] + i)
+            a, c, b, w = merged(a[e], c[e], first[h[p]] + j[p],
+                                w[e] * tisqrt[h[p], i[p], j[p]])
+            key = self.arrow[a] * self.nA + self.arrow[b]
+            order = np.argsort(key, kind="stable")
+            self._ortho = a, c, b, w, key, order, key[order]
+        return self._ortho
+
     def blocks(self, h, X, k):
         """Yield (rows, S): S[i] = T_hk L_{x,k} T_k^-1 for the row
         x = X[rows[i]] over h and the fiber over k (r(k) = s(h)), padded to
-        g = max(d_hk, d_k), stacked by g and taken in chunks."""
-        T, loc = self.table, self.loc
-        tsqrt, tisqrt, _, _ = self.gram()
-        hk = self.compose(h, k)
-        g = np.maximum(self.dims[hk], self.dims[k])
+        g = max(d_hk, d_k), stacked by g and taken in chunks; one scatter
+        of the :meth:`orthonormal` entries per chunk."""
+        a, c, b, w, keys, order, ordered = self.orthonormal()
+        loc = self.loc
+        g = np.maximum(self.dims[self.compose(h, k)], self.dims[k])
         key = h * self.nA + k
-        load = self.entries(h, k)
-        for size in np.unique(g[g > 0]):
+        load = self.entries(h, k, ordered)
+        for size in np.flatnonzero(np.bincount(g[g > 0])):
             of_size = np.flatnonzero(g == size)
             for chunk in chunks(load[of_size] + size * size):
                 rows = of_size[chunk]
-                r, p = _join(key[rows], self._entry_key, self._entry_order)
-                S = _scatter((r * size + loc[T.c[p]]) * size + loc[T.b[p]],
-                             T.w[p] * X[rows[r], loc[T.a[p]]],
+                r, p = _join(key[rows], keys, order)
+                S = _scatter((r * size + loc[c[p]]) * size + loc[b[p]],
+                             w[p] * X[rows[r], loc[a[p]]],
                              len(rows) * size * size)
-                yield rows, (tsqrt[hk[rows], :size, :size]
-                             @ S.reshape(len(rows), size, size)
-                             @ tisqrt[k[rows], :size, :size])
+                yield rows, S.reshape(len(rows), size, size)
 
     def unit_norms(self, u, Y, spectra: bool = False):
         """(2-norms, negativity ratios) of the unit-fiber elements Y[r]
@@ -289,7 +328,7 @@ class FiberBlocks:
         a positive definite trace form (:meth:`degenerate_unit`)."""
         norms, neg = np.zeros(len(u)), np.zeros(len(u))
         for rows, S in self.blocks(u, Y, u):
-            norms[rows] = np.linalg.norm(S, 2, axis=(1, 2))
+            norms[rows] = spectral_norms(S)
             if spectra:
                 ev = np.linalg.eigvalsh(_hermitian(S))
                 neg[rows] = (np.maximum(-ev[:, 0], 0.0)
@@ -309,8 +348,19 @@ class FiberBlocks:
         r, j = _join(self.src[h], self.rng[live])
         out = np.zeros(len(h))
         for rows, S in self.blocks(h[r], X[r], live[j]):
-            np.maximum.at(out, r[rows], np.linalg.norm(S, 2, axis=(1, 2)))
+            np.maximum.at(out, r[rows], spectral_norms(S))
         return out
+
+    def partners(self, h, rng):
+        """(rows, k): one uniform arrow k with a nonzero fiber and r(k) =
+        s(h[r]) for every row r of h that has one, in one draw."""
+        live = np.flatnonzero(self.dims > 0)
+        r, j = _join(self.src[h], self.rng[live])
+        count = np.bincount(r, minlength=len(h))
+        rows = np.flatnonzero(count)
+        # the pairs of row r start at (cumsum(count) - count)[r]
+        return rows, live[j[(np.cumsum(count) - count)[rows]
+                            + rng.integers(count[rows])]]
 
 
 def fiber_blocks(E) -> "FiberBlocks":

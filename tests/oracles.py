@@ -479,11 +479,20 @@ def element_norm(xi):
     return float(np.sqrt(max(DenseUnitFiber(E, u).norm(prod.vec), 0.0)))
 
 
-def _random_element(E, h, rng):
+def _draws(E, shape, rng):
+    """The vector draw of the batched checks: standard normals of shape
+    (*shape, 2, D), D the largest fiber dimension; ``_element`` reads one
+    fiber element from it."""
+    D = max((E.dim(h) for h in E.base.arrows), default=0)
+    return rng.standard_normal((*shape, 2, D))
+
+
+def _element(E, h, z):
+    """The fiber element over h of the real and imaginary parts z[0] and
+    z[1] of one padded draw."""
     from gpdkit.bundle import FiberElement
     d = E.dim(h)
-    return FiberElement(E, h, rng.standard_normal(d)
-                        + 1j * rng.standard_normal(d))
+    return FiberElement(E, h, z[0, :d] + 1j * z[1, :d])
 
 
 def _row_rank(rows, tol):
@@ -510,6 +519,24 @@ def dense_saturation_detail(E, tol):
         if rank < d12:
             return False, f"span E_{h1!r} * E_{h2!r} has rank {rank} < {d12}"
     return True, None
+
+
+def sandwich_blocks(B, h, X, k):
+    """The block T_hk L_{x,k} T_k^-1 of ``FiberBlocks.blocks`` for every
+    row x = X[r] over h[r] and the fiber over k[r], padded to
+    max(d_hk, d_k), one row at a time: L scattered from the section table
+    entries in the basis coordinates, then multiplied by the Gram roots."""
+    T, loc = B.table, B.loc
+    tsqrt, tisqrt, _, _ = B.gram()
+    out = []
+    for hr, x, kr in zip(h, X, k):
+        hk = B.compose(np.array([hr]), np.array([kr]))[0]
+        g = max(B.dims[hk], B.dims[kr])
+        e = (B.arrow[T.a] == hr) & (B.arrow[T.b] == kr)
+        L = np.zeros((g, g), dtype=complex)
+        np.add.at(L, (loc[T.c[e]], loc[T.b[e]]), T.w[e] * x[loc[T.a[e]]])
+        out.append(tsqrt[hk, :g, :g] @ L @ tisqrt[kr, :g, :g])
+    return out
 
 
 class DenseSectionSpace:
@@ -586,13 +613,16 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
                   if E.dim(p[0]) and E.dim(p[1])]
     res2 = res6 = 0.0
     wit2 = wit6 = None
-    for _ in range(min(samples, 25)):
-        if not comp_pairs:
-            break
-        h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
-        a, b = _random_element(E, h1, rng), _random_element(E, h1, rng)
-        c = _random_element(E, h2, rng)
-        lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    # each group of draws: the arrow (pair) picks, then the vectors
+    n = min(samples, 25) if comp_pairs else 0
+    picks = rng.integers(max(len(comp_pairs), 1), size=n)
+    z = _draws(E, (n, 3), rng)
+    lams = rng.standard_normal((n, 2))
+    for k in range(n):
+        h1, h2 = comp_pairs[picks[k]]
+        a, b, c = (_element(E, h, z[k, m])
+                   for m, h in enumerate((h1, h1, h2)))
+        lam = complex(lams[k, 0] + 1j * lams[k, 1])
         lhs = fiber_product(FiberElement(E, h1, lam * a.vec + b.vec), c)
         rhs = lam * fiber_product(a, c).vec + fiber_product(b, c).vec
         d = float(np.max(np.abs(lhs.vec - rhs), initial=0.0))
@@ -635,11 +665,12 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
     trials = [(h1, h2, basis[h1, i], norms[h1, i], basis[h2, j], norms[h2, j])
               for (h1, h2) in comp_pairs
               for i in range(E.dim(h1)) for j in range(E.dim(h2))]
-    for _ in range(samples):
-        if not comp_pairs:
-            break
-        h1, h2 = comp_pairs[rng.integers(len(comp_pairs))]
-        x, y = _random_element(E, h1, rng), _random_element(E, h2, rng)
+    n = samples if comp_pairs else 0
+    picks = rng.integers(max(len(comp_pairs), 1), size=n)
+    z = _draws(E, (n, 2), rng)
+    for k in range(n):
+        h1, h2 = comp_pairs[picks[k]]
+        x, y = _element(E, h1, z[k, 0]), _element(E, h2, z[k, 1])
         trials.append((h1, h2, x, element_norm(x), y, element_norm(y)))
     for h1, h2, x, nx, y, ny in trials:
         rel = (element_norm(fiber_product(x, y)) - nx * ny) / max(nx * ny,
@@ -650,14 +681,14 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
             wit4 if res4 > tol else None)
     res10, wit10 = 0.0, None
     single = [(h, x, norms[h, i]) for (h, i), x in basis.items()]
-    for _ in range(samples):
-        if not single:
-            break
-        h = H.arrows[rng.integers(len(H.arrows))]
-        if E.dim(h) == 0:
-            continue
-        x = _random_element(E, h, rng)
-        single.append((h, x, element_norm(x)))
+    n = samples if single else 0
+    picks = rng.integers(max(len(H.arrows), 1), size=n)
+    z = _draws(E, (n,), rng)
+    for k in range(n):
+        h = H.arrows[picks[k]]
+        if E.dim(h):
+            x = _element(E, h, z[k])
+            single.append((h, x, element_norm(x)))
     for h, x, _ in single:
         spec = DenseUnitFiber(E, H.src[h]).herm_spectrum(
             fiber_product(fiber_adjoint(x), x).vec)
@@ -711,11 +742,12 @@ def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
     rng = np.random.default_rng(seed)
     report = CheckList()
     res_pos = 0.0
-    for h in U.arrows:
-        if E.dim(h) == 0:
-            continue
-        for _ in range(max(1, samples // max(len(U.arrows), 1))):
-            xi = _random_element(E, h, rng)
+    per = max(1, samples // max(len(U.arrows), 1))
+    live = [h for h in U.arrows if E.dim(h)]
+    z = _draws(E, (len(live) * per,), rng)
+    for k, h in enumerate(live):
+        for m in range(per):
+            xi = _element(E, h, z[k * per + m])
             b_spec = DenseUnitFiber(E, H.src[h]).herm_spectrum(
                 fiber_product(fiber_adjoint(xi), xi).vec)
             a_spec = DenseUnitFiber(E, H.rng[h]).herm_spectrum(
@@ -1060,19 +1092,26 @@ def loop_bundle_build(E, samples, seed):
     """(fiber_star_antimultiplicative, fiber_norm_cstar_identity)
     residuals of ``bundle build``, one sample at a time through
     fiber_mul, fiber_star and fiber_norm."""
-    from gpdkit.bundle import FiberElement, fiber_mul, fiber_norm, fiber_star
+    from gpdkit.bundle import fiber_mul, fiber_norm, fiber_star
     rng = np.random.default_rng(seed)
     res_star = res_norm = 0.0
     arrows = [h for h in E.base.arrows if E.dim(h)]
-    for _ in range(max(1, samples // 5)):
-        h1 = arrows[rng.integers(len(arrows))]
-        x = FiberElement(E, h1, rng.standard_normal(E.dim(h1))
-                         + 1j * rng.standard_normal(E.dim(h1)))
-        partner = [h2 for h2 in arrows if E.base.composable(h1, h2)]
-        if partner:
-            h2 = partner[rng.integers(len(partner))]
-            y = FiberElement(E, h2, rng.standard_normal(E.dim(h2))
-                             + 1j * rng.standard_normal(E.dim(h2)))
+    # the draws of the batched command: the arrows of x, the vectors x,
+    # the partner of every x that has one, the vectors y
+    n = max(1, samples // 5)
+    h1s = [arrows[k] for k in rng.integers(len(arrows), size=n)]
+    zx = _draws(E, (n,), rng)
+    partners = [[h2 for h2 in arrows if E.base.composable(h1, h2)]
+                for h1 in h1s]
+    paired = [k for k in range(n) if partners[k]]
+    picks = rng.integers([len(partners[k]) for k in paired])
+    zy = _draws(E, (len(paired),), rng)
+    ys = {k: _element(E, partners[k][p], zy[m])
+          for m, (k, p) in enumerate(zip(paired, picks))}
+    for k, h1 in enumerate(h1s):
+        x = _element(E, h1, zx[k])
+        if k in ys:
+            y = ys[k]
             lhs = fiber_star(fiber_mul(x, y))
             rhs = fiber_mul(fiber_star(y), fiber_star(x))
             res_star = max(res_star, float(np.max(np.abs(lhs.vec - rhs.vec)))

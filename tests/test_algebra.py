@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gpdkit as gk
 from gpdkit import algebra, corpus
 from gpdkit.cli import main
+from gpdkit.fiberblocks import stacked_ranks
 from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
                             _regular, center_basis, groupoid_table,
                             isometry_defect, random_element,
@@ -273,13 +274,11 @@ class TestStackedNorms:
 
     def test_isometry_defect_svd_calls_do_not_grow_with_samples(
             self, monkeypatch):
+        # the norms take batched calls of the top-singular-value kernel
         G = _mixed_union()
         rep = gk.RegularRepresentation(G)
         U = np.eye(len(G.arrows))
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        calls = _counting(monkeypatch, algebra, "spectral_norms")
         counts = []
         for samples in (2, 50):
             calls.clear()
@@ -287,6 +286,75 @@ class TestStackedNorms:
                             np.random.default_rng(0), samples)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+class TestSpectralNorms:
+    """The top-singular-value kernel against the SVD, and the rank
+    decisions that stay on the SVD."""
+
+    @staticmethod
+    def _stack(kind, k, m, n, rng):
+        r = min(m, n)
+
+        def unitary(d):
+            return np.linalg.qr(rng.standard_normal((k, d, d))
+                                + 1j * rng.standard_normal((k, d, d)))[0]
+        if kind == "zero":
+            return np.zeros((k, m, n), dtype=complex)
+        if kind == "rank_one":
+            return (rng.standard_normal((k, m, 1))
+                    * (rng.standard_normal((k, 1, n)) + 1j))
+        if kind == "graded":  # singular values from 1 down to 1e-12
+            sv = np.logspace(0, -12, r)
+            return (unitary(m)[:, :, :r] * sv) @ unitary(n)[:, :r, :]
+        return rng.standard_normal((k, m, n)) \
+            + 1j * rng.standard_normal((k, m, n))
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "rank_one",
+                                      "graded"])
+    def test_matches_the_largest_svd_value(self, kind):
+        rng = np.random.default_rng(12)
+        sizes = [*range(10), 27, 64]
+        for m in sizes:
+            for n in sizes:
+                S = self._stack(kind, 3, m, n, rng)
+                got = algebra.spectral_norms(S)
+                want = (np.linalg.svd(S, compute_uv=False)[..., 0]
+                        if m and n else np.zeros(3))
+                assert got.shape == (3,)
+                assert np.all(np.abs(got - want)
+                              <= 100 * np.finfo(float).eps * want), (m, n)
+
+    def test_entries_whose_squares_overflow(self):
+        # the Gram matrix overflows; those matrices take the SVD
+        S = np.random.default_rng(2).standard_normal((6, 3, 3))
+        S[::2] *= 1e200
+        for n in (1, 2, 3):
+            want = np.linalg.svd(S[..., :n], compute_uv=False)[..., 0]
+            np.testing.assert_allclose(
+                algebra.spectral_norms(S[..., :n]), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_finite_gram_whose_top_eigenvalue_overflows(self, n):
+        # each squared column length is finite, their sum is not: the top
+        # eigenvalue overflows, so the matrix takes the SVD
+        S = np.full((2, n, n), 0.9 * np.sqrt(np.finfo(float).max / n))
+        G = S[0].T @ S[0]
+        assert np.all(np.isfinite(G)) and G[0, 0] > np.finfo(float).max / n
+        want = np.linalg.svd(S, compute_uv=False)[..., 0]
+        assert np.all(np.isfinite(want))
+        np.testing.assert_allclose(algebra.spectral_norms(S), want,
+                                   rtol=1e-14)
+
+    def test_leading_axes_are_kept(self):
+        S = np.random.default_rng(1).standard_normal((2, 3, 4, 5))
+        assert algebra.spectral_norms(S).shape == (2, 3)
+
+    def test_ranks_stay_on_the_svd(self):
+        # sigma = 1e-10 squares to 1e-20, below eps of the Gram matrix
+        assert stacked_ranks(np.zeros(2, np.int64), np.arange(2),
+                             np.arange(2), np.array([1.0, 1e-10]),
+                             ([2], [2]), 1e-12).tolist() == [2]
 
 
 class TestPositivity:
@@ -589,10 +657,12 @@ class TestWedderburnRepresentation:
 
     @staticmethod
     def _conjugated(table, T):
-        pairs = np.indices((table.dim, table.dim)).reshape(2, -1)
-        return gk.RegularRepresentation(
-            table, np.zeros(table.dim),
-            (*pairs, T.ravel(), np.linalg.inv(T).ravel()))
+        """One block, T L T^-1 for the left multiplication L, from the
+        entries of every T L_a T^-1."""
+        L = T @ table.left_stack() @ np.linalg.inv(T)
+        a, row, col = np.indices(L.shape).reshape(3, -1)
+        return gk.RegularRepresentation(table, np.zeros(table.dim),
+                                        (a, row, col, L.ravel()))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_summands_that_cut_entries(self, n):
@@ -646,7 +716,7 @@ def _center_tables():
         "twisted": groupoid_table(om.base, om.omega),
         # M2 + C, conjugated so that the structure constants are generic
         "closure": _closure_tables([q @ m @ q.conj().T for m in units],
-                                   1e-9)[1],
+                                   1e-9),
     }
 
 
@@ -707,6 +777,14 @@ class TestLapackCalls:
                                    ("h", corpus.heisenberg_groupoid(2))])
         rep = gk.RegularRepresentation(G)
         calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+        kernel = algebra.spectral_norms
+
+        def uncounted(S):  # the scale of the second element is no cluster
+            n = len(calls)
+            out = kernel(S)
+            del calls[n:]
+            return out
+        monkeypatch.setattr(algebra, "spectral_norms", uncounted)
         inv = wedderburn_from_tables(rep)
         assert inv.blocks == (3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)
         assert inv.retries == 0

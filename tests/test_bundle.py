@@ -16,7 +16,7 @@ from oracles import (DenseSectionSpace, DenseUnitFiber, bundle_from,
                      dense_saturation_detail, dense_table_residuals,
                      dense_verify_axioms, element_norm, fiber_adjoint,
                      fiber_product, hilbert_module_residuals,
-                     slot_arrows, table_arrays)
+                     sandwich_blocks, slot_arrows, table_arrays)
 
 
 @pytest.fixture(scope="module")
@@ -796,6 +796,47 @@ def _skew_basis_bundle():
         2, a, b, c, w, [0, 1], [0, 1], [1.0, 1.0]))
 
 
+def _basis_changed(E, rng):
+    """E in the basis f_i = sum_j P[j, i] e_j, P random and block diagonal
+    over the fibers: a dense table, and Gram roots that are not
+    diagonal."""
+    T, n = E.table(), E.total_dim()
+    P = np.zeros((n, n), dtype=complex)
+    for h in E.base.arrows:
+        at, d = slice(E.first[h], E.first[h] + E.dim(h)), E.dim(h)
+        P[at, at] = np.eye(d) + 0.4 * (rng.standard_normal((d, d))
+                                       + 1j * rng.standard_normal((d, d)))
+    Q = np.linalg.inv(P)
+    W = np.zeros((n, n, n), dtype=complex)
+    np.add.at(W, (T.a, T.b, T.c), T.w)
+    W = np.einsum("Aa,Bb,ABC,cC->abc", P, P, W, Q, optimize=True)
+    SW = np.zeros((n, n), dtype=complex)
+    np.add.at(SW, (T.s, T.t), T.sw)
+    SW = P.conj().T @ SW @ Q.T  # f_a* = sum conj(P[A, a]) e_A*
+    a, b, c = np.nonzero(np.abs(W) > 1e-13)
+    s, t = np.nonzero(np.abs(SW) > 1e-13)
+    return bundle_from(E, dict(a=a, b=b, c=c, w=W[a, b, c], s=s, t=t,
+                               sw=SW[s, t]))
+
+
+def _assert_blocks_match_the_sandwich(B):
+    """Every block (h, k) with r(k) = s(h) of FiberBlocks.blocks against
+    the Gram-root sandwich of tests/oracles.py, each block once."""
+    live = np.flatnonzero(B.dims > 0)
+    i, j = gk.algebra._join(B.src[live], B.rng[live])
+    h, k = live[i], live[j]
+    X = B.random_rows(h, np.random.default_rng(11))
+    want = sandwich_blocks(B, h, X, k)
+    seen = np.zeros(len(h), dtype=int)
+    for rows, S in B.blocks(h, X, k):
+        for r, M in zip(rows, S):
+            assert M.shape == want[r].shape
+            assert np.abs(M - want[r]).max() <= 1e-13 * max(
+                1.0, np.abs(want[r]).max())
+            seen[r] += 1
+    assert np.array_equal(seen, np.ones(len(h)))
+
+
 def _parity_bundles():
     heis2 = gk.build_bundle(corpus.heisenberg_quotient(2))
     flip = gk.build_bundle(
@@ -902,6 +943,48 @@ class TestBatchedNumerics:
             xi = FiberElement(E, h, vec[E.first[h]:E.first[h] + E.dim(h)])
             assert gk.fiber_norm(xi) == pytest.approx(element_norm(xi),
                                                       rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["heis3", "flip", "twisted_covering",
+                                      "skew_basis_changed"])
+    def test_blocks_match_the_gram_root_sandwich(self, parity_bundles,
+                                                 name):
+        # from the entries put once into orthonormal coordinates
+        _assert_blocks_match_the_sandwich(fiber_blocks(parity_bundles[name]))
+
+    def test_dense_gram_keeps_the_cube_bound(self):
+        # heis3 in a random basis of every fiber: dense Gram roots and d^3
+        # table entries per fiber pair; summing the terms at each (a, c',
+        # b') keeps at most d_h d_hk d_k orthonormal entries per pair, so
+        # no more than the table has
+        E = _basis_changed(gk.build_bundle(corpus.heisenberg_quotient(3)),
+                           np.random.default_rng(6))
+        B = fiber_blocks(E)
+        tsqrt = B.gram()[0]
+        assert np.abs(tsqrt - tsqrt * np.eye(B.D)).max() > 0.1
+        a, _, b, *_ = B.orthonormal()
+        count = np.bincount(B.arrow[a] * B.nA + B.arrow[b],
+                            minlength=B.nA ** 2)
+        h, k = np.divmod(np.flatnonzero(count), B.nA)
+        assert np.all(count[h * B.nA + k] <= B.dims[h] * B.dims[k]
+                      * B.dims[B.compose(h, k)])
+        assert len(a) <= len(E.table().a)
+        _assert_blocks_match_the_sandwich(B)
+        assert gk.verify_axioms(E, samples=12, seed=0).axioms_pass
+
+    def test_skew_basis_gram_is_not_diagonal(self, parity_bundles):
+        # so that the sandwich test above multiplies off-diagonal roots
+        tsqrt = fiber_blocks(parity_bundles["skew_basis_changed"]).gram()[0]
+        assert np.abs(tsqrt - tsqrt * np.eye(tsqrt.shape[1])).max() > 0.1
+
+    @pytest.mark.parametrize("name", ["heis3", "flip", "twisted_covering",
+                                      "z3_cocycle_line"])
+    def test_diagonal_gram_adds_no_entries(self, parity_bundles, name):
+        # one orthonormal entry per table entry: no (entries, D, D) growth
+        E = parity_bundles[name]
+        B = fiber_blocks(E)
+        tsqrt = B.gram()[0]
+        assert not np.any(tsqrt - tsqrt * np.eye(tsqrt.shape[1]))
+        assert len(B.orthonormal()[0]) == len(E.table().a)
 
     @pytest.mark.parametrize("name", ["heis3", "twisted_covering",
                                       "heis3_phase", "skew_basis_changed"])

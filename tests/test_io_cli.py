@@ -344,6 +344,23 @@ class TestCli:
         assert r1.stdout == r2.stdout
         assert r1.stdout.strip()
 
+    def test_demos_do_not_import_numpy_ma(self):
+        # a plain np.unique imports numpy.ma on its first call: milliseconds
+        # and a megabyte of every process
+        code = ("import contextlib, io, sys\n"
+                "from gpdkit.cli import main\n"
+                "for argv in (['demo', 'heisenberg', '--n', '2'],"
+                " ['demo', 'flip'], ['demo', 'cuntz']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(argv) == 0, argv\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+            os.path.dirname(os.path.dirname(gk.__file__)),
+            os.environ.get("PYTHONPATH"))))}
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env)
+        assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
     def test_python_m_gpdkit_runs_the_cli(self, capsys):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
             os.path.dirname(os.path.dirname(gk.__file__)),
@@ -497,6 +514,19 @@ class TestExitContract:
                                   str(path)], capsys)
         assert code == 0
         assert json.loads(out)["blocks"] == []
+        assert "Traceback" not in err
+
+    def test_empty_morphism_bundle_build_exits_0(self, tmp_path, capsys):
+        # no fiber to draw a sample from: every sample check is vacuous
+        empty = {"arrows": [], "units": [], "src": {}, "rng": {}, "inv": {},
+                 "comp": []}
+        path = tmp_path / "empty.morphism.json"
+        path.write_text(json.dumps({"domain": empty, "codomain": empty,
+                                    "map": {}}))
+        code, out, err = run_cli(["bundle", "build", "--morphism",
+                                  str(path)], capsys)
+        assert code == 0
+        assert all(c["pass"] for c in json.loads(out)["checks"])
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("env, flags", [
