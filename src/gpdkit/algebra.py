@@ -181,12 +181,6 @@ class StructureTable:
         return _scatter((self.a * n + self.c) * n + self.b, self.w,
                         n ** 3).reshape(n, n, n)
 
-    def mul_defect(self, other: "StructureTable"):
-        """(max |coefficient difference| of e_a e_b over all basis pairs,
-        (a, b) of that entry or None)."""
-        return _defect((self.a, self.b, self.c, self.w),
-                       (other.a, other.b, other.c, other.w), self.dim)
-
     def hom_defect(self, other: "StructureTable", U):
         """(max |coefficient difference| between U(e_a e_b) and
         U(e_a) U(e_b) over all basis pairs, (a, b) of that entry or None),

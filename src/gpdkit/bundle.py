@@ -121,7 +121,6 @@ class FellBundle:
         self._table = table
         self.fiber_map_errors = _fiber_map_errors(self)
         self._blocks = None
-        self.kernel_report = None
 
     def dim(self, h) -> int:
         return len(self.fibers[h])
@@ -268,8 +267,6 @@ def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
     conj(twist(g, inv g)) times the basis vector of inv(g).
 
     Rejects non-surjective input rather than restricting to the image.
-    Records the direct sum decomposition of the kernel algebra over the
-    base units (checked numerically for untwisted bundles).
     """
     cls = classify_morphism(pi)
     if not cls.is_morphism:
@@ -287,9 +284,7 @@ def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
     slots = np.empty(len(G.arrows), dtype=np.int64)
     slots[np.argsort(over, kind="stable")] = np.arange(len(G.arrows))
     table = _arrow_table(G, slots, over, _twist_lookup(twist))
-    E = FellBundle(H, fibers, table, morphism=pi)
-    E.kernel_report = _kernel_decomposition_report(pi, untwisted=twist is None)
-    return E
+    return FellBundle(H, fibers, table, morphism=pi)
 
 
 def _arrow_table(G: FiniteGroupoid, slots, over, lookup) -> StructureTable:
@@ -322,8 +317,10 @@ def _twist_lookup(twist):
     return lambda g1, g2: complex(table[(g1, g2)])
 
 
-def _kernel_decomposition_report(pi: GroupoidMorphism, untwisted: bool) -> dict:
-    """Direct-sum decomposition of the kernel algebra over base units."""
+def kernel_decomposition_report(pi: GroupoidMorphism, untwisted: bool) -> dict:
+    """Direct-sum decomposition of the kernel algebra of a surjective
+    morphism over the base units, checked by Wedderburn block sizes when
+    ``untwisted``."""
     dec = kernel(pi)
     fiber_sizes = {x: len(dec.fibers[x]) for x in pi.codomain.units}
     report = {

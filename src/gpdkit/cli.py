@@ -269,12 +269,10 @@ def cmd_bundle_build(args, report: Report):
     report.extras["fiber_dimensions"] = {h: E.dim(h) for h in E.base.arrows}
     report.add("fiber_dimensions_partition_domain",
                E.total_dim() == len(G.arrows), 0.0)
-    if E.kernel_report is not None:
-        report.extras["kernel_decomposition"] = E.kernel_report
-        report.add("kernel_direct_sum",
-                   E.kernel_report.get("direct_sum_check",
-                                       E.kernel_report
-                                       .get("dimension_check")), 0.0)
+    dec = bundle.kernel_decomposition_report(pi, untwisted=not args.cocycle)
+    report.extras["kernel_decomposition"] = dec
+    report.add("kernel_direct_sum",
+               dec.get("direct_sum_check", dec["dimension_check"]), 0.0)
     # draw every sample first (one draw each of the arrows x, the vectors x,
     # the partners y and the vectors y), then check them in one stacked
     # pass: x y over the pairs with a partner, x and x* x over every sample

@@ -55,61 +55,47 @@ def disjoint_union(parts) -> FiniteGroupoid:
 
 
 def heisenberg_elements(n: int):
-    """Upper triangular triples over Z_n with
-    [a,b,c][a',b',c'] = [a+a', b+b', c+c'+ab']."""
-    def el(a, b, c):
-        return f"[{a},{b},{c}]"
-    elements = [el(a, b, c)
-                for a in range(n) for b in range(n) for c in range(n)]
-    mul = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for a2 in range(n):
-                    for b2 in range(n):
-                        for c2 in range(n):
-                            mul[(el(a, b, c), el(a2, b2, c2))] = \
-                                el((a + a2) % n, (b + b2) % n,
-                                   (c + c2 + a * b2) % n)
-    return elements, mul, el(0, 0, 0)
+    """(elements, M) of the upper triangular triples over Z_n with
+    [a,b,c][a',b',c'] = [a+a', b+b', c+c'+ab']: element a n^2 + b n + c
+    is "[a,b,c]" and M the integer product table of a GroupTable."""
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    elements = [f"[{x},{y},{z}]"
+                for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
+    M = (((a[:, None] + a) % n * n + (b[:, None] + b) % n) * n
+         + (c[:, None] + c + a[:, None] * b) % n)
+    return elements, M
 
 
 def heisenberg_groupoid(n: int) -> FiniteGroupoid:
-    elements, mul, unit = heisenberg_elements(n)
-    return GroupTable(elements, mul).to_groupoid()
+    return GroupTable(*heisenberg_elements(n)).to_groupoid()
 
 
 def zn_square_groupoid(n: int) -> FiniteGroupoid:
     """Z_n x Z_n as a one-unit groupoid with elements (a,b)."""
-    def el(a, b):
-        return f"({a},{b})"
-    elements = [el(a, b) for a in range(n) for b in range(n)]
-    mul = {(el(a, b), el(a2, b2)): el((a + a2) % n, (b + b2) % n)
-           for a in range(n) for b in range(n)
-           for a2 in range(n) for b2 in range(n)}
-    return GroupTable(elements, mul).to_groupoid()
+    a, b = np.indices((n, n)).reshape(2, -1)
+    elements = [f"({x},{y})" for x, y in zip(a.tolist(), b.tolist())]
+    M = (a[:, None] + a) % n * n + (b[:, None] + b) % n
+    return GroupTable(elements, M).to_groupoid()
 
 
 def heisenberg_quotient(n: int, group: GroupTable = None) -> GroupoidMorphism:
     """The morphism [a,b,c] -> (a,b) onto Z_n^2; kernel is the center.
     Its domain is the groupoid of ``group`` if given, such as the group of
-    heisenberg_extension(n)."""
+    heisenberg_extension(n), with the elements of heisenberg_elements(n)."""
     dom = heisenberg_groupoid(n) if group is None else group.to_groupoid()
     cod = zn_square_groupoid(n)
-    mapping = {}
-    for g in dom.arrows:
-        a, b, _ = g.strip("[]").split(",")
-        mapping[g] = f"({a},{b})"
-    return GroupoidMorphism(dom, cod, mapping)
+    # element a n^2 + b n + c maps to a n + b
+    return GroupoidMorphism(dom, cod, {g: cod.arrows[i // n]
+                                       for i, g in enumerate(dom.arrows)})
 
 
 def heisenberg_extension(n: int) -> GroupExtension:
     """The center extension with the canonical section (a,b) -> [a,b,0]."""
-    elements, mul, _ = heisenberg_elements(n)
+    elements, M = heisenberg_elements(n)
     kernel = [f"[0,0,{c}]" for c in range(n)]
     # default section picks the first coset element in element order,
     # which is [a,b,0] since c is the innermost enumeration index
-    return GroupExtension.from_tables(elements, mul, kernel)
+    return GroupExtension.from_tables(elements, M, kernel)
 
 
 def heisenberg_cocycle_closed_form(n: int, k: int, a: int, bp: int) -> complex:

@@ -11,22 +11,27 @@ For central extensions this equals chi(f(h1, h2)) with the usual factor
 set f(h1, h2) = c(h1) c(h2) c(h1 h2)^{-1}; the conjugated form is the one
 satisfying the cocycle identity for noncentral kernels as well.
 
-Characters are enumerated through an invariant-factor style basis of the
-kernel, computed from the multiplication table, and evaluated through
-integer exponent arithmetic so equal characters produce bit-identical
-complex values.
+Every group is a :class:`GroupTable`, an integer product table over
+element indices, and every computation here (cosets, quotients, subgroups,
+orders, the dual action, the factor set, the cocycle and the basis map)
+gathers from such tables. Characters are enumerated through an
+invariant-factor style basis of the kernel and evaluated through integer
+exponent arithmetic, so equal characters produce bit-identical complex
+values.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 from typing import Optional
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, GroupoidError, _trusted
+from .groupoid import (FiniteGroupoid, GroupoidError, _ids, _index, _prefix,
+                       _trusted)
 from .algebra import (NumericalDegeneracy, StructureTable, _regular,
                       groupoid_table, isometry_defect, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
@@ -51,52 +56,57 @@ def unit_root(t: int, d: int) -> complex:
 
 
 class GroupTable:
-    """A finite group as an element list with a multiplication table.
+    """A finite group as its element tuple and integer product table:
+    M[i, j] is the index of elements[i] elements[j], ``unit`` the index of
+    the unit and inv[i] that of the inverse of elements[i].
 
-    The unit and inverses are read from the integer index matrix of the
-    products, associativity from its structure table by gathers in passes
-    of bounded size, so memory stays bounded for a thousand elements.
+    ``mul`` is that table as an (n, n) integer array, or a mapping
+    (a, b) -> ab of element names, read once here. The unit and inverses
+    are read from the table, associativity from its w = 1 structure table
+    by gathers in passes of bounded size, so memory stays bounded for a
+    thousand elements; the structure table is kept as the table of
+    :meth:`to_groupoid`.
     """
 
-    __slots__ = ("elements", "mul", "unit", "inv", "index", "_groupoid")
+    __slots__ = ("elements", "index", "M", "unit", "inv", "table",
+                 "_groupoid")
 
     def __init__(self, elements, mul):
         self.elements = tuple(elements)
-        self.mul = dict(mul)
-        self.index = {a: i for i, a in enumerate(self.elements)}
+        self.index = _index(self.elements, "element")
         self._groupoid = None
         n = len(self.elements)
-        M = np.empty((n, n), dtype=np.int64)
-        for a in self.elements:
-            ia = self.index[a]
-            for b in self.elements:
-                ab = self.mul.get((a, b))
-                if ab is None:
+        if isinstance(mul, np.ndarray):
+            M = mul.astype(np.int64, copy=False)
+        else:
+            pairs = list(product(self.elements, repeat=2))
+            values = list(map(mul.get, pairs))
+            M = _ids(values, self.index)
+            i = _prefix(M >= 0)
+            if i < len(pairs):
+                a, b = pairs[i]
+                if values[i] is None:
                     raise GroupoidError(f"mul missing ({a!r}, {b!r})",
                                         witness=(a, b))
-                k = self.index.get(ab)
-                if k is None:
-                    raise GroupoidError(f"mul({a!r}, {b!r}) not an element",
-                                        witness=(a, b))
-                M[ia, self.index[b]] = k
+                raise GroupoidError(f"mul({a!r}, {b!r}) not an element",
+                                    witness=(a, b))
+            M = M.reshape(n, n)
+        self.M = M
         rng_n = np.arange(n)
-        unit_rows = np.flatnonzero(
-            (M == rng_n[None, :]).all(axis=1) &
-            (M.T == rng_n[None, :]).all(axis=1))
-        if unit_rows.size == 0:
+        is_unit = (M == rng_n).all(axis=1) & (M.T == rng_n).all(axis=1)
+        if not is_unit.any():
             raise GroupoidError("table has no unit element")
-        self.unit = self.elements[int(unit_rows[0])]
-        ue = int(unit_rows[0])
-        inv = {}
-        for ia, a in enumerate(self.elements):
-            cands = np.flatnonzero((M[ia, :] == ue) & (M[:, ia] == ue))
-            if cands.size == 0:
-                raise GroupoidError(f"{a!r} has no inverse", witness=a)
-            inv[a] = self.elements[int(cands[0])]
-        self.inv = inv
-        _, triple = StructureTable(n, np.repeat(rng_n, n), np.tile(rng_n, n),
-                                   M, np.ones(n * n), [], [],
-                                   []).associativity_defect()
+        self.unit = int(np.argmax(is_unit))
+        inverse = (M == self.unit) & (M.T == self.unit)
+        i = _prefix(inverse.any(axis=1))
+        if i < n:
+            raise GroupoidError(f"{self.elements[i]!r} has no inverse",
+                                witness=self.elements[i])
+        self.inv = np.argmax(inverse, axis=1)
+        self.table = StructureTable(n, np.repeat(rng_n, n), np.tile(rng_n, n),
+                                    M, np.ones(n * n), rng_n, self.inv,
+                                    np.ones(n))
+        _, triple = self.table.associativity_defect()
         if triple is not None:
             a, b, c = (self.elements[i] for i in triple)
             raise GroupoidError(f"associativity fails on ({a!r},{b!r},{c!r})",
@@ -105,121 +115,112 @@ class GroupTable:
     def __len__(self):
         return len(self.elements)
 
-    def power(self, a, n: int):
-        out = self.unit
-        x = a
-        n = int(n)
-        if n < 0:
-            x = self.inv[a]
-            n = -n
-        while n:
-            if n & 1:
-                out = self.mul[(out, x)]
-            x = self.mul[(x, x)]
-            n >>= 1
+    def powers(self, i: int, k: int) -> np.ndarray:
+        """Indices of the powers 0 .. k-1 of element i."""
+        out = np.empty(k, np.int64)
+        x = self.unit
+        for j in range(k):
+            out[j] = x
+            x = self.M[x, i]
         return out
 
-    def order(self, a) -> int:
-        n = 1
-        x = a
-        while x != self.unit:
-            x = self.mul[(x, a)]
-            n += 1
-        return n
+    def orders(self) -> np.ndarray:
+        """The order of every element, one table gather per power."""
+        order = np.zeros(len(self), np.int64)
+        every = np.arange(len(self))
+        x, k = every, 1
+        while not order.all():
+            order[(x == self.unit) & (order == 0)] = k
+            x, k = self.M[x, every], k + 1
+        return order
+
+    def subgroup(self, members) -> "GroupTable":
+        """The subgroup on the element indices ``members`` (closed under
+        the product), its elements in that order."""
+        pos = np.zeros(len(self), np.int64)
+        pos[members] = np.arange(len(members))
+        return GroupTable([self.elements[i] for i in members],
+                          pos[self.M[np.ix_(members, members)]])
+
+    def quotient(self, members):
+        """(reps, coset, Q) for the normal subgroup K on the element
+        indices ``members``: each coset K g is named by its first element,
+        reps lists those in element order, Q is the quotient group on them
+        and coset[g] the index in Q of the coset of g."""
+        first = self.M[members].min(axis=0)
+        reps = np.flatnonzero(first == np.arange(len(self)))
+        coset = np.searchsorted(reps, first)
+        return reps, coset, GroupTable([self.elements[i] for i in reps],
+                                       coset[self.M[np.ix_(reps, reps)]])
 
     def to_groupoid(self) -> FiniteGroupoid:
-        """The one-unit groupoid of the group, built once, so that its
-        structure table and regular representation are built once too."""
+        """The one-unit groupoid of the group, built once on the structure
+        table of the group, so that its regular representation is built
+        once too."""
         if self._groupoid is None:
-            u = self.unit
-            self._groupoid = _trusted(
-                self.elements, (u,), {a: u for a in self.elements},
-                {a: u for a in self.elements}, dict(self.inv),
-                {(a, b): self.mul[(a, b)]
-                 for a in self.elements for b in self.elements})
+            u = self.elements[self.unit]
+            names = np.fromiter(self.elements, object, len(self))
+            G = _trusted(
+                self.elements, (u,), dict.fromkeys(self.elements, u),
+                dict.fromkeys(self.elements, u),
+                dict(zip(self.elements, names[self.inv].tolist())),
+                dict(zip(product(self.elements, repeat=2),
+                         names[self.M.ravel()].tolist())))
+            G._table = self.table
+            self._groupoid = G
         return self._groupoid
 
 
-def _p_group_basis(group: GroupTable, members) -> list:
-    """Independent generators with orders for an abelian p-group given as
-    a member list inside ``group``."""
-    members = list(members)
-    if len(members) == 1:
+def _require_abelian(group: GroupTable):
+    """NotAbelianKernel at the first pair, in element order, that does not
+    commute."""
+    bad = np.argwhere(group.M != group.M.T)
+    if len(bad):
+        a, b = (group.elements[i] for i in bad[0])
+        raise NotAbelianKernel(f"({a!r}, {b!r}) do not commute",
+                               witness=(a, b))
+
+
+def _p_group_basis(group: GroupTable) -> list:
+    """Independent generators (element index, order) of an abelian
+    p-group."""
+    if len(group) == 1:
         return []
-    g = max(members, key=lambda a: (group.order(a), -members.index(a)))
-    cyc = set()
-    x = group.unit
-    while True:
-        cyc.add(x)
-        x = group.mul[(x, g)]
-        if x == group.unit:
-            break
-    # quotient by <g>
-    coset_of = {}
-    reps = []
-    for a in members:
-        for r in reps:
-            if group.mul[(a, group.inv[r])] in cyc:
-                coset_of[a] = r
-                break
-        else:
-            reps.append(a)
-            coset_of[a] = a
-    qmul = {(r1, r2): coset_of[group.mul[(r1, r2)]]
-            for r1 in reps for r2 in reps}
-    quotient = GroupTable(reps, qmul)
-    basis = [(g, group.order(g))]
-    for qgen, m in _p_group_basis(quotient, reps):
-        # order-preserving lift: qgen^m lands in <g> as g^t with m | t
-        am = group.power(qgen, m)
-        t = 0
-        x = group.unit
-        while x != am:
-            x = group.mul[(x, g)]
-            t += 1
+    orders = group.orders()
+    g = int(np.argmax(orders))  # the first element of the largest order
+    cyc = group.powers(g, int(orders[g]))
+    reps, _, quotient = group.quotient(cyc)
+    basis = [(g, int(orders[g]))]
+    for q, m in _p_group_basis(quotient):
+        # order-preserving lift: q^m lands in <g> as g^t with m | t
+        b = int(reps[q])
+        t = int(np.flatnonzero(cyc == group.powers(b, m + 1)[m])[0])
         if t % m != 0:
             raise NotAbelianKernel("lift adjustment failed; kernel is not "
-                                   "an abelian group", witness=qgen)
-        b = group.mul[(qgen, group.power(group.inv[g], t // m))]
-        basis.append((b, m))
+                                   "an abelian group",
+                                   witness=group.elements[b])
+        basis.append((int(group.M[b, cyc[-(t // m) % len(cyc)]]), m))
     return basis
 
 
 def abelian_basis(group: GroupTable) -> list:
     """Generators (g_i, d_i) with A isomorphic to the product of the
-    cyclic groups they generate; computed per Sylow subgroup."""
-    n = len(group)
-    for a in group.elements:
-        for b in group.elements:
-            if group.mul[(a, b)] != group.mul[(b, a)]:
-                raise NotAbelianKernel(f"({a!r}, {b!r}) do not commute",
-                                       witness=(a, b))
-    if n == 1:
-        return []
-    primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
+    cyclic groups they generate; computed per Sylow subgroup, the
+    elements whose order divides the largest power of p dividing |A|."""
+    _require_abelian(group)
+    orders = group.orders()
     basis = []
-    for p in primes:
-        members = [a for a in group.elements if _is_p_power(group.order(a), p)]
-        basis.extend(_p_group_basis(GroupTable(
-            members, {(a, b): group.mul[(a, b)]
-                      for a in members for b in members}), members))
+    m, p = len(group), 2
+    while m > 1:
+        q = 1
+        while m % p == 0:
+            m, q = m // p, q * p
+        if q > 1:
+            sylow = group.subgroup(np.flatnonzero(q % orders == 0))
+            basis.extend((sylow.elements[i], d)
+                         for i, d in _p_group_basis(sylow))
+        p += 1
     return basis
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 class CharacterData:
@@ -227,7 +228,9 @@ class CharacterData:
 
     Character index m (one exponent per basis generator) evaluates on the
     element with exponent vector e as unit_root(sum m_i e_i D/d_i, D)
-    where D is the lcm of the generator orders.
+    where D is the lcm of the generator orders. ``numerators`` holds that
+    sum mod D for every character (rows, in the order of ``indices``) and
+    element (columns).
     """
 
     def __init__(self, group: GroupTable):
@@ -237,19 +240,24 @@ class CharacterData:
         D = 1
         for d in self.orders:
             D = D * d // gcd(D, d)
-        self.lcm = max(D, 1)
-        self.exponents = {}
-        from itertools import product as iproduct
-        for combo in iproduct(*(range(d) for d in self.orders)):
-            x = group.unit
-            for (g, _), e in zip(self.basis, combo):
-                x = group.mul[(x, group.power(g, e))]
-            if x in self.exponents:
-                raise NotAbelianKernel("generator decomposition is not free")
-            self.exponents[x] = combo
-        if len(self.exponents) != len(group):
+        self.lcm = D
+        self.strides = np.array([int(np.prod(self.orders[i + 1:]))
+                                 for i in range(len(self.orders))], np.int64)
+        # the element prod g_i^e_i of each exponent vector e, in the order
+        # of product(range(d_1), range(d_2), ...)
+        x = np.array([group.unit])
+        for g, d in self.basis:
+            x = group.M[x[:, None], group.powers(group.index[g], d)].ravel()
+        if np.bincount(x).max() > 1:
+            raise NotAbelianKernel("generator decomposition is not free")
+        if len(x) != len(group):
             raise NotAbelianKernel("basis does not enumerate the group")
-        self.indices = list(iproduct(*(range(d) for d in self.orders)))
+        self.indices = list(product(*(range(d) for d in self.orders)))
+        combos = np.array(self.indices, np.int64).reshape(len(x), -1)
+        exponents = np.empty_like(combos)
+        exponents[x] = combos
+        self.steps = D // np.array(self.orders, np.int64)
+        self.numerators = combos * self.steps @ exponents.T % D
 
     def char_id(self, m) -> str:
         return "chi(" + ",".join(str(v) for v in m) + ")"
@@ -257,30 +265,35 @@ class CharacterData:
     def value(self, m, a) -> complex:
         return unit_root(self.exponent_numerator(m, a), self.lcm)
 
+    def values(self) -> np.ndarray:
+        """value(m, a) of every character (rows, in the order of
+        ``indices``) at every element (columns)."""
+        roots = np.array([unit_root(t, self.lcm) for t in range(self.lcm)])
+        return roots[self.numerators]
+
     def exponent_numerator(self, m, a) -> int:
         """Integer t with value(m, a) = unit_root(t, lcm)."""
-        D = self.lcm
-        return sum(mi * ei * (D // di) for mi, ei, di in
-                   zip(m, self.exponents[a], self.orders)) % D
+        return int(self.numerators[int(np.dot(m, self.strides)),
+                                   self.group.index[a]])
 
-    def compose_with_map(self, m, images) -> tuple:
-        """The character index of chi_m composed with the homomorphism
-        sending generator i to images[i]; exact integer arithmetic."""
-        out = []
-        for image, (_, di) in zip(images, self.basis):
-            t = self.exponent_numerator(m, image)
-            step = self.lcm // di
-            if t % step != 0:
-                raise NotAbelianKernel("conjugation image is not a character")
-            out.append((t // step) % di)
-        return tuple(out)
+    def compose_with_map(self, images) -> np.ndarray:
+        """The row of chi_k composed with the homomorphism sending
+        generator i to the element images[..., i], for every character k
+        (last axis); exact integer arithmetic."""
+        t = self.numerators[:, images]
+        if np.any(t % self.steps):
+            raise NotAbelianKernel("conjugation image is not a character")
+        return np.moveaxis(t // self.steps % (self.lcm // self.steps)
+                           @ self.strides, 0, -1)
 
 
 @dataclass
 class GroupExtension:
     group: GroupTable
-    kernel: tuple                # kernel element ids, a subgroup of group
+    kernel: GroupTable           # a normal subgroup, in the order given
     section: dict                # quotient rep -> chosen group element
+    quotient: GroupTable         # cosets named by their first elements
+    coset: np.ndarray            # quotient index of each group element
 
     @classmethod
     def from_tables(cls, elements, mul, kernel, section=None):
@@ -289,69 +302,51 @@ class GroupExtension:
         element of each coset in element order (and the unit for the unit
         coset)."""
         G = GroupTable(elements, mul)
-        kset = set(kernel)
-        for a in kernel:
-            if a not in G.index:
-                raise GroupoidError(f"kernel element {a!r} not in group",
-                                    witness=a)
-        if G.unit not in kset:
+        kernel = tuple(kernel)
+        k = _ids(kernel, G.index)
+        i = _prefix(k >= 0)
+        if i < len(k):
+            raise GroupoidError(f"kernel element {kernel[i]!r} not in group",
+                                witness=kernel[i])
+        in_kernel = np.zeros(len(G), bool)
+        in_kernel[k] = True
+        if not in_kernel[G.unit]:
             raise GroupoidError("kernel does not contain the unit")
-        for a in kernel:
-            if G.inv[a] not in kset:
+        inv_out = ~in_kernel[G.inv[k]]
+        mul_out = ~in_kernel[G.M[np.ix_(k, k)]]
+        i = _prefix(~(inv_out | mul_out.any(axis=1)))
+        if i < len(k):
+            a = kernel[i]
+            if inv_out[i]:
                 raise NotNormal(f"kernel not closed under inverse at {a!r}",
                                 witness=a)
-            for b in kernel:
-                if G.mul[(a, b)] not in kset:
-                    raise NotNormal(f"kernel not closed under product "
-                                    f"({a!r}, {b!r})", witness=(a, b))
-        for g in G.elements:
-            for a in kernel:
-                conj = G.mul[(G.mul[(g, a)], G.inv[g])]
-                if conj not in kset:
-                    raise NotNormal(f"conjugate of {a!r} by {g!r} leaves "
-                                    "the kernel", witness=(g, a))
-        for a in kernel:
-            for b in kernel:
-                if G.mul[(a, b)] != G.mul[(b, a)]:
-                    raise NotAbelianKernel(f"({a!r}, {b!r}) do not commute",
-                                           witness=(a, b))
+            b = kernel[int(np.argmax(mul_out[i]))]
+            raise NotNormal(f"kernel not closed under product "
+                            f"({a!r}, {b!r})", witness=(a, b))
+        conj_out = ~in_kernel[G.M[G.M[:, k], G.inv[:, None]]]
+        if conj_out.any():
+            g, j = np.argwhere(conj_out)[0]
+            a, g = kernel[j], G.elements[g]
+            raise NotNormal(f"conjugate of {a!r} by {g!r} leaves the kernel",
+                            witness=(g, a))
+        A = G.subgroup(k)
+        _require_abelian(A)
 
-        coset_of = {}
-        reps = []
-        for g in G.elements:
-            for r in reps:
-                if G.mul[(g, G.inv[r])] in kset:
-                    coset_of[g] = r
-                    break
-            else:
-                reps.append(g)
-                coset_of[g] = g
+        _, coset, Q = G.quotient(k)
+        unit_rep = Q.elements[coset[G.unit]]
         if section is None:
-            section = {r: r for r in reps}
-            unit_rep = coset_of[G.unit]
-            section[unit_rep] = G.unit
+            section = {r: r for r in Q.elements}
+            section[unit_rep] = G.elements[G.unit]
         else:
             section = dict(section)
             for r, g in section.items():
-                if coset_of.get(g) != r:
+                if g not in G.index or Q.elements[coset[G.index[g]]] != r:
                     raise GroupoidError(f"section image {g!r} is not in the "
                                         f"coset of {r!r}", witness=(r, g))
-            if section[coset_of[G.unit]] != G.unit:
+            if section.get(unit_rep) != G.elements[G.unit]:
                 raise GroupoidError("section must send the unit coset to "
                                     "the unit")
-        ext = cls(G, tuple(kernel), section)
-        ext._coset_of = coset_of
-        ext._reps = tuple(reps)
-        return ext
-
-    def coset(self, g):
-        return self._coset_of[g]
-
-    def quotient_table(self) -> GroupTable:
-        reps = self._reps
-        qmul = {(r1, r2): self._coset_of[self.group.mul[(r1, r2)]]
-                for r1 in reps for r2 in reps}
-        return GroupTable(reps, qmul)
+        return cls(G, A, section, Q, coset)
 
 
 @dataclass
@@ -382,52 +377,51 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
     (``samples`` seeded random elements) map onto the twisted algebra, and
     compares block invariants.
     """
-    G = ext.group
-    A = GroupTable(ext.kernel, {(a, b): G.mul[(a, b)]
-                                for a in ext.kernel for b in ext.kernel})
+    G, A, Q = ext.group, ext.kernel, ext.quotient
+    M, inv = G.M, G.inv
     chars = CharacterData(A)
-    Q = ext.quotient_table()
     Hgpd = Q.to_groupoid()
+    kernel = np.array([G.index[a] for a in A.elements], np.int64)
+    kpos = np.full(len(G), -1)  # position in the kernel of each element
+    kpos[kernel] = np.arange(len(A))
+    sec = np.array([G.index[ext.section[h]] for h in Q.elements], np.int64)
 
-    sec = ext.section
-
-    def conj_into_kernel(h, a):
-        c = sec[h]
-        return G.mul[(G.mul[(G.inv[c], a)], c)]
-
-    # dual action through exact exponent arithmetic
-    conj_images = {}
-    for h in Q.elements:
-        conj_images[h] = [conj_into_kernel(h, gen) for gen, _ in chars.basis]
-    act = {}
+    # dual action through exact exponent arithmetic: h.chi_k is chi_k
+    # composed with a -> c(h)^-1 a c(h), as its row act_rows[h, k]
+    gens = kernel[[A.index[g] for g, _ in chars.basis]]
+    act_rows = chars.compose_with_map(
+        kpos[M[M[inv[sec][:, None], gens], sec[:, None]]])
     point_ids = [chars.char_id(m) for m in chars.indices]
-    char_of_point = {chars.char_id(m): m for m in chars.indices}
-    anchor = {x: Hgpd.units[0] for x in point_ids}
-    for h in Q.elements:
-        for m in chars.indices:
-            m2 = chars.compose_with_map(m, conj_images[h])
-            act[(h, chars.char_id(m))] = chars.char_id(m2)
-    action = GroupoidAction(Hgpd, tuple(point_ids), anchor, act)
+    char_of_point = dict(zip(point_ids, chars.indices))
+    act = {(h, x): point_ids[k]
+           for h, row in zip(Q.elements, act_rows.tolist())
+           for x, k in zip(point_ids, row)}
+    action = GroupoidAction(Hgpd, tuple(point_ids),
+                            dict.fromkeys(point_ids, Hgpd.units[0]), act)
     ag = build_action_groupoid(action)
 
-    factor_set = {}
-    conj_factor = {}
-    for h1 in Q.elements:
-        for h2 in Q.elements:
-            h12 = Q.mul[(h1, h2)]
-            f = G.mul[(G.mul[(sec[h1], sec[h2])], G.inv[sec[h12]])]
-            factor_set[(h1, h2)] = f
-            conj_factor[(h1, h2)] = G.mul[(G.inv[sec[h12]],
-                                           G.mul[(sec[h1], sec[h2])])]
+    # f = c(h1) c(h2) c(h1 h2)^-1 and its conjugate c(h1 h2)^-1 c(h1) c(h2)
+    c1c2, c12_inv = M[sec[:, None], sec], inv[sec[Q.M]]
+    names = np.fromiter(G.elements, object, len(G))
+    factor_set = dict(zip(product(Q.elements, repeat=2),
+                          names[M[c1c2, c12_inv]].ravel().tolist()))
+    conj_factor = kpos[M[c12_inv, c1c2]]
 
-    omega = {}
-    id_of = {hx: gid for gid, hx in ag.pairs.items()}
-    for gid2, (h2, x) in ag.pairs.items():
-        m = char_of_point[x]
-        y = act[(h2, x)]
-        for h1 in Q.elements:
-            gid1 = id_of[(h1, y)]
-            omega[(gid1, gid2)] = chars.value(m, conj_factor[(h1, h2)])
+    # arrow j of the action groupoid is (h[j], chi_k[j]); arrow_of inverts
+    arrows = ag.groupoid.arrows
+    narr = len(arrows)
+    row_of = {x: i for i, x in enumerate(point_ids)}
+    h, k = np.array([(Q.index[hj], row_of[x])
+                     for hj, x in map(ag.pairs.get, arrows)]).T
+    arrow_of = np.empty((len(Q), len(point_ids)), np.int64)
+    arrow_of[h, k] = np.arange(narr)
+    values = chars.values()
+    # omega((h1, h2.chi), (h2, chi)) at every arrow (h2, chi), then h1
+    arrow_names = np.fromiter(arrows, object, narr)
+    omega = dict(zip(
+        zip(arrow_names[arrow_of[:, act_rows[h, k]].T].ravel().tolist(),
+            np.repeat(arrow_names, len(Q)).tolist()),
+        values[k[:, None], conj_factor[:, h].T].ravel().tolist()))
     cocycle = Cocycle(ag.groupoid, omega)
 
     result = ExtensionBundleResult(ext, Q, chars, ag, cocycle, factor_set,
@@ -440,18 +434,13 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
 
     ta = TwistedConvolutionAlgebra(ag.groupoid, cocycle)
     Ggpd = G.to_groupoid()
-    n = len(G.elements)
-    narr = len(ag.groupoid.arrows)
+    n = len(G)
 
-    # basis map
+    # basis map: column g = a c(h) holds (h.chi_k)(a) at the arrow (h, chi_k)
+    hg = ext.coset
+    a = kpos[M[np.arange(n), inv[sec[hg]]]]
     U = np.zeros((narr, n), dtype=complex)
-    for gi, g in enumerate(G.elements):
-        h = ext.coset(g)
-        a = G.mul[(g, G.inv[sec[h]])]
-        for m in chars.indices:
-            hm = chars.compose_with_map(m, conj_images[h])  # index of h.chi_m
-            gid = id_of[(h, chars.char_id(m))]
-            U[ag.groupoid.index[gid], gi] = chars.value(hm, a)
+    U[arrow_of[hg], np.arange(n)[:, None]] = values[act_rows[hg], a[:, None]]
 
     result.basis_map = U
     rank = int(np.linalg.matrix_rank(U))

@@ -148,6 +148,20 @@ def _ids(names, index) -> np.ndarray:
                        len(names))
 
 
+def _index(ids, what: str) -> dict:
+    """Position of each id of a list of distinct ids; GroupoidError naming
+    the first id that repeats an earlier one."""
+    index = {g: i for i, g in enumerate(ids)}
+    if len(index) != len(ids):
+        seen = set()
+        for g in ids:
+            if g in seen:
+                raise GroupoidError(f"duplicate {what} identifier {g!r}",
+                                    witness=g)
+            seen.add(g)
+    return index
+
+
 def _prefix(mask) -> int:
     """Length of the run of True that starts a boolean array: the index of
     its first False entry, or its length."""
@@ -187,9 +201,7 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
     """
     arrows = tuple(arrows)
     n = len(arrows)
-    index = {g: i for i, g in enumerate(arrows)}
-    if len(index) != n:
-        raise GroupoidError("duplicate arrow identifiers")
+    index = _index(arrows, "arrow")
     units = tuple(units)
     uid = _ids(units, index)
     i = _prefix(uid >= 0)

@@ -22,6 +22,27 @@ from gpdkit.groupoid import (AssociativityFailure, FiniteGroupoid,
 from gpdkit.io import ParseError
 
 
+def loop_heisenberg_elements(n: int):
+    """Upper triangular triples over Z_n with
+    [a,b,c][a',b',c'] = [a+a', b+b', c+c'+ab'], one product at a time:
+    (elements, {(x, y): x y} of names, unit)."""
+    def el(a, b, c):
+        return f"[{a},{b},{c}]"
+    elements = [el(a, b, c)
+                for a in range(n) for b in range(n) for c in range(n)]
+    mul = {}
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for a2 in range(n):
+                    for b2 in range(n):
+                        for c2 in range(n):
+                            mul[(el(a, b, c), el(a2, b2, c2))] = \
+                                el((a + a2) % n, (b + b2) % n,
+                                   (c + c2 + a * b2) % n)
+    return elements, mul, el(0, 0, 0)
+
+
 def group_closure(elements, mul, seed):
     """Subgroup generated by a seed set, by saturation."""
     out = set(seed)
@@ -837,9 +858,11 @@ def _loop_complex(obj, file, path) -> complex:
 def loop_validate_groupoid(arrows, units, src, rng, inv, comp):
     """validate_groupoid, one arrow and one comp entry at a time."""
     arrows = tuple(arrows)
-    arrow_set = set(arrows)
-    if len(arrow_set) != len(arrows):
-        raise GroupoidError("duplicate arrow identifiers")
+    arrow_set = set()
+    for g in arrows:
+        if g in arrow_set:
+            raise GroupoidError(f"duplicate arrow identifier {g!r}", witness=g)
+        arrow_set.add(g)
     units = tuple(units)
     for u in units:
         if u not in arrow_set:

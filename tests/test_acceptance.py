@@ -15,7 +15,8 @@ import gpdkit.io as gio
 from gpdkit import corpus
 from gpdkit.cli import main as cli_main
 
-from oracles import (bundle_from, group_algebra_blocks, matrix_units_check,
+from oracles import (bundle_from, group_algebra_blocks,
+                     loop_heisenberg_elements, matrix_units_check,
                      table_arrays)
 
 
@@ -105,7 +106,7 @@ def test_criterion_4_heisenberg(capsys):
         expected = {2: (2, 1, 1, 1, 1),
                     3: (3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1)}
         for n in (2, 3):
-            elements, mul, _ = corpus.heisenberg_elements(n)
+            elements, mul, _ = loop_heisenberg_elements(n)
             assert group_algebra_blocks(elements, mul) == expected[n]
 
         for n in (2, 3):

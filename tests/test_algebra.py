@@ -17,8 +17,8 @@ from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
 
 from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
     dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
-    group_convolution, loop_center_basis, matrix_units_check, table_arrays, \
-    table_products
+    group_convolution, loop_center_basis, loop_heisenberg_elements, \
+    matrix_units_check, table_arrays, table_products
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -84,7 +84,7 @@ def test_z3_generator_cubes_to_unit(z3):
 
 def test_heis3_convolution_matches_group_oracle(heis3):
     rng = np.random.default_rng(11)
-    elements, mul, unit = corpus.heisenberg_elements(3)
+    elements, mul, unit = loop_heisenberg_elements(3)
     inv = {a: next(b for b in elements if mul[(a, b)] == unit)
            for a in elements}
     for _ in range(5):
@@ -486,7 +486,7 @@ class TestWedderburn:
         expected = {2: (2, 1, 1, 1, 1),
                     3: (3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1)}
         for n in (2, 3):
-            elements, mul, _ = corpus.heisenberg_elements(n)
+            elements, mul, _ = loop_heisenberg_elements(n)
             oracle = group_algebra_blocks(elements, mul)
             assert oracle == expected[n]
             got = gk.wedderburn(corpus.heisenberg_groupoid(n))
@@ -825,13 +825,13 @@ class TestWedderburnMemo:
 
     def test_demo_heisenberg_solves_each_algebra_once(self, monkeypatch,
                                                       capsys):
-        # the quotient's kernel and its one fiber, psi (the group and the
-        # section algebra) and the extension bundle (the group again, which
-        # is kept, and the twisted algebra)
+        # psi (the group and the section algebra) and the extension bundle
+        # (the group again, which is kept, and the twisted algebra); the
+        # kernel decomposition is solved by bundle build alone
         calls = _counting(monkeypatch, algebra, "center_basis")
         assert main(["demo", "heisenberg", "--n", "3"]) == 0
         capsys.readouterr()
-        assert len(calls) == 5
+        assert len(calls) == 3
 
 
 class TestCenterBasis:

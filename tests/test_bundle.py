@@ -9,7 +9,7 @@ from gpdkit import corpus
 from gpdkit.algebra import (AlgebraElement, _regular, groupoid_table,
                             isometry_defect, random_element)
 from gpdkit.bundle import (FiberElement, Section, SectionAlgebra,
-                          _hilbert_module_defect)
+                          _hilbert_module_defect, kernel_decomposition_report)
 from gpdkit.fiberblocks import fiber_blocks
 from oracles import (DenseSectionSpace, DenseUnitFiber, bundle_from,
                      dense_bimodule_check, dense_map_defects,
@@ -62,8 +62,8 @@ class TestConstruction:
         with pytest.raises(gk.NotSurjective):
             gk.build_bundle(pi)
 
-    def test_kernel_direct_sum_report(self, heis3_bundle):
-        rep = heis3_bundle.kernel_report
+    def test_kernel_direct_sum_report(self, heis3_quotient):
+        rep = kernel_decomposition_report(heis3_quotient, untwisted=True)
         assert rep["dimension_check"]
         assert rep["direct_sum_check"]
         assert rep["kernel_blocks"] == [1, 1, 1]

@@ -1,15 +1,17 @@
 import json
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 import gpdkit as gk
 from gpdkit import corpus
+from gpdkit.algebra import groupoid_table
 from gpdkit.extensions import (CharacterData, GroupExtension, GroupTable,
                                abelian_basis, unit_root)
 
-from oracles import group_algebra_blocks
+from oracles import group_algebra_blocks, loop_heisenberg_elements
 
 
 def cyclic_table(n):
@@ -19,14 +21,56 @@ def cyclic_table(n):
     return els, mul
 
 
+def _scale_character_value(monkeypatch, m, a, factor):
+    """Every character value table read by group_extension_bundle, with
+    the value of chi_m at the kernel element a times ``factor``."""
+    values = CharacterData.values
+
+    def scaled(self):
+        out = values(self)
+        out[self.indices.index(m), self.group.index[a]] *= factor
+        return out
+    monkeypatch.setattr(CharacterData, "values", scaled)
+
+
 class TestGroupTable:
     def test_cyclic(self):
         els, mul = cyclic_table(6)
         G = GroupTable(els, mul)
-        assert G.unit == "0"
-        assert G.inv["2"] == "4"
-        assert G.order("2") == 3
-        assert G.power("5", 7) == "5"
+        two, five = G.index["2"], G.index["5"]
+        assert G.elements[G.unit] == "0"
+        assert G.elements[G.inv[two]] == "4"
+        assert G.orders()[two] == 3
+        assert list(G.orders()) == [1, 6, 3, 2, 3, 6]
+        assert G.powers(five, 8)[7] == five
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_corpus_tables_match_loop_oracles(self, n):
+        elements, M = corpus.heisenberg_elements(n)
+        els, mul, _ = loop_heisenberg_elements(n)
+        assert elements == els
+        assert dict(zip(product(elements, repeat=2),
+                        (elements[c] for c in M.ravel()))) == mul
+        # the quotient sends [a,b,c] to (a,b), in the product order of Z_n^2
+        pi = corpus.heisenberg_quotient(n)
+        assert pi.map == {g: "({},{})".format(*g.strip("[]").split(",")[:2])
+                          for g in els}
+        square = [(f"({a},{b})", f"({c},{d})",
+                   f"({(a + c) % n},{(b + d) % n})")
+                  for a in range(n) for b in range(n)
+                  for c in range(n) for d in range(n)]
+        assert [(*p, c) for p, c in pi.codomain.comp.items()] == square
+
+    def test_groupoid_keeps_the_table_of_the_group(self):
+        T = GroupTable(*corpus.heisenberg_elements(3))
+        G = T.to_groupoid()
+        assert groupoid_table(G) is T.table
+        # the same arrays as the table validate_groupoid builds from comp
+        fresh = groupoid_table(gk.validate_groupoid(
+            G.arrows, G.units, G.src, G.rng, G.inv, G.comp))
+        for name in ("a", "b", "c", "w", "s", "t", "sw"):
+            assert np.array_equal(getattr(T.table, name),
+                                  getattr(fresh, name)), name
 
     def test_rejects_broken_table(self):
         els, mul = cyclic_table(3)
@@ -37,7 +81,7 @@ class TestGroupTable:
     def test_corrupted_group_names_the_first_failing_triple(self):
         # two products in one row of heis3 swapped: unit and inverses
         # survive, associativity does not
-        els, mul, _ = corpus.heisenberg_elements(3)
+        els, mul, _ = loop_heisenberg_elements(3)
         a, b1, b2 = "[0,1,0]", els[5], els[9]
         mul[(a, b1)], mul[(a, b2)] = mul[(a, b2)], mul[(a, b1)]
         first = next((x, y, z) for x in els for y in els for z in els
@@ -49,8 +93,8 @@ class TestGroupTable:
     def test_corrupted_group_fails_as_its_groupoid(self):
         # the same first triple through the group table and through the
         # one-unit groupoid of the same products
-        els, mul, _ = corpus.heisenberg_elements(3)
-        inv = GroupTable(els, mul).inv
+        els, mul, _ = loop_heisenberg_elements(3)
+        inv = GroupTable(els, mul).to_groupoid().inv
         mul[("[0,1,0]", els[5])], mul[("[0,1,0]", els[9])] = \
             mul[("[0,1,0]", els[9])], mul[("[0,1,0]", els[5])]
         with pytest.raises(gk.GroupoidError) as by_group:
@@ -63,7 +107,7 @@ class TestGroupTable:
     def test_heis6_associativity_memory_is_bounded(self):
         # the (216, 216, 216) int64 cubes of (a b) c and a (b c) would
         # take 77 MiB each
-        els, mul, _ = corpus.heisenberg_elements(6)
+        els, mul, _ = loop_heisenberg_elements(6)
         tracemalloc.start()
         try:
             GroupTable(els, mul)
@@ -97,7 +141,7 @@ class TestAbelianBasis:
             assert abs(s) < 1e-9
 
     def test_nonabelian_rejected(self):
-        elements, mul, _ = corpus.heisenberg_elements(2)
+        elements, mul, _ = loop_heisenberg_elements(2)
         with pytest.raises(gk.NotAbelianKernel):
             abelian_basis(GroupTable(elements, mul))
 
@@ -117,7 +161,7 @@ class TestExtensionValidation:
                                        [unit, swap])
 
     def test_nonabelian_kernel_rejected(self):
-        elements, mul, _ = corpus.heisenberg_elements(2)
+        elements, mul, _ = loop_heisenberg_elements(2)
         with pytest.raises(gk.NotAbelianKernel):
             GroupExtension.from_tables(elements, mul, elements)
 
@@ -179,7 +223,7 @@ class TestHeisenbergExtension:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_wedderburn_matches_oracle(self, n):
-        elements, mul, _ = corpus.heisenberg_elements(n)
+        elements, mul, _ = loop_heisenberg_elements(n)
         oracle = group_algebra_blocks(elements, mul)
         res = gk.group_extension_bundle(corpus.heisenberg_extension(n))
         assert res.blocks_group == oracle
@@ -215,10 +259,7 @@ class TestOtherExtensions:
                for a in range(2) for b in range(2)
                for c in range(2) for d in range(2)}
         ext = GroupExtension.from_tables(els, mul, ["(0,0)", "(0,1)"])
-        value = CharacterData.value
-        monkeypatch.setattr(
-            CharacterData, "value", lambda self, m, a: value(self, m, a)
-            * (1j if (tuple(m), a) == ((1,), "(0,1)") else 1.0))
+        _scale_character_value(monkeypatch, (1,), "(0,1)", 1j)
         res = gk.group_extension_bundle(ext)
         for name in ("cocycle_identity", "basis_map_bijective",
                      "wedderburn_equal"):
@@ -245,10 +286,7 @@ class TestOtherExtensions:
     def _double_chi1_at_center(monkeypatch):
         # a wrong character value makes the twist non-associative, so the
         # Wedderburn retries of the twisted algebra end in NumericalDegeneracy
-        value = CharacterData.value
-        monkeypatch.setattr(
-            CharacterData, "value", lambda self, m, a: value(self, m, a)
-            * (2.0 if (tuple(m), a) == ((1,), "[0,0,1]") else 1.0))
+        _scale_character_value(monkeypatch, (1,), "[0,0,1]", 2.0)
 
     def test_wedderburn_error_is_a_failed_check(self, monkeypatch):
         self._double_chi1_at_center(monkeypatch)
@@ -267,7 +305,7 @@ class TestOtherExtensions:
         from gpdkit import io as gio
         from gpdkit.cli import main
         from gpdkit.report import canonical_json
-        elements, mul, _ = corpus.heisenberg_elements(2)
+        elements, mul, _ = loop_heisenberg_elements(2)
         path = tmp_path / "heis2.group.json"
         path.write_text(canonical_json(gio.save_group(
             elements, mul, ["[0,0,0]", "[0,0,1]"])))

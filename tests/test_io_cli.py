@@ -17,8 +17,8 @@ from gpdkit.cli import DEMOS, HANDLERS, OPERATIONS, build_parser, main
 from gpdkit.groupoid import pair_blocks
 from gpdkit.report import _escape, canonical_json, digest_text
 from oracles import (bundle_from, escape_loop, loop_bundle_build,
-                     loop_expectation_contractive, loop_wedderburn_samples,
-                     table_arrays)
+                     loop_expectation_contractive, loop_heisenberg_elements,
+                     loop_wedderburn_samples, table_arrays)
 
 
 DATA = corpus.data_path("")
@@ -123,7 +123,7 @@ class TestFormats:
         assert not rep.saturated
 
     def test_group_roundtrip(self, tmp_path):
-        els, mul, _ = corpus.heisenberg_elements(2)
+        els, mul, _ = loop_heisenberg_elements(2)
         path = tmp_path / "grp.json"
         path.write_text(canonical_json(gio.save_group(els, mul,
                                                       ["[0,0,0]",
@@ -554,6 +554,26 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert err.startswith(f"input error: {flag} ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, key, argv", [
+        ("z3.groupoid.json", "arrows", ["gpd", "validate", "--groupoid"]),
+        ("z4.group.json", "elements", ["ext", "analyze", "--group"]),
+        ("z4.group.json", "kernel", ["ext", "analyze", "--group"])])
+    def test_repeated_id_is_the_witness(self, name, key, argv, tmp_path,
+                                        capsys):
+        # ids[1] repeats first, ids[0] later: the witness is ids[1]
+        with open(DATA + name, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        ids = doc[key]
+        ids[2:2] = [ids[1]]
+        ids.append(ids[0])
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([*argv, str(path)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["checks"] == [
+            {"name": "GroupoidError", "pass": False, "residual": None,
+             "witness": repr(ids[1])}]
 
     @pytest.mark.parametrize("name", ["z3", "heis3"])
     def test_zero_tolerance_decides_squares_positive(self, name, capsys):
