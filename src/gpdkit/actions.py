@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
-                       _trusted, classify_morphism, pair_id)
+                       _ids, _join, _prefix, _table, classify_morphism,
+                       pair_id)
 from .algebra import (RegularRepresentation, WedderburnInvariants, chunks,
                       groupoid_table, isometry_defect, wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
@@ -68,47 +69,66 @@ class GroupoidAction:
 
 
 def validate_action(a: GroupoidAction) -> GroupoidAction:
-    """Exhaustive check of the action axioms; witnesses on failure."""
-    H = a.groupoid
-    unit_set = set(H.units)
-    for x in a.points:
-        if a.anchor.get(x) not in unit_set:
-            raise ActionAxiomViolation(f"anchor of {x!r} is not a unit",
-                                       witness=x)
-    if unit_set - {a.anchor[x] for x in a.points}:
-        missing = sorted(unit_set - {a.anchor[x] for x in a.points}, key=repr)
+    """Exhaustive check of the action axioms (:func:`_action_table`)."""
+    _action_table(a)
+    return a
+
+
+def _action_table(a: GroupoidAction):
+    """(anchor, A) of a valid action: the arrow index of the unit under
+    each point and the point index A[h, x] of h.x, -1 where h does not act
+    on x. The axioms are masks over A; ActionAxiomViolation names the first
+    failing point, then a pair of ``act`` that is no (arrow, point), then
+    pair (h, x) in (arrow, point) order, point, and triple (h2, h1, x), in
+    the order of ``act`` and then of h2."""
+    H, points, k = a.groupoid, a.points, len(a.points)
+    anchor = _ids([a.anchor.get(x) for x in points], H.index)
+    i = _prefix(np.append(H.unit_mask(), False)[anchor])  # -1: no arrow
+    if i < k:
+        raise ActionAxiomViolation(f"anchor of {points[i]!r} is not a unit",
+                                   witness=points[i])
+    missing = sorted(set(H.units) - {a.anchor[x] for x in points}, key=repr)
+    if missing:
         raise ActionAxiomViolation(f"anchor is not surjective: unit "
                                    f"{missing[0]!r} has empty fiber",
                                    witness=missing[0])
-    pset = set(a.points)
-    for h in H.arrows:
-        for x in a.points:
-            defined = (h, x) in a.act
-            should = H.src[h] == a.anchor[x]
-            if defined != should:
-                raise ActionAxiomViolation(
-                    f"act defined on ({h!r}, {x!r}) iff should be: {should}",
-                    witness=(h, x))
-            if defined:
-                y = a.act[(h, x)]
-                if y not in pset:
-                    raise ActionAxiomViolation(f"act({h!r}, {x!r}) not a point",
-                                               witness=(h, x))
-                if a.anchor[y] != H.rng[h]:
-                    raise ActionAxiomViolation(
-                        f"anchor(act({h!r}, {x!r})) != rng({h!r})",
-                        witness=(h, x))
-    for x in a.points:
-        if a.act[(a.anchor[x], x)] != x:
-            raise ActionAxiomViolation(f"unit does not fix {x!r}", witness=x)
-    for (h1, x) in a.act:
-        y = a.act[(h1, x)]
-        for h2 in H.arrows_from(H.rng[h1]):
-            if a.act[(h2, y)] != a.act[(H.comp[(h2, h1)], x)]:
-                raise ActionAxiomViolation(
-                    f"action not multiplicative on ({h2!r}, {h1!r}, {x!r})",
-                    witness=(h2, h1, x))
-    return a
+    spot = {x: i for i, x in enumerate(points)}
+    A = np.full((len(H.arrows), k), -1)  # k: h.x is no point
+    for (h, x), y in a.act.items():
+        if h not in H.index or x not in spot:
+            raise ActionAxiomViolation(f"act defined on {(h, x)!r}, not an "
+                                       "arrow and a point", witness=(h, x))
+        A[H.index[h], spot[x]] = spot.get(y, k)
+    defined, should = A >= 0, H.src_idx[:, None] == anchor
+    bad = (defined != should) | (A == k) | (
+        defined & (np.append(anchor, -1)[A] != H.rng_idx[:, None]))
+    i = _prefix(~bad.ravel())
+    if i < bad.size:
+        (h, x), hx = divmod(i, k), (H.arrows[i // k], points[i % k])
+        if defined[h, x] != should[h, x]:
+            raise ActionAxiomViolation(
+                f"act defined on {hx!r} iff should be: {should[h, x]}",
+                witness=hx)
+        if A[h, x] == k:
+            raise ActionAxiomViolation(f"act{hx!r} not a point", witness=hx)
+        raise ActionAxiomViolation(f"anchor(act{hx!r}) != rng({hx[0]!r})",
+                                   witness=hx)
+    i = _prefix(A[anchor, np.arange(k)] == np.arange(k))
+    if i < k:
+        raise ActionAxiomViolation(f"unit does not fix {points[i]!r}",
+                                   witness=points[i])
+    # (h2 h1).x = h2.(h1.x) for the pairs (h2, h1) of H, h2 in arrow order
+    h1, x = (_ids([p[j] for p in a.act], index) for j, index in
+             ((0, H.index), (1, spot)))
+    T = H.table
+    j, e = _join(h1, T.b, np.lexsort((T.a, T.b)))
+    i = _prefix(A[T.a[e], A[h1[j], x[j]]] == A[T.c[e], x[j]])
+    if i < len(e):
+        h2, h1, x = H.arrows[T.a[e[i]]], H.arrows[h1[j[i]]], points[x[j[i]]]
+        raise ActionAxiomViolation(
+            f"action not multiplicative on ({h2!r}, {h1!r}, {x!r})",
+            witness=(h2, h1, x))
+    return anchor, A
 
 
 @dataclass
@@ -116,34 +136,31 @@ class ActionGroupoid:
     groupoid: FiniteGroupoid
     projection: GroupoidMorphism
     pairs: dict                    # arrow id -> (h, x)
-    point_unit: dict               # point -> unit arrow id
     classification: object = None
 
 
 def build_action_groupoid(a: GroupoidAction) -> ActionGroupoid:
     """The semidirect product groupoid of a validated action, together
-    with the projection onto the acting groupoid (always a covering)."""
-    validate_action(a)
+    with the projection onto the acting groupoid (always a covering). Its
+    arrows are the pairs (h, x), in (arrow, point) order."""
+    anchor, A = _action_table(a)
     H = a.groupoid
-    pairs = sorted(a.act.keys(),
-                   key=lambda hx: (H.index[hx[0]], a.points.index(hx[1])))
-    ids = {hx: pair_id(*hx) for hx in pairs}
-    arrows = tuple(ids[hx] for hx in pairs)
-    point_unit = {x: ids[(a.anchor[x], x)] for x in a.points}
-    src = {ids[(h, x)]: point_unit[x] for (h, x) in pairs}
-    rng = {ids[(h, x)]: point_unit[a.act[(h, x)]] for (h, x) in pairs}
-    inv = {ids[(h, x)]: ids[(H.inv[h], a.act[(h, x)])] for (h, x) in pairs}
-    units = tuple(point_unit[x] for x in a.points)
-    comp = {}
-    for (h1, x1) in pairs:
-        y = a.act[(h1, x1)]
-        for h2 in H.arrows_from(H.rng[h1]):
-            comp[(ids[(h2, y)], ids[(h1, x1)])] = ids[(H.comp[(h2, h1)], x1)]
-    G = _trusted(arrows, units, src, rng, inv, comp)
-    pi = GroupoidMorphism(G, H, {ids[hx]: hx[0] for hx in pairs})
-    cls = classify_morphism(pi)
-    return ActionGroupoid(G, pi, {ids[hx]: hx for hx in pairs}, point_unit,
-                          cls)
+    h, x = np.nonzero(A >= 0)
+    hx = A[h, x]
+    at = np.full(A.shape, -1)  # the arrow (h, x)
+    at[h, x] = np.arange(len(h))
+    pairs = list(zip(H.names(h), map(a.points.__getitem__, x.tolist())))
+    ids = [pair_id(*p) for p in pairs]
+    unit = at[anchor, np.arange(len(a.points))]
+    # (h2, h.x)(h, x) = (h2 h, x) for the pairs (h2, h) of H, h2 in order
+    T = H.table
+    j, e = _join(h, T.b, np.lexsort((T.a, T.b)))
+    G = FiniteGroupoid(ids, unit, unit[x], unit[hx], _table(
+        len(ids), at[T.a[e], hx[j]], j, at[T.c[e], x[j]],
+        at[H.inv_idx[h], hx]))
+    pi = GroupoidMorphism(G, H, h)
+    return ActionGroupoid(G, pi, dict(zip(ids, pairs)),
+                          classify_morphism(pi))
 
 
 @dataclass
@@ -164,34 +181,32 @@ def covering_to_action(pi: GroupoidMorphism) -> CoveringAction:
         raise NotACovering(f"morphism is not a covering (witness "
                            f"{cls.witness!r})", witness=cls.witness)
     G, H = pi.domain, pi.codomain
-    points = tuple(G.units)
-    anchor = {x: pi.map[x] for x in points}
-    act = {}
-    for h in H.arrows:
-        for x in points:
-            if anchor[x] != H.src[h]:
-                continue
-            lifts = [g for g in G.arrows_from(x) if pi.map[g] == h]
-            act[(h, x)] = G.rng[lifts[0]]
+    points = G.units
+    anchor = dict(zip(points, H.names(pi.image[G.unit_idx])))
+    # h.x is the range of the unique lift of h at x, listed by h, then x
+    place = np.zeros(len(G.arrows), np.int64)
+    place[G.unit_idx] = np.arange(len(points))
+    lift = np.lexsort((place[G.src_idx], pi.image))
+    act = dict(zip(zip(H.names(pi.image[lift]), G.names(G.src_idx[lift])),
+                   G.names(G.rng_idx[lift])))
     action = GroupoidAction(H, points, anchor, act)
     ag = build_action_groupoid(action)
-    iso = {g: pair_id(pi.map[g], G.src[g]) for g in G.arrows}
+    iso = {g: pair_id(h, x) for g, h, x in zip(
+        G.arrows, H.names(pi.image), G.names(G.src_idx))}
     exact = _is_exact_isomorphism(G, ag.groupoid, iso)
     return CoveringAction(action, iso, ag, exact)
 
 
 def _is_exact_isomorphism(G: FiniteGroupoid, G2: FiniteGroupoid, iso) -> bool:
-    if len(G.arrows) != len(G2.arrows):
+    """iso (arrow names of G to those of G2) is a bijection that carries
+    the composition and inverse of G to those of G2."""
+    f = _ids(list(map(iso.__getitem__, G.arrows)), G2.index)
+    if len(G.arrows) != len(G2.arrows) or np.any(f < 0) \
+            or np.any(np.bincount(f) > 1):
         return False
-    if set(iso.values()) != set(G2.arrows):
-        return False
-    for (g1, g2), g12 in G.comp.items():
-        if G2.comp.get((iso[g1], iso[g2])) != iso[g12]:
-            return False
-    for g in G.arrows:
-        if G2.inv[iso[g]] != iso[G.inv[g]]:
-            return False
-    return True
+    T = G.table
+    return bool(np.all(G2.compose_ids(f[T.a], f[T.b]) == f[T.c])
+                and np.all(G2.inv_idx[f] == f[G.inv_idx]))
 
 
 class Cocycle:
@@ -253,12 +268,6 @@ class CocycleReport:
                 and self.identity_residual <= tol
                 and self.normalization_residual <= tol)
 
-    def as_dict(self, tol: float = 1e-12) -> dict:
-        return {"modulus_residual": self.modulus_residual,
-                "identity_residual": self.identity_residual,
-                "normalization_residual": self.normalization_residual,
-                "pass": self.passed(tol), "witness": self.witness}
-
 
 def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
     """Exhaustive verification: totality on composable pairs, unit
@@ -272,11 +281,10 @@ def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
                                          witness=p)
     res_mod = max((abs(abs(v) - 1.0) for v in omega.omega.values()),
                   default=0.0)
-    res_norm = 0.0
-    for g in G.arrows:
-        res_norm = max(res_norm, abs(omega(G.rng[g], g) - 1.0),
-                       abs(omega(g, G.src[g]) - 1.0))
-    res_id, triple = groupoid_table(G, omega.omega).associativity_defect()
+    # the pairs (rng g, g) and (g, src g) are those with a unit factor
+    T, unit = groupoid_table(G, omega.omega), G.unit_mask()
+    res_norm = float(np.abs(T.w[unit[T.a] | unit[T.b]] - 1.0).max(initial=0.0))
+    res_id, triple = T.associativity_defect()
     witness = None if res_id <= tol else "({!r}, {!r}, {!r})".format(
         *(G.arrows[i] for i in triple))
     return CocycleReport(res_mod, res_id, res_norm, witness)
@@ -429,7 +437,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     hx, PX = B.rows([projections[x] for x in points])
     count = np.array([len(points_by_unit[u]) for u in H.units], np.int64)
     unit_at = np.zeros(B.nA, np.int64)
-    unit_at[[B.index[u] for u in H.units]] = np.arange(len(H.units))
+    unit_at[H.unit_idx] = np.arange(len(H.units))
     # per arrow: the number of points over s(h) and r(h) and the place of
     # their first one in ``points``
     n_p, n_q = count[unit_at[B.src]], count[unit_at[B.rng]]
@@ -510,10 +518,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
             _, pvec = projections[x]
             line[(u, x)] = FiberElement(E, u, pvec.copy())
 
-    act = {}
-    for h in H.arrows:
-        for xp, xq in alpha[h].items():
-            act[(h, xp)] = xq
+    act = {(h, xp): xq for h in H.arrows for xp, xq in alpha[h].items()}
     # composition of the alpha maps follows from saturation; validation
     # raises with a witness if the bundle lied about it
     action = GroupoidAction(H, points, anchor, act)
@@ -523,11 +528,14 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     # omega((h1, alpha_{h2} x), (h2, x)) e_{h1 h2, x}, read off as
     # tau(e_12* e_1 e_2) / tau(e_12* e_12) in the unit fiber over s(h2),
     # in stacked products over every such pair
-    pairs = [(h1, act[(h2, x)], h2, x) for h2, x in ag.pairs.values()
-             for h1 in H.arrows_from(H.rng[h2])]
+    T = H.table  # entry e: the pair (h1, h2) of H, h1 in arrow order
+    j, e = _join(ag.projection.image, T.b, np.lexsort((T.a, T.b)))
+    arrow = list(ag.pairs.values())
+    pairs = [(h1, act[arrow[i]], *arrow[i])
+             for h1, i in zip(H.names(T.a[e]), j.tolist())]
     k1, X1 = B.rows([(h1, line[(h1, y)].vec) for h1, y, _, _ in pairs])
     k2, X2 = B.rows([(h2, line[(h2, x)].vec) for _, _, h2, x in pairs])
-    k12 = B.compose(k1, k2)
+    k12 = T.c[e]
     _, X12 = B.rows([(H.arrows[k], line[(H.arrows[k], p[3])].vec)
                      for k, p in zip(k12, pairs)])
     _, prod = B.products(k1, X1, k2, X2)

@@ -12,11 +12,12 @@ C*-norm of the finite-dimensional algebra.
 Every algebra in the package is a :class:`StructureTable`: basis
 e_0 .. e_{dim-1}, products e_a e_b = sum of w e_c over the entries
 (a, b, c, w), and a conjugate-linear star e_s* = sum of sw e_t over the
-entries (s, t, sw); repeated index tuples add up. A groupoid gives the
-arrow basis with w = 1, or w = omega(g1, g2) when twisted by a 2-cocycle.
-A bundle gives the section basis, its slots numbered arrow-major in the
-order of the base arrows. A closed family of matrices gives the basis it
-spans.
+entries (s, t, sw); repeated index tuples add up. A groupoid's w = 1 table
+in the arrow basis is the groupoid's own storage of composition and
+inverse (``FiniteGroupoid.table``); a twist by a 2-cocycle takes its
+entries with the weights w = omega(g1, g2). A bundle gives the section
+basis, its slots numbered arrow-major in the order of the base arrows. A
+closed family of matrices gives the basis it spans.
 
 Star weights are stored as given and never derived from the product
 weights, because the two conventions below agree only for valid
@@ -43,7 +44,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, NotASubgroupoid, subgroupoid
+from .groupoid import (FiniteGroupoid, _join, _ranks, inclusion,
+                       subgroupoid)
 
 
 class BaseMismatch(ValueError):
@@ -99,20 +101,6 @@ def spectral_norms(S) -> np.ndarray:
     if not np.all(np.isfinite(top)):  # entries above ~1e154: the SVD scales
         return np.linalg.svd(S, compute_uv=False).max(axis=-1, initial=0.0)
     return np.sqrt(np.maximum(top, 0.0))
-
-
-def _join(x, y, order=None):
-    """Index arrays (i, j) listing every pair with x[i] == y[j]; ``order``
-    is a stable argsort of y when the caller keeps one."""
-    if order is None:
-        order = np.argsort(y, kind="stable")
-    ys = y[order]
-    lo = np.searchsorted(ys, x, "left")
-    count = np.searchsorted(ys, x, "right") - lo
-    i = np.repeat(np.arange(len(x)), count)
-    # the r-th pair of row i sits at order[lo[i] + r]
-    offset = np.repeat(lo - np.cumsum(count) + count, count)
-    return i, order[np.arange(len(i)) + offset]
 
 
 def _defect(lhs, rhs, dim: int):
@@ -319,29 +307,15 @@ class StructureTable:
 
 
 def groupoid_table(G: FiniteGroupoid, omega=None) -> StructureTable:
-    """Table of the convolution algebra of G in the arrow basis, twisted
-    by the mapping ``omega`` on composable pairs when given. The untwisted
-    table is built once per groupoid."""
-    if omega is None and G._table is not None:
-        return G._table
-    idx = G.index
-    m = len(G.comp)
-    a = np.fromiter((idx[g1] for g1, _ in G.comp), np.int64, m)
-    b = np.fromiter((idx[g2] for _, g2 in G.comp), np.int64, m)
-    c = np.fromiter((idx[g] for g in G.comp.values()), np.int64, m)
-    t = np.fromiter((idx[G.inv[g]] for g in G.arrows), np.int64,
-                    len(G.arrows))
+    """Table of the convolution algebra of G in the arrow basis: G's own
+    table, or its entries with the weights of the mapping ``omega`` on
+    composable pairs when given (e_g* = conj(omega(inv g, g)) e_inv(g))."""
+    T = G.table
     if omega is None:
-        w, sw = np.ones(m), np.ones(len(G.arrows))
-    else:
-        w = np.fromiter((omega[p] for p in G.comp), complex, m)
-        sw = np.conj(np.fromiter((omega[(G.inv[g], g)] for g in G.arrows),
-                                 complex, len(G.arrows)))
-    table = StructureTable(len(G.arrows), a, b, c, w,
-                           np.arange(len(G.arrows)), t, sw)
-    if omega is None:
-        G._table = table
-    return table
+        return T
+    w, sw = (np.array([omega[p] for p in pairs], complex)
+             for pairs in (G.comp, zip(G.inv.values(), G.arrows)))
+    return StructureTable(T.dim, T.a, T.b, T.c, w, T.s, T.t, np.conj(sw))
 
 
 class AlgebraElement:
@@ -425,15 +399,6 @@ def random_element(G: FiniteGroupoid, rng: np.random.Generator) -> AlgebraElemen
     return AlgebraElement(G, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def _ranks(label):
-    """(count per label, rank of every item among those of its label)."""
-    count = np.bincount(label)
-    place = np.empty(len(label), dtype=np.int64)
-    place[np.argsort(label, kind="stable")] = \
-        np.arange(len(label)) - np.repeat(np.cumsum(count) - count, count)
-    return count, place
-
-
 class RegularRepresentation:
     """Left regular representation of the algebra of a structure table,
     one block per summand.
@@ -453,9 +418,10 @@ class RegularRepresentation:
     def __init__(self, table, summand=None, entries=None):
         if isinstance(table, FiniteGroupoid):
             table, summand = groupoid_table(table), table
-        if isinstance(summand, FiniteGroupoid):
-            unit = {u: i for i, u in enumerate(summand.units)}
-            summand = [unit[summand.src[g]] for g in summand.arrows]
+        if isinstance(summand, FiniteGroupoid):  # by source unit
+            unit = np.zeros(len(summand.arrows), dtype=np.int64)
+            unit[summand.unit_idx] = np.arange(len(summand.unit_idx))
+            summand = unit[summand.src_idx]
         self.table = T = table
         self.solved = {}  # Wedderburn invariants per (seed, tol, retries)
         summand = np.asarray(summand, dtype=np.int64)
@@ -591,8 +557,7 @@ def faithfulness_defect(G: FiniteGroupoid, return_margin: bool = False):
     n = table.dim
     defect, margin = 0, 0.0
     if n:
-        src = np.fromiter((G.index[G.src[g]] for g in G.arrows), np.int64, n)
-        on = table.b == src[table.c]
+        on = table.b == G.src_idx[table.c]
         S = _scatter(table.a[on] * n + table.c[on], table.w[on], n * n)
         margin = float(np.linalg.svd(S.reshape(n, n), compute_uv=False)[-1])
         bound = float(np.abs(table.w).sum()) * n * n * np.finfo(float).eps
@@ -606,28 +571,20 @@ def conditional_expectation(G: FiniteGroupoid, K, f: AlgebraElement,
                             embed: bool = False):
     """Restrict coefficients to an open subgroupoid K with the same units.
 
-    K may be a FiniteGroupoid (already a subgroupoid of G) or an arrow
-    collection. Returns an element of K, or of G supported on K when
-    ``embed`` is set.
+    K may be a FiniteGroupoid, whose src, rng, inv and composition must
+    be G's through the inclusion (:func:`~gpdkit.groupoid.inclusion`), or
+    an arrow collection. Returns an element of K, or of G supported on K
+    when ``embed`` is set.
     """
     if f.base is not G:
         raise BaseMismatch("element does not live on G")
-    if isinstance(K, FiniteGroupoid):
-        sub = K
-        for g in sub.arrows:
-            if g not in G.index:
-                raise NotASubgroupoid(f"{g!r} is not an arrow of G", witness=g)
-        if set(sub.units) != set(G.units):
-            raise NotASubgroupoid("subgroupoid must keep the full unit space")
-    else:
-        sub = subgroupoid(G, K)
+    sub = K if isinstance(K, FiniteGroupoid) else subgroupoid(G, K)
+    ids = inclusion(G, sub)
     if embed:
-        keep = set(sub.arrows)
-        out = np.array([f.coeffs[G.index[g]] if g in keep else 0.0
-                        for g in G.arrows], dtype=complex)
+        out = np.zeros(len(G.arrows), dtype=complex)
+        out[ids] = f.coeffs[ids]
         return AlgebraElement(G, out)
-    out = np.array([f.coeffs[G.index[g]] for g in sub.arrows], dtype=complex)
-    return AlgebraElement(sub, out)
+    return AlgebraElement(sub, f.coeffs[ids])
 
 
 @dataclass(frozen=True)
@@ -648,10 +605,6 @@ class WedderburnInvariants:
     central_gap: Optional[float] = field(default=None, compare=False)
     central_spread: float = field(default=0.0, compare=False)
     retries: int = field(default=0, compare=False)
-
-    def as_dict(self) -> dict:
-        return {"blocks": list(self.blocks), "dimension": self.dimension,
-                "center_dimension": self.center_dimension}
 
 
 def _linked_columns(row, col, ncols: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import (Bisection, FiniteGroupoid, GroupoidMorphism,
-                       NotAMorphism, NotSurjective, check_bisection,
+                       NotAMorphism, NotSurjective, _ids, check_bisection,
                        classify_morphism, fiber_subgroupoid, kernel)
 from . import algebra
 from .algebra import (AlgebraElement, NumericalDegeneracy,
@@ -224,17 +224,14 @@ def _fiber_map_errors(E: FellBundle):
     from the first slot of the fiber the term should lie in, or (h1, h2)
     for a pair that is not composable."""
     H, T = E.base, E._table
-    D = groupoid_table(H)  # composition and inverse by arrow index
-    dims = np.fromiter((E.dim(h) for h in H.arrows), np.int64, D.dim)
+    n = len(H.arrows)
+    dims = np.fromiter((E.dim(h) for h in H.arrows), np.int64, n)
     first = np.cumsum(dims) - dims
     # the arrow under each slot, and -1 (at position -1) off the table
-    arrow = np.append(np.repeat(np.arange(D.dim), dims), -1)
+    arrow = np.append(np.repeat(np.arange(n), dims), -1)
     term = arrow[np.where((T.c >= 0) & (T.c < T.dim), T.c, -1)]
     h1, h2 = arrow[T.a], arrow[T.b]
-    order = np.argsort(D.a * D.dim + D.b)
-    key, q = (D.a * D.dim + D.b)[order], h1 * D.dim + h2
-    place = np.searchsorted(key, q).clip(max=len(key) - 1)
-    h12 = np.where(key[place] == q, D.c[order][place], -1)
+    h12 = H.compose_ids(h1, h2)
     errors = [None, None]
     bad = np.flatnonzero((h12 < 0) | (term != h12))
     if len(bad):
@@ -248,13 +245,13 @@ def _fiber_map_errors(E: FellBundle):
                 witness=(pair, ij, int(T.c[e] - first[h12[e]])))
     hs = arrow[T.s]
     term = arrow[np.where((T.t >= 0) & (T.t < T.dim), T.t, -1)]
-    bad = np.flatnonzero(term != D.t[hs])
+    bad = np.flatnonzero(term != H.inv_idx[hs])
     if len(bad):
         e = bad[0]
         h, i = H.arrows[hs[e]], int(T.s[e] - first[hs[e]])
         errors[1] = FellBundleError(
             f"index out of range in star[{h!r}][{i}]",
-            witness=(h, i, int(T.t[e] - first[D.t[hs[e]]])))
+            witness=(h, i, int(T.t[e] - first[H.inv_idx[hs[e]]])))
     return tuple(errors)
 
 
@@ -262,8 +259,8 @@ def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
     """The bundle E(pi) of a surjective morphism pi: G -> H.
 
     Fiber basis over h is pi^{-1}(h); basis products follow composition in
-    G, weighted by the optional 2-cocycle ``twist`` (a mapping on
-    composable pairs of G); star sends the basis vector of g to
+    G, weighted by the optional 2-cocycle ``twist`` (a Cocycle or a mapping
+    on composable pairs of G); star sends the basis vector of g to
     conj(twist(g, inv g)) times the basis vector of inv(g).
 
     Rejects non-surjective input rather than restricting to the image.
@@ -276,45 +273,34 @@ def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
                             witness=cls.witness)
     G, H = pi.domain, pi.codomain
     fibers = {h: [] for h in H.arrows}
-    for g in G.arrows:
-        fibers[pi.map[g]].append(g)
+    for g, h in zip(G.arrows, H.names(pi.image)):
+        fibers[h].append(g)
     # slots are arrow-major over H, in domain order within a fiber
-    over = np.fromiter((H.index[pi.map[g]] for g in G.arrows), np.int64,
-                       len(G.arrows))
     slots = np.empty(len(G.arrows), dtype=np.int64)
-    slots[np.argsort(over, kind="stable")] = np.arange(len(G.arrows))
-    table = _arrow_table(G, slots, over, _twist_lookup(twist))
-    return FellBundle(H, fibers, table, morphism=pi)
+    slots[np.argsort(pi.image, kind="stable")] = np.arange(len(G.arrows))
+    return FellBundle(H, fibers, _arrow_table(G, slots, pi.image, twist),
+                      morphism=pi)
 
 
-def _arrow_table(G: FiniteGroupoid, slots, over, lookup) -> StructureTable:
+def _arrow_table(G: FiniteGroupoid, slots, over, twist) -> StructureTable:
     """Section table of a bundle whose basis vector of the arrow g of G
-    sits at slots[g]: products follow composition in G, weighted by
-    ``lookup`` (a function on composable pairs), and e_g* is
-    conj(lookup(g, inv g)) e_{inv g}. Products are listed by the pair
-    (over[g2], over[g1]) of their factors, composition order within a
-    pair, and star entries by slot."""
-    D = groupoid_table(G)
-    # the weights keep their type, so an untwisted star stays 1 + 0j
-    w = np.array([lookup(*p) for p in G.comp])
-    sw = np.conj([lookup(g, G.inv[g]) for g in G.arrows])
+    sits at slots[g]: products follow composition in G, weighted by the
+    2-cocycle ``twist`` (None, a Cocycle or a mapping on composable
+    pairs), and e_g* is conj(twist(g, inv g)) e_{inv g}. Products are
+    listed by the pair (over[g2], over[g1]) of their factors, composition
+    order within a pair, and star entries by slot."""
+    D = G.table
+    if twist is None:
+        w, sw = D.w, D.sw
+    else:
+        omega = getattr(twist, "omega", twist)
+        w = groupoid_table(G, omega).w
+        sw = np.conj([omega[p] for p in zip(G.arrows, G.inv.values())])
     m = np.lexsort((over[D.a], over[D.b]))
     st = np.argsort(slots)
     return StructureTable(D.dim, slots[D.a[m]], slots[D.b[m]],
                           slots[D.c[m]], w[m], slots[st], slots[D.t[st]],
                           sw[st])
-
-
-def _twist_lookup(twist):
-    if twist is None:
-        return lambda g1, g2: 1.0
-    if hasattr(twist, "omega"):
-        table = twist.omega
-        return lambda g1, g2: complex(table[(g1, g2)])
-    if callable(twist):
-        return lambda g1, g2: complex(twist(g1, g2))
-    table = dict(twist)
-    return lambda g1, g2: complex(table[(g1, g2)])
 
 
 def kernel_decomposition_report(pi: GroupoidMorphism, untwisted: bool) -> dict:
@@ -347,7 +333,7 @@ def line_bundle(G: FiniteGroupoid, omega) -> FellBundle:
     single basis vector and products multiply by the cocycle value."""
     idx = np.arange(len(G.arrows))
     return FellBundle(G, {g: (g,) for g in G.arrows},
-                      _arrow_table(G, idx, idx, _twist_lookup(omega)))
+                      _arrow_table(G, idx, idx, omega))
 
 
 @dataclass
@@ -425,14 +411,12 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         return rep
 
     B = fiber_blocks(E)
-    comp_pairs = [p for p in H.composable_pairs()
-                  if E.dim(p[0]) and E.dim(p[1])]
-
     # axioms 2 and 6: (lam a + b) c against lam ac + bc and (lam a + b)*
     # against conj(lam) a* + b* on random a, b over h1, c over h2 and lam,
-    # in one stacked product and one stacked star
-    cp = np.array([[B.index[h] for h in p] for p in comp_pairs],
-                  np.int64).reshape(-1, 2)
+    # in one stacked product and one stacked star, over the composable
+    # pairs of nonzero fibers
+    cp = np.stack(H.pair_ids(), 1)
+    cp = cp[(B.dims[cp] > 0).all(1)]
     drawn = pick(cp, min(samples, 25), rng)
     n = len(drawn)
     a, b, c = np.moveaxis(B.random_rows(drawn[:, [0, 0, 1]], rng), 1, 0)
@@ -462,7 +446,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
                 _slot_witness(E, slots, form) if res > tol else None)
 
     # norms require every unit fiber to be an honest C*-algebra
-    bad = B.degenerate_unit([B.index[u] for u in H.units])
+    bad = B.degenerate_unit(H.unit_idx)
     if bad is not None:
         degenerate = f"unit fiber over {H.arrows[bad]!r} has degenerate " \
             "trace form"
@@ -493,7 +477,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
 
     # axiom 4: ||xy|| <= ||x|| ||y|| on basis pairs, then on the pairs
     res4, pair = _largest(*_submultiplicative_defects(
-        E, B, norms[:table.dim], comp_pairs, pairs))
+        E, B, norms[:table.dim], cp, pairs))
     rep.add("axiom4_submultiplicative", res4 <= tol, res4,
             "(h={!r},{!r})".format(*pair) if res4 > tol else None)
 
@@ -538,11 +522,12 @@ def _largest(values, labels):
     return float(values[i]), labels[i]
 
 
-def _submultiplicative_defects(E, B, basis_norms, comp_pairs, pairs):
+def _submultiplicative_defects(E, B, basis_norms, cp, pairs):
     """(rel, (h1, h2) per trial) with rel = (||xy|| - ||x|| ||y||) /
-    ||x|| ||y|| over every basis pair of ``comp_pairs`` (in that order,
-    then by the two basis indices) and then over the drawn ``pairs``: (k,
-    2) arrow indices and the (k, 2, D) rows of x and y over them.
+    ||x|| ||y|| over every basis pair of the (k, 2) arrow index pairs
+    ``cp``, sorted by (h2, h1) (in that order, then by the two basis
+    indices), and then over the drawn ``pairs``: (k, 2) arrow indices and
+    the (k, 2, D) rows of x and y over them.
 
     The product of e_a and e_b is the sum of the table entries (a, b, c,
     w). When it is one basis vector w e_c its norm is |w| ||e_c||; other
@@ -566,11 +551,8 @@ def _submultiplicative_defects(E, B, basis_norms, comp_pairs, pairs):
         prod[multi] = B.fiber_norms(B.arrow[c[start[multi]]], Z)[0]
     a, b = ab // n, ab % n
     ha, hb = B.arrow[a], B.arrow[b]
-    # trial order: the pair's place in comp_pairs, then the basis indices
-    ck = np.fromiter((B.index[p] * B.nA + B.index[q] for p, q in comp_pairs),
-                     np.int64, len(comp_pairs))
-    co = np.argsort(ck)
-    place = co[np.searchsorted(ck[co], ha * B.nA + hb)]
+    # trial order: the pair's place in cp, then the basis indices
+    place = np.searchsorted(cp[:, 1] * B.nA + cp[:, 0], hb * B.nA + ha)
     order = np.lexsort((B.loc[b], B.loc[a], place))
     nn = basis_norms[a] * basis_norms[b]
     rel = [((prod - nn) / np.maximum(nn, 1e-30))[order]]
@@ -694,12 +676,8 @@ class SectionAlgebra:
     def expectation(self, s: Section) -> Section:
         """Restriction to the unit fibers; a faithful positive conditional
         expectation onto the diagonal algebra."""
-        E = self.bundle
-        out = np.zeros(E.total_dim(), dtype=complex)
-        for u in E.base.units:
-            b = E.first[u]
-            out[b:b + E.dim(u)] = s.vec[b:b + E.dim(u)]
-        return Section(E, out)
+        B = fiber_blocks(self.bundle)
+        return Section(self.bundle, np.where(B.is_unit[B.arrow], s.vec, 0.0))
 
     def norm(self, s: Section) -> float:
         return self.space.op_norm(s)
@@ -813,16 +791,12 @@ def _hilbert_module_defect(pi: GroupoidMorphism, E: FellBundle):
     structurally.
     """
     G, H = pi.domain, pi.codomain
-    unit_of = {u: k for k, u in enumerate(G.units)}
-    rng = np.fromiter((unit_of[G.rng[g]] for g in G.arrows), np.int64,
-                      len(G.arrows))
-    slots = E.psi_slots
+    rng, slots = G.rng_idx, E.psi_slots
     # section side: star entry j of e_slot(g1), then product entry q of
     # its output with e_slot(g2), kept where the product is on a unit fiber
     T = E.table()
-    on_unit = np.zeros(T.dim, dtype=bool)
-    for u in H.units:
-        on_unit[E.first[u]:E.first[u] + E.dim(u)] = True
+    B = fiber_blocks(E)
+    on_unit = B.is_unit[B.arrow]
     j, g1 = _join(T.s, slots)
     k, q = _join(T.t[j], T.a)
     j, g1 = j[k], g1[k]
@@ -833,9 +807,8 @@ def _hilbert_module_defect(pi: GroupoidMorphism, E: FellBundle):
     lhs = (g1, g2, T.c[q], T.sw[j] * T.w[q])
     # domain side: the same join (composable, so the ranges agree), kept
     # where the product is in the kernel
-    D = groupoid_table(G)
-    in_kernel = np.fromiter((H.is_unit(pi.map[g]) for g in G.arrows), bool,
-                            len(G.arrows))
+    D = G.table
+    in_kernel = H.unit_mask()[pi.image]
     j, m = _join(D.t, D.a)
     keep = in_kernel[D.c[m]]
     j, m = j[keep], m[keep]
@@ -867,8 +840,9 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
     T = B.table
     report = CheckList()
 
-    h = np.fromiter((B.index[g] for g in U.arrows if E.dim(g)), np.int64)
-    h = np.repeat(h, max(1, samples // max(len(U.arrows), 1)))
+    arrows = _ids(U.arrows, B.index)
+    h = np.repeat(arrows[B.dims[arrows] > 0],
+                  max(1, samples // max(len(U.arrows), 1)))
     X = B.random_rows(h, rng)
     # the first degenerate unit fiber in the order xi reaches them
     _require_cstar_units(B, np.column_stack([B.src[h], B.rng[h]]).ravel())
@@ -877,8 +851,6 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
                    for side, target in (("B", B.src[h]), ("A", B.rng[h]))))
     report.add("inner_products_positive", res_pos <= tol, res_pos)
 
-    arrows = np.fromiter((B.index[g] for g in U.arrows), np.int64,
-                         len(U.arrows))
     d = B.dims[arrows]
     at = np.full(B.nA, -1)
     at[arrows] = np.arange(len(arrows))

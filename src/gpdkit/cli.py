@@ -31,7 +31,7 @@ from .bundle import (build_bundle, bisection_bimodule_check, psi_iso_check,
                      section_algebra, verify_axioms, NotSaturated)
 from .extensions import GroupExtension, group_extension_bundle
 from .fiberblocks import fiber_blocks, pick
-from .groupoid import (GroupoidError, check_bisection, classify_morphism,
+from .groupoid import (GroupoidError, classify_morphism,
                        greedy_bisection_cover, isotropy_quotient, kernel,
                        validate_groupoid)
 from .graphs import (check_graph_morphism, collapse_morphism,
@@ -96,33 +96,32 @@ def _input_digests(args, names) -> dict:
 
 def _groupoid_digest(G) -> str:
     """digest_text(canonical_json(gio.save_groupoid(G))) for string arrow
-    names, written flat: each name is escaped once, and the comp text is
-    one join over references to those names."""
-    q = [_escape(g) for g in G.arrows]  # by arrow index
+    names, written flat: each name is escaped once, and the tables are
+    joins over references to those names, by arrow index."""
+    q = np.fromiter((_escape(g) for g in G.arrows), object, len(G.arrows))
 
-    def seq(items):
-        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-
-    def table(m):
-        rows = sorted((g, q[i], q[G.index[m[g]]]) for i, g in enumerate(G.arrows))
-        return "{\n" + ",\n".join(f"    {k}: {v}" for _, k, v in rows) \
-            + "\n  }" if rows else "{}"
-    T = algebra.groupoid_table(G)
+    def seq(items, brackets="[]"):
+        return (f"{brackets[0]}\n    " + ",\n    ".join(items)
+                + f"\n  {brackets[1]}" if items else brackets)
+    names = q.tolist()
+    by_name = sorted(range(len(q)), key=G.arrows.__getitem__)
+    T = G.table
     order = np.lexsort((T.b, T.a))
-    names = np.fromiter(q, object, len(q))
     # per triple: the text before g1, g1, before g2, g2, before g12, g12
     cells = np.empty((len(order), 6), object)
     cells[:, 0] = "\n    ],\n    [\n      "
     cells[:, 2] = cells[:, 4] = ",\n      "
-    cells[:, 1], cells[:, 3], cells[:, 5] = (names[v[order]]
+    cells[:, 1], cells[:, 3], cells[:, 5] = (q[v[order]]
                                              for v in (T.a, T.b, T.c))
     comp = cells.ravel().tolist()
     parts = {
-        "arrows": seq(q),
+        "arrows": seq(names),
         "comp": "".join(["[\n    [\n      ", *comp[1:], "\n    ]\n  ]"])
         if comp else "[]",
-        "inv": table(G.inv), "rng": table(G.rng), "src": table(G.src),
-        "units": seq([q[G.index[u]] for u in G.units])}
+        **{k: seq([f"{names[i]}: {names[j]}" for i, j in zip(
+            by_name, ids[by_name].tolist())], "{}") for k, ids in (
+                ("inv", G.inv_idx), ("rng", G.rng_idx), ("src", G.src_idx))},
+        "units": seq(q[G.unit_idx].tolist())}
     return digest_text("{\n" + ",\n".join(f'  "{k}": {v}' for k, v in
                                           parts.items()) + "\n}")
 
@@ -137,9 +136,7 @@ def cmd_gpd_validate(args, report: Report):
     report.add("groupoid_axioms", True, 0.0)
     report.extras["arrows"] = len(G.arrows)
     report.extras["units"] = len(G.units)
-    cover = greedy_bisection_cover(G)
-    for bs in cover:
-        check_bisection(G, bs.arrows)
+    cover = greedy_bisection_cover(G)  # each one checked by check_bisection
     report.add("bisection_cover", True, None,
                f"{len(cover)} maximal bisections")
     report.extras["bisection_cover_sizes"] = [len(b.arrows) for b in cover]
@@ -225,11 +222,8 @@ def cmd_alg_wedderburn(args, report: Report):
     prod = algebra._scatter(table.s[j][on] * n + table.c[p][on],
                             (table.sw[j] * table.w[p])[on],
                             n * n).reshape(n, n)
-    units = np.fromiter((G.index[u] for u in G.units), np.int64,
-                        len(G.units))
-    src = np.fromiter((G.index[G.src[g]] for g in G.arrows), np.int64, n)
-    res_diag = float(np.abs(prod[:, units] - (src[:, None] == units))
-                     .max(initial=0.0))
+    res_diag = float(np.abs(prod[:, G.unit_idx] - (
+        G.src_idx[:, None] == G.unit_idx)).max(initial=0.0))
     report.add("unit_expectation_faithful_support",
                res_diag <= args.tol, res_diag)
 

@@ -21,37 +21,33 @@ from .graphs import DirectedGraph, GraphMorphism
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """Full equivalence relation on n points; arrow (i,j) runs j -> i."""
     G = pair_blocks([[str(i + 1) for i in range(n)]])
-    return validate_groupoid(G.arrows, G.units, G.src, G.rng, G.inv, G.comp)
+    T = G.table
+    return validate_groupoid(G.arrows, G.units, G.src_idx, G.rng_idx,
+                             G.inv_idx, np.stack([T.a, T.b, T.c], 1))
 
 
 def cyclic_groupoid(k: int) -> FiniteGroupoid:
     """The cyclic group of order k as a one-unit groupoid."""
-    arrows = [f"g{a}" for a in range(k)]
-    comp = {(f"g{a}", f"g{b}"): f"g{(a + b) % k}"
-            for a in range(k) for b in range(k)}
-    return validate_groupoid(arrows, ["g0"],
-                             {g: "g0" for g in arrows},
-                             {g: "g0" for g in arrows},
-                             {f"g{a}": f"g{(-a) % k}" for a in range(k)},
-                             comp)
+    a, b = np.divmod(np.arange(k * k), k)
+    zero = np.zeros(k, np.int64)
+    return validate_groupoid([f"g{i}" for i in range(k)], ["g0"], zero, zero,
+                             -np.arange(k) % k,
+                             np.stack([a, b, (a + b) % k], 1))
 
 
 def disjoint_union(parts) -> FiniteGroupoid:
     """Disjoint union of groupoids with prefixed arrow ids."""
-    arrows, units = [], []
-    src, rng, inv, comp = {}, {}, {}, {}
+    arrows, units, cols = [], [], []
     for tag, G in parts:
-        def name(g, tag=tag):
-            return f"{tag}:{g}"
-        arrows.extend(name(g) for g in G.arrows)
-        units.extend(name(u) for u in G.units)
-        for g in G.arrows:
-            src[name(g)] = name(G.src[g])
-            rng[name(g)] = name(G.rng[g])
-            inv[name(g)] = name(G.inv[g])
-        for (g1, g2), g12 in G.comp.items():
-            comp[(name(g1), name(g2))] = name(g12)
-    return validate_groupoid(arrows, units, src, rng, inv, comp)
+        o = len(arrows)
+        arrows.extend(f"{tag}:{g}" for g in G.arrows)
+        units.extend(f"{tag}:{u}" for u in G.units)
+        T = G.table
+        cols.append([o + v for v in (G.src_idx, G.rng_idx, G.inv_idx,
+                                     np.stack([T.a, T.b, T.c], 1))])
+    s, r, i, comp = (np.concatenate(v) for v in zip(*cols)) if cols \
+        else (np.zeros(0, np.int64),) * 3 + (np.zeros((0, 3), np.int64),)
+    return validate_groupoid(arrows, units, s, r, i, comp)
 
 
 def heisenberg_elements(n: int):
@@ -85,8 +81,7 @@ def heisenberg_quotient(n: int, group: GroupTable = None) -> GroupoidMorphism:
     dom = heisenberg_groupoid(n) if group is None else group.to_groupoid()
     cod = zn_square_groupoid(n)
     # element a n^2 + b n + c maps to a n + b
-    return GroupoidMorphism(dom, cod, {g: cod.arrows[i // n]
-                                       for i, g in enumerate(dom.arrows)})
+    return GroupoidMorphism(dom, cod, np.arange(n ** 3) // n)
 
 
 def heisenberg_extension(n: int) -> GroupExtension:
@@ -221,7 +216,7 @@ def nonsaturated_surjection() -> GroupoidMorphism:
 
 
 def identity_morphism(G: FiniteGroupoid) -> GroupoidMorphism:
-    return GroupoidMorphism(G, G, {g: g for g in G.arrows})
+    return GroupoidMorphism(G, G, np.arange(len(G.arrows)))
 
 
 def corrupted_z3_tables():
@@ -238,17 +233,10 @@ def zn2_bilinear_cocycle(n: int) -> Cocycle:
     """omega((a,b), (a',b')) = zeta^{a b'} on the group Z_n^2; normalized
     and never a coboundary for n > 1."""
     G = zn_square_groupoid(n)
-
-    def parse(g):
-        a, b = g.strip("()").split(",")
-        return int(a), int(b)
-    table = {}
-    for g1 in G.arrows:
-        a, _ = parse(g1)
-        for g2 in G.arrows:
-            _, b2 = parse(g2)
-            table[(g1, g2)] = unit_root(a * b2, n)
-    return Cocycle(G, table)
+    a, b = divmod(np.arange(n * n), n)  # element a n + b is (a,b)
+    return Cocycle(G, {(g1, g2): unit_root(int(a[i] * b[j]), n)
+                       for i, g1 in enumerate(G.arrows)
+                       for j, g2 in enumerate(G.arrows)})
 
 
 def random_action(rng: np.random.Generator, max_arrows: int = 24,
@@ -356,14 +344,6 @@ def random_cocycle(G: FiniteGroupoid, rng: np.random.Generator,
         except Exception:
             pass
     return omega
-
-
-EXAMPLES = {
-    "pair": lambda: pair_groupoid(2),
-    "z3": lambda: cyclic_groupoid(3),
-    "heis2": lambda: heisenberg_groupoid(2),
-    "heis3": lambda: heisenberg_groupoid(3),
-}
 
 
 def data_path(name: str) -> str:

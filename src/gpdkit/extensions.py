@@ -30,8 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groupoid import (FiniteGroupoid, GroupoidError, _ids, _index, _prefix,
-                       _trusted)
+from .groupoid import FiniteGroupoid, GroupoidError, _ids, _index, _prefix
 from .algebra import (NumericalDegeneracy, StructureTable, _regular,
                       groupoid_table, isometry_defect, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
@@ -158,16 +157,9 @@ class GroupTable:
         table of the group, so that its regular representation is built
         once too."""
         if self._groupoid is None:
-            u = self.elements[self.unit]
-            names = np.fromiter(self.elements, object, len(self))
-            G = _trusted(
-                self.elements, (u,), dict.fromkeys(self.elements, u),
-                dict.fromkeys(self.elements, u),
-                dict(zip(self.elements, names[self.inv].tolist())),
-                dict(zip(product(self.elements, repeat=2),
-                         names[self.M.ravel()].tolist())))
-            G._table = self.table
-            self._groupoid = G
+            unit = np.full(len(self), self.unit)
+            self._groupoid = FiniteGroupoid(self.elements, [self.unit], unit,
+                                            unit, self.table, self.index)
         return self._groupoid
 
 
@@ -343,6 +335,10 @@ class GroupExtension:
                 if g not in G.index or Q.elements[coset[G.index[g]]] != r:
                     raise GroupoidError(f"section image {g!r} is not in the "
                                         f"coset of {r!r}", witness=(r, g))
+            missing = [r for r in Q.elements if r not in section]
+            if missing:
+                raise GroupoidError(f"section has no image for the coset of "
+                                    f"{missing[0]!r}", witness=missing[0])
             if section.get(unit_rep) != G.elements[G.unit]:
                 raise GroupoidError("section must send the unit coset to "
                                     "the unit")
@@ -407,17 +403,14 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
                           names[M[c1c2, c12_inv]].ravel().tolist()))
     conj_factor = kpos[M[c12_inv, c1c2]]
 
-    # arrow j of the action groupoid is (h[j], chi_k[j]); arrow_of inverts
-    arrows = ag.groupoid.arrows
-    narr = len(arrows)
-    row_of = {x: i for i, x in enumerate(point_ids)}
-    h, k = np.array([(Q.index[hj], row_of[x])
-                     for hj, x in map(ag.pairs.get, arrows)]).T
-    arrow_of = np.empty((len(Q), len(point_ids)), np.int64)
-    arrow_of[h, k] = np.arange(narr)
+    # every h acts on every chi_k, so arrow j = h K + k of the action
+    # groupoid is (h, chi_k) (its arrows are in (arrow, point) order)
+    narr = len(Q) * len(point_ids)
+    h, k = np.divmod(np.arange(narr), len(point_ids))
+    arrow_of = np.arange(narr).reshape(len(Q), len(point_ids))
     values = chars.values()
     # omega((h1, h2.chi), (h2, chi)) at every arrow (h2, chi), then h1
-    arrow_names = np.fromiter(arrows, object, narr)
+    arrow_names = np.fromiter(ag.groupoid.arrows, object, narr)
     omega = dict(zip(
         zip(arrow_names[arrow_of[:, act_rows[h, k]].T].ravel().tolist(),
             np.repeat(arrow_names, len(Q)).tolist()),

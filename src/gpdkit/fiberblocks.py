@@ -9,7 +9,8 @@ together: one batched :func:`~gpdkit.algebra.spectral_norms`, eigh,
 eigvalsh or (ranks) SVD per size and chunk instead of one call per
 element, and never a decomposition of a total_dim x total_dim matrix.
 Everything is read from the section table of the bundle
-(:meth:`gpdkit.bundle.FellBundle.table`).
+(:meth:`gpdkit.bundle.FellBundle.table`) and the integer tables of its
+base, whose arrow indices name the arrows.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (_hermitian, _join, _scatter, chunks, groupoid_table,
-                      spectral_norms)
+from .algebra import _hermitian, _join, _scatter, chunks, spectral_norms
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -70,25 +70,18 @@ class FiberBlocks:
     def __init__(self, E):
         H, T = E.base, E.table()
         n_arrows = len(H.arrows)
-        idx = H.index
-        self.bundle, self.table, self.nA, self.index = E, T, n_arrows, idx
+        self.bundle, self.base, self.table = E, H, T
+        self.nA, self.index = n_arrows, H.index
         self.dims = np.fromiter((E.dim(h) for h in H.arrows), np.int64,
                                 n_arrows)
         self.D = int(self.dims.max(initial=0))
-        self.src, self.rng = (
-            np.fromiter((idx[end[h]] for h in H.arrows), np.int64, n_arrows)
-            for end in (H.src, H.rng))
-        self.is_unit = np.zeros(n_arrows, dtype=bool)
-        self.is_unit[[idx[u] for u in H.units]] = True
+        # arrows, their ends and inverses are the base's arrow indices
+        self.src, self.rng, self.inv = H.src_idx, H.rng_idx, H.inv_idx
+        self.is_unit = H.unit_mask()
         # slot -> its arrow and its index in the fiber
         self.arrow = np.repeat(np.arange(n_arrows), self.dims)
         self.first = np.cumsum(self.dims) - self.dims
         self.loc = np.arange(T.dim) - self.first[self.arrow]
-        base = groupoid_table(H)  # composition and inverse by arrow index
-        keys = base.a * n_arrows + base.b
-        order = np.argsort(keys)
-        self._pairs, self._comp = keys[order], base.c[order]
-        self.inv = base.t
         # table entries keyed by the arrows of their two factors, and star
         # entries by the arrow of their argument
         self._entry_key = self.arrow[T.a] * n_arrows + self.arrow[T.b]
@@ -105,9 +98,6 @@ class FiberBlocks:
         self._inner = {}
         self._gram = self._ortho = None
         self._saturation = {}
-
-    def compose(self, h1, h2) -> np.ndarray:
-        return self._comp[np.searchsorted(self._pairs, h1 * self.nA + h2)]
 
     def entries(self, h1, h2, keys=None) -> np.ndarray:
         """The number of table entries (or of sorted entry ``keys``) that
@@ -173,10 +163,8 @@ class FiberBlocks:
         ``composable_pairs`` order, that falls short."""
         if tol not in self._saturation:
             T = self.table
-            pairs = list(self.bundle.base.composable_pairs())
-            h1, h2 = (np.fromiter((self.index[p[k]] for p in pairs),
-                                  np.int64, len(pairs)) for k in (0, 1))
-            d2, d12 = self.dims[h2], self.dims[self.compose(h1, h2)]
+            h1, h2 = self.base.pair_ids()
+            d2, d12 = self.dims[h2], self.dims[self.base.compose_ids(h1, h2)]
             key = h1 * self.nA + h2
             order = np.argsort(key)
             owner = order[np.searchsorted(key[order], self._entry_key)]
@@ -186,7 +174,8 @@ class FiberBlocks:
             short = np.flatnonzero(ranks < d12)
             k = short[0] if len(short) else None
             self._saturation[tol] = (True, None) if k is None else (
-                False, f"span E_{pairs[k][0]!r} * E_{pairs[k][1]!r} has "
+                False, f"span E_{self.base.arrows[h1[k]]!r} * "
+                f"E_{self.base.arrows[h2[k]]!r} has "
                 f"rank {ranks[k]} < {d12[k]}")
         return self._saturation[tol]
 
@@ -208,7 +197,7 @@ class FiberBlocks:
         Z = _scatter(r * self.D + loc[T.c[p]],
                      T.w[p] * X[r, loc[T.a[p]]] * Y[r, loc[T.b[p]]],
                      len(h1) * self.D)
-        return self.compose(h1, h2), Z.reshape(len(h1), self.D)
+        return self.base.compose_ids(h1, h2), Z.reshape(len(h1), self.D)
 
     def stars(self, h, X):
         """(arrows, rows) of x* for the rows x = X[r] over h[r]."""
@@ -307,7 +296,7 @@ class FiberBlocks:
         of the :meth:`orthonormal` entries per chunk."""
         a, c, b, w, keys, order, ordered = self.orthonormal()
         loc = self.loc
-        g = np.maximum(self.dims[self.compose(h, k)], self.dims[k])
+        g = np.maximum(self.dims[self.base.compose_ids(h, k)], self.dims[k])
         key = h * self.nA + k
         load = self.entries(h, k, ordered)
         for size in np.flatnonzero(np.bincount(g[g > 0])):

@@ -105,13 +105,6 @@ class GraphMorphismReport:
     path_lifting: bool
     witness: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        return {"incidence": self.incidence,
-                "surjective_vertices": self.surjective_vertices,
-                "surjective_edges": self.surjective_edges,
-                "path_lifting": self.path_lifting,
-                "witness": self.witness}
-
 
 def check_graph_morphism(phi: GraphMorphism) -> GraphMorphismReport:
     """Incidence, surjectivity, and the edge-lifting property: for every

@@ -1,4 +1,4 @@
-"""Finite groupoids as explicit arrow tables.
+"""Finite groupoids as integer tables.
 
 An arrow is an opaque hashable identifier. Units are themselves arrows
 (identity arrows). A pair (g1, g2) is composable iff src(g1) == rng(g2),
@@ -7,6 +7,15 @@ rng(g1*g2) == rng(g1): an arrow is a map src -> rng and composition is
 function composition, rightmost factor first. This convention is fixed
 here and every convolution formula in the package depends on it.
 
+A :class:`FiniteGroupoid` keeps one integer representation: the arrow
+names with their ``index``, the arrays ``src_idx``, ``rng_idx`` and
+``unit_idx`` of arrow indices, and the w = 1 structure table ``table``,
+the only storage of composition (entry (a, b, c): a b = c) and inverse
+(its star entries, ``inv_idx``). The name-level ``units``, ``src``,
+``rng``, ``inv`` and ``comp`` are read-only views built on first use, for
+files, witnesses and tests. A :class:`GroupoidMorphism` keeps one codomain
+index per domain arrow (``image``), with ``map`` its name view.
+
 All topological conditions (openness, continuity, Haar systems) are
 automatic for finite discrete groupoids; classification reports record
 them as vacuously satisfied instead of dropping them.
@@ -14,14 +23,14 @@ them as vacuously satisfied instead of dropping them.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import chain, islice, repeat
-from typing import Hashable, Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Optional
 
 import numpy as np
-
-Arrow = Hashable
 
 
 class GroupoidError(ValueError):
@@ -73,72 +82,146 @@ def pair_id(a, b) -> str:
     return f"({a},{b})"
 
 
+def _join(x, y, order=None):
+    """Index arrays (i, j) listing every pair with x[i] == y[j]; ``order``
+    is a stable argsort of y when the caller keeps one."""
+    if order is None:
+        order = np.argsort(y, kind="stable")
+    ys = y[order]
+    lo = np.searchsorted(ys, x, "left")
+    count = np.searchsorted(ys, x, "right") - lo
+    i = np.repeat(np.arange(len(x)), count)
+    # the r-th pair of row i sits at order[lo[i] + r]
+    offset = np.repeat(lo - np.cumsum(count) + count, count)
+    return i, order[np.arange(len(i)) + offset]
+
+
+def _ranks(label):
+    """(count per label, rank of every item among those of its label)."""
+    count = np.bincount(label)
+    place = np.empty(len(label), dtype=np.int64)
+    place[np.argsort(label, kind="stable")] = \
+        np.arange(len(label)) - np.repeat(np.cumsum(count) - count, count)
+    return count, place
+
+
+def _table(n: int, a, b, c, inv):
+    """The w = 1 structure table of a groupoid on n arrows: products
+    e_a e_b = e_c and stars e_g* = e_inv(g)."""
+    from .algebra import StructureTable  # algebra imports this module
+    return StructureTable(n, a, b, c, np.ones(len(a)), np.arange(n), inv,
+                          np.ones(n))
+
+
+class _Composition(Mapping):
+    """Read-only name view (g1, g2) -> g1 g2 of a groupoid's table, in
+    table order; its length is the table's, its names are built on first
+    lookup."""
+
+    def __init__(self, G):
+        self._G = G
+
+    def __len__(self) -> int:
+        return len(self._G.table.a)
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __getitem__(self, pair):
+        return self._pairs[pair]
+
+    @cached_property
+    def _pairs(self) -> dict:
+        T = self._G.table
+        a, b, c = map(self._G.names, (T.a, T.b, T.c))
+        return dict(zip(zip(a, b), c))
+
+
 class FiniteGroupoid:
-    """Immutable finite groupoid given by total source/range/inverse tables
-    and a composition table defined exactly on the composable pairs.
+    """Immutable finite groupoid on the integer tables of the module
+    docstring. Build instances through :func:`validate_groupoid`
+    (exhaustive axiom check) or one of the builders; the raw constructor
+    checks nothing."""
 
-    Build instances through :func:`validate_groupoid` (exhaustive axiom
-    check) or one of the corpus constructors; the raw constructor only
-    indexes the tables.
-    """
+    __slots__ = ("arrows", "index", "unit_idx", "src_idx", "rng_idx",
+                 "table", "_views", "_rep")
 
-    __slots__ = ("arrows", "units", "src", "rng", "inv", "comp",
-                 "index", "_from", "_to", "_unit_set", "_table", "_rep")
-
-    def __init__(self, arrows, units, src, rng, inv, comp):
+    def __init__(self, arrows, unit_idx, src_idx, rng_idx, table, index=None):
         self.arrows = tuple(arrows)
-        self.units = tuple(units)
-        self.src = dict(src)
-        self.rng = dict(rng)
-        self.inv = dict(inv)
-        self.comp = dict(comp)
-        self.index = {g: i for i, g in enumerate(self.arrows)}
-        self._unit_set = frozenset(self.units)
-        by_src = {u: [] for u in self.units}
-        by_rng = {u: [] for u in self.units}
-        for g in self.arrows:
-            by_src[self.src[g]].append(g)
-            by_rng[self.rng[g]].append(g)
-        self._from = {u: tuple(v) for u, v in by_src.items()}
-        self._to = {u: tuple(v) for u, v in by_rng.items()}
-        self._table = self._rep = None  # built by gpdkit.algebra on first use
+        self.index = index or {g: i for i, g in enumerate(self.arrows)}
+        self.unit_idx, self.src_idx, self.rng_idx = (
+            np.asarray(v, dtype=np.int64) for v in (unit_idx, src_idx,
+                                                    rng_idx))
+        for v in (self.unit_idx, self.src_idx, self.rng_idx):
+            v.flags.writeable = False
+        self.table = table
+        self._views = {}
+        self._rep = None  # built by gpdkit.algebra on first use
 
     def __len__(self) -> int:
         return len(self.arrows)
 
     def __repr__(self) -> str:
-        return f"FiniteGroupoid({len(self.arrows)} arrows, {len(self.units)} units)"
+        return (f"FiniteGroupoid({len(self)} arrows, "
+                f"{len(self.unit_idx)} units)")
+
+    def _view(self, name: str, build):
+        if name not in self._views:
+            self._views[name] = build()
+        return self._views[name]
+
+    def _arrow_map(self, name, ids):
+        return self._view(name, lambda: MappingProxyType(
+            dict(zip(self.arrows, self.names(ids)))))
+
+    inv_idx = property(lambda self: self.table.t)
+    units = property(lambda self: self._view(
+        "units", lambda: tuple(self.names(self.unit_idx))))
+    src = property(lambda self: self._arrow_map("src", self.src_idx))
+    rng = property(lambda self: self._arrow_map("rng", self.rng_idx))
+    inv = property(lambda self: self._arrow_map("inv", self.inv_idx))
+    comp = property(lambda self: self._view("comp",
+                                            lambda: _Composition(self)))
+
+    def names(self, ids) -> list:
+        """The arrow names of an array of arrow indices."""
+        return list(map(self.arrows.__getitem__, np.asarray(ids).tolist()))
+
+    def unit_mask(self) -> np.ndarray:
+        """Which arrows are units, by arrow index."""
+        mask = np.zeros(len(self.arrows), dtype=bool)
+        mask[self.unit_idx] = True
+        return mask
+
+    def compose_ids(self, h1, h2) -> np.ndarray:
+        """Index of the composite of arrows h1[i] and h2[i] (index arrays),
+        -1 where they are not composable: the one composition lookup."""
+        if "lookup" not in self._views:  # sorted keys, then a sentinel
+            T = self.table
+            key = T.a * len(self.arrows) + T.b
+            order = np.argsort(key, kind="stable")
+            self._views["lookup"] = (np.append(key[order], np.iinfo(
+                np.int64).max), np.append(T.c[order], -1))
+        keys, comp = self._views["lookup"]
+        q = np.asarray(h1) * len(self.arrows) + h2
+        at = keys.searchsorted(q)
+        return np.where(keys[at] == q, comp[at], -1)
+
+    def pair_ids(self):
+        """(g1, g2) index arrays of the composable pairs, by g2, then g1."""
+        T = self.table
+        order = np.lexsort((T.a, T.b))
+        return T.a[order], T.b[order]
+
+    def composable_pairs(self):
+        """The name pairs (g1, g2) of :meth:`pair_ids`, in its order."""
+        return zip(*map(self.names, self.pair_ids()))
 
     def is_unit(self, g) -> bool:
-        return g in self._unit_set
+        return bool(np.any(self.unit_idx == self.index[g]))
 
     def composable(self, g1, g2) -> bool:
-        return self.src[g1] == self.rng[g2]
-
-    def compose(self, g1, g2):
-        try:
-            return self.comp[(g1, g2)]
-        except KeyError:
-            raise MissingComposite(
-                f"no composite recorded for composable pair ({g1!r}, {g2!r})",
-                witness=(g1, g2)) from None
-
-    def arrows_from(self, u) -> tuple:
-        """Arrows g with src(g) == u."""
-        return self._from[u]
-
-    def arrows_to(self, u) -> tuple:
-        """Arrows g with rng(g) == u."""
-        return self._to[u]
-
-    def composable_pairs(self) -> Iterable[tuple]:
-        for g2 in self.arrows:
-            for g1 in self._from[self.rng[g2]]:
-                yield (g1, g2)
-
-    def isotropy(self, u) -> tuple:
-        """Arrows with src == rng == u."""
-        return tuple(g for g in self._from[u] if self.rng[g] == u)
+        return self.src_idx[self.index[g1]] == self.rng_idx[self.index[g2]]
 
 
 def _ids(names, index) -> np.ndarray:
@@ -172,10 +255,15 @@ _MISSING = object()
 
 
 def _column(table, name, arrows, index) -> np.ndarray:
-    """table[g] for every arrow g, as arrow indices; GroupoidError at the
-    first arrow that has no entry or whose entry is undeclared."""
-    values = list(map(table.get, arrows, repeat(_MISSING)))
-    ids = _ids(values, index)
+    """table[g] of each arrow g as an arrow index (``table`` maps names or
+    is an index array); GroupoidError at the first entry missing or
+    undeclared."""
+    if isinstance(table, np.ndarray):
+        values = table
+        ids = np.where((table >= 0) & (table < len(arrows)), table, -1)
+    else:
+        values = list(map(table.get, arrows, repeat(_MISSING)))
+        ids = _ids(values, index)
     i = _prefix(ids >= 0)
     if i < len(arrows):
         g = arrows[i]
@@ -189,15 +277,15 @@ def _column(table, name, arrows, index) -> np.ndarray:
 def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
     """Check every groupoid axiom exhaustively and return the groupoid.
 
-    ``comp`` may be a mapping ``(g1, g2) -> g12``, an iterable of
-    ``(g1, g2, g12)`` triples or an (m, 3) array of arrow indices listing
-    each pair once; it must cover exactly the composable pairs. Each axiom
-    is a mask over index arrays, and the first failing entry is reported.
-    Associativity is ``StructureTable.associativity_defect`` of the w = 1
-    structure table, built here and kept on the returned groupoid: its
-    residual must be 0. Raises MissingComposite, IllegalComposite,
+    ``src``, ``rng`` and ``inv`` map arrow names to names or are integer
+    arrays of arrow indices; ``comp`` is a mapping ``(g1, g2) -> g12``, an
+    iterable of ``(g1, g2, g12)`` triples or an (m, 3) array of arrow
+    indices, listing each composable pair once, in the order of the table.
+    Each axiom is a mask over index arrays and the first failing entry is
+    reported; associativity is ``StructureTable.associativity_defect`` of
+    the w = 1 table (residual 0). Raises MissingComposite, IllegalComposite,
     AssociativityFailure (witness: the first failing triple in arrow
-    order), UnitFailure or InverseFailure, each with the offending arrows.
+    order), UnitFailure or InverseFailure, with the offending arrows.
     """
     arrows = tuple(arrows)
     n = len(arrows)
@@ -210,7 +298,7 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
                           witness=units[i])
     if isinstance(comp, np.ndarray):
         a, b, c = np.ascontiguousarray(comp.reshape(-1, 3).T)
-        comp = None  # the dict of names is built once the entries pass
+        comp = None
     else:
         if not isinstance(comp, Mapping):
             comp = {(g1, g2): g12 for g1, g2, g12 in comp}
@@ -225,8 +313,10 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
     if i < n:
         g = arrows[i]
         if not is_unit[S[i]]:
-            raise UnitFailure(f"src[{g!r}] = {src[g]!r} is not a unit", witness=g)
-        raise UnitFailure(f"rng[{g!r}] = {rng[g]!r} is not a unit", witness=g)
+            raise UnitFailure(f"src[{g!r}] = {arrows[S[i]]!r} is not a unit",
+                              witness=g)
+        raise UnitFailure(f"rng[{g!r}] = {arrows[R[i]]!r} is not a unit",
+                          witness=g)
 
     # comp defined exactly on composable pairs, with matching src/rng laws
     undeclared = (a < 0) | (b < 0) | (c < 0)
@@ -248,11 +338,6 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
         raise IllegalComposite(
             f"composite {g12!r} of ({g1!r}, {g2!r}) has wrong source or range",
             witness=(g1, g2, g12))
-    if comp is None:
-        names = np.fromiter(arrows, object, n)
-        comp = dict(zip(zip(names[a].tolist(), names[b].tolist()),
-                        names[c].tolist()))
-    G = FiniteGroupoid(arrows, units, src, rng, inv, comp)
     # each entry is a distinct composable pair, so g2 misses a pair exactly
     # when it has fewer entries than arrows leave its range
     j = _prefix(np.bincount(b, minlength=n) == np.bincount(S, minlength=n)[R])
@@ -268,35 +353,26 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
         u = units[i]
         raise UnitFailure(f"unit {u!r} has src/rng != itself", witness=u)
 
-    def composites(entries, g):
-        """The composite of the selected entries at arrow g of each, -1 at
-        arrows without one (each arrow is g of at most one entry)."""
-        out = np.full(n, -1)
-        out[g[entries]] = c[entries]
-        return out
+    table = _table(n, a, b, c, I)
+    G = FiniteGroupoid(arrows, uid, S, R, table, index)
     ids = np.arange(n)
     # (rng g) g and g (src g), then g (inv g) and (inv g) g
-    left = composites(a == R[b], b) == ids
-    right = composites(b == S[a], a) == ids
+    left, right = G.compose_ids(R, ids) == ids, G.compose_ids(ids, S) == ids
     i = _prefix(left & right)
     if i < n:
-        g = arrows[i]
+        g, s, r = arrows[i], arrows[S[i]], arrows[R[i]]
         if not left[i]:
-            raise UnitFailure(
-                f"left unit law fails: {rng[g]!r} * {g!r} != {g!r}",
-                witness=(rng[g], g))
-        raise UnitFailure(
-            f"right unit law fails: {g!r} * {src[g]!r} != {g!r}",
-            witness=(g, src[g]))
+            raise UnitFailure(f"left unit law fails: {r!r} * {g!r} != {g!r}",
+                              witness=(r, g))
+        raise UnitFailure(f"right unit law fails: {g!r} * {s!r} != {g!r}",
+                          witness=(g, s))
 
     involutive = I[I] == ids
     placed = (S[I] == R) & (R[I] == S)
-    gi_ok = composites(b == I[a], a) == R
-    ig_ok = composites(a == I[b], b) == S
+    gi_ok, ig_ok = G.compose_ids(ids, I) == R, G.compose_ids(I, ids) == S
     i = _prefix(involutive & placed & gi_ok & ig_ok)
     if i < n:
-        g = arrows[i]
-        gi = inv[g]
+        g, gi = arrows[i], arrows[I[i]]
         if not involutive[i]:
             raise InverseFailure(f"inv is not involutive at {g!r}", witness=g)
         if not placed[i]:
@@ -307,63 +383,68 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
         raise InverseFailure(
             f"{gi!r} * {g!r} != src({g!r})", witness=(gi, g))
 
-    from .algebra import StructureTable  # algebra imports this module
-    table = StructureTable(n, a, b, c, np.ones(len(a)), ids, I, np.ones(n))
     res, triple = table.associativity_defect()
     if res > 0:
         g1, g2, g3 = (arrows[i] for i in triple)
         raise AssociativityFailure(
             f"({g1!r}*{g2!r})*{g3!r} != {g1!r}*({g2!r}*{g3!r})",
             witness=(g1, g2, g3))
-    G._table = table
     return G
-
-
-def _trusted(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
-    # fast path for constructions that are valid by construction
-    return FiniteGroupoid(arrows, units, src, rng, inv, comp)
 
 
 def pair_blocks(blocks) -> FiniteGroupoid:
     """Disjoint union of the pair groupoids on ``blocks`` (lists of point
     labels): arrow pair_id(p, q) runs q -> p and (p, q)(q, r) = (p, r);
-    everything is listed block by block, in the order of the labels."""
-    arrows, units = [], []
-    src, rng, inv, comp = {}, {}, {}, {}
+    arrows, units and composable pairs are listed block by block, in the
+    order of the labels (p, then q, then r)."""
+    arrows, cols = [], []
     for block in blocks:
-        aid = {(p, q): pair_id(p, q) for p in block for q in block}
-        units.extend(aid[(p, p)] for p in block)
-        for p in block:
-            for q in block:
-                g = aid[(p, q)]
-                arrows.append(g)
-                src[g] = aid[(q, q)]
-                rng[g] = aid[(p, p)]
-                inv[g] = aid[(q, p)]
-        for p in block:
-            for q in block:
-                for r in block:
-                    comp[(aid[(p, q)], aid[(q, r)])] = aid[(p, r)]
-    return _trusted(arrows, units, src, rng, inv, comp)
+        m, o = len(block), len(arrows)
+        arrows.extend(pair_id(p, q) for p in block for q in block)
+        p, q = np.divmod(np.arange(m * m), m)
+        x, y, z = np.indices((m, m, m)).reshape(3, -1)
+        # units (p, p); src, rng and inverse of (p, q); (x, y)(y, z)
+        cols.append((o + np.arange(m) * (m + 1), o + q * (m + 1),
+                     o + p * (m + 1), o + q * m + p, o + x * m + y,
+                     o + y * m + z, o + x * m + z))
+    u, s, r, i, a, b, c = (np.concatenate(v) for v in zip(*cols)) if cols \
+        else (np.zeros(0, np.int64),) * 7
+    return FiniteGroupoid(arrows, u, s, r, _table(len(arrows), a, b, c, i))
 
 
 class GroupoidMorphism:
     """A map of arrow sets that is required to be functorial; check with
-    :func:`check_morphism` / :func:`classify_morphism`."""
+    :func:`check_morphism` / :func:`classify_morphism`. ``image[g]`` is
+    the codomain index of the image of domain arrow g, given as ``map``:
+    an integer array or a mapping of names. A domain arrow such a mapping
+    sends to no codomain arrow gets -1, and ``unmapped`` keeps what it was
+    given, for the witness; ``map`` is a read-only view of ``image``."""
 
-    __slots__ = ("domain", "codomain", "map")
+    __slots__ = ("domain", "codomain", "image", "unmapped", "_map")
 
     def __init__(self, domain: FiniteGroupoid, codomain: FiniteGroupoid, map):
-        self.domain = domain
-        self.codomain = codomain
-        self.map = dict(map)
+        self.domain, self.codomain, self._map = domain, codomain, None
+        self.unmapped = {}
+        if isinstance(map, np.ndarray):
+            self.image = map.astype(np.int64)
+        else:
+            values = [map.get(g, _MISSING) for g in domain.arrows]
+            self.image = _ids(values, codomain.index)
+            for i in np.flatnonzero(self.image < 0).tolist():
+                self.unmapped[domain.arrows[i]] = values[i]
+        self.image.flags.writeable = False
 
-    def __call__(self, g):
-        return self.map[g]
+    @property
+    def map(self) -> Mapping:
+        if self._map is None:
+            m = dict(zip(self.domain.arrows, self.codomain.names(self.image)))
+            self._map = MappingProxyType({g: h for g, h in {
+                **m, **self.unmapped}.items() if h is not _MISSING})
+        return self._map
 
     def __repr__(self):
-        return (f"GroupoidMorphism({len(self.domain.arrows)} -> "
-                f"{len(self.codomain.arrows)} arrows)")
+        return (f"GroupoidMorphism({len(self.domain)} -> "
+                f"{len(self.codomain)} arrows)")
 
 
 @dataclass(frozen=True)
@@ -379,35 +460,34 @@ class MorphismClassification:
     openness_automatic: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "is_morphism": self.is_morphism,
-            "surjective": self.surjective,
-            "surjective_on_units": self.surjective_on_units,
-            "fibration": self.fibration,
-            "covering": self.covering,
-            "witness": None if self.witness is None else repr(self.witness),
-            "openness_automatic": self.openness_automatic,
-        }
+        return {**asdict(self), "witness": None if self.witness is None
+                else repr(self.witness)}
 
 
 def check_morphism(pi: GroupoidMorphism):
-    """Raise NotAMorphism (with witness) unless pi is functorial."""
-    G, H = pi.domain, pi.codomain
-    for g in G.arrows:
-        if g not in pi.map:
+    """Raise NotAMorphism (with witness) unless pi is functorial: a total
+    map into the codomain, then src/rng intertwined, then multiplicative,
+    each a mask whose first failing arrow (or table entry) is named."""
+    G, H, f = pi.domain, pi.codomain, pi.image
+    i = _prefix(f >= 0)
+    if i < len(f):
+        g = G.arrows[i]
+        h = pi.unmapped.get(g, _MISSING)
+        if h is _MISSING:
             raise NotAMorphism(f"map not total: missing {g!r}", witness=g)
-        if pi.map[g] not in H.index:
-            raise NotAMorphism(
-                f"map[{g!r}] = {pi.map[g]!r} not in codomain", witness=g)
-    for g in G.arrows:
-        h = pi.map[g]
-        if H.src[h] != pi.map[G.src[g]] or H.rng[h] != pi.map[G.rng[g]]:
-            raise NotAMorphism(
-                f"map does not intertwine src/rng at {g!r}", witness=g)
-    for (g1, g2), g12 in G.comp.items():
-        if H.comp[(pi.map[g1], pi.map[g2])] != pi.map[g12]:
-            raise NotAMorphism(
-                f"map not multiplicative on ({g1!r}, {g2!r})", witness=(g1, g2))
+        raise NotAMorphism(f"map[{g!r}] = {h!r} not in codomain", witness=g)
+    i = _prefix((H.src_idx[f] == f[G.src_idx])
+                & (H.rng_idx[f] == f[G.rng_idx]))
+    if i < len(f):
+        g = G.arrows[i]
+        raise NotAMorphism(f"map does not intertwine src/rng at {g!r}",
+                           witness=g)
+    T = G.table
+    i = _prefix(H.compose_ids(f[T.a], f[T.b]) == f[T.c])
+    if i < len(T.a):
+        g1, g2 = G.arrows[T.a[i]], G.arrows[T.b[i]]
+        raise NotAMorphism(
+            f"map not multiplicative on ({g1!r}, {g2!r})", witness=(g1, g2))
 
 
 def classify_morphism(pi: GroupoidMorphism) -> MorphismClassification:
@@ -415,8 +495,9 @@ def classify_morphism(pi: GroupoidMorphism) -> MorphismClassification:
 
     The fibration test counts, for every codomain arrow h and every
     domain unit x over src(h), the lifts g of h with src(g) == x (one
-    pass over the domain arrows); covering requires exactly one lift.
-    Exhaustive, with the first failing (h, x) as witness.
+    sort of the domain arrows by (src, image)); covering requires exactly
+    one lift. Exhaustive, with the first failing (h, x), h in arrow order
+    and x in unit order, as witness.
     """
     G, H = pi.domain, pi.codomain
     try:
@@ -425,66 +506,108 @@ def classify_morphism(pi: GroupoidMorphism) -> MorphismClassification:
         return MorphismClassification(False, False, False, False, False,
                                       witness=exc.witness)
 
-    image = set(pi.map[g] for g in G.arrows)
-    surjective = image == set(H.arrows)
-    surj_units = set(pi.map[u] for u in G.units) == set(H.units)
+    f, nH = pi.image, len(H.arrows)
+    hit = np.bincount(f, minlength=nH) > 0
+    surjective = bool(hit.all())
+    surj_units = set(f[G.unit_idx].tolist()) == set(H.unit_idx.tolist())
 
-    # lifts of h from x: the arrows g with (src(g), pi(g)) = (x, h)
-    lifts = Counter((G.src[g], pi.map[g]) for g in G.arrows)
-    over = {}
-    for x in G.units:
-        over.setdefault(pi.map[x], []).append(x)
-    counts = [((h, x), lifts[(x, h)]) for h in H.arrows
-              for x in over.get(H.src[h], ())]
-    lift_exists = all(n for _, n in counts)
-    lifts_unique = all(n <= 1 for _, n in counts)
-    witness = next((hx for hx, n in counts if n != 1), None)
+    # lifts of h from x: the arrows g with (src(g), pi(g)) = (x, h), for
+    # the pairs (h, x) with pi(x) = src(h)
+    h, x = _join(H.src_idx, f[G.unit_idx])
+    lifts = np.sort(G.src_idx * nH + f)
+    key = G.unit_idx[x] * nH + h
+    count = np.searchsorted(lifts, key, "right") \
+        - np.searchsorted(lifts, key, "left")
+    bad = np.flatnonzero(count != 1)
+    witness = (H.arrows[h[bad[0]]], G.arrows[G.unit_idx[x[bad[0]]]]) \
+        if len(bad) else None
     # a fibration is a surjective morphism with the lift property; the fact
     # that lift property + unit surjectivity already forces arrow
     # surjectivity is recorded by the separate flags, not assumed here
-    fibration = surjective and lift_exists
-    covering = fibration and lifts_unique
+    fibration = surjective and bool(np.all(count > 0))
+    covering = fibration and bool(np.all(count <= 1))
     if not surjective and witness is None:
-        missing = sorted((h for h in H.arrows if h not in image), key=repr)
-        witness = (missing[0],) if missing else None
+        missing = sorted(H.names(np.flatnonzero(~hit)), key=repr)
+        witness = (missing[0],)
     return MorphismClassification(True, surjective, surj_units,
                                   fibration, covering, witness)
 
 
 def subgroupoid(G: FiniteGroupoid, arrows, require_all_units=True) -> FiniteGroupoid:
-    """Restrict G to a subset of arrows, checking closure under composition,
-    inverse and units. With require_all_units the unit space stays G^0."""
-    sub = set(arrows)
-    for g in sub:
-        if g not in G.index:
-            raise NotASubgroupoid(f"{g!r} is not an arrow of G", witness=g)
-        if G.inv[g] not in sub:
-            raise NotASubgroupoid(f"not closed under inverse at {g!r}", witness=g)
-        for u in (G.src[g], G.rng[g]):
-            if u not in sub:
-                raise NotASubgroupoid(
-                    f"missing unit {u!r} of member arrow {g!r}", witness=g)
-    units = [u for u in G.units if u in sub] if not require_all_units \
-        else list(G.units)
-    if require_all_units:
-        missing = [u for u in G.units if u not in sub]
-        if missing:
-            raise NotASubgroupoid(
-                f"subgroupoid must contain all units; missing {missing[0]!r}",
-                witness=missing[0])
-    comp = {}
-    for (g1, g2), g12 in G.comp.items():
-        if g1 in sub and g2 in sub:
-            if g12 not in sub:
-                raise NotASubgroupoid(
-                    f"not closed under composition at ({g1!r}, {g2!r})",
-                    witness=(g1, g2))
-            comp[(g1, g2)] = g12
-    ordered = tuple(g for g in G.arrows if g in sub)
-    return _trusted(ordered, tuple(units),
-                    {g: G.src[g] for g in ordered},
-                    {g: G.rng[g] for g in ordered},
-                    {g: G.inv[g] for g in ordered}, comp)
+    """Restrict G to a subset of arrows (names, or a boolean mask over the
+    arrows of G), in arrow order, checking closure under composition,
+    inverse and units; with require_all_units the unit space stays G^0.
+    NotASubgroupoid names the first member whose inverse, source or range
+    is not a member, then the first missing unit, then the first pair of
+    members (in table order) with a composite outside."""
+    keep = arrows
+    if not (isinstance(arrows, np.ndarray) and arrows.dtype == bool):
+        arrows = list(dict.fromkeys(arrows))
+        ids = _ids(arrows, G.index)
+        i = _prefix(ids >= 0)
+        if i < len(ids):
+            raise NotASubgroupoid(f"{arrows[i]!r} is not an arrow of G",
+                                  witness=arrows[i])
+        keep = np.zeros(len(G.arrows), bool)
+        keep[ids] = True
+    S, R, I = G.src_idx, G.rng_idx, G.inv_idx
+    i = _prefix(~keep | (keep[I] & keep[S] & keep[R]))
+    if i < len(keep):
+        g = G.arrows[i]
+        if not keep[I[i]]:
+            raise NotASubgroupoid(f"not closed under inverse at {g!r}",
+                                  witness=g)
+        u = G.arrows[S[i] if not keep[S[i]] else R[i]]
+        raise NotASubgroupoid(f"missing unit {u!r} of member arrow {g!r}",
+                              witness=g)
+    units = G.unit_idx
+    i = _prefix(keep[units])
+    if require_all_units and i < len(units):
+        u = G.arrows[units[i]]
+        raise NotASubgroupoid(
+            f"subgroupoid must contain all units; missing {u!r}", witness=u)
+    T = G.table
+    e = keep[T.a] & keep[T.b]
+    i = _prefix(~e | keep[T.c])
+    if i < len(e):
+        g1, g2 = G.arrows[T.a[i]], G.arrows[T.b[i]]
+        raise NotASubgroupoid(
+            f"not closed under composition at ({g1!r}, {g2!r})",
+            witness=(g1, g2))
+    pos = np.cumsum(keep) - 1  # the new index of each member
+    return FiniteGroupoid(G.names(np.flatnonzero(keep)),
+                          pos[units[keep[units]]], pos[S[keep]],
+                          pos[R[keep]], _table(
+                              int(keep.sum()), pos[T.a[e]], pos[T.b[e]],
+                              pos[T.c[e]], pos[I[keep]]))
+
+
+def inclusion(G: FiniteGroupoid, K: FiniteGroupoid) -> np.ndarray:
+    """The arrow indices in G of the arrows of K, once K is checked to be
+    the subgroupoid of G on its arrows (:func:`subgroupoid`), with G's
+    units, whose inclusion into G is a morphism (:func:`check_morphism`)
+    that keeps inverses and lists every composable pair of G.
+    NotASubgroupoid carries the witness of the first failure."""
+    R = subgroupoid(G, K.arrows)
+    ids = _ids(K.arrows, G.index)
+    try:
+        check_morphism(GroupoidMorphism(K, G, ids))
+    except NotAMorphism as exc:
+        raise NotASubgroupoid(f"inclusion: {exc}", witness=exc.witness) \
+            from None
+    i = _prefix(G.inv_idx[ids] == ids[K.inv_idx])
+    if i < len(ids):
+        raise NotASubgroupoid(f"inclusion does not keep the inverse of "
+                              f"{K.arrows[i]!r}", witness=K.arrows[i])
+    if set(ids[K.unit_idx].tolist()) != set(G.unit_idx.tolist()):
+        raise NotASubgroupoid("subgroupoid must keep the full unit space")
+    T, at = R.table, _ids(R.arrows, K.index)
+    i = _prefix(K.compose_ids(at[T.a], at[T.b]) >= 0)
+    if i < len(T.a):
+        g1, g2 = R.arrows[T.a[i]], R.arrows[T.b[i]]
+        raise NotASubgroupoid(f"composition of K misses ({g1!r}, {g2!r})",
+                              witness=(g1, g2))
+    return ids
 
 
 @dataclass(frozen=True)
@@ -508,25 +631,17 @@ def kernel(pi: GroupoidMorphism) -> KernelDecomposition:
         raise NotSurjective("kernel requires a surjective morphism",
                             witness=cls.witness)
     G, H = pi.domain, pi.codomain
-    unit_set = set(H.units)
-    karrows = [g for g in G.arrows if pi.map[g] in unit_set]
-    K = subgroupoid(G, karrows)
-    fibers = {x: tuple(g for g in karrows if pi.map[g] == x) for x in H.units}
-    return KernelDecomposition(K, fibers)
+    keep = H.unit_mask()[pi.image]
+    K, over = subgroupoid(G, keep), pi.image[keep]
+    return KernelDecomposition(K, {H.arrows[x]: tuple(K.names(
+        np.flatnonzero(over == x))) for x in H.unit_idx.tolist()})
 
 
 def fiber_subgroupoid(pi: GroupoidMorphism, x) -> FiniteGroupoid:
     """The arrows over a single codomain unit x, as a groupoid in its own
     right (units: the domain units mapping to x)."""
-    G = pi.domain
-    arrows = tuple(g for g in G.arrows if pi.map[g] == x)
-    units = tuple(u for u in G.units if pi.map[u] == x)
-    comp = {(g1, g2): g12 for (g1, g2), g12 in G.comp.items()
-            if pi.map[g1] == x and pi.map[g2] == x}
-    return _trusted(arrows, units,
-                    {g: G.src[g] for g in arrows},
-                    {g: G.rng[g] for g in arrows},
-                    {g: G.inv[g] for g in arrows}, comp)
+    return subgroupoid(pi.domain, pi.image == pi.codomain.index[x],
+                       require_all_units=False)
 
 
 def isotropy_quotient(G: FiniteGroupoid):
@@ -534,14 +649,20 @@ def isotropy_quotient(G: FiniteGroupoid):
     groupoid structure (one pair block per orbit, orbits and their units
     in unit order), and the quotient morphism g -> (rng(g), src(g)). The
     kernel of the quotient is the isotropy bundle."""
-    orbits = {}
-    for u in G.units:
-        orbits.setdefault(min((G.rng[g] for g in G.arrows_from(u)),
-                              key=G.index.get), []).append(u)
-    R = pair_blocks(orbits.values())
-    pi = GroupoidMorphism(G, R, {g: pair_id(G.rng[g], G.src[g])
-                                 for g in G.arrows})
-    return R, pi
+    n, S, R = len(G.arrows), G.src_idx, G.rng_idx
+    low = np.full(n, n)  # an orbit is named by the smallest of its units
+    np.minimum.at(low, S, R)
+    _, first, orbit = np.unique(low[G.unit_idx], return_index=True,
+                                return_inverse=True)
+    orbit = np.argsort(np.argsort(first))[orbit]  # numbered in unit order
+    size, place = _ranks(orbit)  # of each orbit, of each unit in its orbit
+    Q = pair_blocks([G.names(G.unit_idx[orbit == o])
+                     for o in range(len(size))])
+    at = np.zeros(n, np.int64)  # the number of each unit among the units
+    at[G.unit_idx] = np.arange(len(orbit))
+    o = orbit[at[S]]  # (rng g, src g) in the block of orbit o
+    return Q, GroupoidMorphism(G, Q, (np.cumsum(size * size) - size * size)[o]
+                               + place[at[R]] * size[o] + place[at[S]])
 
 
 @dataclass(frozen=True)
@@ -551,47 +672,42 @@ class Bisection:
 
 
 def check_bisection(G: FiniteGroupoid, S) -> Bisection:
-    """Validate S as a bisection; NotABisection carries a colliding pair."""
+    """Validate S as a bisection; NotABisection at the first arrow of S
+    that is not an arrow of G or shares its src (then its rng) with an
+    earlier one, carrying the colliding pair."""
     S = tuple(S)
-    seen_src, seen_rng = {}, {}
-    for g in S:
-        if g not in G.index:
-            raise NotABisection(f"{g!r} is not an arrow of G", witness=g)
-        u = G.src[g]
-        if u in seen_src:
-            raise NotABisection(
-                f"src collides on {seen_src[u]!r} and {g!r}",
-                witness=(seen_src[u], g))
-        seen_src[u] = g
-        v = G.rng[g]
-        if v in seen_rng:
-            raise NotABisection(
-                f"rng collides on {seen_rng[v]!r} and {g!r}",
-                witness=(seen_rng[v], g))
-        seen_rng[v] = g
+    ids = _ids(S, G.index)
+    k = _prefix(ids >= 0)
+    first = {}  # the first arrow of S with the src (rng) of each arrow
+    for name, ends in (("src", G.src_idx), ("rng", G.rng_idx)):
+        _, at, of = np.unique(ends[ids[:k]], return_index=True,
+                              return_inverse=True)
+        first[name] = at[of]
+    own = np.arange(k)
+    i = _prefix((first["src"] == own) & (first["rng"] == own))
+    if i < k:
+        name = "src" if first["src"][i] != i else "rng"
+        g0 = S[first[name][i]]
+        raise NotABisection(f"{name} collides on {g0!r} and {S[i]!r}",
+                            witness=(g0, S[i]))
+    if k < len(S):
+        raise NotABisection(f"{S[k]!r} is not an arrow of G", witness=S[k])
     return Bisection(S)
 
 
 def greedy_bisection_cover(G: FiniteGroupoid) -> list:
-    """Cover all arrows by maximal bisections, greedily in arrow order.
-    Singletons are bisections, so a cover always exists."""
-    uncovered = set(G.arrows)
-    cover = []
-    while uncovered:
+    """Cover all arrows by maximal bisections, greedily: each takes what
+    it can of the uncovered arrows and then of the others, both in arrow
+    order. Singletons are bisections, so a cover always exists."""
+    S, R = G.src_idx.tolist(), G.rng_idx.tolist()
+    covered, cover = np.zeros(len(S), bool), []
+    while not covered.all():
         used_src, used_rng, sel = set(), set(), []
-        for g in G.arrows:  # seed with uncovered arrows first
-            if g in uncovered and G.src[g] not in used_src \
-                    and G.rng[g] not in used_rng:
+        for g in np.argsort(covered, kind="stable").tolist():
+            if S[g] not in used_src and R[g] not in used_rng:
                 sel.append(g)
-                used_src.add(G.src[g])
-                used_rng.add(G.rng[g])
-        for g in G.arrows:  # then extend to a maximal bisection
-            if g not in sel and G.src[g] not in used_src \
-                    and G.rng[g] not in used_rng:
-                sel.append(g)
-                used_src.add(G.src[g])
-                used_rng.add(G.rng[g])
-        bs = check_bisection(G, sel)
-        cover.append(bs)
-        uncovered.difference_update(sel)
+                used_src.add(S[g])
+                used_rng.add(R[g])
+        covered[sel] = True
+        cover.append(check_bisection(G, G.names(sel)))
     return cover

@@ -221,16 +221,13 @@ def load_raw_groupoid_tables(source):
 
 
 def save_groupoid(G: FiniteGroupoid) -> dict:
-    return {
-        "arrows": list(G.arrows),
-        "units": list(G.units),
-        "src": {g: G.src[g] for g in G.arrows},
-        "rng": {g: G.rng[g] for g in G.arrows},
-        "inv": {g: G.inv[g] for g in G.arrows},
-        "comp": [[g1, g2, g12] for (g1, g2), g12 in sorted(
-            G.comp.items(), key=lambda kv: (G.index[kv[0][0]],
-                                            G.index[kv[0][1]]))],
-    }
+    T = G.table
+    order = np.lexsort((T.b, T.a))  # comp by the arrow indices of (g1, g2)
+    return {"arrows": list(G.arrows), "units": list(G.units),
+            **{name: dict(zip(G.arrows, G.names(ids))) for name, ids in (
+                ("src", G.src_idx), ("rng", G.rng_idx), ("inv", G.inv_idx))},
+            "comp": [list(e) for e in zip(*(G.names(v[order])
+                                            for v in (T.a, T.b, T.c)))]}
 
 
 def load_morphism(source, base_dir=None, file=None, at="$") -> GroupoidMorphism:
@@ -250,14 +247,15 @@ def load_morphism(source, base_dir=None, file=None, at="$") -> GroupoidMorphism:
     mapping = _as_str_map(obj["map"], file, f"{at}.map", dom.arrows)
     _check_map(mapping, file, f"{at}.map", dom.index, "a domain arrow",
                cod.index, "a codomain arrow")
-    return GroupoidMorphism(dom, cod, mapping)
+    return GroupoidMorphism(dom, cod, _ids(list(map(mapping.__getitem__,
+                                                    dom.arrows)), cod.index))
 
 
 def save_morphism(pi: GroupoidMorphism, domain_ref=None, codomain_ref=None) -> dict:
     return {
         "domain": domain_ref or save_groupoid(pi.domain),
         "codomain": codomain_ref or save_groupoid(pi.codomain),
-        "map": {g: pi.map[g] for g in pi.domain.arrows},
+        "map": dict(zip(pi.domain.arrows, pi.codomain.names(pi.image))),
     }
 
 
@@ -336,7 +334,7 @@ def load_bundle(source, base_dir=None) -> FellBundle:
         _expect((h1, bi, h2, bj) not in seen, file, f"$.mul[{i}]",
                 "one entry per [h1, i, h2, j]")
         seen.add((h1, bi, h2, bj))
-        h12 = base.compose(h1, h2)
+        h12 = base.comp[(h1, h2)]
         mul.extend((first[h1] + bi, first[h2] + bj, first[h12] + k, v)
                    for k, v in expansion(exp, f"$.mul[{i}][4]",
                                          len(fibers[h12])))

@@ -7,6 +7,7 @@ from brute-force enumeration of all edge tuples.
 """
 
 import math
+from collections import Counter
 from itertools import product
 from typing import Mapping
 
@@ -18,8 +19,275 @@ from gpdkit.bundle import FellBundleError
 from gpdkit.groupoid import (AssociativityFailure, FiniteGroupoid,
                              GroupoidError, GroupoidMorphism,
                              IllegalComposite, InverseFailure,
-                             MissingComposite, UnitFailure)
+                             MissingComposite, MorphismClassification,
+                             NotAMorphism, NotASubgroupoid, UnitFailure,
+                             pair_id)
 from gpdkit.io import ParseError
+
+
+# -- groupoids as name-level dict tables: the unchecked constructor of
+# (possibly corrupt) tables, and the dict builders that the integer
+# builders of gpdkit.groupoid, gpdkit.actions and gpdkit.extensions are
+# compared against, entry order included
+
+def raw_groupoid(arrows, units, src, rng, inv, comp):
+    """The FiniteGroupoid of name-level tables, checked for nothing: each
+    name becomes its arrow index (-1 if undeclared), and the table lists
+    ``comp`` (a mapping (g1, g2) -> g12 or (g1, g2, g12) triples) in its
+    order."""
+    from gpdkit.groupoid import _table
+    arrows = tuple(arrows)
+    index = {g: i for i, g in enumerate(arrows)}
+    if not isinstance(comp, Mapping):
+        comp = {(g1, g2): g12 for g1, g2, g12 in comp}
+
+    def ids(names):
+        return np.array([index.get(g, -1) for g in names], np.int64)
+    return FiniteGroupoid(arrows, ids(units), ids(src[g] for g in arrows),
+                          ids(rng[g] for g in arrows), _table(
+                              len(arrows), ids(p[0] for p in comp),
+                              ids(p[1] for p in comp), ids(comp.values()),
+                              ids(inv[g] for g in arrows)))
+
+
+def dict_tables(G):
+    """The name-level tables (arrows, units, src, rng, inv, comp) of G."""
+    return (list(G.arrows), list(G.units), dict(G.src), dict(G.rng),
+            dict(G.inv), dict(G.comp))
+
+
+def index_tables(arrows, units, src, rng, inv, comp):
+    """Arrays (unit_idx, src_idx, rng_idx, inv_idx, a, b, c) of name-level
+    tables, comp in its order."""
+    G = raw_groupoid(arrows, units, src, rng, inv, comp)
+    return groupoid_arrays(G)
+
+
+def groupoid_arrays(G):
+    """The arrays (unit_idx, src_idx, rng_idx, inv_idx, a, b, c) of G."""
+    T = G.table
+    return (G.unit_idx, G.src_idx, G.rng_idx, G.inv_idx, T.a, T.b, T.c)
+
+
+def dict_pair_blocks(blocks):
+    """Name-level tables of the disjoint union of pair groupoids on
+    ``blocks``, one entry at a time."""
+    arrows, units = [], []
+    src, rng, inv, comp = {}, {}, {}, {}
+    for block in blocks:
+        aid = {(p, q): pair_id(p, q) for p in block for q in block}
+        units.extend(aid[(p, p)] for p in block)
+        for p in block:
+            for q in block:
+                g = aid[(p, q)]
+                arrows.append(g)
+                src[g] = aid[(q, q)]
+                rng[g] = aid[(p, p)]
+                inv[g] = aid[(q, p)]
+        for p in block:
+            for q in block:
+                for r in block:
+                    comp[(aid[(p, q)], aid[(q, r)])] = aid[(p, r)]
+    return arrows, units, src, rng, inv, comp
+
+
+def dict_group_tables(group):
+    """Name-level tables of the one-unit groupoid of a GroupTable."""
+    els = group.elements
+    u = els[group.unit]
+    return (list(els), [u], dict.fromkeys(els, u), dict.fromkeys(els, u),
+            {g: els[group.inv[i]] for i, g in enumerate(els)},
+            {(a, b): els[group.M[i, j]] for i, a in enumerate(els)
+             for j, b in enumerate(els)})
+
+
+def dict_action_tables(a):
+    """(name-level tables, projection map) of the action groupoid of a
+    validated action, one arrow and one composable pair at a time."""
+    H = a.groupoid
+    pairs = sorted(a.act.keys(),
+                   key=lambda hx: (H.index[hx[0]], a.points.index(hx[1])))
+    ids = {hx: pair_id(*hx) for hx in pairs}
+    arrows = [ids[hx] for hx in pairs]
+    point_unit = {x: ids[(a.anchor[x], x)] for x in a.points}
+    src = {ids[(h, x)]: point_unit[x] for (h, x) in pairs}
+    rng = {ids[(h, x)]: point_unit[a.act[(h, x)]] for (h, x) in pairs}
+    inv = {ids[(h, x)]: ids[(H.inv[h], a.act[(h, x)])] for (h, x) in pairs}
+    units = [point_unit[x] for x in a.points]
+    comp = {}
+    for (h1, x1) in pairs:
+        y = a.act[(h1, x1)]
+        for h2 in H.arrows:
+            if H.src[h2] == H.rng[h1]:
+                comp[(ids[(h2, y)], ids[(h1, x1)])] = \
+                    ids[(H.comp[(h2, h1)], x1)]
+    return (arrows, units, src, rng, inv, comp), \
+        {ids[hx]: hx[0] for hx in pairs}
+
+
+def dict_subgroupoid(G, arrows, require_all_units=True):
+    """Name-level tables of G restricted to ``arrows``, closed under
+    composition, inverse and units (NotASubgroupoid otherwise), checked
+    one member arrow at a time in arrow order."""
+    sub = set(arrows)
+    for g in sub:
+        if g not in G.index:
+            raise NotASubgroupoid(f"{g!r} is not an arrow of G", witness=g)
+    for g in G.arrows:
+        if g not in sub:
+            continue
+        if G.inv[g] not in sub:
+            raise NotASubgroupoid(f"not closed under inverse at {g!r}",
+                                  witness=g)
+        for u in (G.src[g], G.rng[g]):
+            if u not in sub:
+                raise NotASubgroupoid(
+                    f"missing unit {u!r} of member arrow {g!r}", witness=g)
+    if require_all_units:
+        missing = [u for u in G.units if u not in sub]
+        if missing:
+            raise NotASubgroupoid(
+                f"subgroupoid must contain all units; missing {missing[0]!r}",
+                witness=missing[0])
+    units = list(G.units) if require_all_units \
+        else [u for u in G.units if u in sub]
+    comp = {}
+    for (g1, g2), g12 in G.comp.items():
+        if g1 in sub and g2 in sub:
+            if g12 not in sub:
+                raise NotASubgroupoid(
+                    f"not closed under composition at ({g1!r}, {g2!r})",
+                    witness=(g1, g2))
+            comp[(g1, g2)] = g12
+    ordered = [g for g in G.arrows if g in sub]
+    return (ordered, units, {g: G.src[g] for g in ordered},
+            {g: G.rng[g] for g in ordered},
+            {g: G.inv[g] for g in ordered}, comp)
+
+
+def dict_fiber_subgroupoid(pi, x):
+    """Name-level tables of the arrows of the domain over the unit x."""
+    G = pi.domain
+    arrows = [g for g in G.arrows if pi.map[g] == x]
+    units = [u for u in G.units if pi.map[u] == x]
+    comp = {(g1, g2): g12 for (g1, g2), g12 in G.comp.items()
+            if pi.map[g1] == x and pi.map[g2] == x}
+    return (arrows, units, {g: G.src[g] for g in arrows},
+            {g: G.rng[g] for g in arrows},
+            {g: G.inv[g] for g in arrows}, comp)
+
+
+def dict_kernel(pi):
+    """(name-level tables of the kernel, its fibers) of a surjective
+    morphism."""
+    G, H = pi.domain, pi.codomain
+    karrows = [g for g in G.arrows if pi.map[g] in set(H.units)]
+    fibers = {x: tuple(g for g in karrows if pi.map[g] == x)
+              for x in H.units}
+    return dict_subgroupoid(G, karrows), fibers
+
+
+def dict_isotropy_quotient(G):
+    """(name-level tables of the orbit relation, quotient map) of G."""
+    orbits = {}
+    for u in G.units:
+        orbits.setdefault(min((G.rng[g] for g in G.arrows if G.src[g] == u),
+                              key=G.index.get), []).append(u)
+    return (dict_pair_blocks(orbits.values()),
+            {g: pair_id(G.rng[g], G.src[g]) for g in G.arrows})
+
+
+def loop_validate_action(a):
+    """validate_action, one pair (h, x) and one triple at a time."""
+    from gpdkit.actions import ActionAxiomViolation
+    H = a.groupoid
+    unit_set = set(H.units)
+    for x in a.points:
+        if a.anchor.get(x) not in unit_set:
+            raise ActionAxiomViolation(f"anchor of {x!r} is not a unit",
+                                       witness=x)
+    if unit_set - {a.anchor[x] for x in a.points}:
+        missing = sorted(unit_set - {a.anchor[x] for x in a.points}, key=repr)
+        raise ActionAxiomViolation(f"anchor is not surjective: unit "
+                                   f"{missing[0]!r} has empty fiber",
+                                   witness=missing[0])
+    pset = set(a.points)
+    for h in H.arrows:
+        for x in a.points:
+            defined = (h, x) in a.act
+            should = H.src[h] == a.anchor[x]
+            if defined != should:
+                raise ActionAxiomViolation(
+                    f"act defined on ({h!r}, {x!r}) iff should be: {should}",
+                    witness=(h, x))
+            if defined:
+                y = a.act[(h, x)]
+                if y not in pset:
+                    raise ActionAxiomViolation(f"act({h!r}, {x!r}) not a point",
+                                               witness=(h, x))
+                if a.anchor[y] != H.rng[h]:
+                    raise ActionAxiomViolation(
+                        f"anchor(act({h!r}, {x!r})) != rng({h!r})",
+                        witness=(h, x))
+    for x in a.points:
+        if a.act[(a.anchor[x], x)] != x:
+            raise ActionAxiomViolation(f"unit does not fix {x!r}", witness=x)
+    for (h1, x) in a.act:
+        y = a.act[(h1, x)]
+        for h2 in H.arrows:
+            if H.src[h2] == H.rng[h1] and \
+                    a.act[(h2, y)] != a.act[(H.comp[(h2, h1)], x)]:
+                raise ActionAxiomViolation(
+                    f"action not multiplicative on ({h2!r}, {h1!r}, {x!r})",
+                    witness=(h2, h1, x))
+    return a
+
+
+def loop_check_morphism(pi):
+    """check_morphism, one arrow and one composable pair at a time."""
+    G, H = pi.domain, pi.codomain
+    for g in G.arrows:
+        if g not in pi.map:
+            raise NotAMorphism(f"map not total: missing {g!r}", witness=g)
+        if pi.map[g] not in H.index:
+            raise NotAMorphism(
+                f"map[{g!r}] = {pi.map[g]!r} not in codomain", witness=g)
+    for g in G.arrows:
+        h = pi.map[g]
+        if H.src[h] != pi.map[G.src[g]] or H.rng[h] != pi.map[G.rng[g]]:
+            raise NotAMorphism(
+                f"map does not intertwine src/rng at {g!r}", witness=g)
+    for (g1, g2), g12 in G.comp.items():
+        if H.comp.get((pi.map[g1], pi.map[g2])) != pi.map[g12]:
+            raise NotAMorphism(
+                f"map not multiplicative on ({g1!r}, {g2!r})", witness=(g1, g2))
+
+
+def loop_classify_morphism(pi):
+    """classify_morphism by a Counter of (src, image) over the domain."""
+    G, H = pi.domain, pi.codomain
+    try:
+        loop_check_morphism(pi)
+    except NotAMorphism as exc:
+        return MorphismClassification(False, False, False, False, False,
+                                      witness=exc.witness)
+    image = set(pi.map[g] for g in G.arrows)
+    surjective = image == set(H.arrows)
+    surj_units = set(pi.map[u] for u in G.units) == set(H.units)
+    lifts = Counter((G.src[g], pi.map[g]) for g in G.arrows)
+    over = {}
+    for x in G.units:
+        over.setdefault(pi.map[x], []).append(x)
+    counts = [((h, x), lifts[(x, h)]) for h in H.arrows
+              for x in over.get(H.src[h], ())]
+    witness = next((hx for hx, n in counts if n != 1), None)
+    fibration = surjective and all(n for _, n in counts)
+    covering = fibration and all(n <= 1 for _, n in counts)
+    if not surjective and witness is None:
+        missing = sorted((h for h in H.arrows if h not in image), key=repr)
+        witness = (missing[0],) if missing else None
+    return MorphismClassification(True, surjective, surj_units,
+                                  fibration, covering, witness)
 
 
 def loop_heisenberg_elements(n: int):
@@ -245,8 +513,8 @@ def table_associativity_witness(arrows, units, src, rng, inv, comp):
     ``groupoid_table(G)._sorted_associativity_defect()`` mapped to arrows
     (every failing entry of a w = 1 table with one composite per pair has
     |defect| 1, so the first in index order), or None."""
-    G = FiniteGroupoid(arrows, units, src, rng, inv, comp)
-    _, triple = groupoid_table(G)._sorted_associativity_defect()
+    G = raw_groupoid(arrows, units, src, rng, inv, comp)
+    _, triple = G.table._sorted_associativity_defect()
     return None if triple is None else tuple(G.arrows[i] for i in triple)
 
 
@@ -368,7 +636,7 @@ def hilbert_module_residuals(pi, E):
     e = np.eye(len(G.arrows), dtype=complex)
     out = {}
     for u in G.units:
-        into = G.arrows_to(u)
+        into = [g for g in G.arrows if G.rng[g] == u]
         for g1 in into:
             s1 = T.star(psi(e[G.index[g1]]))
             f1 = D.star(e[G.index[g1]])
@@ -482,7 +750,7 @@ def _on_fiber(E, h, vec):
 def fiber_product(x, y):
     """x y in the fiber over the composite."""
     E = x.bundle
-    return _on_fiber(E, E.base.compose(x.arrow, y.arrow),
+    return _on_fiber(E, E.base.comp[(x.arrow, y.arrow)],
                      E.table().mul(_section(x), _section(y)))
 
 
@@ -530,7 +798,7 @@ def dense_saturation_detail(E, tol):
     from gpdkit.bundle import FiberElement
     H = E.base
     for (h1, h2) in H.composable_pairs():
-        d12 = E.dim(H.compose(h1, h2))
+        d12 = E.dim(H.comp[(h1, h2)])
         if d12 == 0:
             continue
         rows = [fiber_product(FiberElement.basis(E, h1, i),
@@ -551,7 +819,7 @@ def sandwich_blocks(B, h, X, k):
     tsqrt, tisqrt, _, _ = B.gram()
     out = []
     for hr, x, kr in zip(h, X, k):
-        hk = B.compose(np.array([hr]), np.array([kr]))[0]
+        hk = B.base.compose_ids(np.array([hr]), np.array([kr]))[0]
         g = max(B.dims[hk], B.dims[kr])
         e = (B.arrow[T.a] == hr) & (B.arrow[T.b] == kr)
         L = np.zeros((g, g), dtype=complex)
@@ -899,8 +1167,8 @@ def loop_validate_groupoid(arrows, units, src, rng, inv, comp):
             raise IllegalComposite(
                 f"composite {g12!r} of ({g1!r}, {g2!r}) has wrong source or range",
                 witness=(g1, g2, g12))
-    G = FiniteGroupoid(arrows, units, src, rng, inv, comp)
-    for g1, g2 in G.composable_pairs():
+    for g1, g2 in ((g1, g2) for g2 in arrows for g1 in arrows
+                   if src[g1] == rng[g2]):
         if (g1, g2) not in comp:
             raise MissingComposite(
                 f"composable pair ({g1!r}, {g2!r}) missing from comp",
@@ -930,7 +1198,8 @@ def loop_validate_groupoid(arrows, units, src, rng, inv, comp):
         if comp[(gi, g)] != src[g]:
             raise InverseFailure(
                 f"{gi!r} * {g!r} != src({g!r})", witness=(gi, g))
-    res, triple = groupoid_table(G).associativity_defect()
+    G = raw_groupoid(arrows, units, src, rng, inv, comp)
+    res, triple = G.table.associativity_defect()
     if res > 0:
         g1, g2, g3 = (arrows[i] for i in triple)
         raise AssociativityFailure(

@@ -18,7 +18,7 @@ from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
 from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
     dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
     group_convolution, loop_center_basis, loop_heisenberg_elements, \
-    matrix_units_check, table_arrays, table_products
+    matrix_units_check, raw_groupoid, table_arrays, table_products
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -177,7 +177,8 @@ class TestNorm:
         rep = gk.RegularRepresentation(G) if kind == "untwisted" else \
             gk.TwistedConvolutionAlgebra(
                 G, corpus.random_cocycle(G, rng)).rep
-        blocks = [[G.index[g] for g in G.arrows_from(u)] for u in G.units]
+        blocks = [[G.index[g] for g in G.arrows if G.src[g] == u]
+                  for u in G.units]
         for _ in range(20):
             x = random_element(G, rng).coeffs
             left = rep.table.left(x)  # dense, gathered per unit
@@ -402,7 +403,46 @@ class TestPositivity:
             f"element is not self-adjoint (defect {defect:.3e})"
 
 
+def _relabelled(G, change):
+    """Unchecked name-level tables of G after change(src, rng, inv, comp)
+    edited them in place."""
+    tables = dict(G.src), dict(G.rng), dict(G.inv), dict(G.comp)
+    change(*tables)
+    return raw_groupoid(G.arrows, G.units, *tables)
+
+
 class TestConditionalExpectation:
+    @pytest.mark.parametrize("change, witness", [
+        # (1,2) claimed a loop at (1,1), with no composition at all
+        (lambda s, r, i, c: (s.update({"(1,2)": "(1,1)"}),
+                             r.update({"(1,2)": "(1,1)"}), c.clear()),
+         "(1,2)"),
+        (lambda s, r, i, c: i.update({"(1,2)": "(1,2)"}), "(1,2)"),
+        (lambda s, r, i, c: c.update({("(1,2)", "(2,1)"): "(2,2)"}),
+         ("(1,2)", "(2,1)")),
+        (lambda s, r, i, c: c.pop(("(2,1)", "(1,1)")), ("(2,1)", "(1,1)")),
+    ], ids=["loop", "inverse", "composite", "missing_pair"])
+    def test_subgroupoid_must_have_the_tables_of_g(self, pair2, change,
+                                                   witness):
+        K = _relabelled(pair2, change)
+        f = random_element(pair2, np.random.default_rng(0))
+        with pytest.raises(gk.NotASubgroupoid) as exc:
+            gk.conditional_expectation(pair2, K, f)
+        assert exc.value.witness == witness
+        # the same arrows with G's tables pass
+        assert np.array_equal(gk.conditional_expectation(
+            pair2, _relabelled(pair2, lambda *_: None), f).coeffs, f.coeffs)
+
+    def test_subgroupoid_arrows_must_be_closed(self, pair2):
+        K = gk.subgroupoid(pair2, pair2.arrows)
+        K = raw_groupoid(["(1,1)", "(2,2)", "(1,2)"], K.units, K.src, K.rng,
+                         K.inv, {p: g for p, g in K.comp.items()
+                                 if "(2,1)" not in (*p, g)})
+        with pytest.raises(gk.NotASubgroupoid) as exc:
+            gk.conditional_expectation(
+                pair2, K, random_element(pair2, np.random.default_rng(0)))
+        assert exc.value.witness == "(1,2)"
+
     def test_identity_on_whole_groupoid(self, heis3):
         rng = np.random.default_rng(2)
         f = random_element(heis3, rng)
@@ -539,14 +579,13 @@ def test_faithfulness_on_corpus(pair2, z3, heis3):
 
 def _without_product(G, g1, g2):
     """G with the composite of (g1, g2) left out of its table."""
-    return gk.FiniteGroupoid(G.arrows, G.units, G.src, G.rng, G.inv,
-                             {p: g for p, g in G.comp.items()
-                              if p != (g1, g2)})
+    return raw_groupoid(G.arrows, G.units, G.src, G.rng, G.inv,
+                        {p: g for p, g in G.comp.items() if p != (g1, g2)})
 
 
 def _faithfulness_cases():
-    point = gk.FiniteGroupoid(["u"], ["u"], {"u": "u"}, {"u": "u"},
-                              {"u": "u"}, {("u", "u"): "u"})
+    point = raw_groupoid(["u"], ["u"], {"u": "u"}, {"u": "u"},
+                         {"u": "u"}, {("u", "u"): "u"})
     union = corpus.disjoint_union([("z", corpus.cyclic_groupoid(3)),
                                    ("p", point)])
     z3 = corpus.cyclic_groupoid(3)

@@ -966,7 +966,7 @@ class TestBatchedNumerics:
                             minlength=B.nA ** 2)
         h, k = np.divmod(np.flatnonzero(count), B.nA)
         assert np.all(count[h * B.nA + k] <= B.dims[h] * B.dims[k]
-                      * B.dims[B.compose(h, k)])
+                      * B.dims[B.base.compose_ids(h, k)])
         assert len(a) <= len(E.table().a)
         _assert_blocks_match_the_sandwich(B)
         assert gk.verify_axioms(E, samples=12, seed=0).axioms_pass
@@ -1008,8 +1008,8 @@ class TestBatchedNumerics:
                 want = prod(x).vec
                 assert np.allclose(row[:want.size], want, atol=1e-12)
         ys = [FiberElement(E, k, rng.standard_normal(E.dim(k)) + 0j)
-              for x in xs for k in E.base.arrows_from(E.base.src[x.arrow])
-              if E.dim(k)][:len(xs)]
+              for x in xs for k in E.base.arrows
+              if E.base.src[k] == E.base.src[x.arrow] and E.dim(k)][:len(xs)]
         pairs = [(y, x) for x, y in zip(xs, ys)
                  if E.base.composable(y.arrow, x.arrow)]
         h1, Y = B.rows([(y.arrow, y.vec) for y, _ in pairs])

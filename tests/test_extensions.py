@@ -165,6 +165,27 @@ class TestExtensionValidation:
         with pytest.raises(gk.NotAbelianKernel):
             GroupExtension.from_tables(elements, mul, elements)
 
+    def test_section_missing_a_coset_is_rejected(self):
+        # Z4 over {0, 2} has the cosets 0 and 1; the section names only 0
+        els, mul = cyclic_table(4)
+        with pytest.raises(gk.GroupoidError) as exc:
+            GroupExtension.from_tables(els, mul, ["0", "2"],
+                                       section={"0": "0"})
+        assert type(exc.value) is gk.GroupoidError
+        assert exc.value.witness == "1"
+        assert str(exc.value) == "section has no image for the coset of '1'"
+
+    def test_first_coset_without_image_is_named(self):
+        # Z6 over {0, 3}: cosets 0, 1, 2 in quotient order; 1 and 2 miss
+        els, mul = cyclic_table(6)
+        with pytest.raises(gk.GroupoidError) as exc:
+            GroupExtension.from_tables(els, mul, ["0", "3"],
+                                       section={"0": "0", "2": "5"})
+        assert exc.value.witness == "1"
+        ext = GroupExtension.from_tables(els, mul, ["0", "3"], section={
+            "0": "0", "1": "4", "2": "5"})
+        assert gk.group_extension_bundle(ext).passed
+
 
 class TestHeisenbergExtension:
     @pytest.mark.parametrize("n", [2, 3])

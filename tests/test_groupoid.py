@@ -5,9 +5,8 @@ import pytest
 
 import gpdkit as gk
 from gpdkit import corpus
-from gpdkit.algebra import groupoid_table
 from gpdkit.groupoid import pair_id
-from oracles import table_associativity_witness
+from oracles import raw_groupoid, table_associativity_witness
 
 
 def test_pair_groupoid_validates(pair2):
@@ -101,7 +100,7 @@ def test_corpus_groupoids_pass_as_on_the_table(name):
 def _gathered_matches_sorted(raw):
     """The w = 1 table of raw groupoid tables takes the gathered path with
     no weight products; its (residual, triple) is the sorting path's."""
-    table = groupoid_table(gk.FiniteGroupoid(*raw))
+    table = raw_groupoid(*raw).table
     got = table.associativity_defect()
     assert got == table._sorted_associativity_defect()
     return got

@@ -25,7 +25,8 @@ from gpdkit.groupoid import (FiniteGroupoid, GroupoidError, GroupoidMorphism,
 from gpdkit.report import canonical_json
 from oracles import (loop_load_action, loop_load_cocycle, loop_load_group,
                      loop_load_groupoid, loop_load_morphism,
-                     loop_load_raw_groupoid_tables, loop_validate_groupoid)
+                     loop_load_raw_groupoid_tables, loop_validate_groupoid,
+                     raw_groupoid)
 
 
 def _summary(x):
@@ -265,10 +266,10 @@ def test_intact_documents_load_alike(kind):
 
 def test_loaded_table_is_the_table_of_the_groupoid():
     G = gio.load_groupoid(copy.deepcopy(GROUPOID))
-    fresh = groupoid_table(FiniteGroupoid(G.arrows, G.units, G.src, G.rng,
-                                          G.inv, G.comp))
+    fresh = groupoid_table(raw_groupoid(G.arrows, G.units, G.src, G.rng,
+                                        G.inv, G.comp))
     for name in ("a", "b", "c", "w", "s", "t", "sw"):
-        np.testing.assert_array_equal(getattr(G._table, name),
+        np.testing.assert_array_equal(getattr(G.table, name),
                                       getattr(fresh, name))
 
 

@@ -62,3 +62,9 @@ def test_traced_commands_run(capsys):
     assert summary["calls"]["bundle.psi_iso_check"] == 1
     assert summary["calls"]["actions.abelian_extract"] == 1
     assert summary["calls"]["extensions.group_extension_bundle"] == 1
+    # the hooks that read the name views of a groupoid (src, rng, the
+    # length of comp) count what they counted on the dict tables
+    counters = summary["counters"]
+    assert counters["groupoid.validate.triples"] == 627
+    assert counters["bundle.psi.pairs"] == 64
+    assert counters["actions.cocycle.triples"] == 160
