@@ -24,10 +24,11 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
                        _ids, _join, _prefix, _table, classify_morphism,
                        pair_id)
 from .algebra import (RegularRepresentation, WedderburnInvariants, chunks,
-                      groupoid_table, isometry_defect, wedderburn_from_tables)
+                      groupoid_table, isometry_certificate,
+                      wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
                      NotSaturated, FellBundleError, _require_cstar_units,
-                     _slot_witness, section_algebra)
+                     _section_hypotheses, _slot_witness, section_algebra)
 from .fiberblocks import fiber_blocks, stacked_ranks
 from .report import CheckList
 
@@ -396,9 +397,12 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     gauged line vector in the slots over h) is certified as an isometric
     *-isomorphism onto the section algebra: its multiplicative and star
     defects between the twisted table and the section table over every
-    basis pair (or arrow), and its norm defect on 25 seeded random
-    elements. None of this is checked when the read-off cocycle fails its
-    identity.
+    basis pair (or arrow), and its isometry on every element by
+    :func:`~gpdkit.algebra.isometry_certificate` (Murphy 1990, Thm 3.1.5),
+    from those defects, the smallest singular value of U (bijective), the
+    associativity of both tables (``cocycle_identity`` and the section
+    algebra's axiom 3) and the faithful *-representations of both. None of
+    this is checked when the read-off cocycle fails its identity.
     """
     H = E.base
     B = fiber_blocks(E)
@@ -587,10 +591,20 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     result.add("basis_map_multiplicative", res_mul <= 1e-8, res_mul,
                None if res_mul <= 1e-8 else
                f"({G2.arrows[pair[0]]!r}, {G2.arrows[pair[1]]!r})")
-    res_star = ta.table.star_hom_defect(E.table(), U)[0]
-    result.add("basis_map_star", res_star <= 1e-8, res_star)
-    res_iso = isometry_defect(ta.rep.norms, sa.space.rep.norms, U,
-                              np.random.default_rng(seed), 25)
-    result.add("basis_map_isometric", res_iso <= 1e-8, res_iso)
+    res_star, s = ta.table.star_hom_defect(E.table(), U)
+    result.add("basis_map_star", res_star <= 1e-8, res_star,
+               None if res_star <= 1e-8 else repr(G2.arrows[s[0]]))
+    # bijective: U has full rank at the cut of numpy's matrix_rank
+    sv = np.linalg.svd(U, compute_uv=False)
+    cut = sv.max(initial=0.0) * max(U.shape) * np.finfo(float).eps
+    square = U.shape[0] == U.shape[1]
+    bijective = ("bijective", 0.0 if square and np.all(sv > cut) else None,
+                 f"sigma_min {sv.min(initial=np.inf):.3e} <= cut {cut:.3e}"
+                 if square else f"U is {U.shape[0]} x {U.shape[1]}")
+    result.add("basis_map_isometric", *isometry_certificate(
+        [bijective, *result.cite("basis_map_multiplicative",
+                                 "basis_map_star", "cocycle_identity")]
+        + _section_hypotheses(sa),
+        [("twisted", ta.rep), ("section", sa.space.rep)], 1e-8))
     return result
 

@@ -35,12 +35,20 @@ that every C*-norm reads too, and kept on it. The center comes from
 :func:`center_basis`, which reads the table arrays and takes one batched
 SVD per shape of its constraint components; the block sizes take one
 batched eigvalsh per restriction size.
+
+That a linear map between two such algebras keeps every norm is certified
+over the whole basis, not sampled (:func:`isometry_certificate`): an
+injective *-homomorphism between C*-algebras is isometric (Murphy 1990,
+*C*-algebras and Operator Theory*, Thm 3.1.5), so it suffices that the map
+is a bijective *-homomorphism and that each norm is taken in a faithful
+*-representation, which :meth:`RegularRepresentation.star_defect` and
+:meth:`RegularRepresentation.slice_margin` measure on the block entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -82,6 +90,26 @@ def chunks(load) -> list:
     part = (np.cumsum(load) // _ENTRIES_PER_CALL
             + np.arange(len(load)) // _ROWS_PER_CALL)
     return np.split(np.arange(len(load)), np.flatnonzero(np.diff(part)) + 1)
+
+
+def stacked_singular_values(owner, row, col, vals, shape):
+    """Yield (owners, singular values) per shape and chunk of the matrix
+    of every owner o, of shape (shape[0][o], shape[1][o]), with vals summed
+    at (row, col) of the entries it owns: one batched SVD each, values in
+    descending order. Owners of an empty shape are left out."""
+    nr, nc = (np.asarray(v, dtype=np.int64) for v in shape)
+    key = nr * (int(nc.max(initial=0)) + 1) + nc
+    for k in np.flatnonzero(np.bincount(key[(nr > 0) & (nc > 0)])):
+        which = np.flatnonzero(key == k)
+        a, b = int(nr[which[0]]), int(nc[which[0]])
+        for chunk in chunks(np.full(len(which), a * b)):
+            o = which[chunk]
+            at = np.full(len(nr), -1)
+            at[o] = np.arange(len(o))
+            e = at[owner] >= 0
+            M = _scatter((at[owner[e]] * a + row[e]) * b + col[e], vals[e],
+                         len(o) * a * b).reshape(len(o), a, b)
+            yield o, np.linalg.svd(M, compute_uv=False)
 
 
 def spectral_norms(S) -> np.ndarray:
@@ -411,20 +439,29 @@ class RegularRepresentation:
     product does not make orthonormal passes its entries in orthonormal
     coordinates (``SectionSpace``). Blocks of one size are scattered into
     one stack; no dim x dim matrix is formed. With a groupoid for
-    ``summand``, an arrow lies in the summand of its source unit; a
-    groupoid for ``table`` stands for its untwisted table and itself.
+    ``summand`` (kept as ``base``), basis element j lies over the arrow
+    ``over[j]`` (by default arrow j) and in the summand of its source
+    unit; a groupoid for ``table`` stands for its untwisted table and
+    itself. The checks that its blocks form a faithful *-representation,
+    :meth:`star_defect` and :meth:`slice_margin`, are kept on it like the
+    Wedderburn solves.
     """
 
-    def __init__(self, table, summand=None, entries=None):
+    def __init__(self, table, summand=None, entries=None, over=None):
         if isinstance(table, FiniteGroupoid):
             table, summand = groupoid_table(table), table
+        self.base = self.over = None
         if isinstance(summand, FiniteGroupoid):  # by source unit
+            self.base = summand
+            self.over = np.arange(table.dim) if over is None \
+                else np.asarray(over, dtype=np.int64)
             unit = np.zeros(len(summand.arrows), dtype=np.int64)
             unit[summand.unit_idx] = np.arange(len(summand.unit_idx))
-            summand = unit[summand.src_idx]
+            summand = unit[summand.src_idx[self.over]]
         self.table = T = table
         self.solved = {}  # Wedderburn invariants per (seed, tol, retries)
-        summand = np.asarray(summand, dtype=np.int64)
+        self._star = self._margin = None
+        self.summand = summand = np.asarray(summand, dtype=np.int64)
         self.sizes, pos = _ranks(summand)  # pos: place in the block
         widths, group = np.unique(self.sizes, return_inverse=True)
         _, at = _ranks(group)  # place of a summand in its size group
@@ -438,8 +475,8 @@ class RegularRepresentation:
             return (np.where(summand[rows] == summand[cols], group[cols], -1),
                     row_at[rows] + col_at[cols])
 
-        a, rows, cols, w = (T.a, T.c, T.b, T.w) if entries is None \
-            else entries
+        self.entries = a, rows, cols, w = (T.a, T.c, T.b, T.w) \
+            if entries is None else entries
         e_group, e_at = place(rows, cols)
         self._groups = []
         for g, m in enumerate(widths.tolist()):
@@ -489,6 +526,66 @@ class RegularRepresentation:
         the one-row case of :meth:`norms`."""
         return float(self.norms(np.asarray(getattr(f, "coeffs", f))[None])[0])
 
+    def star_defect(self):
+        """(largest |entry difference| between the block of e_s conjugate
+        transposed and the block of e_s* = sum of sw e_t, over the star
+        entries (s, t, sw) of the table, (s, row) of that entry or None):
+        zero exactly when the block of every x* is the adjoint of the block
+        of x, since both sides are conjugate-linear in x. One join of the
+        star entries with the block entries; kept on the rep."""
+        if self._star is None:
+            a, rows, cols, w = self.entries
+            keep = self.summand[rows] == self.summand[cols]
+            a, rows, cols, w = a[keep], rows[keep], cols[keep], w[keep]
+            T = self.table
+            j, e = _join(T.t, a)  # e_s* has sw e_t; e is a block entry of e_t
+            self._star = _defect((a, cols, rows, np.conj(w)),
+                                 (T.s[j], rows[e], cols[e], T.sw[j] * w[e]),
+                                 T.dim)
+        return self._star
+
+    def slice_margin(self):
+        """(smallest singular value of the unit-column slices, the cut it
+        must clear, the arrow of ``base`` where it is smallest), kept on
+        the rep; (inf, cut, None) without a nonempty fiber.
+
+        The slice of the arrow h has a row per basis element over h and a
+        column per (row, col) over (h, s(h)), and takes the weight w of
+        every entry (a, row, col, w) there: the part of the representation
+        that maps the unit fiber over s(h) into the fiber over h. Only the
+        basis elements over h reach those columns, so full-rank slices
+        make the representation injective; an entry of another arrow there
+        sets the margin of its slice to 0. On a groupoid table each slice
+        is the 1 x 1 coefficient of e_h in e_h e_s(h), and together they
+        are the slice of :func:`faithfulness_defect`. The cut is the
+        threshold that ``matrix_rank`` applies to the whole (dim, dim^2)
+        stack, taken with sigma_max <= sum |w|. One batched SVD per slice
+        shape and chunk."""
+        if self._margin is None:
+            H, over, n = self.base, self.over, self.table.dim
+            a, rows, cols, w = self.entries
+            cut = float(np.abs(w).sum()) * n * n * np.finfo(float).eps
+            dims = np.bincount(over, minlength=len(H.arrows))
+            loc = _ranks(over)[1]  # place over its arrow
+            on = np.flatnonzero(over[cols] == H.src_idx[over[rows]])
+            a, rows, cols, w = a[on], rows[on], cols[on], w[on]
+            h, du = over[rows], dims[H.src_idx]
+            sigma = np.zeros(len(dims))
+            for owners, s in stacked_singular_values(
+                    h, loc[a], loc[rows] * du[h] + loc[cols], w,
+                    (dims, dims * du)):
+                sigma[owners] = s[:, -1]
+            sigma[h[over[a] != h]] = 0.0
+            live = np.flatnonzero(dims > 0)
+            k = int(live[np.argmin(sigma[live])]) if len(live) else None
+            self._margin = (np.inf if k is None else float(sigma[k]), cut, k)
+        return self._margin
+
+    def describe(self, j) -> str:
+        """Basis element j as (h=arrow of base, e=its place over h)."""
+        place = int(np.count_nonzero(self.over[:j] == self.over[j]))
+        return f"(h={self.base.arrows[self.over[j]]!r}, e={place})"
+
 
 def _regular(G: FiniteGroupoid) -> RegularRepresentation:
     if G._rep is None:  # built once per groupoid, like its table
@@ -500,20 +597,48 @@ def cstar_norm(G: FiniteGroupoid, f: AlgebraElement) -> float:
     return _regular(G).norm(f)
 
 
-def isometry_defect(norms_a: Callable, norms_b: Callable, U, rng,
-                    samples: int) -> float:
-    """Largest |norms_b(U x) - norms_a(x)| / norms_a(x) over ``samples``
-    standard complex Gaussian coefficient vectors x drawn from ``rng``
-    (the real part, then the imaginary part, per vector), or 0.0 without
-    samples. ``norms_a`` and ``norms_b`` take (k, dim) coefficient rows
-    (:meth:`RegularRepresentation.norms`); each is called once."""
-    if samples <= 0:
-        return 0.0
-    draws = rng.standard_normal((samples, 2, U.shape[1]))
-    X = draws[:, 0] + 1j * draws[:, 1]
-    na = norms_a(X)
-    return float(np.max(np.abs(norms_b(X @ U.T) - na)
-                        / np.maximum(na, 1e-30)))
+def isometry_certificate(measured, sides, tol: float):
+    """(passed, residual, witness) of the claim that a linear map U from
+    the algebra of one representation onto that of another keeps the
+    operator norm of every element, certified from hypotheses measured
+    over the whole basis instead of from sampled norms.
+
+    An injective *-homomorphism between C*-algebras is isometric (Murphy
+    1990, *C*-algebras and Operator Theory*, Thm 3.1.5), and a
+    finite-dimensional *-algebra has only one C*-norm. So ||rho_B(U x)|| =
+    ||rho_A(x)|| for every x once U is bijective and a *-homomorphism and
+    each rho is a faithful *-representation; a representation is a
+    homomorphism exactly when its table is associative. ``sides`` holds
+    (label, rep) of the two representations: this measures
+    ``star_rep(label)`` (:meth:`RegularRepresentation.star_defect`) and
+    ``faithful(label)`` (:meth:`RegularRepresentation.slice_margin`,
+    residual 0.0 when the margin clears its cut). ``measured`` holds
+    (name, residual, witness) of what the caller measured or cites:
+    bijectivity, the defects of U, the associativity of each table and
+    any check of the coordinates of a representation; residual None marks
+    a hypothesis decided false.
+
+    The residual is the largest of the residuals, or None with one
+    decided false. A failure names the hypothesis, "name: witness": the
+    first one decided false, else the first with the largest residual,
+    in the order of ``measured`` and then of ``sides``.
+    """
+    hypotheses = list(measured)
+    for label, rep in sides:
+        res, entry = rep.star_defect()
+        hypotheses.append((f"star_rep({label})", res, None if entry is None
+                           else f"{rep.describe(entry[0])} at row "
+                           f"{rep.describe(entry[1])}"))
+        margin, cut, h = rep.slice_margin()
+        hypotheses.append((f"faithful({label})", 0.0 if margin > cut
+                           else None, f"sigma_min {margin:.3e} <= cut "
+                           f"{cut:.3e} over {rep.base.arrows[h]!r}"
+                           if h is not None else None))
+    failed = [h for h in hypotheses if h[1] is None]
+    name, res, witness = failed[0] if failed else max(
+        hypotheses, key=lambda h: h[1])  # the first of the largest
+    passed = res is not None and res <= tol
+    return passed, res, None if passed else f"{name}: {witness}"
 
 
 def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
@@ -545,25 +670,21 @@ def faithfulness_defect(G: FiniteGroupoid, return_margin: bool = False):
     valid groupoid, 0.0 on the empty one).
 
     The slice is the n x n part of ``left_stack`` at the columns (c, s(c)):
-    entry [a, c] is the coefficient of e_c in e_a e_s(c), read straight
-    from the table entries with b = s(c); on a valid groupoid table it is
-    the identity. rank(M) >= rank(M[:, S]) for any column set S, so a
-    full-rank slice proves the defect is zero. The slice counts as full
-    rank when its margin clears the threshold that ``matrix_rank`` applies
-    to the whole (dim, dim^2) stack, taken with sigma_max <= sum |w|; only
-    a slice below it pays for the full rank.
+    entry [a, c] is the coefficient of e_c in e_a e_s(c), which is the
+    identity on a valid groupoid table; it is read, with its margin and
+    cut, by :meth:`RegularRepresentation.slice_margin` of the regular
+    representation. rank(M) >= rank(M[:, S]) for any column set S, so a
+    full-rank slice proves the defect is zero; only a slice below the cut
+    pays for the rank of the whole (dim, dim^2) stack.
     """
-    table = groupoid_table(G)
-    n = table.dim
+    n = len(G.arrows)
     defect, margin = 0, 0.0
     if n:
-        on = table.b == G.src_idx[table.c]
-        S = _scatter(table.a[on] * n + table.c[on], table.w[on], n * n)
-        margin = float(np.linalg.svd(S.reshape(n, n), compute_uv=False)[-1])
-        bound = float(np.abs(table.w).sum()) * n * n * np.finfo(float).eps
-        if not margin > bound:
+        rep = _regular(G)
+        margin, cut, _ = rep.slice_margin()
+        if not margin > cut:
             defect = n - int(np.linalg.matrix_rank(
-                table.left_stack().reshape(n, -1)))
+                rep.table.left_stack().reshape(n, -1)))
     return (defect, margin) if return_margin else defect
 
 

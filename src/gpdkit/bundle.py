@@ -622,8 +622,8 @@ class SectionSpace:
         if not B.gram_margin()[0] > tol:
             raise FellBundleError("section inner product is degenerate; "
                                   "the bundle is not a Fell bundle")
-        self.rep = RegularRepresentation(E.table(), B.src[B.arrow],
-                                         B.orthonormal()[:4])
+        self.rep = RegularRepresentation(E.table(), E.base,
+                                         B.orthonormal()[:4], over=B.arrow)
 
     def op_norm(self, section: Section) -> float:
         """The operator norm of left multiplication by ``section``: the
@@ -710,8 +710,7 @@ class IsoReport(CheckList):
     blocks_bundle: Optional[tuple] = None
 
 
-def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9,
-                  samples: int = 100, seed: int = 0,
+def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
                   bundle: Optional[FellBundle] = None,
                   axiom_report: Optional[AxiomReport] = None) -> IsoReport:
     """Certify that the restriction map is an isometric *-isomorphism from
@@ -726,9 +725,15 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9,
     psi(e_g1)* psi(e_g2) with psi of the kernel part of e_g1* e_g2 over
     every pair of arrows with one range, as one defect of the two tables
     (:func:`_hilbert_module_defect`), and names the pair when it fails.
-    The norm comparison runs over ``samples`` seeded random elements, in
-    one stacked norm call per side; block invariants of both algebras are
-    compared as multisets.
+    ``isometric`` is certified over every element, not sampled
+    (:func:`~gpdkit.algebra.isometry_certificate`; Murphy 1990, Thm
+    3.1.5): U is bijective and a *-homomorphism by the checks above, the
+    domain's table is associative (``validate_groupoid``), the section
+    table by axiom 3 of the verified bundle, and the regular
+    representation of the domain and the section representation are
+    faithful *-representations, the latter in coordinates that are
+    orthonormal for the section inner product (:func:`_section_hypotheses`).
+    Block invariants of both algebras are compared as multisets.
     """
     G = pi.domain
     E = bundle if bundle is not None else build_bundle(pi)
@@ -738,9 +743,9 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9,
     # bijectivity: every slot is hit by exactly one arrow of G
     perm_ok = E.total_dim() == len(G.arrows) and \
         len({E.position[g] for g in G.arrows}) == len(G.arrows)
-    report.add("linear_bijection", perm_ok,
-               0.0 if perm_ok else None,
-               None if perm_ok else "restriction map is not a permutation")
+    not_perm = "restriction map is not a permutation"
+    report.add("linear_bijection", perm_ok, 0.0 if perm_ok else None,
+               None if perm_ok else not_perm)
 
     U = np.zeros((E.total_dim(), len(G.arrows)))
     U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
@@ -755,18 +760,17 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9,
                    None if s is None else repr(G.arrows[s[0]]))
     else:
         for name in ("multiplicative", "star_preserving"):
-            report.add(name, False, None,
-                       "restriction map is not a permutation")
+            report.add(name, False, None, not_perm)
 
     res_mod, pair = _hilbert_module_defect(pi, E)
     report.add("hilbert_module_match", res_mod <= tol, res_mod,
                None if res_mod <= tol else
                f"({G.arrows[pair[0]]!r}, {G.arrows[pair[1]]!r})")
 
-    res_iso = algebra.isometry_defect(
-        algebra._regular(G).norms, sa.space.rep.norms, U,
-        np.random.default_rng(seed), samples)
-    report.add("isometric", res_iso <= tol, res_iso)
+    report.add("isometric", *algebra.isometry_certificate(
+        report.cite("linear_bijection", "multiplicative", "star_preserving")
+        + _section_hypotheses(sa),
+        [("domain", algebra._regular(G)), ("section", sa.space.rep)], tol))
 
     try:
         bg = wedderburn(G, seed=seed, tol=tol)
@@ -778,6 +782,19 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9,
     report.blocks_bundle = be.blocks
     report.add_wedderburn_equal(bg.blocks, be.blocks)
     return report
+
+
+def _section_hypotheses(sa: SectionAlgebra) -> list:
+    """(name, residual, witness) of what the isometry certificate needs of
+    the section representation of ``sa`` besides its own checks: the
+    associativity of the section table, cited from axiom 3 of the report
+    that admitted ``sa``, and the Gram roots of its coordinates
+    (:meth:`~gpdkit.fiberblocks.FiberBlocks.gram_defect`)."""
+    E = sa.bundle
+    res, h = fiber_blocks(E).gram_defect()
+    return sa.report.cite("axiom3_associative") + [
+        ("gram(section)", res,
+         None if h is None else f"(h={E.base.arrows[h]!r})")]
 
 
 def _hilbert_module_defect(pi: GroupoidMorphism, E: FellBundle):

@@ -330,8 +330,7 @@ def cmd_bundle_verify(args, report: Report):
 
 def cmd_bundle_psi(args, report: Report):
     pi = gio.load_morphism(args.morphism)
-    iso = psi_iso_check(pi, tol=args.tol, samples=args.samples,
-                        seed=args.seed)
+    iso = psi_iso_check(pi, tol=args.tol, seed=args.seed)
     report.add_entries(iso.entries)
     report.extras["blocks_domain"] = list(iso.blocks_domain or ())
     report.extras["blocks_bundle"] = list(iso.blocks_bundle or ())
@@ -476,8 +475,7 @@ def cmd_abelian_extract(args, report: Report):
 def cmd_ext_analyze(args, report: Report):
     elements, mul, kern = gio.load_group(args.group)
     ext = GroupExtension.from_tables(elements, mul, kern)
-    res = group_extension_bundle(ext, tol=args.tol, samples=args.samples,
-                                 seed=args.seed)
+    res = group_extension_bundle(ext, tol=args.tol, seed=args.seed)
     report.add_entries(res.entries)
     report.extras["blocks_group"] = list(res.blocks_group or ())
     report.extras["blocks_twisted"] = list(res.blocks_twisted or ())
@@ -494,7 +492,7 @@ def cmd_demo(args, report: Report):
         report.extras["blocks"] = list(inv.blocks)
         report.add("blocks_full_matrix", inv.blocks == (2,), 0.0)
         iso = psi_iso_check(corpus.identity_morphism(G), tol=args.tol,
-                            samples=args.samples, seed=args.seed)
+                            seed=args.seed)
         report.add_entries(iso.entries)
     elif name == "z3":
         G = corpus.cyclic_groupoid(3)
@@ -555,16 +553,14 @@ def cmd_demo(args, report: Report):
         pi = corpus.heisenberg_quotient(n, ext.group)
         G = pi.domain
         report.inputs[f"heis{n}"] = _groupoid_digest(G)
-        iso = psi_iso_check(pi, tol=args.tol, samples=args.samples,
-                            seed=args.seed)
+        iso = psi_iso_check(pi, tol=args.tol, seed=args.seed)
         # psi solved G's Wedderburn at this seed and tolerance (kept on G)
         blocks = wedderburn(G, seed=args.seed, tol=args.tol).blocks
         report.extras["blocks"] = list(blocks)
         report.add("blocks_sum_of_squares",
                    sum(b * b for b in blocks) == n ** 3, 0.0)
         report.add_entries(iso.entries, prefix="psi_")
-        res = group_extension_bundle(ext, tol=args.tol,
-                                     samples=args.samples, seed=args.seed)
+        res = group_extension_bundle(ext, tol=args.tol, seed=args.seed)
         report.add_entries(res.entries, prefix="ext_")
         # the canonical section must reproduce the closed-form twist
         # chi_t(a b') with zero residual
@@ -738,8 +734,10 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (GroupoidError, bundle.FellBundleError, graphs.GraphError) as exc:
+        # the witness, or the message of an error that carries none
+        witness = getattr(exc, "witness", None)
         report.add(type(exc).__name__, False, None,
-                   repr(getattr(exc, "witness", None)))
+                   str(exc) if witness is None else repr(witness))
     except (algebra.NumericalDegeneracy, np.linalg.LinAlgError) as exc:
         report.add(type(exc).__name__, False, None, str(exc))
     text = report.to_json()

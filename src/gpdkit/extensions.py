@@ -32,7 +32,7 @@ import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _ids, _index, _prefix
 from .algebra import (NumericalDegeneracy, StructureTable, _regular,
-                      groupoid_table, isometry_defect, wedderburn)
+                      groupoid_table, isometry_certificate, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
@@ -360,7 +360,7 @@ class ExtensionBundleResult(CheckList):
 
 
 def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
-                           samples: int = 50, seed: int = 0) -> ExtensionBundleResult:
+                           seed: int = 0) -> ExtensionBundleResult:
     """The twisted action groupoid of an extension, with the certified
     isomorphism from the group algebra.
 
@@ -369,9 +369,12 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
     U (``basis_map``): delta_g -> sum over chi of (h.chi)(a)
     delta_{(h, chi)} (for g = a c(h)) to be a bijective (rank),
     multiplicative and star-preserving (defects between the group table
-    and the twisted table over every basis pair or element) and isometric
-    (``samples`` seeded random elements) map onto the twisted algebra, and
-    compares block invariants.
+    and the twisted table over every basis pair or element) map onto the
+    twisted algebra, and isometric on every element by
+    :func:`~gpdkit.algebra.isometry_certificate` (Murphy 1990, Thm 3.1.5):
+    from those three checks, the associativity of the group table and of
+    the twisted table (``cocycle_identity``) and the faithful
+    *-representations of both tables. Compares block invariants.
     """
     G, A, Q = ext.group, ext.kernel, ext.quotient
     M, inv = G.M, G.inv
@@ -446,11 +449,13 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
     result.add("basis_map_multiplicative", res_mul <= 1e-8, res_mul,
                None if pair is None else
                f"({G.elements[pair[0]]!r}, {G.elements[pair[1]]!r})")
-    res_star = domain.star_hom_defect(ta.table, U)[0]
-    result.add("basis_map_star", res_star <= 1e-8, res_star)
-    res_iso = isometry_defect(_regular(Ggpd).norms, ta.rep.norms, U,
-                              np.random.default_rng(seed), samples)
-    result.add("basis_map_isometric", res_iso <= 1e-8, res_iso)
+    res_star, s = domain.star_hom_defect(ta.table, U)
+    result.add("basis_map_star", res_star <= 1e-8, res_star,
+               None if res_star <= 1e-8 else repr(G.elements[s[0]]))
+    result.add("basis_map_isometric", *isometry_certificate(
+        result.cite("basis_map_bijective", "basis_map_multiplicative",
+                    "basis_map_star", "cocycle_identity"),
+        [("group", _regular(Ggpd)), ("twisted", ta.rep)], 1e-8))
 
     try:
         bg = wedderburn(Ggpd, seed=seed, tol=tol)

@@ -19,29 +19,19 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _hermitian, _join, _scatter, chunks, spectral_norms
+from .algebra import (_hermitian, _join, _scatter, chunks, spectral_norms,
+                      stacked_singular_values)
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
     """Numeric rank of the matrix of every owner o, of shape
     (shape[0][o], shape[1][o]), with vals summed at (row, col) of the
     entries it owns: the singular values above tol * max(largest, 1), 0
-    for an empty matrix. One batched SVD per shape and chunk."""
-    nr, nc = (np.asarray(v, dtype=np.int64) for v in shape)
-    ranks = np.zeros(len(nr), dtype=np.int64)
-    key = nr * (int(nc.max(initial=0)) + 1) + nc
-    for k in np.flatnonzero(np.bincount(key[(nr > 0) & (nc > 0)])):
-        which = np.flatnonzero(key == k)
-        a, b = int(nr[which[0]]), int(nc[which[0]])
-        for chunk in chunks(np.full(len(which), a * b)):
-            o = which[chunk]
-            at = np.full(len(nr), -1)
-            at[o] = np.arange(len(o))
-            e = at[owner] >= 0
-            M = _scatter((at[owner[e]] * a + row[e]) * b + col[e], vals[e],
-                         len(o) * a * b).reshape(len(o), a, b)
-            s = np.linalg.svd(M, compute_uv=False)
-            ranks[o] = np.sum(s > tol * np.maximum(s[:, :1], 1.0), axis=1)
+    for an empty matrix. One batched SVD per shape and chunk
+    (:func:`~gpdkit.algebra.stacked_singular_values`)."""
+    ranks = np.zeros(len(shape[0]), dtype=np.int64)
+    for o, s in stacked_singular_values(owner, row, col, vals, shape):
+        ranks[o] = np.sum(s > tol * np.maximum(s[:, :1], 1.0), axis=1)
     return ranks
 
 
@@ -217,12 +207,7 @@ class FiberBlocks:
         fiber dimension. T^-1 inverts the positive part only, so a block
         that is not positive definite has no use but a failed check."""
         if self._gram is None:
-            D = self.D
-            h, i, j, m, w, _ = self.inner("B")
-            G = _scatter((h * D + i) * D + j,
-                         w * self.tau[self.src[h], m],
-                         self.nA * D * D).reshape(self.nA, D, D)
-            G = (G + G.conj().transpose(0, 2, 1)) / 2.0
+            G = _hermitian(self._gram_blocks())
             tsqrt, tisqrt = np.zeros_like(G), np.zeros_like(G)
             lo, hi = np.zeros(self.nA), np.zeros(self.nA)
             for d in np.flatnonzero(np.bincount(self.dims[self.dims > 0])):
@@ -237,6 +222,35 @@ class FiberBlocks:
                 tisqrt[a, :d, :d] = (U * inv[:, None, :]) @ Uh
             self._gram = tsqrt, tisqrt, lo, hi
         return self._gram
+
+    def _gram_blocks(self) -> np.ndarray:
+        """The Gram blocks G_h[i, j] = tau(e_i* e_j) of every arrow h,
+        padded to D x D, from the inner-product tensor."""
+        D = self.D
+        h, i, j, m, w, _ = self.inner("B")
+        return _scatter((h * D + i) * D + j, w * self.tau[self.src[h], m],
+                        self.nA * D * D).reshape(self.nA, D, D)
+
+    def gram_defect(self):
+        """(largest |T_h* T_h - G_h| / max(largest |G_h|, 1) or
+        |T_h^-1 T_h - 1| over the nonempty fibers, the index of its arrow
+        or None): the roots of :meth:`gram` are orthonormal coordinates of
+        the section inner product, and T^-1 inverts T, so that the blocks
+        of :meth:`orthonormal` are those of left multiplication on the
+        section space. Two batched products of the D x D blocks."""
+        T, Ti, _, _ = self.gram()
+        G = self._gram_blocks()
+        live = np.arange(self.D) < self.dims[:, None]
+        one = live[:, :, None] & np.eye(self.D, dtype=bool)
+        scale = np.maximum(np.abs(G).max(axis=(1, 2), initial=0.0), 1.0)
+        res = np.maximum(
+            np.abs(T.conj().transpose(0, 2, 1) @ T - G).max(
+                axis=(1, 2), initial=0.0) / scale,
+            np.abs(Ti @ T - one).max(axis=(1, 2), initial=0.0))
+        if not len(res) or not res.max() > 0:
+            return 0.0, None
+        k = int(np.argmax(res))
+        return float(res[k]), k
 
     def gram_margin(self):
         """(smallest Gram eigenvalue over max(largest, 1), the index of the

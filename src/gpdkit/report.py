@@ -122,6 +122,12 @@ class CheckList:
                 return e
         raise KeyError(name)
 
+    def cite(self, *names) -> list:
+        """(name, residual, witness) of the named entries, as hypotheses
+        of a certificate that rests on them."""
+        return [(e.name, e.residual, e.witness) for e in map(self.entry,
+                                                              names)]
+
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)

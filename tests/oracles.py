@@ -507,6 +507,23 @@ def dense_map_defects(A, B, U):
     return mul, star
 
 
+def isometry_defect(norms_a, norms_b, U, rng, samples: int) -> float:
+    """Largest |norms_b(U x) - norms_a(x)| / norms_a(x) over ``samples``
+    standard complex Gaussian coefficient vectors x drawn from ``rng``
+    (the real part, then the imaginary part, per vector), or 0.0 without
+    samples: the sampled norm comparison that the isometry certificate
+    (``gpdkit.algebra.isometry_certificate``) replaced. ``norms_a`` and
+    ``norms_b`` take (k, dim) coefficient rows
+    (``RegularRepresentation.norms``); each is called once."""
+    if samples <= 0:
+        return 0.0
+    draws = rng.standard_normal((samples, 2, U.shape[1]))
+    X = draws[:, 0] + 1j * draws[:, 1]
+    na = norms_a(X)
+    return float(np.max(np.abs(norms_b(X @ U.T) - na)
+                        / np.maximum(na, 1e-30)))
+
+
 def table_associativity_witness(arrows, units, src, rng, inv, comp):
     """The failing triple that the structure table names for raw groupoid
     tables, by the sorting path that takes any table: the entry of

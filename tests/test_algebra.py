@@ -12,13 +12,14 @@ from gpdkit.cli import main
 from gpdkit.fiberblocks import stacked_ranks
 from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
                             _regular, center_basis, groupoid_table,
-                            isometry_defect, random_element,
+                            random_element,
                             sparse_center_basis, wedderburn_from_tables)
 
 from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
     dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
-    group_convolution, loop_center_basis, loop_heisenberg_elements, \
-    matrix_units_check, raw_groupoid, table_arrays, table_products
+    group_convolution, isometry_defect, loop_center_basis, \
+    loop_heisenberg_elements, matrix_units_check, raw_groupoid, \
+    table_arrays, table_products
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 

@@ -22,7 +22,7 @@ def test_isotropy_quotient_bundle_of_mixed_groupoid():
     rep = gk.verify_axioms(E, samples=60)
     assert rep.axioms_pass and rep.saturated
 
-    iso = gk.psi_iso_check(pi, samples=40, bundle=E, axiom_report=rep)
+    iso = gk.psi_iso_check(pi, bundle=E, axiom_report=rep)
     assert iso.passed
     assert iso.blocks_domain == (3, 2, 1, 1, 1, 1)
 
@@ -81,10 +81,9 @@ def test_heisenberg_4_pipeline():
     assert rep.axioms_pass and rep.saturated
     inv = gk.wedderburn(pi.domain)
     assert sum(b * b for b in inv.blocks) == 64
-    iso = gk.psi_iso_check(pi, samples=5, bundle=E, axiom_report=rep)
+    iso = gk.psi_iso_check(pi, bundle=E, axiom_report=rep)
     assert all(e.passed for e in iso.entries)
     assert iso.blocks_domain == iso.blocks_bundle == inv.blocks
-    res = gk.group_extension_bundle(corpus.heisenberg_extension(4),
-                                    samples=20)
+    res = gk.group_extension_bundle(corpus.heisenberg_extension(4))
     assert res.passed
     assert res.blocks_group == inv.blocks
