@@ -33,6 +33,18 @@ the table entries put once into those coordinates, stacked by size in
 batched calls (:class:`~gpdkit.fiberblocks.FiberBlocks`); only
 ``SectionAlgebra.norm``, a general section, takes a block per source unit,
 from the :class:`~gpdkit.algebra.RegularRepresentation` of those entries.
+
+The norm axioms need none of these norms once their hypotheses are
+measured: when the section table is associative (axiom 3), the star is
+involutive (axiom 7), the unit trace forms and the Gram blocks are
+definite, the Gram roots are right and the section representation L is a
+*-representation, L is a *-homomorphism. Then ||L_{x* x}|| = ||L_x||^2,
+the unit block of x* x is (L_x|E_u)* (L_x|E_u) >= 0, the unit block
+carries ||L_x|| (a *-homomorphism of a C*-algebra is contractive) and
+||xy|| <= ||x|| ||y||, for every x (Murphy 1990, *C*-algebras and
+Operator Theory*, 2.1 and Thm 3.1.5). :func:`verify_axioms` certifies
+axioms 4, 9 and 10 and ``norm_consistency`` from those hypotheses and
+takes blocks only when one fails, to find a witness.
 """
 
 from __future__ import annotations
@@ -47,9 +59,8 @@ from .groupoid import (Bisection, FiniteGroupoid, GroupoidMorphism,
                        NotAMorphism, NotSurjective, _ids, check_bisection,
                        classify_morphism, fiber_subgroupoid, kernel)
 from . import algebra
-from .algebra import (AlgebraElement, NumericalDegeneracy,
-                      RegularRepresentation, StructureTable, _defect, _join,
-                      _scatter, groupoid_table, wedderburn,
+from .algebra import (AlgebraElement, NumericalDegeneracy, StructureTable,
+                      _defect, _join, _scatter, groupoid_table, wedderburn,
                       wedderburn_from_tables)
 from .fiberblocks import fiber_blocks, pick, stacked_ranks
 from .report import CheckList
@@ -367,31 +378,34 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     basis tuple (residual: the largest coefficient difference, witness: its
     basis tuple); 2 and 6 run on up to 25 random draws in one stacked
     product and one stacked star (witness: the base arrows of the worst
-    draw); 4, 9 and 10 are numeric and run over every basis element plus
-    ``samples`` random elements drawn across random composable fibers.
-    Saturation is a rank condition per composable pair. Failures are
-    report entries, never exceptions. Each group of random elements (axioms
-    2 and 6, axiom-4 pairs, axioms 10 and 9) is one draw of arrows and one
-    of vectors (:meth:`~gpdkit.fiberblocks.FiberBlocks.random_rows`).
+    draw). Saturation is a rank condition per composable pair. Failures are
+    report entries, never exceptions.
 
-    Every norm is the 2-norm of a block of at most fiber size
-    (:class:`~gpdkit.fiberblocks.FiberBlocks`), taken by the kernel
-    :func:`~gpdkit.algebra.spectral_norms` in stacked calls after all
-    random draws:
+    The norm axioms 4, 9 and 10 and ``norm_consistency`` are certified on
+    every element, not sampled, when these hypotheses hold
+    (:func:`_norm_hypotheses`): the section table is associative (axiom
+    3), the star is involutive (axiom 7), every unit trace form and every
+    Gram block is definite, the Gram roots are right
+    (:meth:`~gpdkit.fiberblocks.FiberBlocks.gram_defect`) and the section
+    representation L is a *-representation
+    (:meth:`~gpdkit.algebra.RegularRepresentation.star_defect`). Then L is
+    a *-homomorphism, and for every x (Murphy 1990, *C*-algebras and
+    Operator Theory*, 2.1 and Thm 3.1.5):
 
-    - ||x|| = ||x* x||^{1/2}: x* x from the inner-product tensor, then one
-      stacked norm (and, for axiom 10, one stacked eigvalsh) of the unit
-      fiber blocks per fiber dimension;
-    - axiom 4 on basis pairs: the product of e_a and e_b is the sum of
-      their table entries, so a product w e_c has norm |w| ||e_c|| and
-      only other products take a stacked norm;
-    - axiom 9 and ``norm_consistency``: ||L_x|| is the largest block
-      ||T_hk L_{x,k} T_k^-1|| over the k with r(k) = s(h), one stacked norm
-      of d x d blocks, never a total_dim x total_dim matrix.
+    - axiom 9: ||L_{x* x}|| = ||L_x* L_x|| = ||L_x||^2;
+    - axiom 10: the unit block of x* x is (L_x|E_u)* (L_x|E_u) >= 0;
+    - ``norm_consistency``: L restricted to the unit fiber A_u acting on
+      E_k is a *-homomorphism pi_k of the C*-algebra (A_u, ||pi_u||),
+      pi_u being faithful by definiteness and axiom 7, so it is
+      contractive and ||L_x||^2 = max_k ||pi_k(x* x)|| = ||pi_u(x* x)||
+      = ||x||^2;
+    - axiom 4: ||xy|| = ||L_x L_y|| <= ||L_x|| ||L_y|| = ||x|| ||y||.
 
-    The numeric checks cost the table terms of the arrows involved plus
-    one small decomposition per block, and their witnesses name the first
-    arrow (pair) with the largest defect.
+    Each of the four entries then has the largest hypothesis residual as
+    its residual (:func:`~gpdkit.algebra.certificate`), and nothing is
+    drawn after axioms 2 and 6. When a hypothesis fails, the four entries
+    are measured on basis rows and random draws instead
+    (:func:`_sampled_norm_axioms`).
     """
     rng = np.random.default_rng(seed)
     rep = AxiomReport()
@@ -457,6 +471,72 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         rep.add("saturation", B.saturation(tol)[0], None, None)
         return rep
 
+    certified, res, _ = algebra.certificate(_norm_hypotheses(E, rep, tol),
+                                            tol)
+    if not certified:
+        _sampled_norm_axioms(E, rep, cp, rng, samples, tol)
+        return rep
+    for name in ("axiom4_submultiplicative", "axiom10_positive",
+                 "axiom9_cstar_identity", "norm_consistency"):
+        rep.add(name, True, res)
+    sat, wit = B.saturation(tol)
+    rep.add("saturation", sat, None, wit)
+    return rep
+
+
+def _norm_hypotheses(E: FellBundle, report: AxiomReport, tol: float):
+    """(name, residual, witness) of every hypothesis of the norm
+    certificate of :func:`verify_axioms`: axioms 3 and 7 cited from
+    ``report``, the definite Gram blocks (``definite(section)``, at the
+    margin :class:`SectionSpace` requires), the Gram roots
+    (``gram(section)``) and the *-representation of the section
+    representation (``star_rep(section)``, one join, kept on the
+    representation for psi-check). The unit trace forms are definite by
+    the time this runs. The list stops after the first three when one of
+    them fails: without definite Gram blocks the roots invert only a part,
+    and a bundle that fails takes the sampled path anyway."""
+    B = fiber_blocks(E)
+    margin, h = B.gram_margin()
+    hypotheses = report.cite("axiom3_associative", "axiom7_involutive") + [
+        ("definite(section)", 0.0 if margin > tol else None,
+         f"margin {margin:.3e} over {E.base.arrows[h]!r}"
+         if h is not None else None)]
+    if not algebra.certificate(hypotheses, tol)[0]:
+        return hypotheses
+    return hypotheses + [_gram_hypothesis(E), algebra.star_rep_hypothesis(
+        "section", B.representation())]
+
+
+def _sampled_norm_axioms(E: FellBundle, rep: AxiomReport, cp, rng,
+                         samples: int, tol: float):
+    """Add axioms 4, 10 and 9, ``norm_consistency`` and saturation to
+    ``rep`` as measured on every basis vector plus ``samples`` random
+    elements drawn across random composable fibers (pairs for axiom 4,
+    then single elements for axioms 10 and 9; each group one draw of
+    arrows and one of vectors,
+    :meth:`~gpdkit.fiberblocks.FiberBlocks.random_rows`), with ``rng`` as
+    axioms 2 and 6 left it; ``cp`` holds the composable pairs of nonzero
+    fibers. The path of :func:`verify_axioms` when a hypothesis of its
+    certificate fails.
+
+    Every norm is the 2-norm of a block of at most fiber size
+    (:class:`~gpdkit.fiberblocks.FiberBlocks`), taken by the kernel
+    :func:`~gpdkit.algebra.spectral_norms` in stacked calls after all
+    random draws:
+
+    - ||x|| = ||x* x||^{1/2}: x* x from the inner-product tensor, then one
+      stacked norm (and, for axiom 10, one stacked eigvalsh) of the unit
+      fiber blocks per fiber dimension;
+    - axiom 4 on basis pairs: the product of e_a and e_b is the sum of
+      their table entries, so a product w e_c has norm |w| ||e_c|| and
+      only other products take a stacked norm;
+    - axiom 9 and ``norm_consistency``: ||L_x|| is the largest block
+      ||T_hk L_{x,k} T_k^-1|| over the k with r(k) = s(h), one stacked norm
+      of d x d blocks, never a total_dim x total_dim matrix.
+
+    The witnesses name the first arrow (pair) with the largest defect.
+    """
+    H, B, table = E.base, fiber_blocks(E), E.table()
     # random elements, drawn in the order of the checks that read them:
     # pairs for axiom 4, then single elements (over arrows with a nonzero
     # fiber) for axioms 10 and 9; each group takes one draw of arrows and
@@ -494,7 +574,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         rep.add("axiom9_cstar_identity", False, None, str(exc))
         rep.add("norm_consistency", False, None, str(exc))
         rep.add("saturation", B.saturation(tol)[0], None, None)
-        return rep
+        return
     n_op = B.op_norms(hs, X)
     n_sq = B.op_norms(B.src[hs], sq)
     for name, res in (
@@ -508,7 +588,6 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
 
     sat, wit = B.saturation(tol)
     rep.add("saturation", sat, None, wit)
-    return rep
 
 
 def _largest(values, labels):
@@ -613,7 +692,8 @@ class SectionSpace:
     Gram margin (:meth:`~gpdkit.fiberblocks.FiberBlocks.gram_margin`)
     exceeds ``tol``. ``rep`` is the :class:`~gpdkit.algebra.
     RegularRepresentation` of the section table's entries in these
-    coordinates (:meth:`~gpdkit.fiberblocks.FiberBlocks.orthonormal`).
+    coordinates, one per bundle
+    (:meth:`~gpdkit.fiberblocks.FiberBlocks.representation`).
     """
 
     def __init__(self, E: FellBundle, tol: float = 1e-9):
@@ -622,8 +702,7 @@ class SectionSpace:
         if not B.gram_margin()[0] > tol:
             raise FellBundleError("section inner product is degenerate; "
                                   "the bundle is not a Fell bundle")
-        self.rep = RegularRepresentation(E.table(), E.base,
-                                         B.orthonormal()[:4], over=B.arrow)
+        self.rep = B.representation()
 
     def op_norm(self, section: Section) -> float:
         """The operator norm of left multiplication by ``section``: the
@@ -687,10 +766,13 @@ class SectionAlgebra:
 
 
 def section_algebra(E: FellBundle, report: Optional[AxiomReport] = None,
-                    tol: float = 1e-9) -> SectionAlgebra:
+                    tol: float = 1e-9, samples: int = 60,
+                    seed: int = 0) -> SectionAlgebra:
     """Product, involution, expectation and operator norm of the sections
-    of a verified bundle; raises BundleNotVerified otherwise."""
-    return SectionAlgebra(E, report=report, tol=tol)
+    of a verified bundle; raises BundleNotVerified otherwise. Without a
+    ``report``, the bundle is verified at ``samples`` and ``seed``."""
+    return SectionAlgebra(E, report=report, tol=tol, samples=samples,
+                          seed=seed)
 
 
 def psi(E: FellBundle, f: AlgebraElement) -> Section:
@@ -712,11 +794,13 @@ class IsoReport(CheckList):
 
 def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
                   bundle: Optional[FellBundle] = None,
-                  axiom_report: Optional[AxiomReport] = None) -> IsoReport:
+                  axiom_report: Optional[AxiomReport] = None,
+                  samples: int = 60) -> IsoReport:
     """Certify that the restriction map is an isometric *-isomorphism from
     the convolution algebra of the domain onto the section algebra.
 
-    Linearity and bijectivity are exact (the matrix U of the map is a
+    The bundle is admitted by ``axiom_report``, or else by
+    :func:`verify_axioms` at ``samples`` and ``seed``. Linearity and bijectivity are exact (the matrix U of the map is a
     permutation, ``E.psi_slots``); multiplicativity and the star property
     are the defects of U between the domain table and the section table
     over every basis pair (or arrow), each with the largest coefficient
@@ -737,7 +821,8 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     """
     G = pi.domain
     E = bundle if bundle is not None else build_bundle(pi)
-    sa = section_algebra(E, report=axiom_report, tol=tol)
+    sa = section_algebra(E, report=axiom_report, tol=tol, samples=samples,
+                         seed=seed)
     report = IsoReport()
 
     # bijectivity: every slot is hit by exactly one arrow of G
@@ -788,13 +873,18 @@ def _section_hypotheses(sa: SectionAlgebra) -> list:
     """(name, residual, witness) of what the isometry certificate needs of
     the section representation of ``sa`` besides its own checks: the
     associativity of the section table, cited from axiom 3 of the report
-    that admitted ``sa``, and the Gram roots of its coordinates
-    (:meth:`~gpdkit.fiberblocks.FiberBlocks.gram_defect`)."""
-    E = sa.bundle
-    res, h = fiber_blocks(E).gram_defect()
+    that admitted ``sa``, and the Gram roots of its coordinates."""
     return sa.report.cite("axiom3_associative") + [
-        ("gram(section)", res,
-         None if h is None else f"(h={E.base.arrows[h]!r})")]
+        _gram_hypothesis(sa.bundle)]
+
+
+def _gram_hypothesis(E: FellBundle) -> tuple:
+    """("gram(section)", residual, witness) of
+    :meth:`~gpdkit.fiberblocks.FiberBlocks.gram_defect`, taken once per
+    bundle: the roots of the Gram blocks are orthonormal coordinates."""
+    res, h = fiber_blocks(E).gram_defect()
+    return ("gram(section)", res,
+            None if h is None else f"(h={E.base.arrows[h]!r})")
 
 
 def _hilbert_module_defect(pi: GroupoidMorphism, E: FellBundle):

@@ -330,7 +330,8 @@ def cmd_bundle_verify(args, report: Report):
 
 def cmd_bundle_psi(args, report: Report):
     pi = gio.load_morphism(args.morphism)
-    iso = psi_iso_check(pi, tol=args.tol, seed=args.seed)
+    iso = psi_iso_check(pi, tol=args.tol, seed=args.seed,
+                        samples=args.samples)
     report.add_entries(iso.entries)
     report.extras["blocks_domain"] = list(iso.blocks_domain or ())
     report.extras["blocks_bundle"] = list(iso.blocks_bundle or ())
@@ -492,7 +493,7 @@ def cmd_demo(args, report: Report):
         report.extras["blocks"] = list(inv.blocks)
         report.add("blocks_full_matrix", inv.blocks == (2,), 0.0)
         iso = psi_iso_check(corpus.identity_morphism(G), tol=args.tol,
-                            seed=args.seed)
+                            seed=args.seed, samples=args.samples)
         report.add_entries(iso.entries)
     elif name == "z3":
         G = corpus.cyclic_groupoid(3)
@@ -553,7 +554,8 @@ def cmd_demo(args, report: Report):
         pi = corpus.heisenberg_quotient(n, ext.group)
         G = pi.domain
         report.inputs[f"heis{n}"] = _groupoid_digest(G)
-        iso = psi_iso_check(pi, tol=args.tol, seed=args.seed)
+        iso = psi_iso_check(pi, tol=args.tol, seed=args.seed,
+                            samples=args.samples)
         # psi solved G's Wedderburn at this seed and tolerance (kept on G)
         blocks = wedderburn(G, seed=args.seed, tol=args.tol).blocks
         report.extras["blocks"] = list(blocks)

@@ -115,20 +115,34 @@ def heisenberg_closed_form_defect(res, n: int) -> tuple:
     over the cocycle of ``group_extension_bundle(heisenberg_extension(n))``,
     where g1 lies over [a, ., .], g2 lies over [., b', .] at the point of
     character m, and t = heisenberg_center_exponent(m). The witness is
-    None when every value is exact."""
-    resid, witness = 0.0, None
-    for (g1, g2), val in res.cocycle.omega.items():
-        h1, _ = res.action_groupoid.pairs[g1]
-        h2, x2 = res.action_groupoid.pairs[g2]
-        a = int(h1.strip("[]").split(",")[0])
-        b2 = int(h2.strip("[]").split(",")[1])
-        t = heisenberg_center_exponent(res.characters,
-                                       res.char_of_point[x2], n)
-        diff = abs(val - heisenberg_cocycle_closed_form(n, t, a, b2))
-        if diff and witness is None:
-            witness = f"({g1!r}, {g2!r})"
-        resid = max(resid, diff)
-    return resid, witness
+    None when every value is exact.
+
+    Array arithmetic over the pairs in the order of ``omega``: the coset
+    of an arrow is its image under the projection of the action groupoid,
+    a and b' are read from the index a n^2 + b n + c (heisenberg_elements)
+    of a member of the coset, and t from ``CharacterData.numerators`` at
+    [0,0,1] for the character at the source of g2."""
+    ag, chars, omega = res.action_groupoid, res.characters, res.cocycle.omega
+    G = ag.groupoid
+    g1, g2 = (np.fromiter(map(G.index.__getitem__, side), np.int64,
+                          len(omega)) for side in zip(*omega))
+    coset = ag.projection.image
+    member = np.unique(res.extension.coset, return_index=True)[1]
+    a, b2 = (member // n ** 2)[coset[g1]], (member // n % n)[coset[g2]]
+    # the exponent t of the character at each unit (the point x of (e, x))
+    one = chars.group.index[f"[0,0,{1 % n}]"]
+    t = np.zeros(len(G.arrows), np.int64)
+    for u in G.unit_idx.tolist():
+        m = res.char_of_point[ag.pairs[G.arrows[u]][1]]
+        t[u] = chars.numerators[int(np.dot(m, chars.strides)), one]
+    t = t[G.src_idx[g2]] * n // chars.lcm
+    roots = np.array([unit_root(k, n) for k in range(n)])
+    d = np.fromiter(omega.values(), complex, len(omega)) \
+        - roots[t * (a * b2 % n) % n]
+    diff = np.hypot(d.real, d.imag)  # the rounding of abs(complex)
+    bad = np.flatnonzero(diff)
+    return float(diff.max(initial=0.0)), None if not len(bad) else \
+        "({!r}, {!r})".format(*list(omega)[bad[0]])
 
 
 def flip_action() -> GroupoidAction:

@@ -11,6 +11,16 @@ element, and never a decomposition of a total_dim x total_dim matrix.
 Everything is read from the section table of the bundle
 (:meth:`gpdkit.bundle.FellBundle.table`) and the integer tables of its
 base, whose arrow indices name the arrows.
+
+It also holds, once per bundle, what the norm certificate of
+:func:`gpdkit.bundle.verify_axioms` measures: the Gram blocks must be
+definite (:meth:`FiberBlocks.gram_margin`), their roots right
+(:meth:`FiberBlocks.gram_defect`), and the section representation in
+those coordinates (:meth:`FiberBlocks.representation`) a
+*-representation. With axioms 3 and 7 and definite unit trace forms,
+left multiplication L is then a *-homomorphism, and the norm axioms hold
+on every element without a norm taken; the blocks below serve the checks
+of a bundle that fails one of these.
 """
 
 from __future__ import annotations
@@ -19,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (_hermitian, _join, _scatter, chunks, spectral_norms,
-                      stacked_singular_values)
+from .algebra import (RegularRepresentation, _hermitian, _join, _scatter,
+                      chunks, spectral_norms, stacked_singular_values)
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -86,7 +96,7 @@ class FiberBlocks:
         self.tau = np.zeros((n_arrows, self.D), dtype=complex)
         self.tau[self.arrow, self.loc] = _scatter(T.a[on], T.w[on], T.dim)
         self._inner = {}
-        self._gram = self._ortho = None
+        self._gram = self._gram_defect = self._ortho = self._rep = None
         self._saturation = {}
 
     def entries(self, h1, h2, keys=None) -> np.ndarray:
@@ -237,20 +247,24 @@ class FiberBlocks:
         or None): the roots of :meth:`gram` are orthonormal coordinates of
         the section inner product, and T^-1 inverts T, so that the blocks
         of :meth:`orthonormal` are those of left multiplication on the
-        section space. Two batched products of the D x D blocks."""
-        T, Ti, _, _ = self.gram()
-        G = self._gram_blocks()
-        live = np.arange(self.D) < self.dims[:, None]
-        one = live[:, :, None] & np.eye(self.D, dtype=bool)
-        scale = np.maximum(np.abs(G).max(axis=(1, 2), initial=0.0), 1.0)
-        res = np.maximum(
-            np.abs(T.conj().transpose(0, 2, 1) @ T - G).max(
-                axis=(1, 2), initial=0.0) / scale,
-            np.abs(Ti @ T - one).max(axis=(1, 2), initial=0.0))
-        if not len(res) or not res.max() > 0:
-            return 0.0, None
-        k = int(np.argmax(res))
-        return float(res[k]), k
+        section space. Two batched products of the d x d blocks per fiber
+        dimension d, taken once like :meth:`gram`."""
+        if self._gram_defect is None:
+            T, Ti, _, _ = self.gram()
+            G = self._gram_blocks()
+            res = np.zeros(self.nA)
+            for d in np.flatnonzero(np.bincount(self.dims[self.dims > 0])):
+                a = np.flatnonzero(self.dims == d)
+                Ta, Ga = T[a, :d, :d], G[a, :d, :d]
+                scale = np.maximum(np.abs(Ga).max(axis=(1, 2)), 1.0)
+                res[a] = np.maximum(
+                    np.abs(Ta.conj().transpose(0, 2, 1) @ Ta - Ga).max(
+                        axis=(1, 2)) / scale,
+                    np.abs(Ti[a, :d, :d] @ Ta - np.eye(d)).max(axis=(1, 2)))
+            k = int(np.argmax(res)) if len(res) and res.max() > 0 else None
+            self._gram_defect = (0.0, None) if k is None else (
+                float(res[k]), k)
+        return self._gram_defect
 
     def gram_margin(self):
         """(smallest Gram eigenvalue over max(largest, 1), the index of the
@@ -302,6 +316,19 @@ class FiberBlocks:
             order = np.argsort(key, kind="stable")
             self._ortho = a, c, b, w, key, order, key[order]
         return self._ortho
+
+    def representation(self) -> RegularRepresentation:
+        """The :class:`~gpdkit.algebra.RegularRepresentation` of the section
+        table in the orthonormal coordinates of :meth:`orthonormal`, one
+        block per source unit, built once: its
+        :meth:`~gpdkit.algebra.RegularRepresentation.star_defect`,
+        :meth:`~gpdkit.algebra.RegularRepresentation.slice_margin` and
+        Wedderburn solves are kept on it for every user of the bundle."""
+        if self._rep is None:
+            self._rep = RegularRepresentation(
+                self.table, self.base, self.orthonormal()[:4],
+                over=self.arrow)
+        return self._rep
 
     def blocks(self, h, X, k):
         """Yield (rows, S): S[i] = T_hk L_{x,k} T_k^-1 for the row

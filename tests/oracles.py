@@ -311,6 +311,26 @@ def loop_heisenberg_elements(n: int):
     return elements, mul, el(0, 0, 0)
 
 
+def loop_heisenberg_closed_form_defect(res, n: int):
+    """``corpus.heisenberg_closed_form_defect`` one pair at a time, parsing
+    a and b' from the names of the cosets under g1 and g2: (largest
+    |omega(g1, g2) - chi_t(a b')|, first pair that differs or None)."""
+    from gpdkit import corpus
+    resid, witness = 0.0, None
+    for (g1, g2), val in res.cocycle.omega.items():
+        h1, _ = res.action_groupoid.pairs[g1]
+        h2, x2 = res.action_groupoid.pairs[g2]
+        a = int(h1.strip("[]").split(",")[0])
+        b2 = int(h2.strip("[]").split(",")[1])
+        t = corpus.heisenberg_center_exponent(res.characters,
+                                              res.char_of_point[x2], n)
+        diff = abs(val - corpus.heisenberg_cocycle_closed_form(n, t, a, b2))
+        if diff and witness is None:
+            witness = f"({g1!r}, {g2!r})"
+        resid = max(resid, diff)
+    return resid, witness
+
+
 def group_closure(elements, mul, seed):
     """Subgroup generated by a seed set, by saturation."""
     out = set(seed)
