@@ -153,10 +153,11 @@ class StructureTable:
 
     e_a[i] e_b[i] contributes w[i] e_c[i]; e_s[i]* contributes sw[i] e_t[i]
     (the star is conjugate-linear in the coefficients). The arrays are
-    read-only, since one table may be shared by every user of its algebra.
+    read-only, since one table may be shared by every user of its algebra;
+    so its associativity defect is kept on it once taken.
     """
 
-    __slots__ = ("dim", "a", "b", "c", "w", "s", "t", "sw")
+    __slots__ = ("dim", "a", "b", "c", "w", "s", "t", "sw", "_assoc")
 
     def __init__(self, dim, a, b, c, w, s, t, sw):
         self.dim = int(dim)
@@ -166,6 +167,7 @@ class StructureTable:
         self.sw = np.asarray(sw, dtype=complex).reshape(-1)
         for v in (self.a, self.b, self.c, self.w, self.s, self.t, self.sw):
             v.flags.writeable = False
+        self._assoc = None
 
     def mul(self, x, y) -> np.ndarray:
         """x y of two coefficient vectors, or row by row of two stacks of
@@ -265,7 +267,12 @@ class StructureTable:
         triples: gathered as |w(a,b) w(ab,k) - w(b,k) w(a,bk)|, or the
         larger modulus where the sides differ in basis element (with every
         weight 1: 1.0 where they differ, and no products), on tables of
-        the pattern below, sorted on any other."""
+        the pattern below, sorted on any other. Kept on the table."""
+        if self._assoc is None:
+            self._assoc = self._associativity_defect()
+        return self._assoc
+
+    def _associativity_defect(self):
         n, a, b, c = self.dim, self.a, self.b, self.c
         # r(b): the first a with an entry (a, b); s(a) = r(b) (n, n + 1:
         # none). Gathers take one entry for each pair with s(a) = r(b) and

@@ -44,7 +44,10 @@ carries ||L_x|| (a *-homomorphism of a C*-algebra is contractive) and
 ||xy|| <= ||x|| ||y||, for every x (Murphy 1990, *C*-algebras and
 Operator Theory*, 2.1 and Thm 3.1.5). :func:`verify_axioms` certifies
 axioms 4, 9 and 10 and ``norm_consistency`` from those hypotheses and
-takes blocks only when one fails, to find a witness.
+takes blocks only when one fails, to find a witness; the bimodule
+positivity of :func:`bisection_bimodule_check` rests on them too. The
+conditional expectation onto the unit fibers is a pinching of L, so it is
+contractive on every section (:func:`expectation_certificate`).
 """
 
 from __future__ import annotations
@@ -376,9 +379,10 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     Axioms 1 and 5 range-check every table entry (on failure the rest is
     not checked); 3, 7 and 8 are identities of the section table over every
     basis tuple (residual: the largest coefficient difference, witness: its
-    basis tuple); 2 and 6 run on up to 25 random draws in one stacked
-    product and one stacked star (witness: the base arrows of the worst
-    draw). Saturation is a rank condition per composable pair. Failures are
+    basis tuple; axiom 3 of a table that is the domain's moved by psi is
+    the domain's, :func:`_associativity_defect`); 2 and 6 run on up to 25
+    random draws in one stacked product and one stacked star (witness: the
+    base arrows of the worst draw). Saturation is a rank condition per composable pair. Failures are
     report entries, never exceptions.
 
     The norm axioms 4, 9 and 10 and ``norm_consistency`` are certified on
@@ -451,8 +455,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
 
     table = E.table()
     for name, (res, slots), form in (
-            ("axiom3_associative", table.associativity_defect(),
-             "(h={} e={})"),
+            ("axiom3_associative", _associativity_defect(E), "(h={} e={})"),
             ("axiom7_involutive", table.involution_defect(), "(h={}, e={})"),
             ("axiom8_antimultiplicative", table.antimultiplicative_defect(),
              "(h={} e={})")):
@@ -482,6 +485,38 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     sat, wit = B.saturation(tol)
     rep.add("saturation", sat, None, wit)
     return rep
+
+
+def _associativity_defect(E: FellBundle):
+    """Axiom 3 of ``E``: the associativity defect of its section table, or
+    the domain's when the section table is the domain's table moved by
+    ``E.psi_slots`` and the domain's defect is 0.0. That one is kept on the
+    domain's table by ``validate_groupoid`` or ``GroupTable``, and a
+    relabelling of the basis keeps every triple's two sides apart or
+    equal, so the section table's defect is 0.0 too."""
+    T = E.table()
+    if E.psi_slots is not None:
+        D = E.morphism.domain.table
+        if _moved(D, T, E.psi_slots) and D.associativity_defect()[0] == 0.0:
+            return D.associativity_defect()
+    return T.associativity_defect()
+
+
+def _moved(D: StructureTable, T: StructureTable, slots) -> bool:
+    """Whether T is D with every basis index i moved to slots[i]: the same
+    entries (a, b, c, w) and star entries (s, t, sw), in any order. Each
+    side's entries are sorted by their integer key, and the keys and then
+    the weights compared."""
+    if (T.dim, len(T.a), len(T.s)) != (D.dim, len(D.a), len(D.s)):
+        return False
+    n = T.dim
+    sides = []
+    for X, at in ((T, np.arange(n)), (D, slots)):
+        key = (at[X.a] * n + at[X.b]) * n + at[X.c]
+        star = at[X.s] * n + at[X.t]
+        p, q = np.argsort(key), np.argsort(star)
+        sides.append((key[p], star[q], X.w[p], X.sw[q]))
+    return all(map(np.array_equal, *sides))
 
 
 def _norm_hypotheses(E: FellBundle, report: AxiomReport, tol: float):
@@ -878,6 +913,35 @@ def _section_hypotheses(sa: SectionAlgebra) -> list:
         _gram_hypothesis(sa.bundle)]
 
 
+def expectation_certificate(E: FellBundle, tol: float):
+    """(passed, residual, witness) of the claim ||P(s)|| <= ||s|| for every
+    section s of ``E``, where P keeps the unit-fiber slots and the norm is
+    the operator norm of the section representation L
+    (:meth:`~gpdkit.fiberblocks.FiberBlocks.representation`).
+
+    Left multiplication maps E_k into E_hk (Kumjian 1998, *Fell bundles
+    over groupoids*), so the block of L_s from the fiber over k to that
+    over k comes from s(r(k)) alone. Hence L_P(s) = sum_k Q_k L_s Q_k, a
+    pinching by the coordinate projections Q_k onto the fibers, and
+    ||L_P(s)|| <= ||L_s|| for every s. The hypothesis, ``graded(section)``,
+    is that every entry (a, row, col) of L with row and col in one summand
+    carries the fiber over over[col] to the fiber over compose(over[a],
+    over[col]): one exact gather, residual 0.0, or decided false with the
+    first entry that does not as witness (:func:`~gpdkit.algebra.
+    certificate`)."""
+    rep = fiber_blocks(E).representation()
+    a, rows, cols, _ = rep.entries
+    over = rep.over
+    bad = np.flatnonzero(
+        (rep.summand[rows] == rep.summand[cols])
+        & (E.base.compose_ids(over[a], over[cols]) != over[rows]))
+    witness = None if not len(bad) else (
+        f"{rep.describe(a[bad[0]])} at row {rep.describe(rows[bad[0]])}, "
+        f"col {rep.describe(cols[bad[0]])}")
+    return algebra.certificate([("graded(section)",
+                                 None if len(bad) else 0.0, witness)], tol)
+
+
 def _gram_hypothesis(E: FellBundle) -> tuple:
     """("gram(section)", residual, witness) of
     :meth:`~gpdkit.fiberblocks.FiberBlocks.gram_defect`, taken once per
@@ -924,18 +988,31 @@ def _hilbert_module_defect(pi: GroupoidMorphism, E: FellBundle):
 
 
 def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
-                             samples: int = 50, seed: int = 0) -> CheckList:
+                             samples: int = 50, seed: int = 0,
+                             axiom_report: Optional[AxiomReport] = None
+                             ) -> CheckList:
     """Equivalence-bimodule structure on the sections over a bisection.
 
     With A the direct sum of the unit fibers over rng(U) and B over
     src(U), the inner products are <xi, eta>_B(src h) = xi(h)* eta(h) and
-    <xi, eta>_A(rng h) = xi(h) eta(h)*. Checks positivity of both on
-    seeded random xi (one stacked eigvalsh of the unit-fiber blocks per
-    side), their fullness (the target fibers are spanned; this is where
-    saturation enters) as one stacked rank per arrow of the inner-product
-    tensor, and the imprimitivity identity
-    <xi, eta>_A zeta = xi <eta, zeta>_B on every basis triple as one
-    defect of the section table, witness (h=..., e=i,j,k).
+    <xi, eta>_A(rng h) = xi(h) eta(h)*. Checks their positivity, their
+    fullness (the target fibers are spanned; this is where saturation
+    enters) as one stacked rank per arrow of the inner-product tensor, and
+    the imprimitivity identity <xi, eta>_A zeta = xi <eta, zeta>_B on every
+    basis triple as one defect of the section table, witness (h=..., e=i,j,k).
+
+    Positivity is certified on every xi, not sampled, when
+    ``axiom_report`` (the :func:`verify_axioms` report of ``E``) and the
+    hypotheses of its norm certificate (:func:`_norm_hypotheses`: axioms 3
+    and 7, definite Gram blocks with right roots, the section
+    *-representation) hold. Then <xi, xi>_B = xi* xi is an instance of
+    axiom 10, and so is <xi, xi>_A = (xi*)* (xi*), since xi* lies in the
+    fiber over inv(h) by axiom 5 and xi** = xi by axiom 7: the unit block
+    of x* x is (L_x|E_u)* (L_x|E_u) >= 0 for every x (Murphy 1990,
+    *C*-algebras and Operator Theory*, 2.1). The entry then carries the
+    largest hypothesis residual and nothing is drawn. Without a report, or
+    when a hypothesis fails, both sides are measured on seeded random xi
+    (one stacked eigvalsh of the unit-fiber blocks per side).
     """
     if not isinstance(U, Bisection):
         U = check_bisection(E.base, U)
@@ -943,19 +1020,22 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
     sat, wit = B.saturation(tol)
     if not sat:
         raise NotSaturated(f"bundle is not saturated: {wit}", witness=wit)
-    rng = np.random.default_rng(seed)
     T = B.table
     report = CheckList()
 
     arrows = _ids(U.arrows, B.index)
-    h = np.repeat(arrows[B.dims[arrows] > 0],
-                  max(1, samples // max(len(U.arrows), 1)))
-    X = B.random_rows(h, rng)
+    live = arrows[B.dims[arrows] > 0]
     # the first degenerate unit fiber in the order xi reaches them
-    _require_cstar_units(B, np.column_stack([B.src[h], B.rng[h]]).ravel())
-    res_pos = max((float(B.unit_norms(target, B.square(h, X, side),
-                                      spectra=True)[1].max(initial=0.0))
-                   for side, target in (("B", B.src[h]), ("A", B.rng[h]))))
+    _require_cstar_units(B, np.column_stack([B.src[live],
+                                             B.rng[live]]).ravel())
+    certified, res_pos, _ = (False, None, None) if axiom_report is None \
+        else algebra.certificate(_norm_hypotheses(E, axiom_report, tol), tol)
+    if not certified:
+        h = np.repeat(live, max(1, samples // max(len(U.arrows), 1)))
+        X = B.random_rows(h, np.random.default_rng(seed))
+        res_pos = max(float(B.unit_norms(target, B.square(h, X, side),
+                                         spectra=True)[1].max(initial=0.0))
+                      for side, target in (("B", B.src[h]), ("A", B.rng[h])))
     report.add("inner_products_positive", res_pos <= tol, res_pos)
 
     d = B.dims[arrows]

@@ -1452,9 +1452,11 @@ def loop_bundle_build(E, samples, seed):
 
 
 def loop_wedderburn_samples(G, samples, seed, tol):
-    """The residuals of the sample checks and the support check of ``alg
-    wedderburn`` by name, one sample (and one arrow) at a time through
-    cstar_norm, convolve, involute and conditional_expectation."""
+    """The residuals of the sampled norm checks that ``alg wedderburn``
+    certifies and of its support check, by name, one sample (and one
+    arrow) at a time through cstar_norm, convolve, involute and
+    conditional_expectation: an oracle of the certified entries' pass
+    flags and of the support check's residual."""
     from gpdkit.algebra import (AlgebraElement, conditional_expectation,
                                 convolve, cstar_norm, involute,
                                 positivity_check, random_element)
@@ -1487,9 +1489,10 @@ def loop_wedderburn_samples(G, samples, seed, tol):
 
 
 def loop_expectation_contractive(E, samples, seed, tol):
-    """The ``expectation_contractive`` residual of ``bundle verify``, one
-    random section at a time through SectionAlgebra.norm and
-    SectionAlgebra.expectation."""
+    """The sampled ``expectation_contractive`` residual, one random
+    section at a time through SectionAlgebra.norm and
+    SectionAlgebra.expectation: an oracle of the pass flag that ``bundle
+    verify`` certifies."""
     from gpdkit.bundle import section_algebra
     sa = section_algebra(E, tol=tol)
     rng = np.random.default_rng(seed)
