@@ -28,6 +28,12 @@ e_g* = conj(omega(g, inv g)) e_{inv g}.
 Associativity of every table is :meth:`StructureTable.associativity_defect`:
 by gathers where each pair has one product term (the tables of groupoids,
 twisted groupoids, groups and morphism bundles), by a sort elsewhere.
+With every weight 1 and more than one pass of triples, Light's test
+(Clifford and Preston 1961, *The Algebraic Theory of Semigroups* I, 1.2)
+checks (x g) y = x (g y) for g in a generating set only: the gathers
+check that x y is defined iff s(x) = r(y), with r(xy) = r(x) and s(xy) =
+s(y), so the passing g are closed under products, (x(ab))y = ((xa)b)y =
+(xa)(by) = x(a(by)) = x((ab)y). A failure takes the full scan's witness.
 Block-size invariants of such algebras (the complete isomorphism
 invariant at this scale) are computed by :func:`wedderburn_from_tables`
 from the summand blocks of a :class:`RegularRepresentation`, the blocks
@@ -148,16 +154,46 @@ def _defect(lhs, rhs, dim: int):
         int(v) for v in np.unravel_index(uniq[i], shape)[:-1])
 
 
+def _generating_set(r, s, off, rpos, P) -> np.ndarray:
+    """Generators, greedy in basis order, of x y = P[off[x] + rpos[y]]
+    (defined iff s(x) = r(y)): a new one joins with every generated x
+    times it, and new elements are multiplied on the right by every
+    generator, so each element is a product ((g1 g2) ...) gk. A round
+    serves every component of the graph joining r(x) to s(x) at once."""
+    n = len(r)
+    ids = np.arange(n)
+    comp = _linked_columns(np.tile(ids, 2), np.concatenate((r, s)), n + 2)[r]
+    order = np.lexsort((ids, comp))  # by component, then basis order
+    starts = np.flatnonzero(np.diff(comp[order], prepend=-1))
+    have = np.zeros(n, bool)
+    gens, by_s = ids[:0], np.argsort(s, kind="stable")
+    while True:
+        g = np.minimum.reduceat(np.where(have[order], n, order), starts)
+        g = g[g < n]
+        if not len(g):
+            return gens
+        i, x = _join(r[g], s, by_s)
+        new = np.concatenate((g, P[off[x] + rpos[g[i]]][have[x]]))
+        gens = np.sort(np.concatenate((gens, g)))
+        while len(new := np.flatnonzero(np.bincount(new, minlength=n)
+                                        * ~have)):
+            have[new] = True
+            i, j = _join(s[new], r[gens])
+            new = P[off[new[i]] + rpos[gens[j]]]
+
+
 class StructureTable:
     """Sparse structure constants of a finite-dimensional *-algebra.
 
     e_a[i] e_b[i] contributes w[i] e_c[i]; e_s[i]* contributes sw[i] e_t[i]
     (the star is conjugate-linear in the coefficients). The arrays are
     read-only, since one table may be shared by every user of its algebra;
-    so its associativity defect is kept on it once taken.
+    so its associativity defect is kept on it once taken (with the
+    ``generators`` of Light's test when that ran).
     """
 
-    __slots__ = ("dim", "a", "b", "c", "w", "s", "t", "sw", "_assoc")
+    __slots__ = ("dim", "a", "b", "c", "w", "s", "t", "sw", "_assoc",
+                 "generators")
 
     def __init__(self, dim, a, b, c, w, s, t, sw):
         self.dim = int(dim)
@@ -168,6 +204,7 @@ class StructureTable:
         for v in (self.a, self.b, self.c, self.w, self.s, self.t, self.sw):
             v.flags.writeable = False
         self._assoc = None
+        self.generators = None
 
     def mul(self, x, y) -> np.ndarray:
         """x y of two coefficient vectors, or row by row of two stacks of
@@ -267,7 +304,8 @@ class StructureTable:
         triples: gathered as |w(a,b) w(ab,k) - w(b,k) w(a,bk)|, or the
         larger modulus where the sides differ in basis element (with every
         weight 1: 1.0 where they differ, and no products), on tables of
-        the pattern below, sorted on any other. Kept on the table."""
+        the pattern below, sorted on any other; by Light's test where
+        it applies (module docstring). Kept on the table."""
         if self._assoc is None:
             self._assoc = self._associativity_defect()
         return self._assoc
@@ -291,40 +329,49 @@ class StructureTable:
         if np.any((s[a] != r[b]) | (s[c] != s[b]) | (r[c] != r[a])) or not \
                 np.array_equal(off[A] + rpos[B], np.arange(off[-1])):
             return self._sorted_associativity_defect()
-        # slot q = (a, b) starts triple tri[q] of the triples (a, b, k), k
-        # over the row of b: (b, k) is at off[b] + rpos[k], (a b, k) at
-        # off[a b] + rpos[k] and (a, b k) at q - rpos[b] + rpos[b k]
-        tri = np.concatenate(([0], np.cumsum(width[B])))
+        # slot q = (a, b) starts the triples (a, b, k), k over the row of
+        # b: (b, k) is at off[b] + rpos[k], (a b, k) at off[a b] + rpos[k]
+        # and (a, b k) at q - rpos[b] + rpos[b k]
         rpos_p = rpos[P]
         ones = bool(np.all(W == 1))
-        cuts = np.concatenate(([0], np.flatnonzero(np.diff(
-            tri[:-1] // _TRIPLES_PER_PASS)) + 1, [len(B)]))
-        best = (0.0, None)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            q = np.arange(lo, hi)
-            runs = width[B[q]]
-            first = tri[q] - tri[lo]  # first triple of each slot
-            bk = np.repeat(off[B[q]] - first, runs) + np.arange(
-                tri[hi] - tri[lo])
-            left = bk + np.repeat(off[P[q]] - off[B[q]], runs)
-            right = np.repeat(q - rpos[B[q]], runs) + rpos_p[bk]
-            moved = P[left] != P[right]
-            if ones:  # both sides weigh 1: off by 1 exactly where moved
-                res = moved.astype(float)
-            else:
-                lw = np.repeat(W[q], runs)  # in place: few temporaries
-                lw *= W[left]
-                rw = W[bk]
-                rw *= W[right]
-                apart = np.maximum(np.abs(lw[moved]), np.abs(rw[moved]))
-                res = np.abs(np.subtract(lw, rw, out=lw))
-                res[moved] = apart
-            if res.max(initial=0.0) > best[0]:
-                t = int(np.argmax(res))
-                qa = lo + int(np.searchsorted(first, t, "right")) - 1
-                best = (float(res[t]),
-                        (int(A[qa]), int(B[qa]), int(B[bk[t]])))
-        return best
+
+        def scan(slots):  # the triples of the given slots, in passes
+            tri = np.concatenate(([0], np.cumsum(width[B[slots]])))
+            cuts = np.concatenate(([0], np.flatnonzero(np.diff(
+                tri[:-1] // _TRIPLES_PER_PASS)) + 1, [len(slots)]))
+            best = (0.0, None)
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                q = slots[lo:hi]
+                runs = width[B[q]]
+                first = tri[lo:hi] - tri[lo]  # first triple of each slot
+                bk = np.repeat(off[B[q]] - first, runs) + np.arange(
+                    tri[hi] - tri[lo])
+                left = bk + np.repeat(off[P[q]] - off[B[q]], runs)
+                right = np.repeat(q - rpos[B[q]], runs) + rpos_p[bk]
+                moved = P[left] != P[right]
+                if ones:  # both sides weigh 1: off by 1 exactly where moved
+                    res = moved.astype(float)
+                else:
+                    lw = np.repeat(W[q], runs)  # in place: few temporaries
+                    lw *= W[left]
+                    rw = W[bk]
+                    rw *= W[right]
+                    apart = np.maximum(np.abs(lw[moved]), np.abs(rw[moved]))
+                    res = np.abs(np.subtract(lw, rw, out=lw))
+                    res[moved] = apart
+                if res.max(initial=0.0) > best[0]:
+                    t = int(np.argmax(res))
+                    qa = q[int(np.searchsorted(first, t, "right")) - 1]
+                    best = (float(res[t]),
+                            (int(A[qa]), int(B[qa]), int(B[bk[t]])))
+            return best
+
+        if ones and width[B].sum() > _TRIPLES_PER_PASS:  # Light's test
+            self.generators = _generating_set(r, s, off, rpos, P)
+            light = scan(np.flatnonzero(np.isin(B, self.generators)))
+            if light[0] == 0.0:
+                return light
+        return scan(np.arange(len(B)))
 
     def _sorted_associativity_defect(self):
         """:meth:`associativity_defect` of any table: the terms of both

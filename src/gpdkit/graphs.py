@@ -9,7 +9,8 @@ symbolic integer grading for collapse maps. Such a kernel fiber is one
 full pair block per terminal vertex, so its invariants are exact lift
 counts (``lift_counts``, one transfer step per letter); the groupoid
 itself is built only by the library function ``kernel_fiber_groupoid``.
-Reports mention the window whenever the full object would be infinite.
+The cylinder cover check walks distinct lift end sets, not words. Reports
+mention the window whenever the full object would be infinite.
 """
 
 from __future__ import annotations
@@ -317,53 +318,76 @@ def kernel_fiber_groupoid(phi: GraphMorphism, word, origin=None):
     return K, inv_blocks
 
 
+def _walk_place(W: DirectedGraph, depth: int, word=()) -> int:
+    """The number of admissible codomain words of length 1 .. depth or,
+    given a word, its place in the order of length, then edge order. A
+    transfer DP with Python ints: ``paths[v]`` counts the words of the
+    current length ending at v, ``less[v]`` those before the prefix of
+    ``word`` of that length, which ends at ``at`` (None: empty prefix)."""
+    paths, less = dict.fromkeys(W.vertices, 1), dict.fromkeys(W.vertices, 0)
+    at, total = None, 0
+    for m in range(len(word) or depth):
+        before = bool(word)
+        nxt, nxt_less = (dict.fromkeys(W.vertices, 0) for _ in range(2))
+        for b in W.edges:
+            o, t = W.origin[b], W.terminus[b]
+            before = before and b != word[m]
+            nxt[t] += paths[o]
+            nxt_less[t] += less[o] + (before and at in (None, o))
+        paths, less = nxt, nxt_less
+        at = W.terminus[word[m]] if word else None
+        total += sum(paths.values())
+    if word:  # of the words of its length, those up to it
+        total += sum(less.values()) + 1 - sum(paths.values())
+    return total
+
+
 def cylinder_cover_check(phi: GraphMorphism, depth: int) -> dict:
     """Every admissible codomain word up to the given length lifts, and
     every partial lift extends: the finite-depth content of image paths
     covering whole cylinders.
 
-    Walks the word tree one level at a time, in the order of length and
-    then edge order, carrying for each word the set of domain vertices
-    its lifts end at. A word fails when that set becomes empty (witness
-    ``no lift of prefix (...)``) or when some vertex of its prefix's set
-    has no edge over its last letter (``a partial lift of (...) got
-    stuck``). Each word costs one step from its prefix's set, never an
-    enumeration of its lifts; the first failing word ends the walk.
+    A word wb fails when its lifts end nowhere (witness ``no lift of
+    prefix (...)``) or a vertex where w's lifts end has no edge over b
+    (``a partial lift of (...) got stuck``): that depends on b and w's end
+    set alone. So, as in the subset construction (Rabin and Scott 1959),
+    the walk keeps each distinct (codomain vertex, end set) of a length
+    once, with its first word in the order of length, then edge order;
+    each costs one step per letter. The witness is the first failing word
+    and ``words_checked`` its place in that order (all words on a pass).
     """
     V, W = phi.domain, phi.codomain
     step = _step_table(phi)
     over = {w: [v for v in V.vertices if phi.vmap[v] == w]
             for w in W.vertices}
-    level = [((), ())]  # (word, vertices its lifts end at)
-    checked = 0
-    witness = None
+    # (codomain vertex, end set) -> first word, as nested (prefix, letter)
+    level = {(None, None): None}
     for _ in range(depth):
-        nxt = []
-        for w, ends in level:
+        nxt = {}
+        for (at, ends), word in level.items():
             for b in W.edges:
-                if w and W.origin[b] != W.terminus[w[-1]]:
+                if ends is not None and W.origin[b] != at:
                     continue
-                wb = w + (b,)
-                checked += 1
-                reached = set()
-                stuck = False
-                for v in (ends if w else over[W.origin[b]]):
-                    out = step.get((v, b))
-                    if out:
-                        reached.update(out)
-                    else:
-                        stuck = True
-                if not reached:
-                    witness = f"no lift of prefix {wb!r}"
-                elif stuck:
-                    witness = f"a partial lift of {wb!r} got stuck"
-                if witness is not None:
-                    return {"depth": depth, "words_checked": checked,
-                            "pass": False, "witness": witness}
-                nxt.append((wb, frozenset(reached)))
+                outs = [step.get((v, b), ()) for v in
+                        (over[W.origin[b]] if ends is None else ends)]
+                reached = frozenset().union(*outs)
+                if reached and all(outs):
+                    nxt.setdefault((W.terminus[b], reached), (word, b))
+                    continue
+                wb = [b]
+                while word is not None:
+                    word, letter = word
+                    wb.append(letter)
+                wb = tuple(reversed(wb))
+                return {"depth": depth,
+                        "words_checked": _walk_place(W, depth, wb),
+                        "pass": False,
+                        "witness": (f"a partial lift of {wb!r} got stuck"
+                                    if reached else
+                                    f"no lift of prefix {wb!r}")}
         level = nxt
-    return {"depth": depth, "words_checked": checked, "pass": True,
-            "witness": None}
+    return {"depth": depth, "words_checked": _walk_place(W, depth),
+            "pass": True, "witness": None}
 
 
 @dataclass

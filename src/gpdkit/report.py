@@ -22,6 +22,15 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _format_int(n: int) -> str:
+    """Every digit of n, also past the interpreter's int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        hi, lo = divmod(abs(n), 10 ** 4000)
+        return ("-" if n < 0 else "") + _format_int(hi) + str(lo).zfill(4000)
+
+
 def _escape(s: str) -> str:
     # isprintable() is false below 0x20, so such strings need no escapes
     if '"' not in s and "\\" not in s and s.isprintable():
@@ -56,7 +65,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
-        return str(obj)
+        return _format_int(obj)
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, complex):

@@ -466,6 +466,49 @@ def cylinder_cover_by_words(phi, depth):
             "witness": witness}
 
 
+def cylinder_cover_by_levels(phi, depth):
+    """The word-by-word cylinder cover walk: every admissible word up to
+    ``depth`` by length, then edge order, each carrying the set of domain
+    vertices its lifts end at and checked by one step from its prefix's
+    set; the first failing word ends the walk."""
+    from gpdkit.graphs import _step_table
+
+    V, W = phi.domain, phi.codomain
+    step = _step_table(phi)
+    over = {w: [v for v in V.vertices if phi.vmap[v] == w]
+            for w in W.vertices}
+    level = [((), ())]  # (word, vertices its lifts end at)
+    checked = 0
+    witness = None
+    for _ in range(depth):
+        nxt = []
+        for w, ends in level:
+            for b in W.edges:
+                if w and W.origin[b] != W.terminus[w[-1]]:
+                    continue
+                wb = w + (b,)
+                checked += 1
+                reached = set()
+                stuck = False
+                for v in (ends if w else over[W.origin[b]]):
+                    out = step.get((v, b))
+                    if out:
+                        reached.update(out)
+                    else:
+                        stuck = True
+                if not reached:
+                    witness = f"no lift of prefix {wb!r}"
+                elif stuck:
+                    witness = f"a partial lift of {wb!r} got stuck"
+                if witness is not None:
+                    return {"depth": depth, "words_checked": checked,
+                            "pass": False, "witness": witness}
+                nxt.append((wb, frozenset(reached)))
+        level = nxt
+    return {"depth": depth, "words_checked": checked, "pass": True,
+            "witness": None}
+
+
 def matrix_units_check(G):
     """Verify the pair-groupoid delta basis satisfies the matrix-unit
     relations e_{ij} e_{kl} = [j == k] e_{il} exactly, using only the

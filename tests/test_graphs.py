@@ -1,16 +1,18 @@
+import decimal
 import itertools
 import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gpdkit as gk
 from gpdkit import corpus, graphs, io as gio
 from gpdkit.cli import main
 from gpdkit.report import canonical_json
 
-from oracles import DenseUnitFiber, brute_force_lifts, cylinder_cover_by_words
+from oracles import (DenseUnitFiber, brute_force_lifts,
+                     cylinder_cover_by_levels, cylinder_cover_by_words)
 
 ONE_LOOP = gk.DirectedGraph(("w",), ("1", "2"), {"1": "w", "2": "w"},
                             {"1": "w", "2": "w"})
@@ -32,6 +34,18 @@ def stuck_lift_morphism():
                          {"a": "v", "b": "u", "c": "v", "d": "u"})
     return gk.GraphMorphism(V, ONE_LOOP, {"v": "w", "u": "w"},
                             {"a": "1", "b": "1", "c": "2", "d": "1"})
+
+
+def off_incidence_morphism():
+    """Both loops 0 and 1 at x lift from v0 but end at v1, which lies over
+    w: incidence fails, so the words (0) and (1) reach one end set {v1},
+    where nothing goes on; the first failing word is (0, 0), the third."""
+    W = gk.DirectedGraph(("w", "x"), ("0", "1"), {"0": "x", "1": "x"},
+                         {"0": "x", "1": "x"})
+    V = gk.DirectedGraph(("v0", "v1"), ("e0", "e1"),
+                         {"e0": "v0", "e1": "v0"}, {"e0": "v1", "e1": "v1"})
+    return gk.GraphMorphism(V, W, {"v0": "x", "v1": "w"},
+                            {"e0": "1", "e1": "0"})
 
 
 def run_json(argv, capsys):
@@ -292,10 +306,11 @@ class TestLiftCounts:
 
 
 @st.composite
-def small_morphisms(draw):
+def small_morphisms(draw, incidence=True):
     """An incidence-preserving morphism onto a graph of one or two
     vertices, with or without path lifting, and a word over the codomain
-    edges (admissible or not) with an optional origin."""
+    edges (admissible or not) with an optional origin. With
+    ``incidence=False`` a domain edge may end at any vertex."""
     wv = ["w", "x"][:draw(st.integers(1, 2))]
     we = [f"{k}" for k in range(draw(st.integers(1, 3)))]
     W = gk.DirectedGraph(wv, we, {b: draw(st.sampled_from(wv)) for b in we},
@@ -307,7 +322,8 @@ def small_morphisms(draw):
         o = draw(st.sampled_from(vv))
         letters = [b for b in we if W.origin[b] == vmap[o]]
         b = draw(st.sampled_from(letters)) if letters else None
-        ends = [v for v in vv if b is not None and vmap[v] == W.terminus[b]]
+        ends = [v for v in vv if b is not None
+                and (not incidence or vmap[v] == W.terminus[b])]
         if ends:
             e = f"e{k}"
             origin[e], terminus[e], emap[e] = o, draw(st.sampled_from(ends)), b
@@ -345,6 +361,67 @@ class TestLiftCountsProperty:
         diagonal = sum(n for (u, u2), n in pair_counts.items() if u == u2)
         K, _ = gk.kernel_fiber_groupoid(phi, word, origin=origin)
         assert diagonal == len(K.arrows)
+
+
+class TestCylinderCoverStates:
+    """cylinder_cover_check walks distinct end sets, not words: its dict
+    is the word walks' on every input, and its cost stays flat in the
+    depth where the number of words doubles per level."""
+
+    # On an incidence-preserving morphism an end set lies over the origin
+    # of the next letter, so a failure shows on a word of one letter; a
+    # morphism that breaks incidence can fail deeper, past words that reach
+    # one state in several ways.
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans().flatmap(lambda inc: small_morphisms(incidence=inc)))
+    @example((corpus.cuntz_graphs()[2], [], None))
+    @example((no_lift_morphism(), [], None))
+    @example((stuck_lift_morphism(), [], None))
+    @example((off_incidence_morphism(), [], None))
+    def test_matches_the_word_walks(self, case):
+        phi = case[0]
+        for depth in range(7):
+            got = gk.cylinder_cover_check(phi, depth)
+            assert got == cylinder_cover_by_levels(phi, depth)
+            assert got == cylinder_cover_by_words(phi, depth)
+
+    def test_witness_extends_the_first_word_of_its_state(self):
+        got = gk.cylinder_cover_check(off_incidence_morphism(), 4)
+        assert got == {"depth": 4, "words_checked": 3, "pass": False,
+                       "witness": "no lift of prefix ('0', '0')"}
+
+    def test_depth_64_counts_every_word(self, capsys):
+        code, _, payload = run_json(
+            ["graph", "check", "--morphism",
+             corpus.data_path("cuntz.graphmorphism.json"), "--depth", "64"],
+            capsys)
+        assert code == 0 and payload["pass"]
+        assert payload["cylinder_words_checked"] == 2 ** 65 - 2
+
+    def test_depth_20_memory_is_bounded(self, cuntz):
+        # the word walk held every word of a level: 795 MB at depth 20
+        _, _, phi = cuntz
+        tracemalloc.start()
+        try:
+            got = gk.cylinder_cover_check(phi, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got["pass"] and got["words_checked"] == 2 ** 21 - 2
+        assert peak <= 2 ** 16
+
+    def test_depth_15000_writes_every_digit(self, capsys):
+        # 2^15001 - 2 has 4,516 digits, past the int-to-str limit of 4,300
+        code = main(["graph", "check", "--morphism",
+                     corpus.data_path("cuntz.graphmorphism.json"),
+                     "--depth", "15000"])
+        out = capsys.readouterr().out
+        payload = json.loads(out, parse_int=str)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5000
+            expected = str(decimal.Decimal(2) ** 15001 - 2)
+        assert code == 0 and payload["pass"]
+        assert payload["cylinder_words_checked"] == expected
 
 
 class TestGraphCheckControls:

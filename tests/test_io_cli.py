@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -37,6 +38,21 @@ class TestFormats:
         "\u00e9\"\\\x01"])
     def test_escape_matches_the_character_loop(self, text):
         assert _escape(text) == escape_loop(text)
+
+    @pytest.mark.parametrize("exponent, offset", [
+        (3, 0), (4299, 1), (4300, 0), (4000, -1), (4000, 0), (9001, 12345),
+        (12000, -7)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_ints_keep_every_digit(self, exponent, offset, sign):
+        # str(int) raises past 4,300 digits; Decimal prints them all
+        with decimal.localcontext() as ctx:
+            ctx.prec = exponent + 10
+            value = sign * (decimal.Decimal(10) ** exponent + offset)
+            expected = str(value)
+        n = sign * (10 ** exponent + offset)
+        assert canonical_json(n) == expected
+        assert canonical_json({"n": [n]}) == \
+            '{\n  "n": [\n    ' + expected + '\n  ]\n}'
 
     def test_groupoid_roundtrip(self, heis3, tmp_path):
         obj = gio.save_groupoid(heis3)
