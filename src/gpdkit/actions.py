@@ -23,8 +23,8 @@ import numpy as np
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
                        _ids, _join, _prefix, _table, classify_morphism,
                        pair_id)
-from .algebra import (RegularRepresentation, WedderburnInvariants, chunks,
-                      groupoid_table, isometry_certificate,
+from .algebra import (RegularRepresentation, WedderburnInvariants, _scatter,
+                      chunks, groupoid_table, isometry_certificate,
                       wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
                      NotSaturated, FellBundleError, _require_cstar_units,
@@ -338,6 +338,11 @@ class ExtractionResult(CheckList):
     basis_map: Optional[np.ndarray] = None  # column (h, x): its line vector
 
 
+# how far the trace of a corner map may lie from an integer for the trace
+# to be taken as the corner's rank (abelian_extract)
+_TRACE_TOL = 1e-6
+
+
 def _minimal_projections(B, u, seed: int = 0):
     """Minimal projections of the commutative unit fiber over the arrow
     index ``u`` of the FiberBlocks ``B``, as coefficient vectors, in a
@@ -432,13 +437,19 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     anchor = {x: projections[x][0] for x in points}
 
     # alpha_h and line vectors, from the corners q e_i p over each arrow h
-    # of every point pair (p over s(h), q over r(h)) and basis index i: two
-    # stacked products, one stacked norm and one stacked rank of the d x d
-    # matrix of each corner per group of consecutive arrows. A row of a
-    # corner over h costs its padded row, the table terms of its two
-    # products and its unit-fiber block over s(h); groups are chunks of
-    # that load
+    # of every point pair (p over s(h), q over r(h)) and basis index i, two
+    # stacked products per group of consecutive arrows. x -> q x p is an
+    # idempotent map of E_h (p, q projections, products associative), so
+    # the rank of the corner q E_h p is its trace, the sum over i of the
+    # coefficient of e_i in q e_i p; and z* z lies in p A_s(h) p = C p (p a
+    # minimal projection of a commutative fiber), so ||z||^2 =
+    # tau(z* z) / tau(p). A group with a trace more than _TRACE_TOL from an
+    # integer (p or q no projection) takes stacked norms and ranks of the
+    # d x d matrix of each corner instead. A row of a corner over h costs
+    # its padded row, the table terms of its two products and, for those
+    # norms, its unit-fiber block over s(h); groups are chunks of that load
     hx, PX = B.rows([projections[x] for x in points])
+    tau_p = B.traces(hx, PX)
     count = np.array([len(points_by_unit[u]) for u in H.units], np.int64)
     unit_at = np.zeros(B.nA, np.int64)
     unit_at[H.unit_idx] = np.arange(len(H.units))
@@ -466,13 +477,21 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
         xp, xq = f_p[k] + pq // n_q[k], f_q[k] + pq % n_q[k]
         _, Z = B.products(*B.products(hx[xq], PX[xq], k, np.eye(B.D)[i]),
                           hx[xp], PX[xp])
-        norms = B.fiber_norms(k, Z)[0]
         corner_at = np.cumsum(corners[group]) - corners[group]
-        col = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
-        size = np.repeat(B.dims[group], corners[group])
-        ranks = stacked_ranks(
-            np.repeat(np.repeat(corner_at, nrow) + pq, d), np.repeat(i, d),
-            col, Z[np.repeat(np.arange(len(k)), d), col], (size, size), tol)
+        corner = np.repeat(corner_at, nrow) + pq
+        trace = _scatter(corner, Z[np.arange(len(k)), i],
+                         int(corners[group].sum()))
+        ranks = np.rint(trace.real).astype(np.int64)
+        if np.abs(trace - ranks).max(initial=0.0) <= _TRACE_TOL:
+            norms = np.sqrt(np.maximum((B.traces(B.src[k], B.square(k, Z))
+                                        / tau_p[xp]).real, 0.0))
+        else:
+            norms = B.fiber_norms(k, Z)[0]
+            col = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
+            size = np.repeat(B.dims[group], corners[group])
+            ranks = stacked_ranks(
+                np.repeat(corner, d), np.repeat(i, d), col,
+                Z[np.repeat(np.arange(len(k)), d), col], (size, size), tol)
         for a_idx, r0, c0 in zip(group.tolist(), row_at, corner_at):
             h = H.arrows[a_idx]
             ps, qs = points_by_unit[H.src[h]], points_by_unit[H.rng[h]]

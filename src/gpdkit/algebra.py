@@ -38,9 +38,13 @@ Block-size invariants of such algebras (the complete isomorphism
 invariant at this scale) are computed by :func:`wedderburn_from_tables`
 from the summand blocks of a :class:`RegularRepresentation`, the blocks
 that every C*-norm reads too, and kept on it. The center comes from
-:func:`center_basis`, which reads the table arrays and takes one batched
-SVD per shape of its constraint components; the block sizes take one
-batched eigvalsh per restriction size.
+:func:`center_basis`, which reads the table arrays: on the tables where
+each commutator constraint holds at most one term per side (groupoids,
+twisted groupoids, groups, morphism bundles) each component of the
+constraints is one class sum with cocycle phases or nothing, read from
+the table with no SVD; any other table takes one batched SVD per shape
+of its constraint components. The block sizes take one batched eigvalsh
+per restriction size.
 
 That a linear map between two such algebras keeps every norm is certified
 over the whole basis, not sampled (:func:`isometry_certificate`): an
@@ -865,13 +869,16 @@ def center_basis(table: StructureTable, tol: float = 1e-9) -> np.ndarray:
     only joins the basis elements that one product links, so the matrix is
     block diagonal over the connected components of columns that share a
     row (for groupoid tables: the conjugacy classes of the isotropy). The
-    components are scattered into one stack per shape and chunk of
-    :func:`chunks`, and each stack takes one batched SVD: thin, or full
-    where a component has fewer rows than columns, where a thin one would
-    drop null vectors; columns in no row are free. Ranks are cut at
-    ``tol`` times the largest singular value over every component, which
-    is the largest of the whole matrix, and never below dim * eps of it.
-    The rows come component by component, in order of smallest column.
+    rows come component by component, in order of smallest column.
+
+    Where every row holds at most one term of each side (the tables of
+    groupoids, twisted groupoids and groups, where x e_b and e_b x each
+    have one term at a given output), each component is read from the
+    table by :func:`_phase_center`: a class sum with cocycle phases, or
+    nothing (Karpilovsky 1985, *Projective Representations of Finite
+    Groups*: the center of a twisted group algebra is spanned by the sums
+    over the omega-regular classes). Every other table takes
+    :func:`_svd_center`.
     """
     n = table.dim
     key, slot = np.unique((table.a * n + table.b) * n + table.c,
@@ -886,9 +893,71 @@ def center_basis(table: StructureTable, tol: float = 1e-9) -> np.ndarray:
     _, row = np.unique(np.concatenate([b * n + k, a * n + k]),
                        return_inverse=True)
     col, val = np.concatenate([a, b]), np.concatenate([w, -w])
+    label = _linked_columns(row, col, n)
+    m = len(key)
+    if np.bincount(row[:m]).max() <= 1 and np.bincount(row[m:]).max() <= 1:
+        return _phase_center(row, col, val, label, tol)
+    return _svd_center(row, col, val, label, tol)
+
+
+def _phase_center(row, col, val, label, tol: float) -> np.ndarray:
+    """:func:`center_basis` where each constraint row holds at most one
+    term per side: a row of two terms fixes the ratio of its two columns,
+    and a row of one term (or of two at one column) asks its column's
+    coefficient times its weight to vanish. So a component spans one line
+    or none. Phases are propagated from the component's smallest column,
+    set to 1, along the rows of two terms, in rounds that each set the
+    columns one row away from a set one; the component is dropped when
+    some row leaves a residual |sum of weight times phase| above the cut
+    of :func:`_svd_center`, with the root of the largest sum of squared
+    weights over a column's entries in place of the largest singular
+    value (at least 1/sqrt(2) of it where the weights have one modulus).
+    With every weight 1 each residual is 0 or 1. A kept component gives
+    its phases, normalized: a row with a real positive first entry."""
+    n, m, nrows = len(label), len(row) // 2, int(row.max()) + 1
+    # the entry of each side of every row (the x e_b terms come first)
+    side = np.full((2, nrows), -1)
+    side[0, row[:m]], side[1, row[m:]] = np.arange(m), np.arange(m, 2 * m)
+    p, q = side[:, (side >= 0).all(axis=0)]
+    # the rows of two terms both ways: val[p] phi[col[p]] + val[q]
+    # phi[col[q]] = 0 sets phi[v] from phi[u]
+    p, q = np.concatenate([p, q]), np.concatenate([q, p])
+    u, v = col[p], col[q]
+    phi = (label == np.arange(n)).astype(complex)
+    known = phi != 0
+    while len(e := np.flatnonzero(known[u] & ~known[v])):
+        first = np.full(n, len(u))
+        np.minimum.at(first, v[e], e)  # one row per new column
+        new = np.flatnonzero(first < len(u))
+        e = first[new]
+        phi[new] = -val[p[e]] / val[q[e]] * phi[u[e]]
+        known[new] = True
+    scale = float(np.sqrt(np.bincount(col, np.abs(val) ** 2, n).max()))
+    cut = max(tol * max(scale, 1.0), n * np.finfo(float).eps * scale)
+    res = np.abs(_scatter(row, val * phi[col], nrows))
+    kept = np.ones(n, dtype=bool)
+    kept[label[col[res[row] > cut]]] = False  # by smallest column
+    kept = kept[label]
+    norm = np.sqrt(np.bincount(label, np.abs(phi) ** 2, n))
+    at = np.cumsum(kept & (label == np.arange(n))) - 1
+    cols = np.flatnonzero(kept)
+    out = np.zeros((int(at[-1]) + 1, n), dtype=complex)
+    out[at[label[cols]], cols] = phi[cols] / norm[label[cols]]
+    return out
+
+
+def _svd_center(row, col, val, label, tol: float) -> np.ndarray:
+    """:func:`center_basis` of any table: the components are scattered into
+    one stack per shape and chunk of :func:`chunks`, and each stack takes
+    one batched SVD: thin, or full where a component has fewer rows than
+    columns, where a thin one would drop null vectors; columns in no row
+    are free. Ranks are cut at ``tol`` times the largest singular value
+    over every component, which is the largest of the whole matrix, and
+    never below dim * eps of it."""
+    n = len(label)
     # a column (row) sits at its rank among those of its component, and
     # the components are numbered in order of their smallest column
-    comp = np.unique(_linked_columns(row, col, n), return_inverse=True)[1]
+    comp = np.unique(label, return_inverse=True)[1]
     ncols, pos = _ranks(comp)
     row_comp = np.empty(int(row.max()) + 1, dtype=np.int64)
     row_comp[row] = comp[col]

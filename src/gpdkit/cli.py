@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from . import algebra, bundle, corpus, graphs, io as gio
-from .actions import (ActionAxiomViolation, NotACovering, abelian_extract,
-                      build_action_groupoid, cocycle_check,
-                      covering_to_action, twisted_algebra)
+from .actions import (ActionAxiomViolation, CocycleIdentityFailure,
+                      NotACovering, abelian_extract, build_action_groupoid,
+                      cocycle_check, covering_to_action)
 from .algebra import (AlgebraElement, cstar_norm, positivity_check,
                       wedderburn)
 from .bundle import (build_bundle, bisection_bimodule_check, psi_iso_check,
@@ -461,8 +461,13 @@ def cmd_abelian_extract(args, report: Report):
         report.add("extracted_twist_validates", False, None,
                    "not checked: cocycle_identity failed")
         return
-    # the extracted twisted algebra is rebuilt through the validated path
-    twisted_algebra(res.action_groupoid.groupoid, res.cocycle)
+    # the extracted twist validates when the cocycle_check the extraction
+    # ran at 1e-12 passes: its identity, modulus and normalization
+    if not (res.entry("cocycle_modulus").passed
+            and res.entry("cocycle_normalized").passed):
+        raise CocycleIdentityFailure(
+            f"cocycle fails validation (identity residual "
+            f"{res.entry('cocycle_identity').residual:.3e})")
     report.add("extracted_twist_validates", True, 0.0)
 
 

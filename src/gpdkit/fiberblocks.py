@@ -8,6 +8,9 @@ most the largest fiber dimension across, and blocks of one size are taken
 together: one batched :func:`~gpdkit.algebra.spectral_norms`, eigh,
 eigvalsh or (ranks) SVD per size and chunk instead of one call per
 element, and never a decomposition of a total_dim x total_dim matrix.
+Where each basis pair of the table has one product term, as in the
+bundles of groupoid morphisms, a rank needs no SVD at all
+(:func:`stacked_ranks`).
 Everything is read from the section table of the bundle
 (:meth:`gpdkit.bundle.FellBundle.table`) and the integer tables of its
 base, whose arrow indices name the arrows.
@@ -37,8 +40,22 @@ def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
     """Numeric rank of the matrix of every owner o, of shape
     (shape[0][o], shape[1][o]), with vals summed at (row, col) of the
     entries it owns: the singular values above tol * max(largest, 1), 0
-    for an empty matrix. One batched SVD per shape and chunk
+    for an empty matrix. Where no (owner, row) holds two entries, M* M is
+    diagonal and the singular values are the column norms, read with one
+    bincount (the product matrices of a table whose basis pairs have one
+    product term each); elsewhere one batched SVD per shape and chunk
     (:func:`~gpdkit.algebra.stacked_singular_values`)."""
+    nr, nc = (np.asarray(v, dtype=np.int64) for v in shape)
+    key = np.sort((np.cumsum(nr) - nr)[owner] + row)
+    if not np.any(key[1:] == key[:-1]):
+        at = np.cumsum(nc) - nc
+        norm = np.sqrt(np.bincount(at[owner] + col, np.abs(vals) ** 2,
+                                   int(nc.sum())))
+        of = np.repeat(np.arange(len(nc)), nc)
+        top = np.zeros(len(nc))
+        np.maximum.at(top, of, norm)
+        return np.bincount(of, norm > tol * np.maximum(top[of], 1.0),
+                           len(nc)).astype(np.int64)
     ranks = np.zeros(len(shape[0]), dtype=np.int64)
     for o, s in stacked_singular_values(owner, row, col, vals, shape):
         ranks[o] = np.sum(s > tol * np.maximum(s[:, :1], 1.0), axis=1)
@@ -158,8 +175,11 @@ class FiberBlocks:
     def saturation(self, tol: float):
         """(saturated, witness): span E_h1 E_h2 = E_h1h2 for every
         composable pair, as the rank of the products of basis pairs (the
-        table entries of the pair) against dim E_h1h2, stacked by shape and
-        kept per tolerance. The witness names the first pair, in
+        table entries of the pair) against dim E_h1h2, kept per tolerance.
+        Where each basis pair has one product term, each row of a pair's
+        product matrix holds one entry and :func:`stacked_ranks` reads the
+        ranks from the column norms, with no SVD; elsewhere the matrices
+        are stacked by shape. The witness names the first pair, in
         ``composable_pairs`` order, that falls short."""
         if tol not in self._saturation:
             T = self.table

@@ -696,6 +696,67 @@ def loop_center_basis(table, tol=1e-9):
     return np.concatenate(out)
 
 
+def loop_class_center(table, tol=1e-9):
+    """The center of a table on which x e_b and e_b x each have at most
+    one term at every output (groupoids, twisted groupoids, groups), one
+    class at a time in Python loops. From the smallest element a not yet
+    reached, every basis element b conjugates: e_a e_b = w e_k must meet
+    e_b e_a' = w' e_k (a' = b^-1 a b in a group) with phase(a') = phase(a)
+    w / w', and e_b e_a = w' e_k must meet e_a'' e_b = w e_k with
+    phase(a'') = phase(a) w' / w. A class is dropped when a product has no
+    partner or an element is reached with two phases more than tol apart
+    (a class that is not omega-regular). Rows: the class sums with their
+    phases, normalized, phase 1 at the smallest element, in order of it."""
+    dim = table.dim
+    products = table_products(table)
+    plus, minus = {}, {}  # (b, k) -> (a, w) of e_a e_b and of e_b e_a
+    for (a, b), expansion in products.items():
+        for k, w in expansion.items():
+            if w == 0:
+                continue
+            for side, key in ((plus, (b, k)), (minus, (a, k))):
+                if key in side:
+                    raise ValueError(f"two terms of one side at {key}")
+            plus[(b, k)] = (a, w)
+            minus[(a, k)] = (b, w)
+    reached = [False] * dim
+    out = []
+    for a0 in range(dim):
+        if reached[a0]:
+            continue
+        phase, queue, alive = {a0: 1.0 + 0j}, [a0], True
+        reached[a0] = True
+        while queue:
+            a = queue.pop(0)
+            for b in range(dim):
+                steps = []
+                for k, w in products.get((a, b), {}).items():
+                    if w != 0:  # e_a e_b = w e_k meets e_b e_a2 = w2 e_k
+                        a2, w2 = minus.get((b, k), (None, None))
+                        steps.append((a2, w / w2 if a2 is not None else 0))
+                for k, w in products.get((b, a), {}).items():
+                    if w != 0:  # e_b e_a = w e_k meets e_a2 e_b = w2 e_k
+                        a2, w2 = plus.get((b, k), (None, None))
+                        steps.append((a2, w / w2 if a2 is not None else 0))
+                for a2, ratio in steps:
+                    if a2 is None:
+                        alive = False
+                        continue
+                    want = phase[a] * ratio
+                    if a2 not in phase:
+                        phase[a2] = want
+                        reached[a2] = True
+                        queue.append(a2)
+                    elif abs(phase[a2] - want) > tol:
+                        alive = False
+        if alive:
+            row = np.zeros(dim, dtype=complex)
+            for g, v in phase.items():
+                row[g] = v
+            out.append(row / np.linalg.norm(row))
+    return np.array(out).reshape(len(out), dim)
+
+
 def hilbert_module_residuals(pi, E):
     """Per-pair reference for the Hilbert-module check of psi_iso_check:
     {(g1, g2): largest coefficient difference between the unit-fiber part

@@ -208,24 +208,38 @@ class TestAbelianExtract:
 
     def test_corners_are_normed_once_per_arrow(self, flip_groupoid,
                                                monkeypatch):
+        from gpdkit import actions
         from gpdkit.fiberblocks import FiberBlocks
         rng = np.random.default_rng(5)
         E = gk.build_bundle(flip_groupoid.projection,
                             twist=corpus.random_cocycle(
                                 flip_groupoid.groupoid, rng))
+        # markers: the projections found, the action built (the corner
+        # pass lies between), each LAPACK call and each squared row stack
         calls = []
-        norms = FiberBlocks.fiber_norms
-        monkeypatch.setattr(FiberBlocks, "fiber_norms",
-                            lambda self, h, X, *a: calls.append(len(h))
-                            or norms(self, h, X, *a))
+
+        def spy(owner, name, mark):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(
+                mark(*a)) or fn(*a, **k))
+        spy(actions, "_minimal_projections", lambda *a: "projections")
+        spy(actions, "build_action_groupoid", lambda *a: "action")
+        spy(actions, "stacked_ranks", lambda *a: "stacked_ranks")
+        spy(FiberBlocks, "fiber_norms", lambda *a: "fiber_norms")
+        spy(FiberBlocks, "square", lambda self, h, *a: len(h))
+        for name in ("svd", "eigvalsh"):
+            spy(np.linalg, name, lambda *a, name=name: name)
         res = gk.abelian_extract(E)
         assert res.passed
-        # the corner pass makes its first stacked calls, fewer than one per
-        # base arrow, holding the corners of all 2 x 2 point pairs over
-        # every arrow once
+        assert "fiber_norms" not in calls and "stacked_ranks" not in calls
+        last = len(calls) - calls[::-1].index("projections")
+        corner_pass = calls[last:calls.index("action")]
+        assert not {"svd", "eigvalsh"} & set(corner_pass)
+        # the corner pass squares fewer stacks than there are base arrows,
+        # holding the corners of all 2 x 2 point pairs over every arrow once
         H = E.base
         total = sum(4 * E.dim(h) for h in H.arrows)
-        reached = list(np.cumsum(calls))
+        reached = list(np.cumsum(corner_pass))
         assert total in reached
         assert reached.index(total) + 1 < len(H.arrows)
         monkeypatch.undo()
@@ -235,6 +249,60 @@ class TestAbelianExtract:
             vec = col[E.first[h]:E.first[h] + E.dim(h)]
             assert gk.fiber_norm(gk.FiberElement(E, h, vec)) == \
                 pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _outcome(E, monkeypatch, change, fallback):
+        """(exception class, message, witness) or (None, check names and
+        flags) of abelian_extract with each unit fiber's projections passed
+        through ``change``, and whether the corner pass called
+        stacked_ranks; with ``fallback`` every corner takes the stacked
+        norms and ranks."""
+        from gpdkit import actions
+        found, ranked = actions._minimal_projections, []
+        monkeypatch.setattr(actions, "_minimal_projections",
+                            lambda *a, **k: change(found(*a, **k)))
+        ranks = actions.stacked_ranks
+        monkeypatch.setattr(actions, "stacked_ranks",
+                            lambda *a: ranked.append(1) or ranks(*a))
+        if fallback:
+            monkeypatch.setattr(actions, "_TRACE_TOL", -1.0)
+        try:
+            res = gk.abelian_extract(E)
+            out = (None, [(e.name, e.passed) for e in res.entries])
+        except (gk.FellBundleError, gk.NumericalDegeneracy) as exc:
+            out = (type(exc), str(exc), getattr(exc, "witness", None))
+        monkeypatch.undo()
+        return out, bool(ranked)
+
+    def test_merged_points_raise_dimension_two(self, flip_groupoid,
+                                               monkeypatch):
+        # the two minimal projections of each unit fiber merged into its
+        # unit: the corner of the unit over a unit arrow has trace 2
+        E = gk.build_bundle(flip_groupoid.projection)
+
+        def merged(vecs):
+            return [vecs[0] + vecs[1], *vecs[2:]]
+        got, ranked = self._outcome(E, monkeypatch, merged, False)
+        assert not ranked
+        assert got[0] is gk.LineDimensionFailure
+        assert "has dimension 2" in got[1]
+        assert self._outcome(E, monkeypatch, merged, True) == (got, True)
+
+    def test_scaled_projection_takes_the_svd_fallback(self, flip_groupoid,
+                                                      monkeypatch):
+        # 0.9 p is no projection: its corner traces are 0.9, not integers,
+        # so the corners take the stacked norms and ranks, as before (the
+        # run ends in the twisted algebra's Wedderburn solve)
+        E = gk.build_bundle(flip_groupoid.projection)
+
+        def scaled(vecs):
+            return [0.9 * vecs[0], *vecs[1:]]
+        got, ranked = self._outcome(E, monkeypatch, scaled, False)
+        assert ranked
+        assert self._outcome(E, monkeypatch, scaled, True) == (got, True)
+        assert self._outcome(E, monkeypatch, list, False) == (
+            (None, [(e.name, e.passed)
+                    for e in gk.abelian_extract(E).entries]), False)
 
     def test_random_covering_extractions(self):
         for seed in range(6):

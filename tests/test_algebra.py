@@ -18,8 +18,8 @@ from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
 from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
     dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
     group_convolution, isometry_defect, loop_center_basis, \
-    loop_heisenberg_elements, matrix_units_check, raw_groupoid, \
-    table_arrays, table_products
+    loop_class_center, loop_heisenberg_elements, matrix_units_check, \
+    raw_groupoid, table_arrays, table_products
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -353,10 +353,33 @@ class TestSpectralNorms:
         assert algebra.spectral_norms(S).shape == (2, 3)
 
     def test_ranks_stay_on_the_svd(self):
-        # sigma = 1e-10 squares to 1e-20, below eps of the Gram matrix
+        # sigma = 1e-10 squares to 1e-20, below eps of the Gram matrix: a
+        # diagonal matrix (one entry per row, read from its column norms)
+        # and one with two entries per row (one SVD)
         assert stacked_ranks(np.zeros(2, np.int64), np.arange(2),
                              np.arange(2), np.array([1.0, 1e-10]),
                              ([2], [2]), 1e-12).tolist() == [2]
+        assert stacked_ranks(np.zeros(4, np.int64), np.array([0, 0, 1, 1]),
+                             np.array([0, 1, 0, 1]),
+                             np.array([1.0, 1.0, 1.0, 1.0 + 2e-10]),
+                             ([2], [2]), 1e-12).tolist() == [2]
+
+    def test_column_norm_ranks_equal_svd_ranks(self):
+        # 200 random matrices of one entry per row, some columns tiny or
+        # empty: the column norms are the singular values
+        rng = np.random.default_rng(8)
+        nr, nc = rng.integers(0, 6, 200), rng.integers(0, 6, 200)
+        owner = np.repeat(np.arange(200), nr)
+        row = np.concatenate([np.arange(r) for r in nr])
+        col = rng.integers(0, np.maximum(nc, 1)[owner])
+        keep = nc[owner] > 0
+        vals = (rng.standard_normal(len(owner))
+                * 10.0 ** rng.integers(-14, 2, len(owner)))
+        args = (owner[keep], row[keep], col[keep], vals[keep], (nr, nc))
+        want = np.zeros(200, np.int64)
+        for o, sv in algebra.stacked_singular_values(*args):
+            want[o] = np.sum(sv > 1e-9 * np.maximum(sv[:, :1], 1.0), axis=1)
+        assert np.array_equal(stacked_ranks(*args, 1e-9), want)
 
 
 class TestPositivity:
@@ -754,8 +777,13 @@ def _center_tables():
             ("z", corpus.cyclic_groupoid(4)),
             ("h", corpus.heisenberg_groupoid(2))])),
         "twisted": groupoid_table(om.base, om.omega),
-        # M2 + C, conjugated so that the structure constants are generic
+        # M2 + C, conjugated: still a matrix-unit basis
         "closure": _closure_tables([q @ m @ q.conj().T for m in units],
+                                   1e-9),
+        # M2 + C in the Gram-Schmidt basis of two generic elements: the
+        # structure constants are dense
+        "generic": _closure_tables([q @ (units[0] + 0.5 * units[2])
+                                    @ q.conj().T, q @ units[1] @ q.conj().T],
                                    1e-9),
     }
 
@@ -800,11 +828,16 @@ class TestLapackCalls:
     component or cluster."""
 
     def test_one_svd_per_component_shape(self, monkeypatch):
-        # Z8 x Z8 is abelian: 64 one-column components of 64 rows each
-        table = groupoid_table(corpus.zn_square_groupoid(8))
+        # Z8 x Z8 is abelian: 64 one-column components of 64 rows each,
+        # read from the table with no SVD
         calls = _counting(monkeypatch, np.linalg, "svd")
-        assert center_basis(table).shape == (64, 64)
-        assert calls == [(64, 64, 1)]
+        assert center_basis(groupoid_table(
+            corpus.zn_square_groupoid(8))).shape == (64, 64)
+        assert calls == []
+        # row (3, 4) of the wide table has two terms on one side: one SVD
+        # per component shape, 1 x 3, 3 x 1 and the free 0 x 1
+        assert center_basis(_wide_table()).shape == (3, 5)
+        assert sorted(calls) == [(1, 0, 1), (1, 1, 3), (1, 3, 1)]
 
     def test_one_eigvalsh_per_restriction_size(self, monkeypatch):
         # the clusters of pair(2) and pair(3) restrict each unit block to
@@ -875,12 +908,14 @@ class TestWedderburnMemo:
 
 
 class TestCenterBasis:
-    """The stacked center solve spans the same space as the dense
-    commutator null space, and equals the one-component-at-a-time loop
-    bit for bit."""
+    """The center solve spans the same space as the dense commutator null
+    space. Where it reads the table (at most one term per side in every
+    constraint row) it equals the class-by-class loop up to a unit factor
+    per row; elsewhere the stacked SVD equals the one-component-at-a-time
+    loop bit for bit."""
 
     @pytest.mark.parametrize("name", ["heis3", "zn_square4", "union",
-                                      "twisted", "closure"])
+                                      "twisted", "closure", "generic"])
     def test_matches_dense_oracle(self, name):
         table = _center_tables()[name]
         got = center_basis(table)
@@ -892,15 +927,78 @@ class TestCenterBasis:
 
     @pytest.mark.parametrize("name", ["heis3", "zn_square4", "union",
                                       "twisted", "closure", "cancelling",
-                                      "wide"])
-    def test_equals_loop_oracle(self, name):
+                                      "wide", "generic"])
+    def test_equals_loop_oracle(self, name, monkeypatch):
         table = {**_center_tables(), "cancelling": _cancelling_table(),
                  "wide": _wide_table()}[name]
+        calls = _counting(monkeypatch, np.linalg, "svd")
         got = center_basis(table)
-        assert np.array_equal(got, loop_center_basis(table))
+        if name in ("wide", "generic"):
+            assert calls
+            assert np.array_equal(got, loop_center_basis(table))
+        else:
+            # the conjugated matrix units of "closure" multiply like a
+            # groupoid's: one term per side too
+            assert calls == []
+            want = loop_class_center(table)
+            assert got.shape == want.shape
+            unit = np.einsum("ij,ij->i", want.conj(), got)
+            assert np.abs(np.abs(unit) - 1.0).max() <= 1e-12
+            assert np.abs(got - unit[:, None] * want).max() <= 1e-12
+            # each row has a real positive first entry
+            first = got[np.arange(len(got)), np.argmax(got != 0, axis=1)]
+            assert np.all(first.imag == 0) and np.all(first.real > 0)
+        monkeypatch.undo()
         # the dict adapter solves the same table
         assert np.array_equal(
             sparse_center_basis(table.dim, table_products(table)), got)
+
+    def test_twisted_class_sums_drop_irregular_classes(self):
+        # Z3 x Z3 with a nondegenerate bilinear cocycle: no class but the
+        # unit's is omega-regular, so the center is the line of e_0, as
+        # the dense null space says
+        table = _center_tables()["twisted"]
+        got, want = center_basis(table), dense_center_basis(table)
+        assert got.shape == want.shape == (1, 9)
+        assert np.array_equal(got[0], np.eye(9)[0])
+        assert abs(abs(want[0, 0]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_twists_match_both_oracles(self, seed):
+        # a random coboundary times the bilinear twist of Z2 x Z2 on one
+        # part of a union: regular classes keep their class sums, with
+        # phases
+        rng = np.random.default_rng(seed)
+        G = corpus.disjoint_union([("h", corpus.heisenberg_groupoid(2)),
+                                   ("p", corpus.pair_groupoid(3)),
+                                   ("z", corpus.zn_square_groupoid(2))])
+        omega = corpus.random_cocycle(G, rng).omega
+        bilinear = corpus.zn2_bilinear_cocycle(2).omega
+        omega = {(g1, g2): w * (bilinear[(g1[2:], g2[2:])]
+                                if g1.startswith("z:") else 1.0)
+                 for (g1, g2), w in omega.items()}
+        table = groupoid_table(G, omega)
+        got, want = center_basis(table), dense_center_basis(table)
+        assert got.shape == want.shape
+        assert np.abs(got.T @ got.conj()
+                      - want.T @ want.conj()).max() <= 1e-10
+        ref = loop_class_center(table)
+        unit = np.einsum("ij,ij->i", ref.conj(), got)
+        assert np.abs(got - unit[:, None] * ref).max() <= 1e-12
+
+    def test_shifted_cocycle_entry_drops_its_classes(self):
+        # one product of heis3 turned by a phase: the classes it links
+        # leave the center, by the phase residual as by the dense SVD
+        T = groupoid_table(corpus.heisenberg_groupoid(3))
+        w = T.w.copy()
+        hit = int(np.flatnonzero((T.a == 3) & (T.b == 1))[0])
+        w[hit] = np.exp(0.3j)
+        table = StructureTable(T.dim, T.a, T.b, T.c, w, T.s, T.t, T.sw)
+        got, want = center_basis(table), dense_center_basis(table)
+        assert got.shape == want.shape and len(got) < 11
+        assert np.abs(got.T @ got.conj()
+                      - want.T @ want.conj()).max() <= 1e-10
+        assert np.array_equal(np.abs(got), np.abs(loop_class_center(table)))
 
     def test_cancelled_entries_link_no_columns(self):
         assert np.array_equal(center_basis(_cancelling_table()),

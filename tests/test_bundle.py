@@ -645,20 +645,53 @@ class TestBimodule:
 
 
 def test_saturation_is_computed_once_per_tolerance(monkeypatch):
-    from gpdkit import fiberblocks
     E = gk.build_bundle(corpus.heisenberg_quotient(2))
-    calls = []
-    ranks = fiberblocks.stacked_ranks
-    monkeypatch.setattr(fiberblocks, "stacked_ranks",
-                        lambda *a: calls.append(a[-1]) or ranks(*a))
+    B = fiber_blocks(E)
+    computed = []  # every tolerance stored in the saturation cache
+
+    class Cache(dict):
+        def __setitem__(self, tol, value):
+            computed.append(tol)
+            super().__setitem__(tol, value)
+    monkeypatch.setattr(B, "_saturation", Cache())
     assert gk.verify_axioms(E).saturated
     assert gk.abelian_extract(E).passed
     for U in gk.greedy_bisection_cover(E.base):
         assert gk.bisection_bimodule_check(E, U).passed
-    assert calls == [1e-9]
-    B = fiber_blocks(E)
+    assert computed == [1e-9]
     assert B.saturation(1e-6) == B.saturation(1e-9) == (True, None)
-    assert calls == [1e-9, 1e-6]
+    assert computed == [1e-9, 1e-6]
+
+
+def test_saturation_of_a_monomial_table_takes_no_svd(monkeypatch):
+    # each basis pair has one product term, so each row of a pair's
+    # product matrix holds one entry and the ranks are read from its
+    # column norms
+    svd = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svd.append(1) or real(*a, **k))
+    bundles = [gk.build_bundle(pi) for pi in (
+        corpus.heisenberg_quotient(3), corpus.nonsaturated_surjection())]
+    got = [fiber_blocks(E).saturation(1e-9) for E in bundles]
+    assert svd == []
+    monkeypatch.undo()
+    assert got == [dense_saturation_detail(E, 1e-9) for E in bundles]
+    assert got[0] == (True, None) and not got[1][0]
+
+
+def test_small_product_weight_falls_short_at_its_pair(flip_groupoid):
+    # in the flip covering each product column holds one entry; scaled to
+    # 1e-12 it leaves its pair one rank short, at the pair the dense
+    # per-pair ranks name
+    E = gk.build_bundle(flip_groupoid.projection)
+    arrays = table_arrays(E)
+    arrays["w"][5] = 1e-12
+    bad = bundle_from(E, arrays)
+    sat, wit = fiber_blocks(bad).saturation(1e-9)
+    assert (sat, wit) == dense_saturation_detail(bad, 1e-9)
+    assert not sat and wit.endswith("has rank 1 < 2")
+    assert fiber_blocks(E).saturation(1e-9) == (True, None)
 
 
 def test_psi_hilbert_module_match_is_checked(heis3_quotient):

@@ -753,6 +753,40 @@ class TestExitContract:
                     "name": name, "pass": False, "residual": None,
                     "witness": "not checked: cocycle_identity failed"}
 
+    def test_extracted_twist_off_modulus_fails_validation(self, tmp_path,
+                                                          capsys):
+        # a coboundary whose beta is 1 + 1e-10 on one arrow of Z2 x Z2:
+        # the bundle passes its axioms and the extracted cocycle its
+        # identity, but not its modulus at 1e-12, so the twist does not
+        # validate, with the message twisted_algebra raises on it
+        G = corpus.zn_square_groupoid(2)
+        beta = {g: 1.0 for g in G.arrows}
+        beta["(1,0)"] = 1.0 + 1e-10
+        omega = gk.coboundary_cocycle(G, beta)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(canonical_json(gio.save_morphism(
+            corpus.identity_morphism(G))))
+        cpath = tmp_path / "c.json"
+        cpath.write_text(canonical_json(gio.save_cocycle(omega)))
+        code, out, err = run_cli(["abelian", "extract", "--morphism",
+                                  str(mpath), "--cocycle", str(cpath)],
+                                 capsys)
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        by_name = {c["name"]: c for c in checks}
+        assert by_name["cocycle_identity"]["pass"]
+        assert not by_name["cocycle_modulus"]["pass"]
+        assert "extracted_twist_validates" not in by_name
+        message = "cocycle fails validation (identity residual 0.000e+00)"
+        assert checks[-1] == {"name": "CocycleIdentityFailure",
+                              "pass": False, "residual": None,
+                              "witness": message}
+        res = gk.abelian_extract(gk.build_bundle(
+            corpus.identity_morphism(G), twist=omega))
+        with pytest.raises(gk.CocycleIdentityFailure) as exc:
+            gk.twisted_algebra(res.action_groupoid.groupoid, res.cocycle)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError,
                                        gk.NumericalDegeneracy],
                              ids=lambda e: e.__name__)
