@@ -9,8 +9,9 @@ symbolic integer grading for collapse maps. Such a kernel fiber is one
 full pair block per terminal vertex, so its invariants are exact lift
 counts (``lift_counts``, one transfer step per letter); the groupoid
 itself is built only by the library function ``kernel_fiber_groupoid``.
-The cylinder cover check walks distinct lift end sets, not words. Reports
-mention the window whenever the full object would be infinite.
+The cylinder cover check scans the one-letter words, which decide it on
+an incidence-preserving map. Reports mention the window whenever the full
+object would be infinite.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .groupoid import pair_blocks, pair_id
+from .groupoid import pair_blocks
 from .algebra import WedderburnInvariants
 
 
@@ -107,6 +106,25 @@ class GraphMorphismReport:
     witness: Optional[str] = None
 
 
+def _require_incidence(phi: GraphMorphism):
+    """Raise IncidenceViolation, naming the first vertex or edge, unless
+    phi maps vertices to vertices and edges to edges with their ends."""
+    V, W = phi.domain, phi.codomain
+    wv, we = set(W.vertices), set(W.edges)
+    for v in V.vertices:
+        if v not in phi.vmap or phi.vmap[v] not in wv:
+            raise IncidenceViolation(f"vertex map undefined or out of range "
+                                     f"at {v!r}", witness=v)
+    for e in V.edges:
+        if e not in phi.emap or phi.emap[e] not in we:
+            raise IncidenceViolation(f"edge map undefined or out of range "
+                                     f"at {e!r}", witness=e)
+        if W.origin[phi.emap[e]] != phi.vmap[V.origin[e]] or \
+                W.terminus[phi.emap[e]] != phi.vmap[V.terminus[e]]:
+            raise IncidenceViolation(f"incidence not preserved at edge {e!r}",
+                                     witness=e)
+
+
 def check_graph_morphism(phi: GraphMorphism) -> GraphMorphismReport:
     """Incidence, surjectivity, and the edge-lifting property: for every
     domain vertex v and codomain edge b starting at the image of v there
@@ -114,18 +132,7 @@ def check_graph_morphism(phi: GraphMorphism) -> GraphMorphismReport:
     V, W = phi.domain, phi.codomain
     V.require_no_sinks()
     W.require_no_sinks()
-    for v in V.vertices:
-        if v not in phi.vmap or phi.vmap[v] not in set(W.vertices):
-            raise IncidenceViolation(f"vertex map undefined or out of range "
-                                     f"at {v!r}", witness=v)
-    for e in V.edges:
-        if e not in phi.emap or phi.emap[e] not in set(W.edges):
-            raise IncidenceViolation(f"edge map undefined or out of range "
-                                     f"at {e!r}", witness=e)
-        if W.origin[phi.emap[e]] != phi.vmap[V.origin[e]] or \
-                W.terminus[phi.emap[e]] != phi.vmap[V.terminus[e]]:
-            raise IncidenceViolation(f"incidence not preserved at edge {e!r}",
-                                     witness=e)
+    _require_incidence(phi)
 
     surj_v = set(phi.vmap[v] for v in V.vertices) == set(W.vertices)
     surj_e = set(phi.emap[e] for e in V.edges) == set(W.edges)
@@ -318,28 +325,16 @@ def kernel_fiber_groupoid(phi: GraphMorphism, word, origin=None):
     return K, inv_blocks
 
 
-def _walk_place(W: DirectedGraph, depth: int, word=()) -> int:
-    """The number of admissible codomain words of length 1 .. depth or,
-    given a word, its place in the order of length, then edge order. A
-    transfer DP with Python ints: ``paths[v]`` counts the words of the
-    current length ending at v, ``less[v]`` those before the prefix of
-    ``word`` of that length, which ends at ``at`` (None: empty prefix)."""
-    paths, less = dict.fromkeys(W.vertices, 1), dict.fromkeys(W.vertices, 0)
-    at, total = None, 0
-    for m in range(len(word) or depth):
-        before = bool(word)
-        nxt, nxt_less = (dict.fromkeys(W.vertices, 0) for _ in range(2))
-        for b in W.edges:
-            o, t = W.origin[b], W.terminus[b]
-            before = before and b != word[m]
-            nxt[t] += paths[o]
-            nxt_less[t] += less[o] + (before and at in (None, o))
-        paths, less = nxt, nxt_less
-        at = W.terminus[word[m]] if word else None
-        total += sum(paths.values())
-    if word:  # of the words of its length, those up to it
-        total += sum(less.values()) + 1 - sum(paths.values())
-    return total
+def _path_counts(G: DirectedGraph, depth: int):
+    """For n = 1 .. depth, the number of paths of length n ending at each
+    vertex: a transfer DP with Python ints, one step per length."""
+    paths = dict.fromkeys(G.vertices, 1)
+    for _ in range(depth):
+        nxt = dict.fromkeys(G.vertices, 0)
+        for e in G.edges:
+            nxt[G.terminus[e]] += paths[G.origin[e]]
+        paths = nxt
+        yield paths
 
 
 def cylinder_cover_check(phi: GraphMorphism, depth: int) -> dict:
@@ -349,44 +344,31 @@ def cylinder_cover_check(phi: GraphMorphism, depth: int) -> dict:
 
     A word wb fails when its lifts end nowhere (witness ``no lift of
     prefix (...)``) or a vertex where w's lifts end has no edge over b
-    (``a partial lift of (...) got stuck``): that depends on b and w's end
-    set alone. So, as in the subset construction (Rabin and Scott 1959),
-    the walk keeps each distinct (codomain vertex, end set) of a length
-    once, with its first word in the order of length, then edge order;
-    each costs one step per letter. The witness is the first failing word
-    and ``words_checked`` its place in that order (all words on a pass).
+    (``a partial lift of (...) got stuck``). On an incidence-preserving
+    map (IncidenceViolation otherwise) the lifts of w end over the origin
+    of b, and both failure conditions only grow with the set of ends, so
+    wb fails only if the one-letter word b fails. In the order of length,
+    then edge order, the first failing word is thus the first failing
+    letter, and ``words_checked`` its place; on a pass it is the number
+    of words, counted by ``_path_counts`` on the codomain.
     """
+    _require_incidence(phi)
     V, W = phi.domain, phi.codomain
     step = _step_table(phi)
-    over = {w: [v for v in V.vertices if phi.vmap[v] == w]
-            for w in W.vertices}
-    # (codomain vertex, end set) -> first word, as nested (prefix, letter)
-    level = {(None, None): None}
-    for _ in range(depth):
-        nxt = {}
-        for (at, ends), word in level.items():
-            for b in W.edges:
-                if ends is not None and W.origin[b] != at:
-                    continue
-                outs = [step.get((v, b), ()) for v in
-                        (over[W.origin[b]] if ends is None else ends)]
-                reached = frozenset().union(*outs)
-                if reached and all(outs):
-                    nxt.setdefault((W.terminus[b], reached), (word, b))
-                    continue
-                wb = [b]
-                while word is not None:
-                    word, letter = word
-                    wb.append(letter)
-                wb = tuple(reversed(wb))
-                return {"depth": depth,
-                        "words_checked": _walk_place(W, depth, wb),
-                        "pass": False,
-                        "witness": (f"a partial lift of {wb!r} got stuck"
-                                    if reached else
-                                    f"no lift of prefix {wb!r}")}
-        level = nxt
-    return {"depth": depth, "words_checked": _walk_place(W, depth),
+    for k, b in enumerate(W.edges if depth else ()):
+        outs = [step.get((v, b), ()) for v in V.vertices
+                if phi.vmap[v] == W.origin[b]]
+        if not any(outs):
+            witness = f"no lift of prefix {(b,)!r}"
+        elif not all(outs):
+            witness = f"a partial lift of {(b,)!r} got stuck"
+        else:
+            continue
+        return {"depth": depth, "words_checked": k + 1, "pass": False,
+                "witness": witness}
+    return {"depth": depth,
+            "words_checked": sum(sum(c.values())
+                                 for c in _path_counts(W, depth)),
             "pass": True, "witness": None}
 
 
@@ -395,21 +377,20 @@ class GradingReport:
     depth: int
     n_arrows: int
     degree_range: tuple = (0, 0)
-    additive: bool = True
-    involution_flips: bool = True
     degree_zero_matches_kernel: bool = True
     witness: Optional[str] = None
 
     @property
     def passed(self) -> bool:
-        return (self.additive and self.involution_flips
-                and self.degree_zero_matches_kernel)
+        return self.degree_zero_matches_kernel
 
     def as_dict(self) -> dict:
+        # the degree of (p, q) is len(p) - len(q): additive under
+        # (p, q)(q, r) = (p, r) and flipped by (p, q) -> (q, p) by
+        # construction, so both entries are constants
         return {"depth": self.depth, "n_arrows": self.n_arrows,
                 "degree_range": list(self.degree_range),
-                "additive": self.additive,
-                "involution_flips": self.involution_flips,
+                "additive": True, "involution_flips": True,
                 "degree_zero_matches_kernel": self.degree_zero_matches_kernel,
                 "pass": self.passed, "witness": self.witness}
 
@@ -422,15 +403,14 @@ def grading_degree(phi: GraphMorphism, depth: int) -> GradingReport:
     graded by len(p) - len(q); composition is (p, q)(q, r) = (p, r) and
     the involution is (p, q) -> (q, p).
 
-    Additivity and the sign flip are identities of len(p) - len(q). They
-    are still checked exactly, on integer arrays over the path list
-    (lengths ``L``, terminal vertex indices ``T``): the degree matrix
-    D[i, j] = L[i] - L[j] of one terminal block at a time, additivity one
-    row i at a time, so memory stays O(block^2). The content is in the
-    degree-zero comparison: the depth-length paths per terminal vertex
-    must be the kernel fiber blocks, the ``lift_counts`` of the word
-    z^depth. No window groupoid is built; pair ids are formed only for a
-    witness.
+    Nothing is enumerated. A terminal vertex v with N(v) paths holds
+    N(v)^2 arrows, N(v) summed from the per-terminal path counts of
+    ``_path_counts``, as Python ints. The domain is sink-free, so a path
+    of length depth exists, and it ends where its last edge, a path of
+    length 1, ends: the degrees run over 1 - depth .. depth - 1. The
+    content is in the degree-zero comparison:
+    the depth-length paths per terminal vertex must be the kernel fiber
+    blocks, the ``lift_counts`` of the word z^depth.
     """
     W = phi.codomain
     if len(W.vertices) != 1 or len(W.edges) != 1:
@@ -439,69 +419,21 @@ def grading_degree(phi: GraphMorphism, depth: int) -> GradingReport:
     V = phi.domain
     V.require_no_sinks()
 
-    # paths by length, then depth first in edge order, each stored as its
-    # last edge and the index of its prefix (-1 for none)
-    edge, parent, length = [], [], []
-    prev = [-1]
-    for n in range(1, depth + 1):
-        cur = []
-        for i in prev:
-            for a in (V.edges_from(V.terminus[edge[i]]) if i >= 0
-                      else V.edges):
-                cur.append(len(edge))
-                edge.append(a)
-                parent.append(i)
-                length.append(n)
-        prev = cur
-    vid = {v: k for k, v in enumerate(V.vertices)}
-    L = np.array(length, dtype=np.int64)
-    T = np.array([vid[V.terminus[a]] for a in edge], dtype=np.int64)
-
-    def path(i):
-        out = []
-        while i >= 0:
-            out.append(edge[i])
-            i = parent[i]
-        return tuple(reversed(out))
-
-    def arrow(i, j):
-        return pair_id(_path_id(path(i)), _path_id(path(j)))
-
-    # one terminal block per vertex: its path indices and degree matrix
-    members = [np.flatnonzero(T == k) for k in range(len(V.vertices))]
-    D = [L[idx][:, None] - L[idx][None, :] for idx in members]
-    spans = [(int(d.min()), int(d.max())) for d in D if d.size]
-    report = GradingReport(
-        depth=depth, n_arrows=sum(len(idx) ** 2 for idx in members),
-        degree_range=((min(lo for lo, _ in spans), max(hi for _, hi in spans))
-                      if spans else (0, 0)))
-
-    for i in range(len(edge)):
-        idx = members[T[i]]
-        row = L[i] - L[idx]
-        bad = row[:, None] + D[T[i]] != row[None, :]
-        if bad.any():
-            j, k = divmod(int(np.argmax(bad)), len(idx))
-            report.additive = False
-            report.witness = (f"degree not additive on ({arrow(i, idx[j])}, "
-                              f"{arrow(idx[j], idx[k])})")
-            break
-    flips = []
-    for idx, d in zip(members, D):
-        bad = d + d.T != 0
-        if bad.any():
-            j, k = divmod(int(np.argmax(bad)), len(idx))
-            flips.append((int(idx[j]), int(idx[k])))
-    if flips:
-        report.involution_flips = False
-        report.witness = ("involution does not flip degree at "
-                          f"{arrow(*min(flips))}")
+    total = dict.fromkeys(V.vertices, 0)
+    counts = {}  # then the paths of length depth, by terminal vertex
+    for counts in _path_counts(V, depth):
+        for v, c in counts.items():
+            total[v] += c
+    span = max(depth - 1, 0)
+    report = GradingReport(depth=depth,
+                           n_arrows=sum(c * c for c in total.values()),
+                           degree_range=(-span, span))
 
     if depth:
-        sizes = tuple(sorted((int(c) for c in np.bincount(T[L == depth])
-                              if c), reverse=True))
-        counts, _ = lift_counts(phi, (W.edges[0],) * depth)
-        blocks = tuple(sorted(counts.values(), reverse=True))
+        sizes = tuple(sorted((c for c in counts.values() if c),
+                             reverse=True))
+        kernel, _ = lift_counts(phi, (W.edges[0],) * depth)
+        blocks = tuple(sorted(kernel.values(), reverse=True))
         if sizes != blocks:
             report.degree_zero_matches_kernel = False
             report.witness = (f"degree-0 window blocks {sizes} != kernel "

@@ -509,6 +509,28 @@ def cylinder_cover_by_levels(phi, depth):
             "witness": None}
 
 
+def window_by_paths(V, depth):
+    """The window of the collapse map of a sink-free graph V by path
+    enumeration: every path of length 1..depth, as a tuple of edges, in
+    blocks by terminal vertex, with the degree matrix D[i, j] =
+    len(p_i) - len(p_j) of each block. Returns ``(n_arrows,
+    degree_range, degree-0 blocks)``, the last the depth-length paths
+    per terminal vertex, largest first."""
+    lengths = {}
+    level = [()]
+    for _ in range(depth):
+        level = [p + (e,) for p in level for e in V.edges
+                 if not p or V.origin[e] == V.terminus[p[-1]]]
+        for p in level:
+            lengths.setdefault(V.terminus[p[-1]], []).append(len(p))
+    D = [np.subtract.outer(L, L) for L in map(np.array, lengths.values())]
+    degree_range = (min((int(d.min()) for d in D), default=0),
+                    max((int(d.max()) for d in D), default=0))
+    zero = Counter(V.terminus[p[-1]] for p in level if p)
+    return (sum(len(L) ** 2 for L in lengths.values()), degree_range,
+            tuple(sorted(zero.values(), reverse=True)))
+
+
 def matrix_units_check(G):
     """Verify the pair-groupoid delta basis satisfies the matrix-unit
     relations e_{ij} e_{kl} = [j == k] e_{il} exactly, using only the

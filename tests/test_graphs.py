@@ -12,7 +12,8 @@ from gpdkit.cli import main
 from gpdkit.report import canonical_json
 
 from oracles import (DenseUnitFiber, brute_force_lifts,
-                     cylinder_cover_by_levels, cylinder_cover_by_words)
+                     cylinder_cover_by_levels, cylinder_cover_by_words,
+                     window_by_paths)
 
 ONE_LOOP = gk.DirectedGraph(("w",), ("1", "2"), {"1": "w", "2": "w"},
                             {"1": "w", "2": "w"})
@@ -38,8 +39,7 @@ def stuck_lift_morphism():
 
 def off_incidence_morphism():
     """Both loops 0 and 1 at x lift from v0 but end at v1, which lies over
-    w: incidence fails, so the words (0) and (1) reach one end set {v1},
-    where nothing goes on; the first failing word is (0, 0), the third."""
+    w: incidence fails at the first domain edge, e0."""
     W = gk.DirectedGraph(("w", "x"), ("0", "1"), {"0": "x", "1": "x"},
                          {"0": "x", "1": "x"})
     V = gk.DirectedGraph(("v0", "v1"), ("e0", "e1"),
@@ -62,6 +62,19 @@ def write_morphism(tmp_path, phi):
     path = tmp_path / "phi.graphmorphism.json"
     path.write_text(canonical_json(gio.save_graph_morphism(phi)))
     return str(path)
+
+
+@st.composite
+def sink_free_graphs(draw):
+    """A graph of one to three vertices, each with one to three edges
+    leaving it to any vertex."""
+    vv = [f"v{k}" for k in range(draw(st.integers(1, 3)))]
+    origin, terminus = {}, {}
+    for v in vv:
+        for _ in range(draw(st.integers(1, 3))):
+            e = f"e{len(origin)}"
+            origin[e], terminus[e] = v, draw(st.sampled_from(vv))
+    return gk.DirectedGraph(vv, list(origin), origin, terminus)
 
 
 class TestGraphMorphism:
@@ -227,9 +240,9 @@ class TestGrading:
     def test_degree_additive_depth3(self, cuntz):
         V, _, _ = cuntz
         phi = gk.collapse_morphism(V)
-        rep = gk.grading_degree(phi, 3)
-        assert rep.passed
-        assert rep.additive and rep.involution_flips
+        rep = gk.grading_degree(phi, 3).as_dict()
+        assert rep["pass"]
+        assert rep["additive"] and rep["involution_flips"]
 
     def test_degree_zero_matches_kernel(self, cuntz):
         V, _, _ = cuntz
@@ -241,6 +254,34 @@ class TestGrading:
         _, _, phi = cuntz
         with pytest.raises(gk.DomainNotCollapse):
             gk.grading_degree(phi, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sink_free_graphs(), st.integers(0, 5))
+    @example(corpus.cuntz_graphs()[0], 5)
+    @example(corpus.split_terminal_graphs()[0], 5)
+    def test_counts_match_the_path_enumeration(self, V, depth):
+        phi = gk.collapse_morphism(V)
+        rep = gk.grading_degree(phi, depth)
+        n_arrows, degree_range, zero = window_by_paths(V, depth)
+        assert (rep.n_arrows, rep.degree_range) == (n_arrows, degree_range)
+        # the report passes only if its degree-0 blocks are the kernel
+        # blocks, so these must be the enumerated ones
+        kernel, _ = gk.lift_counts(phi, ("z",) * depth)
+        assert rep.passed
+        assert zero == (tuple(sorted(kernel.values(), reverse=True))
+                        if depth else ())
+
+    @pytest.mark.parametrize("depth", [12, 200])
+    def test_deep_window_keeps_every_digit(self, depth, capsys):
+        # paths of length 1..depth over three loops: N = (3^(depth+1) - 3) / 2
+        code, _, payload = run_json(
+            ["graph", "grading", "--graph",
+             corpus.data_path("cuntz_v.graph.json"), "--depth", str(depth)],
+            capsys)
+        grading = payload["grading"]
+        assert code == 0 and payload["pass"]
+        assert grading["n_arrows"] == ((3 ** (depth + 1) - 3) // 2) ** 2
+        assert grading["degree_range"] == [1 - depth, depth - 1]
 
 
 class TestWindowMorphism:
@@ -363,15 +404,21 @@ class TestLiftCountsProperty:
         assert diagonal == len(K.arrows)
 
 
+def _breaks_incidence(phi):
+    V, W = phi.domain, phi.codomain
+    return any(phi.vmap[V.origin[e]] != W.origin[phi.emap[e]]
+               or phi.vmap[V.terminus[e]] != W.terminus[phi.emap[e]]
+               for e in V.edges)
+
+
 class TestCylinderCoverStates:
-    """cylinder_cover_check walks distinct end sets, not words: its dict
-    is the word walks' on every input, and its cost stays flat in the
-    depth where the number of words doubles per level."""
+    """cylinder_cover_check scans the one-letter words: its dict is the
+    word walks' on every incidence-preserving input, and its cost stays
+    flat in the depth where the number of words doubles per level."""
 
     # On an incidence-preserving morphism an end set lies over the origin
     # of the next letter, so a failure shows on a word of one letter; a
-    # morphism that breaks incidence can fail deeper, past words that reach
-    # one state in several ways.
+    # morphism that breaks incidence is refused.
     @settings(max_examples=80, deadline=None)
     @given(st.booleans().flatmap(lambda inc: small_morphisms(incidence=inc)))
     @example((corpus.cuntz_graphs()[2], [], None))
@@ -381,14 +428,21 @@ class TestCylinderCoverStates:
     def test_matches_the_word_walks(self, case):
         phi = case[0]
         for depth in range(7):
+            if _breaks_incidence(phi):
+                with pytest.raises(gk.IncidenceViolation):
+                    gk.cylinder_cover_check(phi, depth)
+                continue
             got = gk.cylinder_cover_check(phi, depth)
             assert got == cylinder_cover_by_levels(phi, depth)
             assert got == cylinder_cover_by_words(phi, depth)
 
-    def test_witness_extends_the_first_word_of_its_state(self):
-        got = gk.cylinder_cover_check(off_incidence_morphism(), 4)
-        assert got == {"depth": 4, "words_checked": 3, "pass": False,
-                       "witness": "no lift of prefix ('0', '0')"}
+    @pytest.mark.parametrize("depth", [0, 4])
+    def test_off_incidence_map_raises(self, depth):
+        with pytest.raises(gk.IncidenceViolation,
+                           match="incidence not preserved at edge 'e0'") \
+                as exc:
+            gk.cylinder_cover_check(off_incidence_morphism(), depth)
+        assert exc.value.witness == "e0"
 
     def test_depth_64_counts_every_word(self, capsys):
         code, _, payload = run_json(
