@@ -23,7 +23,8 @@ import numpy as np
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
                        _ids, _join, _prefix, _table, classify_morphism,
                        pair_id)
-from .algebra import (RegularRepresentation, WedderburnInvariants, _scatter,
+from .algebra import (NumericalDegeneracy, RegularRepresentation,
+                      WedderburnInvariants, _scatter, central_projections,
                       chunks, groupoid_table, isometry_certificate,
                       wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
@@ -310,7 +311,7 @@ class TwistedConvolutionAlgebra:
         return self.rep.norm(c)
 
     def wedderburn(self, seed: int = 0, tol: float = 1e-9) -> WedderburnInvariants:
-        return wedderburn_from_tables(self.rep, seed=seed, tol=tol)
+        return wedderburn_from_tables(self.table, seed=seed, tol=tol)
 
 
 def twisted_algebra(G: FiniteGroupoid, omega: Cocycle,
@@ -343,48 +344,27 @@ class ExtractionResult(CheckList):
 _TRACE_TOL = 1e-6
 
 
-def _minimal_projections(B, u, seed: int = 0):
+def _unit_points(B, u, seed: int) -> list:
     """Minimal projections of the commutative unit fiber over the arrow
-    index ``u`` of the FiberBlocks ``B``, as coefficient vectors, in a
-    deterministic order (lexicographic by rounded coefficients). Raises
-    FellBundleError when the fiber has a degenerate trace form."""
+    index ``u`` of the FiberBlocks ``B``, as coefficient vectors ordered
+    by their rounded coefficients: the central projections of the fiber's
+    own table, whose center is the whole fiber, spanned by its basis.
+    Raises FellBundleError when the fiber has a degenerate trace form,
+    NotAbelian when the solve fails."""
     _require_cstar_units(B, [u])
-    d = int(B.dims[u])
+    table = B.unit_table(u)
+    d = table.dim
     if d == 0:
         return []
-    rng = np.random.default_rng(seed)
-    at = np.full(d + 1, u)
-    # row 0: a random self-adjoint element; rows 1..d: the basis
-    X = np.zeros((d + 1, B.D), dtype=complex)
-    X[1:, :d] = np.eye(d)
-    L = np.empty((d + 1, d, d), dtype=complex)
-    for _ in range(6):
-        X[0, :d] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        X[0] += B.stars(at[:1], X[:1])[1][0]
-        for rows, S in B.blocks(at, X, at):  # T L T^-1 of every row
-            L[rows] = S
-        evals, V = np.linalg.eigh((L[0] + L[0].conj().T) / 2.0)
-        spread = float(evals[-1] - evals[0])
-        if d > 1 and np.min(np.diff(evals)) < 1e-6 * max(spread, 1.0):
-            continue
-        # characters: joint eigenvalues of the basis left multiplications
-        char = np.einsum("il,kij,jl->lk", V.conj(), L[1:], V)
-        try:
-            projs = np.linalg.solve(char, np.eye(d, dtype=complex))
-        except np.linalg.LinAlgError:
-            continue
-        P = np.zeros((d, B.D), dtype=complex)
-        P[:, :d] = projs.T
-        _, square = B.products(at[:d], P, at[:d], P)
-        _, star = B.stars(at[:d], P)
-        if max(np.abs(square - P).max(), np.abs(star - P).max()) > 1e-8:
-            continue
-        vecs = list(projs.T)
-        keys = [tuple(np.round(p, 6).view(float)) for p in vecs]
-        order = sorted(range(d), key=lambda l: keys[l])
-        return [vecs[l] for l in order]
-    raise NotAbelian("could not diagonalize a unit fiber; it may not be "
-                     "commutative or is numerically degenerate")
+    try:
+        (i, a, v), sizes, *_ = central_projections(
+            table, (d, np.arange(d), np.arange(d), np.ones(d)), seed)
+    except NumericalDegeneracy:
+        raise NotAbelian("could not diagonalize a unit fiber; it may not be "
+                         "commutative or is numerically degenerate") from None
+    vecs = list(_scatter(i * d + a, v, len(sizes) * d).reshape(-1, d))
+    keys = [tuple(np.round(p, 6).view(float)) for p in vecs]
+    return [vecs[l] for l in sorted(range(len(vecs)), key=lambda l: keys[l])]
 
 
 def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> ExtractionResult:
@@ -392,11 +372,13 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     commutative unit fibers and associative products (BundleNotVerified).
 
     The point set is the disjoint union of the minimal projections of the
-    unit fibers; each arrow h induces a bijection alpha_h matching the
-    nonzero corners q . E_h . p, every such corner is checked to be a
-    line; unit vectors are gauged by normalizing the first basis column
-    with a nonzero corner (projections themselves over units), and the
-    cocycle is read off from products of the gauged vectors. The twisted
+    unit fibers, each solved on the fiber's own table, one unit at a time
+    (:func:`~gpdkit.algebra.central_projections`); each arrow h induces a
+    bijection alpha_h matching the nonzero corners q . E_h . p, every such
+    corner is checked to be a line; unit vectors are gauged by normalizing
+    the first basis column with a nonzero corner (projections themselves
+    over units), and the cocycle is read off from products of the gauged
+    vectors. The twisted
     algebra of the result is compared with the section algebra blockwise,
     and the basis map U (``basis_map``: the column of arrow (h, x) is its
     gauged line vector in the slots over h) is certified as an isometric
@@ -426,13 +408,9 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     projections = {}   # point id -> (unit, coeff vector)
     points_by_unit = {}
     for u in H.units:
-        vecs = _minimal_projections(B, B.index[u], seed=seed)
-        ids = []
-        for idx, vec in enumerate(vecs):
-            x = f"{u}#p{idx}"
-            projections[x] = (u, vec)
-            ids.append(x)
-        points_by_unit[u] = tuple(ids)
+        vecs = _unit_points(B, B.index[u], seed)
+        points_by_unit[u] = tuple(f"{u}#p{i}" for i in range(len(vecs)))
+        projections.update(zip(points_by_unit[u], ((u, v) for v in vecs)))
     points = tuple(x for u in H.units for x in points_by_unit[u])
     anchor = {x: projections[x][0] for x in points}
 

@@ -36,15 +36,15 @@ s(y), so the passing g are closed under products, (x(ab))y = ((xa)b)y =
 (xa)(by) = x(a(by)) = x((ab)y). A failure takes the full scan's witness.
 Block-size invariants of such algebras (the complete isomorphism
 invariant at this scale) are computed by :func:`wedderburn_from_tables`
-from the summand blocks of a :class:`RegularRepresentation`, the blocks
-that every C*-norm reads too, and kept on it. The center comes from
+from the table and kept on it. The center comes from
 :func:`center_basis`, which reads the table arrays: on the tables where
 each commutator constraint holds at most one term per side (groupoids,
 twisted groupoids, groups, morphism bundles) each component of the
 constraints is one class sum with cocycle phases or nothing, read from
 the table with no SVD; any other table takes one batched SVD per shape
-of its constraint components. The block sizes take one batched eigvalsh
-per restriction size.
+of its constraint components. The block sizes come from the minimal
+central projections, one k x k eigenproblem per component of the center
+(:func:`central_projections`).
 
 That a linear map between two such algebras keeps every norm is certified
 over the whole basis, not sampled (:func:`isometry_certificate`): an
@@ -71,7 +71,8 @@ class BaseMismatch(ValueError):
 
 
 class NumericalDegeneracy(RuntimeError):
-    """Central eigenvalues kept colliding within tolerance after retries."""
+    """The minimal central projections of a Wedderburn solve failed their
+    certificate."""
 
 
 def _scatter(index, values, size: int) -> np.ndarray:
@@ -193,11 +194,12 @@ class StructureTable:
     (the star is conjugate-linear in the coefficients). The arrays are
     read-only, since one table may be shared by every user of its algebra;
     so its associativity defect is kept on it once taken (with the
-    ``generators`` of Light's test when that ran).
+    ``generators`` of Light's test when that ran), and so are its
+    Wedderburn solves (``solved``, per seed and tol).
     """
 
     __slots__ = ("dim", "a", "b", "c", "w", "s", "t", "sw", "_assoc",
-                 "generators")
+                 "generators", "solved")
 
     def __init__(self, dim, a, b, c, w, s, t, sw):
         self.dim = int(dim)
@@ -209,6 +211,7 @@ class StructureTable:
             v.flags.writeable = False
         self._assoc = None
         self.generators = None
+        self.solved = {}
 
     def mul(self, x, y) -> np.ndarray:
         """x y of two coefficient vectors, or row by row of two stacks of
@@ -534,8 +537,7 @@ class RegularRepresentation:
     ``over[j]`` (by default arrow j) and in the summand of its source
     unit; a groupoid for ``table`` stands for its untwisted table and
     itself. The checks that its blocks form a faithful *-representation,
-    :meth:`star_defect` and :meth:`slice_margin`, are kept on it like the
-    Wedderburn solves.
+    :meth:`star_defect` and :meth:`slice_margin`, are kept on it.
     """
 
     def __init__(self, table, summand=None, entries=None, over=None):
@@ -550,7 +552,6 @@ class RegularRepresentation:
             unit[summand.unit_idx] = np.arange(len(summand.unit_idx))
             summand = unit[summand.src_idx[self.over]]
         self.table = T = table
-        self.solved = {}  # Wedderburn invariants per (seed, tol, retries)
         self._star = self._margin = None
         self.summand = summand = np.asarray(summand, dtype=np.int64)
         self.sizes, pos = _ranks(summand)  # pos: place in the block
@@ -819,18 +820,14 @@ class WedderburnInvariants:
     descending; sum of squares equals the dimension and the number of
     blocks equals the center dimension.
 
-    The margins of the central cluster decision are kept beside the
-    invariants (and left out of equality): ``central_gap`` is the smallest
-    gap between neighbouring clusters and ``central_spread`` the largest
-    spread within a cluster, each over the clustering threshold (None
-    with a single cluster, and 0.0 with singleton clusters); ``retries``
-    counts the failed attempts before the accepted one."""
+    The margins ``central_gap`` and ``central_spread`` of the solve
+    (:func:`central_projections`; None and 0.0 when no solve ran) are kept
+    beside the invariants and left out of equality."""
     blocks: tuple
     dimension: int
     center_dimension: int
     central_gap: Optional[float] = field(default=None, compare=False)
     central_spread: float = field(default=0.0, compare=False)
-    retries: int = field(default=0, compare=False)
 
 
 def _linked_columns(row, col, ncols: int) -> np.ndarray:
@@ -878,15 +875,24 @@ def center_basis(table: StructureTable, tol: float = 1e-9) -> np.ndarray:
     nothing (Karpilovsky 1985, *Projective Representations of Finite
     Groups*: the center of a twisted group algebra is spanned by the sums
     over the omega-regular classes). Every other table takes
-    :func:`_svd_center`.
+    :func:`_svd_center`. The rows are those of :func:`_center_entries`.
     """
+    k, j, a, v = _center_entries(table, tol)
+    out = np.zeros((k, table.dim), dtype=complex)
+    out[j, a] = v
+    return out
+
+
+def _center_entries(table: StructureTable, tol: float = 1e-9):
+    """(k, j, a, value): the k rows of :func:`center_basis`, c_j[a] = value
+    once per (j, a), with no dense (k, dim) array."""
     n = table.dim
     key, slot = np.unique((table.a * n + table.b) * n + table.c,
                           return_inverse=True)
     w = _scatter(slot, table.w, len(key))
     key, w = key[w != 0], w[w != 0]
     if not len(key):
-        return np.eye(n, dtype=complex)
+        return n, np.arange(n), np.arange(n), np.ones(n, dtype=complex)
     a, b, k = key // (n * n), key // n % n, key % n
     # row (b, k) of [x, e_b] takes w at column a (the x e_b term); row
     # (a, k) of [x, e_a] takes -w at column b (the e_a x term)
@@ -900,7 +906,7 @@ def center_basis(table: StructureTable, tol: float = 1e-9) -> np.ndarray:
     return _svd_center(row, col, val, label, tol)
 
 
-def _phase_center(row, col, val, label, tol: float) -> np.ndarray:
+def _phase_center(row, col, val, label, tol: float):
     """:func:`center_basis` where each constraint row holds at most one
     term per side: a row of two terms fixes the ratio of its two columns,
     and a row of one term (or of two at one column) asks its column's
@@ -941,12 +947,11 @@ def _phase_center(row, col, val, label, tol: float) -> np.ndarray:
     norm = np.sqrt(np.bincount(label, np.abs(phi) ** 2, n))
     at = np.cumsum(kept & (label == np.arange(n))) - 1
     cols = np.flatnonzero(kept)
-    out = np.zeros((int(at[-1]) + 1, n), dtype=complex)
-    out[at[label[cols]], cols] = phi[cols] / norm[label[cols]]
-    return out
+    return (int(at[-1]) + 1, at[label[cols]], cols,
+            phi[cols] / norm[label[cols]])
 
 
-def _svd_center(row, col, val, label, tol: float) -> np.ndarray:
+def _svd_center(row, col, val, label, tol: float):
     """:func:`center_basis` of any table: the components are scattered into
     one stack per shape and chunk of :func:`chunks`, and each stack takes
     one batched SVD: thin, or full where a component has fewer rows than
@@ -990,129 +995,144 @@ def _svd_center(row, col, val, label, tol: float) -> np.ndarray:
     null = ncols - rank
     first_row, first_col = np.cumsum(null) - null, np.cumsum(ncols) - ncols
     cols = np.argsort(comp, kind="stable")  # by component, then column
-    out = np.zeros((int(null.sum()), n), dtype=complex)
+    out = []
     for cc, _, vh in stacks:
         C = vh.shape[-1]
         i, j = np.nonzero(np.arange(C) >= rank[cc][:, None])
         g = cc[i]
-        out[(first_row[g] + j - rank[g])[:, None],
-            cols[first_col[g][:, None] + np.arange(C)]] = vh[i, j].conj()
-    return out
+        out.append((np.repeat(first_row[g] + j - rank[g], C),
+                    cols[first_col[g][:, None] + np.arange(C)].ravel(),
+                    vh[i, j].conj().ravel()))
+    return (int(null.sum()), *(np.concatenate(v) for v in zip(*out)))
 
 
-def wedderburn_from_tables(rep: RegularRepresentation, *, seed: int = 0,
-                           tol: float = 1e-9,
-                           retries: int = 5) -> WedderburnInvariants:
-    """Block sizes of the algebra of ``rep.table``, read from the summand
-    blocks of ``rep``, a faithful unital *-representation.
-
-    Minimal central projections are the spectral projections of a random
-    Hermitian central element: the eigenvalues of its summand blocks are
-    pooled and clustered. The size of each block is read off from the
-    eigenvalue multiplicities of a second random Hermitian element
-    restricted, summand by summand, to the eigenvectors of a cluster (a
-    block of size n contributes n distinct eigenvalues, each with the
-    multiplicity of the block in the representation); the restrictions of
-    one size take one batched eigvalsh. Collisions trigger a retry with
-    fresh randomness. The result carries the margins of the central
-    cluster decision, and is kept on ``rep`` per integer seed, tol and
-    retries (a NumericalDegeneracy is not).
-    """
-    if not isinstance(seed, int):  # a generator or entropy: never reused
-        return _wedderburn(rep, seed, tol, retries)
-    key = (seed, tol, retries)
-    if key not in rep.solved:
-        rep.solved[key] = _wedderburn(rep, seed, tol, retries)
-    return rep.solved[key]
+def wedderburn_from_tables(table: StructureTable, *, seed: int = 0,
+                           tol: float = 1e-9) -> WedderburnInvariants:
+    """Block sizes of the C*-algebra of ``table``: d_i^2 = Tr L(e_i) over
+    its minimal central projections (:func:`central_projections`), or all
+    1 with no solve when the center is the whole algebra. Kept on the
+    table per integer seed and tol (a NumericalDegeneracy is not)."""
+    if isinstance(seed, int) and (seed, tol) in table.solved:
+        return table.solved[seed, tol]
+    n, center = table.dim, _center_entries(table, tol)
+    if center[0] == n:  # commutative: n blocks of size 1
+        inv = WedderburnInvariants((1,) * n, n, n)
+    else:
+        _, sizes, gap, spread = central_projections(table, center, seed)
+        inv = WedderburnInvariants(tuple(sorted(sizes.tolist(), reverse=True)),
+                                   n, center[0], gap, spread)
+    if isinstance(seed, int):  # a generator or entropy is never reused
+        table.solved[seed, tol] = inv
+    return inv
 
 
-def _wedderburn(rep, seed, tol, retries) -> WedderburnInvariants:
-    r = rep.table.dim
-    if r == 0:
-        return WedderburnInvariants((), 0, 0)
-    center = center_basis(rep.table, tol)
-    k = center.shape[0]
+_CENTRAL_CUT = 1e-7  # of each certificate, relative to its scale
 
+
+def _traces(table: StructureTable) -> np.ndarray:
+    """Tr L(e_a) of every basis element: the entries (a, b, b, w)."""
+    on = table.b == table.c
+    return _scatter(table.a[on], table.w[on], table.dim)
+
+
+def central_projections(table: StructureTable, center, seed=0):
+    """((i, j, value) terms of the minimal central projections e_i = sum of
+    value c_j, numbered like the c_j; block sizes d_i; central_gap;
+    central_spread) of the C*-algebra of ``table``, from orthonormal rows
+    c_j spanning its center, given as (k, j, a, value) of c_j[a] = value
+    (:func:`_center_entries`).
+
+    The class-algebra route (Burnside; Dixon 1967, *High speed computation
+    of group characters*, Numer. Math. 10): c_j c_l = sum of g[j, l, m] c_m
+    is one scatter over the table entries joined with the nonzeros of the
+    c_j (one term per entry for class sums). The left eigenvectors of
+    M_z = sum of zeta_j g[j], zeta random, are f_i = mu_i e_i: one batched
+    eig per size of the components of g. Tr L(f) = mu d^2 and
+    Tr L(f^2) = mu^2 d^2 give mu and d^2. Certified, each over
+    _CENTRAL_CUT times its scale (NumericalDegeneracy names a failure and
+    its margin): the eigen residual |x_i M_z - lambda_i x_i|, the unit
+    residual |(sum of e_i) c_l - c_l|, the distance of each Tr L(e_i)
+    from a square d_i^2 >= 1 (central_spread), and sum of d_i^2 = dim.
+    central_gap is the smallest eigenvalue gap within a component over
+    the same cut (None without a component of two)."""
+    T, (k, cj, ca, cv) = table, center
+    # table entry e has c_j at a (center entry p), c_l at b (q), c_m at c (r)
+    by_a = np.argsort(ca, kind="stable")
+    e, p = _join(T.a, ca, by_a)
+    i, q = _join(T.b[e], ca, by_a)
+    e, p = e[i], p[i]
+    i, r = _join(T.c[e], ca, by_a)
+    e, p, q = e[i], p[i], q[i]
+    # the terms g of c_j c_l at c_m, summed by every scatter of them
+    J, L, M, g = cj[p], cj[q], cj[r], T.w[e] * cv[p] * cv[q] * np.conj(cv[r])
+    # c_j is the pos[j]-th member of the component of the c_j, c_l, c_m of
+    # each term labelled comp[j] (its smallest j)
+    comp = _linked_columns(np.tile(np.arange(len(g)), 3),
+                           np.concatenate([J, L, M]), k) if len(g) \
+        else np.arange(k)
+    width, pos = _ranks(comp)
+    first, members = np.cumsum(width) - width, np.argsort(comp, kind="stable")
+    # the matrices of the components side by side in one flat stack, by
+    # size: that of the component labelled c starts at off[c]
+    roots = np.flatnonzero(width)
+    roots = roots[np.argsort(width[roots], kind="stable")]
+    off = np.zeros(k, np.int64)
+    off[roots] = np.cumsum(width[roots] ** 2) - width[roots] ** 2
+    s = width[comp]
+
+    def stack(row, col, vals):  # vals of the terms at (row, col)
+        return _scatter(off[comp[J]] + pos[row] * s[J] + pos[col], vals,
+                        int((width ** 2).sum()))
+    tau = _scatter(cj, cv * _traces(T)[ca], k)  # Tr L(c_j)
     rng = np.random.default_rng(seed)
-    last_error = "no attempt"
-    for attempt in range(retries):
-        zc = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        # the Hermitian part of every summand block (still central: the
-        # center is *-closed), diagonalized per size group; eigenvalue e of
-        # the pool is column col[e] of summand block blk[e] in stack order
-        ev, V = zip(*(np.linalg.eigh(_hermitian(S))
-                      for _, S in rep.stacks(zc @ center)))
-        pool = np.concatenate([e.ravel() for e in ev])
-        width = np.concatenate([np.full(len(e), e.shape[1]) for e in ev])
-        blk = np.repeat(np.arange(len(width)), width)
-        col = _ranks(blk)[1]
-        order = np.argsort(pool, kind="stable")
-        evals = pool[order]
-        spread = float(evals[-1] - evals[0]) if len(evals) > 1 else 0.0
-        thr = max(spread, 1.0) * 1e-7
-        # clusters: runs of the sorted pool split at gaps above thr; the
-        # members of cluster cid[i] are order[at[i]], in the order of at
-        at = np.argsort(evals)
-        cid = np.concatenate(([0], np.cumsum(np.diff(evals) > thr)))
-        if cid[-1] + 1 != k:
-            last_error = (f"{cid[-1] + 1} central clusters for center "
-                          f"dimension {k}")
-            continue
-
-        Y = [_hermitian(S) for _, S in rep.stacks(
-            rng.standard_normal(r) + 1j * rng.standard_normal(r))]
-        yscale = max(1.0, *(float(spectral_norms(S).max()) for S in Y))
-        # every summand block in the eigenvector coordinates of its own,
-        # flattened: block b starts at base[b]
-        Y = np.concatenate([(U.conj().transpose(0, 2, 1) @ S @ U).ravel()
-                            for S, U in zip(Y, V)])
-        base = np.cumsum(width ** 2) - width ** 2
-        # the members of each cluster by summand block (stably): a run of
-        # one block and cluster restricts that block to the run's columns
-        e = order[at]
-        seq = e[np.lexsort((blk[e], cid))]
-        start = np.flatnonzero(np.diff(cid * len(width) + blk[seq],
-                                       prepend=-1))
-        length = np.diff(start, append=len(seq))
-        sub = np.empty(len(seq))
-        for m in np.flatnonzero(np.bincount(length)).tolist():
-            p = start[length == m][:, None] + np.arange(m)
-            c, b = col[seq[p]], blk[seq[p[:, :1]]]
-            sub[p] = np.linalg.eigvalsh(
-                Y[(base[b] + c * width[b])[:, :, None] + c[:, None, :]])
-        # sub-clusters of each cluster's values, split at gaps above
-        # yscale * 1e-7; a block of size n gives n of one multiplicity
-        # (o sorts by cluster first, so cid[o] is cid)
-        o = np.lexsort((sub, cid))
-        cuts = np.flatnonzero((np.diff(sub[o]) > yscale * 1e-7)
-                              | (np.diff(cid) != 0)) + 1
-        owner = cid[np.concatenate(([0], cuts))]
-        sizes = np.bincount(owner, minlength=k)
-        if np.any(np.diff(cuts, prepend=0, append=len(seq)) * sizes[owner]
-                  != np.bincount(cid)[owner]):
-            last_error = "inconsistent eigenvalue multiplicities in block"
-            continue
-        sizes = sizes.tolist()
-        if sum(s * s for s in sizes) != r:
-            last_error = (f"sum of squared block sizes {sizes} != "
-                          f"dimension {r}")
-            continue
-        first = np.flatnonzero(np.diff(cid)) + 1  # of every later cluster
-        return WedderburnInvariants(
-            tuple(sorted(sizes, reverse=True)), r, k,
-            central_gap=float(np.min(evals[first] - evals[first - 1])) / thr
-            if len(first) else None,
-            central_spread=float(np.max(
-                evals[np.append(first, len(evals)) - 1]
-                - evals[np.concatenate(([0], first))])) / thr,
-            retries=attempt)
-    raise NumericalDegeneracy(f"wedderburn failed after {retries} retries: "
-                              f"{last_error}")
-
-
-def _hermitian(S) -> np.ndarray:
-    """(S + S*) / 2 of every matrix of the stack S."""
-    return (S + S.conj().transpose(0, 2, 1)) / 2.0
+    zeta = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    # the transpose of M_z, whose eigenvectors are the x with x M_z = lam x
+    Zt, Q = stack(M, L, zeta[J] * g), stack(J, L, g * tau[M])
+    trace, unit, parts = np.zeros(k, complex), np.zeros(k, complex), []
+    eig_res, gaps = [np.zeros(1)], [np.full(1, np.inf)]
+    for size in np.flatnonzero(np.bincount(width[roots])).tolist():
+        o = roots[width[roots] == size]
+        at = slice(off[o[0]], off[o[0]] + len(o) * size * size)
+        Z, Qs = (v[at].reshape(-1, size, size) for v in (Zt, Q))
+        lam, V = np.linalg.eig(Z)
+        scale = np.maximum(np.abs(lam).max(axis=1), 1.0) * _CENTRAL_CUT
+        eig_res.append(np.abs(Z @ V - V * lam[:, None, :]).max(axis=(1, 2))
+                       / scale)
+        gaps.append((np.abs(lam[:, :, None] - lam[:, None, :]) + np.diag(
+            np.full(size, np.inf))).min(axis=(1, 2)) / scale)
+        ids = members[first[o][:, None] + np.arange(size)]
+        tr_f = np.einsum("tj,tji->ti", tau[ids], V)  # Tr L(f), Tr L(f^2)
+        tr_ff = np.einsum("tji,tjl,tli->ti", V, Qs, V)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            X = V * (tr_f / tr_ff)[:, None, :]  # e_i = f_i / mu_i
+            trace[ids] = tr_f ** 2 / tr_ff
+        unit[ids] = X.sum(axis=2)
+        parts.append((ids, X))
+    U = stack(L, M, unit[J] * g)
+    U[off[comp] + pos * (s + 1)] -= 1.0  # the diagonals
+    res_unit = float(np.abs(U).max(initial=0.0))
+    sizes = np.maximum(np.rint(np.sqrt(np.abs(trace))), 1.0)
+    spread = float(np.max(np.abs(trace - sizes ** 2) / sizes ** 2,
+                          initial=0.0)) / _CENTRAL_CUT
+    for name, ratio in (("eigen residual", np.max(np.concatenate(eig_res))),
+                        ("unit residual", res_unit / _CENTRAL_CUT),
+                        ("distance of a trace from a perfect square",
+                         spread)):
+        if not ratio <= 1.0:  # NaN fails too
+            raise NumericalDegeneracy(f"minimal central projections not "
+                                      f"certified: {name} {ratio:.3e} "
+                                      f"times its cut")
+    sizes = sizes.astype(np.int64)
+    if int((sizes ** 2).sum()) != T.dim:
+        raise NumericalDegeneracy(f"sum of squared block sizes "
+                                  f"{sorted(sizes.tolist())} != dimension "
+                                  f"{T.dim}")
+    gap = float(np.min(np.concatenate(gaps)))
+    # e_i = sum over j of X[j, i] c_j
+    return (tuple(np.concatenate([v.ravel() for v in vs]) for vs in zip(*(
+        (np.broadcast_to(ids[:, None, :], X.shape),
+         np.broadcast_to(ids[:, :, None], X.shape), X) for ids, X in parts))),
+        sizes, gap if np.isfinite(gap) else None, spread)
 
 
 def _closure_tables(mats, tol):
@@ -1159,18 +1179,17 @@ def _closure_tables(mats, tol):
                           sadj[s, t])
 
 
-def wedderburn(obj, *, seed: int = 0, tol: float = 1e-9,
-               retries: int = 5) -> WedderburnInvariants:
-    """Block-size invariants of C*_r(G) for a groupoid, or of the *-closed
-    algebra generated by an explicit family of matrices. The family's
-    algebra acts on itself by left multiplication in a basis orthonormal
-    under <a, b> = tr(a* b): a faithful, unital *-representation."""
+def wedderburn(obj, *, seed: int = 0,
+               tol: float = 1e-9) -> WedderburnInvariants:
+    """Block-size invariants of C*_r(G) for a groupoid, from its table and
+    kept on it, or of the *-closed algebra generated by an explicit family
+    of matrices, from the table of the closure in a basis orthonormal
+    under <a, b> = tr(a* b) (:func:`wedderburn_from_tables`)."""
     if isinstance(obj, FiniteGroupoid):
-        return wedderburn_from_tables(_regular(obj), seed=seed, tol=tol,
-                                      retries=retries)
+        return wedderburn_from_tables(groupoid_table(obj), seed=seed,
+                                      tol=tol)
     mats = [np.asarray(m, dtype=complex) for m in obj]
     if not mats:
         return WedderburnInvariants((), 0, 0)
-    table = _closure_tables(mats, tol)
-    return wedderburn_from_tables(RegularRepresentation(
-        table, np.zeros(table.dim)), seed=seed, tol=tol, retries=retries)
+    return wedderburn_from_tables(_closure_tables(mats, tol), seed=seed,
+                                  tol=tol)

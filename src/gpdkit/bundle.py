@@ -797,7 +797,8 @@ class SectionAlgebra:
         return self.space.op_norm(s)
 
     def wedderburn(self, seed: int = 0, tol: float = 1e-9):
-        return wedderburn_from_tables(self.space.rep, seed=seed, tol=tol)
+        return wedderburn_from_tables(self.bundle.table(), seed=seed,
+                                      tol=tol)
 
 
 def section_algebra(E: FellBundle, report: Optional[AxiomReport] = None,

@@ -199,8 +199,7 @@ def cmd_alg_wedderburn(args, report: Report):
         report.extras["dimension"] = inv.dimension
         report.extras["center_dimension"] = inv.center_dimension
         report.extras["margins"].update(central_gap=inv.central_gap,
-                                        central_spread=inv.central_spread,
-                                        retries=inv.retries)
+                                        central_spread=inv.central_spread)
         report.add("sum_of_squares",
                    sum(b * b for b in inv.blocks) == inv.dimension, 0.0)
     report.add("faithful_regular_representation", defect == 0, 0.0)
@@ -554,7 +553,8 @@ def cmd_demo(args, report: Report):
         report.inputs[f"heis{n}"] = _groupoid_digest(G)
         iso = psi_iso_check(pi, tol=args.tol, seed=args.seed,
                             samples=args.samples)
-        # psi solved G's Wedderburn at this seed and tolerance (kept on G)
+        # psi solved G's Wedderburn at this seed and tolerance (kept on
+        # G's table)
         blocks = wedderburn(G, seed=args.seed, tol=args.tol).blocks
         report.extras["blocks"] = list(blocks)
         report.add("blocks_sum_of_squares",

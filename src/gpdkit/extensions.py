@@ -374,7 +374,8 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
     :func:`~gpdkit.algebra.isometry_certificate` (Murphy 1990, Thm 3.1.5):
     from those three checks, the associativity of the group table and of
     the twisted table (``cocycle_identity``) and the faithful
-    *-representations of both tables. Compares block invariants.
+    *-representations of both tables. Compares block invariants, which
+    are not checked when the cocycle fails its identity.
     """
     G, A, Q = ext.group, ext.kernel, ext.quotient
     M, inv = G.M, G.inv
@@ -457,10 +458,15 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
                     "basis_map_star", "cocycle_identity"),
         [("group", _regular(Ggpd)), ("twisted", ta.rep)], 1e-8))
 
+    # without the identity the twisted table is no associative algebra
+    if not result.entry("cocycle_identity").passed:
+        result.add("wedderburn_equal", False, None,
+                   "not checked: cocycle_identity failed")
+        return result
     try:
         bg = wedderburn(Ggpd, seed=seed, tol=tol)
         bt = ta.wedderburn(seed=seed, tol=tol)
-    except NumericalDegeneracy as exc:  # e.g. a non-associative twist
+    except NumericalDegeneracy as exc:  # a solve that failed its certificate
         result.add("wedderburn_equal", False, None, str(exc))
         return result
     result.blocks_group = bg.blocks

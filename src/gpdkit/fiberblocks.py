@@ -32,8 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (RegularRepresentation, _hermitian, _join, _scatter,
-                      chunks, spectral_norms, stacked_singular_values)
+from .algebra import (RegularRepresentation, StructureTable, _join,
+                      _scatter, chunks, spectral_norms,
+                      stacked_singular_values)
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -209,6 +210,17 @@ class FiberBlocks:
         return _scatter(r * self.D + m[q], prod * w[q],
                         len(h) * self.D).reshape(len(h), self.D)
 
+    def unit_table(self, u) -> StructureTable:
+        """The products of the unit fiber over the arrow index u as a table
+        in the fiber's basis (no star entries)."""
+        T, loc = self.table, self.loc
+        lo, hi = np.searchsorted(self._entry_sorted, [u * self.nA + u,
+                                                      u * self.nA + u + 1])
+        e = self._entry_order[lo:hi]
+        e = e[self.arrow[T.c[e]] == u]
+        return StructureTable(self.dims[u], loc[T.a[e]], loc[T.b[e]],
+                              loc[T.c[e]], T.w[e], [], [], [])
+
     def products(self, h1, X, h2, Y):
         """(arrows, rows) of the products of the rows X[r] over h1[r] with
         the rows Y[r] over h2[r]."""
@@ -237,7 +249,8 @@ class FiberBlocks:
         fiber dimension. T^-1 inverts the positive part only, so a block
         that is not positive definite has no use but a failed check."""
         if self._gram is None:
-            G = _hermitian(self._gram_blocks())
+            G = self._gram_blocks()
+            G = (G + G.conj().transpose(0, 2, 1)) / 2.0
             tsqrt, tisqrt = np.zeros_like(G), np.zeros_like(G)
             lo, hi = np.zeros(self.nA), np.zeros(self.nA)
             for d in np.flatnonzero(np.bincount(self.dims[self.dims > 0])):
@@ -341,9 +354,9 @@ class FiberBlocks:
         """The :class:`~gpdkit.algebra.RegularRepresentation` of the section
         table in the orthonormal coordinates of :meth:`orthonormal`, one
         block per source unit, built once: its
-        :meth:`~gpdkit.algebra.RegularRepresentation.star_defect`,
-        :meth:`~gpdkit.algebra.RegularRepresentation.slice_margin` and
-        Wedderburn solves are kept on it for every user of the bundle."""
+        :meth:`~gpdkit.algebra.RegularRepresentation.star_defect` and
+        :meth:`~gpdkit.algebra.RegularRepresentation.slice_margin` are
+        kept on it for every user of the bundle."""
         if self._rep is None:
             self._rep = RegularRepresentation(
                 self.table, self.base, self.orthonormal()[:4],
@@ -380,7 +393,8 @@ class FiberBlocks:
         for rows, S in self.blocks(u, Y, u):
             norms[rows] = spectral_norms(S)
             if spectra:
-                ev = np.linalg.eigvalsh(_hermitian(S))
+                ev = np.linalg.eigvalsh(
+                    (S + S.conj().transpose(0, 2, 1)) / 2.0)
                 neg[rows] = (np.maximum(-ev[:, 0], 0.0)
                              / np.maximum(ev[:, -1], 1e-30))
         return norms, neg

@@ -222,7 +222,7 @@ class TestAbelianExtract:
             fn = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(
                 mark(*a)) or fn(*a, **k))
-        spy(actions, "_minimal_projections", lambda *a: "projections")
+        spy(actions, "central_projections", lambda *a: "projections")
         spy(actions, "build_action_groupoid", lambda *a: "action")
         spy(actions, "stacked_ranks", lambda *a: "stacked_ranks")
         spy(FiberBlocks, "fiber_norms", lambda *a: "fiber_norms")
@@ -258,9 +258,16 @@ class TestAbelianExtract:
         stacked_ranks; with ``fallback`` every corner takes the stacked
         norms and ranks."""
         from gpdkit import actions
-        found, ranked = actions._minimal_projections, []
-        monkeypatch.setattr(actions, "_minimal_projections",
-                            lambda *a, **k: change(found(*a, **k)))
+        found, ranked = actions.central_projections, []
+
+        def changed(table, *a, **k):  # change the rows of the e_i
+            (i, j, v), sizes, *rest = found(table, *a, **k)
+            P = np.zeros((len(sizes), table.dim), dtype=complex)
+            np.add.at(P, (i, j), v)
+            P = np.array(change(list(P)))
+            i, j = np.nonzero(P)
+            return ((i, j, P[i, j]), np.ones(len(P), np.int64), *rest)
+        monkeypatch.setattr(actions, "central_projections", changed)
         ranks = actions.stacked_ranks
         monkeypatch.setattr(actions, "stacked_ranks",
                             lambda *a: ranked.append(1) or ranks(*a))
@@ -357,6 +364,27 @@ class TestAbelianExtract:
         assert not E.is_abelian()
         with pytest.raises(gk.NotAbelian):
             gk.abelian_extract(E)
+
+    def test_degenerate_unit_fiber_is_rejected_before_its_solve(
+            self, flip_groupoid, monkeypatch):
+        # e_0* = 0 in the unit fiber: its trace form is degenerate, while
+        # the products, all that the solve reads, stay intact
+        from gpdkit import actions
+        from oracles import bundle_from, table_arrays
+        E = gk.build_bundle(flip_groupoid.projection)
+        u = E.base.units[0]
+        arrays = table_arrays(E)
+        keep = arrays["s"] != E.first[u]
+        for k in ("s", "t", "sw"):
+            arrays[k] = arrays[k][keep]
+        E = bundle_from(E, arrays)
+        solves = []
+        monkeypatch.setattr(actions, "central_projections",
+                            lambda *a: solves.append(a))
+        with pytest.raises(gk.FellBundleError,
+                           match="degenerate trace form") as exc:
+            gk.abelian_extract(E)
+        assert exc.value.witness == u and solves == []
 
     def test_nonsaturated_rejected(self):
         E = gk.build_bundle(corpus.nonsaturated_surjection())

@@ -1,4 +1,5 @@
 import functools
+import time
 import tracemalloc
 from unittest import mock
 
@@ -596,6 +597,158 @@ class TestWedderburn:
             gk.wedderburn([n])
 
 
+def _shift_a_trace(monkeypatch):
+    """Let Tr L(e_0) read 1 larger than it is."""
+    traces = algebra._traces
+
+    def shifted(table):
+        out = traces(table)
+        out[0] += 1.0
+        return out
+    monkeypatch.setattr(algebra, "_traces", shifted)
+
+
+@functools.lru_cache(maxsize=None)
+def _copies(name, n):
+    """The disjoint union of n copies of heis2 or Z4, with its table."""
+    G = corpus.disjoint_union([(f"c{i}", corpus.heisenberg_groupoid(2)
+                                if name == "heis2" else
+                                corpus.cyclic_groupoid(4)) for i in range(n)])
+    groupoid_table(G)
+    return G
+
+
+def _dense_projections(table, seed=0):
+    """(rows e_i of central_projections, block sizes) of a table."""
+    (i, j, v), sizes, _, _ = algebra.central_projections(
+        table, algebra._center_entries(table), seed)
+    X = np.zeros((len(sizes), len(sizes)), dtype=complex)
+    np.add.at(X, (i, j), v)
+    return X @ center_basis(table), sizes
+
+
+def _shift_action(H, shift, sizes):
+    """The action groupoid of the one-unit groupoid H on orbits of the
+    given sizes, h moving point x of an orbit of size d to x + shift(h)
+    mod d: orbits of mixed sizes, isotropy the h with d | shift(h)."""
+    points = [f"o{o}x{x}" for o, d in enumerate(sizes) for x in range(d)]
+    act = {(h, f"o{o}x{x}"): f"o{o}x{(x + shift(h)) % d}"
+           for h in H.arrows for o, d in enumerate(sizes) for x in range(d)}
+    return gk.build_action_groupoid(gk.GroupoidAction(
+        H, points, dict.fromkeys(points, H.units[0]), act)).groupoid
+
+
+def _part(kind, n, orbits):
+    """One groupoid of the oracle test: a cyclic group, a Heisenberg group,
+    a pair groupoid, or the action groupoid of Z_n (by translation) or of
+    heis_n (through [a,b,c] -> a) on orbits whose sizes divide n."""
+    sizes = [d for d in range(1, n + 1) if n % d == 0]
+    sizes = [sizes[i % len(sizes)] for i in orbits]
+    if kind == "cyclic":
+        return corpus.cyclic_groupoid(n)
+    if kind == "pair":
+        return corpus.pair_groupoid(n)
+    if kind == "heis":
+        return corpus.heisenberg_groupoid(min(n, 3))
+    if kind == "cyclic_action":
+        return _shift_action(corpus.cyclic_groupoid(n),
+                             lambda h: int(h[1:]), sizes)
+    n = min(n, 3)
+    return _shift_action(corpus.heisenberg_groupoid(n),
+                         lambda h: int(h[1:].split(",")[0]),
+                         [d if n % d == 0 else 1 for d in sizes])
+
+
+def _orbit_isotropy_blocks(G):
+    """Blocks by orbit x isotropy counting: |O| times every irreducible
+    degree of the isotropy group at one unit of each orbit O, the degrees
+    from the combinatorial :func:`oracles.group_algebra_blocks`."""
+    blocks, seen = [], set()
+    for u in G.units:
+        if u in seen:
+            continue
+        orbit = {G.rng[g] for g in G.arrows if G.src[g] == u}
+        seen |= orbit
+        iso = [g for g in G.arrows if G.src[g] == u == G.rng[g]]
+        mul = {(x, y): G.comp[(x, y)] for x in iso for y in iso}
+        blocks += [len(orbit) * d for d in group_algebra_blocks(iso, mul)]
+    return tuple(sorted(blocks, reverse=True))
+
+
+class TestCentralProjections:
+    """Block sizes from the minimal central projections of the exact
+    center: one k x k eigenproblem per component of the center."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name, n, blocks", [
+        ("heis2", 1000, (2,) * 1000 + (1,) * 4000),
+        ("z4", 1100, (1,) * 4400)])
+    def test_large_unions_in_under_a_second(self, name, n, blocks, seed):
+        G = _copies(name, n)
+        start = time.perf_counter()
+        inv = gk.wedderburn(G, seed=seed)
+        assert time.perf_counter() - start < 1.0
+        assert inv.blocks == blocks and inv.dimension == len(G.arrows)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_heisenberg_p_has_p_squared_ones_and_p_minus_1_blocks_of_p(
+            self, p):
+        inv = gk.wedderburn(corpus.heisenberg_groupoid(p))
+        assert inv.blocks == (p,) * (p - 1) + (1,) * (p * p)
+        assert inv.central_gap > 1 and 0 <= inv.central_spread <= 1
+
+    @pytest.mark.parametrize("name", ["heis3", "union", "twisted",
+                                      "closure", "generic"])
+    def test_projections_are_central_idempotents_summing_to_one(self, name):
+        table = _center_tables()[name]
+        P, sizes = _dense_projections(table)
+        # e_i e_j = delta_ij e_i, e_i x = x e_i, Tr L(e_i) = d_i^2
+        for i, e in enumerate(P):
+            assert np.allclose(table.mul(e[None], P), np.eye(len(P))[i][
+                :, None] * e, atol=1e-9)
+            x = np.random.default_rng(i).standard_normal(table.dim)
+            assert np.allclose(table.mul(e, x), table.mul(x, e), atol=1e-9)
+            assert np.trace(table.left(e)) == pytest.approx(sizes[i] ** 2)
+        one = P.sum(axis=0)
+        x = np.random.default_rng(9).standard_normal(table.dim)
+        assert np.allclose(table.mul(one, x), x, atol=1e-9)
+
+    def test_perturbed_center_row_fails_the_unit_residual(self):
+        table = groupoid_table(corpus.heisenberg_groupoid(3))
+        k, j, a, v = algebra._center_entries(table)
+        v = v.copy()
+        v[np.flatnonzero(j == 1)[0]] *= 1.01
+        algebra.central_projections(table, algebra._center_entries(table))
+        with pytest.raises(gk.NumericalDegeneracy,
+                           match=r"unit residual \S+ times its cut"):
+            algebra.central_projections(table, (k, j, a, v))
+
+    def test_shifted_trace_fails_the_square_test(self, monkeypatch):
+        _shift_a_trace(monkeypatch)
+        with pytest.raises(gk.NumericalDegeneracy,
+                           match=r"perfect square \S+ times its cut"):
+            gk.wedderburn(corpus.heisenberg_groupoid(2))
+
+    def test_commutative_algebra_takes_no_solve(self, monkeypatch):
+        monkeypatch.setattr(algebra, "central_projections", None)
+        inv = gk.wedderburn(corpus.zn_square_groupoid(8))
+        assert inv.blocks == (1,) * 64 and inv.center_dimension == 64
+        assert inv.central_gap is None and inv.central_spread == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["cyclic", "pair", "heis", "cyclic_action",
+                         "heis_action"]),
+        st.integers(1, 6), st.lists(st.integers(0, 3), min_size=1,
+                                    max_size=3)), min_size=1, max_size=4),
+        st.integers(0, 3))
+    def test_blocks_match_orbit_isotropy_counting(self, parts, seed):
+        G = corpus.disjoint_union([(f"p{i}", _part(*part))
+                                   for i, part in enumerate(parts)])
+        assert gk.wedderburn(G, seed=seed).blocks == \
+            _orbit_isotropy_blocks(G)
+
+
 def test_faithfulness_on_corpus(pair2, z3, heis3):
     for G in (pair2, z3, heis3):
         assert gk.faithfulness_defect(G) == 0
@@ -709,30 +862,16 @@ class TestTableUnit:
         assert gk.wedderburn(mats).blocks == (2,)
 
 
-def test_numerical_degeneracy_after_retry_budget(z3):
-    with pytest.raises(gk.NumericalDegeneracy):
-        wedderburn_from_tables(_regular(z3), retries=0)
-
-
-class TestWedderburnRepresentation:
-    """wedderburn_from_tables reads the blocks of a representation, which
-    must be one, and a *-representation: otherwise NumericalDegeneracy."""
+class TestStarRepHypothesis:
+    """Blocks T L T^-1 of the left multiplications L form a
+    *-representation when T is unitary, and not otherwise."""
 
     @staticmethod
-    def _conjugated(table, T):
-        """One block, T L T^-1 for the left multiplication L, from the
-        entries of every T L_a T^-1."""
+    def _conjugated(G, table, T):
+        """One block, T L T^-1, from the entries of every T L_a T^-1."""
         L = T @ table.left_stack() @ np.linalg.inv(T)
         a, row, col = np.indices(L.shape).reshape(3, -1)
-        return gk.RegularRepresentation(table, np.zeros(table.dim),
-                                        (a, row, col, L.ravel()))
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_summands_that_cut_entries(self, n):
-        table = groupoid_table(corpus.heisenberg_groupoid(n))
-        halves = np.arange(table.dim) >= table.dim // 2
-        with pytest.raises(gk.NumericalDegeneracy):
-            wedderburn_from_tables(gk.RegularRepresentation(table, halves))
+        return gk.RegularRepresentation(table, G, (a, row, col, L.ravel()))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_roots_that_are_not_unitary(self, n):
@@ -742,10 +881,12 @@ class TestWedderburnRepresentation:
         re, im = rng.standard_normal((2, table.dim, table.dim))
         T = re + 1j * im
         q, _ = np.linalg.qr(T)  # the unitary control
-        assert wedderburn_from_tables(self._conjugated(table, q)).blocks \
-            == gk.wedderburn(G).blocks
-        with pytest.raises(gk.NumericalDegeneracy):
-            wedderburn_from_tables(self._conjugated(table, T))
+        name, res, witness = algebra.star_rep_hypothesis(
+            "conjugated", self._conjugated(G, table, q))
+        assert name == "star_rep(conjugated)" and res <= 1e-12
+        _, res, witness = algebra.star_rep_hypothesis(
+            "conjugated", self._conjugated(G, table, T))
+        assert res > 1e-3 and witness.startswith("(h=")
 
 
 def test_pair24_wedderburn_memory_is_bounded():
@@ -825,7 +966,7 @@ def _counting(monkeypatch, owner, name):
 
 class TestLapackCalls:
     """The Wedderburn solve makes one LAPACK call per shape, not one per
-    component or cluster."""
+    component."""
 
     def test_one_svd_per_component_shape(self, monkeypatch):
         # Z8 x Z8 is abelian: 64 one-column components of 64 rows each,
@@ -839,69 +980,60 @@ class TestLapackCalls:
         assert center_basis(_wide_table()).shape == (3, 5)
         assert sorted(calls) == [(1, 0, 1), (1, 1, 3), (1, 3, 1)]
 
-    def test_one_eigvalsh_per_restriction_size(self, monkeypatch):
-        # the clusters of pair(2) and pair(3) restrict each unit block to
-        # 2 and 3 columns, those of Z4 to 1, those of heis2 to 4 (its
-        # block of size 2, twice) and 1: 14 restrictions of 4 sizes, eight
-        # of them of one column
+    def test_no_eigh_and_one_eig_per_component_size(self, monkeypatch):
+        # the center of the union has components of 1 (pair(2)), 1
+        # (pair(3)), 4 (Z4) and 5 (heis2) class sums: three sizes
         G = corpus.disjoint_union([("p", corpus.pair_groupoid(2)),
                                    ("q", corpus.pair_groupoid(3)),
                                    ("z", corpus.cyclic_groupoid(4)),
                                    ("h", corpus.heisenberg_groupoid(2))])
-        rep = gk.RegularRepresentation(G)
-        calls = _counting(monkeypatch, np.linalg, "eigvalsh")
-        kernel = algebra.spectral_norms
-
-        def uncounted(S):  # the scale of the second element is no cluster
-            n = len(calls)
-            out = kernel(S)
-            del calls[n:]
-            return out
-        monkeypatch.setattr(algebra, "spectral_norms", uncounted)
-        inv = wedderburn_from_tables(rep)
+        calls = {name: _counting(monkeypatch, np.linalg, name)
+                 for name in ("eig", "eigh", "eigvalsh")}
+        inv = gk.wedderburn(G)
         assert inv.blocks == (3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1)
-        assert inv.retries == 0
-        assert sorted(calls) == [(1, 4, 4), (2, 2, 2), (3, 3, 3), (8, 1, 1)]
+        assert calls["eigh"] == calls["eigvalsh"] == []
+        assert sorted(calls["eig"]) == [(1, 4, 4), (1, 5, 5), (2, 1, 1)]
 
 
 class TestWedderburnMemo:
-    """A representation keeps its Wedderburn invariants per (seed, tol,
-    retries); a NumericalDegeneracy is not kept."""
+    """A table keeps its Wedderburn invariants per (seed, tol); a
+    NumericalDegeneracy is not kept."""
 
     def test_same_call_solves_once(self, monkeypatch):
-        calls = _counting(monkeypatch, algebra, "center_basis")
+        calls = _counting(monkeypatch, algebra, "_center_entries")
         G = corpus.heisenberg_groupoid(2)
         first = gk.wedderburn(G, seed=3, tol=1e-9)
         assert gk.wedderburn(G, seed=3, tol=1e-9) is first
+        assert groupoid_table(G).solved == {(3, 1e-9): first}
         assert len(calls) == 1
-        # another seed, tolerance or retry budget is another solve
+        # another seed or tolerance is another solve
         gk.wedderburn(G, seed=4, tol=1e-9)
         gk.wedderburn(G, seed=3, tol=1e-8)
-        wedderburn_from_tables(_regular(G), seed=3, tol=1e-9, retries=6)
-        assert len(calls) == 4
-        # another groupoid object is another representation
+        assert len(calls) == 3
+        # another groupoid object is another table
         gk.wedderburn(corpus.heisenberg_groupoid(2), seed=3, tol=1e-9)
-        assert len(calls) == 5
+        assert len(calls) == 4
         # a generator for seed is drawn from afresh on every call
         rng = np.random.default_rng(3)
         for _ in range(2):
-            wedderburn_from_tables(_regular(G), seed=rng)
-        assert len(calls) == 7
+            wedderburn_from_tables(groupoid_table(G), seed=rng)
+        assert len(calls) == 6
 
     def test_degeneracy_is_raised_again(self, monkeypatch):
-        calls = _counting(monkeypatch, algebra, "center_basis")
-        rep = _regular(corpus.cyclic_groupoid(3))
+        calls = _counting(monkeypatch, algebra, "_center_entries")
+        _shift_a_trace(monkeypatch)
+        table = groupoid_table(corpus.heisenberg_groupoid(2))
         for _ in range(2):
             with pytest.raises(gk.NumericalDegeneracy):
-                wedderburn_from_tables(rep, retries=0)
-        assert len(calls) == 2 and rep.solved == {}
+                wedderburn_from_tables(table)
+        assert len(calls) == 2 and table.solved == {}
 
     def test_demo_heisenberg_solves_each_algebra_once(self, monkeypatch,
                                                       capsys):
         # psi (the group and the section algebra) and the extension bundle
         # (the group again, which is kept, and the twisted algebra); the
         # kernel decomposition is solved by bundle build alone
-        calls = _counting(monkeypatch, algebra, "center_basis")
+        calls = _counting(monkeypatch, algebra, "_center_entries")
         assert main(["demo", "heisenberg", "--n", "3"]) == 0
         capsys.readouterr()
         assert len(calls) == 3

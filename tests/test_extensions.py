@@ -305,8 +305,8 @@ class TestOtherExtensions:
 
     @staticmethod
     def _double_chi1_at_center(monkeypatch):
-        # a wrong character value makes the twist non-associative, so the
-        # Wedderburn retries of the twisted algebra end in NumericalDegeneracy
+        # a wrong character value makes the twist non-associative, so its
+        # blocks are not checked
         _scale_character_value(monkeypatch, (1,), "[0,0,1]", 2.0)
 
     def test_wedderburn_error_is_a_failed_check(self, monkeypatch):
@@ -319,7 +319,9 @@ class TestOtherExtensions:
         assert not res.entry("basis_map_multiplicative").passed
         entry = res.entry("wedderburn_equal")
         assert not entry.passed and entry.residual is None
-        assert entry.witness.startswith("wedderburn failed after")
+        assert not res.entry("cocycle_identity").passed
+        assert entry.witness == "not checked: cocycle_identity failed"
+        assert res.blocks_group is None and res.blocks_twisted is None
 
     def test_ext_analyze_reports_it_with_exit_1(self, monkeypatch, tmp_path,
                                                capsys):
@@ -335,8 +337,11 @@ class TestOtherExtensions:
         out = capsys.readouterr()
         assert code == 1
         assert "Traceback" not in out.err
-        checks = {c["name"]: c["pass"] for c in json.loads(out.out)["checks"]}
-        assert checks["basis_map_bijective"] and not checks["wedderburn_equal"]
+        checks = {c["name"]: c for c in json.loads(out.out)["checks"]}
+        assert checks["basis_map_bijective"]["pass"]
+        assert not checks["wedderburn_equal"]["pass"]
+        assert checks["wedderburn_equal"]["witness"] == \
+            "not checked: cocycle_identity failed"
 
     def test_z4_over_2z4(self):
         els, mul = cyclic_table(4)

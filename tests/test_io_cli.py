@@ -254,11 +254,11 @@ class TestCli:
         assert code == 0
         margins = json.loads(out)["margins"]
         assert sorted(margins) == ["central_gap", "central_spread",
-                                   "faithfulness_sigma_min", "retries"]
-        # clusters split far above the threshold and stay far below it
+                                   "faithfulness_sigma_min"]
+        # eigenvalues far apart and traces far closer to squares than the
+        # cut
         assert margins["central_gap"] > 100
         assert 0 <= margins["central_spread"] < 1e-2
-        assert margins["retries"] == 0
         assert margins["faithfulness_sigma_min"] == 1.0
 
     def test_heisenberg_demo_blocks(self, capsys):
