@@ -24,9 +24,9 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
                        _ids, _join, _prefix, _table, classify_morphism,
                        pair_id)
 from .algebra import (NumericalDegeneracy, RegularRepresentation,
-                      WedderburnInvariants, _scatter, central_projections,
-                      chunks, groupoid_table, isometry_certificate,
-                      wedderburn_from_tables)
+                      StructureTable, WedderburnInvariants, _scatter,
+                      central_projections, chunks, groupoid_table,
+                      isometry_certificate, wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
                      NotSaturated, FellBundleError, _require_cstar_units,
                      _section_hypotheses, _slot_witness, section_algebra)
@@ -271,11 +271,13 @@ class CocycleReport:
                 and self.normalization_residual <= tol)
 
 
-def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
+def cocycle_check(omega: Cocycle, tol: float = 1e-12,
+                  table: Optional[StructureTable] = None) -> CocycleReport:
     """Exhaustive verification: totality on composable pairs, unit
     modulus, normalization on units, and the identity
     omega(g1,g2) omega(g1g2,g3) = omega(g2,g3) omega(g1,g2g3): the twisted
-    table's associativity, whose defect and triple give residual and witness."""
+    table's associativity (``table``, built here unless given), whose
+    defect, kept on the table, and triple give residual and witness."""
     G = omega.base
     for p in G.composable_pairs():
         if p not in omega.omega:
@@ -284,7 +286,7 @@ def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
     res_mod = max((abs(abs(v) - 1.0) for v in omega.omega.values()),
                   default=0.0)
     # the pairs (rng g, g) and (g, src g) are those with a unit factor
-    T, unit = groupoid_table(G, omega.omega), G.unit_mask()
+    T, unit = table or groupoid_table(G, omega.omega), G.unit_mask()
     res_norm = float(np.abs(T.w[unit[T.a] | unit[T.b]] - 1.0).max(initial=0.0))
     res_id, triple = T.associativity_defect()
     witness = None if res_id <= tol else "({!r}, {!r}, {!r})".format(
@@ -311,6 +313,13 @@ class TwistedConvolutionAlgebra:
         return self.rep.norm(c)
 
     def wedderburn(self, seed: int = 0, tol: float = 1e-9) -> WedderburnInvariants:
+        """Block sizes; NumericalDegeneracy when the table's kept
+        associativity defect exceeds ``tol`` (then it is no algebra)."""
+        res, triple = self.table.associativity_defect()
+        if res > tol:
+            raise NumericalDegeneracy(
+                f"twisted table is not associative: defect {res:.3e} at "
+                f"{tuple(self.G.arrows[i] for i in triple)!r}")
         return wedderburn_from_tables(self.table, seed=seed, tol=tol)
 
 
@@ -318,12 +327,13 @@ def twisted_algebra(G: FiniteGroupoid, omega: Cocycle,
                     tol: float = 1e-12) -> TwistedConvolutionAlgebra:
     """Validated twisted convolution algebra; the cocycle identity is
     re-verified first since associativity rides on it."""
-    report = cocycle_check(omega, tol)
+    ta = TwistedConvolutionAlgebra(G, omega)
+    report = cocycle_check(omega, tol, ta.table)
     if not report.passed(tol):
         raise CocycleIdentityFailure(
             f"cocycle fails validation (identity residual "
             f"{report.identity_residual:.3e})", witness=report.witness)
-    return TwistedConvolutionAlgebra(G, omega)
+    return ta
 
 
 @dataclass
@@ -553,7 +563,8 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
                               {x: projections[x][1] for x in points}, line)
     result.add("action_axioms", True, None, None)
     result.add("line_products_consistent", res_line <= 1e-8, res_line)
-    creport = cocycle_check(omega, 1e-12)
+    ta = TwistedConvolutionAlgebra(ag.groupoid, omega)
+    creport = cocycle_check(omega, 1e-12, ta.table)
     result.add("cocycle_identity", creport.identity_residual <= 1e-12,
                creport.identity_residual, creport.witness)
     result.add("cocycle_modulus", creport.modulus_residual <= 1e-12,
@@ -568,7 +579,6 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
                        "not checked: cocycle_identity failed")
         return result
 
-    ta = TwistedConvolutionAlgebra(ag.groupoid, omega)
     bt = ta.wedderburn(seed=seed, tol=tol)
     sa = section_algebra(E, tol=tol)
     bb = sa.wedderburn(seed=seed, tol=tol)

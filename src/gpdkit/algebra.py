@@ -71,8 +71,8 @@ class BaseMismatch(ValueError):
 
 
 class NumericalDegeneracy(RuntimeError):
-    """The minimal central projections of a Wedderburn solve failed their
-    certificate."""
+    """A Wedderburn solve failed its certificate, or its table is not
+    associative."""
 
 
 def _scatter(index, values, size: int) -> np.ndarray:
@@ -887,17 +887,23 @@ def _center_entries(table: StructureTable, tol: float = 1e-9):
     """(k, j, a, value): the k rows of :func:`center_basis`, c_j[a] = value
     once per (j, a), with no dense (k, dim) array."""
     n = table.dim
-    key, slot = np.unique((table.a * n + table.b) * n + table.c,
-                          return_inverse=True)
-    w = _scatter(slot, table.w, len(key))
+    key = (table.a * n + table.b) * n + table.c
+    if np.all(key[1:] > key[:-1]):  # nothing to sum (groupoid tables)
+        w = table.w
+    else:
+        key, slot = np.unique(key, return_inverse=True)
+        w = _scatter(slot, table.w, len(key))
     key, w = key[w != 0], w[w != 0]
     if not len(key):
         return n, np.arange(n), np.arange(n), np.ones(n, dtype=complex)
     a, b, k = key // (n * n), key // n % n, key % n
     # row (b, k) of [x, e_b] takes w at column a (the x e_b term); row
     # (a, k) of [x, e_a] takes -w at column b (the e_a x term)
-    _, row = np.unique(np.concatenate([b * n + k, a * n + k]),
-                       return_inverse=True)
+    rows = np.concatenate([b * n + k, a * n + k])
+    if n * n <= 4 * len(rows):  # numbered in key order with no sort
+        row = (np.cumsum(np.bincount(rows, minlength=n * n) > 0) - 1)[rows]
+    else:
+        row = np.unique(rows, return_inverse=True)[1]
     col, val = np.concatenate([a, b]), np.concatenate([w, -w])
     label = _linked_columns(row, col, n)
     m = len(key)

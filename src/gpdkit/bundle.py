@@ -134,7 +134,7 @@ class FellBundle:
                  map(self.position.get, morphism.domain.arrows)], np.int64)
         self._table = table
         self.fiber_map_errors = _fiber_map_errors(self)
-        self._blocks = None
+        self._blocks = self._is_moved = None
 
     def dim(self, h) -> int:
         return len(self.fibers[h])
@@ -150,6 +150,13 @@ class FellBundle:
             if error is not None:
                 raise error
         return self._table
+
+    def moved(self) -> bool:
+        """The section table is the domain's moved by psi (:func:`_moved`)."""
+        if self._is_moved is None:
+            self._is_moved = self.psi_slots is not None and _moved(
+                self.morphism.domain.table, self.table(), self.psi_slots)
+        return self._is_moved
 
     def is_abelian(self, tol: float = 1e-12) -> bool:
         """The unit-fiber entries of the section table equal themselves
@@ -489,16 +496,14 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
 
 def _associativity_defect(E: FellBundle):
     """Axiom 3 of ``E``: the associativity defect of its section table, or
-    the domain's when the section table is the domain's table moved by
-    ``E.psi_slots`` and the domain's defect is 0.0. That one is kept on the
-    domain's table by ``validate_groupoid`` or ``GroupTable``, and a
-    relabelling of the basis keeps every triple's two sides apart or
-    equal, so the section table's defect is 0.0 too."""
+    the domain's when the section table is the domain's moved
+    (:meth:`FellBundle.moved`, kept for psi-check) and the domain's defect
+    is 0.0. That one is kept on the domain's table by ``validate_groupoid``
+    or ``GroupTable``, and a relabelling keeps every triple's two sides
+    apart or equal, so the section table's defect is 0.0 too."""
     T = E.table()
-    if E.psi_slots is not None:
-        D = E.morphism.domain.table
-        if _moved(D, T, E.psi_slots) and D.associativity_defect()[0] == 0.0:
-            return D.associativity_defect()
+    if E.moved() and E.morphism.domain.table.associativity_defect()[0] == 0.0:
+        return E.morphism.domain.table.associativity_defect()
     return T.associativity_defect()
 
 
@@ -797,8 +802,12 @@ class SectionAlgebra:
         return self.space.op_norm(s)
 
     def wedderburn(self, seed: int = 0, tol: float = 1e-9):
-        return wedderburn_from_tables(self.bundle.table(), seed=seed,
-                                      tol=tol)
+        """Block sizes of the section table; of the domain's, whose solve
+        is kept on it, when the section table is that one moved."""
+        E = self.bundle
+        return wedderburn_from_tables(
+            E.morphism.domain.table if E.moved() else E.table(), seed=seed,
+            tol=tol)
 
 
 def section_algebra(E: FellBundle, report: Optional[AxiomReport] = None,
@@ -836,15 +845,19 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     the convolution algebra of the domain onto the section algebra.
 
     The bundle is admitted by ``axiom_report``, or else by
-    :func:`verify_axioms` at ``samples`` and ``seed``. Linearity and bijectivity are exact (the matrix U of the map is a
-    permutation, ``E.psi_slots``); multiplicativity and the star property
-    are the defects of U between the domain table and the section table
-    over every basis pair (or arrow), each with the largest coefficient
-    difference as residual and the basis pair (or arrow) of that entry as
-    witness. The Hilbert-module check compares the expectation of
-    psi(e_g1)* psi(e_g2) with psi of the kernel part of e_g1* e_g2 over
-    every pair of arrows with one range, as one defect of the two tables
-    (:func:`_hilbert_module_defect`), and names the pair when it fails.
+    :func:`verify_axioms` at ``samples`` and ``seed``. Linearity and
+    bijectivity are exact (the matrix U of the map is a permutation,
+    ``E.psi_slots``). When the section table is the domain's moved by it
+    (:meth:`FellBundle.moved`), U carries every entry of one table onto
+    the other: multiplicativity and the star property hold exactly
+    (residual 0.0), and the section blocks are the domain's. Otherwise
+    they are the defects of U between the two tables over every basis
+    pair (or arrow), with the largest coefficient difference as residual
+    and its basis pair (or arrow) as witness. The Hilbert-module check
+    compares the expectation of psi(e_g1)* psi(e_g2) with psi of the
+    kernel part of e_g1* e_g2 over every pair of arrows with one range, as
+    one defect of the two tables (:func:`_hilbert_module_defect`), and
+    names the pair when it fails.
     ``isometric`` is certified over every element, not sampled
     (:func:`~gpdkit.algebra.isometry_certificate`; Murphy 1990, Thm
     3.1.5): U is bijective and a *-homomorphism by the checks above, the
@@ -868,9 +881,13 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     report.add("linear_bijection", perm_ok, 0.0 if perm_ok else None,
                None if perm_ok else not_perm)
 
-    U = np.zeros((E.total_dim(), len(G.arrows)))
-    U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
-    if perm_ok:
+    if not perm_ok or E.moved():  # moved: U carries D onto E.table()
+        for name in ("multiplicative", "star_preserving"):
+            report.add(name, perm_ok, 0.0 if perm_ok else None,
+                       None if perm_ok else not_perm)
+    else:
+        U = np.zeros((E.total_dim(), len(G.arrows)))
+        U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
         domain = groupoid_table(G)
         res_mul, pair = domain.hom_defect(E.table(), U)
         report.add("multiplicative", res_mul <= tol, res_mul, None
@@ -879,9 +896,6 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
         res_star, s = domain.star_hom_defect(E.table(), U)
         report.add("star_preserving", res_star <= tol, res_star,
                    None if s is None else repr(G.arrows[s[0]]))
-    else:
-        for name in ("multiplicative", "star_preserving"):
-            report.add(name, False, None, not_perm)
 
     res_mod, pair = _hilbert_module_defect(pi, E)
     report.add("hilbert_module_match", res_mod <= tol, res_mod,

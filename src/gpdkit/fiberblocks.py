@@ -8,9 +8,11 @@ most the largest fiber dimension across, and blocks of one size are taken
 together: one batched :func:`~gpdkit.algebra.spectral_norms`, eigh,
 eigvalsh or (ranks) SVD per size and chunk instead of one call per
 element, and never a decomposition of a total_dim x total_dim matrix.
-Where each basis pair of the table has one product term, as in the
-bundles of groupoid morphisms, a rank needs no SVD at all
-(:func:`stacked_ranks`).
+Where each basis pair of the table has one product term and the
+inner-product tensor no off-diagonal term, as in the bundles of groupoid
+morphisms, a rank needs no SVD (:func:`stacked_ranks`), a Gram block is
+diagonal and needs no eigh (:meth:`FiberBlocks.gram`), and putting the
+table into orthonormal coordinates rescales its weights.
 Everything is read from the section table of the bundle
 (:meth:`gpdkit.bundle.FellBundle.table`) and the integer tables of its
 base, whose arrow indices name the arrows.
@@ -115,6 +117,7 @@ class FiberBlocks:
         self.tau[self.arrow, self.loc] = _scatter(T.a[on], T.w[on], T.dim)
         self._inner = {}
         self._gram = self._gram_defect = self._ortho = self._rep = None
+        self.diagonal = None  # Gram blocks all diagonal, set by gram()
         self._saturation = {}
 
     def entries(self, h1, h2, keys=None) -> np.ndarray:
@@ -245,24 +248,40 @@ class FiberBlocks:
 
     def gram(self):
         """(T, T^-1, smallest and largest eigenvalue) per arrow of the Gram
-        blocks G_h, T padded to D x D with zeros; one batched eigh per
-        fiber dimension. T^-1 inverts the positive part only, so a block
-        that is not positive definite has no use but a failed check."""
+        blocks G_h, T padded to D x D with zeros. When no off-diagonal term
+        of the inner-product tensor is nonzero (``diagonal``, tested once),
+        every G_h is diagonal: T holds the roots of its diagonal and the
+        eigenvalues are its entries, with no eigh. Otherwise one batched
+        eigh per fiber dimension. T^-1 inverts the positive part only, so a
+        block that is not positive definite has no use but a failed
+        check."""
         if self._gram is None:
             G = self._gram_blocks()
             G = (G + G.conj().transpose(0, 2, 1)) / 2.0
             tsqrt, tisqrt = np.zeros_like(G), np.zeros_like(G)
             lo, hi = np.zeros(self.nA), np.zeros(self.nA)
-            for d in np.flatnonzero(np.bincount(self.dims[self.dims > 0])):
-                a = np.flatnonzero(self.dims == d)
-                ev, U = np.linalg.eigh(G[a, :d, :d])
-                lo[a], hi[a] = ev[:, 0], ev[:, -1]
-                root = np.sqrt(np.maximum(ev, 0.0))
-                inv = np.divide(1.0, root, out=np.zeros_like(root),
-                                where=root > 0)
-                Uh = U.conj().transpose(0, 2, 1)
-                tsqrt[a, :d, :d] = (U * root[:, None, :]) @ Uh
-                tisqrt[a, :d, :d] = (U * inv[:, None, :]) @ Uh
+            h, i, j, m, w, _ = self.inner("B")
+            self.diagonal = not np.any((w * self.tau[self.src[h], m])[i != j])
+            if self.diagonal:  # the eigenvalues, g per slot, on the diagonal
+                ev, live = np.diagonal(G, 0, 1, 2).real, self.dims > 0
+                g = ev[self.arrow, self.loc]
+                lo[live], hi[live] = (f.reduceat(g, self.first[live])
+                                      for f in (np.minimum, np.maximum))
+                root, at = np.sqrt(np.maximum(ev, 0.0)), np.arange(self.D)
+                tsqrt[:, at, at] = root
+                tisqrt[:, at, at] = np.divide(1.0, root, where=root > 0,
+                                              out=np.zeros_like(root))
+            else:
+                for d in np.flatnonzero(np.bincount(self.dims[self.dims > 0])):
+                    a = np.flatnonzero(self.dims == d)
+                    ev, U = np.linalg.eigh(G[a, :d, :d])
+                    lo[a], hi[a] = ev[:, 0], ev[:, -1]
+                    root = np.sqrt(np.maximum(ev, 0.0))
+                    inv = np.divide(1.0, root, out=np.zeros_like(root),
+                                    where=root > 0)
+                    Uh = U.conj().transpose(0, 2, 1)
+                    tsqrt[a, :d, :d] = (U * root[:, None, :]) @ Uh
+                    tisqrt[a, :d, :d] = (U * inv[:, None, :]) @ Uh
             self._gram = tsqrt, tisqrt, lo, hi
         return self._gram
 
@@ -325,9 +344,11 @@ class FiberBlocks:
         """(a, c', b', w', key, order, sorted key), built once: entry e_a e_b
         = w e_c of the table becomes w T_hk[c', c] T_k^-1[b, b'] in the
         orthonormal coordinates of the Gram blocks, summed at each (a, c',
-        b') after each root: at most d_h d_hk d_k entries over (h, k), one
-        per table entry for diagonal roots. The key (arrows of a and b'),
-        with its stable order, serves joins."""
+        b') after each root: at most d_h d_hk d_k entries over (h, k).
+        Diagonal roots (:meth:`gram`) rescale each weight w by T[c, c]
+        T^-1[b, b], read from the kept roots: one entry per table entry.
+        The key (arrows of a and b'), with its stable order, serves
+        joins."""
         if self._ortho is None:
             T, first, n = self.table, self.first, self.table.dim
             tsqrt, tisqrt, _, _ = self.gram()
@@ -337,14 +358,19 @@ class FiberBlocks:
                 return (*np.unravel_index(key, (n, n, n)),
                         _scatter(at, w, len(key)))
 
-            h, i, j = np.nonzero(tsqrt)  # T_hk[c', c]: c at j, c' at i
-            e, p = _join(T.c, first[h] + j)
-            a, c, b, w = merged(T.a[e], first[h[p]] + i[p], T.b[e],
-                                tsqrt[h[p], i[p], j[p]] * T.w[e])
-            h, i, j = np.nonzero(tisqrt)  # T_k^-1[b, b']: b at i, b' at j
-            e, p = _join(b, first[h] + i)
-            a, c, b, w = merged(a[e], c[e], first[h[p]] + j[p],
-                                w[e] * tisqrt[h[p], i[p], j[p]])
+            if self.diagonal:  # one entry per table entry, no merge
+                t, ti = (r[self.arrow, self.loc, self.loc]
+                         for r in (tsqrt, tisqrt))
+                a, c, b, w = T.a, T.c, T.b, t[T.c] * T.w * ti[T.b]
+            else:
+                h, i, j = np.nonzero(tsqrt)  # T_hk[c', c]: c at j, c' at i
+                e, p = _join(T.c, first[h] + j)
+                a, c, b, w = merged(T.a[e], first[h[p]] + i[p], T.b[e],
+                                    tsqrt[h[p], i[p], j[p]] * T.w[e])
+                h, i, j = np.nonzero(tisqrt)  # T_k^-1[b, b']: b at i, b' at j
+                e, p = _join(b, first[h] + i)
+                a, c, b, w = merged(a[e], c[e], first[h[p]] + j[p],
+                                    w[e] * tisqrt[h[p], i[p], j[p]])
             key = self.arrow[a] * self.nA + self.arrow[b]
             order = np.argsort(key, kind="stable")
             self._ortho = a, c, b, w, key, order, key[order]

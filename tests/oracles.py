@@ -830,6 +830,24 @@ def bundle_from(E, arrays, morphism=None):
                       morphism=morphism)
 
 
+def rebased(E, P):
+    """E in the basis f_i = sum_j P[j, i] e_j of the section space, P
+    invertible and block diagonal over the fibers: products and star
+    entries rewritten densely, entries below 1e-13 dropped."""
+    T, n = E.table(), E.total_dim()
+    Q = np.linalg.inv(P)
+    W = np.zeros((n, n, n), dtype=complex)
+    np.add.at(W, (T.a, T.b, T.c), T.w)
+    W = np.einsum("Aa,Bb,ABC,cC->abc", P, P, W, Q, optimize=True)
+    SW = np.zeros((n, n), dtype=complex)
+    np.add.at(SW, (T.s, T.t), T.sw)
+    SW = P.conj().T @ SW @ Q.T  # f_a* = sum conj(P[A, a]) e_A*
+    a, b, c = np.nonzero(np.abs(W) > 1e-13)
+    s, t = np.nonzero(np.abs(SW) > 1e-13)
+    return bundle_from(E, dict(a=a, b=b, c=c, w=W[a, b, c], s=s, t=t,
+                               sw=SW[s, t]))
+
+
 def slot_arrows(E):
     """The base arrow under each section slot of E."""
     return [h for h in E.base.arrows for _ in range(E.dim(h))]

@@ -929,6 +929,64 @@ def _center_tables():
     }
 
 
+def _sorted_constraints(table):
+    """(row, col, val) of the commutator constraints of ``table``, the
+    repeated entries summed and the rows numbered by np.unique."""
+    n = table.dim
+    key, slot = np.unique((table.a * n + table.b) * n + table.c,
+                          return_inverse=True)
+    w = algebra._scatter(slot, table.w, len(key))
+    key, w = key[w != 0], w[w != 0]
+    a, b, k = key // (n * n), key // n % n, key % n
+    _, row = np.unique(np.concatenate([b * n + k, a * n + k]),
+                       return_inverse=True)
+    return row, np.concatenate([a, b]), np.concatenate([w, -w])
+
+
+def _shipped_and_blocks_tables(workdir):
+    """The tables of the shipped data files (groupoids, groups and the
+    section tables of the morphisms), of the corpus groupoids and of the
+    twists of the Heisenberg extensions, the tables of
+    :func:`_center_tables`, and the groupoids of one pass of the
+    benchmark's ``blocks`` workload."""
+    import importlib
+    import sys
+    from pathlib import Path
+    from gpdkit import io as gio
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+        paths = [item["argv"][3] for item in
+                 workloads.blocks_pass(str(workdir), 7)]
+    finally:
+        sys.path.remove(bench)
+    tables = [groupoid_table(gio.load_groupoid(f)) for f in paths + [
+        corpus.data_path(f"{g}.groupoid.json")
+        for g in ("heis2", "heis3", "pair", "z3")]]
+    tables += [gk.GroupTable(*gio.load_group(corpus.data_path(
+        f"{g}.group.json"))[:2]).table for g in ("heis2", "heis3", "z2z2",
+                                                 "z4")]
+    tables += [gk.build_bundle(gio.load_morphism(corpus.data_path(
+        f"{m}.morphism.json"))).table() for m in (
+            "flip_covering", "heis2_quotient", "heis3_quotient")]
+    tables += [groupoid_table(G) for G in (
+        *map(corpus.heisenberg_groupoid, (2, 3, 4, 5)),
+        corpus.zn_square_groupoid(8), corpus.pair_groupoid(10),
+        corpus.cyclic_groupoid(7))]
+    for n in (2, 3):
+        res = gk.group_extension_bundle(corpus.heisenberg_extension(n))
+        tables.append(groupoid_table(res.action_groupoid.groupoid,
+                                     res.cocycle.omega))
+    # heis3 (in (a, b, c) order) with its first entry split in two in place
+    T = groupoid_table(corpus.heisenberg_groupoid(3))
+    repeated = StructureTable(T.dim, *(np.insert(v, 1, v[0]) for v in (
+        T.a, T.b, T.c)), np.insert(T.w, 1, 0.75 * T.w[0]) * np.insert(
+            np.ones(len(T.w)), 0, 0.25), T.s, T.t, T.sw)
+    return tables + list(_center_tables().values()) + [
+        _cancelling_table(), _wide_table(), repeated]
+
+
 def _cancelling_table(keep_cancelled=True):
     """The heis3 table with two products repeated with opposite weights:
     summed, they vanish; kept apart, e_3 e_1 and e_1 e_6 would link the
@@ -1030,13 +1088,14 @@ class TestWedderburnMemo:
 
     def test_demo_heisenberg_solves_each_algebra_once(self, monkeypatch,
                                                       capsys):
-        # psi (the group and the section algebra) and the extension bundle
-        # (the group again, which is kept, and the twisted algebra); the
-        # kernel decomposition is solved by bundle build alone
+        # psi (the group; the section table is the group's moved, so the
+        # section algebra reads the group's kept solve) and the extension
+        # bundle (the group again, which is kept, and the twisted
+        # algebra); the kernel decomposition is solved by bundle build alone
         calls = _counting(monkeypatch, algebra, "_center_entries")
         assert main(["demo", "heisenberg", "--n", "3"]) == 0
         capsys.readouterr()
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestCenterBasis:
@@ -1135,6 +1194,26 @@ class TestCenterBasis:
     def test_cancelled_entries_link_no_columns(self):
         assert np.array_equal(center_basis(_cancelling_table()),
                               center_basis(_cancelling_table(False)))
+
+    def test_constraint_rows_equal_the_sorted_numbering(self, monkeypatch,
+                                                        tmp_path):
+        # the rows, columns and values handed to the center solvers are
+        # those of two np.unique sorts (the summing of repeated entries
+        # and the numbering of the rows), whichever way they were taken:
+        # on every shipped table, on the blocks items of the benchmark,
+        # and on tables that repeat an entry or whose rows are sparse
+        got = []
+        for name in ("_phase_center", "_svd_center"):
+            solve = getattr(algebra, name)
+            monkeypatch.setattr(algebra, name, lambda row, col, val, *rest,
+                                solve=solve: got.append((row, col, val))
+                                or solve(row, col, val, *rest))
+        for table in _shipped_and_blocks_tables(tmp_path):
+            got.clear()
+            algebra._center_entries(table)
+            want = _sorted_constraints(table)
+            assert len(got) == 1 and all(
+                np.array_equal(x, y) for x, y in zip(got[0], want))
 
     def test_wide_component_keeps_its_null_space(self):
         # the 1 x 3 component has a two-dimensional null space, which a

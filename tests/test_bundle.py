@@ -15,7 +15,7 @@ from oracles import (DenseSectionSpace, DenseUnitFiber, bundle_from,
                      dense_bimodule_check, dense_map_defects,
                      dense_saturation_detail, dense_table_residuals,
                      dense_verify_axioms, element_norm, fiber_adjoint,
-                     fiber_product, hilbert_module_residuals,
+                     fiber_product, hilbert_module_residuals, rebased,
                      sandwich_blocks, slot_arrows, table_arrays)
 
 
@@ -817,23 +817,13 @@ def _basis_changed(E, rng):
     """E in the basis f_i = sum_j P[j, i] e_j, P random and block diagonal
     over the fibers: a dense table, and Gram roots that are not
     diagonal."""
-    T, n = E.table(), E.total_dim()
+    n = E.total_dim()
     P = np.zeros((n, n), dtype=complex)
     for h in E.base.arrows:
         at, d = slice(E.first[h], E.first[h] + E.dim(h)), E.dim(h)
         P[at, at] = np.eye(d) + 0.4 * (rng.standard_normal((d, d))
                                        + 1j * rng.standard_normal((d, d)))
-    Q = np.linalg.inv(P)
-    W = np.zeros((n, n, n), dtype=complex)
-    np.add.at(W, (T.a, T.b, T.c), T.w)
-    W = np.einsum("Aa,Bb,ABC,cC->abc", P, P, W, Q, optimize=True)
-    SW = np.zeros((n, n), dtype=complex)
-    np.add.at(SW, (T.s, T.t), T.sw)
-    SW = P.conj().T @ SW @ Q.T  # f_a* = sum conj(P[A, a]) e_A*
-    a, b, c = np.nonzero(np.abs(W) > 1e-13)
-    s, t = np.nonzero(np.abs(SW) > 1e-13)
-    return bundle_from(E, dict(a=a, b=b, c=c, w=W[a, b, c], s=s, t=t,
-                               sw=SW[s, t]))
+    return rebased(E, P)
 
 
 def _assert_blocks_match_the_sandwich(B):

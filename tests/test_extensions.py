@@ -323,6 +323,22 @@ class TestOtherExtensions:
         assert entry.witness == "not checked: cocycle_identity failed"
         assert res.blocks_group is None and res.blocks_twisted is None
 
+    def test_non_associative_twist_raises_in_its_own_solve(self,
+                                                           monkeypatch):
+        # the twisted algebra of that cocycle has blocks (2, 1, 1, 1, 1) by
+        # the center alone; its solve reads the table's associativity
+        # defect and refuses
+        self._double_chi1_at_center(monkeypatch)
+        res = gk.group_extension_bundle(corpus.heisenberg_extension(2))
+        ta = gk.TwistedConvolutionAlgebra(res.action_groupoid.groupoid,
+                                          res.cocycle)
+        with pytest.raises(gk.NumericalDegeneracy, match=(
+                r"not associative: defect 3\.000e\+00 at \('\(\[1,0,0\],"
+                r"chi\(1\)\)', '\(\[0,1,0\],chi\(1\)\)', "
+                r"'\(\[0,1,0\],chi\(1\)\)'\)")):
+            ta.wedderburn()
+        assert ta.table.solved == {}
+
     def test_ext_analyze_reports_it_with_exit_1(self, monkeypatch, tmp_path,
                                                capsys):
         from gpdkit import io as gio
