@@ -14,7 +14,6 @@ normalized cocycle.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Optional
 
@@ -238,11 +237,6 @@ def coboundary_cocycle(G: FiniteGroupoid, beta) -> Cocycle:
     for (g1, g2), g12 in G.comp.items():
         omega[(g1, g2)] = beta[g1] * beta[g2] / beta[g12]
     return Cocycle(G, omega)
-
-
-def random_coboundary(G: FiniteGroupoid, rng) -> Cocycle:
-    beta = {g: cmath.exp(2j * cmath.pi * rng.random()) for g in G.arrows}
-    return coboundary_cocycle(G, beta)
 
 
 def pullback_cocycle(pi: GroupoidMorphism, omega: Cocycle) -> Cocycle:

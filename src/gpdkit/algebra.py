@@ -62,6 +62,7 @@ from typing import Optional
 
 import numpy as np
 
+from .draws import draws
 from .groupoid import (FiniteGroupoid, _join, _ranks, inclusion,
                        subgroupoid)
 
@@ -515,7 +516,7 @@ def involute(f: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(f.base, groupoid_table(f.base).star(f.coeffs))
 
 
-def random_element(G: FiniteGroupoid, rng: np.random.Generator) -> AlgebraElement:
+def random_element(G: FiniteGroupoid, rng) -> AlgebraElement:
     """Independent standard complex Gaussian coefficients."""
     n = len(G.arrows)
     return AlgebraElement(G, rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -1090,7 +1091,7 @@ def central_projections(table: StructureTable, center, seed=0):
         return _scatter(off[comp[J]] + pos[row] * s[J] + pos[col], vals,
                         int((width ** 2).sum()))
     tau = _scatter(cj, cv * _traces(T)[ca], k)  # Tr L(c_j)
-    rng = np.random.default_rng(seed)
+    rng = draws(seed)
     zeta = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     # the transpose of M_z, whose eigenvectors are the x with x M_z = lam x
     Zt, Q = stack(M, L, zeta[J] * g), stack(J, L, g * tau[M])

@@ -65,6 +65,7 @@ from . import algebra
 from .algebra import (AlgebraElement, NumericalDegeneracy, StructureTable,
                       _defect, _join, _scatter, groupoid_table, wedderburn,
                       wedderburn_from_tables)
+from .draws import draws
 from .fiberblocks import fiber_blocks, pick, stacked_ranks
 from .report import CheckList
 
@@ -276,13 +277,16 @@ def _fiber_map_errors(E: FellBundle):
     return tuple(errors)
 
 
-def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
+def build_bundle(pi: GroupoidMorphism, twist=None,
+                 table: Optional[StructureTable] = None) -> FellBundle:
     """The bundle E(pi) of a surjective morphism pi: G -> H.
 
     Fiber basis over h is pi^{-1}(h); basis products follow composition in
     G, weighted by the optional 2-cocycle ``twist`` (a Cocycle or a mapping
-    on composable pairs of G); star sends the basis vector of g to
-    conj(twist(g, inv g)) times the basis vector of inv(g).
+    on composable pairs of G; its weights are read from ``table``, the
+    twisted table ``groupoid_table(G, twist)``, when the caller has built
+    it); star sends the basis vector of g to conj(twist(g, inv g)) times
+    the basis vector of inv(g).
 
     Rejects non-surjective input rather than restricting to the image.
     """
@@ -299,23 +303,25 @@ def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
     # slots are arrow-major over H, in domain order within a fiber
     slots = np.empty(len(G.arrows), dtype=np.int64)
     slots[np.argsort(pi.image, kind="stable")] = np.arange(len(G.arrows))
-    return FellBundle(H, fibers, _arrow_table(G, slots, pi.image, twist),
-                      morphism=pi)
+    return FellBundle(H, fibers, _arrow_table(G, slots, pi.image, twist,
+                                              table), morphism=pi)
 
 
-def _arrow_table(G: FiniteGroupoid, slots, over, twist) -> StructureTable:
+def _arrow_table(G: FiniteGroupoid, slots, over, twist,
+                 table: Optional[StructureTable] = None) -> StructureTable:
     """Section table of a bundle whose basis vector of the arrow g of G
     sits at slots[g]: products follow composition in G, weighted by the
     2-cocycle ``twist`` (None, a Cocycle or a mapping on composable
     pairs), and e_g* is conj(twist(g, inv g)) e_{inv g}. Products are
     listed by the pair (over[g2], over[g1]) of their factors, composition
-    order within a pair, and star entries by slot."""
+    order within a pair, and star entries by slot; ``table`` is the
+    twisted table of ``twist``, built here unless given."""
     D = G.table
     if twist is None:
         w, sw = D.w, D.sw
     else:
         omega = getattr(twist, "omega", twist)
-        w = groupoid_table(G, omega).w
+        w = (table or groupoid_table(G, omega)).w
         sw = np.conj([omega[p] for p in zip(G.arrows, G.inv.values())])
     m = np.lexsort((over[D.a], over[D.b]))
     st = np.argsort(slots)
@@ -418,7 +424,7 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     are measured on basis rows and random draws instead
     (:func:`_sampled_norm_axioms`).
     """
-    rng = np.random.default_rng(seed)
+    rng = draws(seed)
     rep = AxiomReport()
     H = E.base
 
@@ -1047,7 +1053,7 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
         else algebra.certificate(_norm_hypotheses(E, axiom_report, tol), tol)
     if not certified:
         h = np.repeat(live, max(1, samples // max(len(U.arrows), 1)))
-        X = B.random_rows(h, np.random.default_rng(seed))
+        X = B.random_rows(h, draws(seed))
         res_pos = max(float(B.unit_norms(target, B.square(h, X, side),
                                          spectra=True)[1].max(initial=0.0))
                       for side, target in (("B", B.src[h]), ("A", B.rng[h])))

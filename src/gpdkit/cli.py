@@ -29,6 +29,7 @@ from .algebra import (AlgebraElement, cstar_norm, positivity_check,
                       wedderburn)
 from .bundle import (build_bundle, bisection_bimodule_check, psi_iso_check,
                      verify_axioms, NotSaturated)
+from .draws import draws
 from .extensions import GroupExtension, group_extension_bundle
 from .fiberblocks import fiber_blocks, pick
 from .groupoid import (GroupoidError, classify_morphism,
@@ -272,7 +273,7 @@ def cmd_bundle_build(args, report: Report):
     # draw every sample first (one draw each of the arrows x, the vectors x,
     # the partners y and the vectors y), then check them in one stacked
     # pass: x y over the pairs with a partner, x and x* x over every sample
-    rng = np.random.default_rng(args.seed)
+    rng = draws(args.seed)
     B = fiber_blocks(E)
     hx = pick(np.flatnonzero(B.dims > 0), max(1, args.samples // 5), rng)
     X = B.random_rows(hx, rng)
@@ -438,13 +439,14 @@ def cmd_abelian_extract(args, report: Report):
         E = gio.load_bundle(args.bundle)
     elif getattr(args, "morphism", None):
         pi = gio.load_morphism(args.morphism)
-        twist = None
+        twist = table = None
         if getattr(args, "cocycle", None):
             twist = gio.load_cocycle(args.cocycle, groupoid=pi.domain)
-            crep = cocycle_check(twist, 1e-9)
+            table = algebra.groupoid_table(pi.domain, twist.omega)
+            crep = cocycle_check(twist, 1e-9, table)
             report.add("input_cocycle_valid", crep.passed(1e-9),
                        crep.identity_residual, crep.witness)
-        E = build_bundle(pi, twist=twist)
+        E = build_bundle(pi, twist=twist, table=table)
     else:
         raise SystemExit2("one of --bundle or --morphism is required")
     try:
@@ -702,9 +704,9 @@ def _tolerance(flag):
 
 
 def _check_counts(args):
-    """Raise SystemExit2 on a negative --samples or --depth, or an --n
-    below 1."""
-    for flag, low in (("samples", 0), ("depth", 0), ("n", 1)):
+    """Raise SystemExit2 on a negative --samples, --depth or --seed, or an
+    --n below 1."""
+    for flag, low in (("samples", 0), ("depth", 0), ("seed", 0), ("n", 1)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise SystemExit2(f"--{flag} {value} is not an integer >= {low}")

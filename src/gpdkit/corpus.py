@@ -6,14 +6,11 @@ JSON file formats unchanged.
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, pair_blocks,
                        pair_id, validate_groupoid)
-from .actions import (Cocycle, GroupoidAction, coboundary_cocycle,
-                      product_cocycle, pullback_cocycle)
+from .actions import Cocycle, GroupoidAction
 from .extensions import GroupExtension, GroupTable, unit_root
 from .graphs import DirectedGraph, GraphMorphism
 
@@ -251,113 +248,6 @@ def zn2_bilinear_cocycle(n: int) -> Cocycle:
     return Cocycle(G, {(g1, g2): unit_root(int(a[i] * b[j]), n)
                        for i, g1 in enumerate(G.arrows)
                        for j, g2 in enumerate(G.arrows)})
-
-
-def random_action(rng: np.random.Generator, max_arrows: int = 24,
-                  max_points: int = 8) -> GroupoidAction:
-    """A random action of a random groupoid (disjoint blocks of cyclic
-    groups and pair groupoids) on a random finite set.
-
-    Cyclic blocks act by a permutation whose order divides the block
-    order; pair blocks act through a chart of bijections onto a common
-    reference fiber, which makes functoriality automatic.
-    """
-    parts = []
-    arrows_used = units_used = 0
-    while True:
-        if rng.random() < 0.5:
-            k = int(rng.integers(2, 5))
-            cost_arrows, cost_units = k, 1
-            block = ("c", lambda: cyclic_groupoid(k))
-        else:
-            m = int(rng.integers(2, 4))
-            cost_arrows, cost_units = m * m, m
-            block = ("r", lambda: pair_groupoid(m))
-        if parts and (arrows_used + cost_arrows > max_arrows
-                      or units_used + cost_units > max_points):
-            break
-        kind, make = block
-        parts.append((f"{kind}{len(parts)}", make()))
-        arrows_used += cost_arrows
-        units_used += cost_units
-        if rng.random() < 0.35:
-            break
-    H = disjoint_union(parts)
-
-    budget = max_points - units_used  # extra points beyond one per unit
-    sizes = {}
-    for tag, G in parts:
-        n_units = len(G.units)
-        room = budget // n_units
-        extra = int(rng.integers(0, room + 1)) if room > 0 else 0
-        sizes[tag] = 1 + extra
-        budget -= extra * n_units
-
-    points, anchor, act = [], {}, {}
-    for tag, G in parts:
-        size = sizes[tag]
-        if tag.startswith("c"):
-            k = len(G.arrows)
-            sigma = list(range(size))
-            positions = list(rng.permutation(size))
-            divisors = [d for d in range(1, k + 1) if k % d == 0]
-            pos = 0
-            while pos < size:
-                choices = [d for d in divisors if d <= size - pos]
-                L = int(choices[rng.integers(len(choices))])
-                cyc = positions[pos:pos + L]
-                for idx in range(L):
-                    sigma[cyc[idx]] = cyc[(idx + 1) % L]
-                pos += L
-            pts = [f"{tag}x{i}" for i in range(size)]
-            u = f"{tag}:g0"
-            for p in pts:
-                anchor[p] = u
-            image = list(range(size))
-            for a_exp in range(k):
-                for i in range(size):
-                    act[(f"{tag}:g{a_exp}", pts[i])] = pts[image[i]]
-                image = [sigma[i] for i in image]
-            points.extend(pts)
-        else:
-            m = int(round(len(G.arrows) ** 0.5))
-            labels = [str(i + 1) for i in range(m)]
-            charts = {lab: list(rng.permutation(size)) for lab in labels}
-            for lab in labels:
-                u = f"{tag}:{pair_id(lab, lab)}"
-                for i in range(size):
-                    p = f"{tag}{lab}x{i}"
-                    anchor[p] = u
-                    points.append(p)
-            for li in labels:
-                inv_i = {r: pos for pos, r in enumerate(charts[li])}
-                for lj in labels:
-                    h = f"{tag}:{pair_id(li, lj)}"
-                    for jpos in range(size):
-                        target = inv_i[charts[lj][jpos]]
-                        act[(h, f"{tag}{lj}x{jpos}")] = f"{tag}{li}x{target}"
-    return GroupoidAction(H, tuple(points), anchor, act)
-
-
-def random_cocycle(G: FiniteGroupoid, rng: np.random.Generator,
-                   pi: GroupoidMorphism = None) -> Cocycle:
-    """A random normalized cocycle: a random coboundary, optionally times
-    a structured pullback when a morphism to a group block is available."""
-    beta = {g: cmath.exp(2j * cmath.pi * float(rng.random()))
-            for g in G.arrows}
-    omega = coboundary_cocycle(G, beta)
-    if pi is not None:
-        codomain = pi.codomain
-        # pull back a bilinear-style twist when the codomain is Z_n^2
-        # shaped; otherwise just keep the coboundary
-        try:
-            n = int(round(len(codomain.arrows) ** 0.5))
-            if f"({n - 1},{n - 1})" in codomain.index and n > 1:
-                omega = product_cocycle(
-                    omega, pullback_cocycle(pi, zn2_bilinear_cocycle(n)))
-        except Exception:
-            pass
-    return omega
 
 
 def data_path(name: str) -> str:

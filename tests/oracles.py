@@ -6,6 +6,7 @@ convolution from the plain group-algebra double sum, and path lifting
 from brute-force enumeration of all edge tuples.
 """
 
+import cmath
 import math
 from collections import Counter
 from itertools import product
@@ -13,9 +14,13 @@ from typing import Mapping
 
 import numpy as np
 
-from gpdkit.actions import Cocycle, GroupoidAction
+from gpdkit.actions import (Cocycle, GroupoidAction, coboundary_cocycle,
+                            product_cocycle, pullback_cocycle)
 from gpdkit.algebra import StructureTable, _linked_columns, groupoid_table
 from gpdkit.bundle import FellBundleError
+from gpdkit.corpus import (cyclic_groupoid, disjoint_union, pair_groupoid,
+                           zn2_bilinear_cocycle)
+from gpdkit.draws import draws
 from gpdkit.groupoid import (AssociativityFailure, FiniteGroupoid,
                              GroupoidError, GroupoidMorphism,
                              IllegalComposite, InverseFailure,
@@ -1066,7 +1071,7 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
     3 by the sorting path of the structure table."""
     from gpdkit.bundle import (AxiomReport, FellBundleError, FiberElement,
                                _LATER_CHECKS, _slot_witness)
-    rng = np.random.default_rng(seed)
+    rng = draws(seed)
     rep = AxiomReport()
     H = E.base
     for name, error in zip(("axiom1_fiber_map", "axiom5_star_fiber_map"),
@@ -1209,7 +1214,7 @@ def dense_bimodule_check(E, U, tol=1e-9, samples=50, seed=0):
     if not sat:
         raise NotSaturated(f"bundle is not saturated: {wit}", witness=wit)
     H = E.base
-    rng = np.random.default_rng(seed)
+    rng = draws(seed)
     report = CheckList()
     res_pos = 0.0
     per = max(1, samples // max(len(U.arrows), 1))
@@ -1566,7 +1571,7 @@ def loop_bundle_build(E, samples, seed):
     residuals of ``bundle build``, one sample at a time through
     fiber_mul, fiber_star and fiber_norm."""
     from gpdkit.bundle import fiber_mul, fiber_norm, fiber_star
-    rng = np.random.default_rng(seed)
+    rng = draws(seed)
     res_star = res_norm = 0.0
     arrows = [h for h in E.base.arrows if E.dim(h)]
     # the draws of the batched command: the arrows of x, the vectors x,
@@ -1605,7 +1610,7 @@ def loop_wedderburn_samples(G, samples, seed, tol):
                                 convolve, cstar_norm, involute,
                                 positivity_check, random_element)
     from gpdkit.groupoid import subgroupoid
-    rng = np.random.default_rng(seed)
+    rng = draws(seed)
     res_cstar = res_subm = res_invol = res_pos = 0.0
     for _ in range(max(1, samples // 10)):
         f1, f2 = random_element(G, rng), random_element(G, rng)
@@ -1639,10 +1644,124 @@ def loop_expectation_contractive(E, samples, seed, tol):
     verify`` certifies."""
     from gpdkit.bundle import section_algebra
     sa = section_algebra(E, tol=tol)
-    rng = np.random.default_rng(seed)
+    rng = draws(seed)
     res = 0.0
     for _ in range(max(1, samples // 5)):
         s = sa.random_section(rng)
         norm = sa.norm(s)
         res = max(res, (sa.norm(sa.expectation(s)) - norm) / max(norm, 1e-30))
     return res
+
+
+# -- seeded random actions and cocycles, the random inputs of the tests
+
+def random_action(rng: np.random.Generator, max_arrows: int = 24,
+                  max_points: int = 8) -> GroupoidAction:
+    """A random action of a random groupoid (disjoint blocks of cyclic
+    groups and pair groupoids) on a random finite set.
+
+    Cyclic blocks act by a permutation whose order divides the block
+    order; pair blocks act through a chart of bijections onto a common
+    reference fiber, which makes functoriality automatic.
+    """
+    parts = []
+    arrows_used = units_used = 0
+    while True:
+        if rng.random() < 0.5:
+            k = int(rng.integers(2, 5))
+            cost_arrows, cost_units = k, 1
+            block = ("c", lambda: cyclic_groupoid(k))
+        else:
+            m = int(rng.integers(2, 4))
+            cost_arrows, cost_units = m * m, m
+            block = ("r", lambda: pair_groupoid(m))
+        if parts and (arrows_used + cost_arrows > max_arrows
+                      or units_used + cost_units > max_points):
+            break
+        kind, make = block
+        parts.append((f"{kind}{len(parts)}", make()))
+        arrows_used += cost_arrows
+        units_used += cost_units
+        if rng.random() < 0.35:
+            break
+    H = disjoint_union(parts)
+
+    budget = max_points - units_used  # extra points beyond one per unit
+    sizes = {}
+    for tag, G in parts:
+        n_units = len(G.units)
+        room = budget // n_units
+        extra = int(rng.integers(0, room + 1)) if room > 0 else 0
+        sizes[tag] = 1 + extra
+        budget -= extra * n_units
+
+    points, anchor, act = [], {}, {}
+    for tag, G in parts:
+        size = sizes[tag]
+        if tag.startswith("c"):
+            k = len(G.arrows)
+            sigma = list(range(size))
+            positions = list(rng.permutation(size))
+            divisors = [d for d in range(1, k + 1) if k % d == 0]
+            pos = 0
+            while pos < size:
+                choices = [d for d in divisors if d <= size - pos]
+                L = int(choices[rng.integers(len(choices))])
+                cyc = positions[pos:pos + L]
+                for idx in range(L):
+                    sigma[cyc[idx]] = cyc[(idx + 1) % L]
+                pos += L
+            pts = [f"{tag}x{i}" for i in range(size)]
+            u = f"{tag}:g0"
+            for p in pts:
+                anchor[p] = u
+            image = list(range(size))
+            for a_exp in range(k):
+                for i in range(size):
+                    act[(f"{tag}:g{a_exp}", pts[i])] = pts[image[i]]
+                image = [sigma[i] for i in image]
+            points.extend(pts)
+        else:
+            m = int(round(len(G.arrows) ** 0.5))
+            labels = [str(i + 1) for i in range(m)]
+            charts = {lab: list(rng.permutation(size)) for lab in labels}
+            for lab in labels:
+                u = f"{tag}:{pair_id(lab, lab)}"
+                for i in range(size):
+                    p = f"{tag}{lab}x{i}"
+                    anchor[p] = u
+                    points.append(p)
+            for li in labels:
+                inv_i = {r: pos for pos, r in enumerate(charts[li])}
+                for lj in labels:
+                    h = f"{tag}:{pair_id(li, lj)}"
+                    for jpos in range(size):
+                        target = inv_i[charts[lj][jpos]]
+                        act[(h, f"{tag}{lj}x{jpos}")] = f"{tag}{li}x{target}"
+    return GroupoidAction(H, tuple(points), anchor, act)
+
+
+def random_cocycle(G: FiniteGroupoid, rng: np.random.Generator,
+                   pi: GroupoidMorphism = None) -> Cocycle:
+    """A random normalized cocycle: a random coboundary, optionally times
+    a structured pullback when a morphism to a group block is available."""
+    beta = {g: cmath.exp(2j * cmath.pi * float(rng.random()))
+            for g in G.arrows}
+    omega = coboundary_cocycle(G, beta)
+    if pi is not None:
+        codomain = pi.codomain
+        # pull back a bilinear-style twist when the codomain is Z_n^2
+        # shaped; otherwise just keep the coboundary
+        try:
+            n = int(round(len(codomain.arrows) ** 0.5))
+            if f"({n - 1},{n - 1})" in codomain.index and n > 1:
+                omega = product_cocycle(
+                    omega, pullback_cocycle(pi, zn2_bilinear_cocycle(n)))
+        except Exception:
+            pass
+    return omega
+
+
+def random_coboundary(G: FiniteGroupoid, rng) -> Cocycle:
+    beta = {g: cmath.exp(2j * cmath.pi * rng.random()) for g in G.arrows}
+    return coboundary_cocycle(G, beta)

@@ -17,7 +17,7 @@ from gpdkit.cli import main as cli_main
 
 from oracles import (bundle_from, group_algebra_blocks,
                      loop_heisenberg_elements, matrix_units_check,
-                     table_arrays)
+                     random_action, random_cocycle, table_arrays)
 
 
 class _Timer:
@@ -129,8 +129,7 @@ def test_criterion_5_covering_action_roundtrip():
         actions = [corpus.flip_action()]
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
-            actions.append(corpus.random_action(rng, max_arrows=24,
-                                                max_points=8))
+            actions.append(random_action(rng, max_arrows=24, max_points=8))
         for a in actions:
             ag = gk.build_action_groupoid(a)
             assert ag.classification.covering
@@ -142,9 +141,9 @@ def test_criterion_6_abelian_extraction():
     with _Timer("6 (twisted covering extraction)", 30.0):
         for seed in range(10):
             rng = np.random.default_rng(2000 + seed)
-            a = corpus.random_action(rng)
+            a = random_action(rng)
             ag = gk.build_action_groupoid(a)
-            om0 = corpus.random_cocycle(ag.groupoid, rng)
+            om0 = random_cocycle(ag.groupoid, rng)
             E = gk.build_bundle(ag.projection, twist=om0)
             res = gk.abelian_extract(E, tol=1e-9, seed=seed)
             assert res.passed, seed

@@ -3,7 +3,8 @@ import pytest
 
 import gpdkit as gk
 from gpdkit import corpus
-from gpdkit.actions import random_coboundary
+
+from oracles import random_action, random_cocycle, random_coboundary
 
 
 class TestActionGroupoid:
@@ -65,7 +66,7 @@ class TestCoveringToAction:
     def test_random_actions_roundtrip(self):
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
-            a = corpus.random_action(rng)
+            a = random_action(rng)
             ag = gk.build_action_groupoid(a)
             assert ag.classification.covering
             ca = gk.covering_to_action(ag.projection)
@@ -161,7 +162,7 @@ class TestTwistedAlgebra:
         # identity; re-verified numerically on random triples
         G = flip_groupoid.groupoid
         rng = np.random.default_rng(6)
-        om = corpus.random_cocycle(G, rng)
+        om = random_cocycle(G, rng)
         ta = gk.twisted_algebra(G, om)
         for _ in range(20):
             c1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -199,7 +200,7 @@ class TestAbelianExtract:
     def test_twisted_roundtrip_wedderburn_class(self, flip_groupoid):
         rng = np.random.default_rng(3)
         G = flip_groupoid.groupoid
-        om0 = corpus.random_cocycle(G, rng)
+        om0 = random_cocycle(G, rng)
         E = gk.build_bundle(flip_groupoid.projection, twist=om0)
         res = gk.abelian_extract(E)
         assert res.passed
@@ -212,7 +213,7 @@ class TestAbelianExtract:
         from gpdkit.fiberblocks import FiberBlocks
         rng = np.random.default_rng(5)
         E = gk.build_bundle(flip_groupoid.projection,
-                            twist=corpus.random_cocycle(
+                            twist=random_cocycle(
                                 flip_groupoid.groupoid, rng))
         # markers: the projections found, the action built (the corner
         # pass lies between), each LAPACK call and each squared row stack
@@ -314,9 +315,9 @@ class TestAbelianExtract:
     def test_random_covering_extractions(self):
         for seed in range(6):
             rng = np.random.default_rng(4000 + seed)
-            a = corpus.random_action(rng)
+            a = random_action(rng)
             ag = gk.build_action_groupoid(a)
-            om0 = corpus.random_cocycle(ag.groupoid, rng)
+            om0 = random_cocycle(ag.groupoid, rng)
             E = gk.build_bundle(ag.projection, twist=om0)
             res = gk.abelian_extract(E, seed=seed)
             assert res.passed

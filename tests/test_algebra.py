@@ -20,7 +20,7 @@ from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
     dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
     group_convolution, isometry_defect, loop_center_basis, \
     loop_class_center, loop_heisenberg_elements, matrix_units_check, \
-    raw_groupoid, table_arrays, table_products
+    random_action, random_cocycle, raw_groupoid, table_arrays, table_products
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -38,8 +38,8 @@ def _rescaled_covering_bundle(rng):
     source-unit summands of four sizes; each slot e_j is rescaled to
     s_j e_j, so the Gram roots T vary in a summand."""
     ag = gk.build_action_groupoid(
-        corpus.random_action(np.random.default_rng(4017)))
-    E = gk.build_bundle(ag.projection, twist=corpus.random_cocycle(
+        random_action(np.random.default_rng(4017)))
+    E = gk.build_bundle(ag.projection, twist=random_cocycle(
         ag.groupoid, rng))
     arrays = table_arrays(E)
     sc = rng.uniform(0.5, 2.0, E.total_dim())
@@ -61,7 +61,7 @@ def _norm_case(kind):
                 lambda X: np.array([dense.op_norm(x) for x in X]))
     G = _mixed_union()
     rep = gk.RegularRepresentation(G) if kind == "groupoid" else \
-        gk.TwistedConvolutionAlgebra(G, corpus.random_cocycle(G, rng)).rep
+        gk.TwistedConvolutionAlgebra(G, random_cocycle(G, rng)).rep
     src = [G.src[g] for g in G.arrows]
     return rep, lambda X: dense_norms(rep.table, src, X)
 
@@ -178,7 +178,7 @@ class TestNorm:
         G = _mixed_union()
         rep = gk.RegularRepresentation(G) if kind == "untwisted" else \
             gk.TwistedConvolutionAlgebra(
-                G, corpus.random_cocycle(G, rng)).rep
+                G, random_cocycle(G, rng)).rep
         blocks = [[G.index[g] for g in G.arrows if G.src[g] == u]
                   for u in G.units]
         for _ in range(20):
@@ -257,7 +257,7 @@ class TestStackedNorms:
         rng = np.random.default_rng(6)
         G = _mixed_union()
         table = gk.TwistedConvolutionAlgebra(
-            G, corpus.random_cocycle(G, rng)).table
+            G, random_cocycle(G, rng)).table
         X, Y = (rng.standard_normal((4, table.dim))
                 + 1j * rng.standard_normal((4, table.dim)) for _ in range(2))
         assert np.array_equal(table.mul(X, Y), np.array(
@@ -1163,7 +1163,7 @@ class TestCenterBasis:
         G = corpus.disjoint_union([("h", corpus.heisenberg_groupoid(2)),
                                    ("p", corpus.pair_groupoid(3)),
                                    ("z", corpus.zn_square_groupoid(2))])
-        omega = corpus.random_cocycle(G, rng).omega
+        omega = random_cocycle(G, rng).omega
         bilinear = corpus.zn2_bilinear_cocycle(2).omega
         omega = {(g1, g2): w * (bilinear[(g1[2:], g2[2:])]
                                 if g1.startswith("z:") else 1.0)

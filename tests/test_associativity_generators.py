@@ -16,7 +16,7 @@ import pytest
 import gpdkit as gk
 from gpdkit import algebra, corpus
 from gpdkit.algebra import StructureTable
-from oracles import dict_tables, raw_groupoid
+from oracles import dict_tables, random_action, raw_groupoid
 
 LIGHT = 64
 WHOLE = 1 << 40
@@ -160,7 +160,7 @@ def _right_closure(G, gens):
 def _action():
     # its generated set grows by x g for an earlier x: the greedy choice
     # takes 15 generators, 18 without those products
-    action = corpus.random_action(np.random.default_rng(7), max_arrows=40)
+    action = random_action(np.random.default_rng(7), max_arrows=40)
     return gk.build_action_groupoid(action).groupoid
 
 

@@ -15,8 +15,9 @@ from oracles import (DenseSectionSpace, DenseUnitFiber, bundle_from,
                      dense_bimodule_check, dense_map_defects,
                      dense_saturation_detail, dense_table_residuals,
                      dense_verify_axioms, element_norm, fiber_adjoint,
-                     fiber_product, hilbert_module_residuals, rebased,
-                     sandwich_blocks, slot_arrows, table_arrays)
+                     fiber_product, hilbert_module_residuals, random_action,
+                     random_cocycle, rebased, sandwich_blocks, slot_arrows,
+                     table_arrays)
 
 
 @pytest.fixture(scope="module")
@@ -222,8 +223,8 @@ class TestAxioms:
         # with the product of one pair of non-units (not onto a unit) set
         # to 0, so that pair spans nothing
         rng = np.random.default_rng(5)
-        G = gk.build_action_groupoid(corpus.random_action(rng)).groupoid
-        E = gk.line_bundle(G, corpus.random_cocycle(G, rng))
+        G = gk.build_action_groupoid(random_action(rng)).groupoid
+        E = gk.line_bundle(G, random_cocycle(G, rng))
         assert gk.verify_axioms(E, samples=5).saturated
         g1, g2 = next((g1, g2) for (g1, g2), g in G.comp.items()
                       if not (G.is_unit(g1) or G.is_unit(g2)
@@ -474,8 +475,8 @@ def _shifted_twist(seed):
     with the cocycle value of one seeded pair of non-units turned by a
     phase."""
     rng = np.random.default_rng(seed)
-    G = gk.build_action_groupoid(corpus.random_action(rng)).groupoid
-    omega = dict(corpus.random_cocycle(G, rng).omega)
+    G = gk.build_action_groupoid(random_action(rng)).groupoid
+    omega = dict(random_cocycle(G, rng).omega)
     pairs = [p for p in omega if not G.is_unit(p[0]) and not G.is_unit(p[1])]
     omega[pairs[rng.integers(len(pairs))]] *= np.exp(0.7j)
     return groupoid_table(G, omega)
@@ -572,10 +573,10 @@ def basis_maps():
                                ext.cocycle.omega), ext.basis_map)}
     rng = np.random.default_rng(4000)
     for name, action in (("flip", corpus.flip_action()),
-                         ("covering", corpus.random_action(rng))):
+                         ("covering", random_action(rng))):
         ag = gk.build_action_groupoid(action)
         twist = None if name == "flip" else \
-            corpus.random_cocycle(ag.groupoid, rng)
+            random_cocycle(ag.groupoid, rng)
         E = gk.build_bundle(ag.projection, twist=twist)
         res = gk.abelian_extract(E)
         maps[name] = (groupoid_table(res.action_groupoid.groupoid,
@@ -850,14 +851,14 @@ def _parity_bundles():
         gk.build_action_groupoid(corpus.flip_action()).projection)
     om = corpus.zn2_bilinear_cocycle(3)
     rng = np.random.default_rng(4000)
-    ag = gk.build_action_groupoid(corpus.random_action(rng))
+    ag = gk.build_action_groupoid(random_action(rng))
     heis3 = gk.build_bundle(corpus.heisenberg_quotient(3))
     return {
         "heis3": heis3,
         "flip": flip,
         "z3_cocycle_line": gk.line_bundle(om.base, om),
         "twisted_covering": gk.build_bundle(
-            ag.projection, twist=corpus.random_cocycle(ag.groupoid, rng)),
+            ag.projection, twist=random_cocycle(ag.groupoid, rng)),
         "nonsaturated": gk.build_bundle(corpus.nonsaturated_surjection()),
         "skew_basis": _skew_basis_bundle(),
         "heis2_scaled_product": _mutated(heis2, _scale_product),

@@ -6,7 +6,7 @@ import pytest
 import gpdkit as gk
 from gpdkit import corpus
 from gpdkit.groupoid import pair_id
-from oracles import raw_groupoid, table_associativity_witness
+from oracles import random_action, raw_groupoid, table_associativity_witness
 
 
 def test_pair_groupoid_validates(pair2):
@@ -80,7 +80,7 @@ def _union():
 
 
 def _action():
-    action = corpus.random_action(np.random.default_rng(11), max_arrows=24)
+    action = random_action(np.random.default_rng(11), max_arrows=24)
     return gk.build_action_groupoid(action).groupoid
 
 

@@ -15,8 +15,8 @@ from gpdkit.groupoid import fiber_subgroupoid, pair_blocks
 from oracles import (dict_action_tables, dict_fiber_subgroupoid,
                      dict_group_tables, dict_isotropy_quotient, dict_kernel,
                      dict_pair_blocks, dict_subgroupoid, groupoid_arrays,
-                     index_tables, loop_check_morphism,
-                     loop_classify_morphism, loop_validate_action)
+                     index_tables, loop_check_morphism, loop_classify_morphism,
+                     loop_validate_action, random_action)
 
 
 def assert_tables(G, tables):
@@ -48,7 +48,7 @@ def _morphisms():
         "identity_pair3": corpus.identity_morphism(corpus.pair_groupoid(3)),
         "nonsaturated": corpus.nonsaturated_surjection(),
         "cuntz_window": corpus.graph_path_groupoid_morphism(cuntz, 2),
-        "action": gk.build_action_groupoid(corpus.random_action(
+        "action": gk.build_action_groupoid(random_action(
             np.random.default_rng(3))).projection,
     }
 
@@ -62,7 +62,7 @@ def _groupoids():
                                    ("q", corpus.pair_groupoid(2))])
     return {"pair2": corpus.pair_groupoid(2), "z3": corpus.cyclic_groupoid(3),
             "heis3": corpus.heisenberg_groupoid(3), "union": union,
-            **{f"action{s}": gk.build_action_groupoid(corpus.random_action(
+            **{f"action{s}": gk.build_action_groupoid(random_action(
                 np.random.default_rng(s))).groupoid for s in range(4)}}
 
 
@@ -85,7 +85,7 @@ def test_group_groupoid_takes_the_group_table(n):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_action_groupoid(seed):
-    a = corpus.random_action(np.random.default_rng(seed))
+    a = random_action(np.random.default_rng(seed))
     ag = gk.build_action_groupoid(a)
     tables, projection = dict_action_tables(a)
     assert_tables(ag.groupoid, tables)
@@ -242,7 +242,7 @@ def test_action_on_a_pair_outside_arrows_and_points_is_rejected():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_action_axioms_match_the_loops(seed):
-    a = corpus.random_action(np.random.default_rng(seed))
+    a = random_action(np.random.default_rng(seed))
     assert outcome(gk.validate_action, a) == ("ok",)
     assert outcome(loop_validate_action, a) == ("ok",)
     for b in _action_mutations(a, random.Random(seed)):

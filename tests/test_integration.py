@@ -6,6 +6,8 @@ import pytest
 import gpdkit as gk
 from gpdkit import corpus
 
+from oracles import random_action, random_cocycle
+
 
 def test_isotropy_quotient_bundle_of_mixed_groupoid():
     # three orbits with different isotropy: M3 + C*(Z4) + M2 in one bundle
@@ -36,11 +38,11 @@ def test_action_of_mixed_groupoid_roundtrip_and_extraction():
     # one pair block and one cyclic block acting on a 6-point space
     rng = np.random.default_rng(99)
     for _ in range(3):
-        a = corpus.random_action(rng, max_arrows=16, max_points=6)
+        a = random_action(rng, max_arrows=16, max_points=6)
         ag = gk.build_action_groupoid(a)
         ca = gk.covering_to_action(ag.projection)
         assert ca.exact
-        om = corpus.random_cocycle(ag.groupoid, rng)
+        om = random_cocycle(ag.groupoid, rng)
         E = gk.build_bundle(ag.projection, twist=om)
         res = gk.abelian_extract(E)
         assert res.passed

@@ -19,7 +19,7 @@ from gpdkit.groupoid import pair_blocks
 from gpdkit.report import _escape, canonical_json, digest_text
 from oracles import (bundle_from, escape_loop, loop_bundle_build,
                      loop_expectation_contractive, loop_heisenberg_elements,
-                     loop_wedderburn_samples, table_arrays)
+                     loop_wedderburn_samples, random_cocycle, table_arrays)
 
 
 DATA = corpus.data_path("")
@@ -360,22 +360,44 @@ class TestCli:
         assert r1.stdout == r2.stdout
         assert r1.stdout.strip()
 
-    def test_demos_do_not_import_numpy_ma(self):
-        # a plain np.unique imports numpy.ma on its first call: milliseconds
-        # and a megabyte of every process
+    @staticmethod
+    def _imported(runs, modules):
+        """The ``modules`` in sys.modules after the CLI ``runs``, each of
+        which must exit 0, in one fresh process."""
         code = ("import contextlib, io, sys\n"
                 "from gpdkit.cli import main\n"
-                "for argv in (['demo', 'heisenberg', '--n', '2'],"
-                " ['demo', 'flip'], ['demo', 'cuntz']):\n"
+                f"for argv in {runs!r}:\n"
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
                 "        assert main(argv) == 0, argv\n"
-                "print('numpy.ma' in sys.modules)\n")
+                f"print([m for m in {modules!r} if m in sys.modules])\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
             os.path.dirname(os.path.dirname(gk.__file__)),
             os.environ.get("PYTHONPATH"))))}
         r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, env=env)
-        assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    def test_demos_do_not_import_numpy_ma(self):
+        # a plain np.unique imports numpy.ma on its first call: milliseconds
+        # and a megabyte of every process
+        assert self._imported([["demo", "heisenberg", "--n", "2"],
+                               ["demo", "flip"], ["demo", "cuntz"]],
+                              ["numpy.ma"]) == "[]\n"
+
+    def test_drawing_commands_do_not_import_numpy_random(self):
+        # numpy's random module costs about 12 ms and 2 MB in the first
+        # process that uses it; the draws come from gpdkit.draws
+        heis2, flip = (corpus.data_path(f"{m}.morphism.json")
+                       for m in ("heis2_quotient", "flip_covering"))
+        runs = [["bundle", "build", "--morphism", heis2],
+                ["bundle", "verify", "--morphism", flip],
+                ["bundle", "psi-check", "--morphism", heis2],
+                ["alg", "wedderburn", "--groupoid",
+                 corpus.data_path("heis2.groupoid.json")],
+                ["abelian", "extract", "--morphism", flip],
+                ["demo", "cuntz"], ["demo", "heisenberg", "--n", "2"]]
+        assert self._imported(runs, ["numpy.random"]) == "[]\n"
 
     def test_python_m_gpdkit_runs_the_cli(self, capsys):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
@@ -430,7 +452,7 @@ class TestCli:
                                                         capsys):
         flip = gk.build_action_groupoid(corpus.flip_action())
         rng = np.random.default_rng(17)
-        om = corpus.random_cocycle(flip.groupoid, rng)
+        om = random_cocycle(flip.groupoid, rng)
         cpath = tmp_path / "om.json"
         cpath.write_text(canonical_json(gio.save_cocycle(om)))
         mpath = corpus.data_path("flip_covering.morphism.json")
@@ -574,7 +596,11 @@ class TestExitContract:
           "--depth", "-1"], "--depth"),
         (["graph", "grading", "--graph", DATA + "cuntz_v.graph.json",
           "--depth", "-1"], "--depth"),
-        (["demo", "heisenberg", "--n", "0"], "--n")])
+        (["demo", "heisenberg", "--n", "0"], "--n"),
+        (["demo", "heisenberg", "--n", "2", "--seed", "-1"], "--seed"),
+        (["demo", "cuntz", "--seed", "-5"], "--seed"),
+        (["alg", "wedderburn", "--groupoid", DATA + "heis2.groupoid.json",
+          "--seed", "-3"], "--seed")])
     def test_bad_count_exits_2(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
@@ -681,7 +707,7 @@ class TestExitContract:
         huge = [10 ** 400, 0]
         mpath = corpus.data_path("flip_covering.morphism.json")
         pi = gio.load_morphism(mpath)
-        om = gio.save_cocycle(corpus.random_cocycle(
+        om = gio.save_cocycle(random_cocycle(
             pi.domain, np.random.default_rng(3)))
         om["omega"][2][2] = huge
         E = gio.save_bundle(gk.build_bundle(pi))

@@ -22,7 +22,7 @@ from gpdkit.cli import main
 from gpdkit.fiberblocks import fiber_blocks
 from gpdkit.report import CheckEntry
 
-from oracles import isometry_defect
+from oracles import isometry_defect, random_action, random_cocycle
 
 
 def _cli(argv) -> tuple:
@@ -82,9 +82,9 @@ def _extraction_case(E):
 
 def _covering_bundle(seed):
     rng = np.random.default_rng(seed)
-    ag = gk.build_action_groupoid(corpus.random_action(rng))
+    ag = gk.build_action_groupoid(random_action(rng))
     return gk.build_bundle(ag.projection,
-                           twist=corpus.random_cocycle(ag.groupoid, rng))
+                           twist=random_cocycle(ag.groupoid, rng))
 
 
 CORPUS = {
@@ -294,9 +294,9 @@ def _dense_star_defect(rep):
 def _reps():
     G = corpus.heisenberg_groupoid(2)
     rng = np.random.default_rng(11)
-    ag = gk.build_action_groupoid(corpus.random_action(rng))
+    ag = gk.build_action_groupoid(random_action(rng))
     twisted = gk.TwistedConvolutionAlgebra(
-        ag.groupoid, corpus.random_cocycle(ag.groupoid, rng))
+        ag.groupoid, random_cocycle(ag.groupoid, rng))
     return {"groupoid": _regular(G), "twisted": twisted.rep,
             "section": gk.section_algebra(gk.build_bundle(
                 corpus.heisenberg_quotient(2))).space.rep}

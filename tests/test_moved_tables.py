@@ -23,8 +23,8 @@ from gpdkit.algebra import StructureTable, groupoid_table, \
 from gpdkit.cli import main
 from gpdkit.fiberblocks import fiber_blocks
 
-from oracles import bundle_from, dense_verify_axioms, rebased, \
-    slot_arrows, table_arrays
+from oracles import bundle_from, dense_verify_axioms, random_action, \
+    random_cocycle, rebased, slot_arrows, table_arrays
 
 
 def _counting(monkeypatch, owner, name):
@@ -184,7 +184,7 @@ def _morphism(kind, seed):
     Heisenberg quotient."""
     rng = np.random.default_rng(seed)
     if kind == "action":
-        return gk.build_action_groupoid(corpus.random_action(rng)).projection
+        return gk.build_action_groupoid(random_action(rng)).projection
     if kind == "heis":
         return corpus.heisenberg_quotient(2 + seed % 2)
     parts = [corpus.pair_groupoid(int(rng.integers(1, 4))),
@@ -275,7 +275,7 @@ def test_twisted_algebra_reads_the_checked_table(monkeypatch):
     scans = _counting(monkeypatch, StructureTable, "_associativity_defect")
     ext = gk.group_extension_bundle(corpus.heisenberg_extension(3))
     ag = gk.build_action_groupoid(corpus.flip_action())
-    omega = corpus.random_cocycle(ag.groupoid, np.random.default_rng(2))
+    omega = random_cocycle(ag.groupoid, np.random.default_rng(2))
     res = gk.abelian_extract(gk.build_bundle(ag.projection, twist=omega))
     assert ext.passed and res.passed and len(made) == 2
     for ta in made:
@@ -283,3 +283,25 @@ def test_twisted_algebra_reads_the_checked_table(monkeypatch):
         assert [t for (t,) in scans if t.dim == T.dim and all(
             np.array_equal(getattr(t, k), getattr(T, k)) for k in "abcw")
         ] == [T]
+
+
+def test_extract_builds_the_input_twist_once(monkeypatch, tmp_path, capsys):
+    # abelian extract --cocycle builds the twisted table of its input once,
+    # for cocycle_check and the bundle, and once of the extracted twist
+    from gpdkit import bundle, io as gio
+    from gpdkit.report import canonical_json
+    calls = []
+    for owner in (algebra, actions, bundle):
+        def counted(G, omega=None, fn=owner.groupoid_table):
+            calls.append(omega is not None)
+            return fn(G, omega)
+        monkeypatch.setattr(owner, "groupoid_table", counted)
+    ag = gk.build_action_groupoid(corpus.flip_action())
+    cpath = tmp_path / "om.json"
+    cpath.write_text(canonical_json(gio.save_cocycle(random_cocycle(
+        ag.groupoid, np.random.default_rng(17)))))
+    assert main(["abelian", "extract", "--morphism",
+                 corpus.data_path("flip_covering.morphism.json"),
+                 "--cocycle", str(cpath)]) == 0
+    capsys.readouterr()
+    assert calls.count(True) == 2
