@@ -15,6 +15,7 @@ normalized cocycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Optional
 
 import numpy as np
@@ -211,13 +212,27 @@ def _is_exact_isomorphism(G: FiniteGroupoid, G2: FiniteGroupoid, iso) -> bool:
 
 
 class Cocycle:
-    """Unit-modulus function on the composable pairs of a groupoid."""
+    """Unit-modulus function on the composable pairs of a groupoid: one
+    value on each of them and on nothing else, or CocycleIdentityFailure
+    naming the first missing pair in ``composable_pairs`` order, else the
+    first key that is no composable pair."""
 
     __slots__ = ("base", "omega")
 
     def __init__(self, base: FiniteGroupoid, omega):
         self.base = base
         self.omega = {k: complex(v) for k, v in dict(omega).items()}
+        p = next(filterfalse(self.omega.__contains__,
+                             base.composable_pairs()), None)
+        if p is not None:
+            raise CocycleIdentityFailure(f"cocycle missing on pair {p!r}",
+                                         witness=p)
+        if len(self.omega) != len(base.comp):
+            pairs = set(base.composable_pairs())
+            p = next(k for k in self.omega if k not in pairs)
+            raise CocycleIdentityFailure(
+                f"cocycle defined on {p!r}, not a composable pair",
+                witness=p)
 
     def __call__(self, g1, g2):
         return self.omega[(g1, g2)]
@@ -267,16 +282,12 @@ class CocycleReport:
 
 def cocycle_check(omega: Cocycle, tol: float = 1e-12,
                   table: Optional[StructureTable] = None) -> CocycleReport:
-    """Exhaustive verification: totality on composable pairs, unit
+    """Exhaustive verification (totality is the Cocycle's own): unit
     modulus, normalization on units, and the identity
     omega(g1,g2) omega(g1g2,g3) = omega(g2,g3) omega(g1,g2g3): the twisted
     table's associativity (``table``, built here unless given), whose
     defect, kept on the table, and triple give residual and witness."""
     G = omega.base
-    for p in G.composable_pairs():
-        if p not in omega.omega:
-            raise CocycleIdentityFailure(f"cocycle missing on pair {p!r}",
-                                         witness=p)
     res_mod = max((abs(abs(v) - 1.0) for v in omega.omega.values()),
                   default=0.0)
     # the pairs (rng g, g) and (g, src g) are those with a unit factor
@@ -393,7 +404,9 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     from those defects, the smallest singular value of U (bijective), the
     associativity of both tables (``cocycle_identity`` and the section
     algebra's axiom 3) and the faithful *-representations of both. None of
-    this is checked when the read-off cocycle fails its identity.
+    this is checked when the read-off cocycle fails its identity. The
+    section algebra is admitted by :func:`~gpdkit.bundle.verify_axioms` at
+    ``seed``.
     """
     H = E.base
     B = fiber_blocks(E)
@@ -573,12 +586,10 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
                        "not checked: cocycle_identity failed")
         return result
 
-    bt = ta.wedderburn(seed=seed, tol=tol)
-    sa = section_algebra(E, tol=tol)
-    bb = sa.wedderburn(seed=seed, tol=tol)
-    result.blocks_twisted = bt.blocks
-    result.blocks_bundle = bb.blocks
-    result.add_wedderburn_equal(bt.blocks, bb.blocks)
+    sa = section_algebra(E, tol=tol, seed=seed)
+    result.blocks_twisted, result.blocks_bundle = result.add_wedderburn_equal(
+        lambda: ta.wedderburn(seed=seed, tol=tol),
+        lambda: sa.wedderburn(seed=seed, tol=tol))
 
     # the natural basis map delta_{(h,x)} -> gauged line vector at slot h
     # must be an isometric *-isomorphism onto the section algebra

@@ -52,8 +52,8 @@ contractive on every section (:func:`expectation_certificate`).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -62,8 +62,8 @@ from .groupoid import (Bisection, FiniteGroupoid, GroupoidMorphism,
                        NotAMorphism, NotSurjective, _ids, check_bisection,
                        classify_morphism, fiber_subgroupoid, kernel)
 from . import algebra
-from .algebra import (AlgebraElement, NumericalDegeneracy, StructureTable,
-                      _defect, _join, _scatter, groupoid_table, wedderburn,
+from .algebra import (AlgebraElement, StructureTable, _defect, _join,
+                      _scatter, groupoid_table, wedderburn,
                       wedderburn_from_tables)
 from .draws import draws
 from .fiberblocks import fiber_blocks, pick, stacked_ranks
@@ -98,6 +98,12 @@ class FellBundle:
             E_h1 x E_h2 -> E_h1h2, star entries e_s* = sum of sw e_t the
             linear part of the conjugate-linear E_h -> E_inv(h).
 
+    The slots are numbered arrow-major in the order of the base arrows,
+    held once as ``dims`` (fiber dimension per arrow index) and ``arrow``
+    (arrow index per slot); ``first`` maps arrow names to first slots, and
+    ``psi_slots`` (a bundle of a morphism only) domain arrows, in domain
+    order, to their slots (psi is this slot map; -1: in no fiber).
+
     ``fiber_map_errors`` holds the first product and star entry that
     leaves the fibers it names (axioms 1 and 5; see
     :func:`_fiber_map_errors`), and :meth:`table` raises it.
@@ -110,29 +116,19 @@ class FellBundle:
         for h in base.arrows:
             self.fibers.setdefault(h, ())
         self.morphism = morphism
-        # sections are stored arrow-major in the order of the base arrows;
-        # first[h] is the slot of the first basis vector over h
-        self.first = {}
-        slot = 0
-        for h in base.arrows:
-            self.first[h] = slot
-            slot += len(self.fibers[h])
-        self._total_dim = slot
+        bases = [self.fibers[h] for h in base.arrows]
+        self.dims = np.fromiter(map(len, bases), np.int64, len(bases))
+        self.arrow = np.repeat(np.arange(len(bases)), self.dims)
+        self.first = dict(zip(base.arrows,
+                              (np.cumsum(self.dims) - self.dims).tolist()))
+        slot = len(self.arrow)
         factors = np.concatenate([table.a, table.b, table.s])
         if table.dim != slot or np.any((factors < 0) | (factors >= slot)):
             raise FellBundleError(f"table is not over the {slot} slots of "
                                   "the fibers")
-        # for bundles built from a morphism: the position of a domain arrow
-        # inside its fiber, and the slot of each domain arrow in domain
-        # order (psi is this slot permutation)
-        self.position = None
-        self.psi_slots = None
-        if morphism is not None:
-            self.position = {g: (h, i) for h, basis in self.fibers.items()
-                             for i, g in enumerate(basis)}
-            self.psi_slots = np.array(
-                [self.first[h] + i for h, i in
-                 map(self.position.get, morphism.domain.arrows)], np.int64)
+        self.psi_slots = None if morphism is None else _ids(
+            morphism.domain.arrows,
+            {g: i for i, g in enumerate(chain.from_iterable(bases))})
         self._table = table
         self.fiber_map_errors = _fiber_map_errors(self)
         self._blocks = self._is_moved = None
@@ -141,7 +137,7 @@ class FellBundle:
         return len(self.fibers[h])
 
     def total_dim(self) -> int:
-        return self._total_dim
+        return len(self.arrow)
 
     def table(self) -> StructureTable:
         """Structure table of the section algebra over the slots (see
@@ -246,11 +242,9 @@ def _fiber_map_errors(E: FellBundle):
     from the first slot of the fiber the term should lie in, or (h1, h2)
     for a pair that is not composable."""
     H, T = E.base, E._table
-    n = len(H.arrows)
-    dims = np.fromiter((E.dim(h) for h in H.arrows), np.int64, n)
-    first = np.cumsum(dims) - dims
+    first = np.cumsum(E.dims) - E.dims
     # the arrow under each slot, and -1 (at position -1) off the table
-    arrow = np.append(np.repeat(np.arange(n), dims), -1)
+    arrow = np.append(E.arrow, -1)
     term = arrow[np.where((T.c >= 0) & (T.c < T.dim), T.c, -1)]
     h1, h2 = arrow[T.a], arrow[T.b]
     h12 = H.compose_ids(h1, h2)
@@ -330,10 +324,11 @@ def _arrow_table(G: FiniteGroupoid, slots, over, twist,
                           sw[st])
 
 
-def kernel_decomposition_report(pi: GroupoidMorphism, untwisted: bool) -> dict:
+def kernel_decomposition_report(pi: GroupoidMorphism, untwisted: bool,
+                                seed: int = 0, tol: float = 1e-9) -> dict:
     """Direct-sum decomposition of the kernel algebra of a surjective
-    morphism over the base units, checked by Wedderburn block sizes when
-    ``untwisted``."""
+    morphism over the base units, checked by Wedderburn block sizes, solved
+    at ``seed`` and ``tol``, when ``untwisted``."""
     dec = kernel(pi)
     fiber_sizes = {x: len(dec.fibers[x]) for x in pi.codomain.units}
     report = {
@@ -344,14 +339,13 @@ def kernel_decomposition_report(pi: GroupoidMorphism, untwisted: bool) -> dict:
         "amenable": "automatic (finite)",
     }
     if untwisted:
-        whole = wedderburn(dec.groupoid)
-        parts = []
-        for x in pi.codomain.units:
-            parts.extend(wedderburn(fiber_subgroupoid(pi, x)).blocks)
+        whole, *parts = (wedderburn(K, seed=seed, tol=tol) for K in [
+            dec.groupoid, *(fiber_subgroupoid(pi, x)
+                            for x in pi.codomain.units)])
+        parts = sorted((b for p in parts for b in p.blocks), reverse=True)
         report["kernel_blocks"] = list(whole.blocks)
-        report["fiber_blocks_union"] = sorted(parts, reverse=True)
-        report["direct_sum_check"] = \
-            sorted(whole.blocks, reverse=True) == sorted(parts, reverse=True)
+        report["fiber_blocks_union"] = parts
+        report["direct_sum_check"] = sorted(whole.blocks)[::-1] == parts
     return report
 
 
@@ -695,8 +689,7 @@ def _submultiplicative_defects(E, B, basis_norms, cp, pairs):
 def _slot_witness(E: FellBundle, slots, form: str) -> str:
     """``form`` filled with the base arrows of the section basis slots and
     the indices of the slots in their fibers, each comma separated."""
-    starts = [E.first[h] for h in E.base.arrows]
-    hs = [E.base.arrows[bisect_right(starts, s) - 1] for s in slots]
+    hs = E.base.names(E.arrow[list(slots)])
     indices = (s - E.first[h] for s, h in zip(slots, hs))
     return form.format(",".join(map(repr, hs)), ",".join(map(str, indices)))
 
@@ -830,7 +823,7 @@ def psi(E: FellBundle, f: AlgebraElement) -> Section:
     """Restriction map from functions on the domain groupoid to sections:
     the fiber over h receives the coefficients on the preimage of h.
     Only defined for bundles built from a morphism."""
-    if E.position is None:
+    if E.psi_slots is None:
         raise FellBundleError("bundle was not built from a morphism")
     out = np.zeros(E.total_dim(), dtype=complex)
     out[E.psi_slots] = f.coeffs
@@ -880,9 +873,10 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
                          seed=seed)
     report = IsoReport()
 
-    # bijectivity: every slot is hit by exactly one arrow of G
-    perm_ok = E.total_dim() == len(G.arrows) and \
-        len({E.position[g] for g in G.arrows}) == len(G.arrows)
+    # bijectivity: as many slots as arrows of G, each hit by one
+    n, slots = len(G.arrows), E.psi_slots
+    perm_ok = E.total_dim() == n and bool(
+        np.bincount(slots[slots >= 0], minlength=n).all())
     not_perm = "restriction map is not a permutation"
     report.add("linear_bijection", perm_ok, 0.0 if perm_ok else None,
                None if perm_ok else not_perm)
@@ -903,25 +897,22 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
         report.add("star_preserving", res_star <= tol, res_star,
                    None if s is None else repr(G.arrows[s[0]]))
 
-    res_mod, pair = _hilbert_module_defect(pi, E)
-    report.add("hilbert_module_match", res_mod <= tol, res_mod,
-               None if res_mod <= tol else
-               f"({G.arrows[pair[0]]!r}, {G.arrows[pair[1]]!r})")
+    if perm_ok:
+        res_mod, pair = _hilbert_module_defect(pi, E)
+        report.add("hilbert_module_match", res_mod <= tol, res_mod,
+                   None if res_mod <= tol else
+                   f"({G.arrows[pair[0]]!r}, {G.arrows[pair[1]]!r})")
+    else:
+        report.add("hilbert_module_match", False, None, not_perm)
 
     report.add("isometric", *algebra.isometry_certificate(
         report.cite("linear_bijection", "multiplicative", "star_preserving")
         + _section_hypotheses(sa),
         [("domain", algebra._regular(G)), ("section", sa.space.rep)], tol))
 
-    try:
-        bg = wedderburn(G, seed=seed, tol=tol)
-        be = sa.wedderburn(seed=seed, tol=tol)
-    except NumericalDegeneracy as exc:  # e.g. a non-associative table
-        report.add("wedderburn_equal", False, None, str(exc))
-        return report
-    report.blocks_domain = bg.blocks
-    report.blocks_bundle = be.blocks
-    report.add_wedderburn_equal(bg.blocks, be.blocks)
+    report.blocks_domain, report.blocks_bundle = report.add_wedderburn_equal(
+        lambda: wedderburn(G, seed=seed, tol=tol),
+        lambda: sa.wedderburn(seed=seed, tol=tol))
     return report
 
 
@@ -976,36 +967,32 @@ def _hilbert_module_defect(pi: GroupoidMorphism, E: FellBundle):
     """(largest |coefficient difference| between the unit-fiber part of
     psi(e_g1)* psi(e_g2) and psi of the kernel part of e_g1* e_g2, over
     the pairs of domain arrows with one range, (g1, g2) of that entry or
-    None).
-
-    Both sides are joins of star entries with product entries; pairs
-    whose ranges differ carry no content, since both sides then vanish
-    structurally.
-    """
+    None), for a permutation psi. The section side is the B-valued
+    inner-product tensor (:meth:`~gpdkit.fiberblocks.FiberBlocks.inner`;
+    e_x* e_y lies on a unit fiber exactly when x and y lie over one
+    arrow), the domain side a join of star entries with product entries;
+    pairs whose ranges differ carry no content, since both sides then
+    vanish structurally."""
     G, H = pi.domain, pi.codomain
     rng, slots = G.rng_idx, E.psi_slots
-    # section side: star entry j of e_slot(g1), then product entry q of
-    # its output with e_slot(g2), kept where the product is on a unit fiber
-    T = E.table()
     B = fiber_blocks(E)
-    on_unit = B.is_unit[B.arrow]
-    j, g1 = _join(T.s, slots)
-    k, q = _join(T.t[j], T.a)
-    j, g1 = j[k], g1[k]
-    k, g2 = _join(T.b[q], slots)
-    j, g1, q = j[k], g1[k], q[k]
-    keep = (rng[g1] == rng[g2]) & on_unit[T.c[q]]
-    j, g1, g2, q = j[keep], g1[keep], g2[keep], q[keep]
-    lhs = (g1, g2, T.c[q], T.sw[j] * T.w[q])
-    # domain side: the same join (composable, so the ranges agree), kept
-    # where the product is in the kernel
+    # section side: the domain arrows at the slots of e_x* e_y, over h
+    h, i, j, m, w, _ = B.inner("B")
+    dom = np.empty_like(slots)
+    dom[slots] = np.arange(len(slots))
+    g1, g2 = dom[B.first[h] + i], dom[B.first[h] + j]
+    keep = rng[g1] == rng[g2]
+    lhs = (g1[keep], g2[keep], B.first[B.src[h]][keep] + m[keep], w[keep])
+    # domain side: star entry j of e_g1, then product entry m of its
+    # output with e_g2 (composable, so the ranges agree), kept where the
+    # product is in the kernel
     D = G.table
     in_kernel = H.unit_mask()[pi.image]
     j, m = _join(D.t, D.a)
     keep = in_kernel[D.c[m]]
     j, m = j[keep], m[keep]
     rhs = (D.s[j], D.b[m], slots[D.c[m]], D.sw[j] * D.w[m])
-    return _defect(lhs, rhs, max(T.dim, D.dim))
+    return _defect(lhs, rhs, max(B.table.dim, D.dim))
 
 
 def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
@@ -1018,9 +1005,11 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
     src(U), the inner products are <xi, eta>_B(src h) = xi(h)* eta(h) and
     <xi, eta>_A(rng h) = xi(h) eta(h)*. Checks their positivity, their
     fullness (the target fibers are spanned; this is where saturation
-    enters) as one stacked rank per arrow of the inner-product tensor, and
-    the imprimitivity identity <xi, eta>_A zeta = xi <eta, zeta>_B on every
-    basis triple as one defect of the section table, witness (h=..., e=i,j,k).
+    enters) as one stacked rank per arrow of the inner-product tensor
+    (:meth:`~gpdkit.fiberblocks.FiberBlocks.inner`), and the imprimitivity
+    identity <xi, eta>_A zeta = xi <eta, zeta>_B on every basis triple as
+    one defect of that tensor joined with the products by zeta and by xi,
+    witness (h=..., e=i,j,k).
 
     Positivity is certified on every xi, not sampled, when
     ``axiom_report`` (the :func:`verify_axioms` report of ``E``) and the
@@ -1059,60 +1048,47 @@ def bisection_bimodule_check(E: FellBundle, U, tol: float = 1e-9,
                       for side, target in (("B", B.src[h]), ("A", B.rng[h])))
     report.add("inner_products_positive", res_pos <= tol, res_pos)
 
+    # fullness: one stacked rank per arrow of U. Imprimitivity: (x y*) z =
+    # x (y* z) for basis x, y, z over one arrow h of U (U is a bisection,
+    # so both sides stay over h). Slots are renumbered in the order of U,
+    # so that the first largest entry is the first triple in (h, i, j, k)
+    # order.
     d = B.dims[arrows]
     at = np.full(B.nA, -1)
     at[arrows] = np.arange(len(arrows))
-    for side, target in (("B", B.src), ("A", B.rng)):
+    mine = np.flatnonzero(at[B.arrow] >= 0)
+    slots = mine[np.argsort(at[B.arrow[mine]], kind="stable")]
+    bpos = np.full(T.dim, -1)
+    bpos[slots] = np.arange(len(slots))
+    terms = {}
+    for side, end, by, other in (("B", B.src, T.b, T.a),
+                                 ("A", B.rng, T.a, T.b)):
         ah, i, j, m, w, _ = B.inner(side)
-        e = at[ah] >= 0
+        e = np.flatnonzero(at[ah] >= 0)
         owner = at[ah[e]]
-        dt = B.dims[target[arrows]]
+        dt = B.dims[end[arrows]]
         ranks = stacked_ranks(owner, i[e] * d[owner] + j[e], m[e], w[e],
-                               (d * d, dt), tol)
+                              (d * d, dt), tol)
         short = np.flatnonzero(ranks < dt)
         wit = None if not len(short) else (
             f"inner products over {U.arrows[short[0]]!r} span rank "
             f"{ranks[short[0]]} < {dt[short[0]]}")
         report.add(f"fullness_{side}", wit is None, None, wit)
-
-    # imprimitivity: (x y*) z = x (y* z) for basis x, y, z over one arrow
-    # of U (both sides stay over that arrow, since U is a bisection).
-    # Slots are renumbered in the order of U, so that the first largest
-    # entry is the first triple in (h, i, j, k) order.
-    slots = np.concatenate([B.first[k] + np.arange(B.dims[k])
-                            for k in arrows] + [np.zeros(0, np.int64)])
-    bpos = np.full(T.dim, -1)
-    bpos[slots] = np.arange(len(slots))
-    on = np.flatnonzero(bpos[T.s] >= 0)  # star entries of e_y
-    arrow = B.arrow
-
-    def two_steps(first_by, second_by, first_other, second_other):
-        """Index triples (j, p, q): e_y* has e_t by star entry j; product
-        entry p has e_t at ``first_by`` and its other factor
-        ``first_other`` over the arrow of y; product entry q has e_c(p)
-        at ``second_by`` and ``second_other`` over that arrow too."""
-        j, p = _join(T.t[on], first_by)
-        j = on[j]
-        keep = arrow[first_other[p]] == arrow[T.s[j]]
-        j, p = j[keep], p[keep]
-        k, q = _join(T.c[p], second_by)
-        j, p = j[k], p[k]
-        keep = arrow[second_other[q]] == arrow[T.s[j]]
-        return j[keep], p[keep], q[keep]
-
-    # (x y*) z: p = x y* (e_t second), q = (x y*) z
-    j, p, q = two_steps(T.b, T.a, T.a, T.b)
-    lhs = (bpos[T.a[p]], bpos[T.s[j]], bpos[T.b[q]], T.c[q],
-           T.sw[j] * T.w[p] * T.w[q])
-    # x (y* z): p = y* z (e_t first), q = x (y* z)
-    j, p, q = two_steps(T.a, T.b, T.b, T.a)
-    rhs = (bpos[T.a[q]], bpos[T.s[j]], bpos[T.b[p]], T.c[q],
-           T.sw[j] * T.w[p] * T.w[q])
-    res_imp, triple = _defect(lhs, rhs, max(len(slots), T.dim, 1))
+        # product entries p with the inner product's term at ``by`` and
+        # their other factor over h
+        k, p = _join(B.first[end[ah[e]]] + m[e], by)
+        keep = B.arrow[other[p]] == ah[e[k]]
+        e, p = e[k[keep]], p[keep]
+        left, right = B.first[ah[e]] + i[e], B.first[ah[e]] + j[e]
+        xyz = ((left, right, T.b[p]) if side == "A" else
+               (T.a[p], left, right))
+        terms[side] = (*(bpos[v] for v in xyz), T.c[p], w[e] * T.w[p])
+    res_imp, triple = _defect(terms["A"], terms["B"],
+                              max(len(slots), T.dim, 1))
     wit = None
     if res_imp > tol:
         x, y, z = (int(slots[v]) for v in triple)
-        wit = (f"(h={E.base.arrows[arrow[x]]!r}, "
+        wit = (f"(h={E.base.arrows[B.arrow[x]]!r}, "
                f"e={B.loc[x]},{B.loc[y]},{B.loc[z]})")
     report.add("imprimitivity", res_imp <= tol, res_imp, wit)
     return report

@@ -266,7 +266,8 @@ def cmd_bundle_build(args, report: Report):
     report.extras["fiber_dimensions"] = {h: E.dim(h) for h in E.base.arrows}
     report.add("fiber_dimensions_partition_domain",
                E.total_dim() == len(G.arrows), 0.0)
-    dec = bundle.kernel_decomposition_report(pi, untwisted=not args.cocycle)
+    dec = bundle.kernel_decomposition_report(pi, untwisted=not args.cocycle,
+                                             seed=args.seed, tol=args.tol)
     report.extras["kernel_decomposition"] = dec
     report.add("kernel_direct_sum",
                dec.get("direct_sum_check", dec["dimension_check"]), 0.0)

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _ids, _index, _prefix
-from .algebra import (NumericalDegeneracy, StructureTable, _regular,
-                      groupoid_table, isometry_certificate, wedderburn)
+from .algebra import (StructureTable, _regular, groupoid_table,
+                      isometry_certificate, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
@@ -463,13 +463,7 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
         result.add("wedderburn_equal", False, None,
                    "not checked: cocycle_identity failed")
         return result
-    try:
-        bg = wedderburn(Ggpd, seed=seed, tol=tol)
-        bt = ta.wedderburn(seed=seed, tol=tol)
-    except NumericalDegeneracy as exc:  # a solve that failed its certificate
-        result.add("wedderburn_equal", False, None, str(exc))
-        return result
-    result.blocks_group = bg.blocks
-    result.blocks_twisted = bt.blocks
-    result.add_wedderburn_equal(bg.blocks, bt.blocks)
+    result.blocks_group, result.blocks_twisted = result.add_wedderburn_equal(
+        lambda: wedderburn(Ggpd, seed=seed, tol=tol),
+        lambda: ta.wedderburn(seed=seed, tol=tol))
     return result

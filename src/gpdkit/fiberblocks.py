@@ -92,15 +92,14 @@ class FiberBlocks:
         n_arrows = len(H.arrows)
         self.bundle, self.base, self.table = E, H, T
         self.nA, self.index = n_arrows, H.index
-        self.dims = np.fromiter((E.dim(h) for h in H.arrows), np.int64,
-                                n_arrows)
+        # the slot layout of the bundle: fiber dimension per arrow, the
+        # arrow of each slot, and its first slot and index in the fiber
+        self.dims, self.arrow = E.dims, E.arrow
+        self.first = np.cumsum(self.dims) - self.dims
         self.D = int(self.dims.max(initial=0))
         # arrows, their ends and inverses are the base's arrow indices
         self.src, self.rng, self.inv = H.src_idx, H.rng_idx, H.inv_idx
         self.is_unit = H.unit_mask()
-        # slot -> its arrow and its index in the fiber
-        self.arrow = np.repeat(np.arange(n_arrows), self.dims)
-        self.first = np.cumsum(self.dims) - self.dims
         self.loc = np.arange(T.dim) - self.first[self.arrow]
         # table entries keyed by the arrows of their two factors, and star
         # entries by the arrow of their argument

@@ -138,6 +138,13 @@ def _check_map(table, file, path, keys, key_what, values, value_what):
                          value_what if key_ok[i] else key_what)
 
 
+def _first_repeat(keys) -> int:
+    """The place of the first key equal to an earlier one (there is one)."""
+    first = {}
+    return next(i for i, key in enumerate(keys)
+                if first.setdefault(key, i) != i)
+
+
 def _pairs(items) -> dict:
     """{(x, y): z} of flat triples x, y, z; a repeated (x, y) keeps its
     place and takes the last z."""
@@ -191,12 +198,10 @@ def _parse_groupoid(obj, file, at, declared):
                              f"declared arrows (got {got!r})")
     else:
         pairs = _pairs(items)
-        if len(pairs) < k:  # name the first repeat
-            seen = set()
-            for i, pair in enumerate(zip(items[0::3], items[1::3])):
-                _expect(pair not in seen, file, f"{at}.comp[{i}]",
-                        "no duplicate composable pair")
-                seen.add(pair)
+        if len(pairs) < k:
+            i = _first_repeat(zip(items[0::3], items[1::3]))
+            raise ParseError(file, f"{at}.comp[{i}]",
+                             "no duplicate composable pair")
     _expect(k == len(comp), file, f"{at}.comp[{k}]",
             "a [g1, g2, g12] string triple")
     return (arrows, units, *tables, ids if declared else pairs)
@@ -565,6 +570,9 @@ def load_cocycle(source, groupoid: FiniteGroupoid = None, base_dir=None) -> Cocy
     _expect(k == len(entries), file, f"$.omega[{k}]",
             "a [g1, g2, [re, im]] triple")
     omega = dict(zip(zip(g1, g2), values))
+    if len(omega) < k:
+        raise ParseError(file, f"$.omega[{_first_repeat(zip(g1, g2))}]",
+                         "one value per composable pair")
     _expect(len(omega) == len(groupoid.comp), file, "$.omega",
             "a value on every composable pair")
     return Cocycle(groupoid, omega)

@@ -11,6 +11,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .algebra import NumericalDegeneracy
+
 
 def _format_float(x: float) -> str:
     if x != x:
@@ -119,11 +121,19 @@ class CheckList:
                                        None if residual is None
                                        else float(residual), witness))
 
-    def add_wedderburn_equal(self, blocks_a: tuple, blocks_b: tuple):
-        """The check "wedderburn_equal": two block-size tuples agree."""
-        same = blocks_a == blocks_b
-        self.add("wedderburn_equal", same, 0.0 if same else None,
-                 None if same else f"{blocks_a} != {blocks_b}")
+    def add_wedderburn_equal(self, solve_a, solve_b) -> tuple:
+        """The check "wedderburn_equal": the block sizes of two Wedderburn
+        solves (calls with no arguments, in this order) agree. A solve that
+        fails its certificate (NumericalDegeneracy) fails the check with
+        its message as witness. Returns both blocks, or (None, None)."""
+        try:
+            a, b = solve_a().blocks, solve_b().blocks
+        except NumericalDegeneracy as exc:
+            self.add("wedderburn_equal", False, None, str(exc))
+            return None, None
+        self.add("wedderburn_equal", a == b, 0.0 if a == b else None,
+                 None if a == b else f"{a} != {b}")
+        return a, b
 
     def entry(self, name) -> CheckEntry:
         for e in self.entries:

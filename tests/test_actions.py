@@ -109,6 +109,28 @@ class TestCocycles:
         with pytest.raises(gk.CocycleIdentityFailure):
             gk.cocycle_check(gk.Cocycle(z3, table))
 
+    @pytest.mark.parametrize("build", [
+        gk.twisted_algebra, gk.line_bundle,
+        lambda G, om: gk.build_bundle(corpus.identity_morphism(G), twist=om)],
+        ids=["twisted_algebra", "line_bundle", "build_bundle"])
+    @pytest.mark.parametrize("case", ["missing", "stray"])
+    def test_incomplete_or_stray_cocycle_is_refused(self, z3, build, case):
+        # missing: two pairs, listed against composable_pairs order, whose
+        # first in that order is the witness; stray: a key that is no
+        # composable pair, whose value 5 would count in modulus_residual
+        table = dict(reversed(gk.trivial_cocycle(z3).omega.items()))
+        if case == "missing":
+            del table[("g1", "g2")], table[("g2", "g1")]
+            pair, message = ("g2", "g1"), "cocycle missing on pair {!r}"
+        else:
+            table[("g1", "zz")] = 5
+            pair = ("g1", "zz")
+            message = "cocycle defined on {!r}, not a composable pair"
+        with pytest.raises(gk.CocycleIdentityFailure) as exc:
+            build(z3, gk.Cocycle(z3, table))
+        assert str(exc.value) == message.format(pair)
+        assert exc.value.witness == pair
+
 
 class TestTwistedAlgebra:
     def test_trivial_twist_matches_plain_algebra(self, heis3):

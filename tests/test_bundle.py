@@ -20,6 +20,12 @@ from oracles import (DenseSectionSpace, DenseUnitFiber, bundle_from,
                      table_arrays)
 
 
+def _place(E, g):
+    """(base arrow, index in its fiber) of the basis vector labelled g."""
+    return next((h, basis.index(g)) for h, basis in E.fibers.items()
+                if g in basis)
+
+
 @pytest.fixture(scope="module")
 def heis3_bundle(heis3_quotient):
     return gk.build_bundle(heis3_quotient)
@@ -77,11 +83,11 @@ class TestFiberOps:
         E = heis3_bundle
         G = heis3_quotient.domain
         for (g1, g2), g12 in G.comp.items():
-            h1, i = E.position[g1]
-            h2, j = E.position[g2]
+            h1, i = _place(E, g1)
+            h2, j = _place(E, g2)
             out = gk.fiber_mul(FiberElement.basis(E, h1, i),
                                FiberElement.basis(E, h2, j))
-            h12, k = E.position[g12]
+            h12, k = _place(E, g12)
             assert out.arrow == h12
             expected = np.zeros(E.dim(h12))
             expected[k] = 1.0
@@ -363,8 +369,8 @@ class TestPsiNegativeControls:
         H = E.base
         g1, g2 = next(
             (g1, g2) for g1, g2 in G.comp
-            if not {E.position[g1][0], E.position[g2][0],
-                    E.position[G.comp[(g1, g2)]][0]} & set(H.units))
+            if not {_place(E, g1)[0], _place(E, g2)[0],
+                    _place(E, G.comp[(g1, g2)])[0]} & set(H.units))
         arrays = table_arrays(E)
         a, b = E.psi_slots[G.index[g1]], E.psi_slots[G.index[g2]]
         arrays["w"][(arrays["a"] == a) & (arrays["b"] == b)] *= 1.5
@@ -384,7 +390,7 @@ class TestPsiNegativeControls:
         E = heis3_bundle
         G = heis3_quotient.domain
         g = next(g for g in G.arrows
-                 if not E.base.is_unit(E.position[g][0]))
+                 if not E.base.is_unit(_place(E, g)[0]))
         arrays = table_arrays(E)
         arrays["sw"][arrays["s"] == E.psi_slots[G.index[g]]] *= np.exp(0.3j)
         broken = bundle_from(E, arrays, morphism=heis3_quotient)
@@ -396,6 +402,24 @@ class TestPsiNegativeControls:
         assert entry.residual == pytest.approx(abs(np.exp(0.3j) - 1))
         assert entry.witness == repr(g)
         assert iso.entry("multiplicative").passed
+
+    def test_fibers_that_repeat_a_label_fail_linear_bijection(
+            self, heis3_quotient, heis3_bundle):
+        # the fiber over h lists its second arrow twice and its first one
+        # not at all; the table, and so the axioms, are those of E
+        E = heis3_bundle
+        h = E.base.arrows[1]
+        fibers = dict(E.fibers)
+        fibers[h] = (fibers[h][1], *fibers[h][1:])
+        F = gk.FellBundle(E.base, fibers, E.table(), morphism=heis3_quotient)
+        assert F.psi_slots[heis3_quotient.domain.index[E.fibers[h][0]]] == -1
+        iso = gk.psi_iso_check(heis3_quotient, bundle=F)
+        not_perm = "restriction map is not a permutation"
+        for name in ("linear_bijection", "multiplicative", "star_preserving",
+                     "hilbert_module_match", "isometric"):
+            entry = iso.entry(name)
+            assert not entry.passed and entry.witness.endswith(not_perm)
+        assert iso.entry("wedderburn_equal").passed
 
     @pytest.mark.parametrize("k", [3, -1])
     def test_out_of_range_mul_index_fails_axiom1(self, heis3_bundle, k):

@@ -478,6 +478,57 @@ class TestCli:
         assert code == 2
         assert "expected" in err
 
+    def test_bundle_build_solves_kernel_blocks_at_seed_and_tol(
+            self, capsys, monkeypatch):
+        import gpdkit.bundle as gbundle
+        calls = []
+        solve = gbundle.wedderburn
+
+        def spy(obj, *, seed=0, tol=1e-9):
+            calls.append((seed, tol))
+            return solve(obj, seed=seed, tol=tol)
+        monkeypatch.setattr(gbundle, "wedderburn", spy)
+        code, _, _ = run_cli(["bundle", "build", "--morphism",
+                              corpus.data_path("heis2_quotient.morphism.json"),
+                              "--seed", "7", "--tol", "1e-7"], capsys)
+        assert code == 0
+        assert len(calls) > 1 and set(calls) == {(7, 1e-7)}
+
+    def test_abelian_extract_admits_its_bundle_at_seed(self, capsys,
+                                                       monkeypatch):
+        import gpdkit.bundle as gbundle
+        seeds = []
+        verify = gbundle.verify_axioms
+
+        def spy(E, tol=1e-9, samples=100, seed=0):
+            seeds.append(seed)
+            return verify(E, tol=tol, samples=samples, seed=seed)
+        monkeypatch.setattr(gbundle, "verify_axioms", spy)
+        code, _, _ = run_cli(["abelian", "extract", "--morphism",
+                              corpus.data_path("flip_covering.morphism.json"),
+                              "--seed", "5"], capsys)
+        assert code == 0 and seeds == [5]
+
+    def test_failed_extraction_solve_keeps_the_report(self, capsys,
+                                                      monkeypatch):
+        from gpdkit.actions import TwistedConvolutionAlgebra
+        argv = ["abelian", "extract", "--morphism",
+                corpus.data_path("flip_covering.morphism.json")]
+        _, out, _ = run_cli(argv, capsys)
+        names = [c["name"] for c in json.loads(out)["checks"]]
+
+        def fail(self, seed=0, tol=1e-9):
+            raise gk.NumericalDegeneracy("central element has a cluster")
+        monkeypatch.setattr(TwistedConvolutionAlgebra, "wedderburn", fail)
+        code, out, _ = run_cli(argv, capsys)
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 1 and list(checks) == names
+        assert checks["wedderburn_equal"] == {
+            "name": "wedderburn_equal", "pass": False, "residual": None,
+            "witness": "central element has a cluster"}
+        assert all(c["pass"] for n, c in checks.items()
+                   if n != "wedderburn_equal")
+
     def test_alg_wedderburn_with_element(self, tmp_path, capsys):
         z3 = corpus.cyclic_groupoid(3)
         path = tmp_path / "f.json"
@@ -699,6 +750,28 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert err == (f"input error: {path}: at $.comp[6]: expected no "
                        "duplicate composable pair\n")
+
+    @pytest.mark.parametrize("value", [[-1.0, 0.0], [1.0, 0.0]],
+                             ids=["minus-one", "same-value"])
+    def test_repeated_cocycle_pair_exits_2(self, value, tmp_path, capsys):
+        # every composable pair of Z2 x Z2 listed, and ((0,1), (1,0)) once
+        # more: the repeat is refused whatever its value, rather than the
+        # last value kept
+        G = corpus.zn_square_groupoid(2)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(canonical_json(gio.save_morphism(
+            corpus.identity_morphism(G))))
+        obj = gio.save_cocycle(gk.trivial_cocycle(G))
+        assert obj["omega"][6][:2] == ["(0,1)", "(1,0)"]
+        obj["omega"].insert(8, ["(0,1)", "(1,0)", value])
+        cpath = tmp_path / "c.json"
+        cpath.write_text(canonical_json(obj))
+        code, out, err = run_cli(["bundle", "verify", "--morphism",
+                                  str(mpath), "--cocycle", str(cpath)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == (f"input error: {cpath}: at $.omega[8]: expected one "
+                       "value per composable pair\n")
 
     @staticmethod
     def _huge_value_inputs(tmp_path):
