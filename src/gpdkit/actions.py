@@ -397,9 +397,16 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     algebra of the result is compared with the section algebra blockwise,
     and the basis map U (``basis_map``: the column of arrow (h, x) is its
     gauged line vector in the slots over h) is certified as an isometric
-    *-isomorphism onto the section algebra: its multiplicative and star
-    defects between the twisted table and the section table over every
-    basis pair (or arrow), and its isometry on every element by
+    *-isomorphism onto the section algebra: its star defect between the
+    twisted table and the section table over every arrow, its
+    multiplicative defect over the pairs (x, g) with g in the generating
+    set the twisted table keeps of its untwisted pattern (both tables
+    are associative, by ``cocycle_identity`` and by the pre-check of
+    axiom 3, and the weights are cocycle values, so nonzero; by
+    induction on the word of y that decides every pair, and a failing
+    generator, or a table below one pass of triples, takes the scan over
+    every basis pair: :meth:`~gpdkit.algebra.StructureTable.hom_defect`),
+    and its isometry on every element by
     :func:`~gpdkit.algebra.isometry_certificate` (Murphy 1990, Thm 3.1.5),
     from those defects, the smallest singular value of U (bijective), the
     associativity of both tables (``cocycle_identity`` and the section
@@ -599,7 +606,10 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
         vec = line[(h, x)].vec
         U[E.first[h]:E.first[h] + vec.size, G2.index[gid]] = vec
     result.basis_map = U
-    res_mul, pair = ta.table.hom_defect(E.table(), U)
+    # both tables are associative (cocycle_identity, the check above), so
+    # the generators of the twisted table's pattern decide
+    res_mul, pair = ta.table.hom_defect(E.table(), U, ta.table.generators,
+                                        1e-8)
     result.add("basis_map_multiplicative", res_mul <= 1e-8, res_mul,
                None if res_mul <= 1e-8 else
                f"({G2.arrows[pair[0]]!r}, {G2.arrows[pair[1]]!r})")

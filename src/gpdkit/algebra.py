@@ -53,6 +53,10 @@ injective *-homomorphism between C*-algebras is isometric (Murphy 1990,
 is a bijective *-homomorphism and that each norm is taken in a faithful
 *-representation, which :meth:`RegularRepresentation.star_defect` and
 :meth:`RegularRepresentation.slice_margin` measure on the block entries.
+That the map is multiplicative is read from the generating set a table
+keeps from its associativity check, as in Light's test: with both tables
+associative, U(x g) = U(x) U(g) for every x and every generator g gives
+every pair (:meth:`StructureTable.hom_defect`).
 """
 
 from __future__ import annotations
@@ -194,9 +198,13 @@ class StructureTable:
     e_a[i] e_b[i] contributes w[i] e_c[i]; e_s[i]* contributes sw[i] e_t[i]
     (the star is conjugate-linear in the coefficients). The arrays are
     read-only, since one table may be shared by every user of its algebra;
-    so its associativity defect is kept on it once taken (with the
-    ``generators`` of Light's test when that ran), and so are its
-    Wedderburn solves (``solved``, per seed and tol).
+    so its associativity defect is kept on it once taken, and so are its
+    Wedderburn solves (``solved``, per seed and tol). A gathered defect of
+    more than one pass of triples also keeps ``generators``: a set S of
+    which every basis element is a product ((g1 g2) ...) gk, read from
+    the pattern of the table (:func:`_generating_set`), so that a twisted
+    table has those of its untwisted groupoid table. Light's test and
+    :meth:`hom_defect` scan only the pairs with a factor in S.
     """
 
     __slots__ = ("dim", "a", "b", "c", "w", "s", "t", "sw", "_assoc",
@@ -244,7 +252,8 @@ class StructureTable:
         return _scatter((self.a * n + self.c) * n + self.b, self.w,
                         n ** 3).reshape(n, n, n)
 
-    def hom_defect(self, other: "StructureTable", U):
+    def hom_defect(self, other: "StructureTable", U, generators=None,
+                   tol: float = 0.0):
         """(max |coefficient difference| between U(e_a e_b) and
         U(e_a) U(e_b) over all basis pairs, (a, b) of that entry or None),
         for the linear map U into the algebra of ``other`` whose column j
@@ -254,9 +263,27 @@ class StructureTable:
         _TRIPLES_PER_PASS terms, keeping the first strict improvement:
         every term of one entry has the same a, and a pass lists its terms
         in the order of the whole, so residual and witness are those of a
-        single pass."""
+        single pass.
+
+        With ``generators``, a set S of which every basis element is a
+        product ((g1 g2) ...) gk in this table (:attr:`generators`), only
+        the pairs (x, g) with g in S are scanned first, over every x,
+        composable or not (:meth:`_generator_hom_defect`), and a residual
+        of at most ``tol`` there is the result. That decides every pair
+        when both tables are associative, which the caller certifies, and
+        every weight here is nonzero: for y = y' g with e_y' e_g = l e_y,
+        l != 0, by induction on the word of y, l U(e_x e_y) =
+        U((e_x e_y') e_g) = U(e_x e_y') U(e_g) = U(e_x) U(e_y') U(e_g) =
+        l U(e_x) U(e_y), the map analogue of Light's test (module
+        docstring). A larger residual takes the full scan, whose residual
+        and witness are returned."""
         rows, cols = np.nonzero(U)
         vals = U[rows, cols]
+        if generators is not None and np.all(self.w != 0):
+            res = self._generator_hom_defect(other, rows, cols, vals,
+                                             generators)
+            if res[0] <= tol:
+                return res
         by_a = np.argsort(self.a, kind="stable")
         by_col = np.argsort(cols, kind="stable")
         # terms per first factor a: U(e_a e_b), then U(e_a) U(e_b)
@@ -289,6 +316,51 @@ class StructureTable:
                            self.w[i] * vals[j]),
                           (cols[m], cols[q], other.c[p],
                            vals[m] * vals[q] * other.w[p]),
+                          max(self.dim, other.dim))
+            if res[0] > best[0]:
+                best = res
+        return best
+
+    def _generator_hom_defect(self, other, rows, cols, vals, gens):
+        """:meth:`hom_defect` over the pairs (x, g), g in ``gens``, for U
+        given by its nonzero entries (rows, cols, vals): in passes over
+        consecutive ranges of gens, each of about _TRIPLES_PER_PASS terms,
+        keeping the first strict improvement. Every term of one entry has
+        the same g, so residual and witness are those of a single pass."""
+        is_gen = np.zeros(self.dim, dtype=bool)
+        is_gen[gens] = True
+        i = np.flatnonzero(is_gen[self.b])  # table entries e_x e_g
+        q = np.flatnonzero(is_gen[cols])  # U entries of generator columns
+        touched = np.zeros(other.dim, dtype=bool)
+        touched[rows[q]] = True
+        p = np.flatnonzero(touched[other.b])  # e_P e_Q, Q a row of those
+        # terms per generator: U(e_x e_g), then U(e_x) U(e_g)
+        per_q = np.bincount(other.b[p], np.bincount(
+            rows, minlength=other.dim)[other.a[p]], other.dim)
+        load = (np.bincount(self.b[i], np.bincount(
+            cols, minlength=self.dim)[self.c[i]], self.dim)
+            + np.bincount(cols[q], per_q[rows[q]], self.dim))[gens]
+        part = np.zeros(self.dim, np.int64)
+        part[gens] = np.cumsum(load) // _TRIPLES_PER_PASS
+        by_col = np.argsort(cols, kind="stable")
+        by_row = np.argsort(rows, kind="stable")
+        best = (0.0, None)
+        for k in np.flatnonzero(np.bincount(part[gens])):
+            # entry e makes e_c, U maps e_c by entry j
+            e = i[part[self.b[i]] == k]
+            x, j = _join(self.c[e], cols, by_col)
+            e = e[x]
+            # U entry n in a generator column of this pass, in row Q;
+            # entry t multiplies e_P e_Q; U entry m lies in row P
+            n = q[part[cols[q]] == k]
+            t, y = _join(other.b[p], rows[n])
+            t, n = p[t], n[y]
+            z, m = _join(other.a[t], rows, by_row)
+            t, n = t[z], n[z]
+            res = _defect((self.a[e], self.b[e], rows[j],
+                           self.w[e] * vals[j]),
+                          (cols[m], cols[n], other.c[t],
+                           vals[m] * vals[n] * other.w[t]),
                           max(self.dim, other.dim))
             if res[0] > best[0]:
                 best = res
@@ -374,11 +446,13 @@ class StructureTable:
                             (int(A[qa]), int(B[qa]), int(B[bk[t]])))
             return best
 
-        if ones and width[B].sum() > _TRIPLES_PER_PASS:  # Light's test
+        if width[B].sum() > _TRIPLES_PER_PASS:
+            # generators of the pattern, shared with the untwisted table
             self.generators = _generating_set(r, s, off, rpos, P)
-            light = scan(np.flatnonzero(np.isin(B, self.generators)))
-            if light[0] == 0.0:
-                return light
+            if ones:  # Light's test
+                light = scan(np.flatnonzero(np.isin(B, self.generators)))
+                if light[0] == 0.0:
+                    return light
         return scan(np.arange(len(B)))
 
     def _sorted_associativity_defect(self):
@@ -652,8 +726,11 @@ class RegularRepresentation:
         is the 1 x 1 coefficient of e_h in e_h e_s(h), and together they
         are the slice of :func:`faithfulness_defect`. The cut is the
         threshold that ``matrix_rank`` applies to the whole (dim, dim^2)
-        stack, taken with sigma_max <= sum |w|. One batched SVD per slice
-        shape and chunk."""
+        stack, taken with sigma_max <= sum |w|. A slice has at least as
+        many columns as rows, so when no column of any slice holds two
+        entries (an exact integer test) S S* is diagonal and sigma_min is
+        the smallest row norm of the slice; otherwise one batched SVD per
+        slice shape and chunk."""
         if self._margin is None:
             H, over, n = self.base, self.over, self.table.dim
             a, rows, cols, w = self.entries
@@ -663,11 +740,18 @@ class RegularRepresentation:
             on = np.flatnonzero(over[cols] == H.src_idx[over[rows]])
             a, rows, cols, w = a[on], rows[on], cols[on], w[on]
             h, du = over[rows], dims[H.src_idx]
-            sigma = np.zeros(len(dims))
-            for owners, s in stacked_singular_values(
-                    h, loc[a], loc[rows] * du[h] + loc[cols], w,
-                    (dims, dims * du)):
-                sigma[owners] = s[:, -1]
+            col = np.sort(rows * n + cols)  # slice columns: (row, col)
+            if np.all(col[1:] != col[:-1]):
+                own = over[a] == h  # the row norms of basis elements
+                sigma = np.full(len(dims), np.inf)
+                np.minimum.at(sigma, over, np.sqrt(np.bincount(
+                    a[own], np.abs(w[own]) ** 2, n)))
+            else:
+                sigma = np.zeros(len(dims))
+                for owners, s in stacked_singular_values(
+                        h, loc[a], loc[rows] * du[h] + loc[cols], w,
+                        (dims, dims * du)):
+                    sigma[owners] = s[:, -1]
             sigma[h[over[a] != h]] = 0.0
             live = np.flatnonzero(dims > 0)
             k = int(live[np.argmin(sigma[live])]) if len(live) else None

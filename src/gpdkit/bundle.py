@@ -309,12 +309,17 @@ def _arrow_table(G: FiniteGroupoid, slots, over, twist,
     pairs), and e_g* is conj(twist(g, inv g)) e_{inv g}. Products are
     listed by the pair (over[g2], over[g1]) of their factors, composition
     order within a pair, and star entries by slot; ``table`` is the
-    twisted table of ``twist``, built here unless given."""
+    twisted table of ``twist``, built here unless given. A mapping is
+    checked as a :class:`~gpdkit.actions.Cocycle` first, which names the
+    first composable pair it misses."""
+    from .actions import Cocycle  # actions imports this module
     D = G.table
     if twist is None:
         w, sw = D.w, D.sw
     else:
-        omega = getattr(twist, "omega", twist)
+        if not isinstance(twist, Cocycle):
+            twist = Cocycle(G, twist)
+        omega = twist.omega
         w = (table or groupoid_table(G, omega)).w
         sw = np.conj([omega[p] for p in zip(G.arrows, G.inv.values())])
     m = np.lexsort((over[D.a], over[D.b]))
@@ -386,8 +391,11 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
     Axioms 1 and 5 range-check every table entry (on failure the rest is
     not checked); 3, 7 and 8 are identities of the section table over every
     basis tuple (residual: the largest coefficient difference, witness: its
-    basis tuple; axiom 3 of a table that is the domain's moved by psi is
-    the domain's, :func:`_associativity_defect`); 2 and 6 run on up to 25
+    basis tuple; on a table that is the domain's moved by psi, axiom 3 is
+    the domain's, :func:`_associativity_defect`, and axioms 7 and 8 are the
+    domain's exact integer identities inv(inv(g)) = g and inv(ab) =
+    inv(b) inv(a), :func:`_star_defects`, each scanned on the section
+    table when it fails); 2 and 6 run on up to 25
     random draws in one stacked product and one stacked star (witness: the
     base arrows of the worst draw). Saturation is a rank condition per composable pair. Failures are
     report entries, never exceptions.
@@ -460,11 +468,11 @@ def verify_axioms(E: FellBundle, tol: float = 1e-9, samples: int = 100,
         rep.add(name, res <= tol, res, form.format(*pair) if res > tol
                 else None)
 
-    table = E.table()
+    involutive, antimultiplicative = _star_defects(E)
     for name, (res, slots), form in (
             ("axiom3_associative", _associativity_defect(E), "(h={} e={})"),
-            ("axiom7_involutive", table.involution_defect(), "(h={}, e={})"),
-            ("axiom8_antimultiplicative", table.antimultiplicative_defect(),
+            ("axiom7_involutive", involutive, "(h={}, e={})"),
+            ("axiom8_antimultiplicative", antimultiplicative,
              "(h={} e={})")):
         rep.add(name, res <= tol, res,
                 _slot_witness(E, slots, form) if res > tol else None)
@@ -505,6 +513,31 @@ def _associativity_defect(E: FellBundle):
     if E.moved() and E.morphism.domain.table.associativity_defect()[0] == 0.0:
         return E.morphism.domain.table.associativity_defect()
     return T.associativity_defect()
+
+
+def _star_defects(E: FellBundle) -> tuple:
+    """Axioms 7 and 8 of ``E``: the involution and antimultiplicative
+    defects of its section table, or (0.0, None) for each that its domain
+    satisfies as an exact integer identity when the section table is the
+    domain's moved (:meth:`FellBundle.moved`). That table is the domain's
+    groupoid table e_g* = e_inv(g), e_a e_b = e_ab with its basis
+    relabelled, and a relabelling keeps both defects. Axiom 7 is then
+    inv(inv(g)) = g over the arrows, and axiom 8, with axiom 7, is inv(ab)
+    = inv(b) inv(a) over the table entries (the composable pairs of inv(b),
+    inv(a) are then those of a, b), one gather through ``compose_ids``. A
+    failing identity is scanned on the section table, for its residual and
+    witness."""
+    T = E.table()
+    involutive = antimultiplicative = False
+    if E.moved():
+        G = E.morphism.domain
+        inv, D = G.inv_idx, G.table
+        involutive = np.array_equal(inv[inv], np.arange(len(inv)))
+        antimultiplicative = involutive and np.array_equal(
+            G.compose_ids(inv[D.b], inv[D.a]), inv[D.c])
+    return ((0.0, None) if involutive else T.involution_defect(),
+            (0.0, None) if antimultiplicative
+            else T.antimultiplicative_defect())
 
 
 def _moved(D: StructureTable, T: StructureTable, slots) -> bool:
@@ -850,9 +883,15 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     (:meth:`FellBundle.moved`), U carries every entry of one table onto
     the other: multiplicativity and the star property hold exactly
     (residual 0.0), and the section blocks are the domain's. Otherwise
-    they are the defects of U between the two tables over every basis
-    pair (or arrow), with the largest coefficient difference as residual
-    and its basis pair (or arrow) as witness. The Hilbert-module check
+    they are the defects of U between the two tables, with the largest
+    coefficient difference as residual and its basis pair (or arrow) as
+    witness: the star defect over every arrow, the multiplicative one
+    over the pairs (x, g) with g in the generating set the domain's table
+    kept from its associativity check
+    (:meth:`~gpdkit.algebra.StructureTable.hom_defect`; both tables are
+    associative, the domain's with defect 0.0 and the section table by
+    axiom 3 of the admission), and over every basis pair when a generator
+    fails or the domain keeps none. The Hilbert-module check
     compares the expectation of psi(e_g1)* psi(e_g2) with psi of the
     kernel part of e_g1* e_g2 over every pair of arrows with one range, as
     one defect of the two tables (:func:`_hilbert_module_defect`), and
@@ -888,8 +927,13 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     else:
         U = np.zeros((E.total_dim(), len(G.arrows)))
         U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
+        # generators decide multiplicativity when the domain's table is
+        # associative; the section table is, by axiom 3 of the admission
         domain = groupoid_table(G)
-        res_mul, pair = domain.hom_defect(E.table(), U)
+        gens = domain.generators
+        if gens is not None and domain.associativity_defect()[0] != 0.0:
+            gens = None
+        res_mul, pair = domain.hom_defect(E.table(), U, gens, tol)
         report.add("multiplicative", res_mul <= tol, res_mul, None
                    if pair is None else
                    f"({G.arrows[pair[0]]!r}, {G.arrows[pair[1]]!r})")

@@ -359,6 +359,27 @@ class ExtensionBundleResult(CheckList):
     basis_map: Optional[np.ndarray] = None  # group basis -> twisted basis
 
 
+def coset_bijectivity(U, rows, cols):
+    """(passed, residual, witness) of ``basis_map_bijective`` for a square
+    U whose entries all lie in the K x K blocks U_h = U[rows[h]][:,
+    cols[h]], one per coset h, and whose block entries are character
+    values (h.chi_k)(a_j) over the K kernel elements a_j. The characters
+    of the kernel are orthogonal, so U_h U_h* = K I and every block is
+    invertible; the residual is the largest relative defect |U_h U_h* -
+    K I| / K over the block entries. A defect above 1e-8 takes numpy's
+    ``matrix_rank`` of the whole U instead, with its rank as the
+    decision."""
+    K = rows.shape[1]
+    block = U[rows[:, :, None], cols[:, None, :]]
+    gram = block @ block.conj().transpose(0, 2, 1)
+    defect = float(np.abs(gram - K * np.eye(K)).max(initial=0.0)) / K
+    if defect <= 1e-8:
+        return True, defect, None
+    n, rank = U.shape[1], int(np.linalg.matrix_rank(U))
+    return (rank == n == U.shape[0], 0.0 if rank == n else None,
+            None if rank == n else f"rank {rank} of {n}")
+
+
 def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
                            seed: int = 0) -> ExtensionBundleResult:
     """The twisted action groupoid of an extension, with the certified
@@ -367,14 +388,23 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
     Builds the dual action of the quotient on the kernel characters, the
     factor set of the section, and the cocycle; then checks the basis map
     U (``basis_map``): delta_g -> sum over chi of (h.chi)(a)
-    delta_{(h, chi)} (for g = a c(h)) to be a bijective (rank),
-    multiplicative and star-preserving (defects between the group table
-    and the twisted table over every basis pair or element) map onto the
-    twisted algebra, and isometric on every element by
+    delta_{(h, chi)} (for g = a c(h)) to be a bijective, multiplicative
+    and star-preserving map onto the twisted algebra, and isometric on
+    every element by
     :func:`~gpdkit.algebra.isometry_certificate` (Murphy 1990, Thm 3.1.5):
     from those three checks, the associativity of the group table and of
     the twisted table (``cocycle_identity``) and the faithful
-    *-representations of both tables. Compares block invariants, which
+    *-representations of both tables. U is block-diagonal by coset, and
+    bijectivity is U_h U_h* = K I on each K x K block by character
+    orthogonality (:func:`coset_bijectivity`). The star defect is taken
+    over every element; the multiplicative one over the pairs (x, g) with
+    g in the generating set S the group table kept from its
+    associativity check, when ``cocycle_identity`` makes the twisted
+    table associative too: by induction on the word of y that decides
+    every pair (:meth:`~gpdkit.algebra.StructureTable.hom_defect`). A
+    group below one pass of triples keeps no S, and a failing generator
+    or cocycle identity takes the scan over every basis pair, whose
+    residual and witness are reported. Compares block invariants, which
     are not checked when the cocycle fails its identity.
     """
     G, A, Q = ext.group, ext.kernel, ext.quotient
@@ -440,13 +470,15 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
     U[arrow_of[hg], np.arange(n)[:, None]] = values[act_rows[hg], a[:, None]]
 
     result.basis_map = U
-    rank = int(np.linalg.matrix_rank(U))
-    result.add("basis_map_bijective", rank == n == narr,
-               0.0 if rank == n else None,
-               None if rank == n else f"rank {rank} of {n}")
+    result.add("basis_map_bijective", *coset_bijectivity(
+        U, arrow_of, np.argsort(hg, kind="stable").reshape(len(Q), -1)))
 
+    # the generators of the group table decide multiplicativity when the
+    # twisted table is associative too
     domain = groupoid_table(Ggpd)
-    res_mul, pair = domain.hom_defect(ta.table, U)
+    res_mul, pair = domain.hom_defect(
+        ta.table, U, domain.generators
+        if result.entry("cocycle_identity").passed else None, 1e-8)
     result.add("basis_map_multiplicative", res_mul <= 1e-8, res_mul,
                None if pair is None else
                f"({G.elements[pair[0]]!r}, {G.elements[pair[1]]!r})")

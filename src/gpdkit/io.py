@@ -145,10 +145,14 @@ def _first_repeat(keys) -> int:
                 if first.setdefault(key, i) != i)
 
 
-def _pairs(items) -> dict:
-    """{(x, y): z} of flat triples x, y, z; a repeated (x, y) keeps its
-    place and takes the last z."""
-    return dict(zip(zip(items[0::3], items[1::3]), items[2::3]))
+def _pairs(items, file, path, what) -> dict:
+    """{(x, y): z} of flat triples x, y, z, listed at ``path``;
+    ParseError expecting ``what`` at the first (x, y) that repeats."""
+    pairs = dict(zip(zip(items[0::3], items[1::3]), items[2::3]))
+    if 3 * len(pairs) < len(items):
+        i = _first_repeat(zip(items[0::3], items[1::3]))
+        raise ParseError(file, f"{path}[{i}]", what)
+    return pairs
 
 
 def _as_complex(obj, file, path) -> complex:
@@ -197,11 +201,8 @@ def _parse_groupoid(obj, file, at, declared):
             raise ParseError(file, f"{at}.comp[{i}]",
                              f"declared arrows (got {got!r})")
     else:
-        pairs = _pairs(items)
-        if len(pairs) < k:
-            i = _first_repeat(zip(items[0::3], items[1::3]))
-            raise ParseError(file, f"{at}.comp[{i}]",
-                             "no duplicate composable pair")
+        pairs = _pairs(items, file, f"{at}.comp",
+                       "no duplicate composable pair")
     _expect(k == len(comp), file, f"{at}.comp[{k}]",
             "a [g1, g2, g12] string triple")
     return (arrows, units, *tables, ids if declared else pairs)
@@ -479,7 +480,7 @@ def load_group(source, base_dir=None):
         raise ParseError(file, f"$.mul[{i}]", f"declared elements (got {got!r})")
     _expect(k == len(entries), file, f"$.mul[{k}]",
             "an [a, b, ab] string triple")
-    mul = _pairs(items)
+    mul = _pairs(items, file, "$.mul", "one product per pair")
     kernel = _as_str_list(obj.get("kernel", []), file, "$.kernel")
     i = _prefix(_known(kernel, eset))
     _expect(i == len(kernel), file, f"$.kernel[{i}]", "a declared element")
@@ -521,7 +522,8 @@ def load_action(source, base_dir=None) -> GroupoidAction:
         raise ParseError(file, f"$.act[{i}]", "declared points")
     _expect(k == len(entries), file, f"$.act[{k}]",
             "an [h, x, hx] string triple")
-    return GroupoidAction(H, points, rho, _pairs(items))
+    return GroupoidAction(H, points, rho, _pairs(
+        items, file, "$.act", "one image per (arrow, point) pair"))
 
 
 def save_action(a: GroupoidAction, groupoid_ref=None) -> dict:

@@ -657,6 +657,35 @@ def dense_faithfulness_defect(G):
     return n - int(np.linalg.matrix_rank(table.left_stack().reshape(n, -1)))
 
 
+def svd_slice_margins(rep):
+    """Smallest singular value of the unit-column slice of every arrow of
+    ``rep.base`` with a nonempty fiber (0.0 where an entry of another
+    arrow lands in it), each slice built as a dense matrix and passed to
+    one SVD: the reading of ``RegularRepresentation.slice_margin`` with no
+    shortcut."""
+    H, over = rep.base, rep.over
+    a, rows, cols, w = rep.entries
+    out = {}
+    for h in np.flatnonzero(np.bincount(over, minlength=len(H.arrows))):
+        mine = np.flatnonzero(over == h)
+        unit = np.flatnonzero(over == H.src_idx[h])
+        if not len(unit):
+            out[int(h)] = 0.0
+            continue
+        S = np.zeros((len(mine), len(mine) * len(unit)), complex)
+        for k in np.flatnonzero((over[rows] == h) & (over[cols] ==
+                                                     H.src_idx[h])):
+            if over[a[k]] != h:
+                out[int(h)] = 0.0
+                break
+            r, c = (int(np.searchsorted(v, x)) for v, x in
+                    ((mine, rows[k]), (unit, cols[k])))
+            S[np.searchsorted(mine, a[k]), r * len(unit) + c] += w[k]
+        else:
+            out[int(h)] = float(np.linalg.svd(S, compute_uv=False)[-1])
+    return out
+
+
 def dense_center_basis(table, tol=1e-9):
     """Orthonormal rows spanning the center of the algebra of ``table``:
     the null space of x -> [x, e_b] over every basis element b, from the

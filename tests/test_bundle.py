@@ -253,6 +253,20 @@ class TestAxioms:
         assert rep.axioms_pass and rep.saturated
         assert all(L.dim(h) == 1 for h in L.base.arrows)
 
+    @pytest.mark.parametrize("build", [
+        lambda G, w: gk.line_bundle(G, w),
+        lambda G, w: gk.build_bundle(corpus.identity_morphism(G), w)])
+    def test_plain_mapping_twist_is_checked_as_a_cocycle(self, z3, build):
+        # a mapping that misses a composable pair names it, as a Cocycle
+        # does, rather than ending in a KeyError of the table build
+        weights = dict.fromkeys(z3.composable_pairs(), 1.0)
+        assert build(z3, dict(weights)).table().w.tolist() == [1.0] * 9
+        del weights[("g1", "g2")]
+        with pytest.raises(gk.CocycleIdentityFailure) as exc:
+            build(z3, weights)
+        assert exc.value.witness == ("g1", "g2")
+        assert "('g1', 'g2')" in str(exc.value)
+
 
 def _doubled_unit_star(E):
     """E with e_0* = 2 e_0 in the first unit fiber."""

@@ -773,6 +773,24 @@ class TestExitContract:
         assert err == (f"input error: {cpath}: at $.omega[8]: expected one "
                        "value per composable pair\n")
 
+    @pytest.mark.parametrize("name, key, at, argv, what", [
+        ("z4.group.json", "mul", 5, ["ext", "analyze", "--group"],
+         "one product per pair"),
+        ("flip.action.json", "act", 1, ["action", "roundtrip", "--action"],
+         "one image per (arrow, point) pair")])
+    def test_repeated_group_or_action_pair_exits_2(self, name, key, at, argv,
+                                                   what, tmp_path, capsys):
+        # an entry appended once more: the repeat is refused, not kept last
+        with open(corpus.data_path(name)) as fh:
+            obj = json.load(fh)
+        obj[key].append(obj[key][at])
+        path = tmp_path / name
+        path.write_text(canonical_json(obj))
+        code, out, err = run_cli(argv + [str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"input error: {path}: at $.{key}"
+                       f"[{len(obj[key]) - 1}]: expected {what}\n")
+
     @staticmethod
     def _huge_value_inputs(tmp_path):
         """(flags, JSON path) per loader of [re, im] values, each file with
