@@ -21,11 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
-                       _ids, _join, _prefix, _table, classify_morphism,
-                       pair_id)
+                       _PairView, _ids, _join, _prefix, _table,
+                       classify_morphism, pair_id)
 from .algebra import (NumericalDegeneracy, RegularRepresentation,
                       StructureTable, WedderburnInvariants, _scatter,
-                      central_projections, chunks, groupoid_table,
+                      central_projections, chunks,
                       isometry_certificate, wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle, FiberElement,
                      NotSaturated, FellBundleError, _require_cstar_units,
@@ -212,34 +212,54 @@ def _is_exact_isomorphism(G: FiniteGroupoid, G2: FiniteGroupoid, iso) -> bool:
 
 
 class Cocycle:
-    """Unit-modulus function on the composable pairs of a groupoid: one
-    value on each of them and on nothing else, or CocycleIdentityFailure
-    naming the first missing pair in ``composable_pairs`` order, else the
-    first key that is no composable pair."""
+    """Unit-modulus function on the composable pairs of a groupoid, kept
+    once as ``table``: the entries of ``base.table`` with the weights
+    w = omega in table order and e_g* = conj(omega(inv g, g)) e_inv(g).
+    Built from a complex array in table order (ValueError unless it has
+    one value per entry), or from a mapping with one value on each
+    composable pair and on nothing else (CocycleIdentityFailure naming the
+    first missing pair in ``composable_pairs`` order, else the first key
+    that is no composable pair). ``omega`` is its read-only name view,
+    built on first use."""
 
-    __slots__ = ("base", "omega")
+    __slots__ = ("base", "table", "_omega")
 
     def __init__(self, base: FiniteGroupoid, omega):
-        self.base = base
-        self.omega = {k: complex(v) for k, v in dict(omega).items()}
-        p = next(filterfalse(self.omega.__contains__,
-                             base.composable_pairs()), None)
-        if p is not None:
-            raise CocycleIdentityFailure(f"cocycle missing on pair {p!r}",
-                                         witness=p)
-        if len(self.omega) != len(base.comp):
-            pairs = set(base.composable_pairs())
-            p = next(k for k in self.omega if k not in pairs)
-            raise CocycleIdentityFailure(
-                f"cocycle defined on {p!r}, not a composable pair",
-                witness=p)
+        self.base, self._omega, T = base, None, base.table
+        if isinstance(omega, np.ndarray):
+            w = np.array(omega, dtype=complex)
+            if w.shape != T.a.shape:
+                raise ValueError(f"{w.size} cocycle values for "
+                                 f"{len(T.a)} composable pairs")
+        else:
+            omega = dict(omega)
+            p = next(filterfalse(omega.__contains__,
+                                 base.composable_pairs()), None)
+            if p is not None:
+                raise CocycleIdentityFailure(
+                    f"cocycle missing on pair {p!r}", witness=p)
+            if len(omega) != len(T.a):
+                pairs = set(base.composable_pairs())
+                p = next(k for k in omega if k not in pairs)
+                raise CocycleIdentityFailure(
+                    f"cocycle defined on {p!r}, not a composable pair",
+                    witness=p)
+            w = np.array(list(map(omega.__getitem__, base.comp)), complex)
+        self.table = StructureTable(T.dim, T.a, T.b, T.c, w, T.s, T.t,
+                                    np.conj(w[base.entry_ids(T.t, T.s)]))
+
+    @property
+    def omega(self):
+        if self._omega is None:
+            self._omega = _PairView(self.base, self.table.w.tolist)
+        return self._omega
 
     def __call__(self, g1, g2):
         return self.omega[(g1, g2)]
 
 
 def trivial_cocycle(G: FiniteGroupoid) -> Cocycle:
-    return Cocycle(G, {p: 1.0 for p in G.composable_pairs()})
+    return Cocycle(G, np.ones(len(G.table.a)))
 
 
 def coboundary_cocycle(G: FiniteGroupoid, beta) -> Cocycle:
@@ -248,23 +268,20 @@ def coboundary_cocycle(G: FiniteGroupoid, beta) -> Cocycle:
     beta = dict(beta)
     for u in G.units:
         beta[u] = 1.0
-    omega = {}
-    for (g1, g2), g12 in G.comp.items():
-        omega[(g1, g2)] = beta[g1] * beta[g2] / beta[g12]
-    return Cocycle(G, omega)
+    return Cocycle(G, np.array([beta[g1] * beta[g2] / beta[g12]
+                                for (g1, g2), g12 in G.comp.items()],
+                               complex))
 
 
 def pullback_cocycle(pi: GroupoidMorphism, omega: Cocycle) -> Cocycle:
     """Pull a cocycle on the codomain back along a morphism."""
-    G = pi.domain
-    table = {}
-    for (g1, g2) in G.composable_pairs():
-        table[(g1, g2)] = omega(pi.map[g1], pi.map[g2])
-    return Cocycle(G, table)
+    T = pi.domain.table
+    return Cocycle(pi.domain, omega.table.w[omega.base.entry_ids(
+        pi.image[T.a], pi.image[T.b])])
 
 
 def product_cocycle(a: Cocycle, b: Cocycle) -> Cocycle:
-    return Cocycle(a.base, {k: a.omega[k] * b.omega[k] for k in a.omega})
+    return Cocycle(a.base, a.table.w * b.table.w)
 
 
 @dataclass
@@ -280,18 +297,17 @@ class CocycleReport:
                 and self.normalization_residual <= tol)
 
 
-def cocycle_check(omega: Cocycle, tol: float = 1e-12,
-                  table: Optional[StructureTable] = None) -> CocycleReport:
+def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
     """Exhaustive verification (totality is the Cocycle's own): unit
     modulus, normalization on units, and the identity
-    omega(g1,g2) omega(g1g2,g3) = omega(g2,g3) omega(g1,g2g3): the twisted
-    table's associativity (``table``, built here unless given), whose
-    defect, kept on the table, and triple give residual and witness."""
-    G = omega.base
-    res_mod = max((abs(abs(v) - 1.0) for v in omega.omega.values()),
-                  default=0.0)
+    omega(g1,g2) omega(g1g2,g3) = omega(g2,g3) omega(g1,g2g3): the
+    associativity of the cocycle's table, whose defect, kept on the
+    table, and triple give residual and witness."""
+    G, T, unit = omega.base, omega.table, omega.base.unit_mask()
+    # |w| rounded as abs(complex) rounds it
+    res_mod = float(np.abs(np.hypot(T.w.real, T.w.imag) - 1.0).max(
+        initial=0.0))
     # the pairs (rng g, g) and (g, src g) are those with a unit factor
-    T, unit = table or groupoid_table(G, omega.omega), G.unit_mask()
     res_norm = float(np.abs(T.w[unit[T.a] | unit[T.b]] - 1.0).max(initial=0.0))
     res_id, triple = T.associativity_defect()
     witness = None if res_id <= tol else "({!r}, {!r}, {!r})".format(
@@ -300,15 +316,15 @@ def cocycle_check(omega: Cocycle, tol: float = 1e-12,
 
 
 class TwistedConvolutionAlgebra:
-    """Convolution algebra twisted by a 2-cocycle: the groupoid table with
-    weights omega (``table``) and its block-per-unit left regular
+    """Convolution algebra twisted by a 2-cocycle: the cocycle's table
+    (``table``) and its block-per-unit left regular
     representation (``rep``, a *-representation for the twisted
     involution)."""
 
     def __init__(self, G: FiniteGroupoid, omega: Cocycle):
         self.G = G
         self.omega = omega
-        self.table = groupoid_table(G, omega.omega)
+        self.table = omega.table
         self.rep = RegularRepresentation(self.table, G)
 
     def convolve(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -333,7 +349,7 @@ def twisted_algebra(G: FiniteGroupoid, omega: Cocycle,
     """Validated twisted convolution algebra; the cocycle identity is
     re-verified first since associativity rides on it."""
     ta = TwistedConvolutionAlgebra(G, omega)
-    report = cocycle_check(omega, tol, ta.table)
+    report = cocycle_check(omega, tol)
     if not report.passed(tol):
         raise CocycleIdentityFailure(
             f"cocycle fails validation (identity residual "
@@ -569,16 +585,15 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
                 for Y in (prod, X12))
     w = num / den
     res_line = float(np.abs(prod - w[:, None] * X12).max(initial=0.0))
-    omega_table = {(pair_id(h1, y), pair_id(h2, x)): complex(v)
-                   for (h1, y, h2, x), v in zip(pairs, w)}
-    omega = Cocycle(ag.groupoid, omega_table)
+    # the pairs are those of the action groupoid's table, in its order
+    omega = Cocycle(ag.groupoid, w)
 
     result = ExtractionResult(points, action, ag, omega,
                               {x: projections[x][1] for x in points}, line)
     result.add("action_axioms", True, None, None)
     result.add("line_products_consistent", res_line <= 1e-8, res_line)
     ta = TwistedConvolutionAlgebra(ag.groupoid, omega)
-    creport = cocycle_check(omega, 1e-12, ta.table)
+    creport = cocycle_check(omega, 1e-12)
     result.add("cocycle_identity", creport.identity_residual <= 1e-12,
                creport.identity_residual, creport.witness)
     result.add("cocycle_modulus", creport.modulus_residual <= 1e-12,

@@ -14,8 +14,9 @@ e_0 .. e_{dim-1}, products e_a e_b = sum of w e_c over the entries
 (a, b, c, w), and a conjugate-linear star e_s* = sum of sw e_t over the
 entries (s, t, sw); repeated index tuples add up. A groupoid's w = 1 table
 in the arrow basis is the groupoid's own storage of composition and
-inverse (``FiniteGroupoid.table``); a twist by a 2-cocycle takes its
-entries with the weights w = omega(g1, g2). A bundle gives the section
+inverse (``FiniteGroupoid.table``); a 2-cocycle keeps its twist as those
+entries with the weights w = omega(g1, g2) in table order
+(``Cocycle.table``). A bundle gives the section
 basis, its slots numbered arrow-major in the order of the base arrows. A
 closed family of matrices gives the basis it spans.
 
@@ -53,10 +54,13 @@ injective *-homomorphism between C*-algebras is isometric (Murphy 1990,
 is a bijective *-homomorphism and that each norm is taken in a faithful
 *-representation, which :meth:`RegularRepresentation.star_defect` and
 :meth:`RegularRepresentation.slice_margin` measure on the block entries.
-That the map is multiplicative is read from the generating set a table
-keeps from its associativity check, as in Light's test: with both tables
-associative, U(x g) = U(x) U(g) for every x and every generator g gives
-every pair (:meth:`StructureTable.hom_defect`).
+That the map is multiplicative is one scan of the pairs (x, g), first
+with g in the generating set a table keeps from its associativity check,
+as in Light's test: with both tables associative, U(x g) = U(x) U(g) for
+every x and every generator g gives every pair. Where that fails, or no
+set is kept, g runs over the whole basis, and of equal largest residuals
+the lexicographically first pair is the witness
+(:meth:`StructureTable.hom_defect`).
 """
 
 from __future__ import annotations
@@ -254,79 +258,41 @@ class StructureTable:
 
     def hom_defect(self, other: "StructureTable", U, generators=None,
                    tol: float = 0.0):
-        """(max |coefficient difference| between U(e_a e_b) and
-        U(e_a) U(e_b) over all basis pairs, (a, b) of that entry or None),
-        for the linear map U into the algebra of ``other`` whose column j
-        is the image of e_j.
-
-        Taken in passes over consecutive ranges of a, each of about
-        _TRIPLES_PER_PASS terms, keeping the first strict improvement:
-        every term of one entry has the same a, and a pass lists its terms
-        in the order of the whole, so residual and witness are those of a
-        single pass.
+        """(max |coefficient difference| between U(e_x e_g) and
+        U(e_x) U(e_g) over all basis pairs, the lexicographically first
+        (x, g) of that largest difference or None), for the linear map U
+        into the algebra of ``other`` whose column j is the image of e_j.
 
         With ``generators``, a set S of which every basis element is a
-        product ((g1 g2) ...) gk in this table (:attr:`generators`), only
-        the pairs (x, g) with g in S are scanned first, over every x,
-        composable or not (:meth:`_generator_hom_defect`), and a residual
-        of at most ``tol`` there is the result. That decides every pair
-        when both tables are associative, which the caller certifies, and
-        every weight here is nonzero: for y = y' g with e_y' e_g = l e_y,
-        l != 0, by induction on the word of y, l U(e_x e_y) =
-        U((e_x e_y') e_g) = U(e_x e_y') U(e_g) = U(e_x) U(e_y') U(e_g) =
-        l U(e_x) U(e_y), the map analogue of Light's test (module
-        docstring). A larger residual takes the full scan, whose residual
-        and witness are returned."""
+        product ((g1 g2) ...) gk in this table (:attr:`generators`), the
+        pairs (x, g) with g in S are scanned first, over every x,
+        composable or not, and a residual of at most ``tol`` there is the
+        result. That decides every pair when both tables are associative,
+        which the caller certifies, and every weight here is nonzero: for
+        y = y' g with e_y' e_g = l e_y, l != 0, by induction on the word
+        of y, l U(e_x e_y) = U((e_x e_y') e_g) = U(e_x e_y') U(e_g) =
+        U(e_x) U(e_y') U(e_g) = l U(e_x) U(e_y), the map analogue of
+        Light's test (module docstring). A larger residual, or no S,
+        takes the scan with every basis element as g
+        (:meth:`_generator_hom_defect`)."""
         rows, cols = np.nonzero(U)
         vals = U[rows, cols]
+        scans = [np.arange(self.dim)]
         if generators is not None and np.all(self.w != 0):
-            res = self._generator_hom_defect(other, rows, cols, vals,
-                                             generators)
+            scans.insert(0, generators)
+        for gens in scans:
+            res = self._generator_hom_defect(other, rows, cols, vals, gens)
             if res[0] <= tol:
-                return res
-        by_a = np.argsort(self.a, kind="stable")
-        by_col = np.argsort(cols, kind="stable")
-        # terms per first factor a: U(e_a e_b), then U(e_a) U(e_b)
-        per_row = np.bincount(other.a, np.bincount(rows, minlength=other.dim)
-                              [other.b], other.dim)
-        load = (np.bincount(self.a, np.bincount(cols, minlength=self.dim)
-                            [self.c], self.dim)
-                + np.bincount(cols, per_row[rows], self.dim))
-        cuts = np.concatenate(([0], np.flatnonzero(np.diff(
-            np.cumsum(load) // _TRIPLES_PER_PASS)) + 1, [self.dim]))
-        at_i = np.searchsorted(self.a[by_a], cuts)
-        at_m = np.searchsorted(cols[by_col], cuts)
-        best = (0.0, None)
-        for k in range(len(cuts) - 1):
-            # entry i makes e_c, U maps e_c by entry j
-            sel = np.sort(by_a[at_i[k]:at_i[k + 1]])
-            i, j = _join(self.c[sel], cols, by_col)
-            i = sel[i]
-            # entry p multiplies e_P e_Q; U entries m and q lie in rows P
-            # and Q, m in a column of this pass
-            m = np.sort(by_col[at_m[k]:at_m[k + 1]])
-            touched = np.zeros(other.dim, dtype=bool)
-            touched[rows[m]] = True
-            cand = np.flatnonzero(touched[other.a])
-            p, mm = _join(other.a[cand], rows[m])
-            p, m = cand[p], m[mm]
-            n, q = _join(other.b[p], rows)
-            p, m = p[n], m[n]
-            res = _defect((self.a[i], self.b[i], rows[j],
-                           self.w[i] * vals[j]),
-                          (cols[m], cols[q], other.c[p],
-                           vals[m] * vals[q] * other.w[p]),
-                          max(self.dim, other.dim))
-            if res[0] > best[0]:
-                best = res
-        return best
+                break
+        return res
 
     def _generator_hom_defect(self, other, rows, cols, vals, gens):
         """:meth:`hom_defect` over the pairs (x, g), g in ``gens``, for U
         given by its nonzero entries (rows, cols, vals): in passes over
-        consecutive ranges of gens, each of about _TRIPLES_PER_PASS terms,
-        keeping the first strict improvement. Every term of one entry has
-        the same g, so residual and witness are those of a single pass."""
+        consecutive ranges of gens, each of about _TRIPLES_PER_PASS terms.
+        Every term of one entry has the same g, so each difference is
+        summed in a single pass, term by term in table order; of equal
+        largest differences, the lexicographically first (x, g) is kept."""
         is_gen = np.zeros(self.dim, dtype=bool)
         is_gen[gens] = True
         i = np.flatnonzero(is_gen[self.b])  # table entries e_x e_g
@@ -344,15 +310,20 @@ class StructureTable:
         part[gens] = np.cumsum(load) // _TRIPLES_PER_PASS
         by_col = np.argsort(cols, kind="stable")
         by_row = np.argsort(rows, kind="stable")
+        # the table entries and U entries of each pass, in entry order;
+        # part[gens] does not decrease, and each later pass starts a run
+        runs = part[gens]
+        later = runs[1:][np.diff(runs) > 0]
+        i, q = (v[np.argsort(part[key[v]], kind="stable")]
+                for v, key in ((i, self.b), (q, cols)))
         best = (0.0, None)
-        for k in np.flatnonzero(np.bincount(part[gens])):
+        for e, n in zip(np.split(i, np.searchsorted(part[self.b[i]], later)),
+                        np.split(q, np.searchsorted(part[cols[q]], later))):
             # entry e makes e_c, U maps e_c by entry j
-            e = i[part[self.b[i]] == k]
             x, j = _join(self.c[e], cols, by_col)
             e = e[x]
             # U entry n in a generator column of this pass, in row Q;
             # entry t multiplies e_P e_Q; U entry m lies in row P
-            n = q[part[cols[q]] == k]
             t, y = _join(other.b[p], rows[n])
             t, n = p[t], n[y]
             z, m = _join(other.a[t], rows, by_row)
@@ -362,7 +333,7 @@ class StructureTable:
                           (cols[m], cols[n], other.c[t],
                            vals[m] * vals[n] * other.w[t]),
                           max(self.dim, other.dim))
-            if res[0] > best[0]:
+            if res[0] > best[0] or res[0] == best[0] > 0 and res[1] < best[1]:
                 best = res
         return best
 
@@ -503,18 +474,6 @@ class StructureTable:
                         self.sw[p] * self.sw[q] * self.w[r]), self.dim)
 
 
-def groupoid_table(G: FiniteGroupoid, omega=None) -> StructureTable:
-    """Table of the convolution algebra of G in the arrow basis: G's own
-    table, or its entries with the weights of the mapping ``omega`` on
-    composable pairs when given (e_g* = conj(omega(inv g, g)) e_inv(g))."""
-    T = G.table
-    if omega is None:
-        return T
-    w, sw = (np.array([omega[p] for p in pairs], complex)
-             for pairs in (G.comp, zip(G.inv.values(), G.arrows)))
-    return StructureTable(T.dim, T.a, T.b, T.c, w, T.s, T.t, np.conj(sw))
-
-
 class AlgebraElement:
     """A complex-valued function on the arrows of a fixed groupoid."""
 
@@ -583,11 +542,11 @@ def _same_base(f1, f2):
 def convolve(f1: AlgebraElement, f2: AlgebraElement) -> AlgebraElement:
     _same_base(f1, f2)
     return AlgebraElement(f1.base,
-                          groupoid_table(f1.base).mul(f1.coeffs, f2.coeffs))
+                          f1.base.table.mul(f1.coeffs, f2.coeffs))
 
 
 def involute(f: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(f.base, groupoid_table(f.base).star(f.coeffs))
+    return AlgebraElement(f.base, f.base.table.star(f.coeffs))
 
 
 def random_element(G: FiniteGroupoid, rng) -> AlgebraElement:
@@ -617,7 +576,7 @@ class RegularRepresentation:
 
     def __init__(self, table, summand=None, entries=None, over=None):
         if isinstance(table, FiniteGroupoid):
-            table, summand = groupoid_table(table), table
+            table, summand = table.table, table
         self.base = self.over = None
         if isinstance(summand, FiniteGroupoid):  # by source unit
             self.base = summand
@@ -1277,8 +1236,7 @@ def wedderburn(obj, *, seed: int = 0,
     of matrices, from the table of the closure in a basis orthonormal
     under <a, b> = tr(a* b) (:func:`wedderburn_from_tables`)."""
     if isinstance(obj, FiniteGroupoid):
-        return wedderburn_from_tables(groupoid_table(obj), seed=seed,
-                                      tol=tol)
+        return wedderburn_from_tables(obj.table, seed=seed, tol=tol)
     mats = [np.asarray(m, dtype=complex) for m in obj]
     if not mats:
         return WedderburnInvariants((), 0, 0)

@@ -63,8 +63,7 @@ from .groupoid import (Bisection, FiniteGroupoid, GroupoidMorphism,
                        classify_morphism, fiber_subgroupoid, kernel)
 from . import algebra
 from .algebra import (AlgebraElement, StructureTable, _defect, _join,
-                      _scatter, groupoid_table, wedderburn,
-                      wedderburn_from_tables)
+                      _scatter, wedderburn, wedderburn_from_tables)
 from .draws import draws
 from .fiberblocks import fiber_blocks, pick, stacked_ranks
 from .report import CheckList
@@ -271,16 +270,14 @@ def _fiber_map_errors(E: FellBundle):
     return tuple(errors)
 
 
-def build_bundle(pi: GroupoidMorphism, twist=None,
-                 table: Optional[StructureTable] = None) -> FellBundle:
+def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
     """The bundle E(pi) of a surjective morphism pi: G -> H.
 
     Fiber basis over h is pi^{-1}(h); basis products follow composition in
-    G, weighted by the optional 2-cocycle ``twist`` (a Cocycle or a mapping
-    on composable pairs of G; its weights are read from ``table``, the
-    twisted table ``groupoid_table(G, twist)``, when the caller has built
-    it); star sends the basis vector of g to conj(twist(g, inv g)) times
-    the basis vector of inv(g).
+    G, weighted by the optional 2-cocycle ``twist`` (a Cocycle, whose
+    table's weights are read, or a mapping on composable pairs of G); star
+    sends the basis vector of g to conj(twist(g, inv g)) times the basis
+    vector of inv(g).
 
     Rejects non-surjective input rather than restricting to the image.
     """
@@ -297,31 +294,31 @@ def build_bundle(pi: GroupoidMorphism, twist=None,
     # slots are arrow-major over H, in domain order within a fiber
     slots = np.empty(len(G.arrows), dtype=np.int64)
     slots[np.argsort(pi.image, kind="stable")] = np.arange(len(G.arrows))
-    return FellBundle(H, fibers, _arrow_table(G, slots, pi.image, twist,
-                                              table), morphism=pi)
+    return FellBundle(H, fibers, _arrow_table(G, slots, pi.image, twist),
+                      morphism=pi)
 
 
-def _arrow_table(G: FiniteGroupoid, slots, over, twist,
-                 table: Optional[StructureTable] = None) -> StructureTable:
+def _arrow_table(G: FiniteGroupoid, slots, over, twist) -> StructureTable:
     """Section table of a bundle whose basis vector of the arrow g of G
     sits at slots[g]: products follow composition in G, weighted by the
     2-cocycle ``twist`` (None, a Cocycle or a mapping on composable
-    pairs), and e_g* is conj(twist(g, inv g)) e_{inv g}. Products are
-    listed by the pair (over[g2], over[g1]) of their factors, composition
-    order within a pair, and star entries by slot; ``table`` is the
-    twisted table of ``twist``, built here unless given. A mapping is
-    checked as a :class:`~gpdkit.actions.Cocycle` first, which names the
-    first composable pair it misses."""
+    pairs), and e_g* is conj(twist(g, inv g)) e_{inv g}, one gather of
+    the cocycle's weights. Products are listed by the pair (over[g2],
+    over[g1]) of their factors, composition order within a pair, and star
+    entries by slot. A mapping, or the name view of a Cocycle on another
+    groupoid, is checked as a :class:`~gpdkit.actions.Cocycle` on G first,
+    which names the first composable pair it misses."""
     from .actions import Cocycle  # actions imports this module
     D = G.table
     if twist is None:
         w, sw = D.w, D.sw
     else:
+        if isinstance(twist, Cocycle) and twist.base is not G:
+            twist = twist.omega
         if not isinstance(twist, Cocycle):
             twist = Cocycle(G, twist)
-        omega = twist.omega
-        w = (table or groupoid_table(G, omega)).w
-        sw = np.conj([omega[p] for p in zip(G.arrows, G.inv.values())])
+        w = twist.table.w
+        sw = np.conj(w[G.entry_ids(D.s, D.t)])
     m = np.lexsort((over[D.a], over[D.b]))
     st = np.argsort(slots)
     return StructureTable(D.dim, slots[D.a[m]], slots[D.b[m]],
@@ -929,7 +926,7 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
         U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
         # generators decide multiplicativity when the domain's table is
         # associative; the section table is, by axiom 3 of the admission
-        domain = groupoid_table(G)
+        domain = G.table
         gens = domain.generators
         if gens is not None and domain.associativity_defect()[0] != 0.0:
             gens = None

@@ -114,15 +114,13 @@ def heisenberg_closed_form_defect(res, n: int) -> tuple:
     character m, and t = heisenberg_center_exponent(m). The witness is
     None when every value is exact.
 
-    Array arithmetic over the pairs in the order of ``omega``: the coset
+    Array arithmetic over the entries of the cocycle's table: the coset
     of an arrow is its image under the projection of the action groupoid,
     a and b' are read from the index a n^2 + b n + c (heisenberg_elements)
     of a member of the coset, and t from ``CharacterData.numerators`` at
     [0,0,1] for the character at the source of g2."""
-    ag, chars, omega = res.action_groupoid, res.characters, res.cocycle.omega
-    G = ag.groupoid
-    g1, g2 = (np.fromiter(map(G.index.__getitem__, side), np.int64,
-                          len(omega)) for side in zip(*omega))
+    ag, chars, T = res.action_groupoid, res.characters, res.cocycle.table
+    G, g1, g2 = ag.groupoid, T.a, T.b
     coset = ag.projection.image
     member = np.unique(res.extension.coset, return_index=True)[1]
     a, b2 = (member // n ** 2)[coset[g1]], (member // n % n)[coset[g2]]
@@ -134,12 +132,11 @@ def heisenberg_closed_form_defect(res, n: int) -> tuple:
         t[u] = chars.numerators[int(np.dot(m, chars.strides)), one]
     t = t[G.src_idx[g2]] * n // chars.lcm
     roots = np.array([unit_root(k, n) for k in range(n)])
-    d = np.fromiter(omega.values(), complex, len(omega)) \
-        - roots[t * (a * b2 % n) % n]
+    d = T.w - roots[t * (a * b2 % n) % n]
     diff = np.hypot(d.real, d.imag)  # the rounding of abs(complex)
     bad = np.flatnonzero(diff)
     return float(diff.max(initial=0.0)), None if not len(bad) else \
-        "({!r}, {!r})".format(*list(omega)[bad[0]])
+        "({!r}, {!r})".format(*G.names([g1[bad[0]], g2[bad[0]]]))
 
 
 def flip_action() -> GroupoidAction:
@@ -245,9 +242,8 @@ def zn2_bilinear_cocycle(n: int) -> Cocycle:
     and never a coboundary for n > 1."""
     G = zn_square_groupoid(n)
     a, b = divmod(np.arange(n * n), n)  # element a n + b is (a,b)
-    return Cocycle(G, {(g1, g2): unit_root(int(a[i] * b[j]), n)
-                       for i, g1 in enumerate(G.arrows)
-                       for j, g2 in enumerate(G.arrows)})
+    roots = np.array([unit_root(k, n) for k in range(n)])
+    return Cocycle(G, roots[a[G.table.a] * b[G.table.b] % n])
 
 
 def data_path(name: str) -> str:

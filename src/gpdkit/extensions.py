@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _ids, _index, _prefix
-from .algebra import (StructureTable, _regular, groupoid_table,
-                      isometry_certificate, wedderburn)
+from .algebra import (StructureTable, _regular, isometry_certificate,
+                      wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
@@ -443,18 +443,15 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
     h, k = np.divmod(np.arange(narr), len(point_ids))
     arrow_of = np.arange(narr).reshape(len(Q), len(point_ids))
     values = chars.values()
-    # omega((h1, h2.chi), (h2, chi)) at every arrow (h2, chi), then h1
-    arrow_names = np.fromiter(ag.groupoid.arrows, object, narr)
-    omega = dict(zip(
-        zip(arrow_names[arrow_of[:, act_rows[h, k]].T].ravel().tolist(),
-            np.repeat(arrow_names, len(Q)).tolist()),
-        values[k[:, None], conj_factor[:, h].T].ravel().tolist()))
-    cocycle = Cocycle(ag.groupoid, omega)
+    # omega((h1, h2.chi), (h2, chi)) at every arrow (h2, chi), then h1:
+    # the action groupoid's table order
+    cocycle = Cocycle(ag.groupoid, values[k[:, None], conj_factor[:, h].T]
+                      .ravel())
 
     result = ExtensionBundleResult(ext, Q, chars, ag, cocycle, factor_set,
                                    char_of_point)
     ta = TwistedConvolutionAlgebra(ag.groupoid, cocycle)
-    crep = cocycle_check(cocycle, 1e-12, ta.table)
+    crep = cocycle_check(cocycle, 1e-12)
     result.add("cocycle_identity", crep.identity_residual <= 1e-12,
                crep.identity_residual, crep.witness)
     result.add("cocycle_normalized", crep.normalization_residual <= 1e-12,
@@ -475,7 +472,7 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
 
     # the generators of the group table decide multiplicativity when the
     # twisted table is associative too
-    domain = groupoid_table(Ggpd)
+    domain = Ggpd.table
     res_mul, pair = domain.hom_defect(
         ta.table, U, domain.generators
         if result.entry("cocycle_identity").passed else None, 1e-8)

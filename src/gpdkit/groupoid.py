@@ -113,13 +113,13 @@ def _table(n: int, a, b, c, inv):
                           np.ones(n))
 
 
-class _Composition(Mapping):
-    """Read-only name view (g1, g2) -> g1 g2 of a groupoid's table, in
-    table order; its length is the table's, its names are built on first
-    lookup."""
+class _PairView(Mapping):
+    """Read-only name view (g1, g2) -> value of a groupoid's composable
+    pairs, in table order: ``values()`` lists the values in that order.
+    Its length is the table's; its names are built on first lookup."""
 
-    def __init__(self, G):
-        self._G = G
+    def __init__(self, G, values):
+        self._G, self._values = G, values
 
     def __len__(self) -> int:
         return len(self._G.table.a)
@@ -133,8 +133,8 @@ class _Composition(Mapping):
     @cached_property
     def _pairs(self) -> dict:
         T = self._G.table
-        a, b, c = map(self._G.names, (T.a, T.b, T.c))
-        return dict(zip(zip(a, b), c))
+        return dict(zip(zip(*map(self._G.names, (T.a, T.b))),
+                        self._values()))
 
 
 class FiniteGroupoid:
@@ -180,8 +180,8 @@ class FiniteGroupoid:
     src = property(lambda self: self._arrow_map("src", self.src_idx))
     rng = property(lambda self: self._arrow_map("rng", self.rng_idx))
     inv = property(lambda self: self._arrow_map("inv", self.inv_idx))
-    comp = property(lambda self: self._view("comp",
-                                            lambda: _Composition(self)))
+    comp = property(lambda self: self._view("comp", lambda: _PairView(
+        self, lambda: self.names(self.table.c))))
 
     def names(self, ids) -> list:
         """The arrow names of an array of arrow indices."""
@@ -193,19 +193,24 @@ class FiniteGroupoid:
         mask[self.unit_idx] = True
         return mask
 
-    def compose_ids(self, h1, h2) -> np.ndarray:
-        """Index of the composite of arrows h1[i] and h2[i] (index arrays),
-        -1 where they are not composable: the one composition lookup."""
+    def entry_ids(self, h1, h2) -> np.ndarray:
+        """Table entry of the pair of arrows h1[i] and h2[i] (index
+        arrays), -1 where they are not composable: the one pair lookup."""
         if "lookup" not in self._views:  # sorted keys, then a sentinel
-            T = self.table
-            key = T.a * len(self.arrows) + T.b
+            key = self.table.a * len(self.arrows) + self.table.b
             order = np.argsort(key, kind="stable")
             self._views["lookup"] = (np.append(key[order], np.iinfo(
-                np.int64).max), np.append(T.c[order], -1))
-        keys, comp = self._views["lookup"]
+                np.int64).max), np.append(order, -1))
+        keys, entry = self._views["lookup"]
         q = np.asarray(h1) * len(self.arrows) + h2
         at = keys.searchsorted(q)
-        return np.where(keys[at] == q, comp[at], -1)
+        return np.where(keys[at] == q, entry[at], -1)
+
+    def compose_ids(self, h1, h2) -> np.ndarray:
+        """Index of the composite of arrows h1[i] and h2[i] (index arrays),
+        -1 where they are not composable."""
+        e = self.entry_ids(h1, h2)
+        return np.where(e >= 0, self.table.c[e], -1)
 
     def pair_ids(self):
         """(g1, g2) index arrays of the composable pairs, by g2, then g1."""

@@ -53,6 +53,14 @@ def _expect(cond: bool, file, path: str, what: str):
         raise ParseError(file, path, what)
 
 
+def _document(source, base_dir):
+    """(document, base directory, file) of a path string, read here, or
+    of an inline document, whose file is None."""
+    if isinstance(source, str):
+        return _read_json(source), os.path.dirname(source), source
+    return source, base_dir, None
+
+
 def _resolve(source, base_dir, loader, file, path):
     """Inline object or relative path string."""
     if isinstance(source, str):
@@ -268,12 +276,7 @@ def save_morphism(pi: GroupoidMorphism, domain_ref=None, codomain_ref=None) -> d
 def load_algebra_element(source, base_dir=None):
     """Element file: {"base": <path|object>, "coeffs": {arrow: [re, im]}}."""
     from .algebra import AlgebraElement
-    if isinstance(source, str):
-        obj = _read_json(source)
-        base_dir = os.path.dirname(source)
-        file = source
-    else:
-        obj, file = source, None
+    obj, base_dir, file = _document(source, base_dir)
     _expect(isinstance(obj, dict), file, "$", "an element object")
     for key in ("base", "coeffs"):
         _expect(key in obj, file, "$", f"key {key!r}")
@@ -289,12 +292,7 @@ def load_algebra_element(source, base_dir=None):
 def load_bundle(source, base_dir=None) -> FellBundle:
     """Bundle file: {"base": <path|object>, "fibers": {h: [names]},
     "mul": [[h1, i, h2, j, {k: [re, im]}]], "star": [[h, i, {k: [re,im]}]]}."""
-    if isinstance(source, str):
-        obj = _read_json(source)
-        base_dir = os.path.dirname(source)
-        file = source
-    else:
-        obj, file = source, None
+    obj, base_dir, file = _document(source, base_dir)
     _expect(isinstance(obj, dict), file, "$", "a bundle object")
     for key in ("base", "fibers", "mul", "star"):
         _expect(key in obj, file, "$", f"key {key!r}")
@@ -432,12 +430,7 @@ def save_graph(g: DirectedGraph) -> dict:
 def load_graph_morphism(source, base_dir=None) -> GraphMorphism:
     """Graph morphism file: {"domain": <path|object>,
     "codomain": <path|object>, "vmap": {}, "emap": {}}."""
-    if isinstance(source, str):
-        obj = _read_json(source)
-        base_dir = os.path.dirname(source)
-        file = source
-    else:
-        obj, file = source, None
+    obj, base_dir, file = _document(source, base_dir)
     _expect(isinstance(obj, dict), file, "$", "a graph morphism object")
     for key in ("domain", "codomain", "vmap", "emap"):
         _expect(key in obj, file, "$", f"key {key!r}")
@@ -461,11 +454,7 @@ def save_graph_morphism(phi: GraphMorphism) -> dict:
 def load_group(source, base_dir=None):
     """Group file: {"elements": [...], "mul": [[a, b, ab], ...],
     "kernel": [...]}; returns (elements, mul dict, kernel list)."""
-    if isinstance(source, str):
-        obj = _read_json(source)
-        file = source
-    else:
-        obj, file = source, None
+    obj, _, file = _document(source, base_dir)
     _expect(isinstance(obj, dict), file, "$", "a group object")
     for key in ("elements", "mul"):
         _expect(key in obj, file, "$", f"key {key!r}")
@@ -496,12 +485,7 @@ def save_group(elements, mul, kernel) -> dict:
 def load_action(source, base_dir=None) -> GroupoidAction:
     """Action file: {"groupoid": <path|object>, "X": [...], "rho": {},
     "act": [[h, x, hx], ...]}."""
-    if isinstance(source, str):
-        obj = _read_json(source)
-        base_dir = os.path.dirname(source)
-        file = source
-    else:
-        obj, file = source, None
+    obj, base_dir, file = _document(source, base_dir)
     _expect(isinstance(obj, dict), file, "$", "an action object")
     for key in ("groupoid", "X", "rho", "act"):
         _expect(key in obj, file, "$", f"key {key!r}")
@@ -540,12 +524,7 @@ def save_action(a: GroupoidAction, groupoid_ref=None) -> dict:
 def load_cocycle(source, groupoid: FiniteGroupoid = None, base_dir=None) -> Cocycle:
     """Cocycle file: {"groupoid": <path|object>,
     "omega": [[g1, g2, [re, im]], ...]}."""
-    if isinstance(source, str):
-        obj = _read_json(source)
-        base_dir = os.path.dirname(source)
-        file = source
-    else:
-        obj, file = source, None
+    obj, base_dir, file = _document(source, base_dir)
     _expect(isinstance(obj, dict), file, "$", "a cocycle object")
     _expect("omega" in obj, file, "$", "key 'omega'")
     if groupoid is None:
@@ -571,20 +550,23 @@ def load_cocycle(source, groupoid: FiniteGroupoid = None, base_dir=None) -> Cocy
         raise ParseError(file, at + "[2]", "a [re, im] pair of finite numbers")
     _expect(k == len(entries), file, f"$.omega[{k}]",
             "a [g1, g2, [re, im]] triple")
-    omega = dict(zip(zip(g1, g2), values))
-    if len(omega) < k:
-        raise ParseError(file, f"$.omega[{_first_repeat(zip(g1, g2))}]",
+    # the table entry of each row's pair, and the values in table order
+    e = groupoid.entry_ids(*(_ids(g, groupoid.index) for g in (g1, g2)))
+    if np.bincount(e).max(initial=0) > 1:
+        raise ParseError(file, f"$.omega[{_first_repeat(e.tolist())}]",
                          "one value per composable pair")
-    _expect(len(omega) == len(groupoid.comp), file, "$.omega",
+    _expect(k == len(groupoid.table.a), file, "$.omega",
             "a value on every composable pair")
-    return Cocycle(groupoid, omega)
+    w = np.empty(k, complex)
+    w[e] = values
+    return Cocycle(groupoid, w)
 
 
 def save_cocycle(om: Cocycle, groupoid_ref=None) -> dict:
-    G = om.base
+    G, T = om.base, om.table
+    order = np.lexsort((T.b, T.a))
     return {
         "groupoid": groupoid_ref or save_groupoid(G),
-        "omega": [[g1, g2, [v.real, v.imag]] for (g1, g2), v in sorted(
-            om.omega.items(), key=lambda kv: (G.index[kv[0][0]],
-                                              G.index[kv[0][1]]))],
+        "omega": [[g1, g2, [v.real, v.imag]] for g1, g2, v in zip(
+            G.names(T.a[order]), G.names(T.b[order]), T.w[order].tolist())],
     }

@@ -16,7 +16,7 @@ import numpy as np
 
 from gpdkit.actions import (Cocycle, GroupoidAction, coboundary_cocycle,
                             product_cocycle, pullback_cocycle)
-from gpdkit.algebra import StructureTable, _linked_columns, groupoid_table
+from gpdkit.algebra import StructureTable, _linked_columns
 from gpdkit.bundle import FellBundleError
 from gpdkit.corpus import (cyclic_groupoid, disjoint_union, pair_groupoid,
                            zn2_bilinear_cocycle)
@@ -617,7 +617,7 @@ def isometry_defect(norms_a, norms_b, U, rng, samples: int) -> float:
 def table_associativity_witness(arrows, units, src, rng, inv, comp):
     """The failing triple that the structure table names for raw groupoid
     tables, by the sorting path that takes any table: the entry of
-    ``groupoid_table(G)._sorted_associativity_defect()`` mapped to arrows
+    ``G.table._sorted_associativity_defect()`` mapped to arrows
     (every failing entry of a w = 1 table with one composite per pair has
     |defect| 1, so the first in index order), or None."""
     G = raw_groupoid(arrows, units, src, rng, inv, comp)
@@ -650,7 +650,7 @@ def escape_loop(s):
 def dense_faithfulness_defect(G):
     """dim ker of f -> lambda(f) for a groupoid: the rank deficit of the
     full (dim, dim^2) stack of left multiplication matrices."""
-    table = groupoid_table(G)
+    table = G.table
     n = table.dim
     if n == 0:
         return 0
@@ -819,7 +819,7 @@ def hilbert_module_residuals(pi, E):
     of psi(e_g1)* psi(e_g2) and psi of the kernel part of e_g1* e_g2} over
     every pair of domain arrows with one range, one pair at a time."""
     G, H = pi.domain, pi.codomain
-    D, T = groupoid_table(G), E.table()
+    D, T = G.table, E.table()
     on_unit = np.zeros(T.dim, dtype=bool)
     for u in H.units:
         on_unit[E.first[u]:E.first[u] + E.dim(u)] = True

@@ -118,7 +118,7 @@ class TestCocycles:
         # missing: two pairs, listed against composable_pairs order, whose
         # first in that order is the witness; stray: a key that is no
         # composable pair, whose value 5 would count in modulus_residual
-        table = dict(reversed(gk.trivial_cocycle(z3).omega.items()))
+        table = dict(reversed(list(gk.trivial_cocycle(z3).omega.items())))
         if case == "missing":
             del table[("g1", "g2")], table[("g2", "g1")]
             pair, message = ("g2", "g1"), "cocycle missing on pair {!r}"
@@ -130,6 +130,49 @@ class TestCocycles:
             build(z3, gk.Cocycle(z3, table))
         assert str(exc.value) == message.format(pair)
         assert exc.value.witness == pair
+
+
+class TestCocycleTable:
+    """A Cocycle keeps its values once, as the weights of its table."""
+
+    @pytest.fixture
+    def cocycle(self):
+        # random phases, no cocycle: omega(inv g, g) != omega(g, inv g)
+        G = gk.build_action_groupoid(random_action(
+            np.random.default_rng(4))).groupoid
+        rng = np.random.default_rng(5)
+        return gk.Cocycle(G, np.exp(2j * np.pi * rng.random(len(G.comp))))
+
+    def test_mapping_and_its_own_weights_build_one_cocycle(self, cocycle):
+        G = cocycle.base
+        again = gk.Cocycle(G, dict(reversed(list(cocycle.omega.items()))))
+        for name in ("a", "b", "c", "w", "s", "t", "sw"):
+            assert np.array_equal(getattr(again.table, name),
+                                  getattr(cocycle.table, name))
+        assert dict(again.omega) == dict(cocycle.omega)
+        # conj omega(inv g, g) as the star weight of g
+        assert again.table.sw.tolist() == [
+            complex(np.conj(cocycle(G.inv[g], g))) for g in G.arrows]
+
+    def test_weights_are_copied_and_read_only(self, cocycle):
+        w = cocycle.table.w.copy()
+        om = gk.Cocycle(cocycle.base, w)
+        w[0] = 5.0
+        assert om.table.w[0] == cocycle.table.w[0]
+        assert not om.table.w.flags.writeable
+
+    def test_weights_of_the_wrong_length_are_refused(self, cocycle):
+        for w in (cocycle.table.w[:-1], np.append(cocycle.table.w, 1.0)):
+            with pytest.raises(ValueError):
+                gk.Cocycle(cocycle.base, w)
+
+    def test_omega_is_a_read_only_view_in_table_order(self, cocycle):
+        G, T = cocycle.base, cocycle.table
+        assert list(cocycle.omega) == list(zip(G.names(T.a), G.names(T.b)))
+        assert list(cocycle.omega.values()) == T.w.tolist()
+        assert len(cocycle.omega) == len(T.a)
+        with pytest.raises(TypeError):
+            cocycle.omega[next(iter(cocycle.omega))] = 1.0
 
 
 class TestTwistedAlgebra:

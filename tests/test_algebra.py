@@ -12,8 +12,7 @@ from gpdkit import algebra, corpus
 from gpdkit.cli import main
 from gpdkit.fiberblocks import stacked_ranks
 from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
-                            _regular, center_basis, groupoid_table,
-                            random_element,
+                            _regular, center_basis, random_element,
                             sparse_center_basis, wedderburn_from_tables)
 
 from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
@@ -614,7 +613,6 @@ def _copies(name, n):
     G = corpus.disjoint_union([(f"c{i}", corpus.heisenberg_groupoid(2)
                                 if name == "heis2" else
                                 corpus.cyclic_groupoid(4)) for i in range(n)])
-    groupoid_table(G)
     return G
 
 
@@ -714,7 +712,7 @@ class TestCentralProjections:
         assert np.allclose(table.mul(one, x), x, atol=1e-9)
 
     def test_perturbed_center_row_fails_the_unit_residual(self):
-        table = groupoid_table(corpus.heisenberg_groupoid(3))
+        table = corpus.heisenberg_groupoid(3).table
         k, j, a, v = algebra._center_entries(table)
         v = v.copy()
         v[np.flatnonzero(j == 1)[0]] *= 1.01
@@ -805,7 +803,6 @@ def test_faithfulness_slice_falls_back_to_the_full_rank(monkeypatch):
 
 def test_heis6_wedderburn_and_faithfulness_memory_is_bounded():
     G = corpus.heisenberg_groupoid(6)
-    groupoid_table(G)
     peaks = {}
     for name, fn in (("wedderburn", gk.wedderburn),
                      ("faithfulness_defect", gk.faithfulness_defect)):
@@ -876,7 +873,7 @@ class TestStarRepHypothesis:
     @pytest.mark.parametrize("n", [2, 3])
     def test_roots_that_are_not_unitary(self, n):
         G = corpus.heisenberg_groupoid(n)
-        table = groupoid_table(G)
+        table = G.table
         rng = np.random.default_rng(n)
         re, im = rng.standard_normal((2, table.dim, table.dim))
         T = re + 1j * im
@@ -911,13 +908,13 @@ def _center_tables():
     for m, (i, j) in zip(units, [(0, 1), (1, 0), (2, 2)]):
         m[i, j] = 1.0
     return {
-        "heis3": groupoid_table(corpus.heisenberg_groupoid(3)),
-        "zn_square4": groupoid_table(corpus.zn_square_groupoid(4)),
-        "union": groupoid_table(corpus.disjoint_union([
+        "heis3": corpus.heisenberg_groupoid(3).table,
+        "zn_square4": corpus.zn_square_groupoid(4).table,
+        "union": corpus.disjoint_union([
             ("p", corpus.pair_groupoid(3)),
             ("z", corpus.cyclic_groupoid(4)),
-            ("h", corpus.heisenberg_groupoid(2))])),
-        "twisted": groupoid_table(om.base, om.omega),
+            ("h", corpus.heisenberg_groupoid(2))]).table,
+        "twisted": om.table,
         # M2 + C, conjugated: still a matrix-unit basis
         "closure": _closure_tables([q @ m @ q.conj().T for m in units],
                                    1e-9),
@@ -961,7 +958,7 @@ def _shipped_and_blocks_tables(workdir):
                  workloads.blocks_pass(str(workdir), 7)]
     finally:
         sys.path.remove(bench)
-    tables = [groupoid_table(gio.load_groupoid(f)) for f in paths + [
+    tables = [gio.load_groupoid(f).table for f in paths + [
         corpus.data_path(f"{g}.groupoid.json")
         for g in ("heis2", "heis3", "pair", "z3")]]
     tables += [gk.GroupTable(*gio.load_group(corpus.data_path(
@@ -970,16 +967,15 @@ def _shipped_and_blocks_tables(workdir):
     tables += [gk.build_bundle(gio.load_morphism(corpus.data_path(
         f"{m}.morphism.json"))).table() for m in (
             "flip_covering", "heis2_quotient", "heis3_quotient")]
-    tables += [groupoid_table(G) for G in (
+    tables += [G.table for G in (
         *map(corpus.heisenberg_groupoid, (2, 3, 4, 5)),
         corpus.zn_square_groupoid(8), corpus.pair_groupoid(10),
         corpus.cyclic_groupoid(7))]
     for n in (2, 3):
         res = gk.group_extension_bundle(corpus.heisenberg_extension(n))
-        tables.append(groupoid_table(res.action_groupoid.groupoid,
-                                     res.cocycle.omega))
+        tables.append(res.cocycle.table)
     # heis3 (in (a, b, c) order) with its first entry split in two in place
-    T = groupoid_table(corpus.heisenberg_groupoid(3))
+    T = corpus.heisenberg_groupoid(3).table
     repeated = StructureTable(T.dim, *(np.insert(v, 1, v[0]) for v in (
         T.a, T.b, T.c)), np.insert(T.w, 1, 0.75 * T.w[0]) * np.insert(
             np.ones(len(T.w)), 0, 0.25), T.s, T.t, T.sw)
@@ -992,7 +988,7 @@ def _cancelling_table(keep_cancelled=True):
     summed, they vanish; kept apart, e_3 e_1 and e_1 e_6 would link the
     center element 1 and the classes of 3 and 6 through the constraint
     row (1, 0)."""
-    T = groupoid_table(corpus.heisenberg_groupoid(3))
+    T = corpus.heisenberg_groupoid(3).table
     a, b, c, w = T.a, T.b, T.c, T.w
     if keep_cancelled:
         a, b, c = (np.append(v, x) for v, x in zip(
@@ -1030,8 +1026,8 @@ class TestLapackCalls:
         # Z8 x Z8 is abelian: 64 one-column components of 64 rows each,
         # read from the table with no SVD
         calls = _counting(monkeypatch, np.linalg, "svd")
-        assert center_basis(groupoid_table(
-            corpus.zn_square_groupoid(8))).shape == (64, 64)
+        assert center_basis(
+            corpus.zn_square_groupoid(8).table).shape == (64, 64)
         assert calls == []
         # row (3, 4) of the wide table has two terms on one side: one SVD
         # per component shape, 1 x 3, 3 x 1 and the free 0 x 1
@@ -1062,7 +1058,7 @@ class TestWedderburnMemo:
         G = corpus.heisenberg_groupoid(2)
         first = gk.wedderburn(G, seed=3, tol=1e-9)
         assert gk.wedderburn(G, seed=3, tol=1e-9) is first
-        assert groupoid_table(G).solved == {(3, 1e-9): first}
+        assert G.table.solved == {(3, 1e-9): first}
         assert len(calls) == 1
         # another seed or tolerance is another solve
         gk.wedderburn(G, seed=4, tol=1e-9)
@@ -1074,13 +1070,13 @@ class TestWedderburnMemo:
         # a generator for seed is drawn from afresh on every call
         rng = np.random.default_rng(3)
         for _ in range(2):
-            wedderburn_from_tables(groupoid_table(G), seed=rng)
+            wedderburn_from_tables(G.table, seed=rng)
         assert len(calls) == 6
 
     def test_degeneracy_is_raised_again(self, monkeypatch):
         calls = _counting(monkeypatch, algebra, "_center_entries")
         _shift_a_trace(monkeypatch)
-        table = groupoid_table(corpus.heisenberg_groupoid(2))
+        table = corpus.heisenberg_groupoid(2).table
         for _ in range(2):
             with pytest.raises(gk.NumericalDegeneracy):
                 wedderburn_from_tables(table)
@@ -1168,7 +1164,7 @@ class TestCenterBasis:
         omega = {(g1, g2): w * (bilinear[(g1[2:], g2[2:])]
                                 if g1.startswith("z:") else 1.0)
                  for (g1, g2), w in omega.items()}
-        table = groupoid_table(G, omega)
+        table = gk.Cocycle(G, omega).table
         got, want = center_basis(table), dense_center_basis(table)
         assert got.shape == want.shape
         assert np.abs(got.T @ got.conj()
@@ -1180,7 +1176,7 @@ class TestCenterBasis:
     def test_shifted_cocycle_entry_drops_its_classes(self):
         # one product of heis3 turned by a phase: the classes it links
         # leave the center, by the phase residual as by the dense SVD
-        T = groupoid_table(corpus.heisenberg_groupoid(3))
+        T = corpus.heisenberg_groupoid(3).table
         w = T.w.copy()
         hit = int(np.flatnonzero((T.a == 3) & (T.b == 1))[0])
         w[hit] = np.exp(0.3j)
@@ -1235,7 +1231,6 @@ class TestCenterBasis:
         # a full SVD of the dim² x dim constraint matrix would allocate a
         # dim² x dim² left factor (4096² complex: 268 MB at heis4)
         G = corpus.heisenberg_groupoid(4)
-        groupoid_table(G)
         tracemalloc.start()
         try:
             inv = gk.wedderburn(G)

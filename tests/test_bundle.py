@@ -6,8 +6,7 @@ import pytest
 import gpdkit as gk
 import gpdkit.io as gio
 from gpdkit import corpus
-from gpdkit.algebra import (AlgebraElement, _regular, groupoid_table,
-                            random_element)
+from gpdkit.algebra import AlgebraElement, _regular, random_element
 from gpdkit.bundle import (FiberElement, Section, SectionAlgebra,
                           _hilbert_module_defect, kernel_decomposition_report)
 from gpdkit.fiberblocks import fiber_blocks
@@ -517,7 +516,7 @@ def _shifted_twist(seed):
     omega = dict(random_cocycle(G, rng).omega)
     pairs = [p for p in omega if not G.is_unit(p[0]) and not G.is_unit(p[1])]
     omega[pairs[rng.integers(len(pairs))]] *= np.exp(0.7j)
-    return groupoid_table(G, omega)
+    return gk.Cocycle(G, omega).table
 
 
 class TestTableIdentityControls:
@@ -604,11 +603,10 @@ def basis_maps():
     psi_map = np.zeros((E.total_dim(), n))
     psi_map[E.psi_slots, np.arange(n)] = 1.0
     ext = gk.group_extension_bundle(corpus.heisenberg_extension(2))
-    maps = {"psi": (groupoid_table(pi.domain), E.table(), psi_map),
+    maps = {"psi": (pi.domain.table, E.table(), psi_map),
             "extension": (
-                groupoid_table(ext.extension.group.to_groupoid()),
-                groupoid_table(ext.action_groupoid.groupoid,
-                               ext.cocycle.omega), ext.basis_map)}
+                ext.extension.group.to_groupoid().table,
+                ext.cocycle.table, ext.basis_map)}
     rng = np.random.default_rng(4000)
     for name, action in (("flip", corpus.flip_action()),
                          ("covering", random_action(rng))):
@@ -617,8 +615,7 @@ def basis_maps():
             random_cocycle(ag.groupoid, rng)
         E = gk.build_bundle(ag.projection, twist=twist)
         res = gk.abelian_extract(E)
-        maps[name] = (groupoid_table(res.action_groupoid.groupoid,
-                                     res.cocycle.omega), E.table(),
+        maps[name] = (res.cocycle.table, E.table(),
                       res.basis_map)
     return maps
 
@@ -1180,3 +1177,36 @@ def test_verify_axioms_heis5_bounds():
     assert rep.passed and rep.saturated
     assert peak <= 33 * 2 ** 20
     assert elapsed < 5.0
+
+
+def test_twisted_star_weight_of_g_is_conj_omega_of_g_and_its_inverse():
+    # random phases, no cocycle, so that omega(g, inv g) and
+    # omega(inv g, g) differ; a Cocycle and its name mapping build one table
+    pi = corpus.heisenberg_quotient(2)
+    G = pi.domain
+    rng = np.random.default_rng(9)
+    om = gk.Cocycle(G, np.exp(2j * np.pi * rng.random(len(G.comp))))
+    want = [complex(np.conj(om(g, G.inv[g]))) for g in G.arrows]
+    assert want != [complex(np.conj(om(G.inv[g], g))) for g in G.arrows]
+    for twist in (om, dict(om.omega)):
+        E = gk.build_bundle(pi, twist)
+        T = E.table()
+        sw = np.zeros(T.dim, complex)
+        sw[T.s] = T.sw
+        assert sw[E.psi_slots].tolist() == want
+
+
+def test_cocycle_on_a_copy_of_the_domain_twists_by_pair_names():
+    # the copy lists its composable pairs in reverse, so its table order
+    # is not the domain's
+    pi = corpus.heisenberg_quotient(2)
+    G = pi.domain
+    copy = gk.validate_groupoid(G.arrows, G.units, G.src, G.rng, G.inv,
+                                dict(reversed(list(G.comp.items()))))
+    rng = np.random.default_rng(10)
+    om = gk.Cocycle(copy, np.exp(2j * np.pi * rng.random(len(G.comp))))
+    assert list(copy.comp) != list(G.comp)
+    got, want = (gk.build_bundle(pi, twist).table()
+                 for twist in (om, dict(om.omega)))
+    for name in ("a", "b", "c", "w", "s", "t", "sw"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))

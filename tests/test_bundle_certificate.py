@@ -27,7 +27,6 @@ import gpdkit.bundle as gbundle
 import gpdkit.fiberblocks as gfiberblocks
 import gpdkit.io as gio
 from gpdkit import corpus
-from gpdkit.algebra import groupoid_table
 from gpdkit.cli import main
 from gpdkit.fiberblocks import FiberBlocks, fiber_blocks
 
@@ -297,7 +296,7 @@ def _extension_maps():
         res = gk.group_extension_bundle(corpus.heisenberg_extension(n))
         ta = gk.TwistedConvolutionAlgebra(res.action_groupoid.groupoid,
                                           res.cocycle)
-        A = groupoid_table(res.extension.group.to_groupoid())
+        A = res.extension.group.to_groupoid().table
         out.append((A, ta.table, res.basis_map))
         U = res.basis_map.copy()
         rows, cols = np.nonzero(U)
@@ -340,10 +339,11 @@ def test_hom_defect_passes_bound_the_terms(monkeypatch):
 def test_closed_form_defect_matches_the_loop(n):
     res = gk.group_extension_bundle(corpus.heisenberg_extension(n))
     assert corpus.heisenberg_closed_form_defect(res, n) == (0.0, None)
-    keys = list(res.cocycle.omega)
+    w = res.cocycle.table.w.copy()
     rng = np.random.default_rng(n)
-    for k in rng.integers(len(keys), size=3):
-        res.cocycle.omega[keys[k]] *= np.exp(1j * rng.uniform(0.1, 3.0))
+    for k in rng.integers(len(w), size=3):
+        w[k] *= np.exp(1j * rng.uniform(0.1, 3.0))
+    res.cocycle = gk.Cocycle(res.cocycle.base, w)
     got = corpus.heisenberg_closed_form_defect(res, n)
     assert got == loop_heisenberg_closed_form_defect(res, n)
     assert got[0] > 0.05 and got[1] is not None

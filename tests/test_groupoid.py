@@ -170,6 +170,17 @@ def test_heis6_validation_memory_is_bounded():
     assert peak <= 16 * 2 ** 20
 
 
+def test_entry_ids_name_the_table_entry_of_each_pair(heis3, pair2):
+    for G in (heis3, pair2):
+        T, n = G.table, len(G.arrows)
+        assert G.entry_ids(T.a, T.b).tolist() == list(range(len(T.a)))
+        h1, h2 = np.divmod(np.arange(n * n), n)
+        e = G.entry_ids(h1, h2)
+        assert np.array_equal(e >= 0, G.src_idx[h1] == G.rng_idx[h2])
+        assert np.array_equal(G.compose_ids(h1, h2),
+                              np.where(e >= 0, T.c[e], -1))
+
+
 def test_missing_composite_detected(z3):
     comp = dict(z3.comp)
     del comp[("g1", "g2")]

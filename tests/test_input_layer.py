@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 import gpdkit.io as gio
 from gpdkit import corpus
 from gpdkit.actions import Cocycle, GroupoidAction
-from gpdkit.algebra import groupoid_table
 from gpdkit.groupoid import (FiniteGroupoid, GroupoidError, GroupoidMorphism,
                              validate_groupoid)
 from gpdkit.report import canonical_json
@@ -266,8 +265,8 @@ def test_intact_documents_load_alike(kind):
 
 def test_loaded_table_is_the_table_of_the_groupoid():
     G = gio.load_groupoid(copy.deepcopy(GROUPOID))
-    fresh = groupoid_table(raw_groupoid(G.arrows, G.units, G.src, G.rng,
-                                        G.inv, G.comp))
+    fresh = raw_groupoid(G.arrows, G.units, G.src, G.rng, G.inv,
+                         G.comp).table
     for name in ("a", "b", "c", "w", "s", "t", "sw"):
         np.testing.assert_array_equal(getattr(G.table, name),
                                       getattr(fresh, name))

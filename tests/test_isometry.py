@@ -17,7 +17,7 @@ import gpdkit.bundle as gbundle
 import gpdkit.extensions as gext
 from gpdkit import algebra, corpus
 from gpdkit.algebra import (RegularRepresentation, StructureTable, _regular,
-                            groupoid_table, isometry_certificate)
+                            isometry_certificate)
 from gpdkit.cli import main
 from gpdkit.fiberblocks import fiber_blocks
 from gpdkit.report import CheckEntry
@@ -175,7 +175,7 @@ def _scaled_column_case():
     G = pi.domain
     U = _psi_map(E, G)
     U[:, 3] *= 2.0
-    A, B = groupoid_table(G), E.table()
+    A, B = G.table, E.table()
     (res_mul, pair), (res_star, s) = A.hom_defect(B, U), \
         A.star_hom_defect(B, U)
     entry = CheckEntry("isometric", *isometry_certificate(

@@ -4,8 +4,9 @@ gives, each against the full scan or the SVD it replaces.
 - ``StructureTable.hom_defect`` with the table's ``generators`` S checks
   U(e_x e_g) = U(e_x) U(e_g) for g in S only; with both tables
   associative, induction on the word of y gives every pair. A failing
-  generator takes the full scan, so a failure keeps the full scan's
-  residual and witness.
+  generator takes the scan with every basis element as g, so a failure
+  keeps the full scan's residual and witness, the lexicographically first
+  (x, g) of the largest residual.
 - ``verify_axioms`` reads axioms 7 and 8 of a moved bundle from its
   domain as inv(inv(g)) = g and inv(ab) = inv(b) inv(a).
 - ``RegularRepresentation.slice_margin`` reads sigma_min as the smallest
@@ -27,7 +28,8 @@ from gpdkit.algebra import (RegularRepresentation, StructureTable,
 from gpdkit.extensions import coset_bijectivity
 from gpdkit.groupoid import pair_blocks
 
-from oracles import bundle_from, svd_slice_margins, table_arrays
+from oracles import (bundle_from, dense_map_defects, svd_slice_margins,
+                     table_arrays)
 from test_moved_tables import _counting
 
 TOL = 1e-8
@@ -82,6 +84,11 @@ def _map(name):
     return _BUILT[name]
 
 
+def _sets(scans):
+    """The set of g of each recorded ``_generator_hom_defect`` call."""
+    return [np.asarray(c[-1]).tolist() for c in scans]
+
+
 def _flags(D, T, U):
     """(pass flag of the generator certificate, of the full scan)."""
     assert D.generators is not None
@@ -128,7 +135,7 @@ def test_corrupted_non_generator_column_takes_the_full_scan(monkeypatch):
     assert TOL < restricted[0] < full[0]
     scans = _counting(monkeypatch, StructureTable, "_generator_hom_defect")
     assert D.hom_defect(T, V, D.generators, TOL) == full
-    assert len(scans) == 1
+    assert _sets(scans) == [D.generators.tolist(), list(range(D.dim))]
 
 
 def test_corrupted_generator_column_fails():
@@ -171,13 +178,13 @@ def test_zero_weight_table_takes_the_full_scan(monkeypatch):
     Z = StructureTable(D.dim, D.a, D.b, D.c, w, D.s, D.t, D.sw)
     scans = _counting(monkeypatch, StructureTable, "_generator_hom_defect")
     assert Z.hom_defect(T, U, D.generators, TOL) == Z.hom_defect(T, U)
-    assert scans == []
+    assert _sets(scans) == [list(range(Z.dim))] * 2
 
 
 def test_extension_reads_multiplicativity_from_generators(monkeypatch):
     scans = _counting(monkeypatch, StructureTable, "_generator_hom_defect")
-    res = _extension(4)[3]
-    assert len(scans) == 1 and res.passed
+    D, _, _, res = _extension(4)
+    assert _sets(scans) == [D.generators.tolist()] and res.passed
     entry = res.entry("basis_map_multiplicative")
     assert entry.passed and entry.residual <= 1e-15
 
@@ -200,7 +207,7 @@ def test_non_associative_target_is_never_certified_from_generators(
     res = gk.group_extension_bundle(corpus.heisenberg_extension(2))
     assert res.extension.group.table.generators is not None
     assert not res.entry("cocycle_identity").passed
-    assert scans == [] and full[0][3] is None
+    assert _sets(scans) == [list(range(8))] and full[0][3] is None
     assert not res.entry("basis_map_multiplicative").passed
 
 
@@ -215,7 +222,8 @@ def test_psi_check_of_a_twisted_bundle_fails_as_the_full_scan(monkeypatch):
     assert not E.moved() and pi.domain.table.generators is not None
     scans = _counting(monkeypatch, StructureTable, "_generator_hom_defect")
     entry = gk.psi_iso_check(pi, bundle=E, samples=5).entry("multiplicative")
-    assert len(scans) == 1
+    assert _sets(scans) == [pi.domain.table.generators.tolist(),
+                            list(range(len(pi.domain.arrows)))]
     U = np.zeros((len(pi.domain.arrows),) * 2)
     U[E.psi_slots, np.arange(len(U))] = 1.0
     res, pair = pi.domain.table.hom_defect(E.table(), U)
@@ -229,9 +237,28 @@ def test_extraction_reads_generators_of_the_twisted_pattern(monkeypatch):
     monkeypatch.setattr(algebra, "_TRIPLES_PER_PASS", 64)
     scans = _counting(monkeypatch, StructureTable, "_generator_hom_defect")
     res = gk.abelian_extract(gk.build_bundle(corpus.heisenberg_quotient(3)))
-    assert len(scans) == 1 and res.passed
+    assert _sets(scans) == [res.cocycle.table.generators.tolist()]
+    assert res.passed
     entry = res.entry("basis_map_multiplicative")
     assert entry.passed and entry.residual <= 1e-12
+
+
+@pytest.mark.parametrize("per_pass", [1, 97, None])
+@pytest.mark.parametrize("generators", [False, True])
+def test_equal_residuals_report_the_first_pair(monkeypatch, per_pass,
+                                                generators):
+    # heis3 onto itself with two columns of the identity swapped: every
+    # failing pair differs by exactly 1.0, and the witness is the
+    # lexicographically first of them, whatever the passes over g
+    D = _extension(3, 64)[0]
+    S = D.generators if generators else None
+    U = np.eye(D.dim)
+    U[:, [5, 11]] = U[:, [11, 5]]
+    mul = dense_map_defects(D, D, U)[0]
+    first = np.unravel_index(np.argmax(mul), mul.shape)
+    if per_pass:
+        monkeypatch.setattr(algebra, "_TRIPLES_PER_PASS", per_pass)
+    assert D.hom_defect(D, U, S, TOL) == (mul.max(), first) == (1.0, first)
 
 
 # -- cost shape, counted in the keys that reach algebra._defect

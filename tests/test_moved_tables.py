@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpdkit as gk
 from gpdkit import actions, algebra, corpus
-from gpdkit.algebra import StructureTable, groupoid_table, \
-    wedderburn_from_tables
+from gpdkit.algebra import StructureTable, wedderburn_from_tables
 from gpdkit.cli import main
 from gpdkit.fiberblocks import fiber_blocks
 
@@ -207,7 +206,7 @@ def test_carried_results_equal_the_computed_ones(kind, seed):
     G, T = pi.domain, E.table()
     U = np.zeros((T.dim, len(G.arrows)))
     U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
-    D = groupoid_table(G)
+    D = G.table
     assert D.hom_defect(T, U) == D.star_hom_defect(T, U) == (0.0, None)
     for name in ("multiplicative", "star_preserving"):
         assert iso.entry(name).residual == 0.0
@@ -287,21 +286,25 @@ def test_twisted_algebra_reads_the_checked_table(monkeypatch):
 
 def test_extract_builds_the_input_twist_once(monkeypatch, tmp_path, capsys):
     # abelian extract --cocycle builds the twisted table of its input once,
-    # for cocycle_check and the bundle, and once of the extracted twist
-    from gpdkit import bundle, io as gio
+    # a Cocycle read by cocycle_check and the bundle, and once of the
+    # extracted twist
+    from gpdkit import io as gio
     from gpdkit.report import canonical_json
-    calls = []
-    for owner in (algebra, actions, bundle):
-        def counted(G, omega=None, fn=owner.groupoid_table):
-            calls.append(omega is not None)
-            return fn(G, omega)
-        monkeypatch.setattr(owner, "groupoid_table", counted)
     ag = gk.build_action_groupoid(corpus.flip_action())
     cpath = tmp_path / "om.json"
     cpath.write_text(canonical_json(gio.save_cocycle(random_cocycle(
         ag.groupoid, np.random.default_rng(17)))))
+    built, init = [], actions.Cocycle.__init__
+
+    def counted(self, base, omega):
+        init(self, base, omega)
+        built.append(self.table)
+    monkeypatch.setattr(actions.Cocycle, "__init__", counted)
+    made = _counting(monkeypatch, StructureTable, "associativity_defect")
     assert main(["abelian", "extract", "--morphism",
                  corpus.data_path("flip_covering.morphism.json"),
                  "--cocycle", str(cpath)]) == 0
     capsys.readouterr()
-    assert calls.count(True) == 2
+    assert len(built) == 2
+    # each twist's identity is read from the table its Cocycle built
+    assert all(any(t is b for (t,) in made) for b in built)
