@@ -10,12 +10,14 @@ below 1.
 
 Each command is declared once, in the command table ``COMMANDS``. A run
 builds the argparse parser of its own command only, with the help, usage
-and error messages of the whole table's parser.
+and error messages of the whole table's parser, once per process: later
+``main`` calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -535,8 +537,13 @@ def cmd_demo(args, report: Report):
         # chi_t(a b') with zero residual
         resid, pair = corpus.heisenberg_closed_form_defect(res, n)
         report.add("cocycle_matches_closed_form", resid == 0.0, resid, pair)
+        # each distinct weight formatted once, told apart by its bytes:
+        # -0.0 and +0.0 are equal but print differently (return_index
+        # keeps np.unique from importing numpy.ma)
+        w = np.ascontiguousarray(res.cocycle.table.w)
+        first = np.unique(w.view("V16"), return_index=True)[1]
         report.extras["cocycle_values"] = sorted(
-            {f"{v.real:+.6f}{v.imag:+.6f}i" for v in res.cocycle.table.w})
+            {f"{v.real:+.6f}{v.imag:+.6f}i" for v in w[first]})
     return
 
 
@@ -638,8 +645,19 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser of what ``argv`` can reach in the command table: the
     group and command it names, a group it names with all its commands,
     or else (also for None) the whole table. It parses ``argv`` as the
-    whole table's parser does, with the same output and exit status."""
+    whole table's parser does, with the same output and exit status.
+    Each of these parsers is built once per process, on its first call,
+    and later calls return it: parsing and help output leave a parser as
+    it was, and the terminal width and ``GPD_TOL`` are read when a run
+    happens, not when its parser is built."""
     group, name = [*(argv or ()), None, None][:2]
+    if group not in COMMANDS:
+        return _parser(None, None)
+    return _parser(group, name if name in COMMANDS[group][1] else None)
+
+
+@functools.lru_cache(maxsize=None)  # at most one entry per table key
+def _parser(group, name) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gpdkit",
         description="finite groupoid / fiber bundle verification toolkit")
@@ -649,8 +667,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         if None in commands:  # the group parser is the command's
             _add_flags(gp, commands[None][2])
             continue
-        gsub, reached = _subparsers(gp, "sub", commands,
-                                    name if group in COMMANDS else None)
+        gsub, reached = _subparsers(gp, "sub", commands, name)
         for cname, (_, chelp, flags) in reached:
             _add_flags(gsub.add_parser(cname, help=chelp), flags)
     return p

@@ -64,13 +64,14 @@ class GroupTable:
     are read from the table, associativity from its w = 1 structure table
     by gathers in passes of bounded size, so memory stays bounded for a
     thousand elements; the structure table is kept as the table of
-    :meth:`to_groupoid`.
+    :meth:`to_groupoid`. ``associative=True`` skips that scan, for a table
+    known to be associative: a subgroup or a quotient of a checked group.
     """
 
     __slots__ = ("elements", "index", "M", "unit", "inv", "table",
                  "_groupoid")
 
-    def __init__(self, elements, mul):
+    def __init__(self, elements, mul, associative=False):
         self.elements = tuple(elements)
         self.index = _index(self.elements, "element")
         self._groupoid = None
@@ -105,6 +106,8 @@ class GroupTable:
         self.table = StructureTable(n, np.repeat(rng_n, n), np.tile(rng_n, n),
                                     M, np.ones(n * n), rng_n, self.inv,
                                     np.ones(n))
+        if associative:
+            return
         _, triple = self.table.associativity_defect()
         if triple is not None:
             a, b, c = (self.elements[i] for i in triple)
@@ -139,7 +142,8 @@ class GroupTable:
         pos = np.zeros(len(self), np.int64)
         pos[members] = np.arange(len(members))
         return GroupTable([self.elements[i] for i in members],
-                          pos[self.M[np.ix_(members, members)]])
+                          pos[self.M[np.ix_(members, members)]],
+                          associative=True)
 
     def quotient(self, members):
         """(reps, coset, Q) for the normal subgroup K on the element
@@ -150,7 +154,8 @@ class GroupTable:
         reps = np.flatnonzero(first == np.arange(len(self)))
         coset = np.searchsorted(reps, first)
         return reps, coset, GroupTable([self.elements[i] for i in reps],
-                                       coset[self.M[np.ix_(reps, reps)]])
+                                       coset[self.M[np.ix_(reps, reps)]],
+                                       associative=True)
 
     def to_groupoid(self) -> FiniteGroupoid:
         """The one-unit groupoid of the group, built once on the structure

@@ -1,6 +1,7 @@
 """The CLI builds only the parser of the command it is given, from the one
-command table in gpdkit.cli. These tests hold that parser to the parser
-of the whole table: the same namespace, output and exit status."""
+command table in gpdkit.cli, once per process. These tests hold that
+parser, new or reused, to the parser of the whole table: the same
+namespace, output and exit status."""
 
 import argparse
 
@@ -84,9 +85,14 @@ def _outcome(argv, capsys):
     return code, out.out, out.err
 
 
+def _whole_parser():
+    """A new parser of the whole table, built past the cache of parsers."""
+    return cli._parser.__wrapped__(None, None)
+
+
 def _whole_table_outcome(argv, capsys, monkeypatch):
-    whole = build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: whole())
+    whole = _whole_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: whole)
     try:
         return _outcome(argv, capsys)
     finally:
@@ -112,7 +118,7 @@ def test_parse_gives_the_whole_tables_namespace(argv):
     # every flag's default is in the namespace, so a flag the filter
     # dropped shows here even where the run does not use it
     assert vars(build_parser(argv).parse_args(argv)) == \
-        vars(build_parser().parse_args(argv))
+        vars(_whole_parser().parse_args(argv))
 
 
 def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
@@ -124,7 +130,32 @@ def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert main(["graph", "fibers", "--morphism", CUNTZ, "--word", "1"]) == 0
-    capsys.readouterr()
+    cli._parser.cache_clear()  # earlier tests may have built it
+    argv = ["graph", "fibers", "--morphism", CUNTZ, "--word", "1"]
+    assert main(argv) == 0
     # the top level, the group and the command
     assert len(built) <= 3, built
+    built.clear()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_reused_parsers_give_the_whole_tables_outcomes(capsys, monkeypatch):
+    # every run twice, forward and then backward, so that each parser is
+    # reused after runs, errors and help output of the others
+    argvs = list(ARGVS.values())
+    expected = [_whole_table_outcome(argv, capsys, monkeypatch)
+                for argv in argvs]
+    for order in (range(len(argvs)), reversed(range(len(argvs)))):
+        for i in order:
+            assert _outcome(argvs[i], capsys) == expected[i], argvs[i]
+
+
+def test_a_failed_parse_leaves_the_parser_as_it_was(capsys):
+    argv = ["graph", "fibers", "--morphism", CUNTZ, "--word", "1121"]
+    first = _outcome(argv, capsys)
+    assert first[0] == 0
+    failed = _outcome(argv[:-2], capsys)  # no --word
+    assert failed[0] == ("SystemExit", 2) and "--word" in failed[2]
+    assert _outcome(argv, capsys) == first

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from itertools import product
 
@@ -7,6 +8,8 @@ import pytest
 
 import gpdkit as gk
 from gpdkit import corpus
+from gpdkit.algebra import StructureTable
+from gpdkit.cli import main
 from gpdkit.extensions import (CharacterData, GroupExtension, GroupTable,
                                abelian_basis, unit_root)
 
@@ -158,6 +161,24 @@ class TestExtensionValidation:
         with pytest.raises(gk.NotNormal):
             GroupExtension.from_tables([ids[p] for p in perms], mul,
                                        [unit, swap])
+
+    @pytest.mark.parametrize("kernel, witness", [
+        # closed, but conjugating the swap by another swap leaves it
+        ([(0, 1, 2), (1, 0, 2)], ((0, 2, 1), (1, 0, 2))),
+        # two swaps whose product, a cycle, is not in the kernel
+        ([(0, 1, 2), (1, 0, 2), (0, 2, 1)], ((1, 0, 2), (0, 2, 1)))])
+    def test_non_normal_kernel_is_named_before_any_quotient(
+            self, kernel, witness):
+        # the subgroup and quotient tables are not scanned for
+        # associativity, so normality must be decided before they are built
+        import itertools
+        perms = list(itertools.permutations(range(3)))
+        mul = {(repr(p), repr(q)): repr(tuple(p[q[i]] for i in range(3)))
+               for p in perms for q in perms}
+        with pytest.raises(gk.NotNormal) as exc:
+            GroupExtension.from_tables([repr(p) for p in perms], mul,
+                                       [repr(k) for k in kernel])
+        assert exc.value.witness == tuple(repr(w) for w in witness)
 
     def test_nonabelian_kernel_rejected(self):
         elements, mul, _ = loop_heisenberg_elements(2)
@@ -393,3 +414,30 @@ class TestOtherExtensions:
 def test_unit_root_reduction():
     assert unit_root(17, 3) == unit_root(2, 3)
     assert unit_root(0, 5) == 1.0
+
+
+def test_demo_heisenberg_scans_only_the_groups_it_builds(monkeypatch,
+                                                          capsys):
+    # the input group and the Z_3^2 codomain are scanned for
+    # associativity; the kernel and the quotient of the extension, and
+    # the Sylow subgroup and the quotient of the character basis, are a
+    # subgroup or a quotient of a checked group and are not
+    scanned = []
+    scan = StructureTable.associativity_defect
+
+    def spy(self):
+        if isinstance(sys._getframe(1).f_locals.get("self"), GroupTable):
+            scanned.append(self.dim)
+        return scan(self)
+    monkeypatch.setattr(StructureTable, "associativity_defect", spy)
+    assert main(["demo", "heisenberg", "--n", "3", "--samples", "5"]) == 0
+    capsys.readouterr()
+    assert scanned == [27, 9]
+
+
+def test_demo_heisenberg_lists_each_weight_as_printed(capsys):
+    assert main(["demo", "heisenberg", "--n", "4", "--samples", "5"]) == 0
+    values = json.loads(capsys.readouterr().out)["cocycle_values"]
+    w = gk.group_extension_bundle(
+        corpus.heisenberg_extension(4)).cocycle.table.w
+    assert values == sorted({f"{v.real:+.6f}{v.imag:+.6f}i" for v in w})

@@ -273,8 +273,8 @@ class TestCli:
             loops.append(n)
             return elements(n)
 
-        def counted_init(self, elements, mul):
-            init(self, elements, mul)
+        def counted_init(self, elements, mul, **kwargs):
+            init(self, elements, mul, **kwargs)
             tables.append(len(self))
 
         def psi_of(pi, **kwargs):
