@@ -28,8 +28,8 @@ from .bundle import (AxiomReport, BundleNotVerified, FellBundle,
                      fiber_norm, fiber_star, line_bundle, psi, psi_iso_check,
                      section_algebra, verify_axioms)
 from .graphs import (DirectedGraph, DomainNotCollapse, GraphMorphism,
-                     GraphMorphismReport, IncidenceViolation, LiftSet,
-                     NotLiftable, check_graph_morphism, collapse_morphism,
+                     IncidenceViolation, LiftSet, NotLiftable,
+                     check_graph_morphism, collapse_morphism,
                      cylinder_cover_check, grading_degree,
                      kernel_fiber_groupoid, lift_counts, lift_paths)
 from .actions import (ActionAxiomViolation, Cocycle, CocycleIdentityFailure,

@@ -251,7 +251,8 @@ class Cocycle:
     @property
     def omega(self):
         if self._omega is None:
-            self._omega = _PairView(self.base, self.table.w.tolist)
+            self._omega = _PairView(self.base.arrows, self.table,
+                                    self.table.w.tolist)
         return self._omega
 
     def __call__(self, g1, g2):
@@ -284,25 +285,14 @@ def product_cocycle(a: Cocycle, b: Cocycle) -> Cocycle:
     return Cocycle(a.base, a.table.w * b.table.w)
 
 
-@dataclass
-class CocycleReport:
-    modulus_residual: float
-    identity_residual: float
-    normalization_residual: float
-    witness: Optional[str] = None
-
-    def passed(self, tol: float = 1e-12) -> bool:
-        return (self.modulus_residual <= tol
-                and self.identity_residual <= tol
-                and self.normalization_residual <= tol)
-
-
-def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
-    """Exhaustive verification (totality is the Cocycle's own): unit
-    modulus, normalization on units, and the identity
-    omega(g1,g2) omega(g1g2,g3) = omega(g2,g3) omega(g1,g2g3): the
+def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CheckList:
+    """Exhaustive verification (totality is the Cocycle's own), as the
+    entries ``cocycle_identity``, ``cocycle_modulus`` (unit modulus) and
+    ``cocycle_normalized`` (omega = 1 on the pairs with a unit factor),
+    each decided at ``tol``. The identity
+    omega(g1,g2) omega(g1g2,g3) = omega(g2,g3) omega(g1,g2g3) is the
     associativity of the cocycle's table, whose defect, kept on the
-    table, and triple give residual and witness."""
+    table, and first failing triple give residual and witness."""
     G, T, unit = omega.base, omega.table, omega.base.unit_mask()
     # |w| rounded as abs(complex) rounds it
     res_mod = float(np.abs(np.hypot(T.w.real, T.w.imag) - 1.0).max(
@@ -310,9 +300,13 @@ def cocycle_check(omega: Cocycle, tol: float = 1e-12) -> CocycleReport:
     # the pairs (rng g, g) and (g, src g) are those with a unit factor
     res_norm = float(np.abs(T.w[unit[T.a] | unit[T.b]] - 1.0).max(initial=0.0))
     res_id, triple = T.associativity_defect()
-    witness = None if res_id <= tol else "({!r}, {!r}, {!r})".format(
-        *(G.arrows[i] for i in triple))
-    return CocycleReport(res_mod, res_id, res_norm, witness)
+    checks = CheckList()
+    checks.add("cocycle_identity", res_id <= tol, res_id,
+               None if res_id <= tol else "({!r}, {!r}, {!r})".format(
+                   *(G.arrows[i] for i in triple)))
+    checks.add("cocycle_modulus", res_mod <= tol, res_mod)
+    checks.add("cocycle_normalized", res_norm <= tol, res_norm)
+    return checks
 
 
 class TwistedConvolutionAlgebra:
@@ -346,14 +340,17 @@ class TwistedConvolutionAlgebra:
 
 def twisted_algebra(G: FiniteGroupoid, omega: Cocycle,
                     tol: float = 1e-12) -> TwistedConvolutionAlgebra:
-    """Validated twisted convolution algebra; the cocycle identity is
-    re-verified first since associativity rides on it."""
+    """Validated twisted convolution algebra: CocycleIdentityFailure,
+    with the identity's residual and witness, unless every entry of
+    :func:`cocycle_check` passes at ``tol`` (associativity rides on the
+    identity)."""
     ta = TwistedConvolutionAlgebra(G, omega)
-    report = cocycle_check(omega, tol)
-    if not report.passed(tol):
+    checks = cocycle_check(omega, tol)
+    if not checks.passed:
+        identity = checks.entry("cocycle_identity")
         raise CocycleIdentityFailure(
             f"cocycle fails validation (identity residual "
-            f"{report.identity_residual:.3e})", witness=report.witness)
+            f"{identity.residual:.3e})", witness=identity.witness)
     return ta
 
 
@@ -593,13 +590,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     result.add("action_axioms", True, None, None)
     result.add("line_products_consistent", res_line <= 1e-8, res_line)
     ta = TwistedConvolutionAlgebra(ag.groupoid, omega)
-    creport = cocycle_check(omega, 1e-12)
-    result.add("cocycle_identity", creport.identity_residual <= 1e-12,
-               creport.identity_residual, creport.witness)
-    result.add("cocycle_modulus", creport.modulus_residual <= 1e-12,
-               creport.modulus_residual)
-    result.add("cocycle_normalized", creport.normalization_residual <= 1e-12,
-               creport.normalization_residual)
+    result.add_entries(cocycle_check(omega, 1e-12).entries)
     # without the identity the twisted table is no associative algebra
     if not result.entry("cocycle_identity").passed:
         for name in ("wedderburn_equal", "basis_map_multiplicative",

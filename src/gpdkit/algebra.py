@@ -567,7 +567,8 @@ class RegularRepresentation:
     product does not make orthonormal passes its entries in orthonormal
     coordinates (``SectionSpace``). Blocks of one size are scattered into
     one stack; no dim x dim matrix is formed. With a groupoid for
-    ``summand`` (kept as ``base``), basis element j lies over the arrow
+    ``summand`` (of which it keeps the arrow names, ``arrows``, and the
+    source of each arrow, ``src_idx``), basis element j lies over the arrow
     ``over[j]`` (by default arrow j) and in the summand of its source
     unit; a groupoid for ``table`` stands for its untwisted table and
     itself. The checks that its blocks form a faithful *-representation,
@@ -577,9 +578,9 @@ class RegularRepresentation:
     def __init__(self, table, summand=None, entries=None, over=None):
         if isinstance(table, FiniteGroupoid):
             table, summand = table.table, table
-        self.base = self.over = None
+        self.arrows = self.src_idx = self.over = None
         if isinstance(summand, FiniteGroupoid):  # by source unit
-            self.base = summand
+            self.arrows, self.src_idx = summand.arrows, summand.src_idx
             self.over = np.arange(table.dim) if over is None \
                 else np.asarray(over, dtype=np.int64)
             unit = np.zeros(len(summand.arrows), dtype=np.int64)
@@ -691,14 +692,14 @@ class RegularRepresentation:
         the smallest row norm of the slice; otherwise one batched SVD per
         slice shape and chunk."""
         if self._margin is None:
-            H, over, n = self.base, self.over, self.table.dim
+            src, over, n = self.src_idx, self.over, self.table.dim
             a, rows, cols, w = self.entries
             cut = float(np.abs(w).sum()) * n * n * np.finfo(float).eps
-            dims = np.bincount(over, minlength=len(H.arrows))
+            dims = np.bincount(over, minlength=len(src))
             loc = _ranks(over)[1]  # place over its arrow
-            on = np.flatnonzero(over[cols] == H.src_idx[over[rows]])
+            on = np.flatnonzero(over[cols] == src[over[rows]])
             a, rows, cols, w = a[on], rows[on], cols[on], w[on]
-            h, du = over[rows], dims[H.src_idx]
+            h, du = over[rows], dims[src]
             col = np.sort(rows * n + cols)  # slice columns: (row, col)
             if np.all(col[1:] != col[:-1]):
                 own = over[a] == h  # the row norms of basis elements
@@ -718,9 +719,9 @@ class RegularRepresentation:
         return self._margin
 
     def describe(self, j) -> str:
-        """Basis element j as (h=arrow of base, e=its place over h)."""
+        """Basis element j as (h=its arrow, e=its place over h)."""
         place = int(np.count_nonzero(self.over[:j] == self.over[j]))
-        return f"(h={self.base.arrows[self.over[j]]!r}, e={place})"
+        return f"(h={self.arrows[self.over[j]]!r}, e={place})"
 
 
 def _regular(G: FiniteGroupoid) -> RegularRepresentation:
@@ -763,7 +764,7 @@ def isometry_certificate(measured, sides, tol: float):
         margin, cut, h = rep.slice_margin()
         hypotheses.append((f"faithful({label})", 0.0 if margin > cut
                            else None, f"sigma_min {margin:.3e} <= cut "
-                           f"{cut:.3e} over {rep.base.arrows[h]!r}"
+                           f"{cut:.3e} over {rep.arrows[h]!r}"
                            if h is not None else None))
     return certificate(hypotheses, tol)
 

@@ -226,7 +226,7 @@ def _require_cstar_units(B, units):
     ``B``) whose fiber has a degenerate trace form."""
     bad = B.degenerate_unit(units)
     if bad is not None:
-        u = B.bundle.base.arrows[bad]
+        u = B.base.arrows[bad]
         raise FellBundleError(
             f"unit fiber over {u!r} has a degenerate trace form and is not "
             "a C*-algebra", witness=u)

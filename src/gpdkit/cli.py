@@ -25,12 +25,12 @@ import numpy as np
 
 from . import algebra, bundle, corpus, graphs, io as gio
 from .actions import (ActionAxiomViolation, CocycleIdentityFailure,
-                      NotACovering, abelian_extract, build_action_groupoid,
-                      cocycle_check, covering_to_action)
+                      abelian_extract, build_action_groupoid, cocycle_check,
+                      covering_to_action)
 from .algebra import (AlgebraElement, cstar_norm, positivity_check,
                       wedderburn)
 from .bundle import (build_bundle, bisection_bimodule_check, psi_iso_check,
-                     verify_axioms, NotSaturated)
+                     verify_axioms)
 from .draws import draws
 from .extensions import GroupExtension, group_extension_bundle
 from .fiberblocks import fiber_blocks, pick
@@ -96,12 +96,7 @@ def _groupoid_digest(G) -> str:
 
 
 def cmd_gpd_validate(args, report: Report):
-    raw = gio.load_raw_groupoid_tables(args.groupoid)
-    try:
-        G = validate_groupoid(*raw)
-    except GroupoidError as exc:
-        report.add(type(exc).__name__, False, None, repr(exc.witness))
-        return
+    G = validate_groupoid(*gio.load_raw_groupoid_tables(args.groupoid))
     report.add("groupoid_axioms", True, 0.0)
     report.extras["arrows"] = len(G.arrows)
     report.extras["units"] = len(G.units)
@@ -301,11 +296,7 @@ def cmd_bundle_psi(args, report: Report):
 
 def cmd_graph_check(args, report: Report):
     phi = gio.load_graph_morphism(args.morphism)
-    rep = check_graph_morphism(phi)
-    for name in ("incidence", "surjective_vertices", "surjective_edges",
-                 "path_lifting"):
-        report.add(name, getattr(rep, name), None,
-                   rep.witness if not getattr(rep, name) else None)
+    report.add_entries(check_graph_morphism(phi).entries)
     cyl = cylinder_cover_check(phi, args.depth)
     report.add("cylinder_cover", cyl["pass"], None, cyl["witness"])
     report.extras["cylinder_words_checked"] = cyl["words_checked"]
@@ -363,12 +354,7 @@ def cmd_graph_grading(args, report: Report):
     phi = collapse_morphism(V)
     g = grading_degree(phi, args.depth)
     report.extras["grading"] = g.as_dict()
-    # constants, for the reason given in GradingReport.as_dict
-    report.add("degree_additive", True)
-    report.add("involution_flips_degree", True)
-    ok = g.degree_zero_matches_kernel
-    report.add("degree_zero_matches_kernel", ok, None,
-               None if ok else g.witness)
+    report.add_entries(g.entries)
 
 
 def cmd_action_build(args, report: Report):
@@ -394,11 +380,7 @@ def cmd_action_roundtrip(args, report: Report):
         pi = gio.load_morphism(args.morphism)
     else:
         raise SystemExit2("one of --action or --morphism is required")
-    try:
-        ca = covering_to_action(pi)
-    except NotACovering as exc:
-        report.add("NotACovering", False, None, repr(exc.witness))
-        return
+    ca = covering_to_action(pi)
     report.add("roundtrip_isomorphism_exact", ca.exact, 0.0)
     report.extras["points"] = len(ca.action.points)
 
@@ -411,17 +393,14 @@ def cmd_abelian_extract(args, report: Report):
         twist = None
         if getattr(args, "cocycle", None):
             twist = gio.load_cocycle(args.cocycle, groupoid=pi.domain)
-            crep = cocycle_check(twist, 1e-9)
-            report.add("input_cocycle_valid", crep.passed(1e-9),
-                       crep.identity_residual, crep.witness)
+            checks = cocycle_check(twist, 1e-9)
+            identity = checks.entry("cocycle_identity")
+            report.add("input_cocycle_valid", checks.passed,
+                       identity.residual, identity.witness)
         E = build_bundle(pi, twist=twist)
     else:
         raise SystemExit2("one of --bundle or --morphism is required")
-    try:
-        res = abelian_extract(E, tol=args.tol, seed=args.seed)
-    except (NotSaturated, GroupoidError) as exc:
-        report.add(type(exc).__name__, False, None, repr(exc.witness))
-        return
+    res = abelian_extract(E, tol=args.tol, seed=args.seed)
     report.add_entries(res.entries)
     report.extras["points"] = [str(x) for x in res.points]
     report.extras["blocks_twisted"] = list(res.blocks_twisted or ())
@@ -494,9 +473,7 @@ def cmd_demo(args, report: Report):
         V, W, phi = corpus.cuntz_graphs()
         report.inputs["cuntz"] = digest_text(
             canonical_json(gio.save_graph_morphism(phi)))
-        grep = check_graph_morphism(phi)
-        report.add("path_lifting", grep.path_lifting, None,
-                   grep.witness)
+        report.add_entries([check_graph_morphism(phi).entry("path_lifting")])
         counts_ok = True
         import itertools
         for n in range(1, 7):

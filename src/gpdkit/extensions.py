@@ -456,11 +456,8 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
     result = ExtensionBundleResult(ext, Q, chars, ag, cocycle, factor_set,
                                    char_of_point)
     ta = TwistedConvolutionAlgebra(ag.groupoid, cocycle)
-    crep = cocycle_check(cocycle, 1e-12)
-    result.add("cocycle_identity", crep.identity_residual <= 1e-12,
-               crep.identity_residual, crep.witness)
-    result.add("cocycle_normalized", crep.normalization_residual <= 1e-12,
-               crep.normalization_residual)
+    result.add_entries(map(cocycle_check(cocycle, 1e-12).entry,
+                           ("cocycle_identity", "cocycle_normalized")))
 
     Ggpd = G.to_groupoid()
     n = len(G)

@@ -90,7 +90,7 @@ class FiberBlocks:
     def __init__(self, E):
         H, T = E.base, E.table()
         n_arrows = len(H.arrows)
-        self.bundle, self.base, self.table = E, H, T
+        self.base, self.table = H, T
         self.nA, self.index = n_arrows, H.index
         # the slot layout of the bundle: fiber dimension per arrow, the
         # arrow of each slot, and its first slot and index in the fiber

@@ -17,10 +17,10 @@ object would be infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .groupoid import pair_blocks
 from .algebra import WedderburnInvariants
+from .report import CheckList
 
 
 class GraphError(ValueError):
@@ -97,15 +97,6 @@ class GraphMorphism:
         self.emap = dict(emap)
 
 
-@dataclass(frozen=True)
-class GraphMorphismReport:
-    incidence: bool
-    surjective_vertices: bool
-    surjective_edges: bool
-    path_lifting: bool
-    witness: Optional[str] = None
-
-
 def _require_incidence(phi: GraphMorphism):
     """Raise IncidenceViolation, naming the first vertex or edge, unless
     phi maps vertices to vertices and edges to edges with their ends."""
@@ -125,37 +116,38 @@ def _require_incidence(phi: GraphMorphism):
                                      witness=e)
 
 
-def check_graph_morphism(phi: GraphMorphism) -> GraphMorphismReport:
-    """Incidence, surjectivity, and the edge-lifting property: for every
-    domain vertex v and codomain edge b starting at the image of v there
-    must be an edge starting at v mapping to b. Exhaustive with witness."""
+def check_graph_morphism(phi: GraphMorphism) -> CheckList:
+    """The entries ``incidence``, ``surjective_vertices``,
+    ``surjective_edges`` and ``path_lifting``: the edge-lifting property
+    (for every domain vertex v and codomain edge b starting at the image
+    of v there is an edge starting at v mapping to b) on a map onto both
+    vertices and edges. Exhaustive; incidence passes or raises
+    IncidenceViolation. Every failing entry carries the first failure
+    found: a codomain vertex, else an edge, without a preimage, else the
+    first missing lift in vertex and edge order."""
     V, W = phi.domain, phi.codomain
     V.require_no_sinks()
     W.require_no_sinks()
     _require_incidence(phi)
-
-    surj_v = set(phi.vmap[v] for v in V.vertices) == set(W.vertices)
-    surj_e = set(phi.emap[e] for e in V.edges) == set(W.edges)
-    witness = None
-    if not surj_v:
-        missing = sorted(set(W.vertices) - {phi.vmap[v] for v in V.vertices},
-                         key=repr)
-        witness = f"vertex {missing[0]!r} has no preimage"
-    elif not surj_e:
-        missing = sorted(set(W.edges) - {phi.emap[e] for e in V.edges},
-                         key=repr)
-        witness = f"edge {missing[0]!r} has no preimage"
-
-    lifting = True
-    for v in V.vertices:
-        w = phi.vmap[v]
-        for b in W.edges_from(w):
-            if not any(phi.emap[a] == b for a in V.edges_from(v)):
-                lifting = False
-                if witness is None:
-                    witness = f"no lift of edge {b!r} at vertex {v!r}"
-    return GraphMorphismReport(True, surj_v, surj_e,
-                               surj_v and surj_e and lifting, witness)
+    missing_v = sorted(set(W.vertices) - {phi.vmap[v] for v in V.vertices},
+                       key=repr)
+    missing_e = sorted(set(W.edges) - {phi.emap[e] for e in V.edges},
+                       key=repr)
+    unlifted = next(((b, v) for v in V.vertices
+                     for b in W.edges_from(phi.vmap[v])
+                     if not any(phi.emap[a] == b for a in V.edges_from(v))),
+                    None)
+    witness = (f"vertex {missing_v[0]!r} has no preimage" if missing_v else
+               f"edge {missing_e[0]!r} has no preimage" if missing_e else
+               None if unlifted is None else
+               "no lift of edge {!r} at vertex {!r}".format(*unlifted))
+    checks = CheckList()
+    for name, ok in (("incidence", True),
+                     ("surjective_vertices", not missing_v),
+                     ("surjective_edges", not missing_e),
+                     ("path_lifting", witness is None)):
+        checks.add(name, ok, None, None if ok else witness)
+    return checks
 
 
 @dataclass(frozen=True)
@@ -373,26 +365,24 @@ def cylinder_cover_check(phi: GraphMorphism, depth: int) -> dict:
 
 
 @dataclass
-class GradingReport:
+class GradingReport(CheckList):
+    """The window grading of a collapse map at ``depth``: its arrow count,
+    its degree range and the entries ``degree_additive``,
+    ``involution_flips_degree`` and ``degree_zero_matches_kernel``
+    (:func:`grading_degree`)."""
     depth: int
     n_arrows: int
     degree_range: tuple = (0, 0)
-    degree_zero_matches_kernel: bool = True
-    witness: Optional[str] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.degree_zero_matches_kernel
 
     def as_dict(self) -> dict:
-        # the degree of (p, q) is len(p) - len(q): additive under
-        # (p, q)(q, r) = (p, r) and flipped by (p, q) -> (q, p) by
-        # construction, so both entries are constants
+        zero = self.entry("degree_zero_matches_kernel")
         return {"depth": self.depth, "n_arrows": self.n_arrows,
                 "degree_range": list(self.degree_range),
-                "additive": True, "involution_flips": True,
-                "degree_zero_matches_kernel": self.degree_zero_matches_kernel,
-                "pass": self.passed, "witness": self.witness}
+                "additive": self.entry("degree_additive").passed,
+                "involution_flips": self.entry(
+                    "involution_flips_degree").passed,
+                "degree_zero_matches_kernel": zero.passed,
+                "pass": self.passed, "witness": zero.witness}
 
 
 def grading_degree(phi: GraphMorphism, depth: int) -> GradingReport:
@@ -428,16 +418,20 @@ def grading_degree(phi: GraphMorphism, depth: int) -> GradingReport:
     report = GradingReport(depth=depth,
                            n_arrows=sum(c * c for c in total.values()),
                            degree_range=(-span, span))
-
+    # the degree of (p, q) is len(p) - len(q): additive under
+    # (p, q)(q, r) = (p, r) and flipped by (p, q) -> (q, p) by
+    # construction, so both entries pass
+    report.add("degree_additive", True)
+    report.add("involution_flips_degree", True)
+    sizes = blocks = ()
     if depth:
         sizes = tuple(sorted((c for c in counts.values() if c),
                              reverse=True))
         kernel, _ = lift_counts(phi, (W.edges[0],) * depth)
         blocks = tuple(sorted(kernel.values(), reverse=True))
-        if sizes != blocks:
-            report.degree_zero_matches_kernel = False
-            report.witness = (f"degree-0 window blocks {sizes} != kernel "
-                              f"fiber blocks {blocks}")
+    report.add("degree_zero_matches_kernel", sizes == blocks, None,
+               None if sizes == blocks else f"degree-0 window blocks "
+               f"{sizes} != kernel fiber blocks {blocks}")
     return report
 
 

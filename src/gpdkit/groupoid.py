@@ -114,15 +114,18 @@ def _table(n: int, a, b, c, inv):
 
 
 class _PairView(Mapping):
-    """Read-only name view (g1, g2) -> value of a groupoid's composable
-    pairs, in table order: ``values()`` lists the values in that order.
-    Its length is the table's; its names are built on first lookup."""
+    """Read-only name view (g1, g2) -> value of the composable pairs of a
+    table whose basis elements are named ``arrows``, in table order:
+    ``values()`` lists the values in that order, by default the names of
+    the composites. Its length is the table's; its names are built on
+    first lookup. It keeps names and table, not a groupoid, so that the
+    views a groupoid keeps make no reference cycle with it."""
 
-    def __init__(self, G, values):
-        self._G, self._values = G, values
+    def __init__(self, arrows, table, values=None):
+        self._arrows, self._table, self._values = arrows, table, values
 
     def __len__(self) -> int:
-        return len(self._G.table.a)
+        return len(self._table.a)
 
     def __iter__(self):
         return iter(self._pairs)
@@ -132,9 +135,10 @@ class _PairView(Mapping):
 
     @cached_property
     def _pairs(self) -> dict:
-        T = self._G.table
-        return dict(zip(zip(*map(self._G.names, (T.a, T.b))),
-                        self._values()))
+        T, name = self._table, self._arrows.__getitem__
+        return dict(zip(zip(map(name, T.a.tolist()), map(name, T.b.tolist())),
+                        self._values() if self._values else
+                        map(name, T.c.tolist())))
 
 
 class FiniteGroupoid:
@@ -181,7 +185,7 @@ class FiniteGroupoid:
     rng = property(lambda self: self._arrow_map("rng", self.rng_idx))
     inv = property(lambda self: self._arrow_map("inv", self.inv_idx))
     comp = property(lambda self: self._view("comp", lambda: _PairView(
-        self, lambda: self.names(self.table.c))))
+        self.arrows, self.table)))
 
     def names(self, ids) -> list:
         """The arrow names of an array of arrow indices."""

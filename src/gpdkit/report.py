@@ -121,6 +121,11 @@ class CheckList:
                                        None if residual is None
                                        else float(residual), witness))
 
+    def add_entries(self, entries, prefix: str = ""):
+        """Add each CheckEntry of ``entries`` as it is, its name prefixed."""
+        for e in entries:
+            self.add(prefix + e.name, e.passed, e.residual, e.witness)
+
     def add_wedderburn_equal(self, solve_a, solve_b) -> tuple:
         """The check "wedderburn_equal": the block sizes of two Wedderburn
         solves (calls with no arguments, in this order) agree. A solve that
@@ -165,10 +170,6 @@ class Report(CheckList):
     tolerance: float
     inputs: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-
-    def add_entries(self, entries, prefix: str = ""):
-        for e in entries:
-            self.add(prefix + e.name, e.passed, e.residual, e.witness)
 
     def as_dict(self) -> dict:
         body = {

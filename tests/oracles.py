@@ -659,22 +659,21 @@ def dense_faithfulness_defect(G):
 
 def svd_slice_margins(rep):
     """Smallest singular value of the unit-column slice of every arrow of
-    ``rep.base`` with a nonempty fiber (0.0 where an entry of another
+    ``rep.arrows`` with a nonempty fiber (0.0 where an entry of another
     arrow lands in it), each slice built as a dense matrix and passed to
     one SVD: the reading of ``RegularRepresentation.slice_margin`` with no
     shortcut."""
-    H, over = rep.base, rep.over
+    src, over = rep.src_idx, rep.over
     a, rows, cols, w = rep.entries
     out = {}
-    for h in np.flatnonzero(np.bincount(over, minlength=len(H.arrows))):
+    for h in np.flatnonzero(np.bincount(over, minlength=len(src))):
         mine = np.flatnonzero(over == h)
-        unit = np.flatnonzero(over == H.src_idx[h])
+        unit = np.flatnonzero(over == src[h])
         if not len(unit):
             out[int(h)] = 0.0
             continue
         S = np.zeros((len(mine), len(mine) * len(unit)), complex)
-        for k in np.flatnonzero((over[rows] == h) & (over[cols] ==
-                                                     H.src_idx[h])):
+        for k in np.flatnonzero((over[rows] == h) & (over[cols] == src[h])):
             if over[a[k]] != h:
                 out[int(h)] = 0.0
                 break

@@ -76,18 +76,18 @@ class TestCoveringToAction:
 class TestCocycles:
     def test_trivial_cocycle_passes(self, z3):
         rep = gk.cocycle_check(gk.trivial_cocycle(z3))
-        assert rep.passed()
+        assert rep.passed
 
     def test_coboundaries_pass(self, heis3):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            rep = gk.cocycle_check(random_coboundary(heis3, rng))
-            assert rep.passed(1e-12)
+            rep = gk.cocycle_check(random_coboundary(heis3, rng), 1e-12)
+            assert rep.passed
 
     def test_bilinear_cocycle_on_zn2(self):
         for n in (2, 3, 4):
-            rep = gk.cocycle_check(corpus.zn2_bilinear_cocycle(n))
-            assert rep.passed(1e-12)
+            rep = gk.cocycle_check(corpus.zn2_bilinear_cocycle(n), 1e-12)
+            assert rep.passed
 
     def test_identity_failure_detected(self, z3):
         om = gk.trivial_cocycle(z3)
@@ -95,11 +95,12 @@ class TestCocycles:
         table[("g1", "g1")] = 1j
         bad = gk.Cocycle(z3, table)
         rep = gk.cocycle_check(bad)
-        assert not rep.passed()
+        assert not rep.passed
         # the shifted entry enters each identity it fails once, next to
         # unit values
-        assert rep.identity_residual == pytest.approx(abs(1j - 1))
-        assert rep.witness.count("'g") == 3
+        identity = rep.entry("cocycle_identity")
+        assert identity.residual == pytest.approx(abs(1j - 1))
+        assert identity.witness.count("'g") == 3
         with pytest.raises(gk.CocycleIdentityFailure):
             gk.twisted_algebra(z3, bad)
 
@@ -387,8 +388,8 @@ class TestAbelianExtract:
             res = gk.abelian_extract(E, seed=seed)
             assert res.passed
             crep = gk.cocycle_check(res.cocycle)
-            assert crep.identity_residual <= 1e-12
-            assert crep.modulus_residual <= 1e-12
+            assert crep.entry("cocycle_identity").residual <= 1e-12
+            assert crep.entry("cocycle_modulus").residual <= 1e-12
             assert res.blocks_twisted == res.blocks_bundle
 
     @pytest.mark.parametrize("n", [2, 3])

@@ -81,14 +81,15 @@ class TestGraphMorphism:
     def test_cuntz_has_path_lifting(self, cuntz):
         _, _, phi = cuntz
         rep = gk.check_graph_morphism(phi)
-        assert rep.incidence
-        assert rep.surjective_vertices and rep.surjective_edges
-        assert rep.path_lifting
+        assert rep.entry("incidence").passed
+        assert rep.entry("surjective_vertices").passed and \
+            rep.entry("surjective_edges").passed
+        assert rep.entry("path_lifting").passed
 
     def test_collapse_has_path_lifting(self, cuntz):
         V, _, _ = cuntz
         phi = gk.collapse_morphism(V)
-        assert gk.check_graph_morphism(phi).path_lifting
+        assert gk.check_graph_morphism(phi).entry("path_lifting").passed
 
     def test_missing_edge_image_breaks_surjectivity(self, cuntz):
         V, W, _ = cuntz
@@ -96,9 +97,9 @@ class TestGraphMorphism:
                                {"a": "v", "c": "v"}, {"a": "v", "c": "v"})
         phi = gk.GraphMorphism(sub, W, {"v": "w"}, {"a": "1", "c": "1"})
         rep = gk.check_graph_morphism(phi)
-        assert not rep.surjective_edges
-        assert rep.witness is not None
-        assert not rep.path_lifting
+        assert not rep.entry("surjective_edges").passed
+        assert rep.entry("surjective_edges").witness is not None
+        assert not rep.entry("path_lifting").passed
 
     def test_incidence_violation_raises(self, cuntz):
         V, W, _ = cuntz
@@ -166,14 +167,14 @@ class TestLifts:
         W = gk.DirectedGraph(("w",), ("1", "2"),
                              {"1": "w", "2": "w"}, {"1": "w", "2": "w"})
         phi = gk.GraphMorphism(V, W, {"q": "w"}, {"a": "1"})
-        assert not gk.check_graph_morphism(phi).path_lifting
+        assert not gk.check_graph_morphism(phi).entry("path_lifting").passed
         with pytest.raises(gk.NotLiftable) as exc:
             gk.lift_paths(phi, "12")
         assert exc.value.witness == ("1", "2")
 
     def test_lifting_implies_liftable_words_up_to_6(self, cuntz):
         _, _, phi = cuntz
-        assert gk.check_graph_morphism(phi).path_lifting
+        assert gk.check_graph_morphism(phi).entry("path_lifting").passed
         for n in range(1, 7):
             for w in itertools.product("12", repeat=n):
                 ls = gk.lift_paths(phi, w)
@@ -248,7 +249,7 @@ class TestGrading:
         V, _, _ = cuntz
         phi = gk.collapse_morphism(V)
         rep = gk.grading_degree(phi, 2)
-        assert rep.degree_zero_matches_kernel
+        assert rep.entry("degree_zero_matches_kernel").passed
 
     def test_requires_collapse_codomain(self, cuntz):
         _, _, phi = cuntz

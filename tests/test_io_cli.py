@@ -1,5 +1,6 @@
 import contextlib
 import decimal
+import gc
 import io
 import json
 import os
@@ -1132,3 +1133,34 @@ def test_mutated_corpus_file_keeps_exit_contract(name, command, data):
             code = main(command + [file])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "heisenberg", "--n", "4"], ["demo", "flip"], ["demo", "cuntz"],
+    ["alg", "wedderburn", "--groupoid", DATA + "heis3.groupoid.json"],
+    ["abelian", "extract", "--morphism",
+     DATA + "heis2_quotient.morphism.json"],
+    ["bundle", "verify", "--morphism",
+     DATA + "heis3_quotient.morphism.json"]],
+    ids=lambda argv: " ".join(map(os.path.basename, argv)))
+def test_a_finished_command_leaves_no_cycles(argv, capsys):
+    """What a run builds is freed by reference counting: with the cyclic
+    collector off, a collection after the run finds no gpdkit object
+    (a groupoid, its representation and a bundle's FiberBlocks keep no
+    reference back to their owner)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert main(argv) == 0
+        gc.collect()
+        left = sorted({type(o).__qualname__ for o in gc.garbage
+                       if type(o).__module__.startswith("gpdkit")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert left == []

@@ -292,19 +292,21 @@ def _dense_star_defect(rep):
 
 
 def _reps():
+    """name -> (representation, the groupoid its basis lies over)."""
     G = corpus.heisenberg_groupoid(2)
     rng = np.random.default_rng(11)
     ag = gk.build_action_groupoid(random_action(rng))
     twisted = gk.TwistedConvolutionAlgebra(
         ag.groupoid, random_cocycle(ag.groupoid, rng))
-    return {"groupoid": _regular(G), "twisted": twisted.rep,
-            "section": gk.section_algebra(gk.build_bundle(
-                corpus.heisenberg_quotient(2))).space.rep}
+    E = gk.build_bundle(corpus.heisenberg_quotient(2))
+    return {"groupoid": (_regular(G), G),
+            "twisted": (twisted.rep, ag.groupoid),
+            "section": (gk.section_algebra(E).space.rep, E.base)}
 
 
 @pytest.mark.parametrize("name", ["groupoid", "twisted", "section"])
 def test_star_defect_matches_the_dense_blocks(name):
-    rep = _reps()[name]
+    rep, H = _reps()[name]
     res, entry = rep.star_defect()
     assert res == pytest.approx(_dense_star_defect(rep), abs=1e-15)
     assert res <= 1e-14
@@ -315,7 +317,7 @@ def test_star_defect_matches_the_dense_blocks(name):
     sw[3] *= np.exp(0.5j)
     broken = RegularRepresentation(
         StructureTable(T.dim, T.a, T.b, T.c, T.w, T.s, T.t, sw),
-        rep.base, rep.entries, over=rep.over)
+        H, rep.entries, over=rep.over)
     res, (s, _) = broken.star_defect()
     assert res == pytest.approx(_dense_star_defect(broken), rel=1e-12)
     assert res > 0.1 and s == T.s[3]
@@ -323,18 +325,17 @@ def test_star_defect_matches_the_dense_blocks(name):
 
 @pytest.mark.parametrize("name", ["groupoid", "twisted", "section"])
 def test_slice_margin_of_valid_representations(name):
-    rep = _reps()[name]
+    rep, H = _reps()[name]
     margin, cut, h = rep.slice_margin()
     assert margin > 0.5 > 1e3 * cut and h is not None
     if name == "groupoid":
-        assert (0, margin) == gk.faithfulness_defect(rep.base,
-                                                     return_margin=True)
+        assert (0, margin) == gk.faithfulness_defect(H, return_margin=True)
 
 
 def test_zeroed_slice_entry_names_its_arrow():
-    rep = _reps()["section"]
+    rep, H = _reps()["section"]
     a, rows, cols, w = rep.entries
-    H, over = rep.base, rep.over
+    over = rep.over
     on = np.flatnonzero(over[cols] == H.src_idx[over[rows]])
     k = on[np.argmax(~H.unit_mask()[over[rows[on]]])]
     h = over[rows[k]]

@@ -1,7 +1,8 @@
 """The benchmark's outside-in tracer (perfbench/tracer.py) patches gpdkit
 functions and methods by name. A refactor that renames, moves or inlines a
 traced name would break traced benchmark runs without failing anything
-else, so these tests pin the names and run four commands under the tracer.
+else, so these tests pin the names and run six commands under the tracer,
+the two graph commands for the hooks that read their results.
 """
 
 import importlib.util
@@ -51,11 +52,17 @@ def test_traced_commands_run(capsys):
             tracer.run_item(3, lambda: main(
                 ["ext", "analyze", "--group",
                  corpus.data_path("heis2.group.json")])),
+            tracer.run_item(4, lambda: main(
+                ["graph", "grading", "--graph",
+                 corpus.data_path("cuntz_v.graph.json")])),
+            tracer.run_item(5, lambda: main(
+                ["graph", "check", "--morphism",
+                 corpus.data_path("cuntz.graphmorphism.json")])),
         ]
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * 6
     summary = tracer.summary([1.0] * len(codes))
     assert summary["errors"] == {}
     assert summary["calls"]["algebra.wedderburn"] >= 1
@@ -70,3 +77,7 @@ def test_traced_commands_run(capsys):
     # one cocycle_check per extraction (the CLI reads the twist's
     # validation from its entries) and one per ext analyze
     assert counters["actions.cocycle.triples"] == 144
+    # grading_degree(...).n_arrows at depth 3 and the words of
+    # cylinder_cover_check(...)["words_checked"] up to depth 4
+    assert counters["graphs.window_arrows"] == 1521
+    assert counters["graphs.words_checked"] == 30
