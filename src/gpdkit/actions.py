@@ -14,20 +14,23 @@ normalized cocycle.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import filterfalse
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
-                       _PairView, _ids, _join, _prefix, _table,
+                       _PairView, _ids, _join, _prefix, _ranks, _table,
                        classify_morphism, pair_id)
 from .algebra import (NumericalDegeneracy, RegularRepresentation,
                       StructureTable, WedderburnInvariants, _scatter,
                       central_projections, chunks,
                       isometry_certificate, wedderburn_from_tables)
-from .bundle import (BundleNotVerified, FellBundle, FiberElement,
+from .bundle import (BundleNotVerified, FellBundle,
                      NotSaturated, FellBundleError, _require_cstar_units,
                      _section_hypotheses, _slot_witness, section_algebra)
 from .fiberblocks import fiber_blocks, stacked_ranks
@@ -55,52 +58,73 @@ class LineDimensionFailure(FellBundleError):
 
 
 class GroupoidAction:
-    """A left action of a groupoid on a finite set over its unit space.
-
-    ``anchor`` maps points to units, ``act`` is defined exactly on the
-    pairs (h, x) with src(h) == anchor(x).
-    """
-
-    __slots__ = ("groupoid", "points", "anchor", "act")
+    """A left action of a groupoid on a finite set over its unit space,
+    kept as integer arrays: ``anchor_ids``, the unit arrow index of each
+    point (-1: none), and ``table``, the (arrows x points) point index of
+    h.x (-1 where h does not act on x, len(points) where h.x is no point).
+    Built from those arrays or from name mappings read once; a key of the
+    act mapping that is no (arrow, point) raises ActionAxiomViolation.
+    ``anchor`` and ``act`` are read-only name views of the entries that
+    name an arrow or a point; :func:`validate_action` checks the axioms."""
 
     def __init__(self, groupoid: FiniteGroupoid, points, anchor, act):
-        self.groupoid = groupoid
-        self.points = tuple(points)
-        self.anchor = dict(anchor)
-        self.act = dict(act)
+        H, self.groupoid, self.points = groupoid, groupoid, tuple(points)
+        n, k = len(H.arrows), len(self.points)
+        if isinstance(anchor, np.ndarray):
+            self.anchor_ids = np.where((anchor >= 0) & (anchor < n), anchor,
+                                       -1)
+        else:
+            self.anchor_ids = _ids([anchor.get(x) for x in self.points],
+                                   H.index)
+        if isinstance(act, np.ndarray):
+            self.table = np.where((act >= -1) & (act < k), act, k)
+        else:
+            spot = {x: i for i, x in enumerate(self.points)}
+            h, x = (_ids([p[j] for p in act], index) for j, index in
+                    ((0, H.index), (1, spot)))
+            i = _prefix((h >= 0) & (x >= 0))
+            if i < len(h):
+                hx = list(act)[i]
+                raise ActionAxiomViolation(f"act defined on {hx!r}, not an "
+                                           "arrow and a point", witness=hx)
+            y = _ids(list(act.values()), spot)
+            self.table = np.full((n, k), -1)
+            self.table[h, x] = np.where(y < 0, k, y)
+        self.anchor_ids.flags.writeable = self.table.flags.writeable = False
+
+    @cached_property
+    def anchor(self) -> Mapping:
+        x = np.flatnonzero(self.anchor_ids >= 0)
+        return MappingProxyType(dict(zip(
+            map(self.points.__getitem__, x.tolist()),
+            self.groupoid.names(self.anchor_ids[x]))))
+
+    @cached_property
+    def act(self) -> Mapping:
+        """(h, x) -> h.x, in (arrow, point) order."""
+        A, name = self.table, self.points.__getitem__
+        h, x = np.nonzero((A >= 0) & (A < len(self.points)))
+        return MappingProxyType(dict(zip(
+            zip(self.groupoid.names(h), map(name, x.tolist())),
+            map(name, A[h, x].tolist()))))
 
 
 def validate_action(a: GroupoidAction) -> GroupoidAction:
-    """Exhaustive check of the action axioms (:func:`_action_table`)."""
-    _action_table(a)
-    return a
-
-
-def _action_table(a: GroupoidAction):
-    """(anchor, A) of a valid action: the arrow index of the unit under
-    each point and the point index A[h, x] of h.x, -1 where h does not act
-    on x. The axioms are masks over A; ActionAxiomViolation names the first
-    failing point, then a pair of ``act`` that is no (arrow, point), then
-    pair (h, x) in (arrow, point) order, point, and triple (h2, h1, x), in
-    the order of ``act`` and then of h2."""
+    """Exhaustive check of the action axioms, as masks over ``a.table``.
+    ActionAxiomViolation names the first failing point, then pair (h, x)
+    in (arrow, point) order, point, and triple (h2, h1, x): the first pair
+    (h1, x) in (arrow, point) order, then the first h2 in arrow order."""
     H, points, k = a.groupoid, a.points, len(a.points)
-    anchor = _ids([a.anchor.get(x) for x in points], H.index)
+    anchor, A = a.anchor_ids, a.table
     i = _prefix(np.append(H.unit_mask(), False)[anchor])  # -1: no arrow
     if i < k:
         raise ActionAxiomViolation(f"anchor of {points[i]!r} is not a unit",
                                    witness=points[i])
-    missing = sorted(set(H.units) - {a.anchor[x] for x in points}, key=repr)
+    missing = sorted(set(H.units) - set(H.names(anchor)), key=repr)
     if missing:
         raise ActionAxiomViolation(f"anchor is not surjective: unit "
                                    f"{missing[0]!r} has empty fiber",
                                    witness=missing[0])
-    spot = {x: i for i, x in enumerate(points)}
-    A = np.full((len(H.arrows), k), -1)  # k: h.x is no point
-    for (h, x), y in a.act.items():
-        if h not in H.index or x not in spot:
-            raise ActionAxiomViolation(f"act defined on {(h, x)!r}, not an "
-                                       "arrow and a point", witness=(h, x))
-        A[H.index[h], spot[x]] = spot.get(y, k)
     defined, should = A >= 0, H.src_idx[:, None] == anchor
     bad = (defined != should) | (A == k) | (
         defined & (np.append(anchor, -1)[A] != H.rng_idx[:, None]))
@@ -120,8 +144,7 @@ def _action_table(a: GroupoidAction):
         raise ActionAxiomViolation(f"unit does not fix {points[i]!r}",
                                    witness=points[i])
     # (h2 h1).x = h2.(h1.x) for the pairs (h2, h1) of H, h2 in arrow order
-    h1, x = (_ids([p[j] for p in a.act], index) for j, index in
-             ((0, H.index), (1, spot)))
+    h1, x = np.nonzero(defined)
     T = H.table
     j, e = _join(h1, T.b, np.lexsort((T.a, T.b)))
     i = _prefix(A[T.a[e], A[h1[j], x[j]]] == A[T.c[e], x[j]])
@@ -130,7 +153,7 @@ def _action_table(a: GroupoidAction):
         raise ActionAxiomViolation(
             f"action not multiplicative on ({h2!r}, {h1!r}, {x!r})",
             witness=(h2, h1, x))
-    return anchor, A
+    return a
 
 
 @dataclass
@@ -138,6 +161,7 @@ class ActionGroupoid:
     groupoid: FiniteGroupoid
     projection: GroupoidMorphism
     pairs: dict                    # arrow id -> (h, x)
+    point: np.ndarray              # arrow index -> point index of x
     classification: object = None
 
 
@@ -145,8 +169,8 @@ def build_action_groupoid(a: GroupoidAction) -> ActionGroupoid:
     """The semidirect product groupoid of a validated action, together
     with the projection onto the acting groupoid (always a covering). Its
     arrows are the pairs (h, x), in (arrow, point) order."""
-    anchor, A = _action_table(a)
-    H = a.groupoid
+    validate_action(a)
+    H, anchor, A = a.groupoid, a.anchor_ids, a.table
     h, x = np.nonzero(A >= 0)
     hx = A[h, x]
     at = np.full(A.shape, -1)  # the arrow (h, x)
@@ -161,14 +185,14 @@ def build_action_groupoid(a: GroupoidAction) -> ActionGroupoid:
         len(ids), at[T.a[e], hx[j]], j, at[T.c[e], x[j]],
         at[H.inv_idx[h], hx]))
     pi = GroupoidMorphism(G, H, h)
-    return ActionGroupoid(G, pi, dict(zip(ids, pairs)),
+    return ActionGroupoid(G, pi, dict(zip(ids, pairs)), x,
                           classify_morphism(pi))
 
 
 @dataclass
 class CoveringAction:
     action: GroupoidAction
-    iso: dict            # domain arrow -> action groupoid arrow id
+    iso: np.ndarray      # domain arrow index -> action groupoid arrow index
     action_groupoid: ActionGroupoid
     exact: bool          # iso verified as a bijective morphism, exactly
 
@@ -183,26 +207,23 @@ def covering_to_action(pi: GroupoidMorphism) -> CoveringAction:
         raise NotACovering(f"morphism is not a covering (witness "
                            f"{cls.witness!r})", witness=cls.witness)
     G, H = pi.domain, pi.codomain
-    points = G.units
-    anchor = dict(zip(points, H.names(pi.image[G.unit_idx])))
-    # h.x is the range of the unique lift of h at x, listed by h, then x
-    place = np.zeros(len(G.arrows), np.int64)
-    place[G.unit_idx] = np.arange(len(points))
-    lift = np.lexsort((place[G.src_idx], pi.image))
-    act = dict(zip(zip(H.names(pi.image[lift]), G.names(G.src_idx[lift])),
-                   G.names(G.rng_idx[lift])))
-    action = GroupoidAction(H, points, anchor, act)
+    place = np.zeros(len(G.arrows), np.int64)  # point index of each unit
+    place[G.unit_idx] = np.arange(len(G.units))
+    x = place[G.src_idx]
+    A = np.full((len(H.arrows), len(G.units)), -1)
+    A[pi.image, x] = place[G.rng_idx]  # each g is the lift of pi(g) at x
+    action = GroupoidAction(H, G.units, pi.image[G.unit_idx], A)
     ag = build_action_groupoid(action)
-    iso = {g: pair_id(h, x) for g, h, x in zip(
-        G.arrows, H.names(pi.image), G.names(G.src_idx))}
-    exact = _is_exact_isomorphism(G, ag.groupoid, iso)
-    return CoveringAction(action, iso, ag, exact)
+    at = np.full(A.shape, -1)
+    at[ag.projection.image, ag.point] = np.arange(len(ag.point))
+    iso = at[pi.image, x]
+    return CoveringAction(action, iso, ag,
+                          _is_exact_isomorphism(G, ag.groupoid, iso))
 
 
-def _is_exact_isomorphism(G: FiniteGroupoid, G2: FiniteGroupoid, iso) -> bool:
-    """iso (arrow names of G to those of G2) is a bijection that carries
-    the composition and inverse of G to those of G2."""
-    f = _ids(list(map(iso.__getitem__, G.arrows)), G2.index)
+def _is_exact_isomorphism(G: FiniteGroupoid, G2: FiniteGroupoid, f) -> bool:
+    """f (arrow indices of G to those of G2, -1 for none) is a bijection
+    that carries the composition and inverse of G to those of G2."""
     if len(G.arrows) != len(G2.arrows) or np.any(f < 0) \
             or np.any(np.bincount(f) > 1):
         return False
@@ -361,7 +382,6 @@ class ExtractionResult(CheckList):
     action_groupoid: ActionGroupoid
     cocycle: Cocycle
     projections: dict           # point -> coefficient vector in its unit fiber
-    line_vectors: dict          # (h, point) -> FiberElement
     blocks_twisted: Optional[tuple] = None
     blocks_bundle: Optional[tuple] = None
     basis_map: Optional[np.ndarray] = None  # column (h, x): its line vector
@@ -372,27 +392,28 @@ class ExtractionResult(CheckList):
 _TRACE_TOL = 1e-6
 
 
-def _unit_points(B, u, seed: int) -> list:
+def _unit_points(B, u, seed: int) -> np.ndarray:
     """Minimal projections of the commutative unit fiber over the arrow
-    index ``u`` of the FiberBlocks ``B``, as coefficient vectors ordered
-    by their rounded coefficients: the central projections of the fiber's
-    own table, whose center is the whole fiber, spanned by its basis.
+    index ``u`` of the FiberBlocks ``B``, as rows of coefficients padded
+    to ``B.D`` and ordered by their rounded coefficients: the central
+    projections of the fiber's own table, whose center is the whole fiber,
+    spanned by its basis.
     Raises FellBundleError when the fiber has a degenerate trace form,
     NotAbelian when the solve fails."""
     _require_cstar_units(B, [u])
     table = B.unit_table(u)
     d = table.dim
     if d == 0:
-        return []
+        return np.zeros((0, B.D), dtype=complex)
     try:
         (i, a, v), sizes, *_ = central_projections(
             table, (d, np.arange(d), np.arange(d), np.ones(d)), seed)
     except NumericalDegeneracy:
         raise NotAbelian("could not diagonalize a unit fiber; it may not be "
                          "commutative or is numerically degenerate") from None
-    vecs = list(_scatter(i * d + a, v, len(sizes) * d).reshape(-1, d))
-    keys = [tuple(np.round(p, 6).view(float)) for p in vecs]
-    return [vecs[l] for l in sorted(range(len(vecs)), key=lambda l: keys[l])]
+    V = _scatter(i * B.D + a, v, len(sizes) * B.D).reshape(-1, B.D)
+    keys = [tuple(np.round(p, 6).view(float)) for p in V]
+    return V[sorted(range(len(V)), key=keys.__getitem__)]
 
 
 def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> ExtractionResult:
@@ -402,16 +423,17 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     The point set is the disjoint union of the minimal projections of the
     unit fibers, each solved on the fiber's own table, one unit at a time
     (:func:`~gpdkit.algebra.central_projections`); each arrow h induces a
-    bijection alpha_h matching the nonzero corners q . E_h . p, every such
-    corner is checked to be a line; unit vectors are gauged by normalizing
-    the first basis column with a nonzero corner (projections themselves
-    over units), and the cocycle is read off from products of the gauged
-    vectors. The twisted
-    algebra of the result is compared with the section algebra blockwise,
-    and the basis map U (``basis_map``: the column of arrow (h, x) is its
-    gauged line vector in the slots over h) is certified as an isometric
-    *-isomorphism onto the section algebra: its star defect between the
-    twisted table and the section table over every arrow, its
+    bijection of points matching the nonzero corners q . E_h . p, each a
+    line (LineDimensionFailure at the first pair (h, p) in (arrow, point)
+    order that fails), kept as the action table; line vectors, one row per
+    pair, are gauged by normalizing the first basis column with a nonzero
+    corner (projections themselves over units), and the cocycle is read off
+    from their products, gathered along the action groupoid's table. The
+    twisted algebra of the result is compared with the section algebra
+    blockwise, and the basis map U (``basis_map``, one scatter: the column
+    of arrow (h, x) is its line vector in the slots over h) is certified as
+    an isometric *-isomorphism onto the section algebra: its star defect
+    between the twisted table and the section table over every arrow, its
     multiplicative defect over the pairs (x, g) with g in the generating
     set the twisted table keeps of its untwisted pattern (both tables
     are associative, by ``cocycle_identity`` and by the pre-check of
@@ -442,30 +464,28 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
         raise BundleNotVerified(f"bundle fails axiom3_associative at {wit}",
                                 witness=wit)
 
-    projections = {}   # point id -> (unit, coeff vector)
-    points_by_unit = {}
-    for u in H.units:
-        vecs = _unit_points(B, B.index[u], seed)
-        points_by_unit[u] = tuple(f"{u}#p{i}" for i in range(len(vecs)))
-        projections.update(zip(points_by_unit[u], ((u, v) for v in vecs)))
-    points = tuple(x for u in H.units for x in points_by_unit[u])
-    anchor = {x: projections[x][0] for x in points}
+    # the points: the minimal projections of each unit fiber, in unit
+    # order, as rows PX over their unit arrows hx
+    found = [_unit_points(B, u, seed) for u in H.unit_idx.tolist()]
+    count = np.array([len(P) for P in found], np.int64)
+    points = tuple(f"{u}#p{i}" for u, n in zip(H.units, count.tolist())
+                   for i in range(n))
+    hx, PX = np.repeat(H.unit_idx, count), np.concatenate(found)
 
-    # alpha_h and line vectors, from the corners q e_i p over each arrow h
-    # of every point pair (p over s(h), q over r(h)) and basis index i, two
-    # stacked products per group of consecutive arrows. x -> q x p is an
-    # idempotent map of E_h (p, q projections, products associative), so
-    # the rank of the corner q E_h p is its trace, the sum over i of the
-    # coefficient of e_i in q e_i p; and z* z lies in p A_s(h) p = C p (p a
-    # minimal projection of a commutative fiber), so ||z||^2 =
-    # tau(z* z) / tau(p). A group with a trace more than _TRACE_TOL from an
-    # integer (p or q no projection) takes stacked norms and ranks of the
-    # d x d matrix of each corner instead. A row of a corner over h costs
-    # its padded row, the table terms of its two products and, for those
-    # norms, its unit-fiber block over s(h); groups are chunks of that load
-    hx, PX = B.rows([projections[x] for x in points])
+    # the point maps and line vectors, from the corners q e_i p over each
+    # arrow h of every point pair (p over s(h), q over r(h)) and basis
+    # index i, two stacked products per group of consecutive arrows.
+    # x -> q x p is an idempotent map of E_h (p, q projections, products
+    # associative), so the rank of the corner q E_h p is its trace, the sum
+    # over i of the coefficient of e_i in q e_i p; and z* z lies in
+    # p A_s(h) p = C p (p a minimal projection of a commutative fiber), so
+    # ||z||^2 = tau(z* z) / tau(p). A group with a trace more than
+    # _TRACE_TOL from an integer (p or q no projection) takes stacked norms
+    # and ranks of the d x d matrix of each corner instead. A row of a
+    # corner over h costs its padded row, the table terms of its two
+    # products and, for those norms, its unit-fiber block over s(h); groups
+    # are chunks of that load
     tau_p = B.traces(hx, PX)
-    count = np.array([len(points_by_unit[u]) for u in H.units], np.int64)
     unit_at = np.zeros(B.nA, np.int64)
     unit_at[H.unit_idx] = np.arange(len(H.units))
     # per arrow: the number of points over s(h) and r(h) and the place of
@@ -475,8 +495,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
                 for end in (B.src, B.rng))
     corners = n_p * n_q
     arrows = np.arange(B.nA)
-    alpha = {}
-    line = {}
+    rank, empty, lines = [], [], []  # per corner; per pair (h, x)
     for group in chunks(corners * B.dims * (
             B.D + B.entries(B.rng, arrows) + B.entries(arrows, B.src)
             + B.entries(B.src, B.src, B.orthonormal()[-1])
@@ -507,86 +526,76 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
             ranks = stacked_ranks(
                 np.repeat(corner, d), np.repeat(i, d), col,
                 Z[np.repeat(np.arange(len(k)), d), col], (size, size), tol)
-        for a_idx, r0, c0 in zip(group.tolist(), row_at, corner_at):
-            h = H.arrows[a_idx]
-            ps, qs = points_by_unit[H.src[h]], points_by_unit[H.rng[h]]
-            dh = E.dim(h)
-            rows = slice(r0, r0 + len(ps) * len(qs) * dh)
-            norms_h = norms[rows].reshape(len(ps), len(qs), dh)
-            ranks_h = ranks[c0:c0 + len(ps) * len(qs)].reshape(len(ps),
-                                                               len(qs))
-            Z_h = Z[rows].reshape(len(ps), len(qs), dh, B.D)
-            alpha_h = {}
-            for a, xp in enumerate(ps):
-                hits = []
-                for b, xq in enumerate(qs):
-                    if ranks_h[a, b] > 1:
-                        raise LineDimensionFailure(
-                            f"corner over {h!r} between {xq!r} and {xp!r} "
-                            f"has dimension {ranks_h[a, b]}",
-                            witness=(h, xq, xp))
-                    if ranks_h[a, b] == 1:
-                        # the first basis column with a nonzero corner
-                        live = np.flatnonzero(norms_h[a, b] > tol)
-                        if not len(live):
-                            raise LineDimensionFailure(
-                                f"corner over {h!r} between {xq!r} and "
-                                f"{xp!r} has no vector of positive norm",
-                                witness=(h, xq, xp))
-                        hits.append((xq, FiberElement(
-                            E, h, Z_h[a, b, live[0], :dh]
-                            / norms_h[a, b, live[0]])))
-                if len(hits) != 1:
-                    raise LineDimensionFailure(
-                        f"point {xp!r} pairs with {len(hits)} targets over "
-                        f"{h!r}", witness=(h, xp))
-                xq, vec = hits[0]
-                alpha_h[xp] = xq
-                line[(h, xp)] = vec
-            if len(set(alpha_h.values())) != len(alpha_h):
-                raise LineDimensionFailure(
-                    f"induced point map over {h!r} is not injective",
-                    witness=h)
-            alpha[h] = alpha_h
+        # per corner, its first row of positive norm: for a corner of rank
+        # 1, a line, the line vector of its pair
+        lead = np.full(len(ranks), len(k))
+        live = np.flatnonzero(norms > tol)
+        np.minimum.at(lead, corner[live], live)
+        line = (ranks == 1) & (lead < len(k))
+        rank.append(ranks)
+        empty.append(line != (ranks == 1))
+        lines.append(Z[lead[line]] / norms[lead[line], None])
+    rank, empty, L = map(np.concatenate, (rank, empty, lines))
 
-    # over units, regauge the line vectors to the projections themselves so
-    # the extracted cocycle is exactly normalized
-    for u in H.units:
-        for x in points_by_unit[u]:
-            _, pvec = projections[x]
-            line[(u, x)] = FiberElement(E, u, pvec.copy())
+    # the pairs (h, x), x over s(h), in (arrow, point) order, each with its
+    # corners over the points q over r(h) in order, as the groups list them
+    pair_arrow, pair_point = np.nonzero(B.src[:, None] == hx)
+    of = np.repeat(np.arange(len(pair_arrow)), n_q[pair_arrow])
+    target = f_q[pair_arrow[of]] + _ranks(of)[1]
+    hits = np.bincount(of[rank == 1], minlength=len(pair_arrow))
+    image = np.zeros(len(pair_arrow), np.int64)
+    image[of[rank == 1]] = target[rank == 1]
+    # the first failing pair, unless an earlier arrow sends two points to one
+    o = np.lexsort((image, pair_arrow))
+    twice = (np.diff(pair_arrow[o]) == 0) & (np.diff(image[o]) == 0)
+    merged = pair_arrow[o[1:][twice]].min(initial=B.nA)
+    bad = (rank > 1) | empty
+    p = _prefix((hits == 1) & (np.bincount(of[bad], minlength=len(hits)) == 0))
+    if p < len(hits) and pair_arrow[p] <= merged:
+        h, xp = H.arrows[pair_arrow[p]], points[pair_point[p]]
+        for c in np.flatnonzero(bad & (of == p))[:1]:
+            xq = points[target[c]]
+            what = (f"dimension {rank[c]}" if rank[c] > 1
+                    else "no vector of positive norm")
+            raise LineDimensionFailure(f"corner over {h!r} between {xq!r} "
+                                       f"and {xp!r} has {what}",
+                                       witness=(h, xq, xp))
+        raise LineDimensionFailure(f"point {xp!r} pairs with {hits[p]} "
+                                   f"targets over {h!r}", witness=(h, xp))
+    if merged < B.nA:
+        raise LineDimensionFailure(f"induced point map over "
+                                   f"{H.arrows[merged]!r} is not injective",
+                                   witness=H.arrows[merged])
+    A = np.full((B.nA, len(points)), -1)
+    A[pair_arrow, pair_point] = image
 
-    act = {(h, xp): xq for h in H.arrows for xp, xq in alpha[h].items()}
-    # composition of the alpha maps follows from saturation; validation
+    # composition of the point maps follows from saturation; validation
     # raises with a witness if the bundle lied about it
-    action = GroupoidAction(H, points, anchor, act)
+    action = GroupoidAction(H, points, hx, A)
     ag = build_action_groupoid(action)
+    # the pairs (h, x) are the arrows of the action groupoid, in order;
+    # over units, regauge the line vectors to the projections themselves
+    # so the extracted cocycle is exactly normalized
+    h = ag.projection.image
+    unit = B.is_unit[h]
+    L[unit] = PX[ag.point[unit]]
 
-    # cocycle from gauged products: e_{h1, alpha_{h2} x} e_{h2, x} =
-    # omega((h1, alpha_{h2} x), (h2, x)) e_{h1 h2, x}, read off as
+    # cocycle from gauged products: e_{h1, h2.x} e_{h2, x} =
+    # omega((h1, h2.x), (h2, x)) e_{h1 h2, x}, read off as
     # tau(e_12* e_1 e_2) / tau(e_12* e_12) in the unit fiber over s(h2),
-    # in stacked products over every such pair
-    T = H.table  # entry e: the pair (h1, h2) of H, h1 in arrow order
-    j, e = _join(ag.projection.image, T.b, np.lexsort((T.a, T.b)))
-    arrow = list(ag.pairs.values())
-    pairs = [(h1, act[arrow[i]], *arrow[i])
-             for h1, i in zip(H.names(T.a[e]), j.tolist())]
-    k1, X1 = B.rows([(h1, line[(h1, y)].vec) for h1, y, _, _ in pairs])
-    k2, X2 = B.rows([(h2, line[(h2, x)].vec) for _, _, h2, x in pairs])
-    k12 = T.c[e]
-    _, X12 = B.rows([(H.arrows[k], line[(H.arrows[k], p[3])].vec)
-                     for k, p in zip(k12, pairs)])
-    _, prod = B.products(k1, X1, k2, X2)
+    # in stacked products over the entries of the action groupoid's table
+    T = ag.groupoid.table
+    k2, k12, X12 = h[T.b], h[T.c], L[T.c]
+    _, prod = B.products(h[T.a], L[T.a], k2, L[T.b])
     ks, S = B.stars(k12, X12)
     num, den = (B.traces(B.src[k2], B.products(ks, S, k12, Y)[1])
                 for Y in (prod, X12))
     w = num / den
     res_line = float(np.abs(prod - w[:, None] * X12).max(initial=0.0))
-    # the pairs are those of the action groupoid's table, in its order
     omega = Cocycle(ag.groupoid, w)
 
-    result = ExtractionResult(points, action, ag, omega,
-                              {x: projections[x][1] for x in points}, line)
+    result = ExtractionResult(points, action, ag, omega, {
+        x: P[:n] for x, P, n in zip(points, PX, B.dims[hx])})
     result.add("action_axioms", True, None, None)
     result.add("line_products_consistent", res_line <= 1e-8, res_line)
     ta = TwistedConvolutionAlgebra(ag.groupoid, omega)
@@ -608,9 +617,8 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     # must be an isometric *-isomorphism onto the section algebra
     G2 = ag.groupoid
     U = np.zeros((E.total_dim(), len(G2.arrows)), dtype=complex)
-    for gid, (h, x) in ag.pairs.items():
-        vec = line[(h, x)].vec
-        U[E.first[h]:E.first[h] + vec.size, G2.index[gid]] = vec
+    j, i = np.nonzero(np.arange(B.D) < B.dims[h][:, None])
+    U[B.first[h[j]] + i, j] = L[j, i]
     result.basis_map = U
     # both tables are associative (cocycle_identity, the check above), so
     # the generators of the twisted table's pattern decide

@@ -118,19 +118,15 @@ def heisenberg_closed_form_defect(res, n: int) -> tuple:
     of an arrow is its image under the projection of the action groupoid,
     a and b' are read from the index a n^2 + b n + c (heisenberg_elements)
     of a member of the coset, and t from ``CharacterData.numerators`` at
-    [0,0,1] for the character at the source of g2."""
+    [0,0,1] for the character at the point of g2."""
     ag, chars, T = res.action_groupoid, res.characters, res.cocycle.table
     G, g1, g2 = ag.groupoid, T.a, T.b
     coset = ag.projection.image
     member = np.unique(res.extension.coset, return_index=True)[1]
     a, b2 = (member // n ** 2)[coset[g1]], (member // n % n)[coset[g2]]
-    # the exponent t of the character at each unit (the point x of (e, x))
+    # the point x of g2 = (h, x) is the row of its character in numerators
     one = chars.group.index[f"[0,0,{1 % n}]"]
-    t = np.zeros(len(G.arrows), np.int64)
-    for u in G.unit_idx.tolist():
-        m = res.char_of_point[ag.pairs[G.arrows[u]][1]]
-        t[u] = chars.numerators[int(np.dot(m, chars.strides)), one]
-    t = t[G.src_idx[g2]] * n // chars.lcm
+    t = chars.numerators[ag.point[g2], one] * n // chars.lcm
     roots = np.array([unit_root(k, n) for k in range(n)])
     d = T.w - roots[t * (a * b2 % n) % n]
     diff = np.hypot(d.real, d.imag)  # the rounding of abs(complex)

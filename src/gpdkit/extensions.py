@@ -428,11 +428,8 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
         kpos[M[M[inv[sec][:, None], gens], sec[:, None]]])
     point_ids = [chars.char_id(m) for m in chars.indices]
     char_of_point = dict(zip(point_ids, chars.indices))
-    act = {(h, x): point_ids[k]
-           for h, row in zip(Q.elements, act_rows.tolist())
-           for x, k in zip(point_ids, row)}
-    action = GroupoidAction(Hgpd, tuple(point_ids),
-                            dict.fromkeys(point_ids, Hgpd.units[0]), act)
+    action = GroupoidAction(Hgpd, point_ids, np.repeat(
+        Hgpd.unit_idx, len(point_ids)), act_rows)
     ag = build_action_groupoid(action)
 
     # f = c(h1) c(h2) c(h1 h2)^-1 and its conjugate c(h1 h2)^-1 c(h1) c(h2)

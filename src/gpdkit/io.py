@@ -515,9 +515,7 @@ def save_action(a: GroupoidAction, groupoid_ref=None) -> dict:
         "groupoid": groupoid_ref or save_groupoid(a.groupoid),
         "X": list(a.points),
         "rho": dict(a.anchor),
-        "act": [[h, x, a.act[(h, x)]] for (h, x) in sorted(
-            a.act, key=lambda hx: (a.groupoid.index[hx[0]],
-                                   a.points.index(hx[1])))],
+        "act": [[h, x, y] for (h, x), y in a.act.items()],
     }
 
 

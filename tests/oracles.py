@@ -202,50 +202,58 @@ def dict_isotropy_quotient(G):
             {g: pair_id(G.rng[g], G.src[g]) for g in G.arrows})
 
 
-def loop_validate_action(a):
-    """validate_action, one pair (h, x) and one triple at a time."""
+def loop_validate_action(H, points, anchor, act):
+    """validate_action of the action built from the name mappings
+    ``anchor`` and ``act``, one pair (h, x) and one triple at a time, the
+    pairs (h1, x) of the multiplicativity scan in (arrow, point) order;
+    returns the points."""
     from gpdkit.actions import ActionAxiomViolation
-    H = a.groupoid
-    unit_set = set(H.units)
-    for x in a.points:
-        if a.anchor.get(x) not in unit_set:
+    unit_set, pset = set(H.units), set(points)
+    for (h, x) in act:
+        if h not in H.index or x not in pset:
+            raise ActionAxiomViolation(f"act defined on {(h, x)!r}, not an "
+                                       "arrow and a point", witness=(h, x))
+    for x in points:
+        if anchor.get(x) not in unit_set:
             raise ActionAxiomViolation(f"anchor of {x!r} is not a unit",
                                        witness=x)
-    if unit_set - {a.anchor[x] for x in a.points}:
-        missing = sorted(unit_set - {a.anchor[x] for x in a.points}, key=repr)
+    if unit_set - {anchor[x] for x in points}:
+        missing = sorted(unit_set - {anchor[x] for x in points}, key=repr)
         raise ActionAxiomViolation(f"anchor is not surjective: unit "
                                    f"{missing[0]!r} has empty fiber",
                                    witness=missing[0])
-    pset = set(a.points)
     for h in H.arrows:
-        for x in a.points:
-            defined = (h, x) in a.act
-            should = H.src[h] == a.anchor[x]
+        for x in points:
+            defined = (h, x) in act
+            should = H.src[h] == anchor[x]
             if defined != should:
                 raise ActionAxiomViolation(
                     f"act defined on ({h!r}, {x!r}) iff should be: {should}",
                     witness=(h, x))
             if defined:
-                y = a.act[(h, x)]
+                y = act[(h, x)]
                 if y not in pset:
                     raise ActionAxiomViolation(f"act({h!r}, {x!r}) not a point",
                                                witness=(h, x))
-                if a.anchor[y] != H.rng[h]:
+                if anchor[y] != H.rng[h]:
                     raise ActionAxiomViolation(
                         f"anchor(act({h!r}, {x!r})) != rng({h!r})",
                         witness=(h, x))
-    for x in a.points:
-        if a.act[(a.anchor[x], x)] != x:
+    for x in points:
+        if act[(anchor[x], x)] != x:
             raise ActionAxiomViolation(f"unit does not fix {x!r}", witness=x)
-    for (h1, x) in a.act:
-        y = a.act[(h1, x)]
-        for h2 in H.arrows:
-            if H.src[h2] == H.rng[h1] and \
-                    a.act[(h2, y)] != a.act[(H.comp[(h2, h1)], x)]:
-                raise ActionAxiomViolation(
-                    f"action not multiplicative on ({h2!r}, {h1!r}, {x!r})",
-                    witness=(h2, h1, x))
-    return a
+    for h1 in H.arrows:
+        for x in points:
+            if (h1, x) not in act:
+                continue
+            y = act[(h1, x)]
+            for h2 in H.arrows:
+                if H.src[h2] == H.rng[h1] and \
+                        act[(h2, y)] != act[(H.comp[(h2, h1)], x)]:
+                    raise ActionAxiomViolation(
+                        f"action not multiplicative on ({h2!r}, {h1!r}, "
+                        f"{x!r})", witness=(h2, h1, x))
+    return points
 
 
 def loop_check_morphism(pi):

@@ -362,6 +362,70 @@ class TestAbelianExtract:
         assert "has dimension 2" in got[1]
         assert self._outcome(E, monkeypatch, merged, True) == (got, True)
 
+    @pytest.mark.parametrize("change, message, witness", [
+        (lambda vecs: [vecs[0], *vecs],
+         "point 'g0#p1' pairs with 2 targets over 'g0'", ("g0", "g0#p1")),
+        (lambda vecs: vecs[1:],
+         "point 'g0#p0' pairs with 0 targets over 'g1'", ("g1", "g0#p0"))],
+        ids=["duplicated", "dropped"])
+    def test_broken_points_fail_the_corner_pass(self, flip_groupoid,
+                                                monkeypatch, change, message,
+                                                witness):
+        # a first projection listed twice gives a point two targets over
+        # the unit; without it, the other point has none over g1
+        E = gk.build_bundle(flip_groupoid.projection)
+        got = (gk.LineDimensionFailure, message, witness)
+        assert self._outcome(E, monkeypatch, change, False) == (got, False)
+        assert self._outcome(E, monkeypatch, change, True) == (got, True)
+
+    def test_negated_projection_has_no_vector_of_positive_norm(
+            self, flip_groupoid, monkeypatch):
+        # -p is no projection, but q -> (-p) q (-p) is p q p: its corner has
+        # trace 1, and tau(z* z) / tau(-p) < 0 reads as norm 0. The stacked
+        # ranks and norms of the fallback admit the line, and the result
+        # fails its normalization and star checks instead
+        E = gk.build_bundle(flip_groupoid.projection)
+
+        def negated(vecs):
+            return [-vecs[0], *vecs[1:]]
+        assert self._outcome(E, monkeypatch, negated, False) == (
+            (gk.LineDimensionFailure, "corner over 'g0' between 'g0#p0' and "
+             "'g0#p0' has no vector of positive norm",
+             ("g0", "g0#p0", "g0#p0")), False)
+        assert self._outcome(E, monkeypatch, negated, True) == ((None, [
+            ("action_axioms", True), ("line_products_consistent", True),
+            ("cocycle_identity", True), ("cocycle_modulus", True),
+            ("cocycle_normalized", False), ("wedderburn_equal", True),
+            ("basis_map_multiplicative", True), ("basis_map_star", False),
+            ("basis_map_isometric", False)]), True)
+
+    def test_merged_targets_make_a_point_map_not_injective(self,
+                                                           monkeypatch):
+        # pair(2) on two points over each unit; the first projection of the
+        # second unit listed twice: both points over (2,2) go to one point
+        # over (1,1) along (1,2), before that unit's own corners are read
+        H = corpus.pair_groupoid(2)
+        over = {u: [f"{u}x{i}" for i in range(2)] for u in H.units}
+        action = gk.GroupoidAction(
+            H, [x for u in H.units for x in over[u]],
+            {x: u for u in H.units for x in over[u]},
+            {(h, x): y for h in H.arrows
+             for x, y in zip(over[H.src[h]], over[H.rng[h]])})
+        E = gk.build_bundle(gk.build_action_groupoid(action).projection)
+
+        def second_doubled():
+            seen = []
+
+            def change(vecs):
+                seen.append(vecs)
+                return vecs if len(seen) == 1 else [vecs[0], *vecs]
+            return change
+        got = (gk.LineDimensionFailure,
+               "induced point map over '(1,2)' is not injective", "(1,2)")
+        for fallback in (False, True):
+            assert self._outcome(E, monkeypatch, second_doubled(),
+                                 fallback) == (got, fallback)
+
     def test_scaled_projection_takes_the_svd_fallback(self, flip_groupoid,
                                                       monkeypatch):
         # 0.9 p is no projection: its corner traces are 0.9, not integers,

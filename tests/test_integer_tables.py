@@ -199,7 +199,8 @@ def test_mutations_reach_every_failure():
 
 
 def _action_mutations(a, rnd):
-    """Actions that break one axiom each, by an edit of a copy of a."""
+    """Name mappings (groupoid, points, anchor, act) that break one axiom
+    each, by an edit of a copy of those of a."""
     H = a.groupoid
     keys = sorted(a.act, key=repr)
     out = []
@@ -223,28 +224,58 @@ def _action_mutations(a, rnd):
             anchor[x] = rnd.choice(H.units)
         else:
             anchor[rnd.choice(a.points)] = rnd.choice(H.arrows)
-        out.append(gk.GroupoidAction(H, a.points, anchor, act))
+        out.append((H, a.points, anchor, act))
     return out
 
 
+def _built(H, points, anchor, act):
+    """The action of the name mappings, built from them and from the
+    integer arrays they name (len(points) for an image that is no
+    point)."""
+    spot = {x: i for i, x in enumerate(points)}
+    table = np.full((len(H.arrows), len(points)), -1)
+    for (h, x), y in act.items():
+        table[H.index[h], spot[x]] = spot.get(y, len(points))
+    anchor_ids = np.array([H.index.get(anchor.get(x), -1) for x in points],
+                          np.int64)
+    return (gk.GroupoidAction(H, points, anchor, act),
+            gk.GroupoidAction(H, points, anchor_ids, table))
+
+
 def test_action_on_a_pair_outside_arrows_and_points_is_rejected():
-    # the loop checks the products of every pair of act and fails on this
-    # one with a bare KeyError
+    # a key of act that is no (arrow, point) is refused when the action is
+    # built, before any axiom is checked
     a = corpus.flip_action()
-    b = gk.GroupoidAction(a.groupoid, a.points, a.anchor,
-                          {**a.act, ("g7", "x"): "y"})
-    assert outcome(gk.validate_action, b) == (
-        "ActionAxiomViolation", "act defined on ('g7', 'x'), not an arrow "
-        "and a point", ("g7", "x"))
-    with pytest.raises(KeyError):
-        loop_validate_action(b)
+    names = a.groupoid, a.points, a.anchor, {**a.act, ("g7", "x"): "y"}
+    want = ("ActionAxiomViolation", "act defined on ('g7', 'x'), not an "
+            "arrow and a point", ("g7", "x"))
+    assert outcome(gk.GroupoidAction, *names) == want
+    assert outcome(loop_validate_action, *names) == want
+
+
+def test_multiplicativity_witness_is_first_in_arrow_point_order():
+    # g1 of Z_2 sends x -> y -> z -> z, so g1 (g1 p) != p at p = x and at
+    # p = y; act lists (g1, y) first, and the witness is still (g1, g1, x)
+    H = corpus.cyclic_groupoid(2)
+    points = ("x", "y", "z")
+    anchor = dict.fromkeys(points, "g0")
+    act = {("g1", "y"): "z", ("g1", "x"): "y", ("g1", "z"): "z",
+           **{("g0", x): x for x in points}}
+    want = ("ActionAxiomViolation", "action not multiplicative on ('g1', "
+            "'g1', 'x')", ("g1", "g1", "x"))
+    for a in _built(H, points, anchor, act):
+        assert outcome(gk.validate_action, a) == want
+    assert outcome(loop_validate_action, H, points, anchor, act) == want
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_action_axioms_match_the_loops(seed):
+    # the action of random_action and each of its mutations: built from
+    # names and from arrays, validate_action agrees with the loops
     a = random_action(np.random.default_rng(seed))
-    assert outcome(gk.validate_action, a) == ("ok",)
-    assert outcome(loop_validate_action, a) == ("ok",)
-    for b in _action_mutations(a, random.Random(seed)):
-        assert outcome(gk.validate_action, b) == \
-            outcome(loop_validate_action, b)
+    names = a.groupoid, a.points, dict(a.anchor), dict(a.act)
+    assert outcome(loop_validate_action, *names) == ("ok",)
+    for names in [names, *_action_mutations(a, random.Random(seed))]:
+        want = outcome(loop_validate_action, *names)
+        for b in _built(*names):
+            assert outcome(gk.validate_action, b) == want

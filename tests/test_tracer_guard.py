@@ -1,8 +1,9 @@
 """The benchmark's outside-in tracer (perfbench/tracer.py) patches gpdkit
 functions and methods by name. A refactor that renames, moves or inlines a
 traced name would break traced benchmark runs without failing anything
-else, so these tests pin the names and run six commands under the tracer,
-the two graph commands for the hooks that read their results.
+else, so these tests pin the names and run seven commands under the
+tracer: the two graph commands for the hooks that read their results, and
+an action roundtrip for the two action builders.
 """
 
 import importlib.util
@@ -58,21 +59,34 @@ def test_traced_commands_run(capsys):
             tracer.run_item(5, lambda: main(
                 ["graph", "check", "--morphism",
                  corpus.data_path("cuntz.graphmorphism.json")])),
+            tracer.run_item(6, lambda: main(
+                ["action", "roundtrip", "--action",
+                 corpus.data_path("flip.action.json")])),
         ]
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert codes == [0] * 6
+    assert codes == [0] * 7
     summary = tracer.summary([1.0] * len(codes))
     assert summary["errors"] == {}
     assert summary["calls"]["algebra.wedderburn"] >= 1
     assert summary["calls"]["bundle.psi_iso_check"] == 1
     assert summary["calls"]["actions.abelian_extract"] == 1
     assert summary["calls"]["extensions.group_extension_bundle"] == 1
+    # the roundtrip calls each action builder once, and covering_to_action
+    # builds the action groupoid of the action it reads off once more
+    root = tracer.items.index(6)
+    top = [n for n, p in zip(tracer.names, tracer.parents) if p == root]
+    assert top.count("actions.build_action_groupoid") == 1
+    assert top.count("actions.covering_to_action") == 1
+    inner = tracer.names.index("actions.covering_to_action", root)
+    assert "actions.build_action_groupoid" in [
+        n for n, p in zip(tracer.names, tracer.parents) if p == inner]
     # the hooks that read the name views of a groupoid (src, rng, the
     # length of comp) count what they counted on the dict tables
     counters = summary["counters"]
-    assert counters["groupoid.validate.triples"] == 627
+    # (the roundtrip's Z_2 adds its 8 composable triples)
+    assert counters["groupoid.validate.triples"] == 627 + 8
     assert counters["bundle.psi.pairs"] == 64
     # one cocycle_check per extraction (the CLI reads the twist's
     # validation from its entries) and one per ext analyze
