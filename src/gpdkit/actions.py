@@ -348,7 +348,7 @@ class TwistedConvolutionAlgebra:
     def norm(self, c: np.ndarray) -> float:
         return self.rep.norm(c)
 
-    def wedderburn(self, seed: int = 0, tol: float = 1e-9) -> WedderburnInvariants:
+    def wedderburn(self, tol: float = 1e-9) -> WedderburnInvariants:
         """Block sizes; NumericalDegeneracy when the table's kept
         associativity defect exceeds ``tol`` (then it is no algebra)."""
         res, triple = self.table.associativity_defect()
@@ -356,7 +356,7 @@ class TwistedConvolutionAlgebra:
             raise NumericalDegeneracy(
                 f"twisted table is not associative: defect {res:.3e} at "
                 f"{tuple(self.G.arrows[i] for i in triple)!r}")
-        return wedderburn_from_tables(self.table, seed=seed, tol=tol)
+        return wedderburn_from_tables(self.table, tol=tol)
 
 
 def twisted_algebra(G: FiniteGroupoid, omega: Cocycle,
@@ -392,7 +392,7 @@ class ExtractionResult(CheckList):
 _TRACE_TOL = 1e-6
 
 
-def _unit_points(B, u, seed: int) -> np.ndarray:
+def _unit_points(B, u) -> np.ndarray:
     """Minimal projections of the commutative unit fiber over the arrow
     index ``u`` of the FiberBlocks ``B``, as rows of coefficients padded
     to ``B.D`` and ordered by their rounded coefficients: the central
@@ -407,7 +407,7 @@ def _unit_points(B, u, seed: int) -> np.ndarray:
         return np.zeros((0, B.D), dtype=complex)
     try:
         (i, a, v), sizes, *_ = central_projections(
-            table, (d, np.arange(d), np.arange(d), np.ones(d)), seed)
+            table, (d, np.arange(d), np.arange(d), np.ones(d)))
     except NumericalDegeneracy:
         raise NotAbelian("could not diagonalize a unit fiber; it may not be "
                          "commutative or is numerically degenerate") from None
@@ -466,7 +466,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
 
     # the points: the minimal projections of each unit fiber, in unit
     # order, as rows PX over their unit arrows hx
-    found = [_unit_points(B, u, seed) for u in H.unit_idx.tolist()]
+    found = [_unit_points(B, u) for u in H.unit_idx.tolist()]
     count = np.array([len(P) for P in found], np.int64)
     points = tuple(f"{u}#p{i}" for u, n in zip(H.units, count.tolist())
                    for i in range(n))
@@ -610,8 +610,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
 
     sa = section_algebra(E, tol=tol, seed=seed)
     result.blocks_twisted, result.blocks_bundle = result.add_wedderburn_equal(
-        lambda: ta.wedderburn(seed=seed, tol=tol),
-        lambda: sa.wedderburn(seed=seed, tol=tol))
+        lambda: ta.wedderburn(tol=tol), lambda: sa.wedderburn(tol=tol))
 
     # the natural basis map delta_{(h,x)} -> gauged line vector at slot h
     # must be an isometric *-isomorphism onto the section algebra

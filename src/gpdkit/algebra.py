@@ -70,7 +70,6 @@ from typing import Optional
 
 import numpy as np
 
-from .draws import draws
 from .groupoid import (FiniteGroupoid, _join, _ranks, inclusion,
                        subgroupoid)
 
@@ -203,7 +202,7 @@ class StructureTable:
     (the star is conjugate-linear in the coefficients). The arrays are
     read-only, since one table may be shared by every user of its algebra;
     so its associativity defect is kept on it once taken, and so are its
-    Wedderburn solves (``solved``, per seed and tol). A gathered defect of
+    Wedderburn solves (``solved``, per tol). A gathered defect of
     more than one pass of triples also keeps ``generators``: a set S of
     which every basis element is a product ((g1 g2) ...) gk, read from
     the pattern of the table (:func:`_generating_set`), so that a twisted
@@ -1057,23 +1056,23 @@ def _svd_center(row, col, val, label, tol: float):
     return (int(null.sum()), *(np.concatenate(v) for v in zip(*out)))
 
 
-def wedderburn_from_tables(table: StructureTable, *, seed: int = 0,
+def wedderburn_from_tables(table: StructureTable, *,
                            tol: float = 1e-9) -> WedderburnInvariants:
     """Block sizes of the C*-algebra of ``table``: d_i^2 = Tr L(e_i) over
-    its minimal central projections (:func:`central_projections`), or all
-    1 with no solve when the center is the whole algebra. Kept on the
-    table per integer seed and tol (a NumericalDegeneracy is not)."""
-    if isinstance(seed, int) and (seed, tol) in table.solved:
-        return table.solved[seed, tol]
+    its minimal central projections (:func:`central_projections`, at the
+    fixed central element zeta, so that nothing is drawn), or all 1 with
+    no solve when the center is the whole algebra. Kept on the table per
+    tol (a NumericalDegeneracy is not)."""
+    if tol in table.solved:
+        return table.solved[tol]
     n, center = table.dim, _center_entries(table, tol)
     if center[0] == n:  # commutative: n blocks of size 1
         inv = WedderburnInvariants((1,) * n, n, n)
     else:
-        _, sizes, gap, spread = central_projections(table, center, seed)
+        _, sizes, gap, spread = central_projections(table, center)
         inv = WedderburnInvariants(tuple(sorted(sizes.tolist(), reverse=True)),
                                    n, center[0], gap, spread)
-    if isinstance(seed, int):  # a generator or entropy is never reused
-        table.solved[seed, tol] = inv
+    table.solved[tol] = inv
     return inv
 
 
@@ -1086,7 +1085,7 @@ def _traces(table: StructureTable) -> np.ndarray:
     return _scatter(table.a[on], table.w[on], table.dim)
 
 
-def central_projections(table: StructureTable, center, seed=0):
+def central_projections(table: StructureTable, center):
     """((i, j, value) terms of the minimal central projections e_i = sum of
     value c_j, numbered like the c_j; block sizes d_i; central_gap;
     central_spread) of the C*-algebra of ``table``, from orthonormal rows
@@ -1097,13 +1096,17 @@ def central_projections(table: StructureTable, center, seed=0):
     of group characters*, Numer. Math. 10): c_j c_l = sum of g[j, l, m] c_m
     is one scatter over the table entries joined with the nonzeros of the
     c_j (one term per entry for class sums). The left eigenvectors of
-    M_z = sum of zeta_j g[j], zeta random, are f_i = mu_i e_i: one batched
-    eig per size of the components of g. Tr L(f) = mu d^2 and
-    Tr L(f^2) = mu^2 d^2 give mu and d^2. Certified, each over
-    _CENTRAL_CUT times its scale (NumericalDegeneracy names a failure and
-    its margin): the eigen residual |x_i M_z - lambda_i x_i|, the unit
-    residual |(sum of e_i) c_l - c_l|, the distance of each Tr L(e_i)
-    from a square d_i^2 >= 1 (central_spread), and sum of d_i^2 = dim.
+    M_z = sum of zeta_j g[j] are f_i = mu_i e_i: one batched eig per size
+    of the components of g. zeta is fixed, zeta_j = e^{ij} (j = 1..k), and
+    nothing is drawn: by Lindemann-Weierstrass these are linearly
+    independent over the algebraic numbers, so two distinct central
+    characters with algebraic values on the c_j never share an eigenvalue
+    of M_z. Tr L(f) = mu d^2 and Tr L(f^2) = mu^2 d^2 give mu and d^2.
+    Certified, each over _CENTRAL_CUT times its scale (NumericalDegeneracy
+    names a failure and its margin): the eigen residual |x_i M_z -
+    lambda_i x_i|, the unit residual |(sum of e_i) c_l - c_l|, the
+    distance of each Tr L(e_i) from a square d_i^2 >= 1 (central_spread),
+    and sum of d_i^2 = dim.
     central_gap is the smallest eigenvalue gap within a component over
     the same cut (None without a component of two)."""
     T, (k, cj, ca, cv) = table, center
@@ -1135,8 +1138,7 @@ def central_projections(table: StructureTable, center, seed=0):
         return _scatter(off[comp[J]] + pos[row] * s[J] + pos[col], vals,
                         int((width ** 2).sum()))
     tau = _scatter(cj, cv * _traces(T)[ca], k)  # Tr L(c_j)
-    rng = draws(seed)
-    zeta = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    zeta = np.exp(1j * np.arange(1, k + 1))
     # the transpose of M_z, whose eigenvectors are the x with x M_z = lam x
     Zt, Q = stack(M, L, zeta[J] * g), stack(J, L, g * tau[M])
     trace, unit, parts = np.zeros(k, complex), np.zeros(k, complex), []
@@ -1230,16 +1232,14 @@ def _closure_tables(mats, tol):
                           sadj[s, t])
 
 
-def wedderburn(obj, *, seed: int = 0,
-               tol: float = 1e-9) -> WedderburnInvariants:
+def wedderburn(obj, *, tol: float = 1e-9) -> WedderburnInvariants:
     """Block-size invariants of C*_r(G) for a groupoid, from its table and
     kept on it, or of the *-closed algebra generated by an explicit family
     of matrices, from the table of the closure in a basis orthonormal
     under <a, b> = tr(a* b) (:func:`wedderburn_from_tables`)."""
     if isinstance(obj, FiniteGroupoid):
-        return wedderburn_from_tables(obj.table, seed=seed, tol=tol)
+        return wedderburn_from_tables(obj.table, tol=tol)
     mats = [np.asarray(m, dtype=complex) for m in obj]
     if not mats:
         return WedderburnInvariants((), 0, 0)
-    return wedderburn_from_tables(_closure_tables(mats, tol), seed=seed,
-                                  tol=tol)
+    return wedderburn_from_tables(_closure_tables(mats, tol), tol=tol)

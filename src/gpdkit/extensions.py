@@ -385,8 +385,8 @@ def coset_bijectivity(U, rows, cols):
             None if rank == n else f"rank {rank} of {n}")
 
 
-def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
-                           seed: int = 0) -> ExtensionBundleResult:
+def group_extension_bundle(ext: GroupExtension,
+                           tol: float = 1e-9) -> ExtensionBundleResult:
     """The twisted action groupoid of an extension, with the certified
     isomorphism from the group algebra.
 
@@ -492,6 +492,5 @@ def group_extension_bundle(ext: GroupExtension, tol: float = 1e-9,
                    "not checked: cocycle_identity failed")
         return result
     result.blocks_group, result.blocks_twisted = result.add_wedderburn_equal(
-        lambda: wedderburn(Ggpd, seed=seed, tol=tol),
-        lambda: ta.wedderburn(seed=seed, tol=tol))
+        lambda: wedderburn(Ggpd, tol=tol), lambda: ta.wedderburn(tol=tol))
     return result

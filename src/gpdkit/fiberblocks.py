@@ -440,17 +440,6 @@ class FiberBlocks:
             np.maximum.at(out, r[rows], spectral_norms(S))
         return out
 
-    def partners(self, h, rng):
-        """(rows, k): one uniform arrow k with a nonzero fiber and r(k) =
-        s(h[r]) for every row r of h that has one, in one draw."""
-        live = np.flatnonzero(self.dims > 0)
-        r, j = _join(self.src[h], self.rng[live])
-        count = np.bincount(r, minlength=len(h))
-        rows = np.flatnonzero(count)
-        # the pairs of row r start at (cumsum(count) - count)[r]
-        return rows, live[j[(np.cumsum(count) - count)[rows]
-                            + rng.integers(count[rows])]]
-
 
 def fiber_blocks(E) -> "FiberBlocks":
     """The FiberBlocks of a bundle, built on first use and kept on it."""

@@ -492,6 +492,9 @@ def load_action(source, base_dir=None) -> GroupoidAction:
     H = _resolve(obj["groupoid"], base_dir, load_groupoid, file, "$.groupoid")
     points = _as_str_list(obj["X"], file, "$.X")
     pset = set(points)
+    if len(pset) < len(points):
+        raise ParseError(file, f"$.X[{_first_repeat(points)}]",
+                         "each point once")
     rho = _as_str_map(obj["rho"], file, "$.rho", points)
     _check_map(rho, file, "$.rho", pset, "a declared point", H.index,
                "a groupoid arrow")

@@ -1104,7 +1104,10 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
     """``verify_axioms`` one element at a time: the same checks, random
     draws, order and witnesses, with every norm an SVD of its own
     (``element_norm``, ``DenseSectionSpace.op_norm_of_fiber``) and axiom
-    3 by the sorting path of the structure table."""
+    3 by the sorting path of the structure table. Axioms 2 and 6, which
+    ``verify_axioms`` reports as definitional, are measured here on up to
+    25 draws of their own stream, so that a residual above rounding
+    would show."""
     from gpdkit.bundle import (AxiomReport, FellBundleError, FiberElement,
                                _LATER_CHECKS, _slot_witness)
     rng = draws(seed)
@@ -1172,6 +1175,7 @@ def dense_verify_axioms(E, tol=1e-9, samples=100, seed=0):
     basis = {(h, i): FiberElement.basis(E, h, i)
              for h in H.arrows for i in range(E.dim(h))}
     norms = {key: element_norm(x) for key, x in basis.items()}
+    rng = draws(seed)  # the stream of the sampled norm axioms
     res4, wit4 = 0.0, None
     trials = [(h1, h2, basis[h1, i], norms[h1, i], basis[h2, j], norms[h2, j])
               for (h1, h2) in comp_pairs
@@ -1603,15 +1607,17 @@ def dense_norms(table, summand, X):
 
 
 def loop_bundle_build(E, samples, seed):
-    """(fiber_star_antimultiplicative, fiber_norm_cstar_identity)
-    residuals of ``bundle build``, one sample at a time through
-    fiber_mul, fiber_star and fiber_norm."""
+    """Sampled residuals of (x y)* = y* x* and ||x* x|| = ||x||^2, the
+    identities of ``bundle build``'s fiber_star_antimultiplicative and
+    fiber_norm_cstar_identity (which that command reads from axioms 8 and
+    9, certified), one sample at a time through fiber_mul, fiber_star and
+    fiber_norm."""
     from gpdkit.bundle import fiber_mul, fiber_norm, fiber_star
     rng = draws(seed)
     res_star = res_norm = 0.0
     arrows = [h for h in E.base.arrows if E.dim(h)]
-    # the draws of the batched command: the arrows of x, the vectors x,
-    # the partner of every x that has one, the vectors y
+    # the arrows of x, the vectors x, the partner of every x that has
+    # one, the vectors y
     n = max(1, samples // 5)
     h1s = [arrows[k] for k in rng.integers(len(arrows), size=n)]
     zx = _draws(E, (n,), rng)

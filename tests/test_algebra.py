@@ -616,10 +616,10 @@ def _copies(name, n):
     return G
 
 
-def _dense_projections(table, seed=0):
+def _dense_projections(table):
     """(rows e_i of central_projections, block sizes) of a table."""
     (i, j, v), sizes, _, _ = algebra.central_projections(
-        table, algebra._center_entries(table), seed)
+        table, algebra._center_entries(table))
     X = np.zeros((len(sizes), len(sizes)), dtype=complex)
     np.add.at(X, (i, j), v)
     return X @ center_basis(table), sizes
@@ -677,14 +677,15 @@ class TestCentralProjections:
     """Block sizes from the minimal central projections of the exact
     center: one k x k eigenproblem per component of the center."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("repeat", [0, 1, 2])
     @pytest.mark.parametrize("name, n, blocks", [
         ("heis2", 1000, (2,) * 1000 + (1,) * 4000),
         ("z4", 1100, (1,) * 4400)])
-    def test_large_unions_in_under_a_second(self, name, n, blocks, seed):
+    def test_large_unions_in_under_a_second(self, name, n, blocks, repeat):
         G = _copies(name, n)
+        G.table.solved.clear()  # each repeat is a solve of its own
         start = time.perf_counter()
-        inv = gk.wedderburn(G, seed=seed)
+        inv = gk.wedderburn(G)
         assert time.perf_counter() - start < 1.0
         assert inv.blocks == blocks and inv.dimension == len(G.arrows)
 
@@ -738,12 +739,11 @@ class TestCentralProjections:
         st.sampled_from(["cyclic", "pair", "heis", "cyclic_action",
                          "heis_action"]),
         st.integers(1, 6), st.lists(st.integers(0, 3), min_size=1,
-                                    max_size=3)), min_size=1, max_size=4),
-        st.integers(0, 3))
-    def test_blocks_match_orbit_isotropy_counting(self, parts, seed):
+                                    max_size=3)), min_size=1, max_size=4))
+    def test_blocks_match_orbit_isotropy_counting(self, parts):
         G = corpus.disjoint_union([(f"p{i}", _part(*part))
                                    for i, part in enumerate(parts)])
-        assert gk.wedderburn(G, seed=seed).blocks == \
+        assert gk.wedderburn(G).blocks == \
             _orbit_isotropy_blocks(G)
 
 
@@ -1050,28 +1050,23 @@ class TestLapackCalls:
 
 
 class TestWedderburnMemo:
-    """A table keeps its Wedderburn invariants per (seed, tol); a
+    """A table keeps its Wedderburn invariants per tol; a
     NumericalDegeneracy is not kept."""
 
     def test_same_call_solves_once(self, monkeypatch):
         calls = _counting(monkeypatch, algebra, "_center_entries")
         G = corpus.heisenberg_groupoid(2)
-        first = gk.wedderburn(G, seed=3, tol=1e-9)
-        assert gk.wedderburn(G, seed=3, tol=1e-9) is first
-        assert G.table.solved == {(3, 1e-9): first}
+        first = gk.wedderburn(G, tol=1e-9)
+        assert gk.wedderburn(G, tol=1e-9) is first
+        assert wedderburn_from_tables(G.table, tol=1e-9) is first
+        assert G.table.solved == {1e-9: first}
         assert len(calls) == 1
-        # another seed or tolerance is another solve
-        gk.wedderburn(G, seed=4, tol=1e-9)
-        gk.wedderburn(G, seed=3, tol=1e-8)
-        assert len(calls) == 3
+        # another tolerance is another solve
+        gk.wedderburn(G, tol=1e-8)
+        assert len(calls) == 2
         # another groupoid object is another table
-        gk.wedderburn(corpus.heisenberg_groupoid(2), seed=3, tol=1e-9)
-        assert len(calls) == 4
-        # a generator for seed is drawn from afresh on every call
-        rng = np.random.default_rng(3)
-        for _ in range(2):
-            wedderburn_from_tables(G.table, seed=rng)
-        assert len(calls) == 6
+        gk.wedderburn(corpus.heisenberg_groupoid(2), tol=1e-9)
+        assert len(calls) == 3
 
     def test_degeneracy_is_raised_again(self, monkeypatch):
         calls = _counting(monkeypatch, algebra, "_center_entries")

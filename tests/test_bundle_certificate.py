@@ -88,8 +88,11 @@ def test_report_agrees_with_the_dense_oracle(bundles, sampled, name, seed):
 
 
 # -- negative controls: each breaks a hypothesis and takes the sampled
-# path, whose report is the one verify_axioms gave before the certificate
-# (at samples=12, seed=0; residuals to 1e-12 for another BLAS)
+# path, whose flags are the ones verify_axioms gave before the certificate
+# (at samples=12, seed=0; residuals to 1e-12 for another BLAS). Axioms 2
+# and 6 are definitional (residual 0.0), and the sampled path draws from
+# a stream of its own, so the residuals and witnesses of the norm entries
+# are those of that stream.
 
 def _gram_root():
     """heis3 with the Gram root of its first non-unit fiber scaled by
@@ -120,7 +123,7 @@ CONTROLS = {
                          _scale_product),
         "axiom3_associative",
         _EXACT + [
-            ("axiom2_bilinear", True, 1.9860273225978185e-15, None),
+            ("axiom2_bilinear", True, 0.0, None),
             ("axiom6_conjugate_linear", True, 0.0, None),
             ("axiom3_associative", False, 0.5,
              "(h='(0,0)','(1,0)','(0,1)' e=1,0,0)"),
@@ -138,46 +141,46 @@ CONTROLS = {
             corpus.flip_action()).projection), _negate_star),
         "definite(section)",
         _EXACT + [
-            ("axiom2_bilinear", True, 8.881784197001252e-16, None),
+            ("axiom2_bilinear", True, 0.0, None),
             ("axiom6_conjugate_linear", True, 0.0, None),
             ("axiom3_associative", True, 0.0, None),
             ("axiom7_involutive", True, 0.0, None),
             ("axiom8_antimultiplicative", True, 0.0, None),
-            ("axiom4_submultiplicative", True, 2.0033067542268441e-16, None),
-            ("axiom10_positive", False, 1.2014674578511034e+31, "(h='g1')"),
+            ("axiom4_submultiplicative", True, 2.3596399711539507e-16, None),
+            ("axiom10_positive", False, 6.807176248092192e+30, "(h='g1')"),
             ("axiom9_cstar_identity", False, None, _DEGENERATE),
             ("norm_consistency", False, None, _DEGENERATE),
             ("saturation", True, None, None)]),
     "gram_root": (
         _gram_root, "gram(section)",
         _EXACT + [
-            ("axiom2_bilinear", True, 1.831026719408895e-15, None),
+            ("axiom2_bilinear", True, 0.0, None),
             ("axiom6_conjugate_linear", True, 0.0, None),
             ("axiom3_associative", True, 0.0, None),
             ("axiom7_involutive", True, 0.0, None),
             ("axiom8_antimultiplicative", True, 0.0, None),
-            ("axiom4_submultiplicative", True, 1.419117124054066e-16, None),
+            ("axiom4_submultiplicative", True, 1.7452690850798042e-16, None),
             ("axiom10_positive", True, 0.0, None),
-            ("axiom9_cstar_identity", False, 0.0009990009990014084,
-             "(h='(1,0)')"),
-            ("norm_consistency", False, 0.0009990009990011013,
-             "(h='(0,2)')"),
+            ("axiom9_cstar_identity", False, 0.0009990009990012054,
+             "(h='(1,2)')"),
+            ("norm_consistency", False, 0.0009990009990010944,
+             "(h='(2,2)')"),
             ("saturation", True, None, None)]),
     "star_weight": (
         _star_weight, "star_rep(section)",
         _EXACT + [
-            ("axiom2_bilinear", True, 1.9860273225978185e-15, None),
-            ("axiom6_conjugate_linear", True, 5.551115123125783e-16, None),
+            ("axiom2_bilinear", True, 0.0, None),
+            ("axiom6_conjugate_linear", True, 0.0, None),
             ("axiom3_associative", True, 0.0, None),
             ("axiom7_involutive", True, 2.5802204073195862e-17, None),
             ("axiom8_antimultiplicative", False, 0.9588510772084059,
              "(h='(0,1)','(0,1)' e=0,0)"),
-            ("axiom4_submultiplicative", False, 0.08985227117862621,
-             "(h='(1,1)','(0,1)')"),
+            ("axiom4_submultiplicative", False, 0.053556177998208776,
+             "(h='(1,0)','(0,1)')"),
             ("axiom10_positive", True, 0.0, None),
-            ("axiom9_cstar_identity", False, 0.20068889213787144,
-             "(h='(0,1)')"),
-            ("norm_consistency", False, 0.10636563059456222, "(h='(0,1)')"),
+            ("axiom9_cstar_identity", False, 0.1224174381096272,
+             "(h='(0,0)')"),
+            ("norm_consistency", False, 0.0632062329998279, "(h='(0,0)')"),
             ("saturation", True, None, None)]),
 }
 

@@ -473,19 +473,28 @@ class TestCli:
 
     def test_bundle_build_solves_kernel_blocks_at_seed_and_tol(
             self, capsys, monkeypatch):
+        # the kernel blocks are solved at tol, with nothing drawn; the
+        # seed reaches only the sampled fallback of verify_axioms
         import gpdkit.bundle as gbundle
-        calls = []
-        solve = gbundle.wedderburn
+        import gpdkit.cli as gcli
+        calls, verified = [], []
+        solve, verify = gbundle.wedderburn, gcli.verify_axioms
 
-        def spy(obj, *, seed=0, tol=1e-9):
-            calls.append((seed, tol))
-            return solve(obj, seed=seed, tol=tol)
+        def spy(obj, *, tol=1e-9):
+            calls.append(tol)
+            return solve(obj, tol=tol)
+
+        def verify_spy(E, tol=1e-9, samples=100, seed=0):
+            verified.append((seed, tol))
+            return verify(E, tol=tol, samples=samples, seed=seed)
         monkeypatch.setattr(gbundle, "wedderburn", spy)
+        monkeypatch.setattr(gcli, "verify_axioms", verify_spy)
         code, _, _ = run_cli(["bundle", "build", "--morphism",
                               corpus.data_path("heis2_quotient.morphism.json"),
                               "--seed", "7", "--tol", "1e-7"], capsys)
         assert code == 0
-        assert len(calls) > 1 and set(calls) == {(7, 1e-7)}
+        assert len(calls) > 1 and set(calls) == {1e-7}
+        assert verified == [(7, 1e-7)]
 
     def test_abelian_extract_admits_its_bundle_at_seed(self, capsys,
                                                        monkeypatch):
@@ -546,12 +555,11 @@ class TestCli:
 
 
 class TestStackedSampleChecks:
-    """The sample checks of bundle build draw every sample first and check
-    them in stacked calls; their residuals are those of the one-sample
-    loops of tests/oracles.py, exactly. The norm entries of alg wedderburn
-    and bundle verify's expectation_contractive are certified instead
-    (residual 0.0 on the corpus), and the loops agree with them in pass
-    flag."""
+    """The one-sample loops of tests/oracles.py agree in pass flag with the
+    certified entries they once sampled: bundle build's two fiber entries
+    (axioms 8 and 9 of bundle verify, with their residuals), the norm
+    entries of alg wedderburn and bundle verify's expectation_contractive
+    (residual 0.0 on the corpus)."""
 
     @staticmethod
     def _checks(argv, capsys):
@@ -560,10 +568,6 @@ class TestStackedSampleChecks:
         return {c["name"]: (c["pass"], c["residual"])
                 for c in json.loads(out)["checks"]}
 
-    @classmethod
-    def _residuals(cls, argv, capsys):
-        return {k: r for k, (_, r) in cls._checks(argv, capsys).items()}
-
     @pytest.mark.parametrize("name", ["flip_covering", "heis2_quotient",
                                       "heis3_quotient"])
     @pytest.mark.parametrize("seed", [0, 5])
@@ -571,12 +575,15 @@ class TestStackedSampleChecks:
         path = corpus.data_path(f"{name}.morphism.json")
         E = gk.build_bundle(gio.load_morphism(path))
         flags = ["--morphism", path, "--seed", str(seed), "--samples", "40"]
-        got = self._residuals(["bundle", "build", *flags], capsys)
-        assert (got["fiber_star_antimultiplicative"],
-                got["fiber_norm_cstar_identity"]) == \
-            loop_bundle_build(E, 40, seed)
-        got = self._residuals(["bundle", "verify", *flags], capsys)
-        assert got["expectation_contractive"] == max(
+        built = self._checks(["bundle", "build", *flags], capsys)
+        got = self._checks(["bundle", "verify", *flags], capsys)
+        entries = [built["fiber_star_antimultiplicative"],
+                   built["fiber_norm_cstar_identity"]]
+        assert entries == [got["axiom8_antimultiplicative"],
+                           got["axiom9_cstar_identity"]]
+        assert [p for p, _ in entries] == [
+            r <= 1e-9 for r in loop_bundle_build(E, 40, seed)]
+        assert got["expectation_contractive"][1] == max(
             loop_expectation_contractive(E, 40, seed, 1e-9), 0.0)
 
     @pytest.mark.parametrize("name", ["pair", "z3", "heis2", "heis3"])
@@ -770,10 +777,13 @@ class TestExitContract:
         ("z4.group.json", "mul", 5, ["ext", "analyze", "--group"],
          "one product per pair"),
         ("flip.action.json", "act", 1, ["action", "roundtrip", "--action"],
-         "one image per (arrow, point) pair")])
+         "one image per (arrow, point) pair"),
+        ("flip.action.json", "X", 0, ["action", "roundtrip", "--action"],
+         "each point once")])
     def test_repeated_group_or_action_pair_exits_2(self, name, key, at, argv,
                                                    what, tmp_path, capsys):
         # an entry appended once more: the repeat is refused, not kept last
+        # (a repeated point, not reported as an action_axioms failure)
         with open(corpus.data_path(name)) as fh:
             obj = json.load(fh)
         obj[key].append(obj[key][at])
