@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
-                       _PairView, _ids, _join, _prefix, _ranks, _table,
-                       classify_morphism, pair_id)
+                       MorphismClassification, _PairView, _ids, _join,
+                       _prefix, _ranks, _table, classify_morphism, pair_id)
 from .algebra import (NumericalDegeneracy, RegularRepresentation,
                       StructureTable, WedderburnInvariants, _scatter,
                       central_projections, chunks,
@@ -162,7 +162,11 @@ class ActionGroupoid:
     projection: GroupoidMorphism
     pairs: dict                    # arrow id -> (h, x)
     point: np.ndarray              # arrow index -> point index of x
-    classification: object = None
+
+    @cached_property
+    def classification(self) -> MorphismClassification:
+        """classify_morphism of the projection, on first read."""
+        return classify_morphism(self.projection)
 
 
 def build_action_groupoid(a: GroupoidAction) -> ActionGroupoid:
@@ -185,8 +189,7 @@ def build_action_groupoid(a: GroupoidAction) -> ActionGroupoid:
         len(ids), at[T.a[e], hx[j]], j, at[T.c[e], x[j]],
         at[H.inv_idx[h], hx]))
     pi = GroupoidMorphism(G, H, h)
-    return ActionGroupoid(G, pi, dict(zip(ids, pairs)), x,
-                          classify_morphism(pi))
+    return ActionGroupoid(G, pi, dict(zip(ids, pairs)), x)
 
 
 @dataclass

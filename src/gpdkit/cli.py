@@ -676,10 +676,7 @@ def main(argv=None) -> int:
     report.inputs.update(_input_digests(args, _INPUT_FLAGS))
     try:
         handler(args, report)
-    except gio.ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit2 as exc:
+    except (gio.ParseError, SystemExit2) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (GroupoidError, bundle.FellBundleError, graphs.GraphError) as exc:

@@ -23,7 +23,7 @@ them as vacuously satisfied instead of dropping them.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -200,15 +200,18 @@ class FiniteGroupoid:
     def entry_ids(self, h1, h2) -> np.ndarray:
         """Table entry of the pair of arrows h1[i] and h2[i] (index
         arrays), -1 where they are not composable: the one pair lookup."""
-        if "lookup" not in self._views:  # sorted keys, then a sentinel
+        if "lookup" not in self._views:  # sorted keys, then a sentinel,
+            # and their entries unless the table is in (a, b) order
             key = self.table.a * len(self.arrows) + self.table.b
-            order = np.argsort(key, kind="stable")
-            self._views["lookup"] = (np.append(key[order], np.iinfo(
-                np.int64).max), np.append(order, -1))
+            order = None if np.all(key[1:] > key[:-1]) else \
+                np.argsort(key, kind="stable")
+            self._views["lookup"] = (np.append(
+                key if order is None else key[order], np.iinfo(np.int64).max),
+                order if order is None else np.append(order, -1))
         keys, entry = self._views["lookup"]
         q = np.asarray(h1) * len(self.arrows) + h2
         at = keys.searchsorted(q)
-        return np.where(keys[at] == q, entry[at], -1)
+        return np.where(keys[at] == q, at if entry is None else entry[at], -1)
 
     def compose_ids(self, h1, h2) -> np.ndarray:
         """Index of the composite of arrows h1[i] and h2[i] (index arrays),
@@ -235,9 +238,13 @@ class FiniteGroupoid:
 
 def _ids(names, index) -> np.ndarray:
     """Indices of ``names`` under ``index`` (name -> index), -1 where a
-    name is not a key."""
-    return np.fromiter(map(index.get, names, repeat(-1)), np.int64,
-                       len(names))
+    name is not a key (an unhashable item is none)."""
+    try:
+        return np.fromiter(map(index.get, names, repeat(-1)), np.int64,
+                           len(names))
+    except TypeError:
+        return np.array([index.get(x, -1) if isinstance(x, Hashable) else -1
+                         for x in names], np.int64)
 
 
 def _index(ids, what: str) -> dict:
@@ -245,13 +252,16 @@ def _index(ids, what: str) -> dict:
     the first id that repeats an earlier one."""
     index = {g: i for i, g in enumerate(ids)}
     if len(index) != len(ids):
-        seen = set()
-        for g in ids:
-            if g in seen:
-                raise GroupoidError(f"duplicate {what} identifier {g!r}",
-                                    witness=g)
-            seen.add(g)
+        g = ids[_first_repeat(ids)]
+        raise GroupoidError(f"duplicate {what} identifier {g!r}", witness=g)
     return index
+
+
+def _first_repeat(keys) -> int:
+    """The place of the first key equal to an earlier one (there is one)."""
+    first = {}
+    return next(i for i, key in enumerate(keys)
+                if first.setdefault(key, i) != i)
 
 
 def _prefix(mask) -> int:
@@ -289,13 +299,13 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
     ``src``, ``rng`` and ``inv`` map arrow names to names or are integer
     arrays of arrow indices; ``comp`` is a mapping ``(g1, g2) -> g12``, an
     iterable of ``(g1, g2, g12)`` triples or an (m, 3) array of arrow
-    indices, listing each composable pair once, in the order of the table.
-    Each axiom is a mask over index arrays and the first failing entry is
-    reported; associativity is ``StructureTable.associativity_defect`` of
-    the w = 1 table (residual 0). Raises MissingComposite, IllegalComposite,
-    AssociativityFailure (witness: the first failing triple in arrow
-    order), UnitFailure or InverseFailure, with the offending arrows.
-    """
+    indices, listing each composable pair once; the table keeps them in
+    (a, b) order. Each axiom is a mask over index arrays and the first
+    failing entry (comp in its given order) is reported; associativity is
+    ``StructureTable.associativity_defect`` of the w = 1 table (residual
+    0). Raises MissingComposite, IllegalComposite, AssociativityFailure
+    (witness: the first failing triple in arrow order), UnitFailure or
+    InverseFailure, with the offending arrows."""
     arrows = tuple(arrows)
     n = len(arrows)
     index = _index(arrows, "arrow")
@@ -362,6 +372,12 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
         u = units[i]
         raise UnitFailure(f"unit {u!r} has src/rng != itself", witness=u)
 
+    # each entry is a distinct composable pair: the table is kept in (a, b)
+    # order, as the witnesses from here on are in arrow order
+    key = a * n + b
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key)
+        a, b, c = a[order], b[order], c[order]
     table = _table(n, a, b, c, I)
     G = FiniteGroupoid(arrows, uid, S, R, table, index)
     ids = np.arange(n)

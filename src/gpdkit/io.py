@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import chain, compress, repeat
-from operator import eq
+from itertools import chain, islice, repeat
+from operator import and_, eq, indexOf
 from typing import Optional
 
 import numpy as np
 
-from .groupoid import (FiniteGroupoid, GroupoidMorphism, _ids, _prefix,
-                       validate_groupoid)
+from .groupoid import (FiniteGroupoid, GroupoidMorphism, _first_repeat, _ids,
+                       _prefix, validate_groupoid)
 from .actions import Cocycle, GroupoidAction
 from .algebra import StructureTable
 from .bundle import FellBundle
@@ -53,12 +53,19 @@ def _expect(cond: bool, file, path: str, what: str):
         raise ParseError(file, path, what)
 
 
-def _document(source, base_dir):
+def _object(obj, file, path, what, keys):
+    """Expect ``what``, an object with each of ``keys``, at ``path``."""
+    _expect(isinstance(obj, dict), file, path, what)
+    for key in keys:
+        _expect(key in obj, file, path, f"key {key!r}")
+
+
+def _document(source, base_dir, file=None):
     """(document, base directory, file) of a path string, read here, or
-    of an inline document, whose file is None."""
+    of an inline document, whose file is ``file``."""
     if isinstance(source, str):
         return _read_json(source), os.path.dirname(source), source
-    return source, base_dir, None
+    return source, base_dir, file
 
 
 def _resolve(source, base_dir, loader, file, path):
@@ -72,31 +79,28 @@ def _resolve(source, base_dir, loader, file, path):
     raise ParseError(file, path, "an object or a path string")
 
 
-# Entries are checked as whole arrays: each check is a mask over the
-# entries, and an error names the first failing entry, with the checks of
-# one entry taken in the order the messages below list them.
+# Each check is one scan that stops at the first entry failing it, and each
+# name is resolved once, by a lookup whose -1 is its "declared" check. An
+# error names the first failing entry, its checks taken in message order.
 
-def _is(items, kind) -> np.ndarray:
-    """Mask: which of ``items`` (a list) are instances of ``kind``."""
-    return np.fromiter(map(isinstance, items, repeat(kind)), bool, len(items))
-
-
-def _known(items, known) -> np.ndarray:
-    """Mask: which of ``items`` are strings that ``known`` contains."""
-    ok = _is(items, str)
-    ok[ok] = np.fromiter(map(known.__contains__, compress(items, ok)), bool,
-                         int(ok.sum()))
-    return ok
+def _first(flags, end: int) -> int:
+    """The place of the first false one of ``flags``, or ``end``."""
+    try:
+        return indexOf(flags, False)
+    except ValueError:
+        return end
 
 
-def _rows(entries, width, kind):
+def _rows(entries, width, kind=object):
     """(k, items): the first k entries are lists of ``width`` instances
     of ``kind`` and entry k, if any, is not; items are theirs, flat."""
-    k = _prefix(_is(entries, list))
-    k = _prefix(np.fromiter(map(len, entries[:k]), np.int64, k) == width)
-    items = list(chain.from_iterable(entries[:k]))
-    k = _prefix(_is(items, kind).reshape(k, width).all(1))
-    return k, items[:k * width]
+    k = _first(map(isinstance, entries, repeat(list)), len(entries))
+    k = _first(map(eq, map(len, islice(entries, k)), repeat(width)), k)
+    items = list(chain.from_iterable(islice(entries, k)))
+    if kind is not object:
+        k = _first(map(isinstance, items, repeat(kind)), len(items)) // width
+        del items[k * width:]
+    return k, items
 
 
 def _float(x) -> float:
@@ -107,7 +111,7 @@ def _float(x) -> float:
 
 
 def _complex_rows(values):
-    """(k, the first k values as complex numbers): the first k are
+    """(k, the first k values as a complex array): the first k are
     [re, im] pairs of finite numbers and value k, if any, is not."""
     k, items = _rows(values, 2, (int, float))
     try:
@@ -115,42 +119,47 @@ def _complex_rows(values):
     except OverflowError:  # an int too large for a float is not finite
         parts = np.fromiter(map(_float, items), float, len(items))
     k = _prefix(np.isfinite(parts).reshape(k, 2).all(1))
-    return k, list(map(complex, items[0:2 * k:2], items[1:2 * k:2]))
+    return k, parts[:2 * k].view(complex)
 
 
 def _as_str_list(obj, file, path):
     _expect(isinstance(obj, list), file, path, "a list")
-    i = _prefix(_is(obj, str))
+    i = _first(map(isinstance, obj, repeat(str)), len(obj))
     _expect(i == len(obj), file, f"{path}[{i}]", "a string id")
     return list(obj)
 
 
 def _as_str_map(obj, file, path, keys):
     _expect(isinstance(obj, dict), file, path, "an object")
-    i = _prefix(_is(list(obj.values()), str))
+    i = _first(map(isinstance, obj.values(), repeat(str)), len(obj))
     if i < len(obj):
         raise ParseError(file, f"{path}.{list(obj)[i]}", "a string id")
-    i = _prefix(np.fromiter(map(obj.__contains__, keys), bool, len(keys)))
+    i = _first(map(obj.__contains__, keys), len(keys))
     if i < len(keys):
-        raise ParseError(file, path, f"an entry for {keys[i]!r}")
+        raise ParseError(file, path, f"an entry for {list(keys)[i]!r}")
     return dict(obj)
 
 
 def _check_map(table, file, path, keys, key_what, values, value_what):
     """Every key of ``table`` in ``keys`` and every value in ``values``."""
-    names = list(table)
-    key_ok = _known(names, keys)
-    i = _prefix(key_ok & _known(list(table.values()), values))
-    if i < len(names):
-        raise ParseError(file, f"{path}.{names[i]}",
-                         value_what if key_ok[i] else key_what)
+    i = _first(map(and_, map(keys.__contains__, table),
+                   map(values.__contains__, table.values())), len(table))
+    if i < len(table):
+        name = list(table)[i]
+        raise ParseError(file, f"{path}.{name}",
+                         value_what if name in keys else key_what)
 
 
-def _first_repeat(keys) -> int:
-    """The place of the first key equal to an earlier one (there is one)."""
-    first = {}
-    return next(i for i, key in enumerate(keys)
-                if first.setdefault(key, i) != i)
+def _map_ids(obj, file, path, keys, key_what, values, value_what):
+    """The index under ``values`` of obj[g] for each key g of the index
+    ``keys``, in a map of strings with an entry for each: one lookup per
+    entry, and :func:`_check_map` only if one fails."""
+    table = _as_str_map(obj, file, path, keys)
+    ids = np.fromiter(map(values.get, map(table.__getitem__, keys),
+                          repeat(-1)), np.int64, len(keys))
+    if len(table) > len(keys) or np.any(ids < 0):
+        _check_map(table, file, path, keys, key_what, values, value_what)
+    return ids
 
 
 def _pairs(items, file, path, what) -> dict:
@@ -166,47 +175,48 @@ def _pairs(items, file, path, what) -> dict:
 def _as_complex(obj, file, path) -> complex:
     k, z = _complex_rows([obj])
     _expect(k, file, path, "a [re, im] pair of finite numbers")
-    return z[0]
+    return complex(z[0])
 
 
 def _parse_groupoid(obj, file, at, declared):
-    """The validate_groupoid arguments of a groupoid object. Each
-    composable pair must be listed once. With ``declared``, every id must
-    be a declared arrow, and comp comes as an (m, 3) array of arrow
-    indices; without, comp is the dict of the listed triples."""
-    _expect(isinstance(obj, dict), file, at, "a groupoid object")
-    for key in ("arrows", "units", "src", "rng", "inv", "comp"):
-        _expect(key in obj, file, at, f"key {key!r}")
+    """The validate_groupoid arguments of a groupoid object, each
+    composable pair listed once. With ``declared``, each id must be a
+    declared arrow, resolved once: src, rng and inv as arrow index arrays
+    and comp as an (m, 3) one; without, the dicts of the listed names."""
+    _object(obj, file, at, "a groupoid object",
+            ("arrows", "units", "src", "rng", "inv", "comp"))
     arrows = _as_str_list(obj["arrows"], file, f"{at}.arrows")
     index = {g: i for i, g in enumerate(arrows)}
     units = _as_str_list(obj["units"], file, f"{at}.units")
     if declared:
-        i = _prefix(_known(units, index))
+        i = _first(map(index.__contains__, units), len(units))
         _expect(i == len(units), file, f"{at}.units[{i}]", "a declared arrow")
     tables = []
     for name in ("src", "rng", "inv"):
-        tables.append(_as_str_map(obj[name], file, f"{at}.{name}", arrows))
-        if declared:
-            _check_map(tables[-1], file, f"{at}.{name}", index,
-                       "a declared arrow key", index, "a declared arrow value")
+        tables.append(_map_ids(obj[name], file, f"{at}.{name}", index,
+                               "a declared arrow key", index,
+                               "a declared arrow value") if declared
+                      else _as_str_map(obj[name], file, f"{at}.{name}", arrows))
     comp = obj["comp"]
     _expect(isinstance(comp, list), file, f"{at}.comp",
             "a list of [g1, g2, g12] triples" if declared else "a list")
-    k, items = _rows(comp, 3, str)
+    k, items = _rows(comp, 3, object if declared else str)
     if declared:
+        # one lookup per name: its -1 (no declared arrow, or no string)
+        # ends the rows of declared arrows at row u, the strings at row k
         ids = _ids(items, index).reshape(k, 3)
-        # a repeat of an earlier pair; pairs with an undeclared id may
-        # collide, but then that earlier entry fails first
-        key = ids[:, 0] * len(arrows) + ids[:, 1]
-        first = np.zeros(k, bool)
-        first[np.unique(key, return_index=True)[1]] = True
-        ok = (ids >= 0).all(1)
-        i = _prefix(ok & first)
-        if i < k:
-            _expect(not ok[i], file, f"{at}.comp[{i}]",
-                    "no duplicate composable pair")
-            got = next(g for g in comp[i] if g not in index)
-            raise ParseError(file, f"{at}.comp[{i}]",
+        u = _prefix(ids.min(1) >= 0)
+        if u < k:
+            k = _first(map(isinstance, items, repeat(str)), 3 * k) // 3
+        key = ids[:u, 0] * len(arrows) + ids[:u, 1]
+        if len(arrows) ** 2 > 16 * u:  # sparse keys: count their ranks
+            key = np.unique(key, return_inverse=True)[1]
+        i = _first_repeat(key.tolist()) if np.bincount(key).max(initial=0) \
+            > 1 else u
+        _expect(i == u, file, f"{at}.comp[{i}]", "no duplicate composable pair")
+        if u < k:
+            got = next(g for g in comp[u] if g not in index)
+            raise ParseError(file, f"{at}.comp[{u}]",
                              f"declared arrows (got {got!r})")
     else:
         pairs = _pairs(items, file, f"{at}.comp",
@@ -229,9 +239,8 @@ def load_groupoid(source, base_dir=None, file=None, at="$") -> FiniteGroupoid:
 def load_raw_groupoid_tables(source):
     """Parse a groupoid file structurally without running the validator;
     returns the validate_groupoid arguments."""
-    if isinstance(source, str):
-        return _parse_groupoid(_read_json(source), source, "$", False)
-    return _parse_groupoid(source, None, "$", False)
+    obj, _, file = _document(source, None)
+    return _parse_groupoid(obj, file, "$", False)
 
 
 def save_groupoid(G: FiniteGroupoid) -> dict:
@@ -247,22 +256,15 @@ def save_groupoid(G: FiniteGroupoid) -> dict:
 def load_morphism(source, base_dir=None, file=None, at="$") -> GroupoidMorphism:
     """Morphism file: {"domain": <path|object>, "codomain": <path|object>,
     "map": {arrow: arrow}}."""
-    if isinstance(source, str):
-        return load_morphism(_read_json(source),
-                             base_dir=os.path.dirname(source), file=source)
-    obj = source
-    _expect(isinstance(obj, dict), file, at, "a morphism object")
-    for key in ("domain", "codomain", "map"):
-        _expect(key in obj, file, at, f"key {key!r}")
+    obj, base_dir, file = _document(source, base_dir, file)
+    _object(obj, file, at, "a morphism object", ("domain", "codomain", "map"))
     dom = _resolve(obj["domain"], base_dir, load_groupoid, file,
                    f"{at}.domain")
     cod = _resolve(obj["codomain"], base_dir, load_groupoid, file,
                    f"{at}.codomain")
-    mapping = _as_str_map(obj["map"], file, f"{at}.map", dom.arrows)
-    _check_map(mapping, file, f"{at}.map", dom.index, "a domain arrow",
-               cod.index, "a codomain arrow")
-    return GroupoidMorphism(dom, cod, _ids(list(map(mapping.__getitem__,
-                                                    dom.arrows)), cod.index))
+    return GroupoidMorphism(dom, cod, _map_ids(
+        obj["map"], file, f"{at}.map", dom.index, "a domain arrow", cod.index,
+        "a codomain arrow"))
 
 
 def save_morphism(pi: GroupoidMorphism, domain_ref=None, codomain_ref=None) -> dict:
@@ -277,9 +279,7 @@ def load_algebra_element(source, base_dir=None):
     """Element file: {"base": <path|object>, "coeffs": {arrow: [re, im]}}."""
     from .algebra import AlgebraElement
     obj, base_dir, file = _document(source, base_dir)
-    _expect(isinstance(obj, dict), file, "$", "an element object")
-    for key in ("base", "coeffs"):
-        _expect(key in obj, file, "$", f"key {key!r}")
+    _object(obj, file, "$", "an element object", ("base", "coeffs"))
     base = _resolve(obj["base"], base_dir, load_groupoid, file, "$.base")
     _expect(isinstance(obj["coeffs"], dict), file, "$.coeffs", "an object")
     coeffs = {}
@@ -293,30 +293,23 @@ def load_bundle(source, base_dir=None) -> FellBundle:
     """Bundle file: {"base": <path|object>, "fibers": {h: [names]},
     "mul": [[h1, i, h2, j, {k: [re, im]}]], "star": [[h, i, {k: [re,im]}]]}."""
     obj, base_dir, file = _document(source, base_dir)
-    _expect(isinstance(obj, dict), file, "$", "a bundle object")
-    for key in ("base", "fibers", "mul", "star"):
-        _expect(key in obj, file, "$", f"key {key!r}")
+    _object(obj, file, "$", "a bundle object",
+            ("base", "fibers", "mul", "star"))
     base = _resolve(obj["base"], base_dir, load_groupoid, file, "$.base")
     _expect(isinstance(obj["fibers"], dict), file, "$.fibers", "an object")
     fibers = {}
     for h, names in obj["fibers"].items():
         _expect(h in base.index, file, f"$.fibers.{h}", "a base arrow")
         fibers[h] = tuple(_as_str_list(names, file, f"$.fibers.{h}"))
-    for h in base.arrows:
-        fibers.setdefault(h, ())
-
-    first, slot = {}, 0
-    for h in base.arrows:
-        first[h], slot = slot, slot + len(fibers[h])
+    at = np.cumsum([0] + [len(fibers.setdefault(h, ())) for h in base.arrows])
+    first, slot = dict(zip(base.arrows, at.tolist())), int(at[-1])
 
     def expansion(obj2, path, dim):
         _expect(isinstance(obj2, dict), file, path, "an object {k: [re,im]}")
-        out = []
         for k, v in obj2.items():
             _expect(k.isdecimal() and int(k) < dim, file, f"{path}.{k}",
                     f"a basis index below {dim}")
-            out.append((int(k), _as_complex(v, file, f"{path}.{k}")))
-        return out
+            yield int(k), _as_complex(v, file, f"{path}.{k}")
 
     # table rows (factor slots..., term slot, weight), in file order
     mul, star, seen = [], [], set()
@@ -395,13 +388,8 @@ def save_bundle(E: FellBundle, base_ref=None) -> dict:
 def load_graph(source, base_dir=None, file=None, at="$") -> DirectedGraph:
     """Graph file: {"vertices": [...],
     "edges": [{"id": e, "from": v, "to": v}]}."""
-    if isinstance(source, str):
-        return load_graph(_read_json(source),
-                          base_dir=os.path.dirname(source), file=source)
-    obj = source
-    _expect(isinstance(obj, dict), file, at, "a graph object")
-    for key in ("vertices", "edges"):
-        _expect(key in obj, file, at, f"key {key!r}")
+    obj, base_dir, file = _document(source, base_dir, file)
+    _object(obj, file, at, "a graph object", ("vertices", "edges"))
     vertices = _as_str_list(obj["vertices"], file, f"{at}.vertices")
     vset = set(vertices)
     _expect(isinstance(obj["edges"], list), file, f"{at}.edges", "a list")
@@ -431,9 +419,8 @@ def load_graph_morphism(source, base_dir=None) -> GraphMorphism:
     """Graph morphism file: {"domain": <path|object>,
     "codomain": <path|object>, "vmap": {}, "emap": {}}."""
     obj, base_dir, file = _document(source, base_dir)
-    _expect(isinstance(obj, dict), file, "$", "a graph morphism object")
-    for key in ("domain", "codomain", "vmap", "emap"):
-        _expect(key in obj, file, "$", f"key {key!r}")
+    _object(obj, file, "$", "a graph morphism object",
+            ("domain", "codomain", "vmap", "emap"))
     dom = _resolve(obj["domain"], base_dir, load_graph, file, "$.domain")
     cod = _resolve(obj["codomain"], base_dir, load_graph, file, "$.codomain")
     vmap = _as_str_map(obj["vmap"], file, "$.vmap", dom.vertices)
@@ -455,15 +442,13 @@ def load_group(source, base_dir=None):
     """Group file: {"elements": [...], "mul": [[a, b, ab], ...],
     "kernel": [...]}; returns (elements, mul dict, kernel list)."""
     obj, _, file = _document(source, base_dir)
-    _expect(isinstance(obj, dict), file, "$", "a group object")
-    for key in ("elements", "mul"):
-        _expect(key in obj, file, "$", f"key {key!r}")
+    _object(obj, file, "$", "a group object", ("elements", "mul"))
     elements = _as_str_list(obj["elements"], file, "$.elements")
     eset = set(elements)
     entries = obj["mul"]
     _expect(isinstance(entries, list), file, "$.mul", "a list of triples")
     k, items = _rows(entries, 3, str)
-    i = _prefix(_known(items, eset).reshape(k, 3).all(1))
+    i = _first(map(eset.__contains__, items), 3 * k) // 3
     if i < k:
         got = next(v for v in entries[i] if v not in eset)
         raise ParseError(file, f"$.mul[{i}]", f"declared elements (got {got!r})")
@@ -471,7 +456,7 @@ def load_group(source, base_dir=None):
             "an [a, b, ab] string triple")
     mul = _pairs(items, file, "$.mul", "one product per pair")
     kernel = _as_str_list(obj.get("kernel", []), file, "$.kernel")
-    i = _prefix(_known(kernel, eset))
+    i = _first(map(eset.__contains__, kernel), len(kernel))
     _expect(i == len(kernel), file, f"$.kernel[{i}]", "a declared element")
     return elements, mul, kernel
 
@@ -486,31 +471,34 @@ def load_action(source, base_dir=None) -> GroupoidAction:
     """Action file: {"groupoid": <path|object>, "X": [...], "rho": {},
     "act": [[h, x, hx], ...]}."""
     obj, base_dir, file = _document(source, base_dir)
-    _expect(isinstance(obj, dict), file, "$", "an action object")
-    for key in ("groupoid", "X", "rho", "act"):
-        _expect(key in obj, file, "$", f"key {key!r}")
+    _object(obj, file, "$", "an action object",
+            ("groupoid", "X", "rho", "act"))
     H = _resolve(obj["groupoid"], base_dir, load_groupoid, file, "$.groupoid")
     points = _as_str_list(obj["X"], file, "$.X")
-    pset = set(points)
-    if len(pset) < len(points):
+    spot = {x: i for i, x in enumerate(points)}
+    if len(spot) < len(points):
         raise ParseError(file, f"$.X[{_first_repeat(points)}]",
                          "each point once")
-    rho = _as_str_map(obj["rho"], file, "$.rho", points)
-    _check_map(rho, file, "$.rho", pset, "a declared point", H.index,
-               "a groupoid arrow")
+    anchor = _map_ids(obj["rho"], file, "$.rho", spot, "a declared point",
+                      H.index, "a groupoid arrow")
     entries = obj["act"]
     _expect(isinstance(entries, list), file, "$.act", "a list of triples")
     k, items = _rows(entries, 3, str)
-    h, x, hx = items[0::3], items[1::3], items[2::3]
-    arrow_ok = _known(h, H.index)
-    i = _prefix(arrow_ok & _known(x, pset) & _known(hx, pset))
+    h, x, hx = (_ids(items[j::3], index) for j, index in
+                ((0, H.index), (1, spot), (2, spot)))
+    i = _prefix((h >= 0) & (x >= 0) & (hx >= 0))
     if i < k:
-        _expect(arrow_ok[i], file, f"$.act[{i}][0]", "a groupoid arrow")
+        _expect(h[i] >= 0, file, f"$.act[{i}][0]", "a groupoid arrow")
         raise ParseError(file, f"$.act[{i}]", "declared points")
     _expect(k == len(entries), file, f"$.act[{k}]",
             "an [h, x, hx] string triple")
-    return GroupoidAction(H, points, rho, _pairs(
-        items, file, "$.act", "one image per (arrow, point) pair"))
+    key = h * len(points) + x
+    if np.bincount(key).max(initial=0) > 1:
+        raise ParseError(file, f"$.act[{_first_repeat(key.tolist())}]",
+                         "one image per (arrow, point) pair")
+    A = np.full((len(H.arrows), len(points)), -1)
+    A[h, x] = hx
+    return GroupoidAction(H, points, anchor, A)
 
 
 def save_action(a: GroupoidAction, groupoid_ref=None) -> dict:
@@ -526,33 +514,29 @@ def load_cocycle(source, groupoid: FiniteGroupoid = None, base_dir=None) -> Cocy
     """Cocycle file: {"groupoid": <path|object>,
     "omega": [[g1, g2, [re, im]], ...]}."""
     obj, base_dir, file = _document(source, base_dir)
-    _expect(isinstance(obj, dict), file, "$", "a cocycle object")
-    _expect("omega" in obj, file, "$", "key 'omega'")
+    _object(obj, file, "$", "a cocycle object", ("omega",))
     if groupoid is None:
         _expect("groupoid" in obj, file, "$", "key 'groupoid'")
         groupoid = _resolve(obj["groupoid"], base_dir, load_groupoid, file,
                             "$.groupoid")
     entries = obj["omega"]
     _expect(isinstance(entries, list), file, "$.omega", "a list")
-    k, items = _rows(entries, 3, object)
-    g1, g2 = items[0::3], items[1::3]
-    first_ok = _known(g1, groupoid.index)
-    i = _prefix(first_ok & _known(g2, groupoid.index))
-    # the first i rows name arrows: check composability, then the values
-    j = _prefix(np.fromiter(map(eq, map(groupoid.src.__getitem__, g1[:i]),
-                                map(groupoid.rng.__getitem__, g2[:i])),
-                            bool, i))
-    v, values = _complex_rows(items[2:3 * j:3])
+    k, items = _rows(entries, 3)
+    g1, g2 = (_ids(items[j::3], groupoid.index) for j in (0, 1))
+    # composable, by arrow index; -1 (no arrow) reads an unmatched sentinel
+    i = _prefix(np.append(groupoid.src_idx, -1)[g1]
+                == np.append(groupoid.rng_idx, -2)[g2])
+    v, values = _complex_rows(items[2:3 * i:3])
     if v < k:
         at = f"$.omega[{v}]"
-        _expect(v < i, file, at + ("[1]" if first_ok[v] else "[0]"),
-                "a groupoid arrow")
-        _expect(v < j, file, at, "a composable pair")
+        _expect(g1[v] >= 0, file, at + "[0]", "a groupoid arrow")
+        _expect(g2[v] >= 0, file, at + "[1]", "a groupoid arrow")
+        _expect(v < i, file, at, "a composable pair")
         raise ParseError(file, at + "[2]", "a [re, im] pair of finite numbers")
     _expect(k == len(entries), file, f"$.omega[{k}]",
             "a [g1, g2, [re, im]] triple")
     # the table entry of each row's pair, and the values in table order
-    e = groupoid.entry_ids(*(_ids(g, groupoid.index) for g in (g1, g2)))
+    e = groupoid.entry_ids(g1, g2)
     if np.bincount(e).max(initial=0) > 1:
         raise ParseError(file, f"$.omega[{_first_repeat(e.tolist())}]",
                          "one value per composable pair")

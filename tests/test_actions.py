@@ -63,6 +63,24 @@ class TestCoveringToAction:
             gk.covering_to_action(heis3_quotient)
         assert exc.value.witness is not None
 
+    def test_roundtrip_of_an_action_classifies_once(self, monkeypatch,
+                                                    capsys):
+        # only covering_to_action classifies: the action groupoid's
+        # classification is read on first use, and the roundtrip reads none
+        import gpdkit.actions as actions
+        from gpdkit.cli import main
+        calls = []
+
+        def counted(pi):
+            calls.append(pi)
+            return classify(pi)
+        classify = actions.classify_morphism
+        monkeypatch.setattr(actions, "classify_morphism", counted)
+        assert main(["action", "roundtrip", "--action",
+                     corpus.data_path("flip.action.json")]) == 0
+        assert len(calls) == 1
+        assert '"roundtrip_isomorphism_exact"' in capsys.readouterr().out
+
     def test_random_actions_roundtrip(self):
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)

@@ -1193,12 +1193,12 @@ def test_twisted_star_weight_of_g_is_conj_omega_of_g_and_its_inverse():
 
 
 def test_cocycle_on_a_copy_of_the_domain_twists_by_pair_names():
-    # the copy lists its composable pairs in reverse, so its table order
-    # is not the domain's
+    # the copy lists its arrows in reverse, so its table, in (a, b) order
+    # of its own arrow indices, is not in the domain's order
     pi = corpus.heisenberg_quotient(2)
     G = pi.domain
-    copy = gk.validate_groupoid(G.arrows, G.units, G.src, G.rng, G.inv,
-                                dict(reversed(list(G.comp.items()))))
+    copy = gk.validate_groupoid(G.arrows[::-1], G.units, G.src, G.rng, G.inv,
+                                G.comp)
     rng = np.random.default_rng(10)
     om = gk.Cocycle(copy, np.exp(2j * np.pi * rng.random(len(G.comp))))
     assert list(copy.comp) != list(G.comp)

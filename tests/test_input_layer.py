@@ -377,3 +377,64 @@ def test_loading_heis6_stays_near_the_size_of_its_document(tmp_path):
         tracemalloc.stop()
     assert len(G.arrows) == 216 and len(G.comp) == 216 ** 2
     assert peak <= 1.5 * decoded, (peak, decoded)
+
+
+# -- large documents: each scan must stop at its first failing row, at
+# the start, the middle or the end of a document of over 4,000 rows ------
+
+LARGE = corpus.disjoint_union([("p", corpus.pair_groupoid(15)),
+                               ("h", corpus.heisenberg_groupoid(3))])
+LARGE_DOCS = {  # kind -> (document, its list of rows, new loader, oracle)
+    "groupoid": (gio.save_groupoid(LARGE), "comp", gio.load_groupoid,
+                 loop_load_groupoid),
+    "cocycle": (gio.save_cocycle(Cocycle(LARGE, np.exp(1j * np.arange(len(
+        LARGE.comp))))), "omega", lambda d: gio.load_cocycle(d, LARGE),
+        lambda d: loop_load_cocycle(d, LARGE)),
+}
+
+
+def _elsewhere(rows, r):
+    """An arrow of the other component than the last name of row r."""
+    return rows[-1][0] if rows[r][-1 if isinstance(rows[r][-1], str)
+                                 else 0].startswith("p:") else rows[0][0]
+
+
+def _repeat_row(rows, r):
+    rows[r][:2] = rows[r - 1 if r else 1][:2]  # at r = 0, row 1 repeats
+
+
+LARGE_CORRUPTIONS = {  # kind -> {name: mutate(rows, r)}
+    "groupoid": {
+        "malformed": lambda rows, r: rows.__setitem__(r, rows[r][:2]),
+        "undeclared": lambda rows, r: rows[r].__setitem__(1, "zz"),
+        "repeated": _repeat_row,
+        "composite": lambda rows, r: rows[r].__setitem__(
+            2, _elsewhere(rows, r))},
+    "cocycle": {
+        "malformed": lambda rows, r: rows.__setitem__(r, rows[r][:2]),
+        "arrow": lambda rows, r: rows[r].__setitem__(0, "zz"),
+        "apart": lambda rows, r: rows[r].__setitem__(1, _elsewhere(rows, r)),
+        "value": lambda rows, r: rows[r].__setitem__(2, [float("nan"), 0.0])},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_DOCS))
+def test_large_document_fails_at_the_oracle_row(kind):
+    doc, key, new, old = LARGE_DOCS[kind]
+    mutations = LARGE_CORRUPTIONS[kind]
+    m = len(doc[key])
+    assert m >= 4000
+    assert _outcome(new, copy.deepcopy(doc)) == _outcome(old, doc)
+    names = sorted(mutations)
+    cases = [[(name, r)] for name in names for r in (0, m // 2, m - 1)]
+    # two rows failing different checks, the earlier row in the later
+    # check or in the earlier one
+    cases += [[(names[0], 3 * m // 4), (names[1], m // 4)],
+              [(names[2], m // 3), (names[3], 2 * m // 3)],
+              [(names[3], 1), (names[0], m - 2)]]
+    for case in cases:
+        bad = copy.deepcopy(doc)
+        for name, r in case:
+            mutations[name](bad[key], r)
+        got = _outcome(new, copy.deepcopy(bad))
+        assert got[0] != "ok" and got == _outcome(old, bad), case
