@@ -28,8 +28,9 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
                        _prefix, _ranks, _table, classify_morphism, pair_id)
 from .algebra import (NumericalDegeneracy, RegularRepresentation,
                       StructureTable, WedderburnInvariants, _scatter,
-                      central_projections, chunks,
-                      isometry_certificate, wedderburn_from_tables)
+                      block_bijectivity, central_projections, chunks,
+                      isometry_certificate, map_defects,
+                      wedderburn_from_tables)
 from .bundle import (BundleNotVerified, FellBundle,
                      NotSaturated, FellBundleError, _require_cstar_units,
                      _section_hypotheses, _slot_witness, section_algebra)
@@ -395,28 +396,42 @@ class ExtractionResult(CheckList):
 _TRACE_TOL = 1e-6
 
 
-def _unit_points(B, u) -> np.ndarray:
-    """Minimal projections of the commutative unit fiber over the arrow
-    index ``u`` of the FiberBlocks ``B``, as rows of coefficients padded
-    to ``B.D`` and ordered by their rounded coefficients: the central
-    projections of the fiber's own table, whose center is the whole fiber,
-    spanned by its basis.
-    Raises FellBundleError when the fiber has a degenerate trace form,
+def _unit_points(B):
+    """(points per unit, their rows of coefficients padded to ``B.D``):
+    the minimal projections of the commutative unit fibers of the
+    FiberBlocks ``B``, in unit order and, over one unit, by their rounded
+    coefficients; the central projections of the direct sum of the unit
+    fibers, whose center is the sum, spanned by its basis. Raises
+    FellBundleError when a unit fiber has a degenerate trace form,
     NotAbelian when the solve fails."""
-    _require_cstar_units(B, [u])
-    table = B.unit_table(u)
-    d = table.dim
-    if d == 0:
-        return np.zeros((0, B.D), dtype=complex)
+    units = B.base.unit_idx
+    _require_cstar_units(B, units)
+    # the slots of the unit fibers, in unit order, numbered in the sum
+    d = B.dims[units]
+    n = int(d.sum())
+    unit_of = np.repeat(np.arange(len(units)), d)
+    loc = np.arange(n) - np.repeat(np.cumsum(d) - d, d)
+    if not n:
+        return d, np.zeros((0, B.D), dtype=complex)
+    T = B.table
+    at = np.full(T.dim, -1)
+    at[B.first[units[unit_of]] + loc] = np.arange(n)
+    e = np.flatnonzero((at[T.a] >= 0) & (at[T.b] >= 0) & (at[T.c] >= 0))
     try:
         (i, a, v), sizes, *_ = central_projections(
-            table, (d, np.arange(d), np.arange(d), np.ones(d)))
+            StructureTable(n, at[T.a[e]], at[T.b[e]], at[T.c[e]], T.w[e],
+                           [], [], []), (n, np.arange(n), np.arange(n),
+                                         np.ones(n)))
     except NumericalDegeneracy:
         raise NotAbelian("could not diagonalize a unit fiber; it may not be "
                          "commutative or is numerically degenerate") from None
-    V = _scatter(i * B.D + a, v, len(sizes) * B.D).reshape(-1, B.D)
-    keys = [tuple(np.round(p, 6).view(float)) for p in V]
-    return V[sorted(range(len(V)), key=keys.__getitem__)]
+    V = _scatter(i * B.D + loc[a], v, len(sizes) * B.D).reshape(-1, B.D)
+    unit = np.zeros(len(V), np.int64)
+    unit[i] = unit_of[a]  # the terms of one projection lie in one unit
+    keys = [(u, tuple(np.round(p, 6).view(float)))
+            for u, p in zip(unit.tolist(), V)]
+    return (np.bincount(unit, minlength=len(units)),
+            V[sorted(range(len(V)), key=keys.__getitem__)])
 
 
 def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> ExtractionResult:
@@ -424,7 +439,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     commutative unit fibers and associative products (BundleNotVerified).
 
     The point set is the disjoint union of the minimal projections of the
-    unit fibers, each solved on the fiber's own table, one unit at a time
+    unit fibers, solved once on the table of their direct sum
     (:func:`~gpdkit.algebra.central_projections`); each arrow h induces a
     bijection of points matching the nonzero corners q . E_h . p, each a
     line (LineDimensionFailure at the first pair (h, p) in (arrow, point)
@@ -435,23 +450,17 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     twisted algebra of the result is compared with the section algebra
     blockwise, and the basis map U (``basis_map``, one scatter: the column
     of arrow (h, x) is its line vector in the slots over h) is certified as
-    an isometric *-isomorphism onto the section algebra: its star defect
-    between the twisted table and the section table over every arrow, its
-    multiplicative defect over the pairs (x, g) with g in the generating
-    set the twisted table keeps of its untwisted pattern (both tables
-    are associative, by ``cocycle_identity`` and by the pre-check of
-    axiom 3, and the weights are cocycle values, so nonzero; by
-    induction on the word of y that decides every pair, and a failing
-    generator, or a table below one pass of triples, takes the scan over
-    every basis pair: :meth:`~gpdkit.algebra.StructureTable.hom_defect`),
-    and its isometry on every element by
-    :func:`~gpdkit.algebra.isometry_certificate` (Murphy 1990, Thm 3.1.5),
-    from those defects, the smallest singular value of U (bijective), the
-    associativity of both tables (``cocycle_identity`` and the section
-    algebra's axiom 3) and the faithful *-representations of both. None of
-    this is checked when the read-off cocycle fails its identity. The
-    section algebra is admitted by :func:`~gpdkit.bundle.verify_axioms` at
-    ``seed``.
+    an isometric *-isomorphism onto the section algebra: its defects
+    between the twisted table and the section table
+    (:func:`~gpdkit.algebra.map_defects`), and its isometry on every
+    element by :func:`~gpdkit.algebra.isometry_certificate` (Murphy 1990,
+    Thm 3.1.5), from those defects, its bijectivity on the blocks of the
+    arrows of H (:func:`~gpdkit.algebra.block_bijectivity`), the
+    associativity of both tables (``cocycle_identity``, and the pre-check
+    of axiom 3 and the section algebra's) and the faithful
+    *-representations of both. None of this is checked when the read-off
+    cocycle fails its identity. The section algebra is admitted by
+    :func:`~gpdkit.bundle.verify_axioms` at ``seed``.
     """
     H = E.base
     B = fiber_blocks(E)
@@ -469,11 +478,10 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
 
     # the points: the minimal projections of each unit fiber, in unit
     # order, as rows PX over their unit arrows hx
-    found = [_unit_points(B, u) for u in H.unit_idx.tolist()]
-    count = np.array([len(P) for P in found], np.int64)
+    count, PX = _unit_points(B)
     points = tuple(f"{u}#p{i}" for u, n in zip(H.units, count.tolist())
                    for i in range(n))
-    hx, PX = np.repeat(H.unit_idx, count), np.concatenate(found)
+    hx = np.repeat(H.unit_idx, count)
 
     # the point maps and line vectors, from the corners q e_i p over each
     # arrow h of every point pair (p over s(h), q over r(h)) and basis
@@ -622,27 +630,13 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     j, i = np.nonzero(np.arange(B.D) < B.dims[h][:, None])
     U[B.first[h[j]] + i, j] = L[j, i]
     result.basis_map = U
-    # both tables are associative (cocycle_identity, the check above), so
-    # the generators of the twisted table's pattern decide
-    res_mul, pair = ta.table.hom_defect(E.table(), U, ta.table.generators,
-                                        1e-8)
-    result.add("basis_map_multiplicative", res_mul <= 1e-8, res_mul,
-               None if res_mul <= 1e-8 else
-               f"({G2.arrows[pair[0]]!r}, {G2.arrows[pair[1]]!r})")
-    res_star, s = ta.table.star_hom_defect(E.table(), U)
-    result.add("basis_map_star", res_star <= 1e-8, res_star,
-               None if res_star <= 1e-8 else repr(G2.arrows[s[0]]))
-    # bijective: U has full rank at the cut of numpy's matrix_rank
-    sv = np.linalg.svd(U, compute_uv=False)
-    cut = sv.max(initial=0.0) * max(U.shape) * np.finfo(float).eps
-    square = U.shape[0] == U.shape[1]
-    bijective = ("bijective", 0.0 if square and np.all(sv > cut) else None,
-                 f"sigma_min {sv.min(initial=np.inf):.3e} <= cut {cut:.3e}"
-                 if square else f"U is {U.shape[0]} x {U.shape[1]}")
+    mul, star = map_defects(ta.table, E.table(), U, G2.arrows,
+                            result.cite("cocycle_identity"), 1e-8)
+    result.add("basis_map_multiplicative", *mul)
+    result.add("basis_map_star", *star)
     result.add("basis_map_isometric", *isometry_certificate(
-        [bijective, *result.cite("basis_map_multiplicative",
-                                 "basis_map_star", "cocycle_identity")]
-        + _section_hypotheses(sa),
+        [("bijective", *block_bijectivity(U, B.arrow, h)[1:]),
+         *result.cite("basis_map_multiplicative", "basis_map_star",
+                      "cocycle_identity")] + _section_hypotheses(sa),
         [("twisted", ta.rep), ("section", sa.space.rep)], 1e-8))
     return result
-

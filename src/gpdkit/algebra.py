@@ -54,13 +54,10 @@ injective *-homomorphism between C*-algebras is isometric (Murphy 1990,
 is a bijective *-homomorphism and that each norm is taken in a faithful
 *-representation, which :meth:`RegularRepresentation.star_defect` and
 :meth:`RegularRepresentation.slice_margin` measure on the block entries.
-That the map is multiplicative is one scan of the pairs (x, g), first
-with g in the generating set a table keeps from its associativity check,
-as in Light's test: with both tables associative, U(x g) = U(x) U(g) for
-every x and every generator g gives every pair. Where that fails, or no
-set is kept, g runs over the whole basis, and of equal largest residuals
-the lexicographically first pair is the witness
-(:meth:`StructureTable.hom_defect`).
+Every basis map is certified by the same two functions: bijectivity by
+the singular values of its blocks (:func:`block_bijectivity`), and the
+*-homomorphism by its defects (:func:`map_defects`), whose multiplicative
+scan takes g in the generating set a table keeps, as in Light's test.
 """
 
 from __future__ import annotations
@@ -768,6 +765,50 @@ def isometry_certificate(measured, sides, tol: float):
     return certificate(hypotheses, tol)
 
 
+def block_bijectivity(U, row_block, col_block):
+    """(passed, residual, witness) of "U is bijective" for a U whose
+    nonzero entries all lie in the blocks U[row_block == b][:, col_block
+    == b]: U is block-diagonal up to an order of rows and columns, so its
+    singular values are its blocks', one batched SVD per block shape
+    (:func:`stacked_singular_values`), and its rank is the number above
+    numpy's ``matrix_rank`` cut of U, sigma_max max(U.shape) eps. It
+    passes, residual 0.0, when U is square of full rank; else the witness
+    is its rank."""
+    rb, cb = (np.asarray(v, np.int64) for v in (row_block, col_block))
+    k = int(max(rb.max(initial=-1), cb.max(initial=-1))) + 1
+    rows, cols = np.nonzero(U)
+    sv = np.concatenate([np.zeros(0)] + [s.ravel() for _, s in
+                         stacked_singular_values(
+                             rb[rows], _ranks(rb)[1][rows],
+                             _ranks(cb)[1][cols], U[rows, cols],
+                             (np.bincount(rb, minlength=k),
+                              np.bincount(cb, minlength=k)))])
+    rank = int(np.count_nonzero(
+        sv > sv.max(initial=0.0) * max(U.shape) * np.finfo(float).eps))
+    ok = rank == U.shape[0] == U.shape[1]
+    return ok, 0.0 if ok else None, None if ok else (
+        f"rank {rank} of a {U.shape[0]} x {U.shape[1]} map")
+
+
+def map_defects(D: StructureTable, T: StructureTable, U, names, associative,
+                tol: float):
+    """The entries (passed, residual, witness) "U is multiplicative" and
+    "U is star-preserving" of the map U from the algebra of ``D`` into
+    that of ``T``, column j the image of e_j, named ``names[j]``: the
+    defects of :meth:`StructureTable.hom_defect`, with the generators D
+    keeps exactly when the hypotheses (name, residual, witness) that make
+    both tables associative pass their :func:`certificate`, and of
+    :meth:`StructureTable.star_hom_defect`. A failure names the pair
+    (x, g) or the element s of its largest difference, a pass nothing."""
+    gens = D.generators if certificate(associative, tol)[0] else None
+    res, pair = D.hom_defect(T, U, gens, tol)
+    res_star, s = D.star_hom_defect(T, U)
+    return ((res <= tol, res, None if res <= tol else
+             f"({names[pair[0]]!r}, {names[pair[1]]!r})"),
+            (res_star <= tol, res_star, None if res_star <= tol else
+             repr(names[s[0]])))
+
+
 def star_rep_hypothesis(label: str, rep: RegularRepresentation) -> tuple:
     """("star_rep(label)", residual, witness) of
     :meth:`RegularRepresentation.star_defect`: the blocks of ``rep`` form
@@ -813,11 +854,10 @@ def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
     return not len(bad)
 
 
-def faithfulness_defect(G: FiniteGroupoid, return_margin: bool = False):
-    """dim ker of f -> lambda(f); zero on every valid groupoid. With
-    ``return_margin``, the pair (defect, margin), where the margin is the
-    smallest singular value of the unit-column slice below (1.0 on every
-    valid groupoid, 0.0 on the empty one).
+def faithfulness_defect(G: FiniteGroupoid):
+    """(dim ker of f -> lambda(f), the smallest singular value of the
+    unit-column slice below): (0, 1.0) on every valid groupoid, (0, 0.0)
+    on the empty one.
 
     The slice is the n x n part of ``left_stack`` at the columns (c, s(c)):
     entry [a, c] is the coefficient of e_c in e_a e_s(c), which is the
@@ -835,7 +875,7 @@ def faithfulness_defect(G: FiniteGroupoid, return_margin: bool = False):
         if not margin > cut:
             defect = n - int(np.linalg.matrix_rank(
                 rep.table.left_stack().reshape(n, -1)))
-    return (defect, margin) if return_margin else defect
+    return defect, margin
 
 
 def conditional_expectation(G: FiniteGroupoid, K, f: AlgebraElement,

@@ -861,15 +861,9 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     (:meth:`FellBundle.moved`), U carries every entry of one table onto
     the other: multiplicativity and the star property hold exactly
     (residual 0.0), and the section blocks are the domain's. Otherwise
-    they are the defects of U between the two tables, with the largest
-    coefficient difference as residual and its basis pair (or arrow) as
-    witness: the star defect over every arrow, the multiplicative one
-    over the pairs (x, g) with g in the generating set the domain's table
-    kept from its associativity check
-    (:meth:`~gpdkit.algebra.StructureTable.hom_defect`; both tables are
-    associative, the domain's with defect 0.0 and the section table by
-    axiom 3 of the admission), and over every basis pair when a generator
-    fails or the domain keeps none. The Hilbert-module check
+    they are the defects of U between the two tables
+    (:func:`~gpdkit.algebra.map_defects`), associative by the domain's
+    kept defect and by axiom 3 of the admission. The Hilbert-module check
     compares the expectation of psi(e_g1)* psi(e_g2) with psi of the
     kernel part of e_g1* e_g2 over every pair of arrows with one range, as
     one defect of the two tables (:func:`_hilbert_module_defect`), and
@@ -905,19 +899,12 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     else:
         U = np.zeros((E.total_dim(), len(G.arrows)))
         U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
-        # generators decide multiplicativity when the domain's table is
-        # associative; the section table is, by axiom 3 of the admission
-        domain = G.table
-        gens = domain.generators
-        if gens is not None and domain.associativity_defect()[0] != 0.0:
-            gens = None
-        res_mul, pair = domain.hom_defect(E.table(), U, gens, tol)
-        report.add("multiplicative", res_mul <= tol, res_mul, None
-                   if pair is None else
-                   f"({G.arrows[pair[0]]!r}, {G.arrows[pair[1]]!r})")
-        res_star, s = domain.star_hom_defect(E.table(), U)
-        report.add("star_preserving", res_star <= tol, res_star,
-                   None if s is None else repr(G.arrows[s[0]]))
+        mul, star = algebra.map_defects(
+            G.table, E.table(), U, G.arrows,
+            [("associative(domain)", G.table.associativity_defect()[0],
+              None), *sa.report.cite("axiom3_associative")], tol)
+        report.add("multiplicative", *mul)
+        report.add("star_preserving", *star)
 
     if perm_ok:
         res_mod, pair = _hilbert_module_defect(pi, E)

@@ -150,7 +150,7 @@ def cmd_alg_wedderburn(args, report: Report):
     carries the largest hypothesis residual (``algebra.certificate``), and
     nothing is drawn."""
     G = gio.load_groupoid(args.groupoid)
-    defect, sigma_min = algebra.faithfulness_defect(G, return_margin=True)
+    defect, sigma_min = algebra.faithfulness_defect(G)
     report.extras["margins"] = {"faithfulness_sigma_min": sigma_min}
     try:
         inv = wedderburn(G, tol=args.tol)

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import FiniteGroupoid, GroupoidError, _ids, _index, _prefix
-from .algebra import (StructureTable, _regular, isometry_certificate,
-                      wedderburn)
+from .algebra import (StructureTable, _regular, block_bijectivity,
+                      isometry_certificate, map_defects, wedderburn)
 from .actions import (ActionGroupoid, Cocycle, GroupoidAction,
                       TwistedConvolutionAlgebra, build_action_groupoid,
                       cocycle_check)
@@ -364,27 +364,6 @@ class ExtensionBundleResult(CheckList):
     basis_map: Optional[np.ndarray] = None  # group basis -> twisted basis
 
 
-def coset_bijectivity(U, rows, cols):
-    """(passed, residual, witness) of ``basis_map_bijective`` for a square
-    U whose entries all lie in the K x K blocks U_h = U[rows[h]][:,
-    cols[h]], one per coset h, and whose block entries are character
-    values (h.chi_k)(a_j) over the K kernel elements a_j. The characters
-    of the kernel are orthogonal, so U_h U_h* = K I and every block is
-    invertible; the residual is the largest relative defect |U_h U_h* -
-    K I| / K over the block entries. A defect above 1e-8 takes numpy's
-    ``matrix_rank`` of the whole U instead, with its rank as the
-    decision."""
-    K = rows.shape[1]
-    block = U[rows[:, :, None], cols[:, None, :]]
-    gram = block @ block.conj().transpose(0, 2, 1)
-    defect = float(np.abs(gram - K * np.eye(K)).max(initial=0.0)) / K
-    if defect <= 1e-8:
-        return True, defect, None
-    n, rank = U.shape[1], int(np.linalg.matrix_rank(U))
-    return (rank == n == U.shape[0], 0.0 if rank == n else None,
-            None if rank == n else f"rank {rank} of {n}")
-
-
 def group_extension_bundle(ext: GroupExtension,
                            tol: float = 1e-9) -> ExtensionBundleResult:
     """The twisted action groupoid of an extension, with the certified
@@ -399,17 +378,9 @@ def group_extension_bundle(ext: GroupExtension,
     :func:`~gpdkit.algebra.isometry_certificate` (Murphy 1990, Thm 3.1.5):
     from those three checks, the associativity of the group table and of
     the twisted table (``cocycle_identity``) and the faithful
-    *-representations of both tables. U is block-diagonal by coset, and
-    bijectivity is U_h U_h* = K I on each K x K block by character
-    orthogonality (:func:`coset_bijectivity`). The star defect is taken
-    over every element; the multiplicative one over the pairs (x, g) with
-    g in the generating set S the group table kept from its
-    associativity check, when ``cocycle_identity`` makes the twisted
-    table associative too: by induction on the word of y that decides
-    every pair (:meth:`~gpdkit.algebra.StructureTable.hom_defect`). A
-    group below one pass of triples keeps no S, and a failing generator
-    or cocycle identity takes the scan over every basis pair, whose
-    residual and witness are reported. Compares block invariants, which
+    *-representations of both tables. U is block-diagonal by coset
+    (:func:`~gpdkit.algebra.block_bijectivity`), and its defects are
+    :func:`~gpdkit.algebra.map_defects`. Compares block invariants, which
     are not checked when the cocycle fails its identity.
     """
     G, A, Q = ext.group, ext.kernel, ext.quotient
@@ -441,9 +412,7 @@ def group_extension_bundle(ext: GroupExtension,
 
     # every h acts on every chi_k, so arrow j = h K + k of the action
     # groupoid is (h, chi_k) (its arrows are in (arrow, point) order)
-    narr = len(Q) * len(point_ids)
-    h, k = np.divmod(np.arange(narr), len(point_ids))
-    arrow_of = np.arange(narr).reshape(len(Q), len(point_ids))
+    h, k = np.divmod(np.arange(len(Q) * len(point_ids)), len(point_ids))
     values = chars.values()
     # omega((h1, h2.chi), (h2, chi)) at every arrow (h2, chi), then h1:
     # the action groupoid's table order
@@ -462,25 +431,14 @@ def group_extension_bundle(ext: GroupExtension,
     # basis map: column g = a c(h) holds (h.chi_k)(a) at the arrow (h, chi_k)
     hg = ext.coset
     a = kpos[M[np.arange(n), inv[sec[hg]]]]
-    U = np.zeros((narr, n), dtype=complex)
-    U[arrow_of[hg], np.arange(n)[:, None]] = values[act_rows[hg], a[:, None]]
+    U = np.where(h[:, None] == hg, values[act_rows[h, k]][:, a], 0j)
 
     result.basis_map = U
-    result.add("basis_map_bijective", *coset_bijectivity(
-        U, arrow_of, np.argsort(hg, kind="stable").reshape(len(Q), -1)))
-
-    # the generators of the group table decide multiplicativity when the
-    # twisted table is associative too
-    domain = Ggpd.table
-    res_mul, pair = domain.hom_defect(
-        ta.table, U, domain.generators
-        if result.entry("cocycle_identity").passed else None, 1e-8)
-    result.add("basis_map_multiplicative", res_mul <= 1e-8, res_mul,
-               None if pair is None else
-               f"({G.elements[pair[0]]!r}, {G.elements[pair[1]]!r})")
-    res_star, s = domain.star_hom_defect(ta.table, U)
-    result.add("basis_map_star", res_star <= 1e-8, res_star,
-               None if res_star <= 1e-8 else repr(G.elements[s[0]]))
+    result.add("basis_map_bijective", *block_bijectivity(U, h, hg))
+    mul, star = map_defects(Ggpd.table, ta.table, U, G.elements,
+                            result.cite("cocycle_identity"), 1e-8)
+    result.add("basis_map_multiplicative", *mul)
+    result.add("basis_map_star", *star)
     result.add("basis_map_isometric", *isometry_certificate(
         result.cite("basis_map_bijective", "basis_map_multiplicative",
                     "basis_map_star", "cocycle_identity"),

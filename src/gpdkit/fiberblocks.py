@@ -34,9 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (RegularRepresentation, StructureTable, _join,
-                      _scatter, chunks, spectral_norms,
-                      stacked_singular_values)
+from .algebra import (RegularRepresentation, _join, _scatter, chunks,
+                      spectral_norms, stacked_singular_values)
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -211,17 +210,6 @@ class FiberBlocks:
         prod = np.conj(left) * right if side == "B" else left * np.conj(right)
         return _scatter(r * self.D + m[q], prod * w[q],
                         len(h) * self.D).reshape(len(h), self.D)
-
-    def unit_table(self, u) -> StructureTable:
-        """The products of the unit fiber over the arrow index u as a table
-        in the fiber's basis (no star entries)."""
-        T, loc = self.table, self.loc
-        lo, hi = np.searchsorted(self._entry_sorted, [u * self.nA + u,
-                                                      u * self.nA + u + 1])
-        e = self._entry_order[lo:hi]
-        e = e[self.arrow[T.c[e]] == u]
-        return StructureTable(self.dims[u], loc[T.a[e]], loc[T.b[e]],
-                              loc[T.c[e]], T.w[e], [], [], [])
 
     def products(self, h1, X, h2, Y):
         """(arrows, rows) of the products of the rows X[r] over h1[r] with

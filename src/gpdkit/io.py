@@ -173,9 +173,14 @@ def _pairs(items, file, path, what) -> dict:
 
 
 def _as_complex(obj, file, path) -> complex:
-    k, z = _complex_rows([obj])
-    _expect(k, file, path, "a [re, im] pair of finite numbers")
-    return complex(z[0])
+    """One [re, im] pair of finite numbers, as :func:`_complex_rows` reads
+    it, with no array."""
+    if isinstance(obj, list) and len(obj) == 2 and all(
+            isinstance(x, (int, float)) for x in obj):
+        z = complex(*map(_float, obj))
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+    raise ParseError(file, path, "a [re, im] pair of finite numbers")
 
 
 def _parse_groupoid(obj, file, at, declared):
@@ -301,8 +306,9 @@ def load_bundle(source, base_dir=None) -> FellBundle:
     for h, names in obj["fibers"].items():
         _expect(h in base.index, file, f"$.fibers.{h}", "a base arrow")
         fibers[h] = tuple(_as_str_list(names, file, f"$.fibers.{h}"))
-    at = np.cumsum([0] + [len(fibers.setdefault(h, ())) for h in base.arrows])
-    first, slot = dict(zip(base.arrows, at.tolist())), int(at[-1])
+    dims = [len(fibers.setdefault(h, ())) for h in base.arrows]
+    at = np.cumsum([0] + dims).tolist()  # first slot, by arrow index
+    first, slot = dict(zip(base.arrows, at)), at[-1]
 
     def expansion(obj2, path, dim):
         _expect(isinstance(obj2, dict), file, path, "an object {k: [re,im]}")
@@ -314,13 +320,21 @@ def load_bundle(source, base_dir=None) -> FellBundle:
     # table rows (factor slots..., term slot, weight), in file order
     mul, star, seen = [], [], set()
     _expect(isinstance(obj["mul"], list), file, "$.mul", "a list")
+    # the composite of the base arrows of each entry, by arrow index: -1
+    # where they are not composable or not two base arrows
+    ids = [_ids([e[k] if isinstance(e, list) and len(e) == 5 else None
+                 for e in obj["mul"]], base.index) for k in (0, 2)]
+    named = (ids[0] >= 0) & (ids[1] >= 0)
+    comp = np.where(named, base.compose_ids(*(np.where(named, v, 0)
+                                              for v in ids)), -1).tolist()
     for i, entry in enumerate(obj["mul"]):
         _expect(isinstance(entry, list) and len(entry) == 5,
                 file, f"$.mul[{i}]", "[h1, i, h2, j, expansion]")
         h1, bi, h2, bj, exp = entry
         _expect(all(isinstance(h, str) and h in base.index for h in (h1, h2)),
                 file, f"$.mul[{i}]", "base arrows")
-        _expect(base.composable(h1, h2), file, f"$.mul[{i}]",
+        h12 = comp[i]
+        _expect(h12 >= 0, file, f"$.mul[{i}]",
                 "a composable pair of base arrows")
         # type(v) is int keeps out bools
         _expect(type(bi) is int and 0 <= bi < len(fibers[h1]),
@@ -331,10 +345,8 @@ def load_bundle(source, base_dir=None) -> FellBundle:
         _expect((h1, bi, h2, bj) not in seen, file, f"$.mul[{i}]",
                 "one entry per [h1, i, h2, j]")
         seen.add((h1, bi, h2, bj))
-        h12 = base.comp[(h1, h2)]
-        mul.extend((first[h1] + bi, first[h2] + bj, first[h12] + k, v)
-                   for k, v in expansion(exp, f"$.mul[{i}][4]",
-                                         len(fibers[h12])))
+        mul.extend((first[h1] + bi, first[h2] + bj, at[h12] + k, v)
+                   for k, v in expansion(exp, f"$.mul[{i}][4]", dims[h12]))
     _expect(isinstance(obj["star"], list), file, "$.star", "a list")
     for i, entry in enumerate(obj["star"]):
         _expect(isinstance(entry, list) and len(entry) == 3,

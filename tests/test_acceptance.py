@@ -166,7 +166,7 @@ def test_criterion_7_oracle_baselines():
                   corpus.heisenberg_groupoid(2),
                   corpus.heisenberg_groupoid(3),
                   corpus.zn_square_groupoid(3)):
-            assert gk.faithfulness_defect(G) == 0
+            assert gk.faithfulness_defect(G)[0] == 0
 
 
 def test_criterion_8_negative_controls():

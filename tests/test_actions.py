@@ -338,10 +338,10 @@ class TestAbelianExtract:
     @staticmethod
     def _outcome(E, monkeypatch, change, fallback):
         """(exception class, message, witness) or (None, check names and
-        flags) of abelian_extract with each unit fiber's projections passed
-        through ``change``, and whether the corner pass called
-        stacked_ranks; with ``fallback`` every corner takes the stacked
-        norms and ranks."""
+        flags) of abelian_extract with the projections of its one solve of
+        the unit fibers passed through ``change``, and whether the corner
+        pass called stacked_ranks; with ``fallback`` every corner takes the
+        stacked norms and ranks."""
         from gpdkit import actions
         found, ranked = actions.central_projections, []
 
@@ -420,8 +420,10 @@ class TestAbelianExtract:
     def test_merged_targets_make_a_point_map_not_injective(self,
                                                            monkeypatch):
         # pair(2) on two points over each unit; the first projection of the
-        # second unit listed twice: both points over (2,2) go to one point
-        # over (1,1) along (1,2), before that unit's own corners are read
+        # second unit listed twice in the one solve of both unit fibers
+        # (columns 2 and 3 are the second unit's): both points over (2,2)
+        # go to one point over (1,1) along (1,2), before that unit's own
+        # corners are read
         H = corpus.pair_groupoid(2)
         over = {u: [f"{u}x{i}" for i in range(2)] for u in H.units}
         action = gk.GroupoidAction(
@@ -431,18 +433,50 @@ class TestAbelianExtract:
              for x, y in zip(over[H.src[h]], over[H.rng[h]])})
         E = gk.build_bundle(gk.build_action_groupoid(action).projection)
 
-        def second_doubled():
-            seen = []
-
-            def change(vecs):
-                seen.append(vecs)
-                return vecs if len(seen) == 1 else [vecs[0], *vecs]
-            return change
+        def second_doubled(vecs):
+            assert len(vecs) == 4
+            return [*vecs, next(v for v in vecs if v[2:].any())]
         got = (gk.LineDimensionFailure,
                "induced point map over '(1,2)' is not injective", "(1,2)")
         for fallback in (False, True):
-            assert self._outcome(E, monkeypatch, second_doubled(),
+            assert self._outcome(E, monkeypatch, second_doubled,
                                  fallback) == (got, fallback)
+
+    def test_one_solve_of_the_unit_fibers_matches_a_solve_per_unit(self):
+        # the quotients of heis2 and heis3 side by side: two units whose
+        # fibers are the group algebras of the centers Z2 and Z3. The
+        # points of the one solve are those of each unit fiber's own
+        # table, solved alone, in the same order
+        from gpdkit.actions import _unit_points
+        from gpdkit.algebra import StructureTable, central_projections
+        from gpdkit.fiberblocks import fiber_blocks
+        parts = [corpus.heisenberg_quotient(n) for n in (2, 3)]
+        pi = gk.GroupoidMorphism(
+            corpus.disjoint_union([(i, p.domain) for i, p in
+                                   enumerate(parts)]),
+            corpus.disjoint_union([(i, p.codomain) for i, p in
+                                   enumerate(parts)]),
+            np.concatenate([parts[0].image, parts[1].image + 4]))
+        H = pi.codomain
+        B = fiber_blocks(gk.build_bundle(pi))
+        count, PX = _unit_points(B)
+        T, first = B.table, 0
+        for u, n in zip(H.unit_idx.tolist(), count.tolist()):
+            d = int(B.dims[u])
+            on = B.arrow == u
+            e = np.flatnonzero(on[T.a] & on[T.b] & on[T.c])
+            (i, a, v), sizes, *_ = central_projections(
+                StructureTable(d, B.loc[T.a[e]], B.loc[T.b[e]],
+                               B.loc[T.c[e]], T.w[e], [], [], []),
+                (d, np.arange(d), np.arange(d), np.ones(d)))
+            P = np.zeros((len(sizes), B.D), dtype=complex)
+            np.add.at(P, (i, a), v)
+            P = P[sorted(range(len(P)), key=lambda r: tuple(
+                np.round(P[r], 6).view(float)))]
+            assert n == d == len(P) > 1
+            np.testing.assert_allclose(PX[first:first + n], P, atol=1e-12)
+            first += n
+        assert first == len(PX)
 
     def test_scaled_projection_takes_the_svd_fallback(self, flip_groupoid,
                                                       monkeypatch):

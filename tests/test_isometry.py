@@ -329,7 +329,7 @@ def test_slice_margin_of_valid_representations(name):
     margin, cut, h = rep.slice_margin()
     assert margin > 0.5 > 1e3 * cut and h is not None
     if name == "groupoid":
-        assert (0, margin) == gk.faithfulness_defect(H, return_margin=True)
+        assert (0, margin) == gk.faithfulness_defect(H)
 
 
 def test_zeroed_slice_entry_names_its_arrow():

@@ -11,7 +11,8 @@ gives, each against the full scan or the SVD it replaces.
   domain as inv(inv(g)) = g and inv(ab) = inv(b) inv(a).
 - ``RegularRepresentation.slice_margin`` reads sigma_min as the smallest
   row norm when no slice column holds two entries.
-- ``extensions.coset_bijectivity`` tests U_h U_h* = K I per coset block.
+- ``algebra.block_bijectivity`` reads the singular values of each block
+  of a block-diagonal U at the rank cut of the whole U.
 
 The property tests compare pass flags with the full-scan oracle on
 single-entry corruptions, and margins with a dense SVD per slice.
@@ -25,7 +26,6 @@ import gpdkit as gk
 from gpdkit import algebra, bundle, corpus, extensions
 from gpdkit.algebra import (RegularRepresentation, StructureTable,
                             _linked_columns)
-from gpdkit.extensions import coset_bijectivity
 from gpdkit.groupoid import pair_blocks
 
 from oracles import (bundle_from, dense_map_defects, svd_slice_margins,
@@ -418,33 +418,123 @@ def test_column_with_two_entries_takes_the_svd(monkeypatch):
     assert margin != pytest.approx(1.0)
 
 
-# -- bijectivity per coset block
+# -- bijectivity per block
 
-def _blocks(res):
-    Q, K = len(res.quotient), len(res.extension.kernel)
-    rows = np.arange(Q * K).reshape(Q, K)
-    cols = np.argsort(res.extension.coset, kind="stable").reshape(Q, K)
-    return rows, cols
+def _block_map(kind, n):
+    """(U, row block, column block) of the basis map of ext on heis_n (one
+    block per coset) or of abelian extract on the quotient of heis_n (one
+    block per base arrow)."""
+    if kind == "ext":
+        _, _, U, res = _extension(n)
+        K = len(res.extension.kernel)
+        return U, np.arange(len(U)) // K, res.extension.coset
+    E = gk.build_bundle(corpus.heisenberg_quotient(n))
+    res = gk.abelian_extract(E)
+    return res.basis_map, E.arrow, res.action_groupoid.projection.image
+
+
+def _check_block_test(kind, n, change):
+    """block_bijectivity on the basis map of ``kind`` with one of its
+    largest blocks changed decides as numpy's matrix_rank of the whole."""
+    U, row_block, col_block = _block_map(kind, n)
+    b = np.argmax(np.bincount(row_block))
+    rows, cols = np.flatnonzero(row_block == b), np.flatnonzero(col_block == b)
+    assert len(rows) == len(cols) >= 2
+    V = U.copy()
+    if change == "zero_row":
+        V[rows[1], cols] = 0.0
+    elif change == "equal_columns":
+        V[rows, cols[1]] = V[rows, cols[0]]
+    elif change == "scaled_row":  # still invertible
+        V[rows[1], cols] *= 2.0
+    passed, residual, witness = algebra.block_bijectivity(V, row_block,
+                                                          col_block)
+    rank = np.linalg.matrix_rank(V)
+    assert passed == (rank == len(V))
+    assert passed == (change in ("none", "scaled_row"))
+    if passed:
+        assert residual == 0.0 and witness is None
+    else:
+        assert residual is None
+        assert witness == f"rank {rank} of a {len(V)} x {len(V)} map"
+
+
+_CHANGES = ["none", "zero_row", "equal_columns", "scaled_row"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-@pytest.mark.parametrize("change", ["none", "zero_row", "equal_columns",
-                                    "scaled_row"])
+@pytest.mark.parametrize("change", _CHANGES)
 def test_coset_test_fails_exactly_when_matrix_rank_does(n, change):
-    _, _, U, res = _extension(n)
-    rows, cols = _blocks(res)
-    V = U.copy()
-    h = len(rows) // 2
-    if change == "zero_row":
-        V[rows[h, 1], cols[h]] = 0.0
-    elif change == "equal_columns":
-        V[rows[h], cols[h, 1]] = V[rows[h], cols[h, 0]]
-    elif change == "scaled_row":  # not orthogonal, still invertible
-        V[rows[h, 1], cols[h]] *= 2.0
-    passed, residual, witness = coset_bijectivity(V, rows, cols)
-    rank = int(np.linalg.matrix_rank(V))
-    assert passed == (rank == V.shape[0])
-    if change == "none":
-        assert residual <= 1e-15 and witness is None
-    elif not passed:
-        assert residual is None and witness == f"rank {rank} of {len(V)}"
+    _check_block_test("ext", n, change)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("change", _CHANGES)
+def test_arrow_block_test_fails_exactly_when_matrix_rank_does(n, change):
+    _check_block_test("extract", n, change)
+
+
+def test_block_test_fails_on_a_shape_that_is_not_square():
+    U, row_block, col_block = _block_map("ext", 2)
+    n = len(U)
+    assert algebra.block_bijectivity(U[:, 1:], row_block, col_block[1:]) \
+        == (False, None, f"rank {n - 1} of a {n} x {n - 1} map")
+
+
+# -- one witness rule for the defects of every basis map
+
+def _basis_maps():
+    """(label, D, T, U, names, the entries of the caller) of the basis
+    maps of psi-check (onto the untwisted bundle of the heis3 quotient),
+    ext (heis3) and abelian extract (the heis3 quotient)."""
+    pi = corpus.heisenberg_quotient(3)
+    G, E = pi.domain, gk.build_bundle(pi)
+    U = np.zeros((E.total_dim(), len(G.arrows)))
+    U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
+    psi = gk.psi_iso_check(pi, bundle=E, samples=5)
+    D, T, V, ext = _extension(3)
+    res = gk.abelian_extract(E)
+    ta = gk.TwistedConvolutionAlgebra(res.action_groupoid.groupoid,
+                                      res.cocycle)
+    return [("psi", G.table, E.table(), U, G.arrows,
+             [psi.entry(n) for n in ("multiplicative", "star_preserving")]),
+            ("ext", D, T, V, ext.extension.group.elements,
+             [ext.entry(f"basis_map_{n}") for n in ("multiplicative", "star")]),
+            ("extract", ta.table, E.table(), res.basis_map,
+             res.action_groupoid.groupoid.arrows,
+             [res.entry(f"basis_map_{n}") for n in ("multiplicative",
+                                                    "star")])]
+
+
+def test_a_defect_names_a_witness_only_when_it_fails():
+    for label, D, T, U, names, entries in _basis_maps():
+        # passing entries carry no witness, also with a rounding residual
+        for entry in entries:
+            assert entry.passed and entry.witness is None, label
+        if label != "psi":
+            assert entries[0].residual > 0.0, label
+        assert all(e[2] is None for e in algebra.map_defects(
+            D, T, U, names, [("associative", 0.0, None)], TOL))
+        # one scaled entry: the multiplicative defect fails and names the
+        # first pair of the largest difference
+        rows, cols = np.nonzero(U)
+        V = U.copy()
+        V[rows[len(rows) // 2], cols[len(rows) // 2]] *= 1.5
+        mul, star = algebra.map_defects(D, T, V, names,
+                                        [("associative", 0.0, None)], TOL)
+        assert not mul[0] and mul[1] > TOL, label
+        x, g = D.hom_defect(T, V)[1]
+        assert mul[2] == f"({names[x]!r}, {names[g]!r})"
+        assert star[0] == (star[2] is None), label
+
+
+def test_psi_check_of_a_twisted_bundle_names_its_witness():
+    # a twisted section table is not the domain's moved: psi-check scans
+    # the defects of its 0/1 map, which fail with a witness
+    pi = corpus.heisenberg_quotient(2)
+    omega = gk.coboundary_cocycle(pi.domain, {
+        g: np.exp(0.1j * i) for i, g in enumerate(pi.domain.arrows)})
+    E = gk.build_bundle(pi, omega)
+    assert not E.moved()
+    entry = gk.psi_iso_check(pi, bundle=E, samples=5).entry("multiplicative")
+    assert not entry.passed and entry.witness.startswith("('")
