@@ -152,16 +152,21 @@ def _defect(lhs, rhs, dim: int):
     entry without the last index) or (0.0, None). A side is a tuple of
     index arrays (below ``dim``) naming each term's entry, then weights."""
     shape = (dim,) * (len(lhs) - 1)
-    keys = np.concatenate([np.ravel_multi_index(lhs[:-1], shape),
-                           np.ravel_multi_index(rhs[:-1], shape)])
-    uniq, slot = np.unique(keys, return_inverse=True)
-    sums = np.abs(_scatter(slot, np.concatenate([lhs[-1], -rhs[-1]]),
-                           len(uniq)))
+    uniq, sums = _term_sums(lhs, rhs, shape)
     if not len(sums) or sums.max() == 0:
         return 0.0, None
     i = int(np.argmax(sums))
     return float(sums[i]), tuple(
         int(v) for v in np.unravel_index(uniq[i], shape)[:-1])
+
+
+def _term_sums(lhs, rhs, shape):
+    """(sorted keys over ``shape``, |sum| at each) of :func:`_defect`."""
+    keys = np.concatenate([np.ravel_multi_index(lhs[:-1], shape),
+                           np.ravel_multi_index(rhs[:-1], shape)])
+    uniq, slot = np.unique(keys, return_inverse=True)
+    return uniq, np.abs(_scatter(slot, np.concatenate([lhs[-1], -rhs[-1]]),
+                                 len(uniq)))
 
 
 def _generating_set(r, s, off, rpos, P) -> np.ndarray:

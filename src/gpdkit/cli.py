@@ -263,10 +263,9 @@ def cmd_bundle_verify(args, report: Report):
                *bundle.expectation_certificate(E, args.tol))
     report.add("expectation_faithful", True, None)
     if rep.saturated:
-        for i, bs in enumerate(greedy_bisection_cover(E.base)):
-            brep = bisection_bimodule_check(E, bs, tol=args.tol,
-                                            samples=args.samples // 2,
-                                            seed=args.seed, axiom_report=rep)
+        for i, brep in enumerate(bisection_bimodule_check(
+                E, greedy_bisection_cover(E.base), tol=args.tol,
+                samples=args.samples // 2, seed=args.seed, axiom_report=rep)):
             report.add_entries(brep.entries, prefix=f"bimodule{i}_")
     else:
         report.extras["bimodule_checks"] = "skipped: bundle not saturated"

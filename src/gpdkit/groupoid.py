@@ -89,9 +89,12 @@ def _join(x, y, order=None):
         order = np.argsort(y, kind="stable")
     ys = y[order]
     lo = np.searchsorted(ys, x, "left")
-    count = np.searchsorted(ys, x, "right") - lo
-    i = np.repeat(np.arange(len(x)), count)
-    # the r-th pair of row i sits at order[lo[i] + r]
+    return _runs(lo, np.searchsorted(ys, x, "right") - lo, order)
+
+
+def _runs(lo, count, order):
+    """The pairs (i, j) of j in order[lo[i]:lo[i] + count[i]], each i."""
+    i = np.repeat(np.arange(len(lo)), count)
     offset = np.repeat(lo - np.cumsum(count) + count, count)
     return i, order[np.arange(len(i)) + offset]
 
@@ -699,7 +702,9 @@ class Bisection:
 def check_bisection(G: FiniteGroupoid, S) -> Bisection:
     """Validate S as a bisection; NotABisection at the first arrow of S
     that is not an arrow of G or shares its src (then its rng) with an
-    earlier one, carrying the colliding pair."""
+    earlier one, carrying the colliding pair. A Bisection passes as it is."""
+    if isinstance(S, Bisection):
+        return S
     S = tuple(S)
     ids = _ids(S, G.index)
     k = _prefix(ids >= 0)

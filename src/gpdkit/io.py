@@ -48,9 +48,10 @@ def _read_json(path: str):
         raise ParseError(path, "$", f"valid JSON ({exc.msg})") from None
 
 
-def _expect(cond: bool, file, path: str, what: str):
+def _expect(cond: bool, file, path: str, what: str, *at):
+    """ParseError unless ``cond``, at ``path`` (a template of ``at``)."""
     if not cond:
-        raise ParseError(file, path, what)
+        raise ParseError(file, path.format(*at) if at else path, what)
 
 
 def _object(obj, file, path, what, keys):
@@ -172,15 +173,15 @@ def _pairs(items, file, path, what) -> dict:
     return pairs
 
 
-def _as_complex(obj, file, path) -> complex:
+def _as_complex(obj, file, path, *at) -> complex:
     """One [re, im] pair of finite numbers, as :func:`_complex_rows` reads
-    it, with no array."""
+    it, with no array; ``path`` and ``at`` as for :func:`_expect`."""
     if isinstance(obj, list) and len(obj) == 2 and all(
             isinstance(x, (int, float)) for x in obj):
         z = complex(*map(_float, obj))
         if math.isfinite(z.real) and math.isfinite(z.imag):
             return z
-    raise ParseError(file, path, "a [re, im] pair of finite numbers")
+    _expect(False, file, path, "a [re, im] pair of finite numbers", *at)
 
 
 def _parse_groupoid(obj, file, at, declared):
@@ -310,12 +311,13 @@ def load_bundle(source, base_dir=None) -> FellBundle:
     at = np.cumsum([0] + dims).tolist()  # first slot, by arrow index
     first, slot = dict(zip(base.arrows, at)), at[-1]
 
-    def expansion(obj2, path, dim):
-        _expect(isinstance(obj2, dict), file, path, "an object {k: [re,im]}")
-        for k, v in obj2.items():
-            _expect(k.isdecimal() and int(k) < dim, file, f"{path}.{k}",
-                    f"a basis index below {dim}")
-            yield int(k), _as_complex(v, file, f"{path}.{k}")
+    def expansion(ex, path, i, dim):
+        _expect(isinstance(ex, dict), file, path, "an object {k: [re,im]}", i)
+        for k, v in ex.items():
+            if not (k.isdecimal() and int(k) < dim):
+                raise ParseError(file, f"{path.format(i)}.{k}",
+                                 f"a basis index below {dim}")
+            yield int(k), _as_complex(v, file, path + ".{}", i, k)
 
     # table rows (factor slots..., term slot, weight), in file order
     mul, star, seen = [], [], set()
@@ -329,38 +331,37 @@ def load_bundle(source, base_dir=None) -> FellBundle:
                                               for v in ids)), -1).tolist()
     for i, entry in enumerate(obj["mul"]):
         _expect(isinstance(entry, list) and len(entry) == 5,
-                file, f"$.mul[{i}]", "[h1, i, h2, j, expansion]")
+                file, "$.mul[{}]", "[h1, i, h2, j, expansion]", i)
         h1, bi, h2, bj, exp = entry
         _expect(all(isinstance(h, str) and h in base.index for h in (h1, h2)),
-                file, f"$.mul[{i}]", "base arrows")
-        h12 = comp[i]
-        _expect(h12 >= 0, file, f"$.mul[{i}]",
-                "a composable pair of base arrows")
+                file, "$.mul[{}]", "base arrows", i)
+        _expect((h12 := comp[i]) >= 0, file, "$.mul[{}]",
+                "a composable pair of base arrows", i)
         # type(v) is int keeps out bools
         _expect(type(bi) is int and 0 <= bi < len(fibers[h1]),
-                file, f"$.mul[{i}][1]", "a basis index of the first fiber")
+                file, "$.mul[{}][1]", "a basis index of the first fiber", i)
         _expect(type(bj) is int and 0 <= bj < len(fibers[h2]),
-                file, f"$.mul[{i}][3]", "a basis index of the second fiber")
+                file, "$.mul[{}][3]", "a basis index of the second fiber", i)
         # entries add up in the table, so a repeat would not replace
-        _expect((h1, bi, h2, bj) not in seen, file, f"$.mul[{i}]",
-                "one entry per [h1, i, h2, j]")
+        _expect((h1, bi, h2, bj) not in seen, file, "$.mul[{}]",
+                "one entry per [h1, i, h2, j]", i)
         seen.add((h1, bi, h2, bj))
         mul.extend((first[h1] + bi, first[h2] + bj, at[h12] + k, v)
-                   for k, v in expansion(exp, f"$.mul[{i}][4]", dims[h12]))
+                   for k, v in expansion(exp, "$.mul[{}][4]", i, dims[h12]))
     _expect(isinstance(obj["star"], list), file, "$.star", "a list")
     for i, entry in enumerate(obj["star"]):
         _expect(isinstance(entry, list) and len(entry) == 3,
-                file, f"$.star[{i}]", "[h, i, expansion]")
+                file, "$.star[{}]", "[h, i, expansion]", i)
         h, bi, exp = entry
         _expect(isinstance(h, str) and h in base.index, file,
-                f"$.star[{i}][0]", "a base arrow")
+                "$.star[{}][0]", "a base arrow", i)
         _expect(type(bi) is int and 0 <= bi < len(fibers[h]),
-                file, f"$.star[{i}][1]", "a basis index")
-        _expect((h, bi) not in seen, file, f"$.star[{i}]",
-                "one entry per [h, i]")
+                file, "$.star[{}][1]", "a basis index", i)
+        _expect((h, bi) not in seen, file, "$.star[{}]",
+                "one entry per [h, i]", i)
         seen.add((h, bi))
         star.extend((first[h] + bi, first[base.inv[h]] + k, v)
-                    for k, v in expansion(exp, f"$.star[{i}][2]",
+                    for k, v in expansion(exp, "$.star[{}][2]", i,
                                           len(fibers[base.inv[h]])))
     return FellBundle(base, fibers, StructureTable(
         slot, *(zip(*mul) if mul else [()] * 4),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gpdkit as gk
+import gpdkit.algebra as galgebra
 import gpdkit.io as gio
 from gpdkit import corpus
 from gpdkit.algebra import AlgebraElement, _regular, random_element
@@ -661,23 +662,23 @@ class TestBasisMapDefects:
 class TestBimodule:
     def test_single_arrow_of_heis3(self, heis3_bundle):
         U = gk.check_bisection(heis3_bundle.base, ["(1,2)"])
-        rep = gk.bisection_bimodule_check(heis3_bundle, U)
+        rep = gk.bisection_bimodule_check(heis3_bundle, [U])[0]
         assert rep.passed
 
     def test_units_bisection(self, heis3_bundle):
         rep = gk.bisection_bimodule_check(heis3_bundle,
-                                          heis3_bundle.base.units)
+                                          [heis3_bundle.base.units])[0]
         assert rep.passed
 
     def test_nonsaturated_rejected(self):
         E = gk.build_bundle(corpus.nonsaturated_surjection())
         with pytest.raises(gk.NotSaturated):
-            gk.bisection_bimodule_check(E, E.base.units)
+            gk.bisection_bimodule_check(E, [E.base.units])[0]
 
     def test_not_a_bisection_rejected(self, heis3_bundle):
         with pytest.raises(gk.NotABisection):
             gk.bisection_bimodule_check(heis3_bundle,
-                                        list(heis3_bundle.base.arrows))
+                                        [list(heis3_bundle.base.arrows)])[0]
 
 
 def test_saturation_is_computed_once_per_tolerance(monkeypatch):
@@ -693,7 +694,7 @@ def test_saturation_is_computed_once_per_tolerance(monkeypatch):
     assert gk.verify_axioms(E).saturated
     assert gk.abelian_extract(E).passed
     for U in gk.greedy_bisection_cover(E.base):
-        assert gk.bisection_bimodule_check(E, U).passed
+        assert gk.bisection_bimodule_check(E, [U])[0].passed
     assert computed == [1e-9]
     assert B.saturation(1e-6) == B.saturation(1e-9) == (True, None)
     assert computed == [1e-9, 1e-6]
@@ -952,18 +953,19 @@ class TestBatchedNumerics:
         for U in gk.greedy_bisection_cover(E.base):
             if not sat:
                 with pytest.raises(gk.NotSaturated):
-                    gk.bisection_bimodule_check(E, U)
+                    gk.bisection_bimodule_check(E, [U])[0]
                 continue
             try:
                 want = dense_bimodule_check(E, U, samples=8, seed=3)
             except gk.FellBundleError as exc:  # a degenerate unit fiber
                 with pytest.raises(gk.FellBundleError) as got:
-                    gk.bisection_bimodule_check(E, U, samples=8, seed=3)
+                    gk.bisection_bimodule_check(E, [U], samples=8, seed=3)[0]
                 assert (str(got.value), got.value.witness) == \
                     (str(exc), exc.witness)
                 continue
             _assert_same_checks(
-                gk.bisection_bimodule_check(E, U, samples=8, seed=3), want)
+                gk.bisection_bimodule_check(E, [U], samples=8, seed=3)[0],
+                want)
 
     @pytest.mark.parametrize("name", ["heis3", "flip", "z3_cocycle_line",
                                       "twisted_covering",
@@ -1089,7 +1091,7 @@ class TestBatchedNumerics:
             monkeypatch.setattr(np.linalg, name, spy)
         rep = gk.verify_axioms(E, samples=20)
         for U in gk.greedy_bisection_cover(E.base):
-            assert gk.bisection_bimodule_check(E, U).passed
+            assert gk.bisection_bimodule_check(E, [U])[0].passed
         assert rep.passed and sizes
         # blocks are at most fiber-sized; ranks read d^2 x d products
         assert max(sizes) <= 9 < E.total_dim()
@@ -1139,7 +1141,7 @@ class TestBatchedNegativeControls:
 
     def test_collapsed_star_fails_fullness(self):
         E = _mutated(_small_bundles()["flip"], _collapse_star)
-        rep = gk.bisection_bimodule_check(E, ["g1"])
+        rep = gk.bisection_bimodule_check(E, [["g1"]])[0]
         for side in ("A", "B"):
             entry = rep.entry(f"fullness_{side}")
             assert not entry.passed
@@ -1148,12 +1150,128 @@ class TestBatchedNegativeControls:
 
     def test_phase_fails_imprimitivity(self):
         E = _mutated(_small_bundles()["flip"], _phase_one_entry)
-        rep = gk.bisection_bimodule_check(E, ["g1"])
+        rep = gk.bisection_bimodule_check(E, [["g1"]])[0]
         entry = rep.entry("imprimitivity")
         assert not entry.passed and entry.witness == "(h='g1', e=0,0,0)"
         assert entry.residual == pytest.approx(np.sqrt(2))
         assert rep.entry("fullness_A").passed and \
             rep.entry("fullness_B").passed
+
+
+def _units_last(pi):
+    """pi with the codomain arrows listed non-units first: the greedy cover
+    of that base then takes some non-unit arrows into two bisections."""
+    obj = gio.save_morphism(pi)
+    units = set(obj["codomain"]["units"])
+    obj["codomain"]["arrows"].sort(key=units.__contains__)
+    return gio.load_morphism(obj)
+
+
+@pytest.fixture(scope="module")
+def one_pass_bundles():
+    """(bundle, an arrow h over which it is mutated): the heis3 quotient,
+    one arrow per bisection, and a covering of a five-unit base whose
+    greedy cover holds h = 'c1:g1' (fiber dimension 3) twice."""
+    covering = gk.build_action_groupoid(random_action(
+        np.random.default_rng(2))).projection
+    return {"heis3": (gk.build_bundle(corpus.heisenberg_quotient(3)),
+                      "(1,2)"),
+            "covering": (gk.build_bundle(_units_last(covering)), "c1:g1")}
+
+
+def _phase_product_over(h):
+    """A phase on one product term: the first basis vector over h times
+    the unit fiber over src(h). Only the triples x (y* z) over h read it."""
+    def change(E, arrays, over):
+        e = np.flatnonzero(_over(E, arrays, "a", h)
+                           & _over(E, arrays, "b", E.base.src[h]))[0]
+        arrays["w"][e] *= 1j
+    return change
+
+
+def _drop_star_over(h):
+    """No star entries over h: both inner products over h are 0."""
+    def change(E, arrays, over):
+        keep = ~_over(E, arrays, "s", h)
+        for k in ("s", "t", "sw"):
+            arrays[k] = arrays[k][keep]
+    return change
+
+
+def _one_pass_against_oracle(E, cover, monkeypatch):
+    """The reports of one pass over ``cover``, each checked against
+    dense_bimodule_check of its bisection, and equal to those of a pass
+    that takes every arrow with terms in a chunk of its own."""
+    got = gk.bisection_bimodule_check(E, cover, samples=8, seed=3)
+    assert len(got) == len(cover)
+    for rep, U in zip(got, cover):
+        _assert_same_checks(rep, dense_bimodule_check(E, U, samples=8,
+                                                      seed=3))
+    with monkeypatch.context() as m:
+        m.setattr(galgebra, "_ENTRIES_PER_CALL", 1)
+        assert [r.entries for r in gk.bisection_bimodule_check(
+            E, cover, samples=8, seed=3)] == [r.entries for r in got]
+    return got
+
+
+def _failing(reports, name):
+    return {k for k, rep in enumerate(reports) if not rep.entry(name).passed}
+
+
+class TestOnePassNegativeControls:
+    """One mutation over one arrow h fails the bisections that hold h and
+    no other, with the witnesses of the per-bisection oracle."""
+
+    @pytest.mark.parametrize("name", ["heis3", "covering"])
+    def test_phased_product_fails_the_bisections_holding_h(
+            self, one_pass_bundles, name, monkeypatch):
+        E, h = one_pass_bundles[name]
+        E = _mutated(E, _phase_product_over(h))
+        cover = gk.greedy_bisection_cover(E.base)
+        holding = {k for k, U in enumerate(cover) if h in U.arrows}
+        assert len(holding) == (1 if name == "heis3" else 2)
+        got = _one_pass_against_oracle(E, cover, monkeypatch)
+        assert _failing(got, "imprimitivity") == holding
+        for k in holding:
+            entry = got[k].entry("imprimitivity")
+            assert entry.witness.startswith(f"(h={h!r}, e=")
+            assert entry.residual == pytest.approx(np.sqrt(2))
+        assert not _failing(got, "fullness_A") | _failing(got, "fullness_B")
+
+    @pytest.mark.parametrize("name", ["heis3", "covering"])
+    def test_zero_inner_products_fail_fullness_where_h_is(
+            self, one_pass_bundles, name, monkeypatch):
+        E, h = one_pass_bundles[name]
+        E = _mutated(E, _drop_star_over(h))
+        cover = gk.greedy_bisection_cover(E.base)
+        holding = {k for k, U in enumerate(cover) if h in U.arrows}
+        got = _one_pass_against_oracle(E, cover, monkeypatch)
+        for side, end in (("A", E.base.rng), ("B", E.base.src)):
+            assert _failing(got, f"fullness_{side}") == holding
+            for k in holding:
+                assert got[k].entry(f"fullness_{side}").witness == \
+                    f"inner products over {h!r} span rank 0 < {E.dim(end[h])}"
+        assert not _failing(got, "imprimitivity")
+
+    @pytest.mark.parametrize("change, names", [
+        (_phase_product_over, ["imprimitivity"]),
+        (_drop_star_over, ["fullness_B", "fullness_A"])])
+    def test_two_failing_arrows_name_the_first_of_the_bisection(
+            self, one_pass_bundles, monkeypatch, change, names):
+        E, h = one_pass_bundles["covering"]
+        U = gk.greedy_bisection_cover(E.base)[0].arrows
+        assert h in U
+        other = next(g for g in U if g != h and not E.base.is_unit(g))
+        for g in (h, other):
+            E = _mutated(E, change(g))
+        for order in (U, U[::-1]):
+            rep, = _one_pass_against_oracle(E, [order], monkeypatch)
+            first = next(g for g in order if g in (h, other))
+            for name in names:
+                entry = rep.entry(name)
+                assert not entry.passed and f"{first!r}" in entry.witness
+            if names == ["imprimitivity"]:  # equal residuals
+                assert entry.residual == np.sqrt(2)
 
 
 def test_verify_axioms_heis5_bounds():

@@ -146,13 +146,13 @@ def test_bimodule_with_report_agrees_with_the_dense_oracle(parity_bundles,
             want = dense_bimodule_check(E, U, samples=8, seed=3)
         except gk.FellBundleError as exc:  # a degenerate unit fiber
             with pytest.raises(gk.FellBundleError) as got:
-                gk.bisection_bimodule_check(E, U, samples=8, seed=3,
-                                            axiom_report=rep)
+                gk.bisection_bimodule_check(E, [U], samples=8, seed=3,
+                                            axiom_report=rep)[0]
             assert (str(got.value), got.value.witness) == \
                 (str(exc), exc.witness)
             continue
-        got = gk.bisection_bimodule_check(E, U, samples=8, seed=3,
-                                          axiom_report=rep)
+        got = gk.bisection_bimodule_check(E, [U], samples=8, seed=3,
+                                          axiom_report=rep)[0]
         assert [(e.name, e.passed, e.witness) for e in got.entries] == \
             [(e.name, e.passed, e.witness) for e in want.entries]
         pos = got.entry("inner_products_positive").residual
@@ -169,10 +169,10 @@ def test_negated_star_takes_the_sampled_bimodule_path(monkeypatch):
     drawn = []
     _spy(monkeypatch, FiberBlocks, "random_rows", drawn)
     covers = gk.greedy_bisection_cover(E.base)
-    got = [[(e.name, e.passed, e.residual, e.witness) for e in
-            gk.bisection_bimodule_check(E, U, samples=8, seed=3,
-                                        axiom_report=rep).entries]
-           for U in covers]
+    # one pass over the cover: each bisection draws at the seed, as alone
+    got = [[(e.name, e.passed, e.residual, e.witness) for e in r.entries]
+           for r in gk.bisection_bimodule_check(E, covers, samples=8, seed=3,
+                                                axiom_report=rep)]
     assert len(drawn) == len(covers)
     # the reports of bisection_bimodule_check before the certificate
     rest = [("fullness_B", True, None, None), ("fullness_A", True, None, None),
@@ -182,8 +182,8 @@ def test_negated_star_takes_the_sampled_bimodule_path(monkeypatch):
     assert got[1][0][:2] == ("inner_products_positive", False)
     assert got[1][0][2] == pytest.approx(4.506678772375042e+30, rel=1e-12)
     assert got == [[(e.name, e.passed, e.residual, e.witness) for e in
-                    gk.bisection_bimodule_check(E, U, samples=8,
-                                                seed=3).entries]
+                    gk.bisection_bimodule_check(E, [U], samples=8,
+                                                seed=3)[0].entries]
                    for U in covers]
 
 
@@ -200,6 +200,19 @@ def test_passing_verify_takes_no_norm_and_draws_nothing(monkeypatch, name):
     assert code == 0 and calls == []
     assert drawn == []
     assert any(c["name"].startswith("bimodule") for c in rep["checks"])
+
+
+def test_verify_takes_the_norm_certificate_once_per_pass(monkeypatch):
+    # once in verify_axioms and once for the bimodule checks of all nine
+    # bisections of the heis3 quotient, not once per bisection
+    calls = []
+    _spy(monkeypatch, gbundle, "_norm_hypotheses", calls)
+    code, rep = _cli(["bundle", "verify", "--morphism",
+                      "heis3_quotient.morphism.json"])
+    assert code == 0 and len(calls) == 2
+    assert [c["name"] for c in rep["checks"]
+            if c["name"].endswith("imprimitivity")] == \
+        [f"bimodule{i}_imprimitivity" for i in range(9)]
 
 
 # -- axiom 3 through the domain's kept defect

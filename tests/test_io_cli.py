@@ -183,6 +183,38 @@ class TestParseErrors:
         with pytest.raises(gio.ParseError):
             gio.load_groupoid(str(path))
 
+    @pytest.mark.parametrize("key, at, value, path, what", [
+        ("mul", [3], "x", "$.mul[3]", "[h1, i, h2, j, expansion]"),
+        ("mul", [3, 0], "nope", "$.mul[3]", "base arrows"),
+        ("mul", [3, 1], 9, "$.mul[3][1]", "a basis index of the first fiber"),
+        ("mul", [3, 3], True, "$.mul[3][3]",
+         "a basis index of the second fiber"),
+        ("mul", [3, 4], [1], "$.mul[3][4]", "an object {k: [re,im]}"),
+        ("mul", [3, 4, "{0}"], [1, 0], "$.mul[3][4].{0}",
+         "a basis index below 2"),
+        ("mul", [3, 4, "0"], [1, "a"], "$.mul[3][4].0",
+         "a [re, im] pair of finite numbers"),
+        ("star", [2], 3, "$.star[2]", "[h, i, expansion]"),
+        ("star", [2, 0], "nope", "$.star[2][0]", "a base arrow"),
+        ("star", [2, 1], -1, "$.star[2][1]", "a basis index"),
+        ("star", [2, 2], None, "$.star[2][2]", "an object {k: [re,im]}"),
+        ("star", [2, 2, "1x"], [1, 0], "$.star[2][2].1x",
+         "a basis index below 2"),
+        ("star", [2, 2, "0"], [1], "$.star[2][2].0",
+         "a [re, im] pair of finite numbers")])
+    def test_bundle_entry_error_paths(self, key, at, value, path, what):
+        # each path of a bundle entry is formatted only when its check
+        # fails; it names the entry, the item and the term as before
+        obj = gio.save_bundle(gk.build_bundle(gio.load_morphism(
+            corpus.data_path("heis2_quotient.morphism.json"))))
+        node = obj[key]
+        for k in at[:-1]:
+            node = node[k]
+        node[at[-1]] = value
+        with pytest.raises(gio.ParseError) as exc:
+            gio.load_bundle(obj)
+        assert (exc.value.path, exc.value.expectation) == (path, what)
+
 
 class TestDispatch:
     def test_parser_covers_all_subcommands(self):
