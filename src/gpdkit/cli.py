@@ -2,11 +2,12 @@
 
 Every subcommand parses its input files, runs the relevant operations and
 prints a deterministic JSON report on stdout plus a human summary on
-stderr. Exit code 0 means every check passed, 1 means a verification
-failure, 2 means malformed input (the diagnostic names the file, the JSON
-path and what was expected there), a tolerance that is not a finite
-number >= 0, a negative ``--samples`` or ``--depth``, or an ``--n``
-below 1.
+stderr. The report's ``inputs`` are sha256 digests: of an input file's
+bytes, or of a demo's groupoid as ``_groupoid_digest`` reads it. Exit
+code 0 means every check passed, 1 means a verification failure, 2 means
+malformed input (the diagnostic names the file, the JSON path and what
+was expected there), a tolerance that is not a finite number >= 0, a
+negative ``--samples`` or ``--depth``, or an ``--n`` below 1.
 
 Each command is declared once, in the command table ``COMMANDS``. A run
 builds the argparse parser of its own command only, with the help, usage
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import os
 import sys
 
@@ -39,8 +41,7 @@ from .groupoid import (GroupoidError, classify_morphism,
 from .graphs import (check_graph_morphism, collapse_morphism,
                      cylinder_cover_check, grading_degree, lift_counts,
                      lift_paths)
-from .report import (Report, _escape, canonical_json, digest_bytes,
-                     digest_text)
+from .report import Report, canonical_json, digest_bytes, digest_text
 
 DEMOS = ("pair", "z3", "flip", "cuntz", "heisenberg")
 
@@ -63,35 +64,19 @@ def _input_digests(args, names) -> dict:
 
 
 def _groupoid_digest(G) -> str:
-    """digest_text(canonical_json(gio.save_groupoid(G))) for string arrow
-    names, written flat: each name is escaped once, and the tables are
-    joins over references to those names, by arrow index."""
-    q = np.fromiter((_escape(g) for g in G.arrows), object, len(G.arrows))
-
-    def seq(items, brackets="[]"):
-        return (f"{brackets[0]}\n    " + ",\n    ".join(items)
-                + f"\n  {brackets[1]}" if items else brackets)
-    names = q.tolist()
-    by_name = sorted(range(len(q)), key=G.arrows.__getitem__)
+    """The digest of a built groupoid: the sha256 of the canonical JSON of
+    its arrow names, then of the little-endian int64 bytes of its unit,
+    source, range and inverse indices and of its table's a, b and c in
+    (a, b) order."""
     T = G.table
-    order = np.lexsort((T.b, T.a))
-    # per triple: the text before g1, g1, before g2, g2, before g12, g12
-    cells = np.empty((len(order), 6), object)
-    cells[:, 0] = "\n    ],\n    [\n      "
-    cells[:, 2] = cells[:, 4] = ",\n      "
-    cells[:, 1], cells[:, 3], cells[:, 5] = (q[v[order]]
-                                             for v in (T.a, T.b, T.c))
-    comp = cells.ravel().tolist()
-    parts = {
-        "arrows": seq(names),
-        "comp": "".join(["[\n    [\n      ", *comp[1:], "\n    ]\n  ]"])
-        if comp else "[]",
-        **{k: seq([f"{names[i]}: {names[j]}" for i, j in zip(
-            by_name, ids[by_name].tolist())], "{}") for k, ids in (
-                ("inv", G.inv_idx), ("rng", G.rng_idx), ("src", G.src_idx))},
-        "units": seq(q[G.unit_idx].tolist())}
-    return digest_text("{\n" + ",\n".join(f'  "{k}": {v}' for k, v in
-                                          parts.items()) + "\n}")
+    key = T.a * len(G.arrows) + T.b
+    order = slice(None) if np.all(key[1:] > key[:-1]) else \
+        np.lexsort((T.b, T.a))
+    h = hashlib.sha256(canonical_json(list(G.arrows)).encode("utf-8"))
+    for v in (G.unit_idx, G.src_idx, G.rng_idx, G.inv_idx,
+              T.a[order], T.b[order], T.c[order]):
+        h.update(np.asarray(v, "<i8").tobytes())
+    return h.hexdigest()
 
 
 def cmd_gpd_validate(args, report: Report):
@@ -180,15 +165,12 @@ def cmd_alg_wedderburn(args, report: Report):
     # on the delta basis by the exhaustive support identity: the unit
     # coefficients of e_g* e_g are those of e_s(g). Row g of the products
     # sums sw w e_c over the star entries (g, t, sw) and the product
-    # entries (t, g, c, w)
-    n = table.dim
+    # entries (t, g, c, w); only the terms at a unit c are kept
     j, p = algebra._join(table.t, table.a)
-    on = table.b[p] == table.s[j]
-    prod = algebra._scatter(table.s[j][on] * n + table.c[p][on],
-                            (table.sw[j] * table.w[p])[on],
-                            n * n).reshape(n, n)
-    res_diag = float(np.abs(prod[:, G.unit_idx] - (
-        G.src_idx[:, None] == G.unit_idx)).max(initial=0.0))
+    on = (table.b[p] == table.s[j]) & G.unit_mask()[table.c[p]]
+    res_diag, _ = algebra._defect(
+        (table.s[j][on], table.c[p][on], (table.sw[j] * table.w[p])[on]),
+        (np.arange(table.dim), G.src_idx, np.ones(table.dim)), table.dim)
     report.add("unit_expectation_faithful_support",
                res_diag <= args.tol, res_diag)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import graphs
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, pair_blocks,
                        pair_id, validate_groupoid)
 from .actions import Cocycle, GroupoidAction
@@ -178,35 +179,25 @@ def split_terminal_graphs():
 
 
 def graph_path_groupoid_morphism(phi: GraphMorphism, depth: int):
-    """Finite-depth lag-zero path groupoids of both graphs and the induced
-    surjective morphism between them (defined whenever both graphs have a
-    single vertex or matching terminal structure)."""
-    from .graphs import _path_id
-
-    def window_groupoid(graph):
-        paths = [()]
-        for _ in range(depth):
-            paths = [p + (e,) for p in paths
-                     for e in (graph.edges_from(graph.terminus[p[-1]])
-                               if p else graph.edges)]
-        by_term = {}
-        for p in paths:
-            by_term.setdefault(graph.terminus[p[-1]], []).append(_path_id(p))
-        blocks = [by_term[t] for t in sorted(by_term, key=repr)]
-        return pair_blocks(blocks), paths
-
-    GV, vpaths = window_groupoid(phi.domain)
-    GW, _ = window_groupoid(phi.codomain)
-    mapping = {}
-    for p in vpaths:
-        for q in vpaths:
-            if phi.domain.terminus[p[-1]] != phi.domain.terminus[q[-1]]:
-                continue
-            fp = tuple(phi.emap[e] for e in p)
-            fq = tuple(phi.emap[e] for e in q)
-            mapping[pair_id(_path_id(p), _path_id(q))] = \
-                pair_id(_path_id(fp), _path_id(fq))
-    return GroupoidMorphism(GV, GW, mapping)
+    """The windows R_n, n = ``depth``, of both graphs' path groupoids and
+    the induced morphism. R_n(E), the pairs (p, q) of length-n paths of a
+    sink-free graph E with a common terminus, is the kernel fiber of its
+    collapse map over z^n (``kernel_fiber_groupoid``); (p, q) maps to
+    (phi(p), phi(q)) through one image table of the domain's paths."""
+    word, collapse = ("z",) * depth, graphs.collapse_morphism
+    GV, GW = (graphs.kernel_fiber_groupoid(collapse(g), word)[0]
+              for g in (phi.domain, phi.codomain))
+    # the domain's paths in the order of GV's units, block by block
+    ls = graphs.lift_paths(collapse(phi.domain), word)
+    image = [graphs._path_id(tuple(phi.emap[e] for e in p))
+             for t in sorted(ls.by_terminal, key=repr)
+             for p in ls.by_terminal[t]]
+    path = np.empty(len(GV.arrows), np.int64)
+    path[GV.unit_idx] = np.arange(len(GV.unit_idx))
+    return GroupoidMorphism(GV, GW, {
+        g: pair_id(image[p], image[q]) for g, p, q in zip(
+            GV.arrows, path[GV.rng_idx].tolist(),
+            path[GV.src_idx].tolist())})
 
 
 def nonsaturated_surjection() -> GroupoidMorphism:

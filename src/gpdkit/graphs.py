@@ -8,7 +8,10 @@ module works at a fixed window depth with lag-zero kernel groupoids
 symbolic integer grading for collapse maps. Such a kernel fiber is one
 full pair block per terminal vertex, so its invariants are exact lift
 counts (``lift_counts``, one transfer step per letter); the groupoid
-itself is built only by the library function ``kernel_fiber_groupoid``.
+itself is built only by ``kernel_fiber_groupoid``, also the windows
+R_n(E) of ``corpus.graph_path_groupoid_morphism``: the fibers over z^n
+of the collapse map. ``lift_paths`` and ``lift_counts`` share one loop,
+``_transfer``, but step along different tables, so each checks the other.
 The cylinder cover check scans the one-letter words, which decide it on
 an incidence-preserving map. Reports mention the window whenever the full
 object would be infinite.
@@ -17,6 +20,8 @@ object would be infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 from .groupoid import pair_blocks
 from .algebra import WedderburnInvariants
@@ -163,42 +168,6 @@ class LiftSet:
         return len(self.lifts)
 
 
-def _validate_word(W: DirectedGraph, word) -> tuple:
-    word = tuple(word)
-    eset = set(W.edges)
-    for pos, b in enumerate(word):
-        if b not in eset:
-            raise MalformedWord(f"word position {pos}: {b!r} is not an edge",
-                                witness=(pos, b))
-        if pos and W.origin[b] != W.terminus[word[pos - 1]]:
-            raise MalformedWord(f"word position {pos}: {word[pos-1]!r} -> "
-                                f"{b!r} is not incidence-admissible",
-                                witness=(pos, b))
-    return word
-
-
-def _word_and_starts(phi: GraphMorphism, word, origin) -> tuple:
-    """The validated word and the domain vertices its lifts start at.
-
-    The origin defaults to the origin of the first letter; the empty word
-    needs one unless the codomain has a single vertex.
-    """
-    W = phi.codomain
-    word = _validate_word(W, word)
-    if origin is None:
-        if word:
-            origin = W.origin[word[0]]
-        elif len(W.vertices) == 1:
-            origin = W.vertices[0]
-        else:
-            raise MalformedWord("empty word needs an origin vertex")
-    elif word and W.origin[word[0]] != origin:
-        raise MalformedWord(f"word starts at {W.origin[word[0]]!r}, "
-                            f"not at {origin!r}")
-    starts = [v for v in phi.domain.vertices if phi.vmap[v] == origin]
-    return word, starts
-
-
 def _step_table(phi: GraphMorphism) -> dict:
     """(domain vertex, codomain edge) -> the termini of the domain edges
     leaving that vertex over that edge, one entry per domain edge."""
@@ -209,6 +178,51 @@ def _step_table(phi: GraphMorphism) -> dict:
     return step
 
 
+def _transfer(phi: GraphMorphism, word, origin, start, extend) -> tuple:
+    """The one walk of a word's lifts: the validated word, the final
+    states with their counts, and all_prefixes_extend. The word is a path
+    of the codomain from ``origin``, by default the origin of its first
+    letter (else MalformedWord; the empty word needs an origin unless the
+    codomain has one vertex). States start at count 1 on ``start`` of the
+    domain vertices over the origin; letter b moves each to all of
+    ``extend(state, b)``, adding counts, and one with none makes
+    all_prefixes_extend False. Raises NotLiftable with the first prefix
+    that no state survives."""
+    W = phi.codomain
+    word, eset = tuple(word), set(W.edges)
+    for pos, b in enumerate(word):
+        if b not in eset:
+            raise MalformedWord(f"word position {pos}: {b!r} is not an edge",
+                                witness=(pos, b))
+        if pos and W.origin[b] != W.terminus[word[pos - 1]]:
+            raise MalformedWord(f"word position {pos}: {word[pos-1]!r} -> "
+                                f"{b!r} is not incidence-admissible",
+                                witness=(pos, b))
+    if origin is None and (word or len(W.vertices) == 1):
+        origin = W.origin[word[0]] if word else W.vertices[0]
+    if origin is None:
+        raise MalformedWord("empty word needs an origin vertex")
+    if word and W.origin[word[0]] != origin:
+        raise MalformedWord(f"word starts at {W.origin[word[0]]!r}, "
+                            f"not at {origin!r}")
+    states = dict.fromkeys(start(
+        [v for v in phi.domain.vertices if phi.vmap[v] == origin]), 1)
+    all_extend = True
+    for pos, b in enumerate(word):
+        nxt = {}
+        for state, n in states.items():
+            out = extend(state, b)
+            if not out:
+                all_extend = False
+            for t in out:
+                nxt[t] = nxt.get(t, 0) + n
+        if not nxt:
+            raise NotLiftable(f"no lift of prefix {word[:pos + 1]!r}",
+                              witness=word[:pos + 1])
+        states = nxt
+    return word, states, all_extend
+
+
 def lift_paths(phi: GraphMorphism, word, origin=None) -> LiftSet:
     """Enumerate the lifts of an admissible edge word, depth first in edge
     order, grouped by terminal vertex.
@@ -216,34 +230,25 @@ def lift_paths(phi: GraphMorphism, word, origin=None) -> LiftSet:
     For the empty word the lifts are the domain vertices over ``origin``
     (required then unless the codomain has a single vertex). Raises
     NotLiftable with the failing prefix if some prefix has no lifts at
-    all, which cannot happen once path lifting has been verified.
+    all, which cannot happen once path lifting has been verified. It
+    steps along the out-edges, not ``lift_counts``' table, to check it.
     """
     V = phi.domain
-    word, starts = _word_and_starts(phi, word, origin)
-    if not word:
-        return LiftSet(word, tuple((v,) for v in starts),
-                       {v: ((v,),) for v in starts}, True)
 
-    partial = [((), v) for v in starts]  # (edges so far, current vertex)
-    all_extend = True
-    for pos, b in enumerate(word):
-        nxt = []
-        for edges, v in partial:
-            ext = [(edges + (a,), V.terminus[a])
-                   for a in V.edges_from(v) if phi.emap[a] == b]
-            if not ext:
-                all_extend = False
-            nxt.extend(ext)
-        if not nxt:
-            raise NotLiftable(f"no lift of prefix {word[:pos + 1]!r}",
-                              witness=word[:pos + 1])
-        partial = nxt
-    lifts = tuple(edges for edges, _ in partial)
+    def extend(state, b):  # a loop, not a comprehension: one call less
+        edges, v = state
+        out = []
+        for a in V.edges_from(v):
+            if phi.emap[a] == b:
+                out.append((edges + (a,), V.terminus[a]))
+        return out
+    word, states, all_extend = _transfer(
+        phi, word, origin, lambda starts: (((), v) for v in starts), extend)
     by_term = {}
-    for edges, v in partial:
-        by_term.setdefault(v, []).append(edges)
-    by_term = {v: tuple(ls) for v, ls in by_term.items()}
-    return LiftSet(word, lifts, by_term, all_extend)
+    for edges, v in states:
+        by_term.setdefault(v, []).append(edges or (v,))
+    return LiftSet(word, tuple(edges or (v,) for edges, v in states),
+                   {v: tuple(ls) for v, ls in by_term.items()}, all_extend)
 
 
 def lift_counts(phi: GraphMorphism, word, origin=None,
@@ -263,31 +268,17 @@ def lift_counts(phi: GraphMorphism, word, origin=None,
     fiber groupoid. Word, origin, empty-word and NotLiftable rules are
     those of ``lift_paths``.
     """
-    word, starts = _word_and_starts(phi, word, origin)
     step = _step_table(phi)
     if pairs:
-        def ends(state, b):
+        def extend(state, b):
             u, u2 = state
-            return [(t, t2) for t in step.get((u, b), ())
-                    for t2 in step.get((u2, b), ())]
-        counts = {(u, u2): 1 for u in starts for u2 in starts}
+            return list(product(step.get((u, b), ()), step.get((u2, b), ())))
+        start = partial(product, repeat=2)
     else:
-        def ends(state, b):
+        def extend(state, b):
             return step.get((state, b), ())
-        counts = dict.fromkeys(starts, 1)
-    all_extend = True
-    for pos, b in enumerate(word):
-        nxt = {}
-        for state, n in counts.items():
-            out = ends(state, b)
-            if not out:
-                all_extend = False
-            for t in out:
-                nxt[t] = nxt.get(t, 0) + n
-        if not nxt:
-            raise NotLiftable(f"no lift of prefix {word[:pos + 1]!r}",
-                              witness=word[:pos + 1])
-        counts = nxt
+        start = iter
+    _, counts, all_extend = _transfer(phi, word, origin, start, extend)
     return counts, all_extend
 
 

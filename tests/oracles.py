@@ -544,6 +544,53 @@ def window_by_paths(V, depth):
             tuple(sorted(zero.values(), reverse=True)))
 
 
+def window_morphism_by_paths(phi, depth):
+    """The depth-``depth`` window morphism of a graph morphism by path
+    enumeration, the reference of ``corpus.graph_path_groupoid_morphism``.
+    Each graph's paths of length ``depth`` (a first edge in edge order,
+    then the edges from its terminus) pair up when they share a terminus:
+    (p, q) runs q -> p, (q, p) is its inverse and (p, q)(q, r) = (p, r).
+    Returns the name-level tables ``(arrows, src, rng, inv, comp)`` of the
+    domain and codomain windows, then the map (p, q) -> (phi(p), phi(q))
+    over every pair of domain paths with a common terminus."""
+    def name(p):
+        return ".".join(str(e) for e in p) if p else "()"
+
+    def window(graph):
+        paths = [()]
+        for _ in range(depth):
+            paths = [p + (e,) for p in paths
+                     for e in (graph.edges_from(graph.terminus[p[-1]])
+                               if p else graph.edges)]
+        end = {p: graph.terminus[p[-1]] for p in paths}
+        arrows, src, rng, inv, comp = set(), {}, {}, {}, {}
+        for p in paths:
+            for q in paths:
+                if end[p] != end[q]:
+                    continue
+                g = pair_id(name(p), name(q))
+                arrows.add(g)
+                src[g] = pair_id(name(q), name(q))
+                rng[g] = pair_id(name(p), name(p))
+                inv[g] = pair_id(name(q), name(p))
+                for r in paths:
+                    if end[r] == end[q]:
+                        comp[g, pair_id(name(q), name(r))] = \
+                            pair_id(name(p), name(r))
+        return (arrows, src, rng, inv, comp), paths
+
+    (dom, vpaths), (cod, _) = window(phi.domain), window(phi.codomain)
+    mapping = {}
+    for p in vpaths:
+        for q in vpaths:
+            if phi.domain.terminus[p[-1]] != phi.domain.terminus[q[-1]]:
+                continue
+            fp = tuple(phi.emap[e] for e in p)
+            fq = tuple(phi.emap[e] for e in q)
+            mapping[pair_id(name(p), name(q))] = pair_id(name(fp), name(fq))
+    return dom, cod, mapping
+
+
 def matrix_units_check(G):
     """Verify the pair-groupoid delta basis satisfies the matrix-unit
     relations e_{ij} e_{kl} = [j == k] e_{il} exactly, using only the

@@ -13,7 +13,7 @@ from gpdkit.report import canonical_json
 
 from oracles import (DenseUnitFiber, brute_force_lifts,
                      cylinder_cover_by_levels, cylinder_cover_by_words,
-                     window_by_paths)
+                     window_by_paths, window_morphism_by_paths)
 
 ONE_LOOP = gk.DirectedGraph(("w",), ("1", "2"), {"1": "w", "2": "w"},
                             {"1": "w", "2": "w"})
@@ -307,6 +307,63 @@ class TestWindowMorphism:
             mats = DenseUnitFiber(E, u).basis_matrices()
             blocks = gk.wedderburn(mats).blocks
             assert blocks == (2 ** ones,)
+
+
+def three_vertex_morphism():
+    """x and z lie over 0 and y over 1 of a two-vertex codomain with edges
+    u: 0 -> 1, l: 0 -> 0 and w: 1 -> 0. Edges are listed out of origin
+    order, so from depth 2 on the path enumerations from the edge list
+    and from the vertices list the window arrows in different orders."""
+    W = gk.DirectedGraph(("0", "1"), ("u", "l", "w"),
+                         {"u": "0", "l": "0", "w": "1"},
+                         {"u": "1", "l": "0", "w": "0"})
+    ends = {"e5": ("y", "x"), "e1": ("x", "y"), "e3": ("z", "y"),
+            "e2": ("x", "z"), "e6": ("y", "z"), "e4": ("z", "x")}
+    V = gk.DirectedGraph(("x", "y", "z"), tuple(ends),
+                         {e: o for e, (o, _) in ends.items()},
+                         {e: t for e, (_, t) in ends.items()})
+    return gk.GraphMorphism(V, W, {"x": "0", "y": "1", "z": "0"},
+                            {"e1": "u", "e2": "l", "e3": "u", "e4": "l",
+                             "e5": "w", "e6": "w"})
+
+
+class TestWindowBuilder:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("make", [
+        lambda: corpus.cuntz_graphs()[2],
+        lambda: corpus.split_terminal_graphs()[2], three_vertex_morphism],
+        ids=["cuntz", "split-terminal", "three-vertex"])
+    def test_matches_the_path_enumeration(self, make, depth):
+        phi = make()
+        assert gk.check_graph_morphism(phi).passed
+        pi = corpus.graph_path_groupoid_morphism(phi, depth)
+        dom, cod, mapping = window_morphism_by_paths(phi, depth)
+        for G, want in ((pi.domain, dom), (pi.codomain, cod)):
+            assert (set(G.arrows), dict(G.src), dict(G.rng), dict(G.inv),
+                    dict(G.comp)) == want
+        assert dict(pi.map) == mapping
+        assert gk.classify_morphism(pi).is_morphism
+
+    def test_blocks_partition_lifts_does_not_read_the_step_table(
+            self, monkeypatch, capsys):
+        # lift_paths steps along the out-edges, so a step table that lost
+        # a terminus miscounts only lift_counts, and the check sees it
+        real = graphs._step_table
+
+        def dropped(phi):
+            step = real(phi)
+            key = next(iter(step))
+            step[key] = step[key][1:]
+            return step
+        monkeypatch.setattr(graphs, "_step_table", dropped)
+        code, _, payload = run_json(
+            ["graph", "fibers", "--morphism",
+             corpus.data_path("cuntz.graphmorphism.json"), "--word", "1121"],
+            capsys)
+        assert code == 1
+        found = checks(payload)["blocks_partition_lifts"]
+        assert not found["pass"]
+        assert found["witness"] == "terminal 'v': 1 != 8"
 
 
 class TestLiftCounts:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,10 +449,46 @@ class TestCli:
         pytest.param(pair_blocks([['a"', "b\\"], ["c\x01", "\u00e9\n"]]),
                      id="escaped-labels"),
         pytest.param(pair_blocks([]), id="empty")])
-    def test_flat_groupoid_digest_is_the_canonical_json_digest(self, G):
+    def test_groupoid_digest_reads_the_integer_tables(self, G):
+        """The demo digest names a groupoid's tables, not their layout: it
+        survives a save/load round trip and a permutation of the table
+        entries, and moves with one composite, one inverse or one name."""
         from gpdkit.cli import _groupoid_digest
-        assert _groupoid_digest(G) == digest_text(
-            canonical_json(gio.save_groupoid(G)))
+        from gpdkit.groupoid import FiniteGroupoid, _table
+        T, n = G.table, len(G.arrows)
+
+        def rebuilt(arrows=G.arrows, entries=slice(None), c=T.c, inv=T.t):
+            return FiniteGroupoid(arrows, G.unit_idx, G.src_idx, G.rng_idx,
+                                  _table(n, T.a[entries], T.b[entries],
+                                         c[entries], inv))
+        digest = _groupoid_digest(G)
+        assert _groupoid_digest(gio.load_groupoid(
+            gio.save_groupoid(G))) == digest
+        shuffled = np.random.default_rng(0).permutation(len(T.a))
+        assert _groupoid_digest(rebuilt(entries=shuffled)) == digest
+        if not n:
+            return
+        moved = {"composite": rebuilt(c=np.where(
+                     np.arange(len(T.c)) == 0, (T.c[0] + 1) % n, T.c)),
+                 "inverse": rebuilt(inv=np.where(
+                     np.arange(n) == 0, (T.t[0] + 1) % n, T.t)),
+                 "name": rebuilt(arrows=(G.arrows[0] + "'",)
+                                 + G.arrows[1:])}
+        for what, H in moved.items():
+            assert _groupoid_digest(H) != digest, what
+
+    @pytest.mark.parametrize("G, digest", [
+        pytest.param(
+            pair_blocks([['a"', "b\\"], ["c\x01", "\u00e9\n"]]),
+            "c2ed25959da51b1388e3e55467c154c9a3acaba65ba71a84cf095b509a1bec15",
+            id="escaped-labels"),
+        pytest.param(
+            pair_blocks([]),
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            id="empty")])
+    def test_groupoid_digest_is_stable(self, G, digest):
+        from gpdkit.cli import _groupoid_digest
+        assert _groupoid_digest(G) == digest
 
     def test_bundle_verify_from_bundle_file(self, tmp_path, capsys):
         E = gk.build_bundle(gio.load_morphism(
@@ -631,6 +668,64 @@ class TestStackedSampleChecks:
         support = "unit_expectation_faithful_support"
         assert {k: got[k][1] for k in want} == {
             k: want[k] if k == support else 0.0 for k in want}
+
+
+class TestWedderburnSupport:
+    """The ``unit_expectation_faithful_support`` entry of ``alg
+    wedderburn`` reads only the products e_g* e_g at units, one table
+    entry each."""
+
+    @staticmethod
+    def _dense_residual(G):
+        """The entry's residual through the dense matrix of every product
+        e_g* e_g, summed in the order of the star and product entries."""
+        T, n = G.table, G.table.dim
+        prod = np.zeros((n, n), complex)
+        for s, t, sw in zip(T.s, T.t, T.sw):  # e_s* = sw e_t
+            for a, b, c, w in zip(T.a, T.b, T.c, T.w):
+                if a == t and b == s:
+                    prod[s, c] += sw * w
+        return float(np.abs(prod[:, G.unit_idx] - (
+            G.src_idx[:, None] == G.unit_idx)).max(initial=0.0))
+
+    def test_corrupted_star_weight_fails_with_the_dense_residual(
+            self, monkeypatch, capsys):
+        from gpdkit.algebra import StructureTable
+        from gpdkit.groupoid import FiniteGroupoid
+        G = corpus.pair_groupoid(3)
+        T = G.table
+        sw = T.sw.copy()
+        sw[1] = np.exp(0.3j)
+        H = FiniteGroupoid(G.arrows, G.unit_idx, G.src_idx, G.rng_idx,
+                           StructureTable(T.dim, T.a, T.b, T.c, T.w, T.s,
+                                          T.t, sw))
+        monkeypatch.setattr(gio, "load_groupoid", lambda path: H)
+        code, out, _ = run_cli(["alg", "wedderburn", "--groupoid",
+                                "corrupted"], capsys)
+        entry, = (c for c in json.loads(out)["checks"]
+                  if c["name"] == "unit_expectation_faithful_support")
+        want = self._dense_residual(H)
+        assert code == 1 and want > 0.1
+        assert entry == {"name": "unit_expectation_faithful_support",
+                         "pass": False, "residual": want, "witness": None}
+        assert self._dense_residual(G) == 0.0
+
+    def test_pair40_memory_is_bounded(self, tmp_path, capsys):
+        # the dense products alone would take 1600^2 complex entries
+        path = tmp_path / "pair40.groupoid.json"
+        path.write_text(canonical_json(gio.save_groupoid(
+            corpus.pair_groupoid(40))))
+        tracemalloc.start()
+        try:
+            code = main(["alg", "wedderburn", "--groupoid", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert code == 0
+        assert {"name": "unit_expectation_faithful_support", "pass": True,
+                "residual": 0.0, "witness": None} in checks
+        assert peak < 40 * 2 ** 20
 
 
 class TestExitContract:
