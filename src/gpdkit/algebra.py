@@ -17,8 +17,7 @@ in the arrow basis is the groupoid's own storage of composition and
 inverse (``FiniteGroupoid.table``); a 2-cocycle keeps its twist as those
 entries with the weights w = omega(g1, g2) in table order
 (``Cocycle.table``). A bundle gives the section
-basis, its slots numbered arrow-major in the order of the base arrows. A
-closed family of matrices gives the basis it spans.
+basis, its slots numbered arrow-major in the order of the base arrows.
 
 Star weights are stored as given and never derived from the product
 weights, because the two conventions below agree only for valid
@@ -108,11 +107,11 @@ def chunks(load) -> list:
     return np.split(np.arange(len(load)), np.flatnonzero(np.diff(part)) + 1)
 
 
-def stacked_singular_values(owner, row, col, vals, shape):
-    """Yield (owners, singular values) per shape and chunk of the matrix
-    of every owner o, of shape (shape[0][o], shape[1][o]), with vals summed
-    at (row, col) of the entries it owns: one batched SVD each, values in
-    descending order. Owners of an empty shape are left out."""
+def stacked_matrices(owner, row, col, vals, shape):
+    """Yield (owners, matrices) per shape and chunk: the matrix of every
+    owner o, of shape (shape[0][o], shape[1][o]), with vals summed at
+    (row, col) of the entries it owns; owners in ascending order, those of
+    an empty shape left out."""
     nr, nc = (np.asarray(v, dtype=np.int64) for v in shape)
     key = nr * (int(nc.max(initial=0)) + 1) + nc
     for k in np.flatnonzero(np.bincount(key[(nr > 0) & (nc > 0)])):
@@ -123,9 +122,15 @@ def stacked_singular_values(owner, row, col, vals, shape):
             at = np.full(len(nr), -1)
             at[o] = np.arange(len(o))
             e = at[owner] >= 0
-            M = _scatter((at[owner[e]] * a + row[e]) * b + col[e], vals[e],
-                         len(o) * a * b).reshape(len(o), a, b)
-            yield o, np.linalg.svd(M, compute_uv=False)
+            yield o, _scatter((at[owner[e]] * a + row[e]) * b + col[e],
+                              vals[e], len(o) * a * b).reshape(len(o), a, b)
+
+
+def stacked_singular_values(owner, row, col, vals, shape):
+    """Yield (owners, singular values) of :func:`stacked_matrices`: one
+    batched SVD each, values in descending order."""
+    for o, M in stacked_matrices(owner, row, col, vals, shape):
+        yield o, np.linalg.svd(M, compute_uv=False)
 
 
 def spectral_norms(S) -> np.ndarray:
@@ -1233,58 +1238,8 @@ def central_projections(table: StructureTable, center):
         sizes, gap if np.isfinite(gap) else None, spread)
 
 
-def _closure_tables(mats, tol):
-    """Close a matrix family under products; return the table of the
-    closure in a basis orthonormal under <a, b> = tr(a* b)."""
-    vecs = []  # the basis, vectorized
-
-    def add(mat):
-        v = mat.ravel()
-        w = v.copy()
-        for _ in range(2):  # twice, so that vecs stay orthonormal
-            for q in vecs:
-                w -= (q.conj() @ w) * q
-        if float(np.linalg.norm(w)) <= tol * max(1.0,
-                                                  float(np.linalg.norm(v))):
-            return False
-        vecs.append(w / np.linalg.norm(w))
-        return True
-
-    for m in mats:
-        add(np.asarray(m, dtype=complex))
-    changed = True
-    while changed:
-        changed = False
-        cur = [q.reshape(mats[0].shape) for q in vecs]
-        for a in cur:
-            for b in cur:
-                if add(a @ b):
-                    changed = True
-    r = len(vecs)
-    flat = np.stack(vecs)
-    basis = flat.reshape(r, *mats[0].shape)
-    # coefficients of every product e_i e_j and of every adjoint e_i*
-    prod = np.concatenate([(m @ basis).reshape(r, -1) @ flat.conj().T
-                           for m in basis])
-    adj = basis.conj().transpose(0, 2, 1).reshape(r, -1)
-    sadj = adj @ flat.conj().T
-    if np.any(np.linalg.norm(sadj @ flat - adj, axis=1)
-              > tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
-        raise ValueError("matrix family does not span a *-closed algebra")
-    ij, k = np.nonzero(np.abs(prod) > tol)
-    s, t = np.nonzero(np.abs(sadj) > tol)
-    return StructureTable(r, ij // r, ij % r, k, prod[ij, k], s, t,
-                          sadj[s, t])
-
-
-def wedderburn(obj, *, tol: float = 1e-9) -> WedderburnInvariants:
+def wedderburn(G: FiniteGroupoid, *,
+               tol: float = 1e-9) -> WedderburnInvariants:
     """Block-size invariants of C*_r(G) for a groupoid, from its table and
-    kept on it, or of the *-closed algebra generated by an explicit family
-    of matrices, from the table of the closure in a basis orthonormal
-    under <a, b> = tr(a* b) (:func:`wedderburn_from_tables`)."""
-    if isinstance(obj, FiniteGroupoid):
-        return wedderburn_from_tables(obj.table, tol=tol)
-    mats = [np.asarray(m, dtype=complex) for m in obj]
-    if not mats:
-        return WedderburnInvariants((), 0, 0)
-    return wedderburn_from_tables(_closure_tables(mats, tol), tol=tol)
+    kept on it (:func:`wedderburn_from_tables`)."""
+    return wedderburn_from_tables(G.table, tol=tol)

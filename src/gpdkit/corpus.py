@@ -183,13 +183,15 @@ def graph_path_groupoid_morphism(phi: GraphMorphism, depth: int):
     the induced morphism. R_n(E), the pairs (p, q) of length-n paths of a
     sink-free graph E with a common terminus, is the kernel fiber of its
     collapse map over z^n (``kernel_fiber_groupoid``); (p, q) maps to
-    (phi(p), phi(q)) through one image table of the domain's paths."""
+    (phi(p), phi(q)) through one image table of the domain's paths. At
+    depth 0 the paths are the vertices, mapped by the vertex map."""
     word, collapse = ("z",) * depth, graphs.collapse_morphism
     GV, GW = (graphs.kernel_fiber_groupoid(collapse(g), word)[0]
               for g in (phi.domain, phi.codomain))
     # the domain's paths in the order of GV's units, block by block
     ls = graphs.lift_paths(collapse(phi.domain), word)
-    image = [graphs._path_id(tuple(phi.emap[e] for e in p))
+    step = phi.emap if depth else phi.vmap
+    image = [graphs._path_id(tuple(step[e] for e in p))
              for t in sorted(ls.by_terminal, key=repr)
              for p in ls.by_terminal[t]]
     path = np.empty(len(GV.arrows), np.int64)

@@ -8,14 +8,15 @@ most the largest fiber dimension across, and blocks of one size are taken
 together: one batched :func:`~gpdkit.algebra.spectral_norms`, eigh,
 eigvalsh or (ranks) SVD per size and chunk instead of one call per
 element, and never a decomposition of a total_dim x total_dim matrix.
-Where each basis pair of the table has one product term and the
-inner-product tensor no off-diagonal term, as in the bundles of groupoid
-morphisms, a rank needs no SVD (:func:`stacked_ranks`), a Gram block is
-diagonal and needs no eigh (:meth:`FiberBlocks.gram`), and putting the
-table into orthonormal coordinates rescales its weights.
-Everything is read from the section table of the bundle
-(:meth:`gpdkit.bundle.FellBundle.table`) and the integer tables of its
-base, whose arrow indices name the arrows.
+The Gram blocks and their roots are kept at that size, d x d for a fiber
+of dimension d, never padded to the largest fiber dimension. Where each
+basis pair of the table has one product term and the inner-product
+tensor no off-diagonal term, as in the bundles of groupoid morphisms, a
+rank needs no SVD (:func:`stacked_ranks`), a Gram block is diagonal and
+needs no eigh (:meth:`FiberBlocks.gram`), and putting the table into
+orthonormal coordinates rescales its weights. Everything is read from
+the section table of the bundle (:meth:`gpdkit.bundle.FellBundle.table`)
+and the integer tables of its base, whose arrow indices name the arrows.
 
 It also holds, once per bundle, what the norm certificate of
 :func:`gpdkit.bundle.verify_axioms` measures: the Gram blocks must be
@@ -35,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (RegularRepresentation, _join, _scatter, chunks,
-                      spectral_norms, stacked_singular_values)
+                      spectral_norms, stacked_matrices,
+                      stacked_singular_values)
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -62,6 +64,14 @@ def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
     for o, s in stacked_singular_values(owner, row, col, vals, shape):
         ranks[o] = np.sum(s > tol * np.maximum(s[:, :1], 1.0), axis=1)
     return ranks
+
+
+def _roots(ev):
+    """(square roots, inverse square roots or 0) of the eigenvalues ev,
+    negative ones taken as 0."""
+    root = np.sqrt(np.maximum(ev, 0.0))
+    return root, np.divide(1.0, root, out=np.zeros_like(root),
+                           where=root > 0)
 
 
 def pick(items, n: int, rng) -> np.ndarray:
@@ -234,72 +244,65 @@ class FiberBlocks:
         return (Y * self.tau[u]).sum(axis=1)
 
     def gram(self):
-        """(T, T^-1, smallest and largest eigenvalue) per arrow of the Gram
-        blocks G_h, T padded to D x D with zeros. When no off-diagonal term
-        of the inner-product tensor is nonzero (``diagonal``, tested once),
-        every G_h is diagonal: T holds the roots of its diagonal and the
-        eigenvalues are its entries, with no eigh. Otherwise one batched
-        eigh per fiber dimension. T^-1 inverts the positive part only, so a
-        block that is not positive definite has no use but a failed
-        check."""
+        """((row slot, column slot, T, T^-1), smallest and largest
+        eigenvalue per arrow) of the Gram blocks G_h: the entries of their
+        roots T = G_h^{1/2} and of T^-1, sorted by row slot. When no Gram
+        term off the diagonal is nonzero (``diagonal``, tested before any
+        block is built), one entry per slot holds the root of the diagonal
+        and the eigenvalues are its entries, with no eigh; otherwise every
+        entry of each d x d block, by one batched eigh per fiber dimension
+        d and chunk. T^-1 inverts the positive part only, so a block that
+        is not positive definite has no use but a failed check."""
         if self._gram is None:
-            G = self._gram_blocks()
-            G = (G + G.conj().transpose(0, 2, 1)) / 2.0
-            tsqrt, tisqrt = np.zeros_like(G), np.zeros_like(G)
-            lo, hi = np.zeros(self.nA), np.zeros(self.nA)
-            h, i, j, m, w, _ = self.inner("B")
-            self.diagonal = not np.any((w * self.tau[self.src[h], m])[i != j])
-            if self.diagonal:  # the eigenvalues, g per slot, on the diagonal
-                ev, live = np.diagonal(G, 0, 1, 2).real, self.dims > 0
-                g = ev[self.arrow, self.loc]
-                lo[live], hi[live] = (f.reduceat(g, self.first[live])
-                                      for f in (np.minimum, np.maximum))
-                root, at = np.sqrt(np.maximum(ev, 0.0)), np.arange(self.D)
-                tsqrt[:, at, at] = root
-                tisqrt[:, at, at] = np.divide(1.0, root, where=root > 0,
-                                              out=np.zeros_like(root))
-            else:
-                for d in np.flatnonzero(np.bincount(self.dims[self.dims > 0])):
-                    a = np.flatnonzero(self.dims == d)
-                    ev, U = np.linalg.eigh(G[a, :d, :d])
-                    lo[a], hi[a] = ev[:, 0], ev[:, -1]
-                    root = np.sqrt(np.maximum(ev, 0.0))
-                    inv = np.divide(1.0, root, out=np.zeros_like(root),
-                                    where=root > 0)
-                    Uh = U.conj().transpose(0, 2, 1)
-                    tsqrt[a, :d, :d] = (U * root[:, None, :]) @ Uh
-                    tisqrt[a, :d, :d] = (U * inv[:, None, :]) @ Uh
-            self._gram = tsqrt, tisqrt, lo, hi
+            gh, gi, gj, g = terms = self._gram_terms()
+            self.diagonal = not np.any(g[gi != gj])
+            if self.diagonal:  # the eigenvalues, one per slot
+                ev = np.bincount(self.first[gh] + gi, g.real, self.table.dim)
+                row = col = np.arange(self.table.dim)
+                t, ti = (r.astype(complex) for r in _roots(ev))
+            else:  # every slot pair of an arrow, by row slot, then column
+                row, col = _join(self.arrow, self.arrow)
+                ev, t, ti = np.zeros(self.table.dim), *np.zeros(
+                    (2, len(row)), dtype=complex)
+                for a, G in stacked_matrices(*terms, (self.dims, self.dims)):
+                    e, U = np.linalg.eigh((G + G.conj().transpose(0, 2, 1))
+                                          / 2.0)
+                    ev[np.isin(self.arrow, a)] = e.ravel()
+                    on = np.isin(self.arrow[row], a)
+                    t[on], ti[on] = ((U * r[:, None, :] @ U.conj().transpose(
+                        0, 2, 1)).ravel() for r in _roots(e))
+            lo, hi, live = np.zeros(self.nA), np.zeros(self.nA), self.dims > 0
+            lo[live], hi[live] = (f.reduceat(ev, self.first[live])
+                                  for f in (np.minimum, np.maximum))
+            self._gram = (row, col, t, ti), lo, hi
         return self._gram
 
-    def _gram_blocks(self) -> np.ndarray:
-        """The Gram blocks G_h[i, j] = tau(e_i* e_j) of every arrow h,
-        padded to D x D, from the inner-product tensor."""
-        D = self.D
+    def _gram_terms(self):
+        """(h, i, j, value) of the terms of the inner-product tensor whose
+        sums are the Gram blocks G_h[i, j] = tau(e_i* e_j)."""
         h, i, j, m, w, _ = self.inner("B")
-        return _scatter((h * D + i) * D + j, w * self.tau[self.src[h], m],
-                        self.nA * D * D).reshape(self.nA, D, D)
+        return h, i, j, w * self.tau[self.src[h], m]
 
     def gram_defect(self):
         """(largest |T_h* T_h - G_h| / max(largest |G_h|, 1) or
         |T_h^-1 T_h - 1| over the nonempty fibers, the index of its arrow
-        or None): the roots of :meth:`gram` are orthonormal coordinates of
-        the section inner product, and T^-1 inverts T, so that the blocks
-        of :meth:`orthonormal` are those of left multiplication on the
-        section space. Two batched products of the d x d blocks per fiber
-        dimension d, taken once like :meth:`gram`."""
+        or None): the roots of :meth:`gram`, the entries that
+        :meth:`orthonormal` reads, are orthonormal coordinates of the
+        section inner product and T^-1 inverts T, so that the blocks of
+        :meth:`orthonormal` are those of left multiplication on the section
+        space. Two batched products per fiber dimension and chunk."""
         if self._gram_defect is None:
-            T, Ti, _, _ = self.gram()
-            G = self._gram_blocks()
+            row, col, t, ti = self.gram()[0]
+            h, i, j = self.arrow[row], self.loc[row], self.loc[col]
             res = np.zeros(self.nA)
-            for d in np.flatnonzero(np.bincount(self.dims[self.dims > 0])):
-                a = np.flatnonzero(self.dims == d)
-                Ta, Ga = T[a, :d, :d], G[a, :d, :d]
-                scale = np.maximum(np.abs(Ga).max(axis=(1, 2)), 1.0)
+            for (a, G), (_, T), (_, Ti) in zip(*(
+                    stacked_matrices(*e, (self.dims, self.dims)) for e in (
+                        self._gram_terms(), (h, i, j, t), (h, i, j, ti)))):
+                scale = np.maximum(np.abs(G).max(axis=(1, 2)), 1.0)
                 res[a] = np.maximum(
-                    np.abs(Ta.conj().transpose(0, 2, 1) @ Ta - Ga).max(
+                    np.abs(T.conj().transpose(0, 2, 1) @ T - G).max(
                         axis=(1, 2)) / scale,
-                    np.abs(Ti[a, :d, :d] @ Ta - np.eye(d)).max(axis=(1, 2)))
+                    np.abs(Ti @ T - np.eye(len(G[0]))).max(axis=(1, 2)))
             k = int(np.argmax(res)) if len(res) and res.max() > 0 else None
             self._gram_defect = (0.0, None) if k is None else (
                 float(res[k]), k)
@@ -310,7 +313,7 @@ class FiberBlocks:
         arrow with the smallest eigenvalue) across the nonempty fibers, or
         (1.0, None) without one: the margin of the test that the section
         inner product is definite."""
-        _, _, lo, hi = self.gram()
+        _, lo, hi = self.gram()
         live = np.flatnonzero(self.dims > 0)
         if not len(live):
             return 1.0, None
@@ -321,7 +324,7 @@ class FiberBlocks:
         """The first of ``units`` (arrow indices) whose fiber has a
         degenerate trace form, or None: a nonempty fiber whose smallest
         Gram eigenvalue is not above 1e-9 times max(largest, 1)."""
-        _, _, lo, hi = self.gram()
+        _, lo, hi = self.gram()
         units = np.asarray(units, dtype=np.int64)
         bad = (self.dims[units] > 0) & ~(lo[units] >
                                          1e-9 * np.maximum(hi[units], 1.0))
@@ -332,13 +335,12 @@ class FiberBlocks:
         = w e_c of the table becomes w T_hk[c', c] T_k^-1[b, b'] in the
         orthonormal coordinates of the Gram blocks, summed at each (a, c',
         b') after each root: at most d_h d_hk d_k entries over (h, k).
-        Diagonal roots (:meth:`gram`) rescale each weight w by T[c, c]
-        T^-1[b, b], read from the kept roots: one entry per table entry.
-        The key (arrows of a and b'), with its stable order, serves
-        joins."""
+        Diagonal roots (:meth:`gram`), one entry per slot, rescale each
+        weight w by T[c, c] T^-1[b, b]: one entry per table entry. The key
+        (arrows of a and b'), with its stable order, serves joins."""
         if self._ortho is None:
-            T, first, n = self.table, self.first, self.table.dim
-            tsqrt, tisqrt, _, _ = self.gram()
+            T, n = self.table, self.table.dim
+            (row, col, t, ti), _, _ = self.gram()
 
             def merged(a, c, b, w):
                 key, at = np.unique((a * n + c) * n + b, return_inverse=True)
@@ -346,18 +348,15 @@ class FiberBlocks:
                         _scatter(at, w, len(key)))
 
             if self.diagonal:  # one entry per table entry, no merge
-                t, ti = (r[self.arrow, self.loc, self.loc]
-                         for r in (tsqrt, tisqrt))
                 a, c, b, w = T.a, T.c, T.b, t[T.c] * T.w * ti[T.b]
             else:
-                h, i, j = np.nonzero(tsqrt)  # T_hk[c', c]: c at j, c' at i
-                e, p = _join(T.c, first[h] + j)
-                a, c, b, w = merged(T.a[e], first[h[p]] + i[p], T.b[e],
-                                    tsqrt[h[p], i[p], j[p]] * T.w[e])
-                h, i, j = np.nonzero(tisqrt)  # T_k^-1[b, b']: b at i, b' at j
-                e, p = _join(b, first[h] + i)
-                a, c, b, w = merged(a[e], c[e], first[h[p]] + j[p],
-                                    w[e] * tisqrt[h[p], i[p], j[p]])
+                k = np.flatnonzero(t)  # T_hk[c', c]: c at col, c' at row
+                e, p = _join(T.c, col[k])
+                a, c, b, w = merged(T.a[e], row[k[p]], T.b[e],
+                                    t[k[p]] * T.w[e])
+                k = np.flatnonzero(ti)  # T_k^-1[b, b']: b at row, b' at col
+                e, p = _join(b, row[k])
+                a, c, b, w = merged(a[e], c[e], col[k[p]], w[e] * ti[k[p]])
             key = self.arrow[a] * self.nA + self.arrow[b]
             order = np.argsort(key, kind="stable")
             self._ortho = a, c, b, w, key, order, key[order]

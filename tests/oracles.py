@@ -899,6 +899,54 @@ def hilbert_module_residuals(pi, E):
     return out
 
 
+def closure_table(mats, tol=1e-9):
+    """Close a matrix family under products; return the table of the
+    closure in a basis orthonormal under <a, b> = tr(a* b): dense
+    structure constants for the center solve, and the algebra of a unit
+    fiber from its basis matrices. Raises ValueError when the closure is
+    not *-closed."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    vecs = []  # the basis, vectorized
+
+    def add(mat):
+        v = mat.ravel()
+        w = v.copy()
+        for _ in range(2):  # twice, so that vecs stay orthonormal
+            for q in vecs:
+                w -= (q.conj() @ w) * q
+        if float(np.linalg.norm(w)) <= tol * max(1.0,
+                                                  float(np.linalg.norm(v))):
+            return False
+        vecs.append(w / np.linalg.norm(w))
+        return True
+
+    for m in mats:
+        add(m)
+    changed = True
+    while changed:
+        changed = False
+        cur = [q.reshape(mats[0].shape) for q in vecs]
+        for a in cur:
+            for b in cur:
+                if add(a @ b):
+                    changed = True
+    r = len(vecs)
+    flat = np.stack(vecs)
+    basis = flat.reshape(r, *mats[0].shape)
+    # coefficients of every product e_i e_j and of every adjoint e_i*
+    prod = np.concatenate([(m @ basis).reshape(r, -1) @ flat.conj().T
+                           for m in basis])
+    adj = basis.conj().transpose(0, 2, 1).reshape(r, -1)
+    sadj = adj @ flat.conj().T
+    if np.any(np.linalg.norm(sadj @ flat - adj, axis=1)
+              > tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))):
+        raise ValueError("matrix family does not span a *-closed algebra")
+    ij, k = np.nonzero(np.abs(prod) > tol)
+    s, t = np.nonzero(np.abs(sadj) > tol)
+    return StructureTable(r, ij // r, ij % r, k, prod[ij, k], s, t,
+                          sadj[s, t])
+
+
 # -- bundles with a changed section table, for the negative controls
 
 def table_arrays(E):
@@ -1079,13 +1127,30 @@ def dense_saturation_detail(E, tol):
     return True, None
 
 
+def root_blocks(B):
+    """([T_h], [T_h^-1]) per arrow h, each d_h x d_h, filled one root entry
+    of ``FiberBlocks.gram`` at a time."""
+    row, col, t, ti = B.gram()[0]
+    out = ([np.zeros((d, d), dtype=complex) for d in B.dims],
+           [np.zeros((d, d), dtype=complex) for d in B.dims])
+    for r, c, x, y in zip(row, col, t, ti):
+        out[0][B.arrow[r]][B.loc[r], B.loc[c]] = x
+        out[1][B.arrow[r]][B.loc[r], B.loc[c]] = y
+    return out
+
+
 def sandwich_blocks(B, h, X, k):
     """The block T_hk L_{x,k} T_k^-1 of ``FiberBlocks.blocks`` for every
     row x = X[r] over h[r] and the fiber over k[r], padded to
     max(d_hk, d_k), one row at a time: L scattered from the section table
-    entries in the basis coordinates, then multiplied by the Gram roots."""
+    entries in the basis coordinates, then multiplied by the Gram roots of
+    :func:`root_blocks`."""
     T, loc = B.table, B.loc
-    tsqrt, tisqrt, _, _ = B.gram()
+    roots, inverses = root_blocks(B)
+
+    def padded(M, g):
+        return np.pad(M, (0, g - len(M)))
+
     out = []
     for hr, x, kr in zip(h, X, k):
         hk = B.base.compose_ids(np.array([hr]), np.array([kr]))[0]
@@ -1093,7 +1158,7 @@ def sandwich_blocks(B, h, X, k):
         e = (B.arrow[T.a] == hr) & (B.arrow[T.b] == kr)
         L = np.zeros((g, g), dtype=complex)
         np.add.at(L, (loc[T.c[e]], loc[T.b[e]]), T.w[e] * x[loc[T.a[e]]])
-        out.append(tsqrt[hk, :g, :g] @ L @ tisqrt[kr, :g, :g])
+        out.append(padded(roots[hk], g) @ L @ padded(inverses[kr], g))
     return out
 
 

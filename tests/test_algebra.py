@@ -11,15 +11,16 @@ import gpdkit as gk
 from gpdkit import algebra, corpus
 from gpdkit.cli import main
 from gpdkit.fiberblocks import stacked_ranks
-from gpdkit.algebra import (AlgebraElement, StructureTable, _closure_tables,
-                            _regular, center_basis, random_element,
+from gpdkit.algebra import (AlgebraElement, StructureTable, _regular,
+                            center_basis, random_element,
                             sparse_center_basis, wedderburn_from_tables)
 
-from oracles import DenseSectionSpace, bundle_from, dense_center_basis, \
-    dense_faithfulness_defect, dense_norms, group_algebra_blocks, \
-    group_convolution, isometry_defect, loop_center_basis, \
-    loop_class_center, loop_heisenberg_elements, matrix_units_check, \
-    random_action, random_cocycle, raw_groupoid, table_arrays, table_products
+from oracles import DenseSectionSpace, bundle_from, closure_table, \
+    dense_center_basis, dense_faithfulness_defect, dense_norms, \
+    group_algebra_blocks, group_convolution, isometry_defect, \
+    loop_center_basis, loop_class_center, loop_heisenberg_elements, \
+    matrix_units_check, random_action, random_cocycle, raw_groupoid, \
+    table_arrays, table_products
 
 coeff3 = st.lists(st.floats(-5, 5), min_size=6, max_size=6)
 
@@ -558,17 +559,6 @@ class TestWedderburn:
             assert sum(b * b for b in got.blocks) == got.dimension == n ** 3
             assert got.center_dimension == len(got.blocks)
 
-    def test_matrix_input_and_unitary_invariance(self, heis3):
-        rep = gk.RegularRepresentation(corpus.cyclic_groupoid(4))
-        mats = [rep.table.left(e) for e in np.eye(4)]
-        inv = gk.wedderburn(mats)
-        assert inv.blocks == (1, 1, 1, 1)
-        rng = np.random.default_rng(8)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
-                            + 1j * rng.standard_normal((4, 4)))
-        conj = [q @ m @ q.conj().T for m in mats]
-        assert gk.wedderburn(conj).blocks == (1, 1, 1, 1)
-
     def test_disjoint_union_blocks(self):
         G = corpus.disjoint_union([("a", corpus.pair_groupoid(2)),
                                    ("b", corpus.cyclic_groupoid(2))])
@@ -583,17 +573,11 @@ class TestWedderburn:
                 m = np.zeros((3, 3), dtype=complex)
                 m[i, j] = 1.0
                 mats.append(m)
-        inv = gk.wedderburn(mats)
+        inv = wedderburn_from_tables(closure_table(mats))
         assert inv.blocks == (2,)
         e11 = np.zeros((2, 2), dtype=complex)
         e11[0, 0] = 1.0
-        assert gk.wedderburn([e11]).blocks == (1,)
-
-    def test_non_star_closed_family_rejected(self):
-        n = np.zeros((2, 2), dtype=complex)
-        n[0, 1] = 1.0  # span{N, N^2=0, I?}: closure is {N}, not *-closed
-        with pytest.raises(ValueError, match="star|\\*-closed|unit"):
-            gk.wedderburn([n])
+        assert wedderburn_from_tables(closure_table([e11])).blocks == (1,)
 
 
 def _shift_a_trace(monkeypatch):
@@ -856,7 +840,7 @@ class TestTableUnit:
         mats = [np.array(m, dtype=float) for m in (
             [[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 0]],
             [[1, 0], [0, -1]])]
-        assert gk.wedderburn(mats).blocks == (2,)
+        assert wedderburn_from_tables(closure_table(mats)).blocks == (2,)
 
 
 class TestStarRepHypothesis:
@@ -916,13 +900,11 @@ def _center_tables():
             ("h", corpus.heisenberg_groupoid(2))]).table,
         "twisted": om.table,
         # M2 + C, conjugated: still a matrix-unit basis
-        "closure": _closure_tables([q @ m @ q.conj().T for m in units],
-                                   1e-9),
+        "closure": closure_table([q @ m @ q.conj().T for m in units]),
         # M2 + C in the Gram-Schmidt basis of two generic elements: the
         # structure constants are dense
-        "generic": _closure_tables([q @ (units[0] + 0.5 * units[2])
-                                    @ q.conj().T, q @ units[1] @ q.conj().T],
-                                   1e-9),
+        "generic": closure_table([q @ (units[0] + 0.5 * units[2])
+                                  @ q.conj().T, q @ units[1] @ q.conj().T]),
     }
 
 

@@ -99,7 +99,8 @@ def _gram_root():
     1.001 before anything reads it."""
     E = gk.build_bundle(corpus.heisenberg_quotient(3))
     B = fiber_blocks(E)
-    B.gram()[0][int(np.flatnonzero(~B.is_unit)[0])] *= 1.001
+    row, _, t, _ = B.gram()[0]
+    t[B.arrow[row] == np.flatnonzero(~B.is_unit)[0]] *= 1.001
     return E
 
 

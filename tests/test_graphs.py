@@ -9,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 import gpdkit as gk
 from gpdkit import corpus, graphs, io as gio
 from gpdkit.cli import main
+from gpdkit.algebra import wedderburn_from_tables
+from gpdkit.groupoid import pair_id
 from gpdkit.report import canonical_json
 
-from oracles import (DenseUnitFiber, brute_force_lifts,
+from oracles import (DenseUnitFiber, brute_force_lifts, closure_table,
                      cylinder_cover_by_levels, cylinder_cover_by_words,
                      window_by_paths, window_morphism_by_paths)
 
@@ -302,10 +304,9 @@ class TestWindowMorphism:
         for w in itertools.product("12", repeat=2):
             ones = sum(1 for ch in w if ch == "1")
             from gpdkit.graphs import _path_id
-            from gpdkit.groupoid import pair_id
             u = pair_id(_path_id(tuple(w)), _path_id(tuple(w)))
             mats = DenseUnitFiber(E, u).basis_matrices()
-            blocks = gk.wedderburn(mats).blocks
+            blocks = wedderburn_from_tables(closure_table(mats)).blocks
             assert blocks == (2 ** ones,)
 
 
@@ -343,6 +344,21 @@ class TestWindowBuilder:
                     dict(G.comp)) == want
         assert dict(pi.map) == mapping
         assert gk.classify_morphism(pi).is_morphism
+
+    @pytest.mark.parametrize("make", [
+        lambda: corpus.cuntz_graphs()[2],
+        lambda: corpus.split_terminal_graphs()[2]],
+        ids=["cuntz", "split-terminal"])
+    def test_depth_zero_maps_the_vertices(self, make):
+        # the windows at depth 0 are the vertex sets: units only
+        phi = make()
+        pi = corpus.graph_path_groupoid_morphism(phi, 0)
+        for G in (pi.domain, pi.codomain):
+            assert len(G.units) == len(G.arrows)
+        assert dict(pi.map) == {pair_id(v, v): pair_id(w, w)
+                                for v, w in phi.vmap.items()}
+        cls = gk.classify_morphism(pi)
+        assert cls.is_morphism and cls.surjective
 
     def test_blocks_partition_lifts_does_not_read_the_step_table(
             self, monkeypatch, capsys):

@@ -21,7 +21,8 @@ from gpdkit.groupoid import pair_blocks
 from gpdkit.report import _escape, canonical_json, digest_text
 from oracles import (bundle_from, escape_loop, loop_bundle_build,
                      loop_expectation_contractive, loop_heisenberg_elements,
-                     loop_wedderburn_samples, random_cocycle, table_arrays)
+                     loop_wedderburn_samples, random_cocycle, rebased,
+                     table_arrays)
 
 
 DATA = corpus.data_path("")
@@ -509,6 +510,55 @@ class TestCli:
                                capsys)
         assert code == 0
         assert json.loads(out)["blocks_twisted"] == [2]
+
+    def test_commands_on_a_rebased_bundle_file(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the flip-covering bundle with every fiber in a random basis: a
+        # Gram block off its diagonal and products with several terms, so
+        # the file takes the per-dimension eigh of the Gram roots, the SVD
+        # center solve and the sorted associativity scan, the one command
+        # route to the last two
+        from gpdkit import algebra
+        from gpdkit.fiberblocks import FiberBlocks
+        E = gk.build_bundle(gio.load_morphism(
+            corpus.data_path("flip_covering.morphism.json")))
+        rng = np.random.default_rng(12)
+        P = np.zeros((E.total_dim(), E.total_dim()), dtype=complex)
+        for h in E.base.arrows:
+            at, d = slice(E.first[h], E.first[h] + E.dim(h)), E.dim(h)
+            P[at, at] = rng.standard_normal((d, d)) \
+                + 1j * rng.standard_normal((d, d))
+        path = tmp_path / "rebased.bundle.json"
+        path.write_text(canonical_json(gio.save_bundle(rebased(E, P))))
+        seen = {"diagonal": [], "_svd_center": 0,
+                "_sorted_associativity_defect": 0}
+
+        def spy(owner, attr, after=None):
+            real = getattr(owner, attr)
+
+            def spied(*args, **kwargs):
+                out = real(*args, **kwargs)
+                if after is None:
+                    seen[attr] += 1
+                else:
+                    after(*args)
+                return out
+            monkeypatch.setattr(owner, attr, spied)
+        spy(FiberBlocks, "gram",
+            lambda B: seen["diagonal"].append(B.diagonal))
+        spy(algebra, "_svd_center")
+        spy(algebra.StructureTable, "_sorted_associativity_defect")
+        code, out, _ = run_cli(["abelian", "extract", "--bundle", str(path)],
+                               capsys)
+        assert code == 0
+        body = json.loads(out)
+        assert body["blocks_twisted"] == body["blocks_bundle"] == [2]
+        code, _, _ = run_cli(["bundle", "verify", "--bundle", str(path)],
+                             capsys)
+        assert code == 0
+        assert seen["diagonal"] and not any(seen["diagonal"])
+        assert seen["_svd_center"] > 0
+        assert seen["_sorted_associativity_defect"] > 0
 
     def test_twisted_build_and_extract_via_cocycle_file(self, tmp_path,
                                                         capsys):

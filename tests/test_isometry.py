@@ -120,7 +120,8 @@ def _gram_root_perturbed():
     E = gk.build_bundle(pi)
     B = fiber_blocks(E)
     h = int(np.flatnonzero(~B.is_unit)[0])
-    B.gram()[0][h] *= 1.001
+    row, _, t, _ = B.gram()[0]
+    t[B.arrow[row] == h] *= 1.001
     return _psi_case(pi, bundle=E, axiom_report=intact), E.base.arrows[h]
 
 

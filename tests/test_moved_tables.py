@@ -23,7 +23,7 @@ from gpdkit.cli import main
 from gpdkit.fiberblocks import fiber_blocks
 
 from oracles import bundle_from, dense_verify_axioms, random_action, \
-    random_cocycle, rebased, slot_arrows, table_arrays
+    random_cocycle, rebased, root_blocks, slot_arrows, table_arrays
 
 
 def _counting(monkeypatch, owner, name):
@@ -42,20 +42,29 @@ def _entries(report):
     return [(e.name, e.passed, e.residual, e.witness) for e in report.entries]
 
 
+def _gram_block(B, h):
+    """G_h[i, j] = tau(e_i* e_j) of the arrow h, summed one term of the
+    inner-product tensor at a time."""
+    G = np.zeros((B.dims[h], B.dims[h]), dtype=complex)
+    for g, i, j, m, w in zip(*B.inner("B")[:5]):
+        if g == h:
+            G[i, j] += w * B.tau[B.src[h], m]
+    return G
+
+
 def _eigh_roots(B):
-    """(T, T^-1, smallest and largest eigenvalue) of the Gram blocks of B
-    by one eigh per arrow."""
-    G = B._gram_blocks()
-    G = (G + G.conj().transpose(0, 2, 1)) / 2.0
-    T, Ti = np.zeros_like(G), np.zeros_like(G)
+    """([T_h], [T_h^-1], smallest and largest eigenvalue) of the Gram
+    blocks of B, each d x d, by one eigh per arrow."""
+    T, Ti = [], []
     lo, hi = np.zeros(B.nA), np.zeros(B.nA)
     for h, d in enumerate(B.dims):
+        G = _gram_block(B, h)
+        ev, U = np.linalg.eigh((G + G.conj().T) / 2.0)
         if d:
-            ev, U = np.linalg.eigh(G[h, :d, :d])
             lo[h], hi[h] = ev[0], ev[-1]
-            root = np.sqrt(np.maximum(ev, 0.0))
-            T[h, :d, :d] = (U * root) @ U.conj().T
-            Ti[h, :d, :d] = (U / root) @ U.conj().T
+        root = np.sqrt(np.maximum(ev, 0.0))
+        T.append((U * root) @ U.conj().T)
+        Ti.append((U / root) @ U.conj().T)
     return T, Ti, lo, hi
 
 
@@ -156,13 +165,16 @@ def test_one_off_diagonal_gram_entry_takes_the_eigh_path(monkeypatch):
     E, h = _skewed(gk.build_bundle(corpus.heisenberg_quotient(2)))
     B = fiber_blocks(E)
     eigh = _counting(monkeypatch, np.linalg, "eigh")
-    tsqrt, tisqrt, lo, hi = B.gram()
+    _, lo, hi = B.gram()
     assert B.diagonal is False and len(eigh) == 1  # one fiber dimension
-    G = B._gram_blocks()
-    off = G[h] - np.diag(np.diagonal(G[h]))
-    assert np.count_nonzero(off) == 2
-    for got, want in zip((tsqrt, tisqrt, lo, hi), _eigh_roots(B)):
-        assert np.abs(got - want).max() <= 1e-12
+    G = _gram_block(B, h)
+    assert np.count_nonzero(G - np.diag(np.diagonal(G))) == 2
+    T, Ti, want_lo, want_hi = _eigh_roots(B)
+    got_T, got_Ti = root_blocks(B)
+    for got, want in zip(got_T + got_Ti, T + Ti):
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
+    assert np.abs(lo - want_lo).max() <= 1e-12
+    assert np.abs(hi - want_hi).max() <= 1e-12
     # and the bundle checks agree with the per-element oracle
     rep = gk.verify_axioms(E, samples=12, seed=0)
     want = dense_verify_axioms(E, samples=12, seed=0)
@@ -217,17 +229,20 @@ def test_carried_results_equal_the_computed_ones(kind, seed):
         == (0.0, None)
     # the diagonal roots and margins against the eigh path
     B = fiber_blocks(E)
-    got = B.gram()
+    _, lo, hi = B.gram()
     assert B.diagonal is True
     want = _eigh_roots(B)
-    for x, y in zip(got, want):
+    got_T, got_Ti = root_blocks(B)
+    for x, y in zip(got_T + got_Ti, want[0] + want[1]):
+        assert np.abs(x - y).max(initial=0.0) <= 1e-12
+    for x, y in zip((lo, hi), want[2:]):
         assert np.abs(x - y).max(initial=0.0) <= 1e-12
     live = B.dims > 0
     margin = want[2][live].min() / max(want[3][live].max(), 1.0)
     assert B.gram_margin()[0] == pytest.approx(margin, abs=1e-12)
     # one orthonormal entry per table entry: w T[c, c] / T[b, b]
     a, c, b, w = B.orthonormal()[:4]
-    t = np.diagonal(want[0], 0, 1, 2)[B.arrow, B.loc]
+    t = np.concatenate([np.diagonal(T) for T in want[0]])
     assert np.array_equal(np.sort(a), np.sort(T.a)) and len(a) == len(T.a)
     assert np.abs(w - T.w * t[c] / t[b]).max(initial=0.0) <= 1e-12
 
