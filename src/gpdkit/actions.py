@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, GroupoidError,
-                       MorphismClassification, _PairView, _ids, _join,
+                       MorphismClassification, _PairView, _ids,
                        _prefix, _ranks, _table, classify_morphism, pair_id)
 from .algebra import (NumericalDegeneracy, RegularRepresentation,
                       StructureTable, WedderburnInvariants, _scatter,
@@ -147,7 +147,7 @@ def validate_action(a: GroupoidAction) -> GroupoidAction:
     # (h2 h1).x = h2.(h1.x) for the pairs (h2, h1) of H, h2 in arrow order
     h1, x = np.nonzero(defined)
     T = H.table
-    j, e = _join(h1, T.b, np.lexsort((T.a, T.b)))
+    j, e = H.column_entries(h1)
     i = _prefix(A[T.a[e], A[h1[j], x[j]]] == A[T.c[e], x[j]])
     if i < len(e):
         h2, h1, x = H.arrows[T.a[e[i]]], H.arrows[h1[j[i]]], points[x[j[i]]]
@@ -183,12 +183,13 @@ def build_action_groupoid(a: GroupoidAction) -> ActionGroupoid:
     pairs = list(zip(H.names(h), map(a.points.__getitem__, x.tolist())))
     ids = [pair_id(*p) for p in pairs]
     unit = at[anchor, np.arange(len(a.points))]
-    # (h2, h.x)(h, x) = (h2 h, x) for the pairs (h2, h) of H, h2 in order
+    # (h, x)(h2, y) = (h h2, y) with y = inv(h2).x, for the pairs (h, h2) of
+    # H in table order: the pairs of arrows in (a, b) order
     T = H.table
-    j, e = _join(h, T.b, np.lexsort((T.a, T.b)))
+    i, e = H.row_entries(h)
+    y = A[H.inv_idx[T.b[e]], x[i]]
     G = FiniteGroupoid(ids, unit, unit[x], unit[hx], _table(
-        len(ids), at[T.a[e], hx[j]], j, at[T.c[e], x[j]],
-        at[H.inv_idx[h], hx]))
+        len(ids), i, at[T.b[e], y], at[T.c[e], y], at[H.inv_idx[h], hx]))
     pi = GroupoidMorphism(G, H, h)
     return ActionGroupoid(G, pi, dict(zip(ids, pairs)), x)
 
@@ -509,7 +510,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
     rank, empty, lines = [], [], []  # per corner; per pair (h, x)
     for group in chunks(corners * B.dims * (
             B.D + B.entries(B.rng, arrows) + B.entries(arrows, B.src)
-            + B.entries(B.src, B.src, B.orthonormal()[-1])
+            + B.entries(B.src, B.src, orthonormal=True)
             + B.dims[B.src] ** 2)):
         # the rows of arrow h start at row_at; its row (p * n_q + q) * d + i
         # holds q e_i p

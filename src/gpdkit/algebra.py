@@ -66,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groupoid import (FiniteGroupoid, _join, _ranks, inclusion,
+from .groupoid import (FiniteGroupoid, PairLayout, _join, _ranks, inclusion,
                        subgroupoid)
 
 
@@ -174,25 +174,27 @@ def _term_sums(lhs, rhs, shape):
                                  len(uniq)))
 
 
-def _generating_set(r, s, off, rpos, P) -> np.ndarray:
-    """Generators, greedy in basis order, of x y = P[off[x] + rpos[y]]
-    (defined iff s(x) = r(y)): a new one joins with every generated x
-    times it, and new elements are multiplied on the right by every
-    generator, so each element is a product ((g1 g2) ...) gk. A round
-    serves every component of the graph joining r(x) to s(x) at once."""
+def _generating_set(L, P) -> np.ndarray:
+    """Generators, greedy in basis order, of x y = P[L.off[x] + L.rpos[y]]
+    (defined iff s(x) = r(y); L the :class:`~gpdkit.groupoid.PairLayout`
+    of the labels s and r): a new one joins with every generated x times
+    it, and new elements are multiplied on the right by every generator,
+    so each element is a product ((g1 g2) ...) gk. A round serves every
+    component of the graph joining r(x) to s(x) at once."""
+    r, s, off, rpos = L.rng, L.src, L.off, L.rpos
     n = len(r)
     ids = np.arange(n)
     comp = _linked_columns(np.tile(ids, 2), np.concatenate((r, s)), n + 2)[r]
     order = np.lexsort((ids, comp))  # by component, then basis order
     starts = np.flatnonzero(np.diff(comp[order], prepend=-1))
     have = np.zeros(n, bool)
-    gens, by_s = ids[:0], np.argsort(s, kind="stable")
+    gens = ids[:0]
     while True:
         g = np.minimum.reduceat(np.where(have[order], n, order), starts)
         g = g[g < n]
         if not len(g):
             return gens
-        i, x = _join(r[g], s, by_s)
+        i, x = L.columns(g)
         new = np.concatenate((g, P[off[x] + rpos[g[i]]][have[x]]))
         gens = np.sort(np.concatenate((gens, g)))
         while len(new := np.flatnonzero(np.bincount(new, minlength=n)
@@ -377,15 +379,18 @@ class StructureTable:
         r, s = np.full(n, n), np.full(n, n + 1)
         np.minimum.at(r, b, a)
         s[a] = r[b]
-        width = np.bincount(r, minlength=n + 2)[s]  # row length of a
-        off = np.concatenate(([0], np.cumsum(width)))
-        order = np.lexsort((b, a))
-        A, B, P, W = (v[order] for v in (a, b, c, self.w))
-        rpos = np.zeros(n, np.int64)
-        rpos[B] = np.arange(len(B)) - off[A]
-        if np.any((s[a] != r[b]) | (s[c] != s[b]) | (r[c] != r[a])) or not \
-                np.array_equal(off[A] + rpos[B], np.arange(off[-1])):
+        L = PairLayout(s, r)
+        e = None if np.any((s[a] != r[b]) | (s[c] != s[b])
+                           | (r[c] != r[a])) else L.place(a, b)
+        if e is None:
             return self._sorted_associativity_defect()
+        A, B, P, W = a, b, c, self.w
+        if np.any(e != np.arange(len(e))):  # each entry in its place
+            order = np.empty_like(e)
+            order[e] = np.arange(len(e))
+            A, B, P, W = (v[order] for v in (a, b, c, self.w))
+        off, rpos = L.off, L.rpos
+        width = np.diff(off)  # row length of a
         # slot q = (a, b) starts the triples (a, b, k), k over the row of
         # b: (b, k) is at off[b] + rpos[k], (a b, k) at off[a b] + rpos[k]
         # and (a, b k) at q - rpos[b] + rpos[b k]
@@ -425,7 +430,7 @@ class StructureTable:
 
         if width[B].sum() > _TRIPLES_PER_PASS:
             # generators of the pattern, shared with the untwisted table
-            self.generators = _generating_set(r, s, off, rpos, P)
+            self.generators = _generating_set(L, P)
             if ones:  # Light's test
                 light = scan(np.flatnonzero(np.isin(B, self.generators)))
                 if light[0] == 0.0:

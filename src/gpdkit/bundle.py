@@ -59,7 +59,7 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, NotAMorphism,
                        NotSurjective, _ids, _runs, check_bisection,
                        classify_morphism, fiber_subgroupoid, kernel)
 from . import algebra
-from .algebra import (AlgebraElement, StructureTable, _defect, _join,
+from .algebra import (AlgebraElement, StructureTable, _defect,
                       _scatter, wedderburn, wedderburn_from_tables)
 from .draws import draws
 from .fiberblocks import fiber_blocks, pick, stacked_ranks
@@ -605,7 +605,7 @@ def _sampled_norm_axioms(E: FellBundle, rep: AxiomReport, samples: int,
 
     # axiom 4: ||xy|| <= ||x|| ||y|| on basis pairs, then on the pairs
     res4, pair = _largest(*_submultiplicative_defects(
-        E, B, norms[:table.dim], cp, pairs))
+        E, B, norms[:table.dim], pairs))
     rep.add("axiom4_submultiplicative", res4 <= tol, res4,
             "(h={!r},{!r})".format(*pair) if res4 > tol else None)
 
@@ -649,12 +649,12 @@ def _largest(values, labels):
     return float(values[i]), labels[i]
 
 
-def _submultiplicative_defects(E, B, basis_norms, cp, pairs):
+def _submultiplicative_defects(E, B, basis_norms, pairs):
     """(rel, (h1, h2) per trial) with rel = (||xy|| - ||x|| ||y||) /
-    ||x|| ||y|| over every basis pair of the (k, 2) arrow index pairs
-    ``cp``, sorted by (h2, h1) (in that order, then by the two basis
-    indices), and then over the drawn ``pairs``: (k, 2) arrow indices and
-    the (k, 2, D) rows of x and y over them.
+    ||x|| ||y|| over every basis pair of the composable pairs of arrows,
+    by (h2, h1), then by the two basis indices, and then over the drawn
+    ``pairs``: (k, 2) arrow indices and the (k, 2, D) rows of x and y over
+    them.
 
     The product of e_a and e_b is the sum of the table entries (a, b, c,
     w). When it is one basis vector w e_c its norm is |w| ||e_c||; other
@@ -678,9 +678,7 @@ def _submultiplicative_defects(E, B, basis_norms, cp, pairs):
         prod[multi] = B.fiber_norms(B.arrow[c[start[multi]]], Z)[0]
     a, b = ab // n, ab % n
     ha, hb = B.arrow[a], B.arrow[b]
-    # trial order: the pair's place in cp, then the basis indices
-    place = np.searchsorted(cp[:, 1] * B.nA + cp[:, 0], hb * B.nA + ha)
-    order = np.lexsort((B.loc[b], B.loc[a], place))
+    order = np.lexsort((B.loc[b], B.loc[a], ha, hb))  # the trial order
     nn = basis_norms[a] * basis_norms[b]
     rel = [((prod - nn) / np.maximum(nn, 1e-30))[order]]
     labels = [(H.arrows[p], H.arrows[q]) for p, q in zip(ha[order], hb[order])]
@@ -991,7 +989,7 @@ def _hilbert_module_defect(pi: GroupoidMorphism, E: FellBundle):
     # product is in the kernel
     D = G.table
     in_kernel = H.unit_mask()[pi.image]
-    j, m = _join(D.t, D.a)
+    j, m = G.row_entries(D.t)
     keep = in_kernel[D.c[m]]
     j, m = j[keep], m[keep]
     rhs = (D.s[j], D.b[m], slots[D.c[m]], D.sw[j] * D.w[m])
@@ -1039,22 +1037,21 @@ def bisection_bimodule_check(E: FellBundle, cover, tol: float = 1e-9,
     ranks, sides, load = {}, [], 0
     for side, end, by, other in (("A", B.rng, T.a, T.b),
                                  ("B", B.src, T.b, T.a)):
-        h, i, j, m, w, order = B.inner(side)
+        h, i, j, m, w, runs = B.inner(side)
         ranks[side] = stacked_ranks(h, i * d[h] + j, m, w, (d * d, d[end]),
                                     tol)
-        h, i, j, m, w = (v[order] for v in (h, i, j, m, w))
         p = np.flatnonzero(B.is_unit[B.arrow[by]])
         key = by[p] * nA + B.arrow[other[p]]
         s = np.argsort(key, kind="stable")
         p, key, want = p[s], key[s], (B.first[end[h]] + m) * nA + h
         lo, hi = (np.searchsorted(key, want, at) for at in ("left", "right"))
         load = load + np.bincount(h, hi - lo, nA)
-        sides.append((side, h, i, j, w, lo, hi - lo, p, other))
+        sides.append((side, h, i, j, w, lo, hi - lo, p, other, runs))
     top, best = np.zeros(nA), np.zeros(nA, np.int64)
     for chunk in algebra.chunks(load):
         terms = []
-        for side, h, i, j, w, lo, count, p, other in sides:
-            s = slice(*np.searchsorted(h, [chunk[0], chunk[-1] + 1]))
+        for side, h, i, j, w, lo, count, p, other, (first, n) in sides:
+            s = _runs(first[chunk], n[chunk])[1]  # the entries over chunk
             e, q = _runs(lo[s], count[s], p)
             x, y, z = i[s][e], j[s][e], B.loc[other[q]]
             terms.append((h[s][e] - chunk[0],

@@ -68,10 +68,7 @@ def _groupoid_digest(G) -> str:
     its arrow names, then of the little-endian int64 bytes of its unit,
     source, range and inverse indices and of its table's a, b and c in
     (a, b) order."""
-    T = G.table
-    key = T.a * len(G.arrows) + T.b
-    order = slice(None) if np.all(key[1:] > key[:-1]) else \
-        np.lexsort((T.b, T.a))
+    T, order = G.table, G.table_order()
     h = hashlib.sha256(canonical_json(list(G.arrows)).encode("utf-8"))
     for v in (G.unit_idx, G.src_idx, G.rng_idx, G.inv_idx,
               T.a[order], T.b[order], T.c[order]):
@@ -166,7 +163,7 @@ def cmd_alg_wedderburn(args, report: Report):
     # coefficients of e_g* e_g are those of e_s(g). Row g of the products
     # sums sw w e_c over the star entries (g, t, sw) and the product
     # entries (t, g, c, w); only the terms at a unit c are kept
-    j, p = algebra._join(table.t, table.a)
+    j, p = G.row_entries(table.t)
     on = (table.b[p] == table.s[j]) & G.unit_mask()[table.c[p]]
     res_diag, _ = algebra._defect(
         (table.s[j][on], table.c[p][on], (table.sw[j] * table.w[p])[on]),

@@ -414,10 +414,10 @@ def group_extension_bundle(ext: GroupExtension,
     # groupoid is (h, chi_k) (its arrows are in (arrow, point) order)
     h, k = np.divmod(np.arange(len(Q) * len(point_ids)), len(point_ids))
     values = chars.values()
-    # omega((h1, h2.chi), (h2, chi)) at every arrow (h2, chi), then h1:
-    # the action groupoid's table order
-    cocycle = Cocycle(ag.groupoid, values[k[:, None], conj_factor[:, h].T]
-                      .ravel())
+    # omega((h1, h2.chi), (h2, chi)) at every entry of the action
+    # groupoid's table
+    T = ag.groupoid.table
+    cocycle = Cocycle(ag.groupoid, values[k[T.b], conj_factor[h[T.a], h[T.b]]])
 
     result = ExtensionBundleResult(ext, Q, chars, ag, cocycle, factor_set,
                                    char_of_point)

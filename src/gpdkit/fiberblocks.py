@@ -35,9 +35,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (RegularRepresentation, _join, _scatter, chunks,
-                      spectral_norms, stacked_matrices,
+from .algebra import (RegularRepresentation, StructureTable, _join,
+                      _scatter, chunks, spectral_norms, stacked_matrices,
                       stacked_singular_values)
+from .groupoid import _grouped, _runs
 
 
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
@@ -93,30 +94,34 @@ class FiberBlocks:
     the base arrows; elements are rows of local coefficients padded to the
     largest fiber dimension D; blocks are scattered from the entries of
     :meth:`orthonormal`, stacked by size and taken in chunks
-    (:func:`~gpdkit.algebra.chunks`).
+    (:func:`~gpdkit.algebra.chunks`). ``table`` is the bundle's, with the
+    products of each pair of arrows and the stars of each arrow in one run
+    (``runs`` by the base's table entry of the pair, ``star_runs`` by
+    arrow), which products, stars and blocks expand: nothing is searched.
     """
 
     def __init__(self, E):
         H, T = E.base, E.table()
         n_arrows = len(H.arrows)
-        self.base, self.table = H, T
-        self.nA, self.index = n_arrows, H.index
+        self.base, self.nA, self.index = H, n_arrows, H.index
         # the slot layout of the bundle: fiber dimension per arrow, the
         # arrow of each slot, and its first slot and index in the fiber
         self.dims, self.arrow = E.dims, E.arrow
+        # runs by base entry, the last one empty: that of -1, no pair
+        (a, b, c, w), self.runs = _grouped(
+            H.entry_ids(self.arrow[T.a], self.arrow[T.b]),
+            len(H.table.a) + 1, (T.a, T.b, T.c, T.w))
+        (s, t, sw), self.star_runs = _grouped(self.arrow[T.s], n_arrows,
+                                              (T.s, T.t, T.sw))
+        if a is not T.a or s is not T.s:
+            T = StructureTable(T.dim, a, b, c, w, s, t, sw)
+        self.table = T
         self.first = np.cumsum(self.dims) - self.dims
         self.D = int(self.dims.max(initial=0))
         # arrows, their ends and inverses are the base's arrow indices
         self.src, self.rng, self.inv = H.src_idx, H.rng_idx, H.inv_idx
         self.is_unit = H.unit_mask()
         self.loc = np.arange(T.dim) - self.first[self.arrow]
-        # table entries keyed by the arrows of their two factors, and star
-        # entries by the arrow of their argument
-        self._entry_key = self.arrow[T.a] * n_arrows + self.arrow[T.b]
-        self._entry_order = np.argsort(self._entry_key, kind="stable")
-        self._entry_sorted = self._entry_key[self._entry_order]
-        self._star_arrow = self.arrow[T.s]
-        self._star_order = np.argsort(self._star_arrow, kind="stable")
         # tau(e_a) in a unit fiber, the trace of left multiplication, at
         # (arrow, index) of a
         on = (self.is_unit[self.arrow[T.a]]
@@ -125,16 +130,23 @@ class FiberBlocks:
         self.tau[self.arrow, self.loc] = _scatter(T.a[on], T.w[on], T.dim)
         self._inner = {}
         self._gram = self._gram_defect = self._ortho = self._rep = None
+        self._ortho_runs = None  # the runs of the orthonormal entries
         self.diagonal = None  # Gram blocks all diagonal, set by gram()
         self._saturation = {}
 
-    def entries(self, h1, h2, keys=None) -> np.ndarray:
-        """The number of table entries (or of sorted entry ``keys``) that
-        multiply the fiber over h1[r] by the fiber over h2[r]."""
-        keys = self._entry_sorted if keys is None else keys
-        key = h1 * self.nA + h2
-        return (np.searchsorted(keys, key, "right")
-                - np.searchsorted(keys, key, "left"))
+    def entries(self, h1, h2, orthonormal: bool = False) -> np.ndarray:
+        """The number of table entries (of :meth:`orthonormal` entries,
+        with ``orthonormal``) that multiply the fiber over h1[r] by the
+        fiber over h2[r]."""
+        return self._run(h1, h2, orthonormal)[1]
+
+    def _run(self, h1, h2, orthonormal: bool = False):
+        """(first, count) of those entries, as one run each."""
+        if orthonormal:
+            self.orthonormal()  # builds _ortho_runs
+        first, count = self._ortho_runs if orthonormal else self.runs
+        e = self.base.entry_ids(h1, h2)
+        return first[e], count[e]
 
     def rows(self, items):
         """(arrow indices, padded coefficient rows) of (arrow, vector)
@@ -168,7 +180,8 @@ class FiberBlocks:
         """Entries (h, i, j, m, weight) of the inner-product tensor: the
         coefficient of e_m in e_i* e_j (side "B", over s(h)) or in
         e_i e_j* (side "A", over r(h)) for the basis of the fiber over h.
-        One join of star entries with product entries."""
+        One join of star entries with product entries; the entries of each
+        arrow are one run, whose (first, count) per arrow come last."""
         if side not in self._inner:
             T, arrow, loc = self.table, self.arrow, self.loc
             if side == "B":  # e_s* has e_t; entry p multiplies e_t by e_b
@@ -179,9 +192,10 @@ class FiberBlocks:
                 x, y = T.a[p], T.s[j]
             keep = arrow[x] == arrow[y]
             h = arrow[x][keep]
-            self._inner[side] = (h, loc[x][keep], loc[y][keep],
-                                 loc[T.c[p]][keep], (T.sw[j] * T.w[p])[keep],
-                                 np.argsort(h, kind="stable"))
+            terms, runs = _grouped(h, self.nA, (
+                h, loc[x][keep], loc[y][keep], loc[T.c[p]][keep],
+                (T.sw[j] * T.w[p])[keep]))
+            self._inner[side] = (*terms, runs)
         return self._inner[side]
 
     def saturation(self, tol: float):
@@ -191,31 +205,31 @@ class FiberBlocks:
         Where each basis pair has one product term, each row of a pair's
         product matrix holds one entry and :func:`stacked_ranks` reads the
         ranks from the column norms, with no SVD; elsewhere the matrices
-        are stacked by shape. The witness names the first pair, in
-        ``composable_pairs`` order, that falls short."""
+        are stacked by shape, one matrix per table entry of the base. The
+        witness names the first pair, in ``composable_pairs`` order, that
+        falls short."""
         if tol not in self._saturation:
-            T = self.table
-            h1, h2 = self.base.pair_ids()
-            d2, d12 = self.dims[h2], self.dims[self.base.compose_ids(h1, h2)]
-            key = h1 * self.nA + h2
-            order = np.argsort(key)
-            owner = order[np.searchsorted(key[order], self._entry_key)]
+            T, H = self.table, self.base
+            owner = H.entry_ids(self.arrow[T.a], self.arrow[T.b])
+            d1, d2, d12 = (self.dims[v] for v in (H.table.a, H.table.b,
+                                                  H.table.c))
             ranks = stacked_ranks(
                 owner, self.loc[T.a] * d2[owner] + self.loc[T.b],
-                self.loc[T.c], T.w, (self.dims[h1] * d2, d12), tol)
-            short = np.flatnonzero(ranks < d12)
+                self.loc[T.c], T.w, (d1 * d2, d12), tol)
+            h1, h2 = H.pair_ids()
+            e = H.entry_ids(h1, h2)
+            short = np.flatnonzero(ranks[e] < d12[e])
             k = short[0] if len(short) else None
             self._saturation[tol] = (True, None) if k is None else (
-                False, f"span E_{self.base.arrows[h1[k]]!r} * "
-                f"E_{self.base.arrows[h2[k]]!r} has "
-                f"rank {ranks[k]} < {d12[k]}")
+                False, f"span E_{H.arrows[h1[k]]!r} * E_{H.arrows[h2[k]]!r} "
+                f"has rank {ranks[e[k]]} < {d12[e[k]]}")
         return self._saturation[tol]
 
     def square(self, h, X, side: str = "B") -> np.ndarray:
         """Rows of x* x (side "B", over s(h)) or of x x* (side "A", over
         r(h)) for the rows x = X[r] over h[r]."""
-        ah, i, j, m, w, order = self.inner(side)
-        r, q = _join(h, ah, order)
+        _, i, j, m, w, (first, count) = self.inner(side)
+        r, q = _runs(first[h], count[h])
         left, right = X[r, i[q]], X[r, j[q]]
         prod = np.conj(left) * right if side == "B" else left * np.conj(right)
         return _scatter(r * self.D + m[q], prod * w[q],
@@ -225,7 +239,7 @@ class FiberBlocks:
         """(arrows, rows) of the products of the rows X[r] over h1[r] with
         the rows Y[r] over h2[r]."""
         T, loc = self.table, self.loc
-        r, p = _join(h1 * self.nA + h2, self._entry_key, self._entry_order)
+        r, p = _runs(*self._run(h1, h2))
         Z = _scatter(r * self.D + loc[T.c[p]],
                      T.w[p] * X[r, loc[T.a[p]]] * Y[r, loc[T.b[p]]],
                      len(h1) * self.D)
@@ -234,7 +248,8 @@ class FiberBlocks:
     def stars(self, h, X):
         """(arrows, rows) of x* for the rows x = X[r] over h[r]."""
         T, loc = self.table, self.loc
-        r, p = _join(h, self._star_arrow, self._star_order)
+        first, count = self.star_runs
+        r, p = _runs(first[h], count[h])
         Z = _scatter(r * self.D + loc[T.t[p]],
                      T.sw[p] * np.conj(X[r, loc[T.s[p]]]), len(h) * self.D)
         return self.inv[h], Z.reshape(len(h), self.D)
@@ -261,7 +276,8 @@ class FiberBlocks:
                 row = col = np.arange(self.table.dim)
                 t, ti = (r.astype(complex) for r in _roots(ev))
             else:  # every slot pair of an arrow, by row slot, then column
-                row, col = _join(self.arrow, self.arrow)
+                row, col = _runs(self.first[self.arrow],
+                                 self.dims[self.arrow])
                 ev, t, ti = np.zeros(self.table.dim), *np.zeros(
                     (2, len(row)), dtype=complex)
                 for a, G in stacked_matrices(*terms, (self.dims, self.dims)):
@@ -331,13 +347,14 @@ class FiberBlocks:
         return int(units[np.argmax(bad)]) if bad.any() else None
 
     def orthonormal(self):
-        """(a, c', b', w', key, order, sorted key), built once: entry e_a e_b
-        = w e_c of the table becomes w T_hk[c', c] T_k^-1[b, b'] in the
-        orthonormal coordinates of the Gram blocks, summed at each (a, c',
-        b') after each root: at most d_h d_hk d_k entries over (h, k).
-        Diagonal roots (:meth:`gram`), one entry per slot, rescale each
-        weight w by T[c, c] T^-1[b, b]: one entry per table entry. The key
-        (arrows of a and b'), with its stable order, serves joins."""
+        """(a, c', b', w'), built once: entry e_a e_b = w e_c of the table
+        becomes w T_hk[c', c] T_k^-1[b, b'] in the orthonormal coordinates
+        of the Gram blocks, summed at each (a, c', b') after each root: at
+        most d_h d_hk d_k entries over (h, k). Diagonal roots
+        (:meth:`gram`), one entry per slot, rescale each weight w by
+        T[c, c] T^-1[b, b]: one entry per table entry, in the runs of the
+        table. The merged entries are put in runs by arrow pair once; their
+        runs are ``_ortho_runs``."""
         if self._ortho is None:
             T, n = self.table, self.table.dim
             (row, col, t, ti), _, _ = self.gram()
@@ -349,6 +366,7 @@ class FiberBlocks:
 
             if self.diagonal:  # one entry per table entry, no merge
                 a, c, b, w = T.a, T.c, T.b, t[T.c] * T.w * ti[T.b]
+                self._ortho_runs = self.runs
             else:
                 k = np.flatnonzero(t)  # T_hk[c', c]: c at col, c' at row
                 e, p = _join(T.c, col[k])
@@ -357,9 +375,10 @@ class FiberBlocks:
                 k = np.flatnonzero(ti)  # T_k^-1[b, b']: b at row, b' at col
                 e, p = _join(b, row[k])
                 a, c, b, w = merged(a[e], c[e], col[k[p]], w[e] * ti[k[p]])
-            key = self.arrow[a] * self.nA + self.arrow[b]
-            order = np.argsort(key, kind="stable")
-            self._ortho = a, c, b, w, key, order, key[order]
+                (a, c, b, w), self._ortho_runs = _grouped(
+                    self.base.entry_ids(self.arrow[a], self.arrow[b]),
+                    len(self.base.table.a) + 1, (a, c, b, w))
+            self._ortho = a, c, b, w
         return self._ortho
 
     def representation(self) -> RegularRepresentation:
@@ -371,7 +390,7 @@ class FiberBlocks:
         kept on it for every user of the bundle."""
         if self._rep is None:
             self._rep = RegularRepresentation(
-                self.table, self.base, self.orthonormal()[:4],
+                self.table, self.base, self.orthonormal(),
                 over=self.arrow)
         return self._rep
 
@@ -380,16 +399,15 @@ class FiberBlocks:
         x = X[rows[i]] over h and the fiber over k (r(k) = s(h)), padded to
         g = max(d_hk, d_k), stacked by g and taken in chunks; one scatter
         of the :meth:`orthonormal` entries per chunk."""
-        a, c, b, w, keys, order, ordered = self.orthonormal()
+        a, c, b, w = self.orthonormal()
         loc = self.loc
         g = np.maximum(self.dims[self.base.compose_ids(h, k)], self.dims[k])
-        key = h * self.nA + k
-        load = self.entries(h, k, ordered)
+        first, load = self._run(h, k, orthonormal=True)
         for size in np.flatnonzero(np.bincount(g[g > 0])):
             of_size = np.flatnonzero(g == size)
             for chunk in chunks(load[of_size] + size * size):
                 rows = of_size[chunk]
-                r, p = _join(key[rows], keys, order)
+                r, p = _runs(first[rows], load[rows])
                 S = _scatter((r * size + loc[c[p]]) * size + loc[b[p]],
                              w[p] * X[rows[r], loc[a[p]]],
                              len(rows) * size * size)
@@ -420,10 +438,11 @@ class FiberBlocks:
     def op_norms(self, h, X) -> np.ndarray:
         """||L_x|| on the section space for the rows x = X[r] over h[r]:
         the largest block over the arrows k with r(k) = s(h)."""
-        live = np.flatnonzero(self.dims > 0)
-        r, j = _join(self.src[h], self.rng[live])
+        r, e = self.base.row_entries(h)  # (h[r], k) over table entry e
+        k = self.base.table.b[e]
+        r, k = r[self.dims[k] > 0], k[self.dims[k] > 0]
         out = np.zeros(len(h))
-        for rows, S in self.blocks(h[r], X[r], live[j]):
+        for rows, S in self.blocks(h[r], X[r], k):
             np.maximum.at(out, r[rows], spectral_norms(S))
         return out
 

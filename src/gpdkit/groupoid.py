@@ -16,6 +16,12 @@ the only storage of composition (entry (a, b, c): a b = c) and inverse
 files, witnesses and tests. A :class:`GroupoidMorphism` keeps one codomain
 index per domain arrow (``image``), with ``map`` its name view.
 
+This module alone establishes that the table lists each composable pair
+once, in (a, b) order (:func:`validate_groupoid` puts each entry in its
+place; the builders emit them so): a :class:`PairLayout`, read off
+``src_idx`` and ``rng_idx``, through which every pair lookup is a gather.
+Only an unchecked table that does not fit it is joined by a sort.
+
 All topological conditions (openness, continuity, Haar systems) are
 automatic for finite discrete groupoids; classification reports record
 them as vacuously satisfied instead of dropping them.
@@ -92,11 +98,12 @@ def _join(x, y, order=None):
     return _runs(lo, np.searchsorted(ys, x, "right") - lo, order)
 
 
-def _runs(lo, count, order):
-    """The pairs (i, j) of j in order[lo[i]:lo[i] + count[i]], each i."""
+def _runs(lo, count, order=None):
+    """The pairs (i, j) of j in order[lo[i]:lo[i] + count[i]], each i
+    (j in that range itself without ``order``)."""
     i = np.repeat(np.arange(len(lo)), count)
-    offset = np.repeat(lo - np.cumsum(count) + count, count)
-    return i, order[np.arange(len(i)) + offset]
+    j = np.arange(len(i)) + np.repeat(lo - np.cumsum(count) + count, count)
+    return i, j if order is None else order[j]
 
 
 def _ranks(label):
@@ -106,6 +113,70 @@ def _ranks(label):
     place[np.argsort(label, kind="stable")] = \
         np.arange(len(label)) - np.repeat(np.cumsum(count) - count, count)
     return count, place
+
+
+class PairLayout:
+    """The place of each pair (x, y), src(x) = rng(y), in a table that
+    lists them once in (x, y) order, from the labels ``src`` and ``rng`` of
+    the items (arrows, or a table's pattern): off[x] + rpos[y], rpos[y] the
+    rank of y among the items with range rng(y); row x ends at off[x + 1].
+    Transposed, ``by_src`` lists the items by source and ``sfirst`` where
+    each label starts in it: column y holds the x with src(x) = rng(y)."""
+
+    __slots__ = ("src", "rng", "off", "rpos", "_ends", "by_src", "sfirst")
+
+    def __init__(self, src, rng):
+        # the ends, then -1 and -2 at item n, which no pair shares
+        self._ends = np.append(src, -1), np.append(rng, -2)
+        self.src, self.rng = (v[:-1] for v in self._ends)
+        labels = int(max(src.max(initial=-1), rng.max(initial=-1))) + 1
+        ns, nr = (np.bincount(v, minlength=labels) for v in (src, rng))
+        self.off = np.concatenate(([0], np.cumsum(nr[src])))
+        self.sfirst = np.concatenate(([0], np.cumsum(ns)))
+        self.by_src = np.argsort(src, kind="stable")
+        self.rpos = np.zeros(len(rng) + 1, np.int64)
+        self.rpos[np.argsort(rng, kind="stable")] = \
+            np.arange(len(rng)) - np.repeat(np.cumsum(nr) - nr, nr)
+
+    def entries(self, x, y):
+        """The entries of the pairs (x[i], y[i]), -1 where they are not
+        composable or either is no item: one gather, any index outside
+        [0, n) read at item n."""
+        n = len(self.src)
+        x, y = (np.minimum(np.maximum(v, -1), n) for v in (x, y))
+        s, r = self._ends
+        return np.where(s[x] == r[y], self.off[x] + self.rpos[y], -1)
+
+    def place(self, x, y):
+        """The places of the composable pairs (x[i], y[i]), or None unless
+        they are every composable pair once."""
+        e = self.off[x] + self.rpos[y]
+        return e if len(e) == self.off[-1] and np.all(
+            np.bincount(e, minlength=len(e)) == 1) else None
+
+    def rows(self, x):
+        """(i, e): the entries e of row x[i], each i, in order."""
+        return _runs(self.off[x], self.off[x + 1] - self.off[x])
+
+    def columns(self, y):
+        """(j, x): the x of column y[j], each j, in item order."""
+        r = self.rng[y]
+        return _runs(self.sfirst[r], self.sfirst[r + 1] - self.sfirst[r],
+                     self.by_src)
+
+
+def _grouped(label, m: int, arrays):
+    """(arrays, (first, count)): ``arrays``, aligned with ``label`` in
+    [0, m), with the items of each label in one run (one stable sort, only
+    if they are not), and where each label's run starts and its length."""
+    count, first = np.bincount(label, minlength=m), np.zeros(m, np.int64)
+    start = np.flatnonzero(np.diff(label, prepend=-1))
+    if len(start) > np.count_nonzero(count):
+        order = np.argsort(label, kind="stable")
+        label, arrays = label[order], tuple(v[order] for v in arrays)
+        start = np.flatnonzero(np.diff(label, prepend=-1))
+    first[label[start]] = start
+    return arrays, (first, count)
 
 
 def _table(n: int, a, b, c, inv):
@@ -147,8 +218,8 @@ class _PairView(Mapping):
 class FiniteGroupoid:
     """Immutable finite groupoid on the integer tables of the module
     docstring. Build instances through :func:`validate_groupoid`
-    (exhaustive axiom check) or one of the builders; the raw constructor
-    checks nothing."""
+    (exhaustive axiom check) or one of the builders, whose tables fit
+    :attr:`layout`; the raw constructor checks nothing."""
 
     __slots__ = ("arrows", "index", "unit_idx", "src_idx", "rng_idx",
                  "table", "_views", "_rep")
@@ -200,33 +271,69 @@ class FiniteGroupoid:
         mask[self.unit_idx] = True
         return mask
 
+    @property
+    def layout(self) -> Optional[PairLayout]:
+        """The :class:`PairLayout` of the table, or None unless the table
+        lists each composable pair once in (a, b) order (an unchecked one
+        may not); one O(entries) check."""
+        return self._view("layout", self._fit_layout)
+
+    def _fit_layout(self) -> Optional[PairLayout]:
+        n, T, S, R = len(self.arrows), self.table, self.src_idx, self.rng_idx
+        ids = np.concatenate((S, R, T.a, T.b))
+        if ids.min(initial=0) >= 0 and ids.max(initial=-1) < n \
+                and np.all(S[T.a] == R[T.b]):
+            L = PairLayout(S, R)
+            if len(T.a) == L.off[-1] and np.array_equal(
+                    L.off[T.a] + L.rpos[T.b], np.arange(len(T.a))):
+                return L
+
     def entry_ids(self, h1, h2) -> np.ndarray:
         """Table entry of the pair of arrows h1[i] and h2[i] (index
-        arrays), -1 where they are not composable: the one pair lookup."""
-        if "lookup" not in self._views:  # sorted keys, then a sentinel,
-            # and their entries unless the table is in (a, b) order
-            key = self.table.a * len(self.arrows) + self.table.b
-            order = None if np.all(key[1:] > key[:-1]) else \
-                np.argsort(key, kind="stable")
-            self._views["lookup"] = (np.append(
-                key if order is None else key[order], np.iinfo(np.int64).max),
-                order if order is None else np.append(order, -1))
-        keys, entry = self._views["lookup"]
-        q = np.asarray(h1) * len(self.arrows) + h2
-        at = keys.searchsorted(q)
-        return np.where(keys[at] == q, at if entry is None else entry[at], -1)
+        arrays), -1 where they are not composable or either is no arrow
+        index: the one pair lookup, a gather through :attr:`layout`."""
+        if self.layout is not None:
+            return self.layout.entries(h1, h2)
+        n, T = len(self.arrows), self.table  # else the first entry, joined
+        h1, h2 = np.asarray(h1), np.asarray(h2)
+        ok = (h1 >= 0) & (h1 < n) & (h2 >= 0) & (h2 < n)
+        i, j = _join(np.where(ok, h1 * n + h2, -1).ravel(), np.where(
+            (T.a >= 0) & (T.b >= 0), T.a * n + T.b, -2))
+        e, first = np.full(ok.size, -1), np.diff(i, prepend=-1) > 0
+        e[i[first]] = j[first]
+        return e.reshape(ok.shape)
 
     def compose_ids(self, h1, h2) -> np.ndarray:
         """Index of the composite of arrows h1[i] and h2[i] (index arrays),
         -1 where they are not composable."""
-        e = self.entry_ids(h1, h2)
-        return np.where(e >= 0, self.table.c[e], -1)
+        e, c = self.entry_ids(h1, h2), self.table.c
+        return np.where(e >= 0, c[e], -1) if len(c) else e
+
+    def row_entries(self, h):
+        """(i, e): the table entries e with first factor h[i], each i."""
+        L = self.layout
+        return _join(h, self.table.a) if L is None else L.rows(h)
+
+    def column_entries(self, h):
+        """(j, e): the table entries e with second factor h[j], each j, by
+        first factor."""
+        L, T = self.layout, self.table
+        if L is None:
+            return _join(h, T.b, np.lexsort((T.a, T.b)))
+        j, x = L.columns(h)
+        return j, L.off[x] + L.rpos[h[j]]
+
+    def table_order(self):
+        """The table entries in (a, b) order (as they stand, with a
+        :attr:`layout`)."""
+        T = self.table
+        return slice(None) if self.layout else np.lexsort((T.b, T.a))
 
     def pair_ids(self):
         """(g1, g2) index arrays of the composable pairs, by g2, then g1."""
         T = self.table
-        order = np.lexsort((T.a, T.b))
-        return T.a[order], T.b[order]
+        e = self.column_entries(np.arange(len(self.arrows)))[1]
+        return T.a[e], T.b[e]
 
     def composable_pairs(self):
         """The name pairs (g1, g2) of :meth:`pair_ids`, in its order."""
@@ -360,15 +467,19 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
         raise IllegalComposite(
             f"composite {g12!r} of ({g1!r}, {g2!r}) has wrong source or range",
             witness=(g1, g2, g12))
-    # each entry is a distinct composable pair, so g2 misses a pair exactly
-    # when it has fewer entries than arrows leave its range
-    j = _prefix(np.bincount(b, minlength=n) == np.bincount(S, minlength=n)[R])
-    if j < n:
-        g1 = np.flatnonzero(S == R[j])
-        g1 = g1[_prefix(np.isin(g1, a[b == j]))]
+    # each entry's place in (a, b) order, unless a composable pair has none:
+    # the first such, by g2 and then g1, in arrow order
+    L = PairLayout(S, R)
+    e = L.place(a, b)
+    if e is None:
+        hit = np.zeros(L.off[-1], bool)
+        hit[L.off[a] + L.rpos[b]] = True
+        g2, g1 = L.columns(np.arange(n))
+        j = _prefix(hit[L.off[g1] + L.rpos[g2]])
+        g1, g2 = arrows[g1[j]], arrows[g2[j]]
         raise MissingComposite(
-            f"composable pair ({arrows[g1]!r}, {arrows[j]!r}) missing from comp",
-            witness=(arrows[g1], arrows[j]))
+            f"composable pair ({g1!r}, {g2!r}) missing from comp",
+            witness=(g1, g2))
 
     i = _prefix((S[uid] == uid) & (R[uid] == uid))
     if i < len(units):
@@ -376,13 +487,15 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
         raise UnitFailure(f"unit {u!r} has src/rng != itself", witness=u)
 
     # each entry is a distinct composable pair: the table is kept in (a, b)
-    # order, as the witnesses from here on are in arrow order
-    key = a * n + b
-    if np.any(key[1:] < key[:-1]):
-        order = np.argsort(key)
+    # order, each entry put in its place, as the witnesses from here on are
+    # in arrow order
+    if np.any(e != np.arange(len(e))):
+        order = np.empty_like(e)
+        order[e] = np.arange(len(e))
         a, b, c = a[order], b[order], c[order]
     table = _table(n, a, b, c, I)
     G = FiniteGroupoid(arrows, uid, S, R, table, index)
+    G._views["layout"] = L
     ids = np.arange(n)
     # (rng g) g and g (src g), then g (inv g) and (inv g) g
     left, right = G.compose_ids(R, ids) == ids, G.compose_ids(ids, S) == ids

@@ -250,8 +250,7 @@ def load_raw_groupoid_tables(source):
 
 
 def save_groupoid(G: FiniteGroupoid) -> dict:
-    T = G.table
-    order = np.lexsort((T.b, T.a))  # comp by the arrow indices of (g1, g2)
+    T, order = G.table, G.table_order()  # comp by the indices of (g1, g2)
     return {"arrows": list(G.arrows), "units": list(G.units),
             **{name: dict(zip(G.arrows, G.names(ids))) for name, ids in (
                 ("src", G.src_idx), ("rng", G.rng_idx), ("inv", G.inv_idx))},
@@ -324,11 +323,9 @@ def load_bundle(source, base_dir=None) -> FellBundle:
     _expect(isinstance(obj["mul"], list), file, "$.mul", "a list")
     # the composite of the base arrows of each entry, by arrow index: -1
     # where they are not composable or not two base arrows
-    ids = [_ids([e[k] if isinstance(e, list) and len(e) == 5 else None
-                 for e in obj["mul"]], base.index) for k in (0, 2)]
-    named = (ids[0] >= 0) & (ids[1] >= 0)
-    comp = np.where(named, base.compose_ids(*(np.where(named, v, 0)
-                                              for v in ids)), -1).tolist()
+    comp = base.compose_ids(*(_ids([
+        e[k] if isinstance(e, list) and len(e) == 5 else None
+        for e in obj["mul"]], base.index) for k in (0, 2))).tolist()
     for i, entry in enumerate(obj["mul"]):
         _expect(isinstance(entry, list) and len(entry) == 5,
                 file, "$.mul[{}]", "[h1, i, h2, j, expansion]", i)
@@ -562,7 +559,7 @@ def load_cocycle(source, groupoid: FiniteGroupoid = None, base_dir=None) -> Cocy
 
 def save_cocycle(om: Cocycle, groupoid_ref=None) -> dict:
     G, T = om.base, om.table
-    order = np.lexsort((T.b, T.a))
+    order = G.table_order()
     return {
         "groupoid": groupoid_ref or save_groupoid(G),
         "omega": [[g1, g2, [v.real, v.imag]] for g1, g2, v in zip(

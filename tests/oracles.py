@@ -119,13 +119,13 @@ def dict_action_tables(a):
     rng = {ids[(h, x)]: point_unit[a.act[(h, x)]] for (h, x) in pairs}
     inv = {ids[(h, x)]: ids[(H.inv[h], a.act[(h, x)])] for (h, x) in pairs}
     units = [point_unit[x] for x in a.points]
-    comp = {}
-    for (h1, x1) in pairs:
-        y = a.act[(h1, x1)]
+    comp = {}  # (h1, x)(h2, y) = (h1 h2, y), x = h2.y, in (a, b) order
+    for (h1, x) in pairs:
         for h2 in H.arrows:
-            if H.src[h2] == H.rng[h1]:
-                comp[(ids[(h2, y)], ids[(h1, x1)])] = \
-                    ids[(H.comp[(h2, h1)], x1)]
+            if H.rng[h2] == H.src[h1]:
+                y = a.act[(H.inv[h2], x)]
+                comp[(ids[(h1, x)], ids[(h2, y)])] = \
+                    ids[(H.comp[(h1, h2)], y)]
     return (arrows, units, src, rng, inv, comp), \
         {ids[hx]: hx[0] for hx in pairs}
 

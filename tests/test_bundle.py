@@ -1299,9 +1299,11 @@ def test_verify_axioms_heis5_bounds():
 def test_verify_axioms_cuntz_window_memory_is_bounded():
     """Traced-memory gate on the Cuntz window at depth 3 (64 arrows, fibers
     of dimension 1 to 64): the Gram blocks and their roots are kept at
-    their own size. With each padded to the largest fiber dimension,
-    verify_axioms peaked at 17.1 MiB and held 10.2 MiB after it
-    returned; at their own size, 6.5 MiB and 2.3 MiB."""
+    their own size, and the pair lookups keep no sort. With each block
+    padded to the largest fiber dimension, verify_axioms peaked at 17.1
+    MiB and held 10.2 MiB after it returned; at their own size, 6.5 MiB
+    and 2.3 MiB, of which 1.1 MiB were sorted keys and orders of the
+    table entries; as runs of the base's layout, 5.4 MiB and 1.2 MiB."""
     pi = corpus.graph_path_groupoid_morphism(corpus.cuntz_graphs()[2], 3)
     E = gk.build_bundle(pi)
     tracemalloc.start()
@@ -1311,7 +1313,7 @@ def test_verify_axioms_cuntz_window_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 10 * 2 ** 20 and held < 5 * 2 ** 20
+    assert peak < 10 * 2 ** 20 and held < 2.5 * 2 ** 20
 
 
 def test_twisted_star_weight_of_g_is_conj_omega_of_g_and_its_inverse():

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gpdkit as gk
 from gpdkit import corpus
@@ -179,6 +180,110 @@ def test_entry_ids_name_the_table_entry_of_each_pair(heis3, pair2):
         assert np.array_equal(e >= 0, G.src_idx[h1] == G.rng_idx[h2])
         assert np.array_equal(G.compose_ids(h1, h2),
                               np.where(e >= 0, T.c[e], -1))
+
+
+def test_entry_ids_of_indices_outside_the_arrows_are_minus_one(z3):
+    # -1 and n are no arrows: no wrap-around to g2, no key of (g1, g0)
+    assert z3.compose_ids([1], [-1]).tolist() == [-1]
+    assert z3.compose_ids([0], [3]).tolist() == [-1]
+    assert z3.entry_ids([-1, 3, 0], [0, 0, -1]).tolist() == [-1, -1, -1]
+
+
+def _assert_lookups_match_comp(G):
+    """entry_ids, compose_ids and pair_ids of G against a dict of the
+    pairs its table lists (G.comp, in table order), over every query pair
+    of indices from -1 to n, composable or not."""
+    n, name = len(G.arrows), G.arrows.__getitem__
+    entry = {(G.index[g1], G.index[g2]): e
+             for e, (g1, g2) in enumerate(G.comp)}
+    h1, h2 = (v.ravel() - 1 for v in np.indices((n + 2, n + 2)))
+    want = [entry.get(p, -1) for p in zip(h1.tolist(), h2.tolist())]
+    assert G.entry_ids(h1, h2).tolist() == want
+    assert G.compose_ids(h1, h2).tolist() == [
+        -1 if e < 0 else G.index[G.comp[(name(x), name(y))]]
+        for e, x, y in zip(want, h1.tolist(), h2.tolist())]
+    assert list(zip(*(v.tolist() for v in G.pair_ids()))) == sorted(
+        entry, key=lambda p: (p[1], p[0]))
+
+
+def _relisted(G, change):
+    """G with its table entries (a, b, c) rewritten by change(a, b, c),
+    unchecked."""
+    from gpdkit.groupoid import FiniteGroupoid, _table
+    T = G.table
+    a, b, c = change(T.a.copy(), T.b.copy(), T.c.copy())
+    return FiniteGroupoid(G.arrows, G.unit_idx, G.src_idx, G.rng_idx,
+                          _table(len(G.arrows), a, b, c, T.t))
+
+
+def _shipped_groupoids():
+    """Every groupoid of the shipped data files: groupoid files, both ends
+    of each morphism file, the groups and the flip action's groupoid."""
+    from gpdkit.extensions import GroupTable
+    path = corpus.data_path
+    out = {g: gk.io.load_groupoid(path(f"{g}.groupoid.json"))
+           for g in ("heis2", "heis3", "pair", "z3")}
+    for m in ("flip_covering", "heis2_quotient", "heis3_quotient"):
+        pi = gk.io.load_morphism(path(f"{m}.morphism.json"))
+        out[f"{m}.domain"], out[f"{m}.codomain"] = pi.domain, pi.codomain
+    for g in ("heis2", "heis3", "z2z2", "z4"):
+        elements, mul, _ = gk.io.load_group(path(f"{g}.group.json"))
+        out[f"{g}.group"] = GroupTable(elements, mul).to_groupoid()
+    out["flip"] = gk.build_action_groupoid(corpus.flip_action()).groupoid
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_shipped_groupoids()))
+def test_lookups_of_shipped_groupoids_match_comp(name):
+    G = _shipped_groupoids()[name]
+    assert G.layout is not None
+    _assert_lookups_match_comp(G)
+
+
+@st.composite
+def _drawn_groupoids(draw):
+    """(groupoid, whether it has a layout): pair blocks of drawn sizes,
+    the action groupoid of a drawn action, a subgroupoid of a disjoint
+    union, and unchecked tables of one with a pair missing, one
+    non-composable entry added or the entries shuffled."""
+    sizes = draw(st.lists(st.integers(0, 3), max_size=4))
+    blocks = gk.groupoid.pair_blocks(
+        [[f"{k}.{p}" for p in range(m)] for k, m in enumerate(sizes)])
+    kind = draw(st.sampled_from(["blocks", "action", "sub", "missing",
+                                 "extra", "shuffled"]))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    if kind == "blocks":
+        return blocks, True
+    if kind == "action":
+        return gk.build_action_groupoid(random_action(rng)).groupoid, True
+    union = corpus.disjoint_union([("b", blocks),
+                                   ("p", corpus.pair_groupoid(2)),
+                                   ("z", corpus.cyclic_groupoid(3))])
+    if kind == "sub":
+        part = draw(st.sampled_from(["b:", "p:", "z:"]))
+        keep = np.array([g.startswith(part) for g in union.arrows])
+        return gk.subgroupoid(union, keep, require_all_units=False), True
+    m = len(union.table.a)
+    k = int(rng.integers(m))
+    if kind == "missing":
+        return _relisted(union, lambda a, b, c: (
+            np.delete(a, k), np.delete(b, k), np.delete(c, k))), False
+    if kind == "extra":  # (z:g0, p:(1,1)), whose ends differ
+        g1, g2 = union.index["z:g0"], union.index["p:(1,1)"]
+        return _relisted(union, lambda a, b, c: (
+            np.append(a, g1), np.append(b, g2), np.append(c, g1))), False
+    order = rng.permutation(m)
+    shuffled = _relisted(union, lambda a, b, c: (a[order], b[order],
+                                                 c[order]))
+    return shuffled, bool(np.all(order == np.arange(m)))
+
+
+@given(_drawn_groupoids())
+def test_lookups_of_drawn_tables_match_comp(case):
+    G, laid_out = case
+    assert (G.layout is not None) == laid_out
+    _assert_lookups_match_comp(G)
 
 
 def test_missing_composite_detected(z3):
