@@ -66,12 +66,11 @@ def _input_digests(args, names) -> dict:
 def _groupoid_digest(G) -> str:
     """The digest of a built groupoid: the sha256 of the canonical JSON of
     its arrow names, then of the little-endian int64 bytes of its unit,
-    source, range and inverse indices and of its table's a, b and c in
-    (a, b) order."""
-    T, order = G.table, G.table_order()
+    source, range and inverse indices and of its table's a, b and c, in
+    (a, b) order as every table is."""
+    T = G.table
     h = hashlib.sha256(canonical_json(list(G.arrows)).encode("utf-8"))
-    for v in (G.unit_idx, G.src_idx, G.rng_idx, G.inv_idx,
-              T.a[order], T.b[order], T.c[order]):
+    for v in (G.unit_idx, G.src_idx, G.rng_idx, G.inv_idx, T.a, T.b, T.c):
         h.update(np.asarray(v, "<i8").tobytes())
     return h.hexdigest()
 

@@ -16,11 +16,13 @@ the only storage of composition (entry (a, b, c): a b = c) and inverse
 files, witnesses and tests. A :class:`GroupoidMorphism` keeps one codomain
 index per domain arrow (``image``), with ``map`` its name view.
 
-This module alone establishes that the table lists each composable pair
-once, in (a, b) order (:func:`validate_groupoid` puts each entry in its
-place; the builders emit them so): a :class:`PairLayout`, read off
-``src_idx`` and ``rng_idx``, through which every pair lookup is a gather.
-Only an unchecked table that does not fit it is joined by a sort.
+Every table lists each composable pair once, in (a, b) order: the
+:class:`FiniteGroupoid` constructor alone establishes it, through the
+:class:`PairLayout` read off ``src_idx`` and ``rng_idx``. It puts each
+entry in its place (a table already in order is kept as it is) and
+refuses a table that misses a pair, repeats one or lists a
+non-composable one. Every pair lookup is then a gather through the
+layout.
 
 All topological conditions (openness, continuity, Haar systems) are
 automatic for finite discrete groupoids; classification reports record
@@ -187,6 +189,43 @@ def _table(n: int, a, b, c, inv):
                           np.ones(n))
 
 
+def _placed(arrows, L: PairLayout, T):
+    """T with each entry in its place in L: T itself when they are in
+    place, else its entries reordered. IllegalComposite at the first entry
+    that is no composable pair of arrows, then MissingComposite at the
+    first composable pair that has no entry (by g2, then g1, in arrow
+    order), then IllegalComposite at the first entry whose pair an earlier
+    one lists."""
+    e, m = L.entries(T.a, T.b), int(L.off[-1])
+    i = _prefix(e >= 0)
+    if i < len(e):
+        g1, g2 = (arrows[x] if 0 <= x < len(arrows) else x
+                  for x in (T.a[i], T.b[i]))
+        raise IllegalComposite(
+            f"comp defined on non-composable pair ({g1!r}, {g2!r})",
+            witness=(g1, g2))
+    if np.array_equal(e, np.arange(m)):
+        return T
+    hit = np.bincount(e, minlength=m) > 0
+    if not hit.all():
+        g2, g1 = L.columns(np.arange(len(arrows)))
+        j = _prefix(hit[L.off[g1] + L.rpos[g2]])
+        g1, g2 = arrows[g1[j]], arrows[g2[j]]
+        raise MissingComposite(
+            f"composable pair ({g1!r}, {g2!r}) missing from comp",
+            witness=(g1, g2))
+    if len(e) > m:
+        i = _first_repeat(e.tolist())
+        g1, g2 = arrows[T.a[i]], arrows[T.b[i]]
+        raise IllegalComposite(
+            f"comp lists the pair ({g1!r}, {g2!r}) twice", witness=(g1, g2))
+    order = np.empty(m, np.int64)
+    order[e] = np.arange(m)
+    from .algebra import StructureTable  # algebra imports this module
+    return StructureTable(T.dim, T.a[order], T.b[order], T.c[order],
+                          T.w[order], T.s, T.t, T.sw)
+
+
 class _PairView(Mapping):
     """Read-only name view (g1, g2) -> value of the composable pairs of a
     table whose basis elements are named ``arrows``, in table order:
@@ -218,11 +257,14 @@ class _PairView(Mapping):
 class FiniteGroupoid:
     """Immutable finite groupoid on the integer tables of the module
     docstring. Build instances through :func:`validate_groupoid`
-    (exhaustive axiom check) or one of the builders, whose tables fit
-    :attr:`layout`; the raw constructor checks nothing."""
+    (exhaustive axiom check) or one of the builders. The constructor
+    checks one axiom, that the table lists each composable pair once: it
+    puts a table that does so in (a, b) order (:attr:`layout`, through
+    which every pair lookup is a gather) and refuses any other table; it
+    checks no composite, unit or inverse."""
 
     __slots__ = ("arrows", "index", "unit_idx", "src_idx", "rng_idx",
-                 "table", "_views", "_rep")
+                 "layout", "table", "_views", "_rep")
 
     def __init__(self, arrows, unit_idx, src_idx, rng_idx, table, index=None):
         self.arrows = tuple(arrows)
@@ -232,7 +274,8 @@ class FiniteGroupoid:
                                                     rng_idx))
         for v in (self.unit_idx, self.src_idx, self.rng_idx):
             v.flags.writeable = False
-        self.table = table
+        self.layout = PairLayout(self.src_idx, self.rng_idx)
+        self.table = _placed(self.arrows, self.layout, table)
         self._views = {}
         self._rep = None  # built by gpdkit.algebra on first use
 
@@ -271,37 +314,11 @@ class FiniteGroupoid:
         mask[self.unit_idx] = True
         return mask
 
-    @property
-    def layout(self) -> Optional[PairLayout]:
-        """The :class:`PairLayout` of the table, or None unless the table
-        lists each composable pair once in (a, b) order (an unchecked one
-        may not); one O(entries) check."""
-        return self._view("layout", self._fit_layout)
-
-    def _fit_layout(self) -> Optional[PairLayout]:
-        n, T, S, R = len(self.arrows), self.table, self.src_idx, self.rng_idx
-        ids = np.concatenate((S, R, T.a, T.b))
-        if ids.min(initial=0) >= 0 and ids.max(initial=-1) < n \
-                and np.all(S[T.a] == R[T.b]):
-            L = PairLayout(S, R)
-            if len(T.a) == L.off[-1] and np.array_equal(
-                    L.off[T.a] + L.rpos[T.b], np.arange(len(T.a))):
-                return L
-
     def entry_ids(self, h1, h2) -> np.ndarray:
         """Table entry of the pair of arrows h1[i] and h2[i] (index
         arrays), -1 where they are not composable or either is no arrow
         index: the one pair lookup, a gather through :attr:`layout`."""
-        if self.layout is not None:
-            return self.layout.entries(h1, h2)
-        n, T = len(self.arrows), self.table  # else the first entry, joined
-        h1, h2 = np.asarray(h1), np.asarray(h2)
-        ok = (h1 >= 0) & (h1 < n) & (h2 >= 0) & (h2 < n)
-        i, j = _join(np.where(ok, h1 * n + h2, -1).ravel(), np.where(
-            (T.a >= 0) & (T.b >= 0), T.a * n + T.b, -2))
-        e, first = np.full(ok.size, -1), np.diff(i, prepend=-1) > 0
-        e[i[first]] = j[first]
-        return e.reshape(ok.shape)
+        return self.layout.entries(h1, h2)
 
     def compose_ids(self, h1, h2) -> np.ndarray:
         """Index of the composite of arrows h1[i] and h2[i] (index arrays),
@@ -311,23 +328,14 @@ class FiniteGroupoid:
 
     def row_entries(self, h):
         """(i, e): the table entries e with first factor h[i], each i."""
-        L = self.layout
-        return _join(h, self.table.a) if L is None else L.rows(h)
+        return self.layout.rows(h)
 
     def column_entries(self, h):
         """(j, e): the table entries e with second factor h[j], each j, by
         first factor."""
-        L, T = self.layout, self.table
-        if L is None:
-            return _join(h, T.b, np.lexsort((T.a, T.b)))
+        L = self.layout
         j, x = L.columns(h)
         return j, L.off[x] + L.rpos[h[j]]
-
-    def table_order(self):
-        """The table entries in (a, b) order (as they stand, with a
-        :attr:`layout`)."""
-        T = self.table
-        return slice(None) if self.layout else np.lexsort((T.b, T.a))
 
     def pair_ids(self):
         """(g1, g2) index arrays of the composable pairs, by g2, then g1."""
@@ -409,8 +417,8 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
     ``src``, ``rng`` and ``inv`` map arrow names to names or are integer
     arrays of arrow indices; ``comp`` is a mapping ``(g1, g2) -> g12``, an
     iterable of ``(g1, g2, g12)`` triples or an (m, 3) array of arrow
-    indices, listing each composable pair once; the table keeps them in
-    (a, b) order. Each axiom is a mask over index arrays and the first
+    indices, listing each composable pair once (a repeat is an
+    IllegalComposite); the table keeps them in (a, b) order. Each axiom is a mask over index arrays and the first
     failing entry (comp in its given order) is reported; associativity is
     ``StructureTable.associativity_defect`` of the w = 1 table (residual
     0). Raises MissingComposite, IllegalComposite, AssociativityFailure
@@ -427,12 +435,13 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
                           witness=units[i])
     if isinstance(comp, np.ndarray):
         a, b, c = np.ascontiguousarray(comp.reshape(-1, 3).T)
-        comp = None
-    else:
-        if not isinstance(comp, Mapping):
-            comp = {(g1, g2): g12 for g1, g2, g12 in comp}
+    elif isinstance(comp, Mapping):
         a, b = _ids(list(chain.from_iterable(comp)), index).reshape(-1, 2).T.copy()
         c = _ids(list(comp.values()), index)
+    else:  # listed, as a dict of the triples would drop a repeated pair
+        comp = [(g1, g2, g12) for g1, g2, g12 in comp]
+        a, b, c = _ids(list(chain.from_iterable(comp)), index).reshape(
+            -1, 3).T.copy()
 
     S, R, I = (_column(t, name, arrows, index)
                for t, name in ((src, "src"), (rng, "rng"), (inv, "inv")))
@@ -452,10 +461,12 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
     apart = S[a] != R[b]
     i = _prefix(~(undeclared | apart | (S[c] != S[b]) | (R[c] != R[a])))
     if i < len(a):
-        if comp is None:
+        if isinstance(comp, np.ndarray):
             g1, g2, g12 = (arrows[j] for j in (a[i], b[i], c[i]))
-        else:
+        elif isinstance(comp, Mapping):
             (g1, g2), g12 = next(islice(comp.items(), i, None))
+        else:
+            g1, g2, g12 = comp[i]
         if undeclared[i]:
             raise IllegalComposite(
                 f"comp entry ({g1!r}, {g2!r}) -> {g12!r} uses undeclared arrows",
@@ -467,35 +478,14 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
         raise IllegalComposite(
             f"composite {g12!r} of ({g1!r}, {g2!r}) has wrong source or range",
             witness=(g1, g2, g12))
-    # each entry's place in (a, b) order, unless a composable pair has none:
-    # the first such, by g2 and then g1, in arrow order
-    L = PairLayout(S, R)
-    e = L.place(a, b)
-    if e is None:
-        hit = np.zeros(L.off[-1], bool)
-        hit[L.off[a] + L.rpos[b]] = True
-        g2, g1 = L.columns(np.arange(n))
-        j = _prefix(hit[L.off[g1] + L.rpos[g2]])
-        g1, g2 = arrows[g1[j]], arrows[g2[j]]
-        raise MissingComposite(
-            f"composable pair ({g1!r}, {g2!r}) missing from comp",
-            witness=(g1, g2))
-
+    # each composable pair listed once, the table put in (a, b) order, as
+    # the witnesses from here on are in arrow order
+    G = FiniteGroupoid(arrows, uid, S, R, _table(n, a, b, c, I), index)
     i = _prefix((S[uid] == uid) & (R[uid] == uid))
     if i < len(units):
         u = units[i]
         raise UnitFailure(f"unit {u!r} has src/rng != itself", witness=u)
 
-    # each entry is a distinct composable pair: the table is kept in (a, b)
-    # order, each entry put in its place, as the witnesses from here on are
-    # in arrow order
-    if np.any(e != np.arange(len(e))):
-        order = np.empty_like(e)
-        order[e] = np.arange(len(e))
-        a, b, c = a[order], b[order], c[order]
-    table = _table(n, a, b, c, I)
-    G = FiniteGroupoid(arrows, uid, S, R, table, index)
-    G._views["layout"] = L
     ids = np.arange(n)
     # (rng g) g and g (src g), then g (inv g) and (inv g) g
     left, right = G.compose_ids(R, ids) == ids, G.compose_ids(ids, S) == ids
@@ -524,7 +514,7 @@ def validate_groupoid(arrows, units, src, rng, inv, comp) -> FiniteGroupoid:
         raise InverseFailure(
             f"{gi!r} * {g!r} != src({g!r})", witness=(gi, g))
 
-    res, triple = table.associativity_defect()
+    res, triple = G.table.associativity_defect()
     if res > 0:
         g1, g2, g3 = (arrows[i] for i in triple)
         raise AssociativityFailure(
@@ -727,9 +717,12 @@ def inclusion(G: FiniteGroupoid, K: FiniteGroupoid) -> np.ndarray:
     """The arrow indices in G of the arrows of K, once K is checked to be
     the subgroupoid of G on its arrows (:func:`subgroupoid`), with G's
     units, whose inclusion into G is a morphism (:func:`check_morphism`)
-    that keeps inverses and lists every composable pair of G.
-    NotASubgroupoid carries the witness of the first failure."""
-    R = subgroupoid(G, K.arrows)
+    that keeps inverses. K then lists every composable pair of G on its
+    arrows: the inclusion matches src and rng through the injective ids,
+    so such a pair is composable in K, and K's constructor refuses a
+    table that misses one. NotASubgroupoid carries the witness of the
+    first failure."""
+    subgroupoid(G, K.arrows)
     ids = _ids(K.arrows, G.index)
     try:
         check_morphism(GroupoidMorphism(K, G, ids))
@@ -742,12 +735,6 @@ def inclusion(G: FiniteGroupoid, K: FiniteGroupoid) -> np.ndarray:
                               f"{K.arrows[i]!r}", witness=K.arrows[i])
     if set(ids[K.unit_idx].tolist()) != set(G.unit_idx.tolist()):
         raise NotASubgroupoid("subgroupoid must keep the full unit space")
-    T, at = R.table, _ids(R.arrows, K.index)
-    i = _prefix(K.compose_ids(at[T.a], at[T.b]) >= 0)
-    if i < len(T.a):
-        g1, g2 = R.arrows[T.a[i]], R.arrows[T.b[i]]
-        raise NotASubgroupoid(f"composition of K misses ({g1!r}, {g2!r})",
-                              witness=(g1, g2))
     return ids
 
 

@@ -250,12 +250,11 @@ def load_raw_groupoid_tables(source):
 
 
 def save_groupoid(G: FiniteGroupoid) -> dict:
-    T, order = G.table, G.table_order()  # comp by the indices of (g1, g2)
+    T = G.table  # comp by the indices of (g1, g2)
     return {"arrows": list(G.arrows), "units": list(G.units),
             **{name: dict(zip(G.arrows, G.names(ids))) for name, ids in (
                 ("src", G.src_idx), ("rng", G.rng_idx), ("inv", G.inv_idx))},
-            "comp": [list(e) for e in zip(*(G.names(v[order])
-                                            for v in (T.a, T.b, T.c)))]}
+            "comp": [list(e) for e in zip(*map(G.names, (T.a, T.b, T.c)))]}
 
 
 def load_morphism(source, base_dir=None, file=None, at="$") -> GroupoidMorphism:
@@ -559,9 +558,8 @@ def load_cocycle(source, groupoid: FiniteGroupoid = None, base_dir=None) -> Cocy
 
 def save_cocycle(om: Cocycle, groupoid_ref=None) -> dict:
     G, T = om.base, om.table
-    order = G.table_order()
     return {
         "groupoid": groupoid_ref or save_groupoid(G),
         "omega": [[g1, g2, [v.real, v.imag]] for g1, g2, v in zip(
-            G.names(T.a[order]), G.names(T.b[order]), T.w[order].tolist())],
+            G.names(T.a), G.names(T.b), T.w.tolist())],
     }

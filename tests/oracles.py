@@ -30,16 +30,17 @@ from gpdkit.groupoid import (AssociativityFailure, FiniteGroupoid,
 from gpdkit.io import ParseError
 
 
-# -- groupoids as name-level dict tables: the unchecked constructor of
-# (possibly corrupt) tables, and the dict builders that the integer
-# builders of gpdkit.groupoid, gpdkit.actions and gpdkit.extensions are
-# compared against, entry order included
+# -- groupoids as name-level dict tables: the constructor of tables whose
+# axioms are not checked (possibly corrupt ones), and the dict builders
+# that the integer builders of gpdkit.groupoid, gpdkit.actions and
+# gpdkit.extensions are compared against, entry order included
 
 def raw_groupoid(arrows, units, src, rng, inv, comp):
-    """The FiniteGroupoid of name-level tables, checked for nothing: each
-    name becomes its arrow index (-1 if undeclared), and the table lists
-    ``comp`` (a mapping (g1, g2) -> g12 or (g1, g2, g12) triples) in its
-    order."""
+    """The FiniteGroupoid of name-level tables, with no axiom checked but
+    the constructor's: each name becomes its arrow index (-1 if
+    undeclared), and ``comp`` (a mapping (g1, g2) -> g12 or (g1, g2, g12)
+    triples) must list each composable pair once, in any order; the table
+    lists them in (a, b) order."""
     from gpdkit.groupoid import _table
     arrows = tuple(arrows)
     index = {g: i for i, g in enumerate(arrows)}
@@ -63,7 +64,7 @@ def dict_tables(G):
 
 def index_tables(arrows, units, src, rng, inv, comp):
     """Arrays (unit_idx, src_idx, rng_idx, inv_idx, a, b, c) of name-level
-    tables, comp in its order."""
+    tables, comp in (a, b) order."""
     G = raw_groupoid(arrows, units, src, rng, inv, comp)
     return groupoid_arrays(G)
 

@@ -429,30 +429,37 @@ class TestPositivity:
 
 
 def _relabelled(G, change):
-    """Unchecked name-level tables of G after change(src, rng, inv, comp)
-    edited them in place."""
+    """Name-level tables of G after change(src, rng, inv, comp) edited
+    them in place, built with no axiom checked but the constructor's."""
     tables = dict(G.src), dict(G.rng), dict(G.inv), dict(G.comp)
     change(*tables)
     return raw_groupoid(G.arrows, G.units, *tables)
 
 
+def _loop(s, r, i, c):
+    """(1,2) claimed a loop at (1,1), each pair that is then composable
+    listed once, with its first factor as composite."""
+    s["(1,2)"] = r["(1,2)"] = "(1,1)"
+    c.clear()
+    c.update({(g1, g2): g1 for g1 in s for g2 in s if s[g1] == r[g2]})
+
+
 class TestConditionalExpectation:
-    @pytest.mark.parametrize("change, witness", [
-        # (1,2) claimed a loop at (1,1), with no composition at all
-        (lambda s, r, i, c: (s.update({"(1,2)": "(1,1)"}),
-                             r.update({"(1,2)": "(1,1)"}), c.clear()),
-         "(1,2)"),
-        (lambda s, r, i, c: i.update({"(1,2)": "(1,2)"}), "(1,2)"),
+    @pytest.mark.parametrize("change, error, witness", [
+        (_loop, gk.NotASubgroupoid, "(1,2)"),
+        (lambda s, r, i, c: i.update({"(1,2)": "(1,2)"}),
+         gk.NotASubgroupoid, "(1,2)"),
         (lambda s, r, i, c: c.update({("(1,2)", "(2,1)"): "(2,2)"}),
-         ("(1,2)", "(2,1)")),
-        (lambda s, r, i, c: c.pop(("(2,1)", "(1,1)")), ("(2,1)", "(1,1)")),
+         gk.NotASubgroupoid, ("(1,2)", "(2,1)")),
+        # refused by K's constructor, before the inclusion is checked
+        (lambda s, r, i, c: c.pop(("(2,1)", "(1,1)")),
+         gk.MissingComposite, ("(2,1)", "(1,1)")),
     ], ids=["loop", "inverse", "composite", "missing_pair"])
     def test_subgroupoid_must_have_the_tables_of_g(self, pair2, change,
-                                                   witness):
-        K = _relabelled(pair2, change)
+                                                   error, witness):
         f = random_element(pair2, np.random.default_rng(0))
-        with pytest.raises(gk.NotASubgroupoid) as exc:
-            gk.conditional_expectation(pair2, K, f)
+        with pytest.raises(error) as exc:
+            gk.conditional_expectation(pair2, _relabelled(pair2, change), f)
         assert exc.value.witness == witness
         # the same arrows with G's tables pass
         assert np.array_equal(gk.conditional_expectation(
@@ -736,10 +743,12 @@ def test_faithfulness_on_corpus(pair2, z3, heis3):
         assert gk.faithfulness_defect(G)[0] == 0
 
 
-def _without_product(G, g1, g2):
-    """G with the composite of (g1, g2) left out of its table."""
+def _moved(G, composites):
+    """G with the composites of some pairs moved: a complete table, each
+    composable pair listed once, with ``composites`` ((g1, g2) -> g12)
+    in place of G's."""
     return raw_groupoid(G.arrows, G.units, G.src, G.rng, G.inv,
-                        {p: g for p, g in G.comp.items() if p != (g1, g2)})
+                        {**G.comp, **composites})
 
 
 def _faithfulness_cases():
@@ -753,23 +762,25 @@ def _faithfulness_cases():
         "heis3": corpus.heisenberg_groupoid(3),
         "union": union,
         "flip": gk.build_action_groupoid(corpus.flip_action()).groupoid,
-        # e_g1 e_g0 dropped: the slice loses a column, but row g1 keeps
-        # its other products, so the full rank stays
-        "z3_dropped": _without_product(z3, "g1", "g0"),
-        # e_u e_u dropped on an isolated unit: row u of the stack is empty
-        "point_dropped": _without_product(union, "p:u", "p:u"),
+        # e_g1 e_g0 moved to e_g2: the slice loses column g1, but row g1
+        # keeps products in columns of its own, so the full rank stays
+        "z3_moved": _moved(z3, {("g1", "g0"): "g2"}),
+        # row z:g1 made row z:g0 (z:g1 z:h = z:h): the slice loses column
+        # z:g1 and the stack has two equal rows
+        "union_row_moved": _moved(union, {("z:g1", f"z:g{k}"): f"z:g{k}"
+                                          for k in range(3)}),
     }
 
 
 @pytest.mark.parametrize("name", ["pair3", "heis3", "union", "flip",
-                                  "z3_dropped", "point_dropped"])
+                                  "z3_moved", "union_row_moved"])
 def test_faithfulness_defect_matches_dense_rank(name):
     G = _faithfulness_cases()[name]
-    want = 1 if name == "point_dropped" else 0
-    assert dense_faithfulness_defect(G) == want
-    # the slice is the identity on valid tables and singular when dropped
+    want = dense_faithfulness_defect(G)
+    assert want == (1 if name == "union_row_moved" else 0)
+    # the slice is the identity on valid tables and singular when moved
     assert gk.faithfulness_defect(G) == (
-        want, 0.0 if name.endswith("_dropped") else 1.0)
+        want, 0.0 if name.endswith("_moved") else 1.0)
 
 
 def test_faithfulness_slice_falls_back_to_the_full_rank(monkeypatch):
@@ -781,7 +792,7 @@ def test_faithfulness_slice_falls_back_to_the_full_rank(monkeypatch):
     cases = _faithfulness_cases()
     gk.faithfulness_defect(cases["heis3"])
     assert calls == []
-    gk.faithfulness_defect(cases["point_dropped"])
+    gk.faithfulness_defect(cases["union_row_moved"])
     assert calls == [(4, 16)]
 
 

@@ -208,7 +208,7 @@ def _assert_lookups_match_comp(G):
 
 def _relisted(G, change):
     """G with its table entries (a, b, c) rewritten by change(a, b, c),
-    unchecked."""
+    checked by the constructor alone."""
     from gpdkit.groupoid import FiniteGroupoid, _table
     T = G.table
     a, b, c = change(T.a.copy(), T.b.copy(), T.c.copy())
@@ -235,55 +235,85 @@ def _shipped_groupoids():
 
 @pytest.mark.parametrize("name", sorted(_shipped_groupoids()))
 def test_lookups_of_shipped_groupoids_match_comp(name):
-    G = _shipped_groupoids()[name]
-    assert G.layout is not None
-    _assert_lookups_match_comp(G)
+    _assert_lookups_match_comp(_shipped_groupoids()[name])
 
 
 @st.composite
 def _drawn_groupoids(draw):
-    """(groupoid, whether it has a layout): pair blocks of drawn sizes,
-    the action groupoid of a drawn action, a subgroupoid of a disjoint
-    union, and unchecked tables of one with a pair missing, one
-    non-composable entry added or the entries shuffled."""
+    """(build, refusal): a thunk that builds a groupoid, and None or the
+    (class, witness) with which the constructor refuses its table. Pair
+    blocks of drawn sizes, the action groupoid of a drawn action, a
+    subgroupoid of a disjoint union, and that union's table with a pair
+    missing, one non-composable or repeated entry added, or the entries
+    shuffled."""
     sizes = draw(st.lists(st.integers(0, 3), max_size=4))
     blocks = gk.groupoid.pair_blocks(
         [[f"{k}.{p}" for p in range(m)] for k, m in enumerate(sizes)])
     kind = draw(st.sampled_from(["blocks", "action", "sub", "missing",
-                                 "extra", "shuffled"]))
+                                 "extra", "repeated", "shuffled"]))
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
     if kind == "blocks":
-        return blocks, True
+        return lambda: blocks, None
     if kind == "action":
-        return gk.build_action_groupoid(random_action(rng)).groupoid, True
+        action = random_action(rng)
+        return lambda: gk.build_action_groupoid(action).groupoid, None
     union = corpus.disjoint_union([("b", blocks),
                                    ("p", corpus.pair_groupoid(2)),
                                    ("z", corpus.cyclic_groupoid(3))])
     if kind == "sub":
         part = draw(st.sampled_from(["b:", "p:", "z:"]))
         keep = np.array([g.startswith(part) for g in union.arrows])
-        return gk.subgroupoid(union, keep, require_all_units=False), True
-    m = len(union.table.a)
+        return lambda: gk.subgroupoid(union, keep, require_all_units=False), \
+            None
+    T = union.table
+    m = len(T.a)
     k = int(rng.integers(m))
+    pair = tuple(union.names([T.a[k], T.b[k]]))
     if kind == "missing":
-        return _relisted(union, lambda a, b, c: (
-            np.delete(a, k), np.delete(b, k), np.delete(c, k))), False
+        return lambda: _relisted(union, lambda a, b, c: (
+            np.delete(a, k), np.delete(b, k), np.delete(c, k))), \
+            (gk.MissingComposite, pair)
     if kind == "extra":  # (z:g0, p:(1,1)), whose ends differ
         g1, g2 = union.index["z:g0"], union.index["p:(1,1)"]
-        return _relisted(union, lambda a, b, c: (
-            np.append(a, g1), np.append(b, g2), np.append(c, g1))), False
+        return lambda: _relisted(union, lambda a, b, c: (
+            np.append(a, g1), np.append(b, g2), np.append(c, g1))), \
+            (gk.IllegalComposite, ("z:g0", "p:(1,1)"))
+    if kind == "repeated":  # entry k again, with another composite
+        return lambda: _relisted(union, lambda a, b, c: (
+            np.append(a, a[k]), np.append(b, b[k]), np.append(c, a[k]))), \
+            (gk.IllegalComposite, pair)
     order = rng.permutation(m)
-    shuffled = _relisted(union, lambda a, b, c: (a[order], b[order],
-                                                 c[order]))
-    return shuffled, bool(np.all(order == np.arange(m)))
+    return lambda: _relisted(union, lambda a, b, c: (
+        a[order], b[order], c[order])), None
 
 
 @given(_drawn_groupoids())
 def test_lookups_of_drawn_tables_match_comp(case):
-    G, laid_out = case
-    assert (G.layout is not None) == laid_out
+    build, refusal = case
+    if refusal is not None:
+        with pytest.raises(refusal[0]) as exc:
+            build()
+        assert exc.value.witness == refusal[1]
+        return
+    G = build()
+    key = G.table.a * len(G.arrows) + G.table.b
+    assert np.all(np.diff(key) > 0)  # in (a, b) order
     _assert_lookups_match_comp(G)
+
+
+def test_repeated_pair_is_an_illegal_composite(z3):
+    T = z3.table
+    comp = np.stack([T.a, T.b, T.c], 1)
+    triples = [(*p, g) for p, g in z3.comp.items()]
+    for tables in ((z3.src_idx, z3.rng_idx, z3.inv_idx,
+                    np.vstack([comp, comp[:1]])),
+                   (z3.src, z3.rng, z3.inv, triples + triples[:1]),
+                   (z3.src, z3.rng, z3.inv, triples + [("g0", "g0", "g1")])):
+        with pytest.raises(gk.IllegalComposite) as exc:
+            gk.validate_groupoid(z3.arrows, z3.units, *tables)
+        assert exc.value.witness == ("g0", "g0")
+        assert str(exc.value) == "comp lists the pair ('g0', 'g0') twice"
 
 
 def test_missing_composite_detected(z3):
