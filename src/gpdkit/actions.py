@@ -532,7 +532,7 @@ def abelian_extract(E: FellBundle, tol: float = 1e-9, seed: int = 0) -> Extracti
             norms = np.sqrt(np.maximum((B.traces(B.src[k], B.square(k, Z))
                                         / tau_p[xp]).real, 0.0))
         else:
-            norms = B.fiber_norms(k, Z)[0]
+            norms = B.fiber_norms(k, Z)
             col = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
             size = np.repeat(B.dims[group], corners[group])
             ranks = stacked_ranks(

@@ -66,8 +66,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groupoid import (FiniteGroupoid, PairLayout, _join, _ranks, inclusion,
-                       subgroupoid)
+from .groupoid import (FiniteGroupoid, PairLayout, _grouped, _join, _ranks,
+                       _runs, inclusion, subgroupoid)
 
 
 class BaseMismatch(ValueError):
@@ -110,20 +110,21 @@ def chunks(load) -> list:
 def stacked_matrices(owner, row, col, vals, shape):
     """Yield (owners, matrices) per shape and chunk: the matrix of every
     owner o, of shape (shape[0][o], shape[1][o]), with vals summed at
-    (row, col) of the entries it owns; owners in ascending order, those of
-    an empty shape left out."""
+    (row, col) of the entries it owns, in their order; owners in ascending
+    order, those of an empty shape left out. The entries are put in runs
+    by owner once, and a chunk gathers the runs of its owners."""
     nr, nc = (np.asarray(v, dtype=np.int64) for v in shape)
+    (row, col, vals), (first, count) = _grouped(
+        np.asarray(owner, dtype=np.int64), len(nr), (row, col, vals))
     key = nr * (int(nc.max(initial=0)) + 1) + nc
     for k in np.flatnonzero(np.bincount(key[(nr > 0) & (nc > 0)])):
         which = np.flatnonzero(key == k)
         a, b = int(nr[which[0]]), int(nc[which[0]])
         for chunk in chunks(np.full(len(which), a * b)):
             o = which[chunk]
-            at = np.full(len(nr), -1)
-            at[o] = np.arange(len(o))
-            e = at[owner] >= 0
-            yield o, _scatter((at[owner[e]] * a + row[e]) * b + col[e],
-                              vals[e], len(o) * a * b).reshape(len(o), a, b)
+            i, e = _runs(first[o], count[o])
+            yield o, _scatter((i * a + row[e]) * b + col[e], vals[e],
+                              len(o) * a * b).reshape(len(o), a, b)
 
 
 def stacked_singular_values(owner, row, col, vals, shape):
@@ -571,19 +572,22 @@ class RegularRepresentation:
     one block per summand.
 
     Basis element j lies in summand ``summand[j]`` >= 0, whose block acts
-    on the span of its basis elements in basis order. The block of x takes
+    on the span of its basis elements in basis order (j at ``pos[j]``; the
+    block of summand u has size ``sizes[u]``). The block of x takes
     w x[a] at (row, col) for each of the ``entries`` (a, row, col, w) with
     row and col in one summand; by default these are the table entries
     (a, c, b, w) of e_a e_b = w e_c, and a basis that the block's inner
     product does not make orthonormal passes its entries in orthonormal
-    coordinates (``SectionSpace``). Blocks of one size are scattered into
-    one stack; no dim x dim matrix is formed. With a groupoid for
-    ``summand`` (of which it keeps the arrow names, ``arrows``, and the
-    source of each arrow, ``src_idx``), basis element j lies over the arrow
-    ``over[j]`` (by default arrow j) and in the summand of its source
-    unit; a groupoid for ``table`` stands for its untwisted table and
-    itself. The checks that its blocks form a faithful *-representation,
-    :meth:`star_defect` and :meth:`slice_margin`, are kept on it.
+    coordinates (``SectionSpace``). The entries are kept once, as given:
+    the blocks of an element are scattered from them on each call by
+    :func:`stacked_matrices`, and no dim x dim matrix is formed. With a
+    groupoid for ``summand`` (of which it keeps the arrow names,
+    ``arrows``, and the source of each arrow, ``src_idx``), basis element
+    j lies over the arrow ``over[j]`` (by default arrow j) and in the
+    summand of its source unit; a groupoid for ``table`` stands for its
+    untwisted table and itself. The checks that its blocks form a faithful
+    *-representation, :meth:`star_defect` and :meth:`slice_margin`, are
+    kept on it.
     """
 
     def __init__(self, table, summand=None, entries=None, over=None):
@@ -599,49 +603,25 @@ class RegularRepresentation:
             summand = unit[summand.src_idx[self.over]]
         self.table = T = table
         self._star = self._margin = None
-        self.summand = summand = np.asarray(summand, dtype=np.int64)
-        self.sizes, pos = _ranks(summand)  # pos: place in the block
-        widths, group = np.unique(self.sizes, return_inverse=True)
-        _, at = _ranks(group)  # place of a summand in its size group
-        # entry (i, j) of a block lies at row_at[i] + col_at[j] of the flat
-        # stack of its size group
-        m = self.sizes[summand]
-        row_at, col_at = pos * m, at[summand] * m * m + pos
-        group = group[summand]
+        self.summand = np.asarray(summand, dtype=np.int64)
+        self.sizes, self.pos = _ranks(self.summand)
+        self.entries = (T.a, T.c, T.b, T.w) if entries is None else entries
 
-        def place(rows, cols):  # (size group or -1, flat index)
-            return (np.where(summand[rows] == summand[cols], group[cols], -1),
-                    row_at[rows] + col_at[cols])
-
-        self.entries = a, rows, cols, w = (T.a, T.c, T.b, T.w) \
-            if entries is None else entries
-        e_group, e_at = place(rows, cols)
-        self._groups = []
-        for g, m in enumerate(widths.tolist()):
-            if not m:
-                continue
-            e = np.flatnonzero(e_group == g)
-            self._groups.append((np.flatnonzero(self.sizes == m), m, a[e],
-                                 w[e], e_at[e]))
+    def _block_entries(self):
+        """The entries (a, row, col, w) with row and col in one summand."""
+        a, rows, cols, w = self.entries
+        keep = self.summand[rows] == self.summand[cols]
+        return a[keep], rows[keep], cols[keep], w[keep]
 
     def stacks(self, f):
-        """Yield (summands, S) per block size, S[i] the block of f (an
-        AlgebraElement or a coefficient vector) on summands[i]."""
+        """Yield (summands, S) per block size and chunk of
+        :func:`stacked_matrices`, S[i] the block of f (an AlgebraElement or
+        a coefficient vector) on summands[i]."""
         x = np.asarray(getattr(f, "coeffs", f))
-        for members, _, S in self._row_stacks(x[None]):
-            yield members, S[0]
-
-    def _row_stacks(self, X):
-        """Yield (summands, rows, S) per block size and chunk of the (k,
-        dim) coefficient rows X (:func:`chunks`): S[r, i] is the block of
-        X[rows[r]] on summands[i]."""
-        for members, m, a, w, flat in self._groups:
-            size = len(members) * m * m
-            for rows in chunks(np.full(len(X), size + len(a))):
-                yield members, rows, _scatter(
-                    (np.arange(len(rows))[:, None] * size + flat).ravel(),
-                    (w * X[rows[:, None], a]).ravel(),
-                    len(rows) * size).reshape(len(rows), -1, m, m)
+        a, rows, cols, w = self._block_entries()
+        yield from stacked_matrices(self.summand[rows], self.pos[rows],
+                                    self.pos[cols], w * x[a],
+                                    (self.sizes, self.sizes))
 
     def matrices(self, f) -> list:
         """The block of f on every nonempty summand, in summand order."""
@@ -650,19 +630,16 @@ class RegularRepresentation:
         return [out[u] for u in sorted(out)]
 
     def norms(self, X) -> np.ndarray:
-        """Operator norms of the (k, dim) coefficient rows X: the largest
-        :func:`spectral_norms` over the blocks of a row, one scatter and
-        one batched kernel call per block size and chunk of rows."""
-        X = np.asarray(X)
-        out = np.zeros(len(X))
-        for _, rows, S in self._row_stacks(X):
-            out[rows] = np.maximum(out[rows], spectral_norms(S).max(axis=1))
-        return out
+        """Operator norms of the (k, dim) coefficient rows X, one
+        :meth:`norm` per row."""
+        return np.array([self.norm(x) for x in np.asarray(X)], dtype=float)
 
     def norm(self, f) -> float:
         """Operator norm of f (an AlgebraElement or a coefficient vector):
-        the one-row case of :meth:`norms`."""
-        return float(self.norms(np.asarray(getattr(f, "coeffs", f))[None])[0])
+        the largest :func:`spectral_norms` over its blocks, one batched
+        kernel call per block size and chunk."""
+        return max((float(spectral_norms(S).max()) for _, S in self.stacks(f)),
+                   default=0.0)
 
     def star_defect(self):
         """(largest |entry difference| between the block of e_s conjugate
@@ -672,9 +649,7 @@ class RegularRepresentation:
         of x, since both sides are conjugate-linear in x. One join of the
         star entries with the block entries; kept on the rep."""
         if self._star is None:
-            a, rows, cols, w = self.entries
-            keep = self.summand[rows] == self.summand[cols]
-            a, rows, cols, w = a[keep], rows[keep], cols[keep], w[keep]
+            a, rows, cols, w = self._block_entries()
             T = self.table
             j, e = _join(T.t, a)  # e_s* has sw e_t; e is a block entry of e_t
             self._star = _defect((a, cols, rows, np.conj(w)),
@@ -1057,13 +1032,14 @@ def _phase_center(row, col, val, label, tol: float):
 
 
 def _svd_center(row, col, val, label, tol: float):
-    """:func:`center_basis` of any table: the components are scattered into
-    one stack per shape and chunk of :func:`chunks`, and each stack takes
-    one batched SVD: thin, or full where a component has fewer rows than
-    columns, where a thin one would drop null vectors; columns in no row
-    are free. Ranks are cut at ``tol`` times the largest singular value
-    over every component, which is the largest of the whole matrix, and
-    never below dim * eps of it."""
+    """:func:`center_basis` of any table: the components are the matrices
+    of :func:`stacked_matrices`, and each of its stacks takes one batched
+    SVD: thin, or full where a component has fewer rows than columns,
+    where a thin one would drop null vectors. A column in no row is a
+    component with no rows, of rank 0 and null vector 1; those come first,
+    as one stack. Ranks are cut at ``tol`` times the largest singular
+    value over every component, which is the largest of the whole matrix,
+    and never below dim * eps of it."""
     n = len(label)
     # a column (row) sits at its rank among those of its component, and
     # the components are numbered in order of their smallest column
@@ -1072,27 +1048,15 @@ def _svd_center(row, col, val, label, tol: float):
     row_comp = np.empty(int(row.max()) + 1, dtype=np.int64)
     row_comp[row] = comp[col]
     nrows = np.bincount(row_comp, minlength=len(ncols))
-    rpos = _ranks(row_comp)[1]
-    # the components of a shape are consecutive in by_shape, and the
-    # entries of consecutive ones in ``entries``
-    shapes, shape = np.unique(np.stack([nrows, ncols], 1), axis=0,
-                              return_inverse=True)
-    count = np.bincount(shape)
-    by_shape = np.argsort(shape, kind="stable")
-    ecomp = np.argsort(by_shape)[comp[col]]
-    entries = np.argsort(ecomp, kind="stable")
-    bounds = np.searchsorted(ecomp[entries], np.arange(len(ncols) + 1))
-    stacks, smax = [], 0.0
-    for (R, C), lo, m in zip(shapes.tolist(), np.cumsum(count) - count, count):
-        for part in chunks(np.full(m, R * C)):
-            lo_p, cc = lo + part[0], by_shape[lo + part]
-            e = entries[bounds[lo_p]:bounds[lo_p + len(part)]]
-            S = _scatter((ecomp[e] - lo_p) * R * C + rpos[row[e]] * C
-                         + pos[col[e]], val[e], len(cc) * R * C)
-            # a free column (R = 0) gets no singular value and vh = 1
-            stacks.append((cc, *np.linalg.svd(S.reshape(len(cc), R, C),
-                                              full_matrices=R < C)[1:]))
-            smax = max(smax, float(stacks[-1][1].max(initial=0.0)))
+    free = np.flatnonzero(nrows == 0)
+    # complex ones, whose conjugates keep the sign of a zero imaginary part
+    stacks = [(free, np.zeros((len(free), 0)),
+               np.ones((len(free), 1, 1), dtype=complex))]
+    for cc, S in stacked_matrices(comp[col], _ranks(row_comp)[1][row],
+                                  pos[col], val, (nrows, ncols)):
+        R, C = S.shape[1:]
+        stacks.append((cc, *np.linalg.svd(S, full_matrices=R < C)[1:]))
+    smax = max(float(sv.max(initial=0.0)) for _, sv, _ in stacks)
     cut = max(tol * max(smax, 1.0), n * np.finfo(float).eps * smax)
     rank = np.zeros(len(ncols), dtype=np.int64)
     for cc, sv, _ in stacks:

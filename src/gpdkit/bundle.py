@@ -215,7 +215,7 @@ def fiber_norm(xi: FiberElement) -> float:
     B = fiber_blocks(xi.bundle)
     h, X = B.rows([(xi.arrow, xi.vec)])
     _require_cstar_units(B, B.src[h])
-    return float(B.fiber_norms(h, X)[0][0])
+    return float(B.fiber_norms(h, X)[0])
 
 
 def _require_cstar_units(B, units):
@@ -675,7 +675,7 @@ def _submultiplicative_defects(E, B, basis_norms, pairs):
         e = multi[np.repeat(np.arange(len(ab)), count)]
         Z = _scatter(row[e] * B.D + B.loc[c[e]], w[e],
                      int(multi.sum()) * B.D).reshape(-1, B.D)
-        prod[multi] = B.fiber_norms(B.arrow[c[start[multi]]], Z)[0]
+        prod[multi] = B.fiber_norms(B.arrow[c[start[multi]]], Z)
     a, b = ab // n, ab % n
     ha, hb = B.arrow[a], B.arrow[b]
     order = np.lexsort((B.loc[b], B.loc[a], ha, hb))  # the trial order
@@ -686,7 +686,7 @@ def _submultiplicative_defects(E, B, basis_norms, pairs):
     if len(h1):
         h12, Z = B.products(h1, X, h2, Y)
         nx, ny, nxy = np.split(B.fiber_norms(
-            np.concatenate([h1, h2, h12]), np.concatenate([X, Y, Z]))[0], 3)
+            np.concatenate([h1, h2, h12]), np.concatenate([X, Y, Z])), 3)
         rel.append((nxy - nx * ny) / np.maximum(nx * ny, 1e-30))
         labels += [(H.arrows[p], H.arrows[q]) for p, q in zip(h1, h2)]
     return np.concatenate(rel), labels

@@ -429,11 +429,10 @@ class FiberBlocks:
                              / np.maximum(ev[:, -1], 1e-30))
         return norms, neg
 
-    def fiber_norms(self, h, X, spectra: bool = False):
-        """(||x|| = ||x* x||^{1/2}, negativity ratios of x* x) for the rows
-        x = X[r] over h[r]; see :meth:`unit_norms`."""
-        norms, neg = self.unit_norms(self.src[h], self.square(h, X), spectra)
-        return np.sqrt(norms), neg
+    def fiber_norms(self, h, X) -> np.ndarray:
+        """||x|| = ||x* x||^{1/2} for the rows x = X[r] over h[r]; see
+        :meth:`unit_norms`."""
+        return np.sqrt(self.unit_norms(self.src[h], self.square(h, X))[0])
 
     def op_norms(self, h, X) -> np.ndarray:
         """||L_x|| on the section space for the rows x = X[r] over h[r]:

@@ -275,20 +275,62 @@ class TestStackedNorms:
                                np.random.default_rng(0), 1) == \
             pytest.approx(1.0)
 
-    def test_isometry_defect_svd_calls_do_not_grow_with_samples(
-            self, monkeypatch):
-        # the norms take batched calls of the top-singular-value kernel
-        G = _mixed_union()
-        rep = gk.RegularRepresentation(G)
-        U = np.eye(len(G.arrows))
-        calls = _counting(monkeypatch, algebra, "spectral_norms")
-        counts = []
-        for samples in (2, 50):
-            calls.clear()
-            isometry_defect(rep.norms, rep.norms, U,
-                            np.random.default_rng(0), samples)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+
+class TestStackedMatrices:
+    """The stacks of :func:`algebra.stacked_matrices` against a dense
+    assembly of each owner's matrix, entry by entry in the given order, so
+    that every sum is bitwise the same."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(shape=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=1, max_size=8),
+           count=st.integers(0, 40), layout=st.sampled_from(
+               ["shuffled", "runs", "sorted"]),
+           budget=st.sampled_from([1, 40, 1 << 14]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacks_equal_a_dense_assembly(self, shape, count, layout,
+                                           budget, seed):
+        rng = np.random.default_rng(seed)
+        nr, nc = (np.array(v, dtype=np.int64) for v in zip(*shape))
+        live = np.flatnonzero((nr > 0) & (nc > 0))
+        count = count if len(live) else 0
+        owner = rng.choice(live, count).astype(np.int64)
+        row, col = (rng.integers(0, np.maximum(v[owner], 1))
+                    for v in (nr, nc))
+        vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        # repeat some entries at one (owner, row, col), with another value
+        again = rng.integers(0, max(count, 1), count // 3)
+        owner, row, col = (np.append(v, v[again]) for v in (owner, row, col))
+        vals = np.append(vals, -2.0 * vals[again])
+        if layout == "runs":  # owners in runs, not in ascending order
+            perm = rng.permutation(len(nr))
+            order = np.argsort(perm[owner], kind="stable")
+        else:
+            order = rng.permutation(len(owner)) if layout == "shuffled" \
+                else np.argsort(owner, kind="stable")
+        owner, row, col, vals = (v[order] for v in (owner, row, col, vals))
+        want = {o: np.zeros((2, nr[o], nc[o])) for o in live.tolist()}
+        for o, r, c, v in zip(owner.tolist(), row.tolist(), col.tolist(),
+                              vals.tolist()):
+            want[o][:, r, c] += v.real, v.imag
+        key = np.lexsort((np.arange(len(nr)), nc, nr))
+        key = key[(nr[key] > 0) & (nc[key] > 0)]
+        with mock.patch.object(gk.algebra, "_ENTRIES_PER_CALL", budget):
+            got = list(algebra.stacked_matrices(owner, row, col, vals,
+                                                (nr, nc)))
+            # one stack per shape and chunk, in ascending shape order
+            parts = [len(c) for k in sorted({(int(nr[o]), int(nc[o]))
+                                            for o in live.tolist()})
+                     for c in algebra.chunks(np.full(int(np.sum(
+                         (nr == k[0]) & (nc == k[1]))), k[0] * k[1]))]
+        assert [len(o) for o, _ in got] == parts
+        assert np.concatenate([o for o, _ in got] + [[]]).tolist() == \
+            key.tolist()
+        for o, M in got:
+            assert M.dtype == complex and M.shape[1:] == (nr[o[0]], nc[o[0]])
+            for i, m in zip(o.tolist(), M):
+                assert m.real.tobytes() == want[i][0].tobytes()
+                assert m.imag.tobytes() == want[i][1].tobytes()
 
 
 class TestSpectralNorms:
@@ -1023,9 +1065,10 @@ class TestLapackCalls:
             corpus.zn_square_groupoid(8).table).shape == (64, 64)
         assert calls == []
         # row (3, 4) of the wide table has two terms on one side: one SVD
-        # per component shape, 1 x 3, 3 x 1 and the free 0 x 1
+        # per component shape, 1 x 3 and 3 x 1; the free column, a
+        # component with no rows, takes none
         assert center_basis(_wide_table()).shape == (3, 5)
-        assert sorted(calls) == [(1, 0, 1), (1, 1, 3), (1, 3, 1)]
+        assert sorted(calls) == [(1, 1, 3), (1, 3, 1)]
 
     def test_no_eigh_and_one_eig_per_component_size(self, monkeypatch):
         # the center of the union has components of 1 (pair(2)), 1

@@ -1303,17 +1303,23 @@ def test_verify_axioms_cuntz_window_memory_is_bounded():
     padded to the largest fiber dimension, verify_axioms peaked at 17.1
     MiB and held 10.2 MiB after it returned; at their own size, 6.5 MiB
     and 2.3 MiB, of which 1.1 MiB were sorted keys and orders of the
-    table entries; as runs of the base's layout, 5.4 MiB and 1.2 MiB."""
+    table entries; as runs of the base's layout, 5.4 MiB and 1.2 MiB. With
+    the regular representations keeping their block entries once, 0.6 MiB
+    stay held after verify_axioms and 0.6 MiB after psi_iso_check; with a
+    second copy of the entries per block size, 1.2 MiB and 1.8 MiB."""
     pi = corpus.graph_path_groupoid_morphism(corpus.cuntz_graphs()[2], 3)
     E = gk.build_bundle(pi)
     tracemalloc.start()
     try:
         rep = gk.verify_axioms(E)
         held, peak = tracemalloc.get_traced_memory()
+        iso = gk.psi_iso_check(pi, bundle=E, axiom_report=rep)
+        held_iso = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert rep.passed
-    assert peak < 10 * 2 ** 20 and held < 2.5 * 2 ** 20
+    assert rep.passed and iso.passed
+    assert peak < 10 * 2 ** 20 and held < 1.25 * 2 ** 20
+    assert held_iso < 1.5 * 2 ** 20
 
 
 def test_twisted_star_weight_of_g_is_conj_omega_of_g_and_its_inverse():
