@@ -89,22 +89,21 @@ def _scatter(index, values, size: int) -> np.ndarray:
 
 # triples per pass of associativity_defect (gathered: about 80 bytes each)
 _TRIPLES_PER_PASS = 1 << 16
-# One stacked numpy call holds at most _ROWS_PER_CALL rows and about
-# _ENTRIES_PER_CALL block entries and table terms, at about 100 bytes each
-_ROWS_PER_CALL = 1 << 16
+# One stacked numpy call holds about _ENTRIES_PER_CALL block entries and
+# table terms, at about 100 bytes each
 _ENTRIES_PER_CALL = 1 << 14
 
 
-def chunks(load) -> list:
-    """Index arrays of consecutive rows, each of at most _ROWS_PER_CALL
-    rows and about _ENTRIES_PER_CALL summed ``load``; a heavier row gets a
-    call of its own."""
+def chunks(load, budget=None) -> list:
+    """Index arrays of consecutive rows, each nonempty: all rows when their
+    ``load`` fits the ``budget`` (default _ENTRIES_PER_CALL, read at the
+    call), else a new one where the running load enters a new multiple."""
+    budget = _ENTRIES_PER_CALL if budget is None else budget
     load = np.asarray(load, dtype=np.int64)
-    if len(load) <= _ROWS_PER_CALL and load.sum() <= _ENTRIES_PER_CALL:
+    if load.sum() <= budget:
         return [np.arange(len(load))] if len(load) else []
-    part = (np.cumsum(load) // _ENTRIES_PER_CALL
-            + np.arange(len(load)) // _ROWS_PER_CALL)
-    return np.split(np.arange(len(load)), np.flatnonzero(np.diff(part)) + 1)
+    cuts = np.flatnonzero(np.diff(np.cumsum(load) // budget)) + 1
+    return np.split(np.arange(len(load)), cuts)
 
 
 def stacked_matrices(owner, row, col, vals, shape):
@@ -297,11 +296,11 @@ class StructureTable:
 
     def _generator_hom_defect(self, other, rows, cols, vals, gens):
         """:meth:`hom_defect` over the pairs (x, g), g in ``gens``, for U
-        given by its nonzero entries (rows, cols, vals): in passes over
-        consecutive ranges of gens, each of about _TRIPLES_PER_PASS terms.
-        Every term of one entry has the same g, so each difference is
-        summed in a single pass, term by term in table order; of equal
-        largest differences, the lexicographically first (x, g) is kept."""
+        given by its nonzero entries (rows, cols, vals): in :func:`chunks`
+        of gens, each of about _TRIPLES_PER_PASS terms. Every term of one
+        entry has the same g, so each difference is summed in a single
+        pass, term by term in table order; of equal largest differences,
+        the lexicographically first (x, g) is kept."""
         is_gen = np.zeros(self.dim, dtype=bool)
         is_gen[gens] = True
         i = np.flatnonzero(is_gen[self.b])  # table entries e_x e_g
@@ -312,22 +311,20 @@ class StructureTable:
         # terms per generator: U(e_x e_g), then U(e_x) U(e_g)
         per_q = np.bincount(other.b[p], np.bincount(
             rows, minlength=other.dim)[other.a[p]], other.dim)
-        load = (np.bincount(self.b[i], np.bincount(
+        passes = chunks((np.bincount(self.b[i], np.bincount(
             cols, minlength=self.dim)[self.c[i]], self.dim)
-            + np.bincount(cols[q], per_q[rows[q]], self.dim))[gens]
+            + np.bincount(cols[q], per_q[rows[q]], self.dim))[gens],
+            _TRIPLES_PER_PASS)
         part = np.zeros(self.dim, np.int64)
-        part[gens] = np.cumsum(load) // _TRIPLES_PER_PASS
+        part[gens] = np.repeat(np.arange(len(passes)), list(map(len, passes)))
         by_col = np.argsort(cols, kind="stable")
         by_row = np.argsort(rows, kind="stable")
-        # the table entries and U entries of each pass, in entry order;
-        # part[gens] does not decrease, and each later pass starts a run
-        runs = part[gens]
-        later = runs[1:][np.diff(runs) > 0]
-        i, q = (v[np.argsort(part[key[v]], kind="stable")]
-                for v, key in ((i, self.b), (q, cols)))
+        # the table entries and U entries of each pass, in entry order
+        (i,), (fi, ni) = _grouped(part[self.b[i]], len(passes), (i,))
+        (q,), (fq, nq) = _grouped(part[cols[q]], len(passes), (q,))
         best = (0.0, None)
-        for e, n in zip(np.split(i, np.searchsorted(part[self.b[i]], later)),
-                        np.split(q, np.searchsorted(part[cols[q]], later))):
+        for k in range(len(passes)):
+            e, n = i[fi[k]:fi[k] + ni[k]], q[fq[k]:fq[k] + nq[k]]
             # entry e makes e_c, U maps e_c by entry j
             x, j = _join(self.c[e], cols, by_col)
             e = e[x]
@@ -399,16 +396,13 @@ class StructureTable:
         ones = bool(np.all(W == 1))
 
         def scan(slots):  # the triples of the given slots, in passes
-            tri = np.concatenate(([0], np.cumsum(width[B[slots]])))
-            cuts = np.concatenate(([0], np.flatnonzero(np.diff(
-                tri[:-1] // _TRIPLES_PER_PASS)) + 1, [len(slots)]))
             best = (0.0, None)
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                q = slots[lo:hi]
+            for part in chunks(width[B[slots]], _TRIPLES_PER_PASS):
+                q = slots[part]
                 runs = width[B[q]]
-                first = tri[lo:hi] - tri[lo]  # first triple of each slot
+                first = np.cumsum(runs) - runs  # first triple of each slot
                 bk = np.repeat(off[B[q]] - first, runs) + np.arange(
-                    tri[hi] - tri[lo])
+                    first[-1] + runs[-1])
                 left = bk + np.repeat(off[P[q]] - off[B[q]], runs)
                 right = np.repeat(q - rpos[B[q]], runs) + rpos_p[bk]
                 moved = P[left] != P[right]
@@ -440,19 +434,19 @@ class StructureTable:
 
     def _sorted_associativity_defect(self):
         """:meth:`associativity_defect` of any table: the terms of both
-        sides are summed per (a, b, k, basis element) by a sort."""
+        sides summed per (a, b, k, basis element) in :func:`chunks` of a."""
         n = self.dim
-        # terms of both sides per first factor a
-        load = np.bincount(self.a, np.bincount(self.a, minlength=n)[self.c]
-                           + np.bincount(self.c, minlength=n)[self.b], n)
-        part = (np.cumsum(load) // _TRIPLES_PER_PASS)[self.a]
+        na, nc = (np.bincount(v, minlength=n) for v in (self.a, self.c))
+        load = np.bincount(self.a, na[self.c] + nc[self.b], n)  # terms per a
+        by_a, by_c = (np.argsort(v, kind="stable") for v in (self.a, self.c))
+        fa, fc = np.cumsum(na) - na, np.cumsum(nc) - nc
         best = (0.0, None)
-        for sel in (np.flatnonzero(part == k)
-                    for k in np.unique(part, return_counts=True)[0]):
+        for part in chunks(load, _TRIPLES_PER_PASS):
+            sel = by_a[_runs(fa[part], na[part])[1]]
             # (e_a e_b) e_k: entry i makes e_m, entry j multiplies e_m by e_k
-            i, j = _join(self.c[sel], self.a)
+            i, j = _runs(fa[self.c[sel]], na[self.c[sel]], by_a)
             # e_a (e_b e_k): entry q makes e_m, entry p multiplies e_a by e_m
-            p, q = _join(self.b[sel], self.c)
+            p, q = _runs(fc[self.b[sel]], nc[self.b[sel]], by_c)
             i, p = sel[i], sel[p]
             res = _defect((self.a[i], self.b[i], self.b[j], self.c[j],
                            self.w[i] * self.w[j]),
@@ -658,9 +652,9 @@ class RegularRepresentation:
         return self._star
 
     def slice_margin(self):
-        """(smallest singular value of the unit-column slices, the cut it
-        must clear, the arrow of ``base`` where it is smallest), kept on
-        the rep; (inf, cut, None) without a nonempty fiber.
+        """(sigma_min of a unit-column slice, the cut it must clear, its
+        arrow of ``base``) for the slice of least sigma_min - cut, kept on
+        the rep; (inf, 0.0, None) without a nonempty fiber.
 
         The slice of the arrow h has a row per basis element over h and a
         column per (row, col) over (h, s(h)), and takes the weight w of
@@ -670,38 +664,43 @@ class RegularRepresentation:
         make the representation injective; an entry of another arrow there
         sets the margin of its slice to 0. On a groupoid table each slice
         is the 1 x 1 coefficient of e_h in e_h e_s(h), and together they
-        are the slice of :func:`faithfulness_defect`. The cut is the
-        threshold that ``matrix_rank`` applies to the whole (dim, dim^2)
-        stack, taken with sigma_max <= sum |w|. A slice has at least as
-        many columns as rows, so when no column of any slice holds two
-        entries (an exact integer test) S S* is diagonal and sigma_min is
-        the smallest row norm of the slice; otherwise one batched SVD per
-        slice shape and chunk."""
+        are the slice of :func:`faithfulness_defect`. Slices share no row
+        or column, so their joint rank is the sum of theirs, and each is
+        cut by ``matrix_rank``'s rule at its own size, eps sigma_max(S_h)
+        max(d_h, d_h d_s(h)), but at eps times the largest sigma_max of
+        any slice at least, so that one at noise level fails. A slice has
+        at least as many columns as rows, so when no column of any slice
+        holds two entries (an exact integer test) S S* is diagonal and its
+        singular values are the row norms of the slice; otherwise one
+        batched SVD per slice shape and chunk."""
         if self._margin is None:
             src, over, n = self.src_idx, self.over, self.table.dim
             a, rows, cols, w = self.entries
-            cut = float(np.abs(w).sum()) * n * n * np.finfo(float).eps
             dims = np.bincount(over, minlength=len(src))
             loc = _ranks(over)[1]  # place over its arrow
             on = np.flatnonzero(over[cols] == src[over[rows]])
             a, rows, cols, w = a[on], rows[on], cols[on], w[on]
             h, du = over[rows], dims[src]
             col = np.sort(rows * n + cols)  # slice columns: (row, col)
+            sigma, top = np.full(len(dims), np.inf), np.zeros(len(dims))
             if np.all(col[1:] != col[:-1]):
                 own = over[a] == h  # the row norms of basis elements
-                sigma = np.full(len(dims), np.inf)
-                np.minimum.at(sigma, over, np.sqrt(np.bincount(
-                    a[own], np.abs(w[own]) ** 2, n)))
+                norm = np.sqrt(np.bincount(a[own], np.abs(w[own]) ** 2, n))
+                np.minimum.at(sigma, over, norm)
+                np.maximum.at(top, over, norm)
             else:
-                sigma = np.zeros(len(dims))
+                sigma[:] = 0.0
                 for owners, s in stacked_singular_values(
                         h, loc[a], loc[rows] * du[h] + loc[cols], w,
                         (dims, dims * du)):
-                    sigma[owners] = s[:, -1]
+                    sigma[owners], top[owners] = s[:, -1], s[:, 0]
             sigma[h[over[a] != h]] = 0.0
-            live = np.flatnonzero(dims > 0)
-            k = int(live[np.argmin(sigma[live])]) if len(live) else None
-            self._margin = (np.inf if k is None else float(sigma[k]), cut, k)
+            cut = np.finfo(float).eps * np.maximum(
+                top * dims * np.maximum(du, 1), top.max(initial=0.0))
+            gap = np.where(dims > 0, sigma - cut, np.inf)
+            k = int(np.argmin(gap)) if np.any(dims > 0) else None
+            self._margin = (np.inf, 0.0, None) if k is None else (
+                float(sigma[k]), float(cut[k]), k)
         return self._margin
 
     def describe(self, j) -> str:
@@ -761,9 +760,9 @@ def block_bijectivity(U, row_block, col_block):
     == b]: U is block-diagonal up to an order of rows and columns, so its
     singular values are its blocks', one batched SVD per block shape
     (:func:`stacked_singular_values`), and its rank is the number above
-    numpy's ``matrix_rank`` cut of U, sigma_max max(U.shape) eps. It
-    passes, residual 0.0, when U is square of full rank; else the witness
-    is its rank."""
+    numpy's ``matrix_rank`` cut, sigma_max max(U.shape) eps (under 1e-9
+    sigma_max up to a dimension of 4.5e6). Square of full rank passes,
+    residual 0.0; else the witness is its rank."""
     rb, cb = (np.asarray(v, np.int64) for v in (row_block, col_block))
     k = int(max(rb.max(initial=-1), cb.max(initial=-1))) + 1
     rows, cols = np.nonzero(U)
@@ -826,8 +825,8 @@ def positivity_check(G: FiniteGroupoid, f: AlgebraElement,
                      tol: float = 1e-9) -> bool:
     """True iff every regular-representation block of the self-adjoint f
     has spectrum >= -tol * ||f||; the first failing unit decides. f counts
-    as self-adjoint within that cut, or within the rounding of a product
-    of elements (dim * eps * ||f||), whichever is larger."""
+    as self-adjoint within that cut or the rounding of a product, dim * eps
+    * ||f|| (below 1e-9 ||f|| up to dim 4.5e6), whichever is larger."""
     rep = _regular(G)
     k = len(rep.sizes)
     scale, herm, low = 0.0, np.zeros(k), np.full(k, np.inf)
@@ -850,12 +849,12 @@ def faithfulness_defect(G: FiniteGroupoid):
     on the empty one.
 
     The slice is the n x n part of ``left_stack`` at the columns (c, s(c)):
-    entry [a, c] is the coefficient of e_c in e_a e_s(c), which is the
-    identity on a valid groupoid table; it is read, with its margin and
-    cut, by :meth:`RegularRepresentation.slice_margin` of the regular
-    representation. rank(M) >= rank(M[:, S]) for any column set S, so a
-    full-rank slice proves the defect is zero; only a slice below the cut
-    pays for the rank of the whole (dim, dim^2) stack.
+    entry [a, c] is the coefficient of e_c in e_a e_s(c), the identity on a
+    valid groupoid table, read with its margin and cut by the regular
+    representation's :meth:`RegularRepresentation.slice_margin`. rank(M)
+    >= rank(M[:, S]) for any column set S, so a full-rank slice proves the
+    defect is zero; a valid groupoid's clears its cut at any size, so only
+    a table that is not a groupoid's pays for the dense (dim, dim^2) rank.
     """
     n = len(G.arrows)
     defect, margin = 0, 0.0
@@ -994,12 +993,12 @@ def _phase_center(row, col, val, label, tol: float):
     or none. Phases are propagated from the component's smallest column,
     set to 1, along the rows of two terms, in rounds that each set the
     columns one row away from a set one; the component is dropped when
-    some row leaves a residual |sum of weight times phase| above the cut
-    of :func:`_svd_center`, with the root of the largest sum of squared
-    weights over a column's entries in place of the largest singular
-    value (at least 1/sqrt(2) of it where the weights have one modulus).
-    With every weight 1 each residual is 0 or 1. A kept component gives
-    its phases, normalized: a row with a real positive first entry."""
+    some row leaves a residual |sum of weight times phase| above the
+    linear-in-dim cut of :func:`_svd_center`, with the root of the largest
+    sum of squared weights over a column's entries in place of the largest
+    singular value (at least 1/sqrt(2) of it where the weights have one
+    modulus). With every weight 1 each residual is 0 or 1. A kept component
+    gives its phases, normalized: a row with a real positive first entry."""
     n, m, nrows = len(label), len(row) // 2, int(row.max()) + 1
     # the entry of each side of every row (the x e_b terms come first)
     side = np.full((2, nrows), -1)
@@ -1038,8 +1037,8 @@ def _svd_center(row, col, val, label, tol: float):
     where a thin one would drop null vectors. A column in no row is a
     component with no rows, of rank 0 and null vector 1; those come first,
     as one stack. Ranks are cut at ``tol`` times the largest singular
-    value over every component, which is the largest of the whole matrix,
-    and never below dim * eps of it."""
+    value over every component, the largest of the whole matrix, and never
+    below dim * eps of it: linear in dim, under 1e-9 up to dim 4.5e6."""
     n = len(label)
     # a column (row) sits at its rank among those of its component, and
     # the components are numbered in order of their smallest column

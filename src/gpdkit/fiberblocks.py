@@ -44,12 +44,12 @@ from .groupoid import _grouped, _runs
 def stacked_ranks(owner, row, col, vals, shape, tol: float) -> np.ndarray:
     """Numeric rank of the matrix of every owner o, of shape
     (shape[0][o], shape[1][o]), with vals summed at (row, col) of the
-    entries it owns: the singular values above tol * max(largest, 1), 0
-    for an empty matrix. Where no (owner, row) holds two entries, M* M is
-    diagonal and the singular values are the column norms, read with one
-    bincount (the product matrices of a table whose basis pairs have one
-    product term each); elsewhere one batched SVD per shape and chunk
-    (:func:`~gpdkit.algebra.stacked_singular_values`)."""
+    entries it owns: the singular values above tol * max(largest, 1) (no
+    dimension enters), 0 for an empty matrix. Where no (owner, row) holds
+    two entries, M* M is diagonal and the singular values are the column
+    norms, read with one bincount (the product matrices of a table whose
+    basis pairs have one product term each); elsewhere one batched SVD per
+    shape and chunk (:func:`~gpdkit.algebra.stacked_singular_values`)."""
     nr, nc = (np.asarray(v, dtype=np.int64) for v in shape)
     key = np.sort((np.cumsum(nr) - nr)[owner] + row)
     if not np.any(key[1:] == key[:-1]):

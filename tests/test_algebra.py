@@ -276,6 +276,45 @@ class TestStackedNorms:
             pytest.approx(1.0)
 
 
+def _chunk_oracle(load, budget):
+    """The rows of each chunk: all rows when their load fits the budget,
+    else a new chunk at each row whose running total enters a new multiple
+    of the budget."""
+    if sum(load) <= budget:
+        return [list(range(len(load)))] if load else []
+    out, level, total = [], None, 0
+    for i, x in enumerate(load):
+        total += x
+        if total // budget != level:
+            out.append([])
+            level = total // budget
+        out[-1].append(i)
+    return out
+
+
+class TestChunks:
+    """:func:`algebra.chunks`, which cuts every bounded pass, against a
+    plain-Python running total."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), budget=st.sampled_from([1, 7, 1 << 14]))
+    def test_chunks_equal_a_running_total(self, data, budget):
+        load = data.draw(st.lists(st.integers(0, 3 * budget), max_size=200))
+        got = algebra.chunks(np.array(load, dtype=np.int64), budget)
+        assert all(len(c) for c in got)
+        assert np.concatenate([np.arange(0)] + got).tolist() == \
+            list(range(len(load)))
+        assert [c.tolist() for c in got] == _chunk_oracle(load, budget)
+        # without a budget: _ENTRIES_PER_CALL as it is at the call
+        with mock.patch.object(gk.algebra, "_ENTRIES_PER_CALL", budget):
+            assert [c.tolist() for c in algebra.chunks(load)] == \
+                [c.tolist() for c in got]
+
+    def test_no_rows_make_no_chunk(self):
+        assert algebra.chunks([]) == []
+        assert algebra.chunks([], 1) == []
+
+
 class TestStackedMatrices:
     """The stacks of :func:`algebra.stacked_matrices` against a dense
     assembly of each owner's matrix, entry by entry in the given order, so

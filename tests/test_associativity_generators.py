@@ -180,3 +180,37 @@ def test_generators_are_greedy_in_basis_order(name, monkeypatch):
     for k, g in enumerate(gens):
         have = _right_closure(G, gens[:k])
         assert g == next(h for h in G.arrows if h not in have)
+
+
+def _shuffled_heis(n, kind):
+    """heis_n's groupoid table with its entries in a random order: intact,
+    with one weight scaled, or with that and a fifth of its entries split
+    into two terms each, so that sums of several terms arise."""
+    T = corpus.heisenberg_groupoid(n).table
+    a, b, c, w = T.a, T.b, T.c, T.w.copy()
+    if kind != "intact":
+        w[len(w) // 3] *= 1.3 * np.exp(0.4j)
+    if kind == "split":
+        k = np.arange(0, len(a), 5)
+        a, b, c = (np.concatenate((v, v[k])) for v in (a, b, c))
+        w = np.concatenate((w, w[k] * 2 / 3))
+        w[k] /= 3
+    perm = np.random.default_rng(n).permutation(len(a))
+    return lambda: StructureTable(T.dim, a[perm], b[perm], c[perm], w[perm],
+                                  T.s, T.t, T.sw)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["intact", "scaled", "split"])
+def test_both_scans_are_bitwise_the_same_at_every_pass_size(n, kind,
+                                                            monkeypatch):
+    make, out = _shuffled_heis(n, kind), set()
+    for size in (1, 7, 64, 1 << 16):
+        monkeypatch.setattr(algebra, "_TRIPLES_PER_PASS", size)
+        T = make()
+        out.add(tuple((float(res).hex(), at) for res, at in (
+            T.associativity_defect(), T._sorted_associativity_defect())))
+    assert len(out) == 1
+    (gathered, at), (_, sorted_at) = out.pop()
+    assert (float.fromhex(gathered) > 0.1) == (kind != "intact")
+    assert (at is None) == (sorted_at is None) == (kind == "intact")

@@ -22,7 +22,7 @@ from gpdkit.cli import main
 from gpdkit.fiberblocks import fiber_blocks
 from gpdkit.report import CheckEntry
 
-from oracles import isometry_defect, random_action, random_cocycle
+from oracles import isometry_defect, random_action, random_cocycle, rebased
 
 
 def _cli(argv) -> tuple:
@@ -353,6 +353,101 @@ def test_zeroed_slice_entry_names_its_arrow():
     assert not passed and residual is None
     assert witness.startswith("faithful(section): sigma_min")
     assert witness.endswith(f"over {H.arrows[h]!r}")
+
+
+# -- the faithfulness cut: one per slice, at the slice's own size
+
+def _slice_failure(rep, H, entries, over=None):
+    """(margin, cut, arrow, passed, witness) of ``rep`` with ``entries``."""
+    broken = RegularRepresentation(rep.table, H, entries, over=over)
+    margin, cut, at = broken.slice_margin()
+    passed, _, witness = isometry_certificate([], [("x", broken)], 1e-9)
+    return margin, cut, at, passed, witness
+
+
+def test_the_faithfulness_cut_does_not_grow_with_the_table():
+    # every slice of pair(k) is the 1 x 1 weight 1: a cut of the whole
+    # (dim, dim^2) stack grew like k^7 and passed 1 at k = 180
+    cuts = []
+    for k in (8, 16, 32, 64):
+        margin, cut, h = _regular(corpus.pair_groupoid(k)).slice_margin()
+        assert margin == 1.0 and h is not None
+        cuts.append(cut)
+    assert max(cuts) <= 2 * min(cuts) and max(cuts) < 1e-15
+
+
+def test_no_fiber_has_no_cut():
+    H = corpus.pair_groupoid(2)
+    T = StructureTable(0, [], [], [], [], [], [], [])
+    empty = (np.zeros(0, int),) * 3 + (np.zeros(0, complex),)
+    rep = RegularRepresentation(T, H, empty, over=np.zeros(0, int))
+    assert rep.slice_margin() == (np.inf, 0.0, None)
+
+
+@pytest.mark.parametrize("weight, passes", [(1e-20, False), (1e-10, True)])
+def test_a_groupoid_slice_at_noise_level_fails(weight, passes):
+    # the 1 x 1 slice e_h e_s(h) = weight e_h: its own cut scales with the
+    # weight, and the floor at the largest slice decides
+    G = corpus.pair_groupoid(3)
+    rep = _regular(G)
+    a, rows, cols, w = rep.entries
+    h = 4
+    w = w.copy()
+    w[(a == h) & (rows == h) & (cols == G.src_idx[h])] = weight
+    margin, cut, at, passed, witness = _slice_failure(rep, G,
+                                                      (a, rows, cols, w))
+    assert margin == weight and at == h and passed == passes
+    if not passes:
+        assert witness == (f"faithful(x): sigma_min {weight:.3e} <= cut "
+                           f"{cut:.3e} over {G.arrows[h]!r}")
+
+
+def test_a_section_slice_row_at_noise_level_names_its_arrow():
+    # heis3's quotient has a fiber of 3 over each of its 9 arrows
+    E = gk.build_bundle(corpus.heisenberg_quotient(3))
+    rep, H = gk.section_algebra(E).space.rep, E.base
+    a, rows, cols, w = rep.entries
+    over = rep.over
+    h = int(np.flatnonzero(~H.unit_mask())[1])
+    assert np.count_nonzero(over == h) == 3
+    x = np.flatnonzero(over == h)[1]
+    w = w.copy()
+    w[(a == x) & (over[cols] == H.src_idx[over[rows]])] *= 1e-20
+    margin, cut, at, passed, witness = _slice_failure(
+        rep, H, (a, rows, cols, w), over)
+    assert margin <= cut and at == h and not passed
+    assert witness.endswith(f"over {H.arrows[h]!r}")
+
+
+def test_a_rebased_slice_takes_the_svd_and_fails_when_deficient(
+        monkeypatch):
+    E = gk.build_bundle(corpus.heisenberg_quotient(2))
+    rng = np.random.default_rng(5)
+    P = np.zeros((E.total_dim(),) * 2, dtype=complex)
+    for g in E.base.arrows:
+        at, d = slice(E.first[g], E.first[g] + E.dim(g)), E.dim(g)
+        P[at, at] = np.eye(d) + 0.4 * (rng.standard_normal((d, d))
+                                       + 1j * rng.standard_normal((d, d)))
+    rep = gk.section_algebra(rebased(E, P)).space.rep
+    H, over = E.base, rep.over
+    svd = []
+    real = algebra.stacked_singular_values
+    monkeypatch.setattr(algebra, "stacked_singular_values",
+                        lambda *args: svd.append(1) or real(*args))
+    margin, cut, h = rep.slice_margin()
+    assert svd and margin > 1e3 * cut
+    # the slice row of basis element y copied onto x, over one arrow g
+    a, rows, cols, w = rep.entries
+    g = int(np.flatnonzero(~H.unit_mask())[0])
+    x, y = np.flatnonzero(over == g)
+    on = over[cols] == H.src_idx[over[rows]]
+    keep = ~(on & (a == x))
+    copy = on & (a == y)
+    entries = (np.concatenate((a[keep], np.full(copy.sum(), x))),
+               *(np.concatenate((v[keep], v[copy])) for v in (rows, cols, w)))
+    margin, cut, at, passed, witness = _slice_failure(rep, H, entries, over)
+    assert len(svd) == 2 and margin <= cut and at == g and not passed
+    assert witness.endswith(f"over {H.arrows[g]!r}")
 
 
 def test_cli_error_without_witness_reports_its_message():
