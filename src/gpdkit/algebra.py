@@ -53,10 +53,12 @@ injective *-homomorphism between C*-algebras is isometric (Murphy 1990,
 is a bijective *-homomorphism and that each norm is taken in a faithful
 *-representation, which :meth:`RegularRepresentation.star_defect` and
 :meth:`RegularRepresentation.slice_margin` measure on the block entries.
-Every basis map is certified by the same two functions: bijectivity by
-the singular values of its blocks (:func:`block_bijectivity`), and the
-*-homomorphism by its defects (:func:`map_defects`), whose multiplicative
-scan takes g in the generating set a table keeps, as in Light's test.
+A basis map that is not a permutation (of extensions, extractions) is
+certified by two functions: bijectivity by the singular values of its
+blocks (:func:`block_bijectivity`), and the *-homomorphism by its defects
+(:func:`map_defects`), whose multiplicative scan takes g in the
+generating set a table keeps, as in Light's test. A bundle's psi, a
+permutation, takes one :func:`_defect` per entry (``gpdkit.bundle``).
 """
 
 from __future__ import annotations
@@ -529,12 +531,6 @@ class AlgebraElement:
     def __rmul__(self, scalar):
         return AlgebraElement(self.base, self.coeffs * complex(scalar))
 
-    def star(self):
-        return involute(self)
-
-    def norm(self):
-        return cstar_norm(self.base, self)
-
     def __repr__(self):
         support = sum(1 for v in self.coeffs if abs(v) > 0)
         return f"AlgebraElement(support {support}/{len(self.coeffs)})"
@@ -783,7 +779,8 @@ def map_defects(D: StructureTable, T: StructureTable, U, names, associative,
                 tol: float):
     """The entries (passed, residual, witness) "U is multiplicative" and
     "U is star-preserving" of the map U from the algebra of ``D`` into
-    that of ``T``, column j the image of e_j, named ``names[j]``: the
+    that of ``T``, column j the image of e_j, named ``names[j]``, for the
+    maps that are not permutations (extensions, extractions): the
     defects of :meth:`StructureTable.hom_defect`, with the generators D
     keeps exactly when the hypotheses (name, residual, witness) that make
     both tables associative pass their :func:`certificate`, and of

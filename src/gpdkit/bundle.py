@@ -96,9 +96,9 @@ class FellBundle:
 
     The slots are numbered arrow-major in the order of the base arrows,
     held once as ``dims`` (fiber dimension per arrow index) and ``arrow``
-    (arrow index per slot); ``first`` maps arrow names to first slots, and
-    ``psi_slots`` (a bundle of a morphism only) domain arrows, in domain
-    order, to their slots (psi is this slot map; -1: in no fiber).
+    (arrow index per slot); ``first`` maps arrow names to first slots. A
+    bundle of a morphism keeps psi both ways: ``psi_slots`` (domain arrow
+    to slot, -1: in no fiber) and ``psi_inverse`` (slot to domain arrow).
 
     ``fiber_map_errors`` holds the first product and star entry that
     leaves the fibers it names (axioms 1 and 5; see
@@ -122,9 +122,13 @@ class FellBundle:
         if table.dim != slot or np.any((factors < 0) | (factors >= slot)):
             raise FellBundleError(f"table is not over the {slot} slots of "
                                   "the fibers")
-        self.psi_slots = None if morphism is None else _ids(
-            morphism.domain.arrows,
-            {g: i for i, g in enumerate(chain.from_iterable(bases))})
+        self.psi_slots = self.psi_inverse = None
+        if morphism is not None:
+            self.psi_slots = _ids(morphism.domain.arrows, {
+                g: i for i, g in enumerate(chain.from_iterable(bases))})
+            inverse = np.full(slot + 1, -1)  # slot -1 lands past the end
+            inverse[self.psi_slots] = np.arange(len(self.psi_slots))
+            self.psi_inverse = inverse[:-1]
         self._table = table
         self.fiber_map_errors = _fiber_map_errors(self)
         self._blocks = self._is_moved = None
@@ -145,10 +149,11 @@ class FellBundle:
         return self._table
 
     def moved(self) -> bool:
-        """The section table is the domain's moved by psi (:func:`_moved`)."""
+        """The section table is the domain's with every arrow moved to its
+        slot by psi, decided by gathers (:func:`_moved`)."""
         if self._is_moved is None:
             self._is_moved = self.psi_slots is not None and _moved(
-                self.morphism.domain.table, self.table(), self.psi_slots)
+                self.morphism.domain, self.table(), self.psi_inverse)
         return self._is_moved
 
     def is_abelian(self, tol: float = 1e-12) -> bool:
@@ -289,22 +294,21 @@ def build_bundle(pi: GroupoidMorphism, twist=None) -> FellBundle:
     for g, h in zip(G.arrows, H.names(pi.image)):
         fibers[h].append(g)
     # slots are arrow-major over H, in domain order within a fiber
-    slots = np.empty(len(G.arrows), dtype=np.int64)
-    slots[np.argsort(pi.image, kind="stable")] = np.arange(len(G.arrows))
-    return FellBundle(H, fibers, _arrow_table(G, slots, pi.image, twist),
-                      morphism=pi)
+    return FellBundle(H, fibers, _arrow_table(
+        G, np.argsort(pi.image, kind="stable"), pi.image, twist),
+        morphism=pi)
 
 
-def _arrow_table(G: FiniteGroupoid, slots, over, twist) -> StructureTable:
-    """Section table of a bundle whose basis vector of the arrow g of G
-    sits at slots[g]: products follow composition in G, weighted by the
-    2-cocycle ``twist`` (None, a Cocycle or a mapping on composable
-    pairs), and e_g* is conj(twist(g, inv g)) e_{inv g}, one gather of
-    the cocycle's weights. Products are listed by the pair (over[g2],
-    over[g1]) of their factors, composition order within a pair, and star
-    entries by slot. A mapping, or the name view of a Cocycle on another
-    groupoid, is checked as a :class:`~gpdkit.actions.Cocycle` on G first,
-    which names the first composable pair it misses."""
+def _arrow_table(G: FiniteGroupoid, at, over, twist) -> StructureTable:
+    """Section table of a bundle whose slot k holds the arrow at[k] of G
+    (psi^-1): products follow composition in G, weighted by the 2-cocycle
+    ``twist`` (None, a Cocycle or a mapping on composable pairs), and
+    e_g* is conj(twist(g, inv g)) e_{inv g}, one gather of the cocycle's
+    weights. Products are listed by the pair (over[g2], over[g1]) of
+    their factors, composition order within a pair, and star entries by
+    slot. A mapping, or the name view of a Cocycle on another groupoid,
+    is checked as a :class:`~gpdkit.actions.Cocycle` on G first, which
+    names the first composable pair it misses."""
     from .actions import Cocycle  # actions imports this module
     D = G.table
     if twist is None:
@@ -316,11 +320,12 @@ def _arrow_table(G: FiniteGroupoid, slots, over, twist) -> StructureTable:
             twist = Cocycle(G, twist)
         w = twist.table.w
         sw = np.conj(w[G.entry_ids(D.s, D.t)])
+    slots = np.empty_like(at)
+    slots[at] = np.arange(len(at))
     m = np.lexsort((over[D.a], over[D.b]))
-    st = np.argsort(slots)
     return StructureTable(D.dim, slots[D.a[m]], slots[D.b[m]],
-                          slots[D.c[m]], w[m], slots[st], slots[D.t[st]],
-                          sw[st])
+                          slots[D.c[m]], w[m], np.arange(len(at)),
+                          slots[D.t[at]], sw[at])
 
 
 def kernel_decomposition_report(pi: GroupoidMorphism, untwisted: bool,
@@ -513,21 +518,21 @@ def _star_defects(E: FellBundle) -> tuple:
             else T.antimultiplicative_defect())
 
 
-def _moved(D: StructureTable, T: StructureTable, slots) -> bool:
-    """Whether T is D with every basis index i moved to slots[i]: the same
-    entries (a, b, c, w) and star entries (s, t, sw), in any order. Each
-    side's entries are sorted by their integer key, and the keys and then
-    the weights compared."""
-    if (T.dim, len(T.a), len(T.s)) != (D.dim, len(D.a), len(D.s)):
+def _moved(G: FiniteGroupoid, T: StructureTable, at) -> bool:
+    """Whether T is the table D of G with the arrow at[k] moved to slot k
+    (-1: none): ``at`` is a bijection, and each entry of T pulled back
+    through it is one of D, found by a gather (``entry_ids`` of (at[a],
+    at[b]), or the arrow at[s], as D lists its stars by arrow), with
+    composite at[c] or at[t] and the same weight, none hit twice."""
+    D = G.table
+    if (T.dim, len(T.a), len(T.s)) != (D.dim, len(D.a), len(D.s)) \
+            or np.any(at < 0):
         return False
-    n = T.dim
-    sides = []
-    for X, at in ((T, np.arange(n)), (D, slots)):
-        key = (at[X.a] * n + at[X.b]) * n + at[X.c]
-        star = at[X.s] * n + at[X.t]
-        p, q = np.argsort(key), np.argsort(star)
-        sides.append((key[p], star[q], X.w[p], X.sw[q]))
-    return all(map(np.array_equal, *sides))
+    e, s = G.entry_ids(at[T.a], at[T.b]), at[T.s]
+    return bool(np.all(e >= 0) and all(
+        np.all(np.bincount(v, minlength=len(v)) == 1) for v in (e, s))
+        and all(map(np.array_equal, (D.c[e], D.w[e], D.t[s], D.sw[s]),
+                    (at[T.c], T.w, at[T.t], T.sw))))
 
 
 def _norm_hypotheses(E: FellBundle, report: AxiomReport, tol: float):
@@ -849,22 +854,23 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     the convolution algebra of the domain onto the section algebra.
 
     The bundle is admitted by ``axiom_report``, or else by
-    :func:`verify_axioms` at ``samples`` and ``seed``. Linearity and
-    bijectivity are exact (the matrix U of the map is a permutation,
-    ``E.psi_slots``). When the section table is the domain's moved by it
-    (:meth:`FellBundle.moved`), U carries every entry of one table onto
-    the other: multiplicativity and the star property hold exactly
-    (residual 0.0), and the section blocks are the domain's. Otherwise
-    they are the defects of U between the two tables
-    (:func:`~gpdkit.algebra.map_defects`), associative by the domain's
-    kept defect and by axiom 3 of the admission. The Hilbert-module check
+    :func:`verify_axioms` at ``samples`` and ``seed``. psi is certified
+    as the permutation of bases it is: bijectivity is exact (each slot has
+    one domain arrow, ``E.psi_inverse``). When the section table is the
+    domain's moved by psi (:meth:`FellBundle.moved`), multiplicativity
+    and the star property hold exactly (residual 0.0), and the section
+    blocks are the domain's. Otherwise each is one defect of the domain's
+    entries against the section's pulled back through psi^-1, over every
+    basis pair (x, g) or element s, named on failure by the first (x, g)
+    or s of its largest difference; nothing is assumed of associativity
+    and no matrix of psi is formed. The Hilbert-module check
     compares the expectation of psi(e_g1)* psi(e_g2) with psi of the
     kernel part of e_g1* e_g2 over every pair of arrows with one range, as
     one defect of the two tables (:func:`_hilbert_module_defect`), and
     names the pair when it fails.
     ``isometric`` is certified over every element, not sampled
     (:func:`~gpdkit.algebra.isometry_certificate`; Murphy 1990, Thm
-    3.1.5): U is bijective and a *-homomorphism by the checks above, the
+    3.1.5): psi is bijective and a *-homomorphism by the checks above, the
     domain's table is associative (``validate_groupoid``), the section
     table by axiom 3 of the verified bundle, and the regular
     representation of the domain and the section representation are
@@ -879,26 +885,23 @@ def psi_iso_check(pi: GroupoidMorphism, tol: float = 1e-9, seed: int = 0,
     report = IsoReport()
 
     # bijectivity: as many slots as arrows of G, each hit by one
-    n, slots = len(G.arrows), E.psi_slots
-    perm_ok = E.total_dim() == n and bool(
-        np.bincount(slots[slots >= 0], minlength=n).all())
+    n, slots, at = len(G.arrows), E.psi_slots, E.psi_inverse
+    perm_ok = E.total_dim() == n and bool(np.all(at >= 0))
     not_perm = "restriction map is not a permutation"
-    report.add("linear_bijection", perm_ok, 0.0 if perm_ok else None,
-               None if perm_ok else not_perm)
-
-    if not perm_ok or E.moved():  # moved: U carries D onto E.table()
-        for name in ("multiplicative", "star_preserving"):
-            report.add(name, perm_ok, 0.0 if perm_ok else None,
-                       None if perm_ok else not_perm)
-    else:
-        U = np.zeros((E.total_dim(), len(G.arrows)))
-        U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
-        mul, star = algebra.map_defects(
-            G.table, E.table(), U, G.arrows,
-            [("associative(domain)", G.table.associativity_defect()[0],
-              None), *sa.report.cite("axiom3_associative")], tol)
-        report.add("multiplicative", *mul)
-        report.add("star_preserving", *star)
+    exact = not perm_ok or E.moved()  # moved: psi carries D onto E.table()
+    for name in ("linear_bijection", "multiplicative",
+                 "star_preserving")[:3 if exact else 1]:
+        report.add(name, perm_ok, 0.0 if perm_ok else None,
+                   None if perm_ok else not_perm)
+    if not exact:  # the domain's entries against the section's pulled back
+        D, T = G.table, E.table()
+        for name, (res, e), form in (
+                ("multiplicative", _defect((D.a, D.b, slots[D.c], D.w), (
+                    at[T.a], at[T.b], T.c, T.w), n), "({!r}, {!r})"),
+                ("star_preserving", _defect((D.s, slots[D.t], D.sw), (
+                    at[T.s], T.t, T.sw), n), "{!r}")):
+            report.add(name, res <= tol, res,
+                       None if res <= tol else form.format(*G.names(e)))
 
     if perm_ok:
         res_mod, pair = _hilbert_module_defect(pi, E)
@@ -980,8 +983,7 @@ def _hilbert_module_defect(pi: GroupoidMorphism, E: FellBundle):
     B = fiber_blocks(E)
     # section side: the domain arrows at the slots of e_x* e_y, over h
     h, i, j, m, w, _ = B.inner("B")
-    dom = np.argsort(slots)  # psi is a permutation
-    g1, g2 = dom[B.first[h] + i], dom[B.first[h] + j]
+    g1, g2 = (E.psi_inverse[B.first[h] + k] for k in (i, j))
     keep = rng[g1] == rng[g2]
     lhs = (g1[keep], g2[keep], B.first[B.src[h]][keep] + m[keep], w[keep])
     # domain side: star entry j of e_g1, then product entry m of its

@@ -900,6 +900,44 @@ def hilbert_module_residuals(pi, E):
     return out
 
 
+# -- psi as a map of bases, the references of the routes that treat it
+# as a permutation: a sort of both tables for FellBundle.moved, and the
+# dense matrix of psi for the unmoved entries of psi-check
+
+def sorted_moved(D, T, slots):
+    """Whether T is D with every basis index i moved to slots[i]: the same
+    entries (a, b, c, w) and star entries (s, t, sw), in any order. Each
+    side's entries are sorted by their integer key, and the keys and then
+    the weights compared."""
+    if (T.dim, len(T.a), len(T.s)) != (D.dim, len(D.a), len(D.s)):
+        return False
+    n = T.dim
+    sides = []
+    for X, at in ((T, np.arange(n)), (D, slots)):
+        key = (at[X.a] * n + at[X.b]) * n + at[X.c]
+        star = at[X.s] * n + at[X.t]
+        p, q = np.argsort(key), np.argsort(star)
+        sides.append((key[p], star[q], X.w[p], X.sw[q]))
+    return all(map(np.array_equal, *sides))
+
+
+def dense_psi_defects(pi, E, report, tol=1e-9):
+    """The entries (passed, residual, witness) "multiplicative" and
+    "star_preserving" of psi-check on a bundle E of pi whose psi is a
+    permutation, through the dense (total_dim, |G|) matrix U of psi:
+    :func:`gpdkit.algebra.map_defects`, which scans the generators of the
+    domain first when the domain and the section table (axiom 3 of
+    ``report``) are associative."""
+    from gpdkit import algebra
+    G = pi.domain
+    U = np.zeros((E.total_dim(), len(G.arrows)))
+    U[E.psi_slots, np.arange(len(G.arrows))] = 1.0
+    return algebra.map_defects(
+        G.table, E.table(), U, G.arrows,
+        [("associative(domain)", G.table.associativity_defect()[0], None),
+         *report.cite("axiom3_associative")], tol)
+
+
 def closure_table(mats, tol=1e-9):
     """Close a matrix family under products; return the table of the
     closure in a basis orthonormal under <a, b> = tr(a* b): dense

@@ -239,7 +239,7 @@ def test_validated_tables_keep_their_defect(measured):
 def test_moved_domain_table_takes_the_domains_defect(measured):
     pi = corpus.heisenberg_quotient(3)  # GroupTable measures its table
     E = gk.build_bundle(pi)
-    assert gbundle._moved(pi.domain.table, E.table(), E.psi_slots)
+    assert E.moved()
     del measured[:]
     rep = gk.verify_axioms(E, samples=12)
     assert measured == []
@@ -251,7 +251,7 @@ def test_twisted_table_is_not_moved():
     ag = gk.build_action_groupoid(corpus.flip_action())
     omega = random_cocycle(ag.groupoid, np.random.default_rng(1))
     E = gk.build_bundle(ag.projection, twist=omega)
-    assert not gbundle._moved(ag.groupoid.table, E.table(), E.psi_slots)
+    assert not E.moved()
 
 
 def test_changed_entry_takes_the_full_scan(measured):
@@ -263,8 +263,7 @@ def test_changed_entry_takes_the_full_scan(measured):
     arrays = table_arrays(E)
     _scale_product(E, arrays, slot_arrows(E))
     broken = bundle_from(E, arrays, morphism=pi)
-    assert not gbundle._moved(pi.domain.table, broken.table(),
-                              broken.psi_slots)
+    assert not broken.moved()
     del measured[:]
     rep = gk.verify_axioms(broken, samples=12, seed=0)
     assert measured == [broken.table()]
@@ -282,7 +281,6 @@ def test_redirected_entry_is_not_moved():
     e = int(np.flatnonzero(arrays["c"] == E.first[h])[0])
     arrays["c"][e] += 1
     broken = bundle_from(E, arrays, morphism=pi)
-    assert not gbundle._moved(pi.domain.table, broken.table(),
-                              broken.psi_slots)
+    assert not broken.moved()
     assert not gk.verify_axioms(broken, samples=5).entry(
         "axiom3_associative").passed

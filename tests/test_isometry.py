@@ -198,8 +198,8 @@ def test_scaled_column_fails_the_certificate():
 
 def _swapped_psi_slots(monkeypatch):
     """Make build_bundle of psi-check swap the psi slots of the first two
-    domain arrows over one non-unit base arrow: psi stays a permutation
-    and the bundle stays intact."""
+    domain arrows over one non-unit base arrow, in both directions the
+    bundle keeps: psi stays a permutation and the bundle stays intact."""
     build = gbundle.build_bundle
     made = []
 
@@ -208,7 +208,8 @@ def _swapped_psi_slots(monkeypatch):
         h = next(h for h in E.base.arrows
                  if not E.base.is_unit(h) and E.dim(h) > 1)
         i, j = (pi.domain.index[g] for g in E.fibers[h][:2])
-        E.psi_slots[[i, j]] = E.psi_slots[[j, i]]
+        a, b = E.psi_slots[[i, j]]
+        E.psi_slots[[i, j]], E.psi_inverse[[a, b]] = (b, a), (j, i)
         made.append(E)
         return E
     monkeypatch.setattr(gbundle, "build_bundle", swapped)

@@ -212,8 +212,9 @@ def test_non_associative_target_is_never_certified_from_generators(
 
 
 def test_psi_check_of_a_twisted_bundle_fails_as_the_full_scan(monkeypatch):
-    # the restriction map onto a twisted (unmoved) section table: the
-    # generators fail, and the entry is the full scan's
+    # the restriction map onto a twisted (unmoved) section table: psi is a
+    # permutation, so psi-check compares the two tables entry by entry,
+    # scans no generator, and the entry is the full scan's
     monkeypatch.setattr(algebra, "_TRIPLES_PER_PASS", 64)
     pi = corpus.heisenberg_quotient(3)
     omega = gk.coboundary_cocycle(pi.domain, {
@@ -222,8 +223,7 @@ def test_psi_check_of_a_twisted_bundle_fails_as_the_full_scan(monkeypatch):
     assert not E.moved() and pi.domain.table.generators is not None
     scans = _counting(monkeypatch, StructureTable, "_generator_hom_defect")
     entry = gk.psi_iso_check(pi, bundle=E, samples=5).entry("multiplicative")
-    assert _sets(scans) == [pi.domain.table.generators.tolist(),
-                            list(range(len(pi.domain.arrows)))]
+    assert _sets(scans) == []
     U = np.zeros((len(pi.domain.arrows),) * 2)
     U[E.psi_slots, np.arange(len(U))] = 1.0
     res, pair = pi.domain.table.hom_defect(E.table(), U)

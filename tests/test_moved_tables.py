@@ -3,7 +3,9 @@ the bundle before it is used.
 
 - A section table that is the domain's table with its basis moved by psi
   (``FellBundle.moved``) is the same algebra: psi-check reports its two
-  U-defects at 0.0 and takes the section blocks from the domain's solve.
+  defects at 0.0 and takes the section blocks from the domain's solve.
+  ``moved`` gathers each entry pulled back through psi^-1 from the
+  domain's layout; the reference sorts both tables.
 - Gram blocks with no off-diagonal term (``FiberBlocks.diagonal``) take
   their roots and margins from the diagonal, with no eigh, and the table
   goes into orthonormal coordinates by a rescaling of its weights.
@@ -22,8 +24,9 @@ from gpdkit.algebra import StructureTable, wedderburn_from_tables
 from gpdkit.cli import main
 from gpdkit.fiberblocks import fiber_blocks
 
-from oracles import bundle_from, dense_verify_axioms, random_action, \
-    random_cocycle, rebased, root_blocks, slot_arrows, table_arrays
+from oracles import bundle_from, dense_psi_defects, dense_verify_axioms, \
+    random_action, random_cocycle, rebased, root_blocks, slot_arrows, \
+    sorted_moved, table_arrays
 
 
 def _counting(monkeypatch, owner, name):
@@ -69,8 +72,8 @@ def _eigh_roots(B):
 
 
 # -- negative controls: a section table with one weight turned is not
-# the domain's moved, so psi-check solves it and scans both U-defects,
-# with the report it gave before the identity was used
+# the domain's moved, so psi-check solves it and compares both tables
+# entry by entry, with the report it gave before the identity was used
 
 def _turned(kind):
     """heis3 with the weight of its first product of non-units onto a
@@ -122,7 +125,8 @@ def test_turned_weight_is_solved_and_scanned(kind, monkeypatch):
              for name in ("hom_defect", "star_hom_defect")}
     solves = _counting(monkeypatch, algebra, "_center_entries")
     iso = gk.psi_iso_check(pi, bundle=broken, axiom_report=rep)
-    assert [len(c) for c in scans.values()] == [1, 1]
+    # psi is a permutation: no map of U is scanned
+    assert [len(c) for c in scans.values()] == [0, 0]
     # the domain, then the section table itself
     assert [args[0] for args in solves] == [pi.domain.table, broken.table()]
     got = _entries(iso)
@@ -245,6 +249,90 @@ def test_carried_results_equal_the_computed_ones(kind, seed):
     t = np.concatenate([np.diagonal(T) for T in want[0]])
     assert np.array_equal(np.sort(a), np.sort(T.a)) and len(a) == len(T.a)
     assert np.abs(w - T.w * t[c] / t[b]).max(initial=0.0) <= 1e-12
+
+
+# -- moved by gathers against the sorted comparison of both tables
+
+_MOVED = ("intact", "shuffled")  # the variants that stay the domain's moved
+
+
+def _variant(pi, kind, rng):
+    """The bundle of pi changed as ``kind`` names, with draws from rng:
+    its entries in a shuffled order, one entry (product or star) repeated
+    over another, one product or star weight turned by e^{0.5i}, built
+    with a random cocycle, or with one domain arrow missed by psi (its
+    basis label renamed)."""
+    if kind == "twisted":
+        return gk.build_bundle(pi, random_cocycle(pi.domain, rng, pi))
+    E = gk.build_bundle(pi)
+    if kind == "missed":
+        h = next(h for h in E.base.arrows if E.dim(h))
+        fibers = dict(E.fibers, **{h: ("missed",) + E.fibers[h][1:]})
+        return gk.FellBundle(E.base, fibers, E.table(), morphism=pi)
+    arrays = table_arrays(E)
+    kinds = [(("a", "b", "c", "w"), len(arrays["a"])),
+             (("s", "t", "sw"), len(arrays["s"]))]
+    if kind == "shuffled":
+        for names, k in kinds:
+            p = rng.permutation(k)
+            arrays.update({n: arrays[n][p] for n in names})
+    elif kind != "intact":  # a product or a star entry
+        names, k = kinds[int(rng.integers(2))]
+        if kind == "repeated":
+            i, j = rng.choice(k, 2, replace=False)
+            for n in names:
+                arrays[n][i] = arrays[n][j]
+        else:
+            arrays[names[-1]][rng.integers(k)] *= np.exp(0.5j)
+    return bundle_from(E, arrays, morphism=pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["action", "heis"]), st.integers(0, 2 ** 16),
+       st.sampled_from(_MOVED + ("repeated", "turned", "twisted",
+                                 "missed")))
+def test_moved_equals_the_sorted_comparison(kind, seed, variant):
+    pi = _morphism(kind, seed)
+    E = _variant(pi, variant, np.random.default_rng(seed))
+    assert E.moved() == sorted_moved(pi.domain.table, E.table(),
+                                     E.psi_slots) == (variant in _MOVED)
+
+
+# -- the unmoved entries of psi-check against the dense matrix of psi
+
+def _unmoved(name):
+    """(pi, bundle, admitting report) of a psi-check control: the turned
+    weights above, admitted by the intact bundle's axioms; heis2 and heis3
+    with a random cocycle; random action groupoids, with a random cocycle
+    or none."""
+    if name in TURNED:
+        pi, E, broken = _turned(name)
+        return pi, broken, gk.verify_axioms(E, samples=5)
+    kind, seed = name.rsplit("-", 1)
+    rng = np.random.default_rng(int(seed))
+    if kind.startswith("heis"):
+        pi = corpus.heisenberg_quotient(int(kind[4:]))
+    else:
+        pi = gk.build_action_groupoid(random_action(rng)).projection
+    E = gk.build_bundle(pi, None if kind == "action" else random_cocycle(
+        pi.domain, rng, pi))
+    return pi, E, gk.verify_axioms(E, samples=5)
+
+
+@pytest.mark.parametrize("name", [*TURNED, "heis2-0", "heis3-1"]
+                         + [f"{k}-{s}" for k in ("twisted", "action")
+                            for s in range(4)])
+def test_unmoved_entries_equal_the_dense_map_route(name):
+    pi, E, rep = _unmoved(name)
+    iso = gk.psi_iso_check(pi, bundle=E, axiom_report=rep)
+    want = dense_psi_defects(pi, E, rep)
+    for entry, (passed, res, witness) in zip(
+            ("multiplicative", "star_preserving"), want):
+        e = iso.entry(entry)
+        assert (e.passed, e.residual, e.witness) == (passed, res, witness)
+    assert E.moved() == name.startswith("action")
+    if not E.moved() and name not in TURNED:
+        assert not iso.entry("multiplicative").passed
 
 
 # -- call counts of the commands that use the identities
